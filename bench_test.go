@@ -1321,44 +1321,97 @@ func BenchmarkPartialRestart(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreterThroughput measures the OpenCL C interpreter on the
-// vadd kernel (wall-clock work-items per second).
+// BenchmarkInterpreterThroughput measures the clc executor through the ocl
+// launch path on the three kernels bench/probes.go times directly — a
+// streaming add, a 64-FMA inner loop and a __local tile transpose with a
+// barrier — at the probes' geometry (wall-clock per launch; ns per work-item
+// is ns/op over work-items/op).
 func BenchmarkInterpreterThroughput(b *testing.B) {
+	const src = `
+__kernel void vadd(__global const float* a, __global const float* b, __global float* c, int n) {
+    int i = (int)get_global_id(0);
+    if (i < n) c[i] = a[i] + b[i];
+}
+__kernel void loop(__global float* a, int n) {
+    int i = (int)get_global_id(0);
+    if (i >= n) return;
+    float x = a[i];
+    for (int k = 0; k < 64; k++) x = x * 1.0001f + 0.5f;
+    a[i] = x;
+}
+__kernel void transpose(__global const float* in, __global float* out, __local float* tile, int w, int h) {
+    int x = (int)get_global_id(0);
+    int y = (int)get_global_id(1);
+    int lx = (int)get_local_id(0);
+    int ly = (int)get_local_id(1);
+    int lw = (int)get_local_size(0);
+    if (x < w && y < h) tile[ly * lw + lx] = in[y * w + x];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    int ox = (int)get_group_id(1) * (int)get_local_size(1) + lx;
+    int oy = (int)get_group_id(0) * lw + ly;
+    if (ox < h && oy < w) out[oy * h + ox] = tile[lx * lw + ly];
+}`
+	const n, side = 1 << 14, 128
 	rt := ocl.NewRuntime(ocl.NVIDIA(), hw.TableISpec(), vtime.NewClock())
 	plats, _ := rt.GetPlatformIDs()
 	devs, _ := rt.GetDeviceIDs(plats[0], ocl.DeviceTypeAll)
 	ctx, _ := rt.CreateContext(devs)
 	q, _ := rt.CreateCommandQueue(ctx, devs[0], 0)
-	prog, _ := rt.CreateProgramWithSource(ctx, `
-__kernel void vadd(__global const float* a, __global const float* b,
-                   __global float* c, uint n) {
-    size_t i = get_global_id(0);
-    if (i < n) c[i] = a[i] + b[i];
-}`)
+	prog, _ := rt.CreateProgramWithSource(ctx, src)
 	if err := rt.BuildProgram(prog, ""); err != nil {
 		b.Fatal(err)
 	}
-	k, _ := rt.CreateKernel(prog, "vadd")
-	const n = 1 << 14
-	buf, _ := rt.CreateBuffer(ctx, ocl.MemReadWrite, 4*n, nil)
-	h := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		h[i] = byte(uint64(buf) >> (8 * i))
+	le := func(v uint64, size int) []byte {
+		out := make([]byte, size)
+		for i := range out {
+			out[i] = byte(v >> (8 * i))
+		}
+		return out
 	}
-	nn := make([]byte, 4)
-	nv := uint32(n)
-	for i := 0; i < 4; i++ {
-		nn[i] = byte(nv >> (8 * i))
-	}
-	rt.SetKernelArg(k, 0, 8, h)
-	rt.SetKernelArg(k, 1, 8, h)
-	rt.SetKernelArg(k, 2, 8, h)
-	rt.SetKernelArg(k, 3, 4, nn)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.EnqueueNDRangeKernel(q, k, 1, [3]int{}, [3]int{n}, [3]int{64}, nil); err != nil {
+	var bufs [3][]byte
+	for i := range bufs {
+		m, err := rt.CreateBuffer(ctx, ocl.MemReadWrite, 4*n, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		bufs[i] = le(uint64(m), 8)
 	}
-	b.ReportMetric(float64(n), "work-items/op")
+	for _, arm := range []struct {
+		kernel        string
+		dims          int
+		global, local [3]int
+		args          [][]byte // nil: a 1 KiB __local allocation
+	}{
+		{"vadd", 1, [3]int{n}, [3]int{64}, [][]byte{bufs[0], bufs[1], bufs[2], le(n, 4)}},
+		{"loop", 1, [3]int{n / 4}, [3]int{64}, [][]byte{bufs[2], le(n/4, 4)}},
+		{"transpose", 2, [3]int{side, side}, [3]int{16, 16}, [][]byte{bufs[0], bufs[1], nil, le(side, 4), le(side, 4)}},
+	} {
+		b.Run(arm.kernel, func(b *testing.B) {
+			k, err := rt.CreateKernel(prog, arm.kernel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			items := 1
+			for d := 0; d < arm.dims; d++ {
+				items *= arm.global[d]
+			}
+			for i, a := range arm.args {
+				size := int64(len(a))
+				if a == nil {
+					size = 4 * 16 * 16
+				}
+				if err := rt.SetKernelArg(k, i, size, a); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rt.EnqueueNDRangeKernel(q, k, arm.dims, [3]int{}, arm.global, arm.local, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(items), "work-items/op")
+		})
+	}
 }

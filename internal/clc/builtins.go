@@ -3,10 +3,17 @@ package clc
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
-// predefined holds identifiers that OpenCL C exposes without declaration.
-var predefined = map[string]value{
+// predef is an identifier that OpenCL C exposes without declaration.
+type predef struct {
+	typ *Type
+	i   int64
+	f   float64
+}
+
+var predefined = map[string]predef{
 	"CLK_LOCAL_MEM_FENCE":  {typ: TypeUInt, i: 1},
 	"CLK_GLOBAL_MEM_FENCE": {typ: TypeUInt, i: 2},
 	"M_PI":                 {typ: TypeDouble, f: math.Pi},
@@ -27,587 +34,376 @@ var predefined = map[string]value{
 	"false":                {typ: TypeBool, i: 0},
 }
 
-// flop weights for transcendental builtins: rough operation equivalents
-// used by the roofline cost model.
-var mathFlopWeight = map[string]float64{
-	"sqrt": 4, "rsqrt": 4, "cbrt": 8,
-	"exp": 8, "exp2": 8, "exp10": 8, "expm1": 8,
-	"log": 8, "log2": 8, "log10": 8, "log1p": 8,
-	"sin": 8, "cos": 8, "tan": 10, "sincos": 12,
-	"asin": 10, "acos": 10, "atan": 10, "atan2": 12,
-	"sinh": 10, "cosh": 10, "tanh": 10,
-	"pow": 12, "powr": 12, "hypot": 8,
-	"fabs": 1, "floor": 1, "ceil": 1, "round": 1, "trunc": 1, "rint": 1,
-	"fmin": 1, "fmax": 1, "fmod": 4, "copysign": 1, "sign": 1,
-	"mad": 2, "fma": 2, "mix": 3, "step": 1, "smoothstep": 6, "clamp": 2,
-	"degrees": 1, "radians": 1, "recip": 4, "divide": 4,
+// mathFn is one float math builtin: its arity, the rough operation
+// equivalent the roofline cost model charges for it, and its float64
+// implementation (results are rounded to single unless an argument is
+// double).
+type mathFn struct {
+	name   string
+	nargs  int
+	weight int64
+	f1     func(a float64) float64
+	f2     func(a, b float64) float64
+	f3     func(a, b, c float64) float64
 }
 
-// callBuiltin dispatches c if it names a builtin; the second result is
-// false when c is not a builtin and should be resolved as a user function.
-func (w *witem) callBuiltin(c *CallExpr) (value, bool, error) {
-	name := c.Fun
-	// native_* and half_* variants share their exact counterparts.
-	base := name
+func m1(name string, weight int64, f func(float64) float64) mathFn {
+	return mathFn{name: name, nargs: 1, weight: weight, f1: f}
+}
+
+func m2(name string, weight int64, f func(a, b float64) float64) mathFn {
+	return mathFn{name: name, nargs: 2, weight: weight, f2: f}
+}
+
+func m3(name string, weight int64, f func(a, b, c float64) float64) mathFn {
+	return mathFn{name: name, nargs: 3, weight: weight, f3: f}
+}
+
+var mathFns = []mathFn{
+	m1("sqrt", 4, math.Sqrt),
+	m1("rsqrt", 4, func(a float64) float64 { return 1 / math.Sqrt(a) }),
+	m1("cbrt", 8, math.Cbrt),
+	m1("exp", 8, math.Exp),
+	m1("exp2", 8, math.Exp2),
+	m1("exp10", 8, func(a float64) float64 { return math.Pow(10, a) }),
+	m1("expm1", 8, math.Expm1),
+	m1("log", 8, math.Log),
+	m1("log2", 8, math.Log2),
+	m1("log10", 8, math.Log10),
+	m1("log1p", 8, math.Log1p),
+	m1("sin", 8, math.Sin),
+	m1("cos", 8, math.Cos),
+	m1("tan", 10, math.Tan),
+	m1("asin", 10, math.Asin),
+	m1("acos", 10, math.Acos),
+	m1("atan", 10, math.Atan),
+	m2("atan2", 12, math.Atan2),
+	m1("sinh", 10, math.Sinh),
+	m1("cosh", 10, math.Cosh),
+	m1("tanh", 10, math.Tanh),
+	m2("pow", 12, math.Pow),
+	m2("powr", 12, math.Pow),
+	m2("hypot", 8, math.Hypot),
+	m1("fabs", 1, math.Abs),
+	m1("floor", 1, math.Floor),
+	m1("ceil", 1, math.Ceil),
+	m1("round", 1, math.Round),
+	m1("trunc", 1, math.Trunc),
+	m1("rint", 1, math.Trunc),
+	m2("fmin", 1, math.Min),
+	m2("fmax", 1, math.Max),
+	m2("fmod", 4, math.Mod),
+	m2("copysign", 1, math.Copysign),
+	m1("sign", 1, func(a float64) float64 {
+		switch {
+		case a > 0:
+			return 1
+		case a < 0:
+			return -1
+		}
+		return 0
+	}),
+	m3("mad", 2, func(a, b, c float64) float64 { return a*b + c }),
+	m3("fma", 2, func(a, b, c float64) float64 { return a*b + c }),
+	m3("mix", 3, func(a, b, c float64) float64 { return a + (b-a)*c }),
+	m2("step", 1, func(a, b float64) float64 {
+		if b < a {
+			return 0
+		}
+		return 1
+	}),
+	m3("smoothstep", 6, func(a, b, c float64) float64 {
+		t := (c - a) / (b - a)
+		if t < 0 {
+			t = 0
+		}
+		if t > 1 {
+			t = 1
+		}
+		return t * t * (3 - 2*t)
+	}),
+	m3("clamp", 2, func(a, b, c float64) float64 { return math.Max(b, math.Min(a, c)) }),
+	m1("degrees", 1, func(a float64) float64 { return a * 180 / math.Pi }),
+	m1("radians", 1, func(a float64) float64 { return a * math.Pi / 180 }),
+	m1("recip", 4, func(a float64) float64 { return 1 / a }),
+	m2("divide", 4, func(a, b float64) float64 { return a / b }),
+	// Accepted by name, but no arity is implemented.
+	{name: "sincos", weight: 12},
+}
+
+var mathIndex = func() map[string]int32 {
+	idx := make(map[string]int32, len(mathFns))
+	for i, m := range mathFns {
+		idx[m.name] = int32(i)
+	}
+	return idx
+}()
+
+// atomics maps an atomic builtin to its argument count and the opcode that
+// combines the old value with the operand (0: the operand replaces it).
+var atomics = map[string]struct {
+	nargs int
+	op    opcode
+}{
+	"atomic_add": {2, opAdd64}, "atom_add": {2, opAdd64},
+	"atomic_sub": {2, opSub64}, "atom_sub": {2, opSub64},
+	"atomic_inc": {1, opAdd64}, "atom_inc": {1, opAdd64},
+	"atomic_dec": {1, opSub64}, "atom_dec": {1, opSub64},
+	"atomic_xchg": {2, 0}, "atom_xchg": {2, 0},
+	"atomic_min": {2, opMinS}, "atom_min": {2, opMinS},
+	"atomic_max": {2, opMaxS}, "atom_max": {2, opMaxS},
+	"atomic_cmpxchg": {3, 0}, "atom_cmpxchg": {3, 0},
+	"atomic_and": {2, opAnd}, "atomic_or": {2, opOr}, "atomic_xor": {2, opXor},
+}
+
+// decodeReg reads one element of type t from b in register form.
+func decodeReg(b []byte, t *Type) int64 {
+	var raw uint64
+	for i := range b {
+		raw |= uint64(b[i]) << (8 * i)
+	}
+	switch t.Kind {
+	case TFloat:
+		return fbits(float64(math.Float32frombits(uint32(raw))))
+	case TPtr:
+		return 0 // regions cannot be named in memory
+	}
+	return normalizeKind(int64(raw), t.Kind)
+}
+
+// encodeReg stores register value v as an element of type t.
+func encodeReg(b []byte, v int64, t *Type) {
+	if t.Kind == TFloat {
+		v = int64(math.Float32bits(float32(math.Float64frombits(uint64(v)))))
+	}
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// builtinBase strips the native_/half_ prefixes, whose variants share
+// their exact counterparts.
+func builtinBase(name string) string {
 	for _, prefix := range []string{"native_", "half_"} {
-		if len(base) > len(prefix) && base[:len(prefix)] == prefix {
-			base = base[len(prefix):]
+		if len(name) > len(prefix) && strings.HasPrefix(name, prefix) {
+			name = name[len(prefix):]
 		}
 	}
+	return name
+}
 
-	evalArgs := func(n int) ([]value, error) {
-		if len(c.Args) != n {
-			return nil, fmt.Errorf("builtin %s expects %d arguments, got %d", name, n, len(c.Args))
-		}
-		out := make([]value, n)
-		for i, a := range c.Args {
-			v, err := w.evalExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
+var workItemFns = map[string]int32{
+	"get_global_id": idGlobalID, "get_local_id": idLocalID, "get_group_id": idGroupID,
+	"get_global_size": idGlobalSize, "get_local_size": idLocalSize,
+	"get_num_groups": idNumGroups, "get_global_offset": idGlobalOffset,
+}
+
+var convertFns = map[string]*Type{
+	"convert_int": TypeInt, "convert_int_sat": TypeInt,
+	"convert_uint": TypeUInt, "convert_uint_sat": TypeUInt,
+	"convert_long": TypeLong, "convert_ulong": TypeULong,
+	"convert_float": TypeFloat, "convert_double": TypeDouble,
+	"convert_uchar": TypeUChar, "convert_uchar_sat": TypeUChar,
+	"convert_char": TypeChar, "convert_short": TypeShort, "convert_ushort": TypeUShort,
+}
+
+// fixedArity lists the builtins whose argument count is checked before
+// any argument is evaluated.
+var fixedArity = map[string]int{
+	"get_work_dim": 0, "as_float": 1, "as_int": 1, "as_uint": 1, "abs": 1,
+	"min": 2, "max": 2, "mul24": 2, "mad24": 3, "rotate": 2, "popcount": 1,
+}
+
+// lowerBuiltin lowers c if it names a builtin; ok is false when c is not a
+// builtin and should be resolved as a user function.
+func (f *funcLowerer) lowerBuiltin(c *CallExpr, hint int32) (v operand, ok bool) {
+	name := c.Fun
+	base := builtinBase(name)
+	void := operand{reg: f.zero(), typ: TypeVoid}
+	id, isID := workItemFns[base]
+	want, fixed := fixedArity[base]
+	if isID {
+		want, fixed = 1, true
 	}
-
+	if fixed && len(c.Args) != want {
+		f.trap(fmt.Sprintf("builtin %s expects %d arguments, got %d", name, want, len(c.Args)))
+		return void, true
+	}
+	if t, isConv := convertFns[base]; isConv {
+		if len(c.Args) != 1 {
+			f.trap(name + " expects one argument")
+			return void, true
+		}
+		return f.convert(f.lowerExpr(c.Args[0], -1), t, hint), true
+	}
+	if at, isAtomic := atomics[base]; isAtomic {
+		return f.lowerAtomic(base, at.nargs, at.op, c, hint), true
+	}
+	if idx, isMath := mathIndex[base]; isMath {
+		return f.lowerMath(base, idx, c, hint), true
+	}
 	switch base {
-	// ---- work-item functions ----
-	case "get_global_id", "get_local_id", "get_group_id", "get_global_size",
-		"get_local_size", "get_num_groups", "get_global_offset":
-		args, err := evalArgs(1)
-		if err != nil {
-			return value{}, true, err
+	case "barrier", "work_group_barrier", "mem_fence", "read_mem_fence", "write_mem_fence":
+		f.lowerArgs(c.Args)
+		if strings.HasSuffix(base, "barrier") {
+			f.emit(opBarrier, 0, 0, 0, 0)
 		}
-		d := int(asInt(args[0]))
-		if d < 0 || d > 2 {
-			return value{typ: TypeSizeT, i: 0}, true, nil
-		}
-		var n int
-		switch base {
-		case "get_global_id":
-			n = w.global[d]
-		case "get_local_id":
-			n = w.local[d]
-		case "get_group_id":
-			n = w.g.groupID[d]
-		case "get_global_size":
-			n = w.in.nd.Global[d]
-		case "get_local_size":
-			n = w.in.nd.Local[d]
-		case "get_num_groups":
-			n = w.in.numGroups[d]
-		case "get_global_offset":
-			n = w.in.nd.Offset[d]
-		}
-		return value{typ: TypeSizeT, i: int64(n)}, true, nil
-	case "get_work_dim":
-		if _, err := evalArgs(0); err != nil {
-			return value{}, true, err
-		}
-		return value{typ: TypeUInt, i: int64(w.in.nd.Dims)}, true, nil
+		return void, true
+	}
+	if !fixed {
+		return operand{}, false
+	}
 
-	// ---- synchronisation ----
-	case "barrier", "work_group_barrier":
-		for _, a := range c.Args {
-			if _, err := w.evalExpr(a); err != nil {
-				return value{}, true, err
-			}
-		}
-		if w.g != nil && w.g.barrier != nil {
-			if err := w.g.barrier.await(); err != nil {
-				return value{}, true, err
-			}
-		}
-		return value{typ: TypeVoid}, true, nil
-	case "mem_fence", "read_mem_fence", "write_mem_fence":
-		for _, a := range c.Args {
-			if _, err := w.evalExpr(a); err != nil {
-				return value{}, true, err
-			}
-		}
-		return value{typ: TypeVoid}, true, nil
-
-	// ---- atomics ----
-	case "atomic_add", "atom_add", "atomic_sub", "atom_sub", "atomic_inc",
-		"atom_inc", "atomic_dec", "atom_dec", "atomic_xchg", "atom_xchg",
-		"atomic_min", "atom_min", "atomic_max", "atom_max",
-		"atomic_cmpxchg", "atom_cmpxchg", "atomic_or", "atomic_and",
-		"atomic_xor":
-		return w.callAtomic(base, c)
-
-	// ---- bit reinterpretation ----
-	case "as_float":
-		args, err := evalArgs(1)
-		if err != nil {
-			return value{}, true, err
-		}
-		bits := uint32(asInt(args[0]))
-		return value{typ: TypeFloat, f: float64(math.Float32frombits(bits))}, true, nil
-	case "as_int", "as_uint":
-		args, err := evalArgs(1)
-		if err != nil {
-			return value{}, true, err
-		}
-		var bits uint32
-		if args[0].typ.IsFloat() {
-			bits = math.Float32bits(float32(args[0].f))
+	a := f.lowerArgs(c.Args)
+	asInt := func(i int) int32 { return f.toInt(a[i]).reg }
+	dst := f.dest(hint)
+	switch {
+	case isID:
+		if lit, isLit := c.Args[0].(*IntLit); isLit && lit.Val >= 0 && lit.Val <= 2 {
+			f.emit(opID, dst, id+int32(lit.Val), 0, 0)
 		} else {
-			bits = uint32(args[0].i)
+			f.emit(opIDDyn, dst, id, asInt(0), 0)
+		}
+		return operand{reg: dst, typ: TypeSizeT}, true
+	case base == "get_work_dim":
+		f.emit(opID, dst, idWorkDim, 0, 0)
+		return operand{reg: dst, typ: TypeUInt}, true
+	case base == "as_float":
+		f.emit(opBitsF32, dst, asInt(0), 0, 0)
+		return operand{reg: dst, typ: TypeFloat}, true
+	case base == "as_int", base == "as_uint":
+		bits := operand{reg: f.temp(), typ: TypeULong}
+		if a[0].typ.IsFloat() {
+			f.emit(opF32Bits, bits.reg, a[0].reg, 0, 0)
+		} else {
+			bits.reg = asInt(0)
 		}
 		t := TypeInt
 		if base == "as_uint" {
 			t = TypeUInt
 		}
-		return value{typ: t, i: normalizeInt(int64(bits), t)}, true, nil
-
-	// ---- integer builtins ----
-	case "abs":
-		args, err := evalArgs(1)
-		if err != nil {
-			return value{}, true, err
-		}
-		if args[0].typ.IsFloat() {
-			w.prof.Flops++
-			return value{typ: args[0].typ, f: math.Abs(args[0].f)}, true, nil
-		}
-		n := asInt(args[0])
-		if n < 0 {
-			n = -n
-		}
-		return value{typ: TypeUInt, i: normalizeInt(n, TypeUInt)}, true, nil
-	case "min", "max":
-		args, err := evalArgs(2)
-		if err != nil {
-			return value{}, true, err
-		}
-		return w.minmax(base, args[0], args[1])
-	case "mul24":
-		args, err := evalArgs(2)
-		if err != nil {
-			return value{}, true, err
-		}
-		return value{typ: TypeInt, i: normalizeInt(asInt(args[0])*asInt(args[1]), TypeInt)}, true, nil
-	case "mad24":
-		args, err := evalArgs(3)
-		if err != nil {
-			return value{}, true, err
-		}
-		return value{typ: TypeInt, i: normalizeInt(asInt(args[0])*asInt(args[1])+asInt(args[2]), TypeInt)}, true, nil
-	case "rotate":
-		args, err := evalArgs(2)
-		if err != nil {
-			return value{}, true, err
-		}
-		v := uint32(asInt(args[0]))
-		s := uint(asInt(args[1])) % 32
-		out := v<<s | v>>(32-s)
-		return value{typ: args[0].typ, i: normalizeInt(int64(out), args[0].typ)}, true, nil
-	case "popcount":
-		args, err := evalArgs(1)
-		if err != nil {
-			return value{}, true, err
-		}
-		n := uint64(asInt(args[0]))
-		count := int64(0)
-		for n != 0 {
-			count += int64(n & 1)
-			n >>= 1
-		}
-		return value{typ: args[0].typ, i: count}, true, nil
-
-	// ---- type conversions (convert_T / convert_T_sat) ----
-	case "convert_int", "convert_int_sat":
-		return w.convert1(c, TypeInt)
-	case "convert_uint", "convert_uint_sat":
-		return w.convert1(c, TypeUInt)
-	case "convert_long":
-		return w.convert1(c, TypeLong)
-	case "convert_ulong":
-		return w.convert1(c, TypeULong)
-	case "convert_float":
-		return w.convert1(c, TypeFloat)
-	case "convert_double":
-		return w.convert1(c, TypeDouble)
-	case "convert_uchar", "convert_uchar_sat":
-		return w.convert1(c, TypeUChar)
-	case "convert_char":
-		return w.convert1(c, TypeChar)
-	case "convert_short":
-		return w.convert1(c, TypeShort)
-	case "convert_ushort":
-		return w.convert1(c, TypeUShort)
+		return f.convert(bits, t, dst), true
+	case base == "abs" && a[0].typ.IsFloat():
+		f.emit(opFAbs, dst, a[0].reg, 0, 0)
+		return operand{reg: dst, typ: a[0].typ}, true
+	case base == "abs":
+		f.emit(opAbsU32, dst, asInt(0), 0, 0)
+		return operand{reg: dst, typ: TypeUInt}, true
+	case base == "min", base == "max":
+		return f.lowerMinMax(base == "min", a[0], a[1], dst), true
+	case base == "mul24":
+		f.emit(opMulI32, dst, asInt(0), asInt(1), 0)
+		return operand{reg: dst, typ: TypeInt}, true
+	case base == "mad24":
+		// dst may be the variable the third argument names: multiply aside.
+		product := f.temp()
+		f.emit(opMulI32, product, asInt(0), asInt(1), 0)
+		f.emit(opAddI32, dst, product, asInt(2), 0)
+		return operand{reg: dst, typ: TypeInt}, true
 	}
-
-	// ---- float math with a table-driven flop weight ----
-	if weight, ok := mathFlopWeight[base]; ok {
-		v, err := w.callMath(base, c, weight)
-		return v, true, err
+	// rotate and popcount have their first operand's type; of a float or
+	// pointer, that type and no value.
+	tmp := f.temp()
+	if base == "rotate" {
+		f.emit(opRotl32, tmp, asInt(0), asInt(1), 0)
+	} else {
+		f.emit(opPopcnt, tmp, asInt(0), 0, 0)
 	}
-	return value{}, false, nil
+	if t := a[0].typ; t.IsFloat() || t.Kind == TPtr {
+		return f.moveTo(operand{reg: f.zero(), typ: t}, dst), true
+	}
+	return f.convert(operand{reg: tmp, typ: TypeULong}, a[0].typ, dst), true
 }
 
-func (w *witem) convert1(c *CallExpr, t *Type) (value, bool, error) {
-	if len(c.Args) != 1 {
-		return value{}, true, fmt.Errorf("%s expects one argument", c.Fun)
+func (f *funcLowerer) lowerMinMax(isMin bool, a, b operand, dst int32) operand {
+	if a.typ.Kind == TPtr || b.typ.Kind == TPtr {
+		return f.trapValue("min/max of a pointer")
 	}
-	v, err := w.evalExpr(c.Args[0])
-	if err != nil {
-		return value{}, true, err
-	}
-	return convertTo(v, t), true, nil
-}
-
-func (w *witem) minmax(op string, a, b value) (value, bool, error) {
 	t := promote(a.typ, b.typ)
-	if t.IsFloat() {
-		w.prof.Flops++
-		af, bf := asFloat(a), asFloat(b)
-		if (op == "min") == (af < bf) {
-			return value{typ: t, f: roundF(af, t)}, true, nil
-		}
-		return value{typ: t, f: roundF(bf, t)}, true, nil
-	}
-	ai := normalizeInt(asInt(a), t)
-	bi := normalizeInt(asInt(b), t)
-	less := ai < bi
-	if t.IsUnsigned() {
-		less = uint64(ai) < uint64(bi)
-	}
-	if (op == "min") == less {
-		return value{typ: t, i: ai}, true, nil
-	}
-	return value{typ: t, i: bi}, true, nil
-}
-
-func (w *witem) callAtomic(base string, c *CallExpr) (value, bool, error) {
-	nargs := 2
-	switch base {
-	case "atomic_inc", "atom_inc", "atomic_dec", "atom_dec":
-		nargs = 1
-	case "atomic_cmpxchg", "atom_cmpxchg":
-		nargs = 3
-	}
-	if len(c.Args) != nargs {
-		return value{}, true, fmt.Errorf("%s expects %d arguments, got %d", base, nargs, len(c.Args))
-	}
-	args := make([]value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := w.evalExpr(a)
-		if err != nil {
-			return value{}, true, err
-		}
-		args[i] = v
-	}
-	ptr := args[0]
-	if ptr.typ == nil || ptr.typ.Kind != TPtr || ptr.p.mem == nil {
-		return value{}, true, fmt.Errorf("%s: first argument must be a non-null pointer", base)
-	}
-	elem := ptr.p.elem
-
-	globalAtomicMu.Lock()
-	defer globalAtomicMu.Unlock()
-	old, err := loadScalar(ptr.p.mem, ptr.p.off, elem, &w.prof)
-	if err != nil {
-		return value{}, true, err
-	}
-	var nv int64
-	ov := asInt(old)
-	switch base {
-	case "atomic_add", "atom_add":
-		nv = ov + asInt(args[1])
-	case "atomic_sub", "atom_sub":
-		nv = ov - asInt(args[1])
-	case "atomic_inc", "atom_inc":
-		nv = ov + 1
-	case "atomic_dec", "atom_dec":
-		nv = ov - 1
-	case "atomic_xchg", "atom_xchg":
-		nv = asInt(args[1])
-	case "atomic_min", "atom_min":
-		nv = ov
-		if x := asInt(args[1]); x < nv {
-			nv = x
-		}
-	case "atomic_max", "atom_max":
-		nv = ov
-		if x := asInt(args[1]); x > nv {
-			nv = x
-		}
-	case "atomic_and":
-		nv = ov & asInt(args[1])
-	case "atomic_or":
-		nv = ov | asInt(args[1])
-	case "atomic_xor":
-		nv = ov ^ asInt(args[1])
-	case "atomic_cmpxchg", "atom_cmpxchg":
-		if ov == asInt(args[1]) {
-			nv = asInt(args[2])
-		} else {
-			nv = ov
-		}
-	}
-	if err := storeScalar(ptr.p.mem, ptr.p.off, elem, value{typ: elem, i: normalizeInt(nv, elem)}, &w.prof); err != nil {
-		return value{}, true, err
-	}
-	return old, true, nil
-}
-
-func (w *witem) callMath(base string, c *CallExpr, weight float64) (value, error) {
-	args := make([]value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := w.evalExpr(a)
-		if err != nil {
-			return value{}, err
-		}
-		args[i] = v
-	}
-	w.prof.Flops += weight
-	f := make([]float64, len(args))
-	t := TypeFloat
-	for i, a := range args {
-		f[i] = asFloat(a)
-		if a.typ != nil && a.typ.Kind == TDouble {
-			t = TypeDouble
-		}
-	}
-	need := func(n int) error {
-		if len(f) != n {
-			return fmt.Errorf("builtin %s expects %d arguments, got %d", base, n, len(f))
-		}
-		return nil
-	}
-	var out float64
-	switch base {
-	case "sqrt":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Sqrt(f[0])
-	case "rsqrt":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = 1 / math.Sqrt(f[0])
-	case "cbrt":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Cbrt(f[0])
-	case "exp":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Exp(f[0])
-	case "exp2":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Exp2(f[0])
-	case "exp10":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Pow(10, f[0])
-	case "expm1":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Expm1(f[0])
-	case "log":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Log(f[0])
-	case "log2":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Log2(f[0])
-	case "log10":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Log10(f[0])
-	case "log1p":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Log1p(f[0])
-	case "sin":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Sin(f[0])
-	case "cos":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Cos(f[0])
-	case "tan":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Tan(f[0])
-	case "asin":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Asin(f[0])
-	case "acos":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Acos(f[0])
-	case "atan":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Atan(f[0])
-	case "atan2":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Atan2(f[0], f[1])
-	case "sinh":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Sinh(f[0])
-	case "cosh":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Cosh(f[0])
-	case "tanh":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Tanh(f[0])
-	case "pow", "powr":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Pow(f[0], f[1])
-	case "hypot":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Hypot(f[0], f[1])
-	case "fabs":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Abs(f[0])
-	case "floor":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Floor(f[0])
-	case "ceil":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Ceil(f[0])
-	case "round":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Round(f[0])
-	case "trunc", "rint":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = math.Trunc(f[0])
-	case "fmin":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Min(f[0], f[1])
-	case "fmax":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Max(f[0], f[1])
-	case "fmod":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Mod(f[0], f[1])
-	case "copysign":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = math.Copysign(f[0], f[1])
-	case "sign":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		switch {
-		case f[0] > 0:
-			out = 1
-		case f[0] < 0:
-			out = -1
-		default:
-			out = 0
-		}
-	case "mad", "fma":
-		if err := need(3); err != nil {
-			return value{}, err
-		}
-		out = f[0]*f[1] + f[2]
-	case "mix":
-		if err := need(3); err != nil {
-			return value{}, err
-		}
-		out = f[0] + (f[1]-f[0])*f[2]
-	case "step":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		if f[1] < f[0] {
-			out = 0
-		} else {
-			out = 1
-		}
-	case "smoothstep":
-		if err := need(3); err != nil {
-			return value{}, err
-		}
-		tt := (f[2] - f[0]) / (f[1] - f[0])
-		if tt < 0 {
-			tt = 0
-		}
-		if tt > 1 {
-			tt = 1
-		}
-		out = tt * tt * (3 - 2*tt)
-	case "clamp":
-		if err := need(3); err != nil {
-			return value{}, err
-		}
-		out = math.Max(f[1], math.Min(f[0], f[2]))
-	case "degrees":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = f[0] * 180 / math.Pi
-	case "radians":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = f[0] * math.Pi / 180
-	case "recip":
-		if err := need(1); err != nil {
-			return value{}, err
-		}
-		out = 1 / f[0]
-	case "divide":
-		if err := need(2); err != nil {
-			return value{}, err
-		}
-		out = f[0] / f[1]
+	x, y := f.convert(a, t, -1), f.convert(b, t, -1)
+	switch {
+	case t.IsFloat():
+		f.emit(pick(isMin, opFMin, opFMax), dst, x.reg, y.reg, 0)
+	case t.IsUnsigned():
+		f.emit(pick(isMin, opMinU, opMaxU), dst, x.reg, y.reg, 0)
 	default:
-		return value{}, fmt.Errorf("math builtin %q not implemented", base)
+		f.emit(pick(isMin, opMinS, opMaxS), dst, x.reg, y.reg, 0)
 	}
-	return value{typ: t, f: roundF(out, t)}, nil
+	return operand{reg: dst, typ: t}
+}
+
+func pick(cond bool, a, b opcode) opcode {
+	if cond {
+		return a
+	}
+	return b
+}
+
+func (f *funcLowerer) lowerMath(base string, idx int32, c *CallExpr, hint int32) operand {
+	args := f.lowerArgs(c.Args)
+	m := &mathFns[idx]
+	t, d := TypeFloat, idx|1<<16
+	for _, a := range args {
+		if a.typ.Kind == TDouble {
+			t, d = TypeDouble, idx
+		}
+	}
+	switch {
+	case m.nargs == 0:
+		f.trap(fmt.Sprintf("math builtin %q not implemented", base))
+		return operand{reg: f.zero(), typ: t}
+	case len(args) != m.nargs:
+		f.trap(fmt.Sprintf("builtin %s expects %d arguments, got %d", base, m.nargs, len(args)))
+		return operand{reg: f.zero(), typ: t}
+	}
+	// Arguments take their float64 value unrounded, whatever the result
+	// type, in consecutive registers.
+	blk := f.block(m.nargs)
+	for i, a := range args {
+		f.moveTo(f.convert(a, TypeDouble, blk+int32(i)), blk+int32(i))
+	}
+	dst := f.dest(hint)
+	f.emit(opMath, dst, blk, 0, d)
+	return operand{reg: dst, typ: t}
+}
+
+// lowerAtomic lowers an atomic builtin as a plain load, combine and store:
+// work-groups that run concurrently never execute atomics (disjoint.go),
+// and the items of a group run one at a time.
+func (f *funcLowerer) lowerAtomic(base string, nargs int, op opcode, c *CallExpr, hint int32) operand {
+	if len(c.Args) != nargs {
+		return f.trapValue(fmt.Sprintf("%s expects %d arguments, got %d", base, nargs, len(c.Args)))
+	}
+	args := f.lowerArgs(c.Args)
+	p := args[0]
+	if p.typ.Kind != TPtr {
+		return f.trapValue(base + ": first argument must be a non-null pointer")
+	}
+	lv := lval{base: p.reg, idx: f.zero(), null: 2, note: base, typ: p.typ.Elem}
+	old := f.load(lv, -1)
+	ov := f.toInt(old).reg
+	x, y := f.constInt(1), int32(0)
+	if nargs > 1 {
+		x = f.toInt(args[1]).reg
+	}
+	nv := f.temp()
+	switch {
+	case nargs == 3: // cmpxchg: the third argument if old equals the second
+		y = f.toInt(args[2]).reg
+		f.emit(opMov, nv, ov, 0, 0)
+		skip := f.emit(opJNe, ov, x, 0, 0)
+		f.emit(opMov, nv, y, 0, 0)
+		f.patch([]int32{skip}, f.here())
+	case op == 0:
+		nv = x
+	default:
+		f.emit(op, nv, ov, x, 0)
+	}
+	if lv.typ.IsFloat() {
+		// The integer result has no float value: the element becomes 0.
+		f.store(lv, f.constFloat(0, lv.typ))
+	} else {
+		f.store(lv, operand{reg: nv, typ: TypeLong})
+	}
+	return f.moveTo(old, hint)
 }

@@ -53,7 +53,7 @@ func TestAllMathBuiltinsAgainstGo(t *testing.T) {
 			p := mustCompile(t, src)
 			for _, in := range inputs {
 				out := make([]byte, 4)
-				_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+				_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 					[]KernelArg{{Mem: out}, {Scalar: scalarF32(in)}}, ExecOptions{})
 				if err != nil {
 					t.Fatalf("%s(%v): %v", c.name, in, err)
@@ -87,7 +87,7 @@ __kernel void f(__global float* out, float a, float b) {
 }`)
 	a, b := float32(2.5), float32(1.75)
 	out := make([]byte, 4*12)
-	_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: scalarF32(a)}, {Scalar: scalarF32(b)}}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ __kernel void f(__global int* out, int a, int b) {
 	bb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(ab, uint32(a))
 	binary.LittleEndian.PutUint32(bb, uint32(b))
-	_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: ab}, {Scalar: bb}}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ __kernel void f(__global int* v) {
 	for i, v := range vals {
 		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
 	}
-	_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: buf}}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ __kernel void f(__global int* out, float x) {
     out[4] = (int)convert_float(7);
 }`)
 	out := make([]byte, 4*5)
-	_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: scalarF32(3.9)}}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

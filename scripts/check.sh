@@ -14,9 +14,28 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
-# Fault-tolerance soak: the fault-injection and failover tests are the ones
-# most likely to flake under scheduling nondeterminism, so run them repeatedly
-# under the race detector.
+# Determinism gate: results and virtual times may depend on neither the
+# scheduler nor the core count. The apps golden (every bundled program's
+# final vtime and buffer digests, recorded from the tree-walker at
+# GOMAXPROCS=1) and the executor-vs-tree-walker differential run repeatedly
+# at 1 and 8 procs, and the two soaks that conflicting global stores used to
+# break run ten times each while two busy loops compete for the CPUs.
+for procs in 1 8; do
+    GOMAXPROCS=$procs go test -run 'AppsGolden|Differential' -race -count=3 \
+        ./internal/clc/ ./internal/core/
+done
+yes >/dev/null &
+load1=$!
+yes >/dev/null &
+load2=$!
+trap 'kill $load1 $load2 2>/dev/null' EXIT
+go test -run 'TestFaultAppsBitIdentical|TestTransportParitySoak' -count=10 -race ./internal/core/
+kill $load1 $load2
+trap - EXIT
+# Front-end fuzz: lexer, parser and lowering never panic on arbitrary source.
+go test -fuzz=FuzzCompile -fuzztime=10s ./internal/clc
+# Fault-tolerance soak: the fault-injection and failover tests run
+# repeatedly under the race detector.
 go test -run Fault -count=5 -race ./internal/...
 # Durability gate: the disk-fault, crash-recovery, and self-healing paths
 # run repeatedly under the race detector, and the store CLI must stay clean
