@@ -144,12 +144,7 @@ func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats
 	// against its parent, so the parent must be committed first. If it
 	// failed, the clean flags describe an uncommitted generation — every
 	// buffer is re-staged and the failure is surfaced typed.
-	if err := c.WaitBackgroundWrite(); err != nil {
-		if bge := (*BackgroundWriteError)(nil); errors.As(err, &bge) {
-			stats.BackgroundErr = bge
-		} else {
-			stats.BackgroundErr = &BackgroundWriteError{Job: job, Err: err}
-		}
+	if err := c.WaitBackgroundWrite(); errors.As(err, &stats.BackgroundErr) {
 		for _, m := range c.db.mems {
 			m.Dirty = true
 		}
@@ -211,15 +206,7 @@ func (c *CheCL) WaitBackgroundWrite() error {
 	}
 	c.bg = nil
 	<-bg.done
-	clock := c.app.Clock()
-	hidden := clock.Now().Sub(bg.startedAt)
-	if hidden > bg.dur {
-		hidden = bg.dur
-	}
-	// AdvanceTo is monotone: if the application already ran past the
-	// write's end, the whole write was hidden and nothing is charged.
-	clock.AdvanceTo(bg.startedAt.Add(bg.dur))
-	c.stall.Add("write-barrier", bg.dur-hidden)
+	hidden := c.barrier("write-barrier", bg.startedAt, bg.dur)
 	if bg.err != nil {
 		return &BackgroundWriteError{Job: bg.job, Err: bg.err}
 	}
@@ -229,6 +216,19 @@ func (c *CheCL) WaitBackgroundWrite() error {
 		lc.Overlap = hidden
 	}
 	return nil
+}
+
+// barrier waits for background work that began at `began` and takes dur
+// of virtual time: the part the application's own progress already covered
+// is hidden (and returned), the rest is charged as a stall under label.
+// AdvanceTo is monotone, so work the application already ran past costs
+// nothing.
+func (c *CheCL) barrier(label string, began vtime.Time, dur vtime.Duration) vtime.Duration {
+	clock := c.app.Clock()
+	hidden := min(clock.Now().Sub(began), dur)
+	clock.AdvanceTo(began.Add(dur))
+	c.stall.Add(label, dur-hidden)
+	return hidden
 }
 
 // runCheckpoint executes the four §III-C phases around a pluggable
@@ -251,15 +251,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	// proxy before the queues drain, and any deferred error fails the
 	// checkpoint here, before an incomplete state could be dumped.
 	sw := vtime.NewStopwatch(clock)
-	if err := c.flushBatch(); err != nil {
-		return fmt.Errorf("checl: checkpoint drain: %w", err)
-	}
-	// Posted (fire-and-forget) transport submissions settle before the
-	// queues drain, so a deferred remote error fails the checkpoint here
-	// and never hides inside the dumped state.
-	if err := c.forward("SettlePosted", func(api *proxy.Client) error {
-		return api.SettlePosted()
-	}); err != nil {
+	if err := c.settleSubmitted(); err != nil {
 		return fmt.Errorf("checl: checkpoint settle: %w", err)
 	}
 	for _, q := range c.db.orderedQueues() {
@@ -313,11 +305,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 			// generation — the buffer is NOT reported clean to the
 			// phase-3 writer.
 			m.Data = ent.data
-			m.Dirty = false
-			stats.StagedBuffers++
-			stats.StagedBytes += m.Size
-			stats.DirtyBuffers++
-			stats.DirtyBytes += m.Size
+			stats.staged(m)
 			continue
 		}
 		if c.opts.Incremental && !m.Dirty && !m.UseHostPtr && m.Data != nil {
@@ -330,45 +318,20 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 			// No queue in this context: the buffer was never usable by a
 			// kernel; stage zeros of the right size.
 			m.Data = make([]byte, m.Size)
-			m.Dirty = false
-			stats.StagedBuffers++
-			stats.StagedBytes += m.Size
-			stats.DirtyBuffers++
-			stats.DirtyBytes += m.Size
+			stats.staged(m)
 			continue
 		}
 		dirty = append(dirty, m)
 	}
 	stats.DrainWorkers = 1
-	if stats.Speculative && c.opts.DrainWorkers > 1 {
+	if c.opts.DrainWorkers > 1 && (stats.Speculative || len(dirty) > 1) {
 		stats.DrainWorkers = c.opts.DrainWorkers
 	}
-	if c.opts.DrainWorkers > 1 && len(dirty) > 1 {
-		stats.DrainWorkers = c.opts.DrainWorkers
-		if err := c.drainParallel(dirty, c.opts.DrainWorkers); err != nil {
-			return fmt.Errorf("checl: checkpoint preprocess: %w", err)
-		}
-	} else {
-		for _, m := range dirty {
-			qrec := c.anyQueueFor(m.Ctx)
-			mrec := m
-			var data []byte
-			if err := c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
-				var e error
-				data, _, e = api.EnqueueReadBufferInto(qrec.real, mrec.real, true, 0, mrec.Size, nil, mrec.Data)
-				return e
-			}); err != nil {
-				return fmt.Errorf("checl: checkpoint preprocess: %w", err)
-			}
-			m.Data = data
-		}
+	if err := c.drain(dirty); err != nil {
+		return fmt.Errorf("checl: checkpoint preprocess: %w", err)
 	}
 	for _, m := range dirty {
-		m.Dirty = false
-		stats.StagedBuffers++
-		stats.StagedBytes += m.Size
-		stats.DirtyBuffers++
-		stats.DirtyBytes += m.Size
+		stats.staged(m)
 	}
 	stats.Phases.Preprocess = sw.Reset()
 	c.stall.Add("ckpt-drain", stats.Phases.Preprocess-specCharged)
@@ -448,26 +411,53 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	return nil
 }
 
-// drainParallel stages dirty buffers through up to `workers` concurrent
-// device-to-host streams per context. Fresh (ephemeral) command queues
-// have no backlog, so their copy chains overlap on the device's DMA
-// engines; buffers are assigned longest-first to the least-loaded stream
-// (LPT greedy) and a single batched round-trip issues every non-blocking
-// read plus one finish per stream — one IPC latency charge for the whole
-// drain instead of one per buffer.
-func (c *CheCL) drainParallel(dirty []*memRec, workers int) error {
-	// Queues cannot cross contexts; group and drain per context in
-	// deterministic (Seq) order.
+// staged counts one buffer whose bytes this checkpoint (re-)staged.
+func (s *CheckpointStats) staged(m *memRec) {
+	m.Dirty = false
+	s.StagedBuffers++
+	s.StagedBytes += m.Size
+	s.DirtyBuffers++
+	s.DirtyBytes += m.Size
+}
+
+// settleSubmitted pushes everything the application has submitted so far
+// to the proxy: deferred batched commands are flushed and posted
+// (fire-and-forget) transport submissions settle, so a deferred remote
+// error surfaces here and never hides inside dumped or speculated state.
+func (c *CheCL) settleSubmitted() error {
+	if err := c.flushBatch(); err != nil {
+		return err
+	}
+	return c.forward("SettlePosted", func(api *proxy.Client) error {
+		return api.SettlePosted()
+	})
+}
+
+// drain stages the given buffers from device to host memory: with
+// DrainWorkers > 1 through that many concurrent streams per context
+// (planDrain, submitDrain), otherwise one blocking read each.
+func (c *CheCL) drain(mems []*memRec) error {
+	if c.opts.DrainWorkers > 1 && len(mems) > 1 {
+		return eachCtx(mems, func(ctxH Handle, items []*memRec) error {
+			return c.drainCtx(ctxH, items, c.opts.DrainWorkers)
+		})
+	}
+	return c.drainSerial(mems)
+}
+
+// eachCtx groups buffers by context — queues cannot cross contexts — and
+// visits the groups in deterministic (first-seen, i.e. Seq) order.
+func eachCtx(mems []*memRec, fn func(ctxH Handle, items []*memRec) error) error {
 	byCtx := map[Handle][]*memRec{}
 	var order []Handle
-	for _, m := range dirty {
+	for _, m := range mems {
 		if _, ok := byCtx[m.Ctx]; !ok {
 			order = append(order, m.Ctx)
 		}
 		byCtx[m.Ctx] = append(byCtx[m.Ctx], m)
 	}
 	for _, ctxH := range order {
-		if err := c.drainCtx(ctxH, byCtx[ctxH], workers); err != nil {
+		if err := fn(ctxH, byCtx[ctxH]); err != nil {
 			return err
 		}
 	}
@@ -475,50 +465,89 @@ func (c *CheCL) drainParallel(dirty []*memRec, workers int) error {
 }
 
 func (c *CheCL) drainCtx(ctxH Handle, items []*memRec, workers int) error {
-	ctx, err := c.db.context(ctxH)
+	pl, err := c.planDrain(ctxH, items, workers)
 	if err != nil {
 		return err
 	}
+	return c.submitDrain("checkpoint drain", pl, true,
+		func(api *proxy.Client, cmds []proxy.BatchCmd) (proxy.EnqueueBatchResp, []byte, error) {
+			return api.EnqueueBatch(cmds, nil)
+		},
+		// Copy each buffer's bytes out of the shared batch frame into its
+		// staging buffer (reusing prior capacity) — the frame itself must
+		// not be aliased past the call.
+		func(m *memRec, raw []byte) {
+			buf := m.Data
+			if cap(buf) >= len(raw) {
+				buf = buf[:len(raw)]
+			} else {
+				buf = make([]byte, len(raw))
+			}
+			copy(buf, raw)
+			m.Data = buf
+		})
+}
+
+// drainPlan is one context's share of a parallel drain: which buffers are
+// read, in what order, on which of the ephemeral streams.
+type drainPlan struct {
+	ctx    *contextRec
+	dev    *deviceRec
+	order  []*memRec
+	assign []int   // order[i] is read on stream assign[i]
+	load   []int64 // bytes per stream; len(load) is the stream count
+}
+
+// planDrain spreads items over up to `workers` streams, LPT greedy:
+// biggest buffers first onto the least-loaded stream, balancing the
+// per-queue copy chains (the drain ends when the longest chain does).
+func (c *CheCL) planDrain(ctxH Handle, items []*memRec, workers int) (drainPlan, error) {
+	ctx, err := c.db.context(ctxH)
+	if err != nil {
+		return drainPlan{}, err
+	}
 	if len(ctx.Devices) == 0 {
-		return ocl.Errf("CheCL", ocl.InvalidContext, "context %#x has no devices", uint64(ctxH))
+		return drainPlan{}, ocl.Errf("CheCL", ocl.InvalidContext, "context %#x has no devices", uint64(ctxH))
 	}
 	dev, err := c.db.device(ctx.Devices[0])
 	if err != nil {
-		return err
+		return drainPlan{}, err
 	}
-	w := workers
-	if w > len(items) {
-		w = len(items)
-	}
-
-	// LPT greedy: biggest buffers first onto the least-loaded stream,
-	// balancing the per-queue copy chains (the drain ends when the
-	// longest chain does).
-	order := make([]*memRec, len(items))
-	copy(order, items)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Size != order[j].Size {
-			return order[i].Size > order[j].Size
+	pl := drainPlan{ctx: ctx, dev: dev, order: make([]*memRec, len(items)), assign: make([]int, len(items))}
+	pl.load = make([]int64, min(workers, len(items)))
+	copy(pl.order, items)
+	sort.Slice(pl.order, func(i, j int) bool {
+		if pl.order[i].Size != pl.order[j].Size {
+			return pl.order[i].Size > pl.order[j].Size
 		}
-		return order[i].Seq < order[j].Seq
+		return pl.order[i].Seq < pl.order[j].Seq
 	})
-	assign := make([]int, len(order))
-	load := make([]int64, w)
-	for i := range order {
+	for i, m := range pl.order {
 		best := 0
-		for q := 1; q < w; q++ {
-			if load[q] < load[best] {
+		for q := range pl.load {
+			if pl.load[q] < pl.load[best] {
 				best = q
 			}
 		}
-		assign[i] = best
-		load[best] += order[i].Size
+		pl.assign[i] = best
+		pl.load[best] += m.Size
 	}
+	return pl, nil
+}
 
-	return c.forward("checkpoint drain", func(api *proxy.Client) error {
-		queues := make([]ocl.CommandQueue, w)
+// submitDrain runs a plan. Fresh (ephemeral) command queues have no
+// backlog, so their copy chains overlap on the device's DMA engines; one
+// batched round trip issued through enqueue carries every non-blocking
+// read — plus, with finish, one BatchFinish per stream — so the whole
+// drain pays one IPC latency instead of one per buffer. Each buffer's
+// slice of the response frame is handed to land in plan order.
+func (c *CheCL) submitDrain(what string, pl drainPlan, finish bool,
+	enqueue func(api *proxy.Client, cmds []proxy.BatchCmd) (proxy.EnqueueBatchResp, []byte, error),
+	land func(m *memRec, raw []byte)) error {
+	return c.forward(what, func(api *proxy.Client) error {
+		queues := make([]ocl.CommandQueue, len(pl.load))
 		for i := range queues {
-			q, err := api.CreateCommandQueue(ctx.real, dev.real, 0)
+			q, err := api.CreateCommandQueue(pl.ctx.real, pl.dev.real, 0)
 			if err != nil {
 				return err
 			}
@@ -529,43 +558,53 @@ func (c *CheCL) drainCtx(ctxH Handle, items []*memRec, workers int) error {
 				api.ReleaseCommandQueue(q) //nolint:errcheck // best-effort teardown
 			}
 		}()
-		cmds := make([]proxy.BatchCmd, 0, len(order)+w)
-		for i, m := range order {
+		cmds := make([]proxy.BatchCmd, 0, len(pl.order)+len(queues))
+		for i, m := range pl.order {
 			cmds = append(cmds, proxy.BatchCmd{
 				Op:    proxy.BatchRead,
-				Queue: queues[assign[i]],
+				Queue: queues[pl.assign[i]],
 				Mem:   m.real,
 				Size:  m.Size,
 			})
 		}
-		for _, q := range queues {
-			cmds = append(cmds, proxy.BatchCmd{Op: proxy.BatchFinish, Queue: q})
+		if finish {
+			for _, q := range queues {
+				cmds = append(cmds, proxy.BatchCmd{Op: proxy.BatchFinish, Queue: q})
+			}
 		}
-		resp, raw, err := api.EnqueueBatch(cmds, nil)
+		resp, raw, err := enqueue(api, cmds)
 		if err != nil {
 			return err
 		}
 		if resp.ErrIdx >= 0 {
 			return ocl.Errf(resp.ErrOp, ocl.Status(resp.ErrStatus), "%s", resp.ErrDetail)
 		}
-		// Copy each buffer's bytes out of the shared batch frame into its
-		// staging buffer (reusing prior capacity) — the frame itself must
-		// not be aliased past this call.
 		off := int64(0)
-		for i, m := range order {
+		for i, m := range pl.order {
 			n := resp.ReadLens[i]
-			buf := m.Data
-			if int64(cap(buf)) >= n {
-				buf = buf[:n]
-			} else {
-				buf = make([]byte, n)
-			}
-			copy(buf, raw[off:off+n])
-			m.Data = buf
+			land(m, raw[off:off+n])
 			off += n
 		}
 		return nil
 	})
+}
+
+// drainSerial stages buffers one blocking read at a time on some queue of
+// each buffer's context.
+func (c *CheCL) drainSerial(mems []*memRec) error {
+	for _, m := range mems {
+		qrec := c.anyQueueFor(m.Ctx)
+		var data []byte
+		if err := c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
+			var e error
+			data, _, e = api.EnqueueReadBufferInto(qrec.real, m.real, true, 0, m.Size, nil, m.Data)
+			return e
+		}); err != nil {
+			return err
+		}
+		m.Data = data
+	}
+	return nil
 }
 
 // anyQueueFor returns some queue of the given context, or nil.
@@ -594,24 +633,10 @@ type RestartStats struct {
 // backend restores the host image, a fresh API proxy is forked, and every
 // OpenCL object is recreated in the dependency order of §III-C.
 func Restore(node *proc.Node, fs *proc.FS, path string, opts Options) (*CheCL, RestartStats, error) {
-	if opts.Backend == nil {
-		opts.Backend = cpr.BLCR{}
-	}
-	stats := RestartStats{PerClass: map[string]vtime.Duration{}}
-	total := vtime.NewStopwatch(node.Clock)
-
-	app, rst, err := opts.Backend.Restart(node, fs, path)
-	if err != nil {
-		return nil, stats, fmt.Errorf("checl: restart: %w", err)
-	}
-	stats.ReadTime = rst.Time
-
-	c, err := rebuild(node, app, path, opts, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Total = total.Elapsed()
-	return c, stats, nil
+	return restore(node, path, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
+		app, rst, err := b.Restart(node, fs, path)
+		return app, rst.Time, nil, err
+	})
 }
 
 // RestoreImage restarts a checkpointed CheCL application from an
@@ -621,52 +646,52 @@ func Restore(node *proc.Node, fs *proc.FS, path string, opts Options) (*CheCL, R
 // ranks' bytes. The caller has already charged whatever read cost
 // produced the image (e.g. store.GetSegment on the node's clock).
 func RestoreImage(node *proc.Node, image []byte, opts Options) (*CheCL, RestartStats, error) {
-	if opts.Backend == nil {
-		opts.Backend = cpr.BLCR{}
-	}
-	stats := RestartStats{PerClass: map[string]vtime.Duration{}}
-	total := vtime.NewStopwatch(node.Clock)
-
-	app, _, err := cpr.RestartImage(node, image)
-	if err != nil {
-		return nil, stats, fmt.Errorf("checl: restart: %w", err)
-	}
-
-	c, err := rebuild(node, app, "image", opts, &stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Total = total.Elapsed()
-	return c, stats, nil
+	return restore(node, "image", opts, func(cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
+		app, _, err := cpr.RestartImage(node, image)
+		return app, 0, nil, err
+	})
 }
 
 // RestoreFromStore is Restore reading from a content-addressed checkpoint
 // store instead of a flat file. ref is a manifest ID ("job@seq") or a
 // bare job name (its latest checkpoint). If the newest generation cannot
 // be restored the walk falls back along the parent chain (healing chunks
-// from the store's replicas as it reads); the skipped generations are
+// from the store's redundancy as it reads); the skipped generations are
 // reported in RestartStats.Degraded. When no generation restores, the
 // returned error wraps the typed *store.DegradedRestore — the caller
 // always learns exactly what was lost, never gets a wrong payload.
 func RestoreFromStore(node *proc.Node, st store.Backend, ref string, opts Options) (*CheCL, RestartStats, error) {
+	return restore(node, ref, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
+		sb, ok := b.(cpr.StoreBackend)
+		if !ok {
+			return nil, 0, nil, fmt.Errorf("backend %s cannot restart from a store", b.Name())
+		}
+		app, rst, deg, err := sb.RestartFromStore(node, st, ref)
+		return app, rst.Time, deg, err
+	})
+}
+
+// restore is what the three entry points above share: load brings the
+// host image back as a process on node (reporting what the read cost and,
+// from a store, which generations it had to skip), then the object
+// database is decoded, a fresh API proxy forked and every OpenCL object
+// recreated.
+func restore(node *proc.Node, what string, opts Options,
+	load func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error)) (*CheCL, RestartStats, error) {
 	if opts.Backend == nil {
 		opts.Backend = cpr.BLCR{}
-	}
-	sb, ok := opts.Backend.(cpr.StoreBackend)
-	if !ok {
-		return nil, RestartStats{}, fmt.Errorf("checl: backend %s cannot restart from a store", opts.Backend.Name())
 	}
 	stats := RestartStats{PerClass: map[string]vtime.Duration{}}
 	total := vtime.NewStopwatch(node.Clock)
 
-	app, rst, deg, err := sb.RestartFromStore(node, st, ref)
+	app, read, deg, err := load(opts.Backend)
 	stats.Degraded = deg
 	if err != nil {
 		return nil, stats, fmt.Errorf("checl: restart: %w", err)
 	}
-	stats.ReadTime = rst.Time
+	stats.ReadTime = read
 
-	c, err := rebuild(node, app, ref, opts, &stats)
+	c, err := rebuild(node, app, what, opts, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -674,7 +699,7 @@ func RestoreFromStore(node *proc.Node, st store.Backend, ref string, opts Option
 	return c, stats, nil
 }
 
-// rebuild is the shared Restore tail: decode the object database out of
+// rebuild is restore's tail: decode the object database out of
 // the restored image, fork a fresh API proxy, and recreate every OpenCL
 // object.
 func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stats *RestartStats) (*CheCL, error) {
@@ -1017,16 +1042,22 @@ func Migrate(c *CheCL, fs *proc.FS, path string, target *proc.Node, opts Options
 		restoreFS = target.LocalDisk
 	}
 
-	// The source incarnation terminates: process migration, not cloning.
+	return c.handOver(ms, func() (*CheCL, RestartStats, error) {
+		return Restore(target, restoreFS, path, opts)
+	})
+}
+
+// handOver ends a migration: the source incarnation terminates — process
+// migration, not cloning — and the target one comes up through restore.
+func (c *CheCL) handOver(ms MigrationStats, restore func() (*CheCL, RestartStats, error)) (*CheCL, MigrationStats, error) {
 	c.px.Kill()
 	c.app.Kill()
-
-	nc, rst, err := Restore(target, restoreFS, path, opts)
+	nc, rst, err := restore()
 	if err != nil {
 		return nil, ms, err
 	}
 	ms.Restart = rst
-	ms.Total = ckpt.Phases.Total() + ms.Transfer + rst.Total
+	ms.Total = ms.Checkpoint.Phases.Total() + ms.Transfer + rst.Total
 	return nc, ms, nil
 }
 
@@ -1078,17 +1109,9 @@ func MigrateViaStore(c *CheCL, src store.Backend, job string, target *proc.Node,
 		restoreStore = dst
 	}
 
-	// The source incarnation terminates: process migration, not cloning.
-	c.px.Kill()
-	c.app.Kill()
-
-	nc, rst, err := RestoreFromStore(target, restoreStore, ckpt.Manifest, opts)
-	if err != nil {
-		return nil, ms, err
-	}
-	ms.Restart = rst
-	ms.Total = ckpt.Phases.Total() + ms.Transfer + rst.Total
-	return nc, ms, nil
+	return c.handOver(ms, func() (*CheCL, RestartStats, error) {
+		return RestoreFromStore(target, restoreStore, ckpt.Manifest, opts)
+	})
 }
 
 // SelectProcessor re-targets a *running* CheCL application onto a

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"checl/internal/hw"
-	"checl/internal/ocl"
 	"checl/internal/proxy"
 	"checl/internal/vtime"
 )
@@ -64,7 +63,6 @@ type specEpoch struct {
 	state   EpochState
 	began   vtime.Time     // application clock at epoch begin
 	copyEnd vtime.Time     // modelled completion of the overlapped drain
-	copyDur vtime.Duration // total modelled drain duration
 	submit  vtime.Duration // app-visible cost of launching the epoch
 	entries map[Handle]*specEntry
 }
@@ -103,12 +101,7 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 	// epoch begin: deferred batched commands and posted transport
 	// submissions must land first, so everything enqueued *before* this
 	// point is captured and everything after is caught by validation.
-	if err := c.flushBatch(); err != nil {
-		return fmt.Errorf("checl: epoch begin: %w", err)
-	}
-	if err := c.forward("SettlePosted", func(api *proxy.Client) error {
-		return api.SettlePosted()
-	}); err != nil {
+	if err := c.settleSubmitted(); err != nil {
 		return fmt.Errorf("checl: epoch begin: %w", err)
 	}
 
@@ -124,8 +117,7 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 	// through the aliased host region without any API call CheCL could
 	// validate against. Clean incremental buffers keep their previous
 	// staged copy; queue-less contexts are zero-filled at commit.
-	byCtx := map[Handle][]*memRec{}
-	var ctxOrder []Handle
+	var candidates []*memRec
 	for _, m := range c.db.orderedMems() {
 		if m.Released || m.UseHostPtr {
 			continue
@@ -136,10 +128,7 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 		if c.anyQueueFor(m.Ctx) == nil {
 			continue
 		}
-		if _, ok := byCtx[m.Ctx]; !ok {
-			ctxOrder = append(ctxOrder, m.Ctx)
-		}
-		byCtx[m.Ctx] = append(byCtx[m.Ctx], m)
+		candidates = append(candidates, m)
 	}
 
 	workers := c.opts.DrainWorkers
@@ -147,10 +136,10 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 		workers = 1
 	}
 	ep.copyEnd = ep.began
-	for _, ctxH := range ctxOrder {
-		if err := c.speculateCtx(ep, ctxH, byCtx[ctxH], workers); err != nil {
-			return fmt.Errorf("checl: epoch begin: %w", err)
-		}
+	if err := eachCtx(candidates, func(ctxH Handle, items []*memRec) error {
+		return c.speculateCtx(ep, ctxH, items, workers)
+	}); err != nil {
+		return fmt.Errorf("checl: epoch begin: %w", err)
 	}
 	c.epochSeq++
 	ep.submit = sw.Elapsed()
@@ -166,99 +155,37 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 // horizon is modelled into ep.copyEnd and charged (minus whatever the
 // application hid) at commit.
 func (c *CheCL) speculateCtx(ep *specEpoch, ctxH Handle, items []*memRec, workers int) error {
-	ctx, err := c.db.context(ctxH)
+	pl, err := c.planDrain(ctxH, items, workers)
 	if err != nil {
 		return err
 	}
-	if len(ctx.Devices) == 0 {
-		return ocl.Errf("CheCL", ocl.InvalidContext, "context %#x has no devices", uint64(ctxH))
-	}
-	dev, err := c.db.device(ctx.Devices[0])
-	if err != nil {
-		return err
-	}
-	w := workers
-	if w > len(items) {
-		w = len(items)
-	}
-
-	// LPT greedy, like the stop-drain: biggest buffers first onto the
-	// least-loaded stream.
-	order := make([]*memRec, len(items))
-	copy(order, items)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Size != order[j].Size {
-			return order[i].Size > order[j].Size
-		}
-		return order[i].Seq < order[j].Seq
-	})
-	assign := make([]int, len(order))
-	load := make([]int64, w)
-	for i := range order {
-		best := 0
-		for q := 1; q < w; q++ {
-			if load[q] < load[best] {
-				best = q
-			}
-		}
-		assign[i] = best
-		load[best] += order[i].Size
-	}
-
 	clock := c.app.Clock()
-	return c.forward("speculative drain", func(api *proxy.Client) error {
-		queues := make([]ocl.CommandQueue, w)
-		for i := range queues {
-			q, err := api.CreateCommandQueue(ctx.real, dev.real, 0)
+	return c.submitDrain("speculative drain", pl, false,
+		func(api *proxy.Client, cmds []proxy.BatchCmd) (proxy.EnqueueBatchResp, []byte, error) {
+			resp, raw, frame, err := api.EnqueueBatchOverlapped(cmds, nil, ep.id)
 			if err != nil {
-				return err
+				return resp, raw, err
 			}
-			queues[i] = q
-		}
-		defer func() {
-			for _, q := range queues {
-				api.ReleaseCommandQueue(q) //nolint:errcheck // best-effort teardown
+			// Completion horizon of this context's drain: the longest
+			// per-stream DtoH chain overlapped on the DMA engines, plus the
+			// deferred response frame.
+			bw := c.app.Node().Spec.Inter.PCIeDtoH
+			if pl.dev.Info.Type == hw.DeviceCPU {
+				bw = c.app.Node().Spec.Inter.Memcpy
 			}
-		}()
-		cmds := make([]proxy.BatchCmd, 0, len(order))
-		for i, m := range order {
-			cmds = append(cmds, proxy.BatchCmd{
-				Op:    proxy.BatchRead,
-				Queue: queues[assign[i]],
-				Mem:   m.real,
-				Size:  m.Size,
-			})
-		}
-		resp, raw, frame, err := api.EnqueueBatchOverlapped(cmds, nil, ep.id)
-		if err != nil {
-			return err
-		}
-		if resp.ErrIdx >= 0 {
-			return ocl.Errf(resp.ErrOp, ocl.Status(resp.ErrStatus), "%s", resp.ErrDetail)
-		}
-		// Completion horizon of this context's drain: the longest
-		// per-stream DtoH chain overlapped on the DMA engines, plus the
-		// deferred response frame.
-		bw := c.app.Node().Spec.Inter.PCIeDtoH
-		if dev.Info.Type == hw.DeviceCPU {
-			bw = c.app.Node().Spec.Inter.Memcpy
-		}
-		end := clock.Now().Add(hw.DrainMakespan(bw, load) + frame)
-		if end.Sub(ep.copyEnd) > 0 {
-			ep.copyEnd = end
-		}
+			end := clock.Now().Add(hw.DrainMakespan(bw, pl.load) + frame)
+			if end.Sub(ep.copyEnd) > 0 {
+				ep.copyEnd = end
+			}
+			return resp, raw, nil
+		},
 		// The captured bytes are the buffer state at epoch begin (the
 		// runtime applies effects eagerly; only the *cost* is deferred).
 		// They live in fresh slices — m.Data stays untouched until the
 		// entry is adopted at commit, so an abort loses nothing.
-		off := int64(0)
-		for i, m := range order {
-			n := resp.ReadLens[i]
-			ep.entries[m.H] = &specEntry{m: m, data: append([]byte(nil), raw[off:off+n]...)}
-			off += n
-		}
-		return nil
-	})
+		func(m *memRec, raw []byte) {
+			ep.entries[m.H] = &specEntry{m: m, data: append([]byte(nil), raw...)}
+		})
 }
 
 // epochTouch marks a buffer's in-flight speculative copy violated: a
@@ -313,21 +240,11 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 	stats.Speculative = true
 	stats.StallTime = ep.submit
 
-	// Barrier on the overlapped drain: the same hidden/charge pattern as
-	// WaitBackgroundWrite. If the application ran past the copies'
-	// completion horizon the whole drain was hidden and nothing is
+	// Barrier on the overlapped drain: if the application ran past the
+	// copies' completion horizon the whole drain was hidden and nothing is
 	// charged.
 	ep.state = EpochValidating
-	if d := ep.copyEnd.Sub(ep.began); d > 0 {
-		ep.copyDur = d
-	}
-	var residual vtime.Duration
-	if r := ep.copyEnd.Sub(clock.Now()); r > 0 {
-		residual = r
-	}
-	clock.AdvanceTo(ep.copyEnd)
-	c.stall.Add("spec-wait", residual)
-	stats.Overlap += ep.copyDur - residual
+	stats.Overlap += c.barrier("spec-wait", ep.began, ep.copyEnd.Sub(ep.began))
 
 	// Validation: deterministic (Seq) order, stale entries flagged by the
 	// launch-path write-set hooks.
@@ -400,24 +317,5 @@ func (c *CheCL) specRecopy(ents []*specEntry) error {
 		}
 		mems = append(mems, ent.m)
 	}
-	if len(mems) == 0 {
-		return nil
-	}
-	if c.opts.DrainWorkers > 1 && len(mems) > 1 {
-		return c.drainParallel(mems, c.opts.DrainWorkers)
-	}
-	for _, m := range mems {
-		qrec := c.anyQueueFor(m.Ctx)
-		mrec := m
-		var data []byte
-		if err := c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
-			var e error
-			data, _, e = api.EnqueueReadBufferInto(qrec.real, mrec.real, true, 0, mrec.Size, nil, mrec.Data)
-			return e
-		}); err != nil {
-			return err
-		}
-		m.Data = data
-	}
-	return nil
+	return c.drain(mems)
 }

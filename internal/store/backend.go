@@ -1,11 +1,11 @@
 package store
 
 // Backend is the checkpoint-store surface core, cpr and mpi program
-// against: everything a checkpoint writer and a restore walk need,
-// implemented by both the single-filesystem *Store and the
-// erasure-coded *Fleet. Durability machinery stays on the concrete
-// types — replication, scrub, rebuild and GC differ too much between
-// one disk and a shard fleet to share a signature.
+// against: everything a checkpoint writer and a restore walk need. All of
+// it is the engine's (engine.go), so the single-filesystem *Store and the
+// erasure-coded *Fleet satisfy it with the same code. Repair stays on the
+// concrete types — Recover, Scrub, Rebuild and replication are what a
+// placement is.
 
 import "checl/internal/vtime"
 

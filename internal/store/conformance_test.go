@@ -1,0 +1,579 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"checl/internal/hw"
+	"checl/internal/proc"
+	"checl/internal/vtime"
+)
+
+// The engine's contract, checked once over every placement. A row is one
+// behaviour; a column is one way of placing the bytes. Anything that only
+// one placement does (staging, Recover, shard repair, loss patterns) has
+// its own tests in fault_test.go and fleet_test.go.
+
+// catalog is what the rows drive: the Backend surface plus the two
+// engine operations that stay off it.
+type catalog interface {
+	Backend
+	GC(retain int) (GCStats, error)
+	Manifests() ([]Manifest, []ManifestIssue)
+}
+
+// confStore is one opened placement.
+type confStore struct {
+	catalog
+	// stores are the reachable single-disk stores behind the placement
+	// (primary and replica, or the alive fleet nodes): where a row goes to
+	// damage files directly.
+	stores []*Store
+	hint   string // repair advice GC gives for this placement
+	// overhead bounds physical bytes per incompressible payload byte.
+	overhead float64
+	// open builds another empty placement of the same kind.
+	open func(t *testing.T, cfg Config) confStore
+}
+
+var confBackends = []struct {
+	name string
+	open func(t *testing.T, cfg Config) confStore
+}{
+	{"disk", func(t *testing.T, cfg Config) confStore {
+		s := New(testFS(), cfg)
+		return confStore{catalog: s, stores: []*Store{s}, hint: "Recover or Scrub", overhead: 1.1}
+	}},
+	{"disk+replica", func(t *testing.T, cfg Config) confStore {
+		s := New(testFS(), cfg)
+		r := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), cfg)
+		s.AttachReplica(r, hw.GigE)
+		return confStore{catalog: s, stores: []*Store{s, r}, hint: "Recover or Scrub", overhead: 1.1}
+	}},
+	{"fleet-4+2", func(t *testing.T, cfg Config) confStore { return openConfFleet(t, cfg, 0) }},
+	{"fleet-4+2-two-down", func(t *testing.T, cfg Config) confStore { return openConfFleet(t, cfg, 2) }},
+}
+
+func openConfFleet(t *testing.T, cfg Config, down int) confStore {
+	// testFleet's fine chunking, spelled out so the rest of cfg survives.
+	cfg.MinChunk, cfg.AvgChunk, cfg.MaxChunk = 1<<10, 4<<10, 16<<10
+	f, states := testFleet(t, 6, FleetConfig{Store: cfg})
+	cs := confStore{catalog: f, hint: "Scrub", overhead: 1.9}
+	for i, name := range f.Nodes() {
+		if i < down {
+			states[name].SetDown(true)
+			continue
+		}
+		st, _ := f.NodeStore(name)
+		cs.stores = append(cs.stores, st)
+	}
+	return cs
+}
+
+// damage applies fn to every reachable file whose path contains part.
+func (cs confStore) damage(t *testing.T, part string, fn func(fs *proc.FS, path string)) {
+	t.Helper()
+	hit := 0
+	for _, st := range cs.stores {
+		for _, p := range st.fs.List() {
+			if strings.Contains(p, part) {
+				fn(st.fs, p)
+				hit++
+			}
+		}
+	}
+	if hit == 0 {
+		t.Fatalf("no file matches %q", part)
+	}
+}
+
+// tearManifest corrupts every copy of job@seq.
+func (cs confStore) tearManifest(t *testing.T, job string, seq uint64) {
+	t.Helper()
+	cs.damage(t, fmt.Sprintf("/manifests/%s/%08d", job, seq), func(fs *proc.FS, p string) { corruptFile(t, fs, p) })
+}
+
+// loseChunk removes every stored piece of one chunk.
+func (cs confStore) loseChunk(t *testing.T, sum string) {
+	t.Helper()
+	cs.damage(t, sum, func(fs *proc.FS, p string) {
+		if err := fs.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func mustPut(t *testing.T, cs confStore, clock *vtime.Clock, job string, data []byte, segs []Segment) (Manifest, PutStats) {
+	t.Helper()
+	man, st, err := cs.PutSegmented(clock, job, data, segs)
+	if err != nil {
+		t.Fatalf("put %s: %v", job, err)
+	}
+	return man, st
+}
+
+// tile lays parts out back to back as one payload and its segment map.
+func tile(clean map[string]bool, names []string, parts map[string][]byte) ([]byte, []Segment) {
+	var data []byte
+	var segs []Segment
+	for _, n := range names {
+		segs = append(segs, Segment{Name: n, Off: int64(len(data)), Len: int64(len(parts[n])), Clean: clean[n]})
+		data = append(data, parts[n]...)
+	}
+	return data, segs
+}
+
+var confRows = []struct {
+	name string
+	run  func(t *testing.T, cs confStore)
+}{
+	{"put-get round trip", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		data := payload(4, 300<<10)
+		man, st := mustPut(t, cs, clock, "jobA", data, nil)
+		if man.Seq != 1 || man.Parent != "" || man.ID() != "jobA@1" {
+			t.Errorf("manifest = %+v", man)
+		}
+		if st.NewBytes != st.TotalBytes || st.NewChunks != st.TotalChunks || st.StoredBytes == 0 {
+			t.Errorf("first put should be all-new: %+v", st)
+		}
+		if st.Time <= 0 {
+			t.Error("put charged no virtual time")
+		}
+		for _, ref := range []string{"jobA", "jobA@1"} {
+			got, gman, err := cs.Get(clock, ref)
+			if err != nil {
+				t.Fatalf("get %s: %v", ref, err)
+			}
+			if gman.ID() != man.ID() || !bytes.Equal(got, data) {
+				t.Fatalf("get %s did not return the stored payload", ref)
+			}
+		}
+		if _, _, err := cs.Get(clock, "nosuch"); err == nil {
+			t.Error("get of unknown job must fail")
+		}
+		if _, _, err := cs.Get(clock, "jobA@x"); err == nil {
+			t.Error("get of a malformed ref must fail")
+		}
+		if total := cs.TotalStoredBytes(); total > int64(float64(len(data))*cs.overhead) {
+			t.Errorf("stored %d bytes for a %d-byte payload, over %.1fx", total, len(data), cs.overhead)
+		}
+	}},
+
+	{"bad job names", func(t *testing.T, cs confStore) {
+		for _, job := range []string{"", "a/b", "a@1"} {
+			if _, _, err := cs.Put(vtime.NewClock(), job, []byte("x")); err == nil {
+				t.Errorf("job %q accepted", job)
+			}
+		}
+		if jobs := cs.Jobs(); len(jobs) != 0 {
+			t.Errorf("rejected puts left jobs %v", jobs)
+		}
+	}},
+
+	{"dedup across checkpoints", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		base := payload(5, 1<<20)
+		_, st1 := mustPut(t, cs, clock, "job", base, nil)
+		man2, st2 := mustPut(t, cs, clock, "job", base, nil)
+		if man2.Seq != 2 || man2.Parent != "job@1" {
+			t.Errorf("lineage wrong: %+v", man2)
+		}
+		if st2.NewBytes != 0 || st2.NewChunks != 0 || st2.DedupRatio() != 1 {
+			t.Errorf("identical payload should fully dedup: %+v", st2)
+		}
+		// A localised edit re-uploads only the chunks around it.
+		edited := append([]byte(nil), base...)
+		copy(edited[512<<10:], payload(6, 4<<10))
+		_, st3 := mustPut(t, cs, clock, "job", edited, nil)
+		if st3.NewBytes == 0 || st3.NewBytes > st1.NewBytes/4 {
+			t.Errorf("4 KiB edit re-uploaded %d of %d bytes", st3.NewBytes, st1.NewBytes)
+		}
+	}},
+
+	{"dedup across jobs", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		base := payload(30, 192<<10)
+		const jobs = 40
+		mine := func(j int) []byte { return append(append([]byte(nil), base...), payload(int64(1000+j), 4<<10)...) }
+		var logical int64
+		for j := 0; j < jobs; j++ {
+			logical += int64(len(mine(j)))
+			mustPut(t, cs, clock, fmt.Sprintf("job-%03d", j), mine(j), nil)
+		}
+		_, st := mustPut(t, cs, clock, "twin", mine(7), nil)
+		if st.NewBytes != 0 {
+			t.Errorf("identical payload under another job should fully dedup: %+v", st)
+		}
+		if got := cs.Jobs(); len(got) != jobs+1 || got[0] != "job-000" || got[jobs] != "twin" {
+			t.Errorf("jobs = %v", got)
+		}
+		// One shared base (+ parity, manifests, unique tails): anything
+		// under 3x means the base was stored repeatedly.
+		if ratio := float64(logical) / float64(cs.TotalStoredBytes()); ratio < 3 {
+			t.Errorf("dedup ratio %.1fx — base image not shared", ratio)
+		}
+		for _, j := range []int{0, 19, 39} {
+			got, _, err := cs.Get(clock, fmt.Sprintf("job-%03d", j))
+			if err != nil || !bytes.Equal(got, mine(j)) {
+				t.Fatalf("job %d after dedup: %v", j, err)
+			}
+		}
+	}},
+
+	{"GetSegment", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		names := []string{"rank/00000", "rank/00001", "rank/00002"}
+		parts := map[string][]byte{names[0]: payload(10, 300<<10), names[1]: payload(11, 5<<10), names[2]: payload(12, 90<<10)}
+		full, segs := tile(nil, names, parts)
+		man, _ := mustPut(t, cs, clock, "segjob", full, segs)
+		for _, name := range names {
+			got, gman, err := cs.GetSegment(clock, "segjob", name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if gman.ID() != man.ID() || !bytes.Equal(got, parts[name]) {
+				t.Errorf("%s: wrong manifest or payload (%d bytes, want %d)", name, len(got), len(parts[name]))
+			}
+		}
+		// Reading one segment must charge less than reading the whole payload.
+		before := clock.Now()
+		if _, _, err := cs.GetSegment(clock, "segjob", names[1]); err != nil {
+			t.Fatal(err)
+		}
+		segCost := clock.Now().Sub(before)
+		before = clock.Now()
+		if _, _, err := cs.Get(clock, "segjob"); err != nil {
+			t.Fatal(err)
+		}
+		if fullCost := clock.Now().Sub(before); !(segCost < fullCost) {
+			t.Errorf("segment read (%v) should be cheaper than full read (%v)", segCost, fullCost)
+		}
+		if _, _, err := cs.GetSegment(clock, "segjob", "rank/99999"); err == nil {
+			t.Error("unknown segment name should fail")
+		}
+		if _, _, err := cs.GetSegment(clock, "nosuchjob", names[0]); err == nil {
+			t.Error("unknown job should fail")
+		}
+		flat, _ := mustPut(t, cs, clock, "flatjob", payload(13, 64<<10), nil)
+		if _, _, err := cs.GetSegment(clock, flat.ID(), names[0]); err == nil {
+			t.Error("segment read of an unsegmented checkpoint should fail")
+		}
+	}},
+
+	{"clean-segment reuse and fallback", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		parts := map[string][]byte{"a": payload(20, 96<<10), "b": payload(21, 24<<10)}
+		data, segs := tile(nil, []string{"a", "b"}, parts)
+		man1, _ := mustPut(t, cs, clock, "job", data, segs)
+
+		// b changes, a is clean and reuses the parent's refs; c claims to be
+		// clean but the parent has no such segment, so it is chunked.
+		parts["b"], parts["c"] = payload(22, 24<<10), payload(23, 16<<10)
+		data, segs = tile(map[string]bool{"a": true, "c": true}, []string{"a", "b", "c"}, parts)
+		man2, st := mustPut(t, cs, clock, "job", data, segs)
+		_, aRefs, _ := man1.segment("a")
+		if st.ReusedBytes != int64(len(parts["a"])) || st.ReusedChunks != len(aRefs) {
+			t.Errorf("reuse stats %+v, want segment a only (%d chunks)", st, len(aRefs))
+		}
+		if st.NewBytes != int64(len(parts["b"])+len(parts["c"])) {
+			t.Errorf("new bytes %d, want exactly segments b and c", st.NewBytes)
+		}
+		for i, wantClean := range []bool{true, false, false} {
+			if man2.Segments[i].Clean != wantClean {
+				t.Errorf("segment %q clean = %v", man2.Segments[i].Name, man2.Segments[i].Clean)
+			}
+		}
+		if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("generation with reused refs does not restore: %v", err)
+		}
+
+		// A clean claim whose size disagrees with the parent is chunked too.
+		parts["b"] = payload(24, 8<<10)
+		data, segs = tile(map[string]bool{"a": true, "b": true, "c": true}, []string{"a", "b", "c"}, parts)
+		man3, st := mustPut(t, cs, clock, "job", data, segs)
+		if man3.Segments[1].Clean || st.NewBytes != int64(len(parts["b"])) {
+			t.Errorf("resized clean segment was not re-chunked: %+v %+v", man3.Segments[1], st)
+		}
+
+		// A wrongly clean segment (bytes changed, flag set) fails loudly at
+		// read time: the digest covers the payload actually handed in.
+		parts["a"] = payload(25, 96<<10)
+		data, segs = tile(map[string]bool{"a": true}, []string{"a", "b", "c"}, parts)
+		mustPut(t, cs, clock, "job", data, segs)
+		if _, _, err := cs.Get(clock, "job"); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Errorf("stale clean segment restored silently: %v", err)
+		}
+	}},
+
+	{"Generations ceiling", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		for _, v := range uniqueVersions(3, 64<<10, 16<<10) {
+			mustPut(t, cs, clock, "job", v, nil)
+		}
+		for ref, want := range map[string][]uint64{"job": {3, 2, 1}, "job@2": {2, 1}, "job@9": {3, 2, 1}} {
+			mans, skipped, err := cs.Generations(ref)
+			if err != nil || len(skipped) != 0 || len(mans) != len(want) {
+				t.Fatalf("%s: %d generations, %d skipped, err %v", ref, len(mans), len(skipped), err)
+			}
+			for i, m := range mans {
+				if m.Seq != want[i] {
+					t.Errorf("%s: generation %d is seq %d, want %d", ref, i, m.Seq, want[i])
+				}
+			}
+		}
+		if _, _, err := cs.Generations("nosuch"); err == nil {
+			t.Error("unknown job must fail")
+		}
+		if _, _, err := cs.Generations("job@two"); err == nil {
+			t.Error("malformed ref must fail")
+		}
+	}},
+
+	{"GetNewestRestorable walks back", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		versions := uniqueVersions(4, 256<<10, 64<<10)
+		var mans []Manifest
+		for _, v := range versions {
+			m, _ := mustPut(t, cs, clock, "job", v, nil)
+			mans = append(mans, m)
+		}
+		// The newest manifest is torn everywhere and the one before it has
+		// lost a chunk beyond what the placement can heal.
+		cs.tearManifest(t, "job", 4)
+		cs.loseChunk(t, uniqueChunkOf(t, mans[2], mans[0], mans[1], mans[3]))
+
+		got, man, deg, err := cs.GetNewestRestorable(clock, "job", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.ID() != "job@2" || !bytes.Equal(got, versions[1]) {
+			t.Fatalf("restored %s, want job@2 bit-identical", man.ID())
+		}
+		if deg == nil || deg.Restored != "job@2" || len(deg.Skipped) != 2 ||
+			deg.Skipped[0].ID != "job@4" || deg.Skipped[1].ID != "job@3" {
+			t.Fatalf("degradation report = %+v", deg)
+		}
+		if !strings.Contains(deg.Skipped[0].Reason, errCorruptManifest.Error()) {
+			t.Errorf("torn manifest skipped for %q", deg.Skipped[0].Reason)
+		}
+
+		// A validate hook that rejects job@2 pushes the walk one further.
+		_, man, deg, err = cs.GetNewestRestorable(clock, "job", func(_ []byte, m Manifest) error {
+			if m.Seq == 2 {
+				return errors.New("payload fails application validation")
+			}
+			return nil
+		})
+		if err != nil || man.ID() != "job@1" || deg == nil || len(deg.Skipped) != 3 {
+			t.Fatalf("restored %s, deg = %+v, err %v", man.ID(), deg, err)
+		}
+
+		// Nothing restorable: the typed report IS the error.
+		_, _, deg, err = cs.GetNewestRestorable(clock, "job", func([]byte, Manifest) error { return errors.New("no") })
+		var dr *DegradedRestore
+		if !errors.As(err, &dr) || dr.Restored != "" || len(dr.Skipped) != 4 || deg != dr {
+			t.Fatalf("err = %v (%T), want the *DegradedRestore with 4 skips", err, err)
+		}
+		// An intact newest generation restores with no report at all.
+		if _, man, deg, err = cs.GetNewestRestorable(clock, "job@2", nil); err != nil || deg != nil || man.Seq != 2 {
+			t.Fatalf("clean restore: %s %+v %v", man.ID(), deg, err)
+		}
+	}},
+
+	{"GC retention", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		versions := uniqueVersions(4, 512<<10, 128<<10)
+		for _, v := range versions {
+			mustPut(t, cs, clock, "job", v, nil)
+		}
+		mustPut(t, cs, clock, "other", versions[0], nil)
+		before := cs.TotalStoredBytes()
+
+		if _, err := cs.GC(0); err == nil {
+			t.Error("retention 0 accepted")
+		}
+		st, err := cs.GC(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ManifestsDropped != 2 || st.ManifestsKept != 3 {
+			t.Fatalf("gc stats = %+v", st)
+		}
+		if st.ChunksDropped == 0 || st.ChunksKept == 0 || st.BytesReclaimed <= 0 {
+			t.Fatalf("gc reclaimed nothing: %+v", st)
+		}
+		if after := cs.TotalStoredBytes(); after >= before {
+			t.Errorf("stored bytes %d -> %d after GC", before, after)
+		}
+		// The kept checkpoints reconstruct bit-for-bit — job@1's unique
+		// tail went, the base it shares with other@1 stayed.
+		for ref, want := range map[string][]byte{"job@3": versions[2], "job@4": versions[3], "other": versions[0]} {
+			if got, _, err := cs.Get(clock, ref); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("kept checkpoint %s corrupted by GC: %v", ref, err)
+			}
+		}
+		if _, _, err := cs.Get(clock, "job@1"); err == nil {
+			t.Error("dropped checkpoint still readable")
+		}
+		if mans, issues := cs.Manifests(); len(mans) != 3 || len(issues) != 0 {
+			t.Errorf("%d manifests, %d issues after GC", len(mans), len(issues))
+		}
+	}},
+
+	{"GC refuses while a manifest is unreadable", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		for _, v := range uniqueVersions(3, 128<<10, 32<<10) {
+			mustPut(t, cs, clock, "job", v, nil)
+		}
+		cs.tearManifest(t, "job", 1)
+		before := cs.TotalStoredBytes()
+		_, err := cs.GC(1)
+		if err == nil {
+			t.Fatal("GC swept with an unreadable manifest in the store")
+		}
+		if want := "run " + cs.hint + " first"; !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want advice %q", err, want)
+		}
+		if after := cs.TotalStoredBytes(); after != before {
+			t.Errorf("refused GC still changed occupancy %d -> %d", before, after)
+		}
+	}},
+
+	// The three places where the two hand-written copies had drifted, each
+	// now one rule (DESIGN.md "Checkpoint store").
+
+	{"Latest skips torn frames but surfaces I/O errors", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		for _, v := range uniqueVersions(3, 64<<10, 16<<10) {
+			mustPut(t, cs, clock, "job", v, nil)
+		}
+		cs.tearManifest(t, "job", 3)
+		man, ok, err := cs.Latest("job")
+		if err != nil || !ok || man.Seq != 2 {
+			t.Fatalf("latest past a torn frame: %s %v %v", man.ID(), ok, err)
+		}
+		// The next checkpoint takes a fresh number and links to the newest
+		// generation that still decodes; the torn frame stays for repair.
+		next, _ := mustPut(t, cs, clock, "job", payload(9, 32<<10), nil)
+		if next.Seq != 4 || next.Parent != "job@2" {
+			t.Errorf("put after a torn frame: seq %d parent %q", next.Seq, next.Parent)
+		}
+		// A disk that cannot be read is not a torn frame: an older
+		// generation must not silently stand in.
+		eio := proc.NewFaultInjector(proc.DiskFaultPlan{EveryN: 1, Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO}})
+		for _, st := range cs.stores {
+			st.fs.SetFault(eio)
+		}
+		_, _, err = cs.Latest("job")
+		var ioErr *proc.ErrIO
+		if !errors.As(err, &ioErr) {
+			t.Fatalf("latest on an unreadable disk: err = %v, want the *proc.ErrIO", err)
+		}
+		if _, err := cs.Resolve("job"); !errors.As(err, &ioErr) {
+			t.Errorf("resolve on an unreadable disk: err = %v", err)
+		}
+	}},
+
+	{"PipelineWorkers overlaps compression with writes", func(t *testing.T, cs confStore) {
+		data := payload(50, 512<<10)
+		c0 := vtime.NewClock()
+		man0, st0 := mustPut(t, cs, c0, "job", data, nil)
+		if st0.CompressTime+st0.WriteTime > st0.Time {
+			t.Errorf("serial stages %v+%v exceed the put's %v", st0.CompressTime, st0.WriteTime, st0.Time)
+		}
+		piped := cs.open(t, Config{PipelineWorkers: 4})
+		c1 := vtime.NewClock()
+		man1, st1 := mustPut(t, piped, c1, "job", data, nil)
+		// The single writer is the bottleneck, so what overlap can hide is
+		// compression — some of it, never more than all of it.
+		if hidden := st0.Time - st1.Time; hidden <= 0 || hidden > st1.CompressTime {
+			t.Errorf("pipelined put took %v (compression %v), serial %v — overlap not charged",
+				st1.Time, st1.CompressTime, st0.Time)
+		}
+		if st1.Time != c1.Now().Sub(0) {
+			t.Errorf("stats say %v, clock moved %v", st1.Time, c1.Now().Sub(0))
+		}
+		// Only the charging differs: same chunks, same bytes stored.
+		if man1.Digest != man0.Digest || len(man1.Chunks) != len(man0.Chunks) || st1.StoredBytes != st0.StoredBytes {
+			t.Errorf("pipelining changed what was stored: %+v vs %+v", st1, st0)
+		}
+		if got, _, err := piped.Get(c1, "job"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("pipelined put does not restore: %v", err)
+		}
+	}},
+}
+
+// TestBackendConformance runs every row on every placement.
+func TestBackendConformance(t *testing.T) {
+	for _, b := range confBackends {
+		for _, row := range confRows {
+			t.Run(b.name+"/"+row.name, func(t *testing.T) {
+				cs := b.open(t, Config{})
+				cs.open = b.open
+				row.run(t, cs)
+			})
+		}
+	}
+}
+
+// TestEngineErrorsNameNoPlacement pins the third drift ruling: an error
+// the engine raises reads the same whichever placement it serves — no
+// "fleet:" infix — and only GC's repair advice, which names operations
+// one placement has and the other lacks, comes from the placement.
+func TestEngineErrorsNameNoPlacement(t *testing.T) {
+	texts := map[string][]string{}
+	for _, b := range confBackends {
+		cs := b.open(t, Config{})
+		clock := vtime.NewClock()
+		parts := map[string][]byte{"a": payload(60, 32<<10), "b": payload(61, 32<<10)}
+		data, segs := tile(nil, []string{"a", "b"}, parts)
+		man, _ := mustPut(t, cs, clock, "job", data, segs)
+		mustPut(t, cs, clock, "flat", data, nil)
+		parts["a"] = payload(62, 32<<10)
+		stale, staleSegs := tile(map[string]bool{"a": true}, []string{"a", "b"}, parts)
+		mustPut(t, cs, clock, "job", stale, staleSegs) // job@2 claims a changed segment clean
+
+		collect := func(err error) {
+			if err == nil {
+				t.Fatalf("%s: expected an error", b.name)
+			}
+			texts[b.name] = append(texts[b.name], err.Error())
+		}
+		_, _, err := cs.Put(clock, "a/b", data)
+		collect(err)
+		_, _, err = cs.PutSegmented(clock, "job", data, segs[:1])
+		collect(err)
+		_, _, err = cs.Get(clock, "nosuch")
+		collect(err)
+		_, err = cs.Resolve("job@x")
+		collect(err)
+		_, _, err = cs.GetSegment(clock, "job", "zz")
+		collect(err)
+		_, _, err = cs.GetSegment(clock, "flat", "a")
+		collect(err)
+		_, _, err = cs.Generations("nosuch")
+		collect(err)
+		_, err = cs.GC(0)
+		collect(err)
+		_, _, err = cs.Get(clock, "job@2")
+		collect(err) // payload digest mismatch
+		cs.loseChunk(t, man.Chunks[0].Sum)
+		_, _, _, err = cs.GetNewestRestorable(clock, "job", nil)
+		collect(err)
+	}
+	want := texts[confBackends[0].name]
+	for name, got := range texts {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s words error %d differently:\n  %s\n  %s", name, i, got[i], want[i])
+			}
+			if strings.Contains(got[i], "fleet") {
+				t.Errorf("%s: engine error names a placement: %s", name, got[i])
+			}
+		}
+	}
+}

@@ -1,0 +1,197 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"checl/internal/proc"
+	"checl/internal/vtime"
+)
+
+// nonsense are edits that leave a manifest with a valid magic, checksum
+// and version and still describing no checkpoint: each used to panic a
+// read path that trusted its numbers.
+var nonsense = []struct {
+	name string
+	edit func(m *Manifest)
+}{
+	{"negative segment chunk count", func(m *Manifest) { m.Segments[0].Chunks = -1 }},
+	{"segment chunks beyond list", func(m *Manifest) { m.Segments[0].Chunks += 2 }},
+	{"segment chunks short of list", func(m *Manifest) { m.Segments[1].Chunks-- }},
+	{"segment sizes short of size", func(m *Manifest) { m.Segments[1].Size-- }},
+	{"negative segment size", func(m *Manifest) { m.Segments[0].Size = -m.Segments[0].Size }},
+	{"negative size", func(m *Manifest) { m.Size, m.Segments = -1, nil }},
+	{"short digest", func(m *Manifest) { m.Digest = m.Digest[:8] }},
+	{"short chunk address", func(m *Manifest) { m.Chunks[0].Sum = "abc" }},
+	{"non-hex chunk address", func(m *Manifest) { m.Chunks[0].Sum = strings.Repeat("z", 64) }},
+	{"negative chunk size", func(m *Manifest) { m.Chunks[0].Size = -4096 }},
+}
+
+// TestManifestDecoderRejectsNonsense feeds well-checksummed nonsense to the
+// decoder, then plants it as the newest generation of every placement: a
+// restore must skip it like any torn frame, never panic on it.
+func TestManifestDecoderRejectsNonsense(t *testing.T) {
+	parts := map[string][]byte{"a": payload(70, 40<<10), "b": payload(71, 40<<10)}
+	data, segs := tile(nil, []string{"a", "b"}, parts)
+
+	for _, b := range confBackends {
+		for _, bad := range nonsense {
+			t.Run(b.name+"/"+bad.name, func(t *testing.T) {
+				cs := b.open(t, Config{})
+				clock := vtime.NewClock()
+				mustPut(t, cs, clock, "job", data, segs)
+				man, _ := mustPut(t, cs, clock, "job", data, segs)
+				man.Chunks = append([]ChunkRef(nil), man.Chunks...)
+				man.Segments = append([]SegmentRef(nil), man.Segments...)
+				bad.edit(&man)
+				frame, err := encodeManifest(man)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := decodeManifest(frame); !errors.Is(err, errCorruptManifest) {
+					t.Fatalf("decode err = %v, want errCorruptManifest", err)
+				}
+				cs.damage(t, "/manifests/job/00000002", func(fs *proc.FS, p string) {
+					if err := fs.WriteFile(clock, p, frame); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if _, err := cs.Resolve("job@2"); !errors.Is(err, errCorruptManifest) {
+					t.Errorf("resolve err = %v", err)
+				}
+				if _, _, err := cs.GetSegment(clock, "job@2", "a"); err == nil {
+					t.Error("segment read of a nonsense manifest succeeded")
+				}
+				got, restored, deg, err := cs.GetNewestRestorable(clock, "job", nil)
+				if err != nil || restored.Seq != 1 || !bytes.Equal(got, data) {
+					t.Fatalf("restore walk: %s %v", restored.ID(), err)
+				}
+				if deg == nil || len(deg.Skipped) != 1 || !strings.Contains(deg.Skipped[0].Reason, errCorruptManifest.Error()) {
+					t.Errorf("degradation report %+v", deg)
+				}
+			})
+		}
+	}
+}
+
+// nowhere is a placement that holds one manifest and no chunk at all.
+type nowhere struct{ man Manifest }
+
+func (nowhere) lockSeq()                                             {}
+func (nowhere) unlockSeq()                                           {}
+func (nowhere) repairHint() string                                   { return "" }
+func (nowhere) beginPut(string, uint64) putTxn                       { return nil }
+func (nowhere) dropManifest(string, uint64) error                    { return nil }
+func (nowhere) sweepChunks(map[string]bool) (int, int, int64, error) { return 0, 0, 0, nil }
+func (n nowhere) manifestFiles() []manifestKey                       { return []manifestKey{{n.man.Job, n.man.Seq}} }
+func (n nowhere) loadManifest(string, uint64) (Manifest, error)      { return n.man, nil }
+func (nowhere) fetchBlob(*vtime.Clock, ChunkRef, bool) ([]byte, []byte, error) {
+	return nil, nil, errors.New("no such chunk")
+}
+
+// manifestSeeds are good frames, their truncations and single-byte flips.
+func manifestSeeds(t testing.TB) [][]byte {
+	digest := strings.Repeat("ab", 32)
+	flat := Manifest{Version: manifestVersion, Job: "j", Seq: 1, Size: 10, Digest: digest,
+		Chunks: []ChunkRef{{Sum: digest, Size: 10, Stored: 7}}}
+	seg := flat
+	seg.Seq, seg.Parent = 2, "j@1"
+	seg.Chunks = append(seg.Chunks, ChunkRef{Sum: strings.Repeat("cd", 32), Size: 0, Stored: 1})
+	seg.Segments = []SegmentRef{{Name: "a", Size: 10, Chunks: 1}, {Name: "b", Chunks: 1, Clean: true}}
+	var seeds [][]byte
+	for _, m := range []Manifest{flat, seg, {Version: manifestVersion, Digest: digest}} {
+		frame, err := encodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, frame, frame[:len(frame)/2], frame[:len(manifestMagic)+3])
+		for _, at := range []int{0, len(manifestMagic) + 1, len(frame) - 1} {
+			flipped := append([]byte(nil), frame...)
+			flipped[at] ^= 0x40
+			seeds = append(seeds, flipped)
+		}
+	}
+	return seeds
+}
+
+// FuzzDecodeManifest: the decoder never panics, fails only with
+// errCorruptManifest, and whatever it accepts re-encodes to the same
+// manifest and can be handed to the read path — which then fails for
+// want of chunks, never by trusting a number in the frame. Mutated bytes
+// almost never keep their checksum, so each input is also tried re-framed
+// with a fresh one: that is what reaches the validation.
+func FuzzDecodeManifest(f *testing.F) {
+	for _, s := range manifestSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := [][]byte{data}
+		if hdr := len(manifestMagic) + 32; len(data) >= hdr {
+			frames = append(frames, frameManifest(data[hdr:]))
+		}
+		for _, frame := range frames {
+			m, err := decodeManifest(frame)
+			if err != nil {
+				if !errors.Is(err, errCorruptManifest) {
+					t.Fatalf("untyped decode error: %v", err)
+				}
+				continue
+			}
+			again, err := encodeManifest(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m2, err := decodeManifest(again); err != nil || !reflect.DeepEqual(m, m2) {
+				t.Fatalf("re-encoding does not round-trip: %v\n %+v\n %+v", err, m, m2)
+			}
+			e := engine{cfg: Config{}.withDefaults(), p: nowhere{m}}
+			clock := vtime.NewClock()
+			if _, err := e.assemble(clock, m, true); err == nil && len(m.Chunks) > 0 {
+				t.Fatal("assembled a payload out of no chunks")
+			}
+			for _, seg := range m.Segments {
+				if _, _, err := e.GetSegment(clock, m.ID(), seg.Name); err == nil && seg.Chunks > 0 {
+					t.Fatalf("read segment %q out of no chunks", seg.Name)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeShard: the shard frame decoder never panics, and a frame it
+// accepts is exactly what encodeShard writes for the decoded fields.
+func FuzzDecodeShard(f *testing.F) {
+	for _, payload := range [][]byte{nil, []byte("shard payload bytes"), bytes.Repeat([]byte{0xA5}, 300)} {
+		frame := encodeShard(3, 4, 2, 4*len(payload), payload)
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+		f.Add(frame[:shardHeaderSize-1])
+		for _, at := range []int{0, 9, 13, 25, len(frame) - 1} {
+			flipped := append([]byte(nil), frame...)
+			flipped[at] ^= 0x01
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := [][]byte{data}
+		if len(data) >= shardHeaderSize {
+			// Same bytes under a fresh digest, so header mutations get past it.
+			fixed := append([]byte(nil), data...)
+			sum := shardDigest(fixed)
+			copy(fixed[20:], sum[:])
+			frames = append(frames, fixed)
+		}
+		for _, frame := range frames {
+			idx, k, m, origLen, payload, err := decodeShard(frame)
+			if err != nil {
+				continue
+			}
+			if again := encodeShard(idx, k, m, origLen, payload); !bytes.Equal(again, frame) {
+				t.Fatalf("accepted frame is not what encodeShard writes:\n %x\n %x", frame, again)
+			}
+		}
+	})
+}

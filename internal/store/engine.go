@@ -1,0 +1,728 @@
+package store
+
+// The checkpoint pipeline and catalog, written once. An engine chunks,
+// hashes, dedups and compresses payloads into manifests and reads them
+// back verified; where the bytes physically go — one disk with a staging
+// directory, or k+m shards over a node fleet — is the placement's
+// business. *Store and *Fleet both embed an engine and are its two
+// placements; the engine never asks which one it is serving.
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+
+	"checl/internal/vtime"
+)
+
+// placement is the seam between the engine and the storage it runs over:
+// how chunks and manifests are probed, written, read back and removed.
+// Crash safety and repair live behind it and differ per placement — the
+// disk stages and renames manifest-last, the fleet writes idempotent
+// shards in place and mirrors manifests.
+type placement interface {
+	// lockSeq/unlockSeq serialise the operations that pick sequence
+	// numbers or sweep chunks (Put up to its commit, GC).
+	lockSeq()
+	unlockSeq()
+	// manifestFiles lists every (job, seq) with a manifest file present,
+	// decodable or not, in the order the placement wants them read.
+	manifestFiles() []manifestKey
+	// loadManifest reads one manifest, healing a bad copy from wherever
+	// the placement keeps a good one. A frame that exists but does not
+	// decode anywhere wraps errCorruptManifest.
+	loadManifest(job string, seq uint64) (Manifest, error)
+	// beginPut opens the write transaction of checkpoint job@seq; the
+	// caller holds lockSeq until the transaction has committed.
+	beginPut(job string, seq uint64) putTxn
+	// fetchBlob returns one chunk's stored blob and its verified content
+	// (see verifyBlob). With heal set a bad copy is repaired from the
+	// placement's redundancy on the way.
+	fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, chunk []byte, err error)
+	dropManifest(job string, seq uint64) error
+	// sweepChunks removes every stored chunk not in referenced.
+	sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error)
+	// repairHint names the operations that clear unreadable manifests.
+	repairHint() string
+}
+
+// putTxn is one checkpoint's write transaction.
+type putTxn interface {
+	// probe reports whether the chunk is already durably stored, and its
+	// stored size. It charges no time.
+	probe(sum string, chunk []byte) (stored int64, ok bool)
+	// stage writes one new chunk's blob and reports the physical bytes
+	// that cost — also when it fails part-way.
+	stage(clock *vtime.Clock, sum string, blob []byte) (phys int64, err error)
+	// commit publishes the manifest: the atomic commit point.
+	commit(clock *vtime.Clock, man Manifest, frame []byte) (phys int64, err error)
+	// settle runs after commit, outside lockSeq: whatever extra durability
+	// the placement adds to a checkpoint that already stands.
+	settle(clock *vtime.Clock, man Manifest) error
+}
+
+// manifestKey names one manifest file.
+type manifestKey struct {
+	Job string
+	Seq uint64
+}
+
+// engine is the placement-independent half of a checkpoint store.
+type engine struct {
+	cfg Config
+	p   placement
+}
+
+// errCorruptManifest marks a manifest frame that is present but does not
+// decode (torn write, bit rot, nonsense contents) — an integrity failure,
+// as opposed to an infrastructure failure like a persistent EIO.
+var errCorruptManifest = errors.New("corrupt manifest frame")
+
+// PutStats reports what one Put cost and how well it deduplicated.
+type PutStats struct {
+	Manifest    string // manifest ID ("job@seq")
+	TotalBytes  int64  // payload size
+	TotalChunks int
+	NewChunks   int            // chunks not already present in the store
+	NewBytes    int64          // uncompressed bytes of those new chunks
+	StoredBytes int64          // bytes actually written for them (post-compression)
+	Time        vtime.Duration // compress + write + verify time charged to the clock
+
+	// Clean-segment reuse (PutSegmented): chunk refs copied verbatim from
+	// the parent manifest without re-reading, hashing or probing the
+	// covered payload bytes.
+	ReusedChunks int
+	ReusedBytes  int64
+	// Stage times for the chunk pipeline: total compression time and
+	// total write+verify time over the new chunks. With PipelineWorkers
+	// <= 1 these add up (with the dedup probes) to Time; in pipelined
+	// mode they overlap and Time reflects the makespan.
+	CompressTime vtime.Duration
+	WriteTime    vtime.Duration
+}
+
+// DedupRatio is the fraction of the payload satisfied by chunks already
+// in the store (1 = everything deduplicated, 0 = everything new).
+func (p PutStats) DedupRatio() float64 {
+	if p.TotalBytes == 0 {
+		return 0
+	}
+	return 1 - float64(p.NewBytes)/float64(p.TotalBytes)
+}
+
+// Segment names one contiguous region of a PutSegmented payload. Segments
+// must tile the payload exactly (ascending contiguous offsets covering
+// every byte) and carry unique non-empty names. A segment marked Clean
+// asserts its bytes are identical to the same-named segment of the job's
+// previous checkpoint; when the parent manifest confirms the name and size,
+// the parent's chunk refs are copied verbatim — no chunking, hashing,
+// probing or compression for those bytes. A Clean segment with no matching
+// parent segment is silently treated as dirty. The manifest digest always
+// covers the full payload, so a wrongly-Clean segment (bytes changed but
+// flagged clean) fails loudly at Get time rather than restoring stale data.
+type Segment struct {
+	Name     string
+	Off, Len int64
+	Clean    bool
+}
+
+// validSegments checks that segs tile a payload of the given size.
+func validSegments(segs []Segment, size int64) error {
+	var off int64
+	seen := make(map[string]bool, len(segs))
+	for i, sg := range segs {
+		if sg.Name == "" {
+			return fmt.Errorf("store: segment %d has no name", i)
+		}
+		if seen[sg.Name] {
+			return fmt.Errorf("store: duplicate segment name %q", sg.Name)
+		}
+		seen[sg.Name] = true
+		if sg.Len < 0 || sg.Off != off {
+			return fmt.Errorf("store: segment %q does not tile the payload (off %d len %d, want off %d)",
+				sg.Name, sg.Off, sg.Len, off)
+		}
+		off += sg.Len
+	}
+	if off != size {
+		return fmt.Errorf("store: segments cover %d bytes, payload has %d", off, size)
+	}
+	return nil
+}
+
+// pipelineMakespan models Put's bounded-stage pipeline over the new
+// chunks: `workers` compression workers feed the single writer, which
+// writes chunks in staging order (the crash-consistent commit wants one
+// committer publishing manifest-last). Chunk i starts compressing on the
+// earliest-free worker; the writer picks it up once both the writer is
+// free and the compression is done.
+func pipelineMakespan(workers int, compDur, writeDur []vtime.Duration) vtime.Duration {
+	free := make([]vtime.Duration, workers)
+	var wEnd vtime.Duration
+	for i := range compDur {
+		w := 0
+		for j := 1; j < workers; j++ {
+			if free[j] < free[w] {
+				w = j
+			}
+		}
+		free[w] += compDur[i]
+		if free[w] > wEnd {
+			wEnd = free[w]
+		}
+		wEnd += writeDur[i]
+	}
+	return wEnd
+}
+
+// Put stores one checkpoint payload for job: the payload is chunked,
+// chunks already present (from any job) are skipped, new chunks are
+// compressed and written, and a manifest linking to the job's previous
+// checkpoint is recorded. Compression, write and verify time are charged
+// to clock. A full filesystem surfaces as *proc.ErrNoSpace. How the
+// commit is made crash-consistent is the placement's protocol — see
+// Store and Fleet.
+func (e *engine) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
+	return e.PutSegmented(clock, job, payload, nil)
+}
+
+// PutSegmented is Put with a caller-supplied segment map over the payload:
+// each segment becomes an independently chunked region recorded in the
+// manifest, and segments marked Clean reuse the parent manifest's chunk
+// refs instead of being re-chunked (see Segment). nil segs is exactly the
+// legacy Put — one anonymous dirty region, no segment map in the manifest.
+//
+// An error return before the commit is equivalent to a crash at that
+// point: whatever was staged stays where it is for the placement's
+// janitor (Recover, GC). An error after it — the placement could not add
+// its extra durability — comes back with the manifest, because the
+// checkpoint stands.
+func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
+	if job == "" || strings.ContainsAny(job, "/@") {
+		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
+	}
+	if segs != nil {
+		if err := validSegments(segs, int64(len(payload))); err != nil {
+			return Manifest{}, PutStats{}, err
+		}
+	}
+	sw := vtime.NewStopwatch(clock)
+	e.p.lockSeq()
+	man, stats, tx, err := e.putLocked(clock, job, payload, segs)
+	e.p.unlockSeq()
+	if err != nil {
+		return Manifest{}, stats, err
+	}
+	err = tx.settle(clock, man)
+	stats.Time = sw.Elapsed()
+	return man, stats, err
+}
+
+// putLocked is the part of a Put that runs under lockSeq: everything up to
+// and including the manifest commit.
+func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, putTxn, error) {
+	// Sequence numbers come from the listing, not from the newest decodable
+	// manifest, so a torn newest manifest is never silently overwritten —
+	// it stays in place for Recover/Scrub and the new checkpoint gets the
+	// next number. The parent link does come from the newest decodable one.
+	seq := uint64(1)
+	seqs := e.jobSeqs(job)
+	if len(seqs) > 0 {
+		seq = seqs[len(seqs)-1] + 1
+	}
+	parent, haveParent, err := e.newestOf(job, seqs)
+	if err != nil {
+		return Manifest{}, PutStats{}, nil, err
+	}
+	man := Manifest{
+		Version: manifestVersion, Job: job, Seq: seq,
+		Size: int64(len(payload)), CreatedAt: clock.Now(),
+	}
+	if haveParent {
+		man.Parent = parent.ID()
+	}
+	stats := PutStats{Manifest: man.ID(), TotalBytes: int64(len(payload))}
+	tx := e.p.beginPut(job, seq)
+	ck := chunker{min: e.cfg.MinChunk, avg: e.cfg.AvgChunk, max: e.cfg.MaxChunk}
+	written := map[string]int64{} // blob length of chunks this Put wrote
+
+	// In pipelined mode every chunk still compresses and writes in staging
+	// order in real execution — identical FS operation sequence — but each
+	// stage is timed on a scratch clock and the makespan of the modelled
+	// worker pipeline is charged once at the end.
+	pipelined := e.cfg.PipelineWorkers > 1
+	var compDur, writeDur []vtime.Duration
+
+	// stageRange chunks one dirty byte range and stages its new chunks,
+	// returning how many ChunkRefs it appended.
+	stageRange := func(data []byte) (int, error) {
+		n := 0
+		for _, chunk := range ck.split(data) {
+			sum256 := sha256.Sum256(chunk)
+			sum := hex.EncodeToString(sum256[:])
+			ref := ChunkRef{Sum: sum, Size: int64(len(chunk))}
+			if stored, ok := written[sum]; ok {
+				ref.Stored = stored
+			} else if stored, ok := tx.probe(sum, chunk); ok {
+				ref.Stored = stored
+			} else {
+				cclock, wclock := clock, clock
+				if pipelined {
+					cclock, wclock = vtime.NewClock(), vtime.NewClock()
+				}
+				csw := vtime.NewStopwatch(cclock)
+				blob, cerr := e.cfg.Compression.compress(cclock, chunk)
+				if cerr != nil {
+					return n, cerr
+				}
+				cd := csw.Elapsed()
+				wsw := vtime.NewStopwatch(wclock)
+				phys, werr := tx.stage(wclock, sum, blob)
+				stats.StoredBytes += phys
+				if werr != nil {
+					return n, werr
+				}
+				wd := wsw.Elapsed()
+				stats.CompressTime += cd
+				stats.WriteTime += wd
+				if pipelined {
+					compDur = append(compDur, cd)
+					writeDur = append(writeDur, wd)
+				}
+				written[sum] = int64(len(blob))
+				ref.Stored = int64(len(blob))
+				stats.NewChunks++
+				stats.NewBytes += int64(len(chunk))
+			}
+			man.Chunks = append(man.Chunks, ref)
+			stats.TotalChunks++
+			n++
+		}
+		return n, nil
+	}
+
+	if segs == nil {
+		if _, err := stageRange(payload); err != nil {
+			return Manifest{}, stats, nil, err
+		}
+	}
+	for _, sg := range segs {
+		if sg.Clean {
+			if ps, refs, ok := parent.segment(sg.Name); ok && ps.Size == sg.Len {
+				man.Chunks = append(man.Chunks, refs...)
+				man.Segments = append(man.Segments, SegmentRef{
+					Name: sg.Name, Size: sg.Len, Chunks: len(refs), Clean: true,
+				})
+				stats.TotalChunks += len(refs)
+				stats.ReusedChunks += len(refs)
+				stats.ReusedBytes += sg.Len
+				continue
+			}
+			// No matching parent segment: chunk it like a dirty one.
+		}
+		n, err := stageRange(payload[sg.Off : sg.Off+sg.Len])
+		if err != nil {
+			return Manifest{}, stats, nil, err
+		}
+		man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
+	}
+	if pipelined && len(compDur) > 0 {
+		clock.Advance(pipelineMakespan(e.cfg.PipelineWorkers, compDur, writeDur))
+	}
+
+	digest := sha256.Sum256(payload)
+	man.Digest = hex.EncodeToString(digest[:])
+	frame, err := encodeManifest(man)
+	if err != nil {
+		return Manifest{}, stats, nil, err
+	}
+	phys, err := tx.commit(clock, man, frame)
+	if err != nil {
+		return Manifest{}, stats, nil, err
+	}
+	stats.StoredBytes += phys
+	return man, stats, tx, nil
+}
+
+// verifyBlob turns one chunk's stored blob back into its content and
+// checks it against the content address: decompress, SHA-256. Every read
+// path of both placements ends here.
+func verifyBlob(clock *vtime.Clock, comp CompressModel, blob []byte, wantSum string) ([]byte, error) {
+	chunk, err := comp.decompress(clock, blob)
+	if err != nil {
+		return nil, fmt.Errorf("store: chunk %s: %w", wantSum[:12], err)
+	}
+	sum := sha256.Sum256(chunk)
+	if got := hex.EncodeToString(sum[:]); got != wantSum {
+		return nil, fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", wantSum[:12], got[:12])
+	}
+	return chunk, nil
+}
+
+// readChunks fetches a run of chunks into one buffer of (about) size
+// bytes. The size comes from a manifest, so the allocation is capped by
+// what that many chunks can hold.
+func (e *engine) readChunks(clock *vtime.Clock, refs []ChunkRef, size int64, heal bool) ([]byte, error) {
+	payload := make([]byte, 0, min(size, int64(len(refs))*int64(e.cfg.MaxChunk)))
+	for _, cref := range refs {
+		_, chunk, err := e.p.fetchBlob(clock, cref, heal)
+		if err != nil {
+			return nil, err
+		}
+		payload = append(payload, chunk...)
+	}
+	return payload, nil
+}
+
+// assemble reads and verifies every chunk of man and checks the payload
+// digest. With heal set, failed chunks fall back to the placement's
+// redundancy.
+func (e *engine) assemble(clock *vtime.Clock, man Manifest, heal bool) ([]byte, error) {
+	payload, err := e.readChunks(clock, man.Chunks, man.Size, heal)
+	if err != nil {
+		return nil, err
+	}
+	digest := sha256.Sum256(payload)
+	if got := hex.EncodeToString(digest[:]); got != man.Digest {
+		return nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %s, assembled %s)",
+			man.ID(), man.Digest[:12], got[:12])
+	}
+	return payload, nil
+}
+
+// Get reconstructs a checkpoint payload. ref is either a manifest ID
+// ("job@seq") or a bare job name, which selects the job's latest
+// checkpoint. Every chunk is verified against its content address and the
+// assembled payload against the manifest digest; a chunk that is missing
+// or corrupt is transparently healed from the placement's redundancy —
+// attached replicas (HealStats) or surviving shards.
+func (e *engine) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
+	man, err := e.Resolve(ref)
+	if err != nil {
+		return nil, Manifest{}, err
+	}
+	payload, err := e.assemble(clock, man, true)
+	return payload, man, err
+}
+
+// GetSegment reconstructs one named segment of a checkpoint payload
+// without assembling the rest: only the chunks the segment owns are read
+// (healed as needed) and each is verified against its content address.
+// The full-payload digest cannot be checked from a partial read —
+// per-chunk SHA-256 verification stands in for it. This is what makes MPI
+// partial restart read O(one rank) instead of O(world): segments
+// partition the manifest's chunk list in order, so a rank's bytes are a
+// consecutive chunk run.
+func (e *engine) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manifest, error) {
+	man, err := e.Resolve(ref)
+	if err != nil {
+		return nil, Manifest{}, err
+	}
+	if len(man.Segments) == 0 {
+		return nil, man, fmt.Errorf("store: %s: no segment map (whole-payload checkpoint)", man.ID())
+	}
+	seg, refs, ok := man.segment(name)
+	if !ok {
+		return nil, man, fmt.Errorf("store: %s: no segment named %q", man.ID(), name)
+	}
+	payload, err := e.readChunks(clock, refs, seg.Size, true)
+	if err != nil {
+		return nil, man, err
+	}
+	if int64(len(payload)) != seg.Size {
+		return nil, man, fmt.Errorf("store: %s: segment %q assembled to %d bytes, manifest says %d",
+			man.ID(), name, len(payload), seg.Size)
+	}
+	return payload, man, nil
+}
+
+// parseRef splits a ref into its job and, for "job@seq", the sequence
+// number; a bare job name reports latest.
+func parseRef(ref string) (job string, seq uint64, latest bool, err error) {
+	job, seqStr, ok := strings.Cut(ref, "@")
+	if !ok {
+		return ref, 0, true, nil
+	}
+	if seq, err = strconv.ParseUint(seqStr, 10, 64); err != nil {
+		return "", 0, false, fmt.Errorf("store: bad manifest ref %q: %w", ref, err)
+	}
+	return job, seq, false, nil
+}
+
+// Resolve looks a ref up without reading chunk data. ref is "job@seq" or
+// a bare job name (latest checkpoint of that job).
+func (e *engine) Resolve(ref string) (Manifest, error) {
+	job, seq, latest, err := parseRef(ref)
+	if err != nil {
+		return Manifest{}, err
+	}
+	if !latest {
+		return e.p.loadManifest(job, seq)
+	}
+	man, ok, err := e.Latest(job)
+	if err != nil {
+		return Manifest{}, err
+	}
+	if !ok {
+		return Manifest{}, fmt.Errorf("store: job %q has no checkpoints", job)
+	}
+	return man, nil
+}
+
+// Latest reports the newest decodable manifest of a job, if any. Torn or
+// rotten manifest frames are skipped — an interrupted Put can never make
+// a job unrestorable, only push Latest back one generation until the
+// placement's repair deals with the bad frame. Any other read failure is
+// the infrastructure's and is returned: an older generation must not
+// silently stand in for one that may be perfectly good.
+func (e *engine) Latest(job string) (Manifest, bool, error) {
+	return e.newestOf(job, e.jobSeqs(job))
+}
+
+// newestOf is Latest over an already listed, ascending set of seqs.
+func (e *engine) newestOf(job string, seqs []uint64) (Manifest, bool, error) {
+	for i := len(seqs) - 1; i >= 0; i-- {
+		m, err := e.p.loadManifest(job, seqs[i])
+		if err == nil {
+			return m, true, nil
+		}
+		if !errors.Is(err, errCorruptManifest) {
+			return Manifest{}, false, err
+		}
+	}
+	return Manifest{}, false, nil
+}
+
+// jobSeqs lists the sequence numbers present (decodable or not) for job,
+// ascending.
+func (e *engine) jobSeqs(job string) []uint64 {
+	var seqs []uint64
+	for _, k := range e.p.manifestFiles() {
+		if k.Job == job {
+			seqs = append(seqs, k.Seq)
+		}
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	return seqs
+}
+
+// ManifestIssue reports one manifest file that could not be loaded.
+type ManifestIssue struct {
+	Job string
+	Seq uint64
+	Err error
+}
+
+// ID formats the issue's manifest reference ("job@seq").
+func (i ManifestIssue) ID() string { return manifestID(i.Job, i.Seq) }
+
+// Manifests lists every decodable manifest in the store, ordered by job
+// then seq, plus one issue per manifest file that failed to load — a
+// single torn frame is a finding for that manifest only, it cannot mask
+// the rest of the store. Bad copies heal transparently from the
+// placement's redundancy; an issue is reported only when no good copy
+// exists anywhere.
+func (e *engine) Manifests() ([]Manifest, []ManifestIssue) {
+	var out []Manifest
+	var issues []ManifestIssue
+	for _, k := range e.p.manifestFiles() {
+		m, err := e.p.loadManifest(k.Job, k.Seq)
+		if err != nil {
+			issues = append(issues, ManifestIssue{Job: k.Job, Seq: k.Seq, Err: err})
+			continue
+		}
+		out = append(out, m)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Job != out[j].Job {
+			return out[i].Job < out[j].Job
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out, issues
+}
+
+// Jobs lists the jobs with at least one checkpoint, sorted.
+func (e *engine) Jobs() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, k := range e.p.manifestFiles() {
+		if !seen[k.Job] {
+			seen[k.Job] = true
+			out = append(out, k.Job)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// SkippedCheckpoint records one generation a restore walk had to pass
+// over and why.
+type SkippedCheckpoint struct {
+	ID     string
+	Seq    uint64
+	Reason string
+}
+
+// DegradedRestore is the typed report of a restore that could not use the
+// requested (or newest) generation. It is an error when no generation
+// restored at all (Restored == ""); when attached to a successful restore
+// it documents which newer generations were skipped.
+type DegradedRestore struct {
+	Requested string              // the ref the caller asked for
+	Restored  string              // the manifest that actually restored; "" if none
+	Skipped   []SkippedCheckpoint // newer generations that could not restore
+}
+
+func (d *DegradedRestore) Error() string {
+	if d.Restored == "" {
+		return fmt.Sprintf("store: %s: no restorable generation (%d candidates failed)", d.Requested, len(d.Skipped))
+	}
+	return fmt.Sprintf("store: %s degraded to %s (%d newer generations unrestorable)",
+		d.Requested, d.Restored, len(d.Skipped))
+}
+
+// Generations lists the restore fallback chain for ref: every decodable
+// manifest of the job at or below the requested sequence, newest first,
+// plus one SkippedCheckpoint per manifest in that range that would not
+// load.
+func (e *engine) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error) {
+	job, ceiling, latest, err := parseRef(ref)
+	if err != nil {
+		return nil, nil, err
+	}
+	if latest {
+		ceiling = 1 << 63
+	}
+	seqs := e.jobSeqs(job)
+	var mans []Manifest
+	var skipped []SkippedCheckpoint
+	for i := len(seqs) - 1; i >= 0; i-- {
+		if seqs[i] > ceiling {
+			continue
+		}
+		m, err := e.p.loadManifest(job, seqs[i])
+		if err != nil {
+			skipped = append(skipped, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: err.Error()})
+			continue
+		}
+		mans = append(mans, m)
+	}
+	if len(mans) == 0 && len(skipped) == 0 {
+		return nil, nil, fmt.Errorf("store: job %q has no checkpoints", job)
+	}
+	return mans, skipped, nil
+}
+
+// GetNewestRestorable walks ref's generation chain newest-first and
+// returns the payload of the first generation that both assembles
+// bit-identical (healing where the placement can) and passes the caller's
+// validate hook — e.g. "does this payload decode as a process image". The
+// returned *DegradedRestore is nil when the newest generation restored
+// cleanly; otherwise it lists every newer generation that was skipped and
+// why. When nothing restores, the DegradedRestore itself is returned as
+// the error, so callers always get a typed outcome instead of a silent
+// wrong payload.
+func (e *engine) GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error) {
+	mans, skipped, err := e.Generations(ref)
+	if err != nil {
+		return nil, Manifest{}, nil, err
+	}
+	tried := append([]SkippedCheckpoint(nil), skipped...)
+	for _, m := range mans {
+		payload, gerr := e.assemble(clock, m, true)
+		if gerr != nil {
+			tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: gerr.Error()})
+			continue
+		}
+		if validate != nil {
+			if verr := validate(payload, m); verr != nil {
+				tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: "validate: " + verr.Error()})
+				continue
+			}
+		}
+		var newer []SkippedCheckpoint
+		for _, t := range tried {
+			if t.Seq > m.Seq {
+				newer = append(newer, t)
+			}
+		}
+		sort.Slice(newer, func(i, j int) bool { return newer[i].Seq > newer[j].Seq })
+		if len(newer) == 0 {
+			return payload, m, nil, nil
+		}
+		return payload, m, &DegradedRestore{Requested: ref, Restored: m.ID(), Skipped: newer}, nil
+	}
+	sort.Slice(tried, func(i, j int) bool { return tried[i].Seq > tried[j].Seq })
+	deg := &DegradedRestore{Requested: ref, Skipped: tried}
+	return nil, Manifest{}, deg, deg
+}
+
+// GCStats reports what one garbage-collection pass removed.
+type GCStats struct {
+	ManifestsKept    int
+	ManifestsDropped int
+	ChunksKept       int
+	ChunksDropped    int
+	BytesReclaimed   int64 // stored bytes freed on the backing FS
+}
+
+// GC applies the retention policy — keep the last retain checkpoints of
+// every job — then removes every chunk no kept manifest references,
+// including orphans an interrupted Put left behind. Chunks are
+// reference-counted by the sweep itself, so a chunk shared by a dropped
+// and a kept checkpoint survives.
+//
+// GC refuses to run while any manifest is unreadable: a torn frame hides
+// which chunks its checkpoint references, and sweeping "unused" chunks in
+// that state would destroy data a repair could still heal. The removal
+// order is crash-consistent on its own — manifests drop before the chunk
+// sweep, so an interrupted GC leaves at worst unreferenced chunks, which
+// the next GC reclaims, never a manifest missing chunks.
+func (e *engine) GC(retain int) (GCStats, error) {
+	if retain < 1 {
+		return GCStats{}, fmt.Errorf("store: GC retention must be >= 1 (got %d)", retain)
+	}
+	e.p.lockSeq()
+	defer e.p.unlockSeq()
+
+	mans, issues := e.Manifests()
+	if len(issues) > 0 {
+		return GCStats{}, fmt.Errorf("store: gc: %d unreadable manifest(s), run %s first; first: %s: %v",
+			len(issues), e.p.repairHint(), issues[0].ID(), issues[0].Err)
+	}
+	// Manifests() orders by job then seq, so the last `retain` entries of
+	// each job group are the newest.
+	perJob := map[string][]Manifest{}
+	for _, m := range mans {
+		perJob[m.Job] = append(perJob[m.Job], m)
+	}
+
+	var st GCStats
+	referenced := map[string]bool{}
+	for _, group := range perJob {
+		cut := max(len(group)-retain, 0)
+		for _, m := range group[cut:] {
+			st.ManifestsKept++
+			for _, c := range m.Chunks {
+				referenced[c.Sum] = true
+			}
+		}
+		for _, m := range group[:cut] {
+			if err := e.p.dropManifest(m.Job, m.Seq); err != nil {
+				return st, fmt.Errorf("store: gc: %w", err)
+			}
+			st.ManifestsDropped++
+		}
+	}
+	var err error
+	st.ChunksKept, st.ChunksDropped, st.BytesReclaimed, err = e.p.sweepChunks(referenced)
+	if err != nil {
+		return st, fmt.Errorf("store: gc: %w", err)
+	}
+	return st, nil
+}

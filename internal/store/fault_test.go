@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -472,67 +471,6 @@ func uniqueChunkOf(t *testing.T, m Manifest, others ...Manifest) string {
 	}
 	t.Fatal("no unique chunk; enlarge the unique tail")
 	return ""
-}
-
-func TestGetNewestRestorableWalksParents(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	versions := uniqueVersions(3, 256<<10, 64<<10)
-	var mans []Manifest
-	for _, v := range versions {
-		m, _, err := s.Put(clock, "job", v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mans = append(mans, m)
-	}
-
-	// Newest generation loses a unique chunk; no replicas to heal from.
-	unique := uniqueChunkOf(t, mans[2], mans[0], mans[1])
-	if err := s.fs.Remove(s.chunkPath(unique)); err != nil {
-		t.Fatal(err)
-	}
-
-	got, man, deg, err := s.GetNewestRestorable(clock, "job", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.ID() != "job@2" || !bytes.Equal(got, versions[1]) {
-		t.Fatalf("restored %s, want job@2 bit-identical", man.ID())
-	}
-	if deg == nil || deg.Restored != "job@2" || len(deg.Skipped) != 1 || deg.Skipped[0].ID != "job@3" {
-		t.Fatalf("degradation report = %+v", deg)
-	}
-
-	// A validate hook that rejects job@2 pushes the walk one generation
-	// further back.
-	reject := func(data []byte, m Manifest) error {
-		if m.Seq == 2 {
-			return errors.New("payload fails application validation")
-		}
-		return nil
-	}
-	_, man, deg, err = s.GetNewestRestorable(clock, "job", reject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.ID() != "job@1" || deg == nil || len(deg.Skipped) != 2 {
-		t.Fatalf("restored %s, deg = %+v", man.ID(), deg)
-	}
-
-	// Nothing restorable: the typed report IS the error.
-	rejectAll := func([]byte, Manifest) error { return errors.New("no") }
-	_, _, deg, err = s.GetNewestRestorable(clock, "job", rejectAll)
-	if err == nil {
-		t.Fatal("total restore failure must be an error")
-	}
-	var dr *DegradedRestore
-	if !errors.As(err, &dr) || dr.Restored != "" || len(dr.Skipped) != 3 {
-		t.Fatalf("err = %v (%T), want *DegradedRestore with 3 skips", err, err)
-	}
-	if deg != dr {
-		t.Error("returned report and error disagree")
-	}
 }
 
 func TestPutWritesThroughToReplicas(t *testing.T) {

@@ -9,18 +9,22 @@ package store
 // 2x. Manifests are small, so they are mirrored to every node rather than
 // sharded; one surviving copy resolves any ref.
 //
+// Fleet is the engine's shard placement; chunking, dedup, manifests, the
+// restore walk and GC's retention are the engine's (engine.go), the same
+// code a Store runs.
+//
 // Commit protocol: shards are content-addressed and written verified at
 // their final paths (writing the same chunk twice is idempotent, so no
 // staging dance is needed), then the manifest is published on every alive
 // node — the per-node commit point, same manifest-last rule as Store.
-// A crash mid-Put leaves orphan shards that GC reclaims.
+// The commit tolerates up to m down nodes: a chunk commits with >= k
+// shards written and the manifest with at most m copies missing; anything
+// less fails the Put. A crash mid-Put leaves orphan shards that GC
+// reclaims.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -92,6 +96,7 @@ type fleetNode struct {
 // Backend, so core, cpr and mpi checkpoint into it exactly as into a
 // single Store.
 type Fleet struct {
+	engine
 	cfg   FleetConfig
 	coder *Coder
 	smap  *ShardMap
@@ -120,6 +125,7 @@ func NewFleet(nodes []FleetNode, cfg FleetConfig) (*Fleet, error) {
 			len(nodes), cfg.DataShards, cfg.ParityShards)
 	}
 	f := &Fleet{cfg: cfg, coder: coder, nodes: map[string]*fleetNode{}}
+	f.engine = engine{cfg: cfg.Store, p: f}
 	for _, n := range nodes {
 		if n.Name == "" || strings.ContainsAny(n.Name, "/@") {
 			return nil, fmt.Errorf("store: fleet: invalid node name %q", n.Name)
@@ -349,58 +355,46 @@ func (f *Fleet) shardStates(clock *vtime.Clock, sum string, rot int, stopAtK boo
 	return have, origLen, bad
 }
 
-// fetchChunk reads and verifies one chunk. The healthy path reads the k
+// fetchBlob reads and verifies one chunk. The healthy path reads the k
 // data shards and concatenates — no GF(256) work at all. When any data
 // shard is an erasure (down node, missing file, failed digest) the
 // parity shards join the gather and the chunk reconstructs from any k
 // survivors, charging the coding model; the reconstructed shards are
 // written back to their alive home nodes best-effort, so a degraded read
-// heals the fleet as a side effect.
-func (f *Fleet) fetchChunk(clock *vtime.Clock, ref ChunkRef) ([]byte, error) {
+// heals the fleet as a side effect. The degraded read is the only read
+// path there is, so the engine's heal flag has nothing to switch off.
+func (f *Fleet) fetchBlob(clock *vtime.Clock, ref ChunkRef, _ bool) (blob, chunk []byte, err error) {
 	k := f.cfg.DataShards
 	have, origLen, bad := f.shardStates(clock, ref.Sum, 0, true)
 	if len(have) < k {
-		return nil, fmt.Errorf("store: fleet: chunk %s lost: %d of %d shards survive, need %d",
+		return nil, nil, fmt.Errorf("store: fleet: chunk %s lost: %d of %d shards survive, need %d",
 			ref.Sum[:12], len(have), k+f.cfg.ParityShards, k)
 	}
-	var blob []byte
-	dataIntact := true
+	lost := 0
 	for i := 0; i < k; i++ {
 		if _, ok := have[i]; !ok {
-			dataIntact = false
-			break
+			lost++
 		}
 	}
-	if dataIntact {
+	if lost == 0 {
 		blob = make([]byte, 0, origLen)
 		for i := 0; i < k && len(blob) < origLen; i++ {
 			blob = append(blob, have[i]...)
 		}
 		blob = blob[:origLen]
 	} else {
-		lost := 0
-		for i := 0; i < k; i++ {
-			if _, ok := have[i]; !ok {
-				lost++
-			}
-		}
 		clock.Advance(f.cfg.Coding.ReconstructTime(int64(origLen), k, lost))
 		shards, err := f.coder.Reconstruct(have)
 		if err != nil {
-			return nil, fmt.Errorf("store: fleet: chunk %s: %w", ref.Sum[:12], err)
+			return nil, nil, fmt.Errorf("store: fleet: chunk %s: %w", ref.Sum[:12], err)
 		}
 		blob = f.coder.Join(shards, origLen)
 		f.healShards(ref.Sum, origLen, shards, bad)
 	}
-	chunk, err := f.cfg.Store.Compression.decompress(clock, blob)
-	if err != nil {
-		return nil, fmt.Errorf("store: fleet: chunk %s: %w", ref.Sum[:12], err)
+	if chunk, err = verifyBlob(clock, f.cfg.Store.Compression, blob, ref.Sum); err != nil {
+		return nil, nil, err
 	}
-	sum := sha256.Sum256(chunk)
-	if got := hex.EncodeToString(sum[:]); got != ref.Sum {
-		return nil, fmt.Errorf("store: fleet: chunk %s corrupt (content hashes to %s)", ref.Sum[:12], got[:12])
-	}
-	return chunk, nil
+	return blob, chunk, nil
 }
 
 // healShards writes the given shard indices back to their alive home
@@ -425,163 +419,32 @@ func (f *Fleet) healShards(sum string, origLen int, shards [][]byte, idxs []int)
 	}
 }
 
-// assemble reads and verifies every chunk of man and checks the payload
-// digest — Store.assemble over shards.
-func (f *Fleet) assemble(clock *vtime.Clock, man Manifest) ([]byte, error) {
-	payload := make([]byte, 0, man.Size)
-	for _, cref := range man.Chunks {
-		chunk, err := f.fetchChunk(clock, cref)
-		if err != nil {
-			return nil, err
-		}
-		payload = append(payload, chunk...)
-	}
-	digest := sha256.Sum256(payload)
-	if got := hex.EncodeToString(digest[:]); got != man.Digest {
-		return nil, fmt.Errorf("store: fleet: %s: payload digest mismatch (manifest %s, assembled %s)",
-			man.ID(), man.Digest[:12], got[:12])
-	}
-	return payload, nil
+func (f *Fleet) lockSeq()           { f.mu.Lock() }
+func (f *Fleet) unlockSeq()         { f.mu.Unlock() }
+func (f *Fleet) repairHint() string { return "Scrub" }
+
+// fleetPut is a Fleet's write transaction. It keeps no state: shards go
+// straight to their final paths and the manifest mirrors to every alive
+// node, so there is nothing to roll back and nothing to settle.
+type fleetPut struct{ f *Fleet }
+
+func (f *Fleet) beginPut(string, uint64) putTxn { return fleetPut{f} }
+
+func (t fleetPut) probe(sum string, _ []byte) (int64, bool) { return t.f.chunkPresent(sum) }
+
+func (t fleetPut) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
+	return t.f.writeChunkShards(clock, sum, blob)
 }
 
-// Put stores one checkpoint payload for job — Store.Put over the fleet.
-func (f *Fleet) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
-	return f.PutSegmented(clock, job, payload, nil)
-}
-
-// PutSegmented is Store.PutSegmented over the fleet: the payload chunks
-// identically (same content-defined chunker, so cross-job dedup carries
-// over), each new chunk compresses once and fans out as k+m shards, and
-// the manifest publishes to every alive node. The commit tolerates up to
-// m down nodes: a chunk commits with >= k shards written and the
-// manifest with at most m copies missing; anything less fails the Put.
-func (f *Fleet) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
-	if job == "" || strings.ContainsAny(job, "/@") {
-		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
-	}
-	if segs != nil {
-		if err := validSegments(segs, int64(len(payload))); err != nil {
-			return Manifest{}, PutStats{}, err
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
-	seq := uint64(1)
-	if seqs := f.jobSeqs(job); len(seqs) > 0 {
-		seq = seqs[len(seqs)-1] + 1
-	}
-	parent := ""
-	var parentMan Manifest
-	haveParent := false
-	if last, ok, err := f.latest(job); err != nil {
-		return Manifest{}, PutStats{}, err
-	} else if ok {
-		parent = last.ID()
-		parentMan, haveParent = last, true
-	}
-
-	sw := vtime.NewStopwatch(clock)
-	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
-	man := Manifest{
-		Version: manifestVersion, Job: job, Seq: seq, Parent: parent,
-		Size: int64(len(payload)), CreatedAt: clock.Now(),
-	}
-	stats := PutStats{Manifest: man.ID(), TotalBytes: int64(len(payload))}
-	written := map[string]int64{} // blob length of chunks this Put wrote
-
-	parentSeg := map[string]SegmentRef{}
-	parentSegChunks := map[string][]ChunkRef{}
-	if haveParent && len(parentMan.Segments) > 0 {
-		at := 0
-		for _, ps := range parentMan.Segments {
-			if at+ps.Chunks > len(parentMan.Chunks) {
-				parentSeg, parentSegChunks = map[string]SegmentRef{}, nil
-				break
-			}
-			parentSeg[ps.Name] = ps
-			parentSegChunks[ps.Name] = parentMan.Chunks[at : at+ps.Chunks]
-			at += ps.Chunks
-		}
-	}
-
-	stageRange := func(data []byte) (int, error) {
-		n := 0
-		for _, chunk := range ck.split(data) {
-			sum256 := sha256.Sum256(chunk)
-			sum := hex.EncodeToString(sum256[:])
-			ref := ChunkRef{Sum: sum, Size: int64(len(chunk))}
-			if stored, ok := written[sum]; ok {
-				ref.Stored = stored
-			} else if stored, ok := f.chunkPresent(sum); ok {
-				ref.Stored = stored
-			} else {
-				csw := vtime.NewStopwatch(clock)
-				blob, cerr := f.cfg.Store.Compression.compress(clock, chunk)
-				if cerr != nil {
-					return n, cerr
-				}
-				stats.CompressTime += csw.Elapsed()
-				wsw := vtime.NewStopwatch(clock)
-				phys, werr := f.writeChunkShards(clock, sum, blob)
-				stats.StoredBytes += phys
-				if werr != nil {
-					return n, werr
-				}
-				stats.WriteTime += wsw.Elapsed()
-				written[sum] = int64(len(blob))
-				ref.Stored = int64(len(blob))
-				stats.NewChunks++
-				stats.NewBytes += int64(len(chunk))
-			}
-			man.Chunks = append(man.Chunks, ref)
-			stats.TotalChunks++
-			n++
-		}
-		return n, nil
-	}
-
-	if segs == nil {
-		if _, err := stageRange(payload); err != nil {
-			return Manifest{}, stats, err
-		}
-	} else {
-		for _, sg := range segs {
-			if sg.Clean {
-				if ps, ok := parentSeg[sg.Name]; ok && ps.Size == sg.Len {
-					refs := parentSegChunks[sg.Name]
-					man.Chunks = append(man.Chunks, refs...)
-					man.Segments = append(man.Segments, SegmentRef{
-						Name: sg.Name, Size: sg.Len, Chunks: len(refs), Clean: true,
-					})
-					stats.TotalChunks += len(refs)
-					stats.ReusedChunks += len(refs)
-					stats.ReusedBytes += sg.Len
-					continue
-				}
-			}
-			n, err := stageRange(payload[sg.Off : sg.Off+sg.Len])
-			if err != nil {
-				return Manifest{}, stats, err
-			}
-			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
-		}
-	}
-
-	digest := sha256.Sum256(payload)
-	man.Digest = hex.EncodeToString(digest[:])
-	frame, err := encodeManifest(man)
+func (t fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
+	published, err := t.f.publishManifest(clock, man.Job, man.Seq, frame)
 	if err != nil {
-		return Manifest{}, stats, err
+		return 0, err
 	}
-	published, err := f.publishManifest(clock, man.Job, man.Seq, frame)
-	if err != nil {
-		return Manifest{}, stats, err
-	}
-	stats.StoredBytes += int64(published) * int64(len(frame))
-	stats.Time = sw.Elapsed()
-	return man, stats, nil
+	return int64(published) * int64(len(frame)), nil
 }
+
+func (fleetPut) settle(*vtime.Clock, Manifest) error { return nil }
 
 // publishManifest writes the manifest frame to every alive node and
 // reports how many copies landed. At most m copies may be missing — that
@@ -622,12 +485,12 @@ func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, fram
 	return published, nil
 }
 
-// readManifestFleet resolves one manifest from the first node holding a
+// loadManifest resolves one manifest from the first node holding a
 // decodable copy, walking sorted names. When an earlier node failed
 // (down, lost or corrupt frame) and a later one served, the good frame
 // is re-published to the failed alive nodes best effort — manifest reads
 // self-heal exactly like Store's replica fallback.
-func (f *Fleet) readManifestFleet(job string, seq uint64) (Manifest, error) {
+func (f *Fleet) loadManifest(job string, seq uint64) (Manifest, error) {
 	var failed []*fleetNode
 	var lastErr error
 	for _, name := range f.names {
@@ -664,195 +527,17 @@ func (f *Fleet) readManifestFleet(job string, seq uint64) (Manifest, error) {
 	return Manifest{}, lastErr
 }
 
-// jobSeqs unions the job's sequence numbers across alive nodes.
-func (f *Fleet) jobSeqs(job string) []uint64 {
-	seen := map[uint64]bool{}
+// manifestFiles unions the manifest files of the alive nodes, ordered by
+// job then seq.
+func (f *Fleet) manifestFiles() []manifestKey {
+	seen := map[manifestKey]bool{}
+	var keys []manifestKey
 	for _, name := range f.names {
 		n := f.nodes[name]
 		if !n.alive() {
 			continue
 		}
-		for _, seq := range n.st.jobSeqs(job) {
-			seen[seq] = true
-		}
-	}
-	seqs := make([]uint64, 0, len(seen))
-	for s := range seen {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
-}
-
-// latest mirrors Store.latest over the fleet's manifest union.
-func (f *Fleet) latest(job string) (Manifest, bool, error) {
-	seqs := f.jobSeqs(job)
-	for i := len(seqs) - 1; i >= 0; i-- {
-		m, err := f.readManifestFleet(job, seqs[i])
-		if err == nil {
-			return m, true, nil
-		}
-	}
-	return Manifest{}, false, nil
-}
-
-// Latest reports the newest resolvable manifest of a job, if any.
-func (f *Fleet) Latest(job string) (Manifest, bool, error) {
-	return f.latest(job)
-}
-
-// Resolve looks a ref up without reading chunk data — Store.Resolve over
-// the fleet.
-func (f *Fleet) Resolve(ref string) (Manifest, error) {
-	if job, seqStr, ok := strings.Cut(ref, "@"); ok {
-		seq, err := parseSeq(ref, seqStr)
-		if err != nil {
-			return Manifest{}, err
-		}
-		return f.readManifestFleet(job, seq)
-	}
-	man, ok, err := f.latest(ref)
-	if err != nil {
-		return Manifest{}, err
-	}
-	if !ok {
-		return Manifest{}, fmt.Errorf("store: job %q has no checkpoints", ref)
-	}
-	return man, nil
-}
-
-// Get reconstructs a checkpoint payload — Store.Get over the fleet, with
-// degraded reads in place of replica healing.
-func (f *Fleet) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
-	man, err := f.Resolve(ref)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	payload, err := f.assemble(clock, man)
-	return payload, man, err
-}
-
-// GetSegment reconstructs one named segment without assembling the rest
-// — Store.GetSegment over the fleet (MPI partial restart's read path).
-func (f *Fleet) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manifest, error) {
-	man, err := f.Resolve(ref)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	if len(man.Segments) == 0 {
-		return nil, man, fmt.Errorf("store: %s: no segment map (whole-payload checkpoint)", man.ID())
-	}
-	first := 0
-	for _, seg := range man.Segments {
-		if seg.Name != name {
-			first += seg.Chunks
-			continue
-		}
-		if first+seg.Chunks > len(man.Chunks) {
-			return nil, man, fmt.Errorf("store: %s: segment %q claims chunks beyond manifest", man.ID(), name)
-		}
-		payload := make([]byte, 0, seg.Size)
-		for _, cref := range man.Chunks[first : first+seg.Chunks] {
-			chunk, err := f.fetchChunk(clock, cref)
-			if err != nil {
-				return nil, man, err
-			}
-			payload = append(payload, chunk...)
-		}
-		if int64(len(payload)) != seg.Size {
-			return nil, man, fmt.Errorf("store: %s: segment %q assembled to %d bytes, manifest says %d",
-				man.ID(), name, len(payload), seg.Size)
-		}
-		return payload, man, nil
-	}
-	return nil, man, fmt.Errorf("store: %s: no segment named %q", man.ID(), name)
-}
-
-// Generations lists the restore fallback chain for ref — Store.Generations
-// over the fleet's manifest union.
-func (f *Fleet) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error) {
-	job, ceiling := ref, uint64(1<<63)
-	if j, seqStr, ok := strings.Cut(ref, "@"); ok {
-		seq, err := parseSeq(ref, seqStr)
-		if err != nil {
-			return nil, nil, err
-		}
-		job, ceiling = j, seq
-	}
-	seqs := f.jobSeqs(job)
-	var mans []Manifest
-	var skipped []SkippedCheckpoint
-	for i := len(seqs) - 1; i >= 0; i-- {
-		if seqs[i] > ceiling {
-			continue
-		}
-		m, err := f.readManifestFleet(job, seqs[i])
-		if err != nil {
-			skipped = append(skipped, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: err.Error()})
-			continue
-		}
-		mans = append(mans, m)
-	}
-	if len(mans) == 0 && len(skipped) == 0 {
-		return nil, nil, fmt.Errorf("store: job %q has no checkpoints", job)
-	}
-	return mans, skipped, nil
-}
-
-// GetNewestRestorable walks ref's generation chain newest-first — the
-// same typed degraded-restore contract as Store.GetNewestRestorable, so
-// core and mpi restores are backend-agnostic.
-func (f *Fleet) GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error) {
-	mans, skipped, err := f.Generations(ref)
-	if err != nil {
-		return nil, Manifest{}, nil, err
-	}
-	tried := append([]SkippedCheckpoint(nil), skipped...)
-	for _, m := range mans {
-		payload, gerr := f.assemble(clock, m)
-		if gerr != nil {
-			tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: gerr.Error()})
-			continue
-		}
-		if validate != nil {
-			if verr := validate(payload, m); verr != nil {
-				tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: "validate: " + verr.Error()})
-				continue
-			}
-		}
-		var newer []SkippedCheckpoint
-		for _, t := range tried {
-			if t.Seq > m.Seq {
-				newer = append(newer, t)
-			}
-		}
-		sort.Slice(newer, func(i, j int) bool { return newer[i].Seq > newer[j].Seq })
-		if len(newer) == 0 {
-			return payload, m, nil, nil
-		}
-		return payload, m, &DegradedRestore{Requested: ref, Restored: m.ID(), Skipped: newer}, nil
-	}
-	sort.Slice(tried, func(i, j int) bool { return tried[i].Seq > tried[j].Seq })
-	deg := &DegradedRestore{Requested: ref, Skipped: tried}
-	return nil, Manifest{}, deg, deg
-}
-
-// Manifests lists every resolvable manifest across the fleet, ordered by
-// job then seq, plus one issue per manifest no alive node can decode.
-func (f *Fleet) Manifests() ([]Manifest, []ManifestIssue) {
-	type key struct {
-		Job string
-		Seq uint64
-	}
-	seen := map[key]bool{}
-	var keys []key
-	for _, name := range f.names {
-		n := f.nodes[name]
-		if !n.alive() {
-			continue
-		}
-		for _, mf := range n.st.listManifestFiles() {
-			k := key{mf.Job, mf.Seq}
+		for _, k := range n.st.manifestFiles() {
 			if !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
@@ -865,37 +550,7 @@ func (f *Fleet) Manifests() ([]Manifest, []ManifestIssue) {
 		}
 		return keys[i].Seq < keys[j].Seq
 	})
-	var out []Manifest
-	var issues []ManifestIssue
-	for _, k := range keys {
-		m, err := f.readManifestFleet(k.Job, k.Seq)
-		if err != nil {
-			issues = append(issues, ManifestIssue{Job: k.Job, Seq: k.Seq, Err: err})
-			continue
-		}
-		out = append(out, m)
-	}
-	return out, issues
-}
-
-// Jobs lists the jobs with at least one checkpoint anywhere in the fleet.
-func (f *Fleet) Jobs() []string {
-	seen := map[string]bool{}
-	for _, name := range f.names {
-		n := f.nodes[name]
-		if !n.alive() {
-			continue
-		}
-		for _, j := range n.st.Jobs() {
-			seen[j] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for j := range seen {
-		out = append(out, j)
-	}
-	sort.Strings(out)
-	return out
+	return keys
 }
 
 // TotalStoredBytes sums the physical occupancy of every node — shards,
@@ -907,13 +562,4 @@ func (f *Fleet) TotalStoredBytes() int64 {
 		n += f.nodes[name].st.TotalStoredBytes()
 	}
 	return n
-}
-
-// parseSeq parses the sequence half of a "job@seq" ref.
-func parseSeq(ref, seqStr string) (uint64, error) {
-	seq, err := strconv.ParseUint(seqStr, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("store: bad manifest ref %q: %w", ref, err)
-	}
-	return seq, nil
 }

@@ -42,46 +42,6 @@ func allUp(states map[string]*proc.NodeState) {
 	}
 }
 
-func TestFleetPutGetRoundTrip(t *testing.T) {
-	f, _ := testFleet(t, 6, FleetConfig{})
-	clock := vtime.NewClock()
-	data := payload(10, 256<<10)
-
-	man, put, err := f.Put(clock, "job", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if put.NewChunks == 0 || put.StoredBytes == 0 {
-		t.Fatalf("degenerate put stats: %+v", put)
-	}
-	got, gman, err := f.Get(clock, "job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("round trip is not bit-identical")
-	}
-	if gman.ID() != man.ID() {
-		t.Fatalf("resolved %s, want %s", gman.ID(), man.ID())
-	}
-
-	// A second put of the same payload dedups every chunk.
-	_, put2, err := f.Put(clock, "job", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if put2.NewChunks != 0 {
-		t.Fatalf("identical re-put wrote %d new chunks", put2.NewChunks)
-	}
-
-	// Physical occupancy is erasure-coded, not replicated: the shard
-	// payloads cost (k+m)/k = 1.5x; frames and mirrored manifests add a
-	// little. Well under replication's 2x.
-	if total := f.TotalStoredBytes(); total > int64(float64(len(data))*1.9) {
-		t.Fatalf("stored %d bytes for a %d-byte payload — no erasure saving", total, len(data))
-	}
-}
-
 // TestFleetDegradedGetEveryLossPattern takes every subset of up to m
 // nodes down and requires a bit-identical restore each time; one node
 // beyond m must fail loudly, never fabricate.
@@ -354,74 +314,6 @@ func TestFleetScrubQuarantinesUnrepairable(t *testing.T) {
 	}
 	if _, err := f.Resolve("doomed"); err == nil {
 		t.Fatal("quarantined manifest still resolves")
-	}
-}
-
-func TestFleetGC(t *testing.T) {
-	f, _ := testFleet(t, 6, FleetConfig{})
-	clock := vtime.NewClock()
-	var last []byte
-	for g := 0; g < 4; g++ {
-		last = payload(int64(20+g), 128<<10)
-		if _, _, err := f.Put(clock, "job", last); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := f.TotalStoredBytes()
-	st, err := f.GC(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ManifestsDropped != 3 || st.ManifestsKept != 1 {
-		t.Fatalf("gc manifests: %+v", st)
-	}
-	if st.ChunksDropped == 0 || st.BytesReclaimed == 0 {
-		t.Fatalf("gc reclaimed nothing: %+v", st)
-	}
-	if after := f.TotalStoredBytes(); after >= before {
-		t.Fatalf("occupancy did not shrink: %d -> %d", before, after)
-	}
-	got, man, err := f.Get(clock, "job")
-	if err != nil || !bytes.Equal(got, last) {
-		t.Fatalf("latest generation broken after GC: %v", err)
-	}
-	if man.Seq != 4 {
-		t.Fatalf("kept seq %d, want 4", man.Seq)
-	}
-}
-
-// TestFleetCrossJobDedup stores hundreds of jobs sharing a common base
-// image; content addressing must store the base chunks once, fleet-wide.
-func TestFleetCrossJobDedup(t *testing.T) {
-	f, _ := testFleet(t, 8, FleetConfig{})
-	clock := vtime.NewClock()
-	base := payload(30, 192<<10)
-	const jobs = 200
-
-	var logical int64
-	for j := 0; j < jobs; j++ {
-		p := append(append([]byte(nil), base...), payload(int64(1000+j), 4<<10)...)
-		logical += int64(len(p))
-		if _, _, err := f.Put(clock, fmt.Sprintf("job-%03d", j), p); err != nil {
-			t.Fatalf("job %d: %v", j, err)
-		}
-	}
-	phys := f.TotalStoredBytes()
-	ratio := float64(logical) / float64(phys)
-	// 200 jobs x ~196 KiB logical vs one shared base (+1.5x parity,
-	// manifests, unique tails): anything under ~3x dedup means the base
-	// was stored repeatedly.
-	if ratio < 3 {
-		t.Fatalf("dedup ratio %.1fx (logical %d, physical %d) — base image not shared", ratio, logical, phys)
-	}
-
-	// Spot-check restores across the job population.
-	for _, j := range []int{0, 97, 199} {
-		want := append(append([]byte(nil), base...), payload(int64(1000+j), 4<<10)...)
-		got, _, err := f.Get(clock, fmt.Sprintf("job-%03d", j))
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("job %d after dedup: %v", j, err)
-		}
 	}
 }
 

@@ -12,8 +12,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"checl/internal/hw"
@@ -119,13 +117,13 @@ func (s *Store) recordManifestHeal() {
 // re-written to the primary (best effort — a failed write-back degrades
 // the next read, not this one) and counted in HealStats.
 func (s *Store) fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, chunk []byte, err error) {
-	blob, chunk, err = verifyChunkAt(clock, s.fs, s.chunkPath(ref.Sum), s.cfg.Compression, ref.Sum, s.cfg.WriteRetries)
+	blob, chunk, err = s.readChunk(clock, ref.Sum)
 	if err == nil || !heal {
 		return blob, chunk, err
 	}
 	primaryErr := err
 	for _, r := range s.replicaList() {
-		rblob, rchunk, rerr := verifyChunkAt(clock, r.st.fs, r.st.chunkPath(ref.Sum), r.st.cfg.Compression, ref.Sum, r.st.cfg.WriteRetries)
+		rblob, rchunk, rerr := r.st.readChunk(clock, ref.Sum)
 		if rerr != nil {
 			continue
 		}
@@ -139,13 +137,13 @@ func (s *Store) fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, ch
 	return nil, nil, fmt.Errorf("%w (no replica could supply a good copy)", primaryErr)
 }
 
-// readManifestHealed is readManifest with the same replica fallback the
+// loadManifest is readManifest with the same replica fallback the
 // chunk path has: a frame that is present but corrupt (torn write, bit
 // rot) is re-read from the first replica holding a good copy, re-written
 // to the primary best effort, and returned — so a rotted manifest frame
 // costs a restore nothing when a replica is attached, instead of pushing
 // the whole generation onto the skip list until the next Scrub.
-func (s *Store) readManifestHealed(job string, seq uint64) (Manifest, error) {
+func (s *Store) loadManifest(job string, seq uint64) (Manifest, error) {
 	m, err := s.readManifest(job, seq)
 	if err == nil || !errors.Is(err, errCorruptManifest) {
 		return m, err
@@ -218,15 +216,9 @@ func (s *Store) Recover() (RecoverStats, error) {
 			referenced[c.Sum] = true
 		}
 	}
-	for sum, size := range s.chunkSums() {
-		if referenced[sum] {
-			continue
-		}
-		if err := s.removeRetry(s.chunkPath(sum)); err != nil {
-			return st, fmt.Errorf("store: recover: %w", err)
-		}
-		st.OrphanChunks++
-		st.OrphanBytes += size
+	var err error
+	if _, st.OrphanChunks, st.OrphanBytes, err = s.sweepChunks(referenced); err != nil {
+		return st, fmt.Errorf("store: recover: %w", err)
 	}
 	return st, nil
 }
@@ -336,7 +328,7 @@ func (s *Store) pullLostManifests(clock *vtime.Clock, rep *ScrubReport) {
 	}
 	primaryHas := map[string]map[uint64]bool{}
 	minSeq := map[string]uint64{}
-	for _, mf := range s.listManifestFiles() {
+	for _, mf := range s.manifestFiles() {
 		if primaryHas[mf.Job] == nil {
 			primaryHas[mf.Job] = map[uint64]bool{}
 		}
@@ -357,7 +349,7 @@ func (s *Store) pullLostManifests(clock *vtime.Clock, rep *ScrubReport) {
 				if s.fs.Exists(s.chunkPath(c.Sum)) {
 					continue
 				}
-				blob, _, err := verifyChunkAt(clock, r.st.fs, r.st.chunkPath(c.Sum), r.st.cfg.Compression, c.Sum, r.st.cfg.WriteRetries)
+				blob, _, err := r.st.readChunk(clock, c.Sum)
 				if err != nil {
 					rep.Findings = append(rep.Findings, fmt.Sprintf("%s: not pulled from replica: %v", m.ID(), err))
 					ok = false
@@ -391,106 +383,4 @@ func (s *Store) pullLostManifests(clock *vtime.Clock, rep *ScrubReport) {
 			seqs[m.Seq] = true
 		}
 	}
-}
-
-// SkippedCheckpoint records one generation a restore walk had to pass
-// over and why.
-type SkippedCheckpoint struct {
-	ID     string
-	Seq    uint64
-	Reason string
-}
-
-// DegradedRestore is the typed report of a restore that could not use the
-// requested (or newest) generation. It is an error when no generation
-// restored at all (Restored == ""); when attached to a successful restore
-// it documents which newer generations were skipped.
-type DegradedRestore struct {
-	Requested string              // the ref the caller asked for
-	Restored  string              // the manifest that actually restored; "" if none
-	Skipped   []SkippedCheckpoint // newer generations that could not restore
-}
-
-func (d *DegradedRestore) Error() string {
-	if d.Restored == "" {
-		return fmt.Sprintf("store: %s: no restorable generation (%d candidates failed)", d.Requested, len(d.Skipped))
-	}
-	return fmt.Sprintf("store: %s degraded to %s (%d newer generations unrestorable)",
-		d.Requested, d.Restored, len(d.Skipped))
-}
-
-// Generations lists the restore fallback chain for ref: every decodable
-// manifest of the job at or below the requested sequence, newest first,
-// plus one SkippedCheckpoint per undecodable frame in that range.
-func (s *Store) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error) {
-	job, ceiling := ref, uint64(1<<63)
-	if j, seqStr, ok := strings.Cut(ref, "@"); ok {
-		seq, err := strconv.ParseUint(seqStr, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: bad manifest ref %q: %w", ref, err)
-		}
-		job, ceiling = j, seq
-	}
-	seqs := s.jobSeqs(job)
-	var mans []Manifest
-	var skipped []SkippedCheckpoint
-	for i := len(seqs) - 1; i >= 0; i-- {
-		if seqs[i] > ceiling {
-			continue
-		}
-		m, err := s.readManifestHealed(job, seqs[i])
-		if err != nil {
-			skipped = append(skipped, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: err.Error()})
-			continue
-		}
-		mans = append(mans, m)
-	}
-	if len(mans) == 0 && len(skipped) == 0 {
-		return nil, nil, fmt.Errorf("store: job %q has no checkpoints", job)
-	}
-	return mans, skipped, nil
-}
-
-// GetNewestRestorable walks ref's generation chain newest-first and
-// returns the payload of the first generation that both assembles
-// bit-identical (healing from replicas where it can) and passes the
-// caller's validate hook — e.g. "does this payload decode as a process
-// image". The returned *DegradedRestore is nil when the newest generation
-// restored cleanly; otherwise it lists every newer generation that was
-// skipped and why. When nothing restores, the DegradedRestore itself is
-// returned as the error, so callers always get a typed outcome instead of
-// a silent wrong payload.
-func (s *Store) GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error) {
-	mans, skipped, err := s.Generations(ref)
-	if err != nil {
-		return nil, Manifest{}, nil, err
-	}
-	tried := append([]SkippedCheckpoint(nil), skipped...)
-	for _, m := range mans {
-		payload, gerr := s.assemble(clock, m, true)
-		if gerr != nil {
-			tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: gerr.Error()})
-			continue
-		}
-		if validate != nil {
-			if verr := validate(payload, m); verr != nil {
-				tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: "validate: " + verr.Error()})
-				continue
-			}
-		}
-		var newer []SkippedCheckpoint
-		for _, t := range tried {
-			if t.Seq > m.Seq {
-				newer = append(newer, t)
-			}
-		}
-		sort.Slice(newer, func(i, j int) bool { return newer[i].Seq > newer[j].Seq })
-		if len(newer) == 0 {
-			return payload, m, nil, nil
-		}
-		return payload, m, &DegradedRestore{Requested: ref, Restored: m.ID(), Skipped: newer}, nil
-	}
-	sort.Slice(tried, func(i, j int) bool { return tried[i].Seq > tried[j].Seq })
-	deg := &DegradedRestore{Requested: ref, Skipped: tried}
-	return nil, Manifest{}, deg, deg
 }

@@ -93,35 +93,108 @@ func encodeManifest(m Manifest) ([]byte, error) {
 	if err := gob.NewEncoder(&body).Encode(m); err != nil {
 		return nil, fmt.Errorf("store: encoding manifest %s: %w", m.ID(), err)
 	}
-	sum := sha256.Sum256(body.Bytes())
-	out := make([]byte, 0, len(manifestMagic)+len(sum)+body.Len())
-	out = append(out, manifestMagic...)
-	out = append(out, sum[:]...)
-	out = append(out, body.Bytes()...)
-	return out, nil
+	return frameManifest(body.Bytes()), nil
 }
 
-// decodeManifest validates the frame and parses the manifest.
+// frameManifest prefixes a manifest body with the magic and its SHA-256.
+func frameManifest(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	out := make([]byte, 0, len(manifestMagic)+len(sum)+len(body))
+	out = append(out, manifestMagic...)
+	out = append(out, sum[:]...)
+	return append(out, body...)
+}
+
+// segment locates a named segment and the run of chunk refs it owns.
+// Segment chunk counts partition Chunks exactly — Put builds them so and
+// decodeManifest rejects frames where they do not.
+func (m Manifest) segment(name string) (SegmentRef, []ChunkRef, bool) {
+	first := 0
+	for _, seg := range m.Segments {
+		if seg.Name == name {
+			return seg, m.Chunks[first : first+seg.Chunks], true
+		}
+		first += seg.Chunks
+	}
+	return SegmentRef{}, nil, false
+}
+
+// corruptf builds a decode error that wraps errCorruptManifest.
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{errCorruptManifest}, args...)...)
+}
+
+// decodeManifest validates the frame and parses the manifest. Every
+// failure wraps errCorruptManifest: a frame that does not decode to a
+// self-consistent manifest is an integrity finding for that generation,
+// which restores skip (DegradedRestore) and repair quarantines.
 func decodeManifest(data []byte) (Manifest, error) {
 	if len(data) < len(manifestMagic)+sha256.Size {
-		return Manifest{}, fmt.Errorf("store: manifest truncated (%d bytes)", len(data))
+		return Manifest{}, corruptf("store: manifest truncated (%d bytes)", len(data))
 	}
 	if !bytes.Equal(data[:len(manifestMagic)], manifestMagic) {
-		return Manifest{}, fmt.Errorf("store: not a manifest (bad magic)")
+		return Manifest{}, corruptf("store: not a manifest (bad magic)")
 	}
 	want := data[len(manifestMagic) : len(manifestMagic)+sha256.Size]
 	body := data[len(manifestMagic)+sha256.Size:]
 	got := sha256.Sum256(body)
 	if !bytes.Equal(want, got[:]) {
-		return Manifest{}, fmt.Errorf("store: manifest checksum mismatch (want %s, got %s)",
+		return Manifest{}, corruptf("store: manifest checksum mismatch (want %s, got %s)",
 			hex.EncodeToString(want), hex.EncodeToString(got[:]))
 	}
 	var m Manifest
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-		return Manifest{}, fmt.Errorf("store: decoding manifest: %w", err)
+		return Manifest{}, corruptf("store: decoding manifest: %v", err)
 	}
 	if m.Version != manifestVersion {
-		return Manifest{}, fmt.Errorf("store: unsupported manifest version %d (have %d)", m.Version, manifestVersion)
+		return Manifest{}, corruptf("store: unsupported manifest version %d (have %d)", m.Version, manifestVersion)
+	}
+	if err := m.validate(); err != nil {
+		return Manifest{}, corruptf("store: manifest %s: %v", m.ID(), err)
 	}
 	return m, nil
+}
+
+// isDigest reports whether s is a SHA-256 in the lower-case hex every
+// writer here produces.
+func isDigest(s string) bool {
+	if len(s) != hex.EncodedLen(sha256.Size) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// validate rejects well-checksummed nonsense: a manifest whose numbers
+// the read path would otherwise trust into a panic. Sizes are
+// non-negative, content addresses are SHA-256 hex, and a segment map
+// partitions both the chunk list and the payload size exactly.
+func (m Manifest) validate() error {
+	if m.Size < 0 || !isDigest(m.Digest) {
+		return fmt.Errorf("bad size %d or digest %q", m.Size, m.Digest)
+	}
+	for i, c := range m.Chunks {
+		if c.Size < 0 || c.Stored < 0 || !isDigest(c.Sum) {
+			return fmt.Errorf("chunk %d: bad size %d/%d or address %q", i, c.Size, c.Stored, c.Sum)
+		}
+	}
+	if len(m.Segments) == 0 {
+		return nil
+	}
+	chunks, size := len(m.Chunks), m.Size
+	for _, seg := range m.Segments {
+		if seg.Chunks < 0 || seg.Chunks > chunks || seg.Size < 0 || seg.Size > size {
+			return fmt.Errorf("segment %q (%d chunks, %d bytes) does not fit the manifest", seg.Name, seg.Chunks, seg.Size)
+		}
+		chunks -= seg.Chunks
+		size -= seg.Size
+	}
+	if chunks != 0 || size != 0 {
+		return fmt.Errorf("segments leave %d chunks and %d bytes uncovered", chunks, size)
+	}
+	return nil
 }

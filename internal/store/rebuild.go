@@ -4,8 +4,8 @@ package store
 // fresh one under the same name (consistent hashing keeps every other
 // placement untouched), Rebuild re-codes missing shards onto their home
 // nodes with anti-thundering-herd pacing, Scrub verifies every node's
-// shards in parallel and repairs what it finds, and GC applies the
-// keep-last-N retention fleet-wide.
+// shards in parallel and repairs what it finds, and dropManifest/
+// sweepChunks are the fleet-wide halves of the engine's GC.
 
 import (
 	"fmt"
@@ -352,56 +352,24 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	return rep, nil
 }
 
-// GC applies keep-last-N retention fleet-wide: manifests beyond the
-// retention drop from every node, then every node sweeps shards of
-// chunks no kept manifest references — including orphans an interrupted
-// Put left at their content-addressed paths. Same refusal rule as
-// Store.GC: unresolvable manifests block the sweep, because their chunk
-// references are unknown.
-func (f *Fleet) GC(retain int) (GCStats, error) {
-	if retain < 1 {
-		return GCStats{}, fmt.Errorf("store: GC retention must be >= 1 (got %d)", retain)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
-	mans, issues := f.Manifests()
-	if len(issues) > 0 {
-		return GCStats{}, fmt.Errorf("store: gc: %d unresolvable manifest(s), run Scrub first; first: %s: %v",
-			len(issues), issues[0].ID(), issues[0].Err)
-	}
-	perJob := map[string][]Manifest{}
-	for _, m := range mans {
-		perJob[m.Job] = append(perJob[m.Job], m)
-	}
-
-	var st GCStats
-	referenced := map[string]bool{}
-	for _, group := range perJob {
-		cut := len(group) - retain
-		if cut < 0 {
-			cut = 0
+// dropManifest removes one manifest from every alive node holding it.
+func (f *Fleet) dropManifest(job string, seq uint64) error {
+	for _, name := range f.names {
+		n := f.nodes[name]
+		if !n.alive() || !n.st.fs.Exists(n.st.manifestPath(job, seq)) {
+			continue
 		}
-		for _, m := range group[cut:] {
-			st.ManifestsKept++
-			for _, c := range m.Chunks {
-				referenced[c.Sum] = true
-			}
-		}
-		for _, m := range group[:cut] {
-			for _, name := range f.names {
-				n := f.nodes[name]
-				if !n.alive() || !n.st.fs.Exists(n.st.manifestPath(m.Job, m.Seq)) {
-					continue
-				}
-				if err := n.st.removeRetry(n.st.manifestPath(m.Job, m.Seq)); err != nil {
-					return st, fmt.Errorf("store: gc: %w", err)
-				}
-			}
-			st.ManifestsDropped++
+		if err := n.st.dropManifest(job, seq); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
+// sweepChunks has every alive node remove the shards of chunks that are
+// not referenced — including orphans an interrupted Put left at their
+// content-addressed paths.
+func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error) {
 	keptSums := map[string]bool{}
 	droppedSums := map[string]bool{}
 	for _, name := range f.names {
@@ -424,13 +392,11 @@ func (f *Fleet) GC(retain int) (GCStats, error) {
 			}
 			sz, _ := n.st.fs.Size(p)
 			if err := n.st.removeRetry(p); err != nil {
-				return st, fmt.Errorf("store: gc: %w", err)
+				return len(keptSums), len(droppedSums), reclaimed, err
 			}
 			droppedSums[sum] = true
-			st.BytesReclaimed += sz
+			reclaimed += sz
 		}
 	}
-	st.ChunksKept = len(keptSums)
-	st.ChunksDropped = len(droppedSums)
-	return st, nil
+	return len(keptSums), len(droppedSums), reclaimed, nil
 }

@@ -46,19 +46,20 @@ func (s *Store) Replicate(clock *vtime.Clock, ref string, dst *Store, nic hw.Ban
 	return man, st, err
 }
 
-// copyManifestTo moves one manifest and its missing chunks into dst with
-// a crash-consistent staged commit. chunkData, when non-nil, maps chunk
-// sums to their uncompressed content; it is Put's write-through escape
-// hatch — if the freshly committed primary copy of a chunk already rotted
-// by the time we read it back for replication, the chunk is recompressed
-// from memory instead of failing the replication.
+// copyManifestTo moves one manifest and its missing chunks into dst
+// through dst's staged transaction (diskTxn). chunkData, when non-nil,
+// maps chunk sums to their uncompressed content; it is Put's
+// write-through escape hatch — if the freshly committed primary copy of a
+// chunk already rotted by the time we read it back for replication, the
+// chunk is recompressed from memory instead of failing the replication.
 func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic hw.Bandwidth, chunkData map[string][]byte) (ReplicateStats, error) {
 	var st ReplicateStats
 	sw := vtime.NewStopwatch(clock)
-	txdir := fmt.Sprintf("%srepl-%s-%08d-%d", dst.stagingPrefix(), man.Job, man.Seq, dst.nextTxn())
+	tx := dst.openTxn("repl", man.Job, man.Seq, dst.nextTxn())
+	fail := func(err error) (ReplicateStats, error) {
+		return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
+	}
 
-	type stagedFile struct{ tmp, final string }
-	var staged []stagedFile
 	stagedSums := map[string]bool{} // a manifest can reference one sum many times
 	for _, c := range man.Chunks {
 		if stagedSums[c.Sum] || dst.fs.Exists(dst.chunkPath(c.Sum)) {
@@ -71,7 +72,7 @@ func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic
 		if err != nil {
 			chunk, ok := chunkData[c.Sum]
 			if !ok {
-				return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
+				return fail(err)
 			}
 			if blob, err = s.cfg.Compression.compress(clock, chunk); err != nil {
 				return st, err
@@ -82,11 +83,9 @@ func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic
 		if nic > 0 {
 			clock.Advance(nic.Transfer(int64(len(blob))))
 		}
-		tmp := txdir + "/" + c.Sum
-		if err := dst.writeVerified(clock, tmp, blob); err != nil {
-			return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
+		if _, err := tx.stage(clock, c.Sum, blob); err != nil {
+			return fail(err)
 		}
-		staged = append(staged, stagedFile{tmp: tmp, final: dst.chunkPath(c.Sum)})
 		stagedSums[c.Sum] = true
 		st.ChunksCopied++
 		st.BytesCopied += int64(len(blob))
@@ -99,16 +98,8 @@ func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic
 	if nic > 0 {
 		clock.Advance(nic.Transfer(int64(len(frame))))
 	}
-	if err := dst.writeVerifiedMeta(clock, txdir+"/manifest", frame); err != nil {
-		return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
-	}
-	for _, sf := range staged {
-		if err := dst.renameRetry(sf.tmp, sf.final); err != nil {
-			return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
-		}
-	}
-	if err := dst.renameRetry(txdir+"/manifest", dst.manifestPath(man.Job, man.Seq)); err != nil {
-		return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
+	if _, err := tx.commit(clock, man, frame); err != nil {
+		return fail(err)
 	}
 	st.Time = sw.Elapsed()
 	return st, nil

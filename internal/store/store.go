@@ -2,11 +2,8 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,15 +64,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Store is a content-addressed checkpoint store on one backing
-// filesystem. Chunks live under <prefix>/chunks/<sha256>, shared by every
-// job; manifests live under <prefix>/manifests/<job>/<seq>. Mutating
-// operations stage their files under <prefix>/staging/ and publish them
-// with atomic renames, manifest last, so a crash mid-operation never
-// corrupts Latest; Recover sweeps the staging area and quarantines torn
-// manifests into <prefix>/quarantine/.
+// filesystem: the engine's single-disk placement. Chunks live under
+// <prefix>/chunks/<sha256>, shared by every job; manifests live under
+// <prefix>/manifests/<job>/<seq>. Mutating operations stage their files
+// under <prefix>/staging/ and publish them with atomic renames, manifest
+// last, so a crash mid-operation never corrupts Latest; Recover sweeps the
+// staging area and quarantines torn manifests into <prefix>/quarantine/.
 type Store struct {
-	fs  *proc.FS
-	cfg Config
+	engine
+	fs *proc.FS
 
 	mu  sync.Mutex // serialises Put/GC/Replicate/Recover/Scrub sequencing
 	txn uint64     // staging-directory counter, monotone under mu
@@ -95,7 +92,9 @@ type replicaRef struct {
 // on fs. Callers opening a store that may have crashed mid-operation
 // should run Recover before trusting capacity or Latest.
 func New(fs *proc.FS, cfg Config) *Store {
-	return &Store{fs: fs, cfg: cfg.withDefaults()}
+	s := &Store{fs: fs}
+	s.engine = engine{cfg: cfg.withDefaults(), p: s}
+	return s
 }
 
 // FS exposes the backing filesystem (tooling, tests).
@@ -115,18 +114,9 @@ func (s *Store) manifestPath(job string, seq uint64) string {
 func (s *Store) stagingPrefix() string    { return s.cfg.Prefix + "/staging/" }
 func (s *Store) quarantinePrefix() string { return s.cfg.Prefix + "/quarantine/" }
 
-// nextTxn hands out a fresh staging-directory suffix.
-func (s *Store) nextTxn() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.txn++
-	return s.txn
-}
-
-// errCorruptManifest marks a manifest frame that is present but does not
-// decode (torn write, bit rot) — an integrity failure, as opposed to an
-// infrastructure failure like a persistent EIO.
-var errCorruptManifest = errors.New("corrupt manifest frame")
+func (s *Store) lockSeq()           { s.mu.Lock() }
+func (s *Store) unlockSeq()         { s.mu.Unlock() }
+func (s *Store) repairHint() string { return "Recover or Scrub" }
 
 // isTransientIO reports whether err is an injected transient I/O error
 // worth retrying. *proc.ErrNoSpace deliberately is not: retrying cannot
@@ -160,27 +150,7 @@ func readRetry(clock *vtime.Clock, fs *proc.FS, path string, retries int) ([]byt
 // a Put that returns success has proven its bytes are on disk.
 // *proc.ErrNoSpace aborts immediately.
 func (s *Store) writeVerified(clock *vtime.Clock, path string, data []byte) error {
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
-		if err := s.fs.WriteFile(clock, path, data); err != nil {
-			var nospace *proc.ErrNoSpace
-			if errors.As(err, &nospace) {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		back, err := s.fs.ReadFile(clock, path)
-		if err == nil && bytes.Equal(back, data) {
-			return nil
-		}
-		if err != nil {
-			lastErr = fmt.Errorf("store: verifying %s: %w", path, err)
-		} else {
-			lastErr = fmt.Errorf("store: %s corrupt immediately after write", path)
-		}
-	}
-	return lastErr
+	return s.writeReadBack(clock, clock, path, data)
 }
 
 // writeVerifiedMeta is writeVerified for manifest-sized metadata: the
@@ -189,6 +159,10 @@ func (s *Store) writeVerified(clock *vtime.Clock, path string, data []byte) erro
 // manifest frames are a few KB of metadata whose transfer time vanishes
 // next to the chunk I/O.
 func (s *Store) writeVerifiedMeta(clock *vtime.Clock, path string, data []byte) error {
+	return s.writeReadBack(clock, vtime.NewClock(), path, data)
+}
+
+func (s *Store) writeReadBack(clock, verify *vtime.Clock, path string, data []byte) error {
 	var lastErr error
 	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
 		if err := s.fs.WriteFile(clock, path, data); err != nil {
@@ -199,7 +173,7 @@ func (s *Store) writeVerifiedMeta(clock *vtime.Clock, path string, data []byte) 
 			lastErr = err
 			continue
 		}
-		back, err := s.fs.ReadFile(vtime.NewClock(), path)
+		back, err := s.fs.ReadFile(verify, path)
 		if err == nil && bytes.Equal(back, data) {
 			return nil
 		}
@@ -212,537 +186,138 @@ func (s *Store) writeVerifiedMeta(clock *vtime.Clock, path string, data []byte) 
 	return lastErr
 }
 
-// renameRetry publishes old at new, retrying transient EIO. Renames are
-// atomic in FS, so a failed attempt leaves both paths untouched.
+// retryMeta runs one metadata operation, retrying transient EIO.
+func (s *Store) retryMeta(op func() error) error {
+	var lastErr error
+	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
+		if lastErr = op(); lastErr == nil || !isTransientIO(lastErr) {
+			return lastErr
+		}
+	}
+	return lastErr
+}
+
+// renameRetry publishes old at new. Renames are atomic in FS, so a failed
+// attempt leaves both paths untouched.
 func (s *Store) renameRetry(old, new string) error {
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
-		if err := s.fs.Rename(old, new); err == nil {
-			return nil
-		} else {
-			lastErr = err
-			if !isTransientIO(err) {
-				return err
-			}
-		}
-	}
-	return lastErr
+	return s.retryMeta(func() error { return s.fs.Rename(old, new) })
 }
 
-// removeRetry deletes path, retrying transient EIO.
 func (s *Store) removeRetry(path string) error {
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
-		if err := s.fs.Remove(path); err == nil {
-			return nil
-		} else {
-			lastErr = err
-			if !isTransientIO(err) {
-				return err
-			}
+	return s.retryMeta(func() error { return s.fs.Remove(path) })
+}
+
+// diskTxn is one staged transaction on a Store: blobs and finally the
+// manifest are written verified under <prefix>/staging/<kind>-<job>-<seq>-<n>/,
+// then published by renaming the chunks and last the manifest — the
+// atomic commit point. Cut short at any earlier operation it leaves only
+// staged files no manifest references; Recover reclaims them. Put and
+// Replicate (and through it replica write-through) all commit this way.
+type diskTxn struct {
+	s    *Store
+	dir  string
+	sums []string // staged chunks, in staging order
+	// chunkData keeps every chunk the Put saw, uncompressed, for
+	// write-through repair (see copyManifestTo).
+	chunkData map[string][]byte
+}
+
+// nextTxn hands out a fresh staging-directory suffix.
+func (s *Store) nextTxn() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.txn++
+	return s.txn
+}
+
+// openTxn names a staging directory; n is a fresh txn counter value.
+func (s *Store) openTxn(kind, job string, seq, n uint64) *diskTxn {
+	return &diskTxn{s: s, dir: fmt.Sprintf("%s%s-%s-%08d-%d", s.stagingPrefix(), kind, job, seq, n)}
+}
+
+func (s *Store) beginPut(job string, seq uint64) putTxn {
+	s.txn++
+	tx := s.openTxn("put", job, seq, s.txn)
+	tx.chunkData = map[string][]byte{}
+	return tx
+}
+
+// probe is the dedup check: a published chunk file of that name.
+func (t *diskTxn) probe(sum string, chunk []byte) (int64, bool) {
+	t.chunkData[sum] = chunk
+	stored, err := t.s.fs.Size(t.s.chunkPath(sum))
+	return stored, err == nil
+}
+
+func (t *diskTxn) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
+	if err := t.s.writeVerified(clock, t.dir+"/"+sum, blob); err != nil {
+		return 0, fmt.Errorf("store: writing chunk %s: %w", sum[:12], err)
+	}
+	t.sums = append(t.sums, sum)
+	return int64(len(blob)), nil
+}
+
+func (t *diskTxn) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
+	s := t.s
+	if err := s.writeVerifiedMeta(clock, t.dir+"/manifest", frame); err != nil {
+		return 0, fmt.Errorf("store: writing manifest %s: %w", man.ID(), err)
+	}
+	for _, sum := range t.sums {
+		if err := s.renameRetry(t.dir+"/"+sum, s.chunkPath(sum)); err != nil {
+			return 0, fmt.Errorf("store: committing chunk for %s: %w", man.ID(), err)
 		}
 	}
-	return lastErr
-}
-
-// PutStats reports what one Put cost and how well it deduplicated.
-type PutStats struct {
-	Manifest    string // manifest ID ("job@seq")
-	TotalBytes  int64  // payload size
-	TotalChunks int
-	NewChunks   int            // chunks not already present in the store
-	NewBytes    int64          // uncompressed bytes of those new chunks
-	StoredBytes int64          // bytes actually written for them (post-compression)
-	Time        vtime.Duration // compress + write + verify time charged to the clock
-
-	// Clean-segment reuse (PutSegmented): chunk refs copied verbatim from
-	// the parent manifest without re-reading, hashing or probing the
-	// covered payload bytes.
-	ReusedChunks int
-	ReusedBytes  int64
-	// Stage times for the chunk pipeline: total compression time and
-	// total write+verify time over the new chunks. With PipelineWorkers
-	// <= 1 these add up (with the dedup probes) to Time; in pipelined
-	// mode they overlap and Time reflects the makespan.
-	CompressTime vtime.Duration
-	WriteTime    vtime.Duration
-}
-
-// DedupRatio is the fraction of the payload satisfied by chunks already
-// in the store (1 = everything deduplicated, 0 = everything new).
-func (p PutStats) DedupRatio() float64 {
-	if p.TotalBytes == 0 {
-		return 0
+	if err := s.renameRetry(t.dir+"/manifest", s.manifestPath(man.Job, man.Seq)); err != nil {
+		return 0, fmt.Errorf("store: committing manifest %s: %w", man.ID(), err)
 	}
-	return 1 - float64(p.NewBytes)/float64(p.TotalBytes)
+	return 0, nil
 }
 
-// Put stores one checkpoint payload for job: the payload is chunked,
-// chunks already present (from any job) are skipped, new chunks are
-// compressed and written, and a manifest linking to the job's previous
-// checkpoint is recorded. Compression, write and read-back-verify time
-// are charged to clock. A full filesystem surfaces as *proc.ErrNoSpace.
-//
-// The commit is crash-consistent: everything is staged under
-// <prefix>/staging/ with verified writes, then published by renaming the
-// chunks and finally the manifest — the atomic commit point. A Put cut
-// short at any earlier operation leaves only staged files no manifest
-// references; Recover reclaims them. If the store has attached replicas
-// (AttachReplica), the committed checkpoint is then written through to
-// each of them before Put returns, so the moment a Put succeeds every
-// replica can serve it; a write-through failure is returned as an error
-// even though the primary commit stands.
-func (s *Store) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
-	return s.PutSegmented(clock, job, payload, nil)
-}
-
-// Segment names one contiguous region of a PutSegmented payload. Segments
-// must tile the payload exactly (ascending contiguous offsets covering
-// every byte) and carry unique non-empty names. A segment marked Clean
-// asserts its bytes are identical to the same-named segment of the job's
-// previous checkpoint; when the parent manifest confirms the name and size,
-// the parent's chunk refs are copied verbatim — no chunking, hashing,
-// probing or compression for those bytes. A Clean segment with no matching
-// parent segment is silently treated as dirty. The manifest digest always
-// covers the full payload, so a wrongly-Clean segment (bytes changed but
-// flagged clean) fails loudly at Get time rather than restoring stale data.
-type Segment struct {
-	Name     string
-	Off, Len int64
-	Clean    bool
-}
-
-// validSegments checks that segs tile a payload of the given size.
-func validSegments(segs []Segment, size int64) error {
-	var off int64
-	seen := make(map[string]bool, len(segs))
-	for i, sg := range segs {
-		if sg.Name == "" {
-			return fmt.Errorf("store: segment %d has no name", i)
+// settle is replica write-through: the checkpoint is durable on the
+// primary; now make it durable on every attached replica (AttachReplica)
+// before Put reports success, so the moment a Put succeeds every replica
+// can serve it. A failure is returned even though the primary commit
+// stands.
+func (t *diskTxn) settle(clock *vtime.Clock, man Manifest) error {
+	for _, r := range t.s.replicaList() {
+		if _, err := t.s.copyManifestTo(clock, man, r.st, r.nic, t.chunkData); err != nil {
+			return fmt.Errorf("store: %s committed but replication to %s failed: %w",
+				man.ID(), r.st.fs.Name(), err)
 		}
-		if seen[sg.Name] {
-			return fmt.Errorf("store: duplicate segment name %q", sg.Name)
-		}
-		seen[sg.Name] = true
-		if sg.Len < 0 || sg.Off != off {
-			return fmt.Errorf("store: segment %q does not tile the payload (off %d len %d, want off %d)",
-				sg.Name, sg.Off, sg.Len, off)
-		}
-		off += sg.Len
-	}
-	if off != size {
-		return fmt.Errorf("store: segments cover %d bytes, payload has %d", off, size)
 	}
 	return nil
 }
 
-// pipelineMakespan models Put's bounded-stage pipeline over the new
-// chunks: `workers` compression workers feed the single staging writer,
-// which writes chunks in staging order (the crash-consistent commit wants
-// one committer renaming manifest-last). Chunk i starts compressing on the
-// earliest-free worker; the writer picks it up once both the writer is
-// free and the compression is done.
-func pipelineMakespan(workers int, compDur, writeDur []vtime.Duration) vtime.Duration {
-	free := make([]vtime.Duration, workers)
-	var wEnd vtime.Duration
-	for i := range compDur {
-		w := 0
-		for j := 1; j < workers; j++ {
-			if free[j] < free[w] {
-				w = j
-			}
-		}
-		free[w] += compDur[i]
-		if free[w] > wEnd {
-			wEnd = free[w]
-		}
-		wEnd += writeDur[i]
-	}
-	return wEnd
-}
-
-// PutSegmented is Put with a caller-supplied segment map over the payload:
-// each segment becomes an independently chunked region recorded in the
-// manifest, and segments marked Clean reuse the parent manifest's chunk
-// refs instead of being re-chunked (see Segment). nil segs is exactly the
-// legacy Put — one anonymous dirty region, no segment map in the manifest.
-func (s *Store) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
-	if job == "" || strings.ContainsAny(job, "/@") {
-		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
-	}
-	if segs != nil {
-		if err := validSegments(segs, int64(len(payload))); err != nil {
-			return Manifest{}, PutStats{}, err
-		}
-	}
-	s.mu.Lock()
-
-	// Sequence numbers come from the listing, not from the newest decodable
-	// manifest, so a torn newest manifest is never silently overwritten —
-	// it stays in place for Recover/Scrub and the new checkpoint gets the
-	// next number. The parent link does come from the newest decodable one.
-	seq := uint64(1)
-	if seqs := s.jobSeqs(job); len(seqs) > 0 {
-		seq = seqs[len(seqs)-1] + 1
-	}
-	parent := ""
-	var parentMan Manifest
-	haveParent := false
-	if last, ok, err := s.latest(job); err != nil {
-		s.mu.Unlock()
-		return Manifest{}, PutStats{}, err
-	} else if ok {
-		parent = last.ID()
-		parentMan, haveParent = last, true
-	}
-
-	s.txn++
-	txdir := fmt.Sprintf("%sput-%s-%08d-%d", s.stagingPrefix(), job, seq, s.txn)
-
-	sw := vtime.NewStopwatch(clock)
-	ck := chunker{min: s.cfg.MinChunk, avg: s.cfg.AvgChunk, max: s.cfg.MaxChunk}
-	man := Manifest{
-		Version: manifestVersion, Job: job, Seq: seq, Parent: parent,
-		Size: int64(len(payload)), CreatedAt: clock.Now(),
-	}
-	stats := PutStats{Manifest: man.ID(), TotalBytes: int64(len(payload))}
-
-	type stagedChunk struct{ tmp, final string }
-	var staged []stagedChunk
-	stagedSize := map[string]int64{} // stored size of chunks staged by this Put
-	chunkData := map[string][]byte{} // uncompressed chunks, for write-through repair
-	fail := func(err error) (Manifest, PutStats, error) {
-		// Leave the staged files where they are: an error return is
-		// equivalent to a crash at this point, and Recover is the one
-		// janitor for both.
-		s.mu.Unlock()
-		return Manifest{}, stats, err
-	}
-
-	// In pipelined mode every chunk still compresses and writes in staging
-	// order in real execution — identical FS operation sequence — but each
-	// stage is timed on a scratch clock and the makespan of the modelled
-	// worker pipeline is charged once at the end.
-	pipelined := s.cfg.PipelineWorkers > 1
-	var compDur, writeDur []vtime.Duration
-
-	// Parent chunk refs sliced per segment name, for clean-segment reuse.
-	parentSeg := map[string]SegmentRef{}
-	parentSegChunks := map[string][]ChunkRef{}
-	if haveParent && len(parentMan.Segments) > 0 {
-		at := 0
-		for _, ps := range parentMan.Segments {
-			if at+ps.Chunks > len(parentMan.Chunks) {
-				// Defensive: a segment map that does not cover the chunk
-				// list exactly grants no reuse.
-				parentSeg, parentSegChunks = map[string]SegmentRef{}, nil
-				break
-			}
-			parentSeg[ps.Name] = ps
-			parentSegChunks[ps.Name] = parentMan.Chunks[at : at+ps.Chunks]
-			at += ps.Chunks
-		}
-	}
-
-	// stageRange chunks one dirty byte range and stages its new chunks,
-	// returning how many ChunkRefs it appended.
-	stageRange := func(data []byte) (int, error) {
-		n := 0
-		for _, chunk := range ck.split(data) {
-			sum256 := sha256.Sum256(chunk)
-			sum := hex.EncodeToString(sum256[:])
-			ref := ChunkRef{Sum: sum, Size: int64(len(chunk))}
-			chunkData[sum] = chunk
-			if stored, ok := stagedSize[sum]; ok {
-				ref.Stored = stored
-			} else if stored, err := s.fs.Size(s.chunkPath(sum)); err == nil {
-				ref.Stored = stored
-			} else {
-				cclock, wclock := clock, clock
-				if pipelined {
-					cclock, wclock = vtime.NewClock(), vtime.NewClock()
-				}
-				csw := vtime.NewStopwatch(cclock)
-				blob, cerr := s.cfg.Compression.compress(cclock, chunk)
-				if cerr != nil {
-					return n, cerr
-				}
-				cd := csw.Elapsed()
-				wsw := vtime.NewStopwatch(wclock)
-				if werr := s.writeVerified(wclock, txdir+"/"+sum, blob); werr != nil {
-					return n, fmt.Errorf("store: writing chunk %s: %w", sum[:12], werr)
-				}
-				wd := wsw.Elapsed()
-				stats.CompressTime += cd
-				stats.WriteTime += wd
-				if pipelined {
-					compDur = append(compDur, cd)
-					writeDur = append(writeDur, wd)
-				}
-				staged = append(staged, stagedChunk{tmp: txdir + "/" + sum, final: s.chunkPath(sum)})
-				stagedSize[sum] = int64(len(blob))
-				ref.Stored = int64(len(blob))
-				stats.NewChunks++
-				stats.NewBytes += int64(len(chunk))
-				stats.StoredBytes += int64(len(blob))
-			}
-			man.Chunks = append(man.Chunks, ref)
-			stats.TotalChunks++
-			n++
-		}
-		return n, nil
-	}
-
-	if segs == nil {
-		if _, err := stageRange(payload); err != nil {
-			return fail(err)
-		}
-	} else {
-		for _, sg := range segs {
-			if sg.Clean {
-				if ps, ok := parentSeg[sg.Name]; ok && ps.Size == sg.Len {
-					refs := parentSegChunks[sg.Name]
-					man.Chunks = append(man.Chunks, refs...)
-					man.Segments = append(man.Segments, SegmentRef{
-						Name: sg.Name, Size: sg.Len, Chunks: len(refs), Clean: true,
-					})
-					stats.TotalChunks += len(refs)
-					stats.ReusedChunks += len(refs)
-					stats.ReusedBytes += sg.Len
-					continue
-				}
-				// No matching parent segment: chunk it like a dirty one.
-			}
-			n, err := stageRange(payload[sg.Off : sg.Off+sg.Len])
-			if err != nil {
-				return fail(err)
-			}
-			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
-		}
-	}
-
-	if pipelined && len(compDur) > 0 {
-		clock.Advance(pipelineMakespan(s.cfg.PipelineWorkers, compDur, writeDur))
-	}
-
-	digest := sha256.Sum256(payload)
-	man.Digest = hex.EncodeToString(digest[:])
-	frame, err := encodeManifest(man)
+// readChunk loads this store's own copy of one chunk and verifies it end
+// to end: read (with EIO retries), then verifyBlob. It returns both the
+// stored blob (for replication) and the uncompressed chunk.
+func (s *Store) readChunk(clock *vtime.Clock, sum string) (blob, chunk []byte, err error) {
+	blob, err = readRetry(clock, s.fs, s.chunkPath(sum), s.cfg.WriteRetries)
 	if err != nil {
-		return fail(err)
+		return nil, nil, fmt.Errorf("store: chunk %s missing: %w", sum[:12], err)
 	}
-	if err := s.writeVerifiedMeta(clock, txdir+"/manifest", frame); err != nil {
-		return fail(fmt.Errorf("store: writing manifest %s: %w", man.ID(), err))
-	}
-
-	// Publish: chunks first, then the manifest — the atomic commit point.
-	for _, sc := range staged {
-		if err := s.renameRetry(sc.tmp, sc.final); err != nil {
-			return fail(fmt.Errorf("store: committing chunk for %s: %w", man.ID(), err))
-		}
-	}
-	if err := s.renameRetry(txdir+"/manifest", s.manifestPath(job, seq)); err != nil {
-		return fail(fmt.Errorf("store: committing manifest %s: %w", man.ID(), err))
-	}
-	s.mu.Unlock()
-
-	// Write-through: the checkpoint is durable on the primary; now make it
-	// durable on every attached replica before reporting success.
-	for _, r := range s.replicaList() {
-		if _, err := s.copyManifestTo(clock, man, r.st, r.nic, chunkData); err != nil {
-			stats.Time = sw.Elapsed()
-			return man, stats, fmt.Errorf("store: %s committed but replication to %s failed: %w",
-				man.ID(), r.st.fs.Name(), err)
-		}
-	}
-	stats.Time = sw.Elapsed()
-	return man, stats, nil
-}
-
-// Get reconstructs a checkpoint payload. ref is either a manifest ID
-// ("job@seq") or a bare job name, which selects the job's latest
-// checkpoint. Every chunk is verified against its content address and the
-// assembled payload against the manifest digest; a chunk that is missing
-// or corrupt on the primary is transparently healed from the attached
-// replicas (see AttachReplica and HealStats).
-func (s *Store) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
-	man, err := s.Resolve(ref)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	payload, err := s.assemble(clock, man, true)
-	return payload, man, err
-}
-
-// GetSegment reconstructs one named segment of a checkpoint payload
-// without assembling the rest: only the chunks the segment owns are read
-// (healed from replicas as needed) and each is verified against its
-// content address. The full-payload digest cannot be checked from a
-// partial read — per-chunk SHA-256 verification stands in for it. This is
-// what makes MPI partial restart read O(one rank) instead of O(world):
-// segments partition the manifest's chunk list in order, so a rank's
-// bytes are a consecutive chunk run.
-func (s *Store) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manifest, error) {
-	man, err := s.Resolve(ref)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	if len(man.Segments) == 0 {
-		return nil, man, fmt.Errorf("store: %s: no segment map (whole-payload checkpoint)", man.ID())
-	}
-	first := 0
-	for _, seg := range man.Segments {
-		if seg.Name != name {
-			first += seg.Chunks
-			continue
-		}
-		if first+seg.Chunks > len(man.Chunks) {
-			return nil, man, fmt.Errorf("store: %s: segment %q claims chunks beyond manifest", man.ID(), name)
-		}
-		payload := make([]byte, 0, seg.Size)
-		for _, cref := range man.Chunks[first : first+seg.Chunks] {
-			_, chunk, err := s.fetchBlob(clock, cref, true)
-			if err != nil {
-				return nil, man, err
-			}
-			payload = append(payload, chunk...)
-		}
-		if int64(len(payload)) != seg.Size {
-			return nil, man, fmt.Errorf("store: %s: segment %q assembled to %d bytes, manifest says %d",
-				man.ID(), name, len(payload), seg.Size)
-		}
-		return payload, man, nil
-	}
-	return nil, man, fmt.Errorf("store: %s: no segment named %q", man.ID(), name)
-}
-
-// assemble reads and verifies every chunk of man and checks the payload
-// digest. With heal set, failed chunks fall back to the replicas.
-func (s *Store) assemble(clock *vtime.Clock, man Manifest, heal bool) ([]byte, error) {
-	payload := make([]byte, 0, man.Size)
-	for _, cref := range man.Chunks {
-		_, chunk, err := s.fetchBlob(clock, cref, heal)
-		if err != nil {
-			return nil, err
-		}
-		payload = append(payload, chunk...)
-	}
-	digest := sha256.Sum256(payload)
-	if got := hex.EncodeToString(digest[:]); got != man.Digest {
-		return nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %s, assembled %s)",
-			man.ID(), man.Digest[:12], got[:12])
-	}
-	return payload, nil
-}
-
-// verifyChunkAt loads one chunk's stored representation from fs and
-// verifies it end to end: read (with EIO retries), decompress, content
-// hash. It returns both the stored blob (for replication) and the
-// uncompressed chunk.
-func verifyChunkAt(clock *vtime.Clock, fs *proc.FS, path string, comp CompressModel, wantSum string, retries int) (blob, chunk []byte, err error) {
-	blob, err = readRetry(clock, fs, path, retries)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: chunk %s missing: %w", wantSum[:12], err)
-	}
-	chunk, err = comp.decompress(clock, blob)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: chunk %s: %w", wantSum[:12], err)
-	}
-	sum := sha256.Sum256(chunk)
-	if got := hex.EncodeToString(sum[:]); got != wantSum {
-		return nil, nil, fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", wantSum[:12], got[:12])
+	if chunk, err = verifyBlob(clock, s.cfg.Compression, blob, sum); err != nil {
+		return nil, nil, err
 	}
 	return blob, chunk, nil
 }
 
-// Resolve looks a ref up without reading chunk data. ref is "job@seq" or
-// a bare job name (latest checkpoint of that job).
-func (s *Store) Resolve(ref string) (Manifest, error) {
-	if job, seqStr, ok := strings.Cut(ref, "@"); ok {
-		seq, err := strconv.ParseUint(seqStr, 10, 64)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("store: bad manifest ref %q: %w", ref, err)
-		}
-		return s.readManifestHealed(job, seq)
-	}
-	man, ok, err := s.latest(ref)
-	if err != nil {
-		return Manifest{}, err
-	}
-	if !ok {
-		return Manifest{}, fmt.Errorf("store: job %q has no checkpoints", ref)
-	}
-	return man, nil
-}
-
-// Latest reports the newest decodable manifest of a job, if any. Torn or
-// rotten manifest frames are skipped — an interrupted Put can never make
-// a job unrestorable, only push Latest back one generation until Recover
-// or Scrub deals with the bad frame.
-func (s *Store) Latest(job string) (Manifest, bool, error) {
-	return s.latest(job)
-}
-
-func (s *Store) latest(job string) (Manifest, bool, error) {
-	seqs := s.jobSeqs(job)
-	for i := len(seqs) - 1; i >= 0; i-- {
-		m, err := s.readManifestHealed(job, seqs[i])
-		if err == nil {
-			return m, true, nil
-		}
-		if errors.Is(err, errCorruptManifest) {
-			continue
-		}
-		return Manifest{}, false, err
-	}
-	return Manifest{}, false, nil
-}
-
-// jobSeqs lists the sequence numbers present (decodable or not) for job,
-// ascending.
-func (s *Store) jobSeqs(job string) []uint64 {
-	prefix := fmt.Sprintf("%s/manifests/%s/", s.cfg.Prefix, job)
-	var seqs []uint64
-	for _, p := range s.fs.List() {
-		if !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		if seq, err := strconv.ParseUint(strings.TrimPrefix(p, prefix), 10, 64); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
-}
-
-// listManifestFiles scans the manifest namespace and returns every
-// (job, seq) with a file present, ordered by job then seq.
-func (s *Store) listManifestFiles() []struct {
-	Job string
-	Seq uint64
-} {
+// manifestFiles scans the manifest namespace and returns every (job, seq)
+// with a file present, in listing order.
+func (s *Store) manifestFiles() []manifestKey {
 	prefix := s.cfg.Prefix + "/manifests/"
-	var out []struct {
-		Job string
-		Seq uint64
-	}
+	var out []manifestKey
 	for _, p := range s.fs.List() {
 		if !strings.HasPrefix(p, prefix) {
 			continue
 		}
-		rest := strings.TrimPrefix(p, prefix)
-		job, seqStr, ok := strings.Cut(rest, "/")
+		job, seqStr, ok := strings.Cut(strings.TrimPrefix(p, prefix), "/")
 		if !ok {
 			continue
 		}
-		seq, err := strconv.ParseUint(seqStr, 10, 64)
-		if err != nil {
-			continue
+		if seq, err := strconv.ParseUint(seqStr, 10, 64); err == nil {
+			out = append(out, manifestKey{job, seq})
 		}
-		out = append(out, struct {
-			Job string
-			Seq uint64
-		}{job, seq})
 	}
 	return out
 }
@@ -759,79 +334,33 @@ func (s *Store) readManifest(job string, seq uint64) (Manifest, error) {
 	}
 	m, err := decodeManifest(data)
 	if err != nil {
-		return Manifest{}, fmt.Errorf("store: manifest %s: %w: %v", manifestID(job, seq), errCorruptManifest, err)
+		return Manifest{}, fmt.Errorf("store: manifest %s: %w", manifestID(job, seq), err)
 	}
 	return m, nil
 }
 
-// ManifestIssue reports one manifest file that could not be loaded.
-type ManifestIssue struct {
-	Job string
-	Seq uint64
-	Err error
+func (s *Store) dropManifest(job string, seq uint64) error {
+	return s.removeRetry(s.manifestPath(job, seq))
 }
 
-// ID formats the issue's manifest reference ("job@seq").
-func (i ManifestIssue) ID() string { return manifestID(i.Job, i.Seq) }
-
-// Manifests lists every decodable manifest in the store, ordered by job
-// then seq, plus one issue per manifest file that failed to load — a
-// single torn frame is a finding for that manifest only, it cannot mask
-// the rest of the store. Corrupt frames heal transparently from attached
-// replicas; an issue is reported only when no good copy exists anywhere.
-func (s *Store) Manifests() ([]Manifest, []ManifestIssue) {
-	var out []Manifest
-	var issues []ManifestIssue
-	for _, mf := range s.listManifestFiles() {
-		m, err := s.readManifestHealed(mf.Job, mf.Seq)
-		if err != nil {
-			issues = append(issues, ManifestIssue{Job: mf.Job, Seq: mf.Seq, Err: err})
-			continue
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out, issues
-}
-
-// Jobs lists the jobs with at least one checkpoint, sorted.
-func (s *Store) Jobs() []string {
-	prefix := s.cfg.Prefix + "/manifests/"
-	seen := map[string]bool{}
-	for _, p := range s.fs.List() {
-		if !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		if job, _, ok := strings.Cut(strings.TrimPrefix(p, prefix), "/"); ok {
-			seen[job] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for j := range seen {
-		out = append(out, j)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// chunkSums lists every chunk file present, keyed by content address.
-func (s *Store) chunkSums() map[string]int64 {
+func (s *Store) sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error) {
 	prefix := s.cfg.Prefix + "/chunks/"
-	out := map[string]int64{}
 	for _, p := range s.fs.List() {
 		if !strings.HasPrefix(p, prefix) {
 			continue
 		}
-		if n, err := s.fs.Size(p); err == nil {
-			out[strings.TrimPrefix(p, prefix)] = n
+		if referenced[strings.TrimPrefix(p, prefix)] {
+			kept++
+			continue
 		}
+		size, _ := s.fs.Size(p)
+		if err := s.removeRetry(p); err != nil {
+			return kept, dropped, reclaimed, err
+		}
+		dropped++
+		reclaimed += size
 	}
-	return out
+	return kept, dropped, reclaimed, nil
 }
 
 // TotalStoredBytes reports the bytes the store occupies on its backing

@@ -72,98 +72,6 @@ func TestChunkingSurvivesShift(t *testing.T) {
 	}
 }
 
-func TestPutGetRoundtrip(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	data := payload(4, 300<<10)
-
-	man, st, err := s.Put(clock, "jobA", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Seq != 1 || man.Parent != "" || man.ID() != "jobA@1" {
-		t.Errorf("manifest = %+v", man)
-	}
-	if st.NewBytes != st.TotalBytes || st.NewChunks != st.TotalChunks {
-		t.Errorf("first put should be all-new: %+v", st)
-	}
-	if st.Time <= 0 {
-		t.Error("put charged no virtual time")
-	}
-
-	got, man2, err := s.Get(clock, "jobA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man2.ID() != man.ID() || !bytes.Equal(got, data) {
-		t.Fatal("get did not return the stored payload")
-	}
-	if _, _, err := s.Get(clock, "jobA@1"); err != nil {
-		t.Fatalf("get by explicit id: %v", err)
-	}
-	if _, _, err := s.Get(clock, "nosuch"); err == nil {
-		t.Error("get of unknown job must fail")
-	}
-}
-
-func TestDedupAcrossCheckpoints(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	base := payload(5, 1<<20)
-
-	_, st1, err := s.Put(clock, "job", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unmodified second checkpoint: everything deduplicates.
-	man2, st2, err := s.Put(clock, "job", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man2.Seq != 2 || man2.Parent != "job@1" {
-		t.Errorf("lineage wrong: %+v", man2)
-	}
-	if st2.NewBytes != 0 || st2.DedupRatio() != 1 {
-		t.Errorf("identical payload should fully dedup: %+v", st2)
-	}
-	if st2.NewBytes > st1.NewBytes/2 {
-		t.Errorf("2nd checkpoint wrote %d new bytes, 1st wrote %d", st2.NewBytes, st1.NewBytes)
-	}
-
-	// A localised edit re-uploads only the chunks around it.
-	edited := append([]byte(nil), base...)
-	copy(edited[512<<10:], payload(6, 4<<10))
-	_, st3, err := s.Put(clock, "job", edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.NewBytes == 0 {
-		t.Error("edit produced no new chunks")
-	}
-	if st3.NewBytes > st1.NewBytes/4 {
-		t.Errorf("4 KiB edit re-uploaded %d of %d bytes", st3.NewBytes, st1.NewBytes)
-	}
-}
-
-func TestDedupAcrossJobs(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	base := payload(7, 256<<10)
-	if _, _, err := s.Put(clock, "job1", base); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := s.Put(clock, "job2", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NewBytes != 0 {
-		t.Errorf("identical payload under another job should fully dedup: %+v", st)
-	}
-	if jobs := s.Jobs(); len(jobs) != 2 || jobs[0] != "job1" || jobs[1] != "job2" {
-		t.Errorf("jobs = %v", jobs)
-	}
-}
-
 func TestCompressionShrinksStoredBytes(t *testing.T) {
 	s := New(testFS(), Config{})
 	clock := vtime.NewClock()
@@ -181,62 +89,6 @@ func TestCompressionShrinksStoredBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, zeros) {
 		t.Fatal("compressed payload did not round-trip")
-	}
-}
-
-func TestGCRetention(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	versions := make([][]byte, 4)
-	for i := range versions {
-		// Each version shares most content with the previous one but adds
-		// a unique tail so dropped manifests own unique chunks.
-		v := append([]byte(nil), payload(8, 512<<10)...)
-		v = append(v, payload(int64(100+i), 128<<10)...)
-		versions[i] = v
-		if _, _, err := s.Put(clock, "job", v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := s.TotalStoredBytes()
-
-	st, err := s.GC(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ManifestsDropped != 2 || st.ManifestsKept != 2 {
-		t.Fatalf("gc stats = %+v", st)
-	}
-	if st.ChunksDropped == 0 || st.BytesReclaimed <= 0 {
-		t.Fatalf("gc reclaimed nothing: %+v", st)
-	}
-	if after := s.TotalStoredBytes(); after >= before {
-		t.Errorf("stored bytes %d -> %d after GC", before, after)
-	}
-
-	// The kept checkpoints still verify and reconstruct bit-for-bit.
-	rep, err := s.Fsck(clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck after GC: %v", rep.Errors)
-	}
-	if rep.Manifests != 2 {
-		t.Errorf("fsck saw %d manifests, want 2", rep.Manifests)
-	}
-	for seq := 3; seq <= 4; seq++ {
-		got, _, err := s.Get(clock, manifestID("job", uint64(seq)))
-		if err != nil {
-			t.Fatalf("get kept checkpoint %d: %v", seq, err)
-		}
-		if !bytes.Equal(got, versions[seq-1]) {
-			t.Fatalf("kept checkpoint %d corrupted by GC", seq)
-		}
-	}
-	// The dropped ones are gone.
-	if _, _, err := s.Get(clock, "job@1"); err == nil {
-		t.Error("dropped checkpoint still readable")
 	}
 }
 
@@ -347,16 +199,6 @@ func TestPutSurfacesNoSpace(t *testing.T) {
 	}
 }
 
-func TestPutRejectsBadJobNames(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	for _, job := range []string{"", "a/b", "a@1"} {
-		if _, _, err := s.Put(clock, job, []byte("x")); err == nil {
-			t.Errorf("job %q accepted", job)
-		}
-	}
-}
-
 func TestStorageModelCharged(t *testing.T) {
 	// The store charges the same storage model as flat files: writing to
 	// a RAM-disk-backed store must be far cheaper than to a disk-backed
@@ -375,64 +217,5 @@ func TestStorageModelCharged(t *testing.T) {
 	}
 	if !(ramClock.Now() < diskClock.Now()) {
 		t.Errorf("ram-disk store put (%v) not cheaper than disk (%v)", ramClock.Now(), diskClock.Now())
-	}
-}
-
-// TestGetSegment: a single rank's bytes come back from a segmented
-// checkpoint without assembling the rest of the payload, bit-exact.
-func TestGetSegment(t *testing.T) {
-	st := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	a, b, c := payload(10, 300<<10), payload(11, 5<<10), payload(12, 90<<10)
-	full := append(append(append([]byte{}, a...), b...), c...)
-	segs := []Segment{
-		{Name: "rank/00000", Off: 0, Len: int64(len(a))},
-		{Name: "rank/00001", Off: int64(len(a)), Len: int64(len(b))},
-		{Name: "rank/00002", Off: int64(len(a) + len(b)), Len: int64(len(c))},
-	}
-	man, _, err := st.PutSegmented(clock, "segjob", full, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range [][]byte{a, b, c} {
-		name := segs[i].Name
-		got, gman, err := st.GetSegment(clock, "segjob", name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if gman.ID() != man.ID() {
-			t.Errorf("%s resolved %s, want %s", name, gman.ID(), man.ID())
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: payload diverged (%d bytes, want %d)", name, len(got), len(want))
-		}
-	}
-	// Reading one segment must charge less than reading the whole payload.
-	before := clock.Now()
-	if _, _, err := st.GetSegment(clock, "segjob", "rank/00001"); err != nil {
-		t.Fatal(err)
-	}
-	segCost := clock.Now().Sub(before)
-	before = clock.Now()
-	if _, _, err := st.Get(clock, "segjob"); err != nil {
-		t.Fatal(err)
-	}
-	fullCost := clock.Now().Sub(before)
-	if !(segCost < fullCost) {
-		t.Errorf("segment read (%v) should be cheaper than full read (%v)", segCost, fullCost)
-	}
-
-	if _, _, err := st.GetSegment(clock, "segjob", "rank/99999"); err == nil {
-		t.Error("unknown segment name should fail")
-	}
-	if _, _, err := st.GetSegment(clock, "nosuchjob", "rank/00000"); err == nil {
-		t.Error("unknown job should fail")
-	}
-	man2, _, err := st.Put(clock, "flatjob", payload(13, 64<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.GetSegment(clock, man2.ID(), "rank/00000"); err == nil {
-		t.Error("segment read of an unsegmented checkpoint should fail")
 	}
 }

@@ -34,13 +34,19 @@ kill $load1 $load2
 trap - EXIT
 # Front-end fuzz: lexer, parser and lowering never panic on arbitrary source.
 go test -fuzz=FuzzCompile -fuzztime=10s ./internal/clc
+# Store decoder fuzz: manifest and CHECLSHD shard frames never panic, fail
+# typed, and an accepted manifest is safe to hand to the read path.
+go test -fuzz=FuzzDecodeManifest -fuzztime=10s ./internal/store
+go test -fuzz=FuzzDecodeShard -fuzztime=10s ./internal/store
 # Fault-tolerance soak: the fault-injection and failover tests run
 # repeatedly under the race detector.
 go test -run Fault -count=5 -race ./internal/...
 # Durability gate: the disk-fault, crash-recovery, and self-healing paths
 # run repeatedly under the race detector, and the store CLI must stay clean
-# both fault-free and under a seeded disk fault plan.
-go test -run 'DiskFault|Durable|Recover|Scrub|Heal|Degraded|Interrupted' -count=3 -race \
+# both fault-free and under a seeded disk fault plan. The backend
+# conformance table (one engine, every placement), the nonsense-manifest
+# rows and the parent-commit golden ride along by name.
+go test -run 'DiskFault|Durable|Recover|Scrub|Heal|Degraded|Interrupted|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden' -count=3 -race \
     ./internal/proc/ ./internal/store/ ./internal/core/ ./internal/mpi/
 go run ./cmd/checl-inspect store fsck >/dev/null
 go run ./cmd/checl-inspect -disk-faults 7 store scrub >/dev/null
@@ -86,12 +92,13 @@ go test -run 'Ring|TransportParity' -count=3 -race \
 go run ./cmd/checl-inspect -transport ring -scale 0.2 >/dev/null
 # Erasure-fleet gate: the sharded checkpoint fleet's node-loss surface —
 # the (node, fault-position) kill sweep, every-loss-pattern degraded
-# reads, rebuild/scrub/GC, the seeded node-fault soak, and the app/MPI
-# restores through the fleet with m nodes down — runs repeatedly under
-# the race detector (Scrub and the soak fan out goroutines per node).
+# reads, rebuild/scrub, the seeded node-fault soak, the backend
+# conformance table (its fleet columns: healthy and two nodes down), and
+# the app/MPI restores through the fleet with m nodes down — runs
+# repeatedly under the race detector (Scrub and the soak fan out goroutines per node).
 # The inspect smoke drives checkpoint -> degraded read -> node
 # replacement -> rebuild end to end under a seeded node fault plan.
-go test -run 'TestFleet|TestNodeKillPositionSweep|TestNodeFault' -count=2 -race \
+go test -run 'TestFleet|TestNodeKillPositionSweep|TestNodeFault|TestBackendConformance|TestEngineErrorsNameNoPlacement' -count=2 -race \
     ./internal/store/ ./internal/proc/
 go test -run 'TestFleetStoreAppsDegradedBitIdentical' -race ./internal/core/
 go test -run 'TestGlobalSnapshotThroughErasureFleet' -count=2 -race ./internal/mpi/
