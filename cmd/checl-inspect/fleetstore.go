@@ -19,10 +19,12 @@ import (
 // storeFleetCmd demonstrates the erasure-coded checkpoint fleet: the demo
 // app checkpoints twice into a 6-node 4+2 fleet (the second generation
 // deduplicates against the first), -node-faults N injects a node-level
-// fault every N shard operations while it fills, and the report walks
-// the operational story — per-node occupancy, a degraded read with m
-// nodes down verified bit-identical, a node replacement brought back to
-// full redundancy by Rebuild, and the cumulative self-heal ledger.
+// fault every N fleet operations (pack and manifest I/Os) while it fills,
+// and the report walks the operational story — a scrub and the per-node
+// occupancy it verified (packs, and the shard records inside them), a
+// degraded read with m nodes down verified bit-identical, a node
+// replacement brought back to full redundancy by Rebuild, and the
+// cumulative self-heal ledger.
 func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 	app, ok := apps.ByName(appName)
 	if !ok {
@@ -87,24 +89,36 @@ func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 			put.TotalChunks, put.NewChunks, float64(put.NewBytes)/1e6)
 	}
 	if inj != nil {
-		fmt.Printf("  node faults:   %d injected over %d shard ops (seed 2026, every %d); down now: %v\n",
+		fmt.Printf("  node faults:   %d injected over %d fleet ops (seed 2026, every %d); down now: %v\n",
 			inj.Injected(), inj.Ops(), nodeFaults, inj.Down())
 	}
 
+	// Scrub verifies every record on every node that is up (and repairs
+	// what the faults broke); its per-node progress is the record count.
+	scrub, err := fl.Scrub(vtime.NewClock())
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("  scrub:         %d chunks checked, %d shards re-coded, %d findings\n",
+		scrub.ChunksChecked, scrub.ShardsRebuilt, len(scrub.Findings))
 	fmt.Println("  per-node occupancy:")
 	total := int64(0)
 	for _, name := range fl.Nodes() {
 		st, _ := fl.NodeStore(name)
-		shards := 0
+		packs := 0
 		for _, path := range st.FS().List() {
-			if strings.Contains(path, "/shards/") {
-				shards++
+			if strings.Contains(path, "/packs/") {
+				packs++
 			}
 		}
-		fmt.Printf("    %-9s %6d shard files  %8.3f MB\n", name, shards, float64(st.TotalStoredBytes())/1e6)
+		records := fmt.Sprintf("%6d records", scrub.PerNode[name].ShardsChecked)
+		if scrub.PerNode[name].Down {
+			records = "   (down)     "
+		}
+		fmt.Printf("    %-9s %4d packs  %s  %8.3f MB\n", name, packs, records, float64(st.TotalStoredBytes())/1e6)
 		total += st.TotalStoredBytes()
 	}
-	fmt.Printf("    %-9s %6s            %8.3f MB\n", "total", "", float64(total)/1e6)
+	fmt.Printf("    %-9s %28s %8.3f MB\n", "total", "", float64(total)/1e6)
 
 	// Degraded read: any m nodes down, the checkpoint must still restore.
 	clock := vtime.NewClock()

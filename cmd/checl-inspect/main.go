@@ -58,7 +58,7 @@ func main() {
 		"app<->proxy transport: \"framed\" (length-prefixed stream) or \"ring\" (shared-memory ring)")
 	faults := flag.Int("faults", 0, "crash the API proxy every N calls (0 disables fault injection)")
 	diskFaults := flag.Int("disk-faults", 0, "inject a disk fault every N store filesystem operations (0 disables)")
-	nodeFaults := flag.Int("node-faults", 0, "store fleet: inject a node fault (crash/slow/rot/torn write) every N shard operations (0 disables)")
+	nodeFaults := flag.Int("node-faults", 0, "store fleet: inject a node fault (crash/slow/rot/torn write) every N fleet operations (0 disables)")
 	incremental := flag.Bool("incremental", false,
 		"attach with incremental checkpointing (parallel drain) and show the per-generation dirty/clean split")
 	speculative := flag.Bool("speculative", false,

@@ -79,33 +79,55 @@ func readBytes(r *bytes.Reader) ([]byte, error) {
 	return b, nil
 }
 
-// encodeImage serialises an image to the on-disk representation.
+// uvarintLen and frameLen are the encoded sizes of a uvarint and of a
+// length-prefixed field of n bytes (appendBytes).
+func uvarintLen(n uint64) int64 {
+	l := int64(1)
+	for n >= 0x80 {
+		n >>= 7
+		l++
+	}
+	return l
+}
+
+func frameLen(n int) int64 { return uvarintLen(uint64(n)) + int64(n) }
+
+const imageHeaderLen = 8 + 2 + sha256.Size // magic, version, body checksum
+
+// encodeImage serialises an image to the on-disk representation. The
+// encoded length is known before a byte is written, so the image is built
+// in one allocation and its body hashed in place.
 func encodeImage(img Image) ([]byte, error) {
-	body := appendBytes(nil, []byte(img.ProcessName))
-	body = appendBytes(body, img.AppState)
 	names := make([]string, 0, len(img.Regions))
 	for name := range img.Regions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	body = binary.AppendUvarint(body, uint64(len(names)))
+	size := imageHeaderLen + frameLen(len(img.ProcessName)) + frameLen(len(img.AppState)) +
+		uvarintLen(uint64(len(names)))
 	for _, name := range names {
-		body = appendBytes(body, []byte(name))
-		body = appendBytes(body, img.Regions[name])
+		size += frameLen(len(name)) + frameLen(len(img.Regions[name]))
 	}
 
-	sum := sha256.Sum256(body)
-	out := make([]byte, 0, len(imageMagic)+2+len(sum)+len(body))
-	out = append(out, imageMagic...)
-	out = binary.BigEndian.AppendUint16(out, imageVersion)
-	out = append(out, sum[:]...)
-	return append(out, body...), nil
+	out := make([]byte, imageHeaderLen, size)
+	copy(out, imageMagic)
+	binary.BigEndian.PutUint16(out[len(imageMagic):], imageVersion)
+	out = appendBytes(out, []byte(img.ProcessName))
+	out = appendBytes(out, img.AppState)
+	out = binary.AppendUvarint(out, uint64(len(names)))
+	for _, name := range names {
+		out = appendBytes(out, []byte(name))
+		out = appendBytes(out, img.Regions[name])
+	}
+	sum := sha256.Sum256(out[imageHeaderLen:])
+	copy(out[len(imageMagic)+2:], sum[:])
+	return out, nil
 }
 
 // decodeImage parses an on-disk checkpoint file, validating the header
 // before touching the body.
 func decodeImage(data []byte) (Image, error) {
-	headerLen := len(imageMagic) + 2 + sha256.Size
+	const headerLen = imageHeaderLen
 	if len(data) < headerLen {
 		return Image{}, fmt.Errorf("cpr: image truncated (%d bytes, header is %d)", len(data), headerLen)
 	}

@@ -1,7 +1,6 @@
 package cpr
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 
@@ -100,23 +99,13 @@ func checkpointToStore(backend string, p *proc.Process, st store.Backend, job st
 // are marked Clean. total is the full encoded length, used to verify the
 // derived offsets stay in lockstep with encodeImage.
 func imageSegments(img Image, total int64, clean map[string]bool) ([]store.Segment, error) {
-	uvarintLen := func(n uint64) int64 {
-		l := int64(1)
-		for n >= 0x80 {
-			n >>= 7
-			l++
-		}
-		return l
-	}
-	frameLen := func(n int) int64 { return uvarintLen(uint64(n)) + int64(n) }
-
 	names := make([]string, 0, len(img.Regions))
 	for name := range img.Regions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	off := int64(len(imageMagic)+2+sha256.Size) +
+	off := imageHeaderLen +
 		frameLen(len(img.ProcessName)) + frameLen(len(img.AppState)) +
 		uvarintLen(uint64(len(names)))
 	segs := []store.Segment{{Name: "_head", Off: 0, Len: off}}

@@ -29,6 +29,10 @@ func TestImageEncodingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The length is computed before the buffer is made: no growth, no slack.
+	if cap(first) != len(first) || len(imageMagic) != 8 {
+		t.Fatalf("image of %d bytes sits in a buffer of %d (magic %d bytes)", len(first), cap(first), len(imageMagic))
+	}
 	for i := 0; i < 20; i++ {
 		again, err := encodeImage(img)
 		if err != nil {

@@ -13,7 +13,6 @@ package proc
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -210,6 +209,7 @@ type NodeFaultInjector struct {
 	injected  int
 	suspended int
 	targets   []*nodeTarget
+	shardData func(path string) bool // which files hold shard data; nil = none known
 	events    []NodeFaultEvent
 	revive    map[*nodeTarget]int // target -> op count at which it comes back
 }
@@ -245,6 +245,15 @@ func (f *NodeFaultInjector) Register(name string, fs *FS) *NodeState {
 	fs.SetNodeState(st)
 	f.targets = append(f.targets, &nodeTarget{name: name, fs: fs, state: st})
 	return st
+}
+
+// SetShardData tells the injector which files on the registered nodes hold
+// shard data, so NodeFaultShardRot lands on them rather than on metadata.
+// The store that owns the layout calls this; the injector knows no paths.
+func (f *NodeFaultInjector) SetShardData(isShard func(path string) bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.shardData = isShard
 }
 
 // Suspend pauses injection (nestable); Resume undoes one Suspend.
@@ -366,7 +375,7 @@ func (f *NodeFaultInjector) Tick() {
 	case NodeFaultSlow:
 		victim.state.Slow(f.plan.SlowFactor, f.plan.SlowFor)
 	case NodeFaultShardRot:
-		path, ok := pickRotTarget(victim.fs, f.next())
+		path, ok := pickRotTarget(victim.fs, f.shardData, f.next())
 		if !ok {
 			return // empty node: nothing at rest to rot
 		}
@@ -380,20 +389,23 @@ func (f *NodeFaultInjector) Tick() {
 }
 
 // pickRotTarget chooses the file a shard-rot lands on: a seeded pick
-// among the node's shard files (any file when it has no shards yet).
-func pickRotTarget(fs *FS, bits uint64) (string, bool) {
+// among the node's shard-data files (any file when it has none yet, or
+// when nobody said which they are).
+func pickRotTarget(fs *FS, isShard func(path string) bool, bits uint64) (string, bool) {
 	paths := fs.List()
 	if len(paths) == 0 {
 		return "", false
 	}
-	var shards []string
-	for _, p := range paths {
-		if strings.Contains(p, "/shards/") {
-			shards = append(shards, p)
+	if isShard != nil {
+		var shards []string
+		for _, p := range paths {
+			if isShard(p) {
+				shards = append(shards, p)
+			}
 		}
-	}
-	if len(shards) > 0 {
-		paths = shards
+		if len(shards) > 0 {
+			paths = shards
+		}
 	}
 	return paths[bits%uint64(len(paths))], true
 }

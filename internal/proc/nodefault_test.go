@@ -2,6 +2,7 @@ package proc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"checl/internal/hw"
@@ -216,5 +217,41 @@ func TestNodeFaultInjectorReviveAndSuspend(t *testing.T) {
 	}
 	if len(inj.Down()) != 0 {
 		t.Fatalf("node still down after ReviveAfter: %v", inj.Down())
+	}
+}
+
+// TestShardRotLandsOnShardData: once the store has said which files hold
+// shard data, rot never lands on anything else; before that (and on a node
+// with no shard data yet) any file can rot.
+func TestShardRotLandsOnShardData(t *testing.T) {
+	clock := vtime.NewClock()
+	inj := NewNodeFaultInjector(NodeFaultPlan{Seed: 5, EveryN: 1, Kinds: []NodeFaultKind{NodeFaultShardRot}})
+	fs := nodeTestFS("store")
+	for _, p := range []string{"meta/a", "meta/b", "data/p1", "data/p2", "meta/c"} {
+		if err := fs.WriteFile(clock, p, []byte("some stored bytes")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.Register("n", fs)
+	inj.SetShardData(func(path string) bool { return strings.HasPrefix(path, "data/") })
+	for i := 0; i < 40; i++ {
+		inj.Tick()
+	}
+	events := inj.Events()
+	if len(events) != 40 {
+		t.Fatalf("%d rots injected, want 40", len(events))
+	}
+	for _, ev := range events {
+		if !strings.HasPrefix(ev.Path, "data/") {
+			t.Fatalf("rot landed on %q, which is not shard data", ev.Path)
+		}
+	}
+
+	empty := nodeTestFS("fresh")
+	if err := empty.WriteFile(clock, "meta/only", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if path, ok := pickRotTarget(empty, func(string) bool { return false }, 9); !ok || path != "meta/only" {
+		t.Fatalf("node without shard data: rot target %q %v, want its one file", path, ok)
 	}
 }

@@ -18,6 +18,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 )
 
@@ -279,77 +280,105 @@ func matInvert(m [][]byte) ([][]byte, error) {
 	return inv, nil
 }
 
-// Shard framing: every shard is persisted wrapped in a small header so a
+// Shard records: every shard is persisted wrapped in a small header so a
 // read can tell a healthy shard from a rotten or torn one and — crucially
-// — WHICH shard it holds. Reed-Solomon alone detects that something is
-// wrong; the per-shard digest localises it, turning silent corruption
-// into a known erasure the solve can route around.
+// — WHICH shard of WHICH chunk it holds. Reed-Solomon alone detects that
+// something is wrong; the per-record digest localises it, turning silent
+// corruption into a known erasure the solve can route around. Records are
+// self-describing so a pack (pack.go) is nothing but records back to back.
 
 const (
 	shardMagic   = "CHECLSHD"
-	shardVersion = 1
-	// shardHeaderSize: magic(8) + version(1) + idx(1) + k(1) + m(1) +
-	// payload length(4) + original blob length(4) + sha256(32).
-	shardHeaderSize = 8 + 4 + 4 + 4 + sha256.Size
+	shardVersion = 2
+	// Record header: magic(8) + version(1) + idx(1) + k(1) + m(1) +
+	// payload length(4) + original blob length(4) + chunk address(32) +
+	// sha256(32).
+	shardAddrOff    = 8 + 4 + 4 + 4
+	shardDigestOff  = shardAddrOff + sha256.Size
+	shardHeaderSize = shardDigestOff + sha256.Size
 )
 
-// encodeShard frames one shard payload for persistence. origLen is the
-// pre-split (compressed chunk blob) length: every shard records it so a
-// read can trim the k joined data shards back to the original bytes
-// without consulting anything but the shards themselves. The digest
-// covers the header fields too — a flipped bit anywhere in the frame
-// (geometry, lengths, payload) reads as an erasure, never as a
-// plausible shard with a wrong trim length.
-func encodeShard(idx, k, m, origLen int, payload []byte) []byte {
-	out := make([]byte, shardHeaderSize+len(payload))
-	copy(out, shardMagic)
-	out[8] = shardVersion
-	out[9] = byte(idx)
-	out[10] = byte(k)
-	out[11] = byte(m)
-	binary.BigEndian.PutUint32(out[12:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[16:], uint32(origLen))
-	copy(out[shardHeaderSize:], payload)
-	sum := shardDigest(out)
-	copy(out[20:], sum[:])
-	return out
+// shardHeader is what a record says about itself.
+type shardHeader struct {
+	sum        string // content address of the chunk the shard belongs to
+	idx, k, m  int
+	payloadLen int
+	// origLen is the pre-split (compressed chunk blob) length: every shard
+	// records it so a read can trim the k joined data shards back to the
+	// original bytes without consulting anything but the shards themselves.
+	origLen int
 }
 
-// shardDigest hashes the covered portion of a frame: the header fields
-// after the magic (version, geometry, lengths) plus the payload, with
-// the digest field itself excluded.
-func shardDigest(frame []byte) [sha256.Size]byte {
+// appendShard appends one framed shard to dst. addr is the chunk's raw
+// SHA-256. The digest covers the header fields too — a flipped bit
+// anywhere in the record (geometry, lengths, address, payload) reads as an
+// erasure, never as a plausible shard with a wrong trim length or owner.
+func appendShard(dst []byte, addr []byte, idx, k, m, origLen int, payload []byte) []byte {
+	at := len(dst)
+	dst = append(dst, shardMagic...)
+	dst = append(dst, shardVersion, byte(idx), byte(k), byte(m))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(origLen))
+	dst = append(dst, addr[:sha256.Size]...)
+	dst = append(dst, make([]byte, sha256.Size)...)
+	dst = append(dst, payload...)
+	sum := shardDigest(dst[at:])
+	copy(dst[at+shardDigestOff:], sum[:])
+	return dst
+}
+
+// shardDigest hashes the covered portion of a record: the header fields
+// after the magic (version, geometry, lengths, address) plus the payload,
+// with the digest field itself excluded.
+func shardDigest(rec []byte) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write(frame[8:20])
-	h.Write(frame[shardHeaderSize:])
+	h.Write(rec[8:shardDigestOff])
+	h.Write(rec[shardHeaderSize:])
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
 }
 
-// decodeShard verifies a framed shard and returns its payload and
-// geometry. Any mismatch — magic, version, truncation, digest — is an
-// error: the shard is an erasure.
-func decodeShard(blob []byte) (idx, k, m, origLen int, payload []byte, err error) {
-	if len(blob) < shardHeaderSize {
-		return 0, 0, 0, 0, nil, fmt.Errorf("shard: %d bytes, shorter than header", len(blob))
+// parseShardHeader reads the header of the record b starts with, without
+// touching the payload or the digest: enough to know whose shard it is and
+// where the next record begins.
+func parseShardHeader(b []byte) (shardHeader, error) {
+	if len(b) < shardHeaderSize {
+		return shardHeader{}, fmt.Errorf("shard: %d bytes, shorter than header", len(b))
 	}
-	if string(blob[:8]) != shardMagic {
-		return 0, 0, 0, 0, nil, fmt.Errorf("shard: bad magic")
+	if string(b[:8]) != shardMagic {
+		return shardHeader{}, fmt.Errorf("shard: bad magic")
 	}
-	if blob[8] != shardVersion {
-		return 0, 0, 0, 0, nil, fmt.Errorf("shard: unsupported version %d", blob[8])
+	if b[8] != shardVersion {
+		return shardHeader{}, fmt.Errorf("shard: unsupported version %d", b[8])
 	}
-	idx, k, m = int(blob[9]), int(blob[10]), int(blob[11])
-	n := binary.BigEndian.Uint32(blob[12:])
-	origLen = int(binary.BigEndian.Uint32(blob[16:]))
-	if int(n) != len(blob)-shardHeaderSize {
-		return 0, 0, 0, 0, nil, fmt.Errorf("shard: payload length %d, frame holds %d", n, len(blob)-shardHeaderSize)
+	h := shardHeader{
+		sum: hex.EncodeToString(b[shardAddrOff:shardDigestOff]),
+		idx: int(b[9]), k: int(b[10]), m: int(b[11]),
+		origLen: int(binary.BigEndian.Uint32(b[16:])),
 	}
-	payload = blob[shardHeaderSize:]
-	sum := shardDigest(blob)
-	if string(sum[:]) != string(blob[20:20+sha256.Size]) {
-		return 0, 0, 0, 0, nil, fmt.Errorf("shard: digest mismatch")
+	n := binary.BigEndian.Uint32(b[12:])
+	if uint64(n) > uint64(len(b)-shardHeaderSize) {
+		return shardHeader{}, fmt.Errorf("shard: payload length %d, %d bytes follow the header", n, len(b)-shardHeaderSize)
 	}
-	return idx, k, m, origLen, payload, nil
+	h.payloadLen = int(n)
+	return h, nil
+}
+
+// decodeShard verifies one framed shard — rec is exactly the record — and
+// returns its header and payload. Any mismatch — magic, version, length,
+// digest — is an error: the shard is an erasure.
+func decodeShard(rec []byte) (shardHeader, []byte, error) {
+	h, err := parseShardHeader(rec)
+	if err != nil {
+		return shardHeader{}, nil, err
+	}
+	if h.payloadLen != len(rec)-shardHeaderSize {
+		return shardHeader{}, nil, fmt.Errorf("shard: payload length %d, frame holds %d", h.payloadLen, len(rec)-shardHeaderSize)
+	}
+	sum := shardDigest(rec)
+	if string(sum[:]) != string(rec[shardDigestOff:shardHeaderSize]) {
+		return shardHeader{}, nil, fmt.Errorf("shard: digest mismatch")
+	}
+	return h, rec[shardHeaderSize:], nil
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 )
@@ -90,21 +92,27 @@ func TestCoderRejectsBadGeometry(t *testing.T) {
 
 func TestShardFrameRoundTripAndTamperDetection(t *testing.T) {
 	payload := []byte("shard payload bytes")
-	frame := encodeShard(3, 4, 2, 77, payload)
-	idx, k, m, orig, got, err := decodeShard(frame)
-	if err != nil || idx != 3 || k != 4 || m != 2 || orig != 77 || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: idx=%d k=%d m=%d orig=%d payload=%q err=%v", idx, k, m, orig, got, err)
+	addr := sha256.Sum256([]byte("the chunk this shard was cut from"))
+	frame := appendShard(nil, addr[:], 3, 4, 2, 77, payload)
+	h, got, err := decodeShard(frame)
+	want := shardHeader{sum: hex.EncodeToString(addr[:]), idx: 3, k: 4, m: 2, payloadLen: len(payload), origLen: 77}
+	if err != nil || h != want || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip: %+v payload=%q err=%v", h, got, err)
 	}
-	// Every single flipped bit — magic, geometry, lengths, digest or
-	// payload — must turn the shard into a detected erasure.
+	// Appending after other bytes frames the same record.
+	if again := appendShard([]byte("xyz"), addr[:], 3, 4, 2, 77, payload); !bytes.Equal(again[3:], frame) {
+		t.Fatal("a record appended to a non-empty buffer differs")
+	}
+	// Every single flipped bit — magic, geometry, lengths, address, digest
+	// or payload — must turn the shard into a detected erasure.
 	for bit := 0; bit < len(frame)*8; bit++ {
 		tampered := append([]byte(nil), frame...)
 		tampered[bit/8] ^= 1 << (bit % 8)
-		if _, _, _, _, _, err := decodeShard(tampered); err == nil {
+		if _, _, err := decodeShard(tampered); err == nil {
 			t.Fatalf("flipped bit %d (byte %d) went undetected", bit, bit/8)
 		}
 	}
-	if _, _, _, _, _, err := decodeShard(frame[:10]); err == nil {
+	if _, _, err := decodeShard(frame[:10]); err == nil {
 		t.Fatal("truncated frame decoded")
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"math"
+	"sync"
 
 	"checl/internal/hw"
 	"checl/internal/vtime"
@@ -38,6 +40,20 @@ const (
 	codecFlate = 0x01
 )
 
+// flate coders are expensive to build (a writer is ~1 MB of tables, a
+// reader a few tens of KB) and cheap to Reset, and the store codes one
+// ~16 KiB chunk at a time, so they are pooled. A Reset coder produces the
+// same bytes as a fresh one.
+var (
+	flateWriters sync.Pool // *flateWriter
+	flateReaders sync.Pool // io.ReadCloser that is also a flate.Resetter
+)
+
+type flateWriter struct {
+	level int
+	w     *flate.Writer
+}
+
 // compress encodes one chunk for storage, charging the modelled
 // compression time to clock. Incompressible chunks are stored raw (the
 // tag byte is the only overhead).
@@ -46,18 +62,25 @@ func (m CompressModel) compress(clock *vtime.Clock, data []byte) ([]byte, error)
 		return append([]byte{codecRaw}, data...), nil
 	}
 	clock.Advance(m.CompressBps.Transfer(int64(len(data))))
-	var buf bytes.Buffer
+	buf := bytes.NewBuffer(make([]byte, 0, len(data)/2+64))
 	buf.WriteByte(codecFlate)
-	w, err := flate.NewWriter(&buf, m.Level)
-	if err != nil {
+	fw, _ := flateWriters.Get().(*flateWriter)
+	if fw != nil && fw.level == m.Level {
+		fw.w.Reset(buf)
+	} else {
+		w, err := flate.NewWriter(buf, m.Level)
+		if err != nil {
+			return nil, fmt.Errorf("store: compress: %w", err)
+		}
+		fw = &flateWriter{level: m.Level, w: w}
+	}
+	if _, err := fw.w.Write(data); err != nil {
 		return nil, fmt.Errorf("store: compress: %w", err)
 	}
-	if _, err := w.Write(data); err != nil {
+	if err := fw.w.Close(); err != nil {
 		return nil, fmt.Errorf("store: compress: %w", err)
 	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("store: compress: %w", err)
-	}
+	flateWriters.Put(fw)
 	if buf.Len() >= len(data)+1 {
 		return append([]byte{codecRaw}, data...), nil
 	}
@@ -65,25 +88,53 @@ func (m CompressModel) compress(clock *vtime.Clock, data []byte) ([]byte, error)
 }
 
 // decompress decodes one stored chunk, charging the modelled
-// decompression time to clock.
-func (m CompressModel) decompress(clock *vtime.Clock, blob []byte) ([]byte, error) {
+// decompression time to clock. size is how long the manifest says the
+// chunk is: the buffer is allocated to it once, and a blob that holds more
+// is rejected rather than inflated.
+func (m CompressModel) decompress(clock *vtime.Clock, blob []byte, size int64) ([]byte, error) {
 	if len(blob) == 0 {
 		return nil, fmt.Errorf("store: empty chunk blob")
 	}
+	if size < 0 || size > math.MaxInt32 {
+		return nil, fmt.Errorf("store: chunk size %d out of range", size)
+	}
 	switch blob[0] {
 	case codecRaw:
-		return append([]byte(nil), blob[1:]...), nil
+		if int64(len(blob)-1) > size {
+			return nil, fmt.Errorf("store: chunk holds %d bytes, manifest says %d", len(blob)-1, size)
+		}
+		return blob[1:], nil
 	case codecFlate:
-		r := flate.NewReader(bytes.NewReader(blob[1:]))
-		data, err := io.ReadAll(r)
-		if err != nil {
+		src := bytes.NewReader(blob[1:])
+		r, _ := flateReaders.Get().(io.ReadCloser)
+		if r == nil {
+			r = flate.NewReader(src)
+		} else if err := r.(flate.Resetter).Reset(src, nil); err != nil {
 			return nil, fmt.Errorf("store: decompress: %w", err)
+		}
+		// One byte of headroom tells a chunk of exactly size bytes from one
+		// that goes on.
+		data := make([]byte, size+1)
+		n := 0
+		for n < len(data) {
+			got, err := r.Read(data[n:])
+			n += got
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("store: decompress: %w", err)
+			}
+		}
+		if n == len(data) {
+			return nil, fmt.Errorf("store: chunk inflates past the %d bytes the manifest says", size)
 		}
 		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("store: decompress: %w", err)
 		}
-		clock.Advance(m.DecompressBps.Transfer(int64(len(data))))
-		return data, nil
+		flateReaders.Put(r)
+		clock.Advance(m.DecompressBps.Transfer(int64(n)))
+		return data[:n], nil
 	default:
 		return nil, fmt.Errorf("store: unknown chunk codec 0x%02x", blob[0])
 	}

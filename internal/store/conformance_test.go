@@ -35,6 +35,9 @@ type confStore struct {
 	hint   string // repair advice GC gives for this placement
 	// overhead bounds physical bytes per incompressible payload byte.
 	overhead float64
+	// fleet is the placement itself when it is one, for damage that has to
+	// find a chunk's records inside the packs.
+	fleet *Fleet
 	// open builds another empty placement of the same kind.
 	open func(t *testing.T, cfg Config) confStore
 }
@@ -61,7 +64,7 @@ func openConfFleet(t *testing.T, cfg Config, down int) confStore {
 	// testFleet's fine chunking, spelled out so the rest of cfg survives.
 	cfg.MinChunk, cfg.AvgChunk, cfg.MaxChunk = 1<<10, 4<<10, 16<<10
 	f, states := testFleet(t, 6, FleetConfig{Store: cfg})
-	cs := confStore{catalog: f, hint: "Scrub", overhead: 1.9}
+	cs := confStore{catalog: f, fleet: f, hint: "Scrub", overhead: 1.9}
 	for i, name := range f.Nodes() {
 		if i < down {
 			states[name].SetDown(true)
@@ -96,9 +99,23 @@ func (cs confStore) tearManifest(t *testing.T, job string, seq uint64) {
 	cs.damage(t, fmt.Sprintf("/manifests/%s/%08d", job, seq), func(fs *proc.FS, p string) { corruptFile(t, fs, p) })
 }
 
-// loseChunk removes every stored piece of one chunk.
+// loseChunk destroys every reachable stored piece of one chunk: the chunk
+// file of a disk, the chunk's records inside a fleet's packs.
 func (cs confStore) loseChunk(t *testing.T, sum string) {
 	t.Helper()
+	if f := cs.fleet; f != nil {
+		hit := 0
+		for i, n := range f.placement(sum) {
+			if loc, ok := f.lookup(n, sum, i); ok && n.alive() {
+				n.st.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
+				hit++
+			}
+		}
+		if hit == 0 {
+			t.Fatalf("no record of chunk %s", sum[:12])
+		}
+		return
+	}
 	cs.damage(t, sum, func(fs *proc.FS, p string) {
 		if err := fs.Remove(p); err != nil {
 			t.Fatal(err)

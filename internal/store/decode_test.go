@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"strings"
@@ -80,15 +81,17 @@ func TestManifestDecoderRejectsNonsense(t *testing.T) {
 // nowhere is a placement that holds one manifest and no chunk at all.
 type nowhere struct{ man Manifest }
 
-func (nowhere) lockSeq()                                             {}
-func (nowhere) unlockSeq()                                           {}
-func (nowhere) repairHint() string                                   { return "" }
-func (nowhere) beginPut(string, uint64) putTxn                       { return nil }
-func (nowhere) dropManifest(string, uint64) error                    { return nil }
-func (nowhere) sweepChunks(map[string]bool) (int, int, int64, error) { return 0, 0, 0, nil }
-func (n nowhere) manifestFiles() []manifestKey                       { return []manifestKey{{n.man.Job, n.man.Seq}} }
-func (n nowhere) loadManifest(string, uint64) (Manifest, error)      { return n.man, nil }
-func (nowhere) fetchBlob(*vtime.Clock, ChunkRef, bool) ([]byte, []byte, error) {
+func (nowhere) lockSeq()                                              {}
+func (nowhere) unlockSeq()                                            {}
+func (nowhere) repairHint() string                                    { return "" }
+func (nowhere) beginPut(string, uint64) putTxn                        { return nil }
+func (nowhere) dropManifest(string, uint64) error                     { return nil }
+func (nowhere) sweepChunks(map[string]bool) (int, int, int64, error)  { return 0, 0, 0, nil }
+func (n nowhere) manifestFiles() []manifestKey                        { return []manifestKey{{n.man.Job, n.man.Seq}} }
+func (n nowhere) loadManifest(string, uint64) (Manifest, error)       { return n.man, nil }
+func (n nowhere) openRead(*vtime.Clock, []ChunkRef, bool) chunkReader { return n }
+func (nowhere) close()                                                {}
+func (nowhere) fetchBlob(ChunkRef) ([]byte, []byte, error) {
 	return nil, nil, errors.New("no such chunk")
 }
 
@@ -161,15 +164,16 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeShard: the shard frame decoder never panics, and a frame it
-// accepts is exactly what encodeShard writes for the decoded fields.
+// FuzzDecodeShard: the shard record decoder never panics, and a record it
+// accepts is exactly what appendShard writes for the decoded fields.
 func FuzzDecodeShard(f *testing.F) {
+	addr := bytes.Repeat([]byte{0xC3}, 32)
 	for _, payload := range [][]byte{nil, []byte("shard payload bytes"), bytes.Repeat([]byte{0xA5}, 300)} {
-		frame := encodeShard(3, 4, 2, 4*len(payload), payload)
+		frame := appendShard(nil, addr, 3, 4, 2, 4*len(payload), payload)
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
 		f.Add(frame[:shardHeaderSize-1])
-		for _, at := range []int{0, 9, 13, 25, len(frame) - 1} {
+		for _, at := range []int{0, 9, 13, 25, shardDigestOff + 1, len(frame) - 1} {
 			flipped := append([]byte(nil), frame...)
 			flipped[at] ^= 0x01
 			f.Add(flipped)
@@ -181,17 +185,52 @@ func FuzzDecodeShard(f *testing.F) {
 			// Same bytes under a fresh digest, so header mutations get past it.
 			fixed := append([]byte(nil), data...)
 			sum := shardDigest(fixed)
-			copy(fixed[20:], sum[:])
+			copy(fixed[shardDigestOff:], sum[:])
 			frames = append(frames, fixed)
 		}
 		for _, frame := range frames {
-			idx, k, m, origLen, payload, err := decodeShard(frame)
+			h, payload, err := decodeShard(frame)
 			if err != nil {
 				continue
 			}
-			if again := encodeShard(idx, k, m, origLen, payload); !bytes.Equal(again, frame) {
-				t.Fatalf("accepted frame is not what encodeShard writes:\n %x\n %x", frame, again)
+			addr, err := hex.DecodeString(h.sum)
+			if err != nil {
+				t.Fatalf("accepted record has address %q", h.sum)
 			}
+			if again := appendShard(nil, addr, h.idx, h.k, h.m, h.origLen, payload); !bytes.Equal(again, frame) {
+				t.Fatalf("accepted record is not what appendShard writes:\n %x\n %x", frame, again)
+			}
+		}
+	})
+}
+
+// FuzzDecodePack: the pack scanner never panics; what it returns is a run
+// of records tiling a prefix of the input — all of it when there is no
+// error — and any error is errTornPack. A record the scanner located
+// either fails its digest or is exactly the record the header describes.
+func FuzzDecodePack(f *testing.F) {
+	for _, s := range packSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := scanPack(data)
+		if err != nil && !errors.Is(err, errTornPack) {
+			t.Fatalf("untyped scan error: %v", err)
+		}
+		end := 0
+		for _, r := range recs {
+			if r.off != end || r.n < shardHeaderSize || r.off+r.n > len(data) {
+				t.Fatalf("record [%d,+%d) does not continue a tiling at %d of %d bytes", r.off, r.n, end, len(data))
+			}
+			end = r.off + r.n
+			if h, payload, derr := decodeShard(data[r.off:end]); derr == nil {
+				if h != r.shardHeader || len(payload) != r.payloadLen {
+					t.Fatalf("record at %d decodes to %+v, scanned as %+v", r.off, h, r.shardHeader)
+				}
+			}
+		}
+		if (err == nil) != (end == len(data)) {
+			t.Fatalf("scan covered %d of %d bytes with error %v", end, len(data), err)
 		}
 	})
 }

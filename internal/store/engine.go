@@ -22,8 +22,8 @@ import (
 // placement is the seam between the engine and the storage it runs over:
 // how chunks and manifests are probed, written, read back and removed.
 // Crash safety and repair live behind it and differ per placement — the
-// disk stages and renames manifest-last, the fleet writes idempotent
-// shards in place and mirrors manifests.
+// disk stages and renames manifest-last, the fleet writes one verified
+// pack of shard records per node and then mirrors manifests.
 type placement interface {
 	// lockSeq/unlockSeq serialise the operations that pick sequence
 	// numbers or sweep chunks (Put up to its commit, GC).
@@ -39,10 +39,11 @@ type placement interface {
 	// beginPut opens the write transaction of checkpoint job@seq; the
 	// caller holds lockSeq until the transaction has committed.
 	beginPut(job string, seq uint64) putTxn
-	// fetchBlob returns one chunk's stored blob and its verified content
-	// (see verifyBlob). With heal set a bad copy is repaired from the
-	// placement's redundancy on the way.
-	fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, chunk []byte, err error)
+	// openRead opens a read session over refs, the chunks the caller is
+	// about to fetch: what the placement can do once per read instead of
+	// once per chunk happens here. Read time is charged to clock. With heal
+	// set a bad copy is repaired from the placement's redundancy on the way.
+	openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkReader
 	dropManifest(job string, seq uint64) error
 	// sweepChunks removes every stored chunk not in referenced.
 	sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error)
@@ -50,14 +51,27 @@ type placement interface {
 	repairHint() string
 }
 
+// chunkReader is one read session.
+type chunkReader interface {
+	// fetchBlob returns one chunk's stored blob and its verified content
+	// (see verifyBlob).
+	fetchBlob(ref ChunkRef) (blob, chunk []byte, err error)
+	// close ends the session; repairs the reads queued are made here.
+	close()
+}
+
 // putTxn is one checkpoint's write transaction.
 type putTxn interface {
 	// probe reports whether the chunk is already durably stored, and its
 	// stored size. It charges no time.
 	probe(sum string, chunk []byte) (stored int64, ok bool)
-	// stage writes one new chunk's blob and reports the physical bytes
-	// that cost — also when it fails part-way.
+	// stage takes one new chunk's blob and reports the physical bytes
+	// written so far on its account — also when it fails part-way. A
+	// placement may hold the blob back to write it with others.
 	stage(clock *vtime.Clock, sum string, blob []byte) (phys int64, err error)
+	// flush writes out whatever stage held back: after it every staged
+	// chunk is durable.
+	flush(clock *vtime.Clock) (phys int64, err error)
 	// commit publishes the manifest: the atomic commit point.
 	commit(clock *vtime.Clock, man Manifest, frame []byte) (phys int64, err error)
 	// settle runs after commit, outside lockSeq: whatever extra durability
@@ -333,6 +347,13 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 	if pipelined && len(compDur) > 0 {
 		clock.Advance(pipelineMakespan(e.cfg.PipelineWorkers, compDur, writeDur))
 	}
+	wsw := vtime.NewStopwatch(clock)
+	phys, err := tx.flush(clock)
+	stats.StoredBytes += phys
+	if err != nil {
+		return Manifest{}, stats, nil, err
+	}
+	stats.WriteTime += wsw.Elapsed()
 
 	digest := sha256.Sum256(payload)
 	man.Digest = hex.EncodeToString(digest[:])
@@ -340,7 +361,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 	if err != nil {
 		return Manifest{}, stats, nil, err
 	}
-	phys, err := tx.commit(clock, man, frame)
+	phys, err = tx.commit(clock, man, frame)
 	if err != nil {
 		return Manifest{}, stats, nil, err
 	}
@@ -349,16 +370,17 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 }
 
 // verifyBlob turns one chunk's stored blob back into its content and
-// checks it against the content address: decompress, SHA-256. Every read
-// path of both placements ends here.
-func verifyBlob(clock *vtime.Clock, comp CompressModel, blob []byte, wantSum string) ([]byte, error) {
-	chunk, err := comp.decompress(clock, blob)
+// checks it against the content address: decompress (to at most the size
+// the manifest records), SHA-256. Every read path of both placements ends
+// here.
+func verifyBlob(clock *vtime.Clock, comp CompressModel, blob []byte, ref ChunkRef) ([]byte, error) {
+	chunk, err := comp.decompress(clock, blob, ref.Size)
 	if err != nil {
-		return nil, fmt.Errorf("store: chunk %s: %w", wantSum[:12], err)
+		return nil, fmt.Errorf("store: chunk %s: %w", ref.Sum[:12], err)
 	}
 	sum := sha256.Sum256(chunk)
-	if got := hex.EncodeToString(sum[:]); got != wantSum {
-		return nil, fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", wantSum[:12], got[:12])
+	if got := hex.EncodeToString(sum[:]); got != ref.Sum {
+		return nil, fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", ref.Sum[:12], got[:12])
 	}
 	return chunk, nil
 }
@@ -368,8 +390,10 @@ func verifyBlob(clock *vtime.Clock, comp CompressModel, blob []byte, wantSum str
 // what that many chunks can hold.
 func (e *engine) readChunks(clock *vtime.Clock, refs []ChunkRef, size int64, heal bool) ([]byte, error) {
 	payload := make([]byte, 0, min(size, int64(len(refs))*int64(e.cfg.MaxChunk)))
+	rd := e.p.openRead(clock, refs, heal)
+	defer rd.close()
 	for _, cref := range refs {
-		_, chunk, err := e.p.fetchBlob(clock, cref, heal)
+		_, chunk, err := rd.fetchBlob(cref)
 		if err != nil {
 			return nil, err
 		}

@@ -13,18 +13,29 @@ package store
 // restore walk and GC's retention are the engine's (engine.go), the same
 // code a Store runs.
 //
-// Commit protocol: shards are content-addressed and written verified at
-// their final paths (writing the same chunk twice is idempotent, so no
-// staging dance is needed), then the manifest is published on every alive
-// node — the per-node commit point, same manifest-last rule as Store.
-// The commit tolerates up to m down nodes: a chunk commits with >= k
-// shards written and the manifest with at most m copies missing; anything
-// less fails the Put. A crash mid-Put leaves orphan shards that GC
-// reclaims.
+// On disk a node holds packs (pack.go): immutable files of shard records
+// back to back, <prefix>/packs/<job>/<seq>.<part> for the records one Put
+// sent it, <prefix>/packs/@heal/<n> for repairs and <prefix>/packs/@gc/<n>
+// for what GC compacted. Where a record lives — (chunk, shard index) ->
+// (pack, offset, length) — is an in-memory index per node, kept up to date
+// by every pack write and rebuilt from the record headers when a fleet is
+// opened over filesystems that already hold packs.
+//
+// Commit protocol: a Put buffers each new chunk's shard records per node and
+// writes them as one verified pack per node — all nodes in one overlapped
+// round, a further round whenever a node's buffer passes packPartSize, the
+// last before the commit — then publishes the manifest on every alive node:
+// the per-node commit point, same manifest-last rule as Store. The commit
+// tolerates up to m down nodes: a chunk commits with >= k records in
+// verified packs and the manifest with at most m copies missing; anything
+// less fails the Put. A crash mid-Put leaves orphan packs whose records a
+// later Put may still deduplicate against and GC otherwise reclaims.
 
 import (
+	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -86,10 +97,30 @@ func (c FleetConfig) withDefaults() FleetConfig {
 }
 
 // fleetNode is one member: a Store over the node's filesystem (reusing
-// its verified writes, manifest framing and path layout).
+// its verified writes, manifest framing and path layout) and the index of
+// the shard records in the node's packs.
 type fleetNode struct {
 	name string
 	st   *Store
+	// recs and indexed are guarded by Fleet.idxMu. indexed is false until
+	// the node's packs have been scanned: a node that is down when the
+	// fleet opens is scanned when it first serves.
+	recs    map[recKey]recLoc
+	indexed bool
+	// wbuf stages the records a Put sends this node; guarded by Fleet.mu.
+	wbuf packBuf
+}
+
+// recKey names one shard of one chunk; recLoc is where a node keeps it.
+type recKey struct {
+	sum string
+	idx int
+}
+
+type recLoc struct {
+	pack    string
+	off, n  int // the record's byte range in the pack
+	origLen int // length of the chunk blob the shard was cut from
 }
 
 // Fleet is an erasure-coded checkpoint store over N nodes. It implements
@@ -106,6 +137,9 @@ type Fleet struct {
 	names []string // sorted
 
 	inj *proc.NodeFaultInjector
+
+	idxMu  sync.RWMutex // guards every node's record index, and nextAt
+	nextAt uint64       // number of the next @heal/@gc pack
 
 	healMu sync.Mutex
 	heals  HealStats
@@ -133,13 +167,14 @@ func NewFleet(nodes []FleetNode, cfg FleetConfig) (*Fleet, error) {
 		if _, dup := f.nodes[n.Name]; dup {
 			return nil, fmt.Errorf("store: fleet: duplicate node name %q", n.Name)
 		}
-		f.nodes[n.Name] = &fleetNode{name: n.Name, st: New(n.FS, cfg.Store)}
+		f.nodes[n.Name] = &fleetNode{name: n.Name, st: New(n.FS, cfg.Store), recs: map[recKey]recLoc{}}
 		f.names = append(f.names, n.Name)
 	}
 	sort.Strings(f.names)
 	if f.smap, err = newShardMap(f.names); err != nil {
 		return nil, err
 	}
+	f.indexNodes()
 	return f, nil
 }
 
@@ -166,15 +201,15 @@ func (f *Fleet) NodeStore(name string) (*Store, bool) {
 }
 
 // AttachFaults registers every node with the injector (in sorted name
-// order, so fault schedules are deterministic) and ticks it on every
-// subsequent shard-level operation.
+// order, so fault schedules are deterministic), tells it which files hold
+// shard data, and ticks it on every subsequent shard-level operation.
 func (f *Fleet) AttachFaults(inj *proc.NodeFaultInjector) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, name := range f.names {
 		inj.Register(name, f.nodes[name].st.fs)
 	}
-	f.inj = inj
+	f.mu.Unlock()
+	f.SetFaultInjector(inj)
 }
 
 // SetFaultInjector installs (or with nil removes) an injector to tick
@@ -184,6 +219,10 @@ func (f *Fleet) SetFaultInjector(inj *proc.NodeFaultInjector) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.inj = inj
+	if inj != nil {
+		prefix := f.packPrefix()
+		inj.SetShardData(func(path string) bool { return strings.HasPrefix(path, prefix) })
+	}
 }
 
 // Heals reports the fleet's cumulative self-repair counters (degraded
@@ -207,7 +246,8 @@ func (f *Fleet) recordManifestHeal(n int) {
 	f.heals.ManifestsHealed += n
 }
 
-// tick advances the node fault plan by one fleet-level shard operation.
+// tick advances the node fault plan by one fleet-level operation: one pack
+// or manifest read from or written to one node.
 func (f *Fleet) tick() {
 	if f.inj != nil {
 		f.inj.Tick()
@@ -217,9 +257,103 @@ func (f *Fleet) tick() {
 // alive reports whether the node is serving (no node state = healthy).
 func (n *fleetNode) alive() bool { return !n.st.fs.Node().Down() }
 
-// shardPath is where node n keeps shard idx of the chunk at sum.
-func (f *Fleet) shardPath(n *fleetNode, sum string, idx int) string {
-	return fmt.Sprintf("%s/shards/%s/%d", n.st.cfg.Prefix, sum, idx)
+// packPrefix is the directory every node keeps its packs under.
+func (f *Fleet) packPrefix() string { return f.cfg.Store.Prefix + "/packs/" }
+
+// repairPack names a fresh pack for records no single Put owns — "heal" for
+// repairs, "gc" for compacted survivors. The number is fleet-wide, so one
+// repair round is the same file name on every node it touches.
+func (f *Fleet) repairPack(kind string) string {
+	f.idxMu.Lock()
+	defer f.idxMu.Unlock()
+	n := f.nextAt
+	f.nextAt++
+	return fmt.Sprintf("%s@%s/%08d", f.packPrefix(), kind, n)
+}
+
+// packFiles lists the node's packs: the packs Puts wrote in path order,
+// then the repair packs in the order they were written — the order an
+// index rebuild wants, so a repaired record supersedes the one it replaced.
+func (f *Fleet) packFiles(n *fleetNode) []string {
+	var put, repair []string
+	prefix := f.packPrefix()
+	for _, p := range n.st.fs.List() {
+		switch {
+		case !strings.HasPrefix(p, prefix):
+		case p[len(prefix)] == '@':
+			repair = append(repair, p)
+		default:
+			put = append(put, p)
+		}
+	}
+	sort.Slice(repair, func(i, j int) bool { return repairPackNumber(repair[i]) < repairPackNumber(repair[j]) })
+	return append(put, repair...)
+}
+
+func repairPackNumber(path string) uint64 {
+	n, _ := strconv.ParseUint(path[strings.LastIndexByte(path, '/')+1:], 10, 64)
+	return n
+}
+
+// indexNodes builds the record index of every alive node that has none
+// yet, by walking the record headers of the packs on its filesystem. No
+// digest is checked — a record is verified when it is used — and a torn
+// pack contributes the records in front of the tear. A node with a pack
+// that cannot be read stays unindexed and is scanned again next time: what
+// it does hold still serves reads, but GC and Scrub, which delete what the
+// index does not know, leave it alone. Like manifest reads this is
+// metadata work and charges no time.
+func (f *Fleet) indexNodes() {
+	f.idxMu.Lock()
+	defer f.idxMu.Unlock()
+	for _, name := range f.names {
+		n := f.nodes[name]
+		if n.indexed || !n.alive() {
+			continue
+		}
+		n.indexed = true
+		for _, p := range f.packFiles(n) {
+			if p[len(f.packPrefix())] == '@' {
+				f.nextAt = max(f.nextAt, repairPackNumber(p)+1)
+			}
+			data, err := readRetry(vtime.NewClock(), n.st.fs, p, f.cfg.Store.WriteRetries)
+			if err != nil {
+				n.indexed = false
+				continue
+			}
+			recs, _ := scanPack(data)
+			for _, r := range recs {
+				n.recs[recKey{r.sum, r.idx}] = recLoc{pack: p, off: r.off, n: r.n, origLen: r.origLen}
+			}
+		}
+	}
+}
+
+// sweepable reports whether the node is serving and its index covers
+// everything on its disk, so that a pack the index has no record in is
+// garbage rather than unread.
+func (f *Fleet) sweepable(n *fleetNode) bool {
+	f.idxMu.RLock()
+	defer f.idxMu.RUnlock()
+	return n.indexed && n.alive()
+}
+
+// lookup reports where node n keeps shard idx of the chunk at sum.
+func (f *Fleet) lookup(n *fleetNode, sum string, idx int) (recLoc, bool) {
+	f.idxMu.RLock()
+	defer f.idxMu.RUnlock()
+	loc, ok := n.recs[recKey{sum, idx}]
+	return loc, ok
+}
+
+// forget removes a record that failed verification from the index, unless
+// a repair has re-pointed the entry since loc was looked up.
+func (f *Fleet) forget(n *fleetNode, key recKey, loc recLoc) {
+	f.idxMu.Lock()
+	defer f.idxMu.Unlock()
+	if n.recs[key] == loc {
+		delete(n.recs, key)
+	}
 }
 
 // placement returns the k+m nodes holding the chunk's shards, in shard
@@ -234,141 +368,342 @@ func (f *Fleet) placement(sum string) []*fleetNode {
 }
 
 // chunkPresent probes whether the chunk is already durably stored: at
-// least k of its shards exist. Like Store's fs.Size dedup probe this is a
-// metadata operation and charges no time. When present it also reports
-// the original blob length read from one shard frame.
+// least k of its records are indexed in packs that are still there. Like
+// Store's fs.Size dedup probe this is a metadata operation and charges no
+// time. When present it also reports the original blob length.
 func (f *Fleet) chunkPresent(sum string) (int64, bool) {
-	nodes := f.placement(sum)
-	present := 0
-	first := -1
-	for i, n := range nodes {
-		if n.st.fs.Exists(f.shardPath(n, sum, i)) {
+	present, origLen := 0, 0
+	for i, n := range f.placement(sum) {
+		if loc, ok := f.lookup(n, sum, i); ok && n.st.fs.Exists(loc.pack) {
 			present++
-			if first < 0 {
-				first = i
-			}
+			origLen = loc.origLen
 		}
 	}
-	if present < f.cfg.DataShards {
-		return 0, false
-	}
-	blob, err := readRetry(vtime.NewClock(), nodes[first].st.fs, f.shardPath(nodes[first], sum, first), f.cfg.Store.WriteRetries)
-	if err != nil {
-		return 0, false
-	}
-	if _, _, _, origLen, _, derr := decodeShard(blob); derr == nil {
-		return int64(origLen), true
-	}
-	return 0, false
+	return int64(origLen), present >= f.cfg.DataShards
 }
 
-// writeChunkShards encodes blob into k+m shards and writes them to their
-// placement nodes. Disk writes to distinct nodes overlap (the caller is
-// charged the slowest one); the shard frames all leave through the
-// writer's single link, so link time is charged for the total bytes.
-// Down nodes are skipped; fewer than k successful writes is an error.
-// Returns the physical bytes written.
-func (f *Fleet) writeChunkShards(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
+// writePacks writes bufs — the records bound for each node, keyed by node
+// name — as one pack per node at path, and indexes the records that
+// landed. Every pack goes through writeVerified. Disk writes to distinct
+// nodes overlap (the caller is charged the slowest one); the records all
+// leave through the writer's single link, so link time is charged for the
+// total bytes. Down nodes and failed writes are reported per node; their
+// records are simply not stored. Returns the physical bytes written.
+func (f *Fleet) writePacks(clock *vtime.Clock, path string, bufs map[string]*packBuf) (int64, map[string]error) {
+	var written int64
+	var diskMax vtime.Duration
+	failed := map[string]error{}
+	for _, name := range f.names {
+		buf := bufs[name]
+		if buf == nil || len(buf.recs) == 0 {
+			continue
+		}
+		f.tick()
+		n := f.nodes[name]
+		if !n.alive() {
+			failed[name] = &proc.ErrNodeDown{Node: name, Op: "write", Path: path}
+			continue
+		}
+		sc := vtime.NewClock()
+		if err := n.st.writeVerified(sc, path, buf.data); err != nil {
+			failed[name] = err
+			continue
+		}
+		diskMax = max(diskMax, sc.Now().Sub(0))
+		written += int64(len(buf.data))
+		f.idxMu.Lock()
+		for _, r := range buf.recs {
+			n.recs[recKey{r.sum, r.idx}] = recLoc{pack: path, off: r.off, n: r.n, origLen: r.origLen}
+		}
+		f.idxMu.Unlock()
+	}
+	clock.Advance(f.cfg.Link.Transfer(written) + diskMax)
+	return written, failed
+}
+
+func (f *Fleet) lockSeq()           { f.mu.Lock() }
+func (f *Fleet) unlockSeq()         { f.mu.Unlock() }
+func (f *Fleet) repairHint() string { return "Scrub" }
+
+// fleetPut is a Fleet's write transaction: the records of the chunks
+// staged since the last round, per node, and the chunks they belong to.
+type fleetPut struct {
+	f     *Fleet
+	stem  string              // the checkpoint's pack path, less the part number
+	part  int                 // next part number to try
+	bufs  map[string]*packBuf // node name -> records not yet written
+	round []string            // chunks with records in bufs
+}
+
+func (f *Fleet) beginPut(job string, seq uint64) putTxn {
+	f.indexNodes()
+	t := &fleetPut{f: f, stem: fmt.Sprintf("%s%s/%08d.", f.packPrefix(), job, seq), bufs: map[string]*packBuf{}}
+	for name, n := range f.nodes {
+		n.wbuf.reset()
+		t.bufs[name] = &n.wbuf
+	}
+	return t
+}
+
+func (t *fleetPut) probe(sum string, _ []byte) (int64, bool) { return t.f.chunkPresent(sum) }
+
+// stage encodes blob into k+m shards and queues one record on each of its
+// placement nodes; nothing reaches a disk until a node's queue passes
+// packPartSize, when every queue is written out as the next part.
+func (t *fleetPut) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
+	f := t.f
+	addr, err := hex.DecodeString(sum)
+	if err != nil || len(addr) != 32 {
+		return 0, fmt.Errorf("store: fleet: chunk address %q is not a SHA-256", sum)
+	}
 	clock.Advance(f.cfg.Coding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
 	shards := f.coder.Encode(blob)
-	nodes := f.placement(sum)
-	var written, linkBytes int64
-	var diskMax vtime.Duration
-	ok := 0
-	var firstErr error
-	for i, shard := range shards {
-		f.tick()
-		n := nodes[i]
-		frame := encodeShard(i, f.cfg.DataShards, f.cfg.ParityShards, len(blob), shard)
-		if !n.alive() {
-			if firstErr == nil {
-				firstErr = &proc.ErrNodeDown{Node: n.name, Op: "write", Path: f.shardPath(n, sum, i)}
-			}
-			continue
-		}
-		sc := vtime.NewClock()
-		if err := n.st.writeVerified(sc, f.shardPath(n, sum, i), frame); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if d := sc.Now().Sub(0); d > diskMax {
-			diskMax = d
-		}
-		linkBytes += int64(len(frame))
-		written += int64(len(frame))
-		ok++
+	full := false
+	for i, n := range f.placement(sum) {
+		buf := t.bufs[n.name]
+		buf.add(addr, shardHeader{sum: sum, idx: i, k: f.cfg.DataShards, m: f.cfg.ParityShards, origLen: len(blob)}, shards[i])
+		full = full || len(buf.data) >= packPartSize
 	}
-	clock.Advance(f.cfg.Link.Transfer(linkBytes) + diskMax)
-	if ok < f.cfg.DataShards {
-		return written, fmt.Errorf("store: fleet: chunk %s: only %d of %d shards written (need %d): %v",
-			sum[:12], ok, len(shards), f.cfg.DataShards, firstErr)
+	t.round = append(t.round, sum)
+	if !full {
+		return 0, nil
 	}
-	return written, nil
+	return t.flush(clock)
 }
 
-// shardStates reads every shard of a chunk: verified payloads keyed by
-// index, the original blob length, and the indices that are missing,
-// corrupt or on a down node. rot rotates the read order so bulk
-// operations (Rebuild) spread their source reads across the survivors
-// instead of hammering the ring-order nodes. Disk reads overlap across
-// nodes (max charged); link time covers the bytes actually pulled.
-func (f *Fleet) shardStates(clock *vtime.Clock, sum string, rot int, stopAtK bool) (have map[int][]byte, origLen int, bad []int) {
-	total := f.cfg.DataShards + f.cfg.ParityShards
-	nodes := f.placement(sum)
+// flush writes the queued records out as one pack per node and requires
+// every chunk among them to have landed on at least k nodes. Packs are
+// never overwritten: a part number some node already holds (an earlier,
+// failed Put of the same checkpoint) is skipped.
+func (t *fleetPut) flush(clock *vtime.Clock) (int64, error) {
+	if len(t.round) == 0 {
+		return 0, nil
+	}
+	f := t.f
+	path := t.stem + strconv.Itoa(t.part)
+	for f.packExists(path) {
+		t.part++
+		path = t.stem + strconv.Itoa(t.part)
+	}
+	t.part++
+	written, failed := f.writePacks(clock, path, t.bufs)
+	var err error
+	if len(failed) > 0 {
+		err = t.underwritten(failed)
+	}
+	for _, buf := range t.bufs {
+		buf.reset()
+	}
+	t.round = t.round[:0]
+	return written, err
+}
+
+// underwritten reports the first chunk of the round that the failed nodes
+// leave with fewer than k records.
+func (t *fleetPut) underwritten(failed map[string]error) error {
+	k := t.f.cfg.DataShards
+	for _, sum := range t.round {
+		nodes := t.f.placement(sum)
+		ok := len(nodes)
+		var firstErr error
+		for _, n := range nodes {
+			if e := failed[n.name]; e != nil {
+				ok--
+				if firstErr == nil {
+					firstErr = e
+				}
+			}
+		}
+		if ok < k {
+			return fmt.Errorf("store: fleet: chunk %s: only %d of %d shards written (need %d): %v",
+				sum[:12], ok, len(nodes), k, firstErr)
+		}
+	}
+	return nil
+}
+
+// packExists reports whether any node holds a file at path.
+func (f *Fleet) packExists(path string) bool {
+	for _, n := range f.nodes {
+		if n.st.fs.Exists(path) {
+			return true
+		}
+	}
+	return false
+}
+
+func (t *fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
+	published, err := t.f.publishManifest(clock, man.Job, man.Seq, frame)
+	if err != nil {
+		return 0, err
+	}
+	return int64(published) * int64(len(frame)), nil
+}
+
+func (*fleetPut) settle(*vtime.Clock, Manifest) error { return nil }
+
+// fleetRead is a read session: the packs it has pulled from the nodes, and
+// the repaired records it owes them. Get opens one per manifest; Rebuild
+// and Scrub run their repairs through one.
+type fleetRead struct {
+	f     *Fleet
+	clock *vtime.Clock
+	// packs holds what each node's packs read as, by node name and path; a
+	// nil entry is a pack that could not be read.
+	packs map[string]map[string][]byte
+	heals map[string]*packBuf // node name -> reconstructed records to write back
+	owed  map[recKey]bool     // records already queued in heals
+}
+
+func (f *Fleet) newRead(clock *vtime.Clock) *fleetRead {
+	f.indexNodes()
+	return &fleetRead{f: f, clock: clock, packs: map[string]map[string][]byte{},
+		heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
+}
+
+// openRead plans and loads the packs the healthy path of every ref needs.
+// The degraded read is the only read path there is, so the engine's heal
+// flag has nothing to switch off.
+func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, _ bool) chunkReader {
+	r := f.newRead(clock)
+	sums := make([]string, len(refs))
+	for i, ref := range refs {
+		sums[i] = ref.Sum
+	}
+	r.prepare(sums, false)
+	return r
+}
+
+// prepare loads the packs holding k records of each chunk — the data
+// shards, with a parity shard standing in for every one whose node is down
+// or has no record of it — each pack once. Nodes read in parallel and a
+// node reads its packs one after the other, so the caller is charged the
+// slowest node. With trim set, loaded packs none of these chunks need are
+// let go first.
+func (r *fleetRead) prepare(sums []string, trim bool) {
+	f := r.f
+	want := map[string]map[string]bool{}
+	for _, sum := range sums {
+		got := 0
+		for i, n := range f.placement(sum) {
+			if got == f.cfg.DataShards {
+				break
+			}
+			loc, ok := f.lookup(n, sum, i)
+			if !ok || !n.alive() {
+				continue
+			}
+			if want[n.name] == nil {
+				want[n.name] = map[string]bool{}
+			}
+			want[n.name][loc.pack] = true
+			got++
+		}
+	}
+	if trim {
+		for name, loaded := range r.packs {
+			for p := range loaded {
+				if !want[name][p] {
+					delete(loaded, p)
+				}
+			}
+		}
+	}
+	var span vtime.Duration
+	for _, name := range f.names {
+		var paths []string
+		for p := range want[name] {
+			if _, loaded := r.packs[name][p]; !loaded {
+				paths = append(paths, p)
+			}
+		}
+		sort.Strings(paths)
+		sc := vtime.NewClock()
+		for _, p := range paths {
+			r.readPack(sc, f.nodes[name], p)
+		}
+		span = max(span, sc.Now().Sub(0))
+	}
+	r.clock.Advance(span)
+}
+
+// readPack pulls one pack off a node's disk into the session.
+func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []byte {
+	r.f.tick()
+	var data []byte
+	if n.alive() {
+		data, _ = readRetry(clock, n.st.fs, path, r.f.cfg.Store.WriteRetries)
+	}
+	if r.packs[n.name] == nil {
+		r.packs[n.name] = map[string][]byte{}
+	}
+	r.packs[n.name][path] = data
+	return data
+}
+
+// record returns shard idx of the chunk at sum from node n, verified:
+// digest, owner and index. A pack prepare did not load is read now, on the
+// session's clock. A record that fails verification leaves the index.
+func (r *fleetRead) record(n *fleetNode, sum string, idx int) (payload []byte, h shardHeader, ok bool) {
+	if !n.alive() {
+		return nil, h, false
+	}
+	loc, found := r.f.lookup(n, sum, idx)
+	if !found {
+		return nil, h, false
+	}
+	data, loaded := r.packs[n.name][loc.pack]
+	if !loaded {
+		data = r.readPack(r.clock, n, loc.pack)
+	}
+	if data == nil {
+		return nil, h, false
+	}
+	if loc.off+loc.n <= len(data) {
+		var err error
+		if h, payload, err = decodeShard(data[loc.off : loc.off+loc.n]); err == nil && h.sum == sum && h.idx == idx {
+			return payload, h, true
+		}
+	}
+	r.f.forget(n, recKey{sum, idx}, loc)
+	return nil, h, false
+}
+
+// gather collects verified shards of one chunk, keyed by index, in index
+// order — up to k of them, or with all set every one there is — plus the
+// original blob length and the indices examined that are missing, corrupt
+// or on a down node. Link time covers the records actually pulled.
+func (r *fleetRead) gather(sum string, all bool) (have map[int][]byte, origLen int, bad []int) {
+	f := r.f
 	have = map[int][]byte{}
 	origLen = -1
-	var linkBytes int64
-	var diskMax vtime.Duration
-	for off := 0; off < total; off++ {
-		if stopAtK && len(have) >= f.cfg.DataShards {
+	var pulled int64
+	for i, n := range f.placement(sum) {
+		if !all && len(have) >= f.cfg.DataShards {
 			break
 		}
-		i := (off + rot) % total
-		f.tick()
-		n := nodes[i]
-		if !n.alive() {
-			bad = append(bad, i)
-			continue
-		}
-		sc := vtime.NewClock()
-		frame, err := readRetry(sc, n.st.fs, f.shardPath(n, sum, i), f.cfg.Store.WriteRetries)
-		if d := sc.Now().Sub(0); d > diskMax {
-			diskMax = d
-		}
-		if err != nil {
-			bad = append(bad, i)
-			continue
-		}
-		linkBytes += int64(len(frame))
-		idx, _, _, orig, payload, derr := decodeShard(frame)
-		if derr != nil || idx != i {
+		payload, h, ok := r.record(n, sum, i)
+		if !ok {
 			bad = append(bad, i)
 			continue
 		}
 		have[i] = payload
-		origLen = orig
+		origLen = h.origLen
+		pulled += int64(shardHeaderSize + len(payload))
 	}
-	clock.Advance(f.cfg.Link.Transfer(linkBytes) + diskMax)
-	sort.Ints(bad)
+	r.clock.Advance(f.cfg.Link.Transfer(pulled))
 	return have, origLen, bad
 }
 
-// fetchBlob reads and verifies one chunk. The healthy path reads the k
-// data shards and concatenates — no GF(256) work at all. When any data
-// shard is an erasure (down node, missing file, failed digest) the
-// parity shards join the gather and the chunk reconstructs from any k
-// survivors, charging the coding model; the reconstructed shards are
-// written back to their alive home nodes best-effort, so a degraded read
-// heals the fleet as a side effect. The degraded read is the only read
-// path there is, so the engine's heal flag has nothing to switch off.
-func (f *Fleet) fetchBlob(clock *vtime.Clock, ref ChunkRef, _ bool) (blob, chunk []byte, err error) {
+// rebuild turns k or more gathered shards back into the chunk's blob and,
+// when any data shard was an erasure, into the full shard set (nil when
+// the data shards were all there), charging the coding model for the solve.
+func (r *fleetRead) rebuild(sum string, have map[int][]byte, origLen int) (blob []byte, shards [][]byte, err error) {
+	f := r.f
 	k := f.cfg.DataShards
-	have, origLen, bad := f.shardStates(clock, ref.Sum, 0, true)
 	if len(have) < k {
 		return nil, nil, fmt.Errorf("store: fleet: chunk %s lost: %d of %d shards survive, need %d",
-			ref.Sum[:12], len(have), k+f.cfg.ParityShards, k)
+			sum[:12], len(have), k+f.cfg.ParityShards, k)
 	}
 	lost := 0
 	for i := 0; i < k; i++ {
@@ -381,70 +716,88 @@ func (f *Fleet) fetchBlob(clock *vtime.Clock, ref ChunkRef, _ bool) (blob, chunk
 		for i := 0; i < k && len(blob) < origLen; i++ {
 			blob = append(blob, have[i]...)
 		}
-		blob = blob[:origLen]
-	} else {
-		clock.Advance(f.cfg.Coding.ReconstructTime(int64(origLen), k, lost))
-		shards, err := f.coder.Reconstruct(have)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: fleet: chunk %s: %w", ref.Sum[:12], err)
+		if len(blob) < origLen {
+			return nil, nil, fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d", sum[:12], len(blob), origLen)
 		}
-		blob = f.coder.Join(shards, origLen)
-		f.healShards(ref.Sum, origLen, shards, bad)
+		return blob[:origLen], nil, nil
 	}
-	if chunk, err = verifyBlob(clock, f.cfg.Store.Compression, blob, ref.Sum); err != nil {
+	r.clock.Advance(f.cfg.Coding.ReconstructTime(int64(origLen), k, lost))
+	if shards, err = f.coder.Reconstruct(have); err != nil {
+		return nil, nil, fmt.Errorf("store: fleet: chunk %s: %w", sum[:12], err)
+	}
+	if origLen > k*len(shards[0]) {
+		return nil, nil, fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d", sum[:12], k*len(shards[0]), origLen)
+	}
+	return f.coder.Join(shards, origLen), shards, nil
+}
+
+// fetchBlob reads and verifies one chunk. The healthy path takes the k
+// data shards and concatenates — no GF(256) work at all. When any data
+// shard is an erasure (down node, missing or torn record, failed digest)
+// the parity shards join the gather and the chunk reconstructs from any k
+// survivors; the reconstructed shards are owed to their alive home nodes
+// and written back when the session closes, so a degraded read heals the
+// fleet as a side effect.
+func (r *fleetRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
+	have, origLen, bad := r.gather(ref.Sum, false)
+	blob, shards, err := r.rebuild(ref.Sum, have, origLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	if shards != nil {
+		r.owe(ref.Sum, origLen, shards, bad)
+	}
+	if chunk, err = verifyBlob(r.clock, r.f.cfg.Store.Compression, blob, ref); err != nil {
 		return nil, nil, err
 	}
 	return blob, chunk, nil
 }
 
-// healShards writes the given shard indices back to their alive home
-// nodes, best effort on a scratch clock (repair is background work a
-// degraded read should not also pay for). Counted in HealStats.
-func (f *Fleet) healShards(sum string, origLen int, shards [][]byte, idxs []int) {
+// owe queues the given shard indices for write-back to their alive home
+// nodes.
+func (r *fleetRead) owe(sum string, origLen int, shards [][]byte, idxs []int) {
+	f := r.f
+	addr, err := hex.DecodeString(sum)
+	if err != nil || len(addr) != 32 {
+		return
+	}
 	nodes := f.placement(sum)
-	healed, bytes := 0, int64(0)
 	for _, i := range idxs {
-		n := nodes[i]
-		if !n.alive() {
+		n, key := nodes[i], recKey{sum, i}
+		if !n.alive() || r.owed[key] {
 			continue
 		}
-		frame := encodeShard(i, f.cfg.DataShards, f.cfg.ParityShards, origLen, shards[i])
-		if err := n.st.writeVerified(vtime.NewClock(), f.shardPath(n, sum, i), frame); err == nil {
-			healed++
-			bytes += int64(len(frame))
+		r.owed[key] = true
+		if r.heals[n.name] == nil {
+			r.heals[n.name] = &packBuf{}
+		}
+		r.heals[n.name].add(addr, shardHeader{sum: sum, idx: i, k: f.cfg.DataShards, m: f.cfg.ParityShards, origLen: origLen}, shards[i])
+	}
+}
+
+// settle writes what the session owes as one heal pack per node and
+// reports the records and bytes that landed. Counted in HealStats.
+func (r *fleetRead) settle(clock *vtime.Clock) (int, int64) {
+	if len(r.owed) == 0 {
+		return 0, 0
+	}
+	written, failed := r.f.writePacks(clock, r.f.repairPack("heal"), r.heals)
+	healed := 0
+	for name, buf := range r.heals {
+		if failed[name] == nil {
+			healed += len(buf.recs)
 		}
 	}
+	r.heals, r.owed = map[string]*packBuf{}, map[recKey]bool{}
 	if healed > 0 {
-		f.recordShardHeal(healed, bytes)
+		r.f.recordShardHeal(healed, written)
 	}
+	return healed, written
 }
 
-func (f *Fleet) lockSeq()           { f.mu.Lock() }
-func (f *Fleet) unlockSeq()         { f.mu.Unlock() }
-func (f *Fleet) repairHint() string { return "Scrub" }
-
-// fleetPut is a Fleet's write transaction. It keeps no state: shards go
-// straight to their final paths and the manifest mirrors to every alive
-// node, so there is nothing to roll back and nothing to settle.
-type fleetPut struct{ f *Fleet }
-
-func (f *Fleet) beginPut(string, uint64) putTxn { return fleetPut{f} }
-
-func (t fleetPut) probe(sum string, _ []byte) (int64, bool) { return t.f.chunkPresent(sum) }
-
-func (t fleetPut) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
-	return t.f.writeChunkShards(clock, sum, blob)
-}
-
-func (t fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
-	published, err := t.f.publishManifest(clock, man.Job, man.Seq, frame)
-	if err != nil {
-		return 0, err
-	}
-	return int64(published) * int64(len(frame)), nil
-}
-
-func (fleetPut) settle(*vtime.Clock, Manifest) error { return nil }
+// close settles best effort on a scratch clock: repair is background work a
+// degraded read should not also pay for.
+func (r *fleetRead) close() { r.settle(vtime.NewClock()) }
 
 // publishManifest writes the manifest frame to every alive node and
 // reports how many copies landed. At most m copies may be missing — that

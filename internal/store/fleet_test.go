@@ -223,7 +223,7 @@ func TestFleetScrubHealsRotAndSweepsOrphans(t *testing.T) {
 	for _, name := range names[:2] {
 		st, _ := f.NodeStore(name)
 		for _, p := range st.FS().List() {
-			if strings.Contains(p, "/shards/") && rotted < 3 {
+			if strings.Contains(p, "/packs/") && rotted < 3 {
 				if st.FS().FlipBit(p, uint64(rotted)*131) {
 					rotted++
 				}
@@ -231,11 +231,12 @@ func TestFleetScrubHealsRotAndSweepsOrphans(t *testing.T) {
 		}
 	}
 	if rotted == 0 {
-		t.Fatal("found no shard files to rot")
+		t.Fatal("found no packs to rot")
 	}
 	orphanSum := strings.Repeat("ab", 32)
 	ost, _ := f.NodeStore(names[3])
-	if err := ost.FS().WriteFile(vtime.NewClock(), ost.cfg.Prefix+"/shards/"+orphanSum+"/0", []byte("junk")); err != nil {
+	orphan := ost.cfg.Prefix + "/packs/" + orphanSum + "/00000001.0"
+	if err := ost.FS().WriteFile(vtime.NewClock(), orphan, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -256,8 +257,8 @@ func TestFleetScrubHealsRotAndSweepsOrphans(t *testing.T) {
 	if rep.ShardsRebuilt < rotted {
 		t.Fatalf("scrub rebuilt %d shards, rotted %d", rep.ShardsRebuilt, rotted)
 	}
-	if ost.FS().Exists(ost.cfg.Prefix + "/shards/" + orphanSum + "/0") {
-		t.Fatal("orphan shard survived the scrub")
+	if ost.FS().Exists(orphan) {
+		t.Fatal("orphan pack survived the scrub")
 	}
 	if f.Heals().ShardsHealed == 0 {
 		t.Fatal("heal ledger recorded nothing")
@@ -279,18 +280,16 @@ func TestFleetScrubQuarantinesUnrepairable(t *testing.T) {
 	if _, _, err := f.Put(clock, "doomed", payload(16, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
-	// Destroy one chunk beyond repair: remove m+1 of its shards.
-	var sum string
+	// Destroy its chunks beyond repair: remove the packs of m+1 nodes.
 	man, err := f.Resolve("doomed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum = man.Chunks[0].Sum
 	killed := 0
 	for _, name := range f.Nodes() {
 		st, _ := f.NodeStore(name)
 		for _, p := range st.FS().List() {
-			if strings.Contains(p, "/shards/"+sum+"/") && killed < 3 {
+			if strings.Contains(p, "/packs/") && killed < 3 {
 				if err := st.FS().Remove(p); err != nil {
 					t.Fatal(err)
 				}
@@ -299,7 +298,7 @@ func TestFleetScrubQuarantinesUnrepairable(t *testing.T) {
 		}
 	}
 	if killed != 3 {
-		t.Fatalf("killed %d shard copies, want 3", killed)
+		t.Fatalf("killed %d packs, want 3", killed)
 	}
 
 	rep, err := f.Scrub(clock)

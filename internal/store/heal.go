@@ -117,13 +117,13 @@ func (s *Store) recordManifestHeal() {
 // re-written to the primary (best effort — a failed write-back degrades
 // the next read, not this one) and counted in HealStats.
 func (s *Store) fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, chunk []byte, err error) {
-	blob, chunk, err = s.readChunk(clock, ref.Sum)
+	blob, chunk, err = s.readChunk(clock, ref)
 	if err == nil || !heal {
 		return blob, chunk, err
 	}
 	primaryErr := err
 	for _, r := range s.replicaList() {
-		rblob, rchunk, rerr := r.st.readChunk(clock, ref.Sum)
+		rblob, rchunk, rerr := r.st.readChunk(clock, ref)
 		if rerr != nil {
 			continue
 		}
@@ -136,6 +136,24 @@ func (s *Store) fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, ch
 	}
 	return nil, nil, fmt.Errorf("%w (no replica could supply a good copy)", primaryErr)
 }
+
+// diskRead is a Store's read session: every chunk is its own file, so there
+// is nothing to share between fetches.
+type diskRead struct {
+	s     *Store
+	clock *vtime.Clock
+	heal  bool
+}
+
+func (s *Store) openRead(clock *vtime.Clock, _ []ChunkRef, heal bool) chunkReader {
+	return diskRead{s, clock, heal}
+}
+
+func (r diskRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
+	return r.s.fetchBlob(r.clock, ref, r.heal)
+}
+
+func (diskRead) close() {}
 
 // loadManifest is readManifest with the same replica fallback the
 // chunk path has: a frame that is present but corrupt (torn write, bit
@@ -349,7 +367,7 @@ func (s *Store) pullLostManifests(clock *vtime.Clock, rep *ScrubReport) {
 				if s.fs.Exists(s.chunkPath(c.Sum)) {
 					continue
 				}
-				blob, _, err := r.st.readChunk(clock, c.Sum)
+				blob, _, err := r.st.readChunk(clock, c)
 				if err != nil {
 					rep.Findings = append(rep.Findings, fmt.Sprintf("%s: not pulled from replica: %v", m.ID(), err))
 					ok = false

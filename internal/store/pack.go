@@ -1,0 +1,72 @@
+package store
+
+// Packs: the fleet's on-disk unit. A pack is one immutable file holding
+// shard records (coder.go) back to back, with no header, footer or index of
+// its own — every record says which shard of which chunk it is and how long
+// it is, so the records locate each other and a pack can be indexed by
+// walking its headers. One Put writes one pack per node (plus a further
+// part whenever a node's share passes packPartSize), so checkpoint I/O pays
+// the disk's per-file latency per node, not per shard.
+
+import (
+	"errors"
+	"fmt"
+)
+
+// packPartSize bounds how many bytes of records a Put buffers per node
+// before it writes them out as a part.
+const packPartSize = 4 << 20
+
+// errTornPack marks a pack whose bytes stop making sense before the file
+// ends: a torn write, a truncation, or rot in a record header. The records
+// in front of the damage are good; whatever followed reads as missing
+// shards.
+var errTornPack = errors.New("torn pack")
+
+// packRecord locates one record inside a pack.
+type packRecord struct {
+	shardHeader
+	off, n int // the record's byte range, header included
+}
+
+// scanPack walks the record headers of a pack. It verifies no digests —
+// those are checked when a record is used — so it costs one pass over the
+// headers. On damage it returns the records before it and an error
+// wrapping errTornPack.
+func scanPack(data []byte) ([]packRecord, error) {
+	var recs []packRecord
+	for off := 0; off < len(data); {
+		h, err := parseShardHeader(data[off:])
+		if err != nil {
+			return recs, fmt.Errorf("pack: offset %d of %d: %w: %v", off, len(data), errTornPack, err)
+		}
+		n := shardHeaderSize + h.payloadLen
+		recs = append(recs, packRecord{shardHeader: h, off: off, n: n})
+		off += n
+	}
+	return recs, nil
+}
+
+// packBuf accumulates the records bound for one node's next pack.
+type packBuf struct {
+	data []byte
+	recs []packRecord
+}
+
+// add frames one shard as the pack's next record.
+func (b *packBuf) add(addr []byte, h shardHeader, payload []byte) {
+	off := len(b.data)
+	b.data = appendShard(b.data, addr, h.idx, h.k, h.m, h.origLen, payload)
+	h.payloadLen = len(payload)
+	b.recs = append(b.recs, packRecord{shardHeader: h, off: off, n: len(b.data) - off})
+}
+
+// copyRecord appends an already framed record verbatim.
+func (b *packBuf) copyRecord(h shardHeader, rec []byte) {
+	b.recs = append(b.recs, packRecord{shardHeader: h, off: len(b.data), n: len(rec)})
+	b.data = append(b.data, rec...)
+}
+
+func (b *packBuf) reset() {
+	b.data, b.recs = b.data[:0], b.recs[:0]
+}

@@ -4,14 +4,13 @@ package store
 // fresh one under the same name (consistent hashing keeps every other
 // placement untouched), Rebuild re-codes missing shards onto their home
 // nodes with anti-thundering-herd pacing, Scrub verifies every node's
-// shards in parallel and repairs what it finds, and dropManifest/
-// sweepChunks are the fleet-wide halves of the engine's GC.
+// records in parallel and repairs what it finds, and dropManifest/
+// sweepChunks are the fleet-wide halves of the engine's GC. Every repair
+// is written the way a Put writes: one verified pack per node per round.
 
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"checl/internal/proc"
@@ -31,7 +30,10 @@ func (f *Fleet) ReplaceNode(name string, fs *proc.FS) error {
 	if !ok {
 		return fmt.Errorf("store: fleet: no node named %q", name)
 	}
-	n.st = New(fs, f.cfg.Store)
+	f.idxMu.Lock()
+	n.st, n.recs, n.indexed = New(fs, f.cfg.Store), map[recKey]recLoc{}, false
+	f.idxMu.Unlock()
+	f.indexNodes()
 	return nil
 }
 
@@ -46,20 +48,20 @@ type RebuildStats struct {
 	Time              vtime.Duration
 }
 
-// Rebuild restores full redundancy: every chunk referenced by any
-// manifest gets its missing or corrupt shards reconstructed from the
-// survivors and written back to their (alive) home nodes, and every
-// alive node missing a manifest copy gets one. Run it after ReplaceNode
-// or after an outage ends.
+// Rebuild restores full redundancy: every alive node's records are
+// verified against their digests, every chunk referenced by any manifest
+// gets its missing or corrupt shards reconstructed from the survivors and
+// written back to their (alive) home nodes, and every alive node missing a
+// manifest copy gets one. Run it after ReplaceNode or after an outage ends.
 //
-// Two anti-thundering-herd measures keep a rebuild from flattening the
-// survivors: source reads rotate their starting shard per chunk, so the
-// reconstruction load spreads across all k+m-1 remaining nodes instead
-// of always draining the ring-order first k; and after every
-// RebuildBatch chunks the rebuilder idles for RebuildPause, leaving the
-// disks and links headroom for foreground checkpoint traffic. Fault
-// injection is suspended for the duration — repair must converge, not
-// chase its own tail.
+// Two things keep a rebuild from flattening the survivors: placement
+// rotates with the chunk address, so the source reads of a batch spread
+// over all the remaining nodes and each needed pack is read once; and the
+// repairs go out RebuildBatch chunks at a time — one heal pack per node —
+// with a RebuildPause idle after each full batch, leaving the disks and
+// links headroom for foreground checkpoint traffic. Fault injection is
+// suspended for the duration — repair must converge, not chase its own
+// tail.
 func (f *Fleet) Rebuild(clock *vtime.Clock) (RebuildStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -74,38 +76,21 @@ func (f *Fleet) Rebuild(clock *vtime.Clock) (RebuildStats, error) {
 	st.ManifestsRepaired = f.syncManifests(clock, mans)
 
 	seen := map[string]bool{}
-	var refs []ChunkRef
+	var sums []string
 	for _, m := range mans {
 		for _, c := range m.Chunks {
 			if !seen[c.Sum] {
 				seen[c.Sum] = true
-				refs = append(refs, c)
+				sums = append(sums, c.Sum)
 			}
 		}
 	}
-	st.ChunksScanned = len(refs)
+	st.ChunksScanned = len(sums)
 
-	inBatch := 0
-	for i, ref := range refs {
-		rebuilt, bytes, err := f.healChunk(clock, ref.Sum, i)
-		if err != nil {
-			st.ChunksUnrepaired++
-			continue
-		}
-		st.ShardsRebuilt += rebuilt
-		st.BytesRebuilt += bytes
-		if rebuilt > 0 {
-			inBatch++
-			if inBatch >= f.cfg.RebuildBatch {
-				clock.Advance(f.cfg.RebuildPause)
-				st.Batches++
-				inBatch = 0
-			}
-		}
-	}
-	if inBatch > 0 {
-		st.Batches++
-	}
+	f.verifyNodes(clock, nil)
+	var lost map[string]bool
+	st.ShardsRebuilt, st.BytesRebuilt, st.Batches, lost = f.repair(clock, sums, f.cfg.RebuildPause)
+	st.ChunksUnrepaired = len(lost)
 	st.Time = sw.Elapsed()
 	if st.ChunksUnrepaired > 0 {
 		return st, fmt.Errorf("store: fleet: rebuild left %d of %d chunks unrepaired (fewer than %d shards survive)",
@@ -114,59 +99,167 @@ func (f *Fleet) Rebuild(clock *vtime.Clock) (RebuildStats, error) {
 	return st, nil
 }
 
-// healChunk brings one chunk back to full redundancy: read every shard
-// (rotating the read order by rot), reconstruct the missing or corrupt
-// ones, and write them to their alive home nodes. Reports how many
-// shards were written and their physical bytes. An error means the chunk
-// is beyond repair (fewer than k shards survive).
-func (f *Fleet) healChunk(clock *vtime.Clock, sum string, rot int) (int, int64, error) {
-	k, m := f.cfg.DataShards, f.cfg.ParityShards
-	have, origLen, bad := f.shardStates(clock, sum, rot, false)
-	if len(bad) == 0 {
-		return 0, 0, nil
+// repair brings the given chunks back to full redundancy. A chunk needs
+// repair when an alive home node has no record of its shard (verifyNodes
+// has already dropped the records that fail their digest); it is lost when
+// fewer than k alive nodes have one. The chunks in need go RebuildBatch at
+// a time through one read session: the source packs of a batch load once,
+// nodes in parallel, the missing shards are reconstructed, and the batch is
+// written back as one heal pack per node, followed by pause when the batch
+// was full. Reports the shards written, their physical bytes, the batches
+// and the chunks beyond repair.
+func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) (rebuilt int, bytes int64, batches int, lost map[string]bool) {
+	k := f.cfg.DataShards
+	lost = map[string]bool{}
+	// missing lists the shard indices an alive home node has no record of.
+	missing := func(sum string) (idxs []int, have int) {
+		for i, n := range f.placement(sum) {
+			if !n.alive() {
+				continue
+			}
+			if _, ok := f.lookup(n, sum, i); ok {
+				have++
+			} else {
+				idxs = append(idxs, i)
+			}
+		}
+		return idxs, have
 	}
-	if len(have) < k {
-		return 0, 0, fmt.Errorf("store: fleet: chunk %s lost: %d of %d shards survive", sum[:12], len(have), k+m)
-	}
-	lost := 0
-	for i := 0; i < k; i++ {
-		if _, ok := have[i]; !ok {
-			lost++
+	var need []string
+	for _, sum := range sums {
+		switch idxs, have := missing(sum); {
+		case have < k:
+			lost[sum] = true
+		case len(idxs) > 0:
+			need = append(need, sum)
 		}
 	}
-	if lost > 0 {
-		clock.Advance(f.cfg.Coding.ReconstructTime(int64(origLen), k, lost))
+
+	r := f.newRead(clock)
+	for len(need) > 0 {
+		batch := need[:min(len(need), f.cfg.RebuildBatch)]
+		need = need[len(batch):]
+		r.prepare(batch, true)
+		for _, sum := range batch {
+			have, origLen, _ := r.gather(sum, false)
+			_, shards, err := r.rebuild(sum, have, origLen)
+			if err == nil && shards == nil {
+				// Only parity is missing: regenerate it from the data shards.
+				shards, err = f.coder.Reconstruct(have)
+			}
+			if err != nil {
+				lost[sum] = true
+				continue
+			}
+			idxs, _ := missing(sum)
+			r.owe(sum, origLen, shards, idxs)
+		}
+		n, b := r.settle(clock)
+		rebuilt, bytes = rebuilt+n, bytes+b
+		if n > 0 {
+			batches++
+		}
+		if len(batch) == f.cfg.RebuildBatch {
+			clock.Advance(pause)
+		}
 	}
-	shards, err := f.coder.Reconstruct(have)
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: fleet: chunk %s: %w", sum[:12], err)
-	}
-	nodes := f.placement(sum)
-	rebuilt, bytes := 0, int64(0)
-	var diskMax vtime.Duration
-	var linkBytes int64
-	for _, i := range bad {
-		n := nodes[i]
-		if !n.alive() {
+	return rebuilt, bytes, batches, lost
+}
+
+// verifyNodes has every alive node check the records in its packs against
+// their digests, all nodes in parallel — each on a scratch clock, the
+// caller is charged the slowest, which is what a fleet of independent nodes
+// actually costs. See verifyNode for what is checked and dropped.
+func (f *Fleet) verifyNodes(clock *vtime.Clock, referenced map[string]bool) map[string]NodeScrubProgress {
+	f.indexNodes()
+	per := map[string]NodeScrubProgress{}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var makespan vtime.Duration
+	for _, name := range f.names {
+		n := f.nodes[name]
+		if !f.sweepable(n) {
+			mu.Lock()
+			per[name] = NodeScrubProgress{Down: true}
+			mu.Unlock()
 			continue
 		}
-		frame := encodeShard(i, k, m, origLen, shards[i])
-		sc := vtime.NewClock()
-		if werr := n.st.writeVerified(sc, f.shardPath(n, sum, i), frame); werr != nil {
+		wg.Add(1)
+		go func(name string, n *fleetNode) {
+			defer wg.Done()
+			prog := f.verifyNode(n, referenced)
+			mu.Lock()
+			per[name] = prog
+			makespan = max(makespan, prog.Elapsed)
+			mu.Unlock()
+		}(name, n)
+	}
+	wg.Wait()
+	clock.Advance(makespan)
+	return per
+}
+
+// verifyNode walks the node's packs one at a time and verifies every
+// indexed record: digest, owner, index. A record that fails — rotten, torn,
+// mislabelled, or in a pack that is gone — leaves the index, so the repair
+// pass sees a plain erasure. With referenced set (Scrub) so does every
+// record of a chunk no manifest references — an orphan an interrupted Put
+// left behind — and a pack left with no record at all is deleted.
+func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubProgress {
+	sc := vtime.NewClock()
+	var prog NodeScrubProgress
+	f.idxMu.RLock()
+	byPack := map[string][]recKey{}
+	for key, loc := range n.recs {
+		byPack[loc.pack] = append(byPack[loc.pack], key)
+	}
+	f.idxMu.RUnlock()
+
+	onDisk := map[string]bool{}
+	for _, p := range f.packFiles(n) {
+		onDisk[p] = true
+		keys := byPack[p]
+		var data []byte
+		if len(keys) > 0 {
+			f.tick()
+			data, _ = readRetry(sc, n.st.fs, p, f.cfg.Store.WriteRetries)
+		}
+		kept := 0
+		for _, key := range keys {
+			prog.ShardsChecked++
+			loc, _ := f.lookup(n, key.sum, key.idx)
+			ok := loc.off+loc.n <= len(data)
+			if ok {
+				h, _, err := decodeShard(data[loc.off : loc.off+loc.n])
+				ok = err == nil && h.sum == key.sum && h.idx == key.idx
+			}
+			if ok && (referenced == nil || referenced[key.sum]) {
+				kept++
+				continue
+			}
+			prog.ShardsBad++
+			f.forget(n, key, loc)
+		}
+		if referenced != nil && kept == 0 {
+			if len(keys) == 0 {
+				prog.ShardsBad++ // a file of no known record: junk
+			}
+			_ = n.st.removeRetry(p)
+		}
+	}
+	for p, keys := range byPack {
+		if onDisk[p] {
 			continue
 		}
-		if d := sc.Now().Sub(0); d > diskMax {
-			diskMax = d
+		for _, key := range keys {
+			prog.ShardsChecked++
+			prog.ShardsBad++
+			loc, _ := f.lookup(n, key.sum, key.idx)
+			f.forget(n, key, loc)
 		}
-		linkBytes += int64(len(frame))
-		rebuilt++
-		bytes += int64(len(frame))
 	}
-	clock.Advance(f.cfg.Link.Transfer(linkBytes) + diskMax)
-	if rebuilt > 0 {
-		f.recordShardHeal(rebuilt, bytes)
-	}
-	return rebuilt, bytes, nil
+	prog.Elapsed = sc.Now().Sub(0)
+	return prog
 }
 
 // syncManifests re-publishes every manifest to alive nodes missing a
@@ -219,15 +312,15 @@ type FleetScrubReport struct {
 // OK reports whether the fleet is fully intact after the pass.
 func (r FleetScrubReport) OK() bool { return len(r.Findings) == 0 }
 
-// Scrub is the fleet-wide repair pass. Every alive node verifies its own
-// shard files in parallel — each worker runs on a scratch clock and the
-// caller is charged the makespan, which is what a fleet of independent
-// nodes actually costs — deleting frames that fail their digest so the
-// repair pass sees them as plain erasures. Then every referenced chunk
-// is brought back to full redundancy and every manifest re-published to
-// nodes missing it. Chunks beyond repair quarantine the manifests that
-// reference them, same contract as Store.Scrub: after an OK() pass,
-// everything still listed restores bit-identical.
+// Scrub is the fleet-wide repair pass. Every alive node verifies the
+// records in its own packs in parallel (verifyNodes), dropping from its
+// index the ones that fail their digest — so the repair pass sees them as
+// plain erasures — and the ones no manifest references, and deleting packs
+// left with nothing. Then every referenced chunk is brought back to full
+// redundancy and every manifest re-published to nodes missing it. Chunks
+// beyond repair quarantine the manifests that reference them, same
+// contract as Store.Scrub: after an OK() pass, everything still listed
+// restores bit-identical.
 func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -235,7 +328,7 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 		f.inj.Suspend()
 		defer f.inj.Resume()
 	}
-	rep := FleetScrubReport{PerNode: map[string]NodeScrubProgress{}}
+	var rep FleetScrubReport
 
 	mans, issues := f.Manifests()
 	for _, iss := range issues {
@@ -249,76 +342,18 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 		}
 	}
 
-	// Pass 1: per-node shard verification, all nodes in parallel.
-	var wg sync.WaitGroup
-	var repMu sync.Mutex
-	var makespan vtime.Duration
-	for _, name := range f.names {
-		n := f.nodes[name]
-		if !n.alive() {
-			rep.PerNode[name] = NodeScrubProgress{Down: true}
-			continue
-		}
-		wg.Add(1)
-		go func(name string, n *fleetNode) {
-			defer wg.Done()
-			sc := vtime.NewClock()
-			var prog NodeScrubProgress
-			prefix := n.st.cfg.Prefix + "/shards/"
-			for _, p := range n.st.fs.List() {
-				if !strings.HasPrefix(p, prefix) {
-					continue
-				}
-				sum, idxStr, ok := strings.Cut(strings.TrimPrefix(p, prefix), "/")
-				if !ok {
-					continue
-				}
-				idx, perr := strconv.Atoi(idxStr)
-				if perr != nil {
-					continue
-				}
-				prog.ShardsChecked++
-				frame, rerr := readRetry(sc, n.st.fs, p, f.cfg.Store.WriteRetries)
-				if rerr == nil {
-					gotIdx, _, _, _, _, derr := decodeShard(frame)
-					if derr == nil && gotIdx == idx && referenced[sum] {
-						continue
-					}
-				}
-				// Rotten, torn, mislabelled or unreferenced: delete. The
-				// repair pass reconstructs referenced ones; unreferenced
-				// ones are orphans an interrupted Put left behind.
-				prog.ShardsBad++
-				_ = n.st.removeRetry(p)
-			}
-			prog.Elapsed = sc.Now().Sub(0)
-			repMu.Lock()
-			rep.PerNode[name] = prog
-			if prog.Elapsed > makespan {
-				makespan = prog.Elapsed
-			}
-			repMu.Unlock()
-		}(name, n)
-	}
-	wg.Wait()
-	clock.Advance(makespan)
+	// Pass 1: per-node record verification, all nodes in parallel.
+	rep.PerNode = f.verifyNodes(clock, referenced)
 
 	// Pass 2: bring every referenced chunk back to full redundancy.
-	unrepairable := map[string]bool{}
 	sums := make([]string, 0, len(referenced))
 	for sum := range referenced {
 		sums = append(sums, sum)
 	}
 	sort.Strings(sums)
-	for i, sum := range sums {
-		rep.ChunksChecked++
-		rebuilt, _, err := f.healChunk(clock, sum, i)
-		if err != nil {
-			unrepairable[sum] = true
-			continue
-		}
-		rep.ShardsRebuilt += rebuilt
-	}
+	rep.ChunksChecked = len(sums)
+	var unrepairable map[string]bool
+	rep.ShardsRebuilt, _, _, unrepairable = f.repair(clock, sums, 0)
 
 	// Pass 3: manifests referencing unrepairable chunks are quarantined on
 	// every alive node; the rest re-publish to nodes missing them.
@@ -366,37 +401,100 @@ func (f *Fleet) dropManifest(job string, seq uint64) error {
 	return nil
 }
 
-// sweepChunks has every alive node remove the shards of chunks that are
-// not referenced — including orphans an interrupted Put left at their
-// content-addressed paths.
+// sweepChunks compacts every alive node's packs down to the records of
+// referenced chunks: a pack holding none is deleted — including the orphans
+// an interrupted Put left — and a pack holding some is rewritten without
+// the rest, the new pack verified and indexed before the old one is
+// removed. An interrupted rewrite therefore leaves both packs; the index
+// points at one of them, the other holds nothing the index knows, and the
+// next sweep deletes it.
 func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error) {
+	f.indexNodes()
 	keptSums := map[string]bool{}
 	droppedSums := map[string]bool{}
+	counts := func() (int, int) { return len(keptSums), len(droppedSums) }
 	for _, name := range f.names {
 		n := f.nodes[name]
-		if !n.alive() {
+		if !f.sweepable(n) {
 			continue
 		}
-		prefix := n.st.cfg.Prefix + "/shards/"
-		for _, p := range n.st.fs.List() {
-			if !strings.HasPrefix(p, prefix) {
+		f.idxMu.RLock()
+		byPack := map[string][]recKey{}
+		for key, loc := range n.recs {
+			byPack[loc.pack] = append(byPack[loc.pack], key)
+		}
+		f.idxMu.RUnlock()
+		for _, p := range f.packFiles(n) {
+			size, _ := n.st.fs.Size(p)
+			var live []recKey
+			var liveBytes int64
+			for _, key := range byPack[p] {
+				if !referenced[key.sum] {
+					droppedSums[key.sum] = true
+					continue
+				}
+				keptSums[key.sum] = true
+				live = append(live, key)
+				loc, _ := f.lookup(n, key.sum, key.idx)
+				liveBytes += int64(loc.n)
+			}
+			if liveBytes == size {
 				continue
 			}
-			sum, _, ok := strings.Cut(strings.TrimPrefix(p, prefix), "/")
-			if !ok {
-				continue
+			moved := int64(0)
+			if len(live) > 0 {
+				if moved, err = f.rewritePack(n, p, live); err != nil {
+					kept, dropped = counts()
+					return kept, dropped, reclaimed, err
+				}
 			}
-			if referenced[sum] {
-				keptSums[sum] = true
-				continue
+			if err = n.st.removeRetry(p); err != nil {
+				kept, dropped = counts()
+				return kept, dropped, reclaimed, err
 			}
-			sz, _ := n.st.fs.Size(p)
-			if err := n.st.removeRetry(p); err != nil {
-				return len(keptSums), len(droppedSums), reclaimed, err
+			f.idxMu.Lock()
+			for _, key := range byPack[p] {
+				if n.recs[key].pack == p {
+					delete(n.recs, key)
+				}
 			}
-			droppedSums[sum] = true
-			reclaimed += sz
+			f.idxMu.Unlock()
+			reclaimed += size - moved
 		}
 	}
-	return len(keptSums), len(droppedSums), reclaimed, nil
+	kept, dropped = counts()
+	return kept, dropped, reclaimed, nil
+}
+
+// rewritePack copies the records of pack p named by live into a fresh pack
+// on the same node, verified, and points the index at the copies. A record
+// that no longer verifies is not copied: it becomes an erasure the next
+// repair fills. Like the rest of GC it charges no time. Returns the new
+// pack's size.
+func (f *Fleet) rewritePack(n *fleetNode, p string, live []recKey) (int64, error) {
+	data, err := readRetry(vtime.NewClock(), n.st.fs, p, f.cfg.Store.WriteRetries)
+	if err != nil {
+		return 0, err
+	}
+	sort.Slice(live, func(i, j int) bool {
+		a, _ := f.lookup(n, live[i].sum, live[i].idx)
+		b, _ := f.lookup(n, live[j].sum, live[j].idx)
+		return a.off < b.off
+	})
+	var buf packBuf
+	for _, key := range live {
+		loc, _ := f.lookup(n, key.sum, key.idx)
+		if loc.off+loc.n > len(data) {
+			continue
+		}
+		rec := data[loc.off : loc.off+loc.n]
+		if h, _, derr := decodeShard(rec); derr == nil && h.sum == key.sum && h.idx == key.idx {
+			buf.copyRecord(h, rec)
+		}
+	}
+	if len(buf.recs) == 0 {
+		return 0, nil
+	}
+	_, failed := f.writePacks(vtime.NewClock(), f.repairPack("gc"), map[string]*packBuf{n.name: &buf})
+	return int64(len(buf.data)), failed[n.name]
 }

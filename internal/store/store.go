@@ -257,6 +257,9 @@ func (t *diskTxn) stage(clock *vtime.Clock, sum string, blob []byte) (int64, err
 	return int64(len(blob)), nil
 }
 
+// flush has nothing to do: stage wrote every blob as it came.
+func (*diskTxn) flush(*vtime.Clock) (int64, error) { return 0, nil }
+
 func (t *diskTxn) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
 	s := t.s
 	if err := s.writeVerifiedMeta(clock, t.dir+"/manifest", frame); err != nil {
@@ -291,12 +294,12 @@ func (t *diskTxn) settle(clock *vtime.Clock, man Manifest) error {
 // readChunk loads this store's own copy of one chunk and verifies it end
 // to end: read (with EIO retries), then verifyBlob. It returns both the
 // stored blob (for replication) and the uncompressed chunk.
-func (s *Store) readChunk(clock *vtime.Clock, sum string) (blob, chunk []byte, err error) {
-	blob, err = readRetry(clock, s.fs, s.chunkPath(sum), s.cfg.WriteRetries)
+func (s *Store) readChunk(clock *vtime.Clock, ref ChunkRef) (blob, chunk []byte, err error) {
+	blob, err = readRetry(clock, s.fs, s.chunkPath(ref.Sum), s.cfg.WriteRetries)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: chunk %s missing: %w", sum[:12], err)
+		return nil, nil, fmt.Errorf("store: chunk %s missing: %w", ref.Sum[:12], err)
 	}
-	if chunk, err = verifyBlob(clock, s.cfg.Compression, blob, sum); err != nil {
+	if chunk, err = verifyBlob(clock, s.cfg.Compression, blob, ref); err != nil {
 		return nil, nil, err
 	}
 	return blob, chunk, nil

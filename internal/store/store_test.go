@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"math/rand"
 	"strings"
@@ -217,5 +218,59 @@ func TestStorageModelCharged(t *testing.T) {
 	}
 	if !(ramClock.Now() < diskClock.Now()) {
 		t.Errorf("ram-disk store put (%v) not cheaper than disk (%v)", ramClock.Now(), diskClock.Now())
+	}
+}
+
+// compressible builds n bytes a fast deflate shrinks but does not
+// flatten: short runs of a slowly changing byte.
+func compressible(seed, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(seed + i/37 + (i%5)*(i/1000))
+	}
+	return b
+}
+
+// TestPooledCodersByteIdentical: a chunk compressed through a writer that
+// has already compressed other chunks is byte for byte what a fresh writer
+// makes of it, so pooling the coders moves no stored byte and no dedup
+// decision; and the pooled reader inflates each back, to no more than the
+// manifest says.
+func TestPooledCodersByteIdentical(t *testing.T) {
+	m := defaultCompression()
+	clock := vtime.NewClock()
+	chunks := [][]byte{compressible(1, 16<<10), compressible(9, 5000), make([]byte, 64<<10), payload(7, 16<<10), compressible(3, 16<<10)}
+	for round := 0; round < 3; round++ {
+		for i, chunk := range chunks {
+			var fresh bytes.Buffer
+			fresh.WriteByte(codecFlate)
+			w, err := flate.NewWriter(&fresh, m.Level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write(chunk)
+			w.Close()
+			want := fresh.Bytes()
+			if fresh.Len() >= len(chunk)+1 {
+				want = append([]byte{codecRaw}, chunk...)
+			}
+
+			got, err := m.compress(clock, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d chunk %d: a reused writer produced %d bytes, a fresh one %d", round, i, len(got), len(want))
+			}
+			back, err := m.decompress(clock, got, int64(len(chunk)))
+			if err != nil || !bytes.Equal(back, chunk) {
+				t.Fatalf("round %d chunk %d: round trip: %v", round, i, err)
+			}
+			if len(chunk) > 0 {
+				if _, err := m.decompress(clock, got, int64(len(chunk)-1)); err == nil {
+					t.Fatalf("round %d chunk %d: inflated past the size the manifest gives", round, i)
+				}
+			}
+		}
 	}
 }
