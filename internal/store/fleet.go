@@ -32,7 +32,6 @@ package store
 // later Put may still deduplicate against and GC otherwise reclaims.
 
 import (
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
@@ -279,15 +278,20 @@ func (f *Fleet) packFiles(n *fleetNode) []string {
 	prefix := f.packPrefix()
 	for _, p := range n.st.fs.List() {
 		switch {
-		case !strings.HasPrefix(p, prefix):
-		case p[len(prefix)] == '@':
+		case f.isRepairPack(p):
 			repair = append(repair, p)
-		default:
+		case strings.HasPrefix(p, prefix):
 			put = append(put, p)
 		}
 	}
 	sort.Slice(repair, func(i, j int) bool { return repairPackNumber(repair[i]) < repairPackNumber(repair[j]) })
 	return append(put, repair...)
+}
+
+// isRepairPack tells a heal or gc pack from a Put's: job names cannot
+// contain '@'.
+func (f *Fleet) isRepairPack(path string) bool {
+	return strings.HasPrefix(path, f.packPrefix()+"@")
 }
 
 func repairPackNumber(path string) uint64 {
@@ -313,7 +317,7 @@ func (f *Fleet) indexNodes() {
 		}
 		n.indexed = true
 		for _, p := range f.packFiles(n) {
-			if p[len(f.packPrefix())] == '@' {
+			if f.isRepairPack(p) {
 				f.nextAt = max(f.nextAt, repairPackNumber(p)+1)
 			}
 			data, err := readRetry(vtime.NewClock(), n.st.fs, p, f.cfg.Store.WriteRetries)
@@ -354,6 +358,12 @@ func (f *Fleet) forget(n *fleetNode, key recKey, loc recLoc) {
 	if n.recs[key] == loc {
 		delete(n.recs, key)
 	}
+}
+
+// header describes shard idx of the chunk at sum, cut from a blob of origLen
+// bytes, under the fleet's geometry.
+func (f *Fleet) header(sum string, idx, origLen int) shardHeader {
+	return shardHeader{sum: sum, idx: idx, k: f.cfg.DataShards, m: f.cfg.ParityShards, origLen: origLen}
 }
 
 // placement returns the k+m nodes holding the chunk's shards, in shard
@@ -452,16 +462,14 @@ func (t *fleetPut) probe(sum string, _ []byte) (int64, bool) { return t.f.chunkP
 // packPartSize, when every queue is written out as the next part.
 func (t *fleetPut) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
 	f := t.f
-	addr, err := hex.DecodeString(sum)
-	if err != nil || len(addr) != 32 {
-		return 0, fmt.Errorf("store: fleet: chunk address %q is not a SHA-256", sum)
-	}
 	clock.Advance(f.cfg.Coding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
 	shards := f.coder.Encode(blob)
 	full := false
 	for i, n := range f.placement(sum) {
 		buf := t.bufs[n.name]
-		buf.add(addr, shardHeader{sum: sum, idx: i, k: f.cfg.DataShards, m: f.cfg.ParityShards, origLen: len(blob)}, shards[i])
+		if err := buf.add(f.header(sum, i, len(blob)), shards[i]); err != nil {
+			return 0, err
+		}
 		full = full || len(buf.data) >= packPartSize
 	}
 	t.round = append(t.round, sum)
@@ -548,16 +556,19 @@ func (*fleetPut) settle(*vtime.Clock, Manifest) error { return nil }
 type fleetRead struct {
 	f     *Fleet
 	clock *vtime.Clock
-	// packs holds what each node's packs read as, by node name and path; a
-	// nil entry is a pack that could not be read.
-	packs map[string]map[string][]byte
+	// packs holds what the packs pulled so far read as; a nil entry is a
+	// pack that could not be read.
+	packs map[packAt][]byte
 	heals map[string]*packBuf // node name -> reconstructed records to write back
 	owed  map[recKey]bool     // records already queued in heals
 }
 
+// packAt names one pack on one node.
+type packAt struct{ node, path string }
+
 func (f *Fleet) newRead(clock *vtime.Clock) *fleetRead {
 	f.indexNodes()
-	return &fleetRead{f: f, clock: clock, packs: map[string]map[string][]byte{},
+	return &fleetRead{f: f, clock: clock, packs: map[packAt][]byte{},
 		heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
 }
 
@@ -582,47 +593,46 @@ func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, _ bool) chunkReade
 // let go first.
 func (r *fleetRead) prepare(sums []string, trim bool) {
 	f := r.f
-	want := map[string]map[string]bool{}
+	want := map[packAt]bool{}
 	for _, sum := range sums {
 		got := 0
 		for i, n := range f.placement(sum) {
 			if got == f.cfg.DataShards {
 				break
 			}
-			loc, ok := f.lookup(n, sum, i)
-			if !ok || !n.alive() {
-				continue
+			if loc, ok := f.lookup(n, sum, i); ok && n.alive() {
+				want[packAt{n.name, loc.pack}] = true
+				got++
 			}
-			if want[n.name] == nil {
-				want[n.name] = map[string]bool{}
-			}
-			want[n.name][loc.pack] = true
-			got++
 		}
 	}
 	if trim {
-		for name, loaded := range r.packs {
-			for p := range loaded {
-				if !want[name][p] {
-					delete(loaded, p)
-				}
+		for at := range r.packs {
+			if !want[at] {
+				delete(r.packs, at)
 			}
 		}
 	}
+	var todo []packAt
+	for at := range want {
+		if _, loaded := r.packs[at]; !loaded {
+			todo = append(todo, at)
+		}
+	}
+	sort.Slice(todo, func(i, j int) bool {
+		if todo[i].node != todo[j].node {
+			return todo[i].node < todo[j].node
+		}
+		return todo[i].path < todo[j].path
+	})
+	clocks := map[string]*vtime.Clock{}
 	var span vtime.Duration
-	for _, name := range f.names {
-		var paths []string
-		for p := range want[name] {
-			if _, loaded := r.packs[name][p]; !loaded {
-				paths = append(paths, p)
-			}
+	for _, at := range todo {
+		if clocks[at.node] == nil {
+			clocks[at.node] = vtime.NewClock()
 		}
-		sort.Strings(paths)
-		sc := vtime.NewClock()
-		for _, p := range paths {
-			r.readPack(sc, f.nodes[name], p)
-		}
-		span = max(span, sc.Now().Sub(0))
+		r.readPack(clocks[at.node], f.nodes[at.node], at.path)
+		span = max(span, clocks[at.node].Now().Sub(0))
 	}
 	r.clock.Advance(span)
 }
@@ -634,10 +644,7 @@ func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []by
 	if n.alive() {
 		data, _ = readRetry(clock, n.st.fs, path, r.f.cfg.Store.WriteRetries)
 	}
-	if r.packs[n.name] == nil {
-		r.packs[n.name] = map[string][]byte{}
-	}
-	r.packs[n.name][path] = data
+	r.packs[packAt{n.name, path}] = data
 	return data
 }
 
@@ -652,21 +659,17 @@ func (r *fleetRead) record(n *fleetNode, sum string, idx int) (payload []byte, h
 	if !found {
 		return nil, h, false
 	}
-	data, loaded := r.packs[n.name][loc.pack]
+	data, loaded := r.packs[packAt{n.name, loc.pack}]
 	if !loaded {
 		data = r.readPack(r.clock, n, loc.pack)
 	}
 	if data == nil {
 		return nil, h, false
 	}
-	if loc.off+loc.n <= len(data) {
-		var err error
-		if h, payload, err = decodeShard(data[loc.off : loc.off+loc.n]); err == nil && h.sum == sum && h.idx == idx {
-			return payload, h, true
-		}
+	if h, payload, ok = recordAt(data, loc.off, loc.n, sum, idx); !ok {
+		r.f.forget(n, recKey{sum, idx}, loc)
 	}
-	r.f.forget(n, recKey{sum, idx}, loc)
-	return nil, h, false
+	return payload, h, ok
 }
 
 // gather collects verified shards of one chunk, keyed by index, in index
@@ -695,14 +698,14 @@ func (r *fleetRead) gather(sum string, all bool) (have map[int][]byte, origLen i
 	return have, origLen, bad
 }
 
-// rebuild turns k or more gathered shards back into the chunk's blob and,
-// when any data shard was an erasure, into the full shard set (nil when
-// the data shards were all there), charging the coding model for the solve.
-func (r *fleetRead) rebuild(sum string, have map[int][]byte, origLen int) (blob []byte, shards [][]byte, err error) {
+// solve turns k or more gathered shards into the chunk's full shard set,
+// charging the coding model when a data shard has to be solved for
+// (regenerating parity from intact data shards rides along uncharged).
+func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int) ([][]byte, error) {
 	f := r.f
 	k := f.cfg.DataShards
 	if len(have) < k {
-		return nil, nil, fmt.Errorf("store: fleet: chunk %s lost: %d of %d shards survive, need %d",
+		return nil, fmt.Errorf("store: fleet: chunk %s lost: %d of %d shards survive, need %d",
 			sum[:12], len(have), k+f.cfg.ParityShards, k)
 	}
 	lost := 0
@@ -711,24 +714,12 @@ func (r *fleetRead) rebuild(sum string, have map[int][]byte, origLen int) (blob 
 			lost++
 		}
 	}
-	if lost == 0 {
-		blob = make([]byte, 0, origLen)
-		for i := 0; i < k && len(blob) < origLen; i++ {
-			blob = append(blob, have[i]...)
-		}
-		if len(blob) < origLen {
-			return nil, nil, fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d", sum[:12], len(blob), origLen)
-		}
-		return blob[:origLen], nil, nil
-	}
 	r.clock.Advance(f.cfg.Coding.ReconstructTime(int64(origLen), k, lost))
-	if shards, err = f.coder.Reconstruct(have); err != nil {
-		return nil, nil, fmt.Errorf("store: fleet: chunk %s: %w", sum[:12], err)
+	shards, err := f.coder.Reconstruct(have)
+	if err != nil {
+		return nil, fmt.Errorf("store: fleet: chunk %s: %w", sum[:12], err)
 	}
-	if origLen > k*len(shards[0]) {
-		return nil, nil, fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d", sum[:12], k*len(shards[0]), origLen)
-	}
-	return f.coder.Join(shards, origLen), shards, nil
+	return shards, nil
 }
 
 // fetchBlob reads and verifies one chunk. The healthy path takes the k
@@ -739,14 +730,25 @@ func (r *fleetRead) rebuild(sum string, have map[int][]byte, origLen int) (blob 
 // and written back when the session closes, so a degraded read heals the
 // fleet as a side effect.
 func (r *fleetRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
+	k := r.f.cfg.DataShards
 	have, origLen, bad := r.gather(ref.Sum, false)
-	blob, shards, err := r.rebuild(ref.Sum, have, origLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	if shards != nil {
+	shards := make([][]byte, k)
+	if len(bad) == 0 {
+		// The gather stopped at k without a miss: these are the data shards.
+		for i := range shards {
+			shards[i] = have[i]
+		}
+	} else {
+		if shards, err = r.solve(ref.Sum, have, origLen); err != nil {
+			return nil, nil, err
+		}
 		r.owe(ref.Sum, origLen, shards, bad)
 	}
+	if origLen > k*len(shards[0]) {
+		return nil, nil, fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d",
+			ref.Sum[:12], k*len(shards[0]), origLen)
+	}
+	blob = r.f.coder.Join(shards, origLen)
 	if chunk, err = verifyBlob(r.clock, r.f.cfg.Store.Compression, blob, ref); err != nil {
 		return nil, nil, err
 	}
@@ -756,22 +758,18 @@ func (r *fleetRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
 // owe queues the given shard indices for write-back to their alive home
 // nodes.
 func (r *fleetRead) owe(sum string, origLen int, shards [][]byte, idxs []int) {
-	f := r.f
-	addr, err := hex.DecodeString(sum)
-	if err != nil || len(addr) != 32 {
-		return
-	}
-	nodes := f.placement(sum)
+	nodes := r.f.placement(sum)
 	for _, i := range idxs {
 		n, key := nodes[i], recKey{sum, i}
 		if !n.alive() || r.owed[key] {
 			continue
 		}
-		r.owed[key] = true
 		if r.heals[n.name] == nil {
 			r.heals[n.name] = &packBuf{}
 		}
-		r.heals[n.name].add(addr, shardHeader{sum: sum, idx: i, k: f.cfg.DataShards, m: f.cfg.ParityShards, origLen: origLen}, shards[i])
+		if r.heals[n.name].add(r.f.header(sum, i, origLen), shards[i]) == nil {
+			r.owed[key] = true
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ package store
 // the disk's per-file latency per node, not per shard.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 )
@@ -47,18 +49,35 @@ func scanPack(data []byte) ([]packRecord, error) {
 	return recs, nil
 }
 
+// recordAt verifies the record a pack holds at [off, off+n): in bounds,
+// digest good, and the shard idx of the chunk at sum that the caller
+// expects there.
+func recordAt(data []byte, off, n int, sum string, idx int) (shardHeader, []byte, bool) {
+	if off < 0 || n < 0 || off+n > len(data) {
+		return shardHeader{}, nil, false
+	}
+	h, payload, err := decodeShard(data[off : off+n])
+	return h, payload, err == nil && h.sum == sum && h.idx == idx
+}
+
 // packBuf accumulates the records bound for one node's next pack.
 type packBuf struct {
 	data []byte
 	recs []packRecord
 }
 
-// add frames one shard as the pack's next record.
-func (b *packBuf) add(addr []byte, h shardHeader, payload []byte) {
+// add frames one shard as the pack's next record. h.sum must be a
+// SHA-256 in hex, which is what the engine's chunk addresses are.
+func (b *packBuf) add(h shardHeader, payload []byte) error {
+	addr, err := hex.DecodeString(h.sum)
+	if err != nil || len(addr) != sha256.Size {
+		return fmt.Errorf("store: chunk address %q is not a SHA-256", h.sum)
+	}
 	off := len(b.data)
 	b.data = appendShard(b.data, addr, h.idx, h.k, h.m, h.origLen, payload)
 	h.payloadLen = len(payload)
 	b.recs = append(b.recs, packRecord{shardHeader: h, off: off, n: len(b.data) - off})
+	return nil
 }
 
 // copyRecord appends an already framed record verbatim.

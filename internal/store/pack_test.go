@@ -44,11 +44,7 @@ func (pr packReader) goodRecords(f *Fleet, sum string) int {
 		if !ok {
 			continue
 		}
-		data := pr.read(n, loc.pack)
-		if loc.off+loc.n > len(data) {
-			continue
-		}
-		if h, _, err := decodeShard(data[loc.off : loc.off+loc.n]); err == nil && h.sum == sum && h.idx == i {
+		if _, _, ok := recordAt(pr.read(n, loc.pack), loc.off, loc.n, sum, i); ok {
 			good++
 		}
 	}
@@ -503,8 +499,10 @@ func TestNodeFaultShardRotCostsOneRecord(t *testing.T) {
 func packSeeds(t testing.TB) [][]byte {
 	var b packBuf
 	for i, payload := range [][]byte{[]byte("first shard"), nil, bytes.Repeat([]byte{0x5A}, 200)} {
-		addr := bytes.Repeat([]byte{byte(0x11 * (i + 1))}, 32)
-		b.add(addr, shardHeader{idx: i, k: 4, m: 2, origLen: 4 * len(payload)}, payload)
+		sum := strings.Repeat(fmt.Sprintf("%02x", 0x11*(i+1)), 32)
+		if err := b.add(shardHeader{sum: sum, idx: i, k: 4, m: 2, origLen: 4 * len(payload)}, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	seeds := [][]byte{nil, b.data}
 	for _, cut := range []int{1, shardHeaderSize - 1, shardHeaderSize + 3, b.recs[1].off, b.recs[2].off + 10, len(b.data) - 1} {
@@ -519,6 +517,9 @@ func packSeeds(t testing.TB) [][]byte {
 }
 
 func TestScanPackTornTailYieldsPrefix(t *testing.T) {
+	if (&packBuf{}).add(shardHeader{sum: "not an address"}, nil) == nil {
+		t.Fatal("a record was framed for a chunk address that is no SHA-256")
+	}
 	seeds := packSeeds(t)
 	whole := seeds[1]
 	recs, err := scanPack(whole)

@@ -142,11 +142,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		r.prepare(batch, true)
 		for _, sum := range batch {
 			have, origLen, _ := r.gather(sum, false)
-			_, shards, err := r.rebuild(sum, have, origLen)
-			if err == nil && shards == nil {
-				// Only parity is missing: regenerate it from the data shards.
-				shards, err = f.coder.Reconstruct(have)
-			}
+			shards, err := r.solve(sum, have, origLen)
 			if err != nil {
 				lost[sum] = true
 				continue
@@ -208,58 +204,64 @@ func (f *Fleet) verifyNodes(clock *vtime.Clock, referenced map[string]bool) map[
 func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubProgress {
 	sc := vtime.NewClock()
 	var prog NodeScrubProgress
-	f.idxMu.RLock()
-	byPack := map[string][]recKey{}
-	for key, loc := range n.recs {
-		byPack[loc.pack] = append(byPack[loc.pack], key)
+	byPack := f.recsByPack(n)
+	drop := func(e packEntry) {
+		prog.ShardsBad++
+		f.forget(n, e.recKey, e.recLoc)
 	}
-	f.idxMu.RUnlock()
-
-	onDisk := map[string]bool{}
 	for _, p := range f.packFiles(n) {
-		onDisk[p] = true
-		keys := byPack[p]
+		entries := byPack[p]
+		delete(byPack, p)
 		var data []byte
-		if len(keys) > 0 {
+		if len(entries) > 0 {
 			f.tick()
 			data, _ = readRetry(sc, n.st.fs, p, f.cfg.Store.WriteRetries)
 		}
 		kept := 0
-		for _, key := range keys {
+		for _, e := range entries {
 			prog.ShardsChecked++
-			loc, _ := f.lookup(n, key.sum, key.idx)
-			ok := loc.off+loc.n <= len(data)
-			if ok {
-				h, _, err := decodeShard(data[loc.off : loc.off+loc.n])
-				ok = err == nil && h.sum == key.sum && h.idx == key.idx
-			}
-			if ok && (referenced == nil || referenced[key.sum]) {
+			if _, _, ok := recordAt(data, e.off, e.n, e.sum, e.idx); ok && (referenced == nil || referenced[e.sum]) {
 				kept++
-				continue
+			} else {
+				drop(e)
 			}
-			prog.ShardsBad++
-			f.forget(n, key, loc)
 		}
 		if referenced != nil && kept == 0 {
-			if len(keys) == 0 {
+			if len(entries) == 0 {
 				prog.ShardsBad++ // a file of no known record: junk
 			}
 			_ = n.st.removeRetry(p)
 		}
 	}
-	for p, keys := range byPack {
-		if onDisk[p] {
-			continue
-		}
-		for _, key := range keys {
+	// What is left points into packs that are gone.
+	for _, entries := range byPack {
+		for _, e := range entries {
 			prog.ShardsChecked++
-			prog.ShardsBad++
-			loc, _ := f.lookup(n, key.sum, key.idx)
-			f.forget(n, key, loc)
+			drop(e)
 		}
 	}
 	prog.Elapsed = sc.Now().Sub(0)
 	return prog
+}
+
+// packEntry is one index entry; recsByPack groups a node's entries by the
+// pack they point into, in offset order.
+type packEntry struct {
+	recKey
+	recLoc
+}
+
+func (f *Fleet) recsByPack(n *fleetNode) map[string][]packEntry {
+	f.idxMu.RLock()
+	byPack := map[string][]packEntry{}
+	for key, loc := range n.recs {
+		byPack[loc.pack] = append(byPack[loc.pack], packEntry{key, loc})
+	}
+	f.idxMu.RUnlock()
+	for _, entries := range byPack {
+		sort.Slice(entries, func(i, j int) bool { return entries[i].off < entries[j].off })
+	}
+	return byPack
 }
 
 // syncManifests re-publishes every manifest to alive nodes missing a
@@ -412,31 +414,25 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 	f.indexNodes()
 	keptSums := map[string]bool{}
 	droppedSums := map[string]bool{}
-	counts := func() (int, int) { return len(keptSums), len(droppedSums) }
+	defer func() { kept, dropped = len(keptSums), len(droppedSums) }()
 	for _, name := range f.names {
 		n := f.nodes[name]
 		if !f.sweepable(n) {
 			continue
 		}
-		f.idxMu.RLock()
-		byPack := map[string][]recKey{}
-		for key, loc := range n.recs {
-			byPack[loc.pack] = append(byPack[loc.pack], key)
-		}
-		f.idxMu.RUnlock()
+		byPack := f.recsByPack(n)
 		for _, p := range f.packFiles(n) {
 			size, _ := n.st.fs.Size(p)
-			var live []recKey
+			var live []packEntry
 			var liveBytes int64
-			for _, key := range byPack[p] {
-				if !referenced[key.sum] {
-					droppedSums[key.sum] = true
+			for _, e := range byPack[p] {
+				if !referenced[e.sum] {
+					droppedSums[e.sum] = true
 					continue
 				}
-				keptSums[key.sum] = true
-				live = append(live, key)
-				loc, _ := f.lookup(n, key.sum, key.idx)
-				liveBytes += int64(loc.n)
+				keptSums[e.sum] = true
+				live = append(live, e)
+				liveBytes += int64(e.n)
 			}
 			if liveBytes == size {
 				continue
@@ -444,26 +440,19 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 			moved := int64(0)
 			if len(live) > 0 {
 				if moved, err = f.rewritePack(n, p, live); err != nil {
-					kept, dropped = counts()
-					return kept, dropped, reclaimed, err
+					return
 				}
 			}
 			if err = n.st.removeRetry(p); err != nil {
-				kept, dropped = counts()
-				return kept, dropped, reclaimed, err
+				return
 			}
-			f.idxMu.Lock()
-			for _, key := range byPack[p] {
-				if n.recs[key].pack == p {
-					delete(n.recs, key)
-				}
+			for _, e := range byPack[p] {
+				f.forget(n, e.recKey, e.recLoc) // a no-op for the records the rewrite moved
 			}
-			f.idxMu.Unlock()
 			reclaimed += size - moved
 		}
 	}
-	kept, dropped = counts()
-	return kept, dropped, reclaimed, nil
+	return
 }
 
 // rewritePack copies the records of pack p named by live into a fresh pack
@@ -471,25 +460,15 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 // that no longer verifies is not copied: it becomes an erasure the next
 // repair fills. Like the rest of GC it charges no time. Returns the new
 // pack's size.
-func (f *Fleet) rewritePack(n *fleetNode, p string, live []recKey) (int64, error) {
+func (f *Fleet) rewritePack(n *fleetNode, p string, live []packEntry) (int64, error) {
 	data, err := readRetry(vtime.NewClock(), n.st.fs, p, f.cfg.Store.WriteRetries)
 	if err != nil {
 		return 0, err
 	}
-	sort.Slice(live, func(i, j int) bool {
-		a, _ := f.lookup(n, live[i].sum, live[i].idx)
-		b, _ := f.lookup(n, live[j].sum, live[j].idx)
-		return a.off < b.off
-	})
 	var buf packBuf
-	for _, key := range live {
-		loc, _ := f.lookup(n, key.sum, key.idx)
-		if loc.off+loc.n > len(data) {
-			continue
-		}
-		rec := data[loc.off : loc.off+loc.n]
-		if h, _, derr := decodeShard(rec); derr == nil && h.sum == key.sum && h.idx == key.idx {
-			buf.copyRecord(h, rec)
+	for _, e := range live {
+		if h, _, ok := recordAt(data, e.off, e.n, e.sum, e.idx); ok {
+			buf.copyRecord(h, data[e.off:e.off+e.n])
 		}
 	}
 	if len(buf.recs) == 0 {

@@ -34,10 +34,12 @@ kill $load1 $load2
 trap - EXIT
 # Front-end fuzz: lexer, parser and lowering never panic on arbitrary source.
 go test -fuzz=FuzzCompile -fuzztime=10s ./internal/clc
-# Store decoder fuzz: manifest and CHECLSHD shard frames never panic, fail
-# typed, and an accepted manifest is safe to hand to the read path.
+# Store decoder fuzz: manifests, CHECLSHD shard records and the packs of
+# records never panic, fail typed (a torn pack yields the records before
+# the tear), and an accepted manifest is safe to hand to the read path.
 go test -fuzz=FuzzDecodeManifest -fuzztime=10s ./internal/store
 go test -fuzz=FuzzDecodeShard -fuzztime=10s ./internal/store
+go test -fuzz=FuzzDecodePack -fuzztime=10s ./internal/store
 # Fault-tolerance soak: the fault-injection and failover tests run
 # repeatedly under the race detector.
 go test -run Fault -count=5 -race ./internal/...
@@ -96,14 +98,28 @@ go run ./cmd/checl-inspect -transport ring -scale 0.2 >/dev/null
 # conformance table (its fleet columns: healthy and two nodes down), and
 # the app/MPI restores through the fleet with m nodes down — runs
 # repeatedly under the race detector (Scrub and the soak fan out goroutines per node).
-# The inspect smoke drives checkpoint -> degraded read -> node
-# replacement -> rebuild end to end under a seeded node fault plan.
+# The TestFleet pattern also runs the pack layout's own tests: the Put
+# crash-position sweep (TestFleetPutCrashPositionSweep), the reopen over a
+# torn pack and a heal pack (TestFleetReopenServesWithoutAWrite), GC
+# compaction and its interrupted rerun; TestNodeFault covers one rot
+# flip costing one record.
+# The inspect smoke drives checkpoint -> scrub -> degraded read -> node
+# replacement -> rebuild end to end under a seeded node fault plan, and
+# its output is pinned by TestStoreFleetGolden (tier-1).
 go test -run 'TestFleet|TestNodeKillPositionSweep|TestNodeFault|TestBackendConformance|TestEngineErrorsNameNoPlacement' -count=2 -race \
     ./internal/store/ ./internal/proc/
 go test -run 'TestFleetStoreAppsDegradedBitIdentical' -race ./internal/core/
 go test -run 'TestGlobalSnapshotThroughErasureFleet' -count=2 -race ./internal/mpi/
 go test -run 'TestFleetErasureStoreSoak' -race ./internal/fleet/
 go run ./cmd/checl-inspect -node-faults 11 store fleet >/dev/null
+# Virtual-metric gate: checkpoint I/O costs bytes, not files. The frozen
+# benchmark's checkpoint workload must pass its own checks (exit 0) and
+# stall the application at most 800 virtual ms per checkpoint — it is 175
+# with one pack per node per checkpoint and was 7 709 with one file per
+# shard, so a return to per-file I/O fails here.
+ckpt=$(go run ./bench -workload ckpt_cycle -seconds 1)
+echo "$ckpt" | awk '$1 == "ckpt_stall_vms" { seen = 1; if ($2 > 800) { print "check.sh: ckpt_stall_vms " $2 " > 800" > "/dev/stderr"; exit 1 } }
+    END { if (!seen) { print "check.sh: bench printed no ckpt_stall_vms" > "/dev/stderr"; exit 1 } }'
 # Speculative-checkpoint gate: the epoch state machine's drain streams,
 # validation and bounded retry ladder cross goroutines (the speculative
 # copies ride the parallel drain pool), so the epoch tests, the
