@@ -213,9 +213,10 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 		entries := byPack[p]
 		delete(byPack, p)
 		var data []byte
+		var readErr error
 		if len(entries) > 0 {
 			f.tick()
-			data, _ = readRetry(sc, n.st.fs, p, f.cfg.Store.WriteRetries)
+			data, readErr = readRetry(sc, n.st.fs, p, f.cfg.Store.WriteRetries)
 		}
 		kept := 0
 		for _, e := range entries {
@@ -226,7 +227,9 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 				drop(e)
 			}
 		}
-		if referenced != nil && kept == 0 {
+		// A pack that would not read is not judged empty: its records are
+		// erasures for now and the file is GC's to collect.
+		if referenced != nil && kept == 0 && readErr == nil {
 			if len(entries) == 0 {
 				prog.ShardsBad++ // a file of no known record: junk
 			}
