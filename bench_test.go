@@ -663,11 +663,10 @@ __kernel void vadd(__global const float* a, __global const float* b,
 }
 
 // BenchmarkProxyCallOverhead measures the wall-clock (not virtual) cost
-// of the interposition hot path. Sub-benchmarks contrast the pipelined
-// paths against the classic one-round-trip-per-call path, and the framed
-// stream against the shared-memory ring transport. The ipc-roundtrips/op
-// metric counts calls that waited for a response; posted/op counts
-// fire-and-forget submissions that completed with zero round trips.
+// of the interposition hot path, on the framed stream and on the
+// shared-memory ring transport. The ipc-roundtrips/op metric counts wire
+// calls: queued commands share the round trip of the sync point that
+// flushes them.
 func BenchmarkProxyCallOverhead(b *testing.B) {
 	ringOpts := func(opts core.Options) core.Options {
 		opts.Transport = proxy.TransportRing
@@ -676,9 +675,7 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 	roundTrips := func(b *testing.B, c *core.CheCL, before proxy.Stats) {
 		b.Helper()
 		st := c.Proxy().Client.Stats()
-		sync := (st.Calls - st.Posted) - (before.Calls - before.Posted)
-		b.ReportMetric(float64(sync)/float64(b.N), "ipc-roundtrips/op")
-		b.ReportMetric(float64(st.Posted-before.Posted)/float64(b.N), "posted/op")
+		b.ReportMetric(float64(st.Calls-before.Calls)/float64(b.N), "ipc-roundtrips/op")
 	}
 
 	// Immutable info served from the object DB: zero round trips once warm.
@@ -730,16 +727,11 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 		b.StopTimer()
 		roundTrips(b, c, before)
 	}
-	b.Run("launch-unbatched", func(b *testing.B) { launchLoop(b, core.Options{}) })
-	b.Run("launch-batched", func(b *testing.B) { launchLoop(b, core.Options{BatchEnqueues: true}) })
-	b.Run("launch-unbatched-ring", func(b *testing.B) { launchLoop(b, ringOpts(core.Options{})) })
-	b.Run("launch-batched-ring", func(b *testing.B) { launchLoop(b, ringOpts(core.Options{BatchEnqueues: true})) })
+	b.Run("launch-framed", func(b *testing.B) { launchLoop(b, core.Options{}) })
+	b.Run("launch-ring", func(b *testing.B) { launchLoop(b, ringOpts(core.Options{})) })
 
 	// The argument-rebinding loop iterative solvers run between launches:
-	// 3 clSetKernelArg + 1 launch + clFinish. Unbatched on the framed
-	// stream that is 5 synchronous round trips; the ring posts the three
-	// SetKernelArg calls fire-and-forget (zero round trips until the
-	// clFinish sync point) and pays only 2.
+	// 3 clSetKernelArg + 1 launch + clFinish — five calls, one frame.
 	setArgsLoop := func(b *testing.B, opts core.Options) {
 		c, q, k, _ := benchProxyApp(b, opts)
 		nb := make([]byte, 4)

@@ -315,27 +315,27 @@ func storeCmd(appName string, scale float64, sub string, diskFaults int) {
 }
 
 // printTransport renders the per-phase proxy traffic on the selected
-// transport: total calls, fire-and-forget posts (completed with zero
-// round trips), synchronous round trips, and the wire/modelled bytes.
+// transport: round trips, the commands that shared them inside batch
+// frames, and the wire/modelled bytes.
 // The checkpoint row is the delta the checkpoint itself added on top of
 // the application run (zeroed if a failover swapped the proxy between
 // the samples, since client stats are per-connection-generation).
 func printTransport(name string, run, after proxy.Stats) {
 	row := func(phase string, s proxy.Stats) {
-		fmt.Printf("  %-11s %-8s %8d %8d %12d %10.3f MB\n",
-			phase, name, s.Calls, s.Posted, s.Calls-s.Posted, float64(s.Bytes)/1e6)
+		fmt.Printf("  %-11s %-8s %12d %8d %10.3f MB\n",
+			phase, name, s.Calls, s.Batched, float64(s.Bytes)/1e6)
 	}
 	ckpt := proxy.Stats{
-		Calls:  after.Calls - run.Calls,
-		Posted: after.Posted - run.Posted,
-		Bytes:  after.Bytes - run.Bytes,
+		Calls:   after.Calls - run.Calls,
+		Batched: after.Batched - run.Batched,
+		Bytes:   after.Bytes - run.Bytes,
 	}
 	if ckpt.Calls < 0 || ckpt.Bytes < 0 {
 		ckpt = proxy.Stats{}
 	}
 	fmt.Printf("proxy traffic by phase:\n")
-	fmt.Printf("  %-11s %-8s %8s %8s %12s %13s\n",
-		"PHASE", "TRANSPORT", "CALLS", "POSTED", "ROUNDTRIPS", "BYTES")
+	fmt.Printf("  %-11s %-8s %12s %8s %13s\n",
+		"PHASE", "TRANSPORT", "ROUNDTRIPS", "QUEUED", "BYTES")
 	row("run", run)
 	row("checkpoint", ckpt)
 	fmt.Println()

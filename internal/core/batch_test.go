@@ -7,61 +7,70 @@ import (
 
 	"checl/internal/ipc"
 	"checl/internal/ocl"
+	"checl/internal/proxy"
 )
 
-// TestBatchCoalescesRoundTrips: a run of fire-and-forget enqueues plus
-// the closing clFinish must cost ONE wire call when batching is on, and
-// at least 2x fewer wire calls than the classic one-call-per-enqueue
-// path (the PR acceptance bar).
+// TestBatchCoalescesRoundTrips: a run of non-blocking enqueues plus the
+// closing clFinish costs ONE wire call, at least 2x fewer than the same
+// calls cost through a bare proxy.Client, which forwards each on its own.
 func TestBatchCoalescesRoundTrips(t *testing.T) {
 	const iters = 10
 	data := make([]byte, 4*64)
 	for i := 0; i < 64; i++ {
 		copy(data[4*i:], f32bytes(float32(i)))
 	}
-
-	run := func(batch bool) (wireCalls int64, c *CheCL, app *vaddApp) {
-		node := newNodeNV("pc0")
-		_, c = attach(t, node, Options{BatchEnqueues: batch})
-		app = setupVaddApp(t, c, 64)
-		if err := c.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		before := c.px.Client.Stats().Calls
+	loop := func(api ocl.API, app *vaddApp) {
 		for i := 0; i < iters; i++ {
-			if _, err := c.EnqueueWriteBuffer(app.q, app.a, false, 0, data, nil); err != nil {
+			if _, err := api.EnqueueWriteBuffer(app.q, app.a, false, 0, data, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.EnqueueWriteBuffer(app.q, app.b, false, 0, data, nil); err != nil {
+			if _, err := api.EnqueueWriteBuffer(app.q, app.b, false, 0, data, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.EnqueueNDRangeKernel(app.q, app.k, 1, [3]int{}, [3]int{64}, [3]int{64}, nil); err != nil {
+			if _, err := api.EnqueueNDRangeKernel(app.q, app.k, 1, [3]int{}, [3]int{64}, [3]int{64}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := c.Finish(app.q); err != nil {
+		if err := api.Finish(app.q); err != nil {
 			t.Fatal(err)
 		}
-		return c.px.Client.Stats().Calls - before, c, app
 	}
 
-	batched, bc, bapp := run(true)
-	unbatched, _, _ := run(false)
+	node := newNodeNV("pc0")
+	_, c := attach(t, node, Options{})
+	app := setupVaddApp(t, c, 64)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	before := c.px.Client.Stats()
+	loop(c, app)
+	after := c.px.Client.Stats()
+	queued := after.Calls - before.Calls
 
-	if batched != 1 {
-		t.Errorf("batched run cost %d wire calls; want 1 (3*%d enqueues + finish in one frame)", batched, iters)
+	bareNode := newNodeNV("pc1")
+	px, err := proxy.Spawn(bareNode.Spawn("bare"), bareNode.Vendors[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if unbatched < 2*batched {
-		t.Errorf("round-trip reduction below 2x: unbatched=%d batched=%d", unbatched, batched)
+	defer px.Kill()
+	bareApp := setupVaddApp(t, px.Client, 64)
+	bareBefore := px.Client.Stats().Calls
+	loop(px.Client, bareApp)
+	bare := px.Client.Stats().Calls - bareBefore
+
+	if queued != 1 {
+		t.Errorf("queued run cost %d wire calls; want 1 (3*%d enqueues + finish in one frame)", queued, iters)
 	}
-	if got := bc.px.Client.Stats().Batched; got < int64(3*iters) {
-		t.Errorf("batched-command counter = %d, want >= %d", got, 3*iters)
+	if bare < 2*queued {
+		t.Errorf("round-trip reduction below 2x: bare client=%d queued=%d", bare, queued)
 	}
-	if n := bc.PendingBatch(); n != 0 {
+	if got := after.Batched - before.Batched; got != int64(3*iters+1) {
+		t.Errorf("batched-command counter moved by %d, want %d", got, 3*iters+1)
+	}
+	if n := c.PendingBatch(); n != 0 {
 		t.Errorf("%d commands still pending after clFinish", n)
 	}
-	// The batched run must still compute the right answer.
-	bapp.verify(t)
+	app.verify(t)
 }
 
 // TestBatchDeferredErrorAttribution: a batched command that fails on the
@@ -70,7 +79,7 @@ func TestBatchCoalescesRoundTrips(t *testing.T) {
 // and commands after it never ran.
 func TestBatchDeferredErrorAttribution(t *testing.T) {
 	node := newNodeNV("pc0")
-	_, c := attach(t, node, Options{BatchEnqueues: true})
+	_, c := attach(t, node, Options{})
 	app := setupVaddApp(t, c, 64)
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
@@ -129,7 +138,7 @@ func TestBatchDeferredErrorAttribution(t *testing.T) {
 // batch; its failure carries read attribution, not clFinish.
 func TestBatchDeferredReadError(t *testing.T) {
 	node := newNodeNV("pc0")
-	_, c := attach(t, node, Options{BatchEnqueues: true})
+	_, c := attach(t, node, Options{})
 	app := setupVaddApp(t, c, 64)
 
 	_, _, err := c.EnqueueReadBuffer(app.q, app.c, true, int64(4*app.n), 16, nil)
@@ -156,10 +165,9 @@ func TestBatchDeferredErrorUnderFaults(t *testing.T) {
 	node := newNodeNV("pc0")
 	inj := ipc.NewFaultInjector(faultKillPlan(7, 3))
 	_, c := attach(t, node, Options{
-		BatchEnqueues: true,
-		AutoFailover:  true,
-		Shadow:        ShadowFull,
-		Fault:         inj,
+		AutoFailover: true,
+		Shadow:       ShadowFull,
+		Fault:        inj,
 	})
 	app := setupVaddApp(t, c, 64)
 	size := int64(4 * app.n)

@@ -247,11 +247,11 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 		c.epochAborted = ""
 	}
 
-	// Phase 1: synchronisation. Deferred batched commands must reach the
-	// proxy before the queues drain, and any deferred error fails the
+	// Phase 1: synchronisation. Queued commands must reach the proxy
+	// before the queues drain, and any deferred error fails the
 	// checkpoint here, before an incomplete state could be dumped.
 	sw := vtime.NewStopwatch(clock)
-	if err := c.settleSubmitted(); err != nil {
+	if err := c.Drain(); err != nil {
 		return fmt.Errorf("checl: checkpoint settle: %w", err)
 	}
 	for _, q := range c.db.orderedQueues() {
@@ -418,19 +418,6 @@ func (s *CheckpointStats) staged(m *memRec) {
 	s.StagedBytes += m.Size
 	s.DirtyBuffers++
 	s.DirtyBytes += m.Size
-}
-
-// settleSubmitted pushes everything the application has submitted so far
-// to the proxy: deferred batched commands are flushed and posted
-// (fire-and-forget) transport submissions settle, so a deferred remote
-// error surfaces here and never hides inside dumped or speculated state.
-func (c *CheCL) settleSubmitted() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
-	return c.forward("SettlePosted", func(api *proxy.Client) error {
-		return api.SettlePosted()
-	})
 }
 
 // drain stages the given buffers from device to host memory: with
@@ -940,7 +927,21 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 	stats.Recompile = recompile
 
 	// 8) cl_kernel — recreate and replay the recorded clSetKernelArg
-	// calls, translating CheCL handles to the *new* real handles.
+	// calls, translating CheCL handles to the *new* real handles. The
+	// replayed calls return nothing, so like the application's own they
+	// travel as command frames rather than one round trip each.
+	var replay proxy.BatchFrame
+	sendReplay := func() error {
+		if replay.Len() == 0 {
+			return nil
+		}
+		resp, _, err := api.SendBatch(&replay)
+		replay.Reset()
+		if err == nil && resp.ErrIdx >= 0 {
+			err = ocl.Errf(resp.ErrOp, ocl.Status(resp.ErrStatus), "%s", resp.ErrDetail)
+		}
+		return err
+	}
 	for _, k := range c.db.orderedKernels() {
 		prog, err := c.db.program(k.Prog)
 		if err != nil {
@@ -959,10 +960,16 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 			if err != nil {
 				return stats, err
 			}
-			if err := api.SetKernelArg(k.real, i, a.Size, forward); err != nil {
-				return stats, err
+			replay.Add(&proxy.BatchCmd{Op: proxy.BatchSetArg, Kernel: k.real, Index: i, ArgSize: a.Size, Value: forward})
+			if replay.Len() >= maxQueueCmds {
+				if err := sendReplay(); err != nil {
+					return stats, err
+				}
 			}
 		}
+	}
+	if err := sendReplay(); err != nil {
+		return stats, err
 	}
 	stats.PerClass["kernel"] = sw.Reset()
 

@@ -76,17 +76,9 @@ type Options struct {
 	Retry proxy.RetryPolicy
 	// Transport selects the app<->proxy transport. The default (pipe) and
 	// unix-socket variants carry framed gob RPC; proxy.TransportRing is
-	// the shared-memory ring: SPSC submission/completion queues, posted
-	// (zero-round-trip) enqueue-class calls settled at sync points, and
+	// the shared-memory ring: SPSC submission/completion queues and
 	// zero-copy bulk reads. Fault plans behave identically on either.
 	Transport proxy.Transport
-	// BatchEnqueues pipelines the hot path: clSetKernelArg and the
-	// fire-and-forget clEnqueue* calls are coalesced into one IPC frame,
-	// flushed at the next synchronisation point (clFinish, any read,
-	// clWaitForEvents, a blocking write, an object release, a checkpoint
-	// drain). A batched command's error is delivered at the flush as a
-	// *BatchError attributing the originating call.
-	BatchEnqueues bool
 	// DrainWorkers bounds the checkpoint preprocess parallelism: dirty
 	// buffers are drained over that many concurrent device-to-host
 	// streams per context (ephemeral queues inside one batched IPC
@@ -129,10 +121,22 @@ type CheCL struct {
 	lastCkpt   *CheckpointStats
 	bg         *bgWrite // in-flight overlapped store write, nil when none
 
-	// Deferred commands awaiting the next synchronisation-point flush
-	// (Options.BatchEnqueues).
-	batch      []*pendingCmd
-	batchBytes int64
+	// The submission queue (queue.go): commands awaiting the next
+	// synchronisation-point flush, the arenas behind their argument bytes
+	// and wait lists, and the frame their write payloads are staged in.
+	// The s* and *Mems slices are per-call scratch.
+	queue      []queuedCmd
+	qargs      []byte
+	qwaits     []*eventRec
+	frame      proxy.BatchFrame
+	swaits     []ocl.Event
+	sidx       []int
+	boundBuf   []*memRec
+	writtenBuf []*memRec
+	hbuf       [8]byte
+	// queueDepth is a test seam: a positive value replaces maxQueueCmds
+	// (1 ships every command in a frame of its own).
+	queueDepth int
 
 	// Speculative checkpoint epoch (Options.SpeculativeDrain): the
 	// in-flight overlapped drain, its sequence counter, the reason the
@@ -215,20 +219,9 @@ func (c *CheCL) CacheStats() CacheStats {
 	return CacheStats{Gen: c.db.cacheGen, Hits: c.db.cacheHits}
 }
 
-// Detach kills the API proxy. The application process survives.
-func (c *CheCL) Detach() {
-	// Best-effort settle of posted transport submissions: their handlers
-	// run before the proxy dies, keeping teardown deterministic.
-	_ = c.px.Client.SettlePosted()
-	c.px.Kill()
-}
-
-// handleToBytes encodes a handle the way it crosses clSetKernelArg.
-func handleToBytes(h uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, h)
-	return b
-}
+// Detach kills the API proxy. The application process survives. Commands
+// still queued die with it, like commands in a real queue at process exit.
+func (c *CheCL) Detach() { c.px.Kill() }
 
 // enterCall runs at every intercepted API call: it polls for checkpoint
 // signals and, in immediate mode, takes the checkpoint before the call
@@ -406,6 +399,16 @@ func (c *CheCL) GetDeviceInfo(d ocl.DeviceID) (ocl.DeviceInfo, error) {
 	return rec.Info, nil
 }
 
+// reref forwards a clRetain*/clRelease* call and, once the proxy has taken
+// it, moves the record's reference count by delta.
+func (c *CheCL) reref(op string, refs *int, delta int, call func(*proxy.Client) error) error {
+	if err := c.forward(op, call); err != nil {
+		return err
+	}
+	*refs += delta
+	return nil
+}
+
 // ---- context wrappers ----
 
 // CreateContext wraps clCreateContext: the devices are CheCL handles and
@@ -447,36 +450,25 @@ func (c *CheCL) RetainContext(h ocl.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainContext", func(api *proxy.Client) error {
-		return api.RetainContext(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainContext", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainContext(rec.real) })
 }
 
-// ReleaseContext wraps clReleaseContext. Releases drain the batch
-// first: a deferred command may reference the object being released.
+// ReleaseContext wraps clReleaseContext. Releases flush the queue
+// first: a queued command may reference the object being released.
 func (c *CheCL) ReleaseContext(h ocl.Context) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.context(Handle(h))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseContext", func(api *proxy.Client) error {
-		return api.ReleaseContext(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs--
+	err = c.reref("clReleaseContext", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseContext(rec.real) })
 	if rec.Refs <= 0 {
 		delete(c.db.contexts, rec.H)
 	}
-	return nil
+	return err
 }
 
 // ---- queue wrappers ----
@@ -513,35 +505,24 @@ func (c *CheCL) RetainCommandQueue(h ocl.CommandQueue) error {
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainCommandQueue", func(api *proxy.Client) error {
-		return api.RetainCommandQueue(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainCommandQueue", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainCommandQueue(rec.real) })
 }
 
 // ReleaseCommandQueue wraps clReleaseCommandQueue.
 func (c *CheCL) ReleaseCommandQueue(h ocl.CommandQueue) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.queue(Handle(h))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseCommandQueue", func(api *proxy.Client) error {
-		return api.ReleaseCommandQueue(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs--
+	err = c.reref("clReleaseCommandQueue", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseCommandQueue(rec.real) })
 	if rec.Refs <= 0 {
 		delete(c.db.queues, rec.H)
 	}
-	return nil
+	return err
 }
 
 // ---- buffer wrappers ----
@@ -598,31 +579,22 @@ func (c *CheCL) RetainMemObject(h ocl.Mem) error {
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainMemObject", func(api *proxy.Client) error {
-		return api.RetainMemObject(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainMemObject", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainMemObject(rec.real) })
 }
 
 // ReleaseMemObject wraps clReleaseMemObject.
 func (c *CheCL) ReleaseMemObject(h ocl.Mem) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.mem(Handle(h))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseMemObject", func(api *proxy.Client) error {
-		return api.ReleaseMemObject(rec.real)
-	}); err != nil {
+	if err := c.reref("clReleaseMemObject", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseMemObject(rec.real) }); err != nil {
 		return err
 	}
-	rec.Refs--
 	if rec.Refs <= 0 {
 		// An in-flight speculative copy of a released buffer must never
 		// commit: the record either dies or becomes a dead placeholder.
@@ -691,35 +663,24 @@ func (c *CheCL) RetainSampler(h ocl.Sampler) error {
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainSampler", func(api *proxy.Client) error {
-		return api.RetainSampler(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainSampler", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainSampler(rec.real) })
 }
 
 // ReleaseSampler wraps clReleaseSampler.
 func (c *CheCL) ReleaseSampler(h ocl.Sampler) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.sampler(Handle(h))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseSampler", func(api *proxy.Client) error {
-		return api.ReleaseSampler(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs--
+	err = c.reref("clReleaseSampler", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseSampler(rec.real) })
 	if rec.Refs <= 0 {
 		delete(c.db.samplers, rec.H)
 	}
-	return nil
+	return err
 }
 
 // ---- program wrappers ----
@@ -794,7 +755,7 @@ func (c *CheCL) CreateProgramWithBinary(ctx ocl.Context, d ocl.DeviceID, binaryB
 // the Tr input of the migration-cost model.
 func (c *CheCL) BuildProgram(h ocl.Program, options string) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.program(Handle(h))
@@ -876,35 +837,24 @@ func (c *CheCL) RetainProgram(h ocl.Program) error {
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainProgram", func(api *proxy.Client) error {
-		return api.RetainProgram(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainProgram", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainProgram(rec.real) })
 }
 
 // ReleaseProgram wraps clReleaseProgram.
 func (c *CheCL) ReleaseProgram(h ocl.Program) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.program(Handle(h))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseProgram", func(api *proxy.Client) error {
-		return api.ReleaseProgram(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs--
+	err = c.reref("clReleaseProgram", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseProgram(rec.real) })
 	if rec.Refs <= 0 {
 		delete(c.db.programs, rec.H)
 	}
-	return nil
+	return err
 }
 
 // ---- kernel wrappers ----
@@ -925,13 +875,11 @@ func (c *CheCL) CreateKernel(p ocl.Program, name string) (ocl.Kernel, error) {
 	if err != nil {
 		return 0, err
 	}
+	// A program created from binary has no parsed signature: the argument
+	// count is unknown to CheCL and the slot list grows on demand.
 	nargs := 0
 	if sig, ok := clc.Lookup(prec.Sigs, name); ok {
 		nargs = len(sig.Params)
-	} else {
-		// Program created from binary: the argument count is unknown to
-		// CheCL; grow the slot list on demand.
-		nargs = 0
 	}
 	rec := &kernelRec{
 		H: c.db.newHandle(hKernel), Seq: c.db.seq, Prog: prec.H,
@@ -948,42 +896,33 @@ func (c *CheCL) RetainKernel(h ocl.Kernel) error {
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainKernel", func(api *proxy.Client) error {
-		return api.RetainKernel(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainKernel", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainKernel(rec.real) })
 }
 
 // ReleaseKernel wraps clReleaseKernel.
 func (c *CheCL) ReleaseKernel(h ocl.Kernel) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.kernel(Handle(h))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseKernel", func(api *proxy.Client) error {
-		return api.ReleaseKernel(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs--
+	err = c.reref("clReleaseKernel", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseKernel(rec.real) })
 	if rec.Refs <= 0 {
 		delete(c.db.kernels, rec.H)
 	}
-	return nil
+	return err
 }
 
 // SetKernelArg wraps clSetKernelArg — the call whose (void*, size_t)
 // contract required the signature machinery of §III-B. The raw bytes the
 // application passed are recorded for restart replay; handle-bearing
-// arguments are translated from CheCL to real handle space before
-// forwarding.
+// arguments are translated from CheCL to real handle space when the queue
+// is flushed. The call keeps its order relative to queued launches by
+// riding the queue; it is validated here, and a runtime-side failure
+// surfaces at the flush.
 func (c *CheCL) SetKernelArg(h ocl.Kernel, index int, size int64, value []byte) error {
 	c.enterCall()
 	rec, err := c.db.kernel(Handle(h))
@@ -998,44 +937,30 @@ func (c *CheCL) SetKernelArg(h ocl.Kernel, index int, size int64, value []byte) 
 	if err != nil {
 		return err
 	}
-	if c.batching() {
-		// The arg set must keep its order relative to deferred launches,
-		// so it rides the batch. It was validated above; a runtime-side
-		// failure surfaces at the flush.
-		raw := append([]byte(nil), value...)
-		if err := c.deferCmd(&pendingCmd{
-			op: proxy.BatchSetArg, method: "clSetKernelArg",
-			k: rec, prog: prec, argIndex: index, argSize: size, argRaw: raw,
-		}); err != nil {
-			return err
-		}
-		for index >= len(rec.Args) {
-			rec.Args = append(rec.Args, argRec{})
-		}
-		rec.Args[index] = argRec{Set: true, Size: size, Raw: raw, Local: local}
-		return nil
-	}
-	// translateArg runs inside the closure so a retry after failover picks
-	// up the rebound real handles of any mem/sampler argument.
-	if err := c.forward("clSetKernelArg", func(api *proxy.Client) error {
-		fwd, _, e := c.translateArg(prec, rec.Name, index, size, value)
-		if e != nil {
-			return e
-		}
-		return api.SetKernelArg(rec.real, index, size, fwd)
-	}); err != nil {
+	if err := c.reserve(1, 0); err != nil {
 		return err
 	}
+	cmd := queuedCmd{op: proxy.BatchSetArg, k: rec, prog: prec, argIndex: index, argSize: size, argOff: len(c.qargs), argLen: -1}
+	if value != nil {
+		c.qargs = append(c.qargs, value...)
+		cmd.argLen = len(value)
+	}
+	c.push(cmd, "", nil) //nolint:errcheck // no wait list: cannot fail
 	for index >= len(rec.Args) {
 		rec.Args = append(rec.Args, argRec{})
 	}
-	rec.Args[index] = argRec{Set: true, Size: size, Raw: append([]byte(nil), value...), Local: local}
+	arg := &rec.Args[index]
+	arg.Set, arg.Size, arg.Local = true, size, local
+	if arg.Raw = append(arg.Raw[:0], value...); value == nil {
+		arg.Raw = nil
+	}
 	return nil
 }
 
 // translateArg converts one clSetKernelArg value from CheCL handle space
-// to real handle space. It returns the bytes to forward and whether the
-// parameter is a __local size-only argument.
+// to real handle space. It returns the bytes to forward — valid until the
+// next translateArg — and whether the parameter is a __local size-only
+// argument.
 func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size int64, value []byte) ([]byte, bool, error) {
 	if sig, ok := clc.Lookup(prec.Sigs, kernel); ok && index < len(sig.Params) {
 		switch sig.Params[index].Kind {
@@ -1052,7 +977,7 @@ func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size in
 			if err != nil {
 				return nil, false, err
 			}
-			return handleToBytes(uint64(mrec.real)), false, nil
+			return c.handleBytes(uint64(mrec.real)), false, nil
 		case clc.ParamSamplerHandle:
 			if size != 8 || len(value) != 8 {
 				return nil, false, ocl.Errf("clSetKernelArg", ocl.InvalidArgSize,
@@ -1063,7 +988,7 @@ func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size in
 			if err != nil {
 				return nil, false, err
 			}
-			return handleToBytes(uint64(srec.real)), false, nil
+			return c.handleBytes(uint64(srec.real)), false, nil
 		default:
 			return value, false, nil
 		}
@@ -1079,10 +1004,10 @@ func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size in
 	if size == 8 && len(value) == 8 {
 		maybe := Handle(binary.LittleEndian.Uint64(value))
 		if mrec, ok := c.db.mems[maybe]; ok {
-			return handleToBytes(uint64(mrec.real)), false, nil
+			return c.handleBytes(uint64(mrec.real)), false, nil
 		}
 		if srec, ok := c.db.samplers[maybe]; ok {
-			return handleToBytes(uint64(srec.real)), false, nil
+			return c.handleBytes(uint64(srec.real)), false, nil
 		}
 	}
 	return value, false, nil
@@ -1091,8 +1016,8 @@ func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size in
 // ---- enqueue wrappers ----
 
 // translateWaits converts a CheCL event wait list to real events. An
-// event with no real handle — a batched command that never executed
-// because its batch failed earlier — is skipped: its deferred error was
+// event with no real handle — a queued command that never executed
+// because its frame failed earlier — is skipped: its deferred error was
 // already delivered and there is nothing to wait on.
 func (c *CheCL) translateWaits(waits []ocl.Event) ([]ocl.Event, error) {
 	if len(waits) == 0 {
@@ -1122,7 +1047,13 @@ func (c *CheCL) wrapEvent(q Handle, kind string, real ocl.Event) ocl.Event {
 	return ocl.Event(rec.H)
 }
 
-// EnqueueWriteBuffer wraps clEnqueueWriteBuffer.
+// EnqueueWriteBuffer wraps clEnqueueWriteBuffer. A write below the
+// transport's bulk cut is copied once into the next frame's data region
+// and queued (a blocking one flushes the queue with itself as the last
+// command). A write at or above the cut — where the copy alone costs as
+// much as the round trip queueing would save — is never staged: the queue
+// is flushed and the payload goes out on its own zero-copy call, so the
+// transfer starts overlapping device work at once.
 func (c *CheCL) EnqueueWriteBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset int64, data []byte, waits []ocl.Event) (ocl.Event, error) {
 	c.enterCall()
 	qrec, err := c.db.queue(Handle(q))
@@ -1133,48 +1064,50 @@ func (c *CheCL) EnqueueWriteBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool,
 	if err != nil {
 		return 0, err
 	}
-	if c.batching() {
-		ws, err := c.waitHandles(waits)
+	var ev ocl.Event
+	if int64(len(data)) < c.px.Client.BulkCut() {
+		if err := c.reserve(1, len(data)); err != nil {
+			return 0, err
+		}
+		rec, err := c.push(queuedCmd{
+			op: proxy.BatchWrite, q: qrec, mem: mrec, blocking: blocking,
+			offset: offset, size: int64(len(data)),
+		}, "write", waits)
 		if err != nil {
 			return 0, err
 		}
-		mrec.Dirty = true
-		c.epochTouch(mrec)
-		c.shadowWrite(mrec, offset, data)
-		ev := c.pendingEvent(qrec.H, "write")
-		if err := c.deferCmd(&pendingCmd{
-			op: proxy.BatchWrite, method: "clEnqueueWriteBuffer",
-			q: qrec, mem: mrec, blocking: blocking, offset: offset,
-			data: append([]byte(nil), data...), waits: ws, ev: ev,
-		}); err != nil {
-			return 0, err
-		}
+		c.queue[len(c.queue)-1].dataOff = c.frame.Stage(data)
+		ev = ocl.Event(rec.H)
 		if blocking {
-			if err := c.flushBatch(); err != nil {
+			if err := c.Drain(); err != nil {
 				return 0, err
 			}
-			c.atSyncPoint()
 		}
-		return ocl.Event(ev.H), nil
-	}
-	// The wait list translates inside the closure: after a failover the
-	// rebound events are fresh dummy markers, not the stale real handles.
-	var real ocl.Event
-	err = c.forward("clEnqueueWriteBuffer", func(api *proxy.Client) error {
-		rw, e := c.translateWaits(waits)
-		if e != nil {
+	} else {
+		if err := c.Drain(); err != nil {
+			return 0, err
+		}
+		// The wait list translates inside the closure: after a failover the
+		// rebound events are fresh dummy markers, not the stale real handles.
+		var real ocl.Event
+		err = c.forward("clEnqueueWriteBuffer", func(api *proxy.Client) error {
+			rw, e := c.translateWaits(waits)
+			if e != nil {
+				return e
+			}
+			real, e = api.EnqueueWriteBuffer(qrec.real, mrec.real, blocking, offset, data, rw)
 			return e
+		})
+		if err != nil {
+			return 0, err
 		}
-		real, e = api.EnqueueWriteBuffer(qrec.real, mrec.real, blocking, offset, data, rw)
-		return e
-	})
-	if err != nil {
-		return 0, err
+		ev = c.wrapEvent(qrec.H, "write", real)
 	}
+	// Side effects only once the command is queued or sent: a write dropped
+	// by a failed capacity flush must leave no shadow bytes behind.
 	mrec.Dirty = true
 	c.epochTouch(mrec)
 	c.shadowWrite(mrec, offset, data)
-	ev := c.wrapEvent(qrec.H, "write", real)
 	if blocking {
 		c.atSyncPoint()
 	}
@@ -1183,84 +1116,17 @@ func (c *CheCL) EnqueueWriteBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool,
 
 // EnqueueReadBuffer wraps clEnqueueReadBuffer.
 func (c *CheCL) EnqueueReadBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset, size int64, waits []ocl.Event) ([]byte, ocl.Event, error) {
-	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
-	if err != nil {
-		return nil, 0, err
-	}
-	mrec, err := c.db.mem(Handle(m))
-	if err != nil {
-		return nil, 0, err
-	}
-	if c.batching() {
-		// Every read is a flush point — its data must come back now — so
-		// the read rides the batch as its terminal command and the whole
-		// run ships as one frame.
-		ws, err := c.waitHandles(waits)
-		if err != nil {
-			return nil, 0, err
-		}
-		ev := c.pendingEvent(qrec.H, "read")
-		if err := c.deferCmd(&pendingCmd{
-			op: proxy.BatchRead, method: "clEnqueueReadBuffer",
-			q: qrec, mem: mrec, offset: offset, size: size,
-			waits: ws, ev: ev, termRead: true,
-		}); err != nil {
-			return nil, 0, err
-		}
-		data, err := c.flushBatchData()
-		if err != nil {
-			return nil, 0, err
-		}
-		c.shadowWrite(mrec, offset, data)
-		if blocking {
-			c.atSyncPoint()
-		}
-		return data, ocl.Event(ev.H), nil
-	}
-	var (
-		data []byte
-		real ocl.Event
-	)
-	err = c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
-		rw, e := c.translateWaits(waits)
-		if e != nil {
-			return e
-		}
-		data, real, e = api.EnqueueReadBuffer(qrec.real, mrec.real, blocking, offset, size, rw)
-		return e
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	// A read refreshes our knowledge of the region — fold it into the shadow.
-	c.shadowWrite(mrec, offset, data)
-	ev := c.wrapEvent(qrec.H, "read", real)
-	if blocking {
-		c.atSyncPoint()
-	}
-	return data, ev, nil
+	return c.EnqueueReadBufferInto(q, m, blocking, offset, size, waits, nil)
 }
 
 // EnqueueReadBufferInto is EnqueueReadBuffer with a caller-owned
 // destination: when buf has capacity for size bytes the read lands in it
-// and the steady state allocates nothing on the client side (the
-// returned slice then aliases buf). Batched-enqueue sessions fall back
-// to the allocating path — the read data arrives inside the batch frame
-// and must be copied out regardless.
+// (the returned slice then aliases buf). Every read is a flush point — its
+// data must come back now. On an empty queue it goes out on the zero-copy
+// raw call and the steady state allocates nothing on the client side;
+// behind queued commands it rides the frame as its last command, so the
+// whole run costs one round trip, and is copied out of the response.
 func (c *CheCL) EnqueueReadBufferInto(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset, size int64, waits []ocl.Event, buf []byte) ([]byte, ocl.Event, error) {
-	if c.batching() {
-		data, ev, err := c.EnqueueReadBuffer(q, m, blocking, offset, size, waits)
-		if err != nil {
-			return nil, 0, err
-		}
-		if int64(cap(buf)) >= int64(len(data)) {
-			buf = buf[:len(data)]
-			copy(buf, data)
-			return buf, ev, nil
-		}
-		return data, ev, nil
-	}
 	c.enterCall()
 	qrec, err := c.db.queue(Handle(q))
 	if err != nil {
@@ -1272,21 +1138,43 @@ func (c *CheCL) EnqueueReadBufferInto(q ocl.CommandQueue, m ocl.Mem, blocking bo
 	}
 	var (
 		data []byte
-		real ocl.Event
+		ev   ocl.Event
 	)
-	err = c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
-		rw, e := c.translateWaits(waits)
-		if e != nil {
+	if len(c.queue) == 0 {
+		var real ocl.Event
+		err = c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
+			rw, e := c.translateWaits(waits)
+			if e != nil {
+				return e
+			}
+			data, real, e = api.EnqueueReadBufferInto(qrec.real, mrec.real, blocking, offset, size, rw, buf)
 			return e
+		})
+		if err != nil {
+			return nil, 0, err
 		}
-		data, real, e = api.EnqueueReadBufferInto(qrec.real, mrec.real, blocking, offset, size, rw, buf)
-		return e
-	})
-	if err != nil {
-		return nil, 0, err
+		ev = c.wrapEvent(qrec.H, "read", real)
+	} else {
+		if err := c.reserve(1, 0); err != nil {
+			return nil, 0, err
+		}
+		rec, err := c.push(queuedCmd{
+			op: proxy.BatchRead, q: qrec, mem: mrec, blocking: true,
+			offset: offset, size: size, termRead: true,
+		}, "read", waits)
+		if err != nil {
+			return nil, 0, err
+		}
+		if data, err = c.flushBatchData(); err != nil {
+			return nil, 0, err
+		}
+		if buf != nil && cap(buf) >= len(data) {
+			data = append(buf[:0], data...)
+		}
+		ev = ocl.Event(rec.H)
 	}
+	// A read refreshes our knowledge of the region — fold it into the shadow.
 	c.shadowWrite(mrec, offset, data)
-	ev := c.wrapEvent(qrec.H, "read", real)
 	if blocking {
 		c.atSyncPoint()
 	}
@@ -1308,40 +1196,20 @@ func (c *CheCL) EnqueueCopyBuffer(q ocl.CommandQueue, src, dst ocl.Mem, srcOff, 
 	if err != nil {
 		return 0, err
 	}
-	if c.batching() {
-		ws, err := c.waitHandles(waits)
-		if err != nil {
-			return 0, err
-		}
-		drec.Dirty = true
-		c.epochTouch(drec)
-		c.shadowCopy(srec, drec, srcOff, dstOff, size)
-		ev := c.pendingEvent(qrec.H, "copy")
-		if err := c.deferCmd(&pendingCmd{
-			op: proxy.BatchCopy, method: "clEnqueueCopyBuffer",
-			q: qrec, src: srec, dst: drec, srcOff: srcOff, dstOff: dstOff, size: size,
-			waits: ws, ev: ev,
-		}); err != nil {
-			return 0, err
-		}
-		return ocl.Event(ev.H), nil
+	if err := c.reserve(1, 0); err != nil {
+		return 0, err
 	}
-	var real ocl.Event
-	err = c.forward("clEnqueueCopyBuffer", func(api *proxy.Client) error {
-		rw, e := c.translateWaits(waits)
-		if e != nil {
-			return e
-		}
-		real, e = api.EnqueueCopyBuffer(qrec.real, srec.real, drec.real, srcOff, dstOff, size, rw)
-		return e
-	})
+	ev, err := c.push(queuedCmd{
+		op: proxy.BatchCopy, q: qrec, src: srec, mem: drec,
+		srcOff: srcOff, offset: dstOff, size: size,
+	}, "copy", waits)
 	if err != nil {
 		return 0, err
 	}
 	drec.Dirty = true
 	c.epochTouch(drec)
 	c.shadowCopy(srec, drec, srcOff, dstOff, size)
-	return c.wrapEvent(qrec.H, "copy", real), nil
+	return ocl.Event(ev.H), nil
 }
 
 // EnqueueNDRangeKernel wraps clEnqueueNDRangeKernel. Buffers the kernel
@@ -1363,102 +1231,95 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 	if err != nil {
 		return 0, err
 	}
-	boundMems := c.boundMems(prec, krec)
+	c.boundBuf = c.boundMems(c.boundBuf[:0], prec, krec)
+	boundMems := c.boundBuf
 	written := c.writtenMems(prec, krec, boundMems)
 
-	if c.batching() {
-		usesHostPtr := false
-		for _, mrec := range boundMems {
-			if mrec.UseHostPtr && mrec.hostPtr != nil {
-				usesHostPtr = true
-				break
-			}
+	usesHostPtr := false
+	for _, mrec := range boundMems {
+		if mrec.UseHostPtr && mrec.hostPtr != nil {
+			usesHostPtr = true
+			break
 		}
-		if !usesHostPtr {
-			ws, err := c.waitHandles(waits)
-			if err != nil {
-				return 0, err
+	}
+	if krec.launchKind == "" {
+		krec.launchKind = "ndrange:" + krec.Name
+	}
+	var ev ocl.Event
+	if !usesHostPtr {
+		// The ShadowFull per-launch readbacks ride the same frame as the
+		// launch; their data is copied into the shadows at the flush.
+		readbacks := 0
+		if c.opts.Shadow == ShadowFull {
+			readbacks = len(written)
+		}
+		if err := c.reserve(1+readbacks, 0); err != nil {
+			return 0, err
+		}
+		rec, err := c.push(queuedCmd{
+			op: proxy.BatchNDRange, q: qrec, k: krec,
+			dims: dims, goff: offset, global: global, local: local,
+		}, krec.launchKind, waits)
+		if err != nil {
+			return 0, err
+		}
+		for _, m := range written[:readbacks] {
+			c.push(queuedCmd{op: proxy.BatchRead, q: qrec, mem: m, blocking: true, size: m.Size, shadow: true}, "", nil) //nolint:errcheck // no wait list: cannot fail
+		}
+		ev = ocl.Event(rec.H)
+	} else {
+		// USE_HOST_PTR launches need the synchronous §III-D cache protocol;
+		// the queue must land first to preserve command order.
+		if err := c.Drain(); err != nil {
+			return 0, err
+		}
+		// The whole launch interaction — wait-list translation, USE_HOST_PTR
+		// push, the launch itself, the ShadowFull readback, and the
+		// USE_HOST_PTR pull — is one atomic retry unit: a proxy crash
+		// anywhere inside re-runs it end to end against the rebound handles,
+		// so the shadow/host copies always reflect a completed launch.
+		var real ocl.Event
+		err = c.forward("clEnqueueNDRangeKernel", func(api *proxy.Client) error {
+			rw, e := c.translateWaits(waits)
+			if e != nil {
+				return e
 			}
-			ev := c.pendingEvent(qrec.H, "ndrange:"+krec.Name)
-			if err := c.deferCmd(&pendingCmd{
-				op: proxy.BatchNDRange, method: "clEnqueueNDRangeKernel",
-				q: qrec, k: krec, prog: prec,
-				dims: dims, goff: offset, global: global, local: local,
-				waits: ws, ev: ev,
-			}); err != nil {
-				return 0, err
-			}
-			if c.opts.Shadow == ShadowFull {
-				// The per-launch readbacks ride the same batch; their data
-				// is copied into the shadows at the flush.
-				for _, m := range written {
-					if err := c.deferCmd(&pendingCmd{
-						op: proxy.BatchRead, method: "clEnqueueReadBuffer",
-						q: qrec, mem: m, size: m.Size, shadowInto: m,
-					}); err != nil {
-						return 0, err
+			for _, mrec := range boundMems { // push host copies before the launch
+				if mrec.UseHostPtr && mrec.hostPtr != nil {
+					if _, e := api.EnqueueWriteBuffer(qrec.real, mrec.real, true, 0, mrec.hostPtr, nil); e != nil {
+						return e
 					}
 				}
 			}
-			for _, mrec := range written {
-				mrec.Dirty = true
-				c.epochTouch(mrec)
+			real, e = api.EnqueueNDRangeKernel(qrec.real, krec.real, dims, offset, global, local, rw)
+			if e != nil {
+				return e
 			}
-			return ocl.Event(ev.H), nil
-		}
-		// USE_HOST_PTR launches need the synchronous §III-D cache
-		// protocol; the batch must land first to preserve queue order.
-		if err := c.flushBatch(); err != nil {
+			if e := c.shadowReadback(api, qrec, written); e != nil {
+				return e
+			}
+			for _, mrec := range boundMems { // pull results back after it
+				if mrec.UseHostPtr && mrec.hostPtr != nil {
+					data, _, e := api.EnqueueReadBuffer(qrec.real, mrec.real, true, 0, mrec.Size, nil)
+					if e != nil {
+						return e
+					}
+					copy(mrec.hostPtr, data)
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return 0, err
 		}
+		ev = c.wrapEvent(qrec.H, krec.launchKind, real)
 	}
 
-	// The whole launch interaction — wait-list translation, USE_HOST_PTR
-	// push, the launch itself, the ShadowFull readback, and the
-	// USE_HOST_PTR pull — is one atomic retry unit: a proxy crash anywhere
-	// inside re-runs it end to end against the rebound handles, so the
-	// shadow/host copies always reflect a completed launch.
-	var real ocl.Event
-	err = c.forward("clEnqueueNDRangeKernel", func(api *proxy.Client) error {
-		rw, e := c.translateWaits(waits)
-		if e != nil {
-			return e
-		}
-		// USE_HOST_PTR cache protocol: push host copies before launch.
-		for _, mrec := range boundMems {
-			if mrec.UseHostPtr && mrec.hostPtr != nil {
-				if _, e := api.EnqueueWriteBuffer(qrec.real, mrec.real, true, 0, mrec.hostPtr, nil); e != nil {
-					return e
-				}
-			}
-		}
-		real, e = api.EnqueueNDRangeKernel(qrec.real, krec.real, dims, offset, global, local, rw)
-		if e != nil {
-			return e
-		}
-		if e := c.shadowReadback(api, qrec, written); e != nil {
-			return e
-		}
-		// USE_HOST_PTR cache protocol: pull results back after the launch.
-		for _, mrec := range boundMems {
-			if mrec.UseHostPtr && mrec.hostPtr != nil {
-				data, _, e := api.EnqueueReadBuffer(qrec.real, mrec.real, true, 0, mrec.Size, nil)
-				if e != nil {
-					return e
-				}
-				copy(mrec.hostPtr, data)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-
-	// Dirty marking for incremental checkpointing. A USE_HOST_PTR buffer
-	// is dirtied by the cache protocol itself: the pre-launch push makes
-	// the device copy track the application-owned host region, which can
-	// change without any OpenCL call — so it can never be assumed clean.
+	// Dirty marking for incremental checkpointing, once the launch is
+	// queued or done. A USE_HOST_PTR buffer is dirtied by the cache
+	// protocol itself: the pre-launch push makes the device copy track the
+	// application-owned host region, which can change without any OpenCL
+	// call — so it can never be assumed clean.
 	for _, mrec := range written {
 		mrec.Dirty = true
 		c.epochTouch(mrec)
@@ -1469,18 +1330,19 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 			c.epochTouch(mrec)
 		}
 	}
-	return c.wrapEvent(qrec.H, "ndrange:"+krec.Name, real), nil
+	return ev, nil
 }
 
 // writtenMems resolves the buffers a kernel launch may write: the parsed
 // write set when the program source was analysed, else every bound buffer.
+// The result is per-call scratch (or bound itself).
 func (c *CheCL) writtenMems(prec *programRec, krec *kernelRec, bound []*memRec) []*memRec {
 	ws, ok := prec.WriteSets[krec.Name]
 	if !ok {
 		return bound
 	}
 	sig, _ := clc.Lookup(prec.Sigs, krec.Name)
-	var out []*memRec
+	out := c.writtenBuf[:0]
 	for _, idx := range ws {
 		if idx < len(krec.Args) && krec.Args[idx].Set && idx < len(sig.Params) {
 			mh := Handle(binary.LittleEndian.Uint64(krec.Args[idx].Raw))
@@ -1489,13 +1351,13 @@ func (c *CheCL) writtenMems(prec *programRec, krec *kernelRec, bound []*memRec) 
 			}
 		}
 	}
+	c.writtenBuf = out
 	return out
 }
 
-// boundMems resolves the mem records currently bound to handle-bearing
-// arguments of the kernel.
-func (c *CheCL) boundMems(prec *programRec, krec *kernelRec) []*memRec {
-	var out []*memRec
+// boundMems appends to out the mem records currently bound to
+// handle-bearing arguments of the kernel.
+func (c *CheCL) boundMems(out []*memRec, prec *programRec, krec *kernelRec) []*memRec {
 	sig, hasSig := clc.Lookup(prec.Sigs, krec.Name)
 	for i, a := range krec.Args {
 		if !a.Set || a.Local || len(a.Raw) != 8 {
@@ -1512,90 +1374,64 @@ func (c *CheCL) boundMems(prec *programRec, krec *kernelRec) []*memRec {
 	return out
 }
 
-// EnqueueMarker wraps clEnqueueMarker.
-func (c *CheCL) EnqueueMarker(q ocl.CommandQueue) (ocl.Event, error) {
+// queueOnly queues a command that carries nothing but its queue.
+func (c *CheCL) queueOnly(q ocl.CommandQueue, op proxy.BatchOp, kind string) (*queueRec, *eventRec, error) {
 	c.enterCall()
 	qrec, err := c.db.queue(Handle(q))
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	if c.batching() {
-		ev := c.pendingEvent(qrec.H, "marker")
-		if err := c.deferCmd(&pendingCmd{op: proxy.BatchMarker, method: "clEnqueueMarker", q: qrec, ev: ev}); err != nil {
-			return 0, err
-		}
-		return ocl.Event(ev.H), nil
+	if err := c.reserve(1, 0); err != nil {
+		return nil, nil, err
 	}
-	var real ocl.Event
-	err = c.forward("clEnqueueMarker", func(api *proxy.Client) error {
-		var e error
-		real, e = api.EnqueueMarker(qrec.real)
-		return e
-	})
+	ev, _ := c.push(queuedCmd{op: op, q: qrec}, kind, nil)
+	return qrec, ev, nil
+}
+
+// EnqueueMarker wraps clEnqueueMarker.
+func (c *CheCL) EnqueueMarker(q ocl.CommandQueue) (ocl.Event, error) {
+	_, ev, err := c.queueOnly(q, proxy.BatchMarker, "marker")
 	if err != nil {
 		return 0, err
 	}
-	return c.wrapEvent(qrec.H, "marker", real), nil
+	return ocl.Event(ev.H), nil
 }
 
 // EnqueueBarrier wraps clEnqueueBarrier.
 func (c *CheCL) EnqueueBarrier(q ocl.CommandQueue) error {
-	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
-	if err != nil {
-		return err
-	}
-	if c.batching() {
-		return c.deferCmd(&pendingCmd{op: proxy.BatchBarrier, method: "clEnqueueBarrier", q: qrec})
-	}
-	return c.forward("clEnqueueBarrier", func(api *proxy.Client) error {
-		return api.EnqueueBarrier(qrec.real)
-	})
+	_, _, err := c.queueOnly(q, proxy.BatchBarrier, "")
+	return err
 }
 
-// Flush wraps clFlush.
-func (c *CheCL) Flush(q ocl.CommandQueue) error {
+// flushWith ships the queue with op on q as its last command, so a sync
+// call after a run of queued commands costs exactly one round trip. With
+// nothing queued there is nothing to carry and op goes out as the plain
+// call it wraps.
+func (c *CheCL) flushWith(q ocl.CommandQueue, op proxy.BatchOp, plain func(*proxy.Client, ocl.CommandQueue) error) error {
+	if len(c.queue) > 0 {
+		if _, _, err := c.queueOnly(q, op, ""); err != nil {
+			return err
+		}
+		return c.Drain()
+	}
 	c.enterCall()
 	qrec, err := c.db.queue(Handle(q))
 	if err != nil {
 		return err
 	}
-	if c.batching() {
-		// clFlush promises the queued commands will run: the deferred
-		// commands (this flush included) ship now, as one frame.
-		if err := c.deferCmd(&pendingCmd{op: proxy.BatchFlush, method: "clFlush", q: qrec}); err != nil {
-			return err
-		}
-		return c.flushBatch()
-	}
-	return c.forward("clFlush", func(api *proxy.Client) error {
-		return api.Flush(qrec.real)
-	})
+	return c.forward(op.Method(), func(api *proxy.Client) error { return plain(api, qrec.real) })
+}
+
+// Flush wraps clFlush. It promises the queued commands will run: they
+// ship now, this flush included.
+func (c *CheCL) Flush(q ocl.CommandQueue) error {
+	return c.flushWith(q, proxy.BatchFlush, (*proxy.Client).Flush)
 }
 
 // Finish wraps clFinish; it is a synchronisation point for delayed
 // checkpointing.
 func (c *CheCL) Finish(q ocl.CommandQueue) error {
-	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
-	if err != nil {
-		return err
-	}
-	if c.batching() {
-		// The finish itself rides the batch, so a quiet Finish after a
-		// run of deferred enqueues costs exactly one round trip.
-		if err := c.deferCmd(&pendingCmd{op: proxy.BatchFinish, method: "clFinish", q: qrec}); err != nil {
-			return err
-		}
-		if err := c.flushBatch(); err != nil {
-			return err
-		}
-		c.atSyncPoint()
-		return nil
-	}
-	if err := c.forward("clFinish", func(api *proxy.Client) error {
-		return api.Finish(qrec.real)
-	}); err != nil {
+	if err := c.flushWith(q, proxy.BatchFinish, (*proxy.Client).Finish); err != nil {
 		return err
 	}
 	c.atSyncPoint()
@@ -1606,9 +1442,9 @@ func (c *CheCL) Finish(q ocl.CommandQueue) error {
 // delayed checkpointing.
 func (c *CheCL) WaitForEvents(events []ocl.Event) error {
 	c.enterCall()
-	// An event wait is a synchronisation point: deferred commands (which
+	// An event wait is a synchronisation point: queued commands (which
 	// may include the waited-on ones) must reach the proxy first.
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	if err := c.forward("clWaitForEvents", func(api *proxy.Client) error {
@@ -1627,8 +1463,8 @@ func (c *CheCL) WaitForEvents(events []ocl.Event) error {
 // GetEventProfile wraps clGetEventProfilingInfo.
 func (c *CheCL) GetEventProfile(e ocl.Event) (ocl.EventProfile, error) {
 	c.enterCall()
-	// The event may still be pending in the batch; land it first.
-	if err := c.flushBatch(); err != nil {
+	// The event may still be pending in the queue; land it first.
+	if err := c.Drain(); err != nil {
 		return ocl.EventProfile{}, err
 	}
 	rec, err := c.db.event(Handle(e))
@@ -1647,40 +1483,29 @@ func (c *CheCL) GetEventProfile(e ocl.Event) (ocl.EventProfile, error) {
 // RetainEvent wraps clRetainEvent.
 func (c *CheCL) RetainEvent(e ocl.Event) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.event(Handle(e))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clRetainEvent", func(api *proxy.Client) error {
-		return api.RetainEvent(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs++
-	return nil
+	return c.reref("clRetainEvent", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainEvent(rec.real) })
 }
 
 // ReleaseEvent wraps clReleaseEvent.
 func (c *CheCL) ReleaseEvent(e ocl.Event) error {
 	c.enterCall()
-	if err := c.flushBatch(); err != nil {
+	if err := c.Drain(); err != nil {
 		return err
 	}
 	rec, err := c.db.event(Handle(e))
 	if err != nil {
 		return err
 	}
-	if err := c.forward("clReleaseEvent", func(api *proxy.Client) error {
-		return api.ReleaseEvent(rec.real)
-	}); err != nil {
-		return err
-	}
-	rec.Refs--
+	err = c.reref("clReleaseEvent", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseEvent(rec.real) })
 	if rec.Refs <= 0 {
 		delete(c.db.events, rec.H)
 	}
-	return nil
+	return err
 }

@@ -61,7 +61,7 @@ type vaddApp struct {
 	dev  ocl.DeviceID
 }
 
-func setupVaddApp(t *testing.T, api ocl.API, n int) *vaddApp {
+func setupVaddApp(t testing.TB, api ocl.API, n int) *vaddApp {
 	t.Helper()
 	app := &vaddApp{api: api, n: n}
 	plats, err := api.GetPlatformIDs()
@@ -138,7 +138,7 @@ func (a *vaddApp) verify(t *testing.T) {
 	}
 }
 
-func attach(t *testing.T, node *proc.Node, opts Options) (*proc.Process, *CheCL) {
+func attach(t testing.TB, node *proc.Node, opts Options) (*proc.Process, *CheCL) {
 	t.Helper()
 	app := node.Spawn("app")
 	c, err := Attach(app, opts)

@@ -276,6 +276,8 @@ type kernelRec struct {
 	Args []argRec
 	Refs int
 	real ocl.Kernel
+
+	launchKind string // "ndrange:"+Name, built on the first launch
 }
 
 type eventRec struct {
@@ -286,6 +288,7 @@ type eventRec struct {
 	Refs  int
 	Dummy bool // re-minted via clEnqueueMarker after restart
 	real  ocl.Event
+	qidx  int // 1 + position in the submission queue while queued there, else 0
 }
 
 // lookups with class-checked errors.
@@ -421,6 +424,23 @@ func (db *database) Counts() map[string]int {
 	}
 }
 
+// derefAll copies the records behind recs, in order (nil for none).
+func derefAll[R any](recs []*R) []R {
+	var out []R
+	for _, r := range recs {
+		out = append(out, *r)
+	}
+	return out
+}
+
+// adopt files a private copy of every decoded record under its handle.
+func adopt[R any](m map[Handle]*R, recs []R, h func(*R) Handle) {
+	for i := range recs {
+		r := recs[i]
+		m[h(&r)] = &r
+	}
+}
+
 // snapshot is the serialisable form of the database stored in the
 // application process's "checl.db" memory region at checkpoint time.
 type snapshot struct {
@@ -449,37 +469,20 @@ func (db *database) encodeStripped() ([]byte, error) { return db.encodeWith(true
 func (db *database) encodeWith(stripData bool) ([]byte, error) {
 	var s snapshot
 	s.Seq = db.seq
-	for _, r := range orderedVals(db.platforms, func(r *platformRec) uint64 { return r.Seq }) {
-		s.Platforms = append(s.Platforms, *r)
-	}
-	for _, r := range orderedVals(db.devices, func(r *deviceRec) uint64 { return r.Seq }) {
-		s.Devices = append(s.Devices, *r)
-	}
-	for _, r := range db.orderedContexts() {
-		s.Contexts = append(s.Contexts, *r)
-	}
-	for _, r := range db.orderedQueues() {
-		s.Queues = append(s.Queues, *r)
-	}
-	for _, r := range db.orderedMems() {
-		rec := *r
+	s.Platforms = derefAll(orderedVals(db.platforms, func(r *platformRec) uint64 { return r.Seq }))
+	s.Devices = derefAll(orderedVals(db.devices, func(r *deviceRec) uint64 { return r.Seq }))
+	s.Contexts = derefAll(db.orderedContexts())
+	s.Queues = derefAll(db.orderedQueues())
+	s.Mems = derefAll(db.orderedMems())
+	for i := range s.Mems {
 		if stripData {
-			rec.Data = nil
+			s.Mems[i].Data = nil
 		}
-		s.Mems = append(s.Mems, rec)
 	}
-	for _, r := range db.orderedSamplers() {
-		s.Samplers = append(s.Samplers, *r)
-	}
-	for _, r := range db.orderedPrograms() {
-		s.Programs = append(s.Programs, *r)
-	}
-	for _, r := range db.orderedKernels() {
-		s.Kernels = append(s.Kernels, *r)
-	}
-	for _, r := range db.orderedEvents() {
-		s.Events = append(s.Events, *r)
-	}
+	s.Samplers = derefAll(db.orderedSamplers())
+	s.Programs = derefAll(db.orderedPrograms())
+	s.Kernels = derefAll(db.orderedKernels())
+	s.Events = derefAll(db.orderedEvents())
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
 		return nil, fmt.Errorf("checl: encoding object database: %w", err)
@@ -496,42 +499,15 @@ func decodeDatabase(data []byte) (*database, error) {
 	}
 	db := newDatabase()
 	db.seq = s.Seq
-	for i := range s.Platforms {
-		r := s.Platforms[i]
-		db.platforms[r.H] = &r
-	}
-	for i := range s.Devices {
-		r := s.Devices[i]
-		db.devices[r.H] = &r
-	}
-	for i := range s.Contexts {
-		r := s.Contexts[i]
-		db.contexts[r.H] = &r
-	}
-	for i := range s.Queues {
-		r := s.Queues[i]
-		db.queues[r.H] = &r
-	}
-	for i := range s.Mems {
-		r := s.Mems[i]
-		db.mems[r.H] = &r
-	}
-	for i := range s.Samplers {
-		r := s.Samplers[i]
-		db.samplers[r.H] = &r
-	}
-	for i := range s.Programs {
-		r := s.Programs[i]
-		db.programs[r.H] = &r
-	}
-	for i := range s.Kernels {
-		r := s.Kernels[i]
-		db.kernels[r.H] = &r
-	}
-	for i := range s.Events {
-		r := s.Events[i]
-		db.events[r.H] = &r
-	}
+	adopt(db.platforms, s.Platforms, func(r *platformRec) Handle { return r.H })
+	adopt(db.devices, s.Devices, func(r *deviceRec) Handle { return r.H })
+	adopt(db.contexts, s.Contexts, func(r *contextRec) Handle { return r.H })
+	adopt(db.queues, s.Queues, func(r *queueRec) Handle { return r.H })
+	adopt(db.mems, s.Mems, func(r *memRec) Handle { return r.H })
+	adopt(db.samplers, s.Samplers, func(r *samplerRec) Handle { return r.H })
+	adopt(db.programs, s.Programs, func(r *programRec) Handle { return r.H })
+	adopt(db.kernels, s.Kernels, func(r *kernelRec) Handle { return r.H })
+	adopt(db.events, s.Events, func(r *eventRec) Handle { return r.H })
 	return db, nil
 }
 

@@ -98,10 +98,10 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 	sw := vtime.NewStopwatch(clock)
 
 	// The speculative copy is a consistent cut of the device state at
-	// epoch begin: deferred batched commands and posted transport
-	// submissions must land first, so everything enqueued *before* this
-	// point is captured and everything after is caught by validation.
-	if err := c.settleSubmitted(); err != nil {
+	// epoch begin: queued commands must land first, so everything
+	// enqueued *before* this point is captured and everything after is
+	// caught by validation.
+	if err := c.Drain(); err != nil {
 		return fmt.Errorf("checl: epoch begin: %w", err)
 	}
 

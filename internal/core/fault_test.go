@@ -189,12 +189,15 @@ func runAppDigest(t *testing.T, a apps.App, scale float64, inj *ipc.FaultInjecto
 	t.Helper()
 	node := newNodeNV("pc0")
 	app := node.Spawn(a.Name)
-	opts := Options{AutoFailover: true, Shadow: ShadowFull, Fault: inj, BatchEnqueues: batch}
+	opts := Options{AutoFailover: true, Shadow: ShadowFull, Fault: inj}
 	c, err := Attach(app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Detach()
+	if !batch {
+		c.queueDepth = 1 // every command in a frame of its own
+	}
 	env := &apps.Env{API: c, DeviceMask: ocl.DeviceTypeGPU, Scale: scale}
 	if _, err := a.Run(env); err != nil {
 		t.Fatalf("%s under faults: %v", a.Name, err)

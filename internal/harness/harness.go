@@ -167,10 +167,7 @@ func runUnderCheCL(cfg Config, app apps.App, scale float64) (run, init vtime.Dur
 	node := cfg.newNode("checl")
 	p := node.Spawn(app.Name)
 	initSW := vtime.NewStopwatch(node.Clock)
-	// The Fig. 4 arm runs with the pipelined hot path on: enqueue
-	// batching is CheCL's production configuration for the overhead
-	// number the figure reports.
-	c, err := core.Attach(p, core.Options{VendorName: cfg.VendorName, BatchEnqueues: true})
+	c, err := core.Attach(p, core.Options{VendorName: cfg.VendorName})
 	if err != nil {
 		return 0, 0, err
 	}

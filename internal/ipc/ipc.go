@@ -386,16 +386,10 @@ func (c *Conn) CallSeq(method string, seq uint64, req, resp any) (int64, error) 
 	return n, err
 }
 
-// CallRecvRaw is CallSeq that additionally returns the raw payload frame
-// the server attached to its response (nil when the response carried
-// none).
-func (c *Conn) CallRecvRaw(method string, seq uint64, req, resp any) ([]byte, int64, error) {
-	return c.exchange(method, seq, req, nil, false, resp, nil)
-}
-
-// CallRecvRawInto is CallRecvRaw that receives the response's raw
-// payload into buf when its capacity suffices (the returned slice then
-// aliases buf); a short or nil buf falls back to a fresh allocation.
+// CallRecvRawInto is CallSeq that additionally returns the raw payload
+// frame the server attached to its response (nil when the response carried
+// none), received into buf when its capacity suffices (the returned slice
+// then aliases buf); a short or nil buf falls back to a fresh allocation.
 func (c *Conn) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
 	return c.exchange(method, seq, req, nil, false, resp, buf)
 }
@@ -487,23 +481,6 @@ func (c *Conn) fail(method string, err error) error {
 
 // Stats exposes the connection's byte accounting.
 func (c *Conn) Stats() *TransportStats { return &c.count.stats }
-
-// Post on the framed transport reports ok=false: the stream is strictly
-// request/response, so callers fall back to a synchronous CallSeq with
-// the sequence number they had already assigned.
-func (c *Conn) Post(method string, seq uint64, req any) (int64, bool, error) {
-	return 0, false, nil
-}
-
-// Reap is a no-op on the framed transport: nothing is ever outstanding.
-func (c *Conn) Reap() error { return nil }
-
-// PostedPending is always zero on the framed transport.
-func (c *Conn) PostedPending() int { return 0 }
-
-// TakeDeferred is always nil on the framed transport: errors surface on
-// the call that caused them.
-func (c *Conn) TakeDeferred() error { return nil }
 
 // Down reports whether the connection has been latched down.
 func (c *Conn) Down() bool {

@@ -59,7 +59,7 @@ func TestRawResponseOnly(t *testing.T) {
 	})
 	conn := pair(t, s)
 	var resp rawRespHdr
-	raw, _, err := conn.CallRecvRaw("fill", 0, rawReqHdr{N: 4096}, &resp)
+	raw, _, err := conn.CallRecvRawInto("fill", 0, rawReqHdr{N: 4096}, &resp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,7 @@
 // request/response values cross by reference (same address space in this
 // model), so the gob encode/decode and copy-in/copy-out that dominate the
 // framed hot path disappear; bulk reads land zero-copy in the caller's
-// buffer via the handler `into` path. Fire-and-forget submission (Post)
-// completes enqueue-class calls with zero round trips until the next sync
-// point, whose synchronous call drains the earlier completions in FIFO
-// order.
+// buffer via the handler `into` path.
 //
 // Fault injection is cooperative rather than byte-level: the client picks
 // the call's fault from the same seeded FaultInjector stream the framed
@@ -38,9 +35,7 @@ import (
 // payload it points at; gob envelopes do not exist here.
 const ringSlotBytes = 64
 
-// DefaultRingDepth is the default slot count per queue. It must exceed
-// the largest burst of posted (unreaped) submissions a client is allowed
-// to build up — proxy.Client settles well before this fills.
+// DefaultRingDepth is the default slot count per queue.
 const DefaultRingDepth = 256
 
 // Spin budgets before a waiter parks. The client burns longer (it is the
@@ -170,24 +165,20 @@ func (q *spsc[T]) close() {
 
 // ringMsg is one submission slot.
 type ringMsg struct {
-	idx     uint64 // submission index; completions echo it back
 	method  string
 	seq     uint64 // replay-dedupe sequence; 0 = idempotent
 	req     any    // the typed request value, by reference
 	payload []byte // raw request payload (valid until the handler returns)
 	into    []byte // caller's destination for the response payload, if any
-	posted  bool   // fire-and-forget: the client will not wait on this
 	fault   FaultKind
 }
 
 // ringCpl is one completion slot.
 type ringCpl struct {
-	idx    uint64
-	method string
-	env    respEnvelope
-	resp   any
-	raw    []byte
-	fault  FaultKind // non-None: the completion arrived poisoned
+	env   respEnvelope
+	resp  any
+	raw   []byte
+	fault FaultKind // non-None: the completion arrived poisoned
 }
 
 // RingConfig configures a Ring.
@@ -212,22 +203,18 @@ type Ring struct {
 	sq *spsc[ringMsg]
 	cq *spsc[ringCpl]
 
-	// mu is the producer lock: it serialises submissions and completion
-	// draining. The service loop never takes it — a client blocked on its
-	// completion holds mu the whole time.
+	// mu is the producer lock: one submission is in flight at a time. The
+	// service loop never takes it — a client blocked on its completion
+	// holds mu the whole time.
 	mu       sync.Mutex
-	nextIdx  uint64
 	clock    *vtime.Clock
 	timeout  vtime.Duration
 	maxFrame int
 
-	outstanding atomic.Int64 // posted submissions not yet completed
-
-	// stateMu guards the down latch and the deferred-error slot; both
-	// sides touch them, so they stay off mu.
-	stateMu  sync.Mutex
-	downErr  error
-	deferred error
+	// stateMu guards the down latch; both sides touch it, so it stays off
+	// mu.
+	stateMu sync.Mutex
+	downErr error
 }
 
 // NewRing builds a ring transport served by srv. The caller starts the
@@ -322,14 +309,10 @@ func (r *Ring) CallSeq(method string, seq uint64, req, resp any) (int64, error) 
 	return n, err
 }
 
-// CallRecvRaw additionally returns the response's raw payload, if any.
-func (r *Ring) CallRecvRaw(method string, seq uint64, req, resp any) ([]byte, int64, error) {
-	return r.exchange(method, seq, req, nil, resp, nil)
-}
-
-// CallRecvRawInto passes buf to the server as the response payload's
-// destination: a ring-aware handler writes straight into it (zero-copy),
-// and a derived handler's payload is copied into it on completion.
+// CallRecvRawInto returns the response's raw payload, if any. buf goes to
+// the server as its destination: a ring-aware handler writes straight
+// into it (zero-copy), and a derived handler's payload is copied into it
+// on completion.
 func (r *Ring) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
 	return r.exchange(method, seq, req, nil, resp, buf)
 }
@@ -339,62 +322,6 @@ func (r *Ring) CallRecvRawInto(method string, seq uint64, req, resp any, buf []b
 // holds because the call is synchronous.
 func (r *Ring) CallRawSeq(method string, seq uint64, req any, rawReq []byte, resp any) ([]byte, int64, error) {
 	return r.exchange(method, seq, req, rawReq, resp, nil)
-}
-
-// Post publishes method fire-and-forget and returns as soon as the slot
-// is in the submission queue. The completion is drained by the next
-// synchronous call or Reap; a remote error it carries parks in the
-// deferred slot (TakeDeferred).
-func (r *Ring) Post(method string, seq uint64, req any) (int64, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.downError(); err != nil {
-		return 0, true, &DownError{Method: method, Err: err}
-	}
-	kind, err := r.submitFault(method)
-	if err != nil {
-		return 0, true, err
-	}
-	idx := r.nextIdx
-	r.nextIdx++
-	n := int64(ringSlotBytes)
-	r.stats.AddSent(n)
-	msg := ringMsg{idx: idx, method: method, seq: seq, req: req, posted: true, fault: kind}
-	if err := r.sq.push(msg); err != nil {
-		return n, true, r.fail(method, err)
-	}
-	r.outstanding.Add(1)
-	return n, true, nil
-}
-
-// Reap blocks until every posted submission has completed (or the ring is
-// down). Remote errors land in the deferred slot, not the return value.
-func (r *Ring) Reap() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.outstanding.Load() > 0 {
-		cpl, err := r.cq.pop(ringClientSpin)
-		if err != nil {
-			return r.fail("reap", err)
-		}
-		if err := r.consumePosted(cpl); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PostedPending reports the posted submissions not yet completed.
-func (r *Ring) PostedPending() int { return int(r.outstanding.Load()) }
-
-// TakeDeferred returns (and clears) the first remote error a posted call
-// came back with.
-func (r *Ring) TakeDeferred() error {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	err := r.deferred
-	r.deferred = nil
-	return err
 }
 
 // submitFault draws the call's fault from the injector and fires the
@@ -424,31 +351,8 @@ func (r *Ring) submitFault(method string) (FaultKind, error) {
 	return kind, nil
 }
 
-// consumePosted accounts one posted completion: stats, poison detection,
-// deferred-error capture.
-func (r *Ring) consumePosted(cpl ringCpl) error {
-	r.stats.AddRecv(int64(ringSlotBytes + len(cpl.raw)))
-	r.outstanding.Add(-1)
-	if cpl.fault != FaultNone {
-		return r.fail(cpl.method, fmt.Errorf("fault injected: %s completion poisoned (%s)", cpl.method, cpl.fault))
-	}
-	if cpl.env.ErrOp != "" {
-		r.stateMu.Lock()
-		if r.deferred == nil {
-			r.deferred = &DeferredError{
-				Method: cpl.method,
-				Err:    &RemoteError{Op: cpl.env.ErrOp, Detail: cpl.env.ErrDetail, Status: cpl.env.ErrStatus},
-			}
-		}
-		r.stateMu.Unlock()
-	}
-	return nil
-}
-
 // exchange runs one synchronous submission/completion cycle under the
-// producer lock, draining any earlier posted completions on the way (the
-// SPSC queues guarantee FIFO, so everything posted before this call
-// completes before it).
+// producer lock.
 func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp any, into []byte) ([]byte, int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -466,57 +370,47 @@ func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp 
 	if len(rawReq) > r.maxFrame {
 		return nil, 0, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(rawReq), ErrFrameTooLarge, r.maxFrame))
 	}
-	idx := r.nextIdx
-	r.nextIdx++
 	n := int64(ringSlotBytes + len(rawReq))
 	r.stats.AddSent(n)
-	msg := ringMsg{idx: idx, method: method, seq: seq, req: req, payload: rawReq, into: into, fault: kind}
+	msg := ringMsg{method: method, seq: seq, req: req, payload: rawReq, into: into, fault: kind}
 	if err := r.sq.push(msg); err != nil {
 		return nil, n, r.fail(method, err)
 	}
-	for {
-		cpl, err := r.cq.pop(ringClientSpin)
-		if err != nil {
-			return nil, n, r.fail(method, err)
-		}
-		if cpl.idx != idx {
-			if err := r.consumePosted(cpl); err != nil {
-				return nil, n, err
-			}
-			continue
-		}
-		recv := int64(ringSlotBytes + len(cpl.raw))
-		r.stats.AddRecv(recv)
-		n += recv
-		if cpl.fault != FaultNone {
-			return nil, n, r.fail(method, fmt.Errorf("fault injected: %s completion poisoned (%s)", method, cpl.fault))
-		}
-		if len(cpl.raw) > r.maxFrame {
-			return nil, n, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(cpl.raw), ErrFrameTooLarge, r.maxFrame))
-		}
-		var callErr error
-		var rawResp []byte
-		if cpl.env.ErrOp != "" {
-			callErr = &RemoteError{Op: cpl.env.ErrOp, Detail: cpl.env.ErrDetail, Status: cpl.env.ErrStatus}
-		} else {
-			if resp != nil && cpl.resp != nil {
-				dst := reflect.ValueOf(resp).Elem()
-				src := reflect.ValueOf(cpl.resp)
-				if !src.Type().AssignableTo(dst.Type()) {
-					return nil, n, r.fail(method, fmt.Errorf("ipc: %s: response is %s, want %s", method, src.Type(), dst.Type()))
-				}
-				dst.Set(src)
-			}
-			rawResp = cpl.raw
-		}
-		if r.clock != nil && r.timeout > 0 {
-			if elapsed := r.clock.Now().Sub(start); elapsed > r.timeout {
-				return nil, n, r.fail(method,
-					fmt.Errorf("%s exceeded the %s call deadline (took %s)", method, r.timeout, elapsed))
-			}
-		}
-		return rawResp, n, callErr
+	cpl, err := r.cq.pop(ringClientSpin)
+	if err != nil {
+		return nil, n, r.fail(method, err)
 	}
+	recv := int64(ringSlotBytes + len(cpl.raw))
+	r.stats.AddRecv(recv)
+	n += recv
+	if cpl.fault != FaultNone {
+		return nil, n, r.fail(method, fmt.Errorf("fault injected: %s completion poisoned (%s)", method, cpl.fault))
+	}
+	if len(cpl.raw) > r.maxFrame {
+		return nil, n, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(cpl.raw), ErrFrameTooLarge, r.maxFrame))
+	}
+	var callErr error
+	var rawResp []byte
+	if cpl.env.ErrOp != "" {
+		callErr = &RemoteError{Op: cpl.env.ErrOp, Detail: cpl.env.ErrDetail, Status: cpl.env.ErrStatus}
+	} else {
+		if resp != nil && cpl.resp != nil {
+			dst := reflect.ValueOf(resp).Elem()
+			src := reflect.ValueOf(cpl.resp)
+			if !src.Type().AssignableTo(dst.Type()) {
+				return nil, n, r.fail(method, fmt.Errorf("ipc: %s: response is %s, want %s", method, src.Type(), dst.Type()))
+			}
+			dst.Set(src)
+		}
+		rawResp = cpl.raw
+	}
+	if r.clock != nil && r.timeout > 0 {
+		if elapsed := r.clock.Now().Sub(start); elapsed > r.timeout {
+			return nil, n, r.fail(method,
+				fmt.Errorf("%s exceeded the %s call deadline (took %s)", method, r.timeout, elapsed))
+		}
+	}
+	return rawResp, n, callErr
 }
 
 // Serve is the proxy-side service loop: it polls the submission queue,
@@ -562,7 +456,6 @@ func (r *Ring) serveOne(msg ringMsg) bool {
 	}
 
 	var cpl ringCpl
-	cpl.idx, cpl.method = msg.idx, msg.method
 
 	var done func(cachedResp)
 	if msg.seq != 0 {

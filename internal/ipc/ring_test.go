@@ -154,59 +154,6 @@ func TestRingRawPayloadAndInto(t *testing.T) {
 	}
 }
 
-func TestRingPostedFIFOAndDeferredError(t *testing.T) {
-	s := NewServer()
-	var order []int
-	var mu sync.Mutex
-	Register(s, "mark", func(r addReq) (addResp, error) {
-		mu.Lock()
-		order = append(order, r.A)
-		mu.Unlock()
-		if r.B != 0 {
-			return addResp{}, &codedError{op: "clMark", detail: "deferred boom"}
-		}
-		return addResp{}, nil
-	})
-	ring := ringPair(t, s, RingConfig{})
-
-	for i := 1; i <= 3; i++ {
-		if _, ok, err := ring.Post("mark", uint64(i), addReq{A: i}); !ok || err != nil {
-			t.Fatalf("post %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	// The next synchronous call drains the three posted completions first.
-	var resp addResp
-	if _, err := ring.Call("mark", addReq{A: 4}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if ring.PostedPending() != 0 {
-		t.Errorf("PostedPending = %d after sync call", ring.PostedPending())
-	}
-	mu.Lock()
-	got := append([]int(nil), order...)
-	mu.Unlock()
-	for i, want := range []int{1, 2, 3, 4} {
-		if got[i] != want {
-			t.Fatalf("execution order %v, want FIFO", got)
-		}
-	}
-
-	// A posted call's remote error is deferred, not lost.
-	if _, ok, err := ring.Post("mark", 9, addReq{A: 5, B: 1}); !ok || err != nil {
-		t.Fatalf("post: ok=%v err=%v", ok, err)
-	}
-	if err := ring.Reap(); err != nil {
-		t.Fatalf("reap: %v", err)
-	}
-	var de *DeferredError
-	if err := ring.TakeDeferred(); !errors.As(err, &de) || de.Method != "mark" {
-		t.Fatalf("TakeDeferred = %v, want DeferredError{mark}", err)
-	}
-	if err := ring.TakeDeferred(); err != nil {
-		t.Errorf("second TakeDeferred = %v, want nil", err)
-	}
-}
-
 func TestRingReplayDedupe(t *testing.T) {
 	s := NewServer()
 	var execs atomic.Int64
@@ -339,7 +286,7 @@ func TestRingMaxFrame(t *testing.T) {
 }
 
 // TestRingConcurrentSubmitComplete is the -race gate: many goroutines
-// hammering synchronous calls and posts through one ring.
+// hammering synchronous calls through one ring.
 func TestRingConcurrentSubmitComplete(t *testing.T) {
 	s := NewServer()
 	var sum atomic.Int64
@@ -356,20 +303,12 @@ func TestRingConcurrentSubmitComplete(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if i%4 == 0 {
-					if _, ok, err := ring.Post("acc", 0, addReq{A: 1}); !ok || err != nil {
-						errs[w] = err
-						return
-					}
-					continue
-				}
 				var resp addResp
 				if _, err := ring.Call("acc", addReq{A: 1}, &resp); err != nil {
 					errs[w] = err
 					return
 				}
 			}
-			errs[w] = ring.Reap()
 		}(w)
 	}
 	wg.Wait()
@@ -377,9 +316,6 @@ func TestRingConcurrentSubmitComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
-	}
-	if err := ring.Reap(); err != nil {
-		t.Fatal(err)
 	}
 	if got := sum.Load(); got != workers*per {
 		t.Errorf("executed sum = %d, want %d", got, workers*per)

@@ -1,10 +1,6 @@
 package ipc
 
-import (
-	"fmt"
-
-	"checl/internal/vtime"
-)
+import "checl/internal/vtime"
 
 // Transport is the call surface proxy.Client drives, extracted from Conn
 // so the framed stream and the shared-memory ring are interchangeable
@@ -12,12 +8,6 @@ import (
 // fast with an error matching ErrConnDown), both honour sequence-number
 // replay dedupe against the same Server cache, and both report their byte
 // traffic through the shared TransportStats layer.
-//
-// The Post/Reap/PostedPending/TakeDeferred quartet is the asynchronous
-// surface: Post submits a fire-and-forget call whose completion is
-// consumed later (by the next synchronous call in FIFO order, or by an
-// explicit Reap at a sync point). A strictly synchronous backend reports
-// ok=false from Post and the caller falls back to a blocking call.
 type Transport interface {
 	// Call invokes method with resp decoded/copied into resp (a pointer),
 	// returning the bytes the call moved across the transport.
@@ -25,32 +15,13 @@ type Transport interface {
 	// CallSeq is Call with an explicit dedupe sequence number (0 = never
 	// deduped; non-zero must be unique per logical call).
 	CallSeq(method string, seq uint64, req, resp any) (int64, error)
-	// CallRecvRaw additionally returns the raw payload the server attached
-	// to its response (nil when none).
-	CallRecvRaw(method string, seq uint64, req, resp any) ([]byte, int64, error)
-	// CallRecvRawInto receives the response payload into buf when its
+	// CallRecvRawInto additionally returns the raw payload the server
+	// attached to its response (nil when none), received into buf when its
 	// capacity suffices (the returned slice then aliases buf).
 	CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error)
 	// CallRawSeq attaches rawReq verbatim to the request, skipping any
 	// encoding, and returns the response's raw payload, if any.
 	CallRawSeq(method string, seq uint64, req any, rawReq []byte, resp any) ([]byte, int64, error)
-
-	// Post submits method fire-and-forget: it returns as soon as the
-	// request is published, without waiting for the server. ok=false means
-	// the backend is synchronous and the caller must issue a blocking call
-	// with the same seq instead. The returned n is the bytes published.
-	Post(method string, seq uint64, req any) (n int64, ok bool, err error)
-	// Reap blocks until every posted call has completed (or the transport
-	// is down). Remote errors from posted calls are recorded, not
-	// returned — collect them with TakeDeferred.
-	Reap() error
-	// PostedPending reports how many posted calls have not yet completed.
-	// Completions arrive in FIFO posting order, so a caller tracking its
-	// posted calls can prune the completed prefix from this count alone.
-	PostedPending() int
-	// TakeDeferred returns (and clears) the first remote error a posted
-	// call came back with, wrapped as a *DeferredError.
-	TakeDeferred() error
 
 	// SetDeadline arms a per-call deadline on the virtual clock.
 	SetDeadline(clock *vtime.Clock, timeout vtime.Duration)
@@ -68,16 +39,3 @@ var (
 	_ Transport = (*Conn)(nil)
 	_ Transport = (*Ring)(nil)
 )
-
-// DeferredError carries the remote failure of a posted (fire-and-forget)
-// call to the synchronisation point where it is finally observed.
-type DeferredError struct {
-	Method string // the posted call that failed
-	Err    error  // the remote error it came back with
-}
-
-func (e *DeferredError) Error() string {
-	return fmt.Sprintf("ipc: posted %s failed: %v", e.Method, e.Err)
-}
-
-func (e *DeferredError) Unwrap() error { return e.Err }

@@ -31,22 +31,17 @@ func (m CostModel) roundTrip(n int64) vtime.Duration {
 	return 2*m.CallLatency + m.CopyBW.Transfer(n)
 }
 
-// postCost prices one fire-and-forget submission: a single slot publish
-// plus the arena share of its payload — no completion wait.
-func (m CostModel) postCost(n int64) vtime.Duration {
+// BulkCut is the payload size from which copying the payload alone costs
+// at least the round trip that queueing it behind other commands would
+// save. core stages writes below it into the next batch frame and sends
+// writes at or above it on their own zero-copy call, so the copy starts
+// overlapping device work at once.
+func (m CostModel) BulkCut() int64 {
+	bw := m.CopyBW
 	if m.Ring != nil {
-		return m.Ring.SlotPublish + m.Ring.ArenaBW.Transfer(n)
+		bw = m.Ring.ArenaBW
 	}
-	return 2*m.CallLatency + m.CopyBW.Transfer(n)
-}
-
-// reapCost prices the completion-queue poll a sync point pays to settle
-// the posted backlog.
-func (m CostModel) reapCost() vtime.Duration {
-	if m.Ring != nil {
-		return m.Ring.Poll
-	}
-	return 0
+	return int64(m.roundTrip(0).Seconds() * float64(bw))
 }
 
 // RetryPolicy bounds the client's transparent reconnect-and-retry loop.
@@ -86,7 +81,7 @@ type Stats struct {
 	Bytes      int64
 	Batched    int64 // commands coalesced into clEnqueueBatch calls
 	Speculated int64 // commands shipped by overlapped (epoch-tagged) batches
-	Posted     int64 // calls submitted fire-and-forget (zero round trips)
+	Posted     int64 // always 0: kept for tools compiled against the field
 	Retries    int64 // calls re-sent after a transport fault
 	Reconnects int64 // fresh connections dialled to the same proxy
 }
@@ -112,30 +107,13 @@ type Client struct {
 	redial func() (ipc.Transport, error)
 	closed bool
 
-	// postMu guards the posted-but-unsettled call list (and the deferred
-	// error captured while replaying it). Lock order: postMu before mu,
-	// never the reverse.
-	postMu       sync.Mutex
-	pendingPosts []postedCall
-	deferred     error
-
 	seq        atomic.Uint64
 	calls      atomic.Int64
 	bytes      atomic.Int64
 	batched    atomic.Int64
 	speculated atomic.Int64
-	posted     atomic.Int64
 	retries    atomic.Int64
 	reconnects atomic.Int64
-}
-
-// postedCall remembers one fire-and-forget submission so it can be
-// re-sent synchronously — same method, same seq — if the transport dies
-// before its completion is observed.
-type postedCall struct {
-	method string
-	seq    uint64
-	req    any
 }
 
 var _ ocl.API = (*Client)(nil)
@@ -167,7 +145,6 @@ func (c *Client) Stats() Stats {
 		Bytes:      c.bytes.Load(),
 		Batched:    c.batched.Load(),
 		Speculated: c.speculated.Load(),
-		Posted:     c.posted.Load(),
 		Retries:    c.retries.Load(),
 		Reconnects: c.reconnects.Load(),
 	}
@@ -203,6 +180,12 @@ func (c *Client) call(method string, req, resp any) error {
 	return err
 }
 
+// send is call for the entry points that return nothing but an error.
+func (c *Client) send(method string, req any) error {
+	var r Empty
+	return c.call(method, req, &r)
+}
+
 // callRaw is call with a raw payload attached to the request; it returns
 // the raw payload the server attached to its response, if any.
 func (c *Client) callRaw(method string, req any, rawReq []byte, resp any) ([]byte, error) {
@@ -220,19 +203,13 @@ func (c *Client) exchange(method string, req any, rawReq []byte, sendRaw bool, r
 	if !idempotent(method) {
 		seq = c.seq.Add(1)
 	}
-	return c.exchangeSeq(method, seq, req, rawReq, sendRaw, resp, into)
-}
-
-// exchangeSeq is exchange with the dedupe sequence number already
-// assigned (the posted-call fallback path re-uses the seq it drew).
-func (c *Client) exchangeSeq(method string, seq uint64, req any, rawReq []byte, sendRaw bool, resp any, into []byte) ([]byte, error) {
 	return c.exchangeSeqPriced(method, seq, req, rawReq, sendRaw, resp, into, nil)
 }
 
-// exchangeSeqPriced is exchangeSeq with a pluggable price for the
-// successful wire exchange: price(n) returns the duration charged to the
-// application clock for a frame of n bytes. nil keeps the default
-// synchronous round-trip price. Retry backoff and re-sends are always
+// exchangeSeqPriced is exchange with the dedupe sequence number already
+// assigned and a pluggable price for the successful wire exchange:
+// price(n) returns the duration charged to the application clock for a
+// frame of n bytes. nil keeps the default synchronous round-trip price. Retry backoff and re-sends are always
 // charged in full — only the final successful exchange is re-priced.
 func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []byte, sendRaw bool, resp any, into []byte, price func(n int64) vtime.Duration) ([]byte, error) {
 	c.mu.Lock()
@@ -262,13 +239,6 @@ func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []
 			c.clock.Advance(c.cost.roundTrip(n))
 		}
 		if err == nil {
-			// A synchronous completion drains every earlier posted
-			// completion first (FIFO), so settled posts can be pruned and
-			// any deferred error they carried surfaces here.
-			c.prunePosted(conn)
-			if derr := c.takeDeferred(conn); derr != nil {
-				return raw, derr
-			}
 			return raw, nil
 		}
 		var re *ipc.RemoteError
@@ -294,8 +264,7 @@ func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []
 }
 
 // reconnect swaps in a fresh connection if the failed one is still
-// current, then re-sends any posted calls the dead transport swallowed.
-// It reports whether a retry is worth attempting.
+// current. It reports whether a retry is worth attempting.
 func (c *Client) reconnect(failed ipc.Transport) bool {
 	c.mu.Lock()
 	if c.closed || c.redial == nil {
@@ -304,7 +273,7 @@ func (c *Client) reconnect(failed ipc.Transport) bool {
 	}
 	if c.conn != failed {
 		c.mu.Unlock()
-		return true // another caller already redialled (and replayed)
+		return true // another caller already redialled
 	}
 	conn, err := c.redial()
 	if err != nil {
@@ -316,154 +285,7 @@ func (c *Client) reconnect(failed ipc.Transport) bool {
 	c.reconnects.Add(1)
 	c.mu.Unlock()
 	_ = old.Close()
-	return c.replayPosted(conn)
-}
-
-// replayPosted re-sends every posted-but-unsettled call synchronously on
-// the fresh connection with its original sequence number: a call whose
-// first execution survived is answered from the server's dedupe cache,
-// the rest execute now — exactly-once either way (the seq-0 posts, Flush
-// and Barrier, re-execute harmlessly). It reports whether the connection
-// survived the replay; on a fresh death the unsent tail stays pending
-// for the next reconnect.
-func (c *Client) replayPosted(conn ipc.Transport) bool {
-	if c.posted.Load() == 0 {
-		return true
-	}
-	c.postMu.Lock()
-	defer c.postMu.Unlock()
-	for len(c.pendingPosts) > 0 {
-		pc := c.pendingPosts[0]
-		var r Empty
-		n, err := conn.CallSeq(pc.method, pc.seq, pc.req, &r)
-		c.calls.Add(1)
-		c.bytes.Add(n)
-		c.retries.Add(1)
-		c.clock.Advance(c.cost.roundTrip(n))
-		if err != nil {
-			var re *ipc.RemoteError
-			if !errors.As(err, &re) {
-				return false
-			}
-			// A remote error from a fire-and-forget call stays deferred,
-			// exactly as if its completion had carried it.
-			if c.deferred == nil {
-				c.deferred = &ipc.DeferredError{Method: pc.method, Err: err}
-			}
-		}
-		c.pendingPosts = c.pendingPosts[1:]
-	}
 	return true
-}
-
-// prunePosted drops the completed prefix of the posted-call list.
-// Completions arrive in FIFO posting order, so the transport's
-// outstanding count alone identifies how many leading entries settled.
-func (c *Client) prunePosted(conn ipc.Transport) {
-	if c.posted.Load() == 0 {
-		return // never posted anything: the framed fast path stays lock-free
-	}
-	c.postMu.Lock()
-	if done := len(c.pendingPosts) - conn.PostedPending(); done > 0 {
-		c.pendingPosts = c.pendingPosts[done:]
-	}
-	c.postMu.Unlock()
-}
-
-// takeDeferred surfaces the first deferred remote error, whether it came
-// back on a drained completion or during a posted-call replay.
-func (c *Client) takeDeferred(conn ipc.Transport) error {
-	if err := conn.TakeDeferred(); err != nil {
-		return err
-	}
-	if c.posted.Load() == 0 {
-		return nil
-	}
-	c.postMu.Lock()
-	err := c.deferred
-	c.deferred = nil
-	c.postMu.Unlock()
-	return err
-}
-
-// postWindow bounds the posted-but-unsettled backlog. It must stay well
-// under the ring's queue depth or an unreaped burst could fill the
-// completion queue and wedge both sides.
-const postWindow = 64
-
-// post forwards an Empty-response call fire-and-forget when the transport
-// supports it, deferring its completion to the next synchronous call or
-// sync point — zero round trips until then. On a synchronous transport it
-// degrades to a plain call with the same sequence number.
-func (c *Client) post(method string, req any) error {
-	var seq uint64
-	if !idempotent(method) {
-		seq = c.seq.Add(1)
-	}
-	c.mu.Lock()
-	conn := c.conn
-	c.mu.Unlock()
-	n, ok, err := conn.Post(method, seq, req)
-	if !ok {
-		var r Empty
-		_, err := c.exchangeSeq(method, seq, req, nil, false, &r, nil)
-		return err
-	}
-	c.calls.Add(1)
-	c.posted.Add(1)
-	c.bytes.Add(n)
-	c.clock.Advance(c.cost.postCost(n))
-	c.postMu.Lock()
-	c.pendingPosts = append(c.pendingPosts, postedCall{method: method, seq: seq, req: req})
-	pend := len(c.pendingPosts)
-	c.postMu.Unlock()
-	if err != nil {
-		// The transport died on the publish. The call is in the pending
-		// list, so a successful reconnect replays it synchronously.
-		if errors.Is(err, ipc.ErrConnDown) && c.reconnect(conn) {
-			return nil
-		}
-		return err
-	}
-	if pend >= postWindow {
-		return c.SettlePosted()
-	}
-	return nil
-}
-
-// SettlePosted is the sync-point barrier for posted calls: it blocks
-// until every fire-and-forget submission has completed — reconnecting
-// and replaying the backlog synchronously if the transport died with
-// some in flight — and surfaces the first deferred remote error.
-func (c *Client) SettlePosted() error {
-	if c.posted.Load() == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	policy := c.retry
-	c.mu.Unlock()
-	backoff := policy.Backoff
-	for attempt := 1; ; attempt++ {
-		c.mu.Lock()
-		conn := c.conn
-		c.mu.Unlock()
-		err := conn.Reap()
-		if err == nil {
-			c.clock.Advance(c.cost.reapCost())
-			c.prunePosted(conn)
-			return c.takeDeferred(conn)
-		}
-		if !errors.Is(err, ipc.ErrConnDown) || attempt >= policy.Attempts {
-			return err
-		}
-		c.clock.Advance(backoff)
-		if backoff *= 2; backoff > policy.MaxBackoff {
-			backoff = policy.MaxBackoff
-		}
-		if !c.reconnect(conn) {
-			return err
-		}
-	}
 }
 
 // --- forwarded API surface (one method per OpenCL entry point) ---
@@ -499,13 +321,11 @@ func (c *Client) CreateContext(devices []ocl.DeviceID) (ocl.Context, error) {
 }
 
 func (c *Client) RetainContext(ctx ocl.Context) error {
-	var r Empty
-	return c.call("clRetainContext", ContextReq{Context: ctx}, &r)
+	return c.send("clRetainContext", ContextReq{Context: ctx})
 }
 
 func (c *Client) ReleaseContext(ctx ocl.Context) error {
-	var r Empty
-	return c.call("clReleaseContext", ContextReq{Context: ctx}, &r)
+	return c.send("clReleaseContext", ContextReq{Context: ctx})
 }
 
 func (c *Client) CreateCommandQueue(ctx ocl.Context, d ocl.DeviceID, props ocl.QueueProps) (ocl.CommandQueue, error) {
@@ -515,13 +335,11 @@ func (c *Client) CreateCommandQueue(ctx ocl.Context, d ocl.DeviceID, props ocl.Q
 }
 
 func (c *Client) RetainCommandQueue(q ocl.CommandQueue) error {
-	var r Empty
-	return c.call("clRetainCommandQueue", QueueReq{Queue: q}, &r)
+	return c.send("clRetainCommandQueue", QueueReq{Queue: q})
 }
 
 func (c *Client) ReleaseCommandQueue(q ocl.CommandQueue) error {
-	var r Empty
-	return c.call("clReleaseCommandQueue", QueueReq{Queue: q}, &r)
+	return c.send("clReleaseCommandQueue", QueueReq{Queue: q})
 }
 
 func (c *Client) CreateBuffer(ctx ocl.Context, flags ocl.MemFlags, size int64, hostData []byte) (ocl.Mem, error) {
@@ -531,13 +349,11 @@ func (c *Client) CreateBuffer(ctx ocl.Context, flags ocl.MemFlags, size int64, h
 }
 
 func (c *Client) RetainMemObject(m ocl.Mem) error {
-	var r Empty
-	return c.call("clRetainMemObject", MemReq{Mem: m}, &r)
+	return c.send("clRetainMemObject", MemReq{Mem: m})
 }
 
 func (c *Client) ReleaseMemObject(m ocl.Mem) error {
-	var r Empty
-	return c.call("clReleaseMemObject", MemReq{Mem: m}, &r)
+	return c.send("clReleaseMemObject", MemReq{Mem: m})
 }
 
 func (c *Client) CreateSampler(ctx ocl.Context, normalized bool, am ocl.AddressingMode, fm ocl.FilterMode) (ocl.Sampler, error) {
@@ -547,13 +363,11 @@ func (c *Client) CreateSampler(ctx ocl.Context, normalized bool, am ocl.Addressi
 }
 
 func (c *Client) RetainSampler(s ocl.Sampler) error {
-	var r Empty
-	return c.call("clRetainSampler", SamplerReq{Sampler: s}, &r)
+	return c.send("clRetainSampler", SamplerReq{Sampler: s})
 }
 
 func (c *Client) ReleaseSampler(s ocl.Sampler) error {
-	var r Empty
-	return c.call("clReleaseSampler", SamplerReq{Sampler: s}, &r)
+	return c.send("clReleaseSampler", SamplerReq{Sampler: s})
 }
 
 func (c *Client) CreateProgramWithSource(ctx ocl.Context, source string) (ocl.Program, error) {
@@ -569,8 +383,7 @@ func (c *Client) CreateProgramWithBinary(ctx ocl.Context, d ocl.DeviceID, binary
 }
 
 func (c *Client) BuildProgram(p ocl.Program, options string) error {
-	var r Empty
-	return c.call("clBuildProgram", BuildProgramReq{Program: p, Options: options}, &r)
+	return c.send("clBuildProgram", BuildProgramReq{Program: p, Options: options})
 }
 
 func (c *Client) GetProgramBuildInfo(p ocl.Program, d ocl.DeviceID) (ocl.BuildInfo, error) {
@@ -586,13 +399,11 @@ func (c *Client) GetProgramBinary(p ocl.Program) ([]byte, error) {
 }
 
 func (c *Client) RetainProgram(p ocl.Program) error {
-	var r Empty
-	return c.call("clRetainProgram", ProgramReq{Program: p}, &r)
+	return c.send("clRetainProgram", ProgramReq{Program: p})
 }
 
 func (c *Client) ReleaseProgram(p ocl.Program) error {
-	var r Empty
-	return c.call("clReleaseProgram", ProgramReq{Program: p}, &r)
+	return c.send("clReleaseProgram", ProgramReq{Program: p})
 }
 
 func (c *Client) CreateKernel(p ocl.Program, name string) (ocl.Kernel, error) {
@@ -602,19 +413,15 @@ func (c *Client) CreateKernel(p ocl.Program, name string) (ocl.Kernel, error) {
 }
 
 func (c *Client) RetainKernel(k ocl.Kernel) error {
-	var r Empty
-	return c.call("clRetainKernel", KernelReq{Kernel: k}, &r)
+	return c.send("clRetainKernel", KernelReq{Kernel: k})
 }
 
 func (c *Client) ReleaseKernel(k ocl.Kernel) error {
-	var r Empty
-	return c.call("clReleaseKernel", KernelReq{Kernel: k}, &r)
+	return c.send("clReleaseKernel", KernelReq{Kernel: k})
 }
 
 func (c *Client) SetKernelArg(k ocl.Kernel, index int, size int64, value []byte) error {
-	// Enqueue-class fire-and-forget: on the ring this completes with zero
-	// round trips until the next sync point.
-	return c.post("clSetKernelArg", SetKernelArgReq{Kernel: k, Index: index, Size: size, Value: value})
+	return c.send("clSetKernelArg", SetKernelArgReq{Kernel: k, Index: index, Size: size, Value: value})
 }
 
 func (c *Client) EnqueueWriteBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset int64, data []byte, waits []ocl.Event) (ocl.Event, error) {
@@ -644,39 +451,50 @@ func (c *Client) EnqueueReadBufferInto(q ocl.CommandQueue, m ocl.Mem, blocking b
 	return data, r.Event, err
 }
 
-// EnqueueBatch ships a coalesced run of deferred commands as one
-// sequenced call. payload is the concatenation of every BatchWrite's
-// data, referenced by the commands' PayloadOff/PayloadLen; the returned
-// raw slice is the concatenation of every executed BatchRead's data, in
-// command order, sliced by resp.ReadLens.
-func (c *Client) EnqueueBatch(cmds []BatchCmd, payload []byte) (EnqueueBatchResp, []byte, error) {
+// BulkCut reports this client's CostModel.BulkCut.
+func (c *Client) BulkCut() int64 { return c.cost.BulkCut() }
+
+// SendBatch ships a built command frame as one sequenced call. The
+// returned raw slice is the concatenation of every executed BatchRead's
+// data, in command order, sliced by resp.ReadLens.
+func (c *Client) SendBatch(f *BatchFrame) (EnqueueBatchResp, []byte, error) {
 	var r EnqueueBatchResp
-	raw, err := c.callRaw("clEnqueueBatch", EnqueueBatchReq{Cmds: cmds}, payload, &r)
+	raw, err := c.callRaw("clEnqueueBatch", Empty{}, f.bytes(0), &r)
 	if err == nil {
-		c.batched.Add(int64(len(cmds)))
+		c.batched.Add(int64(f.Len()))
 	}
 	return r, raw, err
 }
 
-// EnqueueBatchOverlapped ships a batch whose bulk data transfer is
-// overlapped with continued application progress (the speculative
-// checkpoint drain): the application clock is charged only the
-// control-frame submission — an empty round trip — and the full modelled
-// transfer cost of the actual frame is returned, so the caller can model
-// the copy's completion horizon and charge whatever remainder its own
-// progress did not hide. Every command is tagged with the epoch id for
-// server/transport attribution. The returned data is complete and
-// consistent at the moment of the exchange; only its cost is deferred.
-func (c *Client) EnqueueBatchOverlapped(cmds []BatchCmd, payload []byte, epoch uint64) (EnqueueBatchResp, []byte, vtime.Duration, error) {
+// EnqueueBatch is SendBatch for a command list built ahead of time;
+// payload is the concatenation of every BatchWrite's data, referenced by
+// the commands' PayloadOff/PayloadLen.
+func (c *Client) EnqueueBatch(cmds []BatchCmd, payload []byte) (EnqueueBatchResp, []byte, error) {
+	return c.SendBatch(frameOf(cmds, payload))
+}
+
+func frameOf(cmds []BatchCmd, payload []byte) *BatchFrame {
+	var f BatchFrame
+	f.Stage(payload)
 	for i := range cmds {
-		cmds[i].Epoch = epoch
+		f.Add(&cmds[i])
 	}
+	return &f
+}
+
+// EnqueueBatchOverlapped ships a batch whose bulk data transfer overlaps
+// continued application progress (the speculative checkpoint drain): the
+// application clock is charged only an empty round trip, and the modelled
+// cost of the actual frame is returned so the caller can charge whatever
+// its own progress did not hide. The frame header carries the epoch id.
+// The returned data is complete at the exchange; only its cost is deferred.
+func (c *Client) EnqueueBatchOverlapped(cmds []BatchCmd, payload []byte, epoch uint64) (EnqueueBatchResp, []byte, vtime.Duration, error) {
 	var (
 		r     EnqueueBatchResp
 		frame vtime.Duration
 	)
 	seq := c.seq.Add(1)
-	raw, err := c.exchangeSeqPriced("clEnqueueBatch", seq, EnqueueBatchReq{Cmds: cmds}, payload, true, &r, nil,
+	raw, err := c.exchangeSeqPriced("clEnqueueBatch", seq, Empty{}, frameOf(cmds, payload).bytes(epoch), true, &r, nil,
 		func(n int64) vtime.Duration {
 			frame = c.cost.roundTrip(n)
 			return c.cost.roundTrip(0)
@@ -711,21 +529,19 @@ func (c *Client) EnqueueMarker(q ocl.CommandQueue) (ocl.Event, error) {
 }
 
 func (c *Client) EnqueueBarrier(q ocl.CommandQueue) error {
-	return c.post("clEnqueueBarrier", QueueReq{Queue: q})
+	return c.send("clEnqueueBarrier", QueueReq{Queue: q})
 }
 
 func (c *Client) Flush(q ocl.CommandQueue) error {
-	return c.post("clFlush", QueueReq{Queue: q})
+	return c.send("clFlush", QueueReq{Queue: q})
 }
 
 func (c *Client) Finish(q ocl.CommandQueue) error {
-	var r Empty
-	return c.call("clFinish", QueueReq{Queue: q}, &r)
+	return c.send("clFinish", QueueReq{Queue: q})
 }
 
 func (c *Client) WaitForEvents(events []ocl.Event) error {
-	var r Empty
-	return c.call("clWaitForEvents", WaitForEventsReq{Events: events}, &r)
+	return c.send("clWaitForEvents", WaitForEventsReq{Events: events})
 }
 
 func (c *Client) GetMemObjectInfo(m ocl.Mem) (ocl.MemObjectInfo, error) {
@@ -765,11 +581,9 @@ func (c *Client) GetEventProfile(e ocl.Event) (ocl.EventProfile, error) {
 }
 
 func (c *Client) RetainEvent(e ocl.Event) error {
-	var r Empty
-	return c.call("clRetainEvent", EventReq{Event: e}, &r)
+	return c.send("clRetainEvent", EventReq{Event: e})
 }
 
 func (c *Client) ReleaseEvent(e ocl.Event) error {
-	var r Empty
-	return c.call("clReleaseEvent", EventReq{Event: e}, &r)
+	return c.send("clReleaseEvent", EventReq{Event: e})
 }

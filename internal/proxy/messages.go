@@ -167,8 +167,9 @@ type (
 )
 
 // BatchOp identifies one deferred command inside a clEnqueueBatch frame.
-// Fire-and-forget enqueues are coalesced client-side and shipped as one
-// sequenced call; the server executes them in order.
+// Calls that return nothing the application can observe are queued
+// client-side and shipped as one sequenced call; the server executes them
+// in order.
 type BatchOp int
 
 const (
@@ -183,35 +184,30 @@ const (
 	BatchFinish
 )
 
+var batchMethods = [...]string{
+	BatchSetArg:  "clSetKernelArg",
+	BatchWrite:   "clEnqueueWriteBuffer",
+	BatchRead:    "clEnqueueReadBuffer",
+	BatchCopy:    "clEnqueueCopyBuffer",
+	BatchNDRange: "clEnqueueNDRangeKernel",
+	BatchMarker:  "clEnqueueMarker",
+	BatchBarrier: "clEnqueueBarrier",
+	BatchFlush:   "clFlush",
+	BatchFinish:  "clFinish",
+}
+
 // Method names the OpenCL entry point a batched op stands for, so a
 // deferred error can be attributed to the call the application made.
 func (op BatchOp) Method() string {
-	switch op {
-	case BatchSetArg:
-		return "clSetKernelArg"
-	case BatchWrite:
-		return "clEnqueueWriteBuffer"
-	case BatchRead:
-		return "clEnqueueReadBuffer"
-	case BatchCopy:
-		return "clEnqueueCopyBuffer"
-	case BatchNDRange:
-		return "clEnqueueNDRangeKernel"
-	case BatchMarker:
-		return "clEnqueueMarker"
-	case BatchBarrier:
-		return "clEnqueueBarrier"
-	case BatchFlush:
-		return "clFlush"
-	case BatchFinish:
-		return "clFinish"
-	default:
-		return "clEnqueueBatch"
+	if op >= 0 && int(op) < len(batchMethods) {
+		return batchMethods[op]
 	}
+	return "clEnqueueBatch"
 }
 
-// BatchCmd is one deferred command. Write payloads are not carried here:
-// they are concatenated into the batch's raw frame and referenced by
+// BatchCmd is one deferred command in its typed form; on the wire it is a
+// record of the command stream in batchwire.go. Write payloads are not
+// carried here: they sit in the frame's data region and are referenced by
 // [PayloadOff, PayloadOff+PayloadLen). Waits lists event handles that
 // already exist server-side; WaitIdx references events minted by earlier
 // commands of the same batch (by command index).
@@ -221,7 +217,7 @@ type BatchCmd struct {
 	Kernel     ocl.Kernel
 	Index      int    // SetArg: argument index
 	ArgSize    int64  // SetArg: argument size
-	Value      []byte // SetArg: argument bytes (small; stays in gob)
+	Value      []byte // SetArg: argument bytes (nil for a __local size)
 	Mem        ocl.Mem
 	Src, Dst   ocl.Mem
 	Blocking   bool
@@ -237,15 +233,7 @@ type BatchCmd struct {
 	Local      [3]int
 	Waits      []ocl.Event
 	WaitIdx    []int
-	// Epoch tags commands issued by a speculative checkpoint epoch
-	// (core's stop-free drain): non-zero identifies the epoch the command
-	// belongs to, so transports and tooling can attribute the overlapped
-	// traffic. Zero for ordinary batched commands.
-	Epoch uint64
 }
-
-// EnqueueBatchReq ships a coalesced run of deferred commands.
-type EnqueueBatchReq struct{ Cmds []BatchCmd }
 
 // EnqueueBatchResp reports per-command results. Commands up to (and
 // excluding) ErrIdx executed; their Events/ReadLens entries are valid and

@@ -172,8 +172,8 @@ func NewServer(api ocl.API) *ipc.Server {
 		data, ev, err := readBufferInto(api, r.Queue, r.Mem, r.Blocking, r.Offset, r.Size, r.Waits, buf)
 		return EnqueueReadBufferResp{Event: ev}, data, err
 	})
-	ipc.RegisterRaw(s, "clEnqueueBatch", func(r EnqueueBatchReq, payload []byte) (EnqueueBatchResp, []byte, error) {
-		return runBatch(api, r, payload)
+	ipc.RegisterRaw(s, "clEnqueueBatch", func(_ Empty, payload []byte) (EnqueueBatchResp, []byte, error) {
+		return runBatch(api, payload)
 	})
 	ipc.Register(s, "clEnqueueCopyBuffer", func(r EnqueueCopyBufferReq) (EventResp, error) {
 		ev, err := api.EnqueueCopyBuffer(r.Queue, r.Src, r.Dst, r.SrcOff, r.DstOff, r.Size, r.Waits)
@@ -235,71 +235,69 @@ func NewServer(api ocl.API) *ipc.Server {
 	return s
 }
 
-// runBatch executes a coalesced command run in order. The first failing
-// command stops the batch: its error is recorded in the response (index,
+// runBatch executes a command stream in order. The first failing command
+// stops the batch: its error is recorded in the response (index,
 // attributed method, status) instead of failing the whole call, because
 // the commands before it did execute and the client needs their events
-// and read data. In-batch event dependencies (WaitIdx) are resolved
-// against the events minted by earlier commands of the same run.
-func runBatch(api ocl.API, r EnqueueBatchReq, payload []byte) (EnqueueBatchResp, []byte, error) {
+// and read data. A command the decoder refuses fails in band the same way;
+// only a malformed header fails the call. In-batch event dependencies
+// (WaitIdx) are resolved against the events minted by earlier commands of
+// the same run.
+func runBatch(api ocl.API, payload []byte) (EnqueueBatchResp, []byte, error) {
+	rd, err := openBatch(payload)
+	if err != nil {
+		return EnqueueBatchResp{}, nil, err
+	}
 	resp := EnqueueBatchResp{
-		Events:   make([]ocl.Event, len(r.Cmds)),
-		ReadLens: make([]int64, len(r.Cmds)),
+		Events:   make([]ocl.Event, rd.N),
+		ReadLens: make([]int64, rd.N),
 		ErrIdx:   -1,
 	}
-	var out []byte
-	for i, cmd := range r.Cmds {
+	var (
+		out []byte
+		cmd BatchCmd
+	)
+	for i := 0; i < rd.N; i++ {
+		err := rd.next(&cmd)
 		waits := cmd.Waits
-		if len(cmd.WaitIdx) > 0 {
-			waits = append([]ocl.Event(nil), cmd.Waits...)
-			for _, j := range cmd.WaitIdx {
-				if j >= 0 && j < i && resp.Events[j] != 0 {
-					waits = append(waits, resp.Events[j])
-				}
+		for _, j := range cmd.WaitIdx {
+			if resp.Events[j] != 0 {
+				waits = append(waits, resp.Events[j])
 			}
 		}
 		var ev ocl.Event
-		var err error
-		switch cmd.Op {
-		case BatchSetArg:
+		switch {
+		case err != nil:
+		case cmd.Op == BatchSetArg:
 			err = api.SetKernelArg(cmd.Kernel, cmd.Index, cmd.ArgSize, cmd.Value)
-		case BatchWrite:
-			if cmd.PayloadOff < 0 || cmd.PayloadLen < 0 || cmd.PayloadOff+cmd.PayloadLen > int64(len(payload)) {
-				err = fmt.Errorf("batch write payload [%d:+%d] outside the %d-byte frame",
-					cmd.PayloadOff, cmd.PayloadLen, len(payload))
-				break
-			}
-			ev, err = api.EnqueueWriteBuffer(cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset,
-				payload[cmd.PayloadOff:cmd.PayloadOff+cmd.PayloadLen], waits)
-		case BatchRead:
-			// Read straight into the response frame's spare capacity —
-			// no intermediate per-command buffer.
-			off := len(out)
-			if need := off + int(cmd.Size); cmd.Size >= 0 && cap(out) < need {
-				grown := make([]byte, off, need)
-				copy(grown, out)
-				out = grown
-			}
+		case cmd.Op == BatchWrite:
+			ev, err = api.EnqueueWriteBuffer(cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, rd.writeData(&cmd), waits)
+		case cmd.Op == BatchRead:
+			// A frame's first (usually only) read hands back the runtime's
+			// own slice: no staging buffer, no copy. Later reads land in the
+			// response's spare capacity when it has some and are appended
+			// otherwise — never sized from the command before the runtime
+			// has validated it.
 			var data []byte
-			data, ev, err = readBufferInto(api, cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, cmd.Size, waits, out[off:off])
-			if err == nil {
-				resp.ReadLens[i] = int64(len(data))
-				out = out[:off+len(data)]
+			data, ev, err = readBufferInto(api, cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, cmd.Size, waits, out[len(out):])
+			resp.ReadLens[i] = int64(len(data))
+			if out == nil {
+				out = data
+			} else {
+				out = append(out, data...)
 			}
-		case BatchCopy:
+		case cmd.Op == BatchCopy:
 			ev, err = api.EnqueueCopyBuffer(cmd.Queue, cmd.Src, cmd.Dst, cmd.SrcOff, cmd.DstOff, cmd.Size, waits)
-		case BatchNDRange:
+		case cmd.Op == BatchNDRange:
 			ev, err = api.EnqueueNDRangeKernel(cmd.Queue, cmd.Kernel, cmd.Dims, cmd.GOff, cmd.Global, cmd.Local, waits)
-		case BatchMarker:
+		case cmd.Op == BatchMarker:
 			ev, err = api.EnqueueMarker(cmd.Queue)
-		case BatchBarrier:
+		case cmd.Op == BatchBarrier:
 			err = api.EnqueueBarrier(cmd.Queue)
-		case BatchFlush:
+		case cmd.Op == BatchFlush:
 			err = api.Flush(cmd.Queue)
-		case BatchFinish:
+		case cmd.Op == BatchFinish:
 			err = api.Finish(cmd.Queue)
-		default:
-			err = fmt.Errorf("unknown batch op %d", cmd.Op)
 		}
 		if err != nil {
 			resp.ErrIdx = i

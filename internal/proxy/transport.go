@@ -24,10 +24,9 @@ const (
 	TransportUnix
 	// TransportRing uses the shared-memory ring (ipc.Ring): lock-free
 	// SPSC submission/completion queues polled doorbell-free, typed
-	// values crossing by reference, bulk reads landing zero-copy in the
-	// caller's buffer, and fire-and-forget posting for enqueue-class
-	// calls. Its modelled cost comes from hw.RingModel instead of the
-	// framed IPCCallLatency/Memcpy pair.
+	// values crossing by reference and bulk reads landing zero-copy in
+	// the caller's buffer. Its modelled cost comes from hw.RingModel
+	// instead of the framed IPCCallLatency/Memcpy pair.
 	TransportRing
 )
 

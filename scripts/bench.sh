@@ -85,9 +85,6 @@ END {
         first = 0
     }
     printf "\n  },\n"
-    if (trips["launch-batched"] + 0 > 0)
-        printf "  \"launch_roundtrip_reduction\": %.1f,\n",
-               trips["launch-unbatched"] / trips["launch-batched"]
     if (ns["info-cached"] + 0 > 0)
         printf "  \"info_cache_speedup\": %.1f,\n",
                ns["info-forwarded"] / ns["info-cached"]
@@ -241,8 +238,8 @@ cat "$out7"
 # BENCH_pr8.json: the shared-memory ring transport acceptance — the ring
 # arms of the proxy microbenchmarks against their framed baselines. The
 # read-1MB-ring bandwidth must be >= 2x the pooled framed read, and the
-# setargs loop must show the posted (zero-round-trip) submissions the
-# framed stream cannot offer.
+# setargs loop (3 setarg + launch + finish) must cost one round trip on
+# either transport: the submission queue sits above both.
 awk '
 function grab(line, unit,   i, n, f) {
     n = split(line, f, /[ \t]+/)
@@ -255,7 +252,6 @@ function grab(line, unit,   i, n, f) {
     sub(/-[0-9]+$/, "", name)
     ns[name]     = grab($0, "ns/op")
     trips[name]  = grab($0, "ipc-roundtrips/op")
-    posted[name] = grab($0, "posted/op")
     mbs[name]    = grab($0, "MB/s")
 }
 END {
@@ -267,13 +263,11 @@ END {
     printf "  \"write_1mb\": {\"framed_raw_mb_per_s\": %s, \"ring_mb_per_s\": %s, \"ring_speedup\": %.2f},\n",
            mbs["write-1MB-raw"], mbs["write-1MB-ring"],
            mbs["write-1MB-ring"] / mbs["write-1MB-raw"]
-    printf "  \"launch_ns\": {\"framed_batched\": %s, \"ring_batched\": %s, \"framed_unbatched\": %s, \"ring_unbatched\": %s},\n",
-           ns["launch-batched"], ns["launch-batched-ring"],
-           ns["launch-unbatched"], ns["launch-unbatched-ring"]
-    printf "  \"setargs_loop\": {\"framed_roundtrips_per_op\": %s, \"ring_roundtrips_per_op\": %s, \"framed_posted_per_op\": %s, \"ring_posted_per_op\": %s, \"zero_roundtrip_posting\": %s},\n",
+    printf "  \"launch_ns\": {\"framed\": %s, \"ring\": %s},\n",
+           ns["launch-framed"], ns["launch-ring"]
+    printf "  \"setargs_loop\": {\"framed_roundtrips_per_op\": %s, \"ring_roundtrips_per_op\": %s, \"one_roundtrip\": %s},\n",
            trips["setargs-framed"], trips["setargs-ring"],
-           posted["setargs-framed"], posted["setargs-ring"],
-           (posted["setargs-ring"] + 0 > 0 && trips["setargs-ring"] + 0 < trips["setargs-framed"] + 0) ? "true" : "false"
+           (trips["setargs-framed"] + 0 == 1 && trips["setargs-ring"] + 0 == 1) ? "true" : "false"
     printf "  \"benchtime\": \"%s\"\n", BT
     printf "}\n"
 }' BT="$benchtime" "$tmp" >"$out8"
