@@ -1374,23 +1374,33 @@ func (c *CheCL) boundMems(out []*memRec, prec *programRec, krec *kernelRec) []*m
 	return out
 }
 
-// queueOnly queues a command that carries nothing but its queue.
-func (c *CheCL) queueOnly(q ocl.CommandQueue, op proxy.BatchOp, kind string) (*queueRec, *eventRec, error) {
+// queueOnly handles the calls that carry nothing but their queue. A
+// plain one (nil) is queued. A sync one ships the queue with itself as the
+// last command, so a run of queued commands plus the sync costs exactly
+// one round trip; with nothing queued there is nothing to carry and it
+// goes out as the plain call it wraps.
+func (c *CheCL) queueOnly(q ocl.CommandQueue, op proxy.BatchOp, kind string, sync func(*proxy.Client, ocl.CommandQueue) error) (*eventRec, error) {
 	c.enterCall()
 	qrec, err := c.db.queue(Handle(q))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if sync != nil && len(c.queue) == 0 {
+		return nil, c.forward(op.Method(), func(api *proxy.Client) error { return sync(api, qrec.real) })
 	}
 	if err := c.reserve(1, 0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ev, _ := c.push(queuedCmd{op: op, q: qrec}, kind, nil)
-	return qrec, ev, nil
+	if sync != nil {
+		return nil, c.Drain()
+	}
+	return ev, nil
 }
 
 // EnqueueMarker wraps clEnqueueMarker.
 func (c *CheCL) EnqueueMarker(q ocl.CommandQueue) (ocl.Event, error) {
-	_, ev, err := c.queueOnly(q, proxy.BatchMarker, "marker")
+	ev, err := c.queueOnly(q, proxy.BatchMarker, "marker", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -1399,39 +1409,21 @@ func (c *CheCL) EnqueueMarker(q ocl.CommandQueue) (ocl.Event, error) {
 
 // EnqueueBarrier wraps clEnqueueBarrier.
 func (c *CheCL) EnqueueBarrier(q ocl.CommandQueue) error {
-	_, _, err := c.queueOnly(q, proxy.BatchBarrier, "")
+	_, err := c.queueOnly(q, proxy.BatchBarrier, "", nil)
 	return err
-}
-
-// flushWith ships the queue with op on q as its last command, so a sync
-// call after a run of queued commands costs exactly one round trip. With
-// nothing queued there is nothing to carry and op goes out as the plain
-// call it wraps.
-func (c *CheCL) flushWith(q ocl.CommandQueue, op proxy.BatchOp, plain func(*proxy.Client, ocl.CommandQueue) error) error {
-	if len(c.queue) > 0 {
-		if _, _, err := c.queueOnly(q, op, ""); err != nil {
-			return err
-		}
-		return c.Drain()
-	}
-	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
-	if err != nil {
-		return err
-	}
-	return c.forward(op.Method(), func(api *proxy.Client) error { return plain(api, qrec.real) })
 }
 
 // Flush wraps clFlush. It promises the queued commands will run: they
 // ship now, this flush included.
 func (c *CheCL) Flush(q ocl.CommandQueue) error {
-	return c.flushWith(q, proxy.BatchFlush, (*proxy.Client).Flush)
+	_, err := c.queueOnly(q, proxy.BatchFlush, "", (*proxy.Client).Flush)
+	return err
 }
 
 // Finish wraps clFinish; it is a synchronisation point for delayed
 // checkpointing.
 func (c *CheCL) Finish(q ocl.CommandQueue) error {
-	if err := c.flushWith(q, proxy.BatchFinish, (*proxy.Client).Finish); err != nil {
+	if _, err := c.queueOnly(q, proxy.BatchFinish, "", (*proxy.Client).Finish); err != nil {
 		return err
 	}
 	c.atSyncPoint()

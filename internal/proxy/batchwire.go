@@ -72,6 +72,13 @@ func (f *BatchFrame) Reset() {
 	f.buf, f.data, f.n = f.buf[:batchHeaderLen], batchHeaderLen, 0
 }
 
+// ready makes the zero BatchFrame usable.
+func (f *BatchFrame) ready() {
+	if f.data == 0 {
+		f.Reset()
+	}
+}
+
 // Rewind drops the encoded commands and keeps the staged data: a retry
 // re-encodes against rebound handles without re-copying payloads.
 func (f *BatchFrame) Rewind() { f.buf, f.n = f.buf[:f.data], 0 }
@@ -79,9 +86,7 @@ func (f *BatchFrame) Rewind() { f.buf, f.n = f.buf[:f.data], 0 }
 // Stage copies p into the data region and returns its offset there. It
 // must not be called between Add and the next Reset/Rewind.
 func (f *BatchFrame) Stage(p []byte) int64 {
-	if f.data == 0 {
-		f.Reset()
-	}
+	f.ready()
 	off := f.data - batchHeaderLen
 	f.buf = append(f.buf[:f.data], p...)
 	f.data = len(f.buf)
@@ -96,9 +101,7 @@ func (f *BatchFrame) Len() int { return f.n }
 
 // Add appends one command. cmd is only read; nothing of it is retained.
 func (f *BatchFrame) Add(cmd *BatchCmd) {
-	if f.data == 0 {
-		f.Reset()
-	}
+	f.ready()
 	var flags byte
 	if cmd.Blocking {
 		flags |= flagBlocking
@@ -159,9 +162,7 @@ func (f *BatchFrame) Add(cmd *BatchCmd) {
 
 // bytes seals the header and returns the wire form.
 func (f *BatchFrame) bytes(epoch uint64) []byte {
-	if f.data == 0 {
-		f.Reset()
-	}
+	f.ready()
 	copy(f.buf, batchMagic)
 	binary.LittleEndian.PutUint32(f.buf[4:], uint32(f.n))
 	binary.LittleEndian.PutUint64(f.buf[8:], uint64(f.DataLen()))

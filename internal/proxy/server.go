@@ -266,38 +266,39 @@ func runBatch(api ocl.API, payload []byte) (EnqueueBatchResp, []byte, error) {
 			}
 		}
 		var ev ocl.Event
-		switch {
-		case err != nil:
-		case cmd.Op == BatchSetArg:
-			err = api.SetKernelArg(cmd.Kernel, cmd.Index, cmd.ArgSize, cmd.Value)
-		case cmd.Op == BatchWrite:
-			ev, err = api.EnqueueWriteBuffer(cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, rd.writeData(&cmd), waits)
-		case cmd.Op == BatchRead:
-			// A frame's first (usually only) read hands back the runtime's
-			// own slice: no staging buffer, no copy. Later reads land in the
-			// response's spare capacity when it has some and are appended
-			// otherwise — never sized from the command before the runtime
-			// has validated it.
-			var data []byte
-			data, ev, err = readBufferInto(api, cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, cmd.Size, waits, out[len(out):])
-			resp.ReadLens[i] = int64(len(data))
-			if out == nil {
-				out = data
-			} else {
-				out = append(out, data...)
+		if err == nil { // else the decoder refused the record: reported in band
+			switch cmd.Op {
+			case BatchSetArg:
+				err = api.SetKernelArg(cmd.Kernel, cmd.Index, cmd.ArgSize, cmd.Value)
+			case BatchWrite:
+				ev, err = api.EnqueueWriteBuffer(cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, rd.writeData(&cmd), waits)
+			case BatchRead:
+				// A frame's first (usually only) read hands back the runtime's
+				// own slice: no staging buffer, no copy. Later reads land in the
+				// response's spare capacity when it has some and are appended
+				// otherwise — never sized from the command before the runtime
+				// has validated it.
+				var data []byte
+				data, ev, err = readBufferInto(api, cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, cmd.Size, waits, out[len(out):])
+				resp.ReadLens[i] = int64(len(data))
+				if out == nil {
+					out = data
+				} else {
+					out = append(out, data...)
+				}
+			case BatchCopy:
+				ev, err = api.EnqueueCopyBuffer(cmd.Queue, cmd.Src, cmd.Dst, cmd.SrcOff, cmd.DstOff, cmd.Size, waits)
+			case BatchNDRange:
+				ev, err = api.EnqueueNDRangeKernel(cmd.Queue, cmd.Kernel, cmd.Dims, cmd.GOff, cmd.Global, cmd.Local, waits)
+			case BatchMarker:
+				ev, err = api.EnqueueMarker(cmd.Queue)
+			case BatchBarrier:
+				err = api.EnqueueBarrier(cmd.Queue)
+			case BatchFlush:
+				err = api.Flush(cmd.Queue)
+			case BatchFinish:
+				err = api.Finish(cmd.Queue)
 			}
-		case cmd.Op == BatchCopy:
-			ev, err = api.EnqueueCopyBuffer(cmd.Queue, cmd.Src, cmd.Dst, cmd.SrcOff, cmd.DstOff, cmd.Size, waits)
-		case cmd.Op == BatchNDRange:
-			ev, err = api.EnqueueNDRangeKernel(cmd.Queue, cmd.Kernel, cmd.Dims, cmd.GOff, cmd.Global, cmd.Local, waits)
-		case cmd.Op == BatchMarker:
-			ev, err = api.EnqueueMarker(cmd.Queue)
-		case cmd.Op == BatchBarrier:
-			err = api.EnqueueBarrier(cmd.Queue)
-		case cmd.Op == BatchFlush:
-			err = api.Flush(cmd.Queue)
-		case cmd.Op == BatchFinish:
-			err = api.Finish(cmd.Queue)
 		}
 		if err != nil {
 			resp.ErrIdx = i
