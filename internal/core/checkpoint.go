@@ -170,7 +170,7 @@ func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats
 // (WaitBackgroundWrite) charges whatever portion of the write the
 // application's own progress did not hide.
 func (c *CheCL) startBackgroundPut(sb cpr.StoreBackend, st store.Backend, job string, clean map[string]bool, stats *CheckpointStats) (int64, error) {
-	data, segs, err := cpr.SnapshotStoreImage(sb, c.app, clean)
+	segs, size, err := cpr.SnapshotStoreImage(sb, c.app, clean)
 	if err != nil {
 		return 0, err
 	}
@@ -180,7 +180,7 @@ func (c *CheCL) startBackgroundPut(sb cpr.StoreBackend, st store.Backend, job st
 		defer close(bg.done)
 		scratch := vtime.NewClock()
 		sw := vtime.NewStopwatch(scratch)
-		_, put, err := st.PutSegmented(scratch, job, data, segs)
+		_, put, err := st.PutSegmented(scratch, job, nil, segs)
 		bg.dur = sw.Elapsed()
 		if err != nil {
 			bg.err = err
@@ -190,7 +190,7 @@ func (c *CheCL) startBackgroundPut(sb cpr.StoreBackend, st store.Backend, job st
 		bg.put = &put
 	}()
 	stats.BackgroundWrite = true
-	return int64(len(data)), nil
+	return size, nil
 }
 
 // WaitBackgroundWrite barriers on an in-flight overlapped store write:

@@ -192,6 +192,51 @@ func TestOverlappedStoreWrite(t *testing.T) {
 	}
 }
 
+// TestOverlappedWriteOwnsItsBytes: the background put works on the one
+// private copy the snapshot made, never on the staged buffers the
+// application keeps using. The staged copies are scribbled over while the
+// write is in flight (under -race a shared byte would be a reported race)
+// and the checkpoint still restores what was checkpointed.
+func TestOverlappedWriteOwnsItsBytes(t *testing.T) {
+	node := newNodeNV("pc0")
+	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true, OverlapStoreWrite: true})
+	app := setupVaddApp(t, c, 1<<16)
+	app.launch(t)
+	c.Finish(app.q)
+	want := readBuffers(t, c, app)
+
+	stats, err := c.CheckpointToStore(st, "vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.BackgroundWrite {
+		t.Fatal("checkpoint did not release to a background write")
+	}
+	for _, m := range c.db.mems {
+		for i := range m.Data {
+			m.Data[i] ^= 0xFF
+		}
+	}
+	if err := c.WaitBackgroundWrite(); err != nil {
+		t.Fatal(err)
+	}
+	rc, _, err := RestoreFromStore(node, st, c.LastCheckpoint().Manifest, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	for m, w := range want {
+		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("buffer %v restored from an overlapped checkpoint is not what was checkpointed", m)
+		}
+	}
+}
+
 // TestBackgroundWriteFailureSurfaced: a failed overlapped write is
 // reported as a typed *BackgroundWriteError at the next checkpoint, which
 // must also distrust every clean flag of the uncommitted generation and

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 
 	"checl/internal/proc"
@@ -59,12 +60,14 @@ const imageVersion = 1
 
 var imageMagic = []byte("CHECLIMG")
 
-func appendBytes(buf []byte, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
+// appendField appends b as a length-prefixed field.
+func appendField(buf, b []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(b))), b...)
 }
 
-func readBytes(r *bytes.Reader) ([]byte, error) {
+// readBytes returns the next length-prefixed field of body, which r is
+// reading, as a sub-slice of body.
+func readBytes(r *bytes.Reader, body []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -72,60 +75,75 @@ func readBytes(r *bytes.Reader) ([]byte, error) {
 	if n > uint64(r.Len()) {
 		return nil, fmt.Errorf("field of %d bytes exceeds remaining %d", n, r.Len())
 	}
-	b := make([]byte, n)
-	if _, err := r.Read(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	at := len(body) - r.Len()
+	end := at + int(n)
+	r.Seek(int64(n), io.SeekCurrent) // cannot fail: in range, from the current position
+	return body[at:end:end], nil
 }
-
-// uvarintLen and frameLen are the encoded sizes of a uvarint and of a
-// length-prefixed field of n bytes (appendBytes).
-func uvarintLen(n uint64) int64 {
-	l := int64(1)
-	for n >= 0x80 {
-		n >>= 7
-		l++
-	}
-	return l
-}
-
-func frameLen(n int) int64 { return uvarintLen(uint64(n)) + int64(n) }
 
 const imageHeaderLen = 8 + 2 + sha256.Size // magic, version, body checksum
 
-// encodeImage serialises an image to the on-disk representation. The
-// encoded length is known before a byte is written, so the image is built
-// in one allocation and its body hashed in place.
-func encodeImage(img Image) ([]byte, error) {
+// imageLayout is an image's on-disk encoding as the byte slices it is the
+// concatenation of: a head (frame header, process name, app state, region
+// count) and per region, in sorted name order, a prefix (name frame and
+// the data's length) followed by the region's own bytes, by reference.
+// Laying an image out hashes its body for the header but copies nothing
+// of a region.
+type imageLayout struct {
+	head    []byte
+	regions []regionLayout
+	size    int64
+}
+
+type regionLayout struct {
+	name         string
+	prefix, data []byte
+}
+
+func layoutImage(img Image) imageLayout {
 	names := make([]string, 0, len(img.Regions))
 	for name := range img.Regions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	size := imageHeaderLen + frameLen(len(img.ProcessName)) + frameLen(len(img.AppState)) +
-		uvarintLen(uint64(len(names)))
-	for _, name := range names {
-		size += frameLen(len(name)) + frameLen(len(img.Regions[name]))
-	}
 
-	out := make([]byte, imageHeaderLen, size)
-	copy(out, imageMagic)
-	binary.BigEndian.PutUint16(out[len(imageMagic):], imageVersion)
-	out = appendBytes(out, []byte(img.ProcessName))
-	out = appendBytes(out, img.AppState)
-	out = binary.AppendUvarint(out, uint64(len(names)))
-	for _, name := range names {
-		out = appendBytes(out, []byte(name))
-		out = appendBytes(out, img.Regions[name])
+	head := make([]byte, imageHeaderLen, imageHeaderLen+len(img.ProcessName)+len(img.AppState)+3*binary.MaxVarintLen64)
+	copy(head, imageMagic)
+	binary.BigEndian.PutUint16(head[len(imageMagic):], imageVersion)
+	head = appendField(head, []byte(img.ProcessName))
+	head = appendField(head, img.AppState)
+	head = binary.AppendUvarint(head, uint64(len(names)))
+
+	lay := imageLayout{regions: make([]regionLayout, len(names)), size: int64(len(head))}
+	body := sha256.New()
+	body.Write(head[imageHeaderLen:])
+	for i, name := range names {
+		data := img.Regions[name]
+		prefix := appendField(make([]byte, 0, len(name)+2*binary.MaxVarintLen64), []byte(name))
+		prefix = binary.AppendUvarint(prefix, uint64(len(data)))
+		body.Write(prefix)
+		body.Write(data)
+		lay.regions[i] = regionLayout{name: name, prefix: prefix, data: data}
+		lay.size += int64(len(prefix) + len(data))
 	}
-	sum := sha256.Sum256(out[imageHeaderLen:])
-	copy(out[len(imageMagic)+2:], sum[:])
-	return out, nil
+	copy(head[len(imageMagic)+2:], body.Sum(nil))
+	lay.head = head
+	return lay
+}
+
+// encodeImage serialises an image to the on-disk representation as one
+// contiguous buffer, for a file that is written as such.
+func encodeImage(img Image) []byte {
+	lay := layoutImage(img)
+	out := append(make([]byte, 0, lay.size), lay.head...)
+	for _, r := range lay.regions {
+		out = append(append(out, r.prefix...), r.data...)
+	}
+	return out
 }
 
 // decodeImage parses an on-disk checkpoint file, validating the header
-// before touching the body.
+// before touching the body. The image's fields are sub-slices of data.
 func decodeImage(data []byte) (Image, error) {
 	const headerLen = imageHeaderLen
 	if len(data) < headerLen {
@@ -145,12 +163,12 @@ func decodeImage(data []byte) (Image, error) {
 
 	r := bytes.NewReader(body)
 	img := Image{Regions: map[string][]byte{}}
-	name, err := readBytes(r)
+	name, err := readBytes(r, body)
 	if err != nil {
 		return Image{}, fmt.Errorf("cpr: decoding image: %w", err)
 	}
 	img.ProcessName = string(name)
-	if img.AppState, err = readBytes(r); err != nil {
+	if img.AppState, err = readBytes(r, body); err != nil {
 		return Image{}, fmt.Errorf("cpr: decoding image: %w", err)
 	}
 	count, err := binary.ReadUvarint(r)
@@ -158,11 +176,11 @@ func decodeImage(data []byte) (Image, error) {
 		return Image{}, fmt.Errorf("cpr: decoding image: %w", err)
 	}
 	for i := uint64(0); i < count; i++ {
-		rname, err := readBytes(r)
+		rname, err := readBytes(r, body)
 		if err != nil {
 			return Image{}, fmt.Errorf("cpr: decoding image region %d: %w", i, err)
 		}
-		rdata, err := readBytes(r)
+		rdata, err := readBytes(r, body)
 		if err != nil {
 			return Image{}, fmt.Errorf("cpr: decoding image region %q: %w", rname, err)
 		}
@@ -193,11 +211,7 @@ func (BLCR) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error)
 	if err := checkpointable("blcr", p, false); err != nil {
 		return Stats{}, err
 	}
-	img := Image{ProcessName: p.Name, Regions: p.SnapshotRegions()}
-	data, err := encodeImage(img)
-	if err != nil {
-		return Stats{}, err
-	}
+	data := encodeImage(Image{ProcessName: p.Name, Regions: p.RegionViews()})
 	clock := p.Clock()
 	sw := vtime.NewStopwatch(clock)
 	if err := fs.WriteFile(clock, path, data); err != nil {
@@ -251,11 +265,7 @@ func (DMTCP) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error
 	if err := checkpointable("dmtcp", p, true); err != nil {
 		return Stats{}, err
 	}
-	img := Image{ProcessName: p.Name, Regions: p.SnapshotRegions()}
-	data, err := encodeImage(img)
-	if err != nil {
-		return Stats{}, err
-	}
+	data := encodeImage(Image{ProcessName: p.Name, Regions: p.RegionViews()})
 	clock := p.Clock()
 	sw := vtime.NewStopwatch(clock)
 	if err := fs.WriteFile(clock, path, data); err != nil {

@@ -2,7 +2,6 @@ package cpr
 
 import (
 	"fmt"
-	"sort"
 
 	"checl/internal/proc"
 	"checl/internal/store"
@@ -61,88 +60,68 @@ func checkpointable(backend string, p *proc.Process, tree bool) error {
 	return check(p)
 }
 
-// checkpointToStore is the shared store write path: encode the image
-// deterministically and hand it to the store, which chunks,
-// deduplicates, compresses and journals it. A non-nil clean map selects
-// the segmented encoding: each region becomes its own store segment so
-// unchanged regions reuse the parent generation's chunk refs.
+// checkpointToStore is the shared store write path: lay the image out
+// deterministically over views of the stopped process's regions and lend
+// those to the store, which chunks, deduplicates, compresses and journals
+// them. The image is never built: the views are valid until p next runs,
+// and the Put is over before that.
 func checkpointToStore(backend string, p *proc.Process, st store.Backend, job string, tree bool, clean map[string]bool) (Stats, *store.PutStats, error) {
 	if err := checkpointable(backend, p, tree); err != nil {
 		return Stats{}, nil, err
 	}
-	img := Image{ProcessName: p.Name, Regions: p.SnapshotRegions()}
-	data, err := encodeImage(img)
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	var put store.PutStats
-	if clean == nil {
-		_, put, err = st.Put(p.Clock(), job, data)
-	} else {
-		var segs []store.Segment
-		if segs, err = imageSegments(img, int64(len(data)), clean); err != nil {
-			return Stats{}, nil, err
-		}
-		_, put, err = st.PutSegmented(p.Clock(), job, data, segs)
-	}
+	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: p.RegionViews()}, clean)
+	_, put, err := st.PutSegmented(p.Clock(), job, nil, segs)
 	if err != nil {
 		return Stats{}, nil, fmt.Errorf("%s: checkpoint to store: %w", backend, err)
 	}
-	return Stats{Bytes: int64(len(data)), Time: put.Time}, &put, nil
+	return Stats{Bytes: size, Time: put.Time}, &put, nil
 }
 
-// imageSegments derives the store segment map of an image's deterministic
-// encoding: a "_head" segment covering the frame header, process name,
-// app state and region count (always dirty — the header checksum changes
-// whenever anything does), then one "region/<name>" segment per region in
-// the encoder's sorted order. Regions whose names map to true in clean
-// are marked Clean. total is the full encoded length, used to verify the
-// derived offsets stay in lockstep with encodeImage.
-func imageSegments(img Image, total int64, clean map[string]bool) ([]store.Segment, error) {
-	names := make([]string, 0, len(img.Regions))
-	for name := range img.Regions {
-		names = append(names, name)
+// storeSegments derives the store segments of an image's deterministic
+// encoding, each carrying its bytes by reference (store.Segment.Data), and
+// the encoding's length. A non-nil clean map selects the segmented form: a
+// "_head" segment covering the frame header, process name, app state and
+// region count (always dirty — the header checksum changes whenever
+// anything does), then one "region/<name>" segment per region in the
+// encoder's sorted order, so unchanged regions reuse the parent
+// generation's chunk refs. Regions whose names map to true in clean are
+// marked Clean. A nil map selects the legacy unsegmented form: the same
+// bytes as one anonymous segment.
+func storeSegments(img Image, clean map[string]bool) ([]store.Segment, int64) {
+	lay := layoutImage(img)
+	if clean == nil {
+		whole := store.Segment{Len: lay.size, Data: [][]byte{lay.head}}
+		for _, r := range lay.regions {
+			whole.Data = append(whole.Data, r.prefix, r.data)
+		}
+		return []store.Segment{whole}, lay.size
 	}
-	sort.Strings(names)
-
-	off := imageHeaderLen +
-		frameLen(len(img.ProcessName)) + frameLen(len(img.AppState)) +
-		uvarintLen(uint64(len(names)))
-	segs := []store.Segment{{Name: "_head", Off: 0, Len: off}}
-	for _, name := range names {
-		n := frameLen(len(name)) + frameLen(len(img.Regions[name]))
-		segs = append(segs, store.Segment{Name: "region/" + name, Off: off, Len: n, Clean: clean[name]})
+	off := int64(len(lay.head))
+	segs := []store.Segment{{Name: "_head", Len: off, Data: [][]byte{lay.head}}}
+	for _, r := range lay.regions {
+		n := int64(len(r.prefix) + len(r.data))
+		segs = append(segs, store.Segment{
+			Name: "region/" + r.name, Off: off, Len: n, Clean: clean[r.name],
+			Data: [][]byte{r.prefix, r.data},
+		})
 		off += n
 	}
-	if off != total {
-		return nil, fmt.Errorf("cpr: segment map out of sync with encoding (%d vs %d bytes)", off, total)
-	}
-	return segs, nil
+	return segs, lay.size
 }
 
-// SnapshotStoreImage encodes p's memory image and derives its store
-// segment map without writing anything to a store: the overlapped
-// checkpoint path snapshots the process synchronously, releases the
-// application, and hands the encoded bytes to a background PutSegmented.
-// A nil clean map yields a nil segment map (legacy unsegmented write).
-func SnapshotStoreImage(b Backend, p *proc.Process, clean map[string]bool) ([]byte, []store.Segment, error) {
+// SnapshotStoreImage copies p's memory image and derives its store
+// segments over the copy without writing anything to a store: the
+// overlapped checkpoint path snapshots the process synchronously, releases
+// the application, and hands the segments to a background PutSegmented
+// (with a nil payload). This copy is the only one the path makes. Also
+// returns the image's encoded length.
+func SnapshotStoreImage(b Backend, p *proc.Process, clean map[string]bool) ([]store.Segment, int64, error) {
 	tree := b.Name() == "dmtcp"
 	if err := checkpointable(b.Name(), p, tree); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	img := Image{ProcessName: p.Name, Regions: p.SnapshotRegions()}
-	data, err := encodeImage(img)
-	if err != nil {
-		return nil, nil, err
-	}
-	if clean == nil {
-		return data, nil, nil
-	}
-	segs, err := imageSegments(img, int64(len(data)), clean)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, segs, nil
+	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: p.SnapshotRegions()}, clean)
+	return segs, size, nil
 }
 
 // CheckpointToStore implements StoreBackend.

@@ -25,24 +25,17 @@ const rankSegPrefix = "rank/"
 
 func rankSegment(rank int) string { return fmt.Sprintf("%s%05d", rankSegPrefix, rank) }
 
-// flattenLocals concatenates rank-ordered local snapshots into one
-// payload with a per-rank segment map.
-func flattenLocals(locals [][]byte) ([]byte, []store.Segment) {
-	var total int
-	for _, l := range locals {
-		total += len(l)
-	}
-	payload := make([]byte, 0, total)
-	segs := make([]store.Segment, 0, len(locals))
+// rankSegments lays rank-ordered local snapshots out as one store payload,
+// one segment per rank over the snapshot's own bytes, and returns the
+// payload's size. The payload itself — their concatenation — is never built.
+func rankSegments(locals [][]byte) ([]store.Segment, int64) {
+	segs := make([]store.Segment, len(locals))
+	var off int64
 	for i, l := range locals {
-		segs = append(segs, store.Segment{
-			Name: rankSegment(i),
-			Off:  int64(len(payload)),
-			Len:  int64(len(l)),
-		})
-		payload = append(payload, l...)
+		segs[i] = store.Segment{Name: rankSegment(i), Off: off, Len: int64(len(l)), Data: [][]byte{l}}
+		off += int64(len(l))
 	}
-	return payload, segs
+	return segs, off
 }
 
 // splitSnapshot recovers the rank-ordered local snapshots from a store
@@ -143,13 +136,13 @@ func (r *Rank) CoordinatedCheckpointToStore(checl *core.CheCL, st store.Backend,
 		}
 		locals[i] = data
 	}
-	payload, segs := flattenLocals(locals)
-	man, put, err := st.PutSegmented(r.node.Clock, job, payload, segs)
+	segs, size := rankSegments(locals)
+	man, put, err := st.PutSegmented(r.node.Clock, job, nil, segs)
 	if err != nil {
 		return stats, fmt.Errorf("mpi: global snapshot to store: %w", err)
 	}
 	stats.AggregateTime = sw.Elapsed()
-	stats.GlobalSize = int64(len(payload))
+	stats.GlobalSize = size
 	stats.LocalTimes = []vtime.Duration{cst.Phases.Total()}
 	stats.LocalSizes = []int64{cst.FileSize}
 	stats.LocalStalls = []vtime.Duration{cst.StallTime}

@@ -52,35 +52,77 @@ type chunker struct {
 	min, avg, max int
 }
 
-// split cuts data into content-defined chunks. Every chunk is at least
-// min and at most max bytes (except the final remainder), averaging
-// roughly avg bytes; avg must be a power of two. The returned slices
-// alias data.
-func (c chunker) split(data []byte) [][]byte {
-	if len(data) == 0 {
-		return nil
-	}
+// cut returns the length of the first chunk of data: the first offset at
+// or past min where the hash of the chunkWindow bytes in front of it
+// matches the mask, or max. It returns 0 when data ends before either —
+// the chunk is not finished. avg must be a power of two.
+//
+// The hash at an offset depends only on the window in front of it, so
+// nothing before min-chunkWindow is hashed at all.
+func (c chunker) cut(data []byte) int {
+	limit := min(len(data), c.max)
 	mask := uint64(c.avg - 1)
-	var out [][]byte
-	start := 0
 	var h uint64
-	for i := 0; i < len(data); i++ {
-		n := i - start // bytes already in the current chunk
+	i := max(c.min-chunkWindow, 0)
+	// Fill the window: nothing leaves it yet. Starting min-chunkWindow in,
+	// only its last byte is at or past min; a min inside the first window
+	// starts at 0 and can cut earlier.
+	for fill := min(i+chunkWindow, limit); i < fill; i++ {
 		h = rotl1(h) ^ buzTable[data[i]]
-		if n >= chunkWindow {
-			// Remove the byte leaving the window. With a 64-byte window
-			// its table value has been rotated a full word and is back in
-			// place, so a plain XOR cancels it.
-			h ^= buzTable[data[i-chunkWindow]]
-		}
-		if n+1 >= c.min && (h&mask) == mask || n+1 >= c.max {
-			out = append(out, data[start:i+1])
-			start = i + 1
-			h = 0
+		if i+1 >= c.min && h&mask == mask {
+			return i + 1
 		}
 	}
-	if start < len(data) {
-		out = append(out, data[start:])
+	for ; i < limit; i++ {
+		// With a 64-byte window the leaving byte's table value has been
+		// rotated a full word and is back in place, so a plain XOR cancels it.
+		h = rotl1(h) ^ buzTable[data[i]] ^ buzTable[data[i-chunkWindow]]
+		if h&mask == mask {
+			return i + 1
+		}
+	}
+	if limit == c.max {
+		return c.max
+	}
+	return 0
+}
+
+// split cuts the concatenation of list into content-defined chunks. Every
+// chunk is at least min and at most max bytes (except the final
+// remainder), averaging roughly avg bytes. Where the slices of list are
+// cut makes no difference to where the chunks are. A chunk that lies in
+// one slice aliases it; a chunk that spans a slice boundary is a copy.
+func (c chunker) split(list [][]byte) [][]byte {
+	var out [][]byte
+	var rest []byte // the unfinished chunk
+	own := false    // rest is a copy made here, not a view of list
+	for _, s := range list {
+		if len(rest) > 0 && len(s) > 0 {
+			take := min(len(s), c.max-len(rest))
+			if !own {
+				rest, own = append(make([]byte, 0, len(rest)+take), rest...), true
+			}
+			rest = append(rest, s[:take]...)
+			n := c.cut(rest)
+			if n == 0 {
+				continue // all of s went in and the chunk is still open
+			}
+			out = append(out, rest[:n:n])
+			s = s[take-(len(rest)-n):]
+			rest, own = nil, false
+		}
+		for len(s) > 0 {
+			n := c.cut(s)
+			if n == 0 {
+				rest = s
+				break
+			}
+			out = append(out, s[:n])
+			s = s[n:]
+		}
+	}
+	if len(rest) > 0 {
+		out = append(out, rest)
 	}
 	return out
 }

@@ -23,10 +23,13 @@ import (
 )
 
 // GF(256) with the AES polynomial x^8+x^4+x^3+x+1 (0x11d reduced),
-// table-driven: exp is doubled so mul can skip the mod-255 fold.
+// table-driven: exp is doubled so mul can skip the mod-255 fold, and
+// gfMulTab[a] is the whole row of a's products, so multiplying a shard by
+// one coefficient is a table lookup per byte.
 var (
-	gfExp [512]byte
-	gfLog [256]int
+	gfExp    [512]byte
+	gfLog    [256]int
+	gfMulTab [256][256]byte
 )
 
 func init() {
@@ -41,6 +44,23 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for a := 1; a < 256; a++ {
+		for b := 1; b < 256; b++ {
+			gfMulTab[a][b] = gfExp[gfLog[a]+gfLog[b]]
+		}
+	}
+}
+
+// mulAdd adds coef·src to dst, byte by byte. dst is at most as long as src.
+func mulAdd(dst, src []byte, coef byte) {
+	if coef == 0 {
+		return
+	}
+	row := &gfMulTab[coef]
+	src = src[:len(dst)]
+	for i, b := range src {
+		dst[i] ^= row[b]
 	}
 }
 
@@ -112,29 +132,31 @@ func (c *Coder) ShardSize(n int) int {
 // Encode splits data into k data shards (zero-padded) and computes m
 // parity shards. The returned slice has k+m entries of equal length;
 // index order matches the generator rows, so shards[0..k-1] concatenated
-// and trimmed to len(data) are the original bytes.
+// and trimmed to len(data) are the original bytes. A data shard that data
+// fills is a view of data, not a copy; callers treat shards as read-only.
 func (c *Coder) Encode(data []byte) [][]byte {
 	size := c.ShardSize(len(data))
 	shards := make([][]byte, c.k+c.m)
+	full := 0
+	if size > 0 {
+		full = len(data) / size
+	}
+	// One buffer holds what is not a view: the padded tail, the data shards
+	// past the end of data, the parity.
+	fresh := make([]byte, (c.k-full+c.m)*size)
 	for i := 0; i < c.k; i++ {
-		shard := make([]byte, size)
-		copy(shard, data[min(i*size, len(data)):min((i+1)*size, len(data))])
-		shards[i] = shard
+		if i < full {
+			shards[i] = data[i*size : (i+1)*size : (i+1)*size]
+			continue
+		}
+		shards[i], fresh = fresh[:size:size], fresh[size:]
+		copy(shards[i], data[min(i*size, len(data)):])
 	}
 	for p := 0; p < c.m; p++ {
-		row := c.gen[c.k+p]
-		shard := make([]byte, size)
-		for j := 0; j < c.k; j++ {
-			coef := row[j]
-			if coef == 0 {
-				continue
-			}
-			src := shards[j]
-			for b := range shard {
-				shard[b] ^= gfMul(coef, src[b])
-			}
+		shards[c.k+p], fresh = fresh[:size:size], fresh[size:]
+		for j, coef := range c.gen[c.k+p] {
+			mulAdd(shards[c.k+p], shards[j], coef)
 		}
-		shards[c.k+p] = shard
 	}
 	return shards
 }
@@ -177,14 +199,7 @@ func (c *Coder) Reconstruct(have map[int][]byte) ([][]byte, error) {
 		}
 		shard := make([]byte, size)
 		for j, r := range rows {
-			coef := inv[i][j]
-			if coef == 0 {
-				continue
-			}
-			src := have[r]
-			for b := range shard {
-				shard[b] ^= gfMul(coef, src[b])
-			}
+			mulAdd(shard, have[r], inv[i][j])
 		}
 		out[i] = shard
 	}
@@ -193,17 +208,9 @@ func (c *Coder) Reconstruct(have map[int][]byte) ([][]byte, error) {
 			out[c.k+p] = append([]byte(nil), shard...)
 			continue
 		}
-		row := c.gen[c.k+p]
 		shard := make([]byte, size)
-		for j := 0; j < c.k; j++ {
-			coef := row[j]
-			if coef == 0 {
-				continue
-			}
-			src := out[j]
-			for b := range shard {
-				shard[b] ^= gfMul(coef, src[b])
-			}
+		for j, coef := range c.gen[c.k+p] {
+			mulAdd(shard, out[j], coef)
 		}
 		out[c.k+p] = shard
 	}

@@ -82,6 +82,55 @@ func TestCoderRoundTripAllLossPatterns(t *testing.T) {
 	}
 }
 
+// encodeReference is Encode as it was first written: every shard a fresh
+// buffer, every product through the log and exp tables.
+func encodeReference(c *Coder, data []byte) [][]byte {
+	size := c.ShardSize(len(data))
+	shards := make([][]byte, c.k+c.m)
+	for i := 0; i < c.k; i++ {
+		shards[i] = make([]byte, size)
+		copy(shards[i], data[min(i*size, len(data)):min((i+1)*size, len(data))])
+	}
+	for p := 0; p < c.m; p++ {
+		shards[c.k+p] = make([]byte, size)
+		for j, coef := range c.gen[c.k+p] {
+			for b := range shards[c.k+p] {
+				shards[c.k+p][b] ^= gfMul(coef, shards[j][b])
+			}
+		}
+	}
+	return shards
+}
+
+// TestEncodeMatchesReferenceArithmetic: the product-table encode yields the
+// shards the log/exp arithmetic does, for lengths that leave the last data
+// shard full, partly padded and all padding; the data shards the input
+// fills are views of it, and the input is left as it was.
+func TestEncodeMatchesReferenceArithmetic(t *testing.T) {
+	for _, geo := range []struct{ k, m int }{{4, 2}, {3, 3}, {8, 2}} {
+		c, err := NewCoder(geo.k, geo.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 5, 4096, 16385, 70000} {
+			data := payload(int64(n), n)
+			before := append([]byte(nil), data...)
+			got, want := c.Encode(data), encodeReference(c, data)
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("k=%d m=%d n=%d: shard %d differs from the reference", geo.k, geo.m, n, i)
+				}
+			}
+			if !bytes.Equal(data, before) {
+				t.Fatalf("k=%d m=%d n=%d: Encode wrote to its input", geo.k, geo.m, n)
+			}
+			if size := c.ShardSize(n); n >= size && &got[0][0] != &data[0] {
+				t.Errorf("k=%d m=%d n=%d: a full data shard is a copy, not a view", geo.k, geo.m, n)
+			}
+		}
+	}
+}
+
 func TestCoderRejectsBadGeometry(t *testing.T) {
 	for _, geo := range []struct{ k, m int }{{0, 1}, {1, 0}, {-1, 2}, {200, 100}} {
 		if _, err := NewCoder(geo.k, geo.m); err == nil {

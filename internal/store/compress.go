@@ -55,14 +55,19 @@ type flateWriter struct {
 }
 
 // compress encodes one chunk for storage, charging the modelled
-// compression time to clock. Incompressible chunks are stored raw (the
-// tag byte is the only overhead).
-func (m CompressModel) compress(clock *vtime.Clock, data []byte) ([]byte, error) {
+// compression time to clock. The blob is built in scratch, overwriting
+// whatever that held, so a Put can pass the last chunk's blob once it is
+// done with it; nil scratch allocates. Incompressible chunks are stored
+// raw (the tag byte is the only overhead).
+func (m CompressModel) compress(clock *vtime.Clock, scratch, data []byte) ([]byte, error) {
 	if m.Level == 0 {
-		return append([]byte{codecRaw}, data...), nil
+		return append(append(scratch[:0], codecRaw), data...), nil
 	}
 	clock.Advance(m.CompressBps.Transfer(int64(len(data))))
-	buf := bytes.NewBuffer(make([]byte, 0, len(data)/2+64))
+	if scratch == nil {
+		scratch = make([]byte, 0, len(data)/2+64)
+	}
+	buf := bytes.NewBuffer(scratch[:0])
 	buf.WriteByte(codecFlate)
 	fw, _ := flateWriters.Get().(*flateWriter)
 	if fw != nil && fw.level == m.Level {
@@ -82,7 +87,7 @@ func (m CompressModel) compress(clock *vtime.Clock, data []byte) ([]byte, error)
 	}
 	flateWriters.Put(fw)
 	if buf.Len() >= len(data)+1 {
-		return append([]byte{codecRaw}, data...), nil
+		return append(append(buf.Bytes()[:0], codecRaw), data...), nil
 	}
 	return buf.Bytes(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,6 +142,41 @@ func tile(clean map[string]bool, names []string, parts map[string][]byte) ([]byt
 		data = append(data, parts[n]...)
 	}
 	return data, segs
+}
+
+// asLists turns a tiled payload into the byte-list form of the same
+// checkpoint: no payload, each segment carrying its own bytes as a short
+// prefix and the rest — the way a process image's regions arrive.
+func asLists(data []byte, segs []Segment) ([]byte, []Segment) {
+	out := append([]Segment(nil), segs...)
+	for i, sg := range out {
+		b := data[sg.Off : sg.Off+sg.Len]
+		cut := min(7, len(b))
+		out[i].Data = [][]byte{b[:cut], b[cut:]}
+	}
+	return nil, out
+}
+
+// sameFiles fails unless the two placements hold the same files with the
+// same bytes, store by store.
+func sameFiles(t *testing.T, a, b confStore) {
+	t.Helper()
+	if len(a.stores) != len(b.stores) {
+		t.Fatalf("%d stores against %d", len(a.stores), len(b.stores))
+	}
+	for i := range a.stores {
+		fa, fb := a.stores[i].fs, b.stores[i].fs
+		if la, lb := fa.List(), fb.List(); !reflect.DeepEqual(la, lb) {
+			t.Fatalf("store %d: files differ:\n %v\n %v", i, la, lb)
+		}
+		for _, p := range fa.List() {
+			da, _ := fa.ReadFile(vtime.NewClock(), p)
+			db, _ := fb.ReadFile(vtime.NewClock(), p)
+			if !bytes.Equal(da, db) {
+				t.Errorf("store %d: %s differs", i, p)
+			}
+		}
+	}
 }
 
 var confRows = []struct {
@@ -282,47 +318,102 @@ var confRows = []struct {
 	}},
 
 	{"clean-segment reuse and fallback", func(t *testing.T, cs confStore) {
-		clock := vtime.NewClock()
-		parts := map[string][]byte{"a": payload(20, 96<<10), "b": payload(21, 24<<10)}
-		data, segs := tile(nil, []string{"a", "b"}, parts)
-		man1, _ := mustPut(t, cs, clock, "job", data, segs)
+		// Once with contiguous payloads, once — on a fresh placement — with
+		// the same checkpoints handed in as byte lists.
+		forms := map[string]func([]byte, []Segment) ([]byte, []Segment){
+			"contiguous": func(data []byte, segs []Segment) ([]byte, []Segment) { return data, segs },
+			"byte lists": asLists,
+		}
+		for form, as := range forms {
+			cs := cs.open(t, Config{})
+			clock := vtime.NewClock()
+			put := func(data []byte, segs []Segment) (Manifest, PutStats) {
+				t.Helper()
+				payload, segs := as(data, segs)
+				return mustPut(t, cs, clock, "job", payload, segs)
+			}
+			parts := map[string][]byte{"a": payload(20, 96<<10), "b": payload(21, 24<<10)}
+			data, segs := tile(nil, []string{"a", "b"}, parts)
+			man1, _ := put(data, segs)
 
-		// b changes, a is clean and reuses the parent's refs; c claims to be
-		// clean but the parent has no such segment, so it is chunked.
-		parts["b"], parts["c"] = payload(22, 24<<10), payload(23, 16<<10)
-		data, segs = tile(map[string]bool{"a": true, "c": true}, []string{"a", "b", "c"}, parts)
-		man2, st := mustPut(t, cs, clock, "job", data, segs)
-		_, aRefs, _ := man1.segment("a")
-		if st.ReusedBytes != int64(len(parts["a"])) || st.ReusedChunks != len(aRefs) {
-			t.Errorf("reuse stats %+v, want segment a only (%d chunks)", st, len(aRefs))
-		}
-		if st.NewBytes != int64(len(parts["b"])+len(parts["c"])) {
-			t.Errorf("new bytes %d, want exactly segments b and c", st.NewBytes)
-		}
-		for i, wantClean := range []bool{true, false, false} {
-			if man2.Segments[i].Clean != wantClean {
-				t.Errorf("segment %q clean = %v", man2.Segments[i].Name, man2.Segments[i].Clean)
+			// b changes, a is clean and reuses the parent's refs; c claims to be
+			// clean but the parent has no such segment, so it is chunked.
+			parts["b"], parts["c"] = payload(22, 24<<10), payload(23, 16<<10)
+			data, segs = tile(map[string]bool{"a": true, "c": true}, []string{"a", "b", "c"}, parts)
+			man2, st := put(data, segs)
+			_, aRefs, _ := man1.segment("a")
+			if st.ReusedBytes != int64(len(parts["a"])) || st.ReusedChunks != len(aRefs) {
+				t.Errorf("%s: reuse stats %+v, want segment a only (%d chunks)", form, st, len(aRefs))
+			}
+			if st.NewBytes != int64(len(parts["b"])+len(parts["c"])) {
+				t.Errorf("%s: new bytes %d, want exactly segments b and c", form, st.NewBytes)
+			}
+			for i, wantClean := range []bool{true, false, false} {
+				if man2.Segments[i].Clean != wantClean {
+					t.Errorf("%s: segment %q clean = %v", form, man2.Segments[i].Name, man2.Segments[i].Clean)
+				}
+			}
+			if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: generation with reused refs does not restore: %v", form, err)
+			}
+
+			// A clean claim whose size disagrees with the parent is chunked too.
+			parts["b"] = payload(24, 8<<10)
+			data, segs = tile(map[string]bool{"a": true, "b": true, "c": true}, []string{"a", "b", "c"}, parts)
+			man3, st := put(data, segs)
+			if man3.Segments[1].Clean || st.NewBytes != int64(len(parts["b"])) {
+				t.Errorf("%s: resized clean segment was not re-chunked: %+v %+v", form, man3.Segments[1], st)
+			}
+
+			// A wrongly clean segment (bytes changed, flag set) fails loudly at
+			// read time: the digest covers the payload actually handed in.
+			parts["a"] = payload(25, 96<<10)
+			data, segs = tile(map[string]bool{"a": true}, []string{"a", "b", "c"}, parts)
+			put(data, segs)
+			if _, _, err := cs.Get(clock, "job"); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+				t.Errorf("%s: stale clean segment restored silently: %v", form, err)
 			}
 		}
-		if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("generation with reused refs does not restore: %v", err)
-		}
+	}},
 
-		// A clean claim whose size disagrees with the parent is chunked too.
-		parts["b"] = payload(24, 8<<10)
-		data, segs = tile(map[string]bool{"a": true, "b": true, "c": true}, []string{"a", "b", "c"}, parts)
-		man3, st := mustPut(t, cs, clock, "job", data, segs)
-		if man3.Segments[1].Clean || st.NewBytes != int64(len(parts["b"])) {
-			t.Errorf("resized clean segment was not re-chunked: %+v %+v", man3.Segments[1], st)
+	{"byte lists store what a contiguous payload stores", func(t *testing.T, cs confStore) {
+		twin := cs.open(t, Config{})
+		c1, c2 := vtime.NewClock(), vtime.NewClock()
+		both := func(job string, data []byte, segs []Segment, lists []Segment) {
+			t.Helper()
+			m1, s1 := mustPut(t, cs, c1, job, data, segs)
+			m2, s2 := mustPut(t, twin, c2, job, nil, lists)
+			if !reflect.DeepEqual(m1, m2) {
+				t.Errorf("%s: manifests differ (digest %.12s / %.12s, %d / %d chunks, segments %v / %v, created %v / %v)", m1.ID(),
+					m1.Digest, m2.Digest, len(m1.Chunks), len(m2.Chunks), m1.Segments, m2.Segments, m1.CreatedAt, m2.CreatedAt)
+			}
+			if s1 != s2 {
+				t.Errorf("%s: put stats differ:\n %+v\n %+v", m1.ID(), s1, s2)
+			}
+			if got, _, err := twin.Get(vtime.NewClock(), m2.ID()); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s: the byte-list checkpoint does not restore: %v", m2.ID(), err)
+			}
 		}
+		// An image-shaped checkpoint: a small head, then regions, one of them
+		// so regular that it only ever cuts at the maximum chunk size.
+		names := []string{"_head", "region/a", "region/b", "region/c"}
+		parts := map[string][]byte{"_head": payload(70, 300), "region/a": payload(71, 200<<10),
+			"region/b": payload(72, 70<<10), "region/c": bytes.Repeat([]byte("0123456789abcdef"), 6<<10)}
+		data, segs := tile(nil, names, parts)
+		_, lists := asLists(data, segs)
+		both("job", data, segs, lists)
+		parts["_head"], parts["region/b"] = payload(73, 300), payload(74, 70<<10)
+		data, segs = tile(map[string]bool{"region/a": true, "region/c": true}, names, parts)
+		_, lists = asLists(data, segs)
+		both("job", data, segs, lists)
+		// The unsegmented Put, and the same bytes as one anonymous segment.
+		both("flat", data, nil, []Segment{{Len: int64(len(data)), Data: [][]byte{data[:300], data[300:5000], data[5000:]}}})
+		sameFiles(t, cs, twin)
 
-		// A wrongly clean segment (bytes changed, flag set) fails loudly at
-		// read time: the digest covers the payload actually handed in.
-		parts["a"] = payload(25, 96<<10)
-		data, segs = tile(map[string]bool{"a": true}, []string{"a", "b", "c"}, parts)
-		mustPut(t, cs, clock, "job", data, segs)
-		if _, _, err := cs.Get(clock, "job"); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
-			t.Errorf("stale clean segment restored silently: %v", err)
+		// A byte list shorter or longer than its segment says is refused.
+		lists[1].Data = lists[1].Data[:1]
+		if _, _, err := twin.PutSegmented(c2, "job", nil, lists); err == nil || !strings.Contains(err.Error(), "carries") {
+			t.Errorf("short byte list: err = %v", err)
 		}
 	}},
 

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,39 +134,96 @@ func (p PutStats) DedupRatio() float64 {
 // every byte) and carry unique non-empty names. A segment marked Clean
 // asserts its bytes are identical to the same-named segment of the job's
 // previous checkpoint; when the parent manifest confirms the name and size,
-// the parent's chunk refs are copied verbatim — no chunking, hashing,
-// probing or compression for those bytes. A Clean segment with no matching
-// parent segment is silently treated as dirty. The manifest digest always
-// covers the full payload, so a wrongly-Clean segment (bytes changed but
-// flagged clean) fails loudly at Get time rather than restoring stale data.
+// the parent's chunk refs are copied verbatim — no chunking, probing or
+// compression for those bytes. A Clean segment with no matching parent
+// segment is silently treated as dirty. The manifest digest always covers
+// the full payload, so a wrongly-Clean segment (bytes changed but flagged
+// clean) fails loudly at Get time rather than restoring stale data.
+//
+// A segment's bytes reach the store in one of two forms. With a contiguous
+// payload they are payload[Off:Off+Len]. With a nil payload each segment
+// carries them itself in Data, a short list of slices whose concatenation
+// is the segment — for a process image, a length prefix and then the
+// region's own memory — so that nobody has to build the payload to store
+// it. The store reads Data during the Put and keeps no reference to it
+// afterwards; it copies only the chunks that span two slices.
+//
+// A lone segment with an empty name is the unsegmented payload: it is
+// chunked as one dirty region and the manifest records no segment map.
 type Segment struct {
 	Name     string
 	Off, Len int64
 	Clean    bool
+	Data     [][]byte
 }
 
-// validSegments checks that segs tile a payload of the given size.
-func validSegments(segs []Segment, size int64) error {
+// segmentBytes is PutSegmented's entry normalisation: it validates segs
+// against the form the bytes came in and returns them, each carrying its
+// bytes in Data, with the payload's size. From here on there is one form.
+func segmentBytes(payload []byte, segs []Segment) ([]Segment, int64, error) {
+	if segs == nil {
+		segs = []Segment{{Len: int64(len(payload))}} // the legacy Put
+	}
+	out := make([]Segment, len(segs))
 	var off int64
 	seen := make(map[string]bool, len(segs))
 	for i, sg := range segs {
-		if sg.Name == "" {
-			return fmt.Errorf("store: segment %d has no name", i)
+		if sg.Name == "" && len(segs) > 1 {
+			return nil, 0, fmt.Errorf("store: segment %d has no name", i)
 		}
 		if seen[sg.Name] {
-			return fmt.Errorf("store: duplicate segment name %q", sg.Name)
+			return nil, 0, fmt.Errorf("store: duplicate segment name %q", sg.Name)
 		}
 		seen[sg.Name] = true
 		if sg.Len < 0 || sg.Off != off {
-			return fmt.Errorf("store: segment %q does not tile the payload (off %d len %d, want off %d)",
+			return nil, 0, fmt.Errorf("store: segment %q does not tile the payload (off %d len %d, want off %d)",
 				sg.Name, sg.Off, sg.Len, off)
 		}
+		if payload == nil {
+			var n int64
+			for _, b := range sg.Data {
+				n += int64(len(b))
+			}
+			if n != sg.Len {
+				return nil, 0, fmt.Errorf("store: segment %q carries %d bytes, its length says %d", sg.Name, n, sg.Len)
+			}
+		}
 		off += sg.Len
+		out[i] = sg
 	}
-	if off != size {
-		return fmt.Errorf("store: segments cover %d bytes, payload has %d", off, size)
+	if payload != nil {
+		if off != int64(len(payload)) {
+			return nil, 0, fmt.Errorf("store: segments cover %d bytes, payload has %d", off, len(payload))
+		}
+		for i, sg := range out {
+			out[i].Data = [][]byte{payload[sg.Off : sg.Off+sg.Len]}
+		}
 	}
-	return nil
+	return out, off, nil
+}
+
+// startDigest hashes the whole payload — every segment, clean ones
+// included — and returns the function that waits for the SHA-256. The
+// digest is pure and independent of everything else a Put does, so with a
+// processor to spare it runs beside the staging.
+func startDigest(segs []Segment) (wait func() [sha256.Size]byte) {
+	var sum [sha256.Size]byte
+	hash := func() {
+		h := sha256.New()
+		for _, sg := range segs {
+			for _, b := range sg.Data {
+				h.Write(b)
+			}
+		}
+		h.Sum(sum[:0])
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		hash()
+		return func() [sha256.Size]byte { return sum }
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); hash() }()
+	return func() [sha256.Size]byte { <-done; return sum }
 }
 
 // pipelineMakespan models Put's bounded-stage pipeline over the new
@@ -209,6 +267,9 @@ func (e *engine) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, 
 // manifest, and segments marked Clean reuse the parent manifest's chunk
 // refs instead of being re-chunked (see Segment). nil segs is exactly the
 // legacy Put — one anonymous dirty region, no segment map in the manifest.
+// With a nil payload the segments carry their own bytes (Segment.Data) and
+// the payload is their concatenation, which is never built: the bytes are
+// lent for the length of the call and read where they lie.
 //
 // An error return before the commit is equivalent to a crash at that
 // point: whatever was staged stays where it is for the placement's
@@ -219,14 +280,13 @@ func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, se
 	if job == "" || strings.ContainsAny(job, "/@") {
 		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
 	}
-	if segs != nil {
-		if err := validSegments(segs, int64(len(payload))); err != nil {
-			return Manifest{}, PutStats{}, err
-		}
+	segs, size, err := segmentBytes(payload, segs)
+	if err != nil {
+		return Manifest{}, PutStats{}, err
 	}
 	sw := vtime.NewStopwatch(clock)
 	e.p.lockSeq()
-	man, stats, tx, err := e.putLocked(clock, job, payload, segs)
+	man, stats, tx, err := e.putLocked(clock, job, segs, size)
 	e.p.unlockSeq()
 	if err != nil {
 		return Manifest{}, stats, err
@@ -238,7 +298,7 @@ func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, se
 
 // putLocked is the part of a Put that runs under lockSeq: everything up to
 // and including the manifest commit.
-func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, putTxn, error) {
+func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size int64) (Manifest, PutStats, putTxn, error) {
 	// Sequence numbers come from the listing, not from the newest decodable
 	// manifest, so a torn newest manifest is never silently overwritten —
 	// it stays in place for Recover/Scrub and the new checkpoint gets the
@@ -254,15 +314,20 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 	}
 	man := Manifest{
 		Version: manifestVersion, Job: job, Seq: seq,
-		Size: int64(len(payload)), CreatedAt: clock.Now(),
+		Size: size, CreatedAt: clock.Now(),
 	}
 	if haveParent {
 		man.Parent = parent.ID()
 	}
-	stats := PutStats{Manifest: man.ID(), TotalBytes: int64(len(payload))}
+	stats := PutStats{Manifest: man.ID(), TotalBytes: size}
+	// The segments' bytes are the caller's, lent for the length of the Put:
+	// the digest is joined on every way out.
+	digest := startDigest(segs)
+	defer digest()
 	tx := e.p.beginPut(job, seq)
 	ck := chunker{min: e.cfg.MinChunk, avg: e.cfg.AvgChunk, max: e.cfg.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
+	var blob []byte               // the compression buffer, reused chunk after chunk
 
 	// In pipelined mode every chunk still compresses and writes in staging
 	// order in real execution — identical FS operation sequence — but each
@@ -273,7 +338,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 
 	// stageRange chunks one dirty byte range and stages its new chunks,
 	// returning how many ChunkRefs it appended.
-	stageRange := func(data []byte) (int, error) {
+	stageRange := func(data [][]byte) (int, error) {
 		n := 0
 		for _, chunk := range ck.split(data) {
 			sum256 := sha256.Sum256(chunk)
@@ -289,8 +354,8 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 					cclock, wclock = vtime.NewClock(), vtime.NewClock()
 				}
 				csw := vtime.NewStopwatch(cclock)
-				blob, cerr := e.cfg.Compression.compress(cclock, chunk)
-				if cerr != nil {
+				var cerr error
+				if blob, cerr = e.cfg.Compression.compress(cclock, blob, chunk); cerr != nil {
 					return n, cerr
 				}
 				cd := csw.Elapsed()
@@ -319,11 +384,6 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 		return n, nil
 	}
 
-	if segs == nil {
-		if _, err := stageRange(payload); err != nil {
-			return Manifest{}, stats, nil, err
-		}
-	}
 	for _, sg := range segs {
 		if sg.Clean {
 			if ps, refs, ok := parent.segment(sg.Name); ok && ps.Size == sg.Len {
@@ -338,11 +398,13 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 			}
 			// No matching parent segment: chunk it like a dirty one.
 		}
-		n, err := stageRange(payload[sg.Off : sg.Off+sg.Len])
+		n, err := stageRange(sg.Data)
 		if err != nil {
 			return Manifest{}, stats, nil, err
 		}
-		man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
+		if sg.Name != "" {
+			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
+		}
 	}
 	if pipelined && len(compDur) > 0 {
 		clock.Advance(pipelineMakespan(e.cfg.PipelineWorkers, compDur, writeDur))
@@ -355,8 +417,8 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, payload []byte, segs 
 	}
 	stats.WriteTime += wsw.Elapsed()
 
-	digest := sha256.Sum256(payload)
-	man.Digest = hex.EncodeToString(digest[:])
+	sum := digest()
+	man.Digest = hex.EncodeToString(sum[:])
 	frame, err := encodeManifest(man)
 	if err != nil {
 		return Manifest{}, stats, nil, err

@@ -66,6 +66,26 @@ type packBuf struct {
 	recs []packRecord
 }
 
+// packBufStart is a buffer's first allocation: room for the few records of
+// a small Put or a heal.
+const packBufStart = 64 << 10
+
+// room makes space for n more bytes. A Put writes a node's queue out once
+// it passes packPartSize, so a queue that outgrows its first allocation is
+// on its way to a full part and gets one in a single step: a buffer that
+// lives as long as its node is sized twice, not once per doubling.
+func (b *packBuf) room(n int) {
+	need := len(b.data) + n
+	if need <= cap(b.data) {
+		return
+	}
+	size := max(need, packBufStart)
+	if cap(b.data) > 0 {
+		size = max(need+need/4, packPartSize+packPartSize/16)
+	}
+	b.data = append(make([]byte, 0, size), b.data...)
+}
+
 // add frames one shard as the pack's next record. h.sum must be a
 // SHA-256 in hex, which is what the engine's chunk addresses are.
 func (b *packBuf) add(h shardHeader, payload []byte) error {
@@ -74,6 +94,7 @@ func (b *packBuf) add(h shardHeader, payload []byte) error {
 		return fmt.Errorf("store: chunk address %q is not a SHA-256", h.sum)
 	}
 	off := len(b.data)
+	b.room(shardHeaderSize + len(payload))
 	b.data = appendShard(b.data, addr, h.idx, h.k, h.m, h.origLen, payload)
 	h.payloadLen = len(payload)
 	b.recs = append(b.recs, packRecord{shardHeader: h, off: off, n: len(b.data) - off})
@@ -83,6 +104,7 @@ func (b *packBuf) add(h shardHeader, payload []byte) error {
 // copyRecord appends an already framed record verbatim.
 func (b *packBuf) copyRecord(h shardHeader, rec []byte) {
 	b.recs = append(b.recs, packRecord{shardHeader: h, off: len(b.data), n: len(rec)})
+	b.room(len(rec))
 	b.data = append(b.data, rec...)
 }
 

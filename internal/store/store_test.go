@@ -29,7 +29,7 @@ func payload(seed int64, n int) []byte {
 func TestChunkerBounds(t *testing.T) {
 	ck := chunker{min: 4 << 10, avg: 16 << 10, max: 64 << 10}
 	data := payload(1, 1<<20)
-	chunks := ck.split(data)
+	chunks := ck.split([][]byte{data})
 	if len(chunks) < 8 {
 		t.Fatalf("1 MiB split into only %d chunks", len(chunks))
 	}
@@ -61,7 +61,7 @@ func TestChunkingSurvivesShift(t *testing.T) {
 		}
 		return out
 	}
-	a, b := sums(ck.split(base)), sums(ck.split(shifted))
+	a, b := sums(ck.split([][]byte{base})), sums(ck.split([][]byte{shifted}))
 	common := 0
 	for c := range b {
 		if a[c] {
@@ -255,7 +255,7 @@ func TestPooledCodersByteIdentical(t *testing.T) {
 				want = append([]byte{codecRaw}, chunk...)
 			}
 
-			got, err := m.compress(clock, chunk)
+			got, err := m.compress(clock, nil, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
