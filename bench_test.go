@@ -897,34 +897,6 @@ func benchBufferSet(b *testing.B, opts core.Options, count int, size int64) (*pr
 	return node, c, q, mems
 }
 
-// BenchmarkCheckpointDrain contrasts the serial device-to-host drain
-// (one blocking read and one IPC round trip per buffer) with the
-// parallel worker-pool drain (one batched IPC call, reads spread over
-// ephemeral per-worker queues) on a 128-buffer, 32 MB working set.
-func BenchmarkCheckpointDrain(b *testing.B) {
-	for _, workers := range []int{1, 8} {
-		workers := workers
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("parallel-x%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			var st core.CheckpointStats
-			for i := 0; i < b.N; i++ {
-				node, c, _, _ := benchBufferSet(b, core.Options{DrainWorkers: workers}, 128, 256<<10)
-				var err error
-				st, err = c.Checkpoint(node.LocalDisk, "drain.ckpt")
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.Detach()
-			}
-			b.ReportMetric(st.Phases.Preprocess.Seconds()*1e6, "preprocess-us")
-			b.ReportMetric(float64(st.DrainWorkers), "drain-workers")
-		})
-	}
-}
-
 // BenchmarkIncrementalCopiedBytes measures the bytes the second
 // checkpoint drains after the application rewrote one of eight buffers:
 // full mode re-copies the whole working set, incremental mode copies the
@@ -960,7 +932,7 @@ func BenchmarkIncrementalCopiedBytes(b *testing.B) {
 	}
 }
 
-// ---- speculative stop-free checkpointing (DESIGN.md §15) ----
+// ---- speculative stop-free checkpointing (DESIGN.md §9) ----
 
 // benchSpecSweep takes one store checkpoint of a 32-buffer working set
 // with a violation fraction frac: after the epoch begins (speculative
@@ -972,12 +944,9 @@ func BenchmarkIncrementalCopiedBytes(b *testing.B) {
 func benchSpecSweep(b *testing.B, speculative bool, frac float64) core.CheckpointStats {
 	b.Helper()
 	const bufs, size = 32, int64(1 << 20)
-	opts := core.Options{Mode: core.Delayed, Incremental: true, DrainWorkers: 8, OverlapStoreWrite: true}
-	opts.SpeculativeDrain = speculative
-	node, c, q, mems := benchBufferSet(b, opts, bufs, size)
+	_, c, q, mems := benchBufferSet(b, core.Options{Mode: core.Delayed, Incremental: true}, bufs, size)
 	defer c.Detach()
 	st := store.New(proc.NewFS("spec-disk", hw.TableISpec().LocalDisk), store.Config{})
-	_ = node
 
 	if speculative {
 		if err := c.BeginCheckpointEpoch(); err != nil {
@@ -1023,10 +992,8 @@ func BenchmarkSpeculativeStall(b *testing.B) {
 			b.Run(fmt.Sprintf("app=%s/mode=%s", appName, mode), func(b *testing.B) {
 				var stats core.CheckpointStats
 				for i := 0; i < b.N; i++ {
-					opts := core.Options{Mode: core.Delayed, Incremental: true, DrainWorkers: 8, OverlapStoreWrite: true, SpeculativeDrain: spec}
-					node, c, app := benchCheCLApp(b, appName, opts)
+					_, c, app := benchCheCLApp(b, appName, core.Options{Mode: core.Delayed, Incremental: true})
 					st := store.New(proc.NewFS("spec-disk", hw.TableISpec().LocalDisk), store.Config{})
-					_ = node
 					if spec {
 						if err := c.BeginCheckpointEpoch(); err != nil {
 							b.Fatal(err)

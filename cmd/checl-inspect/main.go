@@ -60,7 +60,7 @@ func main() {
 	diskFaults := flag.Int("disk-faults", 0, "inject a disk fault every N store filesystem operations (0 disables)")
 	nodeFaults := flag.Int("node-faults", 0, "store fleet: inject a node fault (crash/slow/rot/torn write) every N fleet operations (0 disables)")
 	incremental := flag.Bool("incremental", false,
-		"attach with incremental checkpointing (parallel drain) and show the per-generation dirty/clean split")
+		"attach with incremental checkpointing and show the per-generation dirty/clean split")
 	speculative := flag.Bool("speculative", false,
 		"open a speculative (stop-free) checkpoint epoch before each checkpoint and show the per-generation STALL split")
 	fleetJobs := flag.Int("fleet-jobs", 400, "fleet: number of jobs in the bursty workload")
@@ -106,7 +106,7 @@ func main() {
 
 	node := proc.NewNode("pc0", hw.TableISpec(), ocl.NVIDIA())
 	p := node.Spawn(app.Name)
-	opts := core.Options{}
+	opts := core.Options{Incremental: *incremental}
 	switch *transport {
 	case "framed":
 		// The default stream transport; opts.Transport zero value.
@@ -115,16 +115,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "checl-inspect: unknown transport %q (want \"framed\" or \"ring\")\n", *transport)
 		os.Exit(2)
-	}
-	if *incremental {
-		opts.Incremental = true
-		opts.DrainWorkers = 8
-	}
-	if *speculative {
-		opts.SpeculativeDrain = true
-		if opts.DrainWorkers == 0 {
-			opts.DrainWorkers = 8
-		}
 	}
 	var inj *ipc.FaultInjector
 	if *faults > 0 {
@@ -345,10 +335,10 @@ func printTransport(name string, run, after proxy.Stats) {
 // preprocess phase actually copied off the device versus what rode on the
 // parent generation's chunks.
 func printDrain(st core.CheckpointStats) {
-	fmt.Printf("  drained:       %d dirty (%.3f MB copied), %d clean reused (%.3f MB), %d released skipped, %d drain workers\n",
+	fmt.Printf("  drained:       %d dirty (%.3f MB copied), %d clean reused (%.3f MB), %d released skipped\n",
 		st.DirtyBuffers, float64(st.DirtyBytes)/1e6,
 		st.CleanBuffers, float64(st.CleanBytes)/1e6,
-		st.SkippedReleased, st.DrainWorkers)
+		st.SkippedReleased)
 	if st.Speculative {
 		fmt.Printf("  STALL:         %s app-visible | speculated %d (%.3f MB), violated %d, recopied %.3f MB, overlap %s\n",
 			st.StallTime, st.SpeculatedBuffers, float64(st.SpeculatedBytes)/1e6,

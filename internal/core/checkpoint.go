@@ -48,16 +48,15 @@ type CheckpointStats struct {
 	CleanBuffers    int
 	CleanBytes      int64
 	SkippedReleased int // dead records (released but still kernel-bound)
-	DrainWorkers    int // device-to-host streams used by the preprocess
 
 	// Store-backed checkpoints only: the manifest written and the
 	// dedup/compression breakdown of the Put. Nil for flat-file dumps.
 	Manifest string
 	StorePut *store.PutStats
 
-	// Overlapped store writes (Options.OverlapStoreWrite, delayed mode):
-	// BackgroundWrite marks a checkpoint whose store write was released
-	// to the background — Manifest/StorePut/Overlap are filled in on
+	// Overlapped store writes (delayed mode, see Mode): BackgroundWrite
+	// marks a checkpoint whose store write was released to the
+	// background — Manifest/StorePut/Overlap are filled in on
 	// LastCheckpoint() once the barrier lands. Overlap is the portion of
 	// the write hidden behind application progress. BackgroundErr on a
 	// later checkpoint reports that the previous generation's background
@@ -66,7 +65,7 @@ type CheckpointStats struct {
 	Overlap         vtime.Duration
 	BackgroundErr   *BackgroundWriteError
 
-	// Speculative (stop-free) checkpointing (Options.SpeculativeDrain):
+	// Speculative (stop-free) checkpointing (BeginCheckpointEpoch):
 	// Speculative marks a checkpoint that committed an epoch.
 	// SpeculatedBuffers/SpeculatedBytes count the overlapped copies;
 	// ViolatedBuffers those whose write-set was touched after their copy
@@ -150,7 +149,7 @@ func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats
 		}
 	}
 	err := c.runCheckpoint(&stats, func(clean map[string]bool) (int64, error) {
-		if c.opts.OverlapStoreWrite && c.opts.Mode == Delayed && !c.opts.Destructive {
+		if c.opts.Mode == Delayed && !c.opts.Destructive {
 			return c.startBackgroundPut(sb, st, job, clean, &stats)
 		}
 		wst, put, err := sb.CheckpointToStoreIncremental(c.app, st, job, clean)
@@ -323,11 +322,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 		}
 		dirty = append(dirty, m)
 	}
-	stats.DrainWorkers = 1
-	if c.opts.DrainWorkers > 1 && (stats.Speculative || len(dirty) > 1) {
-		stats.DrainWorkers = c.opts.DrainWorkers
-	}
-	if err := c.drain(dirty); err != nil {
+	if err := c.drain(dirty, nil); err != nil {
 		return fmt.Errorf("checl: checkpoint preprocess: %w", err)
 	}
 	for _, m := range dirty {
@@ -420,16 +415,26 @@ func (s *CheckpointStats) staged(m *memRec) {
 	s.DirtyBytes += m.Size
 }
 
-// drain stages the given buffers from device to host memory: with
-// DrainWorkers > 1 through that many concurrent streams per context
-// (planDrain, submitDrain), otherwise one blocking read each.
-func (c *CheCL) drain(mems []*memRec) error {
-	if c.opts.DrainWorkers > 1 && len(mems) > 1 {
-		return eachCtx(mems, func(ctxH Handle, items []*memRec) error {
-			return c.drainCtx(ctxH, items, c.opts.DrainWorkers)
-		})
-	}
-	return c.drainSerial(mems)
+// drainStreams is how many device-to-host streams a drain spreads one
+// context's buffers over. A constant, because one value was ever in use and
+// the ocl model has no DMA-engine count to derive it from.
+const drainStreams = 8
+
+// drain stages the given buffers from device to host memory, one planned,
+// batched round trip per context. With ep nil it is the stop-drain: every
+// stream is finished inside the batch and each buffer's bytes land in its
+// staging slice m.Data, reusing its capacity. With an epoch it is the
+// overlapped drain: no finish, the bytes go to fresh slices held by the
+// epoch — m.Data stays untouched until commit adopts them, so an abort
+// loses nothing — and the frame is priced at commit.
+func (c *CheCL) drain(mems []*memRec, ep *specEpoch) error {
+	return eachCtx(mems, func(ctxH Handle, items []*memRec) error {
+		pl, err := c.planDrain(ctxH, items)
+		if err != nil {
+			return err
+		}
+		return c.submitDrain(pl, ep)
+	})
 }
 
 // eachCtx groups buffers by context — queues cannot cross contexts — and
@@ -451,32 +456,8 @@ func eachCtx(mems []*memRec, fn func(ctxH Handle, items []*memRec) error) error 
 	return nil
 }
 
-func (c *CheCL) drainCtx(ctxH Handle, items []*memRec, workers int) error {
-	pl, err := c.planDrain(ctxH, items, workers)
-	if err != nil {
-		return err
-	}
-	return c.submitDrain("checkpoint drain", pl, true,
-		func(api *proxy.Client, cmds []proxy.BatchCmd) (proxy.EnqueueBatchResp, []byte, error) {
-			return api.EnqueueBatch(cmds, nil)
-		},
-		// Copy each buffer's bytes out of the shared batch frame into its
-		// staging buffer (reusing prior capacity) — the frame itself must
-		// not be aliased past the call.
-		func(m *memRec, raw []byte) {
-			buf := m.Data
-			if cap(buf) >= len(raw) {
-				buf = buf[:len(raw)]
-			} else {
-				buf = make([]byte, len(raw))
-			}
-			copy(buf, raw)
-			m.Data = buf
-		})
-}
-
-// drainPlan is one context's share of a parallel drain: which buffers are
-// read, in what order, on which of the ephemeral streams.
+// drainPlan is one context's share of a drain: which buffers are read, in
+// what order, on which of the ephemeral streams.
 type drainPlan struct {
 	ctx    *contextRec
 	dev    *deviceRec
@@ -485,10 +466,10 @@ type drainPlan struct {
 	load   []int64 // bytes per stream; len(load) is the stream count
 }
 
-// planDrain spreads items over up to `workers` streams, LPT greedy:
+// planDrain spreads items over up to drainStreams streams, LPT greedy:
 // biggest buffers first onto the least-loaded stream, balancing the
 // per-queue copy chains (the drain ends when the longest chain does).
-func (c *CheCL) planDrain(ctxH Handle, items []*memRec, workers int) (drainPlan, error) {
+func (c *CheCL) planDrain(ctxH Handle, items []*memRec) (drainPlan, error) {
 	ctx, err := c.db.context(ctxH)
 	if err != nil {
 		return drainPlan{}, err
@@ -501,7 +482,7 @@ func (c *CheCL) planDrain(ctxH Handle, items []*memRec, workers int) (drainPlan,
 		return drainPlan{}, err
 	}
 	pl := drainPlan{ctx: ctx, dev: dev, order: make([]*memRec, len(items)), assign: make([]int, len(items))}
-	pl.load = make([]int64, min(workers, len(items)))
+	pl.load = make([]int64, min(drainStreams, len(items)))
 	copy(pl.order, items)
 	sort.Slice(pl.order, func(i, j int) bool {
 		if pl.order[i].Size != pl.order[j].Size {
@@ -522,16 +503,25 @@ func (c *CheCL) planDrain(ctxH Handle, items []*memRec, workers int) (drainPlan,
 	return pl, nil
 }
 
-// submitDrain runs a plan. Fresh (ephemeral) command queues have no
-// backlog, so their copy chains overlap on the device's DMA engines; one
-// batched round trip issued through enqueue carries every non-blocking
-// read — plus, with finish, one BatchFinish per stream — so the whole
-// drain pays one IPC latency instead of one per buffer. Each buffer's
-// slice of the response frame is handed to land in plan order.
-func (c *CheCL) submitDrain(what string, pl drainPlan, finish bool,
-	enqueue func(api *proxy.Client, cmds []proxy.BatchCmd) (proxy.EnqueueBatchResp, []byte, error),
-	land func(m *memRec, raw []byte)) error {
-	return c.forward(what, func(api *proxy.Client) error {
+// submitDrain runs a plan; it is the one place checkpoint reads are issued.
+// Fresh (ephemeral) command queues have no backlog, so their copy chains
+// overlap on the device's DMA engines; one batched round trip carries
+// every non-blocking read — plus, for the stop-drain, one BatchFinish per
+// stream — so the whole drain pays one IPC latency instead of one per
+// buffer, and each read is received straight into its destination.
+func (c *CheCL) submitDrain(pl drainPlan, ep *specEpoch) error {
+	what, epoch := "checkpoint drain", uint64(0)
+	var into [][]byte
+	if ep != nil {
+		what, epoch = "speculative drain", ep.id
+	} else {
+		into = make([][]byte, len(pl.order))
+		for i, m := range pl.order {
+			into[i] = m.Data
+		}
+	}
+	var data [][]byte
+	err := c.forward(what, func(api *proxy.Client) error {
 		queues := make([]ocl.CommandQueue, len(pl.load))
 		for i := range queues {
 			q, err := api.CreateCommandQueue(pl.ctx.real, pl.dev.real, 0)
@@ -554,42 +544,48 @@ func (c *CheCL) submitDrain(what string, pl drainPlan, finish bool,
 				Size:  m.Size,
 			})
 		}
-		if finish {
+		if ep == nil {
 			for _, q := range queues {
 				cmds = append(cmds, proxy.BatchCmd{Op: proxy.BatchFinish, Queue: q})
 			}
 		}
-		resp, raw, err := enqueue(api, cmds)
+		resp, parts, frame, err := api.ReadBatch(cmds, into, epoch)
 		if err != nil {
 			return err
 		}
 		if resp.ErrIdx >= 0 {
 			return ocl.Errf(resp.ErrOp, ocl.Status(resp.ErrStatus), "%s", resp.ErrDetail)
 		}
-		off := int64(0)
-		for i, m := range pl.order {
-			n := resp.ReadLens[i]
-			land(m, raw[off:off+n])
-			off += n
+		if len(parts) != len(pl.order) {
+			return fmt.Errorf("checl: %s returned %d of %d buffers", what, len(parts), len(pl.order))
+		}
+		data = parts
+		if ep != nil {
+			// Completion horizon of this context's drain: the longest
+			// per-stream DtoH chain overlapped on the DMA engines, plus the
+			// deferred response frame.
+			bw := c.app.Node().Spec.Inter.PCIeDtoH
+			if pl.dev.Info.Type == hw.DeviceCPU {
+				bw = c.app.Node().Spec.Inter.Memcpy
+			}
+			end := c.app.Clock().Now().Add(hw.DrainMakespan(bw, pl.load) + frame)
+			if end.Sub(ep.copyEnd) > 0 {
+				ep.copyEnd = end
+			}
 		}
 		return nil
 	})
-}
-
-// drainSerial stages buffers one blocking read at a time on some queue of
-// each buffer's context.
-func (c *CheCL) drainSerial(mems []*memRec) error {
-	for _, m := range mems {
-		qrec := c.anyQueueFor(m.Ctx)
-		var data []byte
-		if err := c.forward("clEnqueueReadBuffer", func(api *proxy.Client) error {
-			var e error
-			data, _, e = api.EnqueueReadBufferInto(qrec.real, m.real, true, 0, m.Size, nil, m.Data)
-			return e
-		}); err != nil {
-			return err
+	if err != nil {
+		return err
+	}
+	for i, m := range pl.order {
+		if ep != nil {
+			// The bytes are the buffer state at epoch begin (the runtime
+			// applies effects eagerly; only the cost is deferred).
+			ep.entries[m.H] = &specEntry{m: m, data: data[i]}
+		} else {
+			m.Data = data[i]
 		}
-		m.Data = data
 	}
 	return nil
 }

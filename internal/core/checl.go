@@ -24,7 +24,15 @@ const (
 	Immediate Mode = iota
 	// Delayed: the checkpoint is postponed to the next natural
 	// synchronisation point (clFinish, clWaitForEvents, a blocking
-	// transfer), avoiding the extra synchronisation overhead.
+	// transfer), avoiding the extra synchronisation overhead. The wait is
+	// put to use at both ends. From the signal on, a speculative epoch
+	// (BeginCheckpointEpoch) drains the dirty set while the application
+	// keeps running, and the checkpoint commits it. After the copy phase
+	// of a non-destructive store checkpoint the application is released
+	// and the chunk/compress/write pipeline runs behind it; the next
+	// checkpoint (or WaitBackgroundWrite) barriers on that write, and a
+	// failed one is surfaced as CheckpointStats.BackgroundErr on the next
+	// checkpoint, which then re-stages every buffer.
 	Delayed
 )
 
@@ -79,32 +87,6 @@ type Options struct {
 	// the shared-memory ring: SPSC submission/completion queues and
 	// zero-copy bulk reads. Fault plans behave identically on either.
 	Transport proxy.Transport
-	// DrainWorkers bounds the checkpoint preprocess parallelism: dirty
-	// buffers are drained over that many concurrent device-to-host
-	// streams per context (ephemeral queues inside one batched IPC
-	// frame). Values <= 1 keep the serial per-buffer drain.
-	DrainWorkers int
-	// OverlapStoreWrite releases the application after the copy phase of
-	// a delayed-mode store checkpoint: the chunk/compress/write pipeline
-	// runs in the background while the application continues, and the
-	// next checkpoint (or WaitBackgroundWrite) barriers on it. A failed
-	// background write is surfaced as CheckpointStats.BackgroundErr on
-	// the next checkpoint and forces that checkpoint to re-stage every
-	// buffer. Only effective with Mode == Delayed and a non-destructive
-	// store checkpoint.
-	OverlapStoreWrite bool
-	// SpeculativeDrain overlaps the checkpoint preprocess with continued
-	// execution (stop-free checkpointing): a checkpoint signal opens an
-	// epoch that starts copying the dirty set on the DrainWorkers streams
-	// without quiescing the queues; kernels launched during the epoch run
-	// normally and their clc write-sets validate the in-flight copies.
-	// At commit (the delayed checkpoint's sync point) violated buffers
-	// are re-copied — bounded retries, then a short stop-drain for the
-	// residue — so the image stays bit-identical to a stop-drain's.
-	// Most effective with Mode == Delayed; a fault mid-epoch aborts the
-	// epoch deterministically and the checkpoint falls back to the
-	// ordinary stop-drain.
-	SpeculativeDrain bool
 }
 
 // CheCL is one attached instance of the tool: it implements ocl.API for
@@ -138,7 +120,7 @@ type CheCL struct {
 	// (1 ships every command in a frame of its own).
 	queueDepth int
 
-	// Speculative checkpoint epoch (Options.SpeculativeDrain): the
+	// Speculative checkpoint epoch (BeginCheckpointEpoch): the
 	// in-flight overlapped drain, its sequence counter, the reason the
 	// last epoch aborted (surfaced on the next checkpoint's stats), and
 	// the cumulative checkpoint-stall accounting.
@@ -236,7 +218,7 @@ func (c *CheCL) enterCall() {
 			c.pending = true
 		}
 	}
-	if c.pending && c.opts.Mode == Delayed && c.opts.SpeculativeDrain && c.epoch == nil {
+	if c.pending && c.opts.Mode == Delayed && c.epoch == nil {
 		// Stop-free checkpointing: the epoch opens at signal receipt and
 		// the overlapped drain runs while the application keeps going
 		// until the delayed checkpoint fires at the next sync point. A

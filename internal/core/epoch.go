@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"checl/internal/hw"
-	"checl/internal/proxy"
 	"checl/internal/vtime"
 )
 
@@ -77,21 +75,21 @@ func (c *CheCL) EpochState() EpochState {
 
 // Stall exposes the cumulative checkpoint-induced stall accounting:
 // labelled virtual time the application spent parked on checkpoint work
-// (sync, drain, write, postprocess) rather than its own progress. With
-// SpeculativeDrain most of the former drain stall moves into the hidden
-// overlap and only the residue appears here.
+// (sync, drain, write, postprocess) rather than its own progress. Under an
+// epoch most of the drain stall moves into the hidden overlap and only the
+// residue appears here.
 func (c *CheCL) Stall() *vtime.StallTracker { return &c.stall }
 
 // BeginCheckpointEpoch opens a speculative checkpoint epoch: the current
-// dirty set starts draining to the host on the DrainWorkers streams
-// *without* quiescing the command queues, and the application keeps
-// running. Kernel launches during the epoch intersect their clc write-set
-// with the in-flight speculation set; touched buffers are re-copied at
-// commit. The epoch commits inside the next Checkpoint/CheckpointToStore
-// call. No-op unless Options.SpeculativeDrain is set or when an epoch is
-// already open.
+// dirty set starts draining to the host *without* quiescing the command
+// queues, and the application keeps running. Kernel launches during the
+// epoch intersect their clc write-set with the in-flight speculation set;
+// touched buffers are re-copied at commit. The epoch commits inside the
+// next Checkpoint/CheckpointToStore call; a checkpoint with no epoch open
+// is the empty-window case and stop-drains. No-op when an epoch is already
+// open.
 func (c *CheCL) BeginCheckpointEpoch() error {
-	if !c.opts.SpeculativeDrain || c.epoch != nil {
+	if c.epoch != nil {
 		return nil
 	}
 	clock := c.app.Clock()
@@ -131,14 +129,8 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 		candidates = append(candidates, m)
 	}
 
-	workers := c.opts.DrainWorkers
-	if workers < 1 {
-		workers = 1
-	}
 	ep.copyEnd = ep.began
-	if err := eachCtx(candidates, func(ctxH Handle, items []*memRec) error {
-		return c.speculateCtx(ep, ctxH, items, workers)
-	}); err != nil {
+	if err := c.drain(candidates, ep); err != nil {
 		return fmt.Errorf("checl: epoch begin: %w", err)
 	}
 	c.epochSeq++
@@ -146,46 +138,6 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 	c.epoch = ep
 	c.stall.Add("spec-begin", ep.submit)
 	return nil
-}
-
-// speculateCtx issues the overlapped drain of one context's candidate
-// buffers: the same LPT stream assignment as the stop-drain, but the
-// batch carries no BatchFinish and its frame cost is deferred — only the
-// submission round trip is charged now; the copy chains' completion
-// horizon is modelled into ep.copyEnd and charged (minus whatever the
-// application hid) at commit.
-func (c *CheCL) speculateCtx(ep *specEpoch, ctxH Handle, items []*memRec, workers int) error {
-	pl, err := c.planDrain(ctxH, items, workers)
-	if err != nil {
-		return err
-	}
-	clock := c.app.Clock()
-	return c.submitDrain("speculative drain", pl, false,
-		func(api *proxy.Client, cmds []proxy.BatchCmd) (proxy.EnqueueBatchResp, []byte, error) {
-			resp, raw, frame, err := api.EnqueueBatchOverlapped(cmds, nil, ep.id)
-			if err != nil {
-				return resp, raw, err
-			}
-			// Completion horizon of this context's drain: the longest
-			// per-stream DtoH chain overlapped on the DMA engines, plus the
-			// deferred response frame.
-			bw := c.app.Node().Spec.Inter.PCIeDtoH
-			if pl.dev.Info.Type == hw.DeviceCPU {
-				bw = c.app.Node().Spec.Inter.Memcpy
-			}
-			end := clock.Now().Add(hw.DrainMakespan(bw, pl.load) + frame)
-			if end.Sub(ep.copyEnd) > 0 {
-				ep.copyEnd = end
-			}
-			return resp, raw, nil
-		},
-		// The captured bytes are the buffer state at epoch begin (the
-		// runtime applies effects eagerly; only the *cost* is deferred).
-		// They live in fresh slices — m.Data stays untouched until the
-		// entry is adopted at commit, so an abort loses nothing.
-		func(m *memRec, raw []byte) {
-			ep.entries[m.H] = &specEntry{m: m, data: append([]byte(nil), raw...)}
-		})
 }
 
 // epochTouch marks a buffer's in-flight speculative copy violated: a
@@ -303,9 +255,9 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 	return ep.entries, nil
 }
 
-// specRecopy re-drains violated buffers through the ordinary blocking
-// machinery (the queues are already quiesced — this is the "short
-// stop-drain" of the fallback ladder).
+// specRecopy re-drains violated buffers through the stop-drain (the queues
+// are already quiesced — this is the "short stop-drain" of the fallback
+// ladder).
 func (c *CheCL) specRecopy(ents []*specEntry) error {
 	mems := make([]*memRec, 0, len(ents))
 	for _, ent := range ents {
@@ -317,5 +269,5 @@ func (c *CheCL) specRecopy(ents []*specEntry) error {
 		}
 		mems = append(mems, ent.m)
 	}
-	return c.drain(mems)
+	return c.drain(mems, nil)
 }

@@ -18,7 +18,7 @@ func specVaddRun(t *testing.T, speculative bool) (CheckpointStats, map[Handle]st
 	t.Helper()
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-	_, c := attach(t, node, Options{Incremental: true, DrainWorkers: 4, SpeculativeDrain: speculative})
+	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
 	if err := c.Finish(app.q); err != nil {
@@ -115,7 +115,7 @@ func TestSpeculativeDrainHidden(t *testing.T) {
 	run := func(speculative bool) CheckpointStats {
 		node := newNodeNV("pc0")
 		st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-		_, c := attach(t, node, Options{Incremental: true, DrainWorkers: 4, SpeculativeDrain: speculative})
+		_, c := attach(t, node, Options{Incremental: true})
 		app := setupVaddApp(t, c, 1<<16) // 256 KiB per buffer
 		app.launch(t)
 		if err := c.Finish(app.q); err != nil {
@@ -189,7 +189,7 @@ func TestSpeculationConservativeFallback(t *testing.T) {
 	run := func(dropWriteSet bool) (CheckpointStats, map[Handle]string, map[Handle]string) {
 		node := newNodeNV("pc0")
 		st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-		_, c := attach(t, node, Options{Incremental: true, DrainWorkers: 4, SpeculativeDrain: true})
+		_, c := attach(t, node, Options{Incremental: true})
 		app := setupVaddApp(t, c, 1<<12)
 		app.launch(t)
 		if err := c.Finish(app.q); err != nil {
@@ -256,7 +256,7 @@ func TestSpeculationConservativeFallback(t *testing.T) {
 func TestSpeculativeRetryLadder(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-	_, c := attach(t, node, Options{Incremental: true, DrainWorkers: 4, SpeculativeDrain: true})
+	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<12)
 	app.launch(t)
 	if err := c.Finish(app.q); err != nil {
@@ -315,7 +315,7 @@ func TestSpeculativeEpochAbortOnFailover(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
 	_, c := attach(t, node, Options{
-		Incremental: true, DrainWorkers: 4, SpeculativeDrain: true,
+		Incremental:  true,
 		AutoFailover: true, Shadow: ShadowFull,
 	})
 	app := setupVaddApp(t, c, 1<<12)
@@ -373,7 +373,7 @@ func TestSpeculativeEpochAbortOnFailover(t *testing.T) {
 func TestSpeculativeStallTracker(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-	_, c := attach(t, node, Options{Incremental: true, DrainWorkers: 4, SpeculativeDrain: true})
+	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
 	if err := c.Finish(app.q); err != nil {

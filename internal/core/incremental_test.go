@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"checl/internal/apps"
@@ -10,6 +11,7 @@ import (
 	"checl/internal/ipc"
 	"checl/internal/ocl"
 	"checl/internal/proc"
+	"checl/internal/proxy"
 	"checl/internal/store"
 	"checl/internal/vtime"
 )
@@ -89,60 +91,156 @@ func TestIncrementalCheckpointDelta(t *testing.T) {
 	}
 }
 
-// TestParallelDrainMatchesSerial: draining the preprocess phase over
-// concurrent device-to-host streams must produce the same restored bytes
-// as the serial drain and take strictly less virtual preprocess time.
-func TestParallelDrainMatchesSerial(t *testing.T) {
-	run := func(workers int) (CheckpointStats, map[ocl.Mem][]byte) {
-		node := newNodeNV("pc0")
-		st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-		_, c := attach(t, node, Options{DrainWorkers: workers})
-		app := setupVaddApp(t, c, 1<<16) // 256 KiB per buffer
-		app.launch(t)
-		c.Finish(app.q)
-		stats, err := c.CheckpointToStore(st, "vadd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, _, err := RestoreFromStore(node, st, "vadd", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { rc.Detach(); rc.App().Kill() }()
-		out := map[ocl.Mem][]byte{}
-		for m, data := range readBuffers(t, rc, app) {
-			out[m] = data
-		}
-		return stats, out
+// drainJob creates sizes[i]-byte buffers, alternating over two contexts
+// when two is set, and fills each with its own pattern through a blocking
+// write. Incremental mode keeps the staged copies after a checkpoint so the
+// tests below can look at them.
+func drainJob(t *testing.T, opts Options, sizes []int, two bool) (*proc.Node, *CheCL, []ocl.CommandQueue, []ocl.Mem) {
+	t.Helper()
+	node := newNodeNV("pc0")
+	opts.Incremental = true
+	_, c := attach(t, node, opts)
+	plats, err := c.GetPlatformIDs()
+	if err != nil {
+		t.Fatal(err)
 	}
+	devs, err := c.GetDeviceIDs(plats[0], ocl.DeviceTypeGPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queues []ocl.CommandQueue
+	var ctxs []ocl.Context
+	for len(ctxs) == 0 || (two && len(ctxs) == 1) {
+		ctx, err := c.CreateContext(devs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := c.CreateCommandQueue(ctx, devs[0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxs, queues = append(ctxs, ctx), append(queues, q)
+	}
+	qOf := make([]ocl.CommandQueue, len(sizes))
+	mems := make([]ocl.Mem, len(sizes))
+	for i, size := range sizes {
+		data := make([]byte, size)
+		for j := range data {
+			data[j] = byte(j*7 + i*31 + 1)
+		}
+		k := i % len(ctxs)
+		m, err := c.CreateBuffer(ctxs[k], ocl.MemReadWrite, int64(size), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.EnqueueWriteBuffer(queues[k], m, true, 0, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		qOf[i], mems[i] = queues[k], m
+	}
+	return node, c, qOf, mems
+}
 
-	serial, serialBufs := run(1)
-	par, parBufs := run(4)
-	if par.DrainWorkers <= 1 {
-		t.Fatalf("parallel run reports DrainWorkers = %d", par.DrainWorkers)
-	}
-	for m, w := range serialBufs {
-		if !bytes.Equal(parBufs[m], w) {
-			t.Fatalf("buffer %v diverged between serial and parallel drain", m)
+// TestParallelDrainMatchesSerial: what the one planned, batched drain
+// stages for each buffer is bit-identical to what a blocking
+// clEnqueueReadBuffer of that buffer returns — for fewer buffers than
+// streams, exactly drainStreams, one more, and over two contexts, with
+// sizes that make the LPT order differ from creation order.
+func TestParallelDrainMatchesSerial(t *testing.T) {
+	for _, tc := range []struct {
+		n   int
+		two bool
+	}{{1, false}, {3, false}, {8, false}, {9, false}, {9, true}} {
+		sizes := make([]int, tc.n)
+		for i := range sizes {
+			sizes[i] = 4096 * (1 + (i*5)%7)
 		}
-	}
-	if par.Phases.Preprocess >= serial.Phases.Preprocess {
-		t.Errorf("parallel preprocess %v not faster than serial %v",
-			par.Phases.Preprocess, serial.Phases.Preprocess)
-	}
-	if par.StagedBytes != serial.StagedBytes {
-		t.Errorf("staged bytes diverged: %d vs %d", par.StagedBytes, serial.StagedBytes)
+		node, c, queues, mems := drainJob(t, Options{}, sizes, tc.two)
+		want := make([][]byte, tc.n)
+		for i, m := range mems {
+			data, _, err := c.EnqueueReadBuffer(queues[i], m, true, 0, int64(sizes[i]), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = data
+		}
+		stats, err := c.Checkpoint(node.LocalDisk, "drain.ckpt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DirtyBuffers != tc.n {
+			t.Fatalf("%d buffers: %d drained", tc.n, stats.DirtyBuffers)
+		}
+		for i, m := range mems {
+			if got := c.db.mems[Handle(m)].Data; !bytes.Equal(got, want[i]) {
+				t.Errorf("%d buffers, two contexts %v: buffer %d staged %d bytes that differ from its blocking read (%d bytes)",
+					tc.n, tc.two, i, len(got), len(want[i]))
+			}
+		}
 	}
 }
 
-// TestOverlappedStoreWrite: in delayed mode with OverlapStoreWrite the
-// checkpoint returns after the copy phase, the store write completes in
+// TestDrainLandsInPlace: read data reaches each buffer's staging slice
+// without a gather on the server or a bounce on the client. A 32 x 1 MiB
+// drain that has to allocate its staging memory allocates little more than
+// one byte per staged byte, and a re-drain into the retained staging
+// memory allocates next to nothing — on both transports. The framed
+// stream additionally holds one response scratch per connection, sized by
+// the first drain and reused by every later one, so the bound on fresh
+// staging is taken on a connection that has drained before.
+func TestDrainLandsInPlace(t *testing.T) {
+	const n, size = 32, 1 << 20
+	sizes := make([]int, n)
+	for i := range sizes {
+		sizes[i] = size
+	}
+	for _, tr := range []proxy.Transport{proxy.TransportPipe, proxy.TransportRing} {
+		_, c, _, _ := drainJob(t, Options{Transport: tr}, sizes, false)
+		mems := c.db.orderedMems()
+		drain := func() uint64 {
+			t.Helper()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.drain(mems, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range mems {
+				if len(m.Data) != size {
+					t.Fatalf("%s: buffer %v staged %d bytes", tr, m.H, len(m.Data))
+				}
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+
+		limit := uint64(n * size * 5 / 4)
+		if tr != proxy.TransportRing {
+			limit += n * size // the connection's response scratch, once
+		}
+		if cold := drain(); cold > limit {
+			t.Errorf("%s: first drain allocated %d bytes for %d staged (limit %d)", tr, cold, n*size, limit)
+		}
+		for _, m := range mems {
+			m.Data = nil
+		}
+		if fresh := drain(); fresh > n*size*5/4 {
+			t.Errorf("%s: a drain into fresh staging memory allocated %d bytes for %d staged", tr, fresh, n*size)
+		}
+		if again := drain(); again > 2<<20 {
+			t.Errorf("%s: a re-drain into retained staging memory allocated %d bytes", tr, again)
+		}
+	}
+}
+
+// TestOverlappedStoreWrite: in delayed mode a store checkpoint returns
+// after the copy phase, the store write completes in
 // the background while the application progresses, and the barrier
 // retro-fills the manifest and reports the hidden portion.
 func TestOverlappedStoreWrite(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true, OverlapStoreWrite: true})
+	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
 	c.Finish(app.q)
@@ -200,7 +298,7 @@ func TestOverlappedStoreWrite(t *testing.T) {
 func TestOverlappedWriteOwnsItsBytes(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true, OverlapStoreWrite: true})
+	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true})
 	app := setupVaddApp(t, c, 1<<16)
 	app.launch(t)
 	c.Finish(app.q)
@@ -247,7 +345,7 @@ func TestBackgroundWriteFailureSurfaced(t *testing.T) {
 	bad := store.New(tiny, store.Config{})
 	good := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
 
-	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true, OverlapStoreWrite: true})
+	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
 	c.Finish(app.q)
@@ -339,13 +437,7 @@ func runIncrementalRestoreDigest(t *testing.T, a apps.App, scale float64, inj *i
 	node := newNodeNV("pc0")
 	appProc := node.Spawn(a.Name)
 	opts := Options{AutoFailover: true, Shadow: ShadowFull, Fault: inj}
-	if incremental {
-		opts.Incremental = true
-		opts.DrainWorkers = 4
-	}
-	if speculative {
-		opts.SpeculativeDrain = true
-	}
+	opts.Incremental = incremental
 	c, err := Attach(appProc, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +531,7 @@ func runIncrementalRestoreDigest(t *testing.T, a apps.App, scale float64, inj *i
 }
 
 // TestFaultAppsIncrementalBitIdentical is the PR's acceptance soak: for
-// every benchmark app, an incremental + parallel-drain checkpoint taken
+// every benchmark app, an incremental checkpoint taken
 // under seeded proxy kills and checkpoint-disk faults restores
 // bit-identical to a clean full checkpoint of the same state — and so
 // does a speculative-drain checkpoint whose epoch saw the mutation land

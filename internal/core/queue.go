@@ -152,8 +152,8 @@ func (c *CheCL) flushBatchData() ([]byte, error) {
 	}()
 
 	var (
-		resp proxy.EnqueueBatchResp
-		raw  []byte
+		resp  proxy.EnqueueBatchResp
+		reads [][]byte // data of the executed reads, in command order
 	)
 	err := c.forward("clEnqueueBatch", func(api *proxy.Client) error {
 		// Encoding happens inside the retry closure: after a failover the
@@ -166,7 +166,7 @@ func (c *CheCL) flushBatchData() ([]byte, error) {
 			}
 		}
 		var e error
-		resp, raw, e = api.SendBatch(&c.frame)
+		resp, reads, e = api.SendBatch(&c.frame)
 		return e
 	})
 
@@ -191,18 +191,14 @@ func (c *CheCL) flushBatchData() ([]byte, error) {
 				pc.ev.real = resp.Events[i]
 			}
 		}
-		if pc.op == proxy.BatchRead && i < failed && i < len(resp.ReadLens) {
-			n := min(int(resp.ReadLens[i]), len(raw))
-			chunk := raw[:n]
-			raw = raw[n:]
+		if pc.op == proxy.BatchRead && i < failed && len(reads) > 0 {
 			if pc.shadow {
-				// The raw frame is shared by every read of the batch:
-				// shadows take a copy, never a view.
-				copy(shadow(pc.mem), chunk)
+				copy(shadow(pc.mem), reads[0])
 			}
 			if pc.termRead {
-				termData = chunk
+				termData = reads[0]
 			}
+			reads = reads[1:]
 		}
 	}
 	if err != nil {

@@ -126,12 +126,13 @@ type Config struct {
 	// the bit-identical verification still has to hold. Ignored unless
 	// StoreNodes selects a fleet. MaxDown is clamped to the parity count.
 	StoreFaults *proc.NodeFaultPlan
-	// SpeculativeDrain models the jobs checkpointing with the stop-free
-	// speculative drain (core.Options.SpeculativeDrain): the planner's Tm
-	// then charges the job only the validation/commit stall residue
-	// instead of the full stop-drain copy — the drain itself still
-	// occupies the source device's DMA engines. Sampled real jobs run
-	// with the option enabled.
+	// SpeculativeDrain is a parameter of the scheduler's cost model: the
+	// jobs are modelled as checkpointing behind a speculative epoch
+	// (core.BeginCheckpointEpoch), so the planner's Tm charges a job only
+	// the validation/commit stall residue instead of the full stop-drain
+	// copy — the drain itself still occupies the source device's DMA
+	// engines. It does not change how the sampled real jobs checkpoint:
+	// an eviction has no work to overlap, so they open no epoch.
 	SpeculativeDrain bool
 	// SpecViolationRate is the modelled fraction of a speculatively
 	// drained checkpoint that is violated and re-copied synchronously

@@ -27,14 +27,13 @@ type realRig struct {
 	ckfleet *store.Fleet // non-nil when Config.StoreNodes selected a fleet
 	inj     *proc.NodeFaultInjector
 	seq     int
-	spec    bool // sampled jobs checkpoint with SpeculativeDrain
 }
 
 func newRealRig(cfg Config) (*realRig, error) {
 	cluster := proc.NewCluster("fleet", 2, hw.TableISpec(), func(int) []*ocl.Vendor {
 		return []*ocl.Vendor{ocl.NVIDIA()}
 	})
-	r := &realRig{cluster: cluster, spec: cfg.SpeculativeDrain}
+	r := &realRig{cluster: cluster}
 	if cfg.StoreNodes <= 0 {
 		r.st = store.New(cluster.NFS, store.Config{})
 		return r, nil
@@ -93,7 +92,7 @@ func (r *realRig) start(rj *realJob, name string) error {
 	node := r.cluster.Nodes[r.seq%len(r.cluster.Nodes)]
 	r.seq++
 	app := node.Spawn(name)
-	c, err := core.Attach(app, core.Options{Incremental: true, SpeculativeDrain: r.spec})
+	c, err := core.Attach(app, core.Options{Incremental: true})
 	if err != nil {
 		return err
 	}
@@ -200,7 +199,7 @@ func (r *realRig) restore(rj *realJob, name string) (mismatch bool, err error) {
 	}
 	node := r.cluster.Nodes[r.seq%len(r.cluster.Nodes)]
 	r.seq++
-	c, _, err := core.RestoreFromStore(node, r.st, name, core.Options{Incremental: true, SpeculativeDrain: r.spec})
+	c, _, err := core.RestoreFromStore(node, r.st, name, core.Options{Incremental: true})
 	if err != nil {
 		return false, err
 	}

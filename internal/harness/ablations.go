@@ -217,30 +217,6 @@ func ablationIncremental(scale float64) (AblationResult, error) {
 		})
 		c.Detach()
 	}
-
-	// Drain concurrency: the same all-dirty first checkpoint staged
-	// serially vs over parallel device-to-host streams (ephemeral queues
-	// inside one batched IPC frame).
-	for _, workers := range []int{1, 8} {
-		name := "serial-drain"
-		if workers > 1 {
-			name = fmt.Sprintf("parallel-drain-x%d", workers)
-		}
-		node, c, err := runAppUnderCheCL("oclVectorAdd", scale*4,
-			core.Options{Incremental: true, DrainWorkers: workers})
-		if err != nil {
-			return res, err
-		}
-		st, err := c.Checkpoint(node.LocalDisk, "ip.ckpt")
-		if err != nil {
-			c.Detach()
-			return res, err
-		}
-		res.Variants = append(res.Variants, AblationVariant{
-			Name: name, Metric: "1st-checkpoint preprocess", Value: st.Phases.Preprocess,
-		})
-		c.Detach()
-	}
 	return res, nil
 }
 
@@ -541,11 +517,11 @@ func ablationDiskFaults(scale float64) (AblationResult, error) {
 }
 
 // ablationSpeculative: stop-drain vs speculative stop-free checkpointing
-// (DESIGN.md §15). Both arms checkpoint the app's working set to a store
-// with the write overlapped; the speculative arm begins the epoch first
-// and lets the app keep running (a second pass of the same app) while
-// the drain proceeds on speculation, so only the validation residue is
-// application-visible.
+// (DESIGN.md §9). Both arms checkpoint the app's working set to a store
+// in delayed mode, so the write goes behind; they differ only in that the
+// speculative arm begins the epoch first and lets the app keep running (a
+// second pass of the same app) while the drain proceeds on speculation,
+// so only the validation residue is application-visible.
 func ablationSpeculative(scale float64) (AblationResult, error) {
 	res := AblationResult{
 		Name:  "speculative-checkpoint",
@@ -556,11 +532,7 @@ func ablationSpeculative(scale float64) (AblationResult, error) {
 		if speculative {
 			name = "speculative"
 		}
-		opts := core.Options{
-			Mode: core.Delayed, Incremental: true, DrainWorkers: 8,
-			OverlapStoreWrite: true, SpeculativeDrain: speculative,
-		}
-		node, c, err := runAppUnderCheCL("oclVectorAdd", scale, opts)
+		_, c, err := runAppUnderCheCL("oclVectorAdd", scale, core.Options{Mode: core.Delayed, Incremental: true})
 		if err != nil {
 			return res, err
 		}
@@ -590,7 +562,6 @@ func ablationSpeculative(scale float64) (AblationResult, error) {
 		res.Variants = append(res.Variants, AblationVariant{
 			Name: name, Metric: "app-visible stall", Value: cst.StallTime,
 		})
-		_ = node
 		c.Detach()
 	}
 	return res, nil

@@ -14,11 +14,11 @@
 // Bulk payloads (buffer transfers, batched enqueue data) can bypass gob
 // entirely: a call whose request envelope sets Raw is followed — after the
 // gob-encoded request body — by one raw frame carrying the payload bytes
-// verbatim, and a response envelope with Raw announces the same on the way
-// back. Raw frames use the identical 4-byte-length framing, so the fault
-// injector's frame tracker and the byte counter see them like any other
-// frame, but they skip the gob reflection/copy cost that dominates the
-// hot path.
+// verbatim, and a response envelope announces in Raw how many raw frames
+// follow the response body, one per part the handler returned. Raw frames
+// use the identical 4-byte-length framing, so the fault injector's frame
+// tracker and the byte counter see them like any other frame, but they
+// skip the gob reflection/copy cost that dominates the hot path.
 //
 // The transport counts bytes on the wire so callers can charge the
 // modelled cost of the extra process-to-process copy (the dominant CheCL
@@ -90,13 +90,13 @@ type reqEnvelope struct {
 }
 
 // respEnvelope precedes every response body. A non-empty ErrOp signals a
-// remote error; the body (and any raw frame) is then omitted. Raw
-// announces that one raw payload frame follows the gob response body.
+// remote error; the body (and any raw frame) is then omitted. Raw is the
+// number of raw payload frames that follow the gob response body.
 type respEnvelope struct {
 	ErrOp     string
 	ErrDetail string
 	ErrStatus int32
-	Raw       bool
+	Raw       int
 }
 
 // RemoteError is an error propagated from the server side of a call.
@@ -373,7 +373,7 @@ func (c *Conn) SetDeadline(clock *vtime.Clock, timeout vtime.Duration) {
 // resp (which must be a pointer). It returns the number of bytes the call
 // moved across the transport.
 func (c *Conn) Call(method string, req, resp any) (int64, error) {
-	_, n, err := c.exchange(method, 0, req, nil, false, resp, nil)
+	_, n, err := c.exchange(method, 0, req, nil, resp, nil)
 	return n, err
 }
 
@@ -382,31 +382,31 @@ func (c *Conn) Call(method string, req, resp any) (int64, error) {
 // call so that re-sending it after a reconnect replays the cached
 // response instead of re-executing the handler.
 func (c *Conn) CallSeq(method string, seq uint64, req, resp any) (int64, error) {
-	_, n, err := c.exchange(method, seq, req, nil, false, resp, nil)
+	_, n, err := c.exchange(method, seq, req, nil, resp, nil)
 	return n, err
 }
 
-// CallRecvRawInto is CallSeq that additionally returns the raw payload
-// frame the server attached to its response (nil when the response carried
-// none), received into buf when its capacity suffices (the returned slice
-// then aliases buf); a short or nil buf falls back to a fresh allocation.
-func (c *Conn) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
-	return c.exchange(method, seq, req, nil, false, resp, buf)
+// CallRaw is CallSeq with raw payloads both ways. A non-nil rawReq travels
+// as one verbatim frame after the gob body, skipping gob encoding entirely.
+// The raw parts the server attached to its response are returned in order;
+// part k is received into into[k] when its capacity suffices (the returned
+// slice then aliases it), into a fresh allocation otherwise.
+func (c *Conn) CallRaw(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
+	return c.exchange(method, seq, req, rawReq, resp, into)
 }
 
-// CallRawSeq is CallSeq with a raw payload attached to the request: rawReq
-// travels as one verbatim frame after the gob body, skipping gob encoding
-// entirely. If the server's handler attached a raw payload to its
-// response, it is returned as rawResp (nil when the response carried
-// none).
-func (c *Conn) CallRawSeq(method string, seq uint64, req any, rawReq []byte, resp any) (rawResp []byte, n int64, err error) {
-	return c.exchange(method, seq, req, rawReq, true, resp, nil)
+// CallRecvRawInto is CallRaw for a response of at most one part and no
+// request payload. The benchmark's bulk probe is compiled against it.
+func (c *Conn) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
+	parts, n, err := c.exchange(method, seq, req, nil, resp, [][]byte{buf})
+	if len(parts) == 0 {
+		return nil, n, err
+	}
+	return parts[0], n, err
 }
 
 // exchange runs one request/response cycle under the connection lock.
-// into, when non-nil and large enough, receives the response's raw
-// payload in place of a fresh allocation.
-func (c *Conn) exchange(method string, seq uint64, req any, rawReq []byte, hasRaw bool, resp any, into []byte) ([]byte, int64, error) {
+func (c *Conn) exchange(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.downErr != nil {
@@ -422,13 +422,13 @@ func (c *Conn) exchange(method string, seq uint64, req any, rawReq []byte, hasRa
 		}
 	}
 	before := c.count.bytes()
-	if err := c.encodeFrame(reqEnvelope{Method: method, Seq: seq, Raw: hasRaw}); err != nil {
+	if err := c.encodeFrame(reqEnvelope{Method: method, Seq: seq, Raw: rawReq != nil}); err != nil {
 		return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("sending %s envelope: %w", method, err))
 	}
 	if err := c.encodeFrame(req); err != nil {
 		return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("sending %s request: %w", method, err))
 	}
-	if hasRaw {
+	if rawReq != nil {
 		if err := c.fw.writeRaw(rawReq); err != nil {
 			return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("sending %s payload: %w", method, err))
 		}
@@ -438,18 +438,25 @@ func (c *Conn) exchange(method string, seq uint64, req any, rawReq []byte, hasRa
 		return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("receiving %s response envelope: %w", method, err))
 	}
 	var callErr error
-	var rawResp []byte
+	var parts [][]byte
 	if env.ErrOp != "" {
 		callErr = &RemoteError{Op: env.ErrOp, Detail: env.ErrDetail, Status: env.ErrStatus}
 	} else {
 		if err := c.dec.Decode(resp); err != nil {
 			return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("receiving %s response: %w", method, err))
 		}
-		if env.Raw {
-			var err error
-			if rawResp, err = c.fr.readRawInto(into); err != nil {
+		// Grown by append, a frame at a time: the announced count is the
+		// peer's word and is never used to size anything.
+		for k := 0; k < env.Raw; k++ {
+			var dst []byte
+			if k < len(into) {
+				dst = into[k]
+			}
+			part, err := c.fr.readRawInto(dst)
+			if err != nil {
 				return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("receiving %s payload: %w", method, err))
 			}
+			parts = append(parts, part)
 		}
 	}
 	if c.clock != nil && c.timeout > 0 {
@@ -458,7 +465,7 @@ func (c *Conn) exchange(method string, seq uint64, req any, rawReq []byte, hasRa
 				c.fail(method, fmt.Errorf("%s exceeded the %s call deadline (took %s)", method, c.timeout, elapsed))
 		}
 	}
-	return rawResp, c.count.bytes() - before, callErr
+	return parts, c.count.bytes() - before, callErr
 }
 
 // encodeFrame writes one gob message as one frame.
@@ -504,7 +511,16 @@ func (c *Conn) Close() error {
 type cachedResp struct {
 	env  respEnvelope
 	resp any
-	raw  []byte
+	raw  [][]byte
+}
+
+// rawLen sums the raw parts a response carries.
+func rawLen(parts [][]byte) int64 {
+	var n int64
+	for _, p := range parts {
+		n += int64(len(p))
+	}
+	return n
 }
 
 // handlerCtx bundles the per-connection streams a handler works with and
@@ -516,6 +532,9 @@ type handlerCtx struct {
 	enc    *gob.Encoder
 	fr     *frameReader
 	fw     *frameWriter
+	// scratch is the connection's reusable response memory: the parts the
+	// last unsequenced RegisterParts call returned, lent to the next one.
+	scratch *[][]byte
 }
 
 // Server dispatches RPCs to registered handlers. One Server may serve
@@ -525,7 +544,7 @@ type handlerCtx struct {
 type Server struct {
 	mu       sync.Mutex
 	handlers map[string]func(*handlerCtx) error
-	ring     map[string]RingHandler
+	ring     map[string]ringFn
 	maxFrame int
 
 	seen      map[uint64]cachedResp
@@ -539,33 +558,21 @@ type Server struct {
 func NewServer() *Server {
 	return &Server{
 		handlers: map[string]func(*handlerCtx) error{},
-		ring:     map[string]RingHandler{},
+		ring:     map[string]ringFn{},
 		maxFrame: DefaultMaxFrame,
 		seen:     map[uint64]cachedResp{},
 		inflight: map[uint64]chan struct{}{},
 	}
 }
 
-// RingHandler is the ring-dispatch form of a handler: the request arrives
-// as the typed value the client submitted (no gob), payload is the
-// request's raw payload (nil when none), and into — when non-nil — is the
-// client's destination buffer for the response payload, letting a handler
-// serve a bulk read zero-copy. The returned raw slice must stay valid
-// after the handler returns (it rides the completion queue); it may alias
-// into, never reused scratch.
-type RingHandler func(req any, payload []byte, into []byte) (resp any, raw []byte, err error)
-
-// RegisterRing installs (or overrides) the ring-dispatch handler for
-// method. RegisterRaw already derives a ring handler from the framed one,
-// so only handlers that want the zero-copy into path register here.
-func (s *Server) RegisterRing(method string, fn RingHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ring[method] = fn
-}
+// ringFn is the ring-dispatch form of a handler: the request arrives as
+// the typed value the client submitted (no gob), payload is the request's
+// raw payload (nil when none), and into is the client's own destination
+// list for the response parts.
+type ringFn func(req any, payload []byte, into [][]byte) (resp any, parts [][]byte, err error)
 
 // ringHandler looks up the ring-dispatch handler for method.
-func (s *Server) ringHandler(method string) (RingHandler, bool) {
+func (s *Server) ringHandler(method string) (ringFn, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.ring[method]
@@ -632,10 +639,10 @@ func (s *Server) storeReplayLocked(seq uint64, r cachedResp) {
 	}
 	s.seen[seq] = r
 	s.seenFIFO = append(s.seenFIFO, seq)
-	s.seenBytes += int64(len(r.raw))
+	s.seenBytes += rawLen(r.raw)
 	for len(s.seenFIFO) > replayWindow || (s.seenBytes > replayMaxBytes && len(s.seenFIFO) > 1) {
 		old := s.seenFIFO[0]
-		s.seenBytes -= int64(len(s.seen[old].raw))
+		s.seenBytes -= rawLen(s.seen[old].raw)
 		delete(s.seen, old)
 		s.seenFIFO = s.seenFIFO[1:]
 	}
@@ -673,19 +680,43 @@ func Register[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error
 // The payload slice is pooled: it is valid only until fn returns, so fn
 // must copy anything it keeps.
 func RegisterRaw[Req, Resp any](s *Server, method string, fn func(req Req, payload []byte) (Resp, []byte, error)) {
+	register(s, method, false, func(req Req, payload []byte, _ [][]byte) (Resp, [][]byte, error) {
+		resp, raw, err := fn(req, payload)
+		if raw == nil {
+			return resp, nil, err
+		}
+		return resp, [][]byte{raw}, err
+	})
+}
+
+// RegisterParts installs a typed handler that answers with a list of raw
+// parts and is lent a destination list for them: part k should land in
+// into[k] when its capacity suffices. On the ring, into is the client's own
+// list, so a part lands in caller memory with no copy. On the framed
+// transport it is the connection's scratch — the parts the previous
+// unsequenced call on the connection returned — and nil for a sequenced
+// call, whose response the replay cache pins. Either way a returned part
+// belongs to the transport from then on: fn must not return memory it
+// goes on using.
+func RegisterParts[Req, Resp any](s *Server, method string, fn func(req Req, payload []byte, into [][]byte) (Resp, [][]byte, error)) {
+	register(s, method, true, fn)
+}
+
+// register derives both dispatch forms of one handler. lend says whether
+// the framed form lends fn the connection scratch and keeps what it
+// returns; RegisterRaw handlers stay out of that, because nothing stops
+// one from returning memory it owns.
+func register[Req, Resp any](s *Server, method string, lend bool, fn func(req Req, payload []byte, into [][]byte) (Resp, [][]byte, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The same registration also serves the ring transport: the request
-	// arrives as the typed value itself, so dispatch is a type assertion
-	// instead of a gob decode. Handlers that want the zero-copy into path
-	// override this via RegisterRing.
-	s.ring[method] = func(req any, payload []byte, _ []byte) (any, []byte, error) {
+	// On the ring the request arrives as the typed value itself, so
+	// dispatch is a type assertion instead of a gob decode.
+	s.ring[method] = func(req any, payload []byte, into [][]byte) (any, [][]byte, error) {
 		typed, ok := req.(Req)
 		if !ok {
 			return nil, nil, fmt.Errorf("ipc: %s: request is %T, want %T", method, req, typed)
 		}
-		resp, raw, err := fn(typed, payload)
-		return resp, raw, err
+		return fn(typed, payload, into)
 	}
 	s.handlers[method] = func(ctx *handlerCtx) error {
 		var req Req
@@ -719,25 +750,45 @@ func RegisterRaw[Req, Resp any](s *Server, method string, fn func(req Req, paylo
 			}
 			done = claim
 		}
-		resp, rawResp, err := fn(req, payload)
+		// A sequenced response is pinned by the replay cache: it is never
+		// built in, or kept as, scratch.
+		lending := lend && done == nil
+		var into [][]byte
+		if lending {
+			into = *ctx.scratch
+		}
+		resp, parts, err := fn(req, payload, into)
 		if pooled != nil {
 			putRawBuf(pooled)
 		}
 		env := envFor(method, err)
 		if err != nil {
-			rawResp = nil
+			parts = nil
 		}
-		env.Raw = rawResp != nil
-		out := cachedResp{env: env, resp: resp, raw: rawResp}
+		env.Raw = len(parts)
+		out := cachedResp{env: env, resp: resp, raw: parts}
 		if done != nil {
 			done(out)
+		}
+		if lending {
+			// Slot k keeps whichever of its old and new memory is larger,
+			// so a small read after a big drain does not shrink the scratch.
+			for k, p := range parts {
+				switch {
+				case k >= len(into):
+					into = append(into, p)
+				case cap(p) > cap(into[k]):
+					into[k] = p
+				}
+			}
+			*ctx.scratch = into
 		}
 		return writeResp(method, out, ctx.enc, ctx.fw)
 	}
 }
 
 // writeResp emits the response envelope and, on success, the body — each
-// as its own frame — followed by the raw payload frame if one is attached.
+// as its own frame — followed by one raw frame per attached part.
 func writeResp(method string, r cachedResp, enc *gob.Encoder, fw *frameWriter) error {
 	if err := enc.Encode(r.env); err != nil {
 		return fmt.Errorf("ipc: encoding %s response envelope: %w", method, err)
@@ -754,8 +805,8 @@ func writeResp(method string, r cachedResp, enc *gob.Encoder, fw *frameWriter) e
 	if err := fw.flush(); err != nil {
 		return fmt.Errorf("ipc: flushing %s response: %w", method, err)
 	}
-	if r.env.Raw {
-		if err := fw.writeRaw(r.raw); err != nil {
+	for _, p := range r.raw {
+		if err := fw.writeRaw(p); err != nil {
 			return fmt.Errorf("ipc: writing %s payload: %w", method, err)
 		}
 	}
@@ -783,6 +834,7 @@ func (s *Server) serveConn(rwc io.ReadWriteCloser) error {
 	fr := &frameReader{r: rwc, max: max}
 	dec := gob.NewDecoder(fr)
 	enc := gob.NewEncoder(fw)
+	var scratch [][]byte
 	for {
 		var env reqEnvelope
 		if err := dec.Decode(&env); err != nil {
@@ -811,7 +863,7 @@ func (s *Server) serveConn(rwc io.ReadWriteCloser) error {
 			}
 			continue
 		}
-		if err := h(&handlerCtx{seq: env.Seq, rawReq: env.Raw, dec: dec, enc: enc, fr: fr, fw: fw}); err != nil {
+		if err := h(&handlerCtx{seq: env.Seq, rawReq: env.Raw, dec: dec, enc: enc, fr: fr, fw: fw, scratch: &scratch}); err != nil {
 			return err
 		}
 	}

@@ -3,12 +3,21 @@ package ipc
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
 
 type rawReqHdr struct{ N int }
 type rawRespHdr struct{ N int }
+
+// one unwraps a CallRaw result that carries at most one raw part.
+func one(parts [][]byte, n int64, err error) ([]byte, int64, error) {
+	if len(parts) == 0 {
+		return nil, n, err
+	}
+	return parts[0], n, err
+}
 
 // TestRawRequestRoundTrip: a request payload travels as a verbatim frame
 // after the gob body and arrives intact; the response payload comes back
@@ -30,7 +39,7 @@ func TestRawRequestRoundTrip(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{0x5A}, 1<<20)
 	var resp rawRespHdr
-	rawResp, n, err := conn.CallRawSeq("xor", 0, rawReqHdr{N: len(payload)}, payload, &resp)
+	rawResp, n, err := one(conn.CallRaw("xor", 0, rawReqHdr{N: len(payload)}, payload, &resp, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestRawRequestRoundTrip(t *testing.T) {
 }
 
 // TestRawResponseOnly: a handler may attach a raw response to a plain
-// gob request, received via CallRecvRaw.
+// gob request, received via CallRecvRawInto.
 func TestRawResponseOnly(t *testing.T) {
 	s := NewServer()
 	RegisterRaw(s, "fill", func(r rawReqHdr, payload []byte) (rawRespHdr, []byte, error) {
@@ -85,7 +94,7 @@ func TestRawFramingSurvivesErrorsAndMixing(t *testing.T) {
 	// A raw-carrying request whose handler fails: the error comes back,
 	// no stray raw frame is left in the stream.
 	var rh rawRespHdr
-	if _, _, err := conn.CallRawSeq("reject", 0, rawReqHdr{N: 3}, []byte{1, 2, 3}, &rh); err == nil {
+	if _, _, err := one(conn.CallRaw("reject", 0, rawReqHdr{N: 3}, []byte{1, 2, 3}, &rh, nil)); err == nil {
 		t.Fatal("rejected raw call returned nil error")
 	}
 	// Gob-only call right after the error.
@@ -94,7 +103,7 @@ func TestRawFramingSurvivesErrorsAndMixing(t *testing.T) {
 		t.Fatalf("gob call after raw error: %v, sum=%d", err, ar.Sum)
 	}
 	// Raw call after gob call.
-	raw, _, err := conn.CallRawSeq("echo", 0, rawReqHdr{N: 5}, []byte{9, 8, 7, 6, 5}, &rh)
+	raw, _, err := one(conn.CallRaw("echo", 0, rawReqHdr{N: 5}, []byte{9, 8, 7, 6, 5}, &rh, nil))
 	if err != nil || !bytes.Equal(raw, []byte{9, 8, 7, 6, 5}) {
 		t.Fatalf("raw call after gob call: %v, raw=%v", err, raw)
 	}
@@ -115,11 +124,11 @@ func TestRawReplayDedupe(t *testing.T) {
 
 	payload := []byte("exactly-once")
 	var resp rawRespHdr
-	first, _, err := conn.CallRawSeq("once", 41, rawReqHdr{N: len(payload)}, payload, &resp)
+	first, _, err := one(conn.CallRaw("once", 41, rawReqHdr{N: len(payload)}, payload, &resp, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := conn.CallRawSeq("once", 41, rawReqHdr{N: len(payload)}, payload, &resp)
+	second, _, err := one(conn.CallRaw("once", 41, rawReqHdr{N: len(payload)}, payload, &resp, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +137,79 @@ func TestRawReplayDedupe(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) || !bytes.Equal(second, payload) {
 		t.Errorf("replayed raw response diverged: %q vs %q", first, second)
+	}
+}
+
+// TestRawPartsLandInDestinations: a RegisterParts handler answers with a
+// list of parts, each received into the caller's matching destination when
+// its capacity suffices — on both transports. On the framed one the
+// handler is lent the connection's scratch, which is what the previous
+// unsequenced call returned, and never for a sequenced call, whose parts
+// the replay cache pins.
+func TestRawPartsLandInDestinations(t *testing.T) {
+	for _, tr := range []string{"framed", "ring"} {
+		t.Run(tr, func(t *testing.T) {
+			var lent [][]int // capacities of the into list, per call
+			s := NewServer()
+			RegisterParts(s, "parts", func(r rawReqHdr, _ []byte, into [][]byte) (rawRespHdr, [][]byte, error) {
+				caps := []int{}
+				var parts [][]byte
+				for k := 0; k < r.N; k++ {
+					var dst []byte
+					if k < len(into) {
+						caps = append(caps, cap(into[k]))
+						dst = into[k][:0]
+					}
+					if cap(dst) < 100*(k+1) {
+						dst = make([]byte, 0, 100*(k+1))
+					}
+					parts = append(parts, append(dst, bytes.Repeat([]byte{byte(k + 1)}, 100*(k+1))...))
+				}
+				lent = append(lent, caps)
+				return rawRespHdr{N: r.N}, parts, nil
+			})
+			var tp Transport = pair(t, s)
+			if tr == "ring" {
+				tp = ringPair(t, s, RingConfig{})
+			}
+			call := func(seq uint64, into [][]byte) [][]byte {
+				t.Helper()
+				var resp rawRespHdr
+				parts, _, err := tp.CallRaw("parts", seq, rawReqHdr{N: 3}, nil, &resp, into)
+				if err != nil || len(parts) != 3 {
+					t.Fatalf("call: %v, %d parts", err, len(parts))
+				}
+				for k, p := range parts {
+					if !bytes.Equal(p, bytes.Repeat([]byte{byte(k + 1)}, 100*(k+1))) {
+						t.Fatalf("part %d corrupted (%d bytes)", k, len(p))
+					}
+				}
+				return parts
+			}
+
+			big, small := make([]byte, 0, 512), make([]byte, 0, 8)
+			parts := call(0, [][]byte{big, small})
+			if &parts[0][0] != &big[:1][0] {
+				t.Error("part 0 did not land in the destination that had the capacity")
+			}
+			if cap(parts[1]) == cap(small) {
+				t.Error("part 1 claims to sit in a destination too small for it")
+			}
+			call(0, nil)
+			call(9, nil)
+			switch tr {
+			case "ring":
+				// The handler sees the client's own list and nothing else.
+				if want := [][]int{{512, 8}, {}, {}}; !reflect.DeepEqual(lent, want) {
+					t.Errorf("ring handler was lent %v, want %v", lent, want)
+				}
+			case "framed":
+				// First call: empty scratch. Second: what the first returned.
+				// Third, sequenced: nothing.
+				if want := [][]int{{}, {100, 200, 300}, {}}; !reflect.DeepEqual(lent, want) {
+					t.Errorf("framed handler was lent %v, want %v", lent, want)
+				}
+			}
+		})
 	}
 }

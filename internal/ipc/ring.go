@@ -7,7 +7,7 @@
 // request/response values cross by reference (same address space in this
 // model), so the gob encode/decode and copy-in/copy-out that dominate the
 // framed hot path disappear; bulk reads land zero-copy in the caller's
-// buffer via the handler `into` path.
+// buffers, which a RegisterParts handler is handed as its into list.
 //
 // Fault injection is cooperative rather than byte-level: the client picks
 // the call's fault from the same seeded FaultInjector stream the framed
@@ -166,10 +166,10 @@ func (q *spsc[T]) close() {
 // ringMsg is one submission slot.
 type ringMsg struct {
 	method  string
-	seq     uint64 // replay-dedupe sequence; 0 = idempotent
-	req     any    // the typed request value, by reference
-	payload []byte // raw request payload (valid until the handler returns)
-	into    []byte // caller's destination for the response payload, if any
+	seq     uint64   // replay-dedupe sequence; 0 = idempotent
+	req     any      // the typed request value, by reference
+	payload []byte   // raw request payload (valid until the handler returns)
+	into    [][]byte // caller's destinations for the response parts, if any
 	fault   FaultKind
 }
 
@@ -177,7 +177,7 @@ type ringMsg struct {
 type ringCpl struct {
 	env   respEnvelope
 	resp  any
-	raw   []byte
+	raw   [][]byte
 	fault FaultKind // non-None: the completion arrived poisoned
 }
 
@@ -309,19 +309,13 @@ func (r *Ring) CallSeq(method string, seq uint64, req, resp any) (int64, error) 
 	return n, err
 }
 
-// CallRecvRawInto returns the response's raw payload, if any. buf goes to
-// the server as its destination: a ring-aware handler writes straight
-// into it (zero-copy), and a derived handler's payload is copied into it
-// on completion.
-func (r *Ring) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
-	return r.exchange(method, seq, req, nil, resp, buf)
-}
-
-// CallRawSeq attaches rawReq to the request. The slice crosses by
-// reference and the handler contract (valid until the handler returns)
-// holds because the call is synchronous.
-func (r *Ring) CallRawSeq(method string, seq uint64, req any, rawReq []byte, resp any) ([]byte, int64, error) {
-	return r.exchange(method, seq, req, rawReq, resp, nil)
+// CallRaw attaches rawReq to the request and hands into to the handler as
+// its destination list. Both cross by reference: the handler contract
+// (payload valid until the handler returns) holds because the call is
+// synchronous, and a RegisterParts handler writes straight into the
+// caller's buffers.
+func (r *Ring) CallRaw(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
+	return r.exchange(method, seq, req, rawReq, resp, into)
 }
 
 // submitFault draws the call's fault from the injector and fires the
@@ -353,7 +347,7 @@ func (r *Ring) submitFault(method string) (FaultKind, error) {
 
 // exchange runs one synchronous submission/completion cycle under the
 // producer lock.
-func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp any, into []byte) ([]byte, int64, error) {
+func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.downError(); err != nil {
@@ -380,17 +374,19 @@ func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp 
 	if err != nil {
 		return nil, n, r.fail(method, err)
 	}
-	recv := int64(ringSlotBytes + len(cpl.raw))
+	recv := ringSlotBytes + rawLen(cpl.raw)
 	r.stats.AddRecv(recv)
 	n += recv
 	if cpl.fault != FaultNone {
 		return nil, n, r.fail(method, fmt.Errorf("fault injected: %s completion poisoned (%s)", method, cpl.fault))
 	}
-	if len(cpl.raw) > r.maxFrame {
-		return nil, n, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(cpl.raw), ErrFrameTooLarge, r.maxFrame))
+	for _, p := range cpl.raw {
+		if len(p) > r.maxFrame {
+			return nil, n, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(p), ErrFrameTooLarge, r.maxFrame))
+		}
 	}
 	var callErr error
-	var rawResp []byte
+	var rawResp [][]byte
 	if cpl.env.ErrOp != "" {
 		callErr = &RemoteError{Op: cpl.env.ErrOp, Detail: cpl.env.ErrDetail, Status: cpl.env.ErrStatus}
 	} else {
@@ -462,15 +458,14 @@ func (r *Ring) serveOne(msg ringMsg) bool {
 		cached, served, claim := r.srv.claimSeq(msg.seq)
 		if served {
 			cpl.env, cpl.resp = cached.env, cached.resp
-			if cached.raw != nil {
-				// The cache keeps its pinned copy; the client gets its own
-				// (into its destination buffer when it offered one).
-				if cap(msg.into) >= len(cached.raw) {
-					cpl.raw = msg.into[:len(cached.raw)]
-				} else {
-					cpl.raw = make([]byte, len(cached.raw))
+			// The cache keeps its pinned copy; the client gets its own (in
+			// its destination buffers where it offered them).
+			for k, p := range cached.raw {
+				var dst []byte
+				if k < len(msg.into) && cap(msg.into[k]) >= len(p) {
+					dst = msg.into[k][:0]
 				}
-				copy(cpl.raw, cached.raw)
+				cpl.raw = append(cpl.raw, append(dst, p...))
 			}
 			return r.complete(msg, cpl)
 		}
@@ -490,15 +485,15 @@ func (r *Ring) serveOne(msg ringMsg) bool {
 	if err != nil {
 		raw = nil
 	}
-	env.Raw = raw != nil
+	env.Raw = len(raw)
 	cpl.env, cpl.resp, cpl.raw = env, resp, raw
 	if done != nil {
-		cacheRaw := raw
-		if raw != nil {
-			// The delivered payload may alias the client's buffer (the
-			// zero-copy into path); the replay cache pins its own copy so a
-			// later replay is immune to client mutation.
-			cacheRaw = append([]byte(nil), raw...)
+		// The delivered parts may alias the client's buffers (the zero-copy
+		// into path); the replay cache pins its own copies so a later
+		// replay is immune to client mutation.
+		var cacheRaw [][]byte
+		for _, p := range raw {
+			cacheRaw = append(cacheRaw, append([]byte(nil), p...))
 		}
 		done(cachedResp{env: env, resp: resp, raw: cacheRaw})
 	}

@@ -113,10 +113,12 @@ func TestRingRawPayloadAndInto(t *testing.T) {
 		}
 		return addResp{Sum: len(payload)}, out, nil
 	})
-	// A ring-aware handler writes into the caller's buffer: zero copy.
-	s.RegisterRing("fill", func(req any, _ []byte, into []byte) (any, []byte, error) {
-		r := req.(addReq)
-		buf := into
+	// A parts handler writes into the caller's buffer: zero copy.
+	RegisterParts(s, "fill", func(r addReq, _ []byte, into [][]byte) (addResp, [][]byte, error) {
+		var buf []byte
+		if len(into) > 0 {
+			buf = into[0]
+		}
 		if cap(buf) < r.A {
 			buf = make([]byte, r.A)
 		}
@@ -124,13 +126,13 @@ func TestRingRawPayloadAndInto(t *testing.T) {
 		for i := range buf {
 			buf[i] = byte(r.B)
 		}
-		return addResp{Sum: r.A}, buf, nil
+		return addResp{Sum: r.A}, [][]byte{buf}, nil
 	})
 	ring := ringPair(t, s, RingConfig{})
 
 	var resp addResp
 	payload := []byte{1, 2, 3, 4}
-	raw, n, err := ring.CallRawSeq("double", 7, addReq{}, payload, &resp)
+	raw, n, err := one(ring.CallRaw("double", 7, addReq{}, payload, &resp, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestRingRawPayloadAndInto(t *testing.T) {
 	}
 
 	dst := make([]byte, 0, 1024)
-	raw, _, err = ring.CallRecvRawInto("fill", 0, addReq{A: 512, B: 9}, &resp, dst)
+	raw, _, err = one(ring.CallRaw("fill", 0, addReq{A: 512, B: 9}, nil, &resp, [][]byte{dst}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestRingMaxFrame(t *testing.T) {
 	ring := ringPair(t, s, RingConfig{})
 	ring.SetMaxFrame(64)
 	var resp addResp
-	_, _, err := ring.CallRawSeq("echo", 1, addReq{}, make([]byte, 1024), &resp)
+	_, _, err := ring.CallRaw("echo", 1, addReq{}, make([]byte, 1024), &resp, nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized payload err = %v, want ErrFrameTooLarge", err)
 	}

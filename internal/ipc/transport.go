@@ -15,13 +15,12 @@ type Transport interface {
 	// CallSeq is Call with an explicit dedupe sequence number (0 = never
 	// deduped; non-zero must be unique per logical call).
 	CallSeq(method string, seq uint64, req, resp any) (int64, error)
-	// CallRecvRawInto additionally returns the raw payload the server
-	// attached to its response (nil when none), received into buf when its
-	// capacity suffices (the returned slice then aliases buf).
-	CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error)
-	// CallRawSeq attaches rawReq verbatim to the request, skipping any
-	// encoding, and returns the response's raw payload, if any.
-	CallRawSeq(method string, seq uint64, req any, rawReq []byte, resp any) ([]byte, int64, error)
+	// CallRaw is CallSeq with raw payloads both ways: a non-nil rawReq is
+	// attached verbatim to the request, skipping any encoding, and the raw
+	// parts of the response are returned in order, part k received into
+	// into[k] when its capacity suffices (the returned slice then aliases
+	// it).
+	CallRaw(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error)
 
 	// SetDeadline arms a per-call deadline on the virtual clock.
 	SetDeadline(clock *vtime.Clock, timeout vtime.Duration)

@@ -786,9 +786,9 @@ type GlobalSnapshotStats struct {
 	Total         vtime.Duration // slowest local + aggregation
 
 	// LocalStalls is the per-rank application-visible stall of the local
-	// snapshot (CheckpointStats.StallTime): with SpeculativeDrain the
-	// drain overlaps this rank's continued execution and only the residue
-	// appears here.
+	// snapshot (CheckpointStats.StallTime): when the rank opened a
+	// speculative epoch the drain overlaps its continued execution and
+	// only the residue appears here.
 	LocalStalls []vtime.Duration
 
 	// Store-backed snapshots only, set on rank 0: the manifest written
@@ -809,16 +809,10 @@ func (r *Rank) CoordinatedCheckpoint(checl *core.CheCL, globalPath string) (Glob
 		return stats, err
 	}
 
-	// Speculative drain per rank: the epoch opens right after the
-	// coordination barrier, so every rank's device-to-host copy overlaps
-	// whatever work it still does before its local snapshot; validation
-	// happens inside checl.Checkpoint, before the commit barrier below.
-	if checl.Options().SpeculativeDrain {
-		if err := checl.BeginCheckpointEpoch(); err != nil {
-			return stats, fmt.Errorf("mpi: rank %d epoch begin: %w", r.rank, err)
-		}
-	}
-
+	// A rank with work to overlap opens its own speculative epoch
+	// (checl.BeginCheckpointEpoch) before calling in; checl.Checkpoint
+	// commits whatever epoch is open, and validation happens there, before
+	// the commit barrier below.
 	localPath := fmt.Sprintf("%s.local.%d", globalPath, r.rank)
 	st, err := checl.Checkpoint(r.node.LocalDisk, localPath)
 	if err != nil {

@@ -87,14 +87,8 @@ func (r *Rank) CoordinatedCheckpointToStore(checl *core.CheCL, st store.Backend,
 		return stats, fmt.Errorf("mpi: rank %d background write: %w", r.rank, err)
 	}
 
-	// Speculative drain per rank (see CoordinatedCheckpoint): validation
-	// happens inside checl.Checkpoint, before the commit barrier.
-	if checl.Options().SpeculativeDrain {
-		if err := checl.BeginCheckpointEpoch(); err != nil {
-			return stats, fmt.Errorf("mpi: rank %d epoch begin: %w", r.rank, err)
-		}
-	}
-
+	// An epoch the rank opened itself is committed by checl.Checkpoint
+	// (see CoordinatedCheckpoint).
 	localPath := fmt.Sprintf("%s.local.%d", job, r.rank)
 	cst, err := checl.Checkpoint(r.node.LocalDisk, localPath)
 	if err != nil {

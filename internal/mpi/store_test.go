@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -236,10 +237,11 @@ func TestRestoreGlobalFromStoreErrors(t *testing.T) {
 }
 
 // TestCoordinatedSpeculativeCheckpoint takes a store-backed global
-// snapshot of a 2-rank job whose ranks run with SpeculativeDrain: each
-// rank's drain runs as a speculative epoch begun after the coordination
-// barrier, the per-rank stall lands in LocalStalls, and the restored
-// ranks are bit-identical.
+// snapshot of a 2-rank job whose ranks each open a speculative epoch
+// before their last kernel: the coordinated checkpoint commits the open
+// epoch (the kernel violated the in-flight copy, so it is re-drained), the
+// per-rank stall lands in LocalStalls, and the restored ranks are
+// bit-identical.
 func TestCoordinatedSpeculativeCheckpoint(t *testing.T) {
 	cl := cluster(2)
 	st := store.New(cl.NFS, store.Config{})
@@ -257,9 +259,7 @@ __kernel void fill(__global float* x, float v, uint n) {
 	var mu sync.Mutex
 	stalls := make([]vtime.Duration, 0, 2)
 	err := w.Run(func(r *Rank) error {
-		c, err := core.Attach(r.Process(), core.Options{
-			Incremental: true, DrainWorkers: 4, SpeculativeDrain: true,
-		})
+		c, err := core.Attach(r.Process(), core.Options{Incremental: true})
 		if err != nil {
 			return err
 		}
@@ -278,20 +278,31 @@ __kernel void fill(__global float* x, float v, uint n) {
 		if err := c.SetKernelArg(k, 0, 8, h); err != nil {
 			return err
 		}
-		v := make([]byte, 4)
-		binary.LittleEndian.PutUint32(v, math.Float32bits(float32(100*(r.Rank()+1))))
-		if err := c.SetKernelArg(k, 1, 4, v); err != nil {
-			return err
-		}
 		n := make([]byte, 4)
 		binary.LittleEndian.PutUint32(n, 1024)
 		if err := c.SetKernelArg(k, 2, 4, n); err != nil {
 			return err
 		}
-		if _, err := c.EnqueueNDRangeKernel(q, k, 1, [3]int{}, [3]int{1024}, [3]int{64}, nil); err != nil {
+		fill := func(base float32) error {
+			v := make([]byte, 4)
+			binary.LittleEndian.PutUint32(v, math.Float32bits(base))
+			if err := c.SetKernelArg(k, 1, 4, v); err != nil {
+				return err
+			}
+			if _, err := c.EnqueueNDRangeKernel(q, k, 1, [3]int{}, [3]int{1024}, [3]int{64}, nil); err != nil {
+				return err
+			}
+			return c.Finish(q)
+		}
+		if err := fill(-1); err != nil {
 			return err
 		}
-		if err := c.Finish(q); err != nil {
+		// The rank has work left to overlap: it opens the epoch itself,
+		// and its last kernel lands mid-epoch.
+		if err := c.BeginCheckpointEpoch(); err != nil {
+			return err
+		}
+		if err := fill(float32(100 * (r.Rank() + 1))); err != nil {
 			return err
 		}
 		states[r.Rank()] = rankState{q: q, buf: buf}
@@ -299,6 +310,9 @@ __kernel void fill(__global float* x, float v, uint n) {
 		gs, err := r.CoordinatedCheckpointToStore(c, st, "specjob")
 		if err != nil {
 			return err
+		}
+		if lc := c.LastCheckpoint(); lc == nil || !lc.Speculative || lc.ViolatedBuffers != 1 {
+			return fmt.Errorf("rank %d: the snapshot did not commit the open epoch: %+v", r.Rank(), lc)
 		}
 		mu.Lock()
 		stalls = append(stalls, gs.LocalStalls...)

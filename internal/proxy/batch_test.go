@@ -89,6 +89,11 @@ func (f *batchFixture) vaddBatch() ([]BatchCmd, []byte) {
 	return cmds, payload
 }
 
+// sendCmds ships a command list built ahead of time as one sequenced frame.
+func sendCmds(api *Client, cmds []BatchCmd, payload []byte) (EnqueueBatchResp, [][]byte, error) {
+	return api.SendBatch(frameOf(cmds, payload))
+}
+
 // TestBatchRoundTrip: one clEnqueueBatch frame carries the entire vadd
 // pipeline — args, write payloads in the raw request frame, an in-batch
 // wait chain, and read data back in the raw response frame.
@@ -98,7 +103,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	cmds, payload := f.vaddBatch()
 
 	callsBefore := f.api.Stats().Calls
-	resp, out, err := f.api.EnqueueBatch(cmds, payload)
+	resp, parts, err := sendCmds(f.api, cmds, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +120,10 @@ func TestBatchRoundTrip(t *testing.T) {
 	if resp.Events[6] == 0 {
 		t.Error("NDRange command minted no event")
 	}
+	if len(parts) != 1 {
+		t.Fatalf("one read returned %d raw parts", len(parts))
+	}
+	out := parts[0]
 	if resp.ReadLens[7] != int64(4*f.n) || int64(len(out)) != int64(4*f.n) {
 		t.Fatalf("read data: lens[7]=%d raw=%d want %d", resp.ReadLens[7], len(out), 4*f.n)
 	}
@@ -146,7 +155,7 @@ func TestBatchPartialFailure(t *testing.T) {
 		{Op: BatchWrite, Queue: f.q, Mem: f.c, Offset: size, PayloadOff: size, PayloadLen: 4},
 		{Op: BatchWrite, Queue: f.q, Mem: f.c, PayloadOff: size + 4, PayloadLen: size},
 	}
-	resp, _, err := f.api.EnqueueBatch(cmds, payload)
+	resp, _, err := sendCmds(f.api, cmds, payload)
 	if err != nil {
 		t.Fatalf("command failure must be in-band, not a transport error: %v", err)
 	}
@@ -178,7 +187,7 @@ func TestBatchPayloadBoundsChecked(t *testing.T) {
 	cmds := []BatchCmd{
 		{Op: BatchWrite, Queue: f.q, Mem: f.c, PayloadOff: 0, PayloadLen: 64},
 	}
-	resp, _, err := f.api.EnqueueBatch(cmds, []byte{1, 2, 3}) // frame shorter than the window
+	resp, _, err := sendCmds(f.api, cmds, []byte{1, 2, 3}) // frame shorter than the window
 	if err != nil {
 		t.Fatalf("bounds violation must be in-band: %v", err)
 	}
@@ -200,13 +209,14 @@ func TestBatchReplayUnderFault(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		cmds, payload := f.vaddBatch()
-		resp, out, err := f.api.EnqueueBatch(cmds, payload)
+		resp, parts, err := sendCmds(f.api, cmds, payload)
 		if err != nil {
 			t.Fatalf("batch %d under faults: %v", i, err)
 		}
-		if resp.ErrIdx != -1 {
-			t.Fatalf("batch %d failed at %d: %s", i, resp.ErrIdx, resp.ErrDetail)
+		if resp.ErrIdx != -1 || len(parts) != 1 {
+			t.Fatalf("batch %d failed at %d (%d parts): %s", i, resp.ErrIdx, len(parts), resp.ErrDetail)
 		}
+		out := parts[0]
 		for j := 0; j < f.n; j++ {
 			got := math.Float32frombits(binary.LittleEndian.Uint32(out[4*j:]))
 			if got != 2*float32(j) {

@@ -105,7 +105,7 @@ func TestBatchMalformedHeaderFailsTheCall(t *testing.T) {
 	_, _, px := spawnNV(t)
 	f := setupBatchFixture(t, px, 64)
 	var r EnqueueBatchResp
-	_, err := f.api.callRaw("clEnqueueBatch", Empty{}, []byte("not a batch frame at all"), &r)
+	_, err := f.api.exchange("clEnqueueBatch", Empty{}, []byte("not a batch frame at all"), &r, nil)
 	if err == nil {
 		t.Fatal("garbage frame accepted")
 	}
@@ -159,7 +159,7 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("accepted commands do not survive re-encoding (%v):\n got %+v\nthen %+v", err2, got, again)
 			}
 		}
-		if _, _, err := runBatch(rt, data); err != nil && !errors.As(err, &fe) {
+		if _, _, err := runBatch(rt, data, nil); err != nil && !errors.As(err, &fe) {
 			t.Fatalf("runBatch failed with %T (%v), want *BatchFormatError", err, err)
 		}
 	})

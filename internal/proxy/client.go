@@ -176,7 +176,7 @@ func idempotent(method string) bool {
 // call forwards one API call, charging its modelled cost, retrying over a
 // fresh connection when the transport dies under it.
 func (c *Client) call(method string, req, resp any) error {
-	_, err := c.exchange(method, req, nil, false, resp, nil)
+	_, err := c.exchange(method, req, nil, resp, nil)
 	return err
 }
 
@@ -186,32 +186,28 @@ func (c *Client) send(method string, req any) error {
 	return c.call(method, req, &r)
 }
 
-// callRaw is call with a raw payload attached to the request; it returns
-// the raw payload the server attached to its response, if any.
-func (c *Client) callRaw(method string, req any, rawReq []byte, resp any) ([]byte, error) {
-	return c.exchange(method, req, rawReq, true, resp, nil)
-}
-
-// exchange forwards one API call, charging its modelled cost, retrying
-// over a fresh connection when the transport dies under it. A retried
-// request re-sends the same raw payload under the same sequence number,
-// so the server's dedupe cache treats the whole frame set as one call.
-// into, when non-nil and large enough, receives the response's raw
-// payload in place of a fresh allocation.
-func (c *Client) exchange(method string, req any, rawReq []byte, sendRaw bool, resp any, into []byte) ([]byte, error) {
+// exchange is call with raw payloads both ways: rawReq, when non-nil, rides
+// the request as a raw frame, and the raw parts the server attached to its
+// response are returned, part k received into into[k] when its capacity
+// suffices. Mutating methods get a fresh dedupe sequence number.
+func (c *Client) exchange(method string, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, error) {
 	var seq uint64
 	if !idempotent(method) {
 		seq = c.seq.Add(1)
 	}
-	return c.exchangeSeqPriced(method, seq, req, rawReq, sendRaw, resp, into, nil)
+	return c.exchangeSeqPriced(method, seq, req, rawReq, resp, into, nil)
 }
 
 // exchangeSeqPriced is exchange with the dedupe sequence number already
 // assigned and a pluggable price for the successful wire exchange:
 // price(n) returns the duration charged to the application clock for a
-// frame of n bytes. nil keeps the default synchronous round-trip price. Retry backoff and re-sends are always
-// charged in full — only the final successful exchange is re-priced.
-func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []byte, sendRaw bool, resp any, into []byte, price func(n int64) vtime.Duration) ([]byte, error) {
+// frame of n bytes; nil keeps the default synchronous round-trip price.
+// A call that fails with ipc.ErrConnDown is retried over a fresh
+// connection, re-sending the same raw payload under the same sequence
+// number, so the server's dedupe cache treats the whole frame set as one
+// call. Retry backoff and re-sends are always charged in full — only the
+// final successful exchange is re-priced.
+func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte, price func(n int64) vtime.Duration) ([][]byte, error) {
 	c.mu.Lock()
 	policy := c.retry
 	c.mu.Unlock()
@@ -221,16 +217,7 @@ func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []
 		c.mu.Lock()
 		conn := c.conn
 		c.mu.Unlock()
-		var (
-			raw []byte
-			n   int64
-			err error
-		)
-		if sendRaw {
-			raw, n, err = conn.CallRawSeq(method, seq, req, rawReq, resp)
-		} else {
-			raw, n, err = conn.CallRecvRawInto(method, seq, req, resp, into)
-		}
+		parts, n, err := conn.CallRaw(method, seq, req, rawReq, resp, into)
 		c.calls.Add(1)
 		c.bytes.Add(n)
 		if price != nil {
@@ -239,7 +226,7 @@ func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []
 			c.clock.Advance(c.cost.roundTrip(n))
 		}
 		if err == nil {
-			return raw, nil
+			return parts, nil
 		}
 		var re *ipc.RemoteError
 		if errors.As(err, &re) {
@@ -427,9 +414,9 @@ func (c *Client) SetKernelArg(k ocl.Kernel, index int, size int64, value []byte)
 func (c *Client) EnqueueWriteBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset int64, data []byte, waits []ocl.Event) (ocl.Event, error) {
 	var r EventResp
 	// The payload rides the raw frame: no gob encode, no intermediate copy.
-	_, err := c.callRaw("clEnqueueWriteBuffer", EnqueueWriteBufferReq{
+	_, err := c.exchange("clEnqueueWriteBuffer", EnqueueWriteBufferReq{
 		Queue: q, Mem: m, Blocking: blocking, Offset: offset, Waits: waits,
-	}, data, &r)
+	}, data, &r, nil)
 	return r.Event, err
 }
 
@@ -440,39 +427,36 @@ func (c *Client) EnqueueReadBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool,
 // EnqueueReadBufferInto is EnqueueReadBuffer with a caller-supplied
 // destination: when buf's capacity covers the read, the data lands in it
 // and the returned slice aliases buf (no allocation); otherwise a fresh
-// buffer is returned. Callers that drain the same buffer every
-// checkpoint reach a steady state where reads allocate nothing.
+// buffer is returned.
 func (c *Client) EnqueueReadBufferInto(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset, size int64, waits []ocl.Event, buf []byte) ([]byte, ocl.Event, error) {
 	var r EnqueueReadBufferResp
 	// The data comes back as the response's raw frame.
-	data, err := c.exchange("clEnqueueReadBuffer", EnqueueReadBufferReq{
+	parts, err := c.exchange("clEnqueueReadBuffer", EnqueueReadBufferReq{
 		Queue: q, Mem: m, Blocking: blocking, Offset: offset, Size: size, Waits: waits,
-	}, nil, false, &r, buf)
-	return data, r.Event, err
+	}, nil, &r, [][]byte{buf})
+	if len(parts) == 0 {
+		return nil, r.Event, err
+	}
+	return parts[0], r.Event, err
 }
 
 // BulkCut reports this client's CostModel.BulkCut.
 func (c *Client) BulkCut() int64 { return c.cost.BulkCut() }
 
-// SendBatch ships a built command frame as one sequenced call. The
-// returned raw slice is the concatenation of every executed BatchRead's
-// data, in command order, sliced by resp.ReadLens.
-func (c *Client) SendBatch(f *BatchFrame) (EnqueueBatchResp, []byte, error) {
+// SendBatch ships a built command frame as one sequenced call. The k-th
+// returned part is the data of the k-th BatchRead that executed.
+func (c *Client) SendBatch(f *BatchFrame) (EnqueueBatchResp, [][]byte, error) {
 	var r EnqueueBatchResp
-	raw, err := c.callRaw("clEnqueueBatch", Empty{}, f.bytes(0), &r)
+	parts, err := c.exchange("clEnqueueBatch", Empty{}, f.bytes(0), &r, nil)
 	if err == nil {
 		c.batched.Add(int64(f.Len()))
 	}
-	return r, raw, err
+	return r, parts, err
 }
 
-// EnqueueBatch is SendBatch for a command list built ahead of time;
-// payload is the concatenation of every BatchWrite's data, referenced by
-// the commands' PayloadOff/PayloadLen.
-func (c *Client) EnqueueBatch(cmds []BatchCmd, payload []byte) (EnqueueBatchResp, []byte, error) {
-	return c.SendBatch(frameOf(cmds, payload))
-}
-
+// frameOf builds the frame of a command list made ahead of time; payload is
+// the concatenation of every BatchWrite's data, referenced by the commands'
+// PayloadOff/PayloadLen.
 func frameOf(cmds []BatchCmd, payload []byte) *BatchFrame {
 	var f BatchFrame
 	f.Stage(payload)
@@ -482,28 +466,38 @@ func frameOf(cmds []BatchCmd, payload []byte) *BatchFrame {
 	return &f
 }
 
-// EnqueueBatchOverlapped ships a batch whose bulk data transfer overlaps
-// continued application progress (the speculative checkpoint drain): the
-// application clock is charged only an empty round trip, and the modelled
-// cost of the actual frame is returned so the caller can charge whatever
-// its own progress did not hide. The frame header carries the epoch id.
-// The returned data is complete at the exchange; only its cost is deferred.
-func (c *Client) EnqueueBatchOverlapped(cmds []BatchCmd, payload []byte, epoch uint64) (EnqueueBatchResp, []byte, vtime.Duration, error) {
+// ReadBatch ships a frame of reads, and the finishes that fence them, as
+// one call: the k-th read lands in into[k] when its capacity suffices, and
+// nothing on the way copies it again. Such a frame changes no proxy state,
+// so it travels unsequenced like a single read — a retry re-executes it —
+// and no replay cache pins its data.
+//
+// A non-zero epoch tags the frame as a speculative checkpoint drain, whose
+// bulk transfer overlaps continued application progress: the application
+// clock is charged only an empty round trip, and the modelled cost of the
+// actual frame is returned so the caller can charge whatever its own
+// progress did not hide. The data is complete at the exchange either way;
+// only its cost is deferred.
+func (c *Client) ReadBatch(cmds []BatchCmd, into [][]byte, epoch uint64) (EnqueueBatchResp, [][]byte, vtime.Duration, error) {
 	var (
 		r     EnqueueBatchResp
 		frame vtime.Duration
+		price func(n int64) vtime.Duration
 	)
-	seq := c.seq.Add(1)
-	raw, err := c.exchangeSeqPriced("clEnqueueBatch", seq, Empty{}, frameOf(cmds, payload).bytes(epoch), true, &r, nil,
-		func(n int64) vtime.Duration {
+	if epoch != 0 {
+		price = func(n int64) vtime.Duration {
 			frame = c.cost.roundTrip(n)
 			return c.cost.roundTrip(0)
-		})
+		}
+	}
+	parts, err := c.exchangeSeqPriced("clEnqueueBatch", 0, Empty{}, frameOf(cmds, nil).bytes(epoch), &r, into, price)
 	if err == nil {
 		c.batched.Add(int64(len(cmds)))
-		c.speculated.Add(int64(len(cmds)))
+		if epoch != 0 {
+			c.speculated.Add(int64(len(cmds)))
+		}
 	}
-	return r, raw, frame, err
+	return r, parts, frame, err
 }
 
 func (c *Client) EnqueueCopyBuffer(q ocl.CommandQueue, src, dst ocl.Mem, srcOff, dstOff, size int64, waits []ocl.Event) (ocl.Event, error) {

@@ -237,7 +237,8 @@ type BatchCmd struct {
 
 // EnqueueBatchResp reports per-command results. Commands up to (and
 // excluding) ErrIdx executed; their Events/ReadLens entries are valid and
-// read data for them is concatenated in the response's raw frame. A
+// the data of each executed read is one raw part of the response, in read
+// order. A
 // failed command's error is carried in the Err* fields (resolved via
 // ipc.ErrorCoder) so the client can surface it with correct attribution
 // at the next sync point; commands after ErrIdx were not executed.

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"checl/internal/ipc"
@@ -143,37 +142,15 @@ func NewServer(api ocl.API) *ipc.Server {
 		ev, err := api.EnqueueWriteBuffer(r.Queue, r.Mem, r.Blocking, r.Offset, payload, r.Waits)
 		return EventResp{Event: ev}, nil, err
 	})
-	// The read-response payload scratch is safe to reuse across calls:
-	// the client keeps one call in flight at a time, the frame is fully
-	// on the wire before the handler returns, and read responses are
-	// never replay-cached (reads are idempotent, so they carry seq 0).
-	var readScratch []byte
-	ipc.RegisterRaw(s, "clEnqueueReadBuffer", func(r EnqueueReadBufferReq, _ []byte) (EnqueueReadBufferResp, []byte, error) {
-		if int64(cap(readScratch)) < r.Size && r.Size >= 0 {
-			readScratch = make([]byte, r.Size)
-		}
-		data, ev, err := readBufferInto(api, r.Queue, r.Mem, r.Blocking, r.Offset, r.Size, r.Waits, readScratch[:0])
-		return EnqueueReadBufferResp{Event: ev}, data, err
+	// Reads land in the destinations the transport lends (ipc.RegisterParts):
+	// the client's own buffers on the ring, the connection's reusable
+	// scratch on the framed stream.
+	ipc.RegisterParts(s, "clEnqueueReadBuffer", func(r EnqueueReadBufferReq, _ []byte, into [][]byte) (EnqueueReadBufferResp, [][]byte, error) {
+		data, ev, err := readBufferInto(api, r.Queue, r.Mem, r.Blocking, r.Offset, r.Size, r.Waits, lent(into, 0))
+		return EnqueueReadBufferResp{Event: ev}, [][]byte{data}, err
 	})
-	// Ring dispatch overrides the derived read handler for two reasons:
-	// the framed handler's reusable scratch must never escape onto the
-	// completion queue (the client may retain a read result), and when the
-	// client supplied a destination buffer the data should land in it
-	// directly — the zero-copy arm of the ring transport.
-	s.RegisterRing("clEnqueueReadBuffer", func(req any, _ []byte, into []byte) (any, []byte, error) {
-		r, ok := req.(EnqueueReadBufferReq)
-		if !ok {
-			return nil, nil, fmt.Errorf("ipc: clEnqueueReadBuffer: request is %T, want %T", req, r)
-		}
-		buf := into[:0]
-		if r.Size >= 0 && int64(cap(into)) < r.Size {
-			buf = make([]byte, 0, r.Size)
-		}
-		data, ev, err := readBufferInto(api, r.Queue, r.Mem, r.Blocking, r.Offset, r.Size, r.Waits, buf)
-		return EnqueueReadBufferResp{Event: ev}, data, err
-	})
-	ipc.RegisterRaw(s, "clEnqueueBatch", func(_ Empty, payload []byte) (EnqueueBatchResp, []byte, error) {
-		return runBatch(api, payload)
+	ipc.RegisterParts(s, "clEnqueueBatch", func(_ Empty, payload []byte, into [][]byte) (EnqueueBatchResp, [][]byte, error) {
+		return runBatch(api, payload, into)
 	})
 	ipc.Register(s, "clEnqueueCopyBuffer", func(r EnqueueCopyBufferReq) (EventResp, error) {
 		ev, err := api.EnqueueCopyBuffer(r.Queue, r.Src, r.Dst, r.SrcOff, r.DstOff, r.Size, r.Waits)
@@ -242,8 +219,11 @@ func NewServer(api ocl.API) *ipc.Server {
 // and read data. A command the decoder refuses fails in band the same way;
 // only a malformed header fails the call. In-batch event dependencies
 // (WaitIdx) are resolved against the events minted by earlier commands of
-// the same run.
-func runBatch(api ocl.API, payload []byte) (EnqueueBatchResp, []byte, error) {
+// the same run. The k-th executed read is the k-th returned part and lands
+// in into[k] when that has the capacity; otherwise the runtime allocates
+// it, after it has validated the command — nothing here is sized from a
+// command the runtime has not accepted.
+func runBatch(api ocl.API, payload []byte, into [][]byte) (EnqueueBatchResp, [][]byte, error) {
 	rd, err := openBatch(payload)
 	if err != nil {
 		return EnqueueBatchResp{}, nil, err
@@ -254,8 +234,8 @@ func runBatch(api ocl.API, payload []byte) (EnqueueBatchResp, []byte, error) {
 		ErrIdx:   -1,
 	}
 	var (
-		out []byte
-		cmd BatchCmd
+		parts [][]byte
+		cmd   BatchCmd
 	)
 	for i := 0; i < rd.N; i++ {
 		err := rd.next(&cmd)
@@ -273,18 +253,11 @@ func runBatch(api ocl.API, payload []byte) (EnqueueBatchResp, []byte, error) {
 			case BatchWrite:
 				ev, err = api.EnqueueWriteBuffer(cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, rd.writeData(&cmd), waits)
 			case BatchRead:
-				// A frame's first (usually only) read hands back the runtime's
-				// own slice: no staging buffer, no copy. Later reads land in the
-				// response's spare capacity when it has some and are appended
-				// otherwise — never sized from the command before the runtime
-				// has validated it.
 				var data []byte
-				data, ev, err = readBufferInto(api, cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, cmd.Size, waits, out[len(out):])
-				resp.ReadLens[i] = int64(len(data))
-				if out == nil {
-					out = data
-				} else {
-					out = append(out, data...)
+				data, ev, err = readBufferInto(api, cmd.Queue, cmd.Mem, cmd.Blocking, cmd.Offset, cmd.Size, waits, lent(into, len(parts)))
+				if err == nil {
+					resp.ReadLens[i] = int64(len(data))
+					parts = append(parts, data)
 				}
 			case BatchCopy:
 				ev, err = api.EnqueueCopyBuffer(cmd.Queue, cmd.Src, cmd.Dst, cmd.SrcOff, cmd.DstOff, cmd.Size, waits)
@@ -314,7 +287,15 @@ func runBatch(api ocl.API, payload []byte) (EnqueueBatchResp, []byte, error) {
 		}
 		resp.Events[i] = ev
 	}
-	return resp, out, nil
+	return resp, parts, nil
+}
+
+// lent is the k-th destination the transport lent, emptied, or nil.
+func lent(into [][]byte, k int) []byte {
+	if k < len(into) {
+		return into[k][:0]
+	}
+	return nil
 }
 
 // Serve runs the server loop on rwc until the peer closes the connection.

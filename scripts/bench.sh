@@ -1,10 +1,9 @@
 #!/bin/sh
 # Hot-path benchmark harness: runs the Fig. 4 overhead sweep, the
-# proxy-call microbenchmarks, the concurrent-checkpoint benchmarks, the
-# fleet-scheduler arms, and the partial-restart recovery sweep, then
-# distils the headline metrics into BENCH_pr3.json, BENCH_pr5.json,
-# BENCH_pr6.json, BENCH_pr7.json, BENCH_pr8.json, BENCH_pr9.json and
-# BENCH_pr10.json at the repo root.
+# proxy-call microbenchmarks, the fleet-scheduler arms, and the
+# partial-restart recovery sweep, then distils the headline metrics into
+# BENCH_pr3.json, BENCH_pr6.json, BENCH_pr7.json, BENCH_pr8.json and
+# BENCH_pr9.json at the repo root.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 200x)
 set -eu
@@ -12,19 +11,15 @@ cd "$(dirname "$0")/.."
 
 benchtime=${1:-200x}
 out=BENCH_pr3.json
-out5=BENCH_pr5.json
 out6=BENCH_pr6.json
 out7=BENCH_pr7.json
 out8=BENCH_pr8.json
 out9=BENCH_pr9.json
-out10=BENCH_pr10.json
 tmp=$(mktemp)
-tmp5=$(mktemp)
 tmp6=$(mktemp)
 tmp7=$(mktemp)
 tmp9=$(mktemp)
-tmp10=$(mktemp)
-trap 'rm -f "$tmp" "$tmp5" "$tmp6" "$tmp7" "$tmp9" "$tmp10"' EXIT
+trap 'rm -f "$tmp" "$tmp6" "$tmp7" "$tmp9"' EXIT
 
 go test -run '^$' -bench 'BenchmarkProxyCallOverhead' -benchmem \
     -benchtime "$benchtime" . >"$tmp"
@@ -32,13 +27,9 @@ go test -run '^$' -bench 'BenchmarkFig4RuntimeOverhead' \
     -benchtime 1x . >>"$tmp"
 go test -run '^$' -bench 'BenchmarkScrubHeal' \
     -benchtime 3x . >>"$tmp"
-go test -run '^$' \
-    -bench 'BenchmarkCheckpointDrain|BenchmarkIncrementalCopiedBytes|BenchmarkStorePutPipeline' \
-    -benchtime 3x . >"$tmp5"
 go test -run '^$' -bench 'BenchmarkFleetBursty' -benchtime 3x . >"$tmp6"
 go test -run '^$' -bench 'BenchmarkPartialRestart' -benchtime 1x . >"$tmp7"
 go test -run '^$' -bench 'BenchmarkErasureFleet' -benchtime 1x . >"$tmp9"
-go test -run '^$' -bench 'BenchmarkSpeculativeStall' -benchtime 1x . >"$tmp10"
 
 awk '
 function grab(line, unit,   i, n, f) {
@@ -97,52 +88,6 @@ END {
 
 echo "bench.sh: wrote $out"
 cat "$out"
-
-# BENCH_pr5.json: the concurrent incremental checkpointing headlines —
-# bytes the second checkpoint copies (full vs incremental), the
-# serial-vs-parallel drain, the serial-vs-pipelined store Put, and the
-# raw-vs-pooled 1 MB read path.
-awk '
-function grab(line, unit,   i, n, f) {
-    n = split(line, f, /[ \t]+/)
-    for (i = 1; i < n; i++) if (f[i+1] == unit) return f[i]
-    return ""
-}
-/^BenchmarkIncrementalCopiedBytes\/full/ {
-    full_copied = grab($0, "copied-MB"); full_pre = grab($0, "second-ckpt-preprocess-us")
-}
-/^BenchmarkIncrementalCopiedBytes\/incremental/ {
-    inc_copied = grab($0, "copied-MB"); inc_clean = grab($0, "clean-MB")
-    inc_pre = grab($0, "second-ckpt-preprocess-us")
-}
-/^BenchmarkCheckpointDrain\/serial/      { drain_serial = grab($0, "preprocess-us") }
-/^BenchmarkCheckpointDrain\/parallel-x8/ { drain_par = grab($0, "preprocess-us") }
-/^BenchmarkStorePutPipeline\/serial/       { put_serial = grab($0, "put-ms") }
-/^BenchmarkStorePutPipeline\/pipelined-x4/ {
-    put_pipe = grab($0, "put-ms"); put_mbs = grab($0, "store-MB/s")
-}
-/^BenchmarkProxyCallOverhead\/read-1MB-raw/ {
-    read_raw_mbs = grab($0, "MB/s"); read_raw_allocs = grab($0, "allocs/op")
-}
-/^BenchmarkProxyCallOverhead\/read-1MB-pooled/ {
-    read_pool_mbs = grab($0, "MB/s"); read_pool_allocs = grab($0, "allocs/op")
-}
-END {
-    printf "{\n"
-    printf "  \"incremental_checkpoint\": {\"full_copied_mb\": %s, \"incremental_copied_mb\": %s, \"clean_mb\": %s, \"bytes_copied_reduction\": %.1f, \"full_preprocess_us\": %s, \"incremental_preprocess_us\": %s},\n",
-           full_copied, inc_copied, inc_clean, full_copied / inc_copied, full_pre, inc_pre
-    printf "  \"parallel_drain\": {\"serial_preprocess_us\": %s, \"parallel_x8_preprocess_us\": %s, \"speedup\": %.2f},\n",
-           drain_serial, drain_par, drain_serial / drain_par
-    printf "  \"store_put_pipeline\": {\"serial_put_ms\": %s, \"pipelined_x4_put_ms\": %s, \"speedup\": %.2f, \"pipelined_mb_per_s\": %s},\n",
-           put_serial, put_pipe, put_serial / put_pipe, put_mbs
-    printf "  \"pooled_reads\": {\"raw_mb_per_s\": %s, \"pooled_mb_per_s\": %s, \"raw_allocs_per_op\": %s, \"pooled_allocs_per_op\": %s},\n",
-           read_raw_mbs, read_pool_mbs, read_raw_allocs, read_pool_allocs
-    printf "  \"benchtime\": \"%s\"\n", BT
-    printf "}\n"
-}' BT="$benchtime" "$tmp" "$tmp5" >"$out5"
-
-echo "bench.sh: wrote $out5"
-cat "$out5"
 
 # BENCH_pr6.json: the fleet-scheduler acceptance experiment — 1000 bursty
 # jobs, migration-as-load-balancing against the no-migration baseline.
@@ -319,68 +264,3 @@ END {
 
 echo "bench.sh: wrote $out9"
 cat "$out9"
-
-# BENCH_pr10.json: the speculative stop-free checkpointing acceptance —
-# app-visible checkpoint stall, stop-drain vs speculative epoch, on the
-# Fig. 4 apps and on a write-hot synthetic sweep over the violation
-# fraction. At zero violation the speculative stall must be >= 10x lower;
-# at 100% violation (every copy retaken) it must never be worse than
-# ~1.05x the stop-drain.
-awk '
-function grab(line, unit,   i, n, f) {
-    n = split(line, f, /[ \t]+/)
-    for (i = 1; i < n; i++) if (f[i+1] == unit) return f[i]
-    return ""
-}
-/^BenchmarkSpeculativeStall\/app=/ {
-    name = $1
-    sub(/^BenchmarkSpeculativeStall\/app=/, "", name)
-    sub(/-[0-9]+$/, "", name)
-    split(name, p, /\/mode=/)
-    app = p[1]; mode = p[2]
-    app_stall[app, mode] = grab($0, "stall-us")
-    app_over[app, mode]  = grab($0, "overlap-us")
-    if (!(app in seen_app)) { seen_app[app] = 1; apps = apps (apps == "" ? "" : " ") app }
-}
-/^BenchmarkSpeculativeStall\/sweep\/f=/ {
-    name = $1
-    sub(/^BenchmarkSpeculativeStall\/sweep\/f=/, "", name)
-    sub(/-[0-9]+$/, "", name)
-    split(name, p, /\/mode=/)
-    f = p[1]; mode = p[2]
-    sw_stall[f, mode] = grab($0, "stall-us")
-    sw_drain[f, mode] = grab($0, "drain-us")
-    sw_re[f, mode]    = grab($0, "recopied-MB")
-    if (!(f in seen_f)) { seen_f[f] = 1; fracs = fracs (fracs == "" ? "" : " ") f }
-}
-END {
-    printf "{\n"
-    printf "  \"apps_stall_us\": {\n"
-    n = split(apps, a, " ")
-    for (i = 1; i <= n; i++)
-        printf "%s    \"%s\": {\"stop_drain\": %s, \"speculative\": %s, \"overlap_us\": %s}",
-               (i > 1 ? ",\n" : ""), a[i],
-               app_stall[a[i], "stop-drain"], app_stall[a[i], "speculative"],
-               app_over[a[i], "speculative"]
-    printf "\n  },\n"
-    printf "  \"violation_sweep\": {\n"
-    m = split(fracs, fr, " ")
-    for (i = 1; i <= m; i++)
-        printf "%s    \"%s\": {\"stop_drain_stall_us\": %s, \"speculative_stall_us\": %s, \"speculative_drain_us\": %s, \"recopied_mb\": %s, \"stall_reduction\": %.1f}",
-               (i > 1 ? ",\n" : ""), fr[i],
-               sw_stall[fr[i], "stop-drain"], sw_stall[fr[i], "speculative"],
-               sw_drain[fr[i], "speculative"], sw_re[fr[i], "speculative"],
-               sw_stall[fr[i], "stop-drain"] / sw_stall[fr[i], "speculative"]
-    printf "\n  },\n"
-    low = fr[1]; high = fr[m]
-    printf "  \"stall_reduction_at_zero_violation\": %.1f,\n",
-           sw_stall[low, "stop-drain"] / sw_stall[low, "speculative"]
-    printf "  \"speculative_10x\": %s,\n",
-           (sw_stall[low, "stop-drain"] + 0 >= 10 * (sw_stall[low, "speculative"] + 0)) ? "true" : "false"
-    printf "  \"never_worse_at_full_violation\": %s\n",
-           (sw_stall[high, "speculative"] + 0 <= 1.05 * (sw_stall[high, "stop-drain"] + 0)) ? "true" : "false"
-    printf "}\n"
-}' "$tmp10" >"$out10"
-
-echo "bench.sh: wrote $out10"
-cat "$out10"

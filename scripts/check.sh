@@ -66,12 +66,12 @@ go run ./cmd/checl-inspect -disk-faults 7 store scrub >/dev/null
 go vet ./internal/ipc/ ./internal/proxy/ ./internal/core/
 go test -run 'Raw|Batch|Queue|Cache|StatsRace' -count=3 -race \
     ./internal/ipc/ ./internal/proxy/ ./internal/core/
-# Concurrent-checkpoint gate: dirty-buffer tracking, the parallel drain
-# pool, and the overlapped background store write cross goroutines, so
+# Concurrent-checkpoint gate: dirty-buffer tracking, the multi-stream
+# drain, and the overlapped background store write cross goroutines, so
 # their tests run repeatedly under the race detector. The ablation run
-# keeps the full-vs-incremental and serial-vs-parallel-drain orderings
-# honest, and the inspect demo exercises the dirty/clean split end to end.
-go test -run 'Incremental|ParallelDrain|Overlapped|BackgroundWrite|Released' -count=3 -race \
+# keeps the full-vs-incremental ordering honest, and the inspect demo
+# exercises the dirty/clean split end to end.
+go test -run 'Incremental|ParallelDrainMatchesSerial|DrainLandsInPlace|Overlapped|BackgroundWrite|Released' -count=3 -race \
     ./internal/core/
 go test -run 'TestAblations' -race ./internal/harness/
 go run ./cmd/checl-inspect -incremental -scale 0.2 >/dev/null
@@ -130,10 +130,11 @@ echo "$ckpt" | awk '$1 == "ckpt_stall_vms" { seen = 1; if ($2 > 800) { print "ch
     END { if (!seen) { print "check.sh: bench printed no ckpt_stall_vms" > "/dev/stderr"; exit 1 } }'
 # Host-clock gate on the same run: a checkpoint is handed to the store as
 # views of the process's regions and copied only where a format or the
-# filesystem model demands it. One pass allocates ~660 MB and allocated
+# filesystem model demands it. One pass allocates ~690 MB and allocated
 # 1 339 with a copy per layer (snapshot, image, compress buffer, shard,
-# pack growth), so a return to copy-per-layer fails here.
-echo "$ckpt" | awk '$1 == "host_alloc_mb" { seen = 1; if ($2 > 1000) { print "check.sh: ckpt_cycle host_alloc_mb " $2 " > 1000" > "/dev/stderr"; exit 1 } }
+# pack growth), so a return to copy-per-layer fails here. So does a drain
+# that gathers on the server or bounces on the client: 1 136 with both.
+echo "$ckpt" | awk '$1 == "host_alloc_mb" { seen = 1; if ($2 > 800) { print "check.sh: ckpt_cycle host_alloc_mb " $2 " > 800" > "/dev/stderr"; exit 1 } }
     END { if (!seen) { print "check.sh: bench printed no host_alloc_mb" > "/dev/stderr"; exit 1 } }'
 # The call-bound workload must pass its own checks and pay a round trip
 # per sync point, not per API call: CheCL's overhead over the bare runtime
@@ -144,7 +145,7 @@ echo "$storm" | awk '$1 == "checl_overhead_pct" { seen = 1; if ($2 > 150) { prin
     END { if (!seen) { print "check.sh: bench printed no checl_overhead_pct" > "/dev/stderr"; exit 1 } }'
 # Speculative-checkpoint gate: the epoch state machine's drain streams,
 # validation and bounded retry ladder cross goroutines (the speculative
-# copies ride the parallel drain pool), so the epoch tests, the
+# copies ride the same multi-stream drain), so the epoch tests, the
 # conservative-fallback and abort paths, and the speculative fault soak
 # run repeatedly under the race detector. The inspect smoke drives a
 # speculative incremental checkpoint end to end.
