@@ -108,10 +108,10 @@ func TestSpeculativeEpochBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSpeculativeDrainHidden: with application progress between epoch
+// TestSpeculativeEpochDrainHidden: with application progress between epoch
 // begin and commit, the speculative checkpoint's preprocess shrinks to
 // the violated residue and the hidden copy time shows up as Overlap.
-func TestSpeculativeDrainHidden(t *testing.T) {
+func TestSpeculativeEpochDrainHidden(t *testing.T) {
 	run := func(speculative bool) CheckpointStats {
 		node := newNodeNV("pc0")
 		st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
