@@ -1,16 +1,9 @@
-// Root-level benchmarks: one per table/figure of the paper's evaluation,
-// plus ablations of the design decisions called out in DESIGN.md.
+// Root-level benchmarks: the experiments neither bench/ (the repo's
+// benchmark: four workloads on the default path) nor cmd/checl-bench (the
+// paper's Table I, Figs. 4-8 and the ablation tables) has a probe for.
+// Each is named by the EXPERIMENTS.md line it reproduces:
 //
-// The benchmarks run the same experiment drivers as cmd/checl-bench at a
-// reduced problem scale (benchScale) and surface the headline quantities
-// as testing.B custom metrics, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the whole evaluation and prints, e.g., the average CheCL
-// runtime overhead per configuration (Fig. 4), the checkpoint-time /
-// file-size correlation (Fig. 5), and the migration-prediction error
-// (Fig. 8).
+//	go test -run '^$' -bench <name> -benchtime 1x .
 package checl_test
 
 import (
@@ -24,7 +17,6 @@ import (
 	"checl/internal/apps"
 	"checl/internal/core"
 	"checl/internal/fleet"
-	"checl/internal/harness"
 	"checl/internal/hw"
 	"checl/internal/ipc"
 	"checl/internal/mpi"
@@ -36,144 +28,6 @@ import (
 )
 
 const benchScale = 0.2
-
-// BenchmarkTable1Systems exercises the Table I hardware models and
-// reports the headline bandwidths as metrics.
-func BenchmarkTable1Systems(b *testing.B) {
-	var spec hw.SystemSpec
-	for i := 0; i < b.N; i++ {
-		spec = hw.TableISpec()
-		_ = spec.LocalDisk.WriteTime(32 << 20)
-		_ = spec.Inter.PCIeHtoD.Transfer(32 << 20)
-	}
-	b.ReportMetric(float64(spec.Inter.PCIeHtoD)/1e9, "PCIe-HtoD-GB/s")
-	b.ReportMetric(float64(spec.Inter.PCIeDtoH)/1e9, "PCIe-DtoH-GB/s")
-	b.ReportMetric(float64(spec.LocalDisk.Write)/1e6, "disk-write-MB/s")
-	b.ReportMetric(float64(spec.NFS.Write)/1e6, "nfs-write-MB/s")
-	b.ReportMetric(float64(spec.RAMDisk.Write)/1e6, "ramdisk-write-MB/s")
-}
-
-// BenchmarkFig4RuntimeOverhead regenerates Fig. 4 for each configuration
-// and reports the average CheCL runtime overhead (paper: 10.1% NVIDIA GPU,
-// 19.0% AMD GPU, 12.2% AMD CPU).
-func BenchmarkFig4RuntimeOverhead(b *testing.B) {
-	for _, cfg := range harness.Configs() {
-		cfg := cfg
-		b.Run(cfg.Key, func(b *testing.B) {
-			var sum harness.Fig4Summary
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, sum, err = harness.Fig4(cfg, benchScale)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(sum.AverageOverhead, "avg-overhead-%")
-			b.ReportMetric(float64(sum.Apps), "benchmarks")
-			b.ReportMetric(sum.InitOverhead.Seconds()*1e3, "init-ms")
-		})
-	}
-}
-
-// BenchmarkFig5CheckpointOverheads regenerates Fig. 5 per configuration
-// and reports the checkpoint-time vs file-size correlation (paper: 0.99).
-func BenchmarkFig5CheckpointOverheads(b *testing.B) {
-	for _, cfg := range harness.Configs() {
-		cfg := cfg
-		b.Run(cfg.Key, func(b *testing.B) {
-			var res harness.Fig5Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = harness.Fig5(cfg, benchScale)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.SizeTimeCorrelation, "corr-size-time")
-			var post, total float64
-			for _, r := range res.Rows {
-				post += r.Postprocess.Seconds()
-				total += r.Total().Seconds()
-			}
-			if total > 0 {
-				b.ReportMetric(100*post/total, "postprocess-%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig6MPICheckpoint regenerates the Fig. 6 sweep and reports how
-// checkpoint time scales with problem size and node count.
-func BenchmarkFig6MPICheckpoint(b *testing.B) {
-	var rows []harness.Fig6Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.Fig6([]float64{0.25, 0.5, 1}, []int{1, 2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.CheckpointTime.Seconds()*1e3,
-			fmt.Sprintf("scale%.2f-nodes%d-ms", r.ProblemScale, r.Nodes))
-	}
-}
-
-// BenchmarkFig7RestartBreakdown regenerates Fig. 7 per configuration and
-// reports the share of restart time spent recreating cl_mem and
-// cl_program objects (the paper's dominant classes).
-func BenchmarkFig7RestartBreakdown(b *testing.B) {
-	for _, cfg := range harness.Configs() {
-		cfg := cfg
-		b.Run(cfg.Key, func(b *testing.B) {
-			var rows []harness.Fig7Row
-			for i := 0; i < b.N; i++ {
-				var err error
-				rows, err = harness.Fig7(cfg, benchScale)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			var mem, prog, total float64
-			var s3dProg float64
-			for _, r := range rows {
-				mem += r.PerClass["mem"].Seconds()
-				prog += r.PerClass["prog"].Seconds()
-				total += r.Total.Seconds()
-				if r.App == "S3D" {
-					s3dProg = r.PerClass["prog"].Seconds()
-				}
-			}
-			if total > 0 {
-				b.ReportMetric(100*(mem+prog)/total, "mem+prog-%")
-			}
-			b.ReportMetric(s3dProg*1e3, "S3D-recompile-ms")
-		})
-	}
-}
-
-// BenchmarkFig8MigrationPrediction regenerates Fig. 8 per configuration
-// and reports the fitted model parameters and the prediction error.
-func BenchmarkFig8MigrationPrediction(b *testing.B) {
-	for _, cfg := range harness.Configs() {
-		cfg := cfg
-		b.Run(cfg.Key, func(b *testing.B) {
-			var res harness.Fig8Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = harness.Fig8(cfg, benchScale)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.MAPE, "MAPE-%")
-			b.ReportMetric(res.Model.Alpha*1e6, "alpha-s/MB")
-			b.ReportMetric(res.Model.Beta*1e3, "beta-ms")
-		})
-	}
-}
-
-// ---- ablation benchmarks (DESIGN.md §5) ----
 
 // benchCheCLApp attaches CheCL on a fresh NVIDIA node and runs the app.
 func benchCheCLApp(b *testing.B, appName string, opts core.Options) (*proc.Node, *core.CheCL, apps.App) {
@@ -193,150 +47,6 @@ func benchCheCLApp(b *testing.B, appName string, opts core.Options) (*proc.Node,
 		b.Fatal(err)
 	}
 	return node, c, app
-}
-
-// BenchmarkAblationCheckpointMode contrasts the immediate and delayed
-// checkpoint modes. A 16 MB asynchronous transfer is in flight when the
-// checkpoint signal arrives: the immediate mode forces synchronisation
-// and pays its full remaining time in the checkpoint's sync phase, while
-// the delayed mode postpones the checkpoint to the application's own
-// clFinish, after which the queue is already drained (§III-C).
-func BenchmarkAblationCheckpointMode(b *testing.B) {
-	for _, mode := range []core.Mode{core.Immediate, core.Delayed} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			var sync vtime.Duration
-			for i := 0; i < b.N; i++ {
-				node := proc.NewNode("bench", hw.TableISpec(), ocl.NVIDIA())
-				p := node.Spawn("async-writer")
-				c, err := core.Attach(p, core.Options{
-					Mode: mode, CkptFS: node.RAMDisk, CkptPath: "m.ckpt",
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				plats, _ := c.GetPlatformIDs()
-				devs, _ := c.GetDeviceIDs(plats[0], ocl.DeviceTypeGPU)
-				ctx, _ := c.CreateContext(devs)
-				q, _ := c.CreateCommandQueue(ctx, devs[0], 0)
-				m, err := c.CreateBuffer(ctx, ocl.MemReadWrite, 16<<20, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Non-blocking 16 MB write: ~3 ms of queue time at PCIe
-				// bandwidth. The signal arrives while it is in flight.
-				if _, err := c.EnqueueWriteBuffer(q, m, false, 0, make([]byte, 16<<20), nil); err != nil {
-					b.Fatal(err)
-				}
-				p.Signal(proc.SIGUSR1)
-				// An unrelated API call (a query) follows the signal, then
-				// the application's own synchronisation point.
-				if _, err := c.GetDeviceInfo(devs[0]); err != nil {
-					b.Fatal(err)
-				}
-				if err := c.Finish(q); err != nil {
-					b.Fatal(err)
-				}
-				st := c.LastCheckpoint()
-				if st == nil {
-					b.Fatal("checkpoint did not fire")
-				}
-				sync = st.Phases.Sync
-				c.Detach()
-			}
-			b.ReportMetric(sync.Seconds()*1e3, "sync-ms")
-		})
-	}
-}
-
-// BenchmarkAblationDestructiveVsProxy contrasts CheCL's keep-objects-alive
-// design against the CheCUDA-style delete-and-recreate approach: the
-// postprocessing phase explodes in destructive mode (§IV-B).
-func BenchmarkAblationDestructiveVsProxy(b *testing.B) {
-	for _, destructive := range []bool{false, true} {
-		destructive := destructive
-		name := "api-proxy"
-		if destructive {
-			name = "checuda-destructive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var post vtime.Duration
-			for i := 0; i < b.N; i++ {
-				node, c, _ := benchCheCLApp(b, "oclMatrixMul", core.Options{Destructive: destructive})
-				st, err := c.Checkpoint(node.LocalDisk, "d.ckpt")
-				if err != nil {
-					b.Fatal(err)
-				}
-				post = st.Phases.Postprocess
-				c.Detach()
-			}
-			b.ReportMetric(post.Seconds()*1e3, "postprocess-ms")
-		})
-	}
-}
-
-// BenchmarkAblationIncremental contrasts full vs incremental object
-// checkpointing (the paper's future-work feature): the second checkpoint
-// after an idle period stages nothing in incremental mode.
-func BenchmarkAblationIncremental(b *testing.B) {
-	for _, inc := range []bool{false, true} {
-		inc := inc
-		name := "full"
-		if inc {
-			name = "incremental"
-		}
-		b.Run(name, func(b *testing.B) {
-			var second vtime.Duration
-			for i := 0; i < b.N; i++ {
-				node, c, _ := benchCheCLApp(b, "oclVectorAdd", core.Options{Incremental: inc})
-				if _, err := c.Checkpoint(node.LocalDisk, "i1.ckpt"); err != nil {
-					b.Fatal(err)
-				}
-				st, err := c.Checkpoint(node.LocalDisk, "i2.ckpt")
-				if err != nil {
-					b.Fatal(err)
-				}
-				second = st.Phases.Preprocess
-				c.Detach()
-			}
-			b.ReportMetric(second.Seconds()*1e6, "second-ckpt-preprocess-us")
-		})
-	}
-}
-
-// BenchmarkAblationStorageTarget contrasts checkpoint targets: local disk
-// vs NFS vs RAM disk (the RAM disk enables cheap runtime processor
-// selection, §IV-C).
-func BenchmarkAblationStorageTarget(b *testing.B) {
-	targets := []struct {
-		name string
-		fs   func(n *proc.Node) *proc.FS
-	}{
-		{"local-disk", func(n *proc.Node) *proc.FS { return n.LocalDisk }},
-		{"ramdisk", func(n *proc.Node) *proc.FS { return n.RAMDisk }},
-		{"nfs", func(n *proc.Node) *proc.FS {
-			if n.NFS == nil {
-				n.NFS = proc.NewFS("nfs", n.Spec.NFS)
-			}
-			return n.NFS
-		}},
-	}
-	for _, tgt := range targets {
-		tgt := tgt
-		b.Run(tgt.name, func(b *testing.B) {
-			var write vtime.Duration
-			for i := 0; i < b.N; i++ {
-				node, c, _ := benchCheCLApp(b, "oclFDTD3d", core.Options{})
-				st, err := c.Checkpoint(tgt.fs(node), "s.ckpt")
-				if err != nil {
-					b.Fatal(err)
-				}
-				write = st.Phases.Write
-				c.Detach()
-			}
-			b.ReportMetric(write.Seconds()*1e3, "write-ms")
-		})
-	}
 }
 
 // BenchmarkStoreDedup takes a 5-checkpoint sequence of one app into the
@@ -595,9 +305,9 @@ func BenchmarkProxyFailover(b *testing.B) {
 	b.ReportMetric(fs.LastRecovery.Seconds()*1e3, "last-recovery-ms")
 }
 
-// benchProxyApp attaches CheCL and builds the vadd pipeline objects used
-// by the hot-path sub-benchmarks.
-func benchProxyApp(b *testing.B, opts core.Options) (*core.CheCL, ocl.CommandQueue, ocl.Kernel, [3]ocl.Mem) {
+// benchProxyApp attaches CheCL and opens a context and queue for the
+// hot-path sub-benchmarks.
+func benchProxyApp(b *testing.B, opts core.Options) (*core.CheCL, ocl.Context, ocl.CommandQueue) {
 	b.Helper()
 	node := proc.NewNode("bench", hw.TableISpec(), ocl.NVIDIA())
 	p := node.Spawn("bench")
@@ -622,55 +332,29 @@ func benchProxyApp(b *testing.B, opts core.Options) (*core.CheCL, ocl.CommandQue
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := c.CreateProgramWithSource(ctx, `
-__kernel void vadd(__global const float* a, __global const float* b,
-                   __global float* c, uint n) {
-    size_t i = get_global_id(0);
-    if (i < n) c[i] = a[i] + b[i];
-}`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.BuildProgram(prog, ""); err != nil {
-		b.Fatal(err)
-	}
-	k, err := c.CreateKernel(prog, "vadd")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 256
-	var mems [3]ocl.Mem
-	for i := range mems {
-		if mems[i], err = c.CreateBuffer(ctx, ocl.MemReadWrite, 4*n, nil); err != nil {
-			b.Fatal(err)
-		}
-		hb := make([]byte, 8)
-		for j := 0; j < 8; j++ {
-			hb[j] = byte(uint64(mems[i]) >> (8 * j))
-		}
-		if err := c.SetKernelArg(k, i, 8, hb); err != nil {
-			b.Fatal(err)
-		}
-	}
-	nb := make([]byte, 4)
-	for j := 0; j < 4; j++ {
-		nb[j] = byte(uint32(n) >> (8 * j))
-	}
-	if err := c.SetKernelArg(k, 3, 4, nb); err != nil {
-		b.Fatal(err)
-	}
-	return c, q, k, mems
+	return c, ctx, q
 }
 
 // BenchmarkProxyCallOverhead measures the wall-clock (not virtual) cost
-// of the interposition hot path, on the framed stream and on the
-// shared-memory ring transport. The ipc-roundtrips/op metric counts wire
-// calls: queued commands share the round trip of the sync point that
-// flushes them.
+// of what bench/ has no probe for: an info query served from the object
+// DB against one that is forwarded (EXPERIMENTS.md, PR 3), and 1 MB
+// buffer traffic through CheCL on the framed stream against the
+// shared-memory ring (EXPERIMENTS.md, PR 8).
 func BenchmarkProxyCallOverhead(b *testing.B) {
-	ringOpts := func(opts core.Options) core.Options {
-		opts.Transport = proxy.TransportRing
-		return opts
+	ring := core.Options{Transport: proxy.TransportRing}
+	// buffer creates a 1 MB device buffer, optionally filled.
+	buffer := func(b *testing.B, c *core.CheCL, ctx ocl.Context, q ocl.CommandQueue, fill bool) ocl.Mem {
+		b.Helper()
+		m, err := c.CreateBuffer(ctx, ocl.MemReadWrite, 1<<20, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fill {
+			if _, err := c.EnqueueWriteBuffer(q, m, true, 0, make([]byte, 1<<20), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return m
 	}
 	roundTrips := func(b *testing.B, c *core.CheCL, before proxy.Stats) {
 		b.Helper()
@@ -680,7 +364,7 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 
 	// Immutable info served from the object DB: zero round trips once warm.
 	b.Run("info-cached", func(b *testing.B) {
-		c, _, _, _ := benchProxyApp(b, core.Options{})
+		c, _, _ := benchProxyApp(b, core.Options{})
 		before := c.Proxy().Client.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -695,12 +379,13 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 
 	// A query CheCL cannot cache: the one-round-trip-per-call baseline.
 	b.Run("info-forwarded", func(b *testing.B) {
-		c, _, _, mems := benchProxyApp(b, core.Options{})
+		c, ctx, q := benchProxyApp(b, core.Options{})
+		m := buffer(b, c, ctx, q, false)
 		before := c.Proxy().Client.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.GetMemObjectInfo(mems[0]); err != nil {
+			if _, err := c.GetMemObjectInfo(m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -708,149 +393,41 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 		roundTrips(b, c, before)
 	})
 
-	// The enqueue loop every compute app runs: 3 launches + clFinish.
-	launchLoop := func(b *testing.B, opts core.Options) {
-		c, q, k, _ := benchProxyApp(b, opts)
-		before := c.Proxy().Client.Stats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < 3; j++ {
-				if _, err := c.EnqueueNDRangeKernel(q, k, 1, [3]int{}, [3]int{256}, [3]int{64}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := c.Finish(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		roundTrips(b, c, before)
-	}
-	b.Run("launch-framed", func(b *testing.B) { launchLoop(b, core.Options{}) })
-	b.Run("launch-ring", func(b *testing.B) { launchLoop(b, ringOpts(core.Options{})) })
-
-	// The argument-rebinding loop iterative solvers run between launches:
-	// 3 clSetKernelArg + 1 launch + clFinish — five calls, one frame.
-	setArgsLoop := func(b *testing.B, opts core.Options) {
-		c, q, k, _ := benchProxyApp(b, opts)
-		nb := make([]byte, 4)
-		before := c.Proxy().Client.Stats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < 3; j++ {
-				nb[0] = byte(i + j)
-				if err := c.SetKernelArg(k, 3, 4, nb); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := c.EnqueueNDRangeKernel(q, k, 1, [3]int{}, [3]int{256}, [3]int{64}, nil); err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Finish(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		roundTrips(b, c, before)
-	}
-	b.Run("setargs-framed", func(b *testing.B) { setArgsLoop(b, core.Options{}) })
-	b.Run("setargs-ring", func(b *testing.B) { setArgsLoop(b, ringOpts(core.Options{})) })
-
-	// 1 MB buffer traffic over the zero-copy raw frames.
-	bigBuffer := func(b *testing.B, c *core.CheCL, sample ocl.Mem) ocl.Mem {
-		b.Helper()
-		info, err := c.GetMemObjectInfo(sample)
-		if err != nil {
-			b.Fatal(err)
-		}
-		big, err := c.CreateBuffer(info.Context, ocl.MemReadWrite, 1<<20, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return big
-	}
-	b.Run("write-1MB-raw", func(b *testing.B) {
-		c, q, _, mems := benchProxyApp(b, core.Options{})
-		big := bigBuffer(b, c, mems[0])
+	// 1 MB blocking writes: zero-copy raw frames on the framed stream, the
+	// payload crossing by reference on the ring.
+	write := func(b *testing.B, opts core.Options) {
+		c, ctx, q := benchProxyApp(b, opts)
+		m := buffer(b, c, ctx, q, false)
 		data := make([]byte, 1<<20)
 		b.SetBytes(1 << 20)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.EnqueueWriteBuffer(q, big, true, 0, data, nil); err != nil {
+			if _, err := c.EnqueueWriteBuffer(q, m, true, 0, data, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("read-1MB-raw", func(b *testing.B) {
-		c, q, _, mems := benchProxyApp(b, core.Options{})
-		big := bigBuffer(b, c, mems[0])
-		if _, err := c.EnqueueWriteBuffer(q, big, true, 0, make([]byte, 1<<20), nil); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(1 << 20)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.EnqueueReadBuffer(q, big, true, 0, 1<<20, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Same read with a caller-pooled destination: the raw frame lands in
-	// the reused buffer and the steady state allocates nothing per call.
-	b.Run("read-1MB-pooled", func(b *testing.B) {
-		c, q, _, mems := benchProxyApp(b, core.Options{})
-		big := bigBuffer(b, c, mems[0])
-		if _, err := c.EnqueueWriteBuffer(q, big, true, 0, make([]byte, 1<<20), nil); err != nil {
-			b.Fatal(err)
-		}
+	}
+	// 1 MB blocking reads into a caller-pooled destination: the raw frame
+	// lands in the reused buffer; on the ring the server handler writes
+	// straight into it.
+	read := func(b *testing.B, opts core.Options) {
+		c, ctx, q := benchProxyApp(b, opts)
+		m := buffer(b, c, ctx, q, true)
 		buf := make([]byte, 1<<20)
 		b.SetBytes(1 << 20)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.EnqueueReadBufferInto(q, big, true, 0, 1<<20, nil, buf); err != nil {
+			if _, _, err := c.EnqueueReadBufferInto(q, m, true, 0, 1<<20, nil, buf); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-
-	// The same 1 MB traffic over the shared-memory ring: no frame
-	// headers, no copy into a socket buffer — the write payload crosses
-	// by reference and the read lands zero-copy in the pooled buffer via
-	// the ring-aware server handler.
-	b.Run("write-1MB-ring", func(b *testing.B) {
-		c, q, _, mems := benchProxyApp(b, ringOpts(core.Options{}))
-		big := bigBuffer(b, c, mems[0])
-		data := make([]byte, 1<<20)
-		b.SetBytes(1 << 20)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.EnqueueWriteBuffer(q, big, true, 0, data, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("read-1MB-ring", func(b *testing.B) {
-		c, q, _, mems := benchProxyApp(b, ringOpts(core.Options{}))
-		big := bigBuffer(b, c, mems[0])
-		if _, err := c.EnqueueWriteBuffer(q, big, true, 0, make([]byte, 1<<20), nil); err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, 1<<20)
-		b.SetBytes(1 << 20)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.EnqueueReadBufferInto(q, big, true, 0, 1<<20, nil, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	b.Run("write-1MB-raw", func(b *testing.B) { write(b, core.Options{}) })
+	b.Run("write-1MB-ring", func(b *testing.B) { write(b, ring) })
+	b.Run("read-1MB-pooled", func(b *testing.B) { read(b, core.Options{}) })
+	b.Run("read-1MB-ring", func(b *testing.B) { read(b, ring) })
 }
 
 // ---- concurrent incremental checkpointing (DESIGN.md §9) ----
@@ -1040,49 +617,6 @@ func BenchmarkSpeculativeStall(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStorePutPipeline contrasts the serial store Put (each chunk
-// compresses, then writes, in turn) with the pipelined Put that overlaps
-// compression of later chunks with the write of earlier ones. The store
-// sits on the RAM-disk staging tier with 1 MB chunks, where Put is
-// compression-bound — exactly the regime the worker pipeline hides.
-func BenchmarkStorePutPipeline(b *testing.B) {
-	// Half-compressible payload: unique random content (no dedup) whose
-	// zero halves keep the modelled compressor busy per chunk.
-	payload := make([]byte, 12<<20)
-	rand.New(rand.NewSource(9)).Read(payload)
-	for off := 0; off < len(payload); off += 1024 {
-		for j := off + 512; j < off+1024; j++ {
-			payload[j] = 0
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("pipelined-x%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			var put store.PutStats
-			for i := 0; i < b.N; i++ {
-				node := proc.NewNode("bench", hw.TableISpec(), ocl.NVIDIA())
-				st := store.New(node.RAMDisk, store.Config{
-					MinChunk: 256 << 10, AvgChunk: 1 << 20, MaxChunk: 4 << 20,
-					PipelineWorkers: workers,
-				})
-				var err error
-				_, put, err = st.Put(node.Clock, "pipe", payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(put.Time.Seconds()*1e3, "put-ms")
-			b.ReportMetric(float64(put.TotalBytes)/1e6/put.Time.Seconds(), "store-MB/s")
-		})
-	}
-}
-
-// ---- fleet-scale checkpoint scheduler (DESIGN.md §10) ----
 
 // BenchmarkFleetBursty is the PR's acceptance experiment: 1000 bursty
 // jobs over a heterogeneous Table I inventory, the no-migration arm

@@ -402,7 +402,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	// seeded into StallTime by commitEpoch. The hidden drain is in
 	// Overlap, not here.
 	stats.StallTime += stats.Phases.Total()
-	c.lastCkpt = stats
+	c.lastCkpt, c.ckptErr = stats, nil
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"checl/internal/clc"
@@ -76,16 +77,13 @@ type Options struct {
 	// Fault injects transport faults on the app<->proxy connection
 	// (testing and the proxy-crash ablation).
 	Fault *ipc.FaultInjector
-	// CallTimeout is the per-call virtual deadline on proxy calls; a call
-	// exceeding it counts as a down connection. 0 disables.
-	CallTimeout vtime.Duration
-	// Retry bounds the proxy client's reconnect-and-retry loop; zero
-	// fields fall back to proxy.DefaultRetryPolicy.
-	Retry proxy.RetryPolicy
-	// Transport selects the app<->proxy transport. The default (pipe) and
-	// unix-socket variants carry framed gob RPC; proxy.TransportRing is
-	// the shared-memory ring: SPSC submission/completion queues and
-	// zero-copy bulk reads. Fault plans behave identically on either.
+	// Transport selects the app<->proxy transport. The default (pipe)
+	// carries framed gob RPC; proxy.TransportRing is the shared-memory
+	// ring: SPSC submission/completion queues and zero-copy bulk reads.
+	// Fault plans behave identically on either. It is a switch because
+	// neither arm dominates: the ring halves a call-bound job's virtual
+	// time and its polling service loop costs a few-core host several
+	// times the wall clock (DESIGN.md "Options").
 	Transport proxy.Transport
 }
 
@@ -101,6 +99,7 @@ type CheCL struct {
 	inFailover bool // a failover rebind is running; don't recurse
 	fstats     FailoverStats
 	lastCkpt   *CheckpointStats
+	ckptErr    error    // see LastCheckpointError
 	bg         *bgWrite // in-flight overlapped store write, nil when none
 
 	// The submission queue (queue.go): commands awaiting the next
@@ -184,6 +183,15 @@ func (c *CheCL) Options() Options { return c.opts }
 // LastCheckpoint returns statistics of the most recent checkpoint, or nil.
 func (c *CheCL) LastCheckpoint() *CheckpointStats { return c.lastCkpt }
 
+// ErrNoCheckpointDestination is what LastCheckpointError reports when a
+// checkpoint was signalled and Options.CkptFS/CkptPath name no file.
+var ErrNoCheckpointDestination = errors.New("checl: signalled checkpoint has no destination: Options.CkptFS/CkptPath unset")
+
+// LastCheckpointError returns why the most recent signal-triggered
+// checkpoint was not written, or nil; the next successful checkpoint
+// clears it.
+func (c *CheCL) LastCheckpointError() error { return c.ckptErr }
+
 // ObjectCounts reports live CheCL objects per class.
 func (c *CheCL) ObjectCounts() map[string]int { return c.db.Counts() }
 
@@ -240,15 +248,16 @@ func (c *CheCL) atSyncPoint() {
 	}
 }
 
+// triggerCheckpoint takes the signalled checkpoint. The application did
+// not call it, so a failure has no return value to ride on: it is kept
+// for LastCheckpointError.
 func (c *CheCL) triggerCheckpoint() {
 	c.pending = false
 	if c.opts.CkptFS == nil || c.opts.CkptPath == "" {
-		return // nowhere configured to write; drop the request
+		c.ckptErr = ErrNoCheckpointDestination
+		return
 	}
-	st, err := c.Checkpoint(c.opts.CkptFS, c.opts.CkptPath)
-	if err == nil {
-		c.lastCkpt = &st
-	}
+	_, c.ckptErr = c.Checkpoint(c.opts.CkptFS, c.opts.CkptPath)
 }
 
 // ---- platform & device wrappers ----

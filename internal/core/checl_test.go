@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -330,6 +331,50 @@ func TestSignalTriggeredDelayedMode(t *testing.T) {
 		t.Fatal("delayed-mode checkpoint did not fire at clFinish")
 	}
 	app.verify(t)
+}
+
+// TestSignalledCheckpointFailureReported: a signal-triggered checkpoint
+// has no caller to hand its error to, so a full disk or a missing
+// destination must be readable from LastCheckpointError — in both trigger
+// modes — and the next checkpoint that succeeds clears it.
+func TestSignalledCheckpointFailureReported(t *testing.T) {
+	for _, mode := range []Mode{Immediate, Delayed} {
+		t.Run(mode.String(), func(t *testing.T) {
+			node := newNodeNV("pc0")
+			full := proc.NewFS("full", hw.TableISpec().LocalDisk, proc.WithCapacity(1))
+			signalled := func(opts Options) *CheCL {
+				appProc, c := attach(t, node, opts)
+				app := setupVaddApp(t, c, 128)
+				appProc.Signal(proc.SIGUSR1)
+				app.launch(t)
+				if err := c.Finish(app.q); err != nil {
+					t.Fatal(err)
+				}
+				app.verify(t)
+				return c
+			}
+
+			c := signalled(Options{Mode: mode, CkptFS: full, CkptPath: "sig.ckpt"})
+			var nospace *proc.ErrNoSpace
+			if err := c.LastCheckpointError(); !errors.As(err, &nospace) {
+				t.Fatalf("full disk: LastCheckpointError = %v, want a wrapped *proc.ErrNoSpace", err)
+			}
+			if c.LastCheckpoint() != nil || full.Exists("sig.ckpt") {
+				t.Error("a checkpoint that could not be written left stats or a file")
+			}
+			if _, err := c.Checkpoint(node.LocalDisk, "ok.ckpt"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.LastCheckpointError(); err != nil {
+				t.Errorf("a successful checkpoint left LastCheckpointError = %v", err)
+			}
+
+			c = signalled(Options{Mode: mode})
+			if err := c.LastCheckpointError(); !errors.Is(err, ErrNoCheckpointDestination) {
+				t.Errorf("no destination: LastCheckpointError = %v, want ErrNoCheckpointDestination", err)
+			}
+		})
+	}
 }
 
 func TestIncrementalCheckpointing(t *testing.T) {

@@ -74,10 +74,8 @@ func (c *CheCL) shadowOn() bool { return c.opts.Shadow != ShadowNone }
 // spawnOpts translates the attachment options into proxy spawn options.
 func (c *CheCL) spawnOpts() proxy.SpawnOpts {
 	return proxy.SpawnOpts{
-		Transport:   c.opts.Transport,
-		Fault:       c.opts.Fault,
-		CallTimeout: c.opts.CallTimeout,
-		Retry:       c.opts.Retry,
+		Transport: c.opts.Transport,
+		Fault:     c.opts.Fault,
 	}
 }
 

@@ -142,47 +142,59 @@ func encodeImage(img Image) []byte {
 	return out
 }
 
+// ImageError is the failure of decoding a checkpoint image: a truncated or
+// foreign header, an unknown version, a body that does not match its
+// checksum or does not parse. Detect it with errors.As.
+type ImageError string
+
+func (e ImageError) Error() string { return string(e) }
+
+func imageErrorf(format string, args ...any) error {
+	return ImageError(fmt.Sprintf(format, args...))
+}
+
 // decodeImage parses an on-disk checkpoint file, validating the header
 // before touching the body. The image's fields are sub-slices of data.
+// Every failure is an ImageError.
 func decodeImage(data []byte) (Image, error) {
 	const headerLen = imageHeaderLen
 	if len(data) < headerLen {
-		return Image{}, fmt.Errorf("cpr: image truncated (%d bytes, header is %d)", len(data), headerLen)
+		return Image{}, imageErrorf("cpr: image truncated (%d bytes, header is %d)", len(data), headerLen)
 	}
 	if !bytes.Equal(data[:len(imageMagic)], imageMagic) {
-		return Image{}, fmt.Errorf("cpr: not a checkpoint image (bad magic)")
+		return Image{}, imageErrorf("cpr: not a checkpoint image (bad magic)")
 	}
 	if v := binary.BigEndian.Uint16(data[len(imageMagic):]); v != imageVersion {
-		return Image{}, fmt.Errorf("cpr: unsupported image version %d (this build reads %d)", v, imageVersion)
+		return Image{}, imageErrorf("cpr: unsupported image version %d (this build reads %d)", v, imageVersion)
 	}
 	want := data[len(imageMagic)+2 : headerLen]
 	body := data[headerLen:]
 	if got := sha256.Sum256(body); !bytes.Equal(want, got[:]) {
-		return Image{}, fmt.Errorf("cpr: image corrupt (body checksum mismatch)")
+		return Image{}, imageErrorf("cpr: image corrupt (body checksum mismatch)")
 	}
 
 	r := bytes.NewReader(body)
 	img := Image{Regions: map[string][]byte{}}
 	name, err := readBytes(r, body)
 	if err != nil {
-		return Image{}, fmt.Errorf("cpr: decoding image: %w", err)
+		return Image{}, imageErrorf("cpr: decoding image: %v", err)
 	}
 	img.ProcessName = string(name)
 	if img.AppState, err = readBytes(r, body); err != nil {
-		return Image{}, fmt.Errorf("cpr: decoding image: %w", err)
+		return Image{}, imageErrorf("cpr: decoding image: %v", err)
 	}
 	count, err := binary.ReadUvarint(r)
 	if err != nil {
-		return Image{}, fmt.Errorf("cpr: decoding image: %w", err)
+		return Image{}, imageErrorf("cpr: decoding image: %v", err)
 	}
 	for i := uint64(0); i < count; i++ {
 		rname, err := readBytes(r, body)
 		if err != nil {
-			return Image{}, fmt.Errorf("cpr: decoding image region %d: %w", i, err)
+			return Image{}, imageErrorf("cpr: decoding image region %d: %v", i, err)
 		}
 		rdata, err := readBytes(r, body)
 		if err != nil {
-			return Image{}, fmt.Errorf("cpr: decoding image region %q: %w", rname, err)
+			return Image{}, imageErrorf("cpr: decoding image region %q: %v", rname, err)
 		}
 		img.Regions[string(rname)] = rdata
 	}

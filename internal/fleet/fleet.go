@@ -134,11 +134,11 @@ type Config struct {
 	// engines. It does not change how the sampled real jobs checkpoint:
 	// an eviction has no work to overlap, so they open no epoch.
 	SpeculativeDrain bool
-	// SpecViolationRate is the modelled fraction of a speculatively
-	// drained checkpoint that is violated and re-copied synchronously
-	// (0..1). Default 0.1 when SpeculativeDrain is on.
-	SpecViolationRate float64
 }
+
+// specViolationRate is the modelled fraction of a speculatively drained
+// checkpoint that is violated and re-copied synchronously.
+const specViolationRate = 0.1
 
 func (c Config) withDefaults() Config {
 	if c.RebalanceEvery <= 0 {
@@ -146,12 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinGain <= 0 {
 		c.MinGain = 250 * vtime.Millisecond
-	}
-	if c.SpeculativeDrain && c.SpecViolationRate <= 0 {
-		c.SpecViolationRate = 0.1
-	}
-	if c.SpecViolationRate > 1 {
-		c.SpecViolationRate = 1
 	}
 	return c
 }
@@ -476,13 +470,13 @@ func (f *Fleet) jobState(j *job, on *device) sched.JobState {
 }
 
 // specStall models the application-visible stall of a speculatively
-// drained checkpoint: the configured violation fraction of the copy term
+// drained checkpoint: the violation fraction of the copy term
 // is re-copied synchronously (the validated remainder is hidden behind
 // the job's own execution). Always positive so the planner takes the
 // speculative branch of MigrationCost.
 func (f *Fleet) specStall(j *job) vtime.Duration {
 	copyTerm := f.cfg.Model.Predict(j.ckptBytes()+imageOverhead, 0) - f.cfg.Model.Predict(imageOverhead, 0)
-	st := vtime.Duration(float64(copyTerm) * f.cfg.SpecViolationRate)
+	st := vtime.Duration(float64(copyTerm) * specViolationRate)
 	if st < 1 {
 		st = 1
 	}

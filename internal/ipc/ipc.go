@@ -849,11 +849,17 @@ func (s *Server) serveConn(rwc io.ReadWriteCloser) error {
 		if !ok {
 			// Consume the request body so the (unbuffered) transport does
 			// not deadlock: every request is a struct, and gob decodes any
-			// struct into an empty one by ignoring its fields.
+			// struct into an empty one by ignoring its fields. A body that
+			// cannot be skipped leaves the stream out of step: stop here
+			// rather than read the middle of a frame as the next header.
 			var skel struct{}
-			_ = dec.Decode(&skel)
+			if err := dec.Decode(&skel); err != nil {
+				return fmt.Errorf("ipc: skipping %s request: %w", env.Method, err)
+			}
 			if env.Raw {
-				_, _ = fr.readRaw()
+				if _, err := fr.readRaw(); err != nil {
+					return fmt.Errorf("ipc: skipping %s payload: %w", env.Method, err)
+				}
 			}
 			if err := enc.Encode(respEnvelope{ErrOp: env.Method, ErrDetail: "unknown method", ErrStatus: -9998}); err != nil {
 				return err

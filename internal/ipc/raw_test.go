@@ -2,8 +2,11 @@ package ipc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"net"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -170,7 +173,7 @@ func TestRawPartsLandInDestinations(t *testing.T) {
 			})
 			var tp Transport = pair(t, s)
 			if tr == "ring" {
-				tp = ringPair(t, s, RingConfig{})
+				tp = ringPair(t, s, nil)
 			}
 			call := func(seq uint64, into [][]byte) [][]byte {
 				t.Helper()
@@ -212,4 +215,109 @@ func TestRawPartsLandInDestinations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scriptConn is a connection whose peer has already said everything it
+// will say: reads drain the script, writes vanish.
+type scriptConn struct{ r *bytes.Reader }
+
+func (c scriptConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (scriptConn) Write(p []byte) (int, error)  { return len(p), nil }
+func (scriptConn) Close() error                 { return nil }
+
+// teeConn records what the client end of a connection sends.
+type teeConn struct {
+	net.Conn
+	sent *bytes.Buffer
+}
+
+func (c teeConn) Write(p []byte) (int, error) {
+	c.sent.Write(p)
+	return c.Conn.Write(p)
+}
+
+// firstFramingDefect walks stream as consecutive [4-byte length][body]
+// frames — gob and raw frames share the header — and names the first
+// defect a reader must hit: nil when the stream ends on a boundary.
+func firstFramingDefect(stream []byte, max int) error {
+	for len(stream) > 0 {
+		if len(stream) < 4 {
+			return ErrTruncatedFrame
+		}
+		size := int(binary.BigEndian.Uint32(stream))
+		if size > max {
+			return ErrFrameTooLarge
+		}
+		if len(stream)-4 < size {
+			return ErrTruncatedFrame
+		}
+		stream = stream[4+size:]
+	}
+	return nil
+}
+
+// FuzzFrameHeader feeds arbitrary bytes to a server as one connection's
+// request stream, through frameReader's Read and rawHeader both: it never
+// panics, never allocates for a header above the frame limit, and reports
+// ErrTruncatedFrame or ErrFrameTooLarge only for a stream that has that
+// defect. Seeds: what a client really sends for a plain call, a raw call
+// and an unknown method, whole, cut short, and under an oversized header.
+func FuzzFrameHeader(f *testing.F) {
+	const max = 64 << 10
+	newServer := func() *Server {
+		s := NewServer()
+		s.SetMaxFrame(max)
+		Register(s, "add", func(r addReq) (addResp, error) { return addResp{Sum: r.A + r.B}, nil })
+		RegisterRaw(s, "echo", func(r rawReqHdr, payload []byte) (rawRespHdr, []byte, error) {
+			return rawRespHdr{N: len(payload)}, append([]byte(nil), payload...), nil
+		})
+		return s
+	}
+	var sent bytes.Buffer
+	a, b := net.Pipe()
+	go newServer().ServeConn(b)
+	conn := NewConn(teeConn{a, &sent})
+	var ar addResp
+	var rr rawRespHdr
+	for _, call := range []func() error{
+		func() error { _, err := conn.Call("add", addReq{A: 1, B: 2}, &ar); return err },
+		func() error {
+			_, _, err := conn.CallRaw("echo", 7, rawReqHdr{N: 100}, make([]byte, 100), &rr, nil)
+			return err
+		},
+		func() error { _, _, err := conn.CallRaw("nope", 0, rawReqHdr{}, []byte{1}, &rr, nil); return err },
+	} {
+		from := sent.Len()
+		if err := call(); err != nil {
+			var re *RemoteError
+			if !errors.As(err, &re) {
+				f.Fatal(err)
+			}
+		}
+		stream := append([]byte(nil), sent.Bytes()[from:]...)
+		f.Add(stream)
+		f.Add(stream[:len(stream)-1])
+		f.Add(stream[:2])
+		big := append([]byte(nil), stream...)
+		binary.BigEndian.PutUint32(big, 0xFFFFFFFF)
+		f.Add(big)
+	}
+	conn.Close()
+	f.Add(sent.Bytes())
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := newServer().ServeConn(scriptConn{bytes.NewReader(stream)})
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20+8*uint64(len(stream)) {
+			t.Fatalf("serving %d bytes under a %d-byte frame limit allocated %d", len(stream), max, got)
+		}
+		defect := firstFramingDefect(stream, max)
+		for _, kind := range []error{ErrTruncatedFrame, ErrFrameTooLarge} {
+			if errors.Is(err, kind) && defect != kind {
+				t.Fatalf("server reports %v; the stream's first framing defect is %v", err, defect)
+			}
+		}
+	})
 }

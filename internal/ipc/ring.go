@@ -35,8 +35,8 @@ import (
 // payload it points at; gob envelopes do not exist here.
 const ringSlotBytes = 64
 
-// DefaultRingDepth is the default slot count per queue.
-const DefaultRingDepth = 256
+// ringDepth is the slot count per queue (a power of two).
+const ringDepth = 256
 
 // Spin budgets before a waiter parks. The client burns longer (it is the
 // latency-sensitive side); the service loop yields sooner so an idle
@@ -181,16 +181,6 @@ type ringCpl struct {
 	fault FaultKind // non-None: the completion arrived poisoned
 }
 
-// RingConfig configures a Ring.
-type RingConfig struct {
-	// Fault, when non-nil, drives the ring's cooperative fault injection
-	// from the same seeded plan state the framed transport uses.
-	Fault *FaultInjector
-	// Depth is the slot count per queue (rounded up to a power of two);
-	// 0 means DefaultRingDepth.
-	Depth int
-}
-
 // Ring is the client handle of a shared-memory ring transport bound to a
 // Server. Run the server half with Serve (usually on its own goroutine).
 // Like Conn, one synchronous call is outstanding at a time and the type
@@ -217,18 +207,16 @@ type Ring struct {
 	downErr error
 }
 
-// NewRing builds a ring transport served by srv. The caller starts the
-// service loop with go ring.Serve().
-func NewRing(srv *Server, cfg RingConfig) *Ring {
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = DefaultRingDepth
-	}
+// NewRing builds a ring transport served by srv. inj, when non-nil, drives
+// the ring's cooperative fault injection from the same seeded plan state
+// the framed transport uses. The caller starts the service loop with go
+// ring.Serve().
+func NewRing(srv *Server, inj *FaultInjector) *Ring {
 	return &Ring{
 		srv:      srv,
-		inj:      cfg.Fault,
-		sq:       newSPSC[ringMsg](depth),
-		cq:       newSPSC[ringCpl](depth),
+		inj:      inj,
+		sq:       newSPSC[ringMsg](ringDepth),
+		cq:       newSPSC[ringCpl](ringDepth),
 		maxFrame: DefaultMaxFrame,
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // ringPair builds a served Ring on s, torn down with the test.
-func ringPair(t *testing.T, s *Server, cfg RingConfig) *Ring {
+func ringPair(t *testing.T, s *Server, inj *FaultInjector) *Ring {
 	t.Helper()
-	r := NewRing(s, cfg)
+	r := NewRing(s, inj)
 	done := make(chan struct{})
 	go func() { defer close(done); r.Serve() }()
 	t.Cleanup(func() {
@@ -62,7 +62,7 @@ func TestRingCallRoundtrip(t *testing.T) {
 	Register(s, "add", func(r addReq) (addResp, error) {
 		return addResp{Sum: r.A + r.B}, nil
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 	var resp addResp
 	n, err := ring.Call("add", addReq{A: 2, B: 40}, &resp)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestRingErrorPropagation(t *testing.T) {
 	Register(s, "fail", func(r addReq) (addResp, error) {
 		return addResp{}, &codedError{op: "clFail", detail: "nope"}
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 	var resp addResp
 	_, err := ring.Call("fail", addReq{}, &resp)
 	var re *RemoteError
@@ -128,7 +128,7 @@ func TestRingRawPayloadAndInto(t *testing.T) {
 		}
 		return addResp{Sum: r.A}, [][]byte{buf}, nil
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 
 	var resp addResp
 	payload := []byte{1, 2, 3, 4}
@@ -163,14 +163,14 @@ func TestRingReplayDedupe(t *testing.T) {
 		execs.Add(1)
 		return addResp{Sum: r.A}, nil
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 	var resp addResp
 	if _, err := ring.CallSeq("bump", 41, addReq{A: 7}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	// A second ring generation on the same server (the redial-after-fault
 	// shape) re-sends the same sequence number: answered from cache.
-	ring2 := ringPair(t, s, RingConfig{})
+	ring2 := ringPair(t, s, nil)
 	resp = addResp{}
 	if _, err := ring2.CallSeq("bump", 41, addReq{A: 7}, &resp); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestRingFaultMatrix(t *testing.T) {
 			inj := NewFaultInjector(FaultPlan{Seed: 1, EveryN: 1, Kinds: []FaultKind{tc.kind}})
 			var crashed atomic.Bool
 			inj.SetCrashServer(func() { crashed.Store(true) })
-			ring := ringPair(t, s, RingConfig{Fault: inj})
+			ring := ringPair(t, s, inj)
 			var resp addResp
 			_, err := ring.CallSeq("op", 1, addReq{}, &resp)
 			if !errors.Is(err, ErrConnDown) {
@@ -262,7 +262,7 @@ func TestRingDeadlineExceeded(t *testing.T) {
 		clock.Advance(10 * vtime.Millisecond)
 		return addResp{}, nil
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 	ring.SetDeadline(clock, vtime.Millisecond)
 	var resp addResp
 	if _, err := ring.Call("slow", addReq{}, &resp); !errors.Is(err, ErrConnDown) {
@@ -275,7 +275,7 @@ func TestRingMaxFrame(t *testing.T) {
 	RegisterRaw(s, "echo", func(r addReq, payload []byte) (addResp, []byte, error) {
 		return addResp{}, append([]byte(nil), payload...), nil
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 	ring.SetMaxFrame(64)
 	var resp addResp
 	_, _, err := ring.CallRaw("echo", 1, addReq{}, make([]byte, 1024), &resp, nil)
@@ -296,7 +296,7 @@ func TestRingConcurrentSubmitComplete(t *testing.T) {
 		sum.Add(int64(r.A))
 		return addResp{Sum: r.A}, nil
 	})
-	ring := ringPair(t, s, RingConfig{})
+	ring := ringPair(t, s, nil)
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	errs := make([]error, workers)

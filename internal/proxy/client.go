@@ -44,35 +44,15 @@ func (m CostModel) BulkCut() int64 {
 	return int64(m.roundTrip(0).Seconds() * float64(bw))
 }
 
-// RetryPolicy bounds the client's transparent reconnect-and-retry loop.
-// Backoff between attempts is exponential up to MaxBackoff and is charged
-// to the virtual clock like any other modelled wait.
-type RetryPolicy struct {
-	Attempts   int            // total tries per call, including the first
-	Backoff    vtime.Duration // wait before the first retry
-	MaxBackoff vtime.Duration // cap on the exponential backoff
-}
-
-// DefaultRetryPolicy is used when a zero policy is supplied.
-var DefaultRetryPolicy = RetryPolicy{
-	Attempts:   3,
-	Backoff:    100 * vtime.Microsecond,
-	MaxBackoff: 10 * vtime.Millisecond,
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy
-	if p.Attempts > 0 {
-		d.Attempts = p.Attempts
-	}
-	if p.Backoff > 0 {
-		d.Backoff = p.Backoff
-	}
-	if p.MaxBackoff > 0 {
-		d.MaxBackoff = p.MaxBackoff
-	}
-	return d
-}
+// The client's transparent reconnect-and-retry loop: total tries per call
+// (the first included), the wait before the first retry, and the cap on
+// its exponential growth. Backoff is charged to the virtual clock like any
+// other modelled wait.
+const (
+	retryAttempts   = 3
+	retryBackoff    = 100 * vtime.Microsecond
+	retryMaxBackoff = 10 * vtime.Millisecond
+)
 
 // Stats counts the traffic a client has forwarded and the transport
 // failures it has absorbed.
@@ -100,7 +80,6 @@ type Stats struct {
 type Client struct {
 	clock *vtime.Clock
 	cost  CostModel
-	retry RetryPolicy
 
 	mu     sync.Mutex
 	conn   ipc.Transport
@@ -120,7 +99,7 @@ var _ ocl.API = (*Client)(nil)
 
 // NewClient wraps an RPC transport as an API client.
 func NewClient(conn ipc.Transport, clock *vtime.Clock, cost CostModel) *Client {
-	return &Client{conn: conn, clock: clock, cost: cost, retry: DefaultRetryPolicy}
+	return &Client{conn: conn, clock: clock, cost: cost}
 }
 
 // SetRedial installs the function that dials a replacement connection to
@@ -129,13 +108,6 @@ func (c *Client) SetRedial(fn func() (ipc.Transport, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.redial = fn
-}
-
-// SetRetryPolicy overrides the retry policy (zero fields keep defaults).
-func (c *Client) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retry = p.withDefaults()
 }
 
 // Stats reports the calls and bytes forwarded so far.
@@ -208,10 +180,7 @@ func (c *Client) exchange(method string, req any, rawReq []byte, resp any, into 
 // call. Retry backoff and re-sends are always charged in full — only the
 // final successful exchange is re-priced.
 func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte, price func(n int64) vtime.Duration) ([][]byte, error) {
-	c.mu.Lock()
-	policy := c.retry
-	c.mu.Unlock()
-	backoff := policy.Backoff
+	backoff := retryBackoff
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		c.mu.Lock()
@@ -236,12 +205,12 @@ func (c *Client) exchangeSeqPriced(method string, seq uint64, req any, rawReq []
 			return nil, err
 		}
 		lastErr = err
-		if attempt >= policy.Attempts {
+		if attempt >= retryAttempts {
 			return nil, lastErr
 		}
 		c.clock.Advance(backoff)
-		if backoff *= 2; backoff > policy.MaxBackoff {
-			backoff = policy.MaxBackoff
+		if backoff *= 2; backoff > retryMaxBackoff {
+			backoff = retryMaxBackoff
 		}
 		if !c.reconnect(conn) {
 			return nil, lastErr

@@ -222,6 +222,33 @@ func TestForwardingOverheadCharged(t *testing.T) {
 	}
 }
 
+// TestFramedCallPrice: a default spawn is the framed transport, and each
+// call on it is charged two IPCCallLatency plus its frame bytes at the
+// node's host-memcpy bandwidth — nothing else.
+func TestFramedCallPrice(t *testing.T) {
+	node, _, px := spawnNV(t)
+	spec := node.Spec
+	for i := 0; i < 10; i++ {
+		sw, sent := vtime.NewStopwatch(node.Clock), px.Client.Stats().Bytes
+		if _, err := px.Client.GetPlatformIDs(); err != nil {
+			t.Fatal(err)
+		}
+		n := px.Client.Stats().Bytes - sent
+		if want := 2*spec.IPCCallLatency + spec.Inter.Memcpy.Transfer(n); n == 0 || sw.Elapsed() != want {
+			t.Fatalf("call %d moved %d bytes and cost %v, want %v", i, n, sw.Elapsed(), want)
+		}
+	}
+}
+
+func TestTransportString(t *testing.T) {
+	if TransportPipe.String() != "pipe" || TransportRing.String() != "ring" {
+		t.Error("transport names wrong")
+	}
+	if (SpawnOpts{}).Transport != TransportPipe {
+		t.Error("the zero SpawnOpts must select the framed transport")
+	}
+}
+
 func TestKillStopsProxy(t *testing.T) {
 	node, _, px := spawnNV(t)
 	px.Kill()

@@ -74,7 +74,6 @@ func SpawnRemote(app *proc.Process, server *proc.Node, vendor *ocl.Vendor) (*Pro
 	p := &Proxy{
 		Process: child,
 		Runtime: rt,
-		node:    appNode,
 		server:  NewServer(rt),
 	}
 	p.conns = append(p.conns, clientConn, serverConn)

@@ -3,20 +3,18 @@ package proxy
 import (
 	"fmt"
 	"io"
+	"net"
 	"sync"
 
 	"checl/internal/ipc"
 	"checl/internal/ocl"
 	"checl/internal/proc"
-	"checl/internal/vtime"
 )
 
 // SpawnOpts configures a spawned proxy beyond the defaults.
 type SpawnOpts struct {
-	Transport   Transport
-	Fault       *ipc.FaultInjector // wraps the app-side stream; nil = no injection
-	CallTimeout vtime.Duration     // per-call virtual deadline; 0 = none
-	Retry       RetryPolicy        // zero fields fall back to DefaultRetryPolicy
+	Transport Transport
+	Fault     *ipc.FaultInjector // wraps the app-side stream; nil = no injection
 }
 
 // Proxy is a running API proxy: a forked child process whose address space
@@ -30,7 +28,6 @@ type Proxy struct {
 	Process *proc.Process
 	Runtime *ocl.Runtime
 
-	node   *proc.Node
 	server *ipc.Server
 	opts   SpawnOpts
 
@@ -60,10 +57,7 @@ func (p *Proxy) dial() (ipc.Transport, error) {
 	if p.opts.Transport == TransportRing {
 		return p.dialRing()
 	}
-	appEnd, proxyEnd, err := connect(p.opts.Transport)
-	if err != nil {
-		return nil, err
-	}
+	appEnd, proxyEnd := net.Pipe()
 	p.mu.Lock()
 	if p.killed {
 		p.mu.Unlock()
@@ -82,11 +76,7 @@ func (p *Proxy) dial() (ipc.Transport, error) {
 	if p.opts.Fault != nil {
 		rwc = p.opts.Fault.Wrap(appEnd)
 	}
-	conn := ipc.NewConn(rwc)
-	if p.opts.CallTimeout > 0 {
-		conn.SetDeadline(p.node.Clock, p.opts.CallTimeout)
-	}
-	return conn, nil
+	return ipc.NewConn(rwc), nil
 }
 
 // dialRing maps a fresh shared-memory ring generation to the live proxy
@@ -94,7 +84,7 @@ func (p *Proxy) dial() (ipc.Transport, error) {
 // injected faults exactly like framed connections; the server — and with
 // it the replay-dedupe cache — persists across generations.
 func (p *Proxy) dialRing() (ipc.Transport, error) {
-	ring := ipc.NewRing(p.server, ipc.RingConfig{Fault: p.opts.Fault})
+	ring := ipc.NewRing(p.server, p.opts.Fault)
 	p.mu.Lock()
 	if p.killed {
 		p.mu.Unlock()
@@ -108,9 +98,6 @@ func (p *Proxy) dialRing() (ipc.Transport, error) {
 		defer p.wg.Done()
 		ring.Serve()
 	}()
-	if p.opts.CallTimeout > 0 {
-		ring.SetDeadline(p.node.Clock, p.opts.CallTimeout)
-	}
 	return ring, nil
 }
 

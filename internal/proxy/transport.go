@@ -2,9 +2,6 @@ package proxy
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
 
 	"checl/internal/ocl"
 	"checl/internal/proc"
@@ -13,15 +10,11 @@ import (
 // Transport selects the byte stream carrying the app<->proxy RPC.
 type Transport int
 
-// Transports. The modelled virtual cost is identical (same-node IPC);
-// the choice matters for engineering fidelity — a real CheCL uses Unix
-// domain sockets between processes — and lets the benchmark suite
-// measure the wall-clock (host) cost difference of the two transports.
+// Transports: framed or ring.
 const (
-	// TransportPipe uses an in-memory synchronous pipe (net.Pipe).
+	// TransportPipe frames calls over an in-memory synchronous pipe
+	// (net.Pipe), priced from the node's IPCCallLatency/Memcpy pair.
 	TransportPipe Transport = iota
-	// TransportUnix uses a real Unix domain socket pair.
-	TransportUnix
 	// TransportRing uses the shared-memory ring (ipc.Ring): lock-free
 	// SPSC submission/completion queues polled doorbell-free, typed
 	// values crossing by reference and bulk reads landing zero-copy in
@@ -31,22 +24,13 @@ const (
 )
 
 func (t Transport) String() string {
-	switch t {
-	case TransportUnix:
-		return "unix-socket"
-	case TransportRing:
+	if t == TransportRing {
 		return "ring"
 	}
 	return "pipe"
 }
 
-// SpawnWithTransport is Spawn with an explicit transport choice.
-func SpawnWithTransport(app *proc.Process, vendor *ocl.Vendor, transport Transport) (*Proxy, error) {
-	return SpawnWithOptions(app, vendor, SpawnOpts{Transport: transport})
-}
-
-// SpawnWithOptions is Spawn with full control over transport, fault
-// injection, per-call deadlines, and the retry policy.
+// SpawnWithOptions is Spawn with a transport choice and fault injection.
 func SpawnWithOptions(app *proc.Process, vendor *ocl.Vendor, opts SpawnOpts) (*Proxy, error) {
 	if vendor == nil {
 		return nil, fmt.Errorf("proxy: no vendor OpenCL implementation to load")
@@ -61,7 +45,6 @@ func SpawnWithOptions(app *proc.Process, vendor *ocl.Vendor, opts SpawnOpts) (*P
 	p := &Proxy{
 		Process: child,
 		Runtime: rt,
-		node:    node,
 		server:  NewServer(rt),
 		opts:    opts,
 	}
@@ -83,50 +66,6 @@ func SpawnWithOptions(app *proc.Process, vendor *ocl.Vendor, opts SpawnOpts) (*P
 		cost.Ring = &ring
 	}
 	p.Client = NewClient(conn, node.Clock, cost)
-	p.Client.SetRetryPolicy(opts.Retry)
 	p.Client.SetRedial(p.dial)
 	return p, nil
-}
-
-// connect builds both endpoints of the chosen transport.
-func connect(transport Transport) (appEnd, proxyEnd net.Conn, err error) {
-	switch transport {
-	case TransportUnix:
-		dir, err := os.MkdirTemp("", "checl-proxy-")
-		if err != nil {
-			return nil, nil, fmt.Errorf("proxy: socket dir: %w", err)
-		}
-		path := filepath.Join(dir, "api.sock")
-		ln, err := net.Listen("unix", path)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, fmt.Errorf("proxy: unix listen: %w", err)
-		}
-		accepted := make(chan net.Conn, 1)
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				close(accepted)
-				return
-			}
-			accepted <- conn
-		}()
-		client, err := net.Dial("unix", path)
-		if err != nil {
-			ln.Close()
-			os.RemoveAll(dir)
-			return nil, nil, fmt.Errorf("proxy: unix dial: %w", err)
-		}
-		server, ok := <-accepted
-		ln.Close()
-		os.RemoveAll(dir) // the socket stays connected after unlinking
-		if !ok {
-			client.Close()
-			return nil, nil, fmt.Errorf("proxy: unix accept failed")
-		}
-		return client, server, nil
-	default:
-		a, b := net.Pipe()
-		return a, b, nil
-	}
 }

@@ -12,29 +12,20 @@ import (
 	"checl/internal/vtime"
 )
 
-// CompressModel parameterises the store's compression stage. The codec is
-// real (stdlib flate, so stored bytes genuinely shrink and round-trip),
-// while its CPU cost is *modelled*: compressing or decompressing n bytes
-// charges n/throughput to the virtual clock, exactly like every other I/O
-// stage in the simulation.
-type CompressModel struct {
-	Level         int          // flate level; 0 disables compression
-	CompressBps   hw.Bandwidth // modelled compression throughput
-	DecompressBps hw.Bandwidth // modelled decompression throughput
-}
-
-// defaultCompression roughly matches a single core running a fast
-// dictionary coder (lz4/flate-1 class).
-func defaultCompression() CompressModel {
-	return CompressModel{
-		Level:         flate.BestSpeed,
-		CompressBps:   400 * hw.MBps,
-		DecompressBps: 1200 * hw.MBps,
-	}
-}
+// The store's compression stage. The codec is real (stdlib flate, so
+// stored bytes genuinely shrink and round-trip), while its CPU cost is
+// *modelled*: compressing or decompressing n bytes charges n/throughput to
+// the virtual clock, exactly like every other I/O stage in the simulation.
+// The throughputs roughly match a single core running a fast dictionary
+// coder (lz4/flate-1 class).
+const (
+	flateLevel    = flate.BestSpeed
+	compressBps   = 400 * hw.MBps
+	decompressBps = 1200 * hw.MBps
+)
 
 // Chunk files carry a one-byte codec tag so raw storage remains available
-// when compression is disabled or unprofitable.
+// when compression is unprofitable.
 const (
 	codecRaw   = 0x00
 	codecFlate = 0x01
@@ -45,47 +36,38 @@ const (
 // ~16 KiB chunk at a time, so they are pooled. A Reset coder produces the
 // same bytes as a fresh one.
 var (
-	flateWriters sync.Pool // *flateWriter
+	flateWriters sync.Pool // *flate.Writer
 	flateReaders sync.Pool // io.ReadCloser that is also a flate.Resetter
 )
-
-type flateWriter struct {
-	level int
-	w     *flate.Writer
-}
 
 // compress encodes one chunk for storage, charging the modelled
 // compression time to clock. The blob is built in scratch, overwriting
 // whatever that held, so a Put can pass the last chunk's blob once it is
 // done with it; nil scratch allocates. Incompressible chunks are stored
 // raw (the tag byte is the only overhead).
-func (m CompressModel) compress(clock *vtime.Clock, scratch, data []byte) ([]byte, error) {
-	if m.Level == 0 {
-		return append(append(scratch[:0], codecRaw), data...), nil
-	}
-	clock.Advance(m.CompressBps.Transfer(int64(len(data))))
+func compress(clock *vtime.Clock, scratch, data []byte) ([]byte, error) {
+	clock.Advance(compressBps.Transfer(int64(len(data))))
 	if scratch == nil {
 		scratch = make([]byte, 0, len(data)/2+64)
 	}
 	buf := bytes.NewBuffer(scratch[:0])
 	buf.WriteByte(codecFlate)
-	fw, _ := flateWriters.Get().(*flateWriter)
-	if fw != nil && fw.level == m.Level {
-		fw.w.Reset(buf)
+	w, _ := flateWriters.Get().(*flate.Writer)
+	if w != nil {
+		w.Reset(buf)
 	} else {
-		w, err := flate.NewWriter(buf, m.Level)
-		if err != nil {
+		var err error
+		if w, err = flate.NewWriter(buf, flateLevel); err != nil {
 			return nil, fmt.Errorf("store: compress: %w", err)
 		}
-		fw = &flateWriter{level: m.Level, w: w}
 	}
-	if _, err := fw.w.Write(data); err != nil {
+	if _, err := w.Write(data); err != nil {
 		return nil, fmt.Errorf("store: compress: %w", err)
 	}
-	if err := fw.w.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		return nil, fmt.Errorf("store: compress: %w", err)
 	}
-	flateWriters.Put(fw)
+	flateWriters.Put(w)
 	if buf.Len() >= len(data)+1 {
 		return append(append(buf.Bytes()[:0], codecRaw), data...), nil
 	}
@@ -96,7 +78,7 @@ func (m CompressModel) compress(clock *vtime.Clock, scratch, data []byte) ([]byt
 // decompression time to clock. size is how long the manifest says the
 // chunk is: the buffer is allocated to it once, and a blob that holds more
 // is rejected rather than inflated.
-func (m CompressModel) decompress(clock *vtime.Clock, blob []byte, size int64) ([]byte, error) {
+func decompress(clock *vtime.Clock, blob []byte, size int64) ([]byte, error) {
 	if len(blob) == 0 {
 		return nil, fmt.Errorf("store: empty chunk blob")
 	}
@@ -138,7 +120,7 @@ func (m CompressModel) decompress(clock *vtime.Clock, blob []byte, size int64) (
 			return nil, fmt.Errorf("store: decompress: %w", err)
 		}
 		flateReaders.Put(r)
-		clock.Advance(m.DecompressBps.Transfer(int64(n)))
+		clock.Advance(decompressBps.Transfer(int64(n)))
 		return data[:n], nil
 	default:
 		return nil, fmt.Errorf("store: unknown chunk codec 0x%02x", blob[0])

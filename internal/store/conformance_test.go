@@ -586,31 +586,18 @@ var confRows = []struct {
 		}
 	}},
 
-	{"PipelineWorkers overlaps compression with writes", func(t *testing.T, cs confStore) {
+	{"stage times fit in the put time", func(t *testing.T, cs confStore) {
 		data := payload(50, 512<<10)
-		c0 := vtime.NewClock()
-		man0, st0 := mustPut(t, cs, c0, "job", data, nil)
-		if st0.CompressTime+st0.WriteTime > st0.Time {
-			t.Errorf("serial stages %v+%v exceed the put's %v", st0.CompressTime, st0.WriteTime, st0.Time)
+		clock := vtime.NewClock()
+		_, st := mustPut(t, cs, clock, "job", data, nil)
+		if st.CompressTime <= 0 || st.WriteTime <= 0 {
+			t.Errorf("a put of new data charged compression %v, writes %v", st.CompressTime, st.WriteTime)
 		}
-		piped := cs.open(t, Config{PipelineWorkers: 4})
-		c1 := vtime.NewClock()
-		man1, st1 := mustPut(t, piped, c1, "job", data, nil)
-		// The single writer is the bottleneck, so what overlap can hide is
-		// compression — some of it, never more than all of it.
-		if hidden := st0.Time - st1.Time; hidden <= 0 || hidden > st1.CompressTime {
-			t.Errorf("pipelined put took %v (compression %v), serial %v — overlap not charged",
-				st1.Time, st1.CompressTime, st0.Time)
+		if st.CompressTime+st.WriteTime > st.Time {
+			t.Errorf("stages %v+%v exceed the put's %v", st.CompressTime, st.WriteTime, st.Time)
 		}
-		if st1.Time != c1.Now().Sub(0) {
-			t.Errorf("stats say %v, clock moved %v", st1.Time, c1.Now().Sub(0))
-		}
-		// Only the charging differs: same chunks, same bytes stored.
-		if man1.Digest != man0.Digest || len(man1.Chunks) != len(man0.Chunks) || st1.StoredBytes != st0.StoredBytes {
-			t.Errorf("pipelining changed what was stored: %+v vs %+v", st1, st0)
-		}
-		if got, _, err := piped.Get(c1, "job"); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("pipelined put does not restore: %v", err)
+		if st.Time != clock.Now().Sub(0) {
+			t.Errorf("stats say %v, clock moved %v", st.Time, clock.Now().Sub(0))
 		}
 	}},
 }

@@ -113,9 +113,8 @@ type PutStats struct {
 	ReusedChunks int
 	ReusedBytes  int64
 	// Stage times for the chunk pipeline: total compression time and
-	// total write+verify time over the new chunks. With PipelineWorkers
-	// <= 1 these add up (with the dedup probes) to Time; in pipelined
-	// mode they overlap and Time reflects the makespan.
+	// total write+verify time over the new chunks. With the dedup probes
+	// they add up to Time.
 	CompressTime vtime.Duration
 	WriteTime    vtime.Duration
 }
@@ -226,31 +225,6 @@ func startDigest(segs []Segment) (wait func() [sha256.Size]byte) {
 	return func() [sha256.Size]byte { <-done; return sum }
 }
 
-// pipelineMakespan models Put's bounded-stage pipeline over the new
-// chunks: `workers` compression workers feed the single writer, which
-// writes chunks in staging order (the crash-consistent commit wants one
-// committer publishing manifest-last). Chunk i starts compressing on the
-// earliest-free worker; the writer picks it up once both the writer is
-// free and the compression is done.
-func pipelineMakespan(workers int, compDur, writeDur []vtime.Duration) vtime.Duration {
-	free := make([]vtime.Duration, workers)
-	var wEnd vtime.Duration
-	for i := range compDur {
-		w := 0
-		for j := 1; j < workers; j++ {
-			if free[j] < free[w] {
-				w = j
-			}
-		}
-		free[w] += compDur[i]
-		if free[w] > wEnd {
-			wEnd = free[w]
-		}
-		wEnd += writeDur[i]
-	}
-	return wEnd
-}
-
 // Put stores one checkpoint payload for job: the payload is chunked,
 // chunks already present (from any job) are skipped, new chunks are
 // compressed and written, and a manifest linking to the job's previous
@@ -329,13 +303,6 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	written := map[string]int64{} // blob length of chunks this Put wrote
 	var blob []byte               // the compression buffer, reused chunk after chunk
 
-	// In pipelined mode every chunk still compresses and writes in staging
-	// order in real execution — identical FS operation sequence — but each
-	// stage is timed on a scratch clock and the makespan of the modelled
-	// worker pipeline is charged once at the end.
-	pipelined := e.cfg.PipelineWorkers > 1
-	var compDur, writeDur []vtime.Duration
-
 	// stageRange chunks one dirty byte range and stages its new chunks,
 	// returning how many ChunkRefs it appended.
 	stageRange := func(data [][]byte) (int, error) {
@@ -349,29 +316,19 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 			} else if stored, ok := tx.probe(sum, chunk); ok {
 				ref.Stored = stored
 			} else {
-				cclock, wclock := clock, clock
-				if pipelined {
-					cclock, wclock = vtime.NewClock(), vtime.NewClock()
-				}
-				csw := vtime.NewStopwatch(cclock)
+				csw := vtime.NewStopwatch(clock)
 				var cerr error
-				if blob, cerr = e.cfg.Compression.compress(cclock, blob, chunk); cerr != nil {
+				if blob, cerr = compress(clock, blob, chunk); cerr != nil {
 					return n, cerr
 				}
-				cd := csw.Elapsed()
-				wsw := vtime.NewStopwatch(wclock)
-				phys, werr := tx.stage(wclock, sum, blob)
+				stats.CompressTime += csw.Elapsed()
+				wsw := vtime.NewStopwatch(clock)
+				phys, werr := tx.stage(clock, sum, blob)
 				stats.StoredBytes += phys
 				if werr != nil {
 					return n, werr
 				}
-				wd := wsw.Elapsed()
-				stats.CompressTime += cd
-				stats.WriteTime += wd
-				if pipelined {
-					compDur = append(compDur, cd)
-					writeDur = append(writeDur, wd)
-				}
+				stats.WriteTime += wsw.Elapsed()
 				written[sum] = int64(len(blob))
 				ref.Stored = int64(len(blob))
 				stats.NewChunks++
@@ -406,9 +363,6 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
 		}
 	}
-	if pipelined && len(compDur) > 0 {
-		clock.Advance(pipelineMakespan(e.cfg.PipelineWorkers, compDur, writeDur))
-	}
 	wsw := vtime.NewStopwatch(clock)
 	phys, err := tx.flush(clock)
 	stats.StoredBytes += phys
@@ -435,8 +389,8 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 // checks it against the content address: decompress (to at most the size
 // the manifest records), SHA-256. Every read path of both placements ends
 // here.
-func verifyBlob(clock *vtime.Clock, comp CompressModel, blob []byte, ref ChunkRef) ([]byte, error) {
-	chunk, err := comp.decompress(clock, blob, ref.Size)
+func verifyBlob(clock *vtime.Clock, blob []byte, ref ChunkRef) ([]byte, error) {
+	chunk, err := decompress(clock, blob, ref.Size)
 	if err != nil {
 		return nil, fmt.Errorf("store: chunk %s: %w", ref.Sum[:12], err)
 	}

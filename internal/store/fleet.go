@@ -50,27 +50,30 @@ type FleetNode struct {
 }
 
 // FleetConfig parameterises a Fleet. The zero value selects 4+2 coding
-// over a GigE link with default per-node store settings.
+// with default per-node store settings.
 type FleetConfig struct {
 	// DataShards (k) and ParityShards (m): each chunk becomes k+m shards
 	// on distinct nodes and survives any m losses. Defaults 4 and 2.
 	DataShards, ParityShards int
-	// Link models the node-to-node network; shard transfers charge it.
-	// Default hw.GigE.
-	Link hw.Bandwidth
-	// Coding charges the CPU time of parity generation and reconstruction.
-	// The zero value selects hw.DefaultCoding.
-	Coding hw.CodingModel
-	// Store configures the per-node stores (chunking bounds, compression,
-	// write retries). The zero value selects Store's defaults.
+	// Store configures the per-node stores (path prefix, chunking
+	// bounds). The zero value selects Store's defaults.
 	Store Config
-	// RebuildBatch/RebuildPause pace Rebuild: after each batch of
-	// RebuildBatch chunks the rebuilder idles for RebuildPause, so a
-	// node replacement does not flatten the surviving nodes with a
-	// thundering herd of reconstruction reads. Defaults 32 chunks, 2 ms.
-	RebuildBatch int
-	RebuildPause vtime.Duration
 }
+
+// The fleet's modelled costs and pacing, one value each.
+const (
+	// fleetLink is the node-to-node network; shard transfers charge it.
+	fleetLink = hw.GigE
+	// rebuildBatch/rebuildPause pace Rebuild: after each batch of
+	// rebuildBatch chunks the rebuilder idles for rebuildPause, so a node
+	// replacement does not flatten the surviving nodes with a thundering
+	// herd of reconstruction reads.
+	rebuildBatch = 32
+	rebuildPause = 2 * vtime.Millisecond
+)
+
+// fleetCoding charges the CPU time of parity generation and reconstruction.
+var fleetCoding = hw.DefaultCoding()
 
 func (c FleetConfig) withDefaults() FleetConfig {
 	if c.DataShards == 0 {
@@ -78,18 +81,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.ParityShards == 0 {
 		c.ParityShards = 2
-	}
-	if c.Link == 0 {
-		c.Link = hw.GigE
-	}
-	if c.Coding == (hw.CodingModel{}) {
-		c.Coding = hw.DefaultCoding()
-	}
-	if c.RebuildBatch == 0 {
-		c.RebuildBatch = 32
-	}
-	if c.RebuildPause == 0 {
-		c.RebuildPause = 2 * vtime.Millisecond
 	}
 	c.Store = c.Store.withDefaults()
 	return c
@@ -320,7 +311,7 @@ func (f *Fleet) indexNodes() {
 			if f.isRepairPack(p) {
 				f.nextAt = max(f.nextAt, repairPackNumber(p)+1)
 			}
-			data, err := readRetry(vtime.NewClock(), n.st.fs, p, f.cfg.Store.WriteRetries)
+			data, err := readRetry(vtime.NewClock(), n.st.fs, p)
 			if err != nil {
 				n.indexed = false
 				continue
@@ -427,7 +418,7 @@ func (f *Fleet) writePacks(clock *vtime.Clock, path string, bufs map[string]*pac
 		}
 		f.idxMu.Unlock()
 	}
-	clock.Advance(f.cfg.Link.Transfer(written) + diskMax)
+	clock.Advance(fleetLink.Transfer(written) + diskMax)
 	return written, failed
 }
 
@@ -462,7 +453,7 @@ func (t *fleetPut) probe(sum string, _ []byte) (int64, bool) { return t.f.chunkP
 // packPartSize, when every queue is written out as the next part.
 func (t *fleetPut) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
 	f := t.f
-	clock.Advance(f.cfg.Coding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
+	clock.Advance(fleetCoding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
 	shards := f.coder.Encode(blob)
 	full := false
 	for i, n := range f.placement(sum) {
@@ -642,7 +633,7 @@ func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []by
 	r.f.tick()
 	var data []byte
 	if n.alive() {
-		data, _ = readRetry(clock, n.st.fs, path, r.f.cfg.Store.WriteRetries)
+		data, _ = readRetry(clock, n.st.fs, path)
 	}
 	r.packs[packAt{n.name, path}] = data
 	return data
@@ -694,7 +685,7 @@ func (r *fleetRead) gather(sum string, all bool) (have map[int][]byte, origLen i
 		origLen = h.origLen
 		pulled += int64(shardHeaderSize + len(payload))
 	}
-	r.clock.Advance(f.cfg.Link.Transfer(pulled))
+	r.clock.Advance(fleetLink.Transfer(pulled))
 	return have, origLen, bad
 }
 
@@ -714,7 +705,7 @@ func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int) ([][]byt
 			lost++
 		}
 	}
-	r.clock.Advance(f.cfg.Coding.ReconstructTime(int64(origLen), k, lost))
+	r.clock.Advance(fleetCoding.ReconstructTime(int64(origLen), k, lost))
 	shards, err := f.coder.Reconstruct(have)
 	if err != nil {
 		return nil, fmt.Errorf("store: fleet: chunk %s: %w", sum[:12], err)
@@ -749,7 +740,7 @@ func (r *fleetRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
 			ref.Sum[:12], k*len(shards[0]), origLen)
 	}
 	blob = r.f.coder.Join(shards, origLen)
-	if chunk, err = verifyBlob(r.clock, r.f.cfg.Store.Compression, blob, ref); err != nil {
+	if chunk, err = verifyBlob(r.clock, blob, ref); err != nil {
 		return nil, nil, err
 	}
 	return blob, chunk, nil
@@ -828,7 +819,7 @@ func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, fram
 		linkBytes += int64(len(frame))
 		published++
 	}
-	clock.Advance(f.cfg.Link.Transfer(linkBytes) + diskMax)
+	clock.Advance(fleetLink.Transfer(linkBytes) + diskMax)
 	if published < len(f.names)-f.cfg.ParityShards {
 		return published, fmt.Errorf("store: fleet: manifest %s published to only %d of %d nodes (tolerate at most %d missing): %v",
 			manifestID(job, seq), published, len(f.names), f.cfg.ParityShards, firstErr)

@@ -112,22 +112,16 @@ func goldenScript(t *testing.T, b Backend, gc func(int) (GCStats, error)) golden
 func TestStoreGolden(t *testing.T) {
 	got := map[string]goldenRun{}
 
-	for name, cfg := range map[string]Config{"disk+replica": {}, "disk-pipelined": {PipelineWorkers: 3}} {
-		primary := New(testFS(), cfg)
-		fss := []*proc.FS{primary.FS()}
-		if name == "disk+replica" {
-			replica := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), cfg)
-			primary.AttachReplica(replica, hw.GigE)
-			fss = append(fss, replica.FS())
-		}
-		run := goldenScript(t, primary, primary.GC)
-		run.FS = map[string][][2]string{}
-		for _, fs := range fss {
-			run.FS[fs.Name()] = listing(fs)
-		}
-		run.Heals = primary.Heals()
-		got[name] = run
+	primary := New(testFS(), Config{})
+	replica := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), Config{})
+	primary.AttachReplica(replica, hw.GigE)
+	disk := goldenScript(t, primary, primary.GC)
+	disk.FS = map[string][][2]string{}
+	for _, fs := range []*proc.FS{primary.FS(), replica.FS()} {
+		disk.FS[fs.Name()] = listing(fs)
 	}
+	disk.Heals = primary.Heals()
+	got["disk+replica"] = disk
 
 	f, _ := testFleet(t, 6, FleetConfig{})
 	run := goldenScript(t, f, f.GC)

@@ -57,8 +57,8 @@ type RebuildStats struct {
 // Two things keep a rebuild from flattening the survivors: placement
 // rotates with the chunk address, so the source reads of a batch spread
 // over all the remaining nodes and each needed pack is read once; and the
-// repairs go out RebuildBatch chunks at a time — one heal pack per node —
-// with a RebuildPause idle after each full batch, leaving the disks and
+// repairs go out rebuildBatch chunks at a time — one heal pack per node —
+// with a rebuildPause idle after each full batch, leaving the disks and
 // links headroom for foreground checkpoint traffic. Fault injection is
 // suspended for the duration — repair must converge, not chase its own
 // tail.
@@ -89,7 +89,7 @@ func (f *Fleet) Rebuild(clock *vtime.Clock) (RebuildStats, error) {
 
 	f.verifyNodes(clock, nil)
 	var lost map[string]bool
-	st.ShardsRebuilt, st.BytesRebuilt, st.Batches, lost = f.repair(clock, sums, f.cfg.RebuildPause)
+	st.ShardsRebuilt, st.BytesRebuilt, st.Batches, lost = f.repair(clock, sums, rebuildPause)
 	st.ChunksUnrepaired = len(lost)
 	st.Time = sw.Elapsed()
 	if st.ChunksUnrepaired > 0 {
@@ -102,7 +102,7 @@ func (f *Fleet) Rebuild(clock *vtime.Clock) (RebuildStats, error) {
 // repair brings the given chunks back to full redundancy. A chunk needs
 // repair when an alive home node has no record of its shard (verifyNodes
 // has already dropped the records that fail their digest); it is lost when
-// fewer than k alive nodes have one. The chunks in need go RebuildBatch at
+// fewer than k alive nodes have one. The chunks in need go rebuildBatch at
 // a time through one read session: the source packs of a batch load once,
 // nodes in parallel, the missing shards are reconstructed, and the batch is
 // written back as one heal pack per node, followed by pause when the batch
@@ -137,7 +137,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 
 	r := f.newRead(clock)
 	for len(need) > 0 {
-		batch := need[:min(len(need), f.cfg.RebuildBatch)]
+		batch := need[:min(len(need), rebuildBatch)]
 		need = need[len(batch):]
 		r.prepare(batch, true)
 		for _, sum := range batch {
@@ -155,7 +155,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		if n > 0 {
 			batches++
 		}
-		if len(batch) == f.cfg.RebuildBatch {
+		if len(batch) == rebuildBatch {
 			clock.Advance(pause)
 		}
 	}
@@ -216,7 +216,7 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 		var readErr error
 		if len(entries) > 0 {
 			f.tick()
-			data, readErr = readRetry(sc, n.st.fs, p, f.cfg.Store.WriteRetries)
+			data, readErr = readRetry(sc, n.st.fs, p)
 		}
 		kept := 0
 		for _, e := range entries {
@@ -464,7 +464,7 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 // repair fills. Like the rest of GC it charges no time. Returns the new
 // pack's size.
 func (f *Fleet) rewritePack(n *fleetNode, p string, live []packEntry) (int64, error) {
-	data, err := readRetry(vtime.NewClock(), n.st.fs, p, f.cfg.Store.WriteRetries)
+	data, err := readRetry(vtime.NewClock(), n.st.fs, p)
 	if err != nil {
 		return 0, err
 	}

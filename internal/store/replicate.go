@@ -74,7 +74,7 @@ func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic
 			if !ok {
 				return fail(err)
 			}
-			if blob, err = s.cfg.Compression.compress(clock, nil, chunk); err != nil {
+			if blob, err = compress(clock, nil, chunk); err != nil {
 				return st, err
 			}
 			// Repair the primary copy too, best effort.

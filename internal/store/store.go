@@ -22,23 +22,6 @@ type Config struct {
 	// in bytes; AvgChunk must be a power of two. Defaults 4 KiB / 16 KiB /
 	// 64 KiB.
 	MinChunk, AvgChunk, MaxChunk int
-	// Compression is the modelled compression stage; the zero value
-	// selects flate.BestSpeed at 400 MB/s compress, 1.2 GB/s decompress.
-	Compression CompressModel
-	// WriteRetries is how many times verified writes, renames, removes and
-	// plain reads are retried past transient *proc.ErrIO (and, for writes,
-	// torn/lost outcomes caught by read-back). Default 2; *proc.ErrNoSpace
-	// is never retried.
-	WriteRetries int
-	// PipelineWorkers bounds the modelled compression workers feeding
-	// Put's single staging writer. Values <= 1 keep the fully serial
-	// charging (each chunk compresses, then writes, in turn); higher
-	// values overlap compression of later chunks with the write of
-	// earlier ones and charge the pipeline's makespan instead. The
-	// filesystem operation order is identical either way — workers stage,
-	// one committer renames manifest-last — so seeded fault plans hit the
-	// same operations in the same sequence.
-	PipelineWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -53,12 +36,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxChunk == 0 {
 		c.MaxChunk = 64 << 10
-	}
-	if c.Compression == (CompressModel{}) {
-		c.Compression = defaultCompression()
-	}
-	if c.WriteRetries == 0 {
-		c.WriteRetries = 2
 	}
 	return c
 }
@@ -126,12 +103,18 @@ func isTransientIO(err error) bool {
 	return errors.As(err, &eio)
 }
 
-// readRetry reads path from fs, retrying transient EIO up to retries
+// writeRetries is how many times verified writes, renames, removes and
+// plain reads are retried past transient *proc.ErrIO (and, for writes,
+// torn/lost outcomes caught by read-back). *proc.ErrNoSpace is never
+// retried.
+const writeRetries = 2
+
+// readRetry reads path from fs, retrying transient EIO up to writeRetries
 // times. Bit rot is not an error at this layer — it surfaces as corrupt
 // data to the caller's checksum.
-func readRetry(clock *vtime.Clock, fs *proc.FS, path string, retries int) ([]byte, error) {
+func readRetry(clock *vtime.Clock, fs *proc.FS, path string) ([]byte, error) {
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		data, err := fs.ReadFile(clock, path)
 		if err == nil {
 			return data, nil
@@ -164,7 +147,7 @@ func (s *Store) writeVerifiedMeta(clock *vtime.Clock, path string, data []byte) 
 
 func (s *Store) writeReadBack(clock, verify *vtime.Clock, path string, data []byte) error {
 	var lastErr error
-	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		if err := s.fs.WriteFile(clock, path, data); err != nil {
 			var nospace *proc.ErrNoSpace
 			if errors.As(err, &nospace) {
@@ -189,7 +172,7 @@ func (s *Store) writeReadBack(clock, verify *vtime.Clock, path string, data []by
 // retryMeta runs one metadata operation, retrying transient EIO.
 func (s *Store) retryMeta(op func() error) error {
 	var lastErr error
-	for attempt := 0; attempt <= s.cfg.WriteRetries; attempt++ {
+	for attempt := 0; attempt <= writeRetries; attempt++ {
 		if lastErr = op(); lastErr == nil || !isTransientIO(lastErr) {
 			return lastErr
 		}
@@ -295,11 +278,11 @@ func (t *diskTxn) settle(clock *vtime.Clock, man Manifest) error {
 // to end: read (with EIO retries), then verifyBlob. It returns both the
 // stored blob (for replication) and the uncompressed chunk.
 func (s *Store) readChunk(clock *vtime.Clock, ref ChunkRef) (blob, chunk []byte, err error) {
-	blob, err = readRetry(clock, s.fs, s.chunkPath(ref.Sum), s.cfg.WriteRetries)
+	blob, err = readRetry(clock, s.fs, s.chunkPath(ref.Sum))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: chunk %s missing: %w", ref.Sum[:12], err)
 	}
-	if chunk, err = verifyBlob(clock, s.cfg.Compression, blob, ref); err != nil {
+	if chunk, err = verifyBlob(clock, blob, ref); err != nil {
 		return nil, nil, err
 	}
 	return blob, chunk, nil
@@ -331,7 +314,7 @@ func (s *Store) manifestFiles() []manifestKey {
 // frame that fails to decode wraps errCorruptManifest so callers can tell
 // integrity failures from infrastructure ones.
 func (s *Store) readManifest(job string, seq uint64) (Manifest, error) {
-	data, err := readRetry(vtime.NewClock(), s.fs, s.manifestPath(job, seq), s.cfg.WriteRetries)
+	data, err := readRetry(vtime.NewClock(), s.fs, s.manifestPath(job, seq))
 	if err != nil {
 		return Manifest{}, fmt.Errorf("store: manifest %s: %w", manifestID(job, seq), err)
 	}

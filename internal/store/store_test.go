@@ -237,14 +237,13 @@ func compressible(seed, n int) []byte {
 // decision; and the pooled reader inflates each back, to no more than the
 // manifest says.
 func TestPooledCodersByteIdentical(t *testing.T) {
-	m := defaultCompression()
 	clock := vtime.NewClock()
 	chunks := [][]byte{compressible(1, 16<<10), compressible(9, 5000), make([]byte, 64<<10), payload(7, 16<<10), compressible(3, 16<<10)}
 	for round := 0; round < 3; round++ {
 		for i, chunk := range chunks {
 			var fresh bytes.Buffer
 			fresh.WriteByte(codecFlate)
-			w, err := flate.NewWriter(&fresh, m.Level)
+			w, err := flate.NewWriter(&fresh, flateLevel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,19 +254,19 @@ func TestPooledCodersByteIdentical(t *testing.T) {
 				want = append([]byte{codecRaw}, chunk...)
 			}
 
-			got, err := m.compress(clock, nil, chunk)
+			got, err := compress(clock, nil, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("round %d chunk %d: a reused writer produced %d bytes, a fresh one %d", round, i, len(got), len(want))
 			}
-			back, err := m.decompress(clock, got, int64(len(chunk)))
+			back, err := decompress(clock, got, int64(len(chunk)))
 			if err != nil || !bytes.Equal(back, chunk) {
 				t.Fatalf("round %d chunk %d: round trip: %v", round, i, err)
 			}
 			if len(chunk) > 0 {
-				if _, err := m.decompress(clock, got, int64(len(chunk)-1)); err == nil {
+				if _, err := decompress(clock, got, int64(len(chunk)-1)); err == nil {
 					t.Fatalf("round %d chunk %d: inflated past the size the manifest gives", round, i)
 				}
 			}
