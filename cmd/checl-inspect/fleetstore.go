@@ -121,6 +121,8 @@ func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 	fmt.Printf("    %-9s %28s %8.3f MB\n", "total", "", float64(total)/1e6)
 
 	// Degraded read: any m nodes down, the checkpoint must still restore.
+	// Each Get returns a payload of its own, which the caller owns: the two
+	// are compared, never written.
 	clock := vtime.NewClock()
 	healthy, _, err := fl.Get(clock, app.Name)
 	if err != nil {

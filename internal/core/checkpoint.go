@@ -627,7 +627,9 @@ func Restore(node *proc.Node, fs *proc.FS, path string, opts Options) (*CheCL, R
 // MPI partial restart uses it to revive one failed rank from its own
 // segment of a coordinated global snapshot without touching the other
 // ranks' bytes. The caller has already charged whatever read cost
-// produced the image (e.g. store.GetSegment on the node's clock).
+// produced the image (e.g. store.GetSegment on the node's clock). image is
+// adopted (cpr.RestartImage): the restored buffers' staging copies are
+// ranges of it, so the caller gives it up.
 func RestoreImage(node *proc.Node, image []byte, opts Options) (*CheCL, RestartStats, error) {
 	return restore(node, "image", opts, func(cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
 		app, _, err := cpr.RestartImage(node, image)
@@ -699,10 +701,12 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	// Reattach per-buffer regions (stripped-database format): each staged
 	// buffer travelled as its own region so store checkpoints could dedup
 	// it segment-wise. Old images carry the data inline in the database
-	// blob and have no such regions — both decode correctly here.
+	// blob and have no such regions — both decode correctly here. The region
+	// is the buffer's staging copy from here on: the process gives it up, and
+	// nothing else refers to those bytes of the restored image.
 	for _, m := range db.orderedMems() {
 		if blob := app.Region(memRegion(m.H)); blob != nil {
-			m.Data = append([]byte(nil), blob...)
+			m.Data = blob
 			app.RemoveRegion(memRegion(m.H))
 		}
 	}

@@ -202,7 +202,9 @@ func decodeImage(data []byte) (Image, error) {
 }
 
 // ReadImage loads and decodes a checkpoint file without restarting it
-// (used by tooling and by MPI global-snapshot aggregation).
+// (used by tooling and by MPI global-snapshot aggregation). The image's
+// fields are ranges of one buffer read for this call, which the caller owns
+// through them.
 func ReadImage(clock *vtime.Clock, fs *proc.FS, path string) (Image, error) {
 	data, err := fs.ReadFile(clock, path)
 	if err != nil {
@@ -232,7 +234,8 @@ func (BLCR) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error)
 	return Stats{Bytes: int64(len(data)), Time: sw.Elapsed()}, nil
 }
 
-// Restart implements Backend.
+// Restart implements Backend. The file's bytes are read into a buffer of
+// their own, which the restored process adopts (see RestartImage).
 func (BLCR) Restart(n *proc.Node, fs *proc.FS, path string) (*proc.Process, Stats, error) {
 	sw := vtime.NewStopwatch(n.Clock)
 	data, err := fs.ReadFile(n.Clock, path)
@@ -253,6 +256,10 @@ func (BLCR) Restart(n *proc.Node, fs *proc.FS, path string) (*proc.Process, Stat
 // fetched from a content-addressed store — and have charged the read cost
 // wherever the bytes came from. The returned Stats carry only the image
 // size; no virtual time is spent here.
+//
+// data is adopted: the restored process's regions are the ranges of data
+// that hold them, not copies, so the process owns data from here on and
+// the caller must neither write to it nor hand it to anyone else.
 func RestartImage(n *proc.Node, data []byte) (*proc.Process, Stats, error) {
 	img, err := decodeImage(data)
 	if err != nil {

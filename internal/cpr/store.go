@@ -147,7 +147,9 @@ func (DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job
 // restartFromStore is the shared store restart path: walk the generation
 // chain newest-first, taking the first checkpoint that both assembles
 // bit-identical (healed from replicas where possible) and decodes as a
-// process image.
+// process image. The store hands the payload over for good, the image is
+// decoded as ranges of it, and the restored process adopts those: from the
+// store's buffer to the process's memory the image is never copied.
 func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error) {
 	sw := vtime.NewStopwatch(n.Clock)
 	var img Image
@@ -179,7 +181,9 @@ func (DMTCP) RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc
 }
 
 // ReadImageFromStore loads and decodes a store checkpoint without
-// restarting it (tooling, MPI global-snapshot aggregation).
+// restarting it (tooling, MPI global-snapshot aggregation). The image's
+// fields are ranges of the payload the store assembled for this call; the
+// store keeps no reference to it, so the caller owns it through them.
 func ReadImageFromStore(clock *vtime.Clock, st store.Backend, ref string) (Image, error) {
 	data, _, err := st.Get(clock, ref)
 	if err != nil {

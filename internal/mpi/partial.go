@@ -141,6 +141,7 @@ func (w *World) RestoreRank(st store.Backend, ref string, rank int, opts core.Op
 	w.mu.Unlock()
 
 	sw := vtime.NewStopwatch(r.node.Clock)
+	// The segment is a buffer of this call's own; the restored rank adopts it.
 	seg, _, err := st.GetSegment(r.node.Clock, committed, rankSegment(rank))
 	var c *core.CheCL
 	var rst core.RestartStats

@@ -320,13 +320,15 @@ func (p *Process) SnapshotRegions() map[string][]byte {
 	return out
 }
 
-// RestoreRegions replaces the process's memory image (restart path).
+// RestoreRegions replaces the process's memory image (restart path). Like
+// SetRegion it adopts the slices: they are the process's memory from here
+// on, and the caller keeps no other use of them. The map stays the caller's.
 func (p *Process) RestoreRegions(regions map[string][]byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.regions = make(map[string][]byte, len(regions))
 	for k, v := range regions {
-		p.regions[k] = append([]byte(nil), v...)
+		p.regions[k] = v
 	}
 }
 

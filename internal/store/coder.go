@@ -83,6 +83,8 @@ type Coder struct {
 	// gen is the systematic (k+m)×k generator: rows 0..k-1 identity,
 	// rows k..k+m-1 parity coefficients.
 	gen [][]byte
+	// parity lists the parity shard indices, k..k+m-1.
+	parity []int
 }
 
 // NewCoder builds a coder for k data and m parity shards. k+m is capped
@@ -113,8 +115,11 @@ func NewCoder(k, m int) (*Coder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coder: vandermonde top block not invertible: %w", err)
 	}
-	gen := matMul(v, inv)
-	return &Coder{k: k, m: m, gen: gen}, nil
+	parity := make([]int, m)
+	for p := range parity {
+		parity[p] = k + p
+	}
+	return &Coder{k: k, m: m, gen: matMul(v, inv), parity: parity}, nil
 }
 
 // K reports the data-shard count.
@@ -165,54 +170,69 @@ func (c *Coder) Encode(data []byte) [][]byte {
 // have maps shard index -> shard bytes (all the same length); it must
 // hold at least k entries. The survivors are used as-is — callers verify
 // per-shard checksums first so a rotten shard is treated as missing, not
-// trusted into the solve.
+// trusted into the solve — and come back by reference: only a shard that
+// was missing is new memory. Callers treat the result as read-only.
 func (c *Coder) Reconstruct(have map[int][]byte) ([][]byte, error) {
+	return c.reconstruct(have, c.parity)
+}
+
+// reconstruct is Reconstruct for a caller that needs the data shards and
+// only some of the parity: a missing data shard is always solved for, a
+// missing parity shard is regenerated only when parity lists its index
+// (entries below k are ignored) and is nil in the result otherwise.
+func (c *Coder) reconstruct(have map[int][]byte, parity []int) ([][]byte, error) {
 	if len(have) < c.k {
 		return nil, fmt.Errorf("coder: %d shards survive, need %d of %d", len(have), c.k, c.k+c.m)
 	}
 	// Pick the k lowest surviving indices: deterministic, and it favours
 	// data shards so the solve degenerates to identity when none are lost.
 	rows := make([]int, 0, c.k)
-	for i := 0; i < c.k+c.m && len(rows) < c.k; i++ {
-		if _, ok := have[i]; ok {
-			rows = append(rows, i)
-		}
-	}
-	size := len(have[rows[0]])
-	sub := make([][]byte, c.k)
-	for i, r := range rows {
-		if len(have[r]) != size {
-			return nil, fmt.Errorf("coder: shard %d length %d, want %d", r, len(have[r]), size)
-		}
-		sub[i] = append([]byte(nil), c.gen[r]...)
-	}
-	inv, err := matInvert(sub)
-	if err != nil {
-		return nil, fmt.Errorf("coder: surviving rows not invertible: %w", err)
-	}
-	// data = inv · survivors, then re-encode the parity rows.
 	out := make([][]byte, c.k+c.m)
-	for i := 0; i < c.k; i++ {
+	for i := range out {
 		if shard, ok := have[i]; ok {
-			out[i] = append([]byte(nil), shard...)
-			continue
+			out[i] = shard
+			if len(rows) < c.k {
+				rows = append(rows, i)
+			}
 		}
-		shard := make([]byte, size)
-		for j, r := range rows {
-			mulAdd(shard, have[r], inv[i][j])
-		}
-		out[i] = shard
 	}
-	for p := 0; p < c.m; p++ {
-		if shard, ok := have[c.k+p]; ok {
-			out[c.k+p] = append([]byte(nil), shard...)
+	size := len(out[rows[0]])
+	for _, r := range rows {
+		if len(out[r]) != size {
+			return nil, fmt.Errorf("coder: shard %d length %d, want %d", r, len(out[r]), size)
+		}
+	}
+	if rows[c.k-1] >= c.k {
+		// A data shard is lost: data = inv · survivors.
+		sub := make([][]byte, c.k)
+		for i, r := range rows {
+			sub[i] = append([]byte(nil), c.gen[r]...)
+		}
+		inv, err := matInvert(sub)
+		if err != nil {
+			return nil, fmt.Errorf("coder: surviving rows not invertible: %w", err)
+		}
+		for i := 0; i < c.k; i++ {
+			if out[i] != nil {
+				continue
+			}
+			shard := make([]byte, size)
+			for j, r := range rows {
+				mulAdd(shard, have[r], inv[i][j])
+			}
+			out[i] = shard
+		}
+	}
+	// Re-encode the parity rows asked for.
+	for _, p := range parity {
+		if p < c.k || out[p] != nil {
 			continue
 		}
 		shard := make([]byte, size)
-		for j, coef := range c.gen[c.k+p] {
+		for j, coef := range c.gen[p] {
 			mulAdd(shard, out[j], coef)
 		}
-		out[c.k+p] = shard
+		out[p] = shard
 	}
 	return out, nil
 }
@@ -346,10 +366,11 @@ func shardDigest(rec []byte) [sha256.Size]byte {
 	return out
 }
 
-// parseShardHeader reads the header of the record b starts with, without
-// touching the payload or the digest: enough to know whose shard it is and
-// where the next record begins.
-func parseShardHeader(b []byte) (shardHeader, error) {
+// parseShardFrame reads the header of the record b starts with, without
+// touching the payload or the digest, and leaves sum — the chunk address in
+// hex — unset: enough to know which shard it is and where the next record
+// begins.
+func parseShardFrame(b []byte) (shardHeader, error) {
 	if len(b) < shardHeaderSize {
 		return shardHeader{}, fmt.Errorf("shard: %d bytes, shorter than header", len(b))
 	}
@@ -360,7 +381,6 @@ func parseShardHeader(b []byte) (shardHeader, error) {
 		return shardHeader{}, fmt.Errorf("shard: unsupported version %d", b[8])
 	}
 	h := shardHeader{
-		sum: hex.EncodeToString(b[shardAddrOff:shardDigestOff]),
 		idx: int(b[9]), k: int(b[10]), m: int(b[11]),
 		origLen: int(binary.BigEndian.Uint32(b[16:])),
 	}
@@ -370,6 +390,15 @@ func parseShardHeader(b []byte) (shardHeader, error) {
 	}
 	h.payloadLen = int(n)
 	return h, nil
+}
+
+// parseShardHeader is parseShardFrame plus whose shard it is.
+func parseShardHeader(b []byte) (shardHeader, error) {
+	h, err := parseShardFrame(b)
+	if err == nil {
+		h.sum = hex.EncodeToString(b[shardAddrOff:shardDigestOff])
+	}
+	return h, err
 }
 
 // decodeShard verifies one framed shard — rec is exactly the record — and
@@ -388,4 +417,22 @@ func decodeShard(rec []byte) (shardHeader, []byte, error) {
 		return shardHeader{}, nil, fmt.Errorf("shard: digest mismatch")
 	}
 	return h, rec[shardHeaderSize:], nil
+}
+
+// shardAt verifies rec — exactly one record — as shard idx of the chunk
+// whose raw address is addr: frame, owner, index, digest. It is decodeShard
+// for a reader that knows whose shard it expects, and so never needs the
+// address in hex. Returns the shard and the length of the blob it was cut
+// from.
+func shardAt(rec []byte, addr *[sha256.Size]byte, idx int) (payload []byte, origLen int, ok bool) {
+	h, err := parseShardFrame(rec)
+	if err != nil || h.payloadLen != len(rec)-shardHeaderSize || h.idx != idx ||
+		string(rec[shardAddrOff:shardDigestOff]) != string(addr[:]) {
+		return nil, 0, false
+	}
+	sum := shardDigest(rec)
+	if string(sum[:]) != string(rec[shardDigestOff:shardHeaderSize]) {
+		return nil, 0, false
+	}
+	return rec[shardHeaderSize:], h.origLen, true
 }

@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"checl/internal/hw"
@@ -37,7 +36,7 @@ const (
 // same bytes as a fresh one.
 var (
 	flateWriters sync.Pool // *flate.Writer
-	flateReaders sync.Pool // io.ReadCloser that is also a flate.Resetter
+	flateReaders sync.Pool // *inflater
 )
 
 // compress encodes one chunk for storage, charging the modelled
@@ -74,55 +73,120 @@ func compress(clock *vtime.Clock, scratch, data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decompress decodes one stored chunk, charging the modelled
-// decompression time to clock. size is how long the manifest says the
-// chunk is: the buffer is allocated to it once, and a blob that holds more
-// is rejected rather than inflated.
-func decompress(clock *vtime.Clock, blob []byte, size int64) ([]byte, error) {
-	if len(blob) == 0 {
-		return nil, fmt.Errorf("store: empty chunk blob")
+// partsReader reads a list of slices as their concatenation. It is an
+// io.ByteReader as well, so that flate reads it directly instead of through
+// a bufio of its own.
+type partsReader struct {
+	parts [][]byte
+	cur   []byte
+}
+
+// next makes cur the first slice with a byte left in it.
+func (r *partsReader) next() bool {
+	for len(r.cur) == 0 {
+		if len(r.parts) == 0 {
+			return false
+		}
+		r.cur, r.parts = r.parts[0], r.parts[1:]
 	}
-	if size < 0 || size > math.MaxInt32 {
-		return nil, fmt.Errorf("store: chunk size %d out of range", size)
+	return true
+}
+
+func (r *partsReader) Read(p []byte) (int, error) {
+	if !r.next() {
+		return 0, io.EOF
 	}
-	switch blob[0] {
+	n := copy(p, r.cur)
+	r.cur = r.cur[n:]
+	return n, nil
+}
+
+func (r *partsReader) ReadByte() (byte, error) {
+	if !r.next() {
+		return 0, io.EOF
+	}
+	b := r.cur[0]
+	r.cur = r.cur[1:]
+	return b, nil
+}
+
+// inflater is a pooled flate reader with the source it reads.
+type inflater struct {
+	src partsReader
+	fr  io.ReadCloser // also a flate.Resetter
+}
+
+// inflate decodes one stored chunk into dst, which is as long as the
+// manifest says the chunk is, and reports how many bytes that gave: fewer
+// than len(dst) is a chunk shorter than the manifest says. The blob comes
+// as the slices it lies in, in order — a chunk file, or the data shards of
+// a fleet — and is read where it lies. Nothing is written past dst: a blob
+// that holds more is rejected rather than inflated. The modelled
+// decompression time is charged to clock.
+func inflate(clock *vtime.Clock, parts [][]byte, dst []byte) (int, error) {
+	src := partsReader{parts: parts}
+	codec, err := src.ReadByte()
+	if err != nil {
+		return 0, fmt.Errorf("store: empty chunk blob")
+	}
+	switch codec {
 	case codecRaw:
-		if int64(len(blob)-1) > size {
-			return nil, fmt.Errorf("store: chunk holds %d bytes, manifest says %d", len(blob)-1, size)
+		held := len(src.cur)
+		for _, p := range src.parts {
+			held += len(p)
 		}
-		return blob[1:], nil
-	case codecFlate:
-		src := bytes.NewReader(blob[1:])
-		r, _ := flateReaders.Get().(io.ReadCloser)
-		if r == nil {
-			r = flate.NewReader(src)
-		} else if err := r.(flate.Resetter).Reset(src, nil); err != nil {
-			return nil, fmt.Errorf("store: decompress: %w", err)
+		if held > len(dst) {
+			return 0, fmt.Errorf("store: chunk holds %d bytes, manifest says %d", held, len(dst))
 		}
-		// One byte of headroom tells a chunk of exactly size bytes from one
-		// that goes on.
-		data := make([]byte, size+1)
 		n := 0
-		for n < len(data) {
-			got, err := r.Read(data[n:])
-			n += got
+		for src.next() {
+			n += copy(dst[n:], src.cur)
+			src.cur = nil
+		}
+		return n, nil
+	case codecFlate:
+		in, _ := flateReaders.Get().(*inflater)
+		if in == nil {
+			in = &inflater{}
+		}
+		in.src = src
+		if in.fr == nil {
+			in.fr = flate.NewReader(&in.src)
+		} else if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+			return 0, fmt.Errorf("store: decompress: %w", err)
+		}
+		// Once dst is full, one byte of scratch tells a chunk of exactly that
+		// size from one that goes on.
+		var scratch [1]byte
+		n, over := 0, 0
+		for over == 0 {
+			into := dst[n:]
+			if len(into) == 0 {
+				into = scratch[:]
+			}
+			got, err := in.fr.Read(into)
+			if n < len(dst) {
+				n += got
+			} else {
+				over += got
+			}
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				return nil, fmt.Errorf("store: decompress: %w", err)
+				return 0, fmt.Errorf("store: decompress: %w", err)
 			}
 		}
-		if n == len(data) {
-			return nil, fmt.Errorf("store: chunk inflates past the %d bytes the manifest says", size)
+		if over > 0 {
+			return 0, fmt.Errorf("store: chunk inflates past the %d bytes the manifest says", len(dst))
 		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("store: decompress: %w", err)
+		if err := in.fr.Close(); err != nil {
+			return 0, fmt.Errorf("store: decompress: %w", err)
 		}
-		flateReaders.Put(r)
+		flateReaders.Put(in)
 		clock.Advance(decompressBps.Transfer(int64(n)))
-		return data[:n], nil
+		return n, nil
 	default:
-		return nil, fmt.Errorf("store: unknown chunk codec 0x%02x", blob[0])
+		return 0, fmt.Errorf("store: unknown chunk codec 0x%02x", codec)
 	}
 }

@@ -317,6 +317,95 @@ var confRows = []struct {
 		}
 	}},
 
+	{"Get returns what Put stored, and fails the way it used to", func(t *testing.T, cs confStore) {
+		clock := vtime.NewClock()
+		// Both codecs, and a segment map so chunk boundaries are not all by content.
+		parts := map[string][]byte{"a": payload(80, 70<<10), "b": compressible(5, 50<<10), "c": payload(81, 9<<10)}
+		data, segs := tile(nil, []string{"a", "b", "c"}, parts)
+		man, _ := mustPut(t, cs, clock, "job", data, segs)
+		if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("undamaged get: %v", err)
+		}
+		healed := func() int {
+			if cs.fleet != nil {
+				return cs.fleet.Heals().ShardsHealed
+			}
+			return cs.stores[0].Heals().ChunksHealed
+		}
+		// One flipped bit in every chunk in turn — in its file, or in one of
+		// its records, a different one and a different bit from chunk to chunk.
+		// Last chunk first: what one round loses for good lies behind the
+		// chunk the next round damages.
+		seen := map[string]bool{}
+		for i := len(man.Chunks) - 1; i >= 0; i-- {
+			ref := man.Chunks[i]
+			if seen[ref.Sum] {
+				continue
+			}
+			seen[ref.Sum] = true
+			before := healed()
+			want := "" // the error Get must fail with, if it must
+			wantHealed := 0
+			undo := func() {}
+			if f := cs.fleet; f != nil {
+				// The first record at or after shard i mod (k+m) on a node that is up.
+				nodes := f.placement(ref.Sum)
+				alive, at := 0, -1
+				for idx, n := range nodes {
+					if n.alive() {
+						alive++
+						if at < 0 && idx >= i%len(nodes) {
+							at = idx
+						}
+					}
+				}
+				if at < 0 {
+					at = len(nodes) - 1
+				}
+				loc, ok := f.lookup(nodes[at], ref.Sum, at)
+				if !ok || !nodes[at].st.fs.FlipBit(loc.pack, uint64(loc.off*8+i*131%(loc.n*8))) {
+					t.Fatalf("chunk %d: no record %d to damage", i, at)
+				}
+				switch k := f.cfg.DataShards; {
+				case alive == k:
+					want = fmt.Sprintf("store: fleet: chunk %s lost: %d of %d shards survive, need %d", ref.Sum[:12], k-1, len(nodes), k)
+				case at < k:
+					wantHealed = 1 // a parity record nobody reads is nobody's to find
+				}
+			} else {
+				fs, path := cs.stores[0].fs, cs.stores[0].chunkPath(ref.Sum)
+				size, _ := fs.Size(path)
+				bit := uint64(i*131) % uint64(size*8)
+				fs.FlipBit(path, bit)
+				if len(cs.stores) > 1 {
+					wantHealed = 1
+				} else {
+					undo = func() { fs.FlipBit(path, bit) }
+					blob, _ := fs.ReadFile(vtime.NewClock(), path)
+					_, oerr := verifyBlobOracle(vtime.NewClock(), blob, ref)
+					if oerr == nil {
+						t.Fatalf("chunk %d: the oracle reads a damaged blob", i)
+					}
+					want = oerr.Error() + " (no replica could supply a good copy)"
+				}
+			}
+			got, _, err := cs.Get(clock, "job")
+			undo()
+			if want != "" {
+				if err == nil || err.Error() != want {
+					t.Fatalf("chunk %d: err = %v\n want %s", i, err, want)
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("chunk %d: damaged get: %v", i, err)
+			}
+			if n := healed() - before; n != wantHealed {
+				t.Fatalf("chunk %d: %d repairs, want %d", i, n, wantHealed)
+			}
+		}
+	}},
+
 	{"clean-segment reuse and fallback", func(t *testing.T, cs confStore) {
 		// Once with contiguous payloads, once — on a fresh placement — with
 		// the same checkpoints handed in as byte lists.

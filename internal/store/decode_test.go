@@ -29,6 +29,13 @@ var nonsense = []struct {
 	{"short chunk address", func(m *Manifest) { m.Chunks[0].Sum = "abc" }},
 	{"non-hex chunk address", func(m *Manifest) { m.Chunks[0].Sum = strings.Repeat("z", 64) }},
 	{"negative chunk size", func(m *Manifest) { m.Chunks[0].Size = -4096 }},
+	{"chunk sizes short of segment size", func(m *Manifest) { m.Chunks[0].Size-- }},
+	{"chunk sizes moved between segments", func(m *Manifest) {
+		m.Chunks[0].Size++
+		m.Chunks[len(m.Chunks)-1].Size--
+	}},
+	{"chunk sizes beyond size", func(m *Manifest) { m.Segments = nil; m.Chunks[0].Size += 1 << 40 }},
+	{"size beyond chunk sizes", func(m *Manifest) { m.Segments = nil; m.Size += 1 << 40 }},
 }
 
 // TestManifestDecoderRejectsNonsense feeds well-checksummed nonsense to the
@@ -78,8 +85,12 @@ func TestManifestDecoderRejectsNonsense(t *testing.T) {
 	}
 }
 
-// nowhere is a placement that holds one manifest and no chunk at all.
-type nowhere struct{ man Manifest }
+// nowhere is a placement that holds one manifest and no chunk at all; it
+// counts the chunks it was asked for.
+type nowhere struct {
+	man     Manifest
+	fetches *int
+}
 
 func (nowhere) lockSeq()                                              {}
 func (nowhere) unlockSeq()                                            {}
@@ -91,8 +102,10 @@ func (n nowhere) manifestFiles() []manifestKey                        { return [
 func (n nowhere) loadManifest(string, uint64) (Manifest, error)       { return n.man, nil }
 func (n nowhere) openRead(*vtime.Clock, []ChunkRef, bool) chunkReader { return n }
 func (nowhere) close()                                                {}
-func (nowhere) fetchBlob(ChunkRef) ([]byte, []byte, error) {
-	return nil, nil, errors.New("no such chunk")
+func (nowhere) refetch(_ *landing, cause error) error                 { return cause }
+func (n nowhere) fetch(*landing) (func() error, error) {
+	*n.fetches++
+	return nil, errors.New("no such chunk")
 }
 
 // manifestSeeds are good frames, their truncations and single-byte flips.
@@ -105,7 +118,10 @@ func manifestSeeds(t testing.TB) [][]byte {
 	seg.Chunks = append(seg.Chunks, ChunkRef{Sum: strings.Repeat("cd", 32), Size: 0, Stored: 1})
 	seg.Segments = []SegmentRef{{Name: "a", Size: 10, Chunks: 1}, {Name: "b", Chunks: 1, Clean: true}}
 	var seeds [][]byte
-	for _, m := range []Manifest{flat, seg, {Version: manifestVersion, Digest: digest}} {
+	// Adds up, but no Put cuts a chunk this long.
+	long := flat
+	long.Size, long.Chunks = 1<<20, []ChunkRef{{Sum: digest, Size: 1 << 20, Stored: 7}}
+	for _, m := range []Manifest{flat, seg, long, {Version: manifestVersion, Digest: digest}} {
 		frame, err := encodeManifest(m)
 		if err != nil {
 			t.Fatal(err)
@@ -150,12 +166,26 @@ func FuzzDecodeManifest(f *testing.F) {
 			if m2, err := decodeManifest(again); err != nil || !reflect.DeepEqual(m, m2) {
 				t.Fatalf("re-encoding does not round-trip: %v\n %+v\n %+v", err, m, m2)
 			}
-			e := engine{cfg: Config{}.withDefaults(), p: nowhere{m}}
+			// What the decoder accepts adds up, segment by segment; what a Put
+			// cannot have written — a chunk over the maximum — the read path
+			// refuses before it asks for a chunk or makes room for one.
+			if !sizesAddUp(m.Chunks, m.Size, m.Size) {
+				t.Fatalf("accepted a manifest whose chunks do not add up to its %d bytes", m.Size)
+			}
+			fetches := 0
+			e := engine{cfg: Config{}.withDefaults(), p: nowhere{m, &fetches}}
 			clock := vtime.NewClock()
+			readable := sizesAddUp(m.Chunks, m.Size, int64(e.cfg.MaxChunk))
 			if _, err := e.assemble(clock, m, true); err == nil && len(m.Chunks) > 0 {
 				t.Fatal("assembled a payload out of no chunks")
+			} else if !readable && (fetches > 0 || !errors.Is(err, errCorruptManifest)) {
+				t.Fatalf("over-long chunks: %d chunks asked for, err = %v", fetches, err)
 			}
 			for _, seg := range m.Segments {
+				_, refs, _ := m.segment(seg.Name)
+				if !sizesAddUp(refs, seg.Size, seg.Size) {
+					t.Fatalf("accepted a manifest whose segment %q does not add up to its %d bytes", seg.Name, seg.Size)
+				}
 				if _, _, err := e.GetSegment(clock, m.ID(), seg.Name); err == nil && seg.Chunks > 0 {
 					t.Fatalf("read segment %q out of no chunks", seg.Name)
 				}

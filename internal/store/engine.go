@@ -52,11 +52,23 @@ type placement interface {
 	repairHint() string
 }
 
-// chunkReader is one read session.
+// chunkReader is one read session. Its methods are called from one
+// goroutine; the functions fetch returns run wherever the engine likes.
 type chunkReader interface {
-	// fetchBlob returns one chunk's stored blob and its verified content
-	// (see verifyBlob).
-	fetchBlob(ref ChunkRef) (blob, chunk []byte, err error)
+	// fetch is the ordered half of reading one chunk. Called in chunk order,
+	// it finds the chunk's stored bytes — index lookups, disk reads, the fault
+	// plan's ticks, a repair from the placement's redundancy where those show
+	// one is needed — and returns the other half: a function that verifies
+	// them and lands the content in l.dst (see verifyParts). That function
+	// shares nothing with another chunk's and charges time only by advancing
+	// the session's clock. A nil function is a chunk that has landed already;
+	// an error is a chunk the placement cannot bring back.
+	fetch(l *landing) (land func() error, err error)
+	// refetch is the second try at a chunk whose land failed with cause:
+	// called after every land has returned, it reads the chunk from whatever
+	// else the placement has — a replica, the parity shards — lands it, and
+	// repairs the bad copy. When there is nothing else it returns cause.
+	refetch(l *landing, cause error) error
 	// close ends the session; repairs the reads queued are made here.
 	close()
 }
@@ -385,61 +397,15 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	return man, stats, tx, nil
 }
 
-// verifyBlob turns one chunk's stored blob back into its content and
-// checks it against the content address: decompress (to at most the size
-// the manifest records), SHA-256. Every read path of both placements ends
-// here.
-func verifyBlob(clock *vtime.Clock, blob []byte, ref ChunkRef) ([]byte, error) {
-	chunk, err := decompress(clock, blob, ref.Size)
-	if err != nil {
-		return nil, fmt.Errorf("store: chunk %s: %w", ref.Sum[:12], err)
-	}
-	sum := sha256.Sum256(chunk)
-	if got := hex.EncodeToString(sum[:]); got != ref.Sum {
-		return nil, fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", ref.Sum[:12], got[:12])
-	}
-	return chunk, nil
-}
-
-// readChunks fetches a run of chunks into one buffer of (about) size
-// bytes. The size comes from a manifest, so the allocation is capped by
-// what that many chunks can hold.
-func (e *engine) readChunks(clock *vtime.Clock, refs []ChunkRef, size int64, heal bool) ([]byte, error) {
-	payload := make([]byte, 0, min(size, int64(len(refs))*int64(e.cfg.MaxChunk)))
-	rd := e.p.openRead(clock, refs, heal)
-	defer rd.close()
-	for _, cref := range refs {
-		_, chunk, err := rd.fetchBlob(cref)
-		if err != nil {
-			return nil, err
-		}
-		payload = append(payload, chunk...)
-	}
-	return payload, nil
-}
-
-// assemble reads and verifies every chunk of man and checks the payload
-// digest. With heal set, failed chunks fall back to the placement's
-// redundancy.
-func (e *engine) assemble(clock *vtime.Clock, man Manifest, heal bool) ([]byte, error) {
-	payload, err := e.readChunks(clock, man.Chunks, man.Size, heal)
-	if err != nil {
-		return nil, err
-	}
-	digest := sha256.Sum256(payload)
-	if got := hex.EncodeToString(digest[:]); got != man.Digest {
-		return nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %s, assembled %s)",
-			man.ID(), man.Digest[:12], got[:12])
-	}
-	return payload, nil
-}
-
 // Get reconstructs a checkpoint payload. ref is either a manifest ID
 // ("job@seq") or a bare job name, which selects the job's latest
 // checkpoint. Every chunk is verified against its content address and the
 // assembled payload against the manifest digest; a chunk that is missing
 // or corrupt is transparently healed from the placement's redundancy —
-// attached replicas (HealStats) or surviving shards.
+// attached replicas (HealStats) or surviving shards. The payload is a
+// buffer made for this call; the store keeps no reference to it, so it is
+// the caller's to keep, cut up and write to (Get, GetSegment and
+// GetNewestRestorable alike).
 func (e *engine) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
 	man, err := e.Resolve(ref)
 	if err != nil {
@@ -469,15 +435,8 @@ func (e *engine) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manif
 	if !ok {
 		return nil, man, fmt.Errorf("store: %s: no segment named %q", man.ID(), name)
 	}
-	payload, err := e.readChunks(clock, refs, seg.Size, true)
-	if err != nil {
-		return nil, man, err
-	}
-	if int64(len(payload)) != seg.Size {
-		return nil, man, fmt.Errorf("store: %s: segment %q assembled to %d bytes, manifest says %d",
-			man.ID(), name, len(payload), seg.Size)
-	}
-	return payload, man, nil
+	payload, err := e.readChunks(clock, man.ID(), refs, seg.Size, true, nil)
+	return payload, man, err
 }
 
 // parseRef splits a ref into its job and, for "job@seq", the sequence

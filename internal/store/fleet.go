@@ -32,6 +32,8 @@ package store
 // later Put may still deduplicate against and GC otherwise reclaims.
 
 import (
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -550,6 +552,9 @@ type fleetRead struct {
 	// packs holds what the packs pulled so far read as; a nil entry is a
 	// pack that could not be read.
 	packs map[packAt][]byte
+	// homes holds the placement of every chunk the session has met: worked
+	// out once, asked for by prepare, gather and owe.
+	homes map[string][]*fleetNode
 	heals map[string]*packBuf // node name -> reconstructed records to write back
 	owed  map[recKey]bool     // records already queued in heals
 }
@@ -560,7 +565,7 @@ type packAt struct{ node, path string }
 func (f *Fleet) newRead(clock *vtime.Clock) *fleetRead {
 	f.indexNodes()
 	return &fleetRead{f: f, clock: clock, packs: map[packAt][]byte{},
-		heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
+		homes: map[string][]*fleetNode{}, heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
 }
 
 // openRead plans and loads the packs the healthy path of every ref needs.
@@ -576,18 +581,31 @@ func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, _ bool) chunkReade
 	return r
 }
 
+// nodes is Fleet.placement, remembered for the length of the session.
+func (r *fleetRead) nodes(sum string) []*fleetNode {
+	nodes, ok := r.homes[sum]
+	if !ok {
+		nodes = r.f.placement(sum)
+		r.homes[sum] = nodes
+	}
+	return nodes
+}
+
 // prepare loads the packs holding k records of each chunk — the data
 // shards, with a parity shard standing in for every one whose node is down
 // or has no record of it — each pack once. Nodes read in parallel and a
 // node reads its packs one after the other, so the caller is charged the
-// slowest node. With trim set, loaded packs none of these chunks need are
-// let go first.
+// slowest node. With trim set, what the session holds that none of these
+// chunks need is let go first.
 func (r *fleetRead) prepare(sums []string, trim bool) {
 	f := r.f
+	if trim {
+		r.homes = map[string][]*fleetNode{}
+	}
 	want := map[packAt]bool{}
 	for _, sum := range sums {
 		got := 0
-		for i, n := range f.placement(sum) {
+		for i, n := range r.nodes(sum) {
 			if got == f.cfg.DataShards {
 				break
 			}
@@ -639,60 +657,70 @@ func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []by
 	return data
 }
 
-// record returns shard idx of the chunk at sum from node n, verified:
-// digest, owner and index. A pack prepare did not load is read now, on the
-// session's clock. A record that fails verification leaves the index.
-func (r *fleetRead) record(n *fleetNode, sum string, idx int) (payload []byte, h shardHeader, ok bool) {
+// locate returns the bytes node n's index says are shard idx of the chunk
+// at sum, as they lie in the pack and not yet verified. A pack prepare did
+// not load is read now, on the session's clock.
+func (r *fleetRead) locate(n *fleetNode, sum string, idx int) (rec []byte, loc recLoc, ok bool) {
 	if !n.alive() {
-		return nil, h, false
+		return nil, loc, false
 	}
-	loc, found := r.f.lookup(n, sum, idx)
-	if !found {
-		return nil, h, false
+	if loc, ok = r.f.lookup(n, sum, idx); !ok {
+		return nil, loc, false
 	}
 	data, loaded := r.packs[packAt{n.name, loc.pack}]
 	if !loaded {
 		data = r.readPack(r.clock, n, loc.pack)
 	}
 	if data == nil {
-		return nil, h, false
+		return nil, loc, false
 	}
-	if h, payload, ok = recordAt(data, loc.off, loc.n, sum, idx); !ok {
+	if loc.off < 0 || loc.n < 0 || loc.off+loc.n > len(data) {
 		r.f.forget(n, recKey{sum, idx}, loc)
+		return nil, loc, false
 	}
-	return payload, h, ok
+	return data[loc.off : loc.off+loc.n], loc, true
 }
 
-// gather collects verified shards of one chunk, keyed by index, in index
-// order — up to k of them, or with all set every one there is — plus the
-// original blob length and the indices examined that are missing, corrupt
-// or on a down node. Link time covers the records actually pulled.
-func (r *fleetRead) gather(sum string, all bool) (have map[int][]byte, origLen int, bad []int) {
+// gather collects verified shards of one chunk — sum is its address, addr
+// the same in raw bytes — keyed by index, in index order: up to k of them,
+// or with all set every one there is. It also returns the original blob
+// length and the indices examined that are missing, corrupt or on a down
+// node; a record that fails verification leaves the index. Link time covers
+// the records actually pulled.
+func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool) (have map[int][]byte, origLen int, bad []int) {
 	f := r.f
 	have = map[int][]byte{}
 	origLen = -1
 	var pulled int64
-	for i, n := range f.placement(sum) {
+	for i, n := range r.nodes(sum) {
 		if !all && len(have) >= f.cfg.DataShards {
 			break
 		}
-		payload, h, ok := r.record(n, sum, i)
+		rec, loc, ok := r.locate(n, sum, i)
 		if !ok {
 			bad = append(bad, i)
 			continue
 		}
-		have[i] = payload
-		origLen = h.origLen
-		pulled += int64(shardHeaderSize + len(payload))
+		payload, blobLen, ok := shardAt(rec, addr, i)
+		if !ok {
+			f.forget(n, recKey{sum, i}, loc)
+			bad = append(bad, i)
+			continue
+		}
+		have[i], origLen = payload, blobLen
+		pulled += int64(len(rec))
 	}
 	r.clock.Advance(fleetLink.Transfer(pulled))
 	return have, origLen, bad
 }
 
-// solve turns k or more gathered shards into the chunk's full shard set,
-// charging the coding model when a data shard has to be solved for
-// (regenerating parity from intact data shards rides along uncharged).
-func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int) ([][]byte, error) {
+// solve turns k or more gathered shards into the chunk's data shards, plus
+// the parity shards among owed — the indices about to be written back —
+// that are missing and whose node is there to take them; the other missing
+// parity stays nil. The coding model is charged when a data shard has to be
+// solved for (regenerating parity from intact data shards rides along
+// uncharged).
+func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []int) ([][]byte, error) {
 	f := r.f
 	k := f.cfg.DataShards
 	if len(have) < k {
@@ -706,53 +734,108 @@ func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int) ([][]byt
 		}
 	}
 	r.clock.Advance(fleetCoding.ReconstructTime(int64(origLen), k, lost))
-	shards, err := f.coder.Reconstruct(have)
+	var parity []int
+	for _, i := range owed {
+		if i >= k && r.nodes(sum)[i].alive() {
+			parity = append(parity, i)
+		}
+	}
+	shards, err := f.coder.reconstruct(have, parity)
 	if err != nil {
 		return nil, fmt.Errorf("store: fleet: chunk %s: %w", sum[:12], err)
 	}
 	return shards, nil
 }
 
-// fetchBlob reads and verifies one chunk. The healthy path takes the k
-// data shards and concatenates — no GF(256) work at all. When any data
-// shard is an erasure (down node, missing or torn record, failed digest)
-// the parity shards join the gather and the chunk reconstructs from any k
-// survivors; the reconstructed shards are owed to their alive home nodes
-// and written back when the session closes, so a degraded read heals the
-// fleet as a side effect.
-func (r *fleetRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
-	k := r.f.cfg.DataShards
-	have, origLen, bad := r.gather(ref.Sum, false)
-	shards := make([][]byte, k)
-	if len(bad) == 0 {
-		// The gather stopped at k without a miss: these are the data shards.
-		for i := range shards {
-			shards[i] = have[i]
+// errBadRecord is what a chunk's pure half returns when a data record the
+// index pointed it at does not verify: the one failure the session's second
+// try, with the parity shards, can do something about.
+var errBadRecord = errors.New("store: fleet: shard record fails verification")
+
+// fetch plans one chunk's read. The healthy plan is the k data records
+// where the index says they are: no GF(256) work at all, and their digests
+// are the pure half's to check. When a data shard is an erasure already —
+// down node, no record, unreadable pack — the chunk is read degraded here
+// and now.
+func (r *fleetRead) fetch(l *landing) (func() error, error) {
+	nodes := r.nodes(l.ref.Sum)
+	recs := make([][]byte, r.f.cfg.DataShards)
+	for i := range recs {
+		ok := false
+		if recs[i], _, ok = r.locate(nodes[i], l.ref.Sum, i); !ok {
+			return r.fetchDegraded(l)
 		}
-	} else {
-		if shards, err = r.solve(ref.Sum, have, origLen); err != nil {
-			return nil, nil, err
+	}
+	return func() error { return r.landRecords(l, recs) }, nil
+}
+
+// landRecords is the pure half of a healthy read: it verifies the k data
+// records, charges the link for them, and lands the blob they hold between
+// them. recs is overwritten with their payloads.
+func (r *fleetRead) landRecords(l *landing, recs [][]byte) error {
+	origLen, pulled := -1, 0
+	for i, rec := range recs {
+		ok := false
+		if recs[i], origLen, ok = shardAt(rec, &l.addr, i); !ok {
+			return errBadRecord
 		}
-		r.owe(ref.Sum, origLen, shards, bad)
+		pulled += len(rec)
 	}
-	if origLen > k*len(shards[0]) {
-		return nil, nil, fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d",
-			ref.Sum[:12], k*len(shards[0]), origLen)
+	r.clock.Advance(fleetLink.Transfer(int64(pulled)))
+	return r.landShards(l, recs, origLen)
+}
+
+// landShards lands the blob of origLen bytes that the data shards hold
+// between them. shards is trimmed to it in place.
+func (r *fleetRead) landShards(l *landing, shards [][]byte, origLen int) error {
+	if held := len(shards) * len(shards[0]); origLen > held {
+		return fmt.Errorf("store: fleet: chunk %s: shards hold %d bytes, records say %d",
+			l.ref.Sum[:12], held, origLen)
 	}
-	blob = r.f.coder.Join(shards, origLen)
-	if chunk, err = verifyBlob(r.clock, blob, ref); err != nil {
-		return nil, nil, err
+	for i, shard := range shards {
+		shards[i] = shard[:max(0, min(len(shard), origLen))]
+		origLen -= len(shard)
 	}
-	return blob, chunk, nil
+	return verifyParts(r.clock, shards, l)
+}
+
+// fetchDegraded reads one chunk from any k survivors: the parity shards
+// join the gather and the chunk reconstructs; the shards that were missing
+// are owed to their alive home nodes and written back when the session
+// closes, so a degraded read heals the fleet as a side effect. Everything
+// stateful happens here; what is returned is the pure rest.
+func (r *fleetRead) fetchDegraded(l *landing) (func() error, error) {
+	sum := l.ref.Sum
+	have, origLen, bad := r.gather(sum, &l.addr, false)
+	shards, err := r.solve(sum, have, origLen, bad)
+	if err != nil {
+		return nil, err
+	}
+	r.owe(sum, origLen, shards, bad)
+	return func() error { return r.landShards(l, shards[:r.f.cfg.DataShards], origLen) }, nil
+}
+
+// refetch is the degraded read of a chunk one of whose data records failed
+// its digest. Any other failure stands: the shards verified, so what they
+// hold is what was stored.
+func (r *fleetRead) refetch(l *landing, cause error) error {
+	if cause != errBadRecord {
+		return cause
+	}
+	land, err := r.fetchDegraded(l)
+	if err != nil {
+		return err
+	}
+	return land()
 }
 
 // owe queues the given shard indices for write-back to their alive home
-// nodes.
+// nodes. A parity shard solve left out, its node being down, is skipped.
 func (r *fleetRead) owe(sum string, origLen int, shards [][]byte, idxs []int) {
-	nodes := r.f.placement(sum)
+	nodes := r.nodes(sum)
 	for _, i := range idxs {
 		n, key := nodes[i], recKey{sum, i}
-		if !n.alive() || r.owed[key] {
+		if shards[i] == nil || !n.alive() || r.owed[key] {
 			continue
 		}
 		if r.heals[n.name] == nil {

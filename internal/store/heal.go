@@ -111,30 +111,44 @@ func (s *Store) recordManifestHeal() {
 	s.heals.ManifestsHealed++
 }
 
-// fetchBlob loads one chunk, verified end to end. When the primary copy
-// is missing or corrupt and heal is set, each attached replica is tried
-// in order; the first verified copy is charged across the replica link,
-// re-written to the primary (best effort — a failed write-back degrades
-// the next read, not this one) and counted in HealStats.
-func (s *Store) fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) (blob, chunk []byte, err error) {
-	blob, chunk, err = s.readChunk(clock, ref)
-	if err == nil || !heal {
-		return blob, chunk, err
+// fetchBlob loads one chunk's blob, verified end to end, for a caller that
+// wants the stored form — a copy to another store, a scrub — rather than a
+// payload. When the primary copy is missing or corrupt and heal is set, the
+// attached replicas are tried (healBlob).
+func (s *Store) fetchBlob(clock *vtime.Clock, ref ChunkRef, heal bool) ([]byte, error) {
+	l, err := s.newLanding(ref)
+	if err != nil {
+		return nil, err
 	}
-	primaryErr := err
+	blob, err := s.readBlob(clock, ref)
+	if err == nil {
+		err = verifyParts(clock, [][]byte{blob}, l)
+	}
+	if err != nil && heal {
+		blob, err = s.healBlob(clock, l, err)
+	}
+	return blob, err
+}
+
+// healBlob reads a chunk whose primary copy failed with cause from the
+// attached replicas, in order. The first copy that verifies — which lands
+// the chunk in l.dst — is charged across the replica link, re-written to
+// the primary (best effort — a failed write-back degrades the next read,
+// not this one) and counted in HealStats.
+func (s *Store) healBlob(clock *vtime.Clock, l *landing, cause error) ([]byte, error) {
 	for _, r := range s.replicaList() {
-		rblob, rchunk, rerr := r.st.readChunk(clock, ref)
-		if rerr != nil {
+		blob, err := r.st.readBlob(clock, l.ref)
+		if err != nil || verifyParts(clock, [][]byte{blob}, l) != nil {
 			continue
 		}
 		if r.nic > 0 {
-			clock.Advance(r.nic.Transfer(int64(len(rblob))))
+			clock.Advance(r.nic.Transfer(int64(len(blob))))
 		}
-		wbErr := s.writeVerified(clock, s.chunkPath(ref.Sum), rblob)
-		s.recordChunkHeal(int64(len(rblob)), wbErr != nil)
-		return rblob, rchunk, nil
+		wbErr := s.writeVerified(clock, s.chunkPath(l.ref.Sum), blob)
+		s.recordChunkHeal(int64(len(blob)), wbErr != nil)
+		return blob, nil
 	}
-	return nil, nil, fmt.Errorf("%w (no replica could supply a good copy)", primaryErr)
+	return nil, fmt.Errorf("%w (no replica could supply a good copy)", cause)
 }
 
 // diskRead is a Store's read session: every chunk is its own file, so there
@@ -149,8 +163,22 @@ func (s *Store) openRead(clock *vtime.Clock, _ []ChunkRef, heal bool) chunkReade
 	return diskRead{s, clock, heal}
 }
 
-func (r diskRead) fetchBlob(ref ChunkRef) (blob, chunk []byte, err error) {
-	return r.s.fetchBlob(r.clock, ref, r.heal)
+// fetch reads the chunk's file. A file that will not read has nothing to
+// verify: the replicas are asked right away.
+func (r diskRead) fetch(l *landing) (func() error, error) {
+	blob, err := r.s.readBlob(r.clock, l.ref)
+	if err != nil {
+		return nil, r.refetch(l, err)
+	}
+	return func() error { return verifyParts(r.clock, [][]byte{blob}, l) }, nil
+}
+
+func (r diskRead) refetch(l *landing, cause error) error {
+	if !r.heal {
+		return cause
+	}
+	_, err := r.s.healBlob(r.clock, l, cause)
+	return err
 }
 
 func (diskRead) close() {}
@@ -312,7 +340,7 @@ func (s *Store) Scrub(clock *vtime.Clock) (ScrubReport, error) {
 		for _, c := range m.Chunks {
 			verr, seen := chunkState[c.Sum]
 			if !seen {
-				_, _, verr = s.fetchBlob(clock, c, true)
+				_, verr = s.fetchBlob(clock, c, true)
 				chunkState[c.Sum] = verr
 				rep.ChunksChecked++
 			}
@@ -367,7 +395,7 @@ func (s *Store) pullLostManifests(clock *vtime.Clock, rep *ScrubReport) {
 				if s.fs.Exists(s.chunkPath(c.Sum)) {
 					continue
 				}
-				blob, _, err := r.st.readChunk(clock, c)
+				blob, err := r.st.fetchBlob(clock, c, false)
 				if err != nil {
 					rep.Findings = append(rep.Findings, fmt.Sprintf("%s: not pulled from replica: %v", m.ID(), err))
 					ok = false

@@ -155,24 +155,55 @@ func decodeManifest(data []byte) (Manifest, error) {
 	return m, nil
 }
 
-// isDigest reports whether s is a SHA-256 in the lower-case hex every
-// writer here produces.
-func isDigest(s string) bool {
+// decodeDigest parses a SHA-256 in the lower-case hex every writer here
+// produces.
+func decodeDigest(s string) (sum [sha256.Size]byte, ok bool) {
 	if len(s) != hex.EncodedLen(sha256.Size) {
-		return false
+		return sum, false
 	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+	nibble := func(c byte) (byte, bool) {
+		switch {
+		case c >= '0' && c <= '9':
+			return c - '0', true
+		case c >= 'a' && c <= 'f':
+			return c - 'a' + 10, true
+		}
+		return 0, false
+	}
+	for i := range sum {
+		hi, ok1 := nibble(s[2*i])
+		lo, ok2 := nibble(s[2*i+1])
+		if !ok1 || !ok2 {
+			return sum, false
+		}
+		sum[i] = hi<<4 | lo
+	}
+	return sum, true
+}
+
+// isDigest reports whether s is such a SHA-256.
+func isDigest(s string) bool {
+	_, ok := decodeDigest(s)
+	return ok
+}
+
+// sizesAddUp reports whether the chunks' sizes, each within [0, max], add
+// up to exactly size.
+func sizesAddUp(refs []ChunkRef, size, max int64) bool {
+	for _, c := range refs {
+		if c.Size < 0 || c.Size > max || c.Size > size {
 			return false
 		}
+		size -= c.Size
 	}
-	return true
+	return size == 0
 }
 
 // validate rejects well-checksummed nonsense: a manifest whose numbers
 // the read path would otherwise trust into a panic. Sizes are
-// non-negative, content addresses are SHA-256 hex, and a segment map
-// partitions both the chunk list and the payload size exactly.
+// non-negative, content addresses are SHA-256 hex, the chunks' sizes add
+// up to the payload's, and a segment map partitions the chunk list and the
+// payload size exactly, each segment's chunks adding up to the segment.
 func (m Manifest) validate() error {
 	if m.Size < 0 || !isDigest(m.Digest) {
 		return fmt.Errorf("bad size %d or digest %q", m.Size, m.Digest)
@@ -183,18 +214,24 @@ func (m Manifest) validate() error {
 		}
 	}
 	if len(m.Segments) == 0 {
+		if !sizesAddUp(m.Chunks, m.Size, m.Size) {
+			return fmt.Errorf("chunk sizes do not add up to the payload's %d bytes", m.Size)
+		}
 		return nil
 	}
-	chunks, size := len(m.Chunks), m.Size
+	first, size := 0, m.Size
 	for _, seg := range m.Segments {
-		if seg.Chunks < 0 || seg.Chunks > chunks || seg.Size < 0 || seg.Size > size {
+		if seg.Chunks < 0 || seg.Chunks > len(m.Chunks)-first || seg.Size < 0 || seg.Size > size {
 			return fmt.Errorf("segment %q (%d chunks, %d bytes) does not fit the manifest", seg.Name, seg.Chunks, seg.Size)
 		}
-		chunks -= seg.Chunks
+		if !sizesAddUp(m.Chunks[first:first+seg.Chunks], seg.Size, seg.Size) {
+			return fmt.Errorf("segment %q: chunk sizes do not add up to its %d bytes", seg.Name, seg.Size)
+		}
+		first += seg.Chunks
 		size -= seg.Size
 	}
-	if chunks != 0 || size != 0 {
-		return fmt.Errorf("segments leave %d chunks and %d bytes uncovered", chunks, size)
+	if first != len(m.Chunks) || size != 0 {
+		return fmt.Errorf("segments leave %d chunks and %d bytes uncovered", len(m.Chunks)-first, size)
 	}
 	return nil
 }

@@ -1,0 +1,226 @@
+package store
+
+// The way back: a run of a manifest's chunks becomes one buffer, and every
+// byte of it is written once. The payload is allocated at the size the
+// manifest gives, each chunk inflates straight into its own range of it,
+// and the content address is hashed where the chunk lies. A read has an
+// ordered half and a pure half. The ordered half is the placement's read
+// session (chunkReader), called chunk by chunk on the reader's goroutine:
+// index lookups, disk and link time, the fault plan's ticks, repair
+// bookkeeping. The pure half — record digests, inflate, SHA-256 — shares
+// nothing between chunks and runs on GOMAXPROCS workers, and the manifest's
+// digest follows it over the verified chunks on a goroutine of its own.
+// Virtual time is charged with Clock.Advance, which commutes, so a read
+// costs the same whatever order the workers finish in.
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"sync"
+
+	"checl/internal/vtime"
+)
+
+// landing is one chunk on its way into a payload: where its content
+// belongs and the address it must hash to.
+type landing struct {
+	ref  ChunkRef
+	addr [sha256.Size]byte // ref.Sum, decoded once
+	dst  []byte            // ref.Size bytes of the payload
+	err  error             // what the chunk's pure half returned
+}
+
+// verifyParts turns one chunk's stored blob — given as the slices it lies
+// in — back into its content, in l.dst, and checks it against the content
+// address: inflate (to exactly the size the manifest records), SHA-256.
+// Every read path of both placements ends here.
+func verifyParts(clock *vtime.Clock, parts [][]byte, l *landing) error {
+	n, err := inflate(clock, parts, l.dst)
+	if err != nil {
+		return fmt.Errorf("store: chunk %s: %w", l.ref.Sum[:12], err)
+	}
+	if sum := sha256.Sum256(l.dst[:n]); sum != l.addr {
+		return fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", l.ref.Sum[:12], hex.EncodeToString(sum[:])[:12])
+	}
+	if n != len(l.dst) {
+		return fmt.Errorf("store: chunk %s holds %d bytes, manifest says %d", l.ref.Sum[:12], n, len(l.dst))
+	}
+	return nil
+}
+
+// newLanding readies one chunk to be read on its own, into a buffer of its
+// own: what a caller that wants a verified blob rather than a payload uses.
+func (e *engine) newLanding(ref ChunkRef) (*landing, error) {
+	l := &landing{ref: ref}
+	ok := false
+	if l.addr, ok = decodeDigest(ref.Sum); !ok || ref.Size < 0 || ref.Size > int64(e.cfg.MaxChunk) {
+		return nil, fmt.Errorf("store: chunk %.12s: store: chunk size %d out of range", ref.Sum, ref.Size)
+	}
+	l.dst = make([]byte, ref.Size)
+	return l, nil
+}
+
+// startPayloadDigest is startDigest's mirror on the way back: it hashes a
+// payload in order, chunk by chunk as each is reported verified, on its own
+// goroutine, so the manifest digest is ready soon after the last chunk is.
+// verified may be called from any goroutine, at most once per chunk. sum
+// stops the goroutine and must be called; the digest it returns means
+// something only when every chunk was reported. With one processor there
+// is nothing to run beside: sum hashes the finished payload, when complete
+// says there is one.
+func startPayloadDigest(payload []byte, lands []landing) (verified func(i int), sum func(complete bool) [sha256.Size]byte) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		return func(int) {}, func(complete bool) (out [sha256.Size]byte) {
+			if complete {
+				out = sha256.Sum256(payload)
+			}
+			return out
+		}
+	}
+	var out [sha256.Size]byte
+	ready := make(chan int, len(lands)) // one send per chunk: verified never blocks
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h := sha256.New()
+		seen := make([]bool, len(lands))
+		next := 0
+		for i := range ready {
+			seen[i] = true
+			for ; next < len(lands) && seen[next]; next++ {
+				h.Write(lands[next].dst)
+			}
+		}
+		h.Sum(out[:0])
+	}()
+	return func(i int) { ready <- i }, func(bool) [sha256.Size]byte {
+		close(ready)
+		<-done
+		return out
+	}
+}
+
+// startLanders starts the workers of one read. run hands them the pure
+// half of chunk i; its error is left in lands[i].err, and a chunk that
+// verified is reported. wait returns once everything handed over has run,
+// and stops the workers. With one processor run calls land itself.
+func startLanders(lands []landing, verified func(i int)) (run func(i int, land func() error), wait func()) {
+	do := func(i int, land func() error) {
+		if lands[i].err = land(); lands[i].err == nil {
+			verified(i)
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if workers == 1 {
+		return do, func() {}
+	}
+	type job struct {
+		i    int
+		land func() error
+	}
+	// A slot per worker: the session finds the next chunks while the workers
+	// are busy with these.
+	jobs := make(chan job, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				do(j.i, j.land)
+			}
+		}()
+	}
+	return func(i int, land func() error) { jobs <- job{i, land} }, func() {
+		close(jobs)
+		wg.Wait()
+	}
+}
+
+// readChunks is the engine's one chunk-landing loop: it reads the run of
+// chunks refs, size bytes in all, into one buffer, every chunk verified
+// against its content address, and with digest set hashes the buffer into
+// it. id names the manifest in errors. Nothing is read, and no buffer
+// allocated, unless the sizes the manifest gives are ones a Put can have
+// written and add up: every chunk lands in its own range of the buffer, so
+// from here on they are trusted.
+//
+// The session's fetch runs for every chunk in order, then — after all the
+// pure halves have run — its refetch for each chunk that failed, in order:
+// what the placement is asked to do, and in which order, depends on neither
+// the processor count nor the scheduler.
+func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, size int64, heal bool, digest *[sha256.Size]byte) ([]byte, error) {
+	if !sizesAddUp(refs, size, int64(e.cfg.MaxChunk)) {
+		return nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, e.cfg.MaxChunk, size)
+	}
+	payload := make([]byte, size)
+	lands := make([]landing, len(refs))
+	off := int64(0)
+	for i, ref := range refs {
+		addr, ok := decodeDigest(ref.Sum)
+		if !ok {
+			return nil, corruptf("store: %s: chunk %d: bad address %q", id, i, ref.Sum)
+		}
+		lands[i] = landing{ref: ref, addr: addr, dst: payload[off : off+ref.Size : off+ref.Size]}
+		off += ref.Size
+	}
+	rd := e.p.openRead(clock, refs, heal)
+	defer rd.close()
+	verified, sum := func(int) {}, func(bool) [sha256.Size]byte { return [sha256.Size]byte{} }
+	if digest != nil {
+		verified, sum = startPayloadDigest(payload, lands)
+	}
+	run, wait := startLanders(lands, verified)
+
+	var err error
+	fetched := 0
+	for ; fetched < len(lands); fetched++ {
+		var land func() error
+		if land, err = rd.fetch(&lands[fetched]); err != nil {
+			break
+		}
+		if land != nil {
+			run(fetched, land)
+		} else {
+			verified(fetched)
+		}
+	}
+	wait()
+	// A chunk the session cannot bring back ends the read: the first such in
+	// chunk order, which a failed land before the failed fetch would be.
+	for i := 0; i < fetched; i++ {
+		if l := &lands[i]; l.err != nil {
+			if rerr := rd.refetch(l, l.err); rerr != nil {
+				err = rerr
+				break
+			}
+			verified(i)
+		}
+	}
+	got := sum(err == nil)
+	if err != nil {
+		return nil, err
+	}
+	if digest != nil {
+		*digest = got
+	}
+	return payload, nil
+}
+
+// assemble reads and verifies every chunk of man and checks the payload
+// digest. With heal set, failed chunks fall back to the placement's
+// redundancy.
+func (e *engine) assemble(clock *vtime.Clock, man Manifest, heal bool) ([]byte, error) {
+	var got [sha256.Size]byte
+	payload, err := e.readChunks(clock, man.ID(), man.Chunks, man.Size, heal, &got)
+	if err != nil {
+		return nil, err
+	}
+	if want, ok := decodeDigest(man.Digest); !ok || got != want {
+		return nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %.12s, assembled %s)",
+			man.ID(), man.Digest, hex.EncodeToString(got[:])[:12])
+	}
+	return payload, nil
+}

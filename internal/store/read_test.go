@@ -1,0 +1,246 @@
+package store
+
+import (
+	"bytes"
+	"compress/flate"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"checl/internal/vtime"
+)
+
+// decompressOracle and verifyBlobOracle are the read path as it was first
+// written: the blob in one piece, inflated into a buffer of its own with a
+// byte of headroom, hashed, compared in hex. verifyParts must return the
+// same bytes or fail the same way.
+func decompressOracle(clock *vtime.Clock, blob []byte, size int64) ([]byte, error) {
+	if len(blob) == 0 {
+		return nil, fmt.Errorf("store: empty chunk blob")
+	}
+	if size < 0 || size > math.MaxInt32 {
+		return nil, fmt.Errorf("store: chunk size %d out of range", size)
+	}
+	switch blob[0] {
+	case codecRaw:
+		if int64(len(blob)-1) > size {
+			return nil, fmt.Errorf("store: chunk holds %d bytes, manifest says %d", len(blob)-1, size)
+		}
+		return blob[1:], nil
+	case codecFlate:
+		r := flate.NewReader(bytes.NewReader(blob[1:]))
+		data := make([]byte, size+1)
+		n := 0
+		for n < len(data) {
+			got, err := r.Read(data[n:])
+			n += got
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("store: decompress: %w", err)
+			}
+		}
+		if n == len(data) {
+			return nil, fmt.Errorf("store: chunk inflates past the %d bytes the manifest says", size)
+		}
+		if err := r.Close(); err != nil {
+			return nil, fmt.Errorf("store: decompress: %w", err)
+		}
+		clock.Advance(decompressBps.Transfer(int64(n)))
+		return data[:n], nil
+	default:
+		return nil, fmt.Errorf("store: unknown chunk codec 0x%02x", blob[0])
+	}
+}
+
+func verifyBlobOracle(clock *vtime.Clock, blob []byte, ref ChunkRef) ([]byte, error) {
+	chunk, err := decompressOracle(clock, blob, ref.Size)
+	if err != nil {
+		return nil, fmt.Errorf("store: chunk %s: %w", ref.Sum[:12], err)
+	}
+	sum := sha256.Sum256(chunk)
+	if got := hex.EncodeToString(sum[:]); got != ref.Sum {
+		return nil, fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", ref.Sum[:12], got[:12])
+	}
+	return chunk, nil
+}
+
+// checkVerifyParts reads blob, cut into parts, as the chunk ref describes,
+// both ways. The destination sits inside a longer buffer whose other bytes
+// must come through untouched.
+func checkVerifyParts(t *testing.T, blob []byte, parts [][]byte, ref ChunkRef) {
+	t.Helper()
+	const guard = 0xA5
+	buf := bytes.Repeat([]byte{guard}, int(ref.Size)+16)
+	l := &landing{ref: ref, dst: buf[8 : 8+ref.Size : 8+ref.Size]}
+	l.addr, _ = decodeDigest(ref.Sum)
+	c1, c2 := vtime.NewClock(), vtime.NewClock()
+	want, werr := verifyBlobOracle(c1, bytes.Join(parts, nil), ref)
+	gerr := verifyParts(c2, parts, l)
+	if !bytes.Equal(bytes.Join(parts, nil), blob) {
+		t.Fatal("the read changed the blob")
+	}
+	for i, b := range buf {
+		if (i < 8 || i >= 8+int(ref.Size)) && b != guard {
+			t.Fatalf("byte %d outside the %d-byte destination was written", i-8, ref.Size)
+		}
+	}
+	switch {
+	case werr != nil:
+		if gerr == nil || gerr.Error() != werr.Error() {
+			t.Fatalf("oracle fails with %q, verifyParts with %v", werr, gerr)
+		}
+	case int64(len(want)) != ref.Size:
+		// The oracle hands back whatever hashes right; a payload has room for
+		// exactly the manifest's size.
+		if gerr == nil || !strings.Contains(gerr.Error(), "manifest says") {
+			t.Fatalf("a %d-byte chunk landed in %d bytes: %v", len(want), ref.Size, gerr)
+		}
+	case gerr != nil || !bytes.Equal(l.dst, want):
+		t.Fatalf("oracle reads %d bytes, verifyParts: %v", len(want), gerr)
+	}
+	if gerr == nil && c1.Now() != c2.Now() {
+		t.Fatalf("oracle charged %v, verifyParts %v", c1.Now(), c2.Now())
+	}
+}
+
+// partsSeed is a blob, the size it is claimed to inflate to and the content
+// its address is taken from.
+type partsSeed struct {
+	blob    []byte
+	size    int
+	content []byte
+}
+
+// partsSeeds are raw and flate blobs read right, short, over-long,
+// truncated and bit-flipped, an unknown codec and no blob at all.
+func partsSeeds(t testing.TB) (seeds []partsSeed) {
+	add := func(blob []byte, size int, content []byte) {
+		seeds = append(seeds, partsSeed{blob, size, content})
+	}
+	for _, chunk := range [][]byte{compressible(2, 9000), payload(8, 5000), {}, {7}} {
+		blob, err := compress(vtime.NewClock(), nil, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := append([]byte{codecRaw}, chunk...)
+		for _, b := range [][]byte{blob, raw} {
+			add(b, len(chunk), chunk)
+			add(b, len(chunk)+3, chunk) // the manifest says more than there is
+			if len(chunk) > 0 {
+				add(b, len(chunk)-1, chunk) // inflates past / holds more
+				add(b, len(chunk)-1, chunk[:len(chunk)-1])
+				add(b[:len(b)/2], len(chunk), chunk) // truncated
+				flipped := append([]byte(nil), b...)
+				flipped[len(b)/2] ^= 0x10
+				add(flipped, len(chunk), chunk)
+			}
+		}
+	}
+	add([]byte{0x7f, 1, 2, 3}, 3, []byte{1, 2, 3})
+	add(nil, 0, nil)
+	return seeds
+}
+
+// TestVerifyPartsMatchesOracle runs the seeds whole, halved and cut the way
+// a 4+2 fleet cuts a blob into data shards.
+func TestVerifyPartsMatchesOracle(t *testing.T) {
+	for _, s := range partsSeeds(t) {
+		sum := sha256.Sum256(s.content)
+		ref := ChunkRef{Sum: hex.EncodeToString(sum[:]), Size: int64(s.size)}
+		shard := (len(s.blob) + 3) / 4
+		for _, lens := range [][]byte{nil, {byte(len(s.blob) / 2)}, {0, 1, 0}, {byte(shard), byte(shard), byte(shard)}} {
+			checkVerifyParts(t, s.blob, partition(s.blob, lens), ref)
+		}
+	}
+}
+
+// FuzzVerifyParts: an arbitrary blob, split at arbitrary points, claimed to
+// be of an arbitrary size, reads through the slice-list inflater exactly as
+// it does in one piece through the oracle — same bytes, same error, same
+// virtual time — and never writes outside the destination.
+func FuzzVerifyParts(f *testing.F) {
+	for _, s := range partsSeeds(f) {
+		sum := sha256.Sum256(s.content)
+		f.Add(s.blob, []byte{byte(len(s.blob) / 3), 0, byte(len(s.blob) / 3)}, uint16(s.size), sum[:])
+	}
+	f.Fuzz(func(t *testing.T, blob, lens []byte, size uint16, addr []byte) {
+		// Most mutations break the address; half the runs take it from what
+		// the blob really holds, so the accepting paths are reached too.
+		sum := sha256.Sum256(addr)
+		if len(addr) > 0 && addr[0]&1 == 0 {
+			if chunk, err := decompressOracle(vtime.NewClock(), blob, int64(size)); err == nil {
+				sum = sha256.Sum256(chunk)
+			}
+		}
+		ref := ChunkRef{Sum: hex.EncodeToString(sum[:]), Size: int64(size)}
+		checkVerifyParts(t, blob, partition(blob, lens), ref)
+	})
+}
+
+// TestReadIndependentOfProcs: what a Get returns, charges, repairs and
+// leaves on the disks is the same with one processor — everything inline —
+// as with workers, also when every third chunk has a flipped bit in its
+// file or in one of its data records and goes through the second try.
+func TestReadIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type outcome struct {
+		Err   string
+		Sum   [sha256.Size]byte
+		Clock vtime.Time
+		Heals HealStats
+		Files [][][2]string
+	}
+	for _, b := range confBackends {
+		var first outcome
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			cs := b.open(t, Config{})
+			clock := vtime.NewClock()
+			man, _ := mustPut(t, cs, clock, "job", append(payload(90, 200<<10), compressible(4, 100<<10)...), nil)
+			for i := 0; i < len(man.Chunks); i += 3 {
+				sum := man.Chunks[i].Sum
+				if f := cs.fleet; f != nil {
+					for idx, n := range f.placement(sum) {
+						if loc, ok := f.lookup(n, sum, idx); ok && n.alive() {
+							n.st.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
+							break
+						}
+					}
+				} else {
+					corruptFile(t, cs.stores[0].fs, cs.stores[0].chunkPath(sum))
+				}
+			}
+			var out outcome
+			got, _, err := cs.Get(clock, "job")
+			if err != nil {
+				out.Err = err.Error()
+			}
+			out.Sum, out.Clock = sha256.Sum256(got), clock.Now()
+			if cs.fleet != nil {
+				out.Heals = cs.fleet.Heals()
+			} else {
+				out.Heals = cs.stores[0].Heals()
+			}
+			for _, st := range cs.stores {
+				out.Files = append(out.Files, listing(st.fs))
+			}
+			if procs == 1 {
+				first = out
+				if healable := b.name == "disk+replica" || b.name == "fleet-4+2"; (err == nil) != healable {
+					t.Fatalf("%s: damaged get: %v", b.name, err)
+				}
+			} else if !reflect.DeepEqual(out, first) {
+				t.Errorf("%s: GOMAXPROCS %d: err %q clock %v heals %+v\n GOMAXPROCS 1: err %q clock %v heals %+v",
+					b.name, procs, out.Err, out.Clock, out.Heals, first.Err, first.Clock, first.Heals)
+			}
+		}
+	}
+}

@@ -141,13 +141,14 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		need = need[len(batch):]
 		r.prepare(batch, true)
 		for _, sum := range batch {
-			have, origLen, _ := r.gather(sum, false)
-			shards, err := r.solve(sum, have, origLen)
+			addr, _ := decodeDigest(sum) // a manifest's: it decoded
+			have, origLen, _ := r.gather(sum, &addr, false)
+			idxs, _ := missing(sum)
+			shards, err := r.solve(sum, have, origLen, idxs)
 			if err != nil {
 				lost[sum] = true
 				continue
 			}
-			idxs, _ := missing(sum)
 			r.owe(sum, origLen, shards, idxs)
 		}
 		n, b := r.settle(clock)

@@ -68,7 +68,7 @@ func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic
 		}
 		// The stored (compressed) representation moves verbatim; content
 		// addresses stay valid and no recompression is needed.
-		blob, _, err := s.fetchBlob(clock, c, true)
+		blob, err := s.fetchBlob(clock, c, true)
 		if err != nil {
 			chunk, ok := chunkData[c.Sum]
 			if !ok {

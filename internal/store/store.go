@@ -274,18 +274,14 @@ func (t *diskTxn) settle(clock *vtime.Clock, man Manifest) error {
 	return nil
 }
 
-// readChunk loads this store's own copy of one chunk and verifies it end
-// to end: read (with EIO retries), then verifyBlob. It returns both the
-// stored blob (for replication) and the uncompressed chunk.
-func (s *Store) readChunk(clock *vtime.Clock, ref ChunkRef) (blob, chunk []byte, err error) {
-	blob, err = readRetry(clock, s.fs, s.chunkPath(ref.Sum))
+// readBlob loads this store's own copy of one chunk's blob, with EIO
+// retries and nothing verified.
+func (s *Store) readBlob(clock *vtime.Clock, ref ChunkRef) ([]byte, error) {
+	blob, err := readRetry(clock, s.fs, s.chunkPath(ref.Sum))
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: chunk %s missing: %w", ref.Sum[:12], err)
+		return nil, fmt.Errorf("store: chunk %s missing: %w", ref.Sum[:12], err)
 	}
-	if chunk, err = verifyBlob(clock, blob, ref); err != nil {
-		return nil, nil, err
-	}
-	return blob, chunk, nil
+	return blob, nil
 }
 
 // manifestFiles scans the manifest namespace and returns every (job, seq)

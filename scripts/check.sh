@@ -44,6 +44,11 @@ go test -fuzz=FuzzDecodePack -fuzztime=10s ./internal/store
 # the byte-at-a-time oracle does, however the data is partitioned into a
 # slice list (minimising a new input re-runs both, so it gets a short leash).
 go test -fuzz=FuzzChunkerSplit -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+# Read-path fuzz: an arbitrary blob, split at arbitrary points and claimed
+# to be of an arbitrary size, reads through the slice-list inflater as it
+# does in one piece through the first-written oracle — same bytes, same
+# error, same virtual time — and never writes outside its destination.
+go test -fuzz=FuzzVerifyParts -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 # Command-stream decoder fuzz: the clEnqueueBatch frame decoder never
 # panics, never reads past the payload, refuses with a typed error, and
 # the server's executor survives whatever it accepted.
@@ -141,9 +146,10 @@ trap 'rm -f "$virt"' EXIT
 for w in suite call_storm ckpt_cycle recover; do
     out=$(go run ./bench -workload "$w" -seconds 1)
     echo "$out" | awk -v w="$w" '$1 ~ /^(vtime_ms|ckpt_stall_vms|restore_vms|migrate_vms|checl_overhead_pct|stored_per_user_byte)$/ { print w, $1, $2 }' >>"$virt"
-    if [ "$w" = ckpt_cycle ]; then
-        ckpt=$out
-    fi
+    case $w in
+    ckpt_cycle) ckpt=$out ;;
+    recover) recover=$out ;;
+    esac
 done
 if ! diff -u scripts/bench_expect.txt "$virt"; then
     echo "check.sh: virtual metrics differ from scripts/bench_expect.txt" >&2
@@ -153,12 +159,22 @@ rm -f "$virt"
 trap - EXIT
 # Host-clock gate on the ckpt_cycle run: a checkpoint is handed to the
 # store as views of the process's regions and copied only where a format or
-# the filesystem model demands it. One pass allocates ~690 MB and allocated
+# the filesystem model demands it. One pass allocates ~565 MB and allocated
 # 1 339 with a copy per layer (snapshot, image, compress buffer, shard,
 # pack growth), so a return to copy-per-layer fails here. So does a drain
 # that gathers on the server or bounces on the client: 1 136 with both.
-echo "$ckpt" | awk '$1 == "host_alloc_mb" { seen = 1; if ($2 > 800) { print "check.sh: ckpt_cycle host_alloc_mb " $2 " > 800" > "/dev/stderr"; exit 1 } }
-    END { if (!seen) { print "check.sh: bench printed no host_alloc_mb" > "/dev/stderr"; exit 1 } }'
+alloc_gate() {
+    echo "$2" | awk -v w="$1" -v max="$3" '$1 == "host_alloc_mb" { seen = 1; if ($2 > max) { print "check.sh: " w " host_alloc_mb " $2 " > " max > "/dev/stderr"; exit 1 } }
+        END { if (!seen) { print "check.sh: bench printed no host_alloc_mb for " w > "/dev/stderr"; exit 1 } }'
+}
+alloc_gate ckpt_cycle "$ckpt" 800
+# The same on the way back, on the recover run: a restore allocates the
+# payload its chunks inflate into — which the process's regions and the
+# buffers' staging copies then are — besides what the filesystem and device
+# models and the bench's own read-back allocate. One pass of six restores
+# allocates ~835 MB and allocated 1 660 with a copy per layer (joined blob,
+# chunk buffer, payload, regions, staging).
+alloc_gate recover "$recover" 1000
 # Speculative-checkpoint gate: the epoch state machine's drain streams,
 # validation and bounded retry ladder cross goroutines (the speculative
 # copies ride the same multi-stream drain), so the epoch tests, the
