@@ -206,13 +206,15 @@ func BenchmarkErasureFleet(b *testing.B) {
 			fleetX = float64(fl.TotalStoredBytes()) / float64(len(data))
 
 			cfg := store.Config{MinChunk: 1 << 10, AvgChunk: 4 << 10, MaxChunk: 16 << 10}
-			st := store.New(proc.NewFS("primary", hw.TableISpec().LocalDisk), cfg)
-			replica := store.New(proc.NewFS("replica", hw.TableISpec().LocalDisk), cfg)
-			st.AttachReplica(replica, hw.TableISpec().Inter.NIC)
+			st, err := store.NewMirror(proc.NewFS("primary", hw.TableISpec().LocalDisk),
+				proc.NewFS("replica", hw.TableISpec().LocalDisk), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, _, err := st.Put(clock, "bench", data); err != nil {
 				b.Fatal(err)
 			}
-			replicaX = float64(st.TotalStoredBytes()+replica.TotalStoredBytes()) / float64(len(data))
+			replicaX = float64(st.TotalStoredBytes()) / float64(len(data))
 		}
 		b.ReportMetric(fleetX, "fleet-overhead-x")
 		b.ReportMetric(replicaX, "replica-overhead-x")
@@ -220,19 +222,23 @@ func BenchmarkErasureFleet(b *testing.B) {
 }
 
 // BenchmarkScrubHeal measures the store's self-repair pass: a 3-generation
-// checkpoint sequence with a replica attached, a quarter of the stored
-// chunks rotted at rest, and one Scrub healing every one of them back from
-// the replica. Reported metrics are the healed volume and the virtual time
-// the repair pass cost.
+// checkpoint sequence on a disk with a mirror, a record in every 80 KiB of
+// the disk's packs rotted at rest (a record is at most 64 KiB and a header
+// long, so each flip is another record), and one Scrub healing every one of
+// them back from the mirror. Reported metrics are the healed volume and the
+// virtual time the repair pass cost.
 func BenchmarkScrubHeal(b *testing.B) {
-	var rep store.ScrubReport
+	var rep store.FleetScrubReport
+	var healed store.HealStats
 	var rotted int
 	var scrubTime vtime.Duration
 	for i := 0; i < b.N; i++ {
 		clock := vtime.NewClock()
-		st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), store.Config{})
-		replica := store.New(proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), store.Config{})
-		st.AttachReplica(replica, hw.TableISpec().Inter.NIC)
+		disk := proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk)
+		st, err := store.NewMirror(disk, proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), store.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
 
 		base := make([]byte, 4<<20)
 		rand.New(rand.NewSource(7)).Read(base)
@@ -244,34 +250,29 @@ func BenchmarkScrubHeal(b *testing.B) {
 			}
 		}
 		rotted = 0
-		for idx, p := range st.FS().List() {
-			if !strings.Contains(p, "/chunks/") || idx%4 != 0 {
+		for _, p := range disk.List() {
+			if !strings.Contains(p, "/packs/") {
 				continue
 			}
-			data, err := st.FS().ReadFile(clock, p)
-			if err != nil {
-				b.Fatal(err)
+			size, _ := disk.Size(p)
+			for off := int64(40 << 10); off < size; off += 80 << 10 {
+				disk.FlipBit(p, uint64(off)*8)
+				rotted++
 			}
-			data[len(data)/2] ^= 0xFF
-			if err := st.FS().WriteFile(clock, p, data); err != nil {
-				b.Fatal(err)
-			}
-			rotted++
 		}
 		sw := vtime.NewStopwatch(clock)
-		var err error
 		rep, err = st.Scrub(clock)
 		if err != nil {
 			b.Fatal(err)
 		}
 		scrubTime = sw.Elapsed()
-		if !rep.OK() || rep.Healed.ChunksHealed < rotted {
-			b.Fatalf("scrub healed %d of %d rotted chunks, findings %v",
-				rep.Healed.ChunksHealed, rotted, rep.Findings)
+		if healed = st.Heals(); !rep.OK() || rotted == 0 || rep.ShardsRebuilt < rotted {
+			b.Fatalf("scrub healed %d of %d rotted records, findings %v",
+				rep.ShardsRebuilt, rotted, rep.Findings)
 		}
 	}
-	b.ReportMetric(float64(rep.Healed.ChunksHealed), "healed-chunks")
-	b.ReportMetric(float64(rep.Healed.BytesHealed)/1e6, "healed-MB")
+	b.ReportMetric(float64(healed.ShardsHealed), "healed-records")
+	b.ReportMetric(float64(healed.ShardBytesHealed)/1e6, "healed-MB")
 	b.ReportMetric(scrubTime.Seconds()*1e3, "scrub-ms")
 }
 
@@ -678,7 +679,7 @@ func BenchmarkPartialRestart(b *testing.B) {
 	// ckpt-send(5) commit-barrier(6) — op 8 is the epoch-1 ring recv,
 	// safely after the first committed generation.
 	const killOp = 8
-	mkBody := func(st *store.Store, checls []*core.CheCL) func(*mpi.Rank) error {
+	mkBody := func(st *store.Fleet, checls []*core.CheCL) func(*mpi.Rank) error {
 		return func(r *mpi.Rank) error {
 			rank := r.Rank()
 			if checls[rank] == nil {

@@ -99,26 +99,7 @@ func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("  scrub:         %d chunks checked, %d shards re-coded, %d findings\n",
-		scrub.ChunksChecked, scrub.ShardsRebuilt, len(scrub.Findings))
-	fmt.Println("  per-node occupancy:")
-	total := int64(0)
-	for _, name := range fl.Nodes() {
-		st, _ := fl.NodeStore(name)
-		packs := 0
-		for _, path := range st.FS().List() {
-			if strings.Contains(path, "/packs/") {
-				packs++
-			}
-		}
-		records := fmt.Sprintf("%6d records", scrub.PerNode[name].ShardsChecked)
-		if scrub.PerNode[name].Down {
-			records = "   (down)     "
-		}
-		fmt.Printf("    %-9s %4d packs  %s  %8.3f MB\n", name, packs, records, float64(st.TotalStoredBytes())/1e6)
-		total += st.TotalStoredBytes()
-	}
-	fmt.Printf("    %-9s %28s %8.3f MB\n", "total", "", float64(total)/1e6)
+	printScrub(fl, nodes, scrub)
 
 	// Degraded read: any m nodes down, the checkpoint must still restore.
 	// Each Get returns a payload of its own, which the caller owns: the two
@@ -163,11 +144,47 @@ func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 	fmt.Printf("  rebuild:       replaced %s; %d shards re-coded (%.3f MB) across %d chunks in %s (%d paced batches)\n",
 		victim, rst.ShardsRebuilt, float64(rst.BytesRebuilt)/1e6, rst.ChunksScanned, rst.Time, rst.Batches)
 
-	heals := fl.Heals()
-	fmt.Printf("  heal ledger:   %d shards (%.3f MB) re-coded, %d manifest copies re-published\n",
-		heals.ShardsHealed, float64(heals.ShardBytesHealed)/1e6, heals.ManifestsHealed)
+	printHeals(fl)
 
 	jobs := fl.Jobs()
 	sort.Strings(jobs)
 	fmt.Printf("  jobs:          %v\n", jobs)
+}
+
+// printScrub reports one scrub pass and the per-node occupancy it verified:
+// packs, the shard records inside them, and bytes. nodes are the store's
+// members and the filesystems behind them.
+func printScrub(fl *store.Fleet, nodes []store.FleetNode, scrub store.FleetScrubReport) {
+	fmt.Printf("  scrub:         %d chunks checked, %d shards re-coded, %d findings\n",
+		scrub.ChunksChecked, scrub.ShardsRebuilt, len(scrub.Findings))
+	fmt.Println("  per-node occupancy:")
+	prefix := fl.Config().Store.Prefix + "/"
+	total := int64(0)
+	for _, n := range nodes {
+		packs, stored := 0, int64(0)
+		for _, path := range n.FS.List() {
+			if !strings.HasPrefix(path, prefix) {
+				continue
+			}
+			if strings.HasPrefix(path, prefix+"packs/") {
+				packs++
+			}
+			size, _ := n.FS.Size(path)
+			stored += size
+		}
+		records := fmt.Sprintf("%6d records", scrub.PerNode[n.Name].ShardsChecked)
+		if scrub.PerNode[n.Name].Down {
+			records = "   (down)     "
+		}
+		fmt.Printf("    %-9s %4d packs  %s  %8.3f MB\n", n.Name, packs, records, float64(stored)/1e6)
+		total += stored
+	}
+	fmt.Printf("    %-9s %28s %8.3f MB\n", "total", "", float64(total)/1e6)
+}
+
+// printHeals reports the store's cumulative self-heal ledger.
+func printHeals(fl *store.Fleet) {
+	heals := fl.Heals()
+	fmt.Printf("  heal ledger:   %d shards (%.3f MB) re-coded, %d manifest copies re-published\n",
+		heals.ShardsHealed, float64(heals.ShardBytesHealed)/1e6, heals.ManifestsHealed)
 }

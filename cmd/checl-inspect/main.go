@@ -11,7 +11,7 @@
 //	                                                 app runs; print fault-tolerance counters
 //	checl-inspect [flags] store ls                   list a demo store's manifests and chunks
 //	checl-inspect [flags] store fsck                 verify every chunk and manifest
-//	checl-inspect [flags] store scrub                repair the store from its replica
+//	checl-inspect [flags] store scrub                repair the store from its mirror
 //	checl-inspect [-disk-faults N] store ...         inject a disk fault every N filesystem
 //	                                                 operations while the store fills
 //	checl-inspect [flags] store fleet                checkpoint into a 6-node 4+2 erasure-coded
@@ -27,10 +27,10 @@
 //	                                                 log/replay/stall accounting
 //
 // The store subcommands checkpoint the demo app twice into a
-// content-addressed store (with one replica attached), so `ls` shows
+// content-addressed store on a disk with a mirror (1+1), so `ls` shows
 // dedup at work, `fsck` walks a non-trivial chunk set, and `scrub` under
-// -disk-faults has real damage to heal. fsck and scrub exit non-zero when
-// findings remain, so CI can gate on them.
+// -disk-faults repairs what the faults left behind. fsck and scrub exit
+// non-zero when findings remain, so CI can gate on them.
 package main
 
 import (
@@ -233,10 +233,10 @@ func main() {
 
 // storeCmd builds a demonstration store with two checkpoints of the app
 // (the second deduplicates against the first) and runs the ls, fsck or
-// scrub view over it. The store lives on its own disk with one replica
-// attached; -disk-faults N makes that disk fail every Nth operation, so
-// the checkpoints only land because of write verification and retries —
-// and scrub has real at-rest damage to repair.
+// scrub view over it. The store lives on its own disk with a mirror (1+1);
+// -disk-faults N makes that disk fail every Nth operation, so the
+// checkpoints only land because of write verification and retries, and
+// scrub repairs what those left behind.
 func storeCmd(appName string, scale float64, sub string, diskFaults int) {
 	app, ok := apps.ByName(appName)
 	if !ok {
@@ -270,19 +270,18 @@ func storeCmd(appName string, scale float64, sub string, diskFaults int) {
 		})
 		ckptDisk = proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk, proc.WithFault(inj))
 	}
-	st := store.New(ckptDisk, store.Config{})
-	replica := store.New(proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), store.Config{})
-	st.AttachReplica(replica, node.Spec.Inter.NIC)
+	mirror := proc.NewFS("replica-disk", hw.TableISpec().LocalDisk)
+	st, err := store.NewMirror(ckptDisk, mirror, store.Config{})
+	if err != nil {
+		fatal(err)
+	}
 	for i := 0; i < 2; i++ {
+		// A failed Put is a simulated crash; what it leaves behind is
+		// scrub's to collect, and the checkpoint is simply taken again.
 		var perr error
 		for attempt := 0; attempt < 5; attempt++ {
 			if _, perr = c.CheckpointToStore(st, app.Name); perr == nil {
 				break
-			}
-			// A failed Put is a simulated crash: sweep the staging area and
-			// take the checkpoint again, exactly as a production opener would.
-			if _, rerr := st.Recover(); rerr != nil {
-				fatal(rerr)
 			}
 		}
 		if perr != nil {
@@ -300,7 +299,7 @@ func storeCmd(appName string, scale float64, sub string, diskFaults int) {
 	case "fsck":
 		storeFsck(node, st)
 	case "scrub":
-		storeScrub(node, st)
+		storeScrub(node, st, []store.FleetNode{{Name: ckptDisk.Name(), FS: ckptDisk}, {Name: mirror.Name(), FS: mirror}})
 	}
 }
 
@@ -351,10 +350,10 @@ func printDrain(st core.CheckpointStats) {
 	}
 }
 
-func storeLs(st *store.Store) {
+func storeLs(st *store.Fleet) {
 	mans, issues := st.Manifests()
 	fmt.Printf("checkpoint store on %q: %d manifests, %d jobs, %.3f MB stored\n",
-		st.FS().Name(), len(mans), len(st.Jobs()), float64(st.TotalStoredBytes())/1e6)
+		st.Name(), len(mans), len(st.Jobs()), float64(st.TotalStoredBytes())/1e6)
 	for _, iss := range issues {
 		fmt.Printf("  UNREADABLE %s: %v\n", iss.ID(), iss.Err)
 	}
@@ -377,7 +376,7 @@ func storeLs(st *store.Store) {
 	}
 }
 
-func storeFsck(node *proc.Node, st *store.Store) {
+func storeFsck(node *proc.Node, st *store.Fleet) {
 	rep, err := st.Fsck(node.Clock)
 	if err != nil {
 		fatal(err)
@@ -393,16 +392,15 @@ func storeFsck(node *proc.Node, st *store.Store) {
 	fmt.Println("  store is consistent")
 }
 
-func storeScrub(node *proc.Node, st *store.Store) {
+func storeScrub(node *proc.Node, st *store.Fleet, nodes []store.FleetNode) {
 	rep, err := st.Scrub(node.Clock)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("scrub: %d manifests, %d chunks checked\n", rep.Manifests, rep.ChunksChecked)
-	fmt.Printf("  healed:       %d chunks (%.3f MB), %d manifests, %d write-back failures\n",
-		rep.Healed.ChunksHealed, float64(rep.Healed.BytesHealed)/1e6,
-		rep.Healed.ManifestsHealed, rep.Healed.WritebackFailures)
-	fmt.Printf("  quarantined:  %d manifests\n", len(rep.Quarantined))
+	fmt.Printf("scrub of %q: %d manifests\n", st.Name(), rep.Manifests)
+	printScrub(st, nodes, rep)
+	printHeals(st)
+	fmt.Printf("  quarantined:   %d manifests\n", len(rep.Quarantined))
 	for _, f := range rep.Findings {
 		fmt.Printf("  FINDING %s\n", f)
 	}

@@ -26,32 +26,36 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestStoreFleetGolden pins what `checl-inspect -node-faults 11 store fleet`
-// prints: the fault plan is seeded and every time is virtual, so the whole
-// report — packs and records per node, the degraded read, the rebuild, the
-// heal ledger — is a fixed text.
+// TestStoreFleetGolden pins what the store invocations scripts/check.sh
+// smokes print: fault plans are seeded and every time is virtual, so each
+// whole report — packs and records per node, the degraded read, the
+// rebuild, the heal ledger — is a fixed text.
 func TestStoreFleetGolden(t *testing.T) {
-	const args = "-node-faults 11 store fleet"
-	const golden = "testdata/store_fleet.golden"
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), inspectChildEnv+"="+args)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	got, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("checl-inspect %s: %v\n%s", args, err, stderr.String())
-	}
-	if *updateGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+	for _, tc := range []struct{ args, golden string }{
+		{"-node-faults 11 store fleet", "testdata/store_fleet.golden"},
+		{"store fsck", "testdata/store_fsck.golden"},
+		{"-disk-faults 7 store scrub", "testdata/store_scrub.golden"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), inspectChildEnv+"="+tc.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("checl-inspect %s: %v\n%s", tc.args, err, stderr.String())
+		}
+		if *updateGolden {
+			if err := os.WriteFile(tc.golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("checl-inspect %s printed\n%s\nwant\n%s", args, got, want)
+		if !bytes.Equal(got, want) {
+			t.Errorf("checl-inspect %s printed\n%s\nwant\n%s", tc.args, got, want)
+		}
 	}
 }

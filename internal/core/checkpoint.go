@@ -1075,10 +1075,9 @@ func (c *CheCL) handOver(ms MigrationStats, restore func() (*CheCL, RestartStats
 // mostly-unchanged job transfer only the delta), and the application
 // restarts on target reading from dst. Pass dst == nil (or dst == src,
 // e.g. an NFS-backed store or an erasure-coded fleet both nodes reach) to
-// skip replication and restore straight from src. Chunk-level replication
-// is a plain-store operation; a fleet already spreads every checkpoint
-// across its nodes, so migrating via a fleet uses the shared-store path
-// (dst nil or == src), and mixing backend kinds is rejected.
+// skip replication and restore straight from src. Any two stores replicate,
+// whatever their geometries; replication is an operation of the stores
+// themselves, so src and dst must then be *store.Fleet, not decorators.
 func MigrateViaStore(c *CheCL, src store.Backend, job string, target *proc.Node, dst store.Backend, opts Options) (*CheCL, MigrationStats, error) {
 	var ms MigrationStats
 	srcNode := c.app.Node()
@@ -1103,10 +1102,10 @@ func MigrateViaStore(c *CheCL, src store.Backend, job string, target *proc.Node,
 
 	restoreStore := src
 	if dst != nil && dst != src {
-		srcStore, sok := src.(*store.Store)
-		dstStore, dok := dst.(*store.Store)
+		srcStore, sok := src.(*store.Fleet)
+		dstStore, dok := dst.(*store.Fleet)
 		if !sok || !dok {
-			return nil, ms, fmt.Errorf("checl: migrate via store: replication needs plain stores on both sides (src %s, dst %s) — a fleet is shared, pass dst == src", src.Name(), dst.Name())
+			return nil, ms, fmt.Errorf("checl: migrate via store: cannot replicate from %T to %T", src, dst)
 		}
 		sw := vtime.NewStopwatch(target.Clock)
 		if _, _, err := srcStore.Replicate(target.Clock, ckpt.Manifest, dstStore, srcNode.Spec.Inter.NIC); err != nil {

@@ -32,16 +32,17 @@ func readBuffers(t *testing.T, api ocl.API, app *vaddApp) map[ocl.Mem][]byte {
 
 // TestDurableCheckpointScrubRestoreSoak runs checkpoint/scrub/restore
 // cycles of a live OpenCL app against a checkpoint disk that injects a
-// fault on every 6th operation, with one clean replica attached. Every
-// cycle must restore bit-identical with no degradation: verified writes,
-// retries and replica healing absorb the whole fault plan.
+// fault on every 6th operation, with a clean mirror (1+1). Every cycle
+// must restore bit-identical with no degradation: verified writes, retries
+// and healing from the mirror absorb the whole fault plan.
 func TestDurableCheckpointScrubRestoreSoak(t *testing.T) {
 	node := newNodeNV("pc0")
 	inj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 2026, EveryN: 6})
 	ckptFS := proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk, proc.WithFault(inj))
-	st := store.New(ckptFS, fineChunks)
-	replica := store.New(proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), fineChunks)
-	st.AttachReplica(replica, node.Spec.Inter.NIC)
+	st, err := store.NewMirror(ckptFS, proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), fineChunks)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
@@ -71,10 +72,6 @@ func TestDurableCheckpointScrubRestoreSoak(t *testing.T) {
 		for attempt := 0; attempt < 5 && !committed; attempt++ {
 			if _, ckErr = c.CheckpointToStore(st, "vadd"); ckErr == nil {
 				committed = true
-				break
-			}
-			if _, rerr := st.Recover(); rerr != nil {
-				t.Fatalf("cycle %d: recover between attempts: %v", cycle, rerr)
 			}
 		}
 		if !committed {
@@ -122,7 +119,8 @@ func TestDurableCheckpointScrubRestoreSoak(t *testing.T) {
 // the typed *store.DegradedRestore, never a silently wrong payload.
 func TestRestoreFromStoreDegraded(t *testing.T) {
 	node := newNodeNV("pc0")
-	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	ckptFS := proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk)
+	st := store.New(ckptFS, fineChunks)
 
 	_, c := attach(t, node, Options{})
 	app := setupVaddApp(t, c, 1<<14)
@@ -152,39 +150,12 @@ func TestRestoreFromStoreDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt a chunk only the newest generation references.
-	m1, err := st.Resolve("vadd@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := st.Resolve("vadd@2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := map[string]bool{}
-	for _, ch := range m1.Chunks {
-		old[ch.Sum] = true
-	}
-	unique := ""
-	for _, ch := range m2.Chunks {
-		if !old[ch.Sum] {
-			unique = ch.Sum
-			break
-		}
-	}
-	if unique == "" {
-		t.Fatal("second generation shares every chunk with the first")
+	// Corrupt a chunk only the newest generation references: its pack holds
+	// the records of exactly the chunks the first generation did not have.
+	if !ckptFS.FlipBit("ckptstore/packs/vadd/00000002.0", 4096*8) {
+		t.Fatal("the second generation wrote no pack of its own")
 	}
 	clock := vtime.NewClock()
-	path := "ckptstore/chunks/" + unique
-	data, err := st.FS().ReadFile(clock, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := st.FS().WriteFile(clock, path, data); err != nil {
-		t.Fatal(err)
-	}
 
 	rc, rst, err := RestoreFromStore(node, st, "vadd", Options{})
 	if err != nil {
@@ -211,12 +182,12 @@ func TestRestoreFromStoreDegraded(t *testing.T) {
 	// Damage every remaining generation: the restore must fail with the
 	// typed report, never return garbage.
 	for _, p := range []string{"ckptstore/manifests/vadd/00000001", "ckptstore/manifests/vadd/00000002"} {
-		frame, err := st.FS().ReadFile(clock, p)
+		frame, err := ckptFS.ReadFile(clock, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		frame[len(frame)/2] ^= 0xFF
-		if err := st.FS().WriteFile(clock, p, frame); err != nil {
+		if err := ckptFS.WriteFile(clock, p, frame); err != nil {
 			t.Fatal(err)
 		}
 	}

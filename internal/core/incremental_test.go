@@ -449,13 +449,13 @@ func runIncrementalRestoreDigest(t *testing.T, a apps.App, scale float64, inj *i
 	}
 
 	var ckptFS *proc.FS
-	var st *store.Store
+	var st *store.Fleet
 	if incremental {
 		diskInj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 2027, EveryN: 8})
 		ckptFS = proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk, proc.WithFault(diskInj))
-		st = store.New(ckptFS, fineChunks)
-		replica := store.New(proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), fineChunks)
-		st.AttachReplica(replica, node.Spec.Inter.NIC)
+		if st, err = store.NewMirror(ckptFS, proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), fineChunks); err != nil {
+			t.Fatal(err)
+		}
 	} else {
 		ckptFS = proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk)
 		st = store.New(ckptFS, fineChunks)
@@ -467,9 +467,6 @@ func runIncrementalRestoreDigest(t *testing.T, a apps.App, scale float64, inj *i
 		for attempt := 0; attempt < 5; attempt++ {
 			if stats, ckErr = c.CheckpointToStore(st, a.Name); ckErr == nil {
 				return stats
-			}
-			if _, rerr := st.Recover(); rerr != nil {
-				t.Fatalf("recover between attempts: %v", rerr)
 			}
 		}
 		t.Fatalf("checkpoint failed 5 attempts: %v", ckErr)

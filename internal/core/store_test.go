@@ -242,6 +242,40 @@ func TestMigrateViaSharedStoreSkipsReplication(t *testing.T) {
 	app.verify(t)
 }
 
+// TestMigrateViaStoreAcrossGeometries: any store replicates into any other —
+// here out of a store on the cluster's NFS (1+0) into a 4+2 fleet, which
+// the target then restores from.
+func TestMigrateViaStoreAcrossGeometries(t *testing.T) {
+	cluster := proc.NewCluster("pc", 2, hw.TableISpec(), func(i int) []*ocl.Vendor {
+		return []*ocl.Vendor{ocl.NVIDIA()}
+	})
+	src, dst := cluster.Nodes[0], cluster.Nodes[1]
+	nfsStore := store.New(cluster.NFS, fineChunks)
+	fleet, _ := newTestFleet(t)
+
+	_, c := attach(t, src, Options{})
+	app := setupVaddApp(t, c, 1<<15)
+	app.launch(t)
+	c.Finish(app.q)
+
+	rc, ms, err := MigrateViaStore(c, nfsStore, "vadd", dst, fleet, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Detach()
+	if ms.Transfer <= 0 {
+		t.Error("cross-store migration must pay a NIC transfer")
+	}
+	if man, ok, err := fleet.Latest("vadd"); err != nil || !ok || man.ID() != ms.Checkpoint.Manifest {
+		t.Errorf("the fleet's latest is %s (%v, %v), migrated %s", man.ID(), ok, err, ms.Checkpoint.Manifest)
+	}
+	if rc.App().Node() != dst {
+		t.Error("restored app on wrong node")
+	}
+	app.api = rc
+	app.verify(t)
+}
+
 func TestStoreCheckpointSurfacesNoSpace(t *testing.T) {
 	node := newNodeNV("pc0")
 	tiny := proc.NewFS("tiny", hw.TableISpec().LocalDisk, proc.WithCapacity(16<<10))

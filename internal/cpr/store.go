@@ -146,7 +146,7 @@ func (DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job
 
 // restartFromStore is the shared store restart path: walk the generation
 // chain newest-first, taking the first checkpoint that both assembles
-// bit-identical (healed from replicas where possible) and decodes as a
+// bit-identical (healed from surviving shards where possible) and decodes as a
 // process image. The store hands the payload over for good, the image is
 // decoded as ranges of it, and the restored process adopts those: from the
 // store's buffer to the process's memory the image is never copied.

@@ -280,7 +280,7 @@ func TestFleetErasureStoreSoak(t *testing.T) {
 	if r.RealMismatches != 0 {
 		t.Fatalf("%d corrupted real restores through the erasure fleet", r.RealMismatches)
 	}
-	if f.rig == nil || f.rig.ckfleet == nil {
+	if f.rig == nil || len(f.rig.st.Nodes()) < 6 {
 		t.Fatal("sampling rig did not build an erasure fleet")
 	}
 	if f.rig.inj == nil || f.rig.inj.Injected() == 0 {

@@ -23,8 +23,7 @@ import (
 // eviction time.
 type realRig struct {
 	cluster *proc.Cluster
-	st      store.Backend
-	ckfleet *store.Fleet // non-nil when Config.StoreNodes selected a fleet
+	st      *store.Fleet // on the cluster's NFS, or a 4+2 fleet when Config.StoreNodes selected one
 	inj     *proc.NodeFaultInjector
 	seq     int
 }
@@ -60,7 +59,7 @@ func newRealRig(cfg Config) (*realRig, error) {
 		r.inj = proc.NewNodeFaultInjector(plan)
 		fl.AttachFaults(r.inj)
 	}
-	r.st, r.ckfleet = fl, fl
+	r.st = fl
 	return r, nil
 }
 

@@ -415,13 +415,13 @@ func ablationProxyCrash(scale float64) (AblationResult, error) {
 // ablationDiskFaults: the checkpoint-durability arms. The baseline
 // restores from a clean checkpoint disk; the faulty arm checkpoints and
 // restores through a seeded every-5th-operation disk fault plan with a
-// clean replica attached (the restore must come back undegraded — the
-// difference is the price of retries and healing reads); the scrub arm
-// rots a batch of chunks at rest and measures one repair pass.
+// clean mirror (the restore must come back undegraded — the difference is
+// the price of retries and healing reads); the scrub arm rots a batch of
+// records at rest and measures one repair pass.
 func ablationDiskFaults(scale float64) (AblationResult, error) {
 	res := AblationResult{
 		Name:  "disk-faults",
-		Claim: "verified writes + replica healing turn disk faults into latency, never data loss",
+		Claim: "verified writes + mirror healing turn disk faults into latency, never data loss",
 	}
 	chunks := store.Config{MinChunk: 1 << 10, AvgChunk: 4 << 10, MaxChunk: 16 << 10}
 
@@ -447,24 +447,22 @@ func ablationDiskFaults(scale float64) (AblationResult, error) {
 	})
 
 	// Arm 2: the same flow through a disk faulting every 5th operation,
-	// with one clean replica absorbing what retries cannot.
+	// with a clean mirror absorbing what retries cannot.
 	node, c, err = runAppUnderCheCL("oclVectorAdd", scale, core.Options{})
 	if err != nil {
 		return res, err
 	}
 	defer c.Detach()
 	inj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 2026, EveryN: 5})
-	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk, proc.WithFault(inj)), chunks)
-	replica := store.New(proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), chunks)
-	st.AttachReplica(replica, node.Spec.Inter.NIC)
+	ckptDisk := proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk, proc.WithFault(inj))
+	st, err := store.NewMirror(ckptDisk, proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), chunks)
+	if err != nil {
+		return res, err
+	}
 	committed := false
 	for attempt := 0; attempt < 5 && !committed; attempt++ {
 		if _, err = c.CheckpointToStore(st, "abl"); err == nil {
 			committed = true
-			break
-		}
-		if _, rerr := st.Recover(); rerr != nil {
-			return res, rerr
 		}
 	}
 	if !committed {
@@ -476,42 +474,39 @@ func ablationDiskFaults(scale float64) (AblationResult, error) {
 	}
 	rc.Detach()
 	if rst.Degraded != nil {
-		return res, fmt.Errorf("harness: disk-fault restore degraded despite replica: %v", rst.Degraded)
+		return res, fmt.Errorf("harness: disk-fault restore degraded despite the mirror: %v", rst.Degraded)
 	}
 	res.Variants = append(res.Variants, AblationVariant{
 		Name: "faults-healed", Metric: "image read", Value: rst.ReadTime,
 	})
 
-	// Arm 3: rot a batch of stored chunks and measure one scrub pass
-	// repairing them from the replica.
+	// Arm 3: rot a batch of the primary's records and measure one scrub
+	// pass repairing them from the mirror. A record is at most a chunk and
+	// its header long, so flips a stride apart land in different records.
 	inj.Suspend()
-	clock := vtime.NewClock()
+	const stride = 17 << 10
 	rotted := 0
-	for _, p := range st.FS().List() {
-		if !strings.Contains(p, "/chunks/") || rotted >= 16 {
+	for _, p := range ckptDisk.List() {
+		if !strings.Contains(p, "/packs/") {
 			continue
 		}
-		data, err := st.FS().ReadFile(clock, p)
-		if err != nil {
-			return res, err
+		size, _ := ckptDisk.Size(p)
+		for off := int64(stride / 2); off < size && rotted < 16; off += stride {
+			ckptDisk.FlipBit(p, uint64(off)*8)
+			rotted++
 		}
-		data[len(data)/2] ^= 0xFF
-		if err := st.FS().WriteFile(clock, p, data); err != nil {
-			return res, err
-		}
-		rotted++
 	}
 	sw := vtime.NewStopwatch(node.Clock)
 	rep, err := st.Scrub(node.Clock)
 	if err != nil {
 		return res, err
 	}
-	if !rep.OK() || rep.Healed.ChunksHealed < rotted {
-		return res, fmt.Errorf("harness: scrub healed %d of %d rotted chunks, findings %v",
-			rep.Healed.ChunksHealed, rotted, rep.Findings)
+	if !rep.OK() || rotted < 16 || rep.ShardsRebuilt < rotted {
+		return res, fmt.Errorf("harness: scrub healed %d of %d rotted records, findings %v",
+			rep.ShardsRebuilt, rotted, rep.Findings)
 	}
 	res.Variants = append(res.Variants, AblationVariant{
-		Name: fmt.Sprintf("scrub-heal-x%d", rep.Healed.ChunksHealed), Metric: "scrub pass", Value: sw.Elapsed(),
+		Name: fmt.Sprintf("scrub-heal-x%d", rep.ShardsRebuilt), Metric: "scrub pass", Value: sw.Elapsed(),
 	})
 	return res, nil
 }

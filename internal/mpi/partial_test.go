@@ -38,7 +38,7 @@ func bufPattern(rank, epoch, n int) []byte {
 
 type scenario struct {
 	cl     *proc.Cluster
-	st     *store.Store
+	st     *store.Fleet
 	w      *World
 	job    string
 	epochs int

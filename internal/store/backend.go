@@ -2,17 +2,15 @@ package store
 
 // Backend is the checkpoint-store surface core, cpr and mpi program
 // against: everything a checkpoint writer and a restore walk need. All of
-// it is the engine's (engine.go), so the single-filesystem *Store and the
-// erasure-coded *Fleet satisfy it with the same code. Repair stays on the
-// concrete types — Recover, Scrub, Rebuild and replication are what a
-// placement is.
+// it is the engine's (engine.go), which *Fleet embeds at every geometry;
+// the interface is what lets a caller put a decorator in front of one.
 
 import "checl/internal/vtime"
 
-// Backend is implemented by *Store and *Fleet.
+// Backend is implemented by *Fleet.
 type Backend interface {
 	// Name identifies the backend in checkpoint records and tooling
-	// (a Store reports its backing filesystem's name).
+	// (a store opened on one filesystem reports that filesystem's name).
 	Name() string
 	Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error)
 	PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error)
@@ -26,7 +24,4 @@ type Backend interface {
 	TotalStoredBytes() int64
 }
 
-var (
-	_ Backend = (*Store)(nil)
-	_ Backend = (*Fleet)(nil)
-)
+var _ Backend = (*Fleet)(nil)

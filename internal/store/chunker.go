@@ -4,10 +4,12 @@
 // successive checkpoints of the same job and across jobs, written through
 // a modelled compression stage whose CPU cost is charged to the virtual
 // clock, and tracked by manifests (version, chunk list, integrity digest,
-// parent-checkpoint link). The store supports replication of
-// manifests+chunks to other nodes' filesystems, reference-counted garbage
-// collection with a keep-last-N retention policy, and verification (Fsck)
-// that detects corrupt or missing chunks.
+// parent-checkpoint link). Chunks are erasure-coded k+m over the store's
+// nodes — one filesystem is 1+0, a mirror 1+1 (fleet.go). The store
+// supports replication of manifests+chunks into other stores,
+// reference-counted garbage collection with a keep-last-N retention policy,
+// verification (Fsck) that detects corrupt or missing chunks, and repair
+// (Scrub, Rebuild).
 //
 // The paper's checkpoint pipeline writes each dump as one monolithic file
 // whose cost is linear in size (Fig. 5, corr ≈ 0.99); its future-work

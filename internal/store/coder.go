@@ -88,10 +88,13 @@ type Coder struct {
 }
 
 // NewCoder builds a coder for k data and m parity shards. k+m is capped
-// at 256 by the field size.
+// at 256 by the field size. The degenerate geometries are legal: with m = 0
+// there is no parity and nothing survives a loss, and with k = 1 the one
+// data shard is the chunk itself and every parity shard a copy of it (the
+// systematic generator of a one-column Vandermonde matrix is all ones).
 func NewCoder(k, m int) (*Coder, error) {
-	if k < 1 || m < 1 {
-		return nil, fmt.Errorf("coder: need k >= 1 and m >= 1, got k=%d m=%d", k, m)
+	if k < 1 || m < 0 {
+		return nil, fmt.Errorf("coder: need k >= 1 and m >= 0, got k=%d m=%d", k, m)
 	}
 	if k+m > 256 {
 		return nil, fmt.Errorf("coder: k+m = %d exceeds GF(256) limit of 256 shards", k+m)
@@ -181,9 +184,6 @@ func (c *Coder) Reconstruct(have map[int][]byte) ([][]byte, error) {
 // missing parity shard is regenerated only when parity lists its index
 // (entries below k are ignored) and is nil in the result otherwise.
 func (c *Coder) reconstruct(have map[int][]byte, parity []int) ([][]byte, error) {
-	if len(have) < c.k {
-		return nil, fmt.Errorf("coder: %d shards survive, need %d of %d", len(have), c.k, c.k+c.m)
-	}
 	// Pick the k lowest surviving indices: deterministic, and it favours
 	// data shards so the solve degenerates to identity when none are lost.
 	rows := make([]int, 0, c.k)
@@ -195,6 +195,9 @@ func (c *Coder) reconstruct(have map[int][]byte, parity []int) ([][]byte, error)
 				rows = append(rows, i)
 			}
 		}
+	}
+	if len(rows) < c.k {
+		return nil, fmt.Errorf("coder: %d shards survive, need %d of %d", len(rows), c.k, c.k+c.m)
 	}
 	size := len(out[rows[0]])
 	for _, r := range rows {

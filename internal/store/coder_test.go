@@ -28,7 +28,7 @@ func combinations(n, r int) [][]int {
 }
 
 func TestCoderRoundTripAllLossPatterns(t *testing.T) {
-	for _, geo := range []struct{ k, m int }{{2, 1}, {4, 2}, {3, 3}, {8, 2}} {
+	for _, geo := range []struct{ k, m int }{{1, 0}, {1, 1}, {2, 1}, {4, 2}, {3, 3}, {8, 2}} {
 		c, err := NewCoder(geo.k, geo.m)
 		if err != nil {
 			t.Fatalf("NewCoder(%d,%d): %v", geo.k, geo.m, err)
@@ -69,15 +69,23 @@ func TestCoderRoundTripAllLossPatterns(t *testing.T) {
 				}
 			}
 		}
-		// m+1 erasures must fail, not fabricate data.
+		// m+1 erasures must fail, not fabricate data — with no parity at
+		// all that is the loss of the one data shard — and so must a shard
+		// under an index the geometry does not have.
 		have := map[int][]byte{}
 		for i := geo.m + 1; i < geo.k+geo.m; i++ {
 			have[i] = shards[i]
 		}
-		if len(have) < geo.k {
-			if _, err := c.Reconstruct(have); err == nil {
-				t.Fatalf("k=%d m=%d: reconstruction from %d shards succeeded, need %d", geo.k, geo.m, len(have), geo.k)
-			}
+		if _, err := c.Reconstruct(have); err == nil {
+			t.Fatalf("k=%d m=%d: reconstruction from %d shards succeeded, need %d", geo.k, geo.m, len(have), geo.k)
+		}
+		have[geo.k+geo.m] = shards[0]
+		if _, err := c.Reconstruct(have); err == nil {
+			t.Fatalf("k=%d m=%d: a shard numbered %d counted as a survivor", geo.k, geo.m, geo.k+geo.m)
+		}
+		// A mirror's parity shard is the data shard again.
+		if geo.k == 1 && geo.m == 1 && !bytes.Equal(shards[1], data) {
+			t.Fatal("1+1: the parity shard is not a copy of the data")
 		}
 	}
 }
@@ -107,7 +115,7 @@ func encodeReference(c *Coder, data []byte) [][]byte {
 // shard full, partly padded and all padding; the data shards the input
 // fills are views of it, and the input is left as it was.
 func TestEncodeMatchesReferenceArithmetic(t *testing.T) {
-	for _, geo := range []struct{ k, m int }{{4, 2}, {3, 3}, {8, 2}} {
+	for _, geo := range []struct{ k, m int }{{1, 0}, {1, 1}, {4, 2}, {3, 3}, {8, 2}} {
 		c, err := NewCoder(geo.k, geo.m)
 		if err != nil {
 			t.Fatal(err)
@@ -132,9 +140,14 @@ func TestEncodeMatchesReferenceArithmetic(t *testing.T) {
 }
 
 func TestCoderRejectsBadGeometry(t *testing.T) {
-	for _, geo := range []struct{ k, m int }{{0, 1}, {1, 0}, {-1, 2}, {200, 100}} {
+	for _, geo := range []struct{ k, m int }{{0, 1}, {0, 0}, {-1, 2}, {1, -1}, {200, 100}} {
 		if _, err := NewCoder(geo.k, geo.m); err == nil {
 			t.Errorf("NewCoder(%d,%d) succeeded", geo.k, geo.m)
+		}
+	}
+	for _, geo := range []struct{ k, m int }{{1, 0}, {1, 1}, {256, 0}, {1, 255}} {
+		if _, err := NewCoder(geo.k, geo.m); err != nil {
+			t.Errorf("NewCoder(%d,%d): %v", geo.k, geo.m, err)
 		}
 	}
 }

@@ -13,33 +13,20 @@ import (
 	"checl/internal/vtime"
 )
 
-// The engine's contract, checked once over every placement. A row is one
-// behaviour; a column is one way of placing the bytes. Anything that only
-// one placement does (staging, Recover, shard repair, loss patterns) has
-// its own tests in fault_test.go and fleet_test.go.
+// The store's contract, checked once over every geometry. A row is one
+// behaviour; a column is one way of opening a store: on one disk (1+0), on
+// a disk with a mirror (1+1; the column names are older than the
+// geometries), and a 4+2 fleet healthy and with two nodes down. What
+// depends on where the records lie (loss patterns, pack layout, crash
+// sweeps) has its own tests in fault_test.go, fleet_test.go and
+// pack_test.go.
 
-// catalog is what the rows drive: the Backend surface plus the two
-// engine operations that stay off it.
-type catalog interface {
-	Backend
-	GC(retain int) (GCStats, error)
-	Manifests() ([]Manifest, []ManifestIssue)
-}
-
-// confStore is one opened placement.
+// confStore is one opened store.
 type confStore struct {
-	catalog
-	// stores are the reachable single-disk stores behind the placement
-	// (primary and replica, or the alive fleet nodes): where a row goes to
-	// damage files directly.
-	stores []*Store
-	hint   string // repair advice GC gives for this placement
+	*Fleet
 	// overhead bounds physical bytes per incompressible payload byte.
 	overhead float64
-	// fleet is the placement itself when it is one, for damage that has to
-	// find a chunk's records inside the packs.
-	fleet *Fleet
-	// open builds another empty placement of the same kind.
+	// open builds another empty store of the same kind.
 	open func(t *testing.T, cfg Config) confStore
 }
 
@@ -48,43 +35,55 @@ var confBackends = []struct {
 	open func(t *testing.T, cfg Config) confStore
 }{
 	{"disk", func(t *testing.T, cfg Config) confStore {
-		s := New(testFS(), cfg)
-		return confStore{catalog: s, stores: []*Store{s}, hint: "Recover or Scrub", overhead: 1.1}
+		return confStore{Fleet: New(testFS(), cfg), overhead: 1.1}
 	}},
 	{"disk+replica", func(t *testing.T, cfg Config) confStore {
-		s := New(testFS(), cfg)
-		r := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), cfg)
-		s.AttachReplica(r, hw.GigE)
-		return confStore{catalog: s, stores: []*Store{s, r}, hint: "Recover or Scrub", overhead: 1.1}
+		return confStore{Fleet: testMirror(t, testFS(), cfg), overhead: 2.2}
 	}},
 	{"fleet-4+2", func(t *testing.T, cfg Config) confStore { return openConfFleet(t, cfg, 0) }},
 	{"fleet-4+2-two-down", func(t *testing.T, cfg Config) confStore { return openConfFleet(t, cfg, 2) }},
+}
+
+// testMirror opens a 1+1 store: fs, and a mirror on a clean disk of its own.
+func testMirror(t *testing.T, fs *proc.FS, cfg Config) *Fleet {
+	t.Helper()
+	f, err := NewMirror(fs, proc.NewFS("replica", hw.TableISpec().LocalDisk), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func openConfFleet(t *testing.T, cfg Config, down int) confStore {
 	// testFleet's fine chunking, spelled out so the rest of cfg survives.
 	cfg.MinChunk, cfg.AvgChunk, cfg.MaxChunk = 1<<10, 4<<10, 16<<10
 	f, states := testFleet(t, 6, FleetConfig{Store: cfg})
-	cs := confStore{catalog: f, fleet: f, hint: "Scrub", overhead: 1.9}
-	for i, name := range f.Nodes() {
-		if i < down {
-			states[name].SetDown(true)
-			continue
-		}
-		st, _ := f.NodeStore(name)
-		cs.stores = append(cs.stores, st)
+	for _, name := range f.Nodes()[:down] {
+		states[name].SetDown(true)
 	}
-	return cs
+	return confStore{Fleet: f, overhead: 1.9}
+}
+
+// disks lists the filesystems of the nodes that are up, in name order:
+// where a row goes to damage files directly.
+func (cs confStore) disks() []*proc.FS {
+	var out []*proc.FS
+	for _, name := range cs.names {
+		if n := cs.nodes[name]; n.alive() {
+			out = append(out, n.fs)
+		}
+	}
+	return out
 }
 
 // damage applies fn to every reachable file whose path contains part.
 func (cs confStore) damage(t *testing.T, part string, fn func(fs *proc.FS, path string)) {
 	t.Helper()
 	hit := 0
-	for _, st := range cs.stores {
-		for _, p := range st.fs.List() {
+	for _, fs := range cs.disks() {
+		for _, p := range fs.List() {
 			if strings.Contains(p, part) {
-				fn(st.fs, p)
+				fn(fs, p)
 				hit++
 			}
 		}
@@ -100,28 +99,19 @@ func (cs confStore) tearManifest(t *testing.T, job string, seq uint64) {
 	cs.damage(t, fmt.Sprintf("/manifests/%s/%08d", job, seq), func(fs *proc.FS, p string) { corruptFile(t, fs, p) })
 }
 
-// loseChunk destroys every reachable stored piece of one chunk: the chunk
-// file of a disk, the chunk's records inside a fleet's packs.
+// loseChunk destroys every reachable record of one chunk.
 func (cs confStore) loseChunk(t *testing.T, sum string) {
 	t.Helper()
-	if f := cs.fleet; f != nil {
-		hit := 0
-		for i, n := range f.placement(sum) {
-			if loc, ok := f.lookup(n, sum, i); ok && n.alive() {
-				n.st.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
-				hit++
-			}
+	hit := 0
+	for i, n := range cs.placement(sum) {
+		if loc, ok := cs.lookup(n, sum, i); ok && n.alive() {
+			n.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
+			hit++
 		}
-		if hit == 0 {
-			t.Fatalf("no record of chunk %s", sum[:12])
-		}
-		return
 	}
-	cs.damage(t, sum, func(fs *proc.FS, p string) {
-		if err := fs.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	})
+	if hit == 0 {
+		t.Fatalf("no record of chunk %s", sum[:12])
+	}
 }
 
 func mustPut(t *testing.T, cs confStore, clock *vtime.Clock, job string, data []byte, segs []Segment) (Manifest, PutStats) {
@@ -157,15 +147,16 @@ func asLists(data []byte, segs []Segment) ([]byte, []Segment) {
 	return nil, out
 }
 
-// sameFiles fails unless the two placements hold the same files with the
-// same bytes, store by store.
+// sameFiles fails unless the two stores hold the same files with the same
+// bytes, node by node.
 func sameFiles(t *testing.T, a, b confStore) {
 	t.Helper()
-	if len(a.stores) != len(b.stores) {
-		t.Fatalf("%d stores against %d", len(a.stores), len(b.stores))
+	da, db := a.disks(), b.disks()
+	if len(da) != len(db) {
+		t.Fatalf("%d nodes against %d", len(da), len(db))
 	}
-	for i := range a.stores {
-		fa, fb := a.stores[i].fs, b.stores[i].fs
+	for i := range da {
+		fa, fb := da[i], db[i]
 		if la, lb := fa.List(), fb.List(); !reflect.DeepEqual(la, lb) {
 			t.Fatalf("store %d: files differ:\n %v\n %v", i, la, lb)
 		}
@@ -279,8 +270,10 @@ var confRows = []struct {
 
 	{"GetSegment", func(t *testing.T, cs confStore) {
 		clock := vtime.NewClock()
+		// The first segment alone fills a pack part, so the other two lie in
+		// a pack of their own on every node.
 		names := []string{"rank/00000", "rank/00001", "rank/00002"}
-		parts := map[string][]byte{names[0]: payload(10, 300<<10), names[1]: payload(11, 5<<10), names[2]: payload(12, 90<<10)}
+		parts := map[string][]byte{names[0]: payload(10, packPartSize+300<<10), names[1]: payload(11, 5<<10), names[2]: payload(12, 90<<10)}
 		full, segs := tile(nil, names, parts)
 		man, _ := mustPut(t, cs, clock, "segjob", full, segs)
 		for _, name := range names {
@@ -292,7 +285,8 @@ var confRows = []struct {
 				t.Errorf("%s: wrong manifest or payload (%d bytes, want %d)", name, len(got), len(parts[name]))
 			}
 		}
-		// Reading one segment must charge less than reading the whole payload.
+		// Reading one segment must charge less than reading the whole payload:
+		// it reads the packs its records are in and no other.
 		before := clock.Now()
 		if _, _, err := cs.GetSegment(clock, "segjob", names[1]); err != nil {
 			t.Fatal(err)
@@ -326,16 +320,11 @@ var confRows = []struct {
 		if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("undamaged get: %v", err)
 		}
-		healed := func() int {
-			if cs.fleet != nil {
-				return cs.fleet.Heals().ShardsHealed
-			}
-			return cs.stores[0].Heals().ChunksHealed
-		}
-		// One flipped bit in every chunk in turn — in its file, or in one of
-		// its records, a different one and a different bit from chunk to chunk.
-		// Last chunk first: what one round loses for good lies behind the
-		// chunk the next round damages.
+		healed := func() int { return cs.Heals().ShardsHealed }
+		// One flipped bit in every chunk in turn — in one of its records, a
+		// different one and a different bit from chunk to chunk. Last chunk
+		// first: what one round loses for good lies behind the chunk the next
+		// round damages.
 		seen := map[string]bool{}
 		for i := len(man.Chunks) - 1; i >= 0; i-- {
 			ref := man.Chunks[i]
@@ -346,51 +335,31 @@ var confRows = []struct {
 			before := healed()
 			want := "" // the error Get must fail with, if it must
 			wantHealed := 0
-			undo := func() {}
-			if f := cs.fleet; f != nil {
-				// The first record at or after shard i mod (k+m) on a node that is up.
-				nodes := f.placement(ref.Sum)
-				alive, at := 0, -1
-				for idx, n := range nodes {
-					if n.alive() {
-						alive++
-						if at < 0 && idx >= i%len(nodes) {
-							at = idx
-						}
+			// The first record at or after shard i mod (k+m) on a node that is up.
+			nodes := cs.placement(ref.Sum)
+			alive, at := 0, -1
+			for idx, n := range nodes {
+				if n.alive() {
+					alive++
+					if at < 0 && idx >= i%len(nodes) {
+						at = idx
 					}
-				}
-				if at < 0 {
-					at = len(nodes) - 1
-				}
-				loc, ok := f.lookup(nodes[at], ref.Sum, at)
-				if !ok || !nodes[at].st.fs.FlipBit(loc.pack, uint64(loc.off*8+i*131%(loc.n*8))) {
-					t.Fatalf("chunk %d: no record %d to damage", i, at)
-				}
-				switch k := f.cfg.DataShards; {
-				case alive == k:
-					want = fmt.Sprintf("store: fleet: chunk %s lost: %d of %d shards survive, need %d", ref.Sum[:12], k-1, len(nodes), k)
-				case at < k:
-					wantHealed = 1 // a parity record nobody reads is nobody's to find
-				}
-			} else {
-				fs, path := cs.stores[0].fs, cs.stores[0].chunkPath(ref.Sum)
-				size, _ := fs.Size(path)
-				bit := uint64(i*131) % uint64(size*8)
-				fs.FlipBit(path, bit)
-				if len(cs.stores) > 1 {
-					wantHealed = 1
-				} else {
-					undo = func() { fs.FlipBit(path, bit) }
-					blob, _ := fs.ReadFile(vtime.NewClock(), path)
-					_, oerr := verifyBlobOracle(vtime.NewClock(), blob, ref)
-					if oerr == nil {
-						t.Fatalf("chunk %d: the oracle reads a damaged blob", i)
-					}
-					want = oerr.Error() + " (no replica could supply a good copy)"
 				}
 			}
+			if at < 0 {
+				at = len(nodes) - 1
+			}
+			loc, ok := cs.lookup(nodes[at], ref.Sum, at)
+			if !ok || !nodes[at].fs.FlipBit(loc.pack, uint64(loc.off*8+i*131%(loc.n*8))) {
+				t.Fatalf("chunk %d: no record %d to damage", i, at)
+			}
+			switch k := cs.cfg.DataShards; {
+			case alive == k:
+				want = fmt.Sprintf("store: fleet: chunk %s lost: %d of %d shards survive, need %d", ref.Sum[:12], k-1, len(nodes), k)
+			case at < k:
+				wantHealed = 1 // a parity record nobody reads is nobody's to find
+			}
 			got, _, err := cs.Get(clock, "job")
-			undo()
 			if want != "" {
 				if err == nil || err.Error() != want {
 					t.Fatalf("chunk %d: err = %v\n want %s", i, err, want)
@@ -632,16 +601,37 @@ var confRows = []struct {
 		if err == nil {
 			t.Fatal("GC swept with an unreadable manifest in the store")
 		}
-		if want := "run " + cs.hint + " first"; !strings.Contains(err.Error(), want) {
+		if want := "run Scrub first"; !strings.Contains(err.Error(), want) {
 			t.Errorf("err = %v, want advice %q", err, want)
 		}
 		if after := cs.TotalStoredBytes(); after != before {
 			t.Errorf("refused GC still changed occupancy %d -> %d", before, after)
 		}
+		// The repair it names moves the torn frame out of the way on every
+		// node, kept for a post-mortem, and GC proceeds.
+		rep, err := cs.Scrub(clock)
+		if err != nil || len(rep.Quarantined) != 1 || rep.Quarantined[0] != "job@1" {
+			t.Fatalf("scrub: %v, quarantined %v", err, rep.Quarantined)
+		}
+		if _, issues := cs.Manifests(); len(issues) != 0 {
+			t.Errorf("issues after scrub: %v", issues)
+		}
+		st, err := cs.GC(1)
+		if err != nil || st.ManifestsKept != 1 || st.ManifestsDropped != 1 || st.BytesReclaimed <= 0 {
+			t.Fatalf("gc after scrub: %+v, %v", st, err)
+		}
+		if after := cs.TotalStoredBytes(); after >= before {
+			t.Errorf("the quarantined and the retired generation still hold their chunks: %d -> %d bytes", before, after)
+		}
+		for _, fs := range cs.disks() {
+			if !fs.Exists(cs.cfg.Store.Prefix + "/quarantine/job-00000001") {
+				t.Errorf("%s: torn frame not preserved under quarantine/", fs.Name())
+			}
+		}
+		if got, _, err := cs.Get(clock, "job"); err != nil || got == nil {
+			t.Errorf("newest generation after scrub and GC: %v", err)
+		}
 	}},
-
-	// The three places where the two hand-written copies had drifted, each
-	// now one rule (DESIGN.md "Checkpoint store").
 
 	{"Latest skips torn frames but surfaces I/O errors", func(t *testing.T, cs confStore) {
 		clock := vtime.NewClock()
@@ -662,8 +652,8 @@ var confRows = []struct {
 		// A disk that cannot be read is not a torn frame: an older
 		// generation must not silently stand in.
 		eio := proc.NewFaultInjector(proc.DiskFaultPlan{EveryN: 1, Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO}})
-		for _, st := range cs.stores {
-			st.fs.SetFault(eio)
+		for _, fs := range cs.disks() {
+			fs.SetFault(eio)
 		}
 		_, _, err = cs.Latest("job")
 		var ioErr *proc.ErrIO
@@ -691,7 +681,7 @@ var confRows = []struct {
 	}},
 }
 
-// TestBackendConformance runs every row on every placement.
+// TestBackendConformance runs every row on every geometry.
 func TestBackendConformance(t *testing.T) {
 	for _, b := range confBackends {
 		for _, row := range confRows {
@@ -704,10 +694,8 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
-// TestEngineErrorsNameNoPlacement pins the third drift ruling: an error
-// the engine raises reads the same whichever placement it serves — no
-// "fleet:" infix — and only GC's repair advice, which names operations
-// one placement has and the other lacks, comes from the placement.
+// TestEngineErrorsNameNoPlacement: an error the engine raises reads the
+// same at every geometry and names no placement — no "fleet:" infix.
 func TestEngineErrorsNameNoPlacement(t *testing.T) {
 	texts := map[string][]string{}
 	for _, b := range confBackends {

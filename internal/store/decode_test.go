@@ -94,12 +94,11 @@ type nowhere struct {
 
 func (nowhere) lockSeq()                                              {}
 func (nowhere) unlockSeq()                                            {}
-func (nowhere) repairHint() string                                    { return "" }
 func (nowhere) beginPut(string, uint64) putTxn                        { return nil }
 func (nowhere) dropManifest(string, uint64) error                     { return nil }
 func (nowhere) sweepChunks(map[string]bool) (int, int, int64, error)  { return 0, 0, 0, nil }
 func (n nowhere) manifestFiles() []manifestKey                        { return []manifestKey{{n.man.Job, n.man.Seq}} }
-func (n nowhere) loadManifest(string, uint64) (Manifest, error)       { return n.man, nil }
+func (n nowhere) loadManifest(string, uint64, bool) (Manifest, error) { return n.man, nil }
 func (n nowhere) openRead(*vtime.Clock, []ChunkRef, bool) chunkReader { return n }
 func (nowhere) close()                                                {}
 func (nowhere) refetch(_ *landing, cause error) error                 { return cause }
@@ -209,6 +208,10 @@ func FuzzDecodeShard(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	// The degenerate geometries: a whole blob as the one data shard of a
+	// 1+0 store, and as the parity shard of a mirror.
+	f.Add(appendShard(nil, addr, 0, 1, 0, 19, []byte("shard payload bytes")))
+	f.Add(appendShard(nil, addr, 1, 1, 1, 19, []byte("shard payload bytes")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := [][]byte{data}
 		if len(data) >= shardHeaderSize {

@@ -2,10 +2,10 @@ package store
 
 // The checkpoint pipeline and catalog, written once. An engine chunks,
 // hashes, dedups and compresses payloads into manifests and reads them
-// back verified; where the bytes physically go — one disk with a staging
-// directory, or k+m shards over a node fleet — is the placement's
-// business. *Store and *Fleet both embed an engine and are its two
-// placements; the engine never asks which one it is serving.
+// back verified; where the bytes physically go — k+m shard records in
+// packs over a set of nodes — is the placement's business. *Fleet embeds
+// an engine and is its one placement (fleet.go); the seam stays because it
+// is where the decoder tests substitute a placement that holds nothing.
 
 import (
 	"crypto/sha256"
@@ -22,9 +22,8 @@ import (
 
 // placement is the seam between the engine and the storage it runs over:
 // how chunks and manifests are probed, written, read back and removed.
-// Crash safety and repair live behind it and differ per placement — the
-// disk stages and renames manifest-last, the fleet writes one verified
-// pack of shard records per node and then mirrors manifests.
+// Crash safety and repair live behind it: one verified pack of shard
+// records per node, then the manifest on every node.
 type placement interface {
 	// lockSeq/unlockSeq serialise the operations that pick sequence
 	// numbers or sweep chunks (Put up to its commit, GC).
@@ -33,10 +32,10 @@ type placement interface {
 	// manifestFiles lists every (job, seq) with a manifest file present,
 	// decodable or not, in the order the placement wants them read.
 	manifestFiles() []manifestKey
-	// loadManifest reads one manifest, healing a bad copy from wherever
-	// the placement keeps a good one. A frame that exists but does not
-	// decode anywhere wraps errCorruptManifest.
-	loadManifest(job string, seq uint64) (Manifest, error)
+	// loadManifest reads one manifest, with heal set repairing a bad copy
+	// from wherever the placement keeps a good one. A frame that exists but
+	// does not decode anywhere wraps errCorruptManifest.
+	loadManifest(job string, seq uint64, heal bool) (Manifest, error)
 	// beginPut opens the write transaction of checkpoint job@seq; the
 	// caller holds lockSeq until the transaction has committed.
 	beginPut(job string, seq uint64) putTxn
@@ -48,8 +47,6 @@ type placement interface {
 	dropManifest(job string, seq uint64) error
 	// sweepChunks removes every stored chunk not in referenced.
 	sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error)
-	// repairHint names the operations that clear unreadable manifests.
-	repairHint() string
 }
 
 // chunkReader is one read session. Its methods are called from one
@@ -66,8 +63,8 @@ type chunkReader interface {
 	fetch(l *landing) (land func() error, err error)
 	// refetch is the second try at a chunk whose land failed with cause:
 	// called after every land has returned, it reads the chunk from whatever
-	// else the placement has — a replica, the parity shards — lands it, and
-	// repairs the bad copy. When there is nothing else it returns cause.
+	// else the placement has — the other shards — lands it, and repairs the
+	// bad copy. When there is nothing else it returns cause.
 	refetch(l *landing, cause error) error
 	// close ends the session; repairs the reads queued are made here.
 	close()
@@ -87,9 +84,6 @@ type putTxn interface {
 	flush(clock *vtime.Clock) (phys int64, err error)
 	// commit publishes the manifest: the atomic commit point.
 	commit(clock *vtime.Clock, man Manifest, frame []byte) (phys int64, err error)
-	// settle runs after commit, outside lockSeq: whatever extra durability
-	// the placement adds to a checkpoint that already stands.
-	settle(clock *vtime.Clock, man Manifest) error
 }
 
 // manifestKey names one manifest file.
@@ -242,8 +236,7 @@ func startDigest(segs []Segment) (wait func() [sha256.Size]byte) {
 // compressed and written, and a manifest linking to the job's previous
 // checkpoint is recorded. Compression, write and verify time are charged
 // to clock. A full filesystem surfaces as *proc.ErrNoSpace. How the
-// commit is made crash-consistent is the placement's protocol — see
-// Store and Fleet.
+// commit is made crash-consistent is the placement's protocol — see Fleet.
 func (e *engine) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
 	return e.PutSegmented(clock, job, payload, nil)
 }
@@ -257,11 +250,8 @@ func (e *engine) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, 
 // the payload is their concatenation, which is never built: the bytes are
 // lent for the length of the call and read where they lie.
 //
-// An error return before the commit is equivalent to a crash at that
-// point: whatever was staged stays where it is for the placement's
-// janitor (Recover, GC). An error after it — the placement could not add
-// its extra durability — comes back with the manifest, because the
-// checkpoint stands.
+// An error return is equivalent to a crash at that point: whatever was
+// staged stays where it is for the placement's janitor (GC, Scrub).
 func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
 	if job == "" || strings.ContainsAny(job, "/@") {
 		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
@@ -272,23 +262,22 @@ func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, se
 	}
 	sw := vtime.NewStopwatch(clock)
 	e.p.lockSeq()
-	man, stats, tx, err := e.putLocked(clock, job, segs, size)
+	man, stats, err := e.putLocked(clock, job, segs, size)
 	e.p.unlockSeq()
 	if err != nil {
 		return Manifest{}, stats, err
 	}
-	err = tx.settle(clock, man)
 	stats.Time = sw.Elapsed()
-	return man, stats, err
+	return man, stats, nil
 }
 
-// putLocked is the part of a Put that runs under lockSeq: everything up to
-// and including the manifest commit.
-func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size int64) (Manifest, PutStats, putTxn, error) {
+// putLocked is the Put proper, run under lockSeq: everything up to and
+// including the manifest commit.
+func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size int64) (Manifest, PutStats, error) {
 	// Sequence numbers come from the listing, not from the newest decodable
 	// manifest, so a torn newest manifest is never silently overwritten —
-	// it stays in place for Recover/Scrub and the new checkpoint gets the
-	// next number. The parent link does come from the newest decodable one.
+	// it stays in place for Scrub and the new checkpoint gets the next
+	// number. The parent link does come from the newest decodable one.
 	seq := uint64(1)
 	seqs := e.jobSeqs(job)
 	if len(seqs) > 0 {
@@ -296,7 +285,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	}
 	parent, haveParent, err := e.newestOf(job, seqs)
 	if err != nil {
-		return Manifest{}, PutStats{}, nil, err
+		return Manifest{}, PutStats{}, err
 	}
 	man := Manifest{
 		Version: manifestVersion, Job: job, Seq: seq,
@@ -369,7 +358,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 		}
 		n, err := stageRange(sg.Data)
 		if err != nil {
-			return Manifest{}, stats, nil, err
+			return Manifest{}, stats, err
 		}
 		if sg.Name != "" {
 			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
@@ -379,7 +368,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	phys, err := tx.flush(clock)
 	stats.StoredBytes += phys
 	if err != nil {
-		return Manifest{}, stats, nil, err
+		return Manifest{}, stats, err
 	}
 	stats.WriteTime += wsw.Elapsed()
 
@@ -387,22 +376,22 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	man.Digest = hex.EncodeToString(sum[:])
 	frame, err := encodeManifest(man)
 	if err != nil {
-		return Manifest{}, stats, nil, err
+		return Manifest{}, stats, err
 	}
 	phys, err = tx.commit(clock, man, frame)
 	if err != nil {
-		return Manifest{}, stats, nil, err
+		return Manifest{}, stats, err
 	}
 	stats.StoredBytes += phys
-	return man, stats, tx, nil
+	return man, stats, nil
 }
 
 // Get reconstructs a checkpoint payload. ref is either a manifest ID
 // ("job@seq") or a bare job name, which selects the job's latest
 // checkpoint. Every chunk is verified against its content address and the
 // assembled payload against the manifest digest; a chunk that is missing
-// or corrupt is transparently healed from the placement's redundancy —
-// attached replicas (HealStats) or surviving shards. The payload is a
+// or corrupt is transparently healed from the placement's redundancy, the
+// surviving shards (HealStats). The payload is a
 // buffer made for this call; the store keeps no reference to it, so it is
 // the caller's to keep, cut up and write to (Get, GetSegment and
 // GetNewestRestorable alike).
@@ -460,7 +449,7 @@ func (e *engine) Resolve(ref string) (Manifest, error) {
 		return Manifest{}, err
 	}
 	if !latest {
-		return e.p.loadManifest(job, seq)
+		return e.p.loadManifest(job, seq, true)
 	}
 	man, ok, err := e.Latest(job)
 	if err != nil {
@@ -485,7 +474,7 @@ func (e *engine) Latest(job string) (Manifest, bool, error) {
 // newestOf is Latest over an already listed, ascending set of seqs.
 func (e *engine) newestOf(job string, seqs []uint64) (Manifest, bool, error) {
 	for i := len(seqs) - 1; i >= 0; i-- {
-		m, err := e.p.loadManifest(job, seqs[i])
+		m, err := e.p.loadManifest(job, seqs[i], true)
 		if err == nil {
 			return m, true, nil
 		}
@@ -525,11 +514,14 @@ func (i ManifestIssue) ID() string { return manifestID(i.Job, i.Seq) }
 // the rest of the store. Bad copies heal transparently from the
 // placement's redundancy; an issue is reported only when no good copy
 // exists anywhere.
-func (e *engine) Manifests() ([]Manifest, []ManifestIssue) {
+func (e *engine) Manifests() ([]Manifest, []ManifestIssue) { return e.manifests(true) }
+
+// manifests is Manifests; without heal it writes nothing.
+func (e *engine) manifests(heal bool) ([]Manifest, []ManifestIssue) {
 	var out []Manifest
 	var issues []ManifestIssue
 	for _, k := range e.p.manifestFiles() {
-		m, err := e.p.loadManifest(k.Job, k.Seq)
+		m, err := e.p.loadManifest(k.Job, k.Seq, heal)
 		if err != nil {
 			issues = append(issues, ManifestIssue{Job: k.Job, Seq: k.Seq, Err: err})
 			continue
@@ -604,7 +596,7 @@ func (e *engine) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error
 		if seqs[i] > ceiling {
 			continue
 		}
-		m, err := e.p.loadManifest(job, seqs[i])
+		m, err := e.p.loadManifest(job, seqs[i], true)
 		if err != nil {
 			skipped = append(skipped, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: err.Error()})
 			continue
@@ -691,8 +683,8 @@ func (e *engine) GC(retain int) (GCStats, error) {
 
 	mans, issues := e.Manifests()
 	if len(issues) > 0 {
-		return GCStats{}, fmt.Errorf("store: gc: %d unreadable manifest(s), run %s first; first: %s: %v",
-			len(issues), e.p.repairHint(), issues[0].ID(), issues[0].Err)
+		return GCStats{}, fmt.Errorf("store: gc: %d unreadable manifest(s), run Scrub first; first: %s: %v",
+			len(issues), issues[0].ID(), issues[0].Err)
 	}
 	// Manifests() orders by job then seq, so the last `retain` entries of
 	// each job group are the newest.
@@ -724,4 +716,46 @@ func (e *engine) GC(retain int) (GCStats, error) {
 		return st, fmt.Errorf("store: gc: %w", err)
 	}
 	return st, nil
+}
+
+// FsckReport is the result of a store verification pass.
+type FsckReport struct {
+	Manifests     int
+	ChunksChecked int // chunk references verified (shared chunks count once)
+	Errors        []string
+}
+
+// OK reports whether the store verified clean.
+func (r FsckReport) OK() bool { return len(r.Errors) == 0 }
+
+// Fsck verifies the whole store without writing to it: every manifest
+// frame decodes somewhere (an undecodable frame is a finding for that
+// manifest only, never an abort that masks the rest), every referenced
+// chunk reads back from the records the nodes hold right now — any k of
+// them — decompresses and hashes to its content address, and every
+// manifest's assembled payload matches its digest. Unlike Get, Fsck repairs
+// nothing on the way; Scrub is the repairing counterpart. Read and
+// decompression time is charged to clock. Fsck returns an error only for
+// infrastructure failures; integrity findings land in the report.
+func (e *engine) Fsck(clock *vtime.Clock) (FsckReport, error) {
+	var rep FsckReport
+	mans, issues := e.manifests(false)
+	for _, iss := range issues {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", iss.ID(), iss.Err))
+	}
+	verified := map[string]bool{}
+	for _, m := range mans {
+		rep.Manifests++
+		if _, err := e.assemble(clock, m, false); err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", m.ID(), err))
+			continue
+		}
+		for _, c := range m.Chunks {
+			if !verified[c.Sum] {
+				verified[c.Sum] = true
+				rep.ChunksChecked++
+			}
+		}
+	}
+	return rep, nil
 }

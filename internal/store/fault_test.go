@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,10 +11,52 @@ import (
 	"checl/internal/vtime"
 )
 
-// faultStore builds a store whose backing FS runs under inj.
-func faultStore(inj *proc.FaultInjector) *Store {
-	fs := proc.NewFS("primary", hw.TableISpec().LocalDisk, proc.WithFault(inj))
-	return New(fs, Config{})
+// faultFS is a disk that runs under inj, with a node state to take it down by.
+func faultFS(inj *proc.FaultInjector) *proc.FS {
+	return proc.NewFS("primary", hw.TableISpec().LocalDisk, proc.WithFault(inj),
+		proc.WithNodeState(proc.NewNodeState("primary")))
+}
+
+// rotRecord flips one bit in the middle of node's record of the chunk at sum.
+func rotRecord(t *testing.T, f *Fleet, node, sum string) {
+	t.Helper()
+	for i, n := range f.placement(sum) {
+		if n.name != node {
+			continue
+		}
+		if loc, ok := f.lookup(n, sum, i); ok && n.fs.FlipBit(loc.pack, uint64(loc.off+loc.n/2)*8) {
+			return
+		}
+	}
+	t.Fatalf("%s holds no record of chunk %s", node, sum[:12])
+}
+
+// truncatePacks cuts every pack on fs to half its length: a torn tail, the
+// records behind it lost.
+func truncatePacks(t *testing.T, fs *proc.FS) {
+	t.Helper()
+	for _, p := range fs.List() {
+		if !strings.Contains(p, "/packs/") {
+			continue
+		}
+		data, err := fs.ReadFile(vtime.NewClock(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(vtime.NewClock(), p, data[:len(data)/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// onlyQuarantine fails if fs holds anything but quarantined frames.
+func onlyQuarantine(t *testing.T, fs *proc.FS, when string) {
+	t.Helper()
+	for _, p := range fs.List() {
+		if !strings.Contains(p, "/quarantine/") {
+			t.Fatalf("%s: %s still holds %s (%d bytes in all)", when, fs.Name(), p, fs.TotalBytes())
+		}
+	}
 }
 
 // corruptFile flips one byte of path in place, bypassing any injector.
@@ -44,11 +87,11 @@ func uniqueVersions(n int, base, tail int) [][]byte {
 }
 
 func TestDurablePutUnderTransientFaults(t *testing.T) {
-	// A fault on every 5th disk operation — torn, lost, rot, EIO — must be
+	// A fault on every 3rd disk operation — torn, lost, rot, EIO — must be
 	// absorbed by verified writes and retries: Put succeeds and the stored
 	// checkpoint is bit-identical.
-	inj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 1, EveryN: 5})
-	s := faultStore(inj)
+	inj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 1, EveryN: 3})
+	s := New(faultFS(inj), Config{})
 	clock := vtime.NewClock()
 	data := payload(20, 512<<10)
 
@@ -75,116 +118,53 @@ func TestDurablePutUnderTransientFaults(t *testing.T) {
 }
 
 func TestFailedPutRecoverReclaimsCapacity(t *testing.T) {
-	// Regression: a Put that dies after staging some chunks must not leak
-	// their capacity forever. Recover deletes the staged orphans and
-	// returns the filesystem to its pre-Put usage.
-	inj := proc.NewFaultInjector(proc.DiskFaultPlan{
-		Seed: 2, EveryN: 1, SkipFirst: 4, Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO},
-	})
-	s := faultStore(inj)
-	clock := vtime.NewClock()
+	// Regression: a Put that dies after writing its pack must not leak the
+	// pack's capacity forever. GC and Scrub each delete the orphan and return
+	// the filesystem to its pre-Put usage.
+	for name, reclaim := range map[string]func(*Fleet) error{
+		"GC":    func(s *Fleet) error { _, err := s.GC(1); return err },
+		"Scrub": func(s *Fleet) error { _, err := s.Scrub(vtime.NewClock()); return err },
+	} {
+		inj := proc.NewFaultInjector(proc.DiskFaultPlan{
+			Seed: 2, EveryN: 1, SkipFirst: 2, Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO},
+		})
+		fs := faultFS(inj)
+		s := New(fs, Config{})
+		clock := vtime.NewClock()
 
-	_, _, err := s.Put(clock, "job", payload(21, 256<<10))
-	if err == nil {
-		t.Fatal("put should have failed under an unlimited EIO storm")
-	}
-	inj.Suspend()
-	leaked := s.fs.TotalBytes()
-	if leaked == 0 {
-		t.Fatal("the failed put staged nothing; the leak scenario did not occur")
-	}
+		_, _, err := s.Put(clock, "job", payload(21, 256<<10))
+		if err == nil {
+			t.Fatal("put should have failed under an unlimited EIO storm")
+		}
+		inj.Suspend()
+		leaked := fs.TotalBytes()
+		if leaked == 0 {
+			t.Fatal("the failed put wrote nothing; the leak scenario did not occur")
+		}
+		if err := reclaim(s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if after := fs.TotalBytes(); after != 0 {
+			t.Errorf("capacity leak: %d bytes still used after %s (was %d)", after, name, leaked)
+		}
+		rep, err := s.Fsck(clock)
+		if err != nil || !rep.OK() {
+			t.Fatalf("fsck after %s: %v %v", name, err, rep.Errors)
+		}
 
-	rst, err := s.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.StagedFiles == 0 || rst.StagedBytes == 0 {
-		t.Fatalf("recover reclaimed nothing: %+v", rst)
-	}
-	if after := s.fs.TotalBytes(); after != 0 {
-		t.Errorf("capacity leak: %d bytes still used after Recover (was %d)", after, leaked)
-	}
-	rep, err := s.Fsck(clock)
-	if err != nil || !rep.OK() {
-		t.Fatalf("fsck after recover: %v %v", err, rep.Errors)
-	}
-
-	// The store is fully usable again.
-	data := payload(22, 256<<10)
-	man, _, err := s.Put(clock, "job", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Seq != 1 {
-		t.Errorf("failed put consumed a sequence number: next put got seq %d", man.Seq)
-	}
-	got, _, err := s.Get(clock, man.ID())
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("roundtrip after recover: %v", err)
-	}
-}
-
-func TestRecoverQuarantinesTornManifest(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	if _, _, err := s.Put(clock, "job", payload(23, 128<<10)); err != nil {
-		t.Fatal(err)
-	}
-	corruptFile(t, s.fs, s.manifestPath("job", 1))
-
-	mans, issues := s.Manifests()
-	if len(mans) != 0 || len(issues) != 1 || issues[0].ID() != "job@1" {
-		t.Fatalf("manifests = %d good, issues = %v", len(mans), issues)
-	}
-
-	rst, err := s.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.ManifestsQuarantined != 1 {
-		t.Fatalf("recover stats = %+v", rst)
-	}
-	// The torn frame is out of the way: no issues remain, the orphaned
-	// chunks were reclaimed, and fsck is clean.
-	if _, issues := s.Manifests(); len(issues) != 0 {
-		t.Errorf("issues after recover: %v", issues)
-	}
-	if rst.OrphanChunks == 0 {
-		t.Error("the quarantined manifest's chunks were not reclaimed")
-	}
-	rep, err := s.Fsck(clock)
-	if err != nil || !rep.OK() {
-		t.Fatalf("fsck after recover: %v %v", err, rep.Errors)
-	}
-	if !s.fs.Exists(s.quarantinePrefix() + "job-00000001") {
-		t.Error("quarantined frame not preserved for post-mortem")
-	}
-}
-
-func TestGCRefusesUnreadableManifests(t *testing.T) {
-	s := New(testFS(), Config{})
-	clock := vtime.NewClock()
-	for _, v := range uniqueVersions(3, 256<<10, 32<<10) {
-		if _, _, err := s.Put(clock, "job", v); err != nil {
+		// The store is fully usable again.
+		data := payload(22, 256<<10)
+		man, _, err := s.Put(clock, "job", data)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	corruptFile(t, s.fs, s.manifestPath("job", 1))
-
-	_, err := s.GC(1)
-	if err == nil {
-		t.Fatal("gc ran with an unreadable manifest in the store")
-	}
-	if !strings.Contains(err.Error(), "Recover or Scrub") {
-		t.Errorf("gc error does not point at the fix: %v", err)
-	}
-
-	// After Recover the torn frame is quarantined and GC proceeds.
-	if _, err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GC(1); err != nil {
-		t.Fatalf("gc after recover: %v", err)
+		if man.Seq != 1 {
+			t.Errorf("failed put consumed a sequence number: next put got seq %d", man.Seq)
+		}
+		got, _, err := s.Get(clock, man.ID())
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("roundtrip after %s: %v", name, err)
+		}
 	}
 }
 
@@ -240,11 +220,11 @@ func TestInterruptedGCIdempotentRerun(t *testing.T) {
 
 func TestInterruptedReplicateIdempotentRerun(t *testing.T) {
 	src := New(testFS(), Config{})
+	// The destination's pack lands; the burst takes the manifest write.
 	inj := proc.NewFaultInjector(proc.DiskFaultPlan{
-		Seed: 4, EveryN: 1, SkipFirst: 6, Max: 3, Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO},
+		Seed: 4, EveryN: 1, SkipFirst: 2, Max: 3, Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO},
 	})
-	dstFS := proc.NewFS("replica", hw.TableISpec().LocalDisk, proc.WithFault(inj))
-	dst := New(dstFS, Config{})
+	dst := New(proc.NewFS("replica", hw.TableISpec().LocalDisk, proc.WithFault(inj)), Config{})
 	clock := vtime.NewClock()
 	data := payload(24, 512<<10)
 	if _, _, err := src.Put(clock, "job", data); err != nil {
@@ -254,18 +234,16 @@ func TestInterruptedReplicateIdempotentRerun(t *testing.T) {
 	if _, _, err := src.Replicate(clock, "job", dst, hw.GigE); err == nil {
 		t.Fatal("replicate should have failed under a 3-deep EIO burst")
 	}
-	// The destination has only staged leftovers: no manifest published.
+	// The destination has only an orphan pack: no manifest published.
 	if _, ok, _ := dst.Latest("job"); ok {
 		t.Fatal("interrupted replication published a manifest")
 	}
 
-	// Injector exhausted; the rerun completes and is idempotent after.
-	man, _, err := src.Replicate(clock, "job", dst, hw.GigE)
-	if err != nil {
-		t.Fatalf("replicate rerun: %v", err)
-	}
-	if _, err := dst.Recover(); err != nil {
-		t.Fatal(err)
+	// Injector exhausted; the rerun finds the records the first try left,
+	// moves nothing, completes, and is idempotent after.
+	man, st, err := src.Replicate(clock, "job", dst, hw.GigE)
+	if err != nil || st.ChunksCopied != 0 {
+		t.Fatalf("replicate rerun: %+v %v", st, err)
 	}
 	got, _, err := dst.Get(clock, man.ID())
 	if err != nil || !bytes.Equal(got, data) {
@@ -275,16 +253,15 @@ func TestInterruptedReplicateIdempotentRerun(t *testing.T) {
 	if err != nil || !rep.OK() {
 		t.Fatalf("replica fsck: %v %v", err, rep.Errors)
 	}
-	_, st, err := src.Replicate(clock, "job", dst, hw.GigE)
+	_, st, err = src.Replicate(clock, "job", dst, hw.GigE)
 	if err != nil || st.ChunksCopied != 0 {
 		t.Errorf("third replicate not a no-op: %+v %v", st, err)
 	}
 }
 
 func TestGetHealsFromReplica(t *testing.T) {
-	s := New(testFS(), Config{})
-	replica := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), Config{})
-	s.AttachReplica(replica, hw.GigE)
+	primary := faultFS(nil)
+	s := testMirror(t, primary, Config{})
 	clock := vtime.NewClock()
 	data := payload(25, 512<<10)
 	man, _, err := s.Put(clock, "job", data)
@@ -292,14 +269,20 @@ func TestGetHealsFromReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Damage the primary: one chunk corrupted at rest, another lost.
-	corruptFile(t, s.fs, s.chunkPath(man.Chunks[0].Sum))
-	victim := man.Chunks[len(man.Chunks)-1].Sum
-	if victim == man.Chunks[0].Sum {
-		t.Fatal("test needs two distinct chunks")
+	// Damage the primary: the tail of its pack lost, and a record in front
+	// of the tear — one a read goes to, shard 0 — corrupted at rest.
+	truncatePacks(t, primary)
+	rotted := false
+	for _, c := range man.Chunks {
+		n := s.placement(c.Sum)[0]
+		if loc, _ := s.lookup(n, c.Sum, 0); n.name == "primary" && loc.off+loc.n < int(s.TotalStoredBytes()/4) {
+			rotRecord(t, s, "primary", c.Sum)
+			rotted = true
+			break
+		}
 	}
-	if err := s.fs.Remove(s.chunkPath(victim)); err != nil {
-		t.Fatal(err)
+	if !rotted {
+		t.Fatal("no record in front of the tear to rot")
 	}
 
 	got, _, err := s.Get(clock, man.ID())
@@ -309,15 +292,29 @@ func TestGetHealsFromReplica(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("healed payload is not bit-identical")
 	}
-	h := s.Heals()
-	if h.ChunksHealed < 2 || h.BytesHealed == 0 {
-		t.Errorf("heal stats = %+v, want >= 2 chunks healed", h)
+	if h := s.Heals(); h.ShardsHealed < 2 || h.ShardBytesHealed == 0 {
+		t.Errorf("heal stats = %+v, want >= 2 records healed", h)
 	}
-	// Healing wrote the good copies back: the primary is whole again.
+	// The read wrote back what it read; a scrub restores the copies nobody
+	// read, and then the primary is whole again: it serves alone.
+	if rep, err := s.Scrub(clock); err != nil || !rep.OK() {
+		t.Fatalf("scrub after healing get: %v %v", err, rep.Findings)
+	}
+	s.nodes["replica"].fs.SetNodeState(downState("replica"))
+	if got, _, err := s.Get(clock, man.ID()); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("primary alone after healing: %v", err)
+	}
 	rep, err := s.Fsck(clock)
 	if err != nil || !rep.OK() {
 		t.Fatalf("fsck after healing get: %v %v", err, rep.Errors)
 	}
+}
+
+// downState is the node state of a node that is down.
+func downState(name string) *proc.NodeState {
+	ns := proc.NewNodeState(name)
+	ns.SetDown(true)
+	return ns
 }
 
 func TestGetWithoutReplicasFailsLoud(t *testing.T) {
@@ -327,21 +324,20 @@ func TestGetWithoutReplicasFailsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, s.fs, s.chunkPath(man.Chunks[0].Sum))
+	rotRecord(t, s, "local", man.Chunks[0].Sum)
 
 	_, _, err = s.Get(clock, man.ID())
 	if err == nil {
-		t.Fatal("get of a corrupt checkpoint with no replicas must fail, not return a wrong payload")
+		t.Fatal("get of a corrupt checkpoint with no second copy must fail, not return a wrong payload")
 	}
-	if !strings.Contains(err.Error(), "no replica could supply a good copy") {
+	if !strings.Contains(err.Error(), "lost: 0 of 1 shards survive") {
 		t.Errorf("error does not explain the failed heal: %v", err)
 	}
 }
 
 func TestScrubHealsDamagedStore(t *testing.T) {
-	s := New(testFS(), Config{})
-	replica := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), Config{})
-	s.AttachReplica(replica, hw.GigE)
+	primary := faultFS(nil)
+	s := testMirror(t, primary, Config{})
 	clock := vtime.NewClock()
 	versions := uniqueVersions(2, 256<<10, 64<<10)
 	var mans []Manifest
@@ -353,14 +349,13 @@ func TestScrubHealsDamagedStore(t *testing.T) {
 		mans = append(mans, m)
 	}
 
-	// Damage every failure class at once: a chunk corrupted at rest, a
-	// chunk lost, a manifest frame torn, a manifest file lost entirely.
-	corruptFile(t, s.fs, s.chunkPath(mans[0].Chunks[0].Sum))
-	if err := s.fs.Remove(s.chunkPath(mans[1].Chunks[len(mans[1].Chunks)-1].Sum)); err != nil {
-		t.Fatal(err)
-	}
-	corruptFile(t, s.fs, s.manifestPath("job", 1))
-	if err := s.fs.Remove(s.manifestPath("job", 2)); err != nil {
+	// Damage every failure class at once: a record corrupted at rest,
+	// records lost, a manifest frame torn, a manifest file lost entirely.
+	truncatePacks(t, primary)
+	rotRecord(t, s, "primary", mans[0].Chunks[0].Sum)
+	pn := s.nodes["primary"]
+	corruptFile(t, primary, pn.manifestPath("job", 1))
+	if err := primary.Remove(pn.manifestPath("job", 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -371,9 +366,11 @@ func TestScrubHealsDamagedStore(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("scrub left findings: %v", rep.Findings)
 	}
-	if rep.Healed.ChunksHealed == 0 || rep.Healed.ManifestsHealed < 2 {
-		t.Errorf("scrub healed %+v, want chunks and both manifests", rep.Healed)
+	if h := s.Heals(); rep.ShardsRebuilt == 0 || h.ShardsHealed != rep.ShardsRebuilt || h.ManifestsHealed < 2 {
+		t.Errorf("scrub rebuilt %d, ledger %+v, want records and both manifests", rep.ShardsRebuilt, h)
 	}
+	// The primary serves every generation alone again.
+	s.nodes["replica"].fs.SetNodeState(downState("replica"))
 	for i, m := range mans {
 		got, _, err := s.Get(clock, m.ID())
 		if err != nil || !bytes.Equal(got, versions[i]) {
@@ -387,11 +384,10 @@ func TestScrubHealsDamagedStore(t *testing.T) {
 }
 
 func TestScrubDoesNotResurrectGCdGenerations(t *testing.T) {
-	// Replicas may hold generations the primary deliberately retired. A
-	// scrub must pull back what the primary *lost*, never what it *dropped*.
-	s := New(testFS(), Config{})
-	replica := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), Config{})
-	s.AttachReplica(replica, hw.GigE)
+	// A scrub restores what a node lost, never what GC dropped: retention
+	// reaches the mirror too.
+	primary := faultFS(nil)
+	s := testMirror(t, primary, Config{})
 	clock := vtime.NewClock()
 	for _, v := range uniqueVersions(3, 256<<10, 32<<10) {
 		if _, _, err := s.Put(clock, "job", v); err != nil {
@@ -409,8 +405,11 @@ func TestScrubDoesNotResurrectGCdGenerations(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("scrub findings: %v", rep.Findings)
 	}
-	if mans, _ := s.Manifests(); len(mans) != 1 || mans[0].Seq != 3 {
-		t.Fatalf("scrub resurrected retired generations: %d manifests", len(mans))
+	for _, down := range []bool{false, true} {
+		primary.Node().SetDown(down)
+		if mans, _ := s.Manifests(); len(mans) != 1 || mans[0].Seq != 3 {
+			t.Fatalf("primary down %v: scrub resurrected retired generations: %d manifests", down, len(mans))
+		}
 	}
 }
 
@@ -427,11 +426,10 @@ func TestScrubQuarantinesUnhealable(t *testing.T) {
 		mans = append(mans, m)
 	}
 
-	// No replicas: a torn newest manifest and a rotted unique chunk of the
-	// middle generation are unhealable.
-	corruptFile(t, s.fs, s.manifestPath("job", 3))
-	unique := uniqueChunkOf(t, mans[1], mans[0], mans[2])
-	corruptFile(t, s.fs, s.chunkPath(unique))
+	// No second copy: a torn newest manifest and a rotted unique chunk of
+	// the middle generation are unhealable.
+	corruptFile(t, s.nodes["local"].fs, s.nodes["local"].manifestPath("job", 3))
+	rotRecord(t, s, "local", uniqueChunkOf(t, mans[1], mans[0], mans[2]))
 
 	rep, err := s.Scrub(clock)
 	if err != nil {
@@ -474,11 +472,8 @@ func uniqueChunkOf(t *testing.T, m Manifest, others ...Manifest) string {
 }
 
 func TestPutWritesThroughToReplicas(t *testing.T) {
-	s := New(testFS(), Config{})
-	r1 := New(proc.NewFS("replica1", hw.TableISpec().LocalDisk), Config{})
-	r2 := New(proc.NewFS("replica2", hw.TableISpec().LocalDisk), Config{})
-	s.AttachReplica(r1, hw.GigE)
-	s.AttachReplica(r2, hw.GigE)
+	primary := faultFS(nil)
+	s := testMirror(t, primary, Config{})
 	clock := vtime.NewClock()
 	versions := uniqueVersions(2, 256<<10, 32<<10)
 
@@ -487,18 +482,45 @@ func TestPutWritesThroughToReplicas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The instant Put returns, every replica serves every generation.
-	for _, r := range []*Store{r1, r2} {
-		for i, v := range versions {
-			got, _, err := r.Get(clock, manifestID("job", uint64(i+1)))
-			if err != nil || !bytes.Equal(got, v) {
-				t.Fatalf("replica %s generation %d: %v", r.fs.Name(), i+1, err)
-			}
+	// The instant Put returns, the mirror alone serves every generation.
+	primary.Node().SetDown(true)
+	for i, v := range versions {
+		got, _, err := s.Get(clock, manifestID("job", uint64(i+1)))
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("mirror alone, generation %d: %v", i+1, err)
 		}
-		rep, err := r.Fsck(clock)
-		if err != nil || !rep.OK() {
-			t.Fatalf("replica fsck: %v %v", err, rep.Errors)
-		}
+	}
+	rep, err := s.Fsck(clock)
+	if err != nil || !rep.OK() {
+		t.Fatalf("mirror fsck: %v %v", err, rep.Errors)
+	}
+}
+
+// TestMirrorPutDegradedThenScrub pins the fleet rule at 1+1: a Put with the
+// mirror down succeeds on the primary alone — it is as durable as that one
+// node until a repair pass — and Scrub restores the second copy, after which
+// the mirror serves alone.
+func TestMirrorPutDegradedThenScrub(t *testing.T) {
+	primary := faultFS(nil)
+	s := testMirror(t, primary, Config{})
+	mirror := proc.NewNodeState("replica")
+	s.nodes["replica"].fs.SetNodeState(mirror)
+	clock := vtime.NewClock()
+	data := payload(29, 256<<10)
+
+	mirror.SetDown(true)
+	man, _, err := s.Put(clock, "job", data)
+	if err != nil {
+		t.Fatalf("put with the mirror down: %v", err)
+	}
+	mirror.SetDown(false)
+	rep, err := s.Scrub(clock)
+	if err != nil || !rep.OK() || rep.ShardsRebuilt != len(man.Chunks) || rep.ManifestsHealed+s.Heals().ManifestsHealed == 0 {
+		t.Fatalf("scrub: %v, %+v", err, rep)
+	}
+	primary.Node().SetDown(true)
+	if got, _, err := s.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("mirror alone after scrub: %v", err)
 	}
 }
 
@@ -507,17 +529,22 @@ func TestPutFaultPositionSweep(t *testing.T) {
 	// (deep enough to defeat the retry budget) at every operation position
 	// of a Put in turn. Whatever the outcome, the store must end in a
 	// trustworthy state: either the Put succeeded and the checkpoint is
-	// bit-identical, or it failed and Recover returns the store to empty.
+	// bit-identical, or it failed and Scrub returns the store to empty but
+	// for a torn manifest frame kept in quarantine.
 	data := payload(27, 128<<10)
 	for pos := 0; pos < 500; pos++ {
 		inj := proc.NewFaultInjector(proc.DiskFaultPlan{
 			Seed: uint64(pos), EveryN: 1, SkipFirst: pos, Max: 3,
 		})
-		s := faultStore(inj)
+		fs := faultFS(inj)
+		s := New(fs, Config{})
 		clock := vtime.NewClock()
 
 		man, _, err := s.Put(clock, "job", data)
 		if inj.Injected() == 0 {
+			if pos == 0 {
+				t.Fatal("the sweep injected nothing")
+			}
 			break // the sweep ran past the last operation of a clean Put
 		}
 		inj.Suspend()
@@ -531,11 +558,12 @@ func TestPutFaultPositionSweep(t *testing.T) {
 				t.Fatalf("pos %d: fsck after successful put: %v %v", pos, ferr, rep.Errors)
 			}
 		} else {
-			if _, rerr := s.Recover(); rerr != nil {
-				t.Fatalf("pos %d: recover: %v", pos, rerr)
+			if _, serr := s.Scrub(clock); serr != nil {
+				t.Fatalf("pos %d: scrub: %v", pos, serr)
 			}
-			if used := s.fs.TotalBytes(); used != 0 {
-				t.Fatalf("pos %d (%v): failed put leaked %d bytes past Recover", pos, inj.Events(), used)
+			onlyQuarantine(t, fs, fmt.Sprintf("pos %d (%v): failed put, after Scrub", pos, inj.Events()))
+			if _, gerr := s.GC(1); gerr != nil {
+				t.Fatalf("pos %d: gc after scrub: %v", pos, gerr)
 			}
 		}
 	}
@@ -543,16 +571,12 @@ func TestPutFaultPositionSweep(t *testing.T) {
 
 func TestDurableFaultSoakKillEveryK(t *testing.T) {
 	// The long soak: a primary under a continuous fault plan (every 7th
-	// operation fails as a torn write, lost write, bit rot or EIO) with two
-	// clean replicas, checkpointing an evolving payload. Every committed
+	// operation fails as a torn write, lost write, bit rot or EIO) with a
+	// clean mirror, checkpointing an evolving payload. Every committed
 	// generation must come back bit-identical, and the final restore walk
 	// must report no degradation.
 	inj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 2026, EveryN: 7})
-	s := faultStore(inj)
-	r1 := New(proc.NewFS("replica1", hw.TableISpec().LocalDisk), Config{})
-	r2 := New(proc.NewFS("replica2", hw.TableISpec().LocalDisk), Config{})
-	s.AttachReplica(r1, hw.GigE)
-	s.AttachReplica(r2, hw.GigE)
+	s := testMirror(t, faultFS(inj), Config{})
 	clock := vtime.NewClock()
 
 	base := payload(28, 512<<10)
@@ -570,9 +594,6 @@ func TestDurableFaultSoakKillEveryK(t *testing.T) {
 				break
 			}
 			lastErr = err
-			if _, rerr := s.Recover(); rerr != nil {
-				t.Fatalf("gen %d: recover between attempts: %v", gen, rerr)
-			}
 		}
 		if !ok {
 			t.Fatalf("gen %d: put failed 5 attempts: %v", gen, lastErr)
@@ -582,13 +603,13 @@ func TestDurableFaultSoakKillEveryK(t *testing.T) {
 		t.Fatal("the soak injected no faults")
 	}
 
-	// Scrub with faults still flowing: retries and replicas absorb them.
+	// Scrub with faults still flowing: retries and the mirror absorb them.
 	rep, err := s.Scrub(clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("scrub findings with 2 replicas attached: %v", rep.Findings)
+		t.Fatalf("scrub findings with a mirror attached: %v", rep.Findings)
 	}
 
 	// Every committed generation restores bit-identical — reads heal

@@ -1,17 +1,19 @@
 package store
 
-// Fleet is the erasure-coded, sharded successor to AttachReplica's
-// full-copy replication: N store nodes, each chunk split into k data +
-// m parity shards placed on k+m distinct nodes by a consistent-hash map
-// over the chunk's content address. Any checkpoint restores bit-identical
-// with any m nodes down — a degraded Get gathers any k surviving shards
-// and reconstructs — at (k+m)/k storage overhead instead of replication's
-// 2x. Manifests are small, so they are mirrored to every node rather than
-// sharded; one surviving copy resolves any ref.
+// Fleet is the checkpoint store: the engine's one placement. N store
+// nodes, each chunk split into k data + m parity shards placed on k+m
+// distinct nodes by a consistent-hash map over the chunk's content
+// address. Any checkpoint restores bit-identical with any m nodes down — a
+// degraded Get gathers any k surviving shards and reconstructs — at
+// (k+m)/k storage overhead. Manifests are small, so they are mirrored to
+// every node rather than sharded; one surviving copy resolves any ref.
 //
-// Fleet is the engine's shard placement; chunking, dedup, manifests, the
-// restore walk and GC's retention are the engine's (engine.go), the same
-// code a Store runs.
+// Every geometry is this code. A store on one filesystem (New) is one
+// node with k=1, m=0: the "shard" is the chunk's blob and coding is the
+// identity. A store with a replica (NewMirror) is two nodes with k=1, m=1:
+// the parity row of a 1+1 Reed–Solomon code is [1], so the parity shard is
+// the blob again — a mirror. Chunking, dedup, manifests, the restore walk
+// and GC's retention are the engine's (engine.go).
 //
 // On disk a node holds packs (pack.go): immutable files of shard records
 // back to back, <prefix>/packs/<job>/<seq>.<part> for the records one Put
@@ -21,17 +23,21 @@ package store
 // by every pack write and rebuilt from the record headers when a fleet is
 // opened over filesystems that already hold packs.
 //
-// Commit protocol: a Put buffers each new chunk's shard records per node and
-// writes them as one verified pack per node — all nodes in one overlapped
-// round, a further round whenever a node's buffer passes packPartSize, the
-// last before the commit — then publishes the manifest on every alive node:
-// the per-node commit point, same manifest-last rule as Store. The commit
-// tolerates up to m down nodes: a chunk commits with >= k records in
-// verified packs and the manifest with at most m copies missing; anything
-// less fails the Put. A crash mid-Put leaves orphan packs whose records a
-// later Put may still deduplicate against and GC otherwise reclaims.
+// Commit protocol, and the whole crash-consistency argument: a Put buffers
+// each new chunk's shard records per node and writes them as one verified
+// pack per node — all nodes in one overlapped round, a further round
+// whenever a node's buffer passes packPartSize, the last before the commit
+// — and only then publishes the manifest on every alive node: packs before
+// manifest. A pack cut short is read up to the tear (scanPack); records
+// behind it are erasures. The commit tolerates up to m down nodes: a chunk
+// commits with >= k records in verified packs and the manifest with at most
+// m copies missing; anything less fails the Put. A crash mid-Put leaves
+// orphan packs whose records a later Put may still deduplicate against and
+// GC or Scrub otherwise reclaims, and at worst a torn manifest frame, which
+// Latest skips and Scrub quarantines.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -64,7 +70,8 @@ type FleetConfig struct {
 
 // The fleet's modelled costs and pacing, one value each.
 const (
-	// fleetLink is the node-to-node network; shard transfers charge it.
+	// fleetLink is the network to a remote node; records and manifest
+	// frames that cross it are charged.
 	fleetLink = hw.GigE
 	// rebuildBatch/rebuildPause pace Rebuild: after each batch of
 	// rebuildBatch chunks the rebuilder idles for rebuildPause, so a node
@@ -88,21 +95,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	return c
 }
 
-// fleetNode is one member: a Store over the node's filesystem (reusing
-// its verified writes, manifest framing and path layout) and the index of
-// the shard records in the node's packs.
-type fleetNode struct {
-	name string
-	st   *Store
-	// recs and indexed are guarded by Fleet.idxMu. indexed is false until
-	// the node's packs have been scanned: a node that is down when the
-	// fleet opens is scanned when it first serves.
-	recs    map[recKey]recLoc
-	indexed bool
-	// wbuf stages the records a Put sends this node; guarded by Fleet.mu.
-	wbuf packBuf
-}
-
 // recKey names one shard of one chunk; recLoc is where a node keeps it.
 type recKey struct {
 	sum string
@@ -115,16 +107,30 @@ type recLoc struct {
 	origLen int // length of the chunk blob the shard was cut from
 }
 
-// Fleet is an erasure-coded checkpoint store over N nodes. It implements
-// Backend, so core, cpr and mpi checkpoint into it exactly as into a
-// single Store.
+// HealStats is the store's cumulative ledger of repairs and copies —
+// degraded reads that wrote shards back, Scrub and Rebuild passes,
+// Replicate — one shape for every report to aggregate.
+type HealStats struct {
+	ManifestsHealed int // manifest frames re-published to nodes missing a good copy
+
+	ChunksCopied int   // chunks moved to another store (Replicate)
+	BytesCopied  int64 // stored bytes of those chunks
+
+	ShardsHealed     int   // shard records reconstructed onto their home nodes
+	ShardBytesHealed int64 // physical bytes of those records
+}
+
+// Fleet is a checkpoint store over N nodes, erasure-coded k+m. It
+// implements Backend: core, cpr and mpi checkpoint into any geometry the
+// same way.
 type Fleet struct {
 	engine
+	name  string
 	cfg   FleetConfig
 	coder *Coder
 	smap  *ShardMap
 
-	mu    sync.Mutex // serialises Put/GC/Rebuild/Scrub sequencing
+	mu    sync.Mutex // serialises Put/GC/Replicate/Rebuild/Scrub sequencing
 	nodes map[string]*fleetNode
 	names []string // sorted
 
@@ -137,30 +143,63 @@ type Fleet struct {
 	heals  HealStats
 }
 
-// NewFleet builds a fleet over the given nodes. Node names must be
-// unique and there must be at least k+m of them; input order is
-// irrelevant — placement depends only on the name set.
+// New opens (or creates — the store is its own directory layout) a store
+// on one filesystem: a single node holding every chunk whole, 1+0. fs is
+// used where it is, with no link in front of it.
+func New(fs *proc.FS, cfg Config) *Fleet {
+	cfg = cfg.withDefaults()
+	f, err := open(fs.Name(), 1, 0, cfg, newNode(fs.Name(), fs, cfg.Prefix, false))
+	if err != nil {
+		panic(err) // one node under a 1+0 code: nothing an argument can break
+	}
+	return f
+}
+
+// NewMirror opens a store on fs with a full copy of everything on mirror,
+// a filesystem across the node-to-node link: two nodes, 1+1. Either copy
+// serves every read; a Put with one of them down commits degraded and
+// Scrub or Rebuild restores the second copy. The filesystems' names name
+// the nodes and must differ.
+func NewMirror(fs, mirror *proc.FS, cfg Config) (*Fleet, error) {
+	cfg = cfg.withDefaults()
+	return open(fs.Name(), 1, 1, cfg,
+		newNode(fs.Name(), fs, cfg.Prefix, false), newNode(mirror.Name(), mirror, cfg.Prefix, true))
+}
+
+// NewFleet builds a fleet over the given nodes, each across the network.
+// Node names must be unique and there must be at least k+m of them; input
+// order is irrelevant — placement depends only on the name set.
 func NewFleet(nodes []FleetNode, cfg FleetConfig) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	coder, err := NewCoder(cfg.DataShards, cfg.ParityShards)
-	if err != nil {
-		return nil, err
-	}
-	if len(nodes) < cfg.DataShards+cfg.ParityShards {
-		return nil, fmt.Errorf("store: fleet: %d nodes cannot hold %d+%d shards on distinct nodes",
-			len(nodes), cfg.DataShards, cfg.ParityShards)
-	}
-	f := &Fleet{cfg: cfg, coder: coder, nodes: map[string]*fleetNode{}}
-	f.engine = engine{cfg: cfg.Store, p: f}
-	for _, n := range nodes {
+	members := make([]*fleetNode, len(nodes))
+	for i, n := range nodes {
 		if n.Name == "" || strings.ContainsAny(n.Name, "/@") {
 			return nil, fmt.Errorf("store: fleet: invalid node name %q", n.Name)
 		}
-		if _, dup := f.nodes[n.Name]; dup {
-			return nil, fmt.Errorf("store: fleet: duplicate node name %q", n.Name)
+		members[i] = newNode(n.Name, n.FS, cfg.Store.Prefix, true)
+	}
+	name := fmt.Sprintf("fleet(%d nodes, %d+%d)", len(nodes), cfg.DataShards, cfg.ParityShards)
+	return open(name, cfg.DataShards, cfg.ParityShards, cfg.Store, members...)
+}
+
+// open is the one constructor: a k+m code over nodes, cfg already defaulted.
+func open(name string, k, m int, cfg Config, nodes ...*fleetNode) (*Fleet, error) {
+	coder, err := NewCoder(k, m)
+	if err != nil {
+		return nil, err
+	}
+	if len(nodes) < k+m {
+		return nil, fmt.Errorf("store: fleet: %d nodes cannot hold %d+%d shards on distinct nodes", len(nodes), k, m)
+	}
+	f := &Fleet{name: name, coder: coder, nodes: map[string]*fleetNode{},
+		cfg: FleetConfig{DataShards: k, ParityShards: m, Store: cfg}}
+	f.engine = engine{cfg: cfg, p: f}
+	for _, n := range nodes {
+		if _, dup := f.nodes[n.name]; dup {
+			return nil, fmt.Errorf("store: fleet: duplicate node name %q", n.name)
 		}
-		f.nodes[n.Name] = &fleetNode{name: n.Name, st: New(n.FS, cfg.Store), recs: map[recKey]recLoc{}}
-		f.names = append(f.names, n.Name)
+		f.nodes[n.name] = n
+		f.names = append(f.names, n.name)
 	}
 	sort.Strings(f.names)
 	if f.smap, err = newShardMap(f.names); err != nil {
@@ -170,10 +209,9 @@ func NewFleet(nodes []FleetNode, cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// Name identifies the backend in checkpoint records and tooling.
-func (f *Fleet) Name() string {
-	return fmt.Sprintf("fleet(%d nodes, %d+%d)", len(f.names), f.cfg.DataShards, f.cfg.ParityShards)
-}
+// Name identifies the backend in checkpoint records and tooling: the
+// filesystem's name for a store opened on one, the geometry for a NewFleet.
+func (f *Fleet) Name() string { return f.name }
 
 // Config exposes the resolved configuration.
 func (f *Fleet) Config() FleetConfig { return f.cfg }
@@ -181,24 +219,13 @@ func (f *Fleet) Config() FleetConfig { return f.cfg }
 // Nodes lists the node names, sorted.
 func (f *Fleet) Nodes() []string { return append([]string(nil), f.names...) }
 
-// NodeStore exposes one member's Store (tooling, tests).
-func (f *Fleet) NodeStore(name string) (*Store, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, ok := f.nodes[name]
-	if !ok {
-		return nil, false
-	}
-	return n.st, true
-}
-
 // AttachFaults registers every node with the injector (in sorted name
 // order, so fault schedules are deterministic), tells it which files hold
 // shard data, and ticks it on every subsequent shard-level operation.
 func (f *Fleet) AttachFaults(inj *proc.NodeFaultInjector) {
 	f.mu.Lock()
 	for _, name := range f.names {
-		inj.Register(name, f.nodes[name].st.fs)
+		inj.Register(name, f.nodes[name].fs)
 	}
 	f.mu.Unlock()
 	f.SetFaultInjector(inj)
@@ -246,9 +273,6 @@ func (f *Fleet) tick() {
 	}
 }
 
-// alive reports whether the node is serving (no node state = healthy).
-func (n *fleetNode) alive() bool { return !n.st.fs.Node().Down() }
-
 // packPrefix is the directory every node keeps its packs under.
 func (f *Fleet) packPrefix() string { return f.cfg.Store.Prefix + "/packs/" }
 
@@ -269,7 +293,7 @@ func (f *Fleet) repairPack(kind string) string {
 func (f *Fleet) packFiles(n *fleetNode) []string {
 	var put, repair []string
 	prefix := f.packPrefix()
-	for _, p := range n.st.fs.List() {
+	for _, p := range n.fs.List() {
 		switch {
 		case f.isRepairPack(p):
 			repair = append(repair, p)
@@ -313,7 +337,7 @@ func (f *Fleet) indexNodes() {
 			if f.isRepairPack(p) {
 				f.nextAt = max(f.nextAt, repairPackNumber(p)+1)
 			}
-			data, err := readRetry(vtime.NewClock(), n.st.fs, p)
+			data, err := readRetry(vtime.NewClock(), n.fs, p)
 			if err != nil {
 				n.indexed = false
 				continue
@@ -371,13 +395,13 @@ func (f *Fleet) placement(sum string) []*fleetNode {
 }
 
 // chunkPresent probes whether the chunk is already durably stored: at
-// least k of its records are indexed in packs that are still there. Like
-// Store's fs.Size dedup probe this is a metadata operation and charges no
-// time. When present it also reports the original blob length.
+// least k of its records are indexed in packs that are still there. This is
+// a metadata operation and charges no time. When present it also reports
+// the original blob length.
 func (f *Fleet) chunkPresent(sum string) (int64, bool) {
 	present, origLen := 0, 0
 	for i, n := range f.placement(sum) {
-		if loc, ok := f.lookup(n, sum, i); ok && n.st.fs.Exists(loc.pack) {
+		if loc, ok := f.lookup(n, sum, i); ok && n.fs.Exists(loc.pack) {
 			present++
 			origLen = loc.origLen
 		}
@@ -388,12 +412,13 @@ func (f *Fleet) chunkPresent(sum string) (int64, bool) {
 // writePacks writes bufs — the records bound for each node, keyed by node
 // name — as one pack per node at path, and indexes the records that
 // landed. Every pack goes through writeVerified. Disk writes to distinct
-// nodes overlap (the caller is charged the slowest one); the records all
-// leave through the writer's single link, so link time is charged for the
-// total bytes. Down nodes and failed writes are reported per node; their
-// records are simply not stored. Returns the physical bytes written.
+// nodes overlap (the caller is charged the slowest one); the records bound
+// for remote nodes all leave through the writer's single link, so link time
+// is charged for their total bytes. Down nodes and failed writes are
+// reported per node; their records are simply not stored. Returns the
+// physical bytes written.
 func (f *Fleet) writePacks(clock *vtime.Clock, path string, bufs map[string]*packBuf) (int64, map[string]error) {
-	var written int64
+	var written, linked int64
 	var diskMax vtime.Duration
 	failed := map[string]error{}
 	for _, name := range f.names {
@@ -408,25 +433,25 @@ func (f *Fleet) writePacks(clock *vtime.Clock, path string, bufs map[string]*pac
 			continue
 		}
 		sc := vtime.NewClock()
-		if err := n.st.writeVerified(sc, path, buf.data); err != nil {
+		if err := n.writeVerified(sc, path, buf.data); err != nil {
 			failed[name] = err
 			continue
 		}
 		diskMax = max(diskMax, sc.Now().Sub(0))
 		written += int64(len(buf.data))
+		linked += n.linkBytes(len(buf.data))
 		f.idxMu.Lock()
 		for _, r := range buf.recs {
 			n.recs[recKey{r.sum, r.idx}] = recLoc{pack: path, off: r.off, n: r.n, origLen: r.origLen}
 		}
 		f.idxMu.Unlock()
 	}
-	clock.Advance(fleetLink.Transfer(written) + diskMax)
+	clock.Advance(fleetLink.Transfer(linked) + diskMax)
 	return written, failed
 }
 
-func (f *Fleet) lockSeq()           { f.mu.Lock() }
-func (f *Fleet) unlockSeq()         { f.mu.Unlock() }
-func (f *Fleet) repairHint() string { return "Scrub" }
+func (f *Fleet) lockSeq()   { f.mu.Lock() }
+func (f *Fleet) unlockSeq() { f.mu.Unlock() }
 
 // fleetPut is a Fleet's write transaction: the records of the chunks
 // staged since the last round, per node, and the chunks they belong to.
@@ -516,7 +541,7 @@ func (t *fleetPut) underwritten(failed map[string]error) error {
 			}
 		}
 		if ok < k {
-			return fmt.Errorf("store: fleet: chunk %s: only %d of %d shards written (need %d): %v",
+			return fmt.Errorf("store: fleet: chunk %s: only %d of %d shards written (need %d): %w",
 				sum[:12], ok, len(nodes), k, firstErr)
 		}
 	}
@@ -526,7 +551,7 @@ func (t *fleetPut) underwritten(failed map[string]error) error {
 // packExists reports whether any node holds a file at path.
 func (f *Fleet) packExists(path string) bool {
 	for _, n := range f.nodes {
-		if n.st.fs.Exists(path) {
+		if n.fs.Exists(path) {
 			return true
 		}
 	}
@@ -541,14 +566,13 @@ func (t *fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64
 	return int64(published) * int64(len(frame)), nil
 }
 
-func (*fleetPut) settle(*vtime.Clock, Manifest) error { return nil }
-
 // fleetRead is a read session: the packs it has pulled from the nodes, and
 // the repaired records it owes them. Get opens one per manifest; Rebuild
 // and Scrub run their repairs through one.
 type fleetRead struct {
 	f     *Fleet
 	clock *vtime.Clock
+	heal  bool // write reconstructed records back to their home nodes
 	// packs holds what the packs pulled so far read as; a nil entry is a
 	// pack that could not be read.
 	packs map[packAt][]byte
@@ -562,17 +586,21 @@ type fleetRead struct {
 // packAt names one pack on one node.
 type packAt struct{ node, path string }
 
-func (f *Fleet) newRead(clock *vtime.Clock) *fleetRead {
+func (f *Fleet) newRead(clock *vtime.Clock, heal bool) *fleetRead {
 	f.indexNodes()
-	return &fleetRead{f: f, clock: clock, packs: map[packAt][]byte{},
+	return &fleetRead{f: f, clock: clock, heal: heal, packs: map[packAt][]byte{},
 		homes: map[string][]*fleetNode{}, heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
 }
 
 // openRead plans and loads the packs the healthy path of every ref needs.
-// The degraded read is the only read path there is, so the engine's heal
-// flag has nothing to switch off.
-func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, _ bool) chunkReader {
-	r := f.newRead(clock)
+// The degraded read is the only read path there is; without heal it just
+// writes nothing back.
+func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkReader {
+	return f.readSession(clock, refs, heal)
+}
+
+func (f *Fleet) readSession(clock *vtime.Clock, refs []ChunkRef, heal bool) *fleetRead {
+	r := f.newRead(clock, heal)
 	sums := make([]string, len(refs))
 	for i, ref := range refs {
 		sums[i] = ref.Sum
@@ -651,7 +679,7 @@ func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []by
 	r.f.tick()
 	var data []byte
 	if n.alive() {
-		data, _ = readRetry(clock, n.st.fs, path)
+		data, _ = readRetry(clock, n.fs, path)
 	}
 	r.packs[packAt{n.name, path}] = data
 	return data
@@ -708,7 +736,7 @@ func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool) (have 
 			continue
 		}
 		have[i], origLen = payload, blobLen
-		pulled += int64(len(rec))
+		pulled += n.linkBytes(len(rec))
 	}
 	r.clock.Advance(fleetLink.Transfer(pulled))
 	return have, origLen, bad
@@ -760,28 +788,30 @@ var errBadRecord = errors.New("store: fleet: shard record fails verification")
 func (r *fleetRead) fetch(l *landing) (func() error, error) {
 	nodes := r.nodes(l.ref.Sum)
 	recs := make([][]byte, r.f.cfg.DataShards)
+	var pulled int64
 	for i := range recs {
 		ok := false
 		if recs[i], _, ok = r.locate(nodes[i], l.ref.Sum, i); !ok {
 			return r.fetchDegraded(l)
 		}
+		pulled += nodes[i].linkBytes(len(recs[i]))
 	}
-	return func() error { return r.landRecords(l, recs) }, nil
+	return func() error { return r.landRecords(l, recs, pulled) }, nil
 }
 
 // landRecords is the pure half of a healthy read: it verifies the k data
-// records, charges the link for them, and lands the blob they hold between
-// them. recs is overwritten with their payloads.
-func (r *fleetRead) landRecords(l *landing, recs [][]byte) error {
-	origLen, pulled := -1, 0
+// records, charges the link for the pulled bytes of them that crossed it,
+// and lands the blob they hold between them. recs is overwritten with
+// their payloads.
+func (r *fleetRead) landRecords(l *landing, recs [][]byte, pulled int64) error {
+	origLen := -1
 	for i, rec := range recs {
 		ok := false
 		if recs[i], origLen, ok = shardAt(rec, &l.addr, i); !ok {
 			return errBadRecord
 		}
-		pulled += len(rec)
 	}
-	r.clock.Advance(fleetLink.Transfer(int64(pulled)))
+	r.clock.Advance(fleetLink.Transfer(pulled))
 	return r.landShards(l, recs, origLen)
 }
 
@@ -799,20 +829,47 @@ func (r *fleetRead) landShards(l *landing, shards [][]byte, origLen int) error {
 	return verifyParts(r.clock, shards, l)
 }
 
-// fetchDegraded reads one chunk from any k survivors: the parity shards
-// join the gather and the chunk reconstructs; the shards that were missing
-// are owed to their alive home nodes and written back when the session
-// closes, so a degraded read heals the fleet as a side effect. Everything
-// stateful happens here; what is returned is the pure rest.
-func (r *fleetRead) fetchDegraded(l *landing) (func() error, error) {
+// readDegraded reads one chunk's data shards from any k survivors, their
+// record digests verified: the parity shards join the gather and the chunk
+// reconstructs; the shards that were missing are owed to their alive home
+// nodes and written back when the session closes, so a degraded read heals
+// the fleet as a side effect.
+func (r *fleetRead) readDegraded(l *landing) (shards [][]byte, origLen int, err error) {
 	sum := l.ref.Sum
 	have, origLen, bad := r.gather(sum, &l.addr, false)
-	shards, err := r.solve(sum, have, origLen, bad)
+	if shards, err = r.solve(sum, have, origLen, bad); err != nil {
+		return nil, 0, err
+	}
+	r.owe(sum, origLen, shards, bad)
+	return shards[:r.f.cfg.DataShards], origLen, nil
+}
+
+// fetchDegraded is fetch by way of readDegraded. Everything stateful
+// happens here; what is returned is the pure rest.
+func (r *fleetRead) fetchDegraded(l *landing) (func() error, error) {
+	shards, origLen, err := r.readDegraded(l)
 	if err != nil {
 		return nil, err
 	}
-	r.owe(sum, origLen, shards, bad)
-	return func() error { return r.landShards(l, shards[:r.f.cfg.DataShards], origLen) }, nil
+	return func() error { return r.landShards(l, shards, origLen) }, nil
+}
+
+// blob reads one chunk in its stored form, for a caller that moves it
+// rather than restores it: verified end to end — records, inflate, content
+// address — before it is returned.
+func (r *fleetRead) blob(ref ChunkRef) ([]byte, error) {
+	l, err := r.f.newLanding(ref)
+	if err != nil {
+		return nil, err
+	}
+	shards, origLen, err := r.readDegraded(l)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.landShards(l, shards, origLen); err != nil {
+		return nil, err
+	}
+	return bytes.Join(shards, nil), nil
 }
 
 // refetch is the degraded read of a chunk one of whose data records failed
@@ -830,12 +887,13 @@ func (r *fleetRead) refetch(l *landing, cause error) error {
 }
 
 // owe queues the given shard indices for write-back to their alive home
-// nodes. A parity shard solve left out, its node being down, is skipped.
+// nodes. A parity shard solve left out, its node being down, is skipped; a
+// session opened without heal owes nothing.
 func (r *fleetRead) owe(sum string, origLen int, shards [][]byte, idxs []int) {
 	nodes := r.nodes(sum)
 	for _, i := range idxs {
 		n, key := nodes[i], recKey{sum, i}
-		if shards[i] == nil || !n.alive() || r.owed[key] {
+		if !r.heal || shards[i] == nil || !n.alive() || r.owed[key] {
 			continue
 		}
 		if r.heals[n.name] == nil {
@@ -872,9 +930,13 @@ func (r *fleetRead) settle(clock *vtime.Clock) (int, int64) {
 func (r *fleetRead) close() { r.settle(vtime.NewClock()) }
 
 // publishManifest writes the manifest frame to every alive node and
-// reports how many copies landed. At most m copies may be missing — that
-// keeps at least one copy alive through any later m-node loss (n-2m >= 1
-// whenever m < k) — otherwise the commit fails.
+// reports how many copies landed. At most m copies may be missing,
+// otherwise the commit fails: the manifest is then on as many nodes as a
+// degraded chunk has records to spare for, and no more. How many further
+// losses a degraded commit survives before Scrub or Rebuild has restored
+// the missing copies depends on the geometry — n-2m copies outlive another
+// m losses, which is 2 of them for 4+2 over six nodes and none for a
+// mirror: a 1+1 Put with one node down stands on the other node alone.
 func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, frame []byte) (int, error) {
 	published := 0
 	var firstErr error
@@ -885,12 +947,12 @@ func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, fram
 		n := f.nodes[name]
 		if !n.alive() {
 			if firstErr == nil {
-				firstErr = &proc.ErrNodeDown{Node: name, Op: "write", Path: n.st.manifestPath(job, seq)}
+				firstErr = &proc.ErrNodeDown{Node: name, Op: "write", Path: n.manifestPath(job, seq)}
 			}
 			continue
 		}
 		sc := vtime.NewClock()
-		if err := n.st.writeVerifiedMeta(sc, n.st.manifestPath(job, seq), frame); err != nil {
+		if err := n.writeVerifiedMeta(sc, n.manifestPath(job, seq), frame); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -899,23 +961,23 @@ func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, fram
 		if d := sc.Now().Sub(0); d > diskMax {
 			diskMax = d
 		}
-		linkBytes += int64(len(frame))
+		linkBytes += n.linkBytes(len(frame))
 		published++
 	}
 	clock.Advance(fleetLink.Transfer(linkBytes) + diskMax)
 	if published < len(f.names)-f.cfg.ParityShards {
-		return published, fmt.Errorf("store: fleet: manifest %s published to only %d of %d nodes (tolerate at most %d missing): %v",
+		return published, fmt.Errorf("store: fleet: manifest %s published to only %d of %d nodes (tolerate at most %d missing): %w",
 			manifestID(job, seq), published, len(f.names), f.cfg.ParityShards, firstErr)
 	}
 	return published, nil
 }
 
 // loadManifest resolves one manifest from the first node holding a
-// decodable copy, walking sorted names. When an earlier node failed
-// (down, lost or corrupt frame) and a later one served, the good frame
-// is re-published to the failed alive nodes best effort — manifest reads
-// self-heal exactly like Store's replica fallback.
-func (f *Fleet) loadManifest(job string, seq uint64) (Manifest, error) {
+// decodable copy, walking sorted names. When an earlier node failed (lost
+// or corrupt frame) and a later one served, with heal set the good frame
+// is re-published to the failed alive nodes best effort: manifest reads
+// self-heal like chunk reads do.
+func (f *Fleet) loadManifest(job string, seq uint64, heal bool) (Manifest, error) {
 	var failed []*fleetNode
 	var lastErr error
 	for _, name := range f.names {
@@ -923,21 +985,21 @@ func (f *Fleet) loadManifest(job string, seq uint64) (Manifest, error) {
 		if !n.alive() {
 			continue
 		}
-		if !n.st.fs.Exists(n.st.manifestPath(job, seq)) {
+		if !n.fs.Exists(n.manifestPath(job, seq)) {
 			failed = append(failed, n)
 			continue
 		}
-		m, err := n.st.readManifest(job, seq)
+		m, err := n.readManifest(job, seq)
 		if err != nil {
 			lastErr = err
 			failed = append(failed, n)
 			continue
 		}
-		if len(failed) > 0 {
+		if heal && len(failed) > 0 {
 			if frame, ferr := encodeManifest(m); ferr == nil {
 				healed := 0
 				for _, fn := range failed {
-					if werr := fn.st.writeVerifiedMeta(vtime.NewClock(), fn.st.manifestPath(job, seq), frame); werr == nil {
+					if werr := fn.writeVerifiedMeta(vtime.NewClock(), fn.manifestPath(job, seq), frame); werr == nil {
 						healed++
 					}
 				}
@@ -962,7 +1024,7 @@ func (f *Fleet) manifestFiles() []manifestKey {
 		if !n.alive() {
 			continue
 		}
-		for _, k := range n.st.manifestFiles() {
+		for _, k := range n.manifestFiles() {
 			if !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
@@ -979,12 +1041,12 @@ func (f *Fleet) manifestFiles() []manifestKey {
 }
 
 // TotalStoredBytes sums the physical occupancy of every node — shards,
-// parity, mirrored manifests, quarantine. This is the number the
-// durability-per-byte comparison against replication uses.
+// parity, mirrored manifests, quarantine: the number a durability-per-byte
+// comparison between geometries uses.
 func (f *Fleet) TotalStoredBytes() int64 {
 	var n int64
 	for _, name := range f.names {
-		n += f.nodes[name].st.TotalStoredBytes()
+		n += f.nodes[name].storedBytes()
 	}
 	return n
 }

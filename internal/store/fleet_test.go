@@ -36,6 +36,9 @@ func testFleet(t *testing.T, n int, cfg FleetConfig) (*Fleet, map[string]*proc.N
 	return f, states
 }
 
+// nodeFS is the filesystem behind one member.
+func nodeFS(f *Fleet, name string) *proc.FS { return f.nodes[name].fs }
+
 func allUp(states map[string]*proc.NodeState) {
 	for _, ns := range states {
 		ns.SetDown(false)
@@ -119,11 +122,7 @@ func TestNodeKillPositionSweep(t *testing.T) {
 			// Only the victims register, so the sweep controls exactly
 			// which nodes the crashes land on.
 			for _, vi := range victims {
-				st, ok := f.NodeStore(names[vi])
-				if !ok {
-					t.Fatalf("no node %s", names[vi])
-				}
-				states[names[vi]] = inj.Register(names[vi], st.FS())
+				states[names[vi]] = inj.Register(names[vi], nodeFS(f, names[vi]))
 			}
 			f.SetFaultInjector(inj)
 			got, _, err := f.Get(clock, "job")
@@ -175,8 +174,13 @@ func TestFleetRebuildRestoresRedundancy(t *testing.T) {
 		t.Fatalf("replacement node got no manifest copies: %+v", st)
 	}
 	for _, job := range []string{"alpha", "beta"} {
-		rst, _ := f.NodeStore(victim)
-		if len(rst.jobSeqs(job)) == 0 {
+		onVictim := 0
+		for _, k := range f.nodes[victim].manifestFiles() {
+			if k.Job == job {
+				onVictim++
+			}
+		}
+		if onVictim == 0 {
 			t.Fatalf("replacement node holds no %s manifests after rebuild", job)
 		}
 	}
@@ -221,10 +225,10 @@ func TestFleetScrubHealsRotAndSweepsOrphans(t *testing.T) {
 	names := f.Nodes()
 	rotted := 0
 	for _, name := range names[:2] {
-		st, _ := f.NodeStore(name)
-		for _, p := range st.FS().List() {
+		st := nodeFS(f, name)
+		for _, p := range st.List() {
 			if strings.Contains(p, "/packs/") && rotted < 3 {
-				if st.FS().FlipBit(p, uint64(rotted)*131) {
+				if st.FlipBit(p, uint64(rotted)*131) {
 					rotted++
 				}
 			}
@@ -234,9 +238,9 @@ func TestFleetScrubHealsRotAndSweepsOrphans(t *testing.T) {
 		t.Fatal("found no packs to rot")
 	}
 	orphanSum := strings.Repeat("ab", 32)
-	ost, _ := f.NodeStore(names[3])
-	orphan := ost.cfg.Prefix + "/packs/" + orphanSum + "/00000001.0"
-	if err := ost.FS().WriteFile(vtime.NewClock(), orphan, []byte("junk")); err != nil {
+	ost := nodeFS(f, names[3])
+	orphan := f.packPrefix() + orphanSum + "/00000001.0"
+	if err := ost.WriteFile(vtime.NewClock(), orphan, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,7 +261,7 @@ func TestFleetScrubHealsRotAndSweepsOrphans(t *testing.T) {
 	if rep.ShardsRebuilt < rotted {
 		t.Fatalf("scrub rebuilt %d shards, rotted %d", rep.ShardsRebuilt, rotted)
 	}
-	if ost.FS().Exists(orphan) {
+	if ost.Exists(orphan) {
 		t.Fatal("orphan pack survived the scrub")
 	}
 	if f.Heals().ShardsHealed == 0 {
@@ -287,10 +291,10 @@ func TestFleetScrubQuarantinesUnrepairable(t *testing.T) {
 	}
 	killed := 0
 	for _, name := range f.Nodes() {
-		st, _ := f.NodeStore(name)
-		for _, p := range st.FS().List() {
+		st := nodeFS(f, name)
+		for _, p := range st.List() {
 			if strings.Contains(p, "/packs/") && killed < 3 {
-				if err := st.FS().Remove(p); err != nil {
+				if err := st.Remove(p); err != nil {
 					t.Fatal(err)
 				}
 				killed++

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"checl/internal/hw"
 	"checl/internal/proc"
 	"checl/internal/vtime"
 )
@@ -106,32 +105,21 @@ func goldenScript(t *testing.T, b Backend, gc func(int) (GCStats, error)) golden
 	return run
 }
 
-// TestStoreGolden pins the store byte for byte against a recording made at
-// the commit before the engine/placement split: same files on every
-// backing filesystem, same stats, same virtual time.
+// TestStoreGolden pins the store byte for byte against a recording: same
+// files on every backing filesystem, same stats, same virtual time, for a
+// mirror and for a 4+2 fleet.
 func TestStoreGolden(t *testing.T) {
 	got := map[string]goldenRun{}
-
-	primary := New(testFS(), Config{})
-	replica := New(proc.NewFS("replica", hw.TableISpec().LocalDisk), Config{})
-	primary.AttachReplica(replica, hw.GigE)
-	disk := goldenScript(t, primary, primary.GC)
-	disk.FS = map[string][][2]string{}
-	for _, fs := range []*proc.FS{primary.FS(), replica.FS()} {
-		disk.FS[fs.Name()] = listing(fs)
+	fleet, _ := testFleet(t, 6, FleetConfig{})
+	for arm, f := range map[string]*Fleet{"1+1": testMirror(t, testFS(), Config{}), "fleet-4+2": fleet} {
+		run := goldenScript(t, f, f.GC)
+		run.FS = map[string][][2]string{}
+		for _, name := range f.Nodes() {
+			run.FS[name] = listing(nodeFS(f, name))
+		}
+		run.Heals = f.Heals()
+		got[arm] = run
 	}
-	disk.Heals = primary.Heals()
-	got["disk+replica"] = disk
-
-	f, _ := testFleet(t, 6, FleetConfig{})
-	run := goldenScript(t, f, f.GC)
-	run.FS = map[string][][2]string{}
-	for _, name := range f.Nodes() {
-		st, _ := f.NodeStore(name)
-		run.FS[name] = listing(st.FS())
-	}
-	run.Heals = f.Heals()
-	got["fleet-4+2"] = run
 
 	const path = "testdata/store_golden.json"
 	if *updateGolden {

@@ -17,8 +17,8 @@ import (
 func fleetFiles(f *Fleet) map[string][][2]string {
 	out := map[string][][2]string{}
 	for _, name := range f.Nodes() {
-		st, _ := f.NodeStore(name)
-		out[name] = listing(st.FS())
+		st := nodeFS(f, name)
+		out[name] = listing(st)
 	}
 	return out
 }
@@ -30,7 +30,7 @@ type packReader map[[2]string][]byte
 func (pr packReader) read(n *fleetNode, path string) []byte {
 	key := [2]string{n.name, path}
 	if _, ok := pr[key]; !ok {
-		pr[key], _ = n.st.fs.ReadFile(vtime.NewClock(), path)
+		pr[key], _ = n.fs.ReadFile(vtime.NewClock(), path)
 	}
 	return pr[key]
 }
@@ -75,8 +75,8 @@ func TestFleetPutWritesOnePackPerNode(t *testing.T) {
 		if len(packs) != 1 || packs[0] != "ckptstore/packs/job/00000001.0" {
 			t.Fatalf("%s holds packs %v, want exactly job/00000001.0", name, packs)
 		}
-		nst, _ := f.NodeStore(name)
-		raw, _ := nst.FS().ReadFile(vtime.NewClock(), packs[0])
+		nst := nodeFS(f, name)
+		raw, _ := nst.ReadFile(vtime.NewClock(), packs[0])
 		recs, err := scanPack(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -86,7 +86,7 @@ func TestFleetPutWritesOnePackPerNode(t *testing.T) {
 				t.Fatalf("%s: record at %d: %v", name, r.off, err)
 			}
 		}
-		physical += nst.TotalStoredBytes()
+		physical += nst.TotalBytes()
 	}
 	if st.StoredBytes != physical {
 		t.Errorf("PutStats.StoredBytes = %d, the nodes hold %d", st.StoredBytes, physical)
@@ -103,8 +103,8 @@ func TestFleetPutWritesOnePackPerNode(t *testing.T) {
 	}
 	for name, files := range before {
 		now := map[string]string{}
-		nst, _ := f.NodeStore(name)
-		for _, e := range listing(nst.FS()) {
+		nst := nodeFS(f, name)
+		for _, e := range listing(nst) {
 			now[e[0]] = e[1]
 		}
 		for _, e := range files {
@@ -185,8 +185,8 @@ func TestFleetPutCrashPositionSweep(t *testing.T) {
 				MaxDown: len(victims),
 			})
 			for _, vi := range victims {
-				st, _ := f.NodeStore(names[vi])
-				states[names[vi]] = inj.Register(names[vi], st.FS())
+				st := nodeFS(f, names[vi])
+				states[names[vi]] = inj.Register(names[vi], st)
 			}
 			f.SetFaultInjector(inj)
 			clock := vtime.NewClock()
@@ -247,20 +247,20 @@ func TestFleetReopenServesWithoutAWrite(t *testing.T) {
 	}
 	// Tear one pack in half, then let Rebuild re-home what the tear lost.
 	victim := f.Nodes()[1]
-	vst, _ := f.NodeStore(victim)
+	vst := nodeFS(f, victim)
 	torn := "ckptstore/packs/job/00000001.0"
-	whole, err := vst.FS().ReadFile(vtime.NewClock(), torn)
+	whole, err := vst.ReadFile(vtime.NewClock(), torn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vst.FS().WriteFile(vtime.NewClock(), torn, whole[:len(whole)/2]); err != nil {
+	if err := vst.WriteFile(vtime.NewClock(), torn, whole[:len(whole)/2]); err != nil {
 		t.Fatal(err)
 	}
 	rst, err := f.Rebuild(clock)
 	if err != nil || rst.ShardsRebuilt == 0 {
 		t.Fatalf("rebuild after a torn pack: %+v %v", rst, err)
 	}
-	half, _ := vst.FS().ReadFile(vtime.NewClock(), torn)
+	half, _ := vst.ReadFile(vtime.NewClock(), torn)
 	prefix, serr := scanPack(half)
 	if !errors.Is(serr, errTornPack) || len(prefix) == 0 {
 		t.Fatalf("torn pack scans to %d records, err %v", len(prefix), serr)
@@ -277,8 +277,8 @@ func TestFleetReopenServesWithoutAWrite(t *testing.T) {
 
 	var nodes []FleetNode
 	for _, name := range f.Nodes() {
-		st, _ := f.NodeStore(name)
-		nodes = append(nodes, FleetNode{Name: name, FS: st.FS()})
+		st := nodeFS(f, name)
+		nodes = append(nodes, FleetNode{Name: name, FS: st})
 	}
 	before := fleetFiles(f)
 	re, err := NewFleet(nodes, f.Config())
@@ -304,7 +304,7 @@ func TestFleetReopenServesWithoutAWrite(t *testing.T) {
 		t.Fatalf("reopened fleet healed %+v; everything was there", re.Heals())
 	}
 	// New repair packs on the reopened fleet do not collide with old ones.
-	if p := re.repairPack("heal"); vst.FS().Exists(p) {
+	if p := re.repairPack("heal"); vst.Exists(p) {
 		t.Fatalf("reopened fleet would reuse %s", p)
 	}
 }
@@ -323,9 +323,9 @@ func TestFleetGCCompactsPacks(t *testing.T) {
 	}
 	packBytes := func() (n int64) {
 		for _, name := range f.Nodes() {
-			nst, _ := f.NodeStore(name)
+			nst := nodeFS(f, name)
 			for _, p := range packsOf(f, name) {
-				sz, _ := nst.FS().Size(p)
+				sz, _ := nst.Size(p)
 				n += sz
 			}
 		}
@@ -512,6 +512,17 @@ func packSeeds(t testing.TB) [][]byte {
 		flipped := append([]byte(nil), b.data...)
 		flipped[at] ^= 0x10
 		seeds = append(seeds, flipped)
+	}
+	// What a 1+0 store and a mirror write: whole blobs, k=1, m 0 or 1.
+	for m := 0; m <= 1; m++ {
+		var d packBuf
+		for i, payload := range [][]byte{[]byte("a whole blob"), bytes.Repeat([]byte{0x3C}, 90)} {
+			sum := strings.Repeat(fmt.Sprintf("%02x", 0x21*(i+1)), 32)
+			if err := d.add(shardHeader{sum: sum, idx: m, k: 1, m: m, origLen: len(payload)}, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seeds = append(seeds, d.data, d.data[:len(d.data)-5])
 	}
 	return seeds
 }

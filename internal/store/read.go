@@ -35,7 +35,7 @@ type landing struct {
 // verifyParts turns one chunk's stored blob — given as the slices it lies
 // in — back into its content, in l.dst, and checks it against the content
 // address: inflate (to exactly the size the manifest records), SHA-256.
-// Every read path of both placements ends here.
+// Every read path ends here.
 func verifyParts(clock *vtime.Clock, parts [][]byte, l *landing) error {
 	n, err := inflate(clock, parts, l.dst)
 	if err != nil {

@@ -188,7 +188,7 @@ func FuzzVerifyParts(f *testing.F) {
 // TestReadIndependentOfProcs: what a Get returns, charges, repairs and
 // leaves on the disks is the same with one processor — everything inline —
 // as with workers, also when every third chunk has a flipped bit in its
-// file or in one of its data records and goes through the second try.
+// first record and goes through the second try.
 func TestReadIndependentOfProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type outcome struct {
@@ -207,15 +207,11 @@ func TestReadIndependentOfProcs(t *testing.T) {
 			man, _ := mustPut(t, cs, clock, "job", append(payload(90, 200<<10), compressible(4, 100<<10)...), nil)
 			for i := 0; i < len(man.Chunks); i += 3 {
 				sum := man.Chunks[i].Sum
-				if f := cs.fleet; f != nil {
-					for idx, n := range f.placement(sum) {
-						if loc, ok := f.lookup(n, sum, idx); ok && n.alive() {
-							n.st.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
-							break
-						}
+				for idx, n := range cs.placement(sum) {
+					if loc, ok := cs.lookup(n, sum, idx); ok && n.alive() {
+						n.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
+						break
 					}
-				} else {
-					corruptFile(t, cs.stores[0].fs, cs.stores[0].chunkPath(sum))
 				}
 			}
 			var out outcome
@@ -224,13 +220,9 @@ func TestReadIndependentOfProcs(t *testing.T) {
 				out.Err = err.Error()
 			}
 			out.Sum, out.Clock = sha256.Sum256(got), clock.Now()
-			if cs.fleet != nil {
-				out.Heals = cs.fleet.Heals()
-			} else {
-				out.Heals = cs.stores[0].Heals()
-			}
-			for _, st := range cs.stores {
-				out.Files = append(out.Files, listing(st.fs))
+			out.Heals = cs.Heals()
+			for _, fs := range cs.disks() {
+				out.Files = append(out.Files, listing(fs))
 			}
 			if procs == 1 {
 				first = out

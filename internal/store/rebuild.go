@@ -1,6 +1,6 @@
 package store
 
-// Online repair for the fleet: ReplaceNode swaps a dead member for a
+// Online repair, at every geometry: ReplaceNode swaps a dead member for a
 // fresh one under the same name (consistent hashing keeps every other
 // placement untouched), Rebuild re-codes missing shards onto their home
 // nodes with anti-thundering-herd pacing, Scrub verifies every node's
@@ -9,6 +9,7 @@ package store
 // is written the way a Put writes: one verified pack per node per round.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,7 +32,7 @@ func (f *Fleet) ReplaceNode(name string, fs *proc.FS) error {
 		return fmt.Errorf("store: fleet: no node named %q", name)
 	}
 	f.idxMu.Lock()
-	n.st, n.recs, n.indexed = New(fs, f.cfg.Store), map[recKey]recLoc{}, false
+	n.fs, n.recs, n.indexed = fs, map[recKey]recLoc{}, false
 	f.idxMu.Unlock()
 	f.indexNodes()
 	return nil
@@ -135,7 +136,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		}
 	}
 
-	r := f.newRead(clock)
+	r := f.newRead(clock, true)
 	for len(need) > 0 {
 		batch := need[:min(len(need), rebuildBatch)]
 		need = need[len(batch):]
@@ -217,7 +218,7 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 		var readErr error
 		if len(entries) > 0 {
 			f.tick()
-			data, readErr = readRetry(sc, n.st.fs, p)
+			data, readErr = readRetry(sc, n.fs, p)
 		}
 		kept := 0
 		for _, e := range entries {
@@ -234,7 +235,7 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 			if len(entries) == 0 {
 				prog.ShardsBad++ // a file of no known record: junk
 			}
-			_ = n.st.removeRetry(p)
+			_ = n.removeRetry(p)
 		}
 	}
 	// What is left points into packs that are gone.
@@ -282,10 +283,10 @@ func (f *Fleet) syncManifests(clock *vtime.Clock, mans []Manifest) int {
 			if !n.alive() {
 				continue
 			}
-			if _, rerr := n.st.readManifest(m.Job, m.Seq); rerr == nil {
+			if _, rerr := n.readManifest(m.Job, m.Seq); rerr == nil {
 				continue
 			}
-			if werr := n.st.writeVerifiedMeta(clock, n.st.manifestPath(m.Job, m.Seq), frame); werr == nil {
+			if werr := n.writeVerifiedMeta(clock, n.manifestPath(m.Job, m.Seq), frame); werr == nil {
 				repaired++
 			}
 		}
@@ -318,15 +319,19 @@ type FleetScrubReport struct {
 // OK reports whether the fleet is fully intact after the pass.
 func (r FleetScrubReport) OK() bool { return len(r.Findings) == 0 }
 
-// Scrub is the fleet-wide repair pass. Every alive node verifies the
-// records in its own packs in parallel (verifyNodes), dropping from its
-// index the ones that fail their digest — so the repair pass sees them as
-// plain erasures — and the ones no manifest references, and deleting packs
-// left with nothing. Then every referenced chunk is brought back to full
-// redundancy and every manifest re-published to nodes missing it. Chunks
-// beyond repair quarantine the manifests that reference them, same
-// contract as Store.Scrub: after an OK() pass, everything still listed
-// restores bit-identical.
+// Scrub is the repair pass. A manifest frame that decodes on no alive node
+// is moved to quarantine/ on every node holding it, so that Latest, GC and
+// the restore walk see good generations only (a down node's good copy
+// re-publishes through loadManifest when the node returns). Every alive
+// node verifies the records in its own packs in parallel (verifyNodes),
+// dropping from its index the ones that fail their digest — so the repair
+// pass sees them as plain erasures — and the ones no manifest references,
+// and deleting packs left with nothing: the orphans of an interrupted Put.
+// Then every referenced chunk is brought back to full redundancy and every
+// manifest re-published to nodes missing it. Chunks beyond repair
+// quarantine the manifests that reference them: after a pass, OK() or not,
+// everything still listed restores bit-identical, and every quarantine is
+// a finding.
 func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -338,7 +343,17 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 
 	mans, issues := f.Manifests()
 	for _, iss := range issues {
-		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: no decodable copy: %v", iss.ID(), iss.Err))
+		// Only a frame that is there and does not decode goes: one a node
+		// cannot read right now may be perfectly good.
+		if !errors.Is(iss.Err, errCorruptManifest) {
+			rep.Findings = append(rep.Findings, fmt.Sprintf("%s: no readable copy: %v", iss.ID(), iss.Err))
+			continue
+		}
+		if err := f.quarantine(iss.Job, iss.Seq); err != nil {
+			return rep, fmt.Errorf("store: scrub: quarantining %s: %w", iss.ID(), err)
+		}
+		rep.Quarantined = append(rep.Quarantined, iss.ID())
+		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: quarantined: %v", iss.ID(), iss.Err))
 	}
 	rep.Manifests = len(mans)
 	referenced := map[string]bool{}
@@ -376,15 +391,8 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 			goodMans = append(goodMans, m)
 			continue
 		}
-		for _, name := range f.names {
-			n := f.nodes[name]
-			if !n.alive() || !n.st.fs.Exists(n.st.manifestPath(m.Job, m.Seq)) {
-				continue
-			}
-			to := fmt.Sprintf("%s%s-%08d", n.st.quarantinePrefix(), m.Job, m.Seq)
-			if err := n.st.renameRetry(n.st.manifestPath(m.Job, m.Seq), to); err != nil {
-				return rep, fmt.Errorf("store: fleet: scrub: quarantining %s on %s: %w", m.ID(), name, err)
-			}
+		if err := f.quarantine(m.Job, m.Seq); err != nil {
+			return rep, fmt.Errorf("store: scrub: quarantining %s: %w", m.ID(), err)
 		}
 		rep.Quarantined = append(rep.Quarantined, m.ID())
 		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: quarantined: chunk %s beyond repair", m.ID(), lost[:12]))
@@ -393,14 +401,28 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	return rep, nil
 }
 
+// quarantine moves job@seq out of the way on every alive node holding it.
+func (f *Fleet) quarantine(job string, seq uint64) error {
+	for _, name := range f.names {
+		n := f.nodes[name]
+		if !n.alive() || !n.fs.Exists(n.manifestPath(job, seq)) {
+			continue
+		}
+		if err := n.quarantine(job, seq); err != nil {
+			return fmt.Errorf("on %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
 // dropManifest removes one manifest from every alive node holding it.
 func (f *Fleet) dropManifest(job string, seq uint64) error {
 	for _, name := range f.names {
 		n := f.nodes[name]
-		if !n.alive() || !n.st.fs.Exists(n.st.manifestPath(job, seq)) {
+		if !n.alive() || !n.fs.Exists(n.manifestPath(job, seq)) {
 			continue
 		}
-		if err := n.st.dropManifest(job, seq); err != nil {
+		if err := n.removeRetry(n.manifestPath(job, seq)); err != nil {
 			return err
 		}
 	}
@@ -426,7 +448,7 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 		}
 		byPack := f.recsByPack(n)
 		for _, p := range f.packFiles(n) {
-			size, _ := n.st.fs.Size(p)
+			size, _ := n.fs.Size(p)
 			var live []packEntry
 			var liveBytes int64
 			for _, e := range byPack[p] {
@@ -447,7 +469,7 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 					return
 				}
 			}
-			if err = n.st.removeRetry(p); err != nil {
+			if err = n.removeRetry(p); err != nil {
 				return
 			}
 			for _, e := range byPack[p] {
@@ -465,7 +487,7 @@ func (f *Fleet) sweepChunks(referenced map[string]bool) (kept, dropped int, recl
 // repair fills. Like the rest of GC it charges no time. Returns the new
 // pack's size.
 func (f *Fleet) rewritePack(n *fleetNode, p string, live []packEntry) (int64, error) {
-	data, err := readRetry(vtime.NewClock(), n.st.fs, p)
+	data, err := readRetry(vtime.NewClock(), n.fs, p)
 	if err != nil {
 		return 0, err
 	}

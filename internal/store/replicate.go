@@ -17,90 +17,76 @@ type ReplicateStats struct {
 }
 
 // Replicate copies one checkpoint — its manifest and every chunk the
-// destination is missing — into dst, which is typically a store on
+// destination is missing — into dst, a store of any geometry, typically on
 // another node's filesystem. Chunks already present at the destination
 // (from earlier replications or the destination's own checkpoints) are
 // skipped, so replicating successive checkpoints of a job moves only the
-// delta. Every source chunk is verified end to end before it moves (a
-// corrupt primary copy heals from the source's own replicas rather than
-// propagating), and the destination side is crash-consistent: chunks and
-// manifest are staged with verified writes and published by rename,
-// manifest last, so an interrupted replication leaves dst unchanged apart
-// from staged files its Recover reclaims — and re-running the same
-// Replicate is idempotent. Source reads and destination writes charge
-// their filesystem models to clock; nic, when positive, additionally
-// charges the node-to-node transfer for every copied byte.
+// delta. Every source chunk is verified end to end before it moves (a bad
+// record heals from the source's own redundancy rather than propagating),
+// and the destination commits the way its Puts do: verified packs first,
+// manifest last, so an interrupted replication leaves dst with at most
+// orphan packs — and re-running the same Replicate finds their records and
+// is idempotent. Source reads and destination writes charge their own
+// models to clock; nic, when positive, additionally charges the transfer
+// between the two stores for every copied byte.
 //
 // After replication the checkpoint restores from dst with no reference
 // to the source filesystem, which is what lets core.Migrate-style flows
-// pull from the nearest replica instead of NFS.
-func (s *Store) Replicate(clock *vtime.Clock, ref string, dst *Store, nic hw.Bandwidth) (Manifest, ReplicateStats, error) {
+// pull from the nearest copy instead of NFS.
+func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Bandwidth) (Manifest, ReplicateStats, error) {
 	if dst == nil {
 		return Manifest{}, ReplicateStats{}, fmt.Errorf("store: replicate: nil destination")
 	}
-	man, err := s.Resolve(ref)
+	man, err := f.Resolve(ref)
 	if err != nil {
 		return Manifest{}, ReplicateStats{}, err
 	}
-	st, err := s.copyManifestTo(clock, man, dst, nic, nil)
-	return man, st, err
-}
-
-// copyManifestTo moves one manifest and its missing chunks into dst
-// through dst's staged transaction (diskTxn). chunkData, when non-nil,
-// maps chunk sums to their uncompressed content; it is Put's
-// write-through escape hatch — if the freshly committed primary copy of a
-// chunk already rotted by the time we read it back for replication, the
-// chunk is recompressed from memory instead of failing the replication.
-func (s *Store) copyManifestTo(clock *vtime.Clock, man Manifest, dst *Store, nic hw.Bandwidth, chunkData map[string][]byte) (ReplicateStats, error) {
 	var st ReplicateStats
 	sw := vtime.NewStopwatch(clock)
-	tx := dst.openTxn("repl", man.Job, man.Seq, dst.nextTxn())
-	fail := func(err error) (ReplicateStats, error) {
-		return st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
+	fail := func(err error) (Manifest, ReplicateStats, error) {
+		return man, st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
 	}
+	dst.lockSeq()
+	defer dst.unlockSeq()
+	tx := dst.beginPut(man.Job, man.Seq)
 
-	stagedSums := map[string]bool{} // a manifest can reference one sum many times
+	var missing []ChunkRef
+	seen := map[string]bool{} // a manifest can reference one sum many times
 	for _, c := range man.Chunks {
-		if stagedSums[c.Sum] || dst.fs.Exists(dst.chunkPath(c.Sum)) {
+		if _, ok := tx.probe(c.Sum, nil); seen[c.Sum] || ok {
 			st.ChunksSkipped++
 			continue
 		}
+		seen[c.Sum] = true
+		missing = append(missing, c)
+	}
+	src := f.readSession(clock, missing, true)
+	defer src.close()
+	for _, c := range missing {
 		// The stored (compressed) representation moves verbatim; content
 		// addresses stay valid and no recompression is needed.
-		blob, err := s.fetchBlob(clock, c, true)
+		blob, err := src.blob(c)
 		if err != nil {
-			chunk, ok := chunkData[c.Sum]
-			if !ok {
-				return fail(err)
-			}
-			if blob, err = compress(clock, nil, chunk); err != nil {
-				return st, err
-			}
-			// Repair the primary copy too, best effort.
-			_ = s.writeVerified(clock, s.chunkPath(c.Sum), blob)
+			return fail(err)
 		}
-		if nic > 0 {
-			clock.Advance(nic.Transfer(int64(len(blob))))
-		}
+		clock.Advance(nic.Transfer(int64(len(blob))))
 		if _, err := tx.stage(clock, c.Sum, blob); err != nil {
 			return fail(err)
 		}
-		stagedSums[c.Sum] = true
 		st.ChunksCopied++
 		st.BytesCopied += int64(len(blob))
 	}
-
+	if _, err := tx.flush(clock); err != nil {
+		return fail(err)
+	}
 	frame, err := encodeManifest(man)
 	if err != nil {
-		return st, err
+		return man, st, err
 	}
-	if nic > 0 {
-		clock.Advance(nic.Transfer(int64(len(frame))))
-	}
+	clock.Advance(nic.Transfer(int64(len(frame))))
 	if _, err := tx.commit(clock, man, frame); err != nil {
 		return fail(err)
 	}
 	st.Time = sw.Elapsed()
-	return st, nil
+	return man, st, nil
 }

@@ -1,19 +1,20 @@
 package store
 
+// One node's filesystem: where its manifests, packs and quarantine live,
+// and the verified, retried I/O every operation on them goes through.
+
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
-	"checl/internal/hw"
 	"checl/internal/proc"
 	"checl/internal/vtime"
 )
 
-// Config parameterises a Store. The zero value selects sane defaults.
+// Config parameterises a store. The zero value selects sane defaults.
 type Config struct {
 	// Prefix is the directory-like path prefix inside the backing FS;
 	// default "ckptstore".
@@ -40,60 +41,44 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Store is a content-addressed checkpoint store on one backing
-// filesystem: the engine's single-disk placement. Chunks live under
-// <prefix>/chunks/<sha256>, shared by every job; manifests live under
-// <prefix>/manifests/<job>/<seq>. Mutating operations stage their files
-// under <prefix>/staging/ and publish them with atomic renames, manifest
-// last, so a crash mid-operation never corrupts Latest; Recover sweeps the
-// staging area and quarantines torn manifests into <prefix>/quarantine/.
-type Store struct {
-	engine
-	fs *proc.FS
-
-	mu  sync.Mutex // serialises Put/GC/Replicate/Recover/Scrub sequencing
-	txn uint64     // staging-directory counter, monotone under mu
-
-	healMu   sync.Mutex
-	replicas []replicaRef
-	heals    HealStats
+// fleetNode is one member: its filesystem, laid out as
+// <prefix>/manifests/<job>/<seq>, <prefix>/packs/... (pack.go) and
+// <prefix>/quarantine/, and the index of the shard records in its packs.
+type fleetNode struct {
+	name   string
+	fs     *proc.FS
+	prefix string
+	// remote says the node is reached over fleetLink; the filesystem a
+	// store was opened on directly (New) is not — a local disk has no link,
+	// and NFS's storage model already is the network.
+	remote bool
+	// recs and indexed are guarded by Fleet.idxMu. indexed is false until
+	// the node's packs have been scanned: a node that is down when the
+	// fleet opens is scanned when it first serves.
+	recs    map[recKey]recLoc
+	indexed bool
+	// wbuf stages the records a Put sends this node; guarded by Fleet.mu.
+	wbuf packBuf
 }
 
-// replicaRef is one attached replica and the modelled link to it.
-type replicaRef struct {
-	st  *Store
-	nic hw.Bandwidth
+func newNode(name string, fs *proc.FS, prefix string, remote bool) *fleetNode {
+	return &fleetNode{name: name, fs: fs, prefix: prefix, remote: remote, recs: map[recKey]recLoc{}}
 }
 
-// New opens (or creates — the store is its own directory layout) a store
-// on fs. Callers opening a store that may have crashed mid-operation
-// should run Recover before trusting capacity or Latest.
-func New(fs *proc.FS, cfg Config) *Store {
-	s := &Store{fs: fs}
-	s.engine = engine{cfg: cfg.withDefaults(), p: s}
-	return s
+// alive reports whether the node is serving (no node state = healthy).
+func (n *fleetNode) alive() bool { return !n.fs.Node().Down() }
+
+// linkBytes is what moving size bytes to or from the node puts on the link.
+func (n *fleetNode) linkBytes(size int) int64 {
+	if !n.remote {
+		return 0
+	}
+	return int64(size)
 }
 
-// FS exposes the backing filesystem (tooling, tests).
-func (s *Store) FS() *proc.FS { return s.fs }
-
-// Name identifies the store by its backing filesystem (Backend).
-func (s *Store) Name() string { return s.fs.Name() }
-
-func (s *Store) chunkPath(sum string) string {
-	return s.cfg.Prefix + "/chunks/" + sum
+func (n *fleetNode) manifestPath(job string, seq uint64) string {
+	return fmt.Sprintf("%s/manifests/%s/%08d", n.prefix, job, seq)
 }
-
-func (s *Store) manifestPath(job string, seq uint64) string {
-	return fmt.Sprintf("%s/manifests/%s/%08d", s.cfg.Prefix, job, seq)
-}
-
-func (s *Store) stagingPrefix() string    { return s.cfg.Prefix + "/staging/" }
-func (s *Store) quarantinePrefix() string { return s.cfg.Prefix + "/quarantine/" }
-
-func (s *Store) lockSeq()           { s.mu.Lock() }
-func (s *Store) unlockSeq()         { s.mu.Unlock() }
-func (s *Store) repairHint() string { return "Recover or Scrub" }
 
 // isTransientIO reports whether err is an injected transient I/O error
 // worth retrying. *proc.ErrNoSpace deliberately is not: retrying cannot
@@ -132,8 +117,8 @@ func readRetry(clock *vtime.Clock, fs *proc.FS, path string) ([]byte, error) {
 // writes, lost writes and transient EIO into at-worst a latency cost:
 // a Put that returns success has proven its bytes are on disk.
 // *proc.ErrNoSpace aborts immediately.
-func (s *Store) writeVerified(clock *vtime.Clock, path string, data []byte) error {
-	return s.writeReadBack(clock, clock, path, data)
+func (n *fleetNode) writeVerified(clock *vtime.Clock, path string, data []byte) error {
+	return n.writeReadBack(clock, clock, path, data)
 }
 
 // writeVerifiedMeta is writeVerified for manifest-sized metadata: the
@@ -141,14 +126,14 @@ func (s *Store) writeVerified(clock *vtime.Clock, path string, data []byte) erro
 // against a throwaway clock, matching readManifest's convention that
 // manifest frames are a few KB of metadata whose transfer time vanishes
 // next to the chunk I/O.
-func (s *Store) writeVerifiedMeta(clock *vtime.Clock, path string, data []byte) error {
-	return s.writeReadBack(clock, vtime.NewClock(), path, data)
+func (n *fleetNode) writeVerifiedMeta(clock *vtime.Clock, path string, data []byte) error {
+	return n.writeReadBack(clock, vtime.NewClock(), path, data)
 }
 
-func (s *Store) writeReadBack(clock, verify *vtime.Clock, path string, data []byte) error {
+func (n *fleetNode) writeReadBack(clock, verify *vtime.Clock, path string, data []byte) error {
 	var lastErr error
 	for attempt := 0; attempt <= writeRetries; attempt++ {
-		if err := s.fs.WriteFile(clock, path, data); err != nil {
+		if err := n.fs.WriteFile(clock, path, data); err != nil {
 			var nospace *proc.ErrNoSpace
 			if errors.As(err, &nospace) {
 				return err
@@ -156,7 +141,7 @@ func (s *Store) writeReadBack(clock, verify *vtime.Clock, path string, data []by
 			lastErr = err
 			continue
 		}
-		back, err := s.fs.ReadFile(verify, path)
+		back, err := n.fs.ReadFile(verify, path)
 		if err == nil && bytes.Equal(back, data) {
 			return nil
 		}
@@ -170,7 +155,7 @@ func (s *Store) writeReadBack(clock, verify *vtime.Clock, path string, data []by
 }
 
 // retryMeta runs one metadata operation, retrying transient EIO.
-func (s *Store) retryMeta(op func() error) error {
+func retryMeta(op func() error) error {
 	var lastErr error
 	for attempt := 0; attempt <= writeRetries; attempt++ {
 		if lastErr = op(); lastErr == nil || !isTransientIO(lastErr) {
@@ -180,116 +165,24 @@ func (s *Store) retryMeta(op func() error) error {
 	return lastErr
 }
 
-// renameRetry publishes old at new. Renames are atomic in FS, so a failed
-// attempt leaves both paths untouched.
-func (s *Store) renameRetry(old, new string) error {
-	return s.retryMeta(func() error { return s.fs.Rename(old, new) })
+func (n *fleetNode) removeRetry(path string) error {
+	return retryMeta(func() error { return n.fs.Remove(path) })
 }
 
-func (s *Store) removeRetry(path string) error {
-	return s.retryMeta(func() error { return s.fs.Remove(path) })
-}
-
-// diskTxn is one staged transaction on a Store: blobs and finally the
-// manifest are written verified under <prefix>/staging/<kind>-<job>-<seq>-<n>/,
-// then published by renaming the chunks and last the manifest — the
-// atomic commit point. Cut short at any earlier operation it leaves only
-// staged files no manifest references; Recover reclaims them. Put and
-// Replicate (and through it replica write-through) all commit this way.
-type diskTxn struct {
-	s    *Store
-	dir  string
-	sums []string // staged chunks, in staging order
-	// chunkData keeps every chunk the Put saw, uncompressed, for
-	// write-through repair (see copyManifestTo).
-	chunkData map[string][]byte
-}
-
-// nextTxn hands out a fresh staging-directory suffix.
-func (s *Store) nextTxn() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.txn++
-	return s.txn
-}
-
-// openTxn names a staging directory; n is a fresh txn counter value.
-func (s *Store) openTxn(kind, job string, seq, n uint64) *diskTxn {
-	return &diskTxn{s: s, dir: fmt.Sprintf("%s%s-%s-%08d-%d", s.stagingPrefix(), kind, job, seq, n)}
-}
-
-func (s *Store) beginPut(job string, seq uint64) putTxn {
-	s.txn++
-	tx := s.openTxn("put", job, seq, s.txn)
-	tx.chunkData = map[string][]byte{}
-	return tx
-}
-
-// probe is the dedup check: a published chunk file of that name.
-func (t *diskTxn) probe(sum string, chunk []byte) (int64, bool) {
-	t.chunkData[sum] = chunk
-	stored, err := t.s.fs.Size(t.s.chunkPath(sum))
-	return stored, err == nil
-}
-
-func (t *diskTxn) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
-	if err := t.s.writeVerified(clock, t.dir+"/"+sum, blob); err != nil {
-		return 0, fmt.Errorf("store: writing chunk %s: %w", sum[:12], err)
-	}
-	t.sums = append(t.sums, sum)
-	return int64(len(blob)), nil
-}
-
-// flush has nothing to do: stage wrote every blob as it came.
-func (*diskTxn) flush(*vtime.Clock) (int64, error) { return 0, nil }
-
-func (t *diskTxn) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
-	s := t.s
-	if err := s.writeVerifiedMeta(clock, t.dir+"/manifest", frame); err != nil {
-		return 0, fmt.Errorf("store: writing manifest %s: %w", man.ID(), err)
-	}
-	for _, sum := range t.sums {
-		if err := s.renameRetry(t.dir+"/"+sum, s.chunkPath(sum)); err != nil {
-			return 0, fmt.Errorf("store: committing chunk for %s: %w", man.ID(), err)
-		}
-	}
-	if err := s.renameRetry(t.dir+"/manifest", s.manifestPath(man.Job, man.Seq)); err != nil {
-		return 0, fmt.Errorf("store: committing manifest %s: %w", man.ID(), err)
-	}
-	return 0, nil
-}
-
-// settle is replica write-through: the checkpoint is durable on the
-// primary; now make it durable on every attached replica (AttachReplica)
-// before Put reports success, so the moment a Put succeeds every replica
-// can serve it. A failure is returned even though the primary commit
-// stands.
-func (t *diskTxn) settle(clock *vtime.Clock, man Manifest) error {
-	for _, r := range t.s.replicaList() {
-		if _, err := t.s.copyManifestTo(clock, man, r.st, r.nic, t.chunkData); err != nil {
-			return fmt.Errorf("store: %s committed but replication to %s failed: %w",
-				man.ID(), r.st.fs.Name(), err)
-		}
-	}
-	return nil
-}
-
-// readBlob loads this store's own copy of one chunk's blob, with EIO
-// retries and nothing verified.
-func (s *Store) readBlob(clock *vtime.Clock, ref ChunkRef) ([]byte, error) {
-	blob, err := readRetry(clock, s.fs, s.chunkPath(ref.Sum))
-	if err != nil {
-		return nil, fmt.Errorf("store: chunk %s missing: %w", ref.Sum[:12], err)
-	}
-	return blob, nil
+// quarantine moves the node's frame of job@seq out of the manifest
+// namespace, preserved for a post-mortem. Renames are atomic in FS, so a
+// failed attempt leaves both paths untouched.
+func (n *fleetNode) quarantine(job string, seq uint64) error {
+	to := fmt.Sprintf("%s/quarantine/%s-%08d", n.prefix, job, seq)
+	return retryMeta(func() error { return n.fs.Rename(n.manifestPath(job, seq), to) })
 }
 
 // manifestFiles scans the manifest namespace and returns every (job, seq)
 // with a file present, in listing order.
-func (s *Store) manifestFiles() []manifestKey {
-	prefix := s.cfg.Prefix + "/manifests/"
+func (n *fleetNode) manifestFiles() []manifestKey {
+	prefix := n.prefix + "/manifests/"
 	var out []manifestKey
-	for _, p := range s.fs.List() {
+	for _, p := range n.fs.List() {
 		if !strings.HasPrefix(p, prefix) {
 			continue
 		}
@@ -304,13 +197,13 @@ func (s *Store) manifestFiles() []manifestKey {
 	return out
 }
 
-// readManifest loads and validates one manifest frame. Manifest reads are
-// metadata operations and charge no virtual time (they are a few KB
-// against multi-MB images; the latency is inside the chunk reads). A
-// frame that fails to decode wraps errCorruptManifest so callers can tell
-// integrity failures from infrastructure ones.
-func (s *Store) readManifest(job string, seq uint64) (Manifest, error) {
-	data, err := readRetry(vtime.NewClock(), s.fs, s.manifestPath(job, seq))
+// readManifest loads and validates the node's copy of one manifest frame.
+// Manifest reads are metadata operations and charge no virtual time (they
+// are a few KB against multi-MB images; the latency is inside the pack
+// reads). A frame that fails to decode wraps errCorruptManifest so callers
+// can tell integrity failures from infrastructure ones.
+func (n *fleetNode) readManifest(job string, seq uint64) (Manifest, error) {
+	data, err := readRetry(vtime.NewClock(), n.fs, n.manifestPath(job, seq))
 	if err != nil {
 		return Manifest{}, fmt.Errorf("store: manifest %s: %w", manifestID(job, seq), err)
 	}
@@ -321,40 +214,16 @@ func (s *Store) readManifest(job string, seq uint64) (Manifest, error) {
 	return m, nil
 }
 
-func (s *Store) dropManifest(job string, seq uint64) error {
-	return s.removeRetry(s.manifestPath(job, seq))
-}
-
-func (s *Store) sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error) {
-	prefix := s.cfg.Prefix + "/chunks/"
-	for _, p := range s.fs.List() {
-		if !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		if referenced[strings.TrimPrefix(p, prefix)] {
-			kept++
-			continue
-		}
-		size, _ := s.fs.Size(p)
-		if err := s.removeRetry(p); err != nil {
-			return kept, dropped, reclaimed, err
-		}
-		dropped++
-		reclaimed += size
-	}
-	return kept, dropped, reclaimed, nil
-}
-
-// TotalStoredBytes reports the bytes the store occupies on its backing
-// filesystem (chunks + manifests + any staged or quarantined leftovers).
-func (s *Store) TotalStoredBytes() int64 {
-	var n int64
-	for _, p := range s.fs.List() {
-		if strings.HasPrefix(p, s.cfg.Prefix+"/") {
-			if sz, err := s.fs.Size(p); err == nil {
-				n += sz
+// storedBytes reports the bytes the store occupies on the node's
+// filesystem: packs, manifests and anything quarantined.
+func (n *fleetNode) storedBytes() int64 {
+	var total int64
+	for _, p := range n.fs.List() {
+		if strings.HasPrefix(p, n.prefix+"/") {
+			if sz, err := n.fs.Size(p); err == nil {
+				total += sz
 			}
 		}
 	}
-	return n
+	return total
 }

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,13 +77,15 @@ func TestChunkingSurvivesShift(t *testing.T) {
 func TestCompressionShrinksStoredBytes(t *testing.T) {
 	s := New(testFS(), Config{})
 	clock := vtime.NewClock()
-	zeros := make([]byte, 256<<10) // maximally compressible
+	// Compressible, and different from chunk to chunk: all zeros would be
+	// one chunk, stored once, with a manifest larger than its record.
+	zeros := compressible(2, 256<<10)
 	_, st, err := s.Put(clock, "z", zeros)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.StoredBytes >= st.NewBytes/10 {
-		t.Errorf("zero payload stored %d of %d bytes; compression not effective", st.StoredBytes, st.NewBytes)
+	if st.StoredBytes >= st.NewBytes/4 {
+		t.Errorf("compressible payload stored %d of %d bytes; compression not effective", st.StoredBytes, st.NewBytes)
 	}
 	got, _, err := s.Get(clock, "z")
 	if err != nil {
@@ -93,56 +96,59 @@ func TestCompressionShrinksStoredBytes(t *testing.T) {
 	}
 }
 
+// TestFsckDetectsCorruptionAndLoss: at every geometry Fsck reports what the
+// nodes hold right now — a rotten record is a finding exactly when no spare
+// shard reads around it — and writes nothing while it does: the same files
+// and the same heal ledger before and after.
 func TestFsckDetectsCorruptionAndLoss(t *testing.T) {
+	for _, b := range confBackends {
+		cs := b.open(t, Config{})
+		clock := vtime.NewClock()
+		man, _ := mustPut(t, cs, clock, "job", payload(9, 256<<10), nil)
+		if rep, err := cs.Fsck(clock); err != nil || !rep.OK() || rep.Manifests != 1 || rep.ChunksChecked == 0 {
+			t.Fatalf("%s: fsck of an intact store: %+v %v", b.name, rep, err)
+		}
+		// Corrupt the first record a read of the first chunk goes to.
+		sum := man.Chunks[0].Sum
+		for _, n := range cs.placement(sum) {
+			if n.alive() {
+				rotRecord(t, cs.Fleet, n.name, sum)
+				break
+			}
+		}
+		snapshot := func() (files [][][2]string, heals HealStats) {
+			for _, fs := range cs.disks() {
+				files = append(files, listing(fs))
+			}
+			return files, cs.Heals()
+		}
+		files, heals := snapshot()
+		rep, err := cs.Fsck(clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spare := len(cs.disks()) > cs.cfg.DataShards; rep.OK() != spare {
+			t.Errorf("%s: fsck over a rotten record: %v, with a spare shard: %v", b.name, rep.Errors, spare)
+		}
+		if after, healsAfter := snapshot(); !reflect.DeepEqual(after, files) || healsAfter != heals {
+			t.Errorf("%s: fsck wrote to the store (ledger %+v -> %+v)", b.name, heals, healsAfter)
+		}
+	}
+
+	// Records lost outright, on a store with no second copy.
 	fs := testFS()
 	s := New(fs, Config{})
 	clock := vtime.NewClock()
 	if _, _, err := s.Put(clock, "job", payload(9, 256<<10)); err != nil {
 		t.Fatal(err)
 	}
-	man, err := s.Resolve("job")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt one chunk in place.
-	victim := s.chunkPath(man.Chunks[0].Sum)
-	blob, err := fs.ReadFile(clock, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := append([]byte(nil), blob...)
-	blob[len(blob)/2] ^= 0xFF
-	if err := fs.WriteFile(clock, victim, blob); err != nil {
-		t.Fatal(err)
-	}
+	truncatePacks(t, fs)
 	rep, err := s.Fsck(clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK() {
-		t.Fatal("fsck missed a corrupt chunk")
-	}
-	if err := fs.WriteFile(clock, victim, good); err != nil {
-		t.Fatal(err)
-	}
-
-	// Remove another chunk entirely.
-	if err := fs.Remove(s.chunkPath(man.Chunks[1].Sum)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = s.Fsck(clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range rep.Errors {
-		if strings.Contains(e, "missing") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("fsck did not report the missing chunk: %v", rep.Errors)
+	if len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], "lost") {
+		t.Errorf("fsck did not report the lost records: %v", rep.Errors)
 	}
 	if _, _, err := s.Get(clock, "job"); err == nil {
 		t.Error("get of a damaged checkpoint must fail")
@@ -150,8 +156,7 @@ func TestFsckDetectsCorruptionAndLoss(t *testing.T) {
 }
 
 func TestReplicate(t *testing.T) {
-	srcFS, dstFS := testFS(), testFS()
-	src, dst := New(srcFS, Config{}), New(dstFS, Config{})
+	src, dst := New(testFS(), Config{}), New(testFS(), Config{})
 	clock := vtime.NewClock()
 	data := payload(10, 512<<10)
 	if _, _, err := src.Put(clock, "job", data); err != nil {
@@ -184,6 +189,27 @@ func TestReplicate(t *testing.T) {
 	}
 	if st2.ChunksCopied != 0 || st2.ChunksSkipped == 0 {
 		t.Errorf("second replication should skip everything: %+v", st2)
+	}
+
+	// Any geometry replicates into any other: out of the one disk into a
+	// 4+2 fleet, and from there into a mirror, a rotten source record read
+	// around on the way.
+	fleet, _ := testFleet(t, 6, FleetConfig{Store: Config{}.withDefaults()})
+	if _, _, err := src.Replicate(clock, "job", fleet, hw.GigE); err != nil {
+		t.Fatal(err)
+	}
+	rotRecord(t, fleet, fleet.placement(man.Chunks[0].Sum)[0].name, man.Chunks[0].Sum)
+	mirror := testMirror(t, testFS(), Config{})
+	if _, _, err := fleet.Replicate(clock, "job", mirror, hw.GigE); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*Fleet{"fleet": fleet, "mirror": mirror} {
+		if got, gman, err := f.Get(clock, "job"); err != nil || gman.ID() != man.ID() || !bytes.Equal(got, data) {
+			t.Errorf("%s does not reconstruct the payload: %v", name, err)
+		}
+	}
+	if fleet.Heals().ShardsHealed != 1 {
+		t.Errorf("the rotten source record was not healed on the way: %+v", fleet.Heals())
 	}
 }
 

@@ -63,12 +63,14 @@ go test -fuzz=FuzzFrameHeader -fuzztime=10s ./internal/ipc
 # Fault-tolerance soak: the fault-injection and failover tests run
 # repeatedly under the race detector.
 go test -run Fault -count=5 -race ./internal/...
-# Durability gate: the disk-fault, crash-recovery, and self-healing paths
-# run repeatedly under the race detector, and the store CLI must stay clean
-# both fault-free and under a seeded disk fault plan. The backend
-# conformance table (one engine, every placement), the nonsense-manifest
-# rows and the parent-commit golden ride along by name.
-go test -run 'DiskFault|Durable|Recover|Scrub|Heal|Degraded|Interrupted|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden' -count=3 -race \
+# Durability gate: the disk-fault, interrupted-operation and self-healing
+# tests (on one disk, 1+0, and on a disk with a mirror, 1+1) run repeatedly
+# under the race detector, and the store CLI must stay clean both fault-free
+# and under a seeded disk fault plan; what the two CLI runs print is pinned
+# by TestStoreFleetGolden (tier-1). The backend conformance table (one
+# engine, every geometry), the nonsense-manifest rows and the store golden
+# ride along by name.
+go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden' -count=3 -race \
     ./internal/proc/ ./internal/store/ ./internal/core/ ./internal/mpi/
 go run ./cmd/checl-inspect store fsck >/dev/null
 go run ./cmd/checl-inspect -disk-faults 7 store scrub >/dev/null
