@@ -269,13 +269,13 @@ func TestGetHealsFromReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Damage the primary: the tail of its pack lost, and a record in front
-	// of the tear — one a read goes to, shard 0 — corrupted at rest.
-	truncatePacks(t, primary)
+	// Damage the primary: the second half of its pack lost, and a record in
+	// the first half — one a read goes to, shard 0 — corrupted at rest.
 	rotted := false
 	for _, c := range man.Chunks {
 		n := s.placement(c.Sum)[0]
-		if loc, _ := s.lookup(n, c.Sum, 0); n.name == "primary" && loc.off+loc.n < int(s.TotalStoredBytes()/4) {
+		loc, _ := s.lookup(n, c.Sum, 0)
+		if size, _ := primary.Size(loc.pack); n.name == "primary" && int64(loc.off+loc.n) <= size/2 {
 			rotRecord(t, s, "primary", c.Sum)
 			rotted = true
 			break
@@ -284,6 +284,7 @@ func TestGetHealsFromReplica(t *testing.T) {
 	if !rotted {
 		t.Fatal("no record in front of the tear to rot")
 	}
+	truncatePacks(t, primary)
 
 	got, _, err := s.Get(clock, man.ID())
 	if err != nil {

@@ -599,6 +599,8 @@ func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkRe
 	return f.readSession(clock, refs, heal)
 }
 
+// readSession is openRead for a caller inside the package (Replicate),
+// which wants the session itself.
 func (f *Fleet) readSession(clock *vtime.Clock, refs []ChunkRef, heal bool) *fleetRead {
 	r := f.newRead(clock, heal)
 	sums := make([]string, len(refs))

@@ -53,11 +53,15 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 	var missing []ChunkRef
 	seen := map[string]bool{} // a manifest can reference one sum many times
 	for _, c := range man.Chunks {
-		if _, ok := tx.probe(c.Sum, nil); seen[c.Sum] || ok {
+		if seen[c.Sum] {
 			st.ChunksSkipped++
 			continue
 		}
 		seen[c.Sum] = true
+		if _, ok := tx.probe(c.Sum, nil); ok {
+			st.ChunksSkipped++
+			continue
+		}
 		missing = append(missing, c)
 	}
 	src := f.readSession(clock, missing, true)
