@@ -83,7 +83,7 @@ func main() {
 	fmt.Printf("migrated %s -> %s over NFS\n", src.Name, dst.Name)
 	fmt.Printf("  checkpoint: %s (file %.2f MB on %s)\n",
 		ms.Checkpoint.Phases.Total(), float64(ms.Checkpoint.FileSize)/1e6, ms.Checkpoint.FSName)
-	fmt.Printf("  restart:    %s (recompile %s)\n", ms.Restart.Total, ms.Restart.Recompile)
+	fmt.Printf("  restart:    %s\n", ms.Restart)
 	fmt.Printf("  total Tm:   %s\n", ms.Total)
 	fmt.Printf("live objects after restore: %v\n", rc.ObjectCounts())
 }

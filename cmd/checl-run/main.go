@@ -112,7 +112,7 @@ func main() {
 			fatal(err)
 		}
 		defer rc.Detach()
-		fmt.Printf("restart: total=%s recompile=%s objects=%v\n", rst.Total, rst.Recompile, rc.ObjectCounts())
+		fmt.Printf("restart: %s objects=%v\n", rst, rc.ObjectCounts())
 	} else if *checkpoint {
 		fmt.Println("checkpoint requested but never fired (no kernel launch?)")
 	}

@@ -53,7 +53,7 @@ func main() {
 
 	fmt.Printf("migrated to %s under AMD OpenCL:\n", dst.Name)
 	fmt.Printf("  checkpoint %s  (file %.2f MB)\n", ms.Checkpoint.Phases.Total(), float64(ms.Checkpoint.FileSize)/1e6)
-	fmt.Printf("  restart    %s  (recompile %s)\n", ms.Restart.Total, ms.Restart.Recompile)
+	fmt.Printf("  restart    %s\n", ms.Restart)
 	fmt.Printf("  Tm         %s\n", ms.Total)
 
 	// Predict the same migration with the Eq. 1 cost model fitted from

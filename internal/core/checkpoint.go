@@ -600,16 +600,38 @@ func (c *CheCL) anyQueueFor(ctx Handle) *queueRec {
 	return nil
 }
 
-// RestartStats is the per-class object recreation breakdown of Fig. 7.
+// RestartStats is what a restart cost. Total is the span from the first
+// byte read to the last object rebound, and two of the fields add up to it
+// exactly: Total = ReadWait + ΣPerClass. The others are spans of their own
+// that lie inside it and may overlap what adds up: ReadTime is the whole of
+// the image read, of which the restart waited out only ReadWait — a store
+// restore rebuilds while its image is still arriving (DESIGN.md §14) —
+// and Recompile is the part of PerClass["prog"] spent in clBuildProgram.
 type RestartStats struct {
+	// PerClass is the restart's own work, step by step: "proxy", the fork of
+	// the API proxy, and the object recreation breakdown of Fig. 7 under the
+	// class names of RestoreOrder ("mem" is the buffers' creation plus the
+	// upload of their contents).
 	PerClass  map[string]vtime.Duration
 	Recompile vtime.Duration // total clBuildProgram time (the Tr of Eq. 1)
-	ReadTime  vtime.Duration // checkpoint file read
-	Total     vtime.Duration
+	ReadTime  vtime.Duration // checkpoint image read, start to end
+	// ReadWait is the time the restart stood still waiting for bytes of the
+	// image: all of ReadTime for an image that arrives in one piece (a flat
+	// file, an unsegmented store checkpoint), otherwise the wait for the
+	// image's head and object database, for each buffer's region where the
+	// upload got ahead of the read, and for the read's end.
+	ReadWait vtime.Duration
+	Total    vtime.Duration
 	// Degraded is non-nil when a store restore could not use the newest
 	// generation and fell back along the parent chain; it lists the
 	// generations that were skipped and why.
 	Degraded *store.DegradedRestore
+}
+
+// String is the restart in one line: the total, the image read's span and
+// how much of it the restart waited out, and the recompile.
+func (s RestartStats) String() string {
+	return fmt.Sprintf("%s (read %s, waited on it %s; recompile %s)", s.Total, s.ReadTime, s.ReadWait, s.Recompile)
 }
 
 // Restore restarts a checkpointed CheCL application on node: the CPR
@@ -661,13 +683,19 @@ func RestoreFromStore(node *proc.Node, st store.Backend, ref string, opts Option
 // from a store, which generations it had to skip), then the object
 // database is decoded, a fresh API proxy forked and every OpenCL object
 // recreated.
+//
+// load may return before its read is over, with the node's clock short of
+// the read's end and the process's regions still arriving (cpr's
+// RestartFromStore does); rebuild then waits for a region where it reads
+// one, and the restore is over when both the rebuild and the read are. A
+// load that returns at its read's end makes every one of those waits zero.
 func restore(node *proc.Node, what string, opts Options,
 	load func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error)) (*CheCL, RestartStats, error) {
 	if opts.Backend == nil {
 		opts.Backend = cpr.BLCR{}
 	}
 	stats := RestartStats{PerClass: map[string]vtime.Duration{}}
-	total := vtime.NewStopwatch(node.Clock)
+	began := node.Clock.Now()
 
 	app, read, deg, err := load(opts.Backend)
 	stats.Degraded = deg
@@ -675,20 +703,33 @@ func restore(node *proc.Node, what string, opts Options,
 		return nil, stats, fmt.Errorf("checl: restart: %w", err)
 	}
 	stats.ReadTime = read
+	stats.ReadWait = node.Clock.Now().Sub(began)
 
 	c, err := rebuild(node, app, what, opts, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.Total = total.Elapsed()
+	rebuilt := node.Clock.Now()
+	done := node.Clock.AdvanceTo(began.Add(read))
+	stats.ReadWait += done.Sub(rebuilt)
+	stats.Total = done.Sub(began)
 	return c, stats, nil
+}
+
+// awaitRegion is app.AwaitRegion, reporting how long the wait was.
+func awaitRegion(app *proc.Process, name string) ([]byte, vtime.Duration) {
+	sw := vtime.NewStopwatch(app.Clock())
+	data := app.AwaitRegion(name)
+	return data, sw.Elapsed()
 }
 
 // rebuild is restore's tail: decode the object database out of
 // the restored image, fork a fresh API proxy, and recreate every OpenCL
-// object.
+// object. It needs the database region before anything else and each
+// buffer's region only for that buffer's upload (rebindAll).
 func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stats *RestartStats) (*CheCL, error) {
-	blob := app.Region(dbRegion)
+	blob, waited := awaitRegion(app, dbRegion)
+	stats.ReadWait += waited
 	if blob == nil {
 		return nil, fmt.Errorf("checl: checkpoint %q has no CheCL object database", what)
 	}
@@ -702,12 +743,13 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	// buffer travelled as its own region so store checkpoints could dedup
 	// it segment-wise. Old images carry the data inline in the database
 	// blob and have no such regions — both decode correctly here. The region
-	// is the buffer's staging copy from here on: the process gives it up, and
-	// nothing else refers to those bytes of the restored image.
-	for _, m := range db.orderedMems() {
+	// is the buffer's staging copy from here on: the process gives it up
+	// once the upload has waited for it, and nothing else refers to those
+	// bytes of the restored image.
+	mems := db.orderedMems()
+	for _, m := range mems {
 		if blob := app.Region(memRegion(m.H)); blob != nil {
 			m.Data = blob
-			app.RemoveRegion(memRegion(m.H))
 		}
 	}
 
@@ -716,25 +758,33 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 		return nil, err
 	}
 	c := &CheCL{app: app, opts: opts, db: db}
+	fork := vtime.NewStopwatch(node.Clock)
 	px, err := proxy.SpawnWithOptions(app, vendor, c.spawnOpts())
 	if err != nil {
 		return nil, err
 	}
+	stats.PerClass["proxy"] = fork.Elapsed()
 	c.px = px
 	rs, err := c.rebindAll()
 	if err != nil {
 		return nil, err
 	}
+	for _, m := range mems {
+		app.RemoveRegion(memRegion(m.H))
+	}
 	for k, v := range rs.PerClass {
 		stats.PerClass[k] = v
 	}
 	stats.Recompile = rs.Recompile
+	stats.ReadWait += rs.ReadWait
 	return c, nil
 }
 
 // rebindAll recreates every object in the database via the current proxy,
 // in the dependency order of §III-C, and rebinds the real handles hidden
-// behind the (unchanged) CheCL handles.
+// behind the (unchanged) CheCL handles. The buffers' contents go up last:
+// the upload is the one step that reads a buffer's bytes, which on a restart
+// may still be arriving, and nothing created in between depends on it.
 func (c *CheCL) rebindAll() (RestartStats, error) {
 	// Every cached info answer described the old binding's hardware.
 	c.db.invalidateCaches()
@@ -832,10 +882,9 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 	}
 	stats.PerClass["cmd_que"] = sw.Reset()
 
-	// 5) cl_mem — recreate and send the staged user data back to device
-	// memory (the HtoD transfers that dominate Fig. 7 for data-heavy
-	// programs).
-	for _, m := range c.db.orderedMems() {
+	// 5) cl_mem — recreate; the contents follow in step 10.
+	mems := c.db.orderedMems()
+	for _, m := range mems {
 		ctx, err := c.db.context(m.Ctx)
 		if err != nil {
 			return stats, err
@@ -846,26 +895,6 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 			return stats, err
 		}
 		m.real = real
-		if m.Released {
-			// Dead record kept only because a kernel argument still names
-			// it: a placeholder allocation satisfies the binding, nothing
-			// to upload.
-			m.Dirty = false
-			m.UseHostPtr = false
-			m.hostPtr = nil
-			continue
-		}
-		if m.Data != nil {
-			q := c.anyQueueFor(m.Ctx)
-			if q != nil {
-				if _, err := api.EnqueueWriteBuffer(q.real, m.real, true, 0, m.Data, nil); err != nil {
-					return stats, err
-				}
-			}
-			if !c.opts.Incremental && !c.shadowOn() {
-				m.Data = nil
-			}
-		}
 		m.Dirty = false
 		// CL_MEM_USE_HOST_PTR aliasing cannot survive a restart: the
 		// original host region belongs to the old incarnation. The buffer
@@ -989,6 +1018,28 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 		e.Dummy = true
 	}
 	stats.PerClass["event"] = sw.Reset()
+
+	// 10) cl_mem contents — send the staged user data back to device memory
+	// (the HtoD transfers that dominate Fig. 7 for data-heavy programs),
+	// each upload as soon as its bytes are there. A dead record kept only
+	// because a kernel argument still names it has a placeholder allocation
+	// and nothing to upload.
+	for _, m := range mems {
+		if m.Released || m.Data == nil {
+			continue
+		}
+		_, waited := awaitRegion(c.app, memRegion(m.H))
+		stats.ReadWait += waited
+		if q := c.anyQueueFor(m.Ctx); q != nil {
+			if _, err := api.EnqueueWriteBuffer(q.real, m.real, true, 0, m.Data, nil); err != nil {
+				return stats, err
+			}
+		}
+		if !c.opts.Incremental && !c.shadowOn() {
+			m.Data = nil
+		}
+	}
+	stats.PerClass["mem"] += sw.Reset() - stats.ReadWait
 
 	for _, d := range stats.PerClass {
 		stats.Total += d

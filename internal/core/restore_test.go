@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"checl/internal/cpr"
 	"checl/internal/hw"
 	"checl/internal/ocl"
 	"checl/internal/proc"
@@ -255,5 +257,293 @@ func TestRestoredBuffersOwnTheirBytes(t *testing.T) {
 		c.App().Kill()
 		c.Detach()
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// tappedStore decorates a store the way the benchmark's tracer does: it
+// overrides GetNewestRestorable alone and hands the clock, the manifest and
+// the results through as they are. It keeps what it saw of the last call.
+type tappedStore struct {
+	store.Backend
+	calls int
+	began vtime.Time     // where the read's clock stood when the call came
+	man   store.Manifest // the manifest the call returned
+}
+
+func (s *tappedStore) GetNewestRestorable(clock *vtime.Clock, ref string, validate func([]byte, store.Manifest) error) ([]byte, store.Manifest, *store.DegradedRestore, error) {
+	s.calls++
+	s.began = clock.Now()
+	data, man, deg, err := s.Backend.GetNewestRestorable(clock, ref, func(p []byte, m store.Manifest) error {
+		return validate(p, m)
+	})
+	s.man = man
+	return data, man, deg, err
+}
+
+// arrivals maps each region of the image s last read to the instant its
+// segment was there, and reports the database region's and the read's end.
+func (s *tappedStore) arrivals(t *testing.T) (regions map[string]vtime.Time, db, end vtime.Time) {
+	t.Helper()
+	ready := s.man.ReadyAt()
+	if len(ready) == 0 || len(ready) != len(s.man.Segments) {
+		t.Fatalf("%d segments, ready at %v", len(s.man.Segments), ready)
+	}
+	regions = map[string]vtime.Time{}
+	for i, seg := range s.man.Segments {
+		regions[seg.Name] = ready[i]
+	}
+	return regions, regions["region/"+dbRegion], ready[len(ready)-1]
+}
+
+// tappedCPR is the other decorator a restore passes through there: BLCR
+// with RestartFromStore handed on.
+type tappedCPR struct {
+	cpr.BLCR
+	calls int
+}
+
+func (b *tappedCPR) RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, cpr.Stats, *store.DegradedRestore, error) {
+	b.calls++
+	return b.BLCR.RestartFromStore(n, st, ref)
+}
+
+// uploadInstants reports when the restore that made c enqueued its last n
+// buffer uploads, in upload order: the Queued stamps of the write events the
+// proxy's runtime minted last. Nothing hands those events out, so they are
+// looked up by handle — gen<<40 | seq<<8 | tag, see ocl.Runtime — downwards
+// from a marker minted now. Call it before anything else enqueues.
+func uploadInstants(t *testing.T, c *CheCL, n int) []vtime.Time {
+	t.Helper()
+	probe, err := c.px.Runtime.EnqueueMarker(c.db.orderedQueues()[0].real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seqMask = uint64(0xffffffff) << 8
+	top := uint64(probe)
+	out := make([]vtime.Time, n)
+	for seq := (top&seqMask)>>8 - 1; n > 0; seq-- {
+		if seq == 0 {
+			t.Fatalf("the runtime holds %d events short of the uploads", n)
+		}
+		if prof, err := c.px.Runtime.GetEventProfile(ocl.Event(top&^seqMask | seq<<8)); err == nil {
+			n--
+			out[n] = prof.Queued
+		}
+	}
+	return out
+}
+
+func sumPerClass(rst RestartStats) (sum vtime.Duration) {
+	for _, d := range rst.PerClass {
+		sum += d
+	}
+	return sum
+}
+
+// TestRestoreOverlapsReadAndRebuild: a store restore rebuilds while its
+// image is still arriving, and is honest about it. From a 4+2 fleet, healthy
+// and with two nodes down, with one processor and with eight: the proxy is
+// forked and the program built behind the read, no buffer's upload is
+// enqueued before its region was there, the restore ends one upload after
+// the read does instead of a whole rebuild after it, Total is exactly the
+// waiting plus each class's own work, and what lands on the device is what
+// a restore that reads the whole image first (Get, then RestoreImage) puts
+// there — for the same work per class, one after the other.
+func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
+	const n, size = 24, 1 << 20
+	j := newRestoreJob(t, n, size)
+	va := setupVaddApp(t, j.c, 4096)
+	va.launch(t)
+	if _, err := j.c.CheckpointToStore(j.fl, "job"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		j.write(t, j.c, i, 1)
+	}
+	if _, err := j.c.CheckpointToStore(j.fl, "job"); err != nil {
+		t.Fatal(err)
+	}
+	j.c.App().Kill()
+
+	serialNode := newNodeNV("serial")
+	image, _, err := j.fl.Get(serialNode.Clock, "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialRead := serialNode.Clock.Now().Sub(0)
+	serial, serialStats, err := RestoreImage(serialNode, image, Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := memDigests(t, serial)
+	serial.App().Kill()
+	serial.Detach()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first RestartStats
+	for _, tc := range []struct{ procs, down int }{{1, 0}, {8, 0}, {1, 2}, {8, 2}} {
+		name := fmt.Sprintf("GOMAXPROCS %d, %d down", tc.procs, tc.down)
+		runtime.GOMAXPROCS(tc.procs)
+		for i := 0; i < tc.down; i++ {
+			j.states[i].SetDown(true)
+		}
+		node := newNodeNV("tgt")
+		node.Clock.Advance(7 * vtime.Millisecond)
+		began := node.Clock.Now()
+		tap := &tappedStore{Backend: j.fl}
+		c, rst, err := RestoreFromStore(node, tap, "job", Options{Incremental: true})
+		if err != nil || rst.Degraded != nil {
+			t.Fatalf("%s: restore: %v %v", name, err, rst.Degraded)
+		}
+		mems := c.db.orderedMems()
+		uploads := uploadInstants(t, c, len(mems))
+		regions, db, end := tap.arrivals(t)
+
+		if tap.calls != 1 || tap.began != began {
+			t.Errorf("%s: %d reads, the last from %v; the restore began at %v", name, tap.calls, tap.began, began)
+		}
+		if rst.ReadTime != end.Sub(began) {
+			t.Errorf("%s: ReadTime %v, the read ran %v", name, rst.ReadTime, end.Sub(began))
+		}
+		work := sumPerClass(rst)
+		if rst.Total != rst.ReadWait+work || rst.Total != node.Clock.Now().Sub(began) {
+			t.Errorf("%s: Total %v, waited %v + worked %v, clock moved %v", name, rst.Total, rst.ReadWait, work, node.Clock.Now().Sub(began))
+		}
+		if rst.Total < rst.ReadTime {
+			t.Errorf("%s: restored in %v from a read of %v", name, rst.Total, rst.ReadTime)
+		}
+		for i, m := range mems {
+			at, ok := regions["region/"+memRegion(m.H)]
+			if !ok || uploads[i] < at {
+				t.Errorf("%s: buffer %d uploaded at %v, its region arrived at %v (%v)", name, i, uploads[i], at, ok)
+			}
+		}
+		if uploads[0] < db.Add(rst.PerClass["proxy"]+rst.PerClass["prog"]) {
+			t.Errorf("%s: first upload at %v, database at %v, fork %v and build %v after it", name,
+				uploads[0], db, rst.PerClass["proxy"], rst.PerClass["prog"])
+		}
+		// One more upload of a buffer of the largest size, timed: what the
+		// restore may end behind its read by, the uploads being quicker than
+		// the arrivals.
+		big := mems[0]
+		sw := vtime.NewStopwatch(node.Clock)
+		if _, err := c.px.Client.EnqueueWriteBuffer(c.anyQueueFor(big.Ctx).real, big.real, true, 0, big.Data, nil); err != nil {
+			t.Fatal(err)
+		}
+		upload := sw.Elapsed()
+		if chain := work - rst.PerClass["mem"]; chain >= rst.ReadTime {
+			t.Fatalf("%s: the job is too small to tell: rebuild chain %v, read %v", name, chain, rst.ReadTime)
+		}
+		if rst.Total > rst.ReadTime+upload {
+			t.Errorf("%s: restored in %v: read %v, one upload %v, rebuild %v", name, rst.Total, rst.ReadTime, upload, work)
+		}
+
+		if !reflect.DeepEqual(rst.PerClass, first.PerClass) && tc.procs > 1 {
+			t.Errorf("%s: per class %v\nwith one processor %v", name, rst.PerClass, first.PerClass)
+		}
+		if tc.procs == 1 {
+			first = rst
+		} else if rst.Total != first.Total || rst.ReadWait != first.ReadWait || rst.ReadTime != first.ReadTime {
+			t.Errorf("%s: total %v read %v waited %v\nwith one processor: total %v read %v waited %v", name,
+				rst.Total, rst.ReadTime, rst.ReadWait, first.Total, first.ReadTime, first.ReadWait)
+		}
+		for class, d := range serialStats.PerClass {
+			if rst.PerClass[class] != d {
+				t.Errorf("%s: %s took %v, in a restore that read first %v", name, class, rst.PerClass[class], d)
+			}
+		}
+		if tc.down == 0 && rst.ReadTime != serialRead {
+			t.Errorf("%s: read %v, a plain Get %v", name, rst.ReadTime, serialRead)
+		}
+		got := memDigests(t, c)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: restored buffers %v\nserial restore %v", name, got, want)
+		}
+		va.api = c
+		va.launch(t)
+		va.verify(t)
+		c.App().Kill()
+		c.Detach()
+		for i := 0; i < tc.down; i++ {
+			j.states[i].SetDown(false)
+		}
+	}
+}
+
+// TestRestoreShortReadCostsTheRebuild: the overlap hides time, it never
+// invents any. An incremental checkpoint in a store on the node's own RAM
+// disk reads back in less than the proxy takes to fork, so every buffer is
+// there long before its upload: the restore costs the wait for the object
+// database plus the whole rebuild, to the nanosecond, and no less than the
+// same rebuild costs behind a read that finished first.
+func TestRestoreShortReadCostsTheRebuild(t *testing.T) {
+	node := newNodeNV("node")
+	st := store.New(node.RAMDisk, store.Config{})
+	_, c := attach(t, node, Options{Incremental: true})
+	va := setupVaddApp(t, c, 64<<10)
+	va.launch(t)
+	va.verify(t)
+	if _, err := c.CheckpointToStore(st, "job"); err != nil {
+		t.Fatal(err)
+	}
+	want := memDigests(t, c)
+	c.App().Kill()
+
+	began := node.Clock.Now()
+	tap := &tappedStore{Backend: st}
+	rc, rst, err := RestoreFromStore(node, tap, "job", Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Detach()
+	_, db, end := tap.arrivals(t)
+	if rst.ReadTime != end.Sub(began) || rst.ReadTime >= rst.PerClass["proxy"] {
+		t.Fatalf("read %v (ran %v), fork %v: not the short read this test is about", rst.ReadTime, end.Sub(began), rst.PerClass["proxy"])
+	}
+	if wait := db.Sub(began); rst.ReadWait != wait || rst.Total != wait+sumPerClass(rst) {
+		t.Errorf("total %v, waited %v: the database was there after %v and the rebuild took %v",
+			rst.Total, rst.ReadWait, wait, sumPerClass(rst))
+	}
+	if rst.Total <= rst.ReadTime {
+		t.Errorf("restored in %v from a read of %v", rst.Total, rst.ReadTime)
+	}
+	if got := memDigests(t, rc); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored buffers %v, checkpointed %v", got, want)
+	}
+	va.api = rc
+	va.launch(t)
+	va.verify(t)
+}
+
+// TestRestoreOverlapsThroughDecorators: the read goes where it always went —
+// core, the cpr backend's RestartFromStore, the store's GetNewestRestorable —
+// so a decorator in front of either sees its one call per restore, and the
+// restore overlaps all the same: the instants ride on the values those calls
+// already return.
+func TestRestoreOverlapsThroughDecorators(t *testing.T) {
+	j := newRestoreJob(t, 12, 1<<20)
+	if _, err := j.c.CheckpointToStore(j.fl, "job"); err != nil {
+		t.Fatal(err)
+	}
+	j.c.App().Kill()
+	tap, backend := &tappedStore{Backend: j.fl}, &tappedCPR{}
+	for round := 1; round <= 2; round++ {
+		c, rst, err := RestoreFromStore(newNodeNV("tgt"), tap, "job", Options{Incremental: true, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tap.calls != round || backend.calls != round {
+			t.Errorf("restore %d: the store saw %d reads, the backend %d restarts", round, tap.calls, backend.calls)
+		}
+		if work := sumPerClass(rst); rst.Total >= rst.ReadTime+work || rst.ReadWait >= rst.ReadTime {
+			t.Errorf("restore %d: total %v, read %v, rebuild %v, waited %v: nothing overlapped", round, rst.Total, rst.ReadTime, work, rst.ReadWait)
+		}
+		for i := range j.mems {
+			if !bytes.Equal(j.readBack(t, c, i), j.fill(i, 0)) {
+				t.Fatalf("restore %d: buffer %d restored differs", round, i)
+			}
+		}
+		c.App().Kill()
+		c.Detach()
 	}
 }

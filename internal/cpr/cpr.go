@@ -266,7 +266,7 @@ func RestartImage(n *proc.Node, data []byte) (*proc.Process, Stats, error) {
 		return nil, Stats{}, err
 	}
 	p := n.Spawn(img.ProcessName)
-	p.RestoreRegions(img.Regions)
+	p.RestoreRegions(img.Regions, nil)
 	return p, Stats{Bytes: int64(len(data))}, nil
 }
 

@@ -2,6 +2,7 @@ package cpr
 
 import (
 	"fmt"
+	"strings"
 
 	"checl/internal/proc"
 	"checl/internal/store"
@@ -77,6 +78,13 @@ func checkpointToStore(backend string, p *proc.Process, st store.Backend, job st
 	return Stats{Bytes: size, Time: put.Time}, &put, nil
 }
 
+// The segments of a segmented image: the head, then regionSegment+<name>
+// per region.
+const (
+	headSegment   = "_head"
+	regionSegment = "region/"
+)
+
 // storeSegments derives the store segments of an image's deterministic
 // encoding, each carrying its bytes by reference (store.Segment.Data), and
 // the encoding's length. A non-nil clean map selects the segmented form: a
@@ -97,11 +105,11 @@ func storeSegments(img Image, clean map[string]bool) ([]store.Segment, int64) {
 		return []store.Segment{whole}, lay.size
 	}
 	off := int64(len(lay.head))
-	segs := []store.Segment{{Name: "_head", Len: off, Data: [][]byte{lay.head}}}
+	segs := []store.Segment{{Name: headSegment, Len: off, Data: [][]byte{lay.head}}}
 	for _, r := range lay.regions {
 		n := int64(len(r.prefix) + len(r.data))
 		segs = append(segs, store.Segment{
-			Name: "region/" + r.name, Off: off, Len: n, Clean: clean[r.name],
+			Name: regionSegment + r.name, Off: off, Len: n, Clean: clean[r.name],
 			Data: [][]byte{r.prefix, r.data},
 		})
 		off += n
@@ -150,8 +158,16 @@ func (DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job
 // process image. The store hands the payload over for good, the image is
 // decoded as ranges of it, and the restored process adopts those: from the
 // store's buffer to the process's memory the image is never copied.
+//
+// The read runs on a timeline of its own, a fork of the node's clock, and
+// Stats.Time is its whole span. The node does not wait it out: the process
+// comes up at the instant its image's head was there, each region knowing
+// when it arrives (proc.Process.AwaitRegion), and whoever goes on to use
+// the process waits for what it reads and no more. An image stored as one
+// piece arrives as one piece, at the read's end.
 func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error) {
-	sw := vtime.NewStopwatch(n.Clock)
+	read := n.Clock.Fork()
+	sw := vtime.NewStopwatch(read)
 	var img Image
 	validate := func(data []byte, _ store.Manifest) error {
 		i, err := decodeImage(data)
@@ -161,12 +177,24 @@ func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process
 		img = i
 		return nil
 	}
-	data, _, deg, err := st.GetNewestRestorable(n.Clock, ref, validate)
+	data, man, deg, err := st.GetNewestRestorable(read, ref, validate)
 	if err != nil {
+		n.Clock.AdvanceTo(read.Now()) // a failed restart has nothing to overlap with
 		return nil, Stats{}, deg, err
 	}
+	head := read.Now()
+	arrived := map[string]vtime.Time{}
+	for i, at := range man.ReadyAt() {
+		seg := man.Segments[i].Name
+		if region, ok := strings.CutPrefix(seg, regionSegment); ok {
+			arrived[region] = at
+		} else if seg == headSegment {
+			head = at
+		}
+	}
+	n.Clock.AdvanceTo(head)
 	p := n.Spawn(img.ProcessName)
-	p.RestoreRegions(img.Regions)
+	p.RestoreRegions(img.Regions, arrived)
 	return p, Stats{Bytes: int64(len(data)), Time: sw.Elapsed()}, deg, nil
 }
 

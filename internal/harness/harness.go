@@ -386,8 +386,8 @@ func Fig7(cfg Config, scale float64) ([]Fig7Row, error) {
 		// The figure's bars stack object-recreation time only; the file
 		// read and proxy fork are not part of the breakdown.
 		var objTotal vtime.Duration
-		for _, d := range rst.PerClass {
-			objTotal += d
+		for _, class := range core.RestoreOrder {
+			objTotal += rst.PerClass[class]
 		}
 		rows = append(rows, Fig7Row{App: app.Name, PerClass: rst.PerClass, Total: objTotal})
 	}

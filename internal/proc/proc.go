@@ -130,6 +130,10 @@ type Process struct {
 	regions      map[string][]byte
 	pending      []Signal
 	onExit       []func()
+	// arrived holds, for a region of a restored image whose bytes came in
+	// after the process did, the instant on the node's clock they were there
+	// (RestoreRegions, AwaitRegion). No entry: there since the process was.
+	arrived map[string]vtime.Time
 }
 
 // OnExit registers fn to run when the process dies. Hooks fire after the
@@ -255,6 +259,7 @@ func (p *Process) SetRegion(name string, data []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.regions[name] = data
+	delete(p.arrived, name)
 }
 
 // Region returns the named region, or nil.
@@ -264,12 +269,25 @@ func (p *Process) Region(name string) []byte {
 	return p.regions[name]
 }
 
+// AwaitRegion is Region for a caller about to read the region's bytes: it
+// blocks — advances the node's clock — until they have arrived. Only a
+// region of an image that was restored while it was still being read can
+// lie ahead of the clock (RestoreRegions); for any other this is Region.
+func (p *Process) AwaitRegion(name string) []byte {
+	p.mu.Lock()
+	data, at, node := p.regions[name], p.arrived[name], p.node
+	p.mu.Unlock()
+	node.Clock.AdvanceTo(at)
+	return data
+}
+
 // RemoveRegion drops a named region (e.g. freeing staged buffer copies in
 // CheCL's postprocessing phase).
 func (p *Process) RemoveRegion(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.regions, name)
+	delete(p.arrived, name)
 }
 
 // RegionNames lists registered regions in sorted order.
@@ -322,13 +340,24 @@ func (p *Process) SnapshotRegions() map[string][]byte {
 
 // RestoreRegions replaces the process's memory image (restart path). Like
 // SetRegion it adopts the slices: they are the process's memory from here
-// on, and the caller keeps no other use of them. The map stays the caller's.
-func (p *Process) RestoreRegions(regions map[string][]byte) {
+// on, and the caller keeps no other use of them. The maps stay the caller's.
+//
+// arrived is for an image read piece by piece by a restart that brings the
+// process up before the read is over: the instant on the node's clock at
+// which each region's bytes are there, for the regions that are not there
+// yet. In the simulation the bytes are all present; it is AwaitRegion that
+// keeps a reader from seeing them sooner. A nil map is an image that was
+// read whole before the process was spawned.
+func (p *Process) RestoreRegions(regions map[string][]byte, arrived map[string]vtime.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.regions = make(map[string][]byte, len(regions))
 	for k, v := range regions {
 		p.regions[k] = v
+	}
+	p.arrived = make(map[string]vtime.Time, len(arrived))
+	for k, at := range arrived {
+		p.arrived[k] = at
 	}
 }
 

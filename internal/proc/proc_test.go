@@ -63,9 +63,40 @@ func TestRegions(t *testing.T) {
 	}
 	// Restore replaces the image.
 	q := n.Spawn("restored")
-	q.RestoreRegions(snap)
+	q.RestoreRegions(snap, nil)
 	if q.MemoryUsage() != 1280 || q.Region("heap")[0] == 42 {
 		t.Error("restore wrong")
+	}
+}
+
+// TestAwaitRegionBlocksUntilArrival: a region restored ahead of its bytes
+// is handed out at once by Region and at its arrival by AwaitRegion; one
+// that was there from the start, or has been set or awaited since, costs
+// nothing to await.
+func TestAwaitRegionBlocksUntilArrival(t *testing.T) {
+	n := testNode()
+	n.Clock.Advance(5 * vtime.Millisecond)
+	at := n.Clock.Now().Add(20 * vtime.Millisecond)
+	p := n.Spawn("restored")
+	p.RestoreRegions(map[string][]byte{"early": {1}, "late": {2}, "reset": {3}},
+		map[string]vtime.Time{"late": at, "reset": at.Add(vtime.Second)})
+
+	began := n.Clock.Now()
+	if got := p.Region("late"); len(got) != 1 || n.Clock.Now() != began {
+		t.Errorf("Region(late) = %v at %v, want the bytes at %v", got, n.Clock.Now(), began)
+	}
+	if got := p.AwaitRegion("early"); len(got) != 1 || n.Clock.Now() != began {
+		t.Errorf("AwaitRegion(early) = %v at %v, want no wait past %v", got, n.Clock.Now(), began)
+	}
+	if p.AwaitRegion("nosuch") != nil || n.Clock.Now() != began {
+		t.Errorf("awaiting a region that is not there moved the clock to %v", n.Clock.Now())
+	}
+	if got := p.AwaitRegion("late"); len(got) != 1 || got[0] != 2 || n.Clock.Now() != at {
+		t.Errorf("AwaitRegion(late) = %v at %v, want arrival at %v", got, n.Clock.Now(), at)
+	}
+	p.SetRegion("reset", []byte{4})
+	if got := p.AwaitRegion("reset"); got[0] != 4 || n.Clock.Now() != at {
+		t.Errorf("a region set anew was awaited until %v", n.Clock.Now())
 	}
 }
 

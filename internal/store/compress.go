@@ -122,12 +122,13 @@ type inflater struct {
 // as the slices it lies in, in order — a chunk file, or the data shards of
 // a fleet — and is read where it lies. Nothing is written past dst: a blob
 // that holds more is rejected rather than inflated. The modelled
-// decompression time is charged to clock.
-func inflate(clock *vtime.Clock, parts [][]byte, dst []byte) (int, error) {
+// decompression time is returned, not charged: a chunk inflates on whichever
+// worker is free, and the read charges its chunks in their own order.
+func inflate(parts [][]byte, dst []byte) (n int, took vtime.Duration, err error) {
 	src := partsReader{parts: parts}
 	codec, err := src.ReadByte()
 	if err != nil {
-		return 0, fmt.Errorf("store: empty chunk blob")
+		return 0, 0, fmt.Errorf("store: empty chunk blob")
 	}
 	switch codec {
 	case codecRaw:
@@ -136,14 +137,13 @@ func inflate(clock *vtime.Clock, parts [][]byte, dst []byte) (int, error) {
 			held += len(p)
 		}
 		if held > len(dst) {
-			return 0, fmt.Errorf("store: chunk holds %d bytes, manifest says %d", held, len(dst))
+			return 0, 0, fmt.Errorf("store: chunk holds %d bytes, manifest says %d", held, len(dst))
 		}
-		n := 0
 		for src.next() {
 			n += copy(dst[n:], src.cur)
 			src.cur = nil
 		}
-		return n, nil
+		return n, 0, nil
 	case codecFlate:
 		in, _ := flateReaders.Get().(*inflater)
 		if in == nil {
@@ -153,12 +153,12 @@ func inflate(clock *vtime.Clock, parts [][]byte, dst []byte) (int, error) {
 		if in.fr == nil {
 			in.fr = flate.NewReader(&in.src)
 		} else if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-			return 0, fmt.Errorf("store: decompress: %w", err)
+			return 0, 0, fmt.Errorf("store: decompress: %w", err)
 		}
 		// Once dst is full, one byte of scratch tells a chunk of exactly that
 		// size from one that goes on.
 		var scratch [1]byte
-		n, over := 0, 0
+		over := 0
 		for over == 0 {
 			into := dst[n:]
 			if len(into) == 0 {
@@ -174,19 +174,18 @@ func inflate(clock *vtime.Clock, parts [][]byte, dst []byte) (int, error) {
 				break
 			}
 			if err != nil {
-				return 0, fmt.Errorf("store: decompress: %w", err)
+				return 0, 0, fmt.Errorf("store: decompress: %w", err)
 			}
 		}
 		if over > 0 {
-			return 0, fmt.Errorf("store: chunk inflates past the %d bytes the manifest says", len(dst))
+			return 0, 0, fmt.Errorf("store: chunk inflates past the %d bytes the manifest says", len(dst))
 		}
 		if err := in.fr.Close(); err != nil {
-			return 0, fmt.Errorf("store: decompress: %w", err)
+			return 0, 0, fmt.Errorf("store: decompress: %w", err)
 		}
 		flateReaders.Put(in)
-		clock.Advance(decompressBps.Transfer(int64(n)))
-		return n, nil
+		return n, decompressBps.Transfer(int64(n)), nil
 	default:
-		return 0, fmt.Errorf("store: unknown chunk codec 0x%02x", codec)
+		return 0, 0, fmt.Errorf("store: unknown chunk codec 0x%02x", codec)
 	}
 }

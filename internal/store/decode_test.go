@@ -175,7 +175,7 @@ func FuzzDecodeManifest(f *testing.F) {
 			e := engine{cfg: Config{}.withDefaults(), p: nowhere{m, &fetches}}
 			clock := vtime.NewClock()
 			readable := sizesAddUp(m.Chunks, m.Size, int64(e.cfg.MaxChunk))
-			if _, err := e.assemble(clock, m, true); err == nil && len(m.Chunks) > 0 {
+			if _, _, err := e.assemble(clock, m, true); err == nil && len(m.Chunks) > 0 {
 				t.Fatal("assembled a payload out of no chunks")
 			} else if !readable && (fetches > 0 || !errors.Is(err, errCorruptManifest)) {
 				t.Fatalf("over-long chunks: %d chunks asked for, err = %v", fetches, err)

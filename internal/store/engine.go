@@ -57,9 +57,10 @@ type chunkReader interface {
 	// plan's ticks, a repair from the placement's redundancy where those show
 	// one is needed — and returns the other half: a function that verifies
 	// them and lands the content in l.dst (see verifyParts). That function
-	// shares nothing with another chunk's and charges time only by advancing
-	// the session's clock. A nil function is a chunk that has landed already;
-	// an error is a chunk the placement cannot bring back.
+	// shares nothing with another chunk's. Neither half touches the clock:
+	// the time either takes is added to l.cost. A nil function is a chunk
+	// that has landed already; an error is a chunk the placement cannot
+	// bring back.
 	fetch(l *landing) (land func() error, err error)
 	// refetch is the second try at a chunk whose land failed with cause:
 	// called after every land has returned, it reads the chunk from whatever
@@ -400,7 +401,7 @@ func (e *engine) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
 	if err != nil {
 		return nil, Manifest{}, err
 	}
-	payload, err := e.assemble(clock, man, true)
+	payload, _, err := e.assemble(clock, man, true)
 	return payload, man, err
 }
 
@@ -424,7 +425,7 @@ func (e *engine) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manif
 	if !ok {
 		return nil, man, fmt.Errorf("store: %s: no segment named %q", man.ID(), name)
 	}
-	payload, err := e.readChunks(clock, man.ID(), refs, seg.Size, true, nil)
+	payload, _, err := e.readChunks(clock, man.ID(), refs, nil, seg.Size, true, nil)
 	return payload, man, err
 }
 
@@ -577,34 +578,42 @@ func (d *DegradedRestore) Error() string {
 		d.Requested, d.Restored, len(d.Skipped))
 }
 
+// chain lists the restore fallback chain for ref: the sequence numbers of
+// the job at or below the requested one, ascending, decodable or not. No
+// manifest is read.
+func (e *engine) chain(ref string) (job string, seqs []uint64, err error) {
+	job, ceiling, latest, err := parseRef(ref)
+	if err != nil {
+		return "", nil, err
+	}
+	seqs = e.jobSeqs(job)
+	if !latest {
+		seqs = seqs[:sort.Search(len(seqs), func(i int) bool { return seqs[i] > ceiling })]
+	}
+	if len(seqs) == 0 {
+		return "", nil, fmt.Errorf("store: job %q has no checkpoints", job)
+	}
+	return job, seqs, nil
+}
+
 // Generations lists the restore fallback chain for ref: every decodable
 // manifest of the job at or below the requested sequence, newest first,
 // plus one SkippedCheckpoint per manifest in that range that would not
 // load.
 func (e *engine) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error) {
-	job, ceiling, latest, err := parseRef(ref)
+	job, seqs, err := e.chain(ref)
 	if err != nil {
 		return nil, nil, err
 	}
-	if latest {
-		ceiling = 1 << 63
-	}
-	seqs := e.jobSeqs(job)
 	var mans []Manifest
 	var skipped []SkippedCheckpoint
 	for i := len(seqs) - 1; i >= 0; i-- {
-		if seqs[i] > ceiling {
-			continue
-		}
 		m, err := e.p.loadManifest(job, seqs[i], true)
 		if err != nil {
 			skipped = append(skipped, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: err.Error()})
 			continue
 		}
 		mans = append(mans, m)
-	}
-	if len(mans) == 0 && len(skipped) == 0 {
-		return nil, nil, fmt.Errorf("store: job %q has no checkpoints", job)
 	}
 	return mans, skipped, nil
 }
@@ -613,42 +622,46 @@ func (e *engine) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error
 // returns the payload of the first generation that both assembles
 // bit-identical (healing where the placement can) and passes the caller's
 // validate hook — e.g. "does this payload decode as a process image". The
-// returned *DegradedRestore is nil when the newest generation restored
-// cleanly; otherwise it lists every newer generation that was skipped and
-// why. When nothing restores, the DegradedRestore itself is returned as
-// the error, so callers always get a typed outcome instead of a silent
-// wrong payload.
+// walk is lazy: a generation's manifest is loaded when its turn comes, and
+// none older than the one that restores is looked at. The manifest validate
+// is handed, and the one returned, know when each segment of the payload
+// was there (Manifest.ReadyAt). The returned *DegradedRestore is nil when
+// the newest generation restored cleanly; otherwise it lists every newer
+// generation that was skipped and why. When nothing restores, the
+// DegradedRestore itself is returned as the error, so callers always get a
+// typed outcome instead of a silent wrong payload.
 func (e *engine) GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error) {
-	mans, skipped, err := e.Generations(ref)
+	job, seqs, err := e.chain(ref)
 	if err != nil {
 		return nil, Manifest{}, nil, err
 	}
-	tried := append([]SkippedCheckpoint(nil), skipped...)
-	for _, m := range mans {
-		payload, gerr := e.assemble(clock, m, true)
-		if gerr != nil {
-			tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: gerr.Error()})
+	var tried []SkippedCheckpoint // newest first, as the walk goes
+	for i := len(seqs) - 1; i >= 0; i-- {
+		skip := func(reason string) {
+			tried = append(tried, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: reason})
+		}
+		m, err := e.p.loadManifest(job, seqs[i], true)
+		if err != nil {
+			skip(err.Error())
 			continue
 		}
+		payload, ready, err := e.assemble(clock, m, true)
+		if err != nil {
+			skip(err.Error())
+			continue
+		}
+		m.ready = ready
 		if validate != nil {
-			if verr := validate(payload, m); verr != nil {
-				tried = append(tried, SkippedCheckpoint{ID: m.ID(), Seq: m.Seq, Reason: "validate: " + verr.Error()})
+			if err := validate(payload, m); err != nil {
+				skip("validate: " + err.Error())
 				continue
 			}
 		}
-		var newer []SkippedCheckpoint
-		for _, t := range tried {
-			if t.Seq > m.Seq {
-				newer = append(newer, t)
-			}
-		}
-		sort.Slice(newer, func(i, j int) bool { return newer[i].Seq > newer[j].Seq })
-		if len(newer) == 0 {
+		if len(tried) == 0 {
 			return payload, m, nil, nil
 		}
-		return payload, m, &DegradedRestore{Requested: ref, Restored: m.ID(), Skipped: newer}, nil
+		return payload, m, &DegradedRestore{Requested: ref, Restored: m.ID(), Skipped: tried}, nil
 	}
-	sort.Slice(tried, func(i, j int) bool { return tried[i].Seq > tried[j].Seq })
 	deg := &DegradedRestore{Requested: ref, Skipped: tried}
 	return nil, Manifest{}, deg, deg
 }
@@ -746,7 +759,7 @@ func (e *engine) Fsck(clock *vtime.Clock) (FsckReport, error) {
 	verified := map[string]bool{}
 	for _, m := range mans {
 		rep.Manifests++
-		if _, err := e.assemble(clock, m, false); err != nil {
+		if _, _, err := e.assemble(clock, m, false); err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", m.ID(), err))
 			continue
 		}

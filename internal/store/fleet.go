@@ -568,7 +568,9 @@ func (t *fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64
 
 // fleetRead is a read session: the packs it has pulled from the nodes, and
 // the repaired records it owes them. Get opens one per manifest; Rebuild
-// and Scrub run their repairs through one.
+// and Scrub run their repairs through one. Opening a session (prepare)
+// charges its clock; what a chunk costs after that is added to the cost its
+// caller names — a landing's, for the engine to charge in chunk order.
 type fleetRead struct {
 	f     *Fleet
 	clock *vtime.Clock
@@ -689,8 +691,8 @@ func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []by
 
 // locate returns the bytes node n's index says are shard idx of the chunk
 // at sum, as they lie in the pack and not yet verified. A pack prepare did
-// not load is read now, on the session's clock.
-func (r *fleetRead) locate(n *fleetNode, sum string, idx int) (rec []byte, loc recLoc, ok bool) {
+// not load is read now, and its disk time added to cost.
+func (r *fleetRead) locate(n *fleetNode, sum string, idx int, cost *vtime.Duration) (rec []byte, loc recLoc, ok bool) {
 	if !n.alive() {
 		return nil, loc, false
 	}
@@ -699,7 +701,9 @@ func (r *fleetRead) locate(n *fleetNode, sum string, idx int) (rec []byte, loc r
 	}
 	data, loaded := r.packs[packAt{n.name, loc.pack}]
 	if !loaded {
-		data = r.readPack(r.clock, n, loc.pack)
+		disk := vtime.NewClock()
+		data = r.readPack(disk, n, loc.pack)
+		*cost += disk.Now().Sub(0)
 	}
 	if data == nil {
 		return nil, loc, false
@@ -715,9 +719,9 @@ func (r *fleetRead) locate(n *fleetNode, sum string, idx int) (rec []byte, loc r
 // the same in raw bytes — keyed by index, in index order: up to k of them,
 // or with all set every one there is. It also returns the original blob
 // length and the indices examined that are missing, corrupt or on a down
-// node; a record that fails verification leaves the index. Link time covers
-// the records actually pulled.
-func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool) (have map[int][]byte, origLen int, bad []int) {
+// node; a record that fails verification leaves the index. Link time, added
+// to cost, covers the records actually pulled.
+func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool, cost *vtime.Duration) (have map[int][]byte, origLen int, bad []int) {
 	f := r.f
 	have = map[int][]byte{}
 	origLen = -1
@@ -726,7 +730,7 @@ func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool) (have 
 		if !all && len(have) >= f.cfg.DataShards {
 			break
 		}
-		rec, loc, ok := r.locate(n, sum, i)
+		rec, loc, ok := r.locate(n, sum, i, cost)
 		if !ok {
 			bad = append(bad, i)
 			continue
@@ -740,17 +744,17 @@ func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool) (have 
 		have[i], origLen = payload, blobLen
 		pulled += n.linkBytes(len(rec))
 	}
-	r.clock.Advance(fleetLink.Transfer(pulled))
+	*cost += fleetLink.Transfer(pulled)
 	return have, origLen, bad
 }
 
 // solve turns k or more gathered shards into the chunk's data shards, plus
 // the parity shards among owed — the indices about to be written back —
 // that are missing and whose node is there to take them; the other missing
-// parity stays nil. The coding model is charged when a data shard has to be
-// solved for (regenerating parity from intact data shards rides along
-// uncharged).
-func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []int) ([][]byte, error) {
+// parity stays nil. The coding model's time is added to cost when a data
+// shard has to be solved for (regenerating parity from intact data shards
+// rides along uncharged).
+func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []int, cost *vtime.Duration) ([][]byte, error) {
 	f := r.f
 	k := f.cfg.DataShards
 	if len(have) < k {
@@ -763,7 +767,7 @@ func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []i
 			lost++
 		}
 	}
-	r.clock.Advance(fleetCoding.ReconstructTime(int64(origLen), k, lost))
+	*cost += fleetCoding.ReconstructTime(int64(origLen), k, lost)
 	var parity []int
 	for _, i := range owed {
 		if i >= k && r.nodes(sum)[i].alive() {
@@ -793,7 +797,7 @@ func (r *fleetRead) fetch(l *landing) (func() error, error) {
 	var pulled int64
 	for i := range recs {
 		ok := false
-		if recs[i], _, ok = r.locate(nodes[i], l.ref.Sum, i); !ok {
+		if recs[i], _, ok = r.locate(nodes[i], l.ref.Sum, i, &l.cost); !ok {
 			return r.fetchDegraded(l)
 		}
 		pulled += nodes[i].linkBytes(len(recs[i]))
@@ -802,8 +806,8 @@ func (r *fleetRead) fetch(l *landing) (func() error, error) {
 }
 
 // landRecords is the pure half of a healthy read: it verifies the k data
-// records, charges the link for the pulled bytes of them that crossed it,
-// and lands the blob they hold between them. recs is overwritten with
+// records, counts the link time of the pulled bytes of them that crossed
+// it, and lands the blob they hold between them. recs is overwritten with
 // their payloads.
 func (r *fleetRead) landRecords(l *landing, recs [][]byte, pulled int64) error {
 	origLen := -1
@@ -813,7 +817,7 @@ func (r *fleetRead) landRecords(l *landing, recs [][]byte, pulled int64) error {
 			return errBadRecord
 		}
 	}
-	r.clock.Advance(fleetLink.Transfer(pulled))
+	l.cost += fleetLink.Transfer(pulled)
 	return r.landShards(l, recs, origLen)
 }
 
@@ -828,7 +832,7 @@ func (r *fleetRead) landShards(l *landing, shards [][]byte, origLen int) error {
 		shards[i] = shard[:max(0, min(len(shard), origLen))]
 		origLen -= len(shard)
 	}
-	return verifyParts(r.clock, shards, l)
+	return verifyParts(shards, l)
 }
 
 // readDegraded reads one chunk's data shards from any k survivors, their
@@ -838,8 +842,8 @@ func (r *fleetRead) landShards(l *landing, shards [][]byte, origLen int) error {
 // the fleet as a side effect.
 func (r *fleetRead) readDegraded(l *landing) (shards [][]byte, origLen int, err error) {
 	sum := l.ref.Sum
-	have, origLen, bad := r.gather(sum, &l.addr, false)
-	if shards, err = r.solve(sum, have, origLen, bad); err != nil {
+	have, origLen, bad := r.gather(sum, &l.addr, false, &l.cost)
+	if shards, err = r.solve(sum, have, origLen, bad, &l.cost); err != nil {
 		return nil, 0, err
 	}
 	r.owe(sum, origLen, shards, bad)
@@ -864,6 +868,7 @@ func (r *fleetRead) blob(ref ChunkRef) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() { r.clock.Advance(l.cost) }()
 	shards, origLen, err := r.readDegraded(l)
 	if err != nil {
 		return nil, err

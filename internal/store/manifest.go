@@ -49,7 +49,19 @@ type Manifest struct {
 	Size      int64        // total payload bytes
 	Digest    string       // SHA-256 of the whole payload, hex
 	CreatedAt vtime.Time
+
+	// ready belongs to one read of the payload, not to the checkpoint: see
+	// ReadyAt. It is not part of the stored frame (gob skips it).
+	ready []vtime.Time
 }
+
+// ReadyAt reports, on a manifest that GetNewestRestorable handed out with
+// the payload it read, the instant on that read's clock at which each of
+// Segments was there whole and verified, in segment order: non-decreasing,
+// the last one the end of the read. It is nil on a manifest that came from
+// anywhere else and on one without a segment map — the payload then is
+// there when the read returns and not before.
+func (m Manifest) ReadyAt() []vtime.Time { return m.ready }
 
 // DeltaSize reports how many payload bytes of the manifest are new
 // relative to its parent: the total size of dirty segments. For legacy

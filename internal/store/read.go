@@ -10,8 +10,13 @@ package store
 // bookkeeping. The pure half — record digests, inflate, SHA-256 — shares
 // nothing between chunks and runs on GOMAXPROCS workers, and the manifest's
 // digest follows it over the verified chunks on a goroutine of its own.
-// Virtual time is charged with Clock.Advance, which commutes, so a read
-// costs the same whatever order the workers finish in.
+//
+// Virtual time is a chunk's own account until the workers have joined: what
+// bringing a chunk back cost — link, reconstruction, inflate, a second try —
+// is left in its landing, and the read charges the clock chunk by chunk in
+// chunk order. So a read costs the same whatever order the workers finish
+// in, and it knows when each of the manifest's segments was there: the
+// instant its last chunk was charged.
 
 import (
 	"crypto/sha256"
@@ -24,23 +29,27 @@ import (
 )
 
 // landing is one chunk on its way into a payload: where its content
-// belongs and the address it must hash to.
+// belongs, the address it must hash to and what bringing it back cost.
 type landing struct {
 	ref  ChunkRef
 	addr [sha256.Size]byte // ref.Sum, decoded once
 	dst  []byte            // ref.Size bytes of the payload
 	err  error             // what the chunk's pure half returned
+	// cost is the time this chunk took beyond the session's opening: both
+	// halves add to it, one after the other, and nothing else does.
+	cost vtime.Duration
 }
 
 // verifyParts turns one chunk's stored blob — given as the slices it lies
 // in — back into its content, in l.dst, and checks it against the content
 // address: inflate (to exactly the size the manifest records), SHA-256.
 // Every read path ends here.
-func verifyParts(clock *vtime.Clock, parts [][]byte, l *landing) error {
-	n, err := inflate(clock, parts, l.dst)
+func verifyParts(parts [][]byte, l *landing) error {
+	n, took, err := inflate(parts, l.dst)
 	if err != nil {
 		return fmt.Errorf("store: chunk %s: %w", l.ref.Sum[:12], err)
 	}
+	l.cost += took
 	if sum := sha256.Sum256(l.dst[:n]); sum != l.addr {
 		return fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", l.ref.Sum[:12], hex.EncodeToString(sum[:])[:12])
 	}
@@ -148,20 +157,24 @@ func startLanders(lands []landing, verified func(i int)) (run func(i int, land f
 // from here on they are trusted.
 //
 // The session's fetch runs for every chunk in order, then — after all the
-// pure halves have run — its refetch for each chunk that failed, in order:
-// what the placement is asked to do, and in which order, depends on neither
-// the processor count nor the scheduler.
-func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, size int64, heal bool, digest *[sha256.Size]byte) ([]byte, error) {
+// pure halves have run — its refetch for each chunk that failed, in order,
+// and then the chunks' costs are charged to clock, in order: what the
+// placement is asked to do, what the clock reads and when, depend on
+// neither the processor count nor the scheduler. segs, when the refs are a
+// manifest's whole chunk list, is its segment map: ready reports for each
+// segment the instant its last chunk was charged — non-decreasing, the last
+// one the end of the read.
+func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool, digest *[sha256.Size]byte) (payload []byte, ready []vtime.Time, err error) {
 	if !sizesAddUp(refs, size, int64(e.cfg.MaxChunk)) {
-		return nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, e.cfg.MaxChunk, size)
+		return nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, e.cfg.MaxChunk, size)
 	}
-	payload := make([]byte, size)
+	payload = make([]byte, size)
 	lands := make([]landing, len(refs))
 	off := int64(0)
 	for i, ref := range refs {
 		addr, ok := decodeDigest(ref.Sum)
 		if !ok {
-			return nil, corruptf("store: %s: chunk %d: bad address %q", id, i, ref.Sum)
+			return nil, nil, corruptf("store: %s: chunk %d: bad address %q", id, i, ref.Sum)
 		}
 		lands[i] = landing{ref: ref, addr: addr, dst: payload[off : off+ref.Size : off+ref.Size]}
 		off += ref.Size
@@ -174,7 +187,6 @@ func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, size
 	}
 	run, wait := startLanders(lands, verified)
 
-	var err error
 	fetched := 0
 	for ; fetched < len(lands); fetched++ {
 		var land func() error
@@ -200,27 +212,38 @@ func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, size
 		}
 	}
 	got := sum(err == nil)
+	// A read that fails has still spent what its chunks cost up to there.
+	i := 0
+	for _, seg := range segs {
+		for end := min(i+seg.Chunks, len(lands)); i < end; i++ {
+			clock.Advance(lands[i].cost)
+		}
+		ready = append(ready, clock.Now())
+	}
+	for ; i < len(lands); i++ {
+		clock.Advance(lands[i].cost)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if digest != nil {
 		*digest = got
 	}
-	return payload, nil
+	return payload, ready, nil
 }
 
 // assemble reads and verifies every chunk of man and checks the payload
 // digest. With heal set, failed chunks fall back to the placement's
-// redundancy.
-func (e *engine) assemble(clock *vtime.Clock, man Manifest, heal bool) ([]byte, error) {
+// redundancy. ready is readChunks' over man.Segments.
+func (e *engine) assemble(clock *vtime.Clock, man Manifest, heal bool) (payload []byte, ready []vtime.Time, err error) {
 	var got [sha256.Size]byte
-	payload, err := e.readChunks(clock, man.ID(), man.Chunks, man.Size, heal, &got)
+	payload, ready, err = e.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, heal, &got)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if want, ok := decodeDigest(man.Digest); !ok || got != want {
-		return nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %.12s, assembled %s)",
+		return nil, nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %.12s, assembled %s)",
 			man.ID(), man.Digest, hex.EncodeToString(got[:])[:12])
 	}
-	return payload, nil
+	return payload, ready, nil
 }

@@ -81,9 +81,9 @@ func checkVerifyParts(t *testing.T, blob []byte, parts [][]byte, ref ChunkRef) {
 	buf := bytes.Repeat([]byte{guard}, int(ref.Size)+16)
 	l := &landing{ref: ref, dst: buf[8 : 8+ref.Size : 8+ref.Size]}
 	l.addr, _ = decodeDigest(ref.Sum)
-	c1, c2 := vtime.NewClock(), vtime.NewClock()
+	c1 := vtime.NewClock()
 	want, werr := verifyBlobOracle(c1, bytes.Join(parts, nil), ref)
-	gerr := verifyParts(c2, parts, l)
+	gerr := verifyParts(parts, l)
 	if !bytes.Equal(bytes.Join(parts, nil), blob) {
 		t.Fatal("the read changed the blob")
 	}
@@ -106,8 +106,8 @@ func checkVerifyParts(t *testing.T, blob []byte, parts [][]byte, ref ChunkRef) {
 	case gerr != nil || !bytes.Equal(l.dst, want):
 		t.Fatalf("oracle reads %d bytes, verifyParts: %v", len(want), gerr)
 	}
-	if gerr == nil && c1.Now() != c2.Now() {
-		t.Fatalf("oracle charged %v, verifyParts %v", c1.Now(), c2.Now())
+	if gerr == nil && c1.Now().Sub(0) != l.cost {
+		t.Fatalf("oracle charged %v, verifyParts counted %v", c1.Now().Sub(0), l.cost)
 	}
 }
 
@@ -185,6 +185,20 @@ func FuzzVerifyParts(f *testing.F) {
 	})
 }
 
+// rotEveryThirdChunk flips a bit in the first record an alive node holds of
+// every third chunk of man, which sends the chunk through the second try.
+func rotEveryThirdChunk(cs confStore, man Manifest) {
+	for i := 0; i < len(man.Chunks); i += 3 {
+		sum := man.Chunks[i].Sum
+		for idx, n := range cs.placement(sum) {
+			if loc, ok := cs.lookup(n, sum, idx); ok && n.alive() {
+				n.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
+				break
+			}
+		}
+	}
+}
+
 // TestReadIndependentOfProcs: what a Get returns, charges, repairs and
 // leaves on the disks is the same with one processor — everything inline —
 // as with workers, also when every third chunk has a flipped bit in its
@@ -205,15 +219,7 @@ func TestReadIndependentOfProcs(t *testing.T) {
 			cs := b.open(t, Config{})
 			clock := vtime.NewClock()
 			man, _ := mustPut(t, cs, clock, "job", append(payload(90, 200<<10), compressible(4, 100<<10)...), nil)
-			for i := 0; i < len(man.Chunks); i += 3 {
-				sum := man.Chunks[i].Sum
-				for idx, n := range cs.placement(sum) {
-					if loc, ok := cs.lookup(n, sum, idx); ok && n.alive() {
-						n.fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
-						break
-					}
-				}
-			}
+			rotEveryThirdChunk(cs, man)
 			var out outcome
 			got, _, err := cs.Get(clock, "job")
 			if err != nil {
@@ -234,5 +240,131 @@ func TestReadIndependentOfProcs(t *testing.T) {
 					b.name, procs, out.Err, out.Clock, out.Heals, first.Err, first.Clock, first.Heals)
 			}
 		}
+	}
+}
+
+// TestSegmentsReadyInOrder: a restore read knows when each segment of the
+// payload was there. The instants GetNewestRestorable leaves on the
+// manifest start no sooner than the read, never go back along the segment
+// order, end where the read's clock ends — also behind a newer generation
+// the walk had to pass over, whose attempt they lie after — and are the
+// same with one processor as with eight, with every third chunk of the
+// older generation sent through the second try. A segment without a chunk
+// is there when the one before it is.
+func TestSegmentsReadyInOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	names := []string{"_head", "a", "empty", "b", "c"}
+	for _, b := range confBackends {
+		var first []vtime.Time
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			cs := b.open(t, Config{})
+			clock := vtime.NewClock()
+			clock.Advance(3 * vtime.Millisecond)
+			parts := map[string][]byte{"_head": payload(70, 300), "a": payload(71, 60<<10),
+				"b": compressible(5, 40<<10), "c": payload(72, 30<<10)}
+			data, segs := tile(nil, names, parts)
+			man, _ := mustPut(t, cs, clock, "job", data, segs)
+			if healable := b.name == "disk+replica" || b.name == "fleet-4+2"; healable {
+				rotEveryThirdChunk(cs, man)
+			}
+			parts["c"] = payload(73, 30<<10)
+			data2, segs2 := tile(map[string]bool{"_head": true, "a": true, "b": true}, names, parts)
+			mustPut(t, cs, clock, "job", data2, segs2)
+
+			began := clock.Now()
+			var seen []vtime.Time
+			got, rman, deg, err := cs.GetNewestRestorable(clock, "job", func(_ []byte, m Manifest) error {
+				if m.Seq == 2 {
+					return fmt.Errorf("not this one")
+				}
+				seen = m.ReadyAt()
+				return nil
+			})
+			if err != nil || deg == nil || rman.Seq != 1 || !bytes.Equal(got, data) {
+				t.Fatalf("%s: restore of job@1 behind job@2: %v %v", b.name, err, deg)
+			}
+			ready := rman.ReadyAt()
+			if !reflect.DeepEqual(ready, seen) || len(ready) != len(names) {
+				t.Fatalf("%s: returned manifest is ready at %v, validate saw %v", b.name, ready, seen)
+			}
+			for i, at := range ready {
+				if at <= began || (i > 0 && at < ready[i-1]) {
+					t.Errorf("%s: segment %d ready at %v, read began at %v, segments at %v", b.name, i, at, began, ready)
+				}
+			}
+			if ready[2] != ready[1] {
+				t.Errorf("%s: the empty segment was ready at %v, the one before it at %v", b.name, ready[2], ready[1])
+			}
+			if last := ready[len(ready)-1]; last != clock.Now() {
+				t.Errorf("%s: last segment ready at %v, the read ended at %v", b.name, last, clock.Now())
+			}
+			if ready[0] == ready[len(ready)-1] {
+				t.Errorf("%s: every segment ready at once (%v): nothing to overlap with", b.name, ready[0])
+			}
+			if procs == 1 {
+				first = ready
+			} else if !reflect.DeepEqual(ready, first) {
+				t.Errorf("%s: GOMAXPROCS %d: ready at %v\n GOMAXPROCS 1: %v", b.name, procs, ready, first)
+			}
+
+			if m, err := cs.Resolve("job@1"); err != nil || m.ReadyAt() != nil {
+				t.Errorf("%s: a resolved manifest is ready at %v (%v)", b.name, m.ReadyAt(), err)
+			}
+			mustPut(t, cs, clock, "flat", data, nil)
+			if _, m, _, err := cs.GetNewestRestorable(clock, "flat", nil); err != nil || m.ReadyAt() != nil {
+				t.Errorf("%s: an unsegmented read is ready piecewise at %v (%v)", b.name, m.ReadyAt(), err)
+			}
+		}
+	}
+}
+
+// TestManifestFrameIgnoresReadyInstants: the instants belong to a read, not
+// to the checkpoint — a manifest that carries them encodes to the frame it
+// was decoded from, and decodes without them.
+func TestManifestFrameIgnoresReadyInstants(t *testing.T) {
+	cs := confBackends[0].open(t, Config{})
+	clock := vtime.NewClock()
+	data, segs := tile(nil, []string{"a", "b"}, map[string][]byte{"a": payload(80, 40<<10), "b": payload(81, 40<<10)})
+	put, _ := mustPut(t, cs, clock, "job", data, segs)
+	_, read, _, err := cs.GetNewestRestorable(clock, "job", nil)
+	if err != nil || len(read.ReadyAt()) != 2 {
+		t.Fatalf("read: %v, ready at %v", err, read.ReadyAt())
+	}
+	plain, err1 := encodeManifest(put)
+	timed, err2 := encodeManifest(read)
+	if err1 != nil || err2 != nil || !bytes.Equal(plain, timed) {
+		t.Fatalf("frames differ with ready instants set (%v, %v)", err1, err2)
+	}
+	back, err := decodeManifest(timed)
+	if err != nil || back.ReadyAt() != nil || !reflect.DeepEqual(back, put) {
+		t.Fatalf("decoded %+v (%v), put %+v", back, err, put)
+	}
+}
+
+// TestRestoreWalkIsLazy: the walk loads a generation's manifest when its
+// turn comes. With the newest generation restorable, an older one whose
+// frame is missing on one disk is not looked at — nothing re-publishes the
+// frame — until a restore asks for that generation.
+func TestRestoreWalkIsLazy(t *testing.T) {
+	cs := confStore{Fleet: testMirror(t, testFS(), Config{})}
+	clock := vtime.NewClock()
+	mustPut(t, cs, clock, "job", payload(85, 64<<10), nil)
+	mustPut(t, cs, clock, "job", payload(86, 64<<10), nil)
+	primary := cs.nodes[cs.names[0]]
+	if err := primary.fs.Remove(primary.manifestPath("job", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, man, deg, err := cs.GetNewestRestorable(clock, "job", nil); err != nil || deg != nil || man.Seq != 2 {
+		t.Fatalf("restore of the newest: %v %v %v", man.ID(), deg, err)
+	}
+	if h := cs.Heals(); h.ManifestsHealed != 0 {
+		t.Errorf("restoring job@2 read job@1's manifest too: %+v", h)
+	}
+	if _, man, deg, err := cs.GetNewestRestorable(clock, "job@1", nil); err != nil || deg != nil || man.Seq != 1 {
+		t.Fatalf("restore of job@1: %v %v %v", man.ID(), deg, err)
+	}
+	if h := cs.Heals(); h.ManifestsHealed != 1 {
+		t.Errorf("restoring job@1 healed %+v, want its one missing frame", h)
 	}
 }

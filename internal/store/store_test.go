@@ -288,11 +288,11 @@ func TestPooledCodersByteIdentical(t *testing.T) {
 				t.Fatalf("round %d chunk %d: a reused writer produced %d bytes, a fresh one %d", round, i, len(got), len(want))
 			}
 			back := make([]byte, len(chunk))
-			if n, err := inflate(clock, [][]byte{got}, back); err != nil || !bytes.Equal(back[:n], chunk) {
+			if n, _, err := inflate([][]byte{got}, back); err != nil || !bytes.Equal(back[:n], chunk) {
 				t.Fatalf("round %d chunk %d: round trip: %v", round, i, err)
 			}
 			if len(chunk) > 0 {
-				if _, err := inflate(clock, [][]byte{got}, back[:len(chunk)-1]); err == nil {
+				if _, _, err := inflate([][]byte{got}, back[:len(chunk)-1]); err == nil {
 					t.Fatalf("round %d chunk %d: inflated past the size the manifest gives", round, i)
 				}
 			}

@@ -131,6 +131,12 @@ type Clock struct {
 // NewClock returns a clock positioned at the epoch.
 func NewClock() *Clock { return &Clock{} }
 
+// Fork returns a new clock at the instant c is at: a timeline that runs
+// beside c's from here on. What the fork is charged does not move c; the
+// two meet again where the owner of c waits for something the fork timed
+// (AdvanceTo).
+func (c *Clock) Fork() *Clock { return &Clock{now: c.Now()} }
+
 // Now reports the current virtual instant.
 func (c *Clock) Now() Time {
 	c.mu.Lock()

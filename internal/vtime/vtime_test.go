@@ -139,6 +139,23 @@ func TestClockConcurrent(t *testing.T) {
 	}
 }
 
+func TestClockFork(t *testing.T) {
+	c := NewClock()
+	c.Advance(3 * Millisecond)
+	f := c.Fork()
+	if f.Now() != c.Now() {
+		t.Fatalf("fork at %v, parent at %v", f.Now(), c.Now())
+	}
+	f.Advance(10 * Millisecond)
+	c.Advance(Millisecond)
+	if c.Now() != Time(4*Millisecond) || f.Now() != Time(13*Millisecond) {
+		t.Errorf("parent at %v, fork at %v: the timelines are not independent", c.Now(), f.Now())
+	}
+	if c.AdvanceTo(f.Now()) != f.Now() {
+		t.Error("the parent could not wait for the fork")
+	}
+}
+
 func TestStopwatch(t *testing.T) {
 	c := NewClock()
 	sw := NewStopwatch(c)

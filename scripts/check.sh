@@ -23,6 +23,11 @@ go test -race ./...
 for procs in 1 8; do
     GOMAXPROCS=$procs go test -run 'AppsGolden|Differential' -race -count=3 \
         ./internal/clc/ ./internal/core/
+    # The restore schedule: when each segment of a read was there, and what
+    # a restore that rebuilds behind its read waits for and costs, are the
+    # same at every GOMAXPROCS and on every repeat (ten at each count).
+    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder' -race -count=10 ./internal/store/
+    GOMAXPROCS=$procs go test -run 'TestRestoreOverlaps|TestRestoreShortRead' -race ./internal/core/
 done
 yes >/dev/null &
 load1=$!
