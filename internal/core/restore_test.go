@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"checl/internal/cpr"
@@ -342,8 +343,10 @@ func sumPerClass(rst RestartStats) (sum vtime.Duration) {
 
 // TestRestoreOverlapsReadAndRebuild: a store restore rebuilds while its
 // image is still arriving, and is honest about it. From a 4+2 fleet, healthy
-// and with two nodes down, with one processor and with eight: the proxy is
-// forked and the program built behind the read, no buffer's upload is
+// and with two nodes down, with one processor and with eight, the image's
+// chunks in three generations' packs: the process is spawned while the
+// disks are still reading, the proxy is forked and the program built behind
+// the read, no buffer's upload is
 // enqueued before its region was there, the restore ends one upload after
 // the read does instead of a whole rebuild after it, Total is exactly the
 // waiting plus each class's own work, and what lands on the device is what
@@ -357,11 +360,15 @@ func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
 	if _, err := j.c.CheckpointToStore(j.fl, "job"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		j.write(t, j.c, i, 1)
-	}
-	if _, err := j.c.CheckpointToStore(j.fl, "job"); err != nil {
-		t.Fatal(err)
+	// Two more generations: the image's chunks lie in three packs a node, and
+	// the head — always rewritten — in the newest of them.
+	for gen := 1; gen <= 2; gen++ {
+		for i := 0; i < 6; i++ {
+			j.write(t, j.c, 6*(gen-1)+i, gen)
+		}
+		if _, err := j.c.CheckpointToStore(j.fl, "job"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	j.c.App().Kill()
 
@@ -411,6 +418,27 @@ func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
 		}
 		if rst.Total < rst.ReadTime {
 			t.Errorf("%s: restored in %v from a read of %v", name, rst.Total, rst.ReadTime)
+		}
+		// The process is spawned when the head is there, which is one pack
+		// into the read: the busiest of the disks is still reading its others.
+		var disks vtime.Duration
+		for i, fs := range j.disks[tc.down:] {
+			disk := vtime.NewClock()
+			for _, p := range fs.List() {
+				if strings.Contains(p, "/packs/job/") {
+					if _, err := fs.ReadFile(disk, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if d := disk.Now().Sub(0); d > disks {
+				disks = d
+			} else if d == 0 {
+				t.Fatalf("%s: disk %d holds no pack of the job", name, tc.down+i)
+			}
+		}
+		if spawned := regions["_head"]; spawned <= began || spawned >= began.Add(disks) {
+			t.Errorf("%s: process spawned at %v; the read began at %v and the busiest disk has read its packs at %v", name, spawned, began, began.Add(disks))
 		}
 		for i, m := range mems {
 			at, ok := regions["region/"+memRegion(m.H)]

@@ -41,8 +41,9 @@ type placement interface {
 	beginPut(job string, seq uint64) putTxn
 	// openRead opens a read session over refs, the chunks the caller is
 	// about to fetch: what the placement can do once per read instead of
-	// once per chunk happens here. Read time is charged to clock. With heal
-	// set a bad copy is repaired from the placement's redundancy on the way.
+	// once per chunk starts here, beside clock, which the session does not
+	// move. With heal set a bad copy is repaired from the placement's
+	// redundancy on the way.
 	openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkReader
 	dropManifest(job string, seq uint64) error
 	// sweepChunks removes every stored chunk not in referenced.
@@ -58,9 +59,9 @@ type chunkReader interface {
 	// one is needed — and returns the other half: a function that verifies
 	// them and lands the content in l.dst (see verifyParts). That function
 	// shares nothing with another chunk's. Neither half touches the clock:
-	// the time either takes is added to l.cost. A nil function is a chunk
-	// that has landed already; an error is a chunk the placement cannot
-	// bring back.
+	// what the chunk waits for and takes is left in l.lanes. A nil function
+	// is a chunk that has landed already; an error is a chunk the placement
+	// cannot bring back.
 	fetch(l *landing) (land func() error, err error)
 	// refetch is the second try at a chunk whose land failed with cause:
 	// called after every land has returned, it reads the chunk from whatever

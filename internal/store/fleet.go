@@ -568,16 +568,16 @@ func (t *fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64
 
 // fleetRead is a read session: the packs it has pulled from the nodes, and
 // the repaired records it owes them. Get opens one per manifest; Rebuild
-// and Scrub run their repairs through one. Opening a session (prepare)
-// charges its clock; what a chunk costs after that is added to the cost its
-// caller names — a landing's, for the engine to charge in chunk order.
+// and Scrub run their repairs through one. A session moves no clock while
+// it reads: a pack is stamped with the instant its node's disk was done
+// with it, and what a chunk waits for and takes of the link and of the
+// reader's CPU is left in the lanes its caller names — a landing's, for the
+// engine to charge in chunk order.
 type fleetRead struct {
 	f     *Fleet
-	clock *vtime.Clock
-	heal  bool // write reconstructed records back to their home nodes
-	// packs holds what the packs pulled so far read as; a nil entry is a
-	// pack that could not be read.
-	packs map[packAt][]byte
+	clock *vtime.Clock // the reader's: every node's disk lane forks from it
+	heal  bool         // write reconstructed records back to their home nodes
+	packs map[packAt]pack
 	// homes holds the placement of every chunk the session has met: worked
 	// out once, asked for by prepare, gather and owe.
 	homes map[string][]*fleetNode
@@ -585,25 +585,26 @@ type fleetRead struct {
 	owed  map[recKey]bool     // records already queued in heals
 }
 
-// packAt names one pack on one node.
+// packAt names one pack on one node. pack is what it read as — nil when it
+// could not be read — and the instant it was off its node's disk; zero for
+// a pack read late, whose disk time the chunk that asked for it paid.
 type packAt struct{ node, path string }
+type pack struct {
+	data    []byte
+	arrived vtime.Time
+}
 
 func (f *Fleet) newRead(clock *vtime.Clock, heal bool) *fleetRead {
 	f.indexNodes()
-	return &fleetRead{f: f, clock: clock, heal: heal, packs: map[packAt][]byte{},
+	return &fleetRead{f: f, clock: clock, heal: heal, packs: map[packAt]pack{},
 		homes: map[string][]*fleetNode{}, heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
 }
 
 // openRead plans and loads the packs the healthy path of every ref needs.
 // The degraded read is the only read path there is; without heal it just
-// writes nothing back.
+// writes nothing back. The session is a *fleetRead, which Replicate relies
+// on.
 func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkReader {
-	return f.readSession(clock, refs, heal)
-}
-
-// readSession is openRead for a caller inside the package (Replicate),
-// which wants the session itself.
-func (f *Fleet) readSession(clock *vtime.Clock, refs []ChunkRef, heal bool) *fleetRead {
 	r := f.newRead(clock, heal)
 	sums := make([]string, len(refs))
 	for i, ref := range refs {
@@ -625,16 +626,19 @@ func (r *fleetRead) nodes(sum string) []*fleetNode {
 
 // prepare loads the packs holding k records of each chunk — the data
 // shards, with a parity shard standing in for every one whose node is down
-// or has no record of it — each pack once. Nodes read in parallel and a
-// node reads its packs one after the other, so the caller is charged the
-// slowest node. With trim set, what the session holds that none of these
-// chunks need is let go first.
+// or has no record of it — each pack once. Every node's disk is a lane of
+// its own, forked from the reader's clock, which does not move: the node
+// reads its packs one after the other in the order the chunk list first
+// needs them (a chunk asks a node for one record, so that order has no
+// ties), and each pack keeps the instant it arrived. With trim set, what
+// the session holds that none of these chunks need is let go first.
 func (r *fleetRead) prepare(sums []string, trim bool) {
 	f := r.f
 	if trim {
 		r.homes = map[string][]*fleetNode{}
 	}
 	want := map[packAt]bool{}
+	queue := map[string][]string{} // node name -> the packs to read, in order
 	for _, sum := range sums {
 		got := 0
 		for i, n := range r.nodes(sum) {
@@ -642,7 +646,11 @@ func (r *fleetRead) prepare(sums []string, trim bool) {
 				break
 			}
 			if loc, ok := f.lookup(n, sum, i); ok && n.alive() {
-				want[packAt{n.name, loc.pack}] = true
+				at := packAt{n.name, loc.pack}
+				if _, loaded := r.packs[at]; !loaded && !want[at] {
+					queue[n.name] = append(queue[n.name], loc.pack)
+				}
+				want[at] = true
 				got++
 			}
 		}
@@ -654,65 +662,56 @@ func (r *fleetRead) prepare(sums []string, trim bool) {
 			}
 		}
 	}
-	var todo []packAt
-	for at := range want {
-		if _, loaded := r.packs[at]; !loaded {
-			todo = append(todo, at)
+	for _, name := range f.names {
+		if len(queue[name]) == 0 {
+			continue
+		}
+		disk := r.clock.Fork()
+		for _, path := range queue[name] {
+			r.packs[packAt{name, path}] = pack{r.readPack(disk, f.nodes[name], path), disk.Now()}
 		}
 	}
-	sort.Slice(todo, func(i, j int) bool {
-		if todo[i].node != todo[j].node {
-			return todo[i].node < todo[j].node
-		}
-		return todo[i].path < todo[j].path
-	})
-	clocks := map[string]*vtime.Clock{}
-	var span vtime.Duration
-	for _, at := range todo {
-		if clocks[at.node] == nil {
-			clocks[at.node] = vtime.NewClock()
-		}
-		r.readPack(clocks[at.node], f.nodes[at.node], at.path)
-		span = max(span, clocks[at.node].Now().Sub(0))
-	}
-	r.clock.Advance(span)
 }
 
-// readPack pulls one pack off a node's disk into the session.
-func (r *fleetRead) readPack(clock *vtime.Clock, n *fleetNode, path string) []byte {
+// readPack pulls one pack off a node's disk, on the disk's clock.
+func (r *fleetRead) readPack(disk *vtime.Clock, n *fleetNode, path string) []byte {
 	r.f.tick()
-	var data []byte
-	if n.alive() {
-		data, _ = readRetry(clock, n.fs, path)
+	if !n.alive() {
+		return nil
 	}
-	r.packs[packAt{n.name, path}] = data
+	data, _ := readRetry(disk, n.fs, path)
 	return data
 }
 
 // locate returns the bytes node n's index says are shard idx of the chunk
-// at sum, as they lie in the pack and not yet verified. A pack prepare did
-// not load is read now, and its disk time added to cost.
-func (r *fleetRead) locate(n *fleetNode, sum string, idx int, cost *vtime.Duration) (rec []byte, loc recLoc, ok bool) {
+// at sum, as they lie in the pack and not yet verified; t waits for the
+// pack. A pack prepare did not load is read now and stays serial: its disk
+// time is the chunk's own, ahead of its link time, charged where the read
+// reaches the chunk — as is whatever a second try (refetch) adds to t.
+func (r *fleetRead) locate(n *fleetNode, sum string, idx int, t *lanes) (rec []byte, loc recLoc, ok bool) {
 	if !n.alive() {
 		return nil, loc, false
 	}
 	if loc, ok = r.f.lookup(n, sum, idx); !ok {
 		return nil, loc, false
 	}
-	data, loaded := r.packs[packAt{n.name, loc.pack}]
+	at := packAt{n.name, loc.pack}
+	p, loaded := r.packs[at]
 	if !loaded {
 		disk := vtime.NewClock()
-		data = r.readPack(disk, n, loc.pack)
-		*cost += disk.Now().Sub(0)
+		p = pack{data: r.readPack(disk, n, loc.pack)}
+		r.packs[at] = p
+		t.link += disk.Now().Sub(0)
 	}
-	if data == nil {
+	t.after = vtime.Max(t.after, p.arrived)
+	if p.data == nil {
 		return nil, loc, false
 	}
-	if loc.off < 0 || loc.n < 0 || loc.off+loc.n > len(data) {
+	if loc.off < 0 || loc.n < 0 || loc.off+loc.n > len(p.data) {
 		r.f.forget(n, recKey{sum, idx}, loc)
 		return nil, loc, false
 	}
-	return data[loc.off : loc.off+loc.n], loc, true
+	return p.data[loc.off : loc.off+loc.n], loc, true
 }
 
 // gather collects verified shards of one chunk — sum is its address, addr
@@ -720,8 +719,8 @@ func (r *fleetRead) locate(n *fleetNode, sum string, idx int, cost *vtime.Durati
 // or with all set every one there is. It also returns the original blob
 // length and the indices examined that are missing, corrupt or on a down
 // node; a record that fails verification leaves the index. Link time, added
-// to cost, covers the records actually pulled.
-func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool, cost *vtime.Duration) (have map[int][]byte, origLen int, bad []int) {
+// to t, covers the records actually pulled.
+func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool, t *lanes) (have map[int][]byte, origLen int, bad []int) {
 	f := r.f
 	have = map[int][]byte{}
 	origLen = -1
@@ -730,7 +729,7 @@ func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool, cost *
 		if !all && len(have) >= f.cfg.DataShards {
 			break
 		}
-		rec, loc, ok := r.locate(n, sum, i, cost)
+		rec, loc, ok := r.locate(n, sum, i, t)
 		if !ok {
 			bad = append(bad, i)
 			continue
@@ -744,17 +743,17 @@ func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool, cost *
 		have[i], origLen = payload, blobLen
 		pulled += n.linkBytes(len(rec))
 	}
-	*cost += fleetLink.Transfer(pulled)
+	t.link += fleetLink.Transfer(pulled)
 	return have, origLen, bad
 }
 
 // solve turns k or more gathered shards into the chunk's data shards, plus
 // the parity shards among owed — the indices about to be written back —
 // that are missing and whose node is there to take them; the other missing
-// parity stays nil. The coding model's time is added to cost when a data
-// shard has to be solved for (regenerating parity from intact data shards
-// rides along uncharged).
-func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []int, cost *vtime.Duration) ([][]byte, error) {
+// parity stays nil. The coding model's time is added to t's CPU share when a
+// data shard has to be solved for (regenerating parity from intact data
+// shards rides along uncharged).
+func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []int, t *lanes) ([][]byte, error) {
 	f := r.f
 	k := f.cfg.DataShards
 	if len(have) < k {
@@ -767,7 +766,7 @@ func (r *fleetRead) solve(sum string, have map[int][]byte, origLen int, owed []i
 			lost++
 		}
 	}
-	*cost += fleetCoding.ReconstructTime(int64(origLen), k, lost)
+	t.cpu += fleetCoding.ReconstructTime(int64(origLen), k, lost)
 	var parity []int
 	for _, i := range owed {
 		if i >= k && r.nodes(sum)[i].alive() {
@@ -797,7 +796,7 @@ func (r *fleetRead) fetch(l *landing) (func() error, error) {
 	var pulled int64
 	for i := range recs {
 		ok := false
-		if recs[i], _, ok = r.locate(nodes[i], l.ref.Sum, i, &l.cost); !ok {
+		if recs[i], _, ok = r.locate(nodes[i], l.ref.Sum, i, &l.lanes); !ok {
 			return r.fetchDegraded(l)
 		}
 		pulled += nodes[i].linkBytes(len(recs[i]))
@@ -817,7 +816,7 @@ func (r *fleetRead) landRecords(l *landing, recs [][]byte, pulled int64) error {
 			return errBadRecord
 		}
 	}
-	l.cost += fleetLink.Transfer(pulled)
+	l.link += fleetLink.Transfer(pulled)
 	return r.landShards(l, recs, origLen)
 }
 
@@ -842,8 +841,8 @@ func (r *fleetRead) landShards(l *landing, shards [][]byte, origLen int) error {
 // the fleet as a side effect.
 func (r *fleetRead) readDegraded(l *landing) (shards [][]byte, origLen int, err error) {
 	sum := l.ref.Sum
-	have, origLen, bad := r.gather(sum, &l.addr, false, &l.cost)
-	if shards, err = r.solve(sum, have, origLen, bad, &l.cost); err != nil {
+	have, origLen, bad := r.gather(sum, &l.addr, false, &l.lanes)
+	if shards, err = r.solve(sum, have, origLen, bad, &l.lanes); err != nil {
 		return nil, 0, err
 	}
 	r.owe(sum, origLen, shards, bad)
@@ -862,13 +861,14 @@ func (r *fleetRead) fetchDegraded(l *landing) (func() error, error) {
 
 // blob reads one chunk in its stored form, for a caller that moves it
 // rather than restores it: verified end to end — records, inflate, content
-// address — before it is returned.
+// address — before it is returned. The caller takes chunks one at a time,
+// so the session's clock pays for this one here, also when it fails.
 func (r *fleetRead) blob(ref ChunkRef) ([]byte, error) {
 	l, err := r.f.newLanding(ref)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { r.clock.Advance(l.cost) }()
+	defer func() { l.pay(r.clock) }()
 	shards, origLen, err := r.readDegraded(l)
 	if err != nil {
 		return nil, err

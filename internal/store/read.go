@@ -11,12 +11,16 @@ package store
 // nothing between chunks and runs on GOMAXPROCS workers, and the manifest's
 // digest follows it over the verified chunks on a goroutine of its own.
 //
-// Virtual time is a chunk's own account until the workers have joined: what
-// bringing a chunk back cost — link, reconstruction, inflate, a second try —
-// is left in its landing, and the read charges the clock chunk by chunk in
-// chunk order. So a read costs the same whatever order the workers finish
-// in, and it knows when each of the manifest's segments was there: the
-// instant its last chunk was charged.
+// Virtual time is a pipeline of three kinds of hardware, and nothing moves
+// a clock until the workers have joined. The store nodes' disks run beside
+// the reader from the moment the session opens, and every pack has an
+// arrival instant; what a chunk waits for and takes — the packs its records
+// lie in, its bytes through the reader's one link, reconstruction and
+// inflate on the reader's CPU, a second try — is left in its landing; and
+// readChunks walks the chunks in order once, the link starting a chunk when
+// its packs are there and the CPU when its bytes are. So a read costs the
+// same whatever order the workers finish in, and it knows when each of the
+// manifest's segments was there: the instant its last chunk was inflated.
 
 import (
 	"crypto/sha256"
@@ -28,16 +32,29 @@ import (
 	"checl/internal/vtime"
 )
 
+// lanes is what bringing one chunk back waits for and takes: both halves of
+// its read add to it, and nothing else does.
+type lanes struct {
+	after vtime.Time     // the latest arrival among the packs its records lie in
+	link  vtime.Duration // its record bytes through the reader's link
+	cpu   vtime.Duration // reconstruction and inflate
+}
+
+// pay charges one chunk to a clock that takes chunks one at a time: it waits
+// for the chunk's packs, then the link and the CPU follow each other.
+func (t lanes) pay(clock *vtime.Clock) {
+	clock.AdvanceTo(t.after)
+	clock.Advance(t.link + t.cpu)
+}
+
 // landing is one chunk on its way into a payload: where its content
-// belongs, the address it must hash to and what bringing it back cost.
+// belongs, the address it must hash to and what bringing it back takes.
 type landing struct {
 	ref  ChunkRef
 	addr [sha256.Size]byte // ref.Sum, decoded once
 	dst  []byte            // ref.Size bytes of the payload
 	err  error             // what the chunk's pure half returned
-	// cost is the time this chunk took beyond the session's opening: both
-	// halves add to it, one after the other, and nothing else does.
-	cost vtime.Duration
+	lanes
 }
 
 // verifyParts turns one chunk's stored blob — given as the slices it lies
@@ -49,7 +66,7 @@ func verifyParts(parts [][]byte, l *landing) error {
 	if err != nil {
 		return fmt.Errorf("store: chunk %s: %w", l.ref.Sum[:12], err)
 	}
-	l.cost += took
+	l.cpu += took
 	if sum := sha256.Sum256(l.dst[:n]); sum != l.addr {
 		return fmt.Errorf("store: chunk %s corrupt (content hashes to %s)", l.ref.Sum[:12], hex.EncodeToString(sum[:])[:12])
 	}
@@ -158,12 +175,14 @@ func startLanders(lands []landing, verified func(i int)) (run func(i int, land f
 //
 // The session's fetch runs for every chunk in order, then — after all the
 // pure halves have run — its refetch for each chunk that failed, in order,
-// and then the chunks' costs are charged to clock, in order: what the
-// placement is asked to do, what the clock reads and when, depend on
+// and then the one charging loop, in order: the link takes a chunk once its
+// packs have arrived and the link is free, the CPU once the chunk is through
+// the link and the CPU is free, and the read ends when the CPU does. What
+// the placement is asked to do, what the clock reads and when, depend on
 // neither the processor count nor the scheduler. segs, when the refs are a
 // manifest's whole chunk list, is its segment map: ready reports for each
-// segment the instant its last chunk was charged — non-decreasing, the last
-// one the end of the read.
+// segment the instant the CPU was done with its last chunk — non-decreasing,
+// the last one the end of the read.
 func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool, digest *[sha256.Size]byte) (payload []byte, ready []vtime.Time, err error) {
 	if !sizesAddUp(refs, size, int64(e.cfg.MaxChunk)) {
 		return nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, e.cfg.MaxChunk, size)
@@ -212,17 +231,23 @@ func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs
 		}
 	}
 	got := sum(err == nil)
-	// A read that fails has still spent what its chunks cost up to there.
+	// A read that fails has still spent what its chunks took up to there.
+	link, cpu := clock.Now(), clock.Now()
+	charge := func(l *landing) {
+		link = vtime.Max(link, l.after).Add(l.link)
+		cpu = vtime.Max(cpu, link).Add(l.cpu)
+	}
 	i := 0
 	for _, seg := range segs {
 		for end := min(i+seg.Chunks, len(lands)); i < end; i++ {
-			clock.Advance(lands[i].cost)
+			charge(&lands[i])
 		}
-		ready = append(ready, clock.Now())
+		ready = append(ready, cpu)
 	}
 	for ; i < len(lands); i++ {
-		clock.Advance(lands[i].cost)
+		charge(&lands[i])
 	}
+	clock.AdvanceTo(cpu)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -106,8 +106,8 @@ func checkVerifyParts(t *testing.T, blob []byte, parts [][]byte, ref ChunkRef) {
 	case gerr != nil || !bytes.Equal(l.dst, want):
 		t.Fatalf("oracle reads %d bytes, verifyParts: %v", len(want), gerr)
 	}
-	if gerr == nil && c1.Now().Sub(0) != l.cost {
-		t.Fatalf("oracle charged %v, verifyParts counted %v", c1.Now().Sub(0), l.cost)
+	if gerr == nil && (c1.Now().Sub(0) != l.cpu || l.link != 0 || l.after != 0) {
+		t.Fatalf("oracle charged %v, verifyParts counted %+v", c1.Now().Sub(0), l.lanes)
 	}
 }
 
@@ -201,8 +201,9 @@ func rotEveryThirdChunk(cs confStore, man Manifest) {
 
 // TestReadIndependentOfProcs: what a Get returns, charges, repairs and
 // leaves on the disks is the same with one processor — everything inline —
-// as with workers, also when every third chunk has a flipped bit in its
-// first record and goes through the second try.
+// as with workers, also when the chunks lie in two generations' packs,
+// which arrive at different instants, and every third has a flipped bit in
+// its first record and goes through the second try.
 func TestReadIndependentOfProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type outcome struct {
@@ -218,6 +219,7 @@ func TestReadIndependentOfProcs(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			cs := b.open(t, Config{})
 			clock := vtime.NewClock()
+			mustPut(t, cs, clock, "job", append(payload(90, 200<<10), compressible(3, 100<<10)...), nil)
 			man, _ := mustPut(t, cs, clock, "job", append(payload(90, 200<<10), compressible(4, 100<<10)...), nil)
 			rotEveryThirdChunk(cs, man)
 			var out outcome
@@ -248,9 +250,10 @@ func TestReadIndependentOfProcs(t *testing.T) {
 // manifest start no sooner than the read, never go back along the segment
 // order, end where the read's clock ends — also behind a newer generation
 // the walk had to pass over, whose attempt they lie after — and are the
-// same with one processor as with eight, with every third chunk of the
-// older generation sent through the second try. A segment without a chunk
-// is there when the one before it is.
+// same with one processor as with eight, with the restored generation's
+// chunks in two generations' packs and every third of them sent through
+// the second try. A segment without a chunk is there when the one before it
+// is.
 func TestSegmentsReadyInOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	names := []string{"_head", "a", "empty", "b", "c"}
@@ -263,7 +266,10 @@ func TestSegmentsReadyInOrder(t *testing.T) {
 			clock.Advance(3 * vtime.Millisecond)
 			parts := map[string][]byte{"_head": payload(70, 300), "a": payload(71, 60<<10),
 				"b": compressible(5, 40<<10), "c": payload(72, 30<<10)}
-			data, segs := tile(nil, names, parts)
+			data0, segs0 := tile(nil, names, parts)
+			mustPut(t, cs, clock, "job", data0, segs0)
+			parts["_head"], parts["c"] = payload(74, 300), payload(75, 30<<10)
+			data, segs := tile(map[string]bool{"a": true, "b": true}, names, parts)
 			man, _ := mustPut(t, cs, clock, "job", data, segs)
 			if healable := b.name == "disk+replica" || b.name == "fleet-4+2"; healable {
 				rotEveryThirdChunk(cs, man)
@@ -275,14 +281,14 @@ func TestSegmentsReadyInOrder(t *testing.T) {
 			began := clock.Now()
 			var seen []vtime.Time
 			got, rman, deg, err := cs.GetNewestRestorable(clock, "job", func(_ []byte, m Manifest) error {
-				if m.Seq == 2 {
+				if m.Seq == 3 {
 					return fmt.Errorf("not this one")
 				}
 				seen = m.ReadyAt()
 				return nil
 			})
-			if err != nil || deg == nil || rman.Seq != 1 || !bytes.Equal(got, data) {
-				t.Fatalf("%s: restore of job@1 behind job@2: %v %v", b.name, err, deg)
+			if err != nil || deg == nil || rman.Seq != 2 || !bytes.Equal(got, data) {
+				t.Fatalf("%s: restore of job@2 behind job@3: %v %v", b.name, err, deg)
 			}
 			ready := rman.ReadyAt()
 			if !reflect.DeepEqual(ready, seen) || len(ready) != len(names) {
@@ -315,6 +321,123 @@ func TestSegmentsReadyInOrder(t *testing.T) {
 			if _, m, _, err := cs.GetNewestRestorable(clock, "flat", nil); err != nil || m.ReadyAt() != nil {
 				t.Errorf("%s: an unsegmented read is ready piecewise at %v (%v)", b.name, m.ReadyAt(), err)
 			}
+		}
+	}
+}
+
+// traceRead opens a session over man's chunks and walks it the way
+// readChunks does, first try only, without charging anything: what every
+// chunk waits for and takes, and — measured from the clock's instant — how
+// long the busiest node's disk needs for its packs.
+func traceRead(t *testing.T, cs confStore, clock *vtime.Clock, man Manifest) (lands []landing, disk vtime.Duration) {
+	t.Helper()
+	rd := cs.openRead(clock, man.Chunks, false).(*fleetRead)
+	defer rd.close()
+	for _, ref := range man.Chunks {
+		l, err := cs.newLanding(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		land, err := rd.fetch(l)
+		if err == nil && land != nil {
+			err = land()
+		}
+		if err != nil {
+			t.Fatalf("chunk %.12s: %v", ref.Sum, err)
+		}
+		lands = append(lands, *l)
+	}
+	for _, p := range rd.packs {
+		disk = max(disk, p.arrived.Sub(clock.Now()))
+	}
+	return lands, disk
+}
+
+// TestReadTimelineBounds: running the disks, the link and the CPU beside
+// each other hides time and never invents it. A read of an image whose
+// chunks lie in three generations' packs ends no sooner than its first pack
+// plus everything the link carried, than the busiest disk, than everything
+// the CPU inflated — and sooner than the three one after the other. With
+// one chunk in one pack per node there is nothing to overlap; and a read
+// that fails part-way has spent what it did up to there.
+func TestReadTimelineBounds(t *testing.T) {
+	names := []string{"_head", "a", "b", "c"}
+	for _, b := range confBackends {
+		cs := b.open(t, Config{})
+		clock := vtime.NewClock()
+		clock.Advance(7 * vtime.Millisecond)
+		parts := map[string][]byte{"_head": payload(60, 300), "a": compressible(3, 80<<10),
+			"b": payload(61, 50<<10), "c": compressible(9, 40<<10)}
+		var man Manifest
+		for gen, clean := range []map[string]bool{nil, {"a": true}, {"a": true, "c": true}} {
+			parts["_head"] = payload(int64(62+gen), 300)
+			if gen == 1 {
+				parts["c"] = compressible(11, 40<<10)
+			}
+			if gen == 2 {
+				parts["b"] = payload(65, 50<<10)
+			}
+			data, segs := tile(clean, names, parts)
+			man, _ = mustPut(t, cs, clock, "job", data, segs)
+		}
+
+		began := clock.Now()
+		lands, disk := traceRead(t, cs, clock, man)
+		var link, cpu vtime.Duration
+		for _, l := range lands {
+			link, cpu = link+l.link, cpu+l.cpu
+		}
+		if clock.Now() != began {
+			t.Fatalf("%s: opening a session moved the reader's clock by %v", b.name, clock.Now().Sub(began))
+		}
+		_, ready, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		end, took := clock.Now(), clock.Now().Sub(began)
+		if ready[len(ready)-1] != end {
+			t.Errorf("%s: last segment ready at %v, the read ended at %v", b.name, ready[len(ready)-1], end)
+		}
+		if floor := lands[0].after.Add(link); end < floor || lands[0].after <= began {
+			t.Errorf("%s: read ended at %v, its first pack arrived at %v (began %v) and the link carried %v", b.name, end, lands[0].after, began, link)
+		}
+		if took < disk || took < cpu || cpu == 0 {
+			t.Errorf("%s: read took %v, the busiest disk %v, the CPU %v", b.name, took, disk, cpu)
+		}
+		if serial := disk + link + cpu; took >= serial {
+			t.Errorf("%s: read took %v, one thing after the other is %v (disk %v, link %v, cpu %v)", b.name, took, serial, disk, link, cpu)
+		}
+		if ready[0] >= began.Add(disk) {
+			t.Errorf("%s: _head ready at %v, not before the last pack arrived at %v", b.name, ready[0], began.Add(disk))
+		}
+
+		// Nothing to overlap: the three follow each other.
+		one := b.open(t, Config{})
+		oneMan, _ := mustPut(t, one, clock, "one", compressible(6, 700), nil)
+		began = clock.Now()
+		lands, disk = traceRead(t, one, clock, oneMan)
+		if _, _, err := one.readChunks(clock, oneMan.ID(), oneMan.Chunks, nil, oneMan.Size, false, nil); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if l := lands[0]; len(lands) != 1 || l.cpu == 0 || l.after != began.Add(disk) || clock.Now().Sub(began) != disk+l.link+l.cpu {
+			t.Errorf("%s: a one-chunk read took %v, its packs %v, its chunks %+v", b.name, clock.Now().Sub(began), disk, lands)
+		}
+
+		// A chunk in the middle that nothing can bring back: the chunks
+		// before it were read, and paid for.
+		lands, _ = traceRead(t, cs, clock, man)
+		mid := len(man.Chunks) / 2
+		cs.loseChunk(t, man.Chunks[mid].Sum)
+		began, link, cpu = clock.Now(), 0, 0
+		for _, l := range lands[:mid] {
+			link, cpu = link+l.link, cpu+l.cpu
+		}
+		if _, _, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false, nil); err == nil {
+			t.Fatalf("%s: read a lost chunk", b.name)
+		}
+		if end := clock.Now(); end < lands[0].after.Add(link) || end.Sub(began) < cpu {
+			t.Errorf("%s: a read that failed at chunk %d ended at %v: began %v, first pack %v, link %v and cpu %v before it",
+				b.name, mid, end, began, lands[0].after, link, cpu)
 		}
 	}
 }

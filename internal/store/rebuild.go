@@ -141,19 +141,19 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		batch := need[:min(len(need), rebuildBatch)]
 		need = need[len(batch):]
 		r.prepare(batch, true)
-		var cost vtime.Duration
 		for _, sum := range batch {
 			addr, _ := decodeDigest(sum) // a manifest's: it decoded
-			have, origLen, _ := r.gather(sum, &addr, false, &cost)
+			var t lanes
+			have, origLen, _ := r.gather(sum, &addr, false, &t)
 			idxs, _ := missing(sum)
-			shards, err := r.solve(sum, have, origLen, idxs, &cost)
+			shards, err := r.solve(sum, have, origLen, idxs, &t)
+			t.pay(clock)
 			if err != nil {
 				lost[sum] = true
 				continue
 			}
 			r.owe(sum, origLen, shards, idxs)
 		}
-		clock.Advance(cost)
 		n, b := r.settle(clock)
 		rebuilt, bytes = rebuilt+n, bytes+b
 		if n > 0 {

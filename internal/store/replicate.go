@@ -64,7 +64,7 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 		}
 		missing = append(missing, c)
 	}
-	src := f.readSession(clock, missing, true)
+	src := f.openRead(clock, missing, true).(*fleetRead)
 	defer src.close()
 	for _, c := range missing {
 		// The stored (compressed) representation moves verbatim; content
