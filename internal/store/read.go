@@ -232,7 +232,8 @@ func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs
 	}
 	got := sum(err == nil)
 	// A read that fails has still spent what its chunks took up to there.
-	link, cpu := clock.Now(), clock.Now()
+	link := clock.Now()
+	cpu := link
 	charge := func(l *landing) {
 		link = vtime.Max(link, l.after).Add(l.link)
 		cpu = vtime.Max(cpu, link).Add(l.cpu)
