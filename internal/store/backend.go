@@ -1,9 +1,9 @@
 package store
 
 // Backend is the checkpoint-store surface core, cpr and mpi program
-// against: everything a checkpoint writer and a restore walk need. All of
-// it is the engine's (engine.go), which *Fleet embeds at every geometry;
-// the interface is what lets a caller put a decorator in front of one.
+// against: everything a checkpoint writer and a restore walk need. *Fleet
+// is the one store; the interface is what lets a caller put a decorator in
+// front of it.
 
 import "checl/internal/vtime"
 
@@ -19,7 +19,6 @@ type Backend interface {
 	GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error)
 	Resolve(ref string) (Manifest, error)
 	Latest(job string) (Manifest, bool, error)
-	Generations(ref string) ([]Manifest, []SkippedCheckpoint, error)
 	Jobs() []string
 	TotalStoredBytes() int64
 }

@@ -125,12 +125,6 @@ func NewCoder(k, m int) (*Coder, error) {
 	return &Coder{k: k, m: m, gen: matMul(v, inv), parity: parity}, nil
 }
 
-// K reports the data-shard count.
-func (c *Coder) K() int { return c.k }
-
-// M reports the parity-shard count.
-func (c *Coder) M() int { return c.m }
-
 // ShardSize reports the per-shard byte count for a chunk of n bytes: the
 // chunk is zero-padded up to a multiple of k before slicing.
 func (c *Coder) ShardSize(n int) int {

@@ -376,7 +376,7 @@ var confRows = []struct {
 	}},
 
 	{"clean-segment reuse and fallback", func(t *testing.T, cs confStore) {
-		// Once with contiguous payloads, once — on a fresh placement — with
+		// Once with contiguous payloads, once — on a fresh store — with
 		// the same checkpoints handed in as byte lists.
 		forms := map[string]func([]byte, []Segment) ([]byte, []Segment){
 			"contiguous": func(data []byte, segs []Segment) ([]byte, []Segment) { return data, segs },
@@ -480,21 +480,38 @@ var confRows = []struct {
 		for _, v := range uniqueVersions(3, 64<<10, 16<<10) {
 			mustPut(t, cs, clock, "job", v, nil)
 		}
-		for ref, want := range map[string][]uint64{"job": {3, 2, 1}, "job@2": {2, 1}, "job@9": {3, 2, 1}} {
-			mans, skipped, err := cs.Generations(ref)
-			if err != nil || len(skipped) != 0 || len(mans) != len(want) {
-				t.Fatalf("%s: %d generations, %d skipped, err %v", ref, len(mans), len(skipped), err)
+		mustPut(t, cs, clock, "other", payload(9, 16<<10), nil)
+		var seqs []uint64
+		mans, issues := cs.Manifests()
+		for _, m := range mans {
+			if m.Job == "job" {
+				seqs = append(seqs, m.Seq)
 			}
-			for i, m := range mans {
-				if m.Seq != want[i] {
-					t.Errorf("%s: generation %d is seq %d, want %d", ref, i, m.Seq, want[i])
+		}
+		if len(issues) != 0 || !reflect.DeepEqual(seqs, []uint64{1, 2, 3}) {
+			t.Fatalf("job's generations %v, issues %v", seqs, issues)
+		}
+		// A validate hook that refuses everything walks the whole chain below
+		// the ceiling: what it skipped is that chain, newest first.
+		refuse := func([]byte, Manifest) error { return errors.New("refused") }
+		for ref, want := range map[string][]uint64{"job": {3, 2, 1}, "job@2": {2, 1}, "job@9": {3, 2, 1}} {
+			if _, m, deg, err := cs.GetNewestRestorable(clock, ref, nil); err != nil || deg != nil || m.Seq != want[0] {
+				t.Fatalf("%s: restored seq %d, degraded %v, err %v", ref, m.Seq, deg, err)
+			}
+			_, _, deg, err := cs.GetNewestRestorable(clock, ref, refuse)
+			if deg == nil || err == nil || deg.Restored != "" || len(deg.Skipped) != len(want) {
+				t.Fatalf("%s: refusing every generation: %+v, err %v", ref, deg, err)
+			}
+			for i, sk := range deg.Skipped {
+				if sk.Seq != want[i] {
+					t.Errorf("%s: generation %d is seq %d, want %d", ref, i, sk.Seq, want[i])
 				}
 			}
 		}
-		if _, _, err := cs.Generations("nosuch"); err == nil {
+		if _, _, _, err := cs.GetNewestRestorable(clock, "nosuch", nil); err == nil {
 			t.Error("unknown job must fail")
 		}
-		if _, _, err := cs.Generations("job@two"); err == nil {
+		if _, _, _, err := cs.GetNewestRestorable(clock, "job@two", nil); err == nil {
 			t.Error("malformed ref must fail")
 		}
 	}},
@@ -508,7 +525,7 @@ var confRows = []struct {
 			mans = append(mans, m)
 		}
 		// The newest manifest is torn everywhere and the one before it has
-		// lost a chunk beyond what the placement can heal.
+		// lost a chunk beyond what the store can heal.
 		cs.tearManifest(t, "job", 4)
 		cs.loseChunk(t, uniqueChunkOf(t, mans[2], mans[0], mans[1], mans[3]))
 
@@ -694,8 +711,9 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
-// TestEngineErrorsNameNoPlacement: an error the engine raises reads the
-// same at every geometry and names no placement — no "fleet:" infix.
+// TestEngineErrorsNameNoPlacement: an error the catalog and the pipeline
+// raise reads the same at every geometry and names no geometry — no
+// "fleet:" infix.
 func TestEngineErrorsNameNoPlacement(t *testing.T) {
 	texts := map[string][]string{}
 	for _, b := range confBackends {
@@ -727,7 +745,7 @@ func TestEngineErrorsNameNoPlacement(t *testing.T) {
 		collect(err)
 		_, _, err = cs.GetSegment(clock, "flat", "a")
 		collect(err)
-		_, _, err = cs.Generations("nosuch")
+		_, _, _, err = cs.GetNewestRestorable(clock, "nosuch", nil)
 		collect(err)
 		_, err = cs.GC(0)
 		collect(err)
@@ -744,7 +762,7 @@ func TestEngineErrorsNameNoPlacement(t *testing.T) {
 				t.Errorf("%s words error %d differently:\n  %s\n  %s", name, i, got[i], want[i])
 			}
 			if strings.Contains(got[i], "fleet") {
-				t.Errorf("%s: engine error names a placement: %s", name, got[i])
+				t.Errorf("%s: catalog error names the fleet: %s", name, got[i])
 			}
 		}
 	}

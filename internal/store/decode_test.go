@@ -39,7 +39,7 @@ var nonsense = []struct {
 }
 
 // TestManifestDecoderRejectsNonsense feeds well-checksummed nonsense to the
-// decoder, then plants it as the newest generation of every placement: a
+// decoder, then plants it as the newest generation of every geometry: a
 // restore must skip it like any torn frame, never panic on it.
 func TestManifestDecoderRejectsNonsense(t *testing.T) {
 	parts := map[string][]byte{"a": payload(70, 40<<10), "b": payload(71, 40<<10)}
@@ -83,28 +83,6 @@ func TestManifestDecoderRejectsNonsense(t *testing.T) {
 			})
 		}
 	}
-}
-
-// nowhere is a placement that holds one manifest and no chunk at all; it
-// counts the chunks it was asked for.
-type nowhere struct {
-	man     Manifest
-	fetches *int
-}
-
-func (nowhere) lockSeq()                                              {}
-func (nowhere) unlockSeq()                                            {}
-func (nowhere) beginPut(string, uint64) putTxn                        { return nil }
-func (nowhere) dropManifest(string, uint64) error                     { return nil }
-func (nowhere) sweepChunks(map[string]bool) (int, int, int64, error)  { return 0, 0, 0, nil }
-func (n nowhere) manifestFiles() []manifestKey                        { return []manifestKey{{n.man.Job, n.man.Seq}} }
-func (n nowhere) loadManifest(string, uint64, bool) (Manifest, error) { return n.man, nil }
-func (n nowhere) openRead(*vtime.Clock, []ChunkRef, bool) chunkReader { return n }
-func (nowhere) close()                                                {}
-func (nowhere) refetch(_ *landing, cause error) error                 { return cause }
-func (n nowhere) fetch(*landing) (func() error, error) {
-	*n.fetches++
-	return nil, errors.New("no such chunk")
 }
 
 // manifestSeeds are good frames, their truncations and single-byte flips.
@@ -171,21 +149,38 @@ func FuzzDecodeManifest(f *testing.F) {
 			if !sizesAddUp(m.Chunks, m.Size, m.Size) {
 				t.Fatalf("accepted a manifest whose chunks do not add up to its %d bytes", m.Size)
 			}
-			fetches := 0
-			e := engine{cfg: Config{}.withDefaults(), p: nowhere{m, &fetches}}
+			// A 1+0 store holding the frame where a Put would have put it, and no
+			// pack: every chunk read fails. One that was never asked for shows in
+			// the error wrapping errCorruptManifest, which a failed fetch never
+			// does. A job name no Put accepts has no place for its frame; its
+			// segments are read without resolving the manifest.
+			st := New(testFS(), Config{})
 			clock := vtime.NewClock()
-			readable := sizesAddUp(m.Chunks, m.Size, int64(e.cfg.MaxChunk))
-			if _, _, err := e.assemble(clock, m, true); err == nil && len(m.Chunks) > 0 {
+			named := m.Job != "" && !strings.ContainsAny(m.Job, "/@")
+			if named {
+				n := st.nodes[st.names[0]]
+				if err := n.fs.WriteFile(clock, n.manifestPath(m.Job, m.Seq), frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readable := sizesAddUp(m.Chunks, m.Size, int64(st.cfg.Store.MaxChunk))
+			if _, _, err := st.assemble(clock, m, true); err == nil && len(m.Chunks) > 0 {
 				t.Fatal("assembled a payload out of no chunks")
-			} else if !readable && (fetches > 0 || !errors.Is(err, errCorruptManifest)) {
-				t.Fatalf("over-long chunks: %d chunks asked for, err = %v", fetches, err)
+			} else if !readable && !errors.Is(err, errCorruptManifest) {
+				t.Fatalf("over-long chunks: err = %v", err)
 			}
 			for _, seg := range m.Segments {
 				_, refs, _ := m.segment(seg.Name)
 				if !sizesAddUp(refs, seg.Size, seg.Size) {
 					t.Fatalf("accepted a manifest whose segment %q does not add up to its %d bytes", seg.Name, seg.Size)
 				}
-				if _, _, err := e.GetSegment(clock, m.ID(), seg.Name); err == nil && seg.Chunks > 0 {
+				var err error
+				if named {
+					_, _, err = st.GetSegment(clock, m.ID(), seg.Name)
+				} else {
+					_, _, err = st.readChunks(clock, m.ID(), refs, nil, seg.Size, true, nil)
+				}
+				if err == nil && seg.Chunks > 0 {
 					t.Fatalf("read segment %q out of no chunks", seg.Name)
 				}
 			}

@@ -1,11 +1,10 @@
 package store
 
-// The checkpoint pipeline and catalog, written once. An engine chunks,
-// hashes, dedups and compresses payloads into manifests and reads them
-// back verified; where the bytes physically go — k+m shard records in
-// packs over a set of nodes — is the placement's business. *Fleet embeds
-// an engine and is its one placement (fleet.go); the seam stays because it
-// is where the decoder tests substitute a placement that holds nothing.
+// The checkpoint pipeline and catalog, written once for every geometry:
+// Put chunks, hashes, dedups and compresses payloads into manifests, Get
+// and the restore walk read them back verified, and GC and Fsck keep the
+// catalog honest. Where the bytes go — k+m shard records in packs over a
+// set of nodes — is fleet.go's.
 
 import (
 	"crypto/sha256"
@@ -20,84 +19,10 @@ import (
 	"checl/internal/vtime"
 )
 
-// placement is the seam between the engine and the storage it runs over:
-// how chunks and manifests are probed, written, read back and removed.
-// Crash safety and repair live behind it: one verified pack of shard
-// records per node, then the manifest on every node.
-type placement interface {
-	// lockSeq/unlockSeq serialise the operations that pick sequence
-	// numbers or sweep chunks (Put up to its commit, GC).
-	lockSeq()
-	unlockSeq()
-	// manifestFiles lists every (job, seq) with a manifest file present,
-	// decodable or not, in the order the placement wants them read.
-	manifestFiles() []manifestKey
-	// loadManifest reads one manifest, with heal set repairing a bad copy
-	// from wherever the placement keeps a good one. A frame that exists but
-	// does not decode anywhere wraps errCorruptManifest.
-	loadManifest(job string, seq uint64, heal bool) (Manifest, error)
-	// beginPut opens the write transaction of checkpoint job@seq; the
-	// caller holds lockSeq until the transaction has committed.
-	beginPut(job string, seq uint64) putTxn
-	// openRead opens a read session over refs, the chunks the caller is
-	// about to fetch: what the placement can do once per read instead of
-	// once per chunk starts here, beside clock, which the session does not
-	// move. With heal set a bad copy is repaired from the placement's
-	// redundancy on the way.
-	openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkReader
-	dropManifest(job string, seq uint64) error
-	// sweepChunks removes every stored chunk not in referenced.
-	sweepChunks(referenced map[string]bool) (kept, dropped int, reclaimed int64, err error)
-}
-
-// chunkReader is one read session. Its methods are called from one
-// goroutine; the functions fetch returns run wherever the engine likes.
-type chunkReader interface {
-	// fetch is the ordered half of reading one chunk. Called in chunk order,
-	// it finds the chunk's stored bytes — index lookups, disk reads, the fault
-	// plan's ticks, a repair from the placement's redundancy where those show
-	// one is needed — and returns the other half: a function that verifies
-	// them and lands the content in l.dst (see verifyParts). That function
-	// shares nothing with another chunk's. Neither half touches the clock:
-	// what the chunk waits for and takes is left in l.lanes. A nil function
-	// is a chunk that has landed already; an error is a chunk the placement
-	// cannot bring back.
-	fetch(l *landing) (land func() error, err error)
-	// refetch is the second try at a chunk whose land failed with cause:
-	// called after every land has returned, it reads the chunk from whatever
-	// else the placement has — the other shards — lands it, and repairs the
-	// bad copy. When there is nothing else it returns cause.
-	refetch(l *landing, cause error) error
-	// close ends the session; repairs the reads queued are made here.
-	close()
-}
-
-// putTxn is one checkpoint's write transaction.
-type putTxn interface {
-	// probe reports whether the chunk is already durably stored, and its
-	// stored size. It charges no time.
-	probe(sum string, chunk []byte) (stored int64, ok bool)
-	// stage takes one new chunk's blob and reports the physical bytes
-	// written so far on its account — also when it fails part-way. A
-	// placement may hold the blob back to write it with others.
-	stage(clock *vtime.Clock, sum string, blob []byte) (phys int64, err error)
-	// flush writes out whatever stage held back: after it every staged
-	// chunk is durable.
-	flush(clock *vtime.Clock) (phys int64, err error)
-	// commit publishes the manifest: the atomic commit point.
-	commit(clock *vtime.Clock, man Manifest, frame []byte) (phys int64, err error)
-}
-
 // manifestKey names one manifest file.
 type manifestKey struct {
 	Job string
 	Seq uint64
-}
-
-// engine is the placement-independent half of a checkpoint store.
-type engine struct {
-	cfg Config
-	p   placement
 }
 
 // errCorruptManifest marks a manifest frame that is present but does not
@@ -238,9 +163,9 @@ func startDigest(segs []Segment) (wait func() [sha256.Size]byte) {
 // compressed and written, and a manifest linking to the job's previous
 // checkpoint is recorded. Compression, write and verify time are charged
 // to clock. A full filesystem surfaces as *proc.ErrNoSpace. How the
-// commit is made crash-consistent is the placement's protocol — see Fleet.
-func (e *engine) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
-	return e.PutSegmented(clock, job, payload, nil)
+// commit is made crash-consistent is fleet.go's commit protocol.
+func (f *Fleet) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
+	return f.PutSegmented(clock, job, payload, nil)
 }
 
 // PutSegmented is Put with a caller-supplied segment map over the payload:
@@ -253,8 +178,8 @@ func (e *engine) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, 
 // lent for the length of the call and read where they lie.
 //
 // An error return is equivalent to a crash at that point: whatever was
-// staged stays where it is for the placement's janitor (GC, Scrub).
-func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
+// staged stays where it is for the janitors, GC and Scrub.
+func (f *Fleet) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
 	if job == "" || strings.ContainsAny(job, "/@") {
 		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
 	}
@@ -263,9 +188,9 @@ func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, se
 		return Manifest{}, PutStats{}, err
 	}
 	sw := vtime.NewStopwatch(clock)
-	e.p.lockSeq()
-	man, stats, err := e.putLocked(clock, job, segs, size)
-	e.p.unlockSeq()
+	f.mu.Lock()
+	man, stats, err := f.putLocked(clock, job, segs, size)
+	f.mu.Unlock()
 	if err != nil {
 		return Manifest{}, stats, err
 	}
@@ -273,19 +198,19 @@ func (e *engine) PutSegmented(clock *vtime.Clock, job string, payload []byte, se
 	return man, stats, nil
 }
 
-// putLocked is the Put proper, run under lockSeq: everything up to and
+// putLocked is the Put proper, run under f.mu: everything up to and
 // including the manifest commit.
-func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size int64) (Manifest, PutStats, error) {
+func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size int64) (Manifest, PutStats, error) {
 	// Sequence numbers come from the listing, not from the newest decodable
 	// manifest, so a torn newest manifest is never silently overwritten —
 	// it stays in place for Scrub and the new checkpoint gets the next
 	// number. The parent link does come from the newest decodable one.
 	seq := uint64(1)
-	seqs := e.jobSeqs(job)
+	seqs := f.jobSeqs(job)
 	if len(seqs) > 0 {
 		seq = seqs[len(seqs)-1] + 1
 	}
-	parent, haveParent, err := e.newestOf(job, seqs)
+	parent, haveParent, err := f.newestOf(job, seqs)
 	if err != nil {
 		return Manifest{}, PutStats{}, err
 	}
@@ -301,8 +226,8 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	// the digest is joined on every way out.
 	digest := startDigest(segs)
 	defer digest()
-	tx := e.p.beginPut(job, seq)
-	ck := chunker{min: e.cfg.MinChunk, avg: e.cfg.AvgChunk, max: e.cfg.MaxChunk}
+	f.beginWrite(job, seq)
+	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
 	var blob []byte               // the compression buffer, reused chunk after chunk
 
@@ -316,7 +241,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 			ref := ChunkRef{Sum: sum, Size: int64(len(chunk))}
 			if stored, ok := written[sum]; ok {
 				ref.Stored = stored
-			} else if stored, ok := tx.probe(sum, chunk); ok {
+			} else if stored, ok := f.chunkPresent(sum); ok {
 				ref.Stored = stored
 			} else {
 				csw := vtime.NewStopwatch(clock)
@@ -326,7 +251,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 				}
 				stats.CompressTime += csw.Elapsed()
 				wsw := vtime.NewStopwatch(clock)
-				phys, werr := tx.stage(clock, sum, blob)
+				phys, werr := f.stage(clock, sum, blob)
 				stats.StoredBytes += phys
 				if werr != nil {
 					return n, werr
@@ -367,7 +292,7 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 		}
 	}
 	wsw := vtime.NewStopwatch(clock)
-	phys, err := tx.flush(clock)
+	phys, err := f.flush(clock)
 	stats.StoredBytes += phys
 	if err != nil {
 		return Manifest{}, stats, err
@@ -380,11 +305,11 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 	if err != nil {
 		return Manifest{}, stats, err
 	}
-	phys, err = tx.commit(clock, man, frame)
+	published, err := f.publishManifest(clock, job, seq, frame)
 	if err != nil {
 		return Manifest{}, stats, err
 	}
-	stats.StoredBytes += phys
+	stats.StoredBytes += int64(published) * int64(len(frame))
 	return man, stats, nil
 }
 
@@ -392,17 +317,16 @@ func (e *engine) putLocked(clock *vtime.Clock, job string, segs []Segment, size 
 // ("job@seq") or a bare job name, which selects the job's latest
 // checkpoint. Every chunk is verified against its content address and the
 // assembled payload against the manifest digest; a chunk that is missing
-// or corrupt is transparently healed from the placement's redundancy, the
-// surviving shards (HealStats). The payload is a
-// buffer made for this call; the store keeps no reference to it, so it is
-// the caller's to keep, cut up and write to (Get, GetSegment and
-// GetNewestRestorable alike).
-func (e *engine) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
-	man, err := e.Resolve(ref)
+// or corrupt is transparently healed from the surviving shards
+// (HealStats). The payload is a buffer made for this call; the store keeps
+// no reference to it, so it is the caller's to keep, cut up and write to
+// (Get, GetSegment and GetNewestRestorable alike).
+func (f *Fleet) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
+	man, err := f.Resolve(ref)
 	if err != nil {
 		return nil, Manifest{}, err
 	}
-	payload, _, err := e.assemble(clock, man, true)
+	payload, _, err := f.assemble(clock, man, true)
 	return payload, man, err
 }
 
@@ -414,8 +338,8 @@ func (e *engine) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
 // partial restart read O(one rank) instead of O(world): segments
 // partition the manifest's chunk list in order, so a rank's bytes are a
 // consecutive chunk run.
-func (e *engine) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manifest, error) {
-	man, err := e.Resolve(ref)
+func (f *Fleet) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manifest, error) {
+	man, err := f.Resolve(ref)
 	if err != nil {
 		return nil, Manifest{}, err
 	}
@@ -426,7 +350,7 @@ func (e *engine) GetSegment(clock *vtime.Clock, ref, name string) ([]byte, Manif
 	if !ok {
 		return nil, man, fmt.Errorf("store: %s: no segment named %q", man.ID(), name)
 	}
-	payload, _, err := e.readChunks(clock, man.ID(), refs, nil, seg.Size, true, nil)
+	payload, _, err := f.readChunks(clock, man.ID(), refs, nil, seg.Size, true, nil)
 	return payload, man, err
 }
 
@@ -445,15 +369,15 @@ func parseRef(ref string) (job string, seq uint64, latest bool, err error) {
 
 // Resolve looks a ref up without reading chunk data. ref is "job@seq" or
 // a bare job name (latest checkpoint of that job).
-func (e *engine) Resolve(ref string) (Manifest, error) {
+func (f *Fleet) Resolve(ref string) (Manifest, error) {
 	job, seq, latest, err := parseRef(ref)
 	if err != nil {
 		return Manifest{}, err
 	}
 	if !latest {
-		return e.p.loadManifest(job, seq, true)
+		return f.loadManifest(job, seq, true)
 	}
-	man, ok, err := e.Latest(job)
+	man, ok, err := f.Latest(job)
 	if err != nil {
 		return Manifest{}, err
 	}
@@ -465,18 +389,18 @@ func (e *engine) Resolve(ref string) (Manifest, error) {
 
 // Latest reports the newest decodable manifest of a job, if any. Torn or
 // rotten manifest frames are skipped — an interrupted Put can never make
-// a job unrestorable, only push Latest back one generation until the
-// placement's repair deals with the bad frame. Any other read failure is
-// the infrastructure's and is returned: an older generation must not
-// silently stand in for one that may be perfectly good.
-func (e *engine) Latest(job string) (Manifest, bool, error) {
-	return e.newestOf(job, e.jobSeqs(job))
+// a job unrestorable, only push Latest back one generation until Scrub
+// deals with the bad frame. Any other read failure is the
+// infrastructure's and is returned: an older generation must not silently
+// stand in for one that may be perfectly good.
+func (f *Fleet) Latest(job string) (Manifest, bool, error) {
+	return f.newestOf(job, f.jobSeqs(job))
 }
 
 // newestOf is Latest over an already listed, ascending set of seqs.
-func (e *engine) newestOf(job string, seqs []uint64) (Manifest, bool, error) {
+func (f *Fleet) newestOf(job string, seqs []uint64) (Manifest, bool, error) {
 	for i := len(seqs) - 1; i >= 0; i-- {
-		m, err := e.p.loadManifest(job, seqs[i], true)
+		m, err := f.loadManifest(job, seqs[i], true)
 		if err == nil {
 			return m, true, nil
 		}
@@ -488,15 +412,14 @@ func (e *engine) newestOf(job string, seqs []uint64) (Manifest, bool, error) {
 }
 
 // jobSeqs lists the sequence numbers present (decodable or not) for job,
-// ascending.
-func (e *engine) jobSeqs(job string) []uint64 {
+// ascending as manifestFiles lists them.
+func (f *Fleet) jobSeqs(job string) []uint64 {
 	var seqs []uint64
-	for _, k := range e.p.manifestFiles() {
+	for _, k := range f.manifestFiles() {
 		if k.Job == job {
 			seqs = append(seqs, k.Seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs
 }
 
@@ -513,17 +436,17 @@ func (i ManifestIssue) ID() string { return manifestID(i.Job, i.Seq) }
 // Manifests lists every decodable manifest in the store, ordered by job
 // then seq, plus one issue per manifest file that failed to load — a
 // single torn frame is a finding for that manifest only, it cannot mask
-// the rest of the store. Bad copies heal transparently from the
-// placement's redundancy; an issue is reported only when no good copy
-// exists anywhere.
-func (e *engine) Manifests() ([]Manifest, []ManifestIssue) { return e.manifests(true) }
+// the rest of the store. Bad copies heal transparently from the other
+// nodes' copies; an issue is reported only when no good copy exists
+// anywhere.
+func (f *Fleet) Manifests() ([]Manifest, []ManifestIssue) { return f.manifests(true) }
 
 // manifests is Manifests; without heal it writes nothing.
-func (e *engine) manifests(heal bool) ([]Manifest, []ManifestIssue) {
+func (f *Fleet) manifests(heal bool) ([]Manifest, []ManifestIssue) {
 	var out []Manifest
 	var issues []ManifestIssue
-	for _, k := range e.p.manifestFiles() {
-		m, err := e.p.loadManifest(k.Job, k.Seq, heal)
+	for _, k := range f.manifestFiles() {
+		m, err := f.loadManifest(k.Job, k.Seq, heal)
 		if err != nil {
 			issues = append(issues, ManifestIssue{Job: k.Job, Seq: k.Seq, Err: err})
 			continue
@@ -539,17 +462,15 @@ func (e *engine) manifests(heal bool) ([]Manifest, []ManifestIssue) {
 	return out, issues
 }
 
-// Jobs lists the jobs with at least one checkpoint, sorted.
-func (e *engine) Jobs() []string {
-	seen := map[string]bool{}
+// Jobs lists the jobs with at least one checkpoint, sorted as
+// manifestFiles lists them.
+func (f *Fleet) Jobs() []string {
 	var out []string
-	for _, k := range e.p.manifestFiles() {
-		if !seen[k.Job] {
-			seen[k.Job] = true
+	for _, k := range f.manifestFiles() {
+		if len(out) == 0 || out[len(out)-1] != k.Job {
 			out = append(out, k.Job)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -579,49 +500,9 @@ func (d *DegradedRestore) Error() string {
 		d.Requested, d.Restored, len(d.Skipped))
 }
 
-// chain lists the restore fallback chain for ref: the sequence numbers of
-// the job at or below the requested one, ascending, decodable or not. No
-// manifest is read.
-func (e *engine) chain(ref string) (job string, seqs []uint64, err error) {
-	job, ceiling, latest, err := parseRef(ref)
-	if err != nil {
-		return "", nil, err
-	}
-	seqs = e.jobSeqs(job)
-	if !latest {
-		seqs = seqs[:sort.Search(len(seqs), func(i int) bool { return seqs[i] > ceiling })]
-	}
-	if len(seqs) == 0 {
-		return "", nil, fmt.Errorf("store: job %q has no checkpoints", job)
-	}
-	return job, seqs, nil
-}
-
-// Generations lists the restore fallback chain for ref: every decodable
-// manifest of the job at or below the requested sequence, newest first,
-// plus one SkippedCheckpoint per manifest in that range that would not
-// load.
-func (e *engine) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error) {
-	job, seqs, err := e.chain(ref)
-	if err != nil {
-		return nil, nil, err
-	}
-	var mans []Manifest
-	var skipped []SkippedCheckpoint
-	for i := len(seqs) - 1; i >= 0; i-- {
-		m, err := e.p.loadManifest(job, seqs[i], true)
-		if err != nil {
-			skipped = append(skipped, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: err.Error()})
-			continue
-		}
-		mans = append(mans, m)
-	}
-	return mans, skipped, nil
-}
-
 // GetNewestRestorable walks ref's generation chain newest-first and
 // returns the payload of the first generation that both assembles
-// bit-identical (healing where the placement can) and passes the caller's
+// bit-identical (healing where the shards can) and passes the caller's
 // validate hook — e.g. "does this payload decode as a process image". The
 // walk is lazy: a generation's manifest is loaded when its turn comes, and
 // none older than the one that restores is looked at. The manifest validate
@@ -631,22 +512,31 @@ func (e *engine) Generations(ref string) ([]Manifest, []SkippedCheckpoint, error
 // generation that was skipped and why. When nothing restores, the
 // DegradedRestore itself is returned as the error, so callers always get a
 // typed outcome instead of a silent wrong payload.
-func (e *engine) GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error) {
-	job, seqs, err := e.chain(ref)
+func (f *Fleet) GetNewestRestorable(clock *vtime.Clock, ref string, validate func(payload []byte, man Manifest) error) ([]byte, Manifest, *DegradedRestore, error) {
+	job, ceiling, latest, err := parseRef(ref)
 	if err != nil {
 		return nil, Manifest{}, nil, err
+	}
+	// The chain: the job's sequence numbers at or below the one asked for,
+	// decodable or not.
+	seqs := f.jobSeqs(job)
+	if !latest {
+		seqs = seqs[:sort.Search(len(seqs), func(i int) bool { return seqs[i] > ceiling })]
+	}
+	if len(seqs) == 0 {
+		return nil, Manifest{}, nil, fmt.Errorf("store: job %q has no checkpoints", job)
 	}
 	var tried []SkippedCheckpoint // newest first, as the walk goes
 	for i := len(seqs) - 1; i >= 0; i-- {
 		skip := func(reason string) {
 			tried = append(tried, SkippedCheckpoint{ID: manifestID(job, seqs[i]), Seq: seqs[i], Reason: reason})
 		}
-		m, err := e.p.loadManifest(job, seqs[i], true)
+		m, err := f.loadManifest(job, seqs[i], true)
 		if err != nil {
 			skip(err.Error())
 			continue
 		}
-		payload, ready, err := e.assemble(clock, m, true)
+		payload, ready, err := f.assemble(clock, m, true)
 		if err != nil {
 			skip(err.Error())
 			continue
@@ -688,14 +578,14 @@ type GCStats struct {
 // order is crash-consistent on its own — manifests drop before the chunk
 // sweep, so an interrupted GC leaves at worst unreferenced chunks, which
 // the next GC reclaims, never a manifest missing chunks.
-func (e *engine) GC(retain int) (GCStats, error) {
+func (f *Fleet) GC(retain int) (GCStats, error) {
 	if retain < 1 {
 		return GCStats{}, fmt.Errorf("store: GC retention must be >= 1 (got %d)", retain)
 	}
-	e.p.lockSeq()
-	defer e.p.unlockSeq()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 
-	mans, issues := e.Manifests()
+	mans, issues := f.Manifests()
 	if len(issues) > 0 {
 		return GCStats{}, fmt.Errorf("store: gc: %d unreadable manifest(s), run Scrub first; first: %s: %v",
 			len(issues), issues[0].ID(), issues[0].Err)
@@ -718,14 +608,16 @@ func (e *engine) GC(retain int) (GCStats, error) {
 			}
 		}
 		for _, m := range group[:cut] {
-			if err := e.p.dropManifest(m.Job, m.Seq); err != nil {
+			if err := f.manifestCopies(m.Job, m.Seq, func(n *fleetNode) error {
+				return n.removeRetry(n.manifestPath(m.Job, m.Seq))
+			}); err != nil {
 				return st, fmt.Errorf("store: gc: %w", err)
 			}
 			st.ManifestsDropped++
 		}
 	}
 	var err error
-	st.ChunksKept, st.ChunksDropped, st.BytesReclaimed, err = e.p.sweepChunks(referenced)
+	st.ChunksKept, st.ChunksDropped, st.BytesReclaimed, err = f.sweepChunks(referenced)
 	if err != nil {
 		return st, fmt.Errorf("store: gc: %w", err)
 	}
@@ -751,16 +643,16 @@ func (r FsckReport) OK() bool { return len(r.Errors) == 0 }
 // nothing on the way; Scrub is the repairing counterpart. Read and
 // decompression time is charged to clock. Fsck returns an error only for
 // infrastructure failures; integrity findings land in the report.
-func (e *engine) Fsck(clock *vtime.Clock) (FsckReport, error) {
+func (f *Fleet) Fsck(clock *vtime.Clock) (FsckReport, error) {
 	var rep FsckReport
-	mans, issues := e.manifests(false)
+	mans, issues := f.manifests(false)
 	for _, iss := range issues {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", iss.ID(), iss.Err))
 	}
 	verified := map[string]bool{}
 	for _, m := range mans {
 		rep.Manifests++
-		if _, _, err := e.assemble(clock, m, false); err != nil {
+		if _, _, err := f.assemble(clock, m, false); err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", m.ID(), err))
 			continue
 		}

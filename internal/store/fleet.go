@@ -1,6 +1,6 @@
 package store
 
-// Fleet is the checkpoint store: the engine's one placement. N store
+// Where the checkpoint store's bytes go, at every geometry: N store
 // nodes, each chunk split into k data + m parity shards placed on k+m
 // distinct nodes by a consistent-hash map over the chunk's content
 // address. Any checkpoint restores bit-identical with any m nodes down — a
@@ -13,7 +13,7 @@ package store
 // identity. A store with a replica (NewMirror) is two nodes with k=1, m=1:
 // the parity row of a 1+1 Reed–Solomon code is [1], so the parity shard is
 // the blob again — a mirror. Chunking, dedup, manifests, the restore walk
-// and GC's retention are the engine's (engine.go).
+// and GC's retention are engine.go's, reads read.go's.
 //
 // On disk a node holds packs (pack.go): immutable files of shard records
 // back to back, <prefix>/packs/<job>/<seq>.<part> for the records one Put
@@ -124,7 +124,6 @@ type HealStats struct {
 // implements Backend: core, cpr and mpi checkpoint into any geometry the
 // same way.
 type Fleet struct {
-	engine
 	name  string
 	cfg   FleetConfig
 	coder *Coder
@@ -133,6 +132,14 @@ type Fleet struct {
 	mu    sync.Mutex // serialises Put/GC/Replicate/Rebuild/Scrub sequencing
 	nodes map[string]*fleetNode
 	names []string // sorted
+
+	// The write in progress, a Put's or a Replicate's, guarded by mu: the
+	// records staged per node and not yet written, the chunks they belong
+	// to, and the path of its next pack less the part number to try.
+	wbufs map[string]*packBuf
+	round []string
+	stem  string
+	part  int
 
 	inj *proc.NodeFaultInjector
 
@@ -191,14 +198,14 @@ func open(name string, k, m int, cfg Config, nodes ...*fleetNode) (*Fleet, error
 	if len(nodes) < k+m {
 		return nil, fmt.Errorf("store: fleet: %d nodes cannot hold %d+%d shards on distinct nodes", len(nodes), k, m)
 	}
-	f := &Fleet{name: name, coder: coder, nodes: map[string]*fleetNode{},
+	f := &Fleet{name: name, coder: coder, nodes: map[string]*fleetNode{}, wbufs: map[string]*packBuf{},
 		cfg: FleetConfig{DataShards: k, ParityShards: m, Store: cfg}}
-	f.engine = engine{cfg: cfg, p: f}
 	for _, n := range nodes {
 		if _, dup := f.nodes[n.name]; dup {
 			return nil, fmt.Errorf("store: fleet: duplicate node name %q", n.name)
 		}
 		f.nodes[n.name] = n
+		f.wbufs[n.name] = &packBuf{}
 		f.names = append(f.names, n.name)
 	}
 	sort.Strings(f.names)
@@ -450,86 +457,69 @@ func (f *Fleet) writePacks(clock *vtime.Clock, path string, bufs map[string]*pac
 	return written, failed
 }
 
-func (f *Fleet) lockSeq()   { f.mu.Lock() }
-func (f *Fleet) unlockSeq() { f.mu.Unlock() }
-
-// fleetPut is a Fleet's write transaction: the records of the chunks
-// staged since the last round, per node, and the chunks they belong to.
-type fleetPut struct {
-	f     *Fleet
-	stem  string              // the checkpoint's pack path, less the part number
-	part  int                 // next part number to try
-	bufs  map[string]*packBuf // node name -> records not yet written
-	round []string            // chunks with records in bufs
-}
-
-func (f *Fleet) beginPut(job string, seq uint64) putTxn {
+// beginWrite starts writing checkpoint job@seq: nothing staged yet, and
+// its packs are <prefix>/packs/<job>/<seq>.<part>.
+func (f *Fleet) beginWrite(job string, seq uint64) {
 	f.indexNodes()
-	t := &fleetPut{f: f, stem: fmt.Sprintf("%s%s/%08d.", f.packPrefix(), job, seq), bufs: map[string]*packBuf{}}
-	for name, n := range f.nodes {
-		n.wbuf.reset()
-		t.bufs[name] = &n.wbuf
+	f.stem, f.part, f.round = fmt.Sprintf("%s%s/%08d.", f.packPrefix(), job, seq), 0, f.round[:0]
+	for _, buf := range f.wbufs {
+		buf.reset()
 	}
-	return t
 }
-
-func (t *fleetPut) probe(sum string, _ []byte) (int64, bool) { return t.f.chunkPresent(sum) }
 
 // stage encodes blob into k+m shards and queues one record on each of its
 // placement nodes; nothing reaches a disk until a node's queue passes
 // packPartSize, when every queue is written out as the next part.
-func (t *fleetPut) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
-	f := t.f
+func (f *Fleet) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
 	clock.Advance(fleetCoding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
 	shards := f.coder.Encode(blob)
 	full := false
 	for i, n := range f.placement(sum) {
-		buf := t.bufs[n.name]
+		buf := f.wbufs[n.name]
 		if err := buf.add(f.header(sum, i, len(blob)), shards[i]); err != nil {
 			return 0, err
 		}
 		full = full || len(buf.data) >= packPartSize
 	}
-	t.round = append(t.round, sum)
+	f.round = append(f.round, sum)
 	if !full {
 		return 0, nil
 	}
-	return t.flush(clock)
+	return f.flush(clock)
 }
 
 // flush writes the queued records out as one pack per node and requires
 // every chunk among them to have landed on at least k nodes. Packs are
 // never overwritten: a part number some node already holds (an earlier,
 // failed Put of the same checkpoint) is skipped.
-func (t *fleetPut) flush(clock *vtime.Clock) (int64, error) {
-	if len(t.round) == 0 {
+func (f *Fleet) flush(clock *vtime.Clock) (int64, error) {
+	if len(f.round) == 0 {
 		return 0, nil
 	}
-	f := t.f
-	path := t.stem + strconv.Itoa(t.part)
+	path := f.stem + strconv.Itoa(f.part)
 	for f.packExists(path) {
-		t.part++
-		path = t.stem + strconv.Itoa(t.part)
+		f.part++
+		path = f.stem + strconv.Itoa(f.part)
 	}
-	t.part++
-	written, failed := f.writePacks(clock, path, t.bufs)
+	f.part++
+	written, failed := f.writePacks(clock, path, f.wbufs)
 	var err error
 	if len(failed) > 0 {
-		err = t.underwritten(failed)
+		err = f.underwritten(failed)
 	}
-	for _, buf := range t.bufs {
+	for _, buf := range f.wbufs {
 		buf.reset()
 	}
-	t.round = t.round[:0]
+	f.round = f.round[:0]
 	return written, err
 }
 
 // underwritten reports the first chunk of the round that the failed nodes
 // leave with fewer than k records.
-func (t *fleetPut) underwritten(failed map[string]error) error {
-	k := t.f.cfg.DataShards
-	for _, sum := range t.round {
-		nodes := t.f.placement(sum)
+func (f *Fleet) underwritten(failed map[string]error) error {
+	k := f.cfg.DataShards
+	for _, sum := range f.round {
+		nodes := f.placement(sum)
 		ok := len(nodes)
 		var firstErr error
 		for _, n := range nodes {
@@ -558,21 +548,13 @@ func (f *Fleet) packExists(path string) bool {
 	return false
 }
 
-func (t *fleetPut) commit(clock *vtime.Clock, man Manifest, frame []byte) (int64, error) {
-	published, err := t.f.publishManifest(clock, man.Job, man.Seq, frame)
-	if err != nil {
-		return 0, err
-	}
-	return int64(published) * int64(len(frame)), nil
-}
-
 // fleetRead is a read session: the packs it has pulled from the nodes, and
 // the repaired records it owes them. Get opens one per manifest; Rebuild
 // and Scrub run their repairs through one. A session moves no clock while
 // it reads: a pack is stamped with the instant its node's disk was done
 // with it, and what a chunk waits for and takes of the link and of the
-// reader's CPU is left in the lanes its caller names — a landing's, for the
-// engine to charge in chunk order.
+// reader's CPU is left in the lanes its caller names — a landing's, for
+// readChunks to charge in chunk order.
 type fleetRead struct {
 	f     *Fleet
 	clock *vtime.Clock // the reader's: every node's disk lane forks from it
@@ -594,18 +576,13 @@ type pack struct {
 	arrived vtime.Time
 }
 
-func (f *Fleet) newRead(clock *vtime.Clock, heal bool) *fleetRead {
+// newRead opens a read session and loads the packs the healthy path of
+// every ref needs. The degraded read is the only read path there is;
+// without heal it just writes nothing back.
+func (f *Fleet) newRead(clock *vtime.Clock, refs []ChunkRef, heal bool) *fleetRead {
 	f.indexNodes()
-	return &fleetRead{f: f, clock: clock, heal: heal, packs: map[packAt]pack{},
+	r := &fleetRead{f: f, clock: clock, heal: heal, packs: map[packAt]pack{},
 		homes: map[string][]*fleetNode{}, heals: map[string]*packBuf{}, owed: map[recKey]bool{}}
-}
-
-// openRead plans and loads the packs the healthy path of every ref needs.
-// The degraded read is the only read path there is; without heal it just
-// writes nothing back. The session is a *fleetRead, which Replicate relies
-// on.
-func (f *Fleet) openRead(clock *vtime.Clock, refs []ChunkRef, heal bool) chunkReader {
-	r := f.newRead(clock, heal)
 	sums := make([]string, len(refs))
 	for i, ref := range refs {
 		sums[i] = ref.Sum
@@ -714,19 +691,19 @@ func (r *fleetRead) locate(n *fleetNode, sum string, idx int, t *lanes) (rec []b
 	return p.data[loc.off : loc.off+loc.n], loc, true
 }
 
-// gather collects verified shards of one chunk — sum is its address, addr
-// the same in raw bytes — keyed by index, in index order: up to k of them,
-// or with all set every one there is. It also returns the original blob
-// length and the indices examined that are missing, corrupt or on a down
-// node; a record that fails verification leaves the index. Link time, added
-// to t, covers the records actually pulled.
-func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, all bool, t *lanes) (have map[int][]byte, origLen int, bad []int) {
+// gather collects up to k verified shards of one chunk — sum is its
+// address, addr the same in raw bytes — keyed by index, in index order. It
+// also returns the original blob length and the indices examined that are
+// missing, corrupt or on a down node; a record that fails verification
+// leaves the index. Link time, added to t, covers the records actually
+// pulled.
+func (r *fleetRead) gather(sum string, addr *[sha256.Size]byte, t *lanes) (have map[int][]byte, origLen int, bad []int) {
 	f := r.f
 	have = map[int][]byte{}
 	origLen = -1
 	var pulled int64
 	for i, n := range r.nodes(sum) {
-		if !all && len(have) >= f.cfg.DataShards {
+		if len(have) >= f.cfg.DataShards {
 			break
 		}
 		rec, loc, ok := r.locate(n, sum, i, t)
@@ -841,7 +818,7 @@ func (r *fleetRead) landShards(l *landing, shards [][]byte, origLen int) error {
 // the fleet as a side effect.
 func (r *fleetRead) readDegraded(l *landing) (shards [][]byte, origLen int, err error) {
 	sum := l.ref.Sum
-	have, origLen, bad := r.gather(sum, &l.addr, false, &l.lanes)
+	have, origLen, bad := r.gather(sum, &l.addr, &l.lanes)
 	if shards, err = r.solve(sum, have, origLen, bad, &l.lanes); err != nil {
 		return nil, 0, err
 	}

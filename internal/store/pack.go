@@ -87,7 +87,7 @@ func (b *packBuf) room(n int) {
 }
 
 // add frames one shard as the pack's next record. h.sum must be a
-// SHA-256 in hex, which is what the engine's chunk addresses are.
+// SHA-256 in hex, which is what every chunk address is.
 func (b *packBuf) add(h shardHeader, payload []byte) error {
 	addr, err := hex.DecodeString(h.sum)
 	if err != nil || len(addr) != sha256.Size {

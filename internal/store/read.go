@@ -4,8 +4,8 @@ package store
 // byte of it is written once. The payload is allocated at the size the
 // manifest gives, each chunk inflates straight into its own range of it,
 // and the content address is hashed where the chunk lies. A read has an
-// ordered half and a pure half. The ordered half is the placement's read
-// session (chunkReader), called chunk by chunk on the reader's goroutine:
+// ordered half and a pure half. The ordered half is the fleet's read
+// session (fleetRead), called chunk by chunk on the reader's goroutine:
 // index lookups, disk and link time, the fault plan's ticks, repair
 // bookkeeping. The pure half — record digests, inflate, SHA-256 — shares
 // nothing between chunks and runs on GOMAXPROCS workers, and the manifest's
@@ -78,10 +78,10 @@ func verifyParts(parts [][]byte, l *landing) error {
 
 // newLanding readies one chunk to be read on its own, into a buffer of its
 // own: what a caller that wants a verified blob rather than a payload uses.
-func (e *engine) newLanding(ref ChunkRef) (*landing, error) {
+func (f *Fleet) newLanding(ref ChunkRef) (*landing, error) {
 	l := &landing{ref: ref}
 	ok := false
-	if l.addr, ok = decodeDigest(ref.Sum); !ok || ref.Size < 0 || ref.Size > int64(e.cfg.MaxChunk) {
+	if l.addr, ok = decodeDigest(ref.Sum); !ok || ref.Size < 0 || ref.Size > int64(f.cfg.Store.MaxChunk) {
 		return nil, fmt.Errorf("store: chunk %.12s: store: chunk size %d out of range", ref.Sum, ref.Size)
 	}
 	l.dst = make([]byte, ref.Size)
@@ -165,7 +165,7 @@ func startLanders(lands []landing, verified func(i int)) (run func(i int, land f
 	}
 }
 
-// readChunks is the engine's one chunk-landing loop: it reads the run of
+// readChunks is the store's one chunk-landing loop: it reads the run of
 // chunks refs, size bytes in all, into one buffer, every chunk verified
 // against its content address, and with digest set hashes the buffer into
 // it. id names the manifest in errors. Nothing is read, and no buffer
@@ -178,14 +178,14 @@ func startLanders(lands []landing, verified func(i int)) (run func(i int, land f
 // and then the one charging loop, in order: the link takes a chunk once its
 // packs have arrived and the link is free, the CPU once the chunk is through
 // the link and the CPU is free, and the read ends when the CPU does. What
-// the placement is asked to do, what the clock reads and when, depend on
+// the nodes are asked to do, what the clock reads and when, depend on
 // neither the processor count nor the scheduler. segs, when the refs are a
 // manifest's whole chunk list, is its segment map: ready reports for each
 // segment the instant the CPU was done with its last chunk — non-decreasing,
 // the last one the end of the read.
-func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool, digest *[sha256.Size]byte) (payload []byte, ready []vtime.Time, err error) {
-	if !sizesAddUp(refs, size, int64(e.cfg.MaxChunk)) {
-		return nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, e.cfg.MaxChunk, size)
+func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool, digest *[sha256.Size]byte) (payload []byte, ready []vtime.Time, err error) {
+	if !sizesAddUp(refs, size, int64(f.cfg.Store.MaxChunk)) {
+		return nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, f.cfg.Store.MaxChunk, size)
 	}
 	payload = make([]byte, size)
 	lands := make([]landing, len(refs))
@@ -198,7 +198,7 @@ func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs
 		lands[i] = landing{ref: ref, addr: addr, dst: payload[off : off+ref.Size : off+ref.Size]}
 		off += ref.Size
 	}
-	rd := e.p.openRead(clock, refs, heal)
+	rd := f.newRead(clock, refs, heal)
 	defer rd.close()
 	verified, sum := func(int) {}, func(bool) [sha256.Size]byte { return [sha256.Size]byte{} }
 	if digest != nil {
@@ -259,11 +259,11 @@ func (e *engine) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs
 }
 
 // assemble reads and verifies every chunk of man and checks the payload
-// digest. With heal set, failed chunks fall back to the placement's
-// redundancy. ready is readChunks' over man.Segments.
-func (e *engine) assemble(clock *vtime.Clock, man Manifest, heal bool) (payload []byte, ready []vtime.Time, err error) {
+// digest. With heal set, failed chunks fall back to the other shards.
+// ready is readChunks' over man.Segments.
+func (f *Fleet) assemble(clock *vtime.Clock, man Manifest, heal bool) (payload []byte, ready []vtime.Time, err error) {
 	var got [sha256.Size]byte
-	payload, ready, err = e.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, heal, &got)
+	payload, ready, err = f.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, heal, &got)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -331,7 +331,7 @@ func TestSegmentsReadyInOrder(t *testing.T) {
 // long the busiest node's disk needs for its packs.
 func traceRead(t *testing.T, cs confStore, clock *vtime.Clock, man Manifest) (lands []landing, disk vtime.Duration) {
 	t.Helper()
-	rd := cs.openRead(clock, man.Chunks, false).(*fleetRead)
+	rd := cs.newRead(clock, man.Chunks, false)
 	defer rd.close()
 	for _, ref := range man.Chunks {
 		l, err := cs.newLanding(ref)

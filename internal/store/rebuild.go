@@ -4,9 +4,9 @@ package store
 // fresh one under the same name (consistent hashing keeps every other
 // placement untouched), Rebuild re-codes missing shards onto their home
 // nodes with anti-thundering-herd pacing, Scrub verifies every node's
-// records in parallel and repairs what it finds, and dropManifest/
-// sweepChunks are the fleet-wide halves of the engine's GC. Every repair
-// is written the way a Put writes: one verified pack per node per round.
+// records in parallel and repairs what it finds, and manifestCopies/
+// sweepChunks are the fleet-wide halves of GC. Every repair is written the
+// way a Put writes: one verified pack per node per round.
 
 import (
 	"errors"
@@ -136,7 +136,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		}
 	}
 
-	r := f.newRead(clock, true)
+	r := f.newRead(clock, nil, true)
 	for len(need) > 0 {
 		batch := need[:min(len(need), rebuildBatch)]
 		need = need[len(batch):]
@@ -144,7 +144,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		for _, sum := range batch {
 			addr, _ := decodeDigest(sum) // a manifest's: it decoded
 			var t lanes
-			have, origLen, _ := r.gather(sum, &addr, false, &t)
+			have, origLen, _ := r.gather(sum, &addr, &t)
 			idxs, _ := missing(sum)
 			shards, err := r.solve(sum, have, origLen, idxs, &t)
 			t.pay(clock)
@@ -342,6 +342,22 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 		defer f.inj.Resume()
 	}
 	var rep FleetScrubReport
+	// quarantine moves job@seq out of the way on every alive node holding
+	// it, and says why in the report.
+	quarantine := func(job string, seq uint64, why string) error {
+		id := manifestID(job, seq)
+		if err := f.manifestCopies(job, seq, func(n *fleetNode) error {
+			if err := n.quarantine(job, seq); err != nil {
+				return fmt.Errorf("on %s: %w", n.name, err)
+			}
+			return nil
+		}); err != nil {
+			return fmt.Errorf("store: scrub: quarantining %s: %w", id, err)
+		}
+		rep.Quarantined = append(rep.Quarantined, id)
+		rep.Findings = append(rep.Findings, id+": quarantined: "+why)
+		return nil
+	}
 
 	mans, issues := f.Manifests()
 	for _, iss := range issues {
@@ -351,11 +367,9 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 			rep.Findings = append(rep.Findings, fmt.Sprintf("%s: no readable copy: %v", iss.ID(), iss.Err))
 			continue
 		}
-		if err := f.quarantine(iss.Job, iss.Seq); err != nil {
-			return rep, fmt.Errorf("store: scrub: quarantining %s: %w", iss.ID(), err)
+		if err := quarantine(iss.Job, iss.Seq, iss.Err.Error()); err != nil {
+			return rep, err
 		}
-		rep.Quarantined = append(rep.Quarantined, iss.ID())
-		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: quarantined: %v", iss.ID(), iss.Err))
 	}
 	rep.Manifests = len(mans)
 	referenced := map[string]bool{}
@@ -393,38 +407,23 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 			goodMans = append(goodMans, m)
 			continue
 		}
-		if err := f.quarantine(m.Job, m.Seq); err != nil {
-			return rep, fmt.Errorf("store: scrub: quarantining %s: %w", m.ID(), err)
+		if err := quarantine(m.Job, m.Seq, "chunk "+lost[:12]+" beyond repair"); err != nil {
+			return rep, err
 		}
-		rep.Quarantined = append(rep.Quarantined, m.ID())
-		rep.Findings = append(rep.Findings, fmt.Sprintf("%s: quarantined: chunk %s beyond repair", m.ID(), lost[:12]))
 	}
 	rep.ManifestsHealed = f.syncManifests(clock, goodMans)
 	return rep, nil
 }
 
-// quarantine moves job@seq out of the way on every alive node holding it.
-func (f *Fleet) quarantine(job string, seq uint64) error {
+// manifestCopies runs op on every alive node holding a frame of job@seq,
+// in name order, and stops at the first error.
+func (f *Fleet) manifestCopies(job string, seq uint64, op func(n *fleetNode) error) error {
 	for _, name := range f.names {
 		n := f.nodes[name]
 		if !n.alive() || !n.fs.Exists(n.manifestPath(job, seq)) {
 			continue
 		}
-		if err := n.quarantine(job, seq); err != nil {
-			return fmt.Errorf("on %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// dropManifest removes one manifest from every alive node holding it.
-func (f *Fleet) dropManifest(job string, seq uint64) error {
-	for _, name := range f.names {
-		n := f.nodes[name]
-		if !n.alive() || !n.fs.Exists(n.manifestPath(job, seq)) {
-			continue
-		}
-		if err := n.removeRetry(n.manifestPath(job, seq)); err != nil {
+		if err := op(n); err != nil {
 			return err
 		}
 	}

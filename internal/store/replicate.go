@@ -46,9 +46,9 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 	fail := func(err error) (Manifest, ReplicateStats, error) {
 		return man, st, fmt.Errorf("store: replicate %s: %w", man.ID(), err)
 	}
-	dst.lockSeq()
-	defer dst.unlockSeq()
-	tx := dst.beginPut(man.Job, man.Seq)
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	dst.beginWrite(man.Job, man.Seq)
 
 	var missing []ChunkRef
 	seen := map[string]bool{} // a manifest can reference one sum many times
@@ -58,13 +58,13 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 			continue
 		}
 		seen[c.Sum] = true
-		if _, ok := tx.probe(c.Sum, nil); ok {
+		if _, ok := dst.chunkPresent(c.Sum); ok {
 			st.ChunksSkipped++
 			continue
 		}
 		missing = append(missing, c)
 	}
-	src := f.openRead(clock, missing, true).(*fleetRead)
+	src := f.newRead(clock, missing, true)
 	defer src.close()
 	for _, c := range missing {
 		// The stored (compressed) representation moves verbatim; content
@@ -74,13 +74,13 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 			return fail(err)
 		}
 		clock.Advance(nic.Transfer(int64(len(blob))))
-		if _, err := tx.stage(clock, c.Sum, blob); err != nil {
+		if _, err := dst.stage(clock, c.Sum, blob); err != nil {
 			return fail(err)
 		}
 		st.ChunksCopied++
 		st.BytesCopied += int64(len(blob))
 	}
-	if _, err := tx.flush(clock); err != nil {
+	if _, err := dst.flush(clock); err != nil {
 		return fail(err)
 	}
 	frame, err := encodeManifest(man)
@@ -88,7 +88,7 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 		return man, st, err
 	}
 	clock.Advance(nic.Transfer(int64(len(frame))))
-	if _, err := tx.commit(clock, man, frame); err != nil {
+	if _, err := dst.publishManifest(clock, man.Job, man.Seq, frame); err != nil {
 		return fail(err)
 	}
 	st.Time = sw.Elapsed()

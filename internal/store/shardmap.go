@@ -66,11 +66,6 @@ func newShardMap(names []string) (*ShardMap, error) {
 	return m, nil
 }
 
-// Nodes reports the node names, sorted.
-func (m *ShardMap) Nodes() []string {
-	return append([]string(nil), m.names...)
-}
-
 // Place returns the names of the count distinct nodes holding shards
 // 0..count-1 of the chunk at address sum: walk the ring clockwise from
 // the chunk's hash, taking each node the first time it appears. count

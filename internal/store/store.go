@@ -57,8 +57,6 @@ type fleetNode struct {
 	// fleet opens is scanned when it first serves.
 	recs    map[recKey]recLoc
 	indexed bool
-	// wbuf stages the records a Put sends this node; guarded by Fleet.mu.
-	wbuf packBuf
 }
 
 func newNode(name string, fs *proc.FS, prefix string, remote bool) *fleetNode {

@@ -74,8 +74,8 @@ go test -run Fault -count=5 -race ./internal/...
 # under the race detector, and the store CLI must stay clean both fault-free
 # and under a seeded disk fault plan; what the two CLI runs print is pinned
 # by TestStoreFleetGolden (tier-1). The backend conformance table (one
-# engine, every geometry), the nonsense-manifest rows and the store golden
-# ride along by name.
+# store type, every geometry), the nonsense-manifest rows and the store
+# golden ride along by name.
 go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden' -count=3 -race \
     ./internal/proc/ ./internal/store/ ./internal/core/ ./internal/mpi/
 go run ./cmd/checl-inspect store fsck >/dev/null
