@@ -174,7 +174,7 @@ func main() {
 	fmt.Printf("checkpoint %s (%s mode, %s filesystem)\n", st.Path, c.Options().Mode, st.FSName)
 	fmt.Printf("  file size:     %.3f MB\n", float64(st.FileSize)/1e6)
 	fmt.Printf("  staged:        %d buffers, %.3f MB device data\n",
-		st.StagedBuffers, float64(st.StagedBytes)/1e6)
+		st.DirtyBuffers, float64(st.DirtyBytes)/1e6)
 	printDrain(st)
 	fmt.Printf("  phases:        sync %s | preprocess %s | write %s | postprocess %s\n",
 		st.Phases.Sync, st.Phases.Preprocess, st.Phases.Write, st.Phases.Postprocess)

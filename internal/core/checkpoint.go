@@ -33,12 +33,10 @@ func (p PhaseTimes) Total() vtime.Duration {
 
 // CheckpointStats describes one completed checkpoint.
 type CheckpointStats struct {
-	Phases        PhaseTimes
-	FileSize      int64
-	Path          string
-	FSName        string
-	StagedBuffers int
-	StagedBytes   int64
+	Phases   PhaseTimes
+	FileSize int64
+	Path     string
+	FSName   string
 
 	// Incremental breakdown: dirty buffers were re-staged from the
 	// device, clean buffers kept their previous staged copy (and, for
@@ -97,12 +95,11 @@ func (e *BackgroundWriteError) Error() string {
 
 func (e *BackgroundWriteError) Unwrap() error { return e.Err }
 
-// bgWrite tracks one overlapped store write. The goroutine runs the Put
-// against a scratch clock; the barrier charges the portion of its virtual
-// duration that application progress did not already cover.
+// bgWrite is one overlapped store write: the Put ran on a scratch clock, and
+// the barrier charges the portion of its virtual duration that application
+// progress did not already cover.
 type bgWrite struct {
 	job       string
-	done      chan struct{}
 	startedAt vtime.Time     // application clock when the write launched
 	dur       vtime.Duration // virtual duration of the Put
 	man       string
@@ -131,13 +128,8 @@ func (c *CheCL) Checkpoint(fs *proc.FS, path string) (CheckpointStats, error) {
 // CheckpointToStore is Checkpoint with the content-addressed store as the
 // destination: phase 3 hands the image to the store, which chunks it and
 // writes only what previous checkpoints (of any job) have not already
-// stored. The configured Backend must support store checkpoints (both
-// simulated backends do).
+// stored.
 func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats, error) {
-	sb, ok := c.opts.Backend.(cpr.StoreBackend)
-	if !ok {
-		return CheckpointStats{}, fmt.Errorf("checl: backend %s cannot checkpoint to a store", c.opts.Backend.Name())
-	}
 	stats := CheckpointStats{Path: job, FSName: st.Name()}
 	// Barrier on a previous overlapped write: the new generation dedups
 	// against its parent, so the parent must be committed first. If it
@@ -150,9 +142,9 @@ func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats
 	}
 	err := c.runCheckpoint(&stats, func(clean map[string]bool) (int64, error) {
 		if c.opts.Mode == Delayed && !c.opts.Destructive {
-			return c.startBackgroundPut(sb, st, job, clean, &stats)
+			return c.startBackgroundPut(st, job, clean, &stats)
 		}
-		wst, put, err := sb.CheckpointToStoreIncremental(c.app, st, job, clean)
+		wst, put, err := c.opts.Backend.CheckpointToStoreIncremental(c.app, st, job, clean)
 		if err != nil {
 			return 0, err
 		}
@@ -163,48 +155,42 @@ func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats
 	return stats, err
 }
 
-// startBackgroundPut snapshots the process image synchronously and hands
-// the chunk/compress/write pipeline to a background goroutine against a
-// scratch clock, releasing the application immediately. The barrier
-// (WaitBackgroundWrite) charges whatever portion of the write the
-// application's own progress did not hide.
-func (c *CheCL) startBackgroundPut(sb cpr.StoreBackend, st store.Backend, job string, clean map[string]bool, stats *CheckpointStats) (int64, error) {
-	segs, size, err := cpr.SnapshotStoreImage(sb, c.app, clean)
+// startBackgroundPut writes the image on a scratch clock of its own, over
+// views of the stopped process's regions, and releases the application
+// without charging it: the write goes behind in virtual time only. The
+// barrier (WaitBackgroundWrite) charges whatever portion of the write the
+// application's own progress did not hide. The Put has read the views
+// before this returns, so nothing of the image is copied for it.
+func (c *CheCL) startBackgroundPut(st store.Backend, job string, clean map[string]bool, stats *CheckpointStats) (int64, error) {
+	segs, size, err := cpr.StoreImage(c.opts.Backend, c.app, clean)
 	if err != nil {
 		return 0, err
 	}
-	bg := &bgWrite{job: job, done: make(chan struct{}), startedAt: c.app.Clock().Now()}
+	bg := &bgWrite{job: job, startedAt: c.app.Clock().Now()}
+	scratch := vtime.NewClock()
+	sw := vtime.NewStopwatch(scratch)
+	_, put, err := st.PutSegmented(scratch, job, nil, segs)
+	bg.dur, bg.err = sw.Elapsed(), err
+	if err == nil {
+		bg.man, bg.put = put.Manifest, &put
+	}
 	c.bg = bg
-	go func() {
-		defer close(bg.done)
-		scratch := vtime.NewClock()
-		sw := vtime.NewStopwatch(scratch)
-		_, put, err := st.PutSegmented(scratch, job, nil, segs)
-		bg.dur = sw.Elapsed()
-		if err != nil {
-			bg.err = err
-			return
-		}
-		bg.man = put.Manifest
-		bg.put = &put
-	}()
 	stats.BackgroundWrite = true
 	return size, nil
 }
 
-// WaitBackgroundWrite barriers on an in-flight overlapped store write:
-// it blocks until the write lands, charges the non-hidden remainder of
-// its virtual duration to the application clock, retro-fills the last
-// checkpoint's Manifest/StorePut/Overlap (visible via LastCheckpoint),
-// and returns the write's failure, if any, as a *BackgroundWriteError.
-// It is a no-op when no write is in flight.
+// WaitBackgroundWrite barriers on an overlapped store write: it charges
+// the non-hidden remainder of the write's virtual duration to the
+// application clock, retro-fills the last checkpoint's
+// Manifest/StorePut/Overlap (visible via LastCheckpoint), and returns the
+// write's failure, if any, as a *BackgroundWriteError. It is a no-op when
+// no write is outstanding.
 func (c *CheCL) WaitBackgroundWrite() error {
 	bg := c.bg
 	if bg == nil {
 		return nil
 	}
 	c.bg = nil
-	<-bg.done
 	hidden := c.barrier("write-barrier", bg.startedAt, bg.dur)
 	if bg.err != nil {
 		return &BackgroundWriteError{Job: bg.job, Err: bg.err}
@@ -342,7 +328,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	// stable CheCL handle, so unchanged buffers land in identical store
 	// segments across generations — and let the dump function
 	// (conventional CPR backend or checkpoint store) persist the image.
-	blob, err := c.db.encodeStripped()
+	blob, err := c.db.encode()
 	if err != nil {
 		return err
 	}
@@ -374,16 +360,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	if c.opts.Destructive {
 		// CheCUDA-style recreation of everything that was torn down,
 		// using the staged copies before they are dropped.
-		vendor, verr := selectVendor(c.app.Node(), c.opts.VendorName)
-		if verr != nil {
-			return verr
-		}
-		px, perr := proxy.SpawnWithOptions(c.app, vendor, c.spawnOpts())
-		if perr != nil {
-			return perr
-		}
-		c.px = px
-		if _, err := c.rebindAll(); err != nil {
+		if _, err := c.respawn(); err != nil {
 			return fmt.Errorf("checl: destructive postprocess: %w", err)
 		}
 	}
@@ -409,8 +386,6 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 // staged counts one buffer whose bytes this checkpoint (re-)staged.
 func (s *CheckpointStats) staged(m *memRec) {
 	m.Dirty = false
-	s.StagedBuffers++
-	s.StagedBytes += m.Size
 	s.DirtyBuffers++
 	s.DirtyBytes += m.Size
 }
@@ -617,9 +592,9 @@ type RestartStats struct {
 	ReadTime  vtime.Duration // checkpoint image read, start to end
 	// ReadWait is the time the restart stood still waiting for bytes of the
 	// image: all of ReadTime for an image that arrives in one piece (a flat
-	// file, an unsegmented store checkpoint), otherwise the wait for the
-	// image's head and object database, for each buffer's region where the
-	// upload got ahead of the read, and for the read's end.
+	// file), otherwise the wait for the image's head and object database,
+	// for each buffer's region where the upload got ahead of the read, and
+	// for the read's end.
 	ReadWait vtime.Duration
 	Total    vtime.Duration
 	// Degraded is non-nil when a store restore could not use the newest
@@ -669,11 +644,7 @@ func RestoreImage(node *proc.Node, image []byte, opts Options) (*CheCL, RestartS
 // always learns exactly what was lost, never gets a wrong payload.
 func RestoreFromStore(node *proc.Node, st store.Backend, ref string, opts Options) (*CheCL, RestartStats, error) {
 	return restore(node, ref, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
-		sb, ok := b.(cpr.StoreBackend)
-		if !ok {
-			return nil, 0, nil, fmt.Errorf("backend %s cannot restart from a store", b.Name())
-		}
-		app, rst, deg, err := sb.RestartFromStore(node, st, ref)
+		app, rst, deg, err := b.RestartFromStore(node, st, ref)
 		return app, rst.Time, deg, err
 	})
 }
@@ -739,10 +710,8 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	}
 	app.RemoveRegion(dbRegion)
 
-	// Reattach per-buffer regions (stripped-database format): each staged
-	// buffer travelled as its own region so store checkpoints could dedup
-	// it segment-wise. Old images carry the data inline in the database
-	// blob and have no such regions — both decode correctly here. The region
+	// Reattach per-buffer regions: each staged buffer travelled as its own
+	// region so store checkpoints could dedup it segment-wise. The region
 	// is the buffer's staging copy from here on: the process gives it up
 	// once the upload has waited for it, and nothing else refers to those
 	// bytes of the restored image.
@@ -753,19 +722,8 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 		}
 	}
 
-	vendor, err := selectVendor(node, opts.VendorName)
-	if err != nil {
-		return nil, err
-	}
 	c := &CheCL{app: app, opts: opts, db: db}
-	fork := vtime.NewStopwatch(node.Clock)
-	px, err := proxy.SpawnWithOptions(app, vendor, c.spawnOpts())
-	if err != nil {
-		return nil, err
-	}
-	stats.PerClass["proxy"] = fork.Elapsed()
-	c.px = px
-	rs, err := c.rebindAll()
+	rs, err := c.respawn()
 	if err != nil {
 		return nil, err
 	}
@@ -778,6 +736,28 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	stats.Recompile = rs.Recompile
 	stats.ReadWait += rs.ReadWait
 	return c, nil
+}
+
+// respawn forks a fresh API proxy for the application and rebinds every
+// object in the database onto it: a restart's rebuild, a failover and the
+// destructive postprocess all end this way. The fork is the "proxy" step of
+// the returned stats.
+func (c *CheCL) respawn() (RestartStats, error) {
+	vendor, err := selectVendor(c.app.Node(), c.opts.VendorName)
+	if err != nil {
+		return RestartStats{}, err
+	}
+	fork := vtime.NewStopwatch(c.app.Clock())
+	px, err := proxy.SpawnWithOptions(c.app, vendor, c.spawnOpts())
+	if err != nil {
+		return RestartStats{}, err
+	}
+	forked := fork.Elapsed()
+	c.px = px
+	rs, err := c.rebindAll()
+	rs.PerClass["proxy"] = forked
+	rs.Total += forked
+	return rs, err
 }
 
 // rebindAll recreates every object in the database via the current proxy,

@@ -30,7 +30,7 @@ const (
 	// (BeginCheckpointEpoch) drains the dirty set while the application
 	// keeps running, and the checkpoint commits it. After the copy phase
 	// of a non-destructive store checkpoint the application is released
-	// and the chunk/compress/write pipeline runs behind it; the next
+	// and the chunk/compress/write pipeline's time runs behind it; the next
 	// checkpoint (or WaitBackgroundWrite) barriers on that write, and a
 	// failed one is surfaced as CheckpointStats.BackgroundErr on the next
 	// checkpoint, which then re-stages every buffer.
@@ -1241,7 +1241,7 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 		// The ShadowFull per-launch readbacks ride the same frame as the
 		// launch; their data is copied into the shadows at the flush.
 		readbacks := 0
-		if c.opts.Shadow == ShadowFull {
+		if c.shadowOn() {
 			readbacks = len(written)
 		}
 		if err := c.reserve(1+readbacks, 0); err != nil {

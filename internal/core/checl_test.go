@@ -203,14 +203,14 @@ func TestCheckpointPhases(t *testing.T) {
 	if st.Phases.Sync <= 0 {
 		t.Error("sync phase should be non-zero with an in-flight kernel")
 	}
-	if st.StagedBuffers != 3 || st.StagedBytes != 3*4<<16 {
-		t.Errorf("staged = %d buffers / %d bytes", st.StagedBuffers, st.StagedBytes)
+	if st.DirtyBuffers != 3 || st.DirtyBytes != 3*4<<16 {
+		t.Errorf("staged = %d buffers / %d bytes", st.DirtyBuffers, st.DirtyBytes)
 	}
 	if st.Phases.Preprocess <= 0 {
 		t.Error("preprocess (DtoH staging) should cost time")
 	}
-	if st.FileSize < st.StagedBytes {
-		t.Errorf("file size %d should include the %d staged bytes", st.FileSize, st.StagedBytes)
+	if st.FileSize < st.DirtyBytes {
+		t.Errorf("file size %d should include the %d staged bytes", st.FileSize, st.DirtyBytes)
 	}
 	if st.Phases.Write <= 0 {
 		t.Error("write phase should cost time")
@@ -388,16 +388,16 @@ func TestIncrementalCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.StagedBuffers != 3 {
-		t.Fatalf("first checkpoint staged %d buffers, want 3", st1.StagedBuffers)
+	if st1.DirtyBuffers != 3 {
+		t.Fatalf("first checkpoint staged %d buffers, want 3", st1.DirtyBuffers)
 	}
 	// No kernel ran since: nothing is dirty, nothing is re-staged.
 	st2, err := c.Checkpoint(node.LocalDisk, "inc2.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.StagedBuffers != 0 {
-		t.Errorf("second checkpoint staged %d buffers, want 0", st2.StagedBuffers)
+	if st2.DirtyBuffers != 0 {
+		t.Errorf("second checkpoint staged %d buffers, want 0", st2.DirtyBuffers)
 	}
 	if !(st2.Phases.Preprocess < st1.Phases.Preprocess) {
 		t.Errorf("incremental preprocess (%v) should beat full (%v)", st2.Phases.Preprocess, st1.Phases.Preprocess)
@@ -410,8 +410,8 @@ func TestIncrementalCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.StagedBuffers != 1 {
-		t.Errorf("third checkpoint staged %d buffers, want 1 (only the written one)", st3.StagedBuffers)
+	if st3.DirtyBuffers != 1 {
+		t.Errorf("third checkpoint staged %d buffers, want 1 (only the written one)", st3.DirtyBuffers)
 	}
 	// Restore from the incremental checkpoint still yields correct data.
 	c.Proxy().Kill()

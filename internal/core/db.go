@@ -456,17 +456,12 @@ type snapshot struct {
 	Events    []eventRec
 }
 
-// encode serialises the database, staged buffer contents included.
-func (db *database) encode() ([]byte, error) { return db.encodeWith(false) }
-
-// encodeStripped serialises the database with every mem record's staged
-// Data nil'd out: the dump path stores each buffer's bytes as its own
-// process memory region (one store segment per buffer), so the contents
-// must not also ride inside the database blob — that would defeat the
-// per-buffer clean-segment reuse and double the image size.
-func (db *database) encodeStripped() ([]byte, error) { return db.encodeWith(true) }
-
-func (db *database) encodeWith(stripData bool) ([]byte, error) {
+// encode serialises the database with every mem record's staged Data
+// left out: the dump path stores each buffer's bytes as its own process
+// memory region (one store segment per buffer), so the contents must not
+// also ride inside the database blob — that would defeat the per-buffer
+// clean-segment reuse and double the image size.
+func (db *database) encode() ([]byte, error) {
 	var s snapshot
 	s.Seq = db.seq
 	s.Platforms = derefAll(orderedVals(db.platforms, func(r *platformRec) uint64 { return r.Seq }))
@@ -475,9 +470,7 @@ func (db *database) encodeWith(stripData bool) ([]byte, error) {
 	s.Queues = derefAll(db.orderedQueues())
 	s.Mems = derefAll(db.orderedMems())
 	for i := range s.Mems {
-		if stripData {
-			s.Mems[i].Data = nil
-		}
+		s.Mems[i].Data = nil
 	}
 	s.Samplers = derefAll(db.orderedSamplers())
 	s.Programs = derefAll(db.orderedPrograms())

@@ -8,18 +8,16 @@ import (
 )
 
 // EpochState is the phase of the speculative checkpoint epoch state
-// machine: Idle → Speculating → Validating → Committing → Idle. The
-// transitions are driven by BeginCheckpointEpoch (Idle → Speculating) and
-// the checkpoint commit inside runCheckpoint (Speculating → Validating →
-// Committing → Idle); abortEpoch collapses any state back to Idle.
+// machine: Idle → Speculating → Idle. BeginCheckpointEpoch opens an epoch
+// (Idle → Speculating); the checkpoint commit inside runCheckpoint, which
+// validates and re-copies before it returns, and abortEpoch close it
+// (Speculating → Idle).
 type EpochState int
 
 // Epoch states.
 const (
 	EpochIdle EpochState = iota
 	EpochSpeculating
-	EpochValidating
-	EpochCommitting
 )
 
 // String names the state for diagnostics.
@@ -29,10 +27,6 @@ func (s EpochState) String() string {
 		return "Idle"
 	case EpochSpeculating:
 		return "Speculating"
-	case EpochValidating:
-		return "Validating"
-	case EpochCommitting:
-		return "Committing"
 	default:
 		return fmt.Sprintf("EpochState(%d)", int(s))
 	}
@@ -58,7 +52,6 @@ type specEntry struct {
 // those copies.
 type specEpoch struct {
 	id      uint64
-	state   EpochState
 	began   vtime.Time     // application clock at epoch begin
 	copyEnd vtime.Time     // modelled completion of the overlapped drain
 	submit  vtime.Duration // app-visible cost of launching the epoch
@@ -70,7 +63,7 @@ func (c *CheCL) EpochState() EpochState {
 	if c.epoch == nil {
 		return EpochIdle
 	}
-	return c.epoch.state
+	return EpochSpeculating
 }
 
 // Stall exposes the cumulative checkpoint-induced stall accounting:
@@ -105,7 +98,6 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 
 	ep := &specEpoch{
 		id:      c.epochSeq + 1,
-		state:   EpochSpeculating,
 		began:   clock.Now(),
 		entries: map[Handle]*specEntry{},
 	}
@@ -146,7 +138,7 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 // m.Dirty. Cheap no-op outside an epoch.
 func (c *CheCL) epochTouch(m *memRec) {
 	ep := c.epoch
-	if ep == nil || ep.state != EpochSpeculating {
+	if ep == nil {
 		return
 	}
 	if ent, ok := ep.entries[m.H]; ok {
@@ -195,7 +187,6 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 	// Barrier on the overlapped drain: if the application ran past the
 	// copies' completion horizon the whole drain was hidden and nothing is
 	// charged.
-	ep.state = EpochValidating
 	stats.Overlap += c.barrier("spec-wait", ep.began, ep.copyEnd.Sub(ep.began))
 
 	// Validation: deterministic (Seq) order, stale entries flagged by the
@@ -221,7 +212,6 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 	// after maxSpecRetries passes the ladder ends with the pass it just
 	// ran — the queues are quiesced, making that pass a short stop-drain
 	// that is final by construction. Never unbounded.
-	ep.state = EpochCommitting
 	for pass := 1; len(violated) > 0; pass++ {
 		for _, ent := range violated {
 			ent.violated = false
@@ -250,7 +240,6 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 			}
 		}
 	}
-	ep.state = EpochIdle
 	c.stall.Add("spec-commit", sw.Elapsed())
 	return ep.entries, nil
 }

@@ -131,7 +131,9 @@ func TestRepeatedCheckpointRestartCycles(t *testing.T) {
 }
 
 // TestDatabaseSnapshotRoundtripProperty: encoding and decoding the object
-// database preserves every record, for randomised object populations.
+// database preserves every record, for randomised object populations —
+// except the buffers' staged bytes, which a checkpoint stores as regions of
+// their own and the database never carries.
 func TestDatabaseSnapshotRoundtripProperty(t *testing.T) {
 	f := func(nCtx, nMem, nProg uint8, payload []byte) bool {
 		db := newDatabase()
@@ -178,7 +180,7 @@ func TestDatabaseSnapshotRoundtripProperty(t *testing.T) {
 		}
 		for h, m := range db.mems {
 			bm, ok := back.mems[h]
-			if !ok || bm.Size != m.Size || bm.Dirty != m.Dirty || len(bm.Data) != len(m.Data) {
+			if !ok || bm.Size != m.Size || bm.Dirty != m.Dirty || bm.Data != nil {
 				return false
 			}
 		}
@@ -227,8 +229,8 @@ func TestCheckpointBufferWithoutQueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint without a queue: %v", err)
 	}
-	if st.StagedBuffers != 1 {
-		t.Errorf("staged = %d", st.StagedBuffers)
+	if st.DirtyBuffers != 1 {
+		t.Errorf("staged = %d", st.DirtyBuffers)
 	}
 }
 

@@ -31,26 +31,18 @@ const (
 	// ShadowNone keeps no copies: a failover recreates buffers zeroed
 	// (or from the last checkpoint's staged data, if still held).
 	ShadowNone ShadowPolicy = iota
-	// ShadowWrites mirrors host-visible transfers only: EnqueueWrite/
-	// CopyBuffer update the shadow, kernel writes are not read back. A
-	// failover restores the last host-written state; kernel results since
-	// then are lost.
-	ShadowWrites
-	// ShadowFull additionally reads back every buffer a kernel may have
-	// written after each launch, so a failover loses nothing. This is the
+	// ShadowFull mirrors host-visible transfers (EnqueueWrite/CopyBuffer)
+	// into the shadow and reads back every buffer a kernel may have written
+	// after each launch, so a failover loses nothing. This is the
 	// expensive, fully-transparent arm of the proxy-crash ablation.
 	ShadowFull
 )
 
 func (p ShadowPolicy) String() string {
-	switch p {
-	case ShadowWrites:
-		return "shadow-writes"
-	case ShadowFull:
+	if p == ShadowFull {
 		return "shadow-full"
-	default:
-		return "shadow-none"
 	}
+	return "shadow-none"
 }
 
 // FailoverStats counts proxy failovers and their cost.
@@ -68,8 +60,8 @@ func (c *CheCL) FailoverStats() FailoverStats { return c.fstats }
 // may trigger before the error surfaces.
 const maxFailoverAttempts = 3
 
-// shadowOn reports whether any shadow-buffer policy is active.
-func (c *CheCL) shadowOn() bool { return c.opts.Shadow != ShadowNone }
+// shadowOn reports whether the shadow-buffer policy is active.
+func (c *CheCL) shadowOn() bool { return c.opts.Shadow == ShadowFull }
 
 // spawnOpts translates the attachment options into proxy spawn options.
 func (c *CheCL) spawnOpts() proxy.SpawnOpts {
@@ -130,22 +122,13 @@ func (c *CheCL) failover() error {
 
 	sw := vtime.NewStopwatch(c.app.Clock())
 	c.px.Kill()
-	vendor, err := selectVendor(c.app.Node(), c.opts.VendorName)
-	if err != nil {
-		return err
-	}
-	px, err := proxy.SpawnWithOptions(c.app, vendor, c.spawnOpts())
-	if err != nil {
-		return err
-	}
-	c.px = px
-	if _, err := c.rebindAll(); err != nil {
+	if _, err := c.respawn(); err != nil {
 		return fmt.Errorf("rebinding %d objects: %w", c.db.liveObjects(), err)
 	}
 
 	recovery := sw.Elapsed()
 	c.fstats.Failovers++
-	c.fstats.ReplayedCalls += px.Client.Stats().Calls
+	c.fstats.ReplayedCalls += c.px.Client.Stats().Calls
 	c.fstats.LastRecovery = recovery
 	c.fstats.TotalRecovery += recovery
 	return nil
@@ -196,10 +179,10 @@ func (c *CheCL) shadowCopy(src, dst *memRec, srcOff, dstOff, size int64) {
 }
 
 // shadowReadback refreshes the shadows of every buffer a kernel launch
-// may have written. Only the ShadowFull policy pays this per-launch
-// device-to-host traffic; it is what makes failover lossless.
+// may have written. This per-launch device-to-host traffic is what makes
+// failover lossless.
 func (c *CheCL) shadowReadback(api *proxy.Client, qrec *queueRec, mems []*memRec) error {
-	if c.opts.Shadow != ShadowFull {
+	if !c.shadowOn() {
 		return nil
 	}
 	for _, m := range mems {

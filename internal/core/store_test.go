@@ -61,8 +61,8 @@ func TestStoreCheckpointIncrementalDedup(t *testing.T) {
 		t.Errorf("unmodified 2nd checkpoint uploaded %d new bytes, 1st uploaded %d — dedup below 50%%",
 			st2.StorePut.NewBytes, st1.StorePut.NewBytes)
 	}
-	if st2.StagedBuffers != 0 {
-		t.Errorf("unmodified checkpoint restaged %d buffers", st2.StagedBuffers)
+	if st2.DirtyBuffers != 0 {
+		t.Errorf("unmodified checkpoint restaged %d buffers", st2.DirtyBuffers)
 	}
 
 	// Run `scale` over the output buffer: exactly one buffer is dirty, so
@@ -94,8 +94,8 @@ func TestStoreCheckpointIncrementalDedup(t *testing.T) {
 			st3.StorePut.NewBytes, st1.StorePut.NewBytes)
 	}
 	// Only the dirty buffer was re-staged under incremental mode.
-	if st3.StagedBuffers != 1 {
-		t.Errorf("restaged %d buffers, want 1 (only the scaled output)", st3.StagedBuffers)
+	if st3.DirtyBuffers != 1 {
+		t.Errorf("restaged %d buffers, want 1 (only the scaled output)", st3.DirtyBuffers)
 	}
 
 	// Restore from the second checkpoint and compare every buffer

@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"checl/internal/proc"
+	"checl/internal/store"
 	"checl/internal/vtime"
 )
 
@@ -40,7 +41,9 @@ type Stats struct {
 	Time  vtime.Duration // virtual time spent writing or reading the file
 }
 
-// Backend is a conventional CPR system.
+// Backend is a conventional CPR system. It dumps a process's memory image
+// to a flat file or into a content-addressed checkpoint store, and restarts
+// from either.
 type Backend interface {
 	// Name identifies the backend ("blcr", "dmtcp").
 	Name() string
@@ -48,6 +51,23 @@ type Backend interface {
 	Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error)
 	// Restart re-creates a process on node n from the file at path.
 	Restart(n *proc.Node, fs *proc.FS, path string) (*proc.Process, Stats, error)
+	// CheckpointToStoreIncremental dumps p's memory image into st under
+	// job, one store segment per region, deduplicating against the job's
+	// earlier checkpoints (and any other job's chunks). Regions whose names
+	// map to true in clean are asserted byte-identical to the job's previous
+	// checkpoint, and the store reuses that generation's chunk refs for them
+	// instead of re-chunking (store.PutSegmented); a nil map marks none
+	// clean. The same eligibility rules as Checkpoint apply.
+	CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error)
+	// RestartFromStore re-creates a process on node n from a store
+	// checkpoint. ref is a manifest ID ("job@seq") or a bare job name (its
+	// latest checkpoint). When the newest generation cannot be restored —
+	// corrupt past healing, or not a decodable image — the restart walks
+	// the generation chain to the newest one that can, and the returned
+	// *store.DegradedRestore reports what was skipped; it is nil for a clean
+	// restore of the newest generation. When no generation restores at all
+	// the DegradedRestore is also the error.
+	RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error)
 }
 
 // On-disk image framing. Every checkpoint file starts with a fixed
@@ -221,8 +241,14 @@ func (BLCR) Name() string { return "blcr" }
 
 // Checkpoint implements Backend. It fails with ErrDeviceMapped when the
 // target process has device mappings in its address space.
-func (BLCR) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error) {
-	if err := checkpointable("blcr", p, false); err != nil {
+func (b BLCR) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error) {
+	return checkpointToFile(b, p, fs, path)
+}
+
+// checkpointToFile is the shared flat-file dump: the image is encoded as
+// one buffer and written to path on p's clock.
+func checkpointToFile(b Backend, p *proc.Process, fs *proc.FS, path string) (Stats, error) {
+	if err := checkpointable(b, p); err != nil {
 		return Stats{}, err
 	}
 	data := encodeImage(Image{ProcessName: p.Name, Regions: p.RegionViews()})
@@ -280,17 +306,8 @@ func (DMTCP) Name() string { return "dmtcp" }
 // Checkpoint implements Backend. DMTCP walks the process tree: a live
 // child with device mappings (the API proxy) makes the checkpoint fail,
 // reproducing the §V observation. Killing the proxy first makes it work.
-func (DMTCP) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error) {
-	if err := checkpointable("dmtcp", p, true); err != nil {
-		return Stats{}, err
-	}
-	data := encodeImage(Image{ProcessName: p.Name, Regions: p.RegionViews()})
-	clock := p.Clock()
-	sw := vtime.NewStopwatch(clock)
-	if err := fs.WriteFile(clock, path, data); err != nil {
-		return Stats{}, err
-	}
-	return Stats{Bytes: int64(len(data)), Time: sw.Elapsed()}, nil
+func (d DMTCP) Checkpoint(p *proc.Process, fs *proc.FS, path string) (Stats, error) {
+	return checkpointToFile(d, p, fs, path)
 }
 
 // Restart implements Backend.

@@ -9,38 +9,16 @@ import (
 	"checl/internal/vtime"
 )
 
-// StoreBackend is a Backend that can also checkpoint into and restart
-// from a content-addressed checkpoint store. Both simulated backends
-// implement it; the flat-file Backend methods remain for the baseline
-// (non-deduplicated) path the ablations compare against.
-type StoreBackend interface {
-	Backend
-	// CheckpointToStore dumps p's memory image into st under job,
-	// deduplicating against the job's earlier checkpoints (and any other
-	// job's chunks). The same eligibility rules as Checkpoint apply.
-	CheckpointToStore(p *proc.Process, st store.Backend, job string) (Stats, *store.PutStats, error)
-	// CheckpointToStoreIncremental is CheckpointToStore with clean-region
-	// hints: regions whose names map to true in clean are asserted
-	// byte-identical to the job's previous checkpoint, and the store
-	// reuses that generation's chunk refs for them instead of re-chunking
-	// (store.PutSegmented). A nil map selects the legacy unsegmented
-	// encoding, byte-identical to CheckpointToStore.
-	CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error)
-	// RestartFromStore re-creates a process on node n from a store
-	// checkpoint. ref is a manifest ID ("job@seq") or a bare job name
-	// (its latest checkpoint). When the newest generation cannot be
-	// restored — corrupt past healing, or not a decodable image — the
-	// restart walks the generation chain to the newest one that can, and
-	// the returned *store.DegradedRestore reports what was skipped; it is
-	// nil for a clean restore of the newest generation. When no
-	// generation restores at all the DegradedRestore is also the error.
-	RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error)
-}
+// StoreBackend is Backend: every backend checkpoints into and restarts from
+// a store. The name stays for callers that spell out that they use the
+// store methods.
+type StoreBackend = Backend
 
-// checkpointable reports the same eligibility the flat-file Checkpoint
-// paths enforce: backend "blcr" refuses a device-mapped process,
-// "dmtcp" refuses a device mapping anywhere in the process tree.
-func checkpointable(backend string, p *proc.Process, tree bool) error {
+// checkpointable reports the eligibility every dump of b enforces, to a
+// file or a store: BLCR refuses a device-mapped process, DMTCP a device
+// mapping anywhere in the process tree.
+func checkpointable(b Backend, p *proc.Process) error {
+	backend, tree := b.Name(), b.Name() == "dmtcp"
 	if !p.Alive() {
 		return fmt.Errorf("%s: process %d (%s) is not running", backend, p.PID, p.Name)
 	}
@@ -66,20 +44,20 @@ func checkpointable(backend string, p *proc.Process, tree bool) error {
 // those to the store, which chunks, deduplicates, compresses and journals
 // them. The image is never built: the views are valid until p next runs,
 // and the Put is over before that.
-func checkpointToStore(backend string, p *proc.Process, st store.Backend, job string, tree bool, clean map[string]bool) (Stats, *store.PutStats, error) {
-	if err := checkpointable(backend, p, tree); err != nil {
+func checkpointToStore(b Backend, p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error) {
+	segs, size, err := StoreImage(b, p, clean)
+	if err != nil {
 		return Stats{}, nil, err
 	}
-	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: p.RegionViews()}, clean)
 	_, put, err := st.PutSegmented(p.Clock(), job, nil, segs)
 	if err != nil {
-		return Stats{}, nil, fmt.Errorf("%s: checkpoint to store: %w", backend, err)
+		return Stats{}, nil, fmt.Errorf("%s: checkpoint to store: %w", b.Name(), err)
 	}
 	return Stats{Bytes: size, Time: put.Time}, &put, nil
 }
 
-// The segments of a segmented image: the head, then regionSegment+<name>
-// per region.
+// The segments of a store image: the head, then regionSegment+<name> per
+// region.
 const (
 	headSegment   = "_head"
 	regionSegment = "region/"
@@ -87,23 +65,14 @@ const (
 
 // storeSegments derives the store segments of an image's deterministic
 // encoding, each carrying its bytes by reference (store.Segment.Data), and
-// the encoding's length. A non-nil clean map selects the segmented form: a
-// "_head" segment covering the frame header, process name, app state and
-// region count (always dirty — the header checksum changes whenever
-// anything does), then one "region/<name>" segment per region in the
-// encoder's sorted order, so unchanged regions reuse the parent
-// generation's chunk refs. Regions whose names map to true in clean are
-// marked Clean. A nil map selects the legacy unsegmented form: the same
-// bytes as one anonymous segment.
+// the encoding's length: a "_head" segment covering the frame header,
+// process name, app state and region count (always dirty — the header
+// checksum changes whenever anything does), then one "region/<name>"
+// segment per region in the encoder's sorted order, so unchanged regions
+// reuse the parent generation's chunk refs. Regions whose names map to true
+// in clean are marked Clean; a nil map marks none.
 func storeSegments(img Image, clean map[string]bool) ([]store.Segment, int64) {
 	lay := layoutImage(img)
-	if clean == nil {
-		whole := store.Segment{Len: lay.size, Data: [][]byte{lay.head}}
-		for _, r := range lay.regions {
-			whole.Data = append(whole.Data, r.prefix, r.data)
-		}
-		return []store.Segment{whole}, lay.size
-	}
 	off := int64(len(lay.head))
 	segs := []store.Segment{{Name: headSegment, Len: off, Data: [][]byte{lay.head}}}
 	for _, r := range lay.regions {
@@ -117,39 +86,28 @@ func storeSegments(img Image, clean map[string]bool) ([]store.Segment, int64) {
 	return segs, lay.size
 }
 
-// SnapshotStoreImage copies p's memory image and derives its store
-// segments over the copy without writing anything to a store: the
-// overlapped checkpoint path snapshots the process synchronously, releases
-// the application, and hands the segments to a background PutSegmented
-// (with a nil payload). This copy is the only one the path makes. Also
-// returns the image's encoded length.
-func SnapshotStoreImage(b Backend, p *proc.Process, clean map[string]bool) ([]store.Segment, int64, error) {
-	tree := b.Name() == "dmtcp"
-	if err := checkpointable(b.Name(), p, tree); err != nil {
+// StoreImage checks that backend b may checkpoint p and derives the store
+// segments of p's image over views of its regions, without writing
+// anything to a store: what CheckpointToStoreIncremental hands the store,
+// for a caller that runs the PutSegmented (with a nil payload) on a clock
+// of its own. The views are valid until p next runs. Also returns the
+// image's encoded length.
+func StoreImage(b Backend, p *proc.Process, clean map[string]bool) ([]store.Segment, int64, error) {
+	if err := checkpointable(b, p); err != nil {
 		return nil, 0, err
 	}
-	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: p.SnapshotRegions()}, clean)
+	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: p.RegionViews()}, clean)
 	return segs, size, nil
 }
 
-// CheckpointToStore implements StoreBackend.
-func (BLCR) CheckpointToStore(p *proc.Process, st store.Backend, job string) (Stats, *store.PutStats, error) {
-	return checkpointToStore("blcr", p, st, job, false, nil)
+// CheckpointToStoreIncremental implements Backend.
+func (b BLCR) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error) {
+	return checkpointToStore(b, p, st, job, clean)
 }
 
-// CheckpointToStore implements StoreBackend.
-func (DMTCP) CheckpointToStore(p *proc.Process, st store.Backend, job string) (Stats, *store.PutStats, error) {
-	return checkpointToStore("dmtcp", p, st, job, true, nil)
-}
-
-// CheckpointToStoreIncremental implements StoreBackend.
-func (BLCR) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error) {
-	return checkpointToStore("blcr", p, st, job, false, clean)
-}
-
-// CheckpointToStoreIncremental implements StoreBackend.
-func (DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error) {
-	return checkpointToStore("dmtcp", p, st, job, true, clean)
+// CheckpointToStoreIncremental implements Backend.
+func (d DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error) {
+	return checkpointToStore(d, p, st, job, clean)
 }
 
 // restartFromStore is the shared store restart path: walk the generation
@@ -163,8 +121,7 @@ func (DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job
 // Stats.Time is its whole span. The node does not wait it out: the process
 // comes up at the instant its image's head was there, each region knowing
 // when it arrives (proc.Process.AwaitRegion), and whoever goes on to use
-// the process waits for what it reads and no more. An image stored as one
-// piece arrives as one piece, at the read's end.
+// the process waits for what it reads and no more.
 func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error) {
 	read := n.Clock.Fork()
 	sw := vtime.NewStopwatch(read)
@@ -198,12 +155,12 @@ func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process
 	return p, Stats{Bytes: int64(len(data)), Time: sw.Elapsed()}, deg, nil
 }
 
-// RestartFromStore implements StoreBackend.
+// RestartFromStore implements Backend.
 func (BLCR) RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error) {
 	return restartFromStore(n, st, ref)
 }
 
-// RestartFromStore implements StoreBackend.
+// RestartFromStore implements Backend.
 func (DMTCP) RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error) {
 	return restartFromStore(n, st, ref)
 }

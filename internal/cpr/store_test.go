@@ -139,7 +139,7 @@ func TestStoreCheckpointRestartRoundtrip(t *testing.T) {
 	p.SetRegion("heap", []byte{1, 2, 3, 4})
 	p.SetRegion("data", make([]byte, 1<<20))
 
-	cst, put, err := BLCR{}.CheckpointToStore(p, st, "app")
+	cst, put, err := BLCR{}.CheckpointToStoreIncremental(p, st, "app", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestStoreCheckpointDedupsUnchangedProcess(t *testing.T) {
 	p := n.Spawn("app")
 	p.SetRegion("data", make([]byte, 2<<20))
 
-	_, put1, err := BLCR{}.CheckpointToStore(p, st, "app")
+	_, put1, err := BLCR{}.CheckpointToStoreIncremental(p, st, "app", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, put2, err := BLCR{}.CheckpointToStore(p, st, "app")
+	_, put2, err := BLCR{}.CheckpointToStoreIncremental(p, st, "app", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,23 +192,23 @@ func TestStoreCheckpointEnforcesEligibility(t *testing.T) {
 	mapped := n.Spawn("opencl-app")
 	mapped.MapDevice()
 	var dme *DeviceMappedError
-	if _, _, err := (BLCR{}).CheckpointToStore(mapped, st, "j1"); !errors.As(err, &dme) {
+	if _, _, err := (BLCR{}).CheckpointToStoreIncremental(mapped, st, "j1", nil); !errors.As(err, &dme) {
 		t.Errorf("blcr store checkpoint of device-mapped process: err = %v", err)
 	}
 
 	app := n.Spawn("app")
 	proxy := app.Fork("proxy")
 	proxy.MapDevice()
-	if _, _, err := (DMTCP{}).CheckpointToStore(app, st, "j2"); !errors.As(err, &dme) {
+	if _, _, err := (DMTCP{}).CheckpointToStoreIncremental(app, st, "j2", nil); !errors.As(err, &dme) {
 		t.Errorf("dmtcp store checkpoint with live proxy: err = %v", err)
 	}
-	if _, _, err := (BLCR{}).CheckpointToStore(app, st, "j2"); err != nil {
+	if _, _, err := (BLCR{}).CheckpointToStoreIncremental(app, st, "j2", nil); err != nil {
 		t.Errorf("blcr should ignore the proxy child: %v", err)
 	}
 
 	dead := n.Spawn("dead")
 	dead.Kill()
-	if _, _, err := (BLCR{}).CheckpointToStore(dead, st, "j3"); err == nil {
+	if _, _, err := (BLCR{}).CheckpointToStoreIncremental(dead, st, "j3", nil); err == nil {
 		t.Error("store checkpoint of dead process must fail")
 	}
 }
@@ -221,7 +221,7 @@ func TestStoreCheckpointSurfacesNoSpace(t *testing.T) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(data) // incompressible, so it cannot squeeze under the cap
 	p.SetRegion("data", data)
-	_, _, err := BLCR{}.CheckpointToStore(p, st, "app")
+	_, _, err := BLCR{}.CheckpointToStoreIncremental(p, st, "app", nil)
 	var nospace *proc.ErrNoSpace
 	if !errors.As(err, &nospace) {
 		t.Fatalf("err = %v, want *proc.ErrNoSpace", err)
@@ -233,7 +233,7 @@ func TestReadImageFromStore(t *testing.T) {
 	st := store.New(n.LocalDisk, store.Config{})
 	p := n.Spawn("app")
 	p.SetRegion("heap", []byte{7})
-	if _, _, err := (BLCR{}).CheckpointToStore(p, st, "app"); err != nil {
+	if _, _, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", nil); err != nil {
 		t.Fatal(err)
 	}
 	img, err := ReadImageFromStore(vtime.NewClock(), st, "app@1")
@@ -248,8 +248,9 @@ func TestReadImageFromStore(t *testing.T) {
 	}
 }
 
-// TestImageLayoutIsTheEncoding: the slices a store checkpoint hands over,
-// segmented or not, concatenate to the file the flat-file path writes.
+// TestImageLayoutIsTheEncoding: the slices a store checkpoint hands over
+// concatenate to the file the flat-file path writes, one segment per
+// region after the head, and a nil clean map marks no region clean.
 func TestImageLayoutIsTheEncoding(t *testing.T) {
 	img := Image{ProcessName: "app", AppState: []byte("state"), Regions: map[string][]byte{
 		"heap": payloadBytes(1, 5000), "stack": {4}, "checl.mem/1f": payloadBytes(2, 70000), "empty": nil,
@@ -269,11 +270,8 @@ func TestImageLayoutIsTheEncoding(t *testing.T) {
 		if size != int64(len(want)) || !bytes.Equal(got, want) {
 			t.Errorf("clean=%v: %d segments hold %d bytes (size %d), the encoding is %d", clean, len(segs), len(got), size, len(want))
 		}
-		if clean == nil && (len(segs) != 1 || segs[0].Name != "") {
-			t.Errorf("unsegmented form: %d segments, first named %q", len(segs), segs[0].Name)
-		}
-		if clean != nil && (segs[0].Name != "_head" || segs[3].Name != "region/heap" || !segs[3].Clean || segs[4].Clean) {
-			t.Errorf("segmented form: %+v", segs)
+		if len(segs) != 1+len(img.Regions) || segs[0].Name != "_head" || segs[3].Name != "region/heap" || segs[3].Clean != (clean != nil) || segs[4].Clean {
+			t.Errorf("clean=%v: segments %+v", clean, segs)
 		}
 	}
 }

@@ -39,11 +39,12 @@ func rankSegments(locals [][]byte) ([]store.Segment, int64) {
 }
 
 // splitSnapshot recovers the rank-ordered local snapshots from a store
-// payload: segment-mapped payloads split by the manifest's per-rank
-// segments, legacy payloads decode as the gob global-snapshot format.
+// payload by the manifest's per-rank segments. A generation without any
+// (one written by a plain store.Put) is not a global snapshot: it would
+// split into no ranks at all.
 func splitSnapshot(data []byte, man store.Manifest) ([][]byte, error) {
 	if len(man.Segments) == 0 {
-		return decodeGlobalSnapshot(data)
+		return nil, fmt.Errorf("mpi: %s: no rank segments, not a global snapshot", man.ID())
 	}
 	locals := make([][]byte, 0, len(man.Segments))
 	var off int64

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"checl/internal/core"
 	"checl/internal/ocl"
+	"checl/internal/proc"
 	"checl/internal/store"
 	"checl/internal/vtime"
 )
@@ -128,13 +130,11 @@ __kernel void fill(__global float* x, float v, uint n) {
 	}
 }
 
-// TestRestoreGlobalFromStoreDegraded damages the newest global snapshot
-// past repair (no replicas) and checks the restore walks back to the
-// previous generation with a typed report — a globally consistent older
-// state, never a partial or silently wrong one.
-func TestRestoreGlobalFromStoreDegraded(t *testing.T) {
-	cl := cluster(1)
-	st := store.New(cl.NFS, store.Config{})
+// fillJob runs a one-rank job whose buffer holds 100+i at index i and
+// takes gens coordinated store snapshots of it under job. The returned
+// check fails t unless a restored rank's buffer holds the same.
+func fillJob(t *testing.T, cl *proc.Cluster, st store.Backend, job string, gens int) (check func(c *core.CheCL)) {
+	t.Helper()
 	w, _ := NewWorld(cl, 1)
 	const src = `
 __kernel void fill(__global float* x, float v, uint n) {
@@ -180,8 +180,8 @@ __kernel void fill(__global float* x, float v, uint n) {
 			return err
 		}
 		q, buf = cq, b
-		for i := 0; i < 2; i++ {
-			if _, err := r.CoordinatedCheckpointToStore(c, st, "dmj"); err != nil {
+		for i := 0; i < gens; i++ {
+			if _, err := r.CoordinatedCheckpointToStore(c, st, job); err != nil {
 				return err
 			}
 		}
@@ -192,6 +192,29 @@ __kernel void fill(__global float* x, float v, uint n) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return func(c *core.CheCL) {
+		t.Helper()
+		data, _, err := c.EnqueueReadBuffer(q, buf, true, 0, 4*1024, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1024; i++ {
+			got := math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			if want := 100 + float32(i); got != want {
+				t.Fatalf("buf[%d] = %v, want %v", i, got, want)
+			}
+		}
+	}
+}
+
+// TestRestoreGlobalFromStoreDegraded damages the newest global snapshot
+// past repair (no replicas) and checks the restore walks back to the
+// previous generation with a typed report — a globally consistent older
+// state, never a partial or silently wrong one.
+func TestRestoreGlobalFromStoreDegraded(t *testing.T) {
+	cl := cluster(1)
+	st := store.New(cl.NFS, store.Config{})
+	check := fillJob(t, cl, st, "dmj", 2)
 
 	// Rot the newest generation's manifest frame in place.
 	clock := cl.Nodes[0].Clock
@@ -215,16 +238,34 @@ __kernel void fill(__global float* x, float v, uint n) {
 	if len(restored) != 1 {
 		t.Fatalf("restored %d ranks, want 1", len(restored))
 	}
-	data, _, err := restored[0].EnqueueReadBuffer(q, buf, true, 0, 4*1024, nil)
+	check(restored[0])
+	restored[0].Detach()
+}
+
+// TestRestoreGlobalSkipsSegmentlessGeneration: a generation a plain
+// store.Put wrote under the job has no rank segments. It is not a global
+// snapshot — not one of zero ranks — so the restore skips it, says why, and
+// restores the coordinated snapshot under it.
+func TestRestoreGlobalSkipsSegmentlessGeneration(t *testing.T) {
+	cl := cluster(1)
+	st := store.New(cl.NFS, store.Config{})
+	check := fillJob(t, cl, st, "dmj", 1)
+	if _, _, err := st.Put(cl.Nodes[0].Clock, "dmj", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, deg, err := RestoreGlobalFromStore(cl, st, "dmj", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1024; i++ {
-		got := math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-		if want := 100 + float32(i); got != want {
-			t.Fatalf("buf[%d] = %v, want %v", i, got, want)
-		}
+	if deg == nil || deg.Restored != "dmj@1" || len(deg.Skipped) != 1 || deg.Skipped[0].ID != "dmj@2" ||
+		!strings.Contains(deg.Skipped[0].Reason, "no rank segments") {
+		t.Fatalf("degradation report = %+v", deg)
 	}
+	if len(restored) != 1 {
+		t.Fatalf("restored %d ranks, want 1", len(restored))
+	}
+	check(restored[0])
 	restored[0].Detach()
 }
 

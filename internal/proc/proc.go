@@ -318,22 +318,13 @@ func (p *Process) MemoryUsage() int64 {
 // is the caller's, the bytes are the process's own. The views are valid
 // only while the process is stopped — until it next runs and writes or
 // replaces a region — which is what a checkpoint of a quiesced process
-// gets to rely on. Anything that outlives that takes SnapshotRegions.
+// gets to rely on.
 func (p *Process) RegionViews() map[string][]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string][]byte, len(p.regions))
 	for k, v := range p.regions {
 		out[k] = v
-	}
-	return out
-}
-
-// SnapshotRegions returns a deep copy of the process's memory regions.
-func (p *Process) SnapshotRegions() map[string][]byte {
-	out := p.RegionViews()
-	for k, v := range out {
-		out[k] = append([]byte(nil), v...)
 	}
 	return out
 }

@@ -51,20 +51,20 @@ func TestRegions(t *testing.T) {
 	if got := p.RegionNames(); len(got) != 2 || got[0] != "heap" || got[1] != "stack" {
 		t.Errorf("region names = %v", got)
 	}
-	snap := p.SnapshotRegions()
-	// The snapshot must be a deep copy.
+	views := p.RegionViews()
+	// The views are the process's bytes; the map is the caller's.
 	p.Region("heap")[0] = 42
-	if snap["heap"][0] == 42 {
-		t.Error("snapshot aliases live region")
+	if views["heap"][0] != 42 {
+		t.Error("views copy the live region")
 	}
 	p.RemoveRegion("stack")
-	if p.MemoryUsage() != 1024 {
-		t.Errorf("after remove: %d", p.MemoryUsage())
+	if p.MemoryUsage() != 1024 || views["stack"] == nil {
+		t.Errorf("after remove: %d bytes, views %v", p.MemoryUsage(), len(views))
 	}
 	// Restore replaces the image.
 	q := n.Spawn("restored")
-	q.RestoreRegions(snap, nil)
-	if q.MemoryUsage() != 1280 || q.Region("heap")[0] == 42 {
+	q.RestoreRegions(views, nil)
+	if q.MemoryUsage() != 1280 || q.Region("heap")[0] != 42 {
 		t.Error("restore wrong")
 	}
 }
