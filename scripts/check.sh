@@ -172,6 +172,14 @@ if ! go run ./cmd/checl-bench ablations | diff -u scripts/ablations_expect.txt -
     echo "check.sh: ablation table differs from scripts/ablations_expect.txt" >&2
     exit 1
 fi
+# Figure gate: the paper's Table I and Figs. 4-8 were measured over a framed
+# pipe, and the harness pins that transport for them, so their output must
+# equal scripts/figures_expect.txt byte for byte whatever the default
+# transport is. The run is deterministic at any GOMAXPROCS.
+if ! go run ./cmd/checl-bench table1 fig4 fig5 fig6 fig7 fig8 | diff -u scripts/figures_expect.txt -; then
+    echo "check.sh: paper figures differ from scripts/figures_expect.txt" >&2
+    exit 1
+fi
 # Host-clock gate on the ckpt_cycle run: a checkpoint is handed to the
 # store as views of the process's regions and copied only where a format or
 # the filesystem model demands it. One pass allocates ~565 MB and allocated
