@@ -342,6 +342,7 @@ func benchProxyApp(b *testing.B, opts core.Options) (*core.CheCL, ocl.Context, o
 // buffer traffic through CheCL on the framed stream against the
 // shared-memory ring (EXPERIMENTS.md, PR 8).
 func BenchmarkProxyCallOverhead(b *testing.B) {
+	framed := core.Options{Transport: proxy.TransportPipe}
 	ring := core.Options{Transport: proxy.TransportRing}
 	// buffer creates a 1 MB device buffer, optionally filled.
 	buffer := func(b *testing.B, c *core.CheCL, ctx ocl.Context, q ocl.CommandQueue, fill bool) ocl.Mem {
@@ -365,7 +366,7 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 
 	// Immutable info served from the object DB: zero round trips once warm.
 	b.Run("info-cached", func(b *testing.B) {
-		c, _, _ := benchProxyApp(b, core.Options{})
+		c, _, _ := benchProxyApp(b, framed)
 		before := c.Proxy().Client.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -380,7 +381,7 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 
 	// A query CheCL cannot cache: the one-round-trip-per-call baseline.
 	b.Run("info-forwarded", func(b *testing.B) {
-		c, ctx, q := benchProxyApp(b, core.Options{})
+		c, ctx, q := benchProxyApp(b, framed)
 		m := buffer(b, c, ctx, q, false)
 		before := c.Proxy().Client.Stats()
 		b.ReportAllocs()
@@ -425,9 +426,9 @@ func BenchmarkProxyCallOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("write-1MB-raw", func(b *testing.B) { write(b, core.Options{}) })
+	b.Run("write-1MB-raw", func(b *testing.B) { write(b, framed) })
 	b.Run("write-1MB-ring", func(b *testing.B) { write(b, ring) })
-	b.Run("read-1MB-pooled", func(b *testing.B) { read(b, core.Options{}) })
+	b.Run("read-1MB-pooled", func(b *testing.B) { read(b, framed) })
 	b.Run("read-1MB-ring", func(b *testing.B) { read(b, ring) })
 }
 

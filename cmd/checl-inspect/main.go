@@ -54,8 +54,8 @@ import (
 func main() {
 	appName := flag.String("app", "oclMatrixMul", "application to checkpoint and inspect")
 	scale := flag.Float64("scale", 0.5, "problem-size multiplier")
-	transport := flag.String("transport", "framed",
-		"app<->proxy transport: \"framed\" (length-prefixed stream) or \"ring\" (shared-memory ring)")
+	transport := flag.String("transport", "ring",
+		"app<->proxy transport: \"ring\" (shared-memory ring) or \"framed\" (length-prefixed stream)")
 	faults := flag.Int("faults", 0, "crash the API proxy every N calls (0 disables fault injection)")
 	diskFaults := flag.Int("disk-faults", 0, "inject a disk fault every N store filesystem operations (0 disables)")
 	nodeFaults := flag.Int("node-faults", 0, "store fleet: inject a node fault (crash/slow/rot/torn write) every N fleet operations (0 disables)")
@@ -108,12 +108,12 @@ func main() {
 	p := node.Spawn(app.Name)
 	opts := core.Options{Incremental: *incremental}
 	switch *transport {
-	case "framed":
-		// The default stream transport; opts.Transport zero value.
 	case "ring":
-		opts.Transport = proxy.TransportRing
+		// The default transport; opts.Transport zero value.
+	case "framed":
+		opts.Transport = proxy.TransportPipe
 	default:
-		fmt.Fprintf(os.Stderr, "checl-inspect: unknown transport %q (want \"framed\" or \"ring\")\n", *transport)
+		fmt.Fprintf(os.Stderr, "checl-inspect: unknown transport %q (want \"ring\" or \"framed\")\n", *transport)
 		os.Exit(2)
 	}
 	var inj *ipc.FaultInjector

@@ -924,12 +924,10 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 		p.real = real
 		if p.Built {
 			bsw := vtime.NewStopwatch(clock)
-			if err := api.BuildProgram(p.real, p.Options); err != nil {
+			if p.BuildCost, err = buildProgram(api, clock, p.real, p.Options); err != nil {
 				return stats, err
 			}
-			d := bsw.Elapsed()
-			recompile += d
-			p.BuildCost = d
+			recompile += bsw.Elapsed()
 		}
 	}
 	stats.PerClass["prog"] = sw.Reset()

@@ -77,13 +77,13 @@ type Options struct {
 	// Fault injects transport faults on the app<->proxy connection
 	// (testing and the proxy-crash ablation).
 	Fault *ipc.FaultInjector
-	// Transport selects the app<->proxy transport. The default (pipe)
-	// carries framed gob RPC; proxy.TransportRing is the shared-memory
-	// ring: SPSC submission/completion queues and zero-copy bulk reads.
-	// Fault plans behave identically on either. It is a switch because
-	// neither arm dominates: the ring halves a call-bound job's virtual
-	// time and its polling service loop costs a few-core host several
-	// times the wall clock (DESIGN.md "Options").
+	// Transport selects the app<->proxy transport. The default
+	// (proxy.TransportRing) is the shared-memory ring: SPSC
+	// submission/completion queues and zero-copy bulk reads.
+	// proxy.TransportPipe carries framed gob RPC over a pipe, the IPC the
+	// paper's figures were measured over, and the figure harness pins it.
+	// Fault plans, buffers and images are identical on either; the ring
+	// is cheaper on both clocks (DESIGN.md "Options").
 	Transport proxy.Transport
 }
 
@@ -169,6 +169,18 @@ func selectVendor(node *proc.Node, name string) (*ocl.Vendor, error) {
 		return nil, fmt.Errorf("checl: node %s has no OpenCL implementation by %q", node.Name, name)
 	}
 	return v, nil
+}
+
+// buildProgram runs clBuildProgram on api and returns the build's own
+// time: what the call took on clock, less the transport's price for it.
+// Every image stores that time (programRec.BuildCost), so it must not
+// depend on which transport carried the call.
+func buildProgram(api *proxy.Client, clock *vtime.Clock, p ocl.Program, options string) (vtime.Duration, error) {
+	sw, sent := vtime.NewStopwatch(clock), api.Stats().Bytes
+	if err := api.BuildProgram(p, options); err != nil {
+		return 0, err
+	}
+	return sw.Elapsed() - api.Price(api.Stats().Bytes-sent), nil
 }
 
 // Proxy exposes the running API proxy (tests and tooling).
@@ -753,15 +765,16 @@ func (c *CheCL) BuildProgram(h ocl.Program, options string) error {
 	if err != nil {
 		return err
 	}
-	sw := vtime.NewStopwatch(c.app.Clock())
-	if err := c.forward("clBuildProgram", func(api *proxy.Client) error {
-		return api.BuildProgram(rec.real, options)
+	var cost vtime.Duration
+	if err := c.forward("clBuildProgram", func(api *proxy.Client) (err error) {
+		cost, err = buildProgram(api, c.app.Clock(), rec.real, options)
+		return err
 	}); err != nil {
 		return err
 	}
 	rec.Built = true
 	rec.Options = options
-	rec.BuildCost = sw.Elapsed()
+	rec.BuildCost = cost
 	// A rebuild can change the build log: drop this program's cached
 	// build-info entries.
 	for k := range c.db.buildInfo {

@@ -215,8 +215,8 @@ func TestDrainLandsInPlace(t *testing.T) {
 		}
 
 		limit := uint64(n * size * 5 / 4)
-		if tr != proxy.TransportRing {
-			limit += n * size // the connection's response scratch, once
+		if tr == proxy.TransportPipe {
+			limit += n * size // the framed connection's response scratch, once
 		}
 		if cold := drain(); cold > limit {
 			t.Errorf("%s: first drain allocated %d bytes for %d staged (limit %d)", tr, cold, n*size, limit)

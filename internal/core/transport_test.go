@@ -4,16 +4,23 @@ package core
 // to the framed stream. Every benchmark app runs on both transports,
 // clean and under the same seeded kill plans, and the final buffer
 // contents must be bit-identical across all arms. The framed stream is
-// the reference (and the fault-injection workhorse); the ring is the
-// hot-path optimisation and must never change results.
+// the reference, the IPC the paper's figures run on; the ring is the
+// default transport and must never change results.
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"checl/internal/apps"
+	"checl/internal/hw"
 	"checl/internal/ipc"
 	"checl/internal/ocl"
+	"checl/internal/proc"
 	"checl/internal/proxy"
+	"checl/internal/store"
+	"checl/internal/vtime"
 )
 
 // runAppOn runs one benchmark app under CheCL on the given transport and
@@ -202,4 +209,159 @@ func TestRingCheckpointDrainConcurrent(t *testing.T) {
 		t.Errorf("%d commands still queued after the checkpoint", n)
 	}
 	app.verify(t)
+}
+
+// TestImmediateSyncIsTheInFlightWrite: an immediate-mode checkpoint
+// signalled while a 16 MiB non-blocking write is in flight (the
+// checkpoint-mode ablation's sequence) spends its sync phase waiting for
+// whatever of that write the enqueue did not already cover. The ring
+// returns the enqueue sooner, so its sync phase is longer than the
+// framed one's, but on both transports enqueue + sync is the device
+// transfer, and the application finishes no later on the ring.
+func TestImmediateSyncIsTheInFlightWrite(t *testing.T) {
+	const size = 16 << 20
+	run := func(tr proxy.Transport) (enqueue, sync, total vtime.Duration) {
+		node := newNodeNV("pc0")
+		p, c := attach(t, node, Options{CkptFS: node.RAMDisk, CkptPath: "mode.ckpt", Transport: tr})
+		app := vtime.NewStopwatch(node.Clock)
+		plats, err := c.GetPlatformIDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs, err := c.GetDeviceIDs(plats[0], ocl.DeviceTypeGPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := c.CreateContext(devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := c.CreateCommandQueue(ctx, devs[0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.CreateBuffer(ctx, ocl.MemReadWrite, size, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := vtime.NewStopwatch(node.Clock)
+		if _, err := c.EnqueueWriteBuffer(q, m, false, 0, make([]byte, size), nil); err != nil {
+			t.Fatal(err)
+		}
+		enqueue = sw.Elapsed()
+		p.Signal(proc.SIGUSR1)
+		if _, err := c.GetDeviceInfo(devs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Finish(q); err != nil {
+			t.Fatal(err)
+		}
+		st := c.LastCheckpoint()
+		if st == nil {
+			t.Fatalf("%v: the signalled checkpoint did not fire", tr)
+		}
+		return enqueue, st.Phases.Sync, app.Elapsed()
+	}
+	transfer := hw.TableISpec().Inter.PCIeHtoD.Transfer(size)
+	var totals [2]vtime.Duration
+	for i, tr := range []proxy.Transport{proxy.TransportPipe, proxy.TransportRing} {
+		enqueue, sync, total := run(tr)
+		totals[i] = total
+		t.Logf("%v: enqueue %v + sync %v = %v (device transfer %v), application %v", tr, enqueue, sync, enqueue+sync, transfer, total)
+		if d := enqueue + sync - transfer; d < -transfer/100 || d > transfer/100 {
+			t.Errorf("%v: enqueue %v + sync %v = %v, want the %v device transfer within 1%%", tr, enqueue, sync, enqueue+sync, transfer)
+		}
+	}
+	if totals[1] > totals[0] {
+		t.Errorf("the application took %v on the ring, %v on the framed pipe", totals[1], totals[0])
+	}
+}
+
+// TestTransportParityStoredGenerations: a ckpt_cycle-shaped job (buffers
+// rewritten window by window, one more dirtied by a kernel, an incremental
+// checkpoint into a 4+2 fleet after each generation) stores the same
+// generations on either transport. Every generation's digest, size and
+// segment bytes are equal, and its manifest differs in CreatedAt alone, the
+// instant on the application's clock, which the transport does move.
+func TestTransportParityStoredGenerations(t *testing.T) {
+	const buffers, size, window, gens = 8, 256 << 10, 2, 4
+	type generation struct {
+		man      store.Manifest
+		segments map[string][]byte
+	}
+	run := func(tr proxy.Transport) []generation {
+		fl, _ := newTestFleet(t)
+		node := newNodeNV("pc0")
+		_, c := attach(t, node, Options{Incremental: true, Transport: tr})
+		app := setupVaddApp(t, c, size/4)
+		k, err := c.CreateKernel(app.prog, "scale")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		data := make([]byte, size)
+		mems := make([]ocl.Mem, buffers)
+		for i := range mems {
+			rng.Read(data)
+			if mems[i], err = c.CreateBuffer(app.ctx, ocl.MemReadWrite|ocl.MemCopyHostPtr, size, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out []generation
+		for g := 0; g < gens; g++ {
+			for s := 0; s < window; s++ {
+				rng.Read(data)
+				if _, err := c.EnqueueWriteBuffer(app.q, mems[(g*window+s)%buffers], false, 0, data, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.SetKernelArg(k, 0, 8, handleBytes(mems[(g*window+window)%buffers])); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetKernelArg(k, 1, 4, f32bytes(1.5)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.EnqueueNDRangeKernel(app.q, k, 1, [3]int{}, [3]int{size / 4}, [3]int{64}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Finish(app.q); err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.CheckpointToStore(fl, "job")
+			if err != nil {
+				t.Fatal(err)
+			}
+			man, err := fl.Resolve(st.Manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := generation{man: man, segments: map[string][]byte{}}
+			for _, sg := range man.Segments {
+				if gen.segments[sg.Name], _, err = fl.GetSegment(vtime.NewClock(), man.ID(), sg.Name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out = append(out, gen)
+		}
+		return out
+	}
+	framed, ring := run(proxy.TransportPipe), run(proxy.TransportRing)
+	for g := range framed {
+		f, r := framed[g], ring[g]
+		if f.man.Digest != r.man.Digest || f.man.Size != r.man.Size {
+			t.Errorf("generation %d: framed %s (%d bytes), ring %s (%d bytes)", g+1, f.man.Digest, f.man.Size, r.man.Digest, r.man.Size)
+		}
+		for name, want := range f.segments {
+			if got, ok := r.segments[name]; !ok || !bytes.Equal(got, want) {
+				t.Errorf("generation %d: segment %s differs between the transports", g+1, name)
+			}
+		}
+		if f.man.CreatedAt == r.man.CreatedAt {
+			t.Errorf("generation %d: both checkpoints at %v; the transport should move the instant", g+1, f.man.CreatedAt)
+		}
+		f.man.CreatedAt, r.man.CreatedAt = 0, 0
+		if !reflect.DeepEqual(f.man, r.man) {
+			t.Errorf("generation %d: the manifests differ in more than CreatedAt", g+1)
+		}
+	}
 }

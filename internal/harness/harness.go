@@ -21,6 +21,7 @@ import (
 	"checl/internal/mpi"
 	"checl/internal/ocl"
 	"checl/internal/proc"
+	"checl/internal/proxy"
 	"checl/internal/vtime"
 )
 
@@ -63,6 +64,14 @@ func ConfigByKey(key string) (Config, bool) {
 		}
 	}
 	return Config{}, false
+}
+
+// paperIPC pins the framed pipe on the attachment options of a figure
+// run. The paper measured its figures over a framed IPC channel, so
+// Figs. 4-8 keep that transport whatever core.Options{} defaults to.
+func paperIPC(o core.Options) core.Options {
+	o.Transport = proxy.TransportPipe
+	return o
 }
 
 func (c Config) newNode(name string) *proc.Node {
@@ -167,7 +176,7 @@ func runUnderCheCL(cfg Config, app apps.App, scale float64) (run, init vtime.Dur
 	node := cfg.newNode("checl")
 	p := node.Spawn(app.Name)
 	initSW := vtime.NewStopwatch(node.Clock)
-	c, err := core.Attach(p, core.Options{VendorName: cfg.VendorName})
+	c, err := core.Attach(p, paperIPC(core.Options{VendorName: cfg.VendorName}))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -228,7 +237,7 @@ func Fig5(cfg Config, scale float64) (Fig5Result, error) {
 		}
 		node := cfg.newNode("fig5")
 		p := node.Spawn(app.Name)
-		c, err := core.Attach(p, core.Options{VendorName: cfg.VendorName})
+		c, err := core.Attach(p, paperIPC(core.Options{VendorName: cfg.VendorName}))
 		if err != nil {
 			return out, err
 		}
@@ -310,7 +319,7 @@ func Fig6(scales []float64, nodeCounts []int) ([]Fig6Row, error) {
 			}
 			var stats mpi.GlobalSnapshotStats
 			err = world.Run(func(r *mpi.Rank) error {
-				c, err := core.Attach(r.Process(), core.Options{})
+				c, err := core.Attach(r.Process(), paperIPC(core.Options{}))
 				if err != nil {
 					return err
 				}
@@ -362,7 +371,7 @@ func Fig7(cfg Config, scale float64) ([]Fig7Row, error) {
 		}
 		node := cfg.newNode("fig7")
 		p := node.Spawn(app.Name)
-		c, err := core.Attach(p, core.Options{VendorName: cfg.VendorName})
+		c, err := core.Attach(p, paperIPC(core.Options{VendorName: cfg.VendorName}))
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +387,7 @@ func Fig7(cfg Config, scale float64) ([]Fig7Row, error) {
 		c.Proxy().Kill()
 		c.App().Kill()
 		rc, rst, err := core.Restore(node, node.LocalDisk, "fig7.ckpt",
-			core.Options{VendorName: cfg.VendorName, PreferDeviceType: cfg.Prefer})
+			paperIPC(core.Options{VendorName: cfg.VendorName, PreferDeviceType: cfg.Prefer}))
 		if err != nil {
 			return nil, fmt.Errorf("fig7: restoring %s on %s: %w", app.Name, cfg.Key, err)
 		}
@@ -426,7 +435,7 @@ func Fig8(cfg Config, scale float64) (Fig8Result, error) {
 		src := cfg.newNode("fig8-src")
 		dst := cfg.newNode("fig8-dst")
 		p := src.Spawn(app.Name)
-		c, err := core.Attach(p, core.Options{VendorName: cfg.VendorName})
+		c, err := core.Attach(p, paperIPC(core.Options{VendorName: cfg.VendorName}))
 		if err != nil {
 			return out, err
 		}
@@ -436,7 +445,7 @@ func Fig8(cfg Config, scale float64) (Fig8Result, error) {
 			return out, fmt.Errorf("fig8: %s on %s: %w", app.Name, cfg.Key, err)
 		}
 		rc, ms, err := core.Migrate(c, src.LocalDisk, "fig8.ckpt", dst,
-			core.Options{VendorName: cfg.VendorName, PreferDeviceType: cfg.Prefer})
+			paperIPC(core.Options{VendorName: cfg.VendorName, PreferDeviceType: cfg.Prefer}))
 		if err != nil {
 			return out, fmt.Errorf("fig8: migrating %s on %s: %w", app.Name, cfg.Key, err)
 		}

@@ -52,8 +52,7 @@ var errRingClosed = errors.New("ipc: ring closed")
 // spsc is a lock-free single-producer/single-consumer bounded queue.
 // head/tail are free-running uint64 counters (masked into the power-of-2
 // buffer), so full/empty never alias. Waiters spin first, then park on a
-// condvar; the publishing side only touches the mutex when someone is
-// actually asleep.
+// condvar; every push and pop takes the mutex once to wake any sleeper.
 type spsc[T any] struct {
 	buf  []T
 	mask uint64
@@ -146,7 +145,10 @@ func (q *spsc[T]) sleep(ready func() bool) {
 	q.mu.Unlock()
 }
 
-// wake rouses parked waiters, touching the mutex only when there are any.
+// wake rouses parked waiters. It locks on every call: a sleeper registers
+// under the same mutex, which is what rules out a lost wakeup. A lock-free
+// check of the sleeper count measured no faster on call_storm, so it is
+// not worth the memory-ordering argument it would need.
 func (q *spsc[T]) wake() {
 	q.mu.Lock()
 	if q.sleepers > 0 {

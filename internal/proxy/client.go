@@ -122,6 +122,10 @@ func (c *Client) Stats() Stats {
 	}
 }
 
+// Price reports what the client charges the application clock for one
+// synchronous call moving n bytes on its transport.
+func (c *Client) Price(n int64) vtime.Duration { return c.cost.roundTrip(n) }
+
 // Close tears down the connection to the proxy and stops any further
 // reconnect attempts.
 func (c *Client) Close() error {

@@ -11,12 +11,15 @@ import (
 	"checl/internal/proc"
 )
 
+// spawnFaulted spawns a proxy on the framed transport, where the plan's
+// kill kinds cut the stream at byte positions inside a frame. Their ring
+// analogues are covered by the ring's own tests and the core parity soak.
 func spawnFaulted(t *testing.T, plan ipc.FaultPlan) (*proc.Node, *Proxy, *ipc.FaultInjector) {
 	t.Helper()
 	node := proc.NewNode("pc0", hw.TableISpec(), ocl.NVIDIA())
 	app := node.Spawn("app")
 	inj := ipc.NewFaultInjector(plan)
-	px, err := SpawnWithOptions(app, node.Vendors[0], SpawnOpts{Fault: inj})
+	px, err := SpawnWithOptions(app, node.Vendors[0], SpawnOpts{Transport: TransportPipe, Fault: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,14 @@ __kernel void vadd(__global const float* a, __global const float* b,
 
 func spawnNV(t *testing.T) (*proc.Node, *proc.Process, *Proxy) {
 	t.Helper()
+	return spawnNVWith(t, SpawnOpts{})
+}
+
+func spawnNVWith(t *testing.T, opts SpawnOpts) (*proc.Node, *proc.Process, *Proxy) {
+	t.Helper()
 	node := proc.NewNode("pc0", hw.TableISpec(), ocl.NVIDIA())
 	app := node.Spawn("app")
-	px, err := Spawn(app, node.Vendor("NVIDIA Corporation"))
+	px, err := SpawnWithOptions(app, node.Vendor("NVIDIA Corporation"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +227,11 @@ func TestForwardingOverheadCharged(t *testing.T) {
 	}
 }
 
-// TestFramedCallPrice: a default spawn is the framed transport, and each
-// call on it is charged two IPCCallLatency plus its frame bytes at the
-// node's host-memcpy bandwidth — nothing else.
+// TestFramedCallPrice: each call on the framed transport is charged two
+// IPCCallLatency plus its frame bytes at the node's host-memcpy bandwidth
+// — nothing else.
 func TestFramedCallPrice(t *testing.T) {
-	node, _, px := spawnNV(t)
+	node, _, px := spawnNVWith(t, SpawnOpts{Transport: TransportPipe})
 	spec := node.Spec
 	for i := 0; i < 10; i++ {
 		sw, sent := vtime.NewStopwatch(node.Clock), px.Client.Stats().Bytes
@@ -244,8 +249,8 @@ func TestTransportString(t *testing.T) {
 	if TransportPipe.String() != "pipe" || TransportRing.String() != "ring" {
 		t.Error("transport names wrong")
 	}
-	if (SpawnOpts{}).Transport != TransportPipe {
-		t.Error("the zero SpawnOpts must select the framed transport")
+	if (SpawnOpts{}).Transport != TransportRing {
+		t.Error("the zero SpawnOpts must select the ring transport")
 	}
 }
 

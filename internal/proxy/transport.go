@@ -10,17 +10,18 @@ import (
 // Transport selects the byte stream carrying the app<->proxy RPC.
 type Transport int
 
-// Transports: framed or ring.
+// Transports: ring (the zero value) or framed.
 const (
-	// TransportPipe frames calls over an in-memory synchronous pipe
-	// (net.Pipe), priced from the node's IPCCallLatency/Memcpy pair.
-	TransportPipe Transport = iota
 	// TransportRing uses the shared-memory ring (ipc.Ring): lock-free
 	// SPSC submission/completion queues polled doorbell-free, typed
 	// values crossing by reference and bulk reads landing zero-copy in
 	// the caller's buffer. Its modelled cost comes from hw.RingModel
 	// instead of the framed IPCCallLatency/Memcpy pair.
-	TransportRing
+	TransportRing Transport = iota
+	// TransportPipe frames calls over an in-memory synchronous pipe
+	// (net.Pipe), priced from the node's IPCCallLatency/Memcpy pair. It
+	// is the IPC the paper's figures were measured over.
+	TransportPipe
 )
 
 func (t Transport) String() string {

@@ -115,11 +115,12 @@ go run ./cmd/checl-inspect mpi >/dev/null
 # Ring-transport gate: the lock-free SPSC queues and the checkpoint drain
 # over the ring cross goroutines by construction, so the ring unit tests
 # and the cross-transport parity soak run repeatedly under the race
-# detector. The inspect smoke proves the CLI can drive a full
-# run+checkpoint over the ring.
+# detector. The ring is the default transport, so every other inspect
+# smoke runs on it; this one proves the CLI can still drive a full
+# run+checkpoint over the framed stream.
 go test -run 'Ring|TransportParity' -count=3 -race \
     ./internal/ipc/ ./internal/proxy/ ./internal/core/
-go run ./cmd/checl-inspect -transport ring -scale 0.2 >/dev/null
+go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # Erasure-fleet gate: the sharded checkpoint fleet's node-loss surface —
 # the (node, fault-position) kill sweep, every-loss-pattern degraded
 # reads, rebuild/scrub, the seeded node-fault soak, the backend
@@ -145,10 +146,11 @@ go run ./cmd/checl-inspect -node-faults 11 store fleet >/dev/null
 # pass its own checks (exit 0) in a fresh process at the default seed, and
 # its virtual metrics must equal scripts/bench_expect.txt to the last
 # digit. What the file pins: checkpoint I/O costs bytes, not files
-# (ckpt_stall_vms 173, was 7 709 with one file per shard); a round trip per
-# sync point, not per API call (call_storm checl_overhead_pct 112, was
-# 1 139). A change that moves one on purpose re-records the file from the
-# lines this gate prints, in its own commit.
+# (ckpt_stall_vms 172, was 7 709 with one file per shard); a round trip per
+# sync point, not per API call, on the shared-memory ring (call_storm
+# checl_overhead_pct 4.7; 112 on the framed pipe, 1 139 with a round trip
+# per call). A change that moves one on purpose re-records the file from
+# the lines this gate prints, in its own commit.
 virt=$(mktemp)
 trap 'rm -f "$virt"' EXIT
 for w in suite call_storm ckpt_cycle recover; do
@@ -182,20 +184,22 @@ if ! go run ./cmd/checl-bench table1 fig4 fig5 fig6 fig7 fig8 | diff -u scripts/
 fi
 # Host-clock gate on the ckpt_cycle run: a checkpoint is handed to the
 # store as views of the process's regions and copied only where a format or
-# the filesystem model demands it. One pass allocates ~565 MB and allocated
-# 1 339 with a copy per layer (snapshot, image, compress buffer, shard,
-# pack growth), so a return to copy-per-layer fails here. So does a drain
-# that gathers on the server or bounces on the client: 1 136 with both.
+# the filesystem model demands it. One pass allocates ~450 MB on the ring
+# (~565 on the framed pipe, whose gob frames and response scratch the ring
+# does not have) and allocated 1 339 with a copy per layer (snapshot, image,
+# compress buffer, shard, pack growth), so a return to copy-per-layer fails
+# here. So does a drain that gathers on the server or bounces on the
+# client: 1 136 with both, and a default that is the framed pipe again.
 alloc_gate() {
     echo "$2" | awk -v w="$1" -v max="$3" '$1 == "host_alloc_mb" { seen = 1; if ($2 > max) { print "check.sh: " w " host_alloc_mb " $2 " > " max > "/dev/stderr"; exit 1 } }
         END { if (!seen) { print "check.sh: bench printed no host_alloc_mb for " w > "/dev/stderr"; exit 1 } }'
 }
-alloc_gate ckpt_cycle "$ckpt" 800
+alloc_gate ckpt_cycle "$ckpt" 520
 # The same on the way back, on the recover run: a restore allocates the
 # payload its chunks inflate into — which the process's regions and the
 # buffers' staging copies then are — besides what the filesystem and device
 # models and the bench's own read-back allocate. One pass of six restores
-# allocates ~795 MB (835 while every restore decoded every generation's
+# allocates ~788 MB (835 while every restore decoded every generation's
 # manifest) and allocated 1 660 with a copy per layer (joined blob, chunk
 # buffer, payload, regions, staging).
 alloc_gate recover "$recover" 900
