@@ -194,7 +194,8 @@ func TestDrainLandsInPlace(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = size
 	}
-	for _, tr := range []proxy.Transport{proxy.TransportPipe, proxy.TransportRing} {
+	for _, tc := range testTransports {
+		tr := tc.tr
 		_, c, _, _ := drainJob(t, Options{Transport: tr}, sizes, false)
 		mems := c.db.orderedMems()
 		drain := func() uint64 {
@@ -208,7 +209,7 @@ func TestDrainLandsInPlace(t *testing.T) {
 			}
 			for _, m := range mems {
 				if len(m.Data) != size {
-					t.Fatalf("%s: buffer %v staged %d bytes", tr, m.H, len(m.Data))
+					t.Fatalf("%s: buffer %v staged %d bytes", tc.name, m.H, len(m.Data))
 				}
 			}
 			return after.TotalAlloc - before.TotalAlloc
@@ -219,16 +220,16 @@ func TestDrainLandsInPlace(t *testing.T) {
 			limit += n * size // the framed connection's response scratch, once
 		}
 		if cold := drain(); cold > limit {
-			t.Errorf("%s: first drain allocated %d bytes for %d staged (limit %d)", tr, cold, n*size, limit)
+			t.Errorf("%s: first drain allocated %d bytes for %d staged (limit %d)", tc.name, cold, n*size, limit)
 		}
 		for _, m := range mems {
 			m.Data = nil
 		}
 		if fresh := drain(); fresh > n*size*5/4 {
-			t.Errorf("%s: a drain into fresh staging memory allocated %d bytes for %d staged", tr, fresh, n*size)
+			t.Errorf("%s: a drain into fresh staging memory allocated %d bytes for %d staged", tc.name, fresh, n*size)
 		}
 		if again := drain(); again > 2<<20 {
-			t.Errorf("%s: a re-drain into retained staging memory allocated %d bytes", tr, again)
+			t.Errorf("%s: a re-drain into retained staging memory allocated %d bytes", tc.name, again)
 		}
 	}
 }

@@ -23,6 +23,12 @@ import (
 	"checl/internal/vtime"
 )
 
+// testTransports names both transports for test messages, framed first.
+var testTransports = []struct {
+	name string
+	tr   proxy.Transport
+}{{"framed", proxy.TransportPipe}, {"ring", proxy.TransportRing}}
+
 // runAppOn runs one benchmark app under CheCL on the given transport and
 // returns the digest of every live buffer plus the proxy client stats of
 // the (final) proxy.
@@ -220,7 +226,7 @@ func TestRingCheckpointDrainConcurrent(t *testing.T) {
 // transfer, and the application finishes no later on the ring.
 func TestImmediateSyncIsTheInFlightWrite(t *testing.T) {
 	const size = 16 << 20
-	run := func(tr proxy.Transport) (enqueue, sync, total vtime.Duration) {
+	run := func(name string, tr proxy.Transport) (enqueue, sync, total vtime.Duration) {
 		node := newNodeNV("pc0")
 		p, c := attach(t, node, Options{CkptFS: node.RAMDisk, CkptPath: "mode.ckpt", Transport: tr})
 		app := vtime.NewStopwatch(node.Clock)
@@ -258,18 +264,18 @@ func TestImmediateSyncIsTheInFlightWrite(t *testing.T) {
 		}
 		st := c.LastCheckpoint()
 		if st == nil {
-			t.Fatalf("%v: the signalled checkpoint did not fire", tr)
+			t.Fatalf("%s: the signalled checkpoint did not fire", name)
 		}
 		return enqueue, st.Phases.Sync, app.Elapsed()
 	}
 	transfer := hw.TableISpec().Inter.PCIeHtoD.Transfer(size)
 	var totals [2]vtime.Duration
-	for i, tr := range []proxy.Transport{proxy.TransportPipe, proxy.TransportRing} {
-		enqueue, sync, total := run(tr)
+	for i, tc := range testTransports {
+		enqueue, sync, total := run(tc.name, tc.tr)
 		totals[i] = total
-		t.Logf("%v: enqueue %v + sync %v = %v (device transfer %v), application %v", tr, enqueue, sync, enqueue+sync, transfer, total)
+		t.Logf("%s: enqueue %v + sync %v = %v (device transfer %v), application %v", tc.name, enqueue, sync, enqueue+sync, transfer, total)
 		if d := enqueue + sync - transfer; d < -transfer/100 || d > transfer/100 {
-			t.Errorf("%v: enqueue %v + sync %v = %v, want the %v device transfer within 1%%", tr, enqueue, sync, enqueue+sync, transfer)
+			t.Errorf("%s: enqueue %v + sync %v = %v, want the %v device transfer within 1%%", tc.name, enqueue, sync, enqueue+sync, transfer)
 		}
 	}
 	if totals[1] > totals[0] {

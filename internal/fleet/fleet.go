@@ -11,7 +11,7 @@
 //     the free compatible device with the shortest predicted runtime.
 //     Under burst pressure that is often a slow CPU device — placement is
 //     cheap to revise, because migration exists.
-//   - Rebalancing: every RebalanceEvery tick an extended sched.Planner
+//   - Rebalancing: every rebalanceEvery tick an extended sched.Planner
 //     re-plans the running set against the free devices. The queue-vs-
 //     migrate rule is Eq. 1 applied to live state: move a job when the
 //     predicted migration cost Tm plus its remaining time on the target
@@ -99,11 +99,6 @@ type Config struct {
 	// Model is the fitted Eq. 1 instance used for every migration,
 	// eviction and restore cost prediction.
 	Model core.CostModel
-	// RebalanceEvery is the planner tick. Default 500ms.
-	RebalanceEvery vtime.Duration
-	// MinGain suppresses migration churn (sched.Planner.MinGain).
-	// Default 250ms.
-	MinGain vtime.Duration
 	// Migration enables the rebalancing rounds. Off, the fleet is the
 	// no-migration baseline: a job finishes where admission put it.
 	Migration bool
@@ -140,15 +135,11 @@ type Config struct {
 // checkpoint that is violated and re-copied synchronously.
 const specViolationRate = 0.1
 
-func (c Config) withDefaults() Config {
-	if c.RebalanceEvery <= 0 {
-		c.RebalanceEvery = 500 * vtime.Millisecond
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = 250 * vtime.Millisecond
-	}
-	return c
-}
+// rebalanceEvery is the planner tick.
+const rebalanceEvery = 500 * vtime.Millisecond
+
+// minGain suppresses migration churn (sched.Planner.MinGain).
+const minGain = 250 * vtime.Millisecond
 
 // DefaultCostModel is a fitted Eq. 1 instance in the ballpark the Fig. 8
 // calibration produces for checkpoints over the Table I NFS: ~28.6 MB/s
@@ -278,12 +269,12 @@ type Fleet struct {
 // validated lazily by Run.
 func New(nodes []NodeSpec, cfg Config) *Fleet {
 	f := &Fleet{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		clock:  vtime.NewClock(),
 		byKey:  map[string]*device{},
 		byName: map[string]*job{},
 	}
-	f.planner = &sched.Planner{Model: f.cfg.Model, MinGain: f.cfg.MinGain}
+	f.planner = &sched.Planner{Model: f.cfg.Model, MinGain: minGain}
 	for _, ns := range nodes {
 		fn := &fleetNode{name: ns.Name}
 		for i, dm := range ns.Devices {
@@ -342,7 +333,7 @@ func (f *Fleet) Run(specs []JobSpec) (Report, error) {
 	settled := 0 // done + rejected
 	var nextReb vtime.Time
 	if len(f.arrivals) > 0 {
-		nextReb = f.arrivals[0].spec.Arrival.Add(f.cfg.RebalanceEvery)
+		nextReb = f.arrivals[0].spec.Arrival.Add(rebalanceEvery)
 	}
 	for settled < len(f.jobs) {
 		now, ok := f.nextEvent(nextReb)
@@ -393,7 +384,7 @@ func (f *Fleet) Run(specs []JobSpec) (Report, error) {
 			}
 			depth, parked := f.queueDepth()
 			f.metrics.sampleQueue(now, depth, parked)
-			nextReb = now.Add(f.cfg.RebalanceEvery)
+			nextReb = now.Add(rebalanceEvery)
 		}
 	}
 	return f.report(), nil

@@ -5,10 +5,10 @@ package ipc
 // kills the stream at precise protocol positions (before the request, mid
 // request frame, before the response, between the response envelope and
 // its body, mid response body), crashes the proxy process mid-handler, or
-// delays a call past its virtual deadline. Because the injector parses the
-// frame headers flowing through it, every fault lands on an exact frame
-// boundary, which makes the failure modes reproducible enough for
-// table-driven tests and seeded soak runs.
+// delays a call. Because the injector parses the frame headers flowing
+// through it, every fault lands on an exact frame boundary, which makes
+// the failure modes reproducible enough for table-driven tests and seeded
+// soak runs.
 
 import (
 	"encoding/binary"
@@ -46,7 +46,7 @@ const (
 	// handler's reply hits a closed connection and the process is gone.
 	FaultCrashServer
 	// FaultDelay advances the virtual clock by Plan.Delay before the
-	// request, exercising per-call deadlines.
+	// request: a slow call that still succeeds.
 	FaultDelay
 	// FaultTornSlotPublish (ring only) tears a submission-slot publish: the
 	// consumer observes a half-written slot and the ring latches down with

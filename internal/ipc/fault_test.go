@@ -50,12 +50,7 @@ func TestFaultKillKinds(t *testing.T) {
 			if _, err := conn.Call("add", addReq{A: 2, B: 2}, &resp); !errors.Is(err, ErrConnDown) {
 				t.Fatalf("faulted call err = %v, want ErrConnDown", err)
 			}
-			if !conn.Down() {
-				t.Error("connection should be latched down after the fault")
-			}
-			if _, err := conn.Call("add", addReq{A: 1, B: 1}, &resp); !errors.Is(err, ErrConnDown) {
-				t.Errorf("post-fault call err = %v, want fast ErrConnDown", err)
-			}
+			requireDown(t, conn)
 			if inj.Injected() != 1 {
 				t.Errorf("injected = %d, want 1", inj.Injected())
 			}
@@ -73,15 +68,16 @@ func TestFaultFrameTooLargeOutbound(t *testing.T) {
 	s := NewServer()
 	Register(s, "fat", func(r fatReq) (addResp, error) { return addResp{Sum: len(r.Data)}, nil })
 	conn := pair(t, s)
-	conn.SetMaxFrame(64)
+	conn.fw.max = 64
 	var resp addResp
 	_, err := conn.Call("fat", fatReq{Data: make([]byte, 4096)}, &resp)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if !errors.Is(err, ErrConnDown) || !conn.Down() {
+	if !errors.Is(err, ErrConnDown) {
 		t.Error("an oversized frame must take the connection down")
 	}
+	requireDown(t, conn)
 }
 
 // TestFaultFrameTooLargeInbound rejects an oversized request frame on the
@@ -91,7 +87,7 @@ func TestFaultFrameTooLargeInbound(t *testing.T) {
 	type fatReq struct{ Data []byte }
 	s := NewServer()
 	Register(s, "fat", func(r fatReq) (addResp, error) { return addResp{Sum: len(r.Data)}, nil })
-	s.SetMaxFrame(64)
+	s.maxFrame = 64
 	a, b := net.Pipe()
 	served := make(chan error, 1)
 	go func() { served <- s.ServeConn(b) }()
@@ -154,10 +150,10 @@ func TestFaultSeqReplay(t *testing.T) {
 	conn := pair(t, s)
 
 	var r1, r2 addResp
-	if _, err := conn.CallSeq("bump", 7, addReq{}, &r1); err != nil {
+	if _, err := callSeq(conn, "bump", 7, addReq{}, &r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.CallSeq("bump", 7, addReq{}, &r2); err != nil {
+	if _, err := callSeq(conn, "bump", 7, addReq{}, &r2); err != nil {
 		t.Fatal(err)
 	}
 	if got := execs.Load(); got != 1 {
@@ -171,10 +167,10 @@ func TestFaultSeqReplay(t *testing.T) {
 	}
 
 	var r3, r4 addResp
-	if _, err := conn.CallSeq("bump", 0, addReq{}, &r3); err != nil {
+	if _, err := callSeq(conn, "bump", 0, addReq{}, &r3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.CallSeq("bump", 0, addReq{}, &r4); err != nil {
+	if _, err := callSeq(conn, "bump", 0, addReq{}, &r4); err != nil {
 		t.Fatal(err)
 	}
 	if r3.Sum == r4.Sum {
@@ -193,20 +189,20 @@ func TestFaultReplayWindowEviction(t *testing.T) {
 	conn := pair(t, s)
 	var resp addResp
 	for seq := uint64(1); seq <= replayWindow+1; seq++ {
-		if _, err := conn.CallSeq("bump", seq, addReq{}, &resp); err != nil {
+		if _, err := callSeq(conn, "bump", seq, addReq{}, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Seq 1 was evicted by seq replayWindow+1: it executes again.
 	before := execs.Load()
-	if _, err := conn.CallSeq("bump", 1, addReq{}, &resp); err != nil {
+	if _, err := callSeq(conn, "bump", 1, addReq{}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if execs.Load() != before+1 {
 		t.Error("evicted seq should re-execute")
 	}
 	// Seq 3 is still cached (re-storing seq 1 evicted seq 2): replayed.
-	if _, err := conn.CallSeq("bump", 3, addReq{}, &resp); err != nil {
+	if _, err := callSeq(conn, "bump", 3, addReq{}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if execs.Load() != before+1 {
@@ -214,29 +210,37 @@ func TestFaultReplayWindowEviction(t *testing.T) {
 	}
 }
 
-// TestFaultDeadlineExceeded arms a virtual per-call deadline and injects a
-// delay past it: the call must fail and take the connection down.
-func TestFaultDeadlineExceeded(t *testing.T) {
-	s := NewServer()
-	Register(s, "add", func(r addReq) (addResp, error) {
-		return addResp{Sum: r.A + r.B}, nil
-	})
-	clock := vtime.NewClock()
-	inj := NewFaultInjector(FaultPlan{
-		EveryN: 2,
-		Kinds:  []FaultKind{FaultDelay},
-		Delay:  10 * vtime.Millisecond,
-	})
-	inj.SetClock(clock)
-	conn := faultPair(t, s, inj)
-	conn.SetDeadline(clock, vtime.Millisecond)
-
-	var resp addResp
-	if _, err := conn.Call("add", addReq{A: 1, B: 1}, &resp); err != nil {
-		t.Fatalf("fast call should beat the deadline: %v", err)
-	}
-	if _, err := conn.Call("add", addReq{A: 1, B: 1}, &resp); !errors.Is(err, ErrConnDown) {
-		t.Fatalf("delayed call err = %v, want ErrConnDown", err)
+// TestFaultDelayIsASlowCall: FaultDelay charges the plan's Delay to the
+// virtual clock and the call still succeeds, on both carriers.
+func TestFaultDelayIsASlowCall(t *testing.T) {
+	for _, carrier := range []string{"framed", "ring"} {
+		t.Run(carrier, func(t *testing.T) {
+			s := NewServer()
+			Register(s, "add", func(r addReq) (addResp, error) {
+				return addResp{Sum: r.A + r.B}, nil
+			})
+			clock := vtime.NewClock()
+			inj := NewFaultInjector(FaultPlan{
+				EveryN: 1,
+				Kinds:  []FaultKind{FaultDelay},
+				Delay:  10 * vtime.Millisecond,
+			})
+			inj.SetClock(clock)
+			var tr Transport
+			if carrier == "ring" {
+				tr = ringPair(t, s, inj)
+			} else {
+				tr = faultPair(t, s, inj)
+			}
+			var resp addResp
+			before := clock.Now()
+			if _, err := callSeq(tr, "add", 0, addReq{A: 1, B: 1}, &resp); err != nil || resp.Sum != 2 {
+				t.Fatalf("delayed call: %v, sum %d", err, resp.Sum)
+			}
+			if got := clock.Now().Sub(before); got != 10*vtime.Millisecond {
+				t.Errorf("clock moved %v, want the plan's 10ms delay", got)
+			}
+		})
 	}
 }
 

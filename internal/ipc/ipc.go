@@ -1,15 +1,19 @@
-// Package ipc provides the framed gob RPC transport that connects an
-// application process to its API proxy. The transport runs over any
-// io.ReadWriteCloser: an in-memory net.Pipe for the common same-node case
-// or a Unix-domain/TCP socket for out-of-process and remote proxies.
+// Package ipc carries the calls between an application process and its
+// API proxy. There is one call contract, Transport, and two carriers of
+// it: Conn, a framed gob stream over any io.ReadWriteCloser (an in-memory
+// net.Pipe for a same-node proxy, a TCP socket for a remote one), and
+// Ring, a pair of shared-memory queues (ring.go). Both dispatch through
+// one Server: one route per method, and one serve body that runs the
+// handler and the exactly-once replay of sequenced calls.
 //
-// Every gob message travels inside an explicit length-prefixed frame
-// (4-byte big-endian length + payload). The framing hardens the wire
-// format: oversized frames are rejected with ErrFrameTooLarge and a
-// connection that dies mid-frame surfaces ErrTruncatedFrame instead of a
-// hang or a raw io.ErrUnexpectedEOF. Once a connection has failed it is
-// latched down and every further call fails fast with an error matching
-// ErrConnDown, which is what proxy.Client keys its retry/failover on.
+// On the framed stream every gob message travels inside an explicit
+// length-prefixed frame (4-byte big-endian length + payload). The framing
+// hardens the wire format: oversized frames are rejected with
+// ErrFrameTooLarge and a connection that dies mid-frame surfaces
+// ErrTruncatedFrame instead of a hang or a raw io.ErrUnexpectedEOF. Once a
+// carrier has failed it is latched down and every further call fails fast
+// with an error matching ErrConnDown, which is what proxy.Client keys its
+// retry/failover on.
 //
 // Bulk payloads (buffer transfers, batched enqueue data) can bypass gob
 // entirely: a call whose request envelope sets Raw is followed — after the
@@ -20,9 +24,9 @@
 // tracker and the byte counter see them like any other frame, but they
 // skip the gob reflection/copy cost that dominates the hot path.
 //
-// The transport counts bytes on the wire so callers can charge the
-// modelled cost of the extra process-to-process copy (the dominant CheCL
-// overhead for transfer-bound programs, §IV-A).
+// Every call reports the bytes it moved across its carrier, so callers
+// can charge the modelled cost of the extra process-to-process copy (the
+// dominant CheCL overhead for transfer-bound programs, §IV-A).
 package ipc
 
 import (
@@ -33,8 +37,6 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"checl/internal/vtime"
 )
 
 // DefaultMaxFrame bounds a single frame (gob body or raw payload).
@@ -124,28 +126,27 @@ type CallFaulter interface {
 	CallStarting() error
 }
 
-// countingRWC feeds the bytes crossing an io.ReadWriteCloser into the
-// shared TransportStats layer (reads as received, writes as sent).
+// countingRWC counts the bytes crossing an io.ReadWriteCloser in both
+// directions. Only a call in progress reads or writes the stream, so n is
+// guarded by Conn.mu.
 type countingRWC struct {
-	rwc   io.ReadWriteCloser
-	stats TransportStats
+	rwc io.ReadWriteCloser
+	n   int64
 }
 
 func (c *countingRWC) Read(p []byte) (int, error) {
 	n, err := c.rwc.Read(p)
-	c.stats.AddRecv(int64(n))
+	c.n += int64(n)
 	return n, err
 }
 
 func (c *countingRWC) Write(p []byte) (int, error) {
 	n, err := c.rwc.Write(p)
-	c.stats.AddSent(int64(n))
+	c.n += int64(n)
 	return n, err
 }
 
 func (c *countingRWC) Close() error { return c.rwc.Close() }
-
-func (c *countingRWC) bytes() int64 { return c.stats.Total() }
 
 // frameWriter buffers one gob message and emits it as a single
 // length-prefixed frame on flush.
@@ -289,11 +290,6 @@ func (f *frameReader) rawBody(buf []byte) error {
 	return nil
 }
 
-// readRaw reads one raw frame into a fresh buffer.
-func (f *frameReader) readRaw() ([]byte, error) {
-	return f.readRawInto(nil)
-}
-
 // readRawInto reads one raw frame into buf when its capacity suffices,
 // allocating a fresh buffer only when it does not. This is the client
 // half of the zero-copy read path: a caller that drains the same buffer
@@ -315,8 +311,8 @@ func (f *frameReader) readRawInto(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Conn is the client side of an RPC connection. One call is outstanding
-// at a time; Conn is safe for concurrent use.
+// Conn is the framed carrier's client side. One call is outstanding at a
+// time; Conn is safe for concurrent use.
 type Conn struct {
 	mu      sync.Mutex
 	count   *countingRWC
@@ -325,8 +321,6 @@ type Conn struct {
 	enc     *gob.Encoder
 	dec     *gob.Decoder
 	faulter CallFaulter
-	clock   *vtime.Clock
-	timeout vtime.Duration
 	downErr error // first fatal transport error; latched
 }
 
@@ -350,122 +344,81 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 	return c
 }
 
-// SetMaxFrame overrides the outbound frame-size limit (tests use small
-// limits to exercise ErrFrameTooLarge cheaply).
-func (c *Conn) SetMaxFrame(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fw.max = n
-}
-
-// SetDeadline arms a per-call deadline measured on the virtual clock: a
-// call that comes back after more than timeout of virtual time (injected
-// delays included) marks the connection down, modelling a proxy that has
-// stopped responding in useful time.
-func (c *Conn) SetDeadline(clock *vtime.Clock, timeout vtime.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock = clock
-	c.timeout = timeout
-}
-
 // Call invokes method remotely: req is sent, the reply is decoded into
 // resp (which must be a pointer). It returns the number of bytes the call
 // moved across the transport.
 func (c *Conn) Call(method string, req, resp any) (int64, error) {
-	_, n, err := c.exchange(method, 0, req, nil, resp, nil)
+	_, n, err := c.CallRaw(method, 0, req, nil, resp, nil)
 	return n, err
 }
 
-// CallSeq is Call with an explicit dedupe sequence number. Seq 0 means
-// "idempotent, never deduped"; a non-zero seq must be unique per logical
-// call so that re-sending it after a reconnect replays the cached
-// response instead of re-executing the handler.
-func (c *Conn) CallSeq(method string, seq uint64, req, resp any) (int64, error) {
-	_, n, err := c.exchange(method, seq, req, nil, resp, nil)
-	return n, err
-}
-
-// CallRaw is CallSeq with raw payloads both ways. A non-nil rawReq travels
-// as one verbatim frame after the gob body, skipping gob encoding entirely.
-// The raw parts the server attached to its response are returned in order;
-// part k is received into into[k] when its capacity suffices (the returned
-// slice then aliases it), into a fresh allocation otherwise.
+// CallRaw implements Transport. A non-nil rawReq travels as one verbatim
+// frame after the gob body, and each raw part of the response as a frame
+// of its own, received into into[k] when its capacity suffices.
 func (c *Conn) CallRaw(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
-	return c.exchange(method, seq, req, rawReq, resp, into)
-}
-
-// CallRecvRawInto is CallRaw for a response of at most one part and no
-// request payload. The benchmark's bulk probe is compiled against it.
-func (c *Conn) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
-	parts, n, err := c.exchange(method, seq, req, nil, resp, [][]byte{buf})
-	if len(parts) == 0 {
-		return nil, n, err
-	}
-	return parts[0], n, err
-}
-
-// exchange runs one request/response cycle under the connection lock.
-func (c *Conn) exchange(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.downErr != nil {
 		return nil, 0, &DownError{Method: method, Err: c.downErr}
-	}
-	var start vtime.Time
-	if c.clock != nil {
-		start = c.clock.Now()
 	}
 	if c.faulter != nil {
 		if err := c.faulter.CallStarting(); err != nil {
 			return nil, 0, c.fail(method, err)
 		}
 	}
-	before := c.count.bytes()
+	start := c.count.n
+	parts, err := c.roundTrip(method, seq, req, rawReq, resp, into)
+	return parts, c.count.n - start, err
+}
+
+// CallRecvRawInto is CallRaw for a response of at most one part and no
+// request payload. The benchmark's bulk probe is compiled against it.
+func (c *Conn) CallRecvRawInto(method string, seq uint64, req, resp any, buf []byte) ([]byte, int64, error) {
+	parts, n, err := c.CallRaw(method, seq, req, nil, resp, [][]byte{buf})
+	if len(parts) == 0 {
+		return nil, n, err
+	}
+	return parts[0], n, err
+}
+
+// roundTrip writes one request and reads its response. Callers hold c.mu.
+func (c *Conn) roundTrip(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, error) {
 	if err := c.encodeFrame(reqEnvelope{Method: method, Seq: seq, Raw: rawReq != nil}); err != nil {
-		return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("sending %s envelope: %w", method, err))
+		return nil, c.fail(method, fmt.Errorf("sending %s envelope: %w", method, err))
 	}
 	if err := c.encodeFrame(req); err != nil {
-		return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("sending %s request: %w", method, err))
+		return nil, c.fail(method, fmt.Errorf("sending %s request: %w", method, err))
 	}
 	if rawReq != nil {
 		if err := c.fw.writeRaw(rawReq); err != nil {
-			return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("sending %s payload: %w", method, err))
+			return nil, c.fail(method, fmt.Errorf("sending %s payload: %w", method, err))
 		}
 	}
 	var env respEnvelope
 	if err := c.dec.Decode(&env); err != nil {
-		return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("receiving %s response envelope: %w", method, err))
+		return nil, c.fail(method, fmt.Errorf("receiving %s response envelope: %w", method, err))
 	}
-	var callErr error
-	var parts [][]byte
 	if env.ErrOp != "" {
-		callErr = &RemoteError{Op: env.ErrOp, Detail: env.ErrDetail, Status: env.ErrStatus}
-	} else {
-		if err := c.dec.Decode(resp); err != nil {
-			return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("receiving %s response: %w", method, err))
-		}
-		// Grown by append, a frame at a time: the announced count is the
-		// peer's word and is never used to size anything.
-		for k := 0; k < env.Raw; k++ {
-			var dst []byte
-			if k < len(into) {
-				dst = into[k]
-			}
-			part, err := c.fr.readRawInto(dst)
-			if err != nil {
-				return nil, c.count.bytes() - before, c.fail(method, fmt.Errorf("receiving %s payload: %w", method, err))
-			}
-			parts = append(parts, part)
-		}
+		return nil, &RemoteError{Op: env.ErrOp, Detail: env.ErrDetail, Status: env.ErrStatus}
 	}
-	if c.clock != nil && c.timeout > 0 {
-		if elapsed := c.clock.Now().Sub(start); elapsed > c.timeout {
-			return nil, c.count.bytes() - before,
-				c.fail(method, fmt.Errorf("%s exceeded the %s call deadline (took %s)", method, c.timeout, elapsed))
-		}
+	if err := c.dec.Decode(resp); err != nil {
+		return nil, c.fail(method, fmt.Errorf("receiving %s response: %w", method, err))
 	}
-	return parts, c.count.bytes() - before, callErr
+	// Grown by append, a frame at a time: the announced count is the
+	// peer's word and is never used to size anything.
+	var parts [][]byte
+	for k := 0; k < env.Raw; k++ {
+		var dst []byte
+		if k < len(into) {
+			dst = into[k]
+		}
+		part, err := c.fr.readRawInto(dst)
+		if err != nil {
+			return nil, c.fail(method, fmt.Errorf("receiving %s payload: %w", method, err))
+		}
+		parts = append(parts, part)
+	}
+	return parts, nil
 }
 
 // encodeFrame writes one gob message as one frame.
@@ -486,16 +439,6 @@ func (c *Conn) fail(method string, err error) error {
 	return &DownError{Method: method, Err: err}
 }
 
-// Stats exposes the connection's byte accounting.
-func (c *Conn) Stats() *TransportStats { return &c.count.stats }
-
-// Down reports whether the connection has been latched down.
-func (c *Conn) Down() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.downErr != nil
-}
-
 // Close tears down the transport. Further calls fail with ErrConnDown.
 func (c *Conn) Close() error {
 	err := c.count.Close()
@@ -507,7 +450,8 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// cachedResp is one remembered response in the server's dedupe cache.
+// cachedResp is one call's answer: what the serve body hands a carrier
+// to deliver, and what the replay cache keeps of a sequenced call.
 type cachedResp struct {
 	env  respEnvelope
 	resp any
@@ -523,18 +467,15 @@ func rawLen(parts [][]byte) int64 {
 	return n
 }
 
-// handlerCtx bundles the per-connection streams a handler works with and
-// the request-envelope fields it was dispatched on.
-type handlerCtx struct {
-	seq    uint64
-	rawReq bool // the request envelope announced a raw payload frame
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	fr     *frameReader
-	fw     *frameWriter
-	// scratch is the connection's reusable response memory: the parts the
-	// last unsequenced RegisterParts call returned, lent to the next one.
-	scratch *[][]byte
+// route is one registered method, as both carriers dispatch it.
+type route struct {
+	// call runs the handler on the typed request value.
+	call func(req any, payload []byte, into [][]byte) (resp any, parts [][]byte, err error)
+	// decode reads the request body off the framed stream.
+	decode func(dec *gob.Decoder) (any, error)
+	// lend says whether the framed carrier lends the handler the
+	// connection's scratch as into and keeps what it returns.
+	lend bool
 }
 
 // Server dispatches RPCs to registered handlers. One Server may serve
@@ -543,9 +484,8 @@ type handlerCtx struct {
 // cache lives here rather than per connection.
 type Server struct {
 	mu       sync.Mutex
-	handlers map[string]func(*handlerCtx) error
-	ring     map[string]ringFn
-	maxFrame int
+	routes   map[string]*route
+	maxFrame int // inbound frame limit on the framed carrier
 
 	seen      map[uint64]cachedResp
 	seenFIFO  []uint64
@@ -557,33 +497,18 @@ type Server struct {
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
-		handlers: map[string]func(*handlerCtx) error{},
-		ring:     map[string]ringFn{},
+		routes:   map[string]*route{},
 		maxFrame: DefaultMaxFrame,
 		seen:     map[uint64]cachedResp{},
 		inflight: map[uint64]chan struct{}{},
 	}
 }
 
-// ringFn is the ring-dispatch form of a handler: the request arrives as
-// the typed value the client submitted (no gob), payload is the request's
-// raw payload (nil when none), and into is the client's own destination
-// list for the response parts.
-type ringFn func(req any, payload []byte, into [][]byte) (resp any, parts [][]byte, err error)
-
-// ringHandler looks up the ring-dispatch handler for method.
-func (s *Server) ringHandler(method string) (ringFn, bool) {
+// route looks up method's route; nil when none is registered.
+func (s *Server) route(method string) *route {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.ring[method]
-	return h, ok
-}
-
-// SetMaxFrame overrides the inbound frame-size limit.
-func (s *Server) SetMaxFrame(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxFrame = n
+	return s.routes[method]
 }
 
 // ReplayedCalls reports how many sequenced requests were answered from
@@ -593,6 +518,58 @@ func (s *Server) ReplayedCalls() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.replayed
+}
+
+// serve answers one call on either carrier: rt is the method's route (nil
+// when unknown), req the typed request, payload its raw payload and into
+// the destinations lent for the response parts.
+//
+// A sequenced call (seq != 0) runs at most once. Its answer — an unknown
+// method's error included — is cached with copies of its parts, so a
+// handler that goes on using the memory it returned, or a client that
+// writes into its destinations, cannot change what a replay delivers. A
+// replay copies the cached parts into into where it can.
+func (s *Server) serve(method string, seq uint64, rt *route, req any, payload []byte, into [][]byte) cachedResp {
+	var done func(cachedResp)
+	if seq != 0 {
+		cached, served, claim := s.claimSeq(seq)
+		if served {
+			out := cached
+			out.raw = copyParts(cached.raw, into)
+			return out
+		}
+		done = claim
+	}
+	var out cachedResp
+	if rt == nil {
+		out.env = respEnvelope{ErrOp: method, ErrDetail: "unknown method", ErrStatus: -9998}
+	} else {
+		resp, parts, err := rt.call(req, payload, into)
+		out.env = envFor(method, err)
+		if err == nil {
+			out.resp, out.raw = resp, parts
+			out.env.Raw = len(parts)
+		}
+	}
+	if done != nil {
+		cached := out
+		cached.raw = copyParts(out.raw, nil)
+		done(cached)
+	}
+	return out
+}
+
+// copyParts copies each part, part k into into[k] when there is one.
+func copyParts(parts, into [][]byte) [][]byte {
+	var out [][]byte
+	for k, p := range parts {
+		var dst []byte
+		if k < len(into) {
+			dst = into[k][:0]
+		}
+		out = append(out, append(dst, p...))
+	}
+	return out
 }
 
 // claimSeq resolves how a sequenced request should be served. A completed
@@ -695,96 +672,37 @@ func RegisterRaw[Req, Resp any](s *Server, method string, fn func(req Req, paylo
 // list, so a part lands in caller memory with no copy. On the framed
 // transport it is the connection's scratch — the parts the previous
 // unsequenced call on the connection returned — and nil for a sequenced
-// call, whose response the replay cache pins. Either way a returned part
-// belongs to the transport from then on: fn must not return memory it
-// goes on using.
+// call. Either way a returned part belongs to the transport from then on:
+// fn must not return memory it goes on using.
 func RegisterParts[Req, Resp any](s *Server, method string, fn func(req Req, payload []byte, into [][]byte) (Resp, [][]byte, error)) {
 	register(s, method, true, fn)
 }
 
-// register derives both dispatch forms of one handler. lend says whether
-// the framed form lends fn the connection scratch and keeps what it
-// returns; RegisterRaw handlers stay out of that, because nothing stops
-// one from returning memory it owns.
+// register installs method's route. lend says whether the framed carrier
+// lends fn the connection scratch and keeps what it returns; RegisterRaw
+// handlers stay out of that, because nothing stops one from returning
+// memory it owns.
 func register[Req, Resp any](s *Server, method string, lend bool, fn func(req Req, payload []byte, into [][]byte) (Resp, [][]byte, error)) {
+	rt := &route{
+		// On the ring the request arrives as the typed value itself, so
+		// dispatch is a type assertion; the framed carrier decodes it first.
+		call: func(req any, payload []byte, into [][]byte) (any, [][]byte, error) {
+			typed, ok := req.(Req)
+			if !ok {
+				return nil, nil, fmt.Errorf("ipc: %s: request is %T, want %T", method, req, typed)
+			}
+			return fn(typed, payload, into)
+		},
+		decode: func(dec *gob.Decoder) (any, error) {
+			var req Req
+			err := dec.Decode(&req)
+			return req, err
+		},
+		lend: lend,
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// On the ring the request arrives as the typed value itself, so
-	// dispatch is a type assertion instead of a gob decode.
-	s.ring[method] = func(req any, payload []byte, into [][]byte) (any, [][]byte, error) {
-		typed, ok := req.(Req)
-		if !ok {
-			return nil, nil, fmt.Errorf("ipc: %s: request is %T, want %T", method, req, typed)
-		}
-		return fn(typed, payload, into)
-	}
-	s.handlers[method] = func(ctx *handlerCtx) error {
-		var req Req
-		if err := ctx.dec.Decode(&req); err != nil {
-			return fmt.Errorf("ipc: decoding %s request: %w", method, err)
-		}
-		var payload []byte
-		var pooled *[]byte
-		if ctx.rawReq {
-			size, err := ctx.fr.rawHeader()
-			if err != nil {
-				return fmt.Errorf("ipc: reading %s payload header: %w", method, err)
-			}
-			pooled = getRawBuf(size)
-			if err := ctx.fr.rawBody(*pooled); err != nil {
-				putRawBuf(pooled)
-				return fmt.Errorf("ipc: reading %s payload: %w", method, err)
-			}
-			payload = *pooled
-		}
-		// The replay claim happens only after the raw frame is consumed,
-		// so a replayed request leaves the stream at a frame boundary.
-		var done func(cachedResp)
-		if ctx.seq != 0 {
-			cached, served, claim := s.claimSeq(ctx.seq)
-			if served {
-				if pooled != nil {
-					putRawBuf(pooled)
-				}
-				return writeResp(method, cached, ctx.enc, ctx.fw)
-			}
-			done = claim
-		}
-		// A sequenced response is pinned by the replay cache: it is never
-		// built in, or kept as, scratch.
-		lending := lend && done == nil
-		var into [][]byte
-		if lending {
-			into = *ctx.scratch
-		}
-		resp, parts, err := fn(req, payload, into)
-		if pooled != nil {
-			putRawBuf(pooled)
-		}
-		env := envFor(method, err)
-		if err != nil {
-			parts = nil
-		}
-		env.Raw = len(parts)
-		out := cachedResp{env: env, resp: resp, raw: parts}
-		if done != nil {
-			done(out)
-		}
-		if lending {
-			// Slot k keeps whichever of its old and new memory is larger,
-			// so a small read after a big drain does not shrink the scratch.
-			for k, p := range parts {
-				switch {
-				case k >= len(into):
-					into = append(into, p)
-				case cap(p) > cap(into[k]):
-					into[k] = p
-				}
-			}
-			*ctx.scratch = into
-		}
-		return writeResp(method, out, ctx.enc, ctx.fw)
-	}
+	s.routes[method] = rt
 }
 
 // writeResp emits the response envelope and, on success, the body — each
@@ -826,14 +744,16 @@ func (s *Server) ServeConn(rwc io.ReadWriteCloser) error {
 	return err
 }
 
+// serveConn is the framed carrier's server side: it reads each call's
+// envelope, body and raw frame, hands them to serve, and writes the
+// answer.
 func (s *Server) serveConn(rwc io.ReadWriteCloser) error {
-	s.mu.Lock()
-	max := s.maxFrame
-	s.mu.Unlock()
-	fw := &frameWriter{w: rwc, max: max}
-	fr := &frameReader{r: rwc, max: max}
+	fw := &frameWriter{w: rwc, max: s.maxFrame}
+	fr := &frameReader{r: rwc, max: s.maxFrame}
 	dec := gob.NewDecoder(fr)
 	enc := gob.NewEncoder(fw)
+	// scratch is the connection's reusable response memory: the parts the
+	// last unsequenced lending call returned, lent to the next one.
 	var scratch [][]byte
 	for {
 		var env reqEnvelope
@@ -843,33 +763,61 @@ func (s *Server) serveConn(rwc io.ReadWriteCloser) error {
 			}
 			return fmt.Errorf("ipc: reading request envelope: %w", err)
 		}
-		s.mu.Lock()
-		h, ok := s.handlers[env.Method]
-		s.mu.Unlock()
-		if !ok {
-			// Consume the request body so the (unbuffered) transport does
-			// not deadlock: every request is a struct, and gob decodes any
-			// struct into an empty one by ignoring its fields. A body that
-			// cannot be skipped leaves the stream out of step: stop here
-			// rather than read the middle of a frame as the next header.
+		rt := s.route(env.Method)
+		var req any
+		if rt != nil {
+			var err error
+			if req, err = rt.decode(dec); err != nil {
+				return fmt.Errorf("ipc: decoding %s request: %w", env.Method, err)
+			}
+		} else {
+			// Every request is a struct, and gob decodes any struct into
+			// an empty one by ignoring its fields. A body that cannot be
+			// skipped leaves the stream out of step: stop here rather
+			// than read the middle of a frame as the next header.
 			var skel struct{}
 			if err := dec.Decode(&skel); err != nil {
 				return fmt.Errorf("ipc: skipping %s request: %w", env.Method, err)
 			}
-			if env.Raw {
-				if _, err := fr.readRaw(); err != nil {
-					return fmt.Errorf("ipc: skipping %s payload: %w", env.Method, err)
+		}
+		// The raw frame is consumed before serve claims the sequence, so
+		// a replayed request also leaves the stream at a frame boundary.
+		var payload []byte
+		var pooled *[]byte
+		if env.Raw {
+			size, err := fr.rawHeader()
+			if err != nil {
+				return fmt.Errorf("ipc: reading %s payload header: %w", env.Method, err)
+			}
+			pooled = getRawBuf(size)
+			if err := fr.rawBody(*pooled); err != nil {
+				putRawBuf(pooled)
+				return fmt.Errorf("ipc: reading %s payload: %w", env.Method, err)
+			}
+			payload = *pooled
+		}
+		lending := rt != nil && rt.lend && env.Seq == 0
+		var into [][]byte
+		if lending {
+			into = scratch
+		}
+		out := s.serve(env.Method, env.Seq, rt, req, payload, into)
+		if pooled != nil {
+			putRawBuf(pooled)
+		}
+		if lending {
+			// Slot k keeps whichever of its old and new memory is larger,
+			// so a small read after a big drain does not shrink the scratch.
+			for k, p := range out.raw {
+				switch {
+				case k >= len(scratch):
+					scratch = append(scratch, p)
+				case cap(p) > cap(scratch[k]):
+					scratch[k] = p
 				}
 			}
-			if err := enc.Encode(respEnvelope{ErrOp: env.Method, ErrDetail: "unknown method", ErrStatus: -9998}); err != nil {
-				return err
-			}
-			if err := fw.flush(); err != nil {
-				return err
-			}
-			continue
 		}
-		if err := h(&handlerCtx{seq: env.Seq, rawReq: env.Raw, dec: dec, enc: enc, fr: fr, fw: fw, scratch: &scratch}); err != nil {
+		if err := writeResp(env.Method, out, enc, fw); err != nil {
 			return err
 		}
 	}

@@ -29,6 +29,23 @@ func pair(t *testing.T, s *Server) *Conn {
 	return conn
 }
 
+// callSeq drives either carrier through the one call contract: a gob-only
+// call under seq, with no raw parts either way.
+func callSeq(tr Transport, method string, seq uint64, req, resp any) (int64, error) {
+	_, n, err := tr.CallRaw(method, seq, req, nil, resp, nil)
+	return n, err
+}
+
+// requireDown asserts that tr is latched down: the next call fails with
+// ErrConnDown and moves no bytes.
+func requireDown(t *testing.T, tr Transport) {
+	t.Helper()
+	var resp addResp
+	if n, err := callSeq(tr, "add", 0, addReq{}, &resp); !errors.Is(err, ErrConnDown) || n != 0 {
+		t.Errorf("call on a downed transport: %d bytes, err %v; want a fast ErrConnDown", n, err)
+	}
+}
+
 func TestCallRoundtrip(t *testing.T) {
 	s := NewServer()
 	Register(s, "add", func(r addReq) (addResp, error) {
@@ -172,7 +189,7 @@ func TestReplayWaitsForInflightCall(t *testing.T) {
 	origErr := make(chan error, 1)
 	go func() {
 		var resp addResp
-		_, err := conn1.CallSeq("slow", 7, addReq{A: 2, B: 40}, &resp)
+		_, err := callSeq(conn1, "slow", 7, addReq{A: 2, B: 40}, &resp)
 		origErr <- err
 	}()
 	<-entered
@@ -184,7 +201,7 @@ func TestReplayWaitsForInflightCall(t *testing.T) {
 	replayed := make(chan addResp, 1)
 	go func() {
 		var resp addResp
-		if _, err := conn2.CallSeq("slow", 7, addReq{A: 2, B: 40}, &resp); err != nil {
+		if _, err := callSeq(conn2, "slow", 7, addReq{A: 2, B: 40}, &resp); err != nil {
 			t.Errorf("replayed call: %v", err)
 		}
 		replayed <- resp
@@ -211,4 +228,70 @@ func TestReplayWaitsForInflightCall(t *testing.T) {
 	}
 	conn1.Close()
 	<-origErr
+}
+
+// TestReplayContractBothCarriers pins the one replay contract on both
+// carriers. A re-sent sequenced call gets its first answer, even when the
+// handler has since written into the memory it returned; an unknown
+// method sent with a sequence number claims it like any other call; and a
+// replayed parts answer lands in the caller's destination.
+func TestReplayContractBothCarriers(t *testing.T) {
+	for _, carrier := range []string{"framed", "ring"} {
+		t.Run(carrier, func(t *testing.T) {
+			var runs atomic.Int32
+			owned := []byte("first")
+			s := NewServer()
+			RegisterRaw(s, "stamp", func(rawReqHdr, []byte) (rawRespHdr, []byte, error) {
+				runs.Add(1)
+				return rawRespHdr{N: len(owned)}, owned, nil
+			})
+			RegisterParts(s, "parts", func(rawReqHdr, []byte, [][]byte) (rawRespHdr, [][]byte, error) {
+				runs.Add(1)
+				return rawRespHdr{N: 1}, [][]byte{[]byte("part")}, nil
+			})
+			var tr Transport
+			if carrier == "ring" {
+				tr = ringPair(t, s, nil)
+			} else {
+				tr = pair(t, s)
+			}
+			var resp rawRespHdr
+
+			got, _, err := one(tr.CallRaw("stamp", 5, rawReqHdr{}, nil, &resp, nil))
+			if err != nil || string(got) != "first" {
+				t.Fatalf("first send: %q, %v", got, err)
+			}
+			copy(owned, "LATER")
+			got, _, err = one(tr.CallRaw("stamp", 5, rawReqHdr{}, nil, &resp, nil))
+			if err != nil || string(got) != "first" {
+				t.Errorf("replay: %q, %v; want the first answer %q", got, err, "first")
+			}
+
+			for send := 1; send <= 2; send++ {
+				_, _, err := tr.CallRaw("nosuch", 6, rawReqHdr{}, nil, &resp, nil)
+				var re *RemoteError
+				if !errors.As(err, &re) || re.Status != -9998 {
+					t.Fatalf("unknown method, send %d: %v; want status -9998", send, err)
+				}
+			}
+			if got := s.ReplayedCalls(); got != 2 {
+				t.Errorf("ReplayedCalls = %d, want 2 (the second sends of seq 5 and seq 6)", got)
+			}
+
+			if _, _, err := tr.CallRaw("parts", 7, rawReqHdr{}, nil, &resp, nil); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, 0, 16)
+			parts, _, err := tr.CallRaw("parts", 7, rawReqHdr{}, nil, &resp, [][]byte{dst})
+			if err != nil || len(parts) != 1 || string(parts[0]) != "part" {
+				t.Fatalf("replayed parts: %q, %v", parts, err)
+			}
+			if &parts[0][0] != &dst[:1][0] {
+				t.Error("the replayed part did not land in the caller's destination")
+			}
+			if got := runs.Load(); got != 2 {
+				t.Errorf("handlers ran %d times, want 2 (one per sequence number)", got)
+			}
+		})
+	}
 }

@@ -266,7 +266,7 @@ func FuzzFrameHeader(f *testing.F) {
 	const max = 64 << 10
 	newServer := func() *Server {
 		s := NewServer()
-		s.SetMaxFrame(max)
+		s.maxFrame = max
 		Register(s, "add", func(r addReq) (addResp, error) { return addResp{Sum: r.A + r.B}, nil })
 		RegisterRaw(s, "echo", func(r rawReqHdr, payload []byte) (rawRespHdr, []byte, error) {
 			return rawRespHdr{N: len(payload)}, append([]byte(nil), payload...), nil

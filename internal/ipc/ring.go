@@ -13,9 +13,9 @@
 // the call's fault from the same seeded FaultInjector stream the framed
 // transport uses, and the kind rides inside the submission slot so the
 // service loop can tear down at the matching protocol position (see the
-// fault matrix in serveOne). Replay dedupe runs against the same Server
-// cache, so a reconnect-and-retry after a kill behaves identically on
-// both backends.
+// fault matrix in serveOne). Dispatch and replay dedupe are the Server's
+// one serve body, so a reconnect-and-retry after a kill behaves
+// identically on both carriers.
 package ipc
 
 import (
@@ -25,8 +25,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"checl/internal/vtime"
 )
 
 // ringSlotBytes is the modelled size of one submission or completion slot
@@ -177,20 +175,17 @@ type ringMsg struct {
 
 // ringCpl is one completion slot.
 type ringCpl struct {
-	env   respEnvelope
-	resp  any
-	raw   [][]byte
+	cachedResp
 	fault FaultKind // non-None: the completion arrived poisoned
 }
 
-// Ring is the client handle of a shared-memory ring transport bound to a
-// Server. Run the server half with Serve (usually on its own goroutine).
-// Like Conn, one synchronous call is outstanding at a time and the type
-// is safe for concurrent use.
+// Ring is the shared-memory carrier's client handle, bound to a Server.
+// Run the server half with Serve (usually on its own goroutine). Like
+// Conn, one synchronous call is outstanding at a time and the type is
+// safe for concurrent use.
 type Ring struct {
-	srv   *Server
-	inj   *FaultInjector
-	stats TransportStats
+	srv *Server
+	inj *FaultInjector
 
 	sq *spsc[ringMsg]
 	cq *spsc[ringCpl]
@@ -199,9 +194,7 @@ type Ring struct {
 	// service loop never takes it — a client blocked on its completion
 	// holds mu the whole time.
 	mu       sync.Mutex
-	clock    *vtime.Clock
-	timeout  vtime.Duration
-	maxFrame int
+	maxFrame int // bound on a single raw payload, as on the framed carrier
 
 	// stateMu guards the down latch; both sides touch it, so it stays off
 	// mu.
@@ -223,51 +216,15 @@ func NewRing(srv *Server, inj *FaultInjector) *Ring {
 	}
 }
 
-// SetMaxFrame bounds a single raw payload, mirroring the framed limit.
-func (r *Ring) SetMaxFrame(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.maxFrame = n
-}
-
-// SetDeadline arms a per-call deadline on the virtual clock, identical in
-// meaning to Conn.SetDeadline.
-func (r *Ring) SetDeadline(clock *vtime.Clock, timeout vtime.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = clock
-	r.timeout = timeout
-}
-
-// Stats exposes the ring's modelled byte accounting.
-func (r *Ring) Stats() *TransportStats { return &r.stats }
-
-// Down reports whether the ring has been latched down.
-func (r *Ring) Down() bool {
-	r.stateMu.Lock()
-	defer r.stateMu.Unlock()
-	return r.downErr != nil
-}
-
 // Close tears the ring down; both sides wake with ErrConnDown-class
 // failures and the service loop exits.
 func (r *Ring) Close() error {
-	r.latch(errors.New("connection closed"))
+	r.fail("", errors.New("connection closed"))
 	return nil
 }
 
-// latch records the first cause of death and closes both queues.
-func (r *Ring) latch(err error) {
-	r.stateMu.Lock()
-	if r.downErr == nil {
-		r.downErr = err
-	}
-	r.stateMu.Unlock()
-	r.sq.close()
-	r.cq.close()
-}
-
-// fail latches the ring down and wraps the (first) cause as a DownError.
+// fail latches the ring down on its first cause, closes both queues, and
+// wraps that cause as a DownError for method.
 func (r *Ring) fail(method string, err error) error {
 	r.stateMu.Lock()
 	if r.downErr == nil {
@@ -285,27 +242,6 @@ func (r *Ring) downError() error {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
 	return r.downErr
-}
-
-// Call invokes method synchronously over the ring.
-func (r *Ring) Call(method string, req, resp any) (int64, error) {
-	_, n, err := r.exchange(method, 0, req, nil, resp, nil)
-	return n, err
-}
-
-// CallSeq is Call with an explicit dedupe sequence number.
-func (r *Ring) CallSeq(method string, seq uint64, req, resp any) (int64, error) {
-	_, n, err := r.exchange(method, seq, req, nil, resp, nil)
-	return n, err
-}
-
-// CallRaw attaches rawReq to the request and hands into to the handler as
-// its destination list. Both cross by reference: the handler contract
-// (payload valid until the handler returns) holds because the call is
-// synchronous, and a RegisterParts handler writes straight into the
-// caller's buffers.
-func (r *Ring) CallRaw(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
-	return r.exchange(method, seq, req, rawReq, resp, into)
 }
 
 // submitFault draws the call's fault from the injector and fires the
@@ -335,17 +271,17 @@ func (r *Ring) submitFault(method string) (FaultKind, error) {
 	return kind, nil
 }
 
-// exchange runs one synchronous submission/completion cycle under the
-// producer lock.
-func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
+// CallRaw implements Transport with one synchronous submission/completion
+// cycle under the producer lock. rawReq and into cross by reference: the
+// handler contract (payload valid until the handler returns) holds because
+// the call is synchronous, and a RegisterParts handler writes straight
+// into the caller's buffers. The bytes reported are modelled: one slot
+// each way plus the payloads carried.
+func (r *Ring) CallRaw(method string, seq uint64, req any, rawReq []byte, resp any, into [][]byte) ([][]byte, int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.downError(); err != nil {
 		return nil, 0, &DownError{Method: method, Err: err}
-	}
-	var start vtime.Time
-	if r.clock != nil {
-		start = r.clock.Now()
 	}
 	kind, err := r.submitFault(method)
 	if err != nil {
@@ -355,7 +291,6 @@ func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp 
 		return nil, 0, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(rawReq), ErrFrameTooLarge, r.maxFrame))
 	}
 	n := int64(ringSlotBytes + len(rawReq))
-	r.stats.AddSent(n)
 	msg := ringMsg{method: method, seq: seq, req: req, payload: rawReq, into: into, fault: kind}
 	if err := r.sq.push(msg); err != nil {
 		return nil, n, r.fail(method, err)
@@ -364,9 +299,7 @@ func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp 
 	if err != nil {
 		return nil, n, r.fail(method, err)
 	}
-	recv := ringSlotBytes + rawLen(cpl.raw)
-	r.stats.AddRecv(recv)
-	n += recv
+	n += ringSlotBytes + rawLen(cpl.raw)
 	if cpl.fault != FaultNone {
 		return nil, n, r.fail(method, fmt.Errorf("fault injected: %s completion poisoned (%s)", method, cpl.fault))
 	}
@@ -375,33 +308,23 @@ func (r *Ring) exchange(method string, seq uint64, req any, rawReq []byte, resp 
 			return nil, n, r.fail(method, fmt.Errorf("%d-byte payload: %w (max %d)", len(p), ErrFrameTooLarge, r.maxFrame))
 		}
 	}
-	var callErr error
-	var rawResp [][]byte
 	if cpl.env.ErrOp != "" {
-		callErr = &RemoteError{Op: cpl.env.ErrOp, Detail: cpl.env.ErrDetail, Status: cpl.env.ErrStatus}
-	} else {
-		if resp != nil && cpl.resp != nil {
-			dst := reflect.ValueOf(resp).Elem()
-			src := reflect.ValueOf(cpl.resp)
-			if !src.Type().AssignableTo(dst.Type()) {
-				return nil, n, r.fail(method, fmt.Errorf("ipc: %s: response is %s, want %s", method, src.Type(), dst.Type()))
-			}
-			dst.Set(src)
-		}
-		rawResp = cpl.raw
+		return nil, n, &RemoteError{Op: cpl.env.ErrOp, Detail: cpl.env.ErrDetail, Status: cpl.env.ErrStatus}
 	}
-	if r.clock != nil && r.timeout > 0 {
-		if elapsed := r.clock.Now().Sub(start); elapsed > r.timeout {
-			return nil, n, r.fail(method,
-				fmt.Errorf("%s exceeded the %s call deadline (took %s)", method, r.timeout, elapsed))
+	if resp != nil && cpl.resp != nil {
+		dst := reflect.ValueOf(resp).Elem()
+		src := reflect.ValueOf(cpl.resp)
+		if !src.Type().AssignableTo(dst.Type()) {
+			return nil, n, r.fail(method, fmt.Errorf("ipc: %s: response is %s, want %s", method, src.Type(), dst.Type()))
 		}
+		dst.Set(src)
 	}
-	return rawResp, n, callErr
+	return cpl.raw, n, nil
 }
 
 // Serve is the proxy-side service loop: it polls the submission queue,
-// dispatches ring handlers, and publishes completions until the ring goes
-// down. Run it on its own goroutine.
+// dispatches each call through the Server, and publishes completions until
+// the ring goes down. Run it on its own goroutine.
 func (r *Ring) Serve() {
 	for {
 		msg, err := r.sq.pop(ringServerSpin)
@@ -431,71 +354,20 @@ func (r *Ring) Serve() {
 func (r *Ring) serveOne(msg ringMsg) bool {
 	switch msg.fault {
 	case FaultKillMidRequest, FaultTornSlotPublish:
-		r.latch(fmt.Errorf("fault injected: torn %s submission slot", msg.method))
+		r.fail(msg.method, fmt.Errorf("fault injected: torn %s submission slot", msg.method))
 		return false
 	case FaultStalledConsumer:
 		if r.inj != nil {
 			r.inj.delay()
 		}
-		r.latch(fmt.Errorf("fault injected: ring consumer stalled on %s", msg.method))
+		r.fail(msg.method, fmt.Errorf("fault injected: ring consumer stalled on %s", msg.method))
 		return false
 	}
-
-	var cpl ringCpl
-
-	var done func(cachedResp)
-	if msg.seq != 0 {
-		cached, served, claim := r.srv.claimSeq(msg.seq)
-		if served {
-			cpl.env, cpl.resp = cached.env, cached.resp
-			// The cache keeps its pinned copy; the client gets its own (in
-			// its destination buffers where it offered them).
-			for k, p := range cached.raw {
-				var dst []byte
-				if k < len(msg.into) && cap(msg.into[k]) >= len(p) {
-					dst = msg.into[k][:0]
-				}
-				cpl.raw = append(cpl.raw, append(dst, p...))
-			}
-			return r.complete(msg, cpl)
-		}
-		done = claim
-	}
-
-	h, ok := r.srv.ringHandler(msg.method)
-	if !ok {
-		cpl.env = respEnvelope{ErrOp: msg.method, ErrDetail: "unknown method", ErrStatus: -9998}
-		if done != nil {
-			done(cachedResp{env: cpl.env})
-		}
-		return r.complete(msg, cpl)
-	}
-	resp, raw, err := h(msg.req, msg.payload, msg.into)
-	env := envFor(msg.method, err)
-	if err != nil {
-		raw = nil
-	}
-	env.Raw = len(raw)
-	cpl.env, cpl.resp, cpl.raw = env, resp, raw
-	if done != nil {
-		// The delivered parts may alias the client's buffers (the zero-copy
-		// into path); the replay cache pins its own copies so a later
-		// replay is immune to client mutation.
-		var cacheRaw [][]byte
-		for _, p := range raw {
-			cacheRaw = append(cacheRaw, append([]byte(nil), p...))
-		}
-		done(cachedResp{env: env, resp: resp, raw: cacheRaw})
-	}
-	return r.complete(msg, cpl)
-}
-
-// complete publishes a completion, applying the response-side faults.
-func (r *Ring) complete(msg ringMsg, cpl ringCpl) bool {
+	cpl := ringCpl{cachedResp: r.srv.serve(msg.method, msg.seq, r.srv.route(msg.method), msg.req, msg.payload, msg.into)}
 	switch msg.fault {
 	case FaultKillBeforeResponse, FaultKillBetween:
 		// Executed, completion lost.
-		r.latch(fmt.Errorf("fault injected: %s completion lost", msg.method))
+		r.fail(msg.method, fmt.Errorf("fault injected: %s completion lost", msg.method))
 		return false
 	case FaultKillMidResponse, FaultArenaPoison:
 		cpl.fault = msg.fault
@@ -505,8 +377,5 @@ func (r *Ring) complete(msg ringMsg, cpl ringCpl) bool {
 	}
 	// A poisoned completion takes the ring down as soon as it is seen;
 	// the service loop stops here rather than racing the latch.
-	if cpl.fault != FaultNone {
-		return false
-	}
-	return true
+	return cpl.fault == FaultNone
 }

@@ -26,7 +26,7 @@ func TestIdleRingParks(t *testing.T) {
 			call := func() {
 				t.Helper()
 				var resp addResp
-				if _, err := ring.Call("add", addReq{A: 2, B: 40}, &resp); err != nil || resp.Sum != 42 {
+				if _, err := callSeq(ring, "add", 0, addReq{A: 2, B: 40}, &resp); err != nil || resp.Sum != 42 {
 					t.Fatalf("call: %v, sum %d", err, resp.Sum)
 				}
 			}

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"checl/internal/vtime"
 )
 
 // ringPair builds a served Ring on s, torn down with the test.
@@ -64,7 +62,7 @@ func TestRingCallRoundtrip(t *testing.T) {
 	})
 	ring := ringPair(t, s, nil)
 	var resp addResp
-	n, err := ring.Call("add", addReq{A: 2, B: 40}, &resp)
+	n, err := callSeq(ring, "add", 0, addReq{A: 2, B: 40}, &resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +71,6 @@ func TestRingCallRoundtrip(t *testing.T) {
 	}
 	if n != 2*ringSlotBytes {
 		t.Errorf("modelled bytes = %d, want %d (two slots)", n, 2*ringSlotBytes)
-	}
-	if got := ring.Stats().Total(); got != n {
-		t.Errorf("stats total = %d, want %d", got, n)
 	}
 }
 
@@ -86,7 +81,7 @@ func TestRingErrorPropagation(t *testing.T) {
 	})
 	ring := ringPair(t, s, nil)
 	var resp addResp
-	_, err := ring.Call("fail", addReq{}, &resp)
+	_, err := callSeq(ring, "fail", 0, addReq{}, &resp)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want RemoteError", err)
@@ -96,10 +91,10 @@ func TestRingErrorPropagation(t *testing.T) {
 	}
 	// The ring survives handler errors, like the framed stream.
 	Register(s, "ok", func(r addReq) (addResp, error) { return addResp{Sum: 1}, nil })
-	if _, err := ring.Call("ok", addReq{}, &resp); err != nil || resp.Sum != 1 {
+	if _, err := callSeq(ring, "ok", 0, addReq{}, &resp); err != nil || resp.Sum != 1 {
 		t.Errorf("post-error call: %v, %d", err, resp.Sum)
 	}
-	if _, err := ring.Call("nosuch", addReq{}, &resp); err == nil {
+	if _, err := callSeq(ring, "nosuch", 0, addReq{}, &resp); err == nil {
 		t.Error("unknown method should error")
 	}
 }
@@ -165,14 +160,14 @@ func TestRingReplayDedupe(t *testing.T) {
 	})
 	ring := ringPair(t, s, nil)
 	var resp addResp
-	if _, err := ring.CallSeq("bump", 41, addReq{A: 7}, &resp); err != nil {
+	if _, err := callSeq(ring, "bump", 41, addReq{A: 7}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	// A second ring generation on the same server (the redial-after-fault
 	// shape) re-sends the same sequence number: answered from cache.
 	ring2 := ringPair(t, s, nil)
 	resp = addResp{}
-	if _, err := ring2.CallSeq("bump", 41, addReq{A: 7}, &resp); err != nil {
+	if _, err := callSeq(ring2, "bump", 41, addReq{A: 7}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Sum != 7 {
@@ -217,12 +212,9 @@ func TestRingFaultMatrix(t *testing.T) {
 			inj.SetCrashServer(func() { crashed.Store(true) })
 			ring := ringPair(t, s, inj)
 			var resp addResp
-			_, err := ring.CallSeq("op", 1, addReq{}, &resp)
+			_, err := callSeq(ring, "op", 1, addReq{}, &resp)
 			if !errors.Is(err, ErrConnDown) {
 				t.Fatalf("err = %v, want ErrConnDown class", err)
-			}
-			if !ring.Down() {
-				t.Error("ring not latched down")
 			}
 			if got := execs.Load() == 1; got != tc.executed {
 				t.Errorf("executed = %v, want %v", got, tc.executed)
@@ -231,9 +223,7 @@ func TestRingFaultMatrix(t *testing.T) {
 				t.Error("crash hook did not fire")
 			}
 			// Every further call fails fast.
-			if _, err := ring.Call("op", addReq{}, &resp); !errors.Is(err, ErrConnDown) {
-				t.Errorf("call on downed ring = %v", err)
-			}
+			requireDown(t, ring)
 		})
 	}
 }
@@ -255,36 +245,20 @@ func TestRingFaultKindsInertOnFramed(t *testing.T) {
 	}
 }
 
-func TestRingDeadlineExceeded(t *testing.T) {
-	s := NewServer()
-	clock := vtime.NewClock()
-	Register(s, "slow", func(r addReq) (addResp, error) {
-		clock.Advance(10 * vtime.Millisecond)
-		return addResp{}, nil
-	})
-	ring := ringPair(t, s, nil)
-	ring.SetDeadline(clock, vtime.Millisecond)
-	var resp addResp
-	if _, err := ring.Call("slow", addReq{}, &resp); !errors.Is(err, ErrConnDown) {
-		t.Fatalf("deadline err = %v, want ErrConnDown class", err)
-	}
-}
-
 func TestRingMaxFrame(t *testing.T) {
 	s := NewServer()
 	RegisterRaw(s, "echo", func(r addReq, payload []byte) (addResp, []byte, error) {
 		return addResp{}, append([]byte(nil), payload...), nil
 	})
 	ring := ringPair(t, s, nil)
-	ring.SetMaxFrame(64)
+	ring.maxFrame = 64
 	var resp addResp
 	_, _, err := ring.CallRaw("echo", 1, addReq{}, make([]byte, 1024), &resp, nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized payload err = %v, want ErrFrameTooLarge", err)
 	}
-	if !ring.Down() {
-		t.Error("frame violation must latch the ring down, like the framed stream")
-	}
+	// A frame violation latches the ring down, like the framed stream.
+	requireDown(t, ring)
 }
 
 // TestRingConcurrentSubmitComplete is the -race gate: many goroutines
@@ -306,7 +280,7 @@ func TestRingConcurrentSubmitComplete(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				var resp addResp
-				if _, err := ring.Call("acc", addReq{A: 1}, &resp); err != nil {
+				if _, err := callSeq(ring, "acc", 0, addReq{A: 1}, &resp); err != nil {
 					errs[w] = err
 					return
 				}

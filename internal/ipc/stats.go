@@ -1,36 +1,6 @@
 package ipc
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// TransportStats is the byte accounting shared by every transport
-// backend. The framed stream feeds it from the countingRWC wrapper (real
-// bytes on the wire, gob envelopes included); the ring feeds it modelled
-// bytes (one slot per publish or completion plus the payload carried).
-// Either way BytesSent/BytesRecv are what proxy.Client charges the copy
-// cost of and what checl-inspect reports, through this one code path.
-type TransportStats struct {
-	sent atomic.Int64
-	recv atomic.Int64
-}
-
-// AddSent records n bytes travelling toward the server.
-func (s *TransportStats) AddSent(n int64) { s.sent.Add(n) }
-
-// AddRecv records n bytes travelling back from the server.
-func (s *TransportStats) AddRecv(n int64) { s.recv.Add(n) }
-
-// BytesSent reports the bytes sent so far.
-func (s *TransportStats) BytesSent() int64 { return s.sent.Load() }
-
-// BytesRecv reports the bytes received so far.
-func (s *TransportStats) BytesRecv() int64 { return s.recv.Load() }
-
-// Total is the traffic in both directions — the number historical callers
-// of the per-connection byte counter expect.
-func (s *TransportStats) Total() int64 { return s.sent.Load() + s.recv.Load() }
+import "sync"
 
 // rawBufPool recycles inbound raw-payload buffers across both transports.
 // The handler contract — the payload slice is valid only until the handler

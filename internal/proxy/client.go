@@ -67,7 +67,7 @@ type Stats struct {
 }
 
 // Client implements ocl.API by forwarding every call to an API proxy over
-// an ipc.Conn, charging the forwarding overhead to the application's
+// an ipc.Transport, charging the forwarding overhead to the application's
 // clock. This is the client half of §III-A.
 //
 // When a redial function is installed (Spawn wires it to the proxy), a
@@ -102,9 +102,9 @@ func NewClient(conn ipc.Transport, clock *vtime.Clock, cost CostModel) *Client {
 	return &Client{conn: conn, clock: clock, cost: cost}
 }
 
-// SetRedial installs the function that dials a replacement connection to
+// setRedial installs the function that dials a replacement connection to
 // the same proxy after a transport fault.
-func (c *Client) SetRedial(fn func() (ipc.Transport, error)) {
+func (c *Client) setRedial(fn func() (ipc.Transport, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.redial = fn

@@ -245,10 +245,7 @@ func TestFramedCallPrice(t *testing.T) {
 	}
 }
 
-func TestTransportString(t *testing.T) {
-	if TransportPipe.String() != "pipe" || TransportRing.String() != "ring" {
-		t.Error("transport names wrong")
-	}
+func TestZeroSpawnOptsSelectRing(t *testing.T) {
 	if (SpawnOpts{}).Transport != TransportRing {
 		t.Error("the zero SpawnOpts must select the ring transport")
 	}

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"errors"
-	"io"
 
 	"checl/internal/ipc"
 	"checl/internal/ocl"
@@ -296,10 +295,4 @@ func lent(into [][]byte, k int) []byte {
 		return into[k][:0]
 	}
 	return nil
-}
-
-// Serve runs the server loop on rwc until the peer closes the connection.
-// It is intended to run in the proxy process's goroutine.
-func Serve(api ocl.API, rwc io.ReadWriteCloser) error {
-	return NewServer(api).ServeConn(rwc)
 }

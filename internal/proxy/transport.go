@@ -24,13 +24,6 @@ const (
 	TransportPipe
 )
 
-func (t Transport) String() string {
-	if t == TransportRing {
-		return "ring"
-	}
-	return "pipe"
-}
-
 // SpawnWithOptions is Spawn with a transport choice and fault injection.
 func SpawnWithOptions(app *proc.Process, vendor *ocl.Vendor, opts SpawnOpts) (*Proxy, error) {
 	if vendor == nil {
@@ -67,6 +60,6 @@ func SpawnWithOptions(app *proc.Process, vendor *ocl.Vendor, opts SpawnOpts) (*P
 		cost.Ring = &ring
 	}
 	p.Client = NewClient(conn, node.Clock, cost)
-	p.Client.SetRedial(p.dial)
+	p.Client.setRedial(p.dial)
 	return p, nil
 }

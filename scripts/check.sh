@@ -81,8 +81,9 @@ go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|F
 go run ./cmd/checl-inspect store fsck >/dev/null
 go run ./cmd/checl-inspect -disk-faults 7 store scrub >/dev/null
 # Hot-path gate: the proxy hot path (raw frames, the submission queue and
-# its command frames, info caches, stats counters) crosses goroutines in
-# ipc/proxy/core, so its tests get their own repeated race-detector pass.
+# its command frames, info caches, the proxy client's call counters)
+# crosses goroutines in ipc/proxy/core, so its tests get their own
+# repeated race-detector pass.
 go vet ./internal/ipc/ ./internal/proxy/ ./internal/core/
 go test -run 'Raw|Batch|Queue|Cache|StatsRace' -count=3 -race \
     ./internal/ipc/ ./internal/proxy/ ./internal/core/
@@ -113,12 +114,12 @@ go test -run 'TestRankKillPositionSweep|TestPartialRestore|TestCollectivesDuring
     -count=3 -race ./internal/mpi/
 go run ./cmd/checl-inspect mpi >/dev/null
 # Ring-transport gate: the lock-free SPSC queues and the checkpoint drain
-# over the ring cross goroutines by construction, so the ring unit tests
-# and the cross-transport parity soak run repeatedly under the race
-# detector. The ring is the default transport, so every other inspect
-# smoke runs on it; this one proves the CLI can still drive a full
-# run+checkpoint over the framed stream.
-go test -run 'Ring|TransportParity' -count=3 -race \
+# over the ring cross goroutines by construction, so the ring unit tests,
+# the one replay contract on both carriers and the cross-transport parity
+# soak run repeatedly under the race detector. The ring is the default
+# transport, so every other inspect smoke runs on it; this one proves the
+# CLI can still drive a full run+checkpoint over the framed stream.
+go test -run 'Ring|TransportParity|ReplayContract' -count=3 -race \
     ./internal/ipc/ ./internal/proxy/ ./internal/core/
 go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # Erasure-fleet gate: the sharded checkpoint fleet's node-loss surface —
