@@ -38,16 +38,18 @@ type PutStats struct {
 	NewChunks   int            // chunks not already present in the store
 	NewBytes    int64          // uncompressed bytes of those new chunks
 	StoredBytes int64          // bytes actually written for them (post-compression)
-	Time        vtime.Duration // compress + write + verify time charged to the clock
+	Time        vtime.Duration // what the Put charged to the clock, from start to commit
 
 	// Clean-segment reuse (PutSegmented): chunk refs copied verbatim from
 	// the parent manifest without re-reading, hashing or probing the
 	// covered payload bytes.
 	ReusedChunks int
 	ReusedBytes  int64
-	// Stage times for the chunk pipeline: total compression time and
-	// total write+verify time over the new chunks. With the dedup probes
-	// they add up to Time.
+	// Stage times on the write's lanes (fleet.go's writeLanes): the CPU
+	// lane's compression time, and how long the Put ran after its CPU lane
+	// was done — what was left of the link and the disks, then the manifest
+	// publish. Their sum is at most Time: the rest of the CPU lane is
+	// encoding, and the link and the disks ran beside the CPU.
 	CompressTime vtime.Duration
 	WriteTime    vtime.Duration
 }
@@ -161,9 +163,11 @@ func startDigest(segs []Segment) (wait func() [sha256.Size]byte) {
 // Put stores one checkpoint payload for job: the payload is chunked,
 // chunks already present (from any job) are skipped, new chunks are
 // compressed and written, and a manifest linking to the job's previous
-// checkpoint is recorded. Compression, write and verify time are charged
-// to clock. A full filesystem surfaces as *proc.ErrNoSpace. How the
-// commit is made crash-consistent is fleet.go's commit protocol.
+// checkpoint is recorded. clock is the writer's CPU; the records cross the
+// link and the packs are written and verified beside it, and the Put ends
+// at the last verified pack plus the manifest publish (writeLanes). A full
+// filesystem surfaces as *proc.ErrNoSpace. How the commit is made
+// crash-consistent is fleet.go's commit protocol.
 func (f *Fleet) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, PutStats, error) {
 	return f.PutSegmented(clock, job, payload, nil)
 }
@@ -178,7 +182,8 @@ func (f *Fleet) Put(clock *vtime.Clock, job string, payload []byte) (Manifest, P
 // lent for the length of the call and read where they lie.
 //
 // An error return is equivalent to a crash at that point: whatever was
-// staged stays where it is for the janitors, GC and Scrub.
+// staged stays where it is for the janitors, GC and Scrub, and clock has
+// moved to the latest instant the Put's lanes reached.
 func (f *Fleet) PutSegmented(clock *vtime.Clock, job string, payload []byte, segs []Segment) (Manifest, PutStats, error) {
 	if job == "" || strings.ContainsAny(job, "/@") {
 		return Manifest{}, PutStats{}, fmt.Errorf("store: invalid job name %q", job)
@@ -226,7 +231,13 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 	// the digest is joined on every way out.
 	digest := startDigest(segs)
 	defer digest()
-	f.beginWrite(job, seq)
+	lanes := &writeLanes{}
+	f.beginWrite(job, seq, lanes)
+	// A Put that fails has still spent what its lanes reached.
+	fail := func(err error) (Manifest, PutStats, error) {
+		clock.AdvanceTo(lanes.end())
+		return Manifest{}, stats, err
+	}
 	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
 	var blob []byte               // the compression buffer, reused chunk after chunk
@@ -250,13 +261,11 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 					return n, cerr
 				}
 				stats.CompressTime += csw.Elapsed()
-				wsw := vtime.NewStopwatch(clock)
 				phys, werr := f.stage(clock, sum, blob)
 				stats.StoredBytes += phys
 				if werr != nil {
 					return n, werr
 				}
-				stats.WriteTime += wsw.Elapsed()
 				written[sum] = int64(len(blob))
 				ref.Stored = int64(len(blob))
 				stats.NewChunks++
@@ -285,19 +294,21 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 		}
 		n, err := stageRange(sg.Data)
 		if err != nil {
-			return Manifest{}, stats, err
+			return fail(err)
 		}
 		if sg.Name != "" {
 			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
 		}
 	}
+	// The CPU lane ends here. What the Put takes from now on, its WriteTime,
+	// is the link's and the disks' tails and the commit.
 	wsw := vtime.NewStopwatch(clock)
 	phys, err := f.flush(clock)
 	stats.StoredBytes += phys
 	if err != nil {
-		return Manifest{}, stats, err
+		return fail(err)
 	}
-	stats.WriteTime += wsw.Elapsed()
+	clock.AdvanceTo(lanes.end())
 
 	sum := digest()
 	man.Digest = hex.EncodeToString(sum[:])
@@ -310,6 +321,7 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 		return Manifest{}, stats, err
 	}
 	stats.StoredBytes += int64(published) * int64(len(frame))
+	stats.WriteTime = wsw.Elapsed()
 	return man, stats, nil
 }
 

@@ -38,6 +38,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -135,11 +136,13 @@ type Fleet struct {
 
 	// The write in progress, a Put's or a Replicate's, guarded by mu: the
 	// records staged per node and not yet written, the chunks they belong
-	// to, and the path of its next pack less the part number to try.
+	// to, the path of its next pack less the part number to try, and — a
+	// Put's — where it stands on the link and the disks.
 	wbufs map[string]*packBuf
-	round []string
+	round []staged
 	stem  string
 	part  int
+	lanes *writeLanes
 
 	inj *proc.NodeFaultInjector
 
@@ -416,52 +419,161 @@ func (f *Fleet) chunkPresent(sum string) (int64, bool) {
 	return int64(origLen), present >= f.cfg.DataShards
 }
 
-// writePacks writes bufs — the records bound for each node, keyed by node
-// name — as one pack per node at path, and indexes the records that
-// landed. Every pack goes through writeVerified. Disk writes to distinct
-// nodes overlap (the caller is charged the slowest one); the records bound
-// for remote nodes all leave through the writer's single link, so link time
-// is charged for their total bytes. Down nodes and failed writes are
-// reported per node; their records are simply not stored. Returns the
-// physical bytes written.
-func (f *Fleet) writePacks(clock *vtime.Clock, path string, bufs map[string]*packBuf) (int64, map[string]error) {
-	var written, linked int64
-	var diskMax vtime.Duration
-	failed := map[string]error{}
-	for _, name := range f.names {
-		buf := bufs[name]
-		if buf == nil || len(buf.recs) == 0 {
-			continue
-		}
+// writeRound writes one file at path to each named node, in order: it ticks
+// the fault plan once per node, skips a node that is down, and runs write on
+// a disk clock of the node's own, from zero. It reports how long each write
+// that landed kept its node's disk busy, and why each other one failed.
+// What a write takes does not depend on when it starts, so no clock of the
+// caller's moves: the caller places the durations, one after the other
+// (serially) or on a Put's lanes (carry).
+func (f *Fleet) writeRound(names []string, path string, write func(n *fleetNode, disk *vtime.Clock) error) (disk map[string]vtime.Duration, failed map[string]error) {
+	disk, failed = map[string]vtime.Duration{}, map[string]error{}
+	for _, name := range names {
 		f.tick()
-		n := f.nodes[name]
+		n, sc := f.nodes[name], vtime.NewClock()
+		var err error
 		if !n.alive() {
-			failed[name] = &proc.ErrNodeDown{Node: name, Op: "write", Path: path}
+			err = &proc.ErrNodeDown{Node: name, Op: "write", Path: path}
+		} else if err = write(n, sc); err == nil {
+			disk[name] = sc.Now().Sub(0)
 			continue
 		}
-		sc := vtime.NewClock()
-		if err := n.writeVerified(sc, path, buf.data); err != nil {
-			failed[name] = err
-			continue
+		failed[name] = err
+	}
+	return disk, failed
+}
+
+// serially is what a round costs a writer that waits for all of it: the
+// files that landed, size(name) bytes each, through the writer's one link,
+// then the slowest disk — writes to distinct nodes overlap.
+func (f *Fleet) serially(disk map[string]vtime.Duration, size func(name string) int) vtime.Duration {
+	var linked int64
+	var slowest vtime.Duration
+	for name, d := range disk {
+		linked += f.nodes[name].linkBytes(size(name))
+		slowest = max(slowest, d)
+	}
+	return fleetLink.Transfer(linked) + slowest
+}
+
+// writePacks writes bufs — the records bound for each node, keyed by node
+// name — as one verified pack per node at path, in one writeRound, and
+// indexes the records that landed. Down nodes and failed writes are
+// reported per node; their records are simply not stored. Returns the
+// physical bytes written and the round's disk times, for the caller to
+// charge.
+func (f *Fleet) writePacks(path string, bufs map[string]*packBuf) (int64, map[string]vtime.Duration, map[string]error) {
+	var names []string
+	for _, name := range f.names {
+		if buf := bufs[name]; buf != nil && len(buf.recs) > 0 {
+			names = append(names, name)
 		}
-		diskMax = max(diskMax, sc.Now().Sub(0))
+	}
+	var written int64
+	disk, failed := f.writeRound(names, path, func(n *fleetNode, d *vtime.Clock) error {
+		buf := bufs[n.name]
+		if err := n.writeVerified(d, path, buf.data); err != nil {
+			return err
+		}
 		written += int64(len(buf.data))
-		linked += n.linkBytes(len(buf.data))
 		f.idxMu.Lock()
 		for _, r := range buf.recs {
 			n.recs[recKey{r.sum, r.idx}] = recLoc{pack: path, off: r.off, n: r.n, origLen: r.origLen}
 		}
 		f.idxMu.Unlock()
+		return nil
+	})
+	return written, disk, failed
+}
+
+// staged is one chunk of the write in progress: its address, the nodes its
+// records are bound for in shard order, the length of each record, and when
+// the writer's CPU was done with it.
+type staged struct {
+	sum   string
+	nodes []*fleetNode
+	rec   int
+	ready vtime.Time
+}
+
+// writeLanes is a Put's write on the virtual clock, the read's pipeline run
+// the other way. The CPU lane is the writer's clock, which compresses and
+// encodes chunk by chunk. A chunk's records go onto the writer's one link,
+// in chunk order, once the CPU is done with it. Every node's disk is a lane
+// of its own: it writes and reads back a pack once the node's last record
+// of the round is there and its previous pack is done — a pack is one
+// immutable verified file, so no disk starts on it before its last record
+// has arrived. The lanes are arithmetic on durations: what is written, in
+// what order, and every tick of the fault plan are the serial write's.
+type writeLanes struct {
+	link  vtime.Time  // when the link has carried every record so far
+	packs []packStamp // every pack that landed, in the order written
+}
+
+// packStamp is one pack on its node's disk lane: when the node's last
+// record of the round was there, and when the pack was written and verified.
+type packStamp struct {
+	node, path       string
+	arrived, written vtime.Time
+}
+
+// free is when node's disk is done with the packs written so far.
+func (l *writeLanes) free(node string) vtime.Time {
+	for i := len(l.packs) - 1; i >= 0; i-- {
+		if l.packs[i].node == node {
+			return l.packs[i].written
+		}
 	}
-	clock.Advance(fleetLink.Transfer(linked) + diskMax)
-	return written, failed
+	return 0
+}
+
+// end is the latest instant the link and the disks have reached.
+func (l *writeLanes) end() vtime.Time {
+	t := l.link
+	for _, p := range l.packs {
+		t = vtime.Max(t, p.written)
+	}
+	return t
+}
+
+// carry places the round just written at path on the Put's lanes. disk
+// holds the nodes whose packs landed and what each took; records bound for
+// any other node are not charged to the link, as the serial write does not
+// charge them. A node that is not remote has its records when the CPU is
+// done with them.
+func (f *Fleet) carry(path string, disk map[string]vtime.Duration) {
+	l := f.lanes
+	arrived := map[string]vtime.Time{}
+	for _, c := range f.round {
+		var linked int64
+		for _, n := range c.nodes {
+			if _, ok := disk[n.name]; ok {
+				linked += n.linkBytes(c.rec)
+			}
+		}
+		l.link = vtime.Max(l.link, c.ready).Add(fleetLink.Transfer(linked))
+		for _, n := range c.nodes {
+			arrived[n.name] = c.ready
+			if n.remote {
+				arrived[n.name] = l.link
+			}
+		}
+	}
+	for _, name := range f.names {
+		if d, ok := disk[name]; ok {
+			at := arrived[name]
+			l.packs = append(l.packs, packStamp{node: name, path: path, arrived: at, written: vtime.Max(l.free(name), at).Add(d)})
+		}
+	}
 }
 
 // beginWrite starts writing checkpoint job@seq: nothing staged yet, and
-// its packs are <prefix>/packs/<job>/<seq>.<part>.
-func (f *Fleet) beginWrite(job string, seq uint64) {
+// its packs are <prefix>/packs/<job>/<seq>.<part>. With lanes, its rounds
+// are placed on them (a Put); without, each is charged serially to the
+// writer's clock (a Replicate).
+func (f *Fleet) beginWrite(job string, seq uint64, lanes *writeLanes) {
 	f.indexNodes()
-	f.stem, f.part, f.round = fmt.Sprintf("%s%s/%08d.", f.packPrefix(), job, seq), 0, f.round[:0]
+	f.stem, f.part, f.round, f.lanes = fmt.Sprintf("%s%s/%08d.", f.packPrefix(), job, seq), 0, f.round[:0], lanes
 	for _, buf := range f.wbufs {
 		buf.reset()
 	}
@@ -473,15 +585,16 @@ func (f *Fleet) beginWrite(job string, seq uint64) {
 func (f *Fleet) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
 	clock.Advance(fleetCoding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
 	shards := f.coder.Encode(blob)
+	nodes := f.placement(sum)
 	full := false
-	for i, n := range f.placement(sum) {
+	for i, n := range nodes {
 		buf := f.wbufs[n.name]
 		if err := buf.add(f.header(sum, i, len(blob)), shards[i]); err != nil {
 			return 0, err
 		}
 		full = full || len(buf.data) >= packPartSize
 	}
-	f.round = append(f.round, sum)
+	f.round = append(f.round, staged{sum: sum, nodes: nodes, rec: shardHeaderSize + len(shards[0]), ready: clock.Now()})
 	if !full {
 		return 0, nil
 	}
@@ -491,7 +604,8 @@ func (f *Fleet) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error
 // flush writes the queued records out as one pack per node and requires
 // every chunk among them to have landed on at least k nodes. Packs are
 // never overwritten: a part number some node already holds (an earlier,
-// failed Put of the same checkpoint) is skipped.
+// failed Put of the same checkpoint) is skipped. A Put's round goes on its
+// lanes and moves no clock; any other write's is charged to clock.
 func (f *Fleet) flush(clock *vtime.Clock) (int64, error) {
 	if len(f.round) == 0 {
 		return 0, nil
@@ -502,7 +616,12 @@ func (f *Fleet) flush(clock *vtime.Clock) (int64, error) {
 		path = f.stem + strconv.Itoa(f.part)
 	}
 	f.part++
-	written, failed := f.writePacks(clock, path, f.wbufs)
+	written, disk, failed := f.writePacks(path, f.wbufs)
+	if f.lanes != nil {
+		f.carry(path, disk)
+	} else {
+		clock.Advance(f.serially(disk, func(name string) int { return len(f.wbufs[name].data) }))
+	}
 	var err error
 	if len(failed) > 0 {
 		err = f.underwritten(failed)
@@ -518,11 +637,10 @@ func (f *Fleet) flush(clock *vtime.Clock) (int64, error) {
 // leave with fewer than k records.
 func (f *Fleet) underwritten(failed map[string]error) error {
 	k := f.cfg.DataShards
-	for _, sum := range f.round {
-		nodes := f.placement(sum)
-		ok := len(nodes)
+	for _, c := range f.round {
+		ok := len(c.nodes)
 		var firstErr error
-		for _, n := range nodes {
+		for _, n := range c.nodes {
 			if e := failed[n.name]; e != nil {
 				ok--
 				if firstErr == nil {
@@ -532,7 +650,7 @@ func (f *Fleet) underwritten(failed map[string]error) error {
 		}
 		if ok < k {
 			return fmt.Errorf("store: fleet: chunk %s: only %d of %d shards written (need %d): %w",
-				sum[:12], ok, len(nodes), k, firstErr)
+				c.sum[:12], ok, len(c.nodes), k, firstErr)
 		}
 	}
 	return nil
@@ -895,7 +1013,8 @@ func (r *fleetRead) settle(clock *vtime.Clock) (int, int64) {
 	if len(r.owed) == 0 {
 		return 0, 0
 	}
-	written, failed := r.f.writePacks(clock, r.f.repairPack("heal"), r.heals)
+	written, disk, failed := r.f.writePacks(r.f.repairPack("heal"), r.heals)
+	clock.Advance(r.f.serially(disk, func(name string) int { return len(r.heals[name].data) }))
 	healed := 0
 	for name, buf := range r.heals {
 		if failed[name] == nil {
@@ -922,38 +1041,20 @@ func (r *fleetRead) close() { r.settle(vtime.NewClock()) }
 // m losses, which is 2 of them for 4+2 over six nodes and none for a
 // mirror: a 1+1 Put with one node down stands on the other node alone.
 func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, frame []byte) (int, error) {
-	published := 0
-	var firstErr error
-	var diskMax vtime.Duration
-	var linkBytes int64
-	for _, name := range f.names {
-		f.tick()
-		n := f.nodes[name]
-		if !n.alive() {
-			if firstErr == nil {
-				firstErr = &proc.ErrNodeDown{Node: name, Op: "write", Path: n.manifestPath(job, seq)}
-			}
-			continue
+	path := f.nodes[f.names[0]].manifestPath(job, seq) // every node has the same layout
+	disk, failed := f.writeRound(f.names, path, func(n *fleetNode, d *vtime.Clock) error {
+		return n.writeVerifiedMeta(d, path, frame)
+	})
+	clock.Advance(f.serially(disk, func(string) int { return len(frame) }))
+	if published := len(disk); published < len(f.names)-f.cfg.ParityShards {
+		var firstErr error
+		for _, name := range f.names {
+			firstErr = cmp.Or(firstErr, failed[name])
 		}
-		sc := vtime.NewClock()
-		if err := n.writeVerifiedMeta(sc, n.manifestPath(job, seq), frame); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if d := sc.Now().Sub(0); d > diskMax {
-			diskMax = d
-		}
-		linkBytes += n.linkBytes(len(frame))
-		published++
-	}
-	clock.Advance(fleetLink.Transfer(linkBytes) + diskMax)
-	if published < len(f.names)-f.cfg.ParityShards {
 		return published, fmt.Errorf("store: fleet: manifest %s published to only %d of %d nodes (tolerate at most %d missing): %w",
 			manifestID(job, seq), published, len(f.names), f.cfg.ParityShards, firstErr)
 	}
-	return published, nil
+	return len(disk), nil
 }
 
 // loadManifest resolves one manifest from the first node holding a

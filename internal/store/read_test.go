@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"checl/internal/proc"
 	"checl/internal/vtime"
 )
 
@@ -245,6 +246,55 @@ func TestReadIndependentOfProcs(t *testing.T) {
 	}
 }
 
+// TestPutIndependentOfProcs: what a Put leaves on the disks and reports is
+// the same with one processor — the digest inline — as with the digest
+// beside the staging: a fresh Put, an incremental one with a clean segment,
+// and one whose segments carry their bytes as slice lists.
+func TestPutIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type outcome struct {
+		Stats []PutStats
+		Clock vtime.Time
+		Files [][][2]string
+	}
+	names := []string{"_head", "a", "b"}
+	for _, b := range confBackends {
+		var first outcome
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			cs := b.open(t, Config{})
+			clock := vtime.NewClock()
+			parts := map[string][]byte{"a": compressible(5, 48<<10), "b": payload(51, 40<<10)}
+			var out outcome
+			for gen, clean := range []map[string]bool{nil, {"a": true}, {"b": true}} {
+				parts["_head"] = payload(int64(52+gen), 300)
+				if gen == 1 {
+					parts["b"] = payload(55, 40<<10)
+				}
+				if gen == 2 {
+					parts["a"] = compressible(6, 48<<10)
+				}
+				data, segs := tile(clean, names, parts)
+				if gen == 2 {
+					data, segs = asLists(data, segs)
+				}
+				_, st := mustPut(t, cs, clock, "job", data, segs)
+				out.Stats = append(out.Stats, st)
+			}
+			out.Clock = clock.Now()
+			for _, fs := range cs.disks() {
+				out.Files = append(out.Files, listing(fs))
+			}
+			if procs == 1 {
+				first = out
+			} else if !reflect.DeepEqual(out, first) {
+				t.Errorf("%s: GOMAXPROCS %d: clock %v stats %+v\n GOMAXPROCS 1: clock %v stats %+v",
+					b.name, procs, out.Clock, out.Stats, first.Clock, first.Stats)
+			}
+		}
+	}
+}
+
 // TestSegmentsReadyInOrder: a restore read knows when each segment of the
 // payload was there. The instants GetNewestRestorable leaves on the
 // manifest start no sooner than the read, never go back along the segment
@@ -439,6 +489,173 @@ func TestReadTimelineBounds(t *testing.T) {
 			t.Errorf("%s: a read that failed at chunk %d ended at %v: began %v, first pack %v, link %v and cpu %v before it",
 				b.name, mid, end, began, lands[0].after, link, cpu)
 		}
+	}
+}
+
+// checkWriteTimeline runs one Put and holds it to the bounds of the write's
+// lanes. The Put ends no sooner than every record byte through the link
+// plus the manifest publish, exactly at its last verified pack plus the
+// publish, and no later than serial, the write one thing after the other:
+// the CPU lane, each round's link and slowest disk, the publish. Each pack
+// took its disk as long as the model says, started no sooner than its
+// node's last record of the round was there and its node's previous pack
+// was done, and a remote node's last record came off the link.
+func checkWriteTimeline(t *testing.T, what string, cs confStore, clock *vtime.Clock, data []byte, segs []Segment) (st PutStats, serial vtime.Duration) {
+	t.Helper()
+	began := clock.Now()
+	man, st := mustPut(t, cs, clock, "job", data, segs)
+	frame, err := encodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copies int64
+	var frameDisk vtime.Duration
+	for _, name := range cs.names {
+		if n := cs.nodes[name]; n.alive() {
+			copies += n.linkBytes(len(frame))
+			frameDisk = max(frameDisk, n.fs.Model().WriteTime(int64(len(frame))))
+		}
+	}
+	publish := fleetLink.Transfer(copies) + frameDisk
+
+	type round struct {
+		linked int64
+		disk   vtime.Duration
+	}
+	rounds := map[string]round{}
+	free := map[string]vtime.Time{}
+	var linked int64
+	lastCrossed := began
+	lanes := cs.lanes
+	for _, p := range lanes.packs {
+		n := cs.nodes[p.node]
+		size, err := n.fs.Size(p.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := n.fs.Model()
+		disk := m.WriteTime(size) + m.ReadTime(size)
+		r := rounds[p.path]
+		r.linked += n.linkBytes(int(size))
+		r.disk = max(r.disk, disk)
+		rounds[p.path] = r
+		linked += n.linkBytes(int(size))
+		if start := p.written.Add(-disk); start < p.arrived || start < free[p.node] || p.arrived < began {
+			t.Errorf("%s: %s on %s written %v..%v, its last record there at %v, the node's disk free at %v, the Put began %v",
+				what, p.path, p.node, start, p.written, p.arrived, free[p.node], began)
+		}
+		free[p.node] = p.written
+		if n.remote {
+			if p.arrived > lanes.link {
+				t.Errorf("%s: %s on %s: last record there at %v, after the link was done at %v", what, p.path, p.node, p.arrived, lanes.link)
+			}
+			lastCrossed = vtime.Max(lastCrossed, p.arrived)
+		}
+	}
+	cpu := st.Time - st.WriteTime
+	if linked > 0 && (lastCrossed != lanes.link || lanes.link < began.Add(cpu)) {
+		t.Errorf("%s: the link was done at %v, the last record a node received crossed at %v, the CPU was done at %v",
+			what, lanes.link, lastCrossed, began.Add(cpu))
+	}
+	serial = cpu + publish
+	for _, r := range rounds {
+		serial += fleetLink.Transfer(r.linked) + r.disk
+	}
+	if cpu < st.CompressTime || st.CompressTime <= 0 {
+		t.Errorf("%s: CPU lane %v, compression %v", what, cpu, st.CompressTime)
+	}
+	if floor := fleetLink.Transfer(linked) + publish; st.Time < floor {
+		t.Errorf("%s: Put took %v, the link's floor %v plus the publish %v", what, st.Time, fleetLink.Transfer(linked), publish)
+	}
+	if st.Time > serial {
+		t.Errorf("%s: Put took %v, one thing after the other is %v", what, st.Time, serial)
+	}
+	if end := lanes.end().Add(publish); end != clock.Now() {
+		t.Errorf("%s: Put ended at %v, its last pack plus the publish is %v", what, clock.Now(), end)
+	}
+	return st, serial
+}
+
+// TestWriteTimelineBounds: running the writer's CPU, its link and the
+// nodes' disks beside each other hides time and never invents it
+// (checkWriteTimeline), on a 4+2 fleet over a fresh and two incremental
+// Puts, and over a two-part checkpoint on a mirror, whose local disk has
+// its records as soon as the CPU is done with them. The fresh Puts end
+// sooner than the serial write. A Put whose nodes crash part-way through a
+// round — two of them, which it commits around, or three, which fail it in
+// the pack round or at the publish — charges no more than the clean run, no
+// less than its CPU lane and no less than its lanes reached.
+func TestWriteTimelineBounds(t *testing.T) {
+	names := []string{"_head", "a", "b", "c"}
+	cs := openConfFleet(t, Config{}, 0)
+	clock := vtime.NewClock()
+	clock.Advance(5 * vtime.Millisecond)
+	parts := map[string][]byte{"a": compressible(3, 80<<10), "b": payload(61, 50<<10), "c": compressible(9, 40<<10)}
+	for gen, clean := range []map[string]bool{nil, {"a": true}, {"a": true, "c": true}} {
+		parts["_head"] = payload(int64(62+gen), 300)
+		if gen == 1 {
+			parts["c"] = compressible(11, 40<<10)
+		}
+		if gen == 2 {
+			parts["b"] = payload(65, 50<<10)
+		}
+		data, segs := tile(clean, names, parts)
+		st, serial := checkWriteTimeline(t, fmt.Sprintf("fleet-4+2 gen %d", gen), cs, clock, data, segs)
+		if gen == 0 && st.Time >= serial {
+			t.Errorf("fresh Put took %v, one thing after the other %v", st.Time, serial)
+		}
+	}
+
+	mirror := confStore{Fleet: testMirror(t, testFS(), Config{MinChunk: 64 << 10, AvgChunk: 128 << 10, MaxChunk: 256 << 10})}
+	st, serial := checkWriteTimeline(t, "mirror", mirror, clock, payload(72, packPartSize+packPartSize/4), nil)
+	if packs := len(mirror.lanes.packs); packs != 4 || st.Time >= serial {
+		t.Errorf("two-part Put on a mirror wrote %d packs and took %v, one thing after the other %v", packs, st.Time, serial)
+	}
+
+	// The crashes land on the last nodes in name order, so a crash early in
+	// the round comes before that node's write.
+	data := payload(66, 24<<10)
+	put := func(inj *proc.NodeFaultInjector, victims int) (PutStats, vtime.Duration, error) {
+		cs := openConfFleet(t, Config{}, 0)
+		for _, name := range cs.names[len(cs.names)-victims:] {
+			inj.Register(name, cs.nodes[name].fs)
+		}
+		cs.SetFaultInjector(inj)
+		clock := vtime.NewClock()
+		_, st, err := cs.Put(clock, "job", data)
+		if clock.Now() < cs.lanes.end() {
+			t.Errorf("the Put (err %v) ended at %v, before its lanes at %v", err, clock.Now(), cs.lanes.end())
+		}
+		return st, clock.Now().Sub(0), err
+	}
+	probe := proc.NewNodeFaultInjector(proc.NodeFaultPlan{})
+	clean, took, err := put(probe, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := clean.Time - clean.WriteTime
+	underwritten := 0
+	for _, down := range []int{2, 3} {
+		for p := 0; p < probe.Ops(); p++ {
+			inj := proc.NewNodeFaultInjector(proc.NodeFaultPlan{
+				Seed: uint64(p), EveryN: 1, SkipFirst: p, Max: down,
+				Kinds: []proc.NodeFaultKind{proc.NodeFaultCrash}, MaxDown: down,
+			})
+			_, faulted, err := put(inj, down)
+			if err != nil && down == 2 {
+				t.Fatalf("two nodes down from operation %d: %v", p, err)
+			}
+			if err != nil && strings.Contains(err.Error(), "shards written") {
+				underwritten++
+			}
+			if faulted > took || faulted < cpu {
+				t.Errorf("%d nodes down from operation %d (err %v): the Put charged %v, the clean one %v, its CPU lane %v",
+					down, p, err, faulted, took, cpu)
+			}
+		}
+	}
+	if underwritten == 0 {
+		t.Error("no Put with three nodes down failed in its pack round")
 	}
 }
 

@@ -501,6 +501,6 @@ func (f *Fleet) rewritePack(n *fleetNode, p string, live []packEntry) (int64, er
 	if len(buf.recs) == 0 {
 		return 0, nil
 	}
-	_, failed := f.writePacks(vtime.NewClock(), f.repairPack("gc"), map[string]*packBuf{n.name: &buf})
+	_, _, failed := f.writePacks(f.repairPack("gc"), map[string]*packBuf{n.name: &buf})
 	return int64(len(buf.data)), failed[n.name]
 }

@@ -48,7 +48,7 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 	}
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	dst.beginWrite(man.Job, man.Seq)
+	dst.beginWrite(man.Job, man.Seq, nil)
 
 	var missing []ChunkRef
 	seen := map[string]bool{} // a manifest can reference one sum many times
