@@ -531,3 +531,19 @@ func TestRankFaultInjectorSeededPick(t *testing.T) {
 		}
 	}
 }
+
+// TestRankFaultVictimsPinned pins the seeded victims a plan resolves in a
+// world of seven: a change to the seeding or the draw cannot pass by
+// agreeing with itself. A fixed rank takes no draw, and a second bind
+// changes nothing.
+func TestRankFaultVictimsPinned(t *testing.T) {
+	f := NewRankFaultInjector(RankFaultPlan{Seed: 123, Kills: []RankKill{
+		{Rank: -1, AtOp: 1}, {Rank: 2, AtOp: 3}, {Rank: -1, AtOp: 2},
+		{Rank: -1, At: 5}, {Rank: -1, AtOp: 4}, {Rank: -1, AtOp: 9},
+	}})
+	f.bind(7)
+	f.bind(64)
+	if got := fmt.Sprint(f.Victims()); got != "[3 2 5 6 1 6]" {
+		t.Fatalf("victims %s, want [3 2 5 6 1 6]", got)
+	}
+}

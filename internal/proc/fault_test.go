@@ -2,6 +2,7 @@ package proc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -212,5 +213,55 @@ func TestDiskFaultSkipFirstAndMax(t *testing.T) {
 	}
 	if inj.Injected() != 2 {
 		t.Fatalf("Injected() = %d, want 2", inj.Injected())
+	}
+}
+
+// diskDigest hashes every file of fs, name, length and bytes, in List
+// order, so a pinned schedule also pins what its faults left on the disk.
+func diskDigest(fs *FS) string {
+	h := sha256.New()
+	for _, p := range fs.List() {
+		fs.mu.Lock()
+		data := fs.files[p]
+		fs.mu.Unlock()
+		fmt.Fprintf(h, "%s:%d:", p, len(data))
+		h.Write(data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestDiskFaultSchedulePinned pins one seeded disk plan event for event,
+// across writes, renames and reads, with what it left on the disk and the
+// time it charged: a change to the seeding, the draw, the class degrade or
+// a fault's effect cannot pass by agreeing with itself.
+func TestDiskFaultSchedulePinned(t *testing.T) {
+	kinds := []DiskFaultKind{DiskFaultTornWrite, DiskFaultLostWrite, DiskFaultBitRot, DiskFaultEIO, DiskFaultNoSpace}
+	fs, inj, clock := faultFS(DiskFaultPlan{Seed: 42, EveryN: 2, SkipFirst: 1, Max: 20, Kinds: kinds})
+	for i := 0; i < 20; i++ {
+		tmp, dst := fmt.Sprintf("tmp%d", i%4), fmt.Sprintf("f%d", i%4)
+		_ = fs.WriteFile(clock, tmp, bytes.Repeat([]byte{byte(i)}, 32+i))
+		_ = fs.Rename(tmp, dst)
+		_, _ = fs.ReadFile(clock, dst)
+	}
+	want := []DiskFaultEvent{
+		{2, DiskFaultEIO, "tmp0"}, {4, DiskFaultEIO, "tmp1"}, {6, DiskFaultEIO, "f1"},
+		{8, DiskFaultEIO, "tmp2"}, {10, DiskFaultNoSpace, "tmp3"}, {12, DiskFaultBitRot, "f3"},
+		{14, DiskFaultEIO, "tmp0"}, {16, DiskFaultEIO, "tmp1"}, {18, DiskFaultBitRot, "f1"},
+		{20, DiskFaultEIO, "tmp2"}, {22, DiskFaultEIO, "tmp3"}, {24, DiskFaultEIO, "f3"},
+		{26, DiskFaultEIO, "tmp0"}, {28, DiskFaultLostWrite, "tmp1"}, {30, DiskFaultBitRot, "f1"},
+		{32, DiskFaultEIO, "tmp2"}, {34, DiskFaultLostWrite, "tmp3"}, {36, DiskFaultEIO, "f3"},
+		{38, DiskFaultEIO, "tmp0"}, {40, DiskFaultTornWrite, "tmp1"},
+	}
+	if got := inj.Events(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("events diverged from the pinned schedule:\n got %v\nwant %v", got, want)
+	}
+	if inj.Ops() != 60 || inj.Injected() != 20 {
+		t.Fatalf("ops=%d injected=%d, want 60 and 20", inj.Ops(), inj.Injected())
+	}
+	if got := diskDigest(fs); got != "2109ae6b084f0383" {
+		t.Fatalf("disk digest %s, want 2109ae6b084f0383", got)
+	}
+	if got := clock.Now(); got != 9756 {
+		t.Fatalf("clock at %d ns, want 9756", int64(got))
 	}
 }

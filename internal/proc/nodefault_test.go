@@ -1,7 +1,9 @@
 package proc
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -170,6 +172,58 @@ func TestNodeFaultInjectorDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical fault schedules")
+	}
+}
+
+// TestNodeFaultSchedulePinned pins one seeded node plan event for event
+// over four nodes and 90 ticks, with crashes that revive, a crash dropped
+// at op 57 because its victim was already down, and the bits the rots
+// flipped. A change to the seeding, the draw order or a fault's effect
+// cannot pass by agreeing with itself.
+func TestNodeFaultSchedulePinned(t *testing.T) {
+	inj := NewNodeFaultInjector(NodeFaultPlan{Seed: 7, EveryN: 3, ReviveAfter: 5})
+	clock := vtime.NewClock()
+	var disks []*FS
+	for i := 0; i < 4; i++ {
+		fs := nodeTestFS("store")
+		for j := 0; j < 3; j++ {
+			fs.WriteFile(clock, fmt.Sprintf("shards/%d/%d", i, j), bytes.Repeat([]byte{byte(i*3 + j)}, 16))
+		}
+		inj.Register(string(rune('a'+i)), fs)
+		disks = append(disks, fs)
+	}
+	for i := 0; i < 90; i++ {
+		inj.Tick()
+	}
+	want := []NodeFaultEvent{
+		{3, NodeFaultShardRot, "a", "shards/0/0"}, {6, NodeFaultCrash, "d", ""},
+		{9, NodeFaultSlow, "d", ""}, {12, NodeFaultCrash, "c", ""},
+		{15, NodeFaultShardRot, "d", "shards/3/0"}, {18, NodeFaultSlow, "c", ""},
+		{21, NodeFaultShardRot, "b", "shards/1/1"}, {24, NodeFaultTornWrite, "a", ""},
+		{27, NodeFaultSlow, "d", ""}, {30, NodeFaultSlow, "b", ""},
+		{33, NodeFaultTornWrite, "b", ""}, {36, NodeFaultShardRot, "d", "shards/3/0"},
+		{39, NodeFaultCrash, "d", ""}, {42, NodeFaultSlow, "b", ""},
+		{45, NodeFaultCrash, "a", ""}, {48, NodeFaultSlow, "d", ""},
+		{51, NodeFaultCrash, "a", ""}, {54, NodeFaultCrash, "d", ""},
+		{60, NodeFaultShardRot, "a", "shards/0/1"}, {63, NodeFaultSlow, "d", ""},
+		{66, NodeFaultShardRot, "a", "shards/0/0"}, {69, NodeFaultSlow, "b", ""},
+		{72, NodeFaultShardRot, "c", "shards/2/2"}, {75, NodeFaultTornWrite, "a", ""},
+		{78, NodeFaultCrash, "a", ""}, {81, NodeFaultTornWrite, "b", ""},
+		{84, NodeFaultShardRot, "d", "shards/3/1"}, {87, NodeFaultTornWrite, "a", ""},
+		{90, NodeFaultTornWrite, "b", ""},
+	}
+	if got := inj.Events(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("events diverged from the pinned schedule:\n got %v\nwant %v", got, want)
+	}
+	if inj.Ops() != 90 || inj.Injected() != 29 || len(inj.Down()) != 0 {
+		t.Fatalf("ops=%d injected=%d down=%v, want 90, 29 and none", inj.Ops(), inj.Injected(), inj.Down())
+	}
+	var digests []string
+	for _, fs := range disks {
+		digests = append(digests, diskDigest(fs))
+	}
+	if got := fmt.Sprint(digests); got != "[3e05e4bfea845957 a3e7cbb62c10b697 6ed1fdd76d80276e 1333993d0a764e98]" {
+		t.Fatalf("disk digests %s diverged from the pinned rots", got)
 	}
 }
 
