@@ -152,7 +152,7 @@ func main() {
 		fs := c.FailoverStats()
 		cs := c.Proxy().Client.Stats()
 		fmt.Printf("fault injection (kill/crash every %d calls, seed 2026):\n", *faults)
-		fmt.Printf("  injected:      %d faults over %d proxied calls\n", inj.Injected(), inj.Calls())
+		fmt.Printf("  injected:      %d faults over %d proxied calls\n", inj.Injected(), inj.Ops())
 		fmt.Printf("  retries:       %d call retries, %d reconnects (current proxy)\n", cs.Retries, cs.Reconnects)
 		fmt.Printf("  dedupe:        %d responses replayed from the seq cache\n", c.Proxy().Replayed())
 		fmt.Printf("  failovers:     %d proxy respawns, %d calls replayed to rebind\n", fs.Failovers, fs.ReplayedCalls)

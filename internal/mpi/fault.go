@@ -3,16 +3,19 @@ package mpi
 import (
 	"sync"
 
+	"checl/internal/fault"
 	"checl/internal/vtime"
 )
 
 // Seeded, deterministic rank-level failure injection, analogous to
 // ipc.FaultInjector (proxy kills) and proc.FaultInjector (disk faults):
 // a RankFaultPlan kills rank r at its k-th MPI operation or at the first
-// operation at/after a virtual instant. Kills land only at MPI operation
-// boundaries — Send/Recv/Barrier/collective entries — so every failure
-// point is a well-defined cut of the message-passing state, and the same
-// plan over the same app reproduces the same failure bit for bit.
+// operation at/after a virtual instant. It has no cadence, so of their
+// fault.Schedule it shares only the Splitmix draw, run from the raw seed.
+// Kills land only at MPI operation boundaries — Send/Recv/Barrier/collective
+// entries — so every failure point is a well-defined cut of the
+// message-passing state, and the same plan over the same app reproduces
+// the same failure bit for bit.
 
 // RankKill is one planned kill.
 type RankKill struct {
@@ -66,19 +69,10 @@ func (f *RankFaultInjector) bind(size int) {
 	f.bound = true
 	for _, k := range f.plan.Kills {
 		if k.Rank < 0 {
-			k.Rank = int(f.next() % uint64(size))
+			k.Rank = int(fault.Splitmix(&f.rng) % uint64(size))
 		}
 		f.kills = append(f.kills, rankKillState{RankKill: k})
 	}
-}
-
-// next is the splitmix64 step shared with the other injectors.
-func (f *RankFaultInjector) next() uint64 {
-	f.rng += 0x9e3779b97f4a7c15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // shouldKill reports whether an unfired kill matches this operation, and

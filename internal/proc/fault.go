@@ -5,13 +5,14 @@ package proc
 // individual operations fail the way real disks fail: torn writes (only a
 // prefix persists), lost writes (acknowledged but never persisted),
 // at-rest bit rot surfaced by a read, and transient EIO / ENOSPC errors.
-// It mirrors ipc.FaultInjector — same plan shape, same splitmix64 kind
-// sequence — so store tests can run the same kill-every-K soak style the
-// transport tests established.
+// It runs on the same fault.Schedule as ipc.FaultInjector — same plan
+// shape, same splitmix64 kind sequence — so store tests can run the same
+// kill-every-K soak style the transport tests established.
 
 import (
 	"fmt"
-	"sync"
+
+	"checl/internal/fault"
 )
 
 // DiskFaultKind selects how an injected disk fault manifests.
@@ -112,88 +113,33 @@ const (
 // FaultInjector owns a disk fault plan's mutable state. One injector may
 // be shared by several FS instances (e.g. a node's local disk and the
 // cluster NFS) while the operation count and seeded RNG run on across
-// them.
+// them. Recovery sweeps hold its Suspend while they repair the disk.
 type FaultInjector struct {
-	mu        sync.Mutex
-	plan      DiskFaultPlan
-	rng       uint64
-	ops       int
-	injected  int
-	suspended int
-	events    []DiskFaultEvent
+	fault.Schedule[DiskFaultEvent]
+	kinds []DiskFaultKind
 }
 
 // NewFaultInjector builds an injector for plan.
 func NewFaultInjector(plan DiskFaultPlan) *FaultInjector {
-	return &FaultInjector{plan: plan, rng: plan.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
-}
-
-// Suspend pauses injection (nestable). Recovery sweeps suspend the
-// injector so repairing the disk cannot itself be faulted into a
-// livelock.
-func (f *FaultInjector) Suspend() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.suspended++
-}
-
-// Resume undoes one Suspend.
-func (f *FaultInjector) Resume() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.suspended > 0 {
-		f.suspended--
+	f := &FaultInjector{kinds: plan.Kinds}
+	if len(f.kinds) == 0 {
+		f.kinds = diskKillKinds
 	}
-}
-
-// Ops reports how many filesystem operations the injector has seen.
-func (f *FaultInjector) Ops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
-}
-
-// Injected reports how many faults have fired.
-func (f *FaultInjector) Injected() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
-// Events returns the injected faults in order.
-func (f *FaultInjector) Events() []DiskFaultEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]DiskFaultEvent, len(f.events))
-	copy(out, f.events)
-	return out
+	f.Init(plan.Seed, plan.EveryN, plan.SkipFirst, plan.Max)
+	return f
 }
 
 // next counts one operation and decides its fault, if any. The returned
 // bits value is the raw RNG draw; BitRot uses it to pick which bit flips.
 func (f *FaultInjector) next(class opClass, path string) (kind DiskFaultKind, bits uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ops++
-	switch {
-	case f.plan.EveryN <= 0,
-		f.suspended > 0,
-		f.ops <= f.plan.SkipFirst,
-		f.plan.Max > 0 && f.injected >= f.plan.Max,
-		f.ops%f.plan.EveryN != 0:
+	f.Lock()
+	defer f.Unlock()
+	op, fire := f.Due()
+	if !fire {
 		return DiskFaultNone, 0
 	}
-	kinds := f.plan.Kinds
-	if len(kinds) == 0 {
-		kinds = diskKillKinds
-	}
-	// splitmix64 keeps the kind sequence deterministic per seed.
-	f.rng += 0x9e3779b97f4a7c15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	k := kinds[z%uint64(len(kinds))]
+	z := f.Draw()
+	k := f.kinds[z%uint64(len(f.kinds))]
 	// Degrade kinds that cannot land on this operation class: a write
 	// kind drawn for a read (or vice versa, or anything on a metadata
 	// operation) becomes a transient EIO so the plan's cadence holds.
@@ -209,7 +155,6 @@ func (f *FaultInjector) next(class opClass, path string) (kind DiskFaultKind, bi
 	case opMeta:
 		k = DiskFaultEIO
 	}
-	f.injected++
-	f.events = append(f.events, DiskFaultEvent{Op: f.ops, Kind: k, Path: path})
+	f.Record(DiskFaultEvent{Op: op, Kind: k, Path: path})
 	return k, z
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"checl/internal/fault"
 )
 
 // NodeFaultKind selects how an injected node fault manifests.
@@ -200,18 +202,14 @@ func (ns *NodeState) takeTorn() bool {
 // of registered store nodes. The fleet ticks it once per shard-level
 // operation; when the plan fires, a seeded RNG picks the victim node and
 // the fault kind. Deterministic per seed: same registrations in the same
-// order, same tick sequence, same faults.
+// order, same tick sequence, same faults. Rebuild and scrub sweeps hold its
+// Suspend while they repair the fleet.
 type NodeFaultInjector struct {
-	mu        sync.Mutex
+	fault.Schedule[NodeFaultEvent]
 	plan      NodeFaultPlan
-	rng       uint64
-	ops       int
-	injected  int
-	suspended int
 	targets   []*nodeTarget
 	shardData func(path string) bool // which files hold shard data; nil = none known
-	events    []NodeFaultEvent
-	revive    map[*nodeTarget]int // target -> op count at which it comes back
+	revive    map[*nodeTarget]int    // target -> op count at which it comes back
 }
 
 type nodeTarget struct {
@@ -228,19 +226,20 @@ func NewNodeFaultInjector(plan NodeFaultPlan) *NodeFaultInjector {
 	if plan.SlowFactor <= 1 {
 		plan.SlowFactor = 8
 	}
-	return &NodeFaultInjector{
-		plan:   plan,
-		rng:    plan.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
-		revive: map[*nodeTarget]int{},
+	if len(plan.Kinds) == 0 {
+		plan.Kinds = nodeKillKinds
 	}
+	f := &NodeFaultInjector{plan: plan, revive: map[*nodeTarget]int{}}
+	f.Init(plan.Seed, plan.EveryN, plan.SkipFirst, plan.Max)
+	return f
 }
 
 // Register adds one store node to the victim pool, attaches a fresh
 // NodeState to its filesystem, and returns the state (so callers can
 // also crash or revive the node by hand).
 func (f *NodeFaultInjector) Register(name string, fs *FS) *NodeState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.Lock()
+	defer f.Unlock()
 	st := &NodeState{node: name}
 	fs.SetNodeState(st)
 	f.targets = append(f.targets, &nodeTarget{name: name, fs: fs, state: st})
@@ -251,57 +250,16 @@ func (f *NodeFaultInjector) Register(name string, fs *FS) *NodeState {
 // shard data, so NodeFaultShardRot lands on them rather than on metadata.
 // The store that owns the layout calls this; the injector knows no paths.
 func (f *NodeFaultInjector) SetShardData(isShard func(path string) bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.Lock()
+	defer f.Unlock()
 	f.shardData = isShard
-}
-
-// Suspend pauses injection (nestable); Resume undoes one Suspend.
-// Rebuild and scrub sweeps suspend the injector so repairing the fleet
-// cannot itself be faulted into a livelock.
-func (f *NodeFaultInjector) Suspend() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.suspended++
-}
-
-// Resume undoes one Suspend.
-func (f *NodeFaultInjector) Resume() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.suspended > 0 {
-		f.suspended--
-	}
-}
-
-// Ops reports how many fleet operations the injector has seen.
-func (f *NodeFaultInjector) Ops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
-}
-
-// Injected reports how many node faults have fired.
-func (f *NodeFaultInjector) Injected() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
-// Events returns the injected faults in order.
-func (f *NodeFaultInjector) Events() []NodeFaultEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]NodeFaultEvent, len(f.events))
-	copy(out, f.events)
-	return out
 }
 
 // Down lists the names of currently crashed nodes, sorted.
 func (f *NodeFaultInjector) Down() []string {
-	f.mu.Lock()
+	f.Lock()
 	targets := append([]*nodeTarget(nil), f.targets...)
-	f.mu.Unlock()
+	f.Unlock()
 	var out []string
 	for _, t := range targets {
 		if t.state.Down() {
@@ -312,47 +270,28 @@ func (f *NodeFaultInjector) Down() []string {
 	return out
 }
 
-// next draws one splitmix64 value.
-func (f *NodeFaultInjector) next() uint64 {
-	f.rng += 0x9e3779b97f4a7c15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Tick counts one fleet-level operation, revives crashed nodes whose
 // time has come, and — when the plan fires — picks a victim and injects
 // one fault. Crashes respect the plan's MaxDown cap (by default the last
 // registered node is never taken down: an erasure fleet with every node
 // dead is not a robustness scenario, it is a power cut).
 func (f *NodeFaultInjector) Tick() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ops++
+	f.Lock()
+	defer f.Unlock()
+	op, fire := f.Due()
 	for t, at := range f.revive {
-		if f.ops >= at {
+		if op >= at {
 			t.state.SetDown(false)
 			delete(f.revive, t)
 		}
 	}
-	switch {
-	case f.plan.EveryN <= 0,
-		f.suspended > 0,
-		len(f.targets) == 0,
-		f.ops <= f.plan.SkipFirst,
-		f.plan.Max > 0 && f.injected >= f.plan.Max,
-		f.ops%f.plan.EveryN != 0:
+	if !fire || len(f.targets) == 0 {
 		return
 	}
-	kinds := f.plan.Kinds
-	if len(kinds) == 0 {
-		kinds = nodeKillKinds
-	}
-	z := f.next()
-	kind := kinds[z%uint64(len(kinds))]
+	z := f.Draw()
+	kind := f.plan.Kinds[z%uint64(len(f.plan.Kinds))]
 	victim := f.targets[(z>>16)%uint64(len(f.targets))]
-	ev := NodeFaultEvent{Op: f.ops, Kind: kind, Node: victim.name}
+	ev := NodeFaultEvent{Op: op, Kind: kind, Node: victim.name}
 	switch kind {
 	case NodeFaultCrash:
 		down := 0
@@ -370,22 +309,21 @@ func (f *NodeFaultInjector) Tick() {
 		}
 		victim.state.SetDown(true)
 		if f.plan.ReviveAfter > 0 {
-			f.revive[victim] = f.ops + f.plan.ReviveAfter
+			f.revive[victim] = op + f.plan.ReviveAfter
 		}
 	case NodeFaultSlow:
 		victim.state.Slow(f.plan.SlowFactor, f.plan.SlowFor)
 	case NodeFaultShardRot:
-		path, ok := pickRotTarget(victim.fs, f.shardData, f.next())
+		path, ok := pickRotTarget(victim.fs, f.shardData, f.Draw())
 		if !ok {
 			return // empty node: nothing at rest to rot
 		}
-		victim.fs.FlipBit(path, f.next())
+		victim.fs.FlipBit(path, f.Draw())
 		ev.Path = path
 	case NodeFaultTornWrite:
 		victim.state.ArmTornWrite()
 	}
-	f.injected++
-	f.events = append(f.events, ev)
+	f.Record(ev)
 }
 
 // pickRotTarget chooses the file a shard-rot lands on: a seeded pick
