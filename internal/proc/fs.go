@@ -114,10 +114,7 @@ func (fs *FS) WriteFile(clock *vtime.Clock, path string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.node.takeTorn() {
-		n := len(data) / 2
-		clock.Advance(scaled(fs.model.WriteTime(int64(n)), scale))
-		fs.files[path] = append([]byte(nil), data[:n]...)
-		return &ErrIO{FS: fs.name, Op: "write", Path: path}
+		return fs.tearLocked(clock, path, data, scale)
 	}
 	if fs.capacity > 0 {
 		used := fs.usedLocked()
@@ -129,12 +126,7 @@ func (fs *FS) WriteFile(clock *vtime.Clock, path string, data []byte) error {
 	if fs.fault != nil {
 		switch kind, _ := fs.fault.next(opWrite, path); kind {
 		case DiskFaultTornWrite:
-			// Only a prefix reaches the disk, replacing any previous
-			// content, and the writer learns about it through an error.
-			n := len(data) / 2
-			clock.Advance(scaled(fs.model.WriteTime(int64(n)), scale))
-			fs.files[path] = append([]byte(nil), data[:n]...)
-			return &ErrIO{FS: fs.name, Op: "write", Path: path}
+			return fs.tearLocked(clock, path, data, scale)
 		case DiskFaultLostWrite:
 			// The write is acknowledged but nothing persists; previous
 			// content, if any, survives untouched.
@@ -149,6 +141,16 @@ func (fs *FS) WriteFile(clock *vtime.Clock, path string, data []byte) error {
 	clock.Advance(scaled(fs.model.WriteTime(int64(len(data))), scale))
 	fs.files[path] = append([]byte(nil), data...)
 	return nil
+}
+
+// tearLocked is a torn write: only the first half of data reaches the
+// disk, replacing any previous content, and the writer learns about it
+// through an error. Callers hold fs.mu.
+func (fs *FS) tearLocked(clock *vtime.Clock, path string, data []byte, scale float64) error {
+	n := len(data) / 2
+	clock.Advance(scaled(fs.model.WriteTime(int64(n)), scale))
+	fs.files[path] = append([]byte(nil), data[:n]...)
+	return &ErrIO{FS: fs.name, Op: "write", Path: path}
 }
 
 // usedLocked sums stored bytes; callers hold fs.mu.
@@ -174,13 +176,8 @@ func (fs *FS) ReadFile(clock *vtime.Clock, path string) ([]byte, error) {
 			// Flip one bit of the stored copy: at-rest decay this read is
 			// the first to observe. The corruption persists until a later
 			// write (or a heal) replaces the file.
-			if ok && len(data) > 0 {
-				rotten := append([]byte(nil), data...)
-				bit := (bits >> 8) % uint64(len(rotten)*8)
-				rotten[bit/8] ^= 1 << (bit % 8)
-				fs.files[path] = rotten
-				data = rotten
-			}
+			fs.flipLocked(path, bits>>8)
+			data = fs.files[path]
 		case DiskFaultEIO:
 			fs.mu.Unlock()
 			return nil, &ErrIO{FS: fs.name, Op: "read", Path: path}
@@ -280,8 +277,16 @@ func (fs *FS) List() []string {
 func (fs *FS) FlipBit(path string, bits uint64) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	data, ok := fs.files[path]
-	if !ok || len(data) == 0 {
+	return fs.flipLocked(path, bits)
+}
+
+// flipLocked flips bit (bits mod the file's bit count) of path's stored
+// copy and reports whether it did. The stored slice is replaced, not
+// flipped in place: a ReadFile that took it under the lock copies it after
+// unlocking. Callers hold fs.mu.
+func (fs *FS) flipLocked(path string, bits uint64) bool {
+	data := fs.files[path]
+	if len(data) == 0 {
 		return false
 	}
 	rotten := append([]byte(nil), data...)
@@ -295,9 +300,5 @@ func (fs *FS) FlipBit(path string, bits uint64) bool {
 func (fs *FS) TotalBytes() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var n int64
-	for _, d := range fs.files {
-		n += int64(len(d))
-	}
-	return n
+	return fs.usedLocked()
 }
