@@ -121,19 +121,7 @@ type Config struct {
 	// the bit-identical verification still has to hold. Ignored unless
 	// StoreNodes selects a fleet. MaxDown is clamped to the parity count.
 	StoreFaults *proc.NodeFaultPlan
-	// SpeculativeDrain is a parameter of the scheduler's cost model: the
-	// jobs are modelled as checkpointing behind a speculative epoch
-	// (core.BeginCheckpointEpoch), so the planner's Tm charges a job only
-	// the validation/commit stall residue instead of the full stop-drain
-	// copy — the drain itself still occupies the source device's DMA
-	// engines. It does not change how the sampled real jobs checkpoint:
-	// an eviction has no work to overlap, so they open no epoch.
-	SpeculativeDrain bool
 }
-
-// specViolationRate is the modelled fraction of a speculatively drained
-// checkpoint that is violated and re-copied synchronously.
-const specViolationRate = 0.1
 
 // rebalanceEvery is the planner tick.
 const rebalanceEvery = 500 * vtime.Millisecond
@@ -450,28 +438,11 @@ func (f *Fleet) jobState(j *job, on *device) sched.JobState {
 		DirtyBytes:     j.dirty,
 		RecompileTime:  j.spec.Recompile,
 	}
-	if f.cfg.SpeculativeDrain {
-		js.CkptStall = f.specStall(j)
-	}
 	if on != nil {
 		js.Device = on.model
 		js.NodeName = on.node.name
 	}
 	return js
-}
-
-// specStall models the application-visible stall of a speculatively
-// drained checkpoint: the violation fraction of the copy term
-// is re-copied synchronously (the validated remainder is hidden behind
-// the job's own execution). Always positive so the planner takes the
-// speculative branch of MigrationCost.
-func (f *Fleet) specStall(j *job) vtime.Duration {
-	copyTerm := f.cfg.Model.Predict(j.ckptBytes()+imageOverhead, 0) - f.cfg.Model.Predict(imageOverhead, 0)
-	st := vtime.Duration(float64(copyTerm) * specViolationRate)
-	if st < 1 {
-		st = 1
-	}
-	return st
 }
 
 // progress advances a running job's remaining work and live dirty set to

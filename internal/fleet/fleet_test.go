@@ -215,47 +215,6 @@ func TestFleetSampledSoak(t *testing.T) {
 	}
 }
 
-// TestFleetSpeculativeDrain: with SpeculativeDrain on, the rebalancer
-// prices migrations with the speculative stall residue instead of the
-// full α·M stop-drain term, so it migrates at least as eagerly and the
-// fleet performs no worse. The switch is a cost-model parameter only: the
-// sampled real jobs checkpoint as they always do (no epoch is opened for
-// an eviction), and still restore bit-identical under the more eager
-// schedule.
-func TestFleetSpeculativeDrain(t *testing.T) {
-	specs := Bursty(TrafficConfig{Seed: 42, Jobs: 300})
-	base := testConfig()
-	spec := testConfig()
-	spec.SpeculativeDrain = true
-	spec.SampleEvery = 50
-
-	rb, err := New(DefaultNodes(4, 2), base).Run(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := New(DefaultNodes(4, 2), spec).Run(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Completed+len(rs.Rejected) != 300 {
-		t.Fatalf("settled %d of 300", rs.Completed+len(rs.Rejected))
-	}
-	if rs.Migrations < rb.Migrations {
-		t.Errorf("cheaper Tm migrated less: speculative %d < stop-drain %d",
-			rs.Migrations, rb.Migrations)
-	}
-	if rs.ThroughputJobsPerSec < rb.ThroughputJobsPerSec*0.99 {
-		t.Errorf("speculative throughput %.3f well below stop-drain %.3f jobs/s",
-			rs.ThroughputJobsPerSec, rb.ThroughputJobsPerSec)
-	}
-	if rs.RealJobs == 0 {
-		t.Fatal("no sampled real jobs ran under the speculative schedule")
-	}
-	if rs.RealMismatches != 0 {
-		t.Fatalf("%d corrupted real restores under the speculative schedule", rs.RealMismatches)
-	}
-}
-
 // TestFleetErasureStoreSoak parks sampled jobs in an erasure-coded
 // checkpoint fleet whose store nodes crash, slow down, rot shards and
 // tear writes mid-run; every restore must still come back bit-identical.

@@ -43,12 +43,6 @@ type JobState struct {
 	// the cost model; CheCL records it at clBuildProgram, see
 	// core.RestartStats.Recompile).
 	RecompileTime vtime.Duration
-	// CkptStall is the job's measured application-visible checkpoint
-	// stall (core.CheckpointStats.StallTime) when it checkpoints with a
-	// speculative drain. Non-zero, it replaces the α·M copy term of the
-	// cost model: the drain overlaps the job's own execution, so the job
-	// only pays the validation/commit residue, not the full stop-drain.
-	CkptStall vtime.Duration
 	// Device is the compute device the job currently runs on.
 	Device hw.DeviceModel
 	// NodeName locates the job.
@@ -117,13 +111,6 @@ func EstimateRuntime(flops float64, dev hw.DeviceModel) vtime.Duration {
 // generation, else the full working set, plus a fixed image overhead.
 func (p *Planner) MigrationCost(job JobState) vtime.Duration {
 	const imageOverhead = 1 << 20 // host image beyond the staged buffers
-	if job.CkptStall > 0 {
-		// Speculative drain: the buffer copy overlaps the job's own
-		// execution, so the job-visible Tm replaces the α·M term with the
-		// measured stall residue; only the image overhead still moves
-		// synchronously.
-		return p.Model.Predict(imageOverhead, job.RecompileTime) + job.CkptStall
-	}
 	m := job.MemBytes
 	if job.HasCheckpoint {
 		m = job.DirtyBytes

@@ -216,34 +216,6 @@ func TestMigrationCostUsesLiveDirtySet(t *testing.T) {
 	}
 }
 
-// TestMigrationCostSpeculativeStall: a job that checkpoints with a
-// speculative drain replaces the α·M copy term with its measured stall
-// residue — the scheduler sees a far cheaper Tm, so migrations that a
-// stop-drain cost model would reject become profitable.
-func TestMigrationCostSpeculativeStall(t *testing.T) {
-	p := planner()
-	stop := JobState{Name: "stop", MemBytes: 512 << 20}
-	spec := JobState{Name: "spec", MemBytes: 512 << 20, CkptStall: vtime.Millisecond}
-	cs, cp := p.MigrationCost(stop), p.MigrationCost(spec)
-	if cp >= cs {
-		t.Errorf("speculative cost %v should be far below stop-drain cost %v", cp, cs)
-	}
-	// The stall residue is still paid: a larger residue raises Tm.
-	slow := spec
-	slow.CkptStall = 100 * vtime.Millisecond
-	if c := p.MigrationCost(slow); c <= cp {
-		t.Errorf("larger stall residue must raise Tm: %v <= %v", c, cp)
-	}
-	// And the residue path dominates the incremental dirty-set path only
-	// through the measured stall, never the working set: growing MemBytes
-	// does not change a speculative job's Tm.
-	big := spec
-	big.MemBytes = 4 << 30
-	if c := p.MigrationCost(big); c != cp {
-		t.Errorf("speculative Tm depends on working set: %v != %v", c, cp)
-	}
-}
-
 func TestEstimateRuntimeMatchesRoofline(t *testing.T) {
 	// The planner's estimator and the hw roofline must share the
 	// sustained-efficiency constant: a pure-compute kernel's time (minus
