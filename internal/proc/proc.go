@@ -197,18 +197,11 @@ func (p *Process) Children() []*Process {
 	defer p.mu.Unlock()
 	var out []*Process
 	for _, c := range p.children {
-		if c.Alive2() {
+		if c.Alive() {
 			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// Alive2 is Alive without re-entering p.mu (children hold their own lock).
-func (p *Process) Alive2() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.alive
 }
 
 // Kill terminates the process and (transitively) its children.
