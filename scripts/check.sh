@@ -31,6 +31,11 @@ for procs in 1 8; do
     # the disks and reports.
     GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestWriteTimelineBounds|TestPutIndependentOfProcs' -race -count=10 ./internal/store/
     GOMAXPROCS=$procs go test -run 'TestRestoreOverlaps|TestRestoreShortRead' -race ./internal/core/
+    # The one seeded fault schedule, and each injector's schedule pinned
+    # event for event, are the same at every GOMAXPROCS and on every repeat.
+    GOMAXPROCS=$procs go test -run 'Pinned' -race -count=3 \
+        ./internal/ipc/ ./internal/proc/ ./internal/mpi/
+    GOMAXPROCS=$procs go test -race -count=3 ./internal/fault/
 done
 yes >/dev/null &
 load1=$!
