@@ -214,8 +214,13 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("\nprocess image of %q:\n", img.ProcessName)
-	for name, region := range img.Regions {
-		fmt.Printf("  region %-12s %10d bytes\n", name, len(region))
+	names := make([]string, 0, len(img.Regions))
+	for name := range img.Regions {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("  region %-12s %10d bytes\n", name, len(img.Regions[name]))
 	}
 
 	fmt.Println("\nobject database (live CheCL objects per class, restore order):")

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,35 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// inspect runs checl-inspect with args in a child process and returns what
+// it printed.
+func inspect(t *testing.T, args string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), inspectChildEnv+"="+args)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("checl-inspect %s: %v\n%s", args, err, stderr.String())
+	}
+	return out
+}
+
+// TestImageRegionsListedInOrder: the process image's regions are listed by
+// name, not in the order a map happens to give them.
+func TestImageRegionsListedInOrder(t *testing.T) {
+	var names []string
+	for _, line := range strings.Split(string(inspect(t, "-faults 7")), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "region" {
+			names = append(names, f[1])
+		}
+	}
+	if len(names) < 3 || !sort.StringsAreSorted(names) {
+		t.Fatalf("image regions listed as %q, want at least three, sorted", names)
+	}
+}
+
 // TestStoreFleetGolden pins what the store invocations scripts/check.sh
 // smokes print: fault plans are seeded and every time is virtual, so each
 // whole report — packs and records per node, the degraded read, the
@@ -36,14 +66,7 @@ func TestStoreFleetGolden(t *testing.T) {
 		{"store fsck", "testdata/store_fsck.golden"},
 		{"-disk-faults 7 store scrub", "testdata/store_scrub.golden"},
 	} {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), inspectChildEnv+"="+tc.args)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		got, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("checl-inspect %s: %v\n%s", tc.args, err, stderr.String())
-		}
+		got := inspect(t, tc.args)
 		if *updateGolden {
 			if err := os.WriteFile(tc.golden, got, 0o644); err != nil {
 				t.Fatal(err)

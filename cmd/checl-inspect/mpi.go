@@ -127,7 +127,7 @@ func mpiCmd(ranks, epochs, killRank, killOp int) {
 		fatal(err)
 	}
 
-	fmt.Println("\nper-rank view at the instant of death:")
+	fmt.Println("\nper-rank view with the victim down and the survivors parked on it:")
 	fmt.Printf("  %-6s %-10s %-16s %s\n", "rank", "node", "barrier-gens", "outbound-log-bytes")
 	for i, r := range w.Ranks() {
 		fmt.Printf("  %-6d %-10s %-16d %d\n", i, r.Node().Name, deadArrivals[i], deadLogBytes[i])

@@ -127,6 +127,7 @@ type World struct {
 
 	mu      sync.Mutex
 	barCond *sync.Cond // barrier waiters + senders parked on a restoring rank
+	quiet   *sync.Cond // a recovery waiting for the other ranks to park
 	states  []rankState
 	down    int   // ranks currently Down or Restoring
 	failed  error // latched fatal world error; every operation returns it
@@ -181,6 +182,11 @@ type Rank struct {
 	queue       []message     // inbox; world.mu
 	incarnation int           // bumped by RestoreRank; world.mu
 	ops         int           // MPI operations issued (fault-plan positions); world.mu
+	// parkedOn is the cond the rank waits on in an MPI operation, nil while
+	// it runs or once a wake of that cond has let it go; inBody says that
+	// RunWithRecovery is running its body. Both world.mu.
+	parkedOn *sync.Cond
+	inBody   bool
 }
 
 // NewWorld creates size ranks over the cluster, one process per rank,
@@ -210,6 +216,7 @@ func NewWorldWithOptions(cluster *proc.Cluster, size int, opts Options) (*World,
 		stallRank: -1,
 	}
 	w.barCond = sync.NewCond(&w.mu)
+	w.quiet = sync.NewCond(&w.mu)
 	if opts.Fault != nil {
 		opts.Fault.bind(size)
 	}
@@ -279,11 +286,51 @@ func (w *World) fail(err error) {
 }
 
 // broadcastLocked wakes every parked operation: barrier waiters, parked
-// senders, and receive waiters on every rank.
+// senders, and receive waiters on every rank. It also wakes a recovery
+// waiting for the ranks to park: a rank died, or the world failed.
 func (w *World) broadcastLocked() {
-	w.barCond.Broadcast()
+	w.wakeLocked(w.barCond)
 	for _, r := range w.ranks {
-		r.cond.Broadcast()
+		w.wakeLocked(r.cond)
+	}
+	w.quiet.Broadcast()
+}
+
+// parkLocked waits on c, one of the world's conds, until it is woken.
+func (w *World) parkLocked(r *Rank, c *sync.Cond) {
+	r.parkedOn = c
+	w.quiet.Broadcast()
+	c.Wait()
+	r.parkedOn = nil
+}
+
+// wakeLocked wakes every rank parked on c. A rank it wakes counts as
+// running from here, not once it has the lock again: what woke it may have
+// let it go on.
+func (w *World) wakeLocked(c *sync.Cond) {
+	for _, r := range w.ranks {
+		if r.parkedOn == c {
+			r.parkedOn = nil
+		}
+	}
+	c.Broadcast()
+}
+
+// awaitParkedLocked waits until nothing but the ranks that are down can
+// move the world on — every other rank still in its body is parked in an
+// MPI operation that no running rank is left to wake — or the world failed.
+// What the world holds then does not depend on how the goroutines were
+// scheduled.
+func (w *World) awaitParkedLocked() {
+	for w.failed == nil {
+		running := false
+		for i, r := range w.ranks {
+			running = running || (w.states[i] == rankAlive && r.inBody && r.parkedOn == nil)
+		}
+		if !running {
+			return
+		}
+		w.quiet.Wait()
 	}
 }
 
@@ -380,7 +427,9 @@ func (w *World) Run(body func(r *Rank) error) error {
 
 // RunWithRecovery is Run for fault plans. body runs on every rank; when a
 // rank dies with *RankKilled, onKill is invoked from that rank's
-// goroutine while the survivors stay parked in their MPI operations. If
+// goroutine once every other rank still in its body is parked in an MPI
+// operation or down: the survivors have done all they can without the
+// victim, so what onKill sees of the world is the same on every run. If
 // onKill returns nil (it typically calls RestoreRank and hands the
 // restored CheCL back through shared state), body is re-invoked for the
 // restored incarnation — the body must consult its restored application
@@ -388,15 +437,29 @@ func (w *World) Run(body func(r *Rank) error) error {
 // so parked survivors unwind with it.
 func (w *World) RunWithRecovery(body func(r *Rank) error, onKill func(r *Rank, k *RankKilled) error) error {
 	errs := make([]error, len(w.ranks))
+	w.mu.Lock()
+	for _, r := range w.ranks {
+		r.inBody = true
+	}
+	w.mu.Unlock()
 	var wg sync.WaitGroup
 	for i, r := range w.ranks {
 		wg.Add(1)
 		go func(i int, r *Rank) {
 			defer wg.Done()
+			defer func() {
+				w.mu.Lock()
+				r.inBody = false
+				w.quiet.Broadcast()
+				w.mu.Unlock()
+			}()
 			for {
 				err := body(r)
 				var rk *RankKilled
 				if err != nil && onKill != nil && errors.As(err, &rk) && rk.Rank == r.rank {
+					w.mu.Lock()
+					w.awaitParkedLocked()
+					w.mu.Unlock()
 					if herr := onKill(r, rk); herr != nil {
 						w.fail(herr)
 						errs[i] = herr
@@ -473,7 +536,7 @@ func (w *World) send(r *Rank, to, tag int, data []byte) error {
 	// assembled from the logs, and a message slipping in now would race
 	// the replayed ordering.
 	for w.failed == nil && w.states[to] == rankRestoring {
-		w.barCond.Wait()
+		w.parkLocked(r, w.barCond)
 	}
 	if w.failed != nil {
 		return w.failed
@@ -523,7 +586,7 @@ func (w *World) send(r *Rank, to, tag int, data []byte) error {
 func (w *World) deliverLocked(to int, m message) {
 	dst := w.ranks[to]
 	dst.queue = append(dst.queue, m)
-	dst.cond.Broadcast()
+	w.wakeLocked(dst.cond)
 }
 
 // Recv blocks until a message with the given source and tag arrives.
@@ -578,7 +641,7 @@ func (w *World) recv(r *Rank, from, tag int) ([]byte, error) {
 		if w.down > 0 {
 			sawRecovery = true
 		}
-		r.cond.Wait()
+		w.parkLocked(r, r.cond)
 	}
 }
 
@@ -649,7 +712,7 @@ func (w *World) await(r *Rank, manifest string, isCommit bool) error {
 		if w.down > 0 {
 			recovery = true
 		}
-		w.barCond.Wait()
+		w.parkLocked(r, w.barCond)
 	}
 	t := w.barTimes[myGen-w.barBase]
 	// The first barrier generation to complete after a restore absorbs the
@@ -686,7 +749,7 @@ func (w *World) completeBarrierLocked() {
 		w.commitGenerationLocked(w.pendingManifest)
 		w.havePending = false
 	}
-	w.barCond.Broadcast()
+	w.wakeLocked(w.barCond)
 }
 
 // commitGenerationLocked runs atomically with the completion of a

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -323,6 +325,47 @@ func TestRankKillPositionSweep(t *testing.T) {
 		}
 		if rec := s.w.RecoveryStats(); rec.Kills != 1 || rec.PartialRestores != 1 {
 			t.Fatalf("kill at op %d: recovery stats = %+v", op, rec)
+		}
+	}
+}
+
+// TestRecoveryHandlerSeesParkedWorld: the recovery handler runs once the
+// survivors have done all they can without the victim, so what it reads of
+// the world — barrier arrivals, each rank's operation count and logged
+// bytes, the log's totals — is the same at GOMAXPROCS 1 and 8, wherever
+// the victim dies.
+func TestRecoveryHandlerSeesParkedWorld(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const ranks, epochs = 4, 3
+	const victim = 1
+	base := baseline(t, ranks, epochs)
+	type snapshot struct {
+		Arrivals, LogBytes []int64
+		Ops                []int
+		Log                LogStats
+	}
+	for op := base.opsCommit1[victim] + 1; op <= base.opsTotal[victim]; op++ {
+		var first *snapshot
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			inj := NewRankFaultInjector(RankFaultPlan{Seed: 42, Kills: []RankKill{{Rank: victim, AtOp: op}}})
+			s := newScenario(ranks, epochs, Options{LogMessages: true, Fault: inj})
+			var got snapshot
+			if err := s.w.RunWithRecovery(s.body, func(r *Rank, k *RankKilled) error {
+				got = snapshot{Arrivals: s.w.RankArrivals(), LogBytes: s.w.RankLogBytes(), Log: s.w.LogStats()}
+				for rank := 0; rank < ranks; rank++ {
+					got.Ops = append(got.Ops, s.w.OpCount(rank))
+				}
+				return s.recoverRank(r, k)
+			}); err != nil {
+				t.Fatalf("kill at op %d: %v", op, err)
+			}
+			s.assertMatchesBaseline(t, base)
+			if first == nil {
+				first = &got
+			} else if !reflect.DeepEqual(got, *first) {
+				t.Fatalf("kill at op %d, GOMAXPROCS %d: handler saw %+v, first run %+v", op, procs, got, *first)
+			}
 		}
 	}
 }

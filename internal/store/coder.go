@@ -137,30 +137,48 @@ func (c *Coder) ShardSize(n int) int {
 // and trimmed to len(data) are the original bytes. A data shard that data
 // fills is a view of data, not a copy; callers treat shards as read-only.
 func (c *Coder) Encode(data []byte) [][]byte {
+	shards, _ := c.encode(data, nil, nil)
+	return shards
+}
+
+// encode is Encode into the caller's scratch: the shard list and the buffer
+// for what is not a view of data are reused when they are large enough, and
+// returned for the next chunk.
+func (c *Coder) encode(data []byte, shards [][]byte, fresh []byte) ([][]byte, []byte) {
 	size := c.ShardSize(len(data))
-	shards := make([][]byte, c.k+c.m)
+	if cap(shards) < c.k+c.m {
+		shards = make([][]byte, c.k+c.m)
+	}
+	shards = shards[:c.k+c.m]
 	full := 0
 	if size > 0 {
 		full = len(data) / size
 	}
 	// One buffer holds what is not a view: the padded tail, the data shards
 	// past the end of data, the parity.
-	fresh := make([]byte, (c.k-full+c.m)*size)
+	need := (c.k - full + c.m) * size
+	if cap(fresh) < need {
+		fresh = make([]byte, need)
+	} else {
+		fresh = fresh[:need]
+		clear(fresh)
+	}
+	rest := fresh
 	for i := 0; i < c.k; i++ {
 		if i < full {
 			shards[i] = data[i*size : (i+1)*size : (i+1)*size]
 			continue
 		}
-		shards[i], fresh = fresh[:size:size], fresh[size:]
+		shards[i], rest = rest[:size:size], rest[size:]
 		copy(shards[i], data[min(i*size, len(data)):])
 	}
 	for p := 0; p < c.m; p++ {
-		shards[c.k+p], fresh = fresh[:size:size], fresh[size:]
+		shards[c.k+p], rest = rest[:size:size], rest[size:]
 		for j, coef := range c.gen[c.k+p] {
 			mulAdd(shards[c.k+p], shards[j], coef)
 		}
 	}
-	return shards
+	return shards, fresh
 }
 
 // Reconstruct rebuilds the full k+m shard set from any k survivors.
@@ -333,22 +351,39 @@ type shardHeader struct {
 	origLen int
 }
 
-// appendShard appends one framed shard to dst. addr is the chunk's raw
-// SHA-256. The digest covers the header fields too — a flipped bit
-// anywhere in the record (geometry, lengths, address, payload) reads as an
-// erasure, never as a plausible shard with a wrong trim length or owner.
-func appendShard(dst []byte, addr []byte, idx, k, m, origLen int, payload []byte) []byte {
-	at := len(dst)
+// appendShard appends one framed shard to dst: addr is the chunk's raw
+// SHA-256 and digest the record's, recordDigest of the same fields. The
+// digest covers the header fields too — a flipped bit anywhere in the
+// record (geometry, lengths, address, payload) reads as an erasure, never
+// as a plausible shard with a wrong trim length or owner.
+func appendShard(dst []byte, addr []byte, idx, k, m, origLen int, payload []byte, digest [sha256.Size]byte) []byte {
 	dst = append(dst, shardMagic...)
+	dst = appendCovered(dst, addr, idx, k, m, len(payload), origLen)
+	dst = append(dst, digest[:]...)
+	return append(dst, payload...)
+}
+
+// appendCovered appends the header fields a record's digest covers, the
+// ones between the magic and the digest: version, geometry, lengths,
+// address.
+func appendCovered(dst []byte, addr []byte, idx, k, m, payloadLen, origLen int) []byte {
 	dst = append(dst, shardVersion, byte(idx), byte(k), byte(m))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(origLen))
-	dst = append(dst, addr[:sha256.Size]...)
-	dst = append(dst, make([]byte, sha256.Size)...)
-	dst = append(dst, payload...)
-	sum := shardDigest(dst[at:])
-	copy(dst[at+shardDigestOff:], sum[:])
-	return dst
+	return append(dst, addr[:sha256.Size]...)
+}
+
+// recordDigest is the digest of the record that frames payload as shard
+// idx of the chunk at addr: what shardDigest finds in the framed record,
+// worked out before it is framed.
+func recordDigest(addr []byte, idx, k, m, origLen int, payload []byte) [sha256.Size]byte {
+	var covered [shardDigestOff - len(shardMagic)]byte
+	h := sha256.New()
+	h.Write(appendCovered(covered[:0], addr, idx, k, m, len(payload), origLen))
+	h.Write(payload)
+	var out [sha256.Size]byte
+	h.Sum(out[:0])
+	return out
 }
 
 // shardDigest hashes the covered portion of a record: the header fields

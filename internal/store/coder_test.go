@@ -155,14 +155,15 @@ func TestCoderRejectsBadGeometry(t *testing.T) {
 func TestShardFrameRoundTripAndTamperDetection(t *testing.T) {
 	payload := []byte("shard payload bytes")
 	addr := sha256.Sum256([]byte("the chunk this shard was cut from"))
-	frame := appendShard(nil, addr[:], 3, 4, 2, 77, payload)
+	digest := recordDigest(addr[:], 3, 4, 2, 77, payload)
+	frame := appendShard(nil, addr[:], 3, 4, 2, 77, payload, digest)
 	h, got, err := decodeShard(frame)
 	want := shardHeader{sum: hex.EncodeToString(addr[:]), idx: 3, k: 4, m: 2, payloadLen: len(payload), origLen: 77}
 	if err != nil || h != want || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: %+v payload=%q err=%v", h, got, err)
 	}
 	// Appending after other bytes frames the same record.
-	if again := appendShard([]byte("xyz"), addr[:], 3, 4, 2, 77, payload); !bytes.Equal(again[3:], frame) {
+	if again := appendShard([]byte("xyz"), addr[:], 3, 4, 2, 77, payload, digest); !bytes.Equal(again[3:], frame) {
 		t.Fatal("a record appended to a non-empty buffer differs")
 	}
 	// Every single flipped bit — magic, geometry, lengths, address, digest

@@ -39,15 +39,17 @@ var (
 	flateReaders sync.Pool // *inflater
 )
 
-// compress encodes one chunk for storage, charging the modelled
-// compression time to clock. The blob is built in scratch, overwriting
-// whatever that held, so a Put can pass the last chunk's blob once it is
-// done with it; nil scratch allocates. Incompressible chunks are stored
-// raw (the tag byte is the only overhead).
-func compress(clock *vtime.Clock, scratch, data []byte) ([]byte, error) {
-	clock.Advance(compressBps.Transfer(int64(len(data))))
-	if scratch == nil {
-		scratch = make([]byte, 0, len(data)/2+64)
+// compress encodes one chunk for storage. The blob is built in scratch,
+// overwriting whatever that held, so a Put can pass a blob it is done with;
+// a scratch too small for the chunk is replaced. Incompressible chunks are
+// stored raw (the tag byte is the only overhead). The modelled compression
+// time, compressBps, is the caller's to charge: a Put deflates its chunks on
+// whichever worker is free and charges them in their own order.
+func compress(scratch, data []byte) ([]byte, error) {
+	// Room for a chunk that does not shrink: raw, or a few bytes of block
+	// headers over its size.
+	if need := len(data) + len(data)/64 + 64; cap(scratch) < need {
+		scratch = make([]byte, 0, need)
 	}
 	buf := bytes.NewBuffer(scratch[:0])
 	buf.WriteByte(codecFlate)

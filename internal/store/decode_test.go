@@ -188,12 +188,19 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
+// frameShard frames payload as shard idx of the chunk at addr, under the
+// digest recordDigest gives it.
+func frameShard(addr []byte, idx, k, m, origLen int, payload []byte) []byte {
+	return appendShard(nil, addr, idx, k, m, origLen, payload, recordDigest(addr, idx, k, m, origLen, payload))
+}
+
 // FuzzDecodeShard: the shard record decoder never panics, and a record it
-// accepts is exactly what appendShard writes for the decoded fields.
+// accepts is exactly what appendShard writes for the decoded fields under
+// the digest recordDigest works out for them.
 func FuzzDecodeShard(f *testing.F) {
 	addr := bytes.Repeat([]byte{0xC3}, 32)
 	for _, payload := range [][]byte{nil, []byte("shard payload bytes"), bytes.Repeat([]byte{0xA5}, 300)} {
-		frame := appendShard(nil, addr, 3, 4, 2, 4*len(payload), payload)
+		frame := frameShard(addr, 3, 4, 2, 4*len(payload), payload)
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
 		f.Add(frame[:shardHeaderSize-1])
@@ -205,8 +212,8 @@ func FuzzDecodeShard(f *testing.F) {
 	}
 	// The degenerate geometries: a whole blob as the one data shard of a
 	// 1+0 store, and as the parity shard of a mirror.
-	f.Add(appendShard(nil, addr, 0, 1, 0, 19, []byte("shard payload bytes")))
-	f.Add(appendShard(nil, addr, 1, 1, 1, 19, []byte("shard payload bytes")))
+	f.Add(frameShard(addr, 0, 1, 0, 19, []byte("shard payload bytes")))
+	f.Add(frameShard(addr, 1, 1, 1, 19, []byte("shard payload bytes")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := [][]byte{data}
 		if len(data) >= shardHeaderSize {
@@ -225,7 +232,7 @@ func FuzzDecodeShard(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted record has address %q", h.sum)
 			}
-			if again := appendShard(nil, addr, h.idx, h.k, h.m, h.origLen, payload); !bytes.Equal(again, frame) {
+			if again := frameShard(addr, h.idx, h.k, h.m, h.origLen, payload); !bytes.Equal(again, frame) {
 				t.Fatalf("accepted record is not what appendShard writes:\n %x\n %x", frame, again)
 			}
 		}

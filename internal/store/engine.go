@@ -240,66 +240,86 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 	}
 	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
-	var blob []byte               // the compression buffer, reused chunk after chunk
-
-	// stageRange chunks one dirty byte range and stages its new chunks,
-	// returning how many ChunkRefs it appended.
-	stageRange := func(data [][]byte) (int, error) {
-		n := 0
-		for _, chunk := range ck.split(data) {
-			sum256 := sha256.Sum256(chunk)
-			sum := hex.EncodeToString(sum256[:])
-			ref := ChunkRef{Sum: sum, Size: int64(len(chunk))}
-			if stored, ok := written[sum]; ok {
-				ref.Stored = stored
-			} else if stored, ok := f.chunkPresent(sum); ok {
-				ref.Stored = stored
-			} else {
-				csw := vtime.NewStopwatch(clock)
-				var cerr error
-				if blob, cerr = compress(clock, blob, chunk); cerr != nil {
-					return n, cerr
-				}
-				stats.CompressTime += csw.Elapsed()
-				phys, werr := f.stage(clock, sum, blob)
-				stats.StoredBytes += phys
-				if werr != nil {
-					return n, werr
-				}
-				written[sum] = int64(len(blob))
-				ref.Stored = int64(len(blob))
-				stats.NewChunks++
-				stats.NewBytes += int64(len(chunk))
-			}
-			man.Chunks = append(man.Chunks, ref)
-			stats.TotalChunks++
-			n++
+	win := f.openWindow()
+	defer win.wait()
+	// A clean segment's refs join the manifest, and its chunks the stats, in
+	// payload order: once the chunks cut before it are staged.
+	type cleanRun struct {
+		at   int // chunks cut before it
+		refs []ChunkRef
+		size int64
+	}
+	var cleans []cleanRun
+	reuse := func(upTo int) {
+		for ; len(cleans) > 0 && cleans[0].at <= upTo; cleans = cleans[1:] {
+			man.Chunks = append(man.Chunks, cleans[0].refs...)
+			stats.TotalChunks += len(cleans[0].refs)
+			stats.ReusedChunks += len(cleans[0].refs)
+			stats.ReusedBytes += cleans[0].size
 		}
-		return n, nil
+	}
+	// stageNext is the ordered half of the oldest chunk in the window.
+	stageNext := func() error {
+		j, s := win.next()
+		reuse(j)
+		ref := ChunkRef{Sum: s.sum, Size: int64(len(s.data))}
+		if stored, ok := written[s.sum]; ok {
+			ref.Stored = stored
+		} else if stored, ok := f.chunkPresent(s.sum); ok {
+			ref.Stored = stored
+		} else {
+			took := compressBps.Transfer(int64(len(s.data)))
+			clock.Advance(took)
+			c, err := win.work(j, s)
+			if err != nil {
+				return err
+			}
+			stats.CompressTime += took
+			phys, err := f.stage(clock, c)
+			stats.StoredBytes += phys
+			if err != nil {
+				return err
+			}
+			written[s.sum] = int64(len(c.blob))
+			ref.Stored = int64(len(c.blob))
+			stats.NewChunks++
+			stats.NewBytes += int64(len(s.data))
+		}
+		man.Chunks = append(man.Chunks, ref)
+		stats.TotalChunks++
+		return nil
 	}
 
 	for _, sg := range segs {
 		if sg.Clean {
 			if ps, refs, ok := parent.segment(sg.Name); ok && ps.Size == sg.Len {
-				man.Chunks = append(man.Chunks, refs...)
 				man.Segments = append(man.Segments, SegmentRef{
 					Name: sg.Name, Size: sg.Len, Chunks: len(refs), Clean: true,
 				})
-				stats.TotalChunks += len(refs)
-				stats.ReusedChunks += len(refs)
-				stats.ReusedBytes += sg.Len
+				cleans = append(cleans, cleanRun{at: win.cut, refs: refs, size: sg.Len})
 				continue
 			}
 			// No matching parent segment: chunk it like a dirty one.
 		}
-		n, err := stageRange(sg.Data)
-		if err != nil {
-			return fail(err)
+		chunks := ck.split(sg.Data)
+		for _, chunk := range chunks {
+			if win.full() {
+				if err := stageNext(); err != nil {
+					return fail(err)
+				}
+			}
+			win.push(chunk)
 		}
 		if sg.Name != "" {
-			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: n})
+			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: len(chunks)})
 		}
 	}
+	for win.pending() {
+		if err := stageNext(); err != nil {
+			return fail(err)
+		}
+	}
+	reuse(win.cut)
 	// The CPU lane ends here. What the Put takes from now on, its WriteTime,
 	// is the link's and the disks' tails and the commit.
 	wsw := vtime.NewStopwatch(clock)

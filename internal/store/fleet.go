@@ -139,6 +139,7 @@ type Fleet struct {
 	// to, the path of its next pack less the part number to try, and — a
 	// Put's — where it stands on the link and the disks.
 	wbufs map[string]*packBuf
+	slots []putSlot // a Put's window (write.go), kept for the next Put
 	round []staged
 	stem  string
 	part  int
@@ -579,22 +580,24 @@ func (f *Fleet) beginWrite(job string, seq uint64, lanes *writeLanes) {
 	}
 }
 
-// stage encodes blob into k+m shards and queues one record on each of its
-// placement nodes; nothing reaches a disk until a node's queue passes
-// packPartSize, when every queue is written out as the next part.
-func (f *Fleet) stage(clock *vtime.Clock, sum string, blob []byte) (int64, error) {
-	clock.Advance(fleetCoding.EncodeTime(int64(len(blob)), f.cfg.DataShards, f.cfg.ParityShards))
-	shards := f.coder.Encode(blob)
-	nodes := f.placement(sum)
+// stage queues one record of chunk c on each of its placement nodes and
+// charges c's encode to clock; a chunk that is not sealed yet (Replicate's,
+// and a Put's that no worker prepared) is sealed here. Nothing reaches a
+// disk until a node's queue passes packPartSize, when every queue is
+// written out as the next part.
+func (f *Fleet) stage(clock *vtime.Clock, c *outChunk) (int64, error) {
+	clock.Advance(fleetCoding.EncodeTime(int64(len(c.blob)), f.cfg.DataShards, f.cfg.ParityShards))
+	if !c.sealed {
+		c.seal(f)
+	}
+	nodes := f.placement(c.sum)
 	full := false
 	for i, n := range nodes {
 		buf := f.wbufs[n.name]
-		if err := buf.add(f.header(sum, i, len(blob)), shards[i]); err != nil {
-			return 0, err
-		}
+		buf.addDigested(f.header(c.sum, i, len(c.blob)), c.addr[:], c.shards[i], c.digests[i])
 		full = full || len(buf.data) >= packPartSize
 	}
-	f.round = append(f.round, staged{sum: sum, nodes: nodes, rec: shardHeaderSize + len(shards[0]), ready: clock.Now()})
+	f.round = append(f.round, staged{sum: c.sum, nodes: nodes, rec: shardHeaderSize + len(c.shards[0]), ready: clock.Now()})
 	if !full {
 		return 0, nil
 	}

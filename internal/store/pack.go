@@ -10,7 +10,6 @@ package store
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 )
@@ -89,16 +88,22 @@ func (b *packBuf) room(n int) {
 // add frames one shard as the pack's next record. h.sum must be a
 // SHA-256 in hex, which is what every chunk address is.
 func (b *packBuf) add(h shardHeader, payload []byte) error {
-	addr, err := hex.DecodeString(h.sum)
-	if err != nil || len(addr) != sha256.Size {
+	addr, ok := decodeDigest(h.sum)
+	if !ok {
 		return fmt.Errorf("store: chunk address %q is not a SHA-256", h.sum)
 	}
+	b.addDigested(h, addr[:], payload, recordDigest(addr[:], h.idx, h.k, h.m, h.origLen, payload))
+	return nil
+}
+
+// addDigested is add for a shard whose record digest is known: addr is
+// h.sum raw, digest recordDigest of the two.
+func (b *packBuf) addDigested(h shardHeader, addr, payload []byte, digest [sha256.Size]byte) {
 	off := len(b.data)
 	b.room(shardHeaderSize + len(payload))
-	b.data = appendShard(b.data, addr, h.idx, h.k, h.m, h.origLen, payload)
+	b.data = appendShard(b.data, addr, h.idx, h.k, h.m, h.origLen, payload, digest)
 	h.payloadLen = len(payload)
 	b.recs = append(b.recs, packRecord{shardHeader: h, off: off, n: len(b.data) - off})
-	return nil
 }
 
 // copyRecord appends an already framed record verbatim.

@@ -128,39 +128,30 @@ func startPayloadDigest(payload []byte, lands []landing) (verified func(i int), 
 	}
 }
 
-// startLanders starts the workers of one read. run hands them the pure
-// half of chunk i; its error is left in lands[i].err, and a chunk that
-// verified is reported. wait returns once everything handed over has run,
-// and stops the workers. With one processor run calls land itself.
-func startLanders(lands []landing, verified func(i int)) (run func(i int, land func() error), wait func()) {
-	do := func(i int, land func() error) {
-		if lands[i].err = land(); lands[i].err == nil {
-			verified(i)
-		}
-	}
+// startWorkers starts the workers of one pipeline, one per processor, each
+// running the pipeline's pure half, job, on the items it is handed. run
+// hands an item to the next free worker, and blocks while queue items are
+// already waiting for one; wait returns once every item handed over has
+// run, and stops the workers. With one processor there are no workers: run
+// runs the job itself.
+func startWorkers[T any](queue int, job func(T)) (run func(T), wait func()) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers == 1 {
-		return do, func() {}
+		return job, func() {}
 	}
-	type job struct {
-		i    int
-		land func() error
-	}
-	// A slot per worker: the session finds the next chunks while the workers
-	// are busy with these.
-	jobs := make(chan job, workers)
+	items := make(chan T, queue)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				do(j.i, j.land)
+			for item := range items {
+				job(item)
 			}
 		}()
 	}
-	return func(i int, land func() error) { jobs <- job{i, land} }, func() {
-		close(jobs)
+	return func(item T) { items <- item }, func() {
+		close(items)
 		wg.Wait()
 	}
 }
@@ -204,7 +195,17 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 	if digest != nil {
 		verified, sum = startPayloadDigest(payload, lands)
 	}
-	run, wait := startLanders(lands, verified)
+	// A queue slot per worker: the session finds the next chunks while the
+	// workers are busy with these.
+	type pure struct {
+		i    int
+		land func() error
+	}
+	run, wait := startWorkers(runtime.GOMAXPROCS(0), func(p pure) {
+		if lands[p.i].err = p.land(); lands[p.i].err == nil {
+			verified(p.i)
+		}
+	})
 
 	fetched := 0
 	for ; fetched < len(lands); fetched++ {
@@ -213,7 +214,7 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 			break
 		}
 		if land != nil {
-			run(fetched, land)
+			run(pure{fetched, land})
 		} else {
 			verified(fetched)
 		}

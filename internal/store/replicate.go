@@ -66,6 +66,7 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 	}
 	src := f.newRead(clock, missing, true)
 	defer src.close()
+	var out outChunk // one chunk at a time, its scratch kept for the next
 	for _, c := range missing {
 		// The stored (compressed) representation moves verbatim; content
 		// addresses stay valid and no recompression is needed.
@@ -74,7 +75,12 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 			return fail(err)
 		}
 		clock.Advance(nic.Transfer(int64(len(blob))))
-		if _, err := dst.stage(clock, c.Sum, blob); err != nil {
+		addr, ok := decodeDigest(c.Sum)
+		if !ok {
+			return fail(fmt.Errorf("chunk address %q is not a SHA-256", c.Sum))
+		}
+		out.sum, out.addr, out.blob, out.sealed = c.Sum, addr, blob, false
+		if _, err := dst.stage(clock, &out); err != nil {
 			return fail(err)
 		}
 		st.ChunksCopied++

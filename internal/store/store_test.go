@@ -263,7 +263,6 @@ func compressible(seed, n int) []byte {
 // decision; and the pooled reader inflates each back, to no more than the
 // manifest says.
 func TestPooledCodersByteIdentical(t *testing.T) {
-	clock := vtime.NewClock()
 	chunks := [][]byte{compressible(1, 16<<10), compressible(9, 5000), make([]byte, 64<<10), payload(7, 16<<10), compressible(3, 16<<10)}
 	for round := 0; round < 3; round++ {
 		for i, chunk := range chunks {
@@ -280,7 +279,7 @@ func TestPooledCodersByteIdentical(t *testing.T) {
 				want = append([]byte{codecRaw}, chunk...)
 			}
 
-			got, err := compress(clock, nil, chunk)
+			got, err := compress(nil, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}

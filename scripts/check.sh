@@ -28,8 +28,9 @@ for procs in 1 8; do
     # what a restore that rebuilds behind its read waits for and costs, are
     # the same at every GOMAXPROCS and on every repeat (ten at each count).
     # So are the write's lanes (CPU, link, disks) and what a Put leaves on
-    # the disks and reports.
-    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestWriteTimelineBounds|TestPutIndependentOfProcs' -race -count=10 ./internal/store/
+    # the disks and reports, also when its pure half runs on workers ahead
+    # of the caller and nodes crash under it.
+    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestWriteTimelineBounds|TestPutIndependentOfProcs|TestPutPipelineMatchesSerial' -race -count=10 ./internal/store/
     GOMAXPROCS=$procs go test -run 'TestRestoreOverlaps|TestRestoreShortRead' -race ./internal/core/
     # The one seeded fault schedule, and each injector's schedule pinned
     # event for event, are the same at every GOMAXPROCS and on every repeat.
