@@ -241,7 +241,7 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
 	win := f.openWindow()
-	defer win.wait()
+	defer win.close()
 	// A clean segment's refs join the manifest, and its chunks the stats, in
 	// payload order: once the chunks cut before it are staged.
 	type cleanRun struct {
@@ -260,8 +260,8 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 	}
 	// stageNext is the ordered half of the oldest chunk in the window.
 	stageNext := func() error {
-		j, s := win.next()
-		reuse(j)
+		reuse(win.staged)
+		s := win.next()
 		ref := ChunkRef{Sum: s.sum, Size: int64(len(s.data))}
 		if stored, ok := written[s.sum]; ok {
 			ref.Stored = stored
@@ -270,7 +270,7 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 		} else {
 			took := compressBps.Transfer(int64(len(s.data)))
 			clock.Advance(took)
-			c, err := win.work(j, s)
+			c, err := win.work(s)
 			if err != nil {
 				return err
 			}

@@ -10,14 +10,12 @@ package store
 // chunks ahead of the caller.
 //
 // A worker does not know what the store will hold by the time the caller
-// reaches its chunk, so its work is speculative: it seals every content the
-// Put meets for the first time that the store does not seem to hold. The
-// caller's probe, in chunk order, decides.
-// A chunk it finds present has its work discarded; one it finds absent is
-// staged from the work done for its content — its own worker's, or that of
-// a later chunk with the same content — or, when nobody prepared it, sealed
-// on the caller. So what a Put writes, reports and charges does not depend
-// on the processor count.
+// reaches its chunk, so its work is speculative: it seals its own chunk,
+// whatever the store holds. The caller's probe, in chunk order, decides. A
+// chunk it finds present has its work discarded; one it finds absent is
+// staged from its worker's work or, when nobody prepared it (one
+// processor), sealed on the caller. So what a Put writes, reports and
+// charges does not depend on the processor count.
 
 import (
 	"crypto/sha256"
@@ -57,15 +55,13 @@ func (c *outChunk) seal(f *Fleet) {
 // putSlot is one chunk in a Put's window.
 type putSlot struct {
 	outChunk
-	data    []byte         // the chunk's bytes, lent by the caller
-	done    sync.WaitGroup // the chunk's pure half has run
-	claimed bool           // its worker prepared the chunk's content
-	err     error          // what deflate returned
+	data []byte         // the chunk's bytes, lent by the caller
+	done sync.WaitGroup // the chunk's pure half has run
+	err  error          // what deflate returned
 }
 
-// window is the chunks a Put has cut and not yet staged — chunks staged to
-// cut-1, numbered in payload order, each in slot number mod len(slots) — and
-// which chunk's worker took each content.
+// window is the chunks a Put has cut and not yet staged: chunks staged to
+// cut-1, numbered in payload order, each in slot number mod len(slots).
 type window struct {
 	f           *Fleet
 	slots       []putSlot // as many as the window holds
@@ -74,16 +70,14 @@ type window struct {
 	wait        func() // returns once the workers are done: the chunks are the caller's again
 	// speculate says that a chunk is deflated before the caller's probe.
 	speculate bool
-	mu        sync.Mutex
-	claims    map[[sha256.Size]byte]int // content address -> the chunk whose worker prepared it
 }
 
-// openWindow starts a Put's workers; wait stops them.
+// openWindow starts a Put's workers; close stops them.
 func (f *Fleet) openWindow() *window {
 	if f.slots == nil {
 		f.slots = make([]putSlot, putWindow)
 	}
-	w := &window{f: f, slots: f.slots, speculate: true, claims: map[[sha256.Size]byte]int{}}
+	w := &window{f: f, slots: f.slots, speculate: true}
 	if runtime.GOMAXPROCS(0) == 1 {
 		// Nothing runs beside the caller, so nothing runs ahead of it: each
 		// chunk is staged as soon as it is cut, and deflated only once the
@@ -93,6 +87,15 @@ func (f *Fleet) openWindow() *window {
 	// Never more chunks queued than the window holds: run does not block.
 	w.run, w.wait = startWorkers(putWindow, w.prepare)
 	return w
+}
+
+// close stops the workers and lets go of the caller's bytes: only the
+// slots' own buffers stay on the Fleet for the next Put.
+func (w *window) close() {
+	w.wait()
+	for i := range w.slots {
+		w.slots[i].data = nil
+	}
 }
 
 func (w *window) slot(j int) *putSlot { return &w.slots[j%len(w.slots)] }
@@ -106,15 +109,14 @@ func (w *window) pending() bool { return w.staged < w.cut }
 // push hands the next chunk to the workers.
 func (w *window) push(data []byte) {
 	s := w.slot(w.cut)
-	s.data, s.sealed, s.claimed, s.err = data, false, false, nil
+	s.data, s.sealed, s.err = data, false, nil
 	s.done.Add(1)
 	w.cut++
 	w.run(w.cut - 1)
 }
 
-// prepare is chunk j's pure half: its address and — when the window
-// speculates, the store does not hold the content yet and no other chunk's
-// worker has taken it — its blob, sealed.
+// prepare is chunk j's pure half: its address and, when the window
+// speculates, its blob, sealed.
 func (w *window) prepare(j int) {
 	s := w.slot(j)
 	defer s.done.Done()
@@ -123,48 +125,24 @@ func (w *window) prepare(j int) {
 	if !w.speculate {
 		return
 	}
-	// Only a guess at what the caller's probe will find: the caller may
-	// flush while this runs.
-	if _, ok := w.f.chunkPresent(s.sum); ok {
-		return
-	}
-	w.mu.Lock()
-	_, taken := w.claims[s.addr]
-	if !taken {
-		w.claims[s.addr] = j
-	}
-	w.mu.Unlock()
-	if taken {
-		return
-	}
-	s.claimed = true
 	if s.blob, s.err = compress(s.blob, s.data); s.err == nil {
 		s.seal(w.f)
 	}
 }
 
-// next returns the oldest chunk, its pure half done, and its number.
-func (w *window) next() (int, *putSlot) {
-	j, s := w.staged, w.slot(w.staged)
+// next returns the oldest chunk, its pure half done.
+func (w *window) next() *putSlot {
+	s := w.slot(w.staged)
 	w.staged++
 	s.done.Wait()
-	return j, s
+	return s
 }
 
-// work is what stages chunk j, which the caller's probe found absent: the
-// blob its own worker or a later chunk's prepared for its content, or one
-// deflated here, for stage to seal.
-func (w *window) work(j int, s *putSlot) (*outChunk, error) {
-	if s.claimed {
+// work is what stages a chunk the caller's probe found absent: the blob its
+// worker prepared, or one deflated here, for stage to seal.
+func (w *window) work(s *putSlot) (*outChunk, error) {
+	if w.speculate {
 		return &s.outChunk, s.err
-	}
-	w.mu.Lock()
-	c, ok := w.claims[s.addr]
-	w.mu.Unlock()
-	if ok && c > j {
-		o := w.slot(c)
-		o.done.Wait()
-		return &o.outChunk, o.err
 	}
 	var err error
 	s.blob, err = compress(s.blob, s.data)
