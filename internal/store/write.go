@@ -10,11 +10,11 @@ package store
 // chunks ahead of the caller.
 //
 // A worker does not know what the store will hold by the time the caller
-// reaches its chunk, so its work is speculative: it seals its own chunk,
-// whatever the store holds. The caller's probe, in chunk order, decides. A
-// chunk it finds present has its work discarded; one it finds absent is
-// staged from its worker's work or, when nobody prepared it (one
-// processor), sealed on the caller. So what a Put writes, reports and
+// reaches its chunk, so its work is speculative: it seals its chunk unless
+// another worker of the Put has already taken the same content. The
+// caller's probe, in chunk order, decides. A chunk it finds present has its
+// work discarded; one it finds absent is staged from its worker's work or,
+// when nobody prepared it, sealed on the caller. So what a Put writes, reports and
 // charges does not depend on the processor count.
 
 import (
@@ -55,9 +55,10 @@ func (c *outChunk) seal(f *Fleet) {
 // putSlot is one chunk in a Put's window.
 type putSlot struct {
 	outChunk
-	data []byte         // the chunk's bytes, lent by the caller
-	done sync.WaitGroup // the chunk's pure half has run
-	err  error          // what deflate returned
+	data     []byte         // the chunk's bytes, lent by the caller
+	done     sync.WaitGroup // the chunk's pure half has run
+	prepared bool           // its worker deflated the chunk
+	err      error          // what deflate returned
 }
 
 // window is the chunks a Put has cut and not yet staged: chunks staged to
@@ -70,6 +71,8 @@ type window struct {
 	wait        func() // returns once the workers are done: the chunks are the caller's again
 	// speculate says that a chunk is deflated before the caller's probe.
 	speculate bool
+	mu        sync.Mutex
+	taken     map[[sha256.Size]byte]bool // contents some worker has deflated
 }
 
 // openWindow starts a Put's workers; close stops them.
@@ -77,7 +80,7 @@ func (f *Fleet) openWindow() *window {
 	if f.slots == nil {
 		f.slots = make([]putSlot, putWindow)
 	}
-	w := &window{f: f, slots: f.slots, speculate: true}
+	w := &window{f: f, slots: f.slots, speculate: true, taken: map[[sha256.Size]byte]bool{}}
 	if runtime.GOMAXPROCS(0) == 1 {
 		// Nothing runs beside the caller, so nothing runs ahead of it: each
 		// chunk is staged as soon as it is cut, and deflated only once the
@@ -109,14 +112,18 @@ func (w *window) pending() bool { return w.staged < w.cut }
 // push hands the next chunk to the workers.
 func (w *window) push(data []byte) {
 	s := w.slot(w.cut)
-	s.data, s.sealed, s.err = data, false, nil
+	s.data, s.sealed, s.prepared, s.err = data, false, false, nil
 	s.done.Add(1)
 	w.cut++
 	w.run(w.cut - 1)
 }
 
 // prepare is chunk j's pure half: its address and, when the window
-// speculates, its blob, sealed.
+// speculates and no other worker has taken the content, its blob, sealed.
+// Most copies of a repeated content are found in the store, or among the
+// Put's own chunks, by the caller's probe, and their work would be thrown
+// away; a copy the probe finds absent although another worker took the
+// content (that worker's chunk comes later) is sealed on the caller.
 func (w *window) prepare(j int) {
 	s := w.slot(j)
 	defer s.done.Done()
@@ -125,6 +132,14 @@ func (w *window) prepare(j int) {
 	if !w.speculate {
 		return
 	}
+	w.mu.Lock()
+	taken := w.taken[s.addr]
+	w.taken[s.addr] = true
+	w.mu.Unlock()
+	if taken {
+		return
+	}
+	s.prepared = true
 	if s.blob, s.err = compress(s.blob, s.data); s.err == nil {
 		s.seal(w.f)
 	}
@@ -141,7 +156,7 @@ func (w *window) next() *putSlot {
 // work is what stages a chunk the caller's probe found absent: the blob its
 // worker prepared, or one deflated here, for stage to seal.
 func (w *window) work(s *putSlot) (*outChunk, error) {
-	if w.speculate {
+	if s.prepared {
 		return &s.outChunk, s.err
 	}
 	var err error
