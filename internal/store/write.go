@@ -11,11 +11,12 @@ package store
 //
 // A worker does not know what the store will hold by the time the caller
 // reaches its chunk, so its work is speculative: it seals its chunk unless
-// another worker of the Put has already taken the same content. The
-// caller's probe, in chunk order, decides. A chunk it finds present has its
-// work discarded; one it finds absent is staged from its worker's work or,
-// when nobody prepared it, sealed on the caller. So what a Put writes, reports and
-// charges does not depend on the processor count.
+// the store seems to hold the content already or another worker of the Put
+// has taken it. The caller's probe, in chunk order, decides. A chunk it
+// finds present has its work discarded; one it finds absent is staged from
+// its worker's work or, when nobody prepared it, sealed on the caller. So
+// what a Put writes, reports and charges does not depend on the processor
+// count.
 
 import (
 	"crypto/sha256"
@@ -119,17 +120,24 @@ func (w *window) push(data []byte) {
 }
 
 // prepare is chunk j's pure half: its address and, when the window
-// speculates and no other worker has taken the content, its blob, sealed.
-// Most copies of a repeated content are found in the store, or among the
-// Put's own chunks, by the caller's probe, and their work would be thrown
-// away; a copy the probe finds absent although another worker took the
-// content (that worker's chunk comes later) is sealed on the caller.
+// speculates, the store does not seem to hold the content and no other
+// worker has taken it, its blob, sealed. A chunk skipped here would mostly
+// be found present by the caller's probe, in the store or among the Put's
+// own chunks, and its work thrown away, while each deflate draws a flate
+// writer, a megabyte whenever the pool is empty. A skipped chunk the probe
+// finds absent — its content taken by a later chunk's worker, or its
+// records lost since the look — is sealed on the caller.
 func (w *window) prepare(j int) {
 	s := w.slot(j)
 	defer s.done.Done()
 	s.addr = sha256.Sum256(s.data)
 	s.sum = hex.EncodeToString(s.addr[:])
 	if !w.speculate {
+		return
+	}
+	// Only a guess at what the caller's probe will find: the caller may
+	// flush while this runs.
+	if _, ok := w.f.chunkPresent(s.sum); ok {
 		return
 	}
 	w.mu.Lock()
