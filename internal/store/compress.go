@@ -32,20 +32,25 @@ const (
 
 // flate coders are expensive to build (a writer is ~1 MB of tables, a
 // reader a few tens of KB) and cheap to Reset, and the store codes one
-// ~16 KiB chunk at a time, so they are pooled. A Reset coder produces the
-// same bytes as a fresh one.
-var (
-	flateWriters sync.Pool // *flate.Writer
-	flateReaders sync.Pool // *inflater
-)
+// ~16 KiB chunk at a time, so they are reused. A Reset coder produces the
+// same bytes as a fresh one. The readers are pooled; the writers are kept
+// in a Fleet's deflaters (a Put deflates on every worker at once, and a
+// sync.Pool, which every garbage collection empties, would build each
+// worker's writer anew after each one).
+var flateReaders sync.Pool // *inflater
 
-// compress encodes one chunk for storage. The blob is built in scratch,
-// overwriting whatever that held, so a Put can pass a blob it is done with;
-// a scratch too small for the chunk is replaced. Incompressible chunks are
-// stored raw (the tag byte is the only overhead). The modelled compression
-// time, compressBps, is the caller's to charge: a Put deflates its chunks on
-// whichever worker is free and charges them in their own order.
-func compress(scratch, data []byte) ([]byte, error) {
+// deflaters is a free list of flate writers; the nil list keeps none.
+type deflaters chan *flate.Writer
+
+// compress encodes one chunk for storage with one of d's writers, or a new
+// one when none is free, and gives the writer back to d. The blob is built
+// in scratch, overwriting whatever that held, so a Put can pass a blob it
+// is done with; a scratch too small for the chunk is replaced.
+// Incompressible chunks are stored raw (the tag byte is the only overhead).
+// The modelled compression time, compressBps, is the caller's to charge: a
+// Put deflates its chunks on whichever worker is free and charges them in
+// their own order.
+func (d deflaters) compress(scratch, data []byte) ([]byte, error) {
 	// Room for a chunk that does not shrink: raw, or a few bytes of block
 	// headers over its size.
 	if need := len(data) + len(data)/64 + 64; cap(scratch) < need {
@@ -53,10 +58,11 @@ func compress(scratch, data []byte) ([]byte, error) {
 	}
 	buf := bytes.NewBuffer(scratch[:0])
 	buf.WriteByte(codecFlate)
-	w, _ := flateWriters.Get().(*flate.Writer)
-	if w != nil {
+	var w *flate.Writer
+	select {
+	case w = <-d:
 		w.Reset(buf)
-	} else {
+	default:
 		var err error
 		if w, err = flate.NewWriter(buf, flateLevel); err != nil {
 			return nil, fmt.Errorf("store: compress: %w", err)
@@ -68,7 +74,10 @@ func compress(scratch, data []byte) ([]byte, error) {
 	if err := w.Close(); err != nil {
 		return nil, fmt.Errorf("store: compress: %w", err)
 	}
-	flateWriters.Put(w)
+	select {
+	case d <- w:
+	default:
+	}
 	if buf.Len() >= len(data)+1 {
 		return append(append(buf.Bytes()[:0], codecRaw), data...), nil
 	}

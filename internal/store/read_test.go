@@ -127,7 +127,7 @@ func partsSeeds(t testing.TB) (seeds []partsSeed) {
 		seeds = append(seeds, partsSeed{blob, size, content})
 	}
 	for _, chunk := range [][]byte{compressible(2, 9000), payload(8, 5000), {}, {7}} {
-		blob, err := compress(nil, chunk)
+		blob, err := deflaters(nil).compress(nil, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -264,6 +264,7 @@ func compressible(seed, n int) []byte {
 // manifest says.
 func TestPooledCodersByteIdentical(t *testing.T) {
 	chunks := [][]byte{compressible(1, 16<<10), compressible(9, 5000), make([]byte, 64<<10), payload(7, 16<<10), compressible(3, 16<<10)}
+	writers := make(deflaters, 1)
 	for round := 0; round < 3; round++ {
 		for i, chunk := range chunks {
 			var fresh bytes.Buffer
@@ -279,7 +280,7 @@ func TestPooledCodersByteIdentical(t *testing.T) {
 				want = append([]byte{codecRaw}, chunk...)
 			}
 
-			got, err := compress(nil, chunk)
+			got, err := writers.compress(nil, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,13 +10,12 @@ package store
 // chunks ahead of the caller.
 //
 // A worker does not know what the store will hold by the time the caller
-// reaches its chunk, so its work is speculative: it seals its chunk unless
-// the store seems to hold the content already or another worker of the Put
-// has taken it. The caller's probe, in chunk order, decides. A chunk it
-// finds present has its work discarded; one it finds absent is staged from
-// its worker's work or, when nobody prepared it, sealed on the caller. So
-// what a Put writes, reports and charges does not depend on the processor
-// count.
+// reaches its chunk, so its work is speculative: it seals every chunk it is
+// handed. The caller's probe, in chunk order, decides. A chunk it finds
+// present has its work discarded; one it finds absent is staged from its
+// worker's work or, with one processor and so no workers, sealed on the
+// caller. So what a Put writes, reports and charges does not depend on the
+// processor count.
 
 import (
 	"crypto/sha256"
@@ -56,10 +55,9 @@ func (c *outChunk) seal(f *Fleet) {
 // putSlot is one chunk in a Put's window.
 type putSlot struct {
 	outChunk
-	data     []byte         // the chunk's bytes, lent by the caller
-	done     sync.WaitGroup // the chunk's pure half has run
-	prepared bool           // its worker deflated the chunk
-	err      error          // what deflate returned
+	data []byte         // the chunk's bytes, lent by the caller
+	done sync.WaitGroup // the chunk's pure half has run
+	err  error          // what its worker's deflate returned
 }
 
 // window is the chunks a Put has cut and not yet staged: chunks staged to
@@ -72,16 +70,15 @@ type window struct {
 	wait        func() // returns once the workers are done: the chunks are the caller's again
 	// speculate says that a chunk is deflated before the caller's probe.
 	speculate bool
-	mu        sync.Mutex
-	taken     map[[sha256.Size]byte]bool // contents some worker has deflated
 }
 
 // openWindow starts a Put's workers; close stops them.
 func (f *Fleet) openWindow() *window {
 	if f.slots == nil {
-		f.slots = make([]putSlot, putWindow)
+		// A flate writer for each worker, or the caller's.
+		f.slots, f.defl = make([]putSlot, putWindow), make(deflaters, runtime.GOMAXPROCS(0))
 	}
-	w := &window{f: f, slots: f.slots, speculate: true, taken: map[[sha256.Size]byte]bool{}}
+	w := &window{f: f, slots: f.slots, speculate: true}
 	if runtime.GOMAXPROCS(0) == 1 {
 		// Nothing runs beside the caller, so nothing runs ahead of it: each
 		// chunk is staged as soon as it is cut, and deflated only once the
@@ -113,43 +110,23 @@ func (w *window) pending() bool { return w.staged < w.cut }
 // push hands the next chunk to the workers.
 func (w *window) push(data []byte) {
 	s := w.slot(w.cut)
-	s.data, s.sealed, s.prepared, s.err = data, false, false, nil
+	s.data, s.sealed, s.err = data, false, nil
 	s.done.Add(1)
 	w.cut++
 	w.run(w.cut - 1)
 }
 
 // prepare is chunk j's pure half: its address and, when the window
-// speculates, the store does not seem to hold the content and no other
-// worker has taken it, its blob, sealed. A chunk skipped here would mostly
-// be found present by the caller's probe, in the store or among the Put's
-// own chunks, and its work thrown away, while each deflate draws a flate
-// writer, a megabyte whenever the pool is empty. A skipped chunk the probe
-// finds absent — its content taken by a later chunk's worker, or its
-// records lost since the look — is sealed on the caller.
+// speculates, its blob, sealed.
 func (w *window) prepare(j int) {
 	s := w.slot(j)
 	defer s.done.Done()
 	s.addr = sha256.Sum256(s.data)
 	s.sum = hex.EncodeToString(s.addr[:])
-	if !w.speculate {
-		return
-	}
-	// Only a guess at what the caller's probe will find: the caller may
-	// flush while this runs.
-	if _, ok := w.f.chunkPresent(s.sum); ok {
-		return
-	}
-	w.mu.Lock()
-	taken := w.taken[s.addr]
-	w.taken[s.addr] = true
-	w.mu.Unlock()
-	if taken {
-		return
-	}
-	s.prepared = true
-	if s.blob, s.err = compress(s.blob, s.data); s.err == nil {
-		s.seal(w.f)
+	if w.speculate {
+		if s.blob, s.err = w.f.defl.compress(s.blob, s.data); s.err == nil {
+			s.seal(w.f)
+		}
 	}
 }
 
@@ -164,10 +141,10 @@ func (w *window) next() *putSlot {
 // work is what stages a chunk the caller's probe found absent: the blob its
 // worker prepared, or one deflated here, for stage to seal.
 func (w *window) work(s *putSlot) (*outChunk, error) {
-	if s.prepared {
+	if w.speculate {
 		return &s.outChunk, s.err
 	}
 	var err error
-	s.blob, err = compress(s.blob, s.data)
+	s.blob, err = w.f.defl.compress(s.blob, s.data)
 	return &s.outChunk, err
 }
