@@ -366,7 +366,7 @@ func storeLs(st *store.Fleet) {
 	for _, m := range mans {
 		byID[m.ID()] = m
 	}
-	fmt.Printf("  %-20s %-20s %8s %12s %12s %8s\n", "MANIFEST", "PARENT", "CHUNKS", "SIZE", "DELTA", "DIGEST")
+	fmt.Printf("  %-20s %-20s %8s %12s %12s\n", "MANIFEST", "PARENT", "CHUNKS", "SIZE", "DELTA")
 	for _, m := range mans {
 		parent := m.Parent
 		var pm *store.Manifest
@@ -376,8 +376,8 @@ func storeLs(st *store.Fleet) {
 		if parent == "" {
 			parent = "-"
 		}
-		fmt.Printf("  %-20s %-20s %8d %12d %12d %8s\n",
-			m.ID(), parent, len(m.Chunks), m.Size, m.DeltaSize(pm), m.Digest[:8])
+		fmt.Printf("  %-20s %-20s %8d %12d %12d\n",
+			m.ID(), parent, len(m.Chunks), m.Size, m.DeltaSize(pm))
 	}
 }
 

@@ -63,6 +63,7 @@ func TestImageRegionsListedInOrder(t *testing.T) {
 func TestStoreFleetGolden(t *testing.T) {
 	for _, tc := range []struct{ args, golden string }{
 		{"-node-faults 11 store fleet", "testdata/store_fleet.golden"},
+		{"store ls", "testdata/store_ls.golden"},
 		{"store fsck", "testdata/store_fsck.golden"},
 		{"-disk-faults 7 store scrub", "testdata/store_scrub.golden"},
 	} {

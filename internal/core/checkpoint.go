@@ -67,8 +67,8 @@ type CheckpointStats struct {
 	// Speculative marks a checkpoint that committed an epoch.
 	// SpeculatedBuffers/SpeculatedBytes count the overlapped copies;
 	// ViolatedBuffers those whose write-set was touched after their copy
-	// began; RecopiedBytes the re-drained residue (retry ladder plus
-	// fallback). StallTime is the application-visible stall of the whole
+	// began; RecopiedBytes the re-drained residue, those buffers' bytes.
+	// StallTime is the application-visible stall of the whole
 	// checkpoint — phase total plus epoch submission — while Overlap
 	// accumulates the drain (and store-write) time hidden behind
 	// application progress. EpochAborted names the fault that killed an

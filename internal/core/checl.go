@@ -127,11 +127,6 @@ type CheCL struct {
 	epochSeq     uint64
 	epochAborted string
 	stall        vtime.StallTracker
-
-	// specReviolate is a test seam: after retry-ladder pass n the
-	// returned handles are re-flagged violated, modelling a producer that
-	// keeps touching buffers between validation passes.
-	specReviolate func(pass int) []Handle
 }
 
 var _ ocl.API = (*CheCL)(nil)

@@ -30,6 +30,57 @@ func readBuffers(t *testing.T, api ocl.API, app *vaddApp) map[ocl.Mem][]byte {
 	return out
 }
 
+// TestWronglyCleanBufferRestoresParent: a clean buffer whose staged copy
+// changes between two incremental checkpoints is a wrong clean claim. The
+// store trusts it and names the parent's bytes for that buffer's region;
+// the image's body checksum covers every region, so the restore refuses
+// the generation and degrades to the previous one, whose buffers it
+// restores as they were.
+func TestWronglyCleanBufferRestoresParent(t *testing.T) {
+	node := newNodeNV("pc0")
+	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	_, c := attach(t, node, Options{Incremental: true})
+	app := setupVaddApp(t, c, 1<<14)
+	app.launch(t)
+	if err := c.Finish(app.q); err != nil {
+		t.Fatal(err)
+	}
+	want := readBuffers(t, c, app)
+	first, err := c.CheckpointToStore(st, "vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := c.db.mems[Handle(app.a)]
+	for i := range a.Data {
+		a.Data[i] ^= 0xFF
+	}
+	second, err := c.CheckpointToStore(st, "vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CleanBuffers != 3 {
+		t.Fatalf("gen 2 flagged %d buffers clean, want 3", second.CleanBuffers)
+	}
+
+	rc, rst, err := RestoreFromStore(node, st, "vadd", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	if d := rst.Degraded; d == nil || d.Restored != first.Manifest || len(d.Skipped) != 1 || d.Skipped[0].ID != second.Manifest {
+		t.Errorf("restore did not degrade from %s to %s: %+v", second.Manifest, first.Manifest, d)
+	}
+	for m, w := range want {
+		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Errorf("buffer %v is not what the first checkpoint held", m)
+		}
+	}
+}
+
 // TestDurableCheckpointScrubRestoreSoak runs checkpoint/scrub/restore
 // cycles of a live OpenCL app against a checkpoint disk that injects a
 // fault on every 6th operation, with a clean mirror (1+1). Every cycle

@@ -32,13 +32,6 @@ func (s EpochState) String() string {
 	}
 }
 
-// maxSpecRetries bounds the commit-time re-copy ladder: a violated buffer
-// is re-drained at most this many validated passes before the residue is
-// taken by an unconditional final pass. The queues are quiesced by the
-// time the ladder runs, so the final pass cannot itself be violated —
-// the ladder terminates by construction, never by luck.
-const maxSpecRetries = 3
-
 // specEntry is one buffer's in-flight speculative copy.
 type specEntry struct {
 	m        *memRec
@@ -169,10 +162,10 @@ func (c *CheCL) abortEpoch(why string) {
 
 // commitEpoch closes the epoch inside a checkpoint: it charges the
 // non-hidden remainder of the overlapped drain, validates the speculation
-// set, re-copies violated buffers through the bounded retry ladder, and
-// returns the adopted entries keyed by handle. The caller (runCheckpoint)
-// runs after the phase-1 quiesce, so re-copies read settled device state.
-// Returns nil outside an epoch.
+// set, re-copies violated buffers once, and returns the adopted entries
+// keyed by handle. The caller (runCheckpoint) runs after the phase-1
+// quiesce, so re-copies read settled device state. Returns nil outside an
+// epoch.
 func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, error) {
 	ep := c.epoch
 	if ep == nil {
@@ -206,16 +199,11 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 	}
 	stats.ViolatedBuffers = len(violated)
 
-	// Commit: re-copy the violated residue. Each pass re-drains every
-	// currently-violated buffer; a pass can in principle be invalidated
-	// again (the specReviolate seam models a concurrent producer), so
-	// after maxSpecRetries passes the ladder ends with the pass it just
-	// ran — the queues are quiesced, making that pass a short stop-drain
-	// that is final by construction. Never unbounded.
-	for pass := 1; len(violated) > 0; pass++ {
-		for _, ent := range violated {
-			ent.violated = false
-		}
+	// Commit: re-copy the violated residue in one pass. commitEpoch runs
+	// inside runCheckpoint after phase 1 has quiesced every queue, on the
+	// application's own call, so no API call can touch a buffer between
+	// the validation above and this pass: it is final.
+	if len(violated) > 0 {
 		if err := c.specRecopy(violated); err != nil {
 			return nil, err
 		}
@@ -223,30 +211,13 @@ func (c *CheCL) commitEpoch(stats *CheckpointStats) (map[Handle]*specEntry, erro
 			stats.RecopiedBytes += ent.m.Size
 			ent.data = ent.m.Data
 		}
-		if pass >= maxSpecRetries {
-			break
-		}
-		if c.specReviolate != nil {
-			for _, h := range c.specReviolate(pass) {
-				if ent, ok := ep.entries[h]; ok {
-					ent.violated = true
-				}
-			}
-		}
-		violated = violated[:0]
-		for _, ent := range entries {
-			if ent.violated {
-				violated = append(violated, ent)
-			}
-		}
 	}
 	c.stall.Add("spec-commit", sw.Elapsed())
 	return ep.entries, nil
 }
 
 // specRecopy re-drains violated buffers through the stop-drain (the queues
-// are already quiesced — this is the "short stop-drain" of the fallback
-// ladder).
+// are already quiesced — this is a short stop-drain).
 func (c *CheCL) specRecopy(ents []*specEntry) error {
 	mems := make([]*memRec, 0, len(ents))
 	for _, ent := range ents {

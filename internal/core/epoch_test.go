@@ -10,6 +10,10 @@ import (
 	"checl/internal/vtime"
 )
 
+// specVaddItems is the item count of specVaddRun's vadd: each of its three
+// buffers holds that many float32s.
+const specVaddItems = 1 << 14
+
 // specVaddRun drives one vadd application through a checkpoint with work
 // issued mid-epoch (speculative arm) or just before the checkpoint
 // (stop-drain arm): the device state at commit is identical either way,
@@ -19,7 +23,7 @@ func specVaddRun(t *testing.T, speculative bool) (CheckpointStats, map[Handle]st
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
 	_, c := attach(t, node, Options{Incremental: true})
-	app := setupVaddApp(t, c, 1<<14)
+	app := setupVaddApp(t, c, specVaddItems)
 	app.launch(t)
 	if err := c.Finish(app.q); err != nil {
 		t.Fatal(err)
@@ -89,8 +93,11 @@ func TestSpeculativeEpochBitIdentical(t *testing.T) {
 	if spec.ViolatedBuffers < 1 {
 		t.Errorf("ViolatedBuffers = %d, want >= 1 (output buffer was written mid-epoch)", spec.ViolatedBuffers)
 	}
-	if spec.RecopiedBytes <= 0 {
-		t.Errorf("RecopiedBytes = %d, want > 0", spec.RecopiedBytes)
+	// One re-copy of each violated buffer, nothing more: commit runs on
+	// quiesced queues, so no pass can be violated again.
+	if want := int64(spec.ViolatedBuffers) * 4 * specVaddItems; spec.RecopiedBytes != want {
+		t.Errorf("RecopiedBytes = %d, want %d (%d violated buffers of %d bytes)",
+			spec.RecopiedBytes, want, spec.ViolatedBuffers, 4*specVaddItems)
 	}
 
 	for h, want := range specLive {
@@ -245,65 +252,6 @@ func TestSpeculationConservativeFallback(t *testing.T) {
 	for h, want := range exactRestored {
 		if got := pessRestored[h]; got != want {
 			t.Errorf("buffer %v: pessimistic image %s != analysed image %s", h, got, want)
-		}
-	}
-}
-
-// TestSpeculativeRetryLadder: a producer that keeps re-violating buffers
-// between validation passes cannot livelock the commit — after
-// maxSpecRetries re-copy passes the residue is taken by a final
-// unconditional pass and the checkpoint completes with correct bytes.
-func TestSpeculativeRetryLadder(t *testing.T) {
-	node := newNodeNV("pc0")
-	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
-	_, c := attach(t, node, Options{Incremental: true})
-	app := setupVaddApp(t, c, 1<<12)
-	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c.BeginCheckpointEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	junk := make([]byte, 4*app.n)
-	for i := range junk {
-		junk[i] = byte(i*3 + 1)
-	}
-	if _, err := c.EnqueueWriteBuffer(app.q, app.c, true, 0, junk, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Adversarial producer: every validation pass re-violates the output
-	// buffer. Without the bounded ladder the commit would never converge.
-	passes := 0
-	c.specReviolate = func(pass int) []Handle {
-		passes = pass
-		return []Handle{Handle(app.c)}
-	}
-	stats, err := c.CheckpointToStore(st, "vadd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.specReviolate = nil
-
-	if passes != maxSpecRetries-1 {
-		t.Errorf("reviolation hook last consulted at pass %d, want %d", passes, maxSpecRetries-1)
-	}
-	wantRecopied := int64(maxSpecRetries) * int64(4*app.n)
-	if stats.RecopiedBytes != wantRecopied {
-		t.Errorf("RecopiedBytes = %d, want %d (%d bounded passes)", stats.RecopiedBytes, wantRecopied, maxSpecRetries)
-	}
-
-	live := memDigests(t, c)
-	rc, _, err := RestoreFromStore(node, st, "vadd", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { rc.Detach(); rc.App().Kill() }()
-	for h, want := range live {
-		if got := memDigests(t, rc)[h]; got != want {
-			t.Errorf("buffer %v diverged after retry-ladder commit", h)
 		}
 	}
 }

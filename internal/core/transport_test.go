@@ -286,8 +286,8 @@ func TestImmediateSyncIsTheInFlightWrite(t *testing.T) {
 // TestTransportParityStoredGenerations: a ckpt_cycle-shaped job (buffers
 // rewritten window by window, one more dirtied by a kernel, an incremental
 // checkpoint into a 4+2 fleet after each generation) stores the same
-// generations on either transport. Every generation's digest, size and
-// segment bytes are equal, and its manifest differs in CreatedAt alone, the
+// generations on either transport. Every generation's size, chunk refs,
+// segment map and segment bytes are equal, and its manifest differs in CreatedAt alone, the
 // instant on the application's clock, which the transport does move.
 func TestTransportParityStoredGenerations(t *testing.T) {
 	const buffers, size, window, gens = 8, 256 << 10, 2, 4
@@ -354,8 +354,9 @@ func TestTransportParityStoredGenerations(t *testing.T) {
 	framed, ring := run(proxy.TransportPipe), run(proxy.TransportRing)
 	for g := range framed {
 		f, r := framed[g], ring[g]
-		if f.man.Digest != r.man.Digest || f.man.Size != r.man.Size {
-			t.Errorf("generation %d: framed %s (%d bytes), ring %s (%d bytes)", g+1, f.man.Digest, f.man.Size, r.man.Digest, r.man.Size)
+		if f.man.Size != r.man.Size || !reflect.DeepEqual(f.man.Chunks, r.man.Chunks) || !reflect.DeepEqual(f.man.Segments, r.man.Segments) {
+			t.Errorf("generation %d: framed %d bytes in %d chunks %v, ring %d bytes in %d chunks %v", g+1,
+				f.man.Size, len(f.man.Chunks), f.man.Segments, r.man.Size, len(r.man.Chunks), r.man.Segments)
 		}
 		for name, want := range f.segments {
 			if got, ok := r.segments[name]; !ok || !bytes.Equal(got, want) {

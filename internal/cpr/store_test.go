@@ -370,3 +370,45 @@ func TestCleanCheckpointAllocatesNoImage(t *testing.T) {
 		t.Errorf("checkpointing %d MiB of clean regions allocated %d KiB, want under %d", regions*each>>20, got>>10, regions*each/8>>10)
 	}
 }
+
+// TestWronglyCleanRegionRestoresParent: a region flagged clean whose bytes
+// changed is a claim the store trusts, so the generation it writes names
+// the parent's bytes for that region. The image's body checksum covers
+// every region, clean ones included, so the restart refuses that
+// generation and restores its parent, reporting the skip — it never
+// restores the stale bytes under the new head.
+func TestWronglyCleanRegionRestoresParent(t *testing.T) {
+	backends := map[string]func() store.Backend{
+		"1+0": func() store.Backend { return store.New(node().LocalDisk, store.Config{}) },
+		"4+2": func() store.Backend { return testFleet(t) },
+	}
+	for name, open := range backends {
+		n, st := node(), open()
+		p := n.Spawn("app")
+		heap, small := payloadBytes(5, 200<<10), []byte{1, 2, 3}
+		p.SetRegion("heap", append([]byte(nil), heap...))
+		p.SetRegion("small", append([]byte(nil), small...))
+		if _, _, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", nil); err != nil {
+			t.Fatalf("%s: gen 1: %v", name, err)
+		}
+		copy(p.Region("heap"), payloadBytes(6, 200<<10))
+		_, put, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", map[string]bool{"heap": true, "small": true})
+		if err != nil {
+			t.Fatalf("%s: gen 2: %v", name, err)
+		}
+		if put.ReusedBytes <= int64(len(heap)) {
+			t.Fatalf("%s: gen 2 reused %d bytes, want the heap's %d and more: the clean claims were not taken", name, put.ReusedBytes, len(heap))
+		}
+		q, _, deg, err := (BLCR{}).RestartFromStore(n, st, "app")
+		if err != nil {
+			t.Fatalf("%s: restart: %v", name, err)
+		}
+		if deg == nil || deg.Restored != "app@1" || len(deg.Skipped) != 1 || deg.Skipped[0].ID != "app@2" {
+			t.Errorf("%s: restart did not degrade from app@2 to app@1: %+v", name, deg)
+		}
+		if !bytes.Equal(q.Region("heap"), heap) || !bytes.Equal(q.Region("small"), small) {
+			t.Errorf("%s: restored regions are not app@1's", name)
+		}
+		q.Kill()
+	}
+}

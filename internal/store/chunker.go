@@ -3,7 +3,7 @@
 // content-defined chunks keyed by their SHA-256, deduplicated across
 // successive checkpoints of the same job and across jobs, written through
 // a modelled compression stage whose CPU cost is charged to the virtual
-// clock, and tracked by manifests (version, chunk list, integrity digest,
+// clock, and tracked by manifests (version, chunk list, segment map,
 // parent-checkpoint link). Chunks are erasure-coded k+m over the store's
 // nodes — one filesystem is 1+0, a mirror 1+1 (fleet.go). The store
 // supports replication of manifests+chunks into other stores,

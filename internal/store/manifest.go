@@ -47,7 +47,6 @@ type Manifest struct {
 	Chunks    []ChunkRef
 	Segments  []SegmentRef // optional named-region map over Chunks; nil for legacy images
 	Size      int64        // total payload bytes
-	Digest    string       // SHA-256 of the whole payload, hex
 	CreatedAt vtime.Time
 
 	// ready belongs to one read of the payload, not to the checkpoint: see
@@ -217,8 +216,8 @@ func sizesAddUp(refs []ChunkRef, size, max int64) bool {
 // up to the payload's, and a segment map partitions the chunk list and the
 // payload size exactly, each segment's chunks adding up to the segment.
 func (m Manifest) validate() error {
-	if m.Size < 0 || !isDigest(m.Digest) {
-		return fmt.Errorf("bad size %d or digest %q", m.Size, m.Digest)
+	if m.Size < 0 {
+		return fmt.Errorf("bad size %d", m.Size)
 	}
 	for i, c := range m.Chunks {
 		if c.Size < 0 || c.Stored < 0 || !isDigest(c.Sum) {

@@ -8,8 +8,10 @@ package store
 // session (fleetRead), called chunk by chunk on the reader's goroutine:
 // index lookups, disk and link time, the fault plan's ticks, repair
 // bookkeeping. The pure half — record digests, inflate, SHA-256 — shares
-// nothing between chunks and runs on GOMAXPROCS workers, and the manifest's
-// digest follows it over the verified chunks on a goroutine of its own.
+// nothing between chunks and runs on GOMAXPROCS workers. Nothing here hashes
+// the payload whole: a chunk is checked against its address, and whether
+// the chunks a manifest names are the checkpoint its writer meant is for
+// the writer's own format to check (Segment.Clean).
 //
 // Virtual time is a pipeline of three kinds of hardware, and nothing moves
 // a clock until the workers have joined. The store nodes' disks run beside
@@ -88,46 +90,6 @@ func (f *Fleet) newLanding(ref ChunkRef) (*landing, error) {
 	return l, nil
 }
 
-// startPayloadDigest is startDigest's mirror on the way back: it hashes a
-// payload in order, chunk by chunk as each is reported verified, on its own
-// goroutine, so the manifest digest is ready soon after the last chunk is.
-// verified may be called from any goroutine, at most once per chunk. sum
-// stops the goroutine and must be called; the digest it returns means
-// something only when every chunk was reported. With one processor there
-// is nothing to run beside: sum hashes the finished payload, when complete
-// says there is one.
-func startPayloadDigest(payload []byte, lands []landing) (verified func(i int), sum func(complete bool) [sha256.Size]byte) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return func(int) {}, func(complete bool) (out [sha256.Size]byte) {
-			if complete {
-				out = sha256.Sum256(payload)
-			}
-			return out
-		}
-	}
-	var out [sha256.Size]byte
-	ready := make(chan int, len(lands)) // one send per chunk: verified never blocks
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		h := sha256.New()
-		seen := make([]bool, len(lands))
-		next := 0
-		for i := range ready {
-			seen[i] = true
-			for ; next < len(lands) && seen[next]; next++ {
-				h.Write(lands[next].dst)
-			}
-		}
-		h.Sum(out[:0])
-	}()
-	return func(i int) { ready <- i }, func(bool) [sha256.Size]byte {
-		close(ready)
-		<-done
-		return out
-	}
-}
-
 // startWorkers starts the workers of one pipeline, one per processor, each
 // running the pipeline's pure half, job, on the items it is handed. run
 // hands an item to the next free worker, and blocks while queue items are
@@ -158,8 +120,7 @@ func startWorkers[T any](queue int, job func(T)) (run func(T), wait func()) {
 
 // readChunks is the store's one chunk-landing loop: it reads the run of
 // chunks refs, size bytes in all, into one buffer, every chunk verified
-// against its content address, and with digest set hashes the buffer into
-// it. id names the manifest in errors. Nothing is read, and no buffer
+// against its content address. id names the manifest in errors. Nothing is read, and no buffer
 // allocated, unless the sizes the manifest gives are ones a Put can have
 // written and add up: every chunk lands in its own range of the buffer, so
 // from here on they are trusted.
@@ -174,7 +135,7 @@ func startWorkers[T any](queue int, job func(T)) (run func(T), wait func()) {
 // manifest's whole chunk list, is its segment map: ready reports for each
 // segment the instant the CPU was done with its last chunk — non-decreasing,
 // the last one the end of the read.
-func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool, digest *[sha256.Size]byte) (payload []byte, ready []vtime.Time, err error) {
+func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool) (payload []byte, ready []vtime.Time, err error) {
 	if !sizesAddUp(refs, size, int64(f.cfg.Store.MaxChunk)) {
 		return nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, f.cfg.Store.MaxChunk, size)
 	}
@@ -191,10 +152,6 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 	}
 	rd := f.newRead(clock, refs, heal)
 	defer rd.close()
-	verified, sum := func(int) {}, func(bool) [sha256.Size]byte { return [sha256.Size]byte{} }
-	if digest != nil {
-		verified, sum = startPayloadDigest(payload, lands)
-	}
 	// A queue slot per worker: the session finds the next chunks while the
 	// workers are busy with these.
 	type pure struct {
@@ -202,9 +159,7 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 		land func() error
 	}
 	run, wait := startWorkers(runtime.GOMAXPROCS(0), func(p pure) {
-		if lands[p.i].err = p.land(); lands[p.i].err == nil {
-			verified(p.i)
-		}
+		lands[p.i].err = p.land()
 	})
 
 	fetched := 0
@@ -215,8 +170,6 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 		}
 		if land != nil {
 			run(pure{fetched, land})
-		} else {
-			verified(fetched)
 		}
 	}
 	wait()
@@ -228,10 +181,8 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 				err = rerr
 				break
 			}
-			verified(i)
 		}
 	}
-	got := sum(err == nil)
 	// A read that fails has still spent what its chunks took up to there.
 	link := clock.Now()
 	cpu := link
@@ -252,25 +203,6 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 	clock.AdvanceTo(cpu)
 	if err != nil {
 		return nil, nil, err
-	}
-	if digest != nil {
-		*digest = got
-	}
-	return payload, ready, nil
-}
-
-// assemble reads and verifies every chunk of man and checks the payload
-// digest. With heal set, failed chunks fall back to the other shards.
-// ready is readChunks' over man.Segments.
-func (f *Fleet) assemble(clock *vtime.Clock, man Manifest, heal bool) (payload []byte, ready []vtime.Time, err error) {
-	var got [sha256.Size]byte
-	payload, ready, err = f.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, heal, &got)
-	if err != nil {
-		return nil, nil, err
-	}
-	if want, ok := decodeDigest(man.Digest); !ok || got != want {
-		return nil, nil, fmt.Errorf("store: %s: payload digest mismatch (manifest %.12s, assembled %s)",
-			man.ID(), man.Digest, hex.EncodeToString(got[:])[:12])
 	}
 	return payload, ready, nil
 }

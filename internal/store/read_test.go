@@ -440,7 +440,7 @@ func TestReadTimelineBounds(t *testing.T) {
 		if clock.Now() != began {
 			t.Fatalf("%s: opening a session moved the reader's clock by %v", b.name, clock.Now().Sub(began))
 		}
-		_, ready, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false, nil)
+		_, ready, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false)
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
@@ -466,7 +466,7 @@ func TestReadTimelineBounds(t *testing.T) {
 		oneMan, _ := mustPut(t, one, clock, "one", compressible(6, 700), nil)
 		began = clock.Now()
 		lands, disk = traceRead(t, one, clock, oneMan)
-		if _, _, err := one.readChunks(clock, oneMan.ID(), oneMan.Chunks, nil, oneMan.Size, false, nil); err != nil {
+		if _, _, err := one.readChunks(clock, oneMan.ID(), oneMan.Chunks, nil, oneMan.Size, false); err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
 		if l := lands[0]; len(lands) != 1 || l.cpu == 0 || l.after != began.Add(disk) || clock.Now().Sub(began) != disk+l.link+l.cpu {
@@ -482,7 +482,7 @@ func TestReadTimelineBounds(t *testing.T) {
 		for _, l := range lands[:mid] {
 			link, cpu = link+l.link, cpu+l.cpu
 		}
-		if _, _, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false, nil); err == nil {
+		if _, _, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false); err == nil {
 			t.Fatalf("%s: read a lost chunk", b.name)
 		}
 		if end := clock.Now(); end < lands[0].after.Add(link) || end.Sub(began) < cpu {

@@ -83,9 +83,12 @@ go test -run Fault -count=5 -race ./internal/...
 # and under a seeded disk fault plan; what the two CLI runs print is pinned
 # by TestStoreFleetGolden (tier-1). The backend conformance table (one
 # store type, every geometry), the nonsense-manifest rows and the store
-# golden ride along by name.
-go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden' -count=3 -race \
-    ./internal/proc/ ./internal/store/ ./internal/core/ ./internal/mpi/
+# golden ride along by name, as do the two wrongly-clean tests: a region
+# flagged clean whose bytes changed restores the parent generation, caught
+# by the image's body checksum, the one check of a clean claim.
+go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent' -count=3 -race \
+    ./internal/proc/ ./internal/store/ ./internal/cpr/ ./internal/core/ ./internal/mpi/
+go run ./cmd/checl-inspect store ls >/dev/null
 go run ./cmd/checl-inspect store fsck >/dev/null
 go run ./cmd/checl-inspect -disk-faults 7 store scrub >/dev/null
 # Hot-path gate: the proxy hot path (raw frames, the submission queue and
@@ -214,14 +217,12 @@ alloc_gate ckpt_cycle "$ckpt" 520
 # buffer, payload, regions, staging).
 alloc_gate recover "$recover" 900
 # Speculative-checkpoint gate: the epoch state machine's drain streams,
-# validation and bounded retry ladder cross goroutines (the speculative
-# copies ride the same multi-stream drain), so the epoch tests, the
-# conservative-fallback and abort paths, and the speculative fault soak
-# run repeatedly under the race detector. The inspect smoke drives a
-# speculative incremental checkpoint end to end.
+# validation and one-pass re-copy of the violated buffers cross goroutines
+# (the speculative copies ride the same multi-stream drain), so the epoch
+# tests, the conservative-fallback and abort paths, and the speculative
+# fault soak run repeatedly under the race detector. The inspect smoke
+# drives a speculative incremental checkpoint end to end.
 go test -run 'Speculat|Epoch' -count=3 -race ./internal/core/
 go test -run 'TestCoordinatedSpeculativeCheckpoint' -count=2 -race ./internal/mpi/
-go test -run 'TestFleetSpeculativeDrain|TestMigrationCostSpeculativeStall' -race \
-    ./internal/fleet/ ./internal/sched/
 go run ./cmd/checl-inspect -incremental -speculative -scale 0.2 >/dev/null
 echo "check.sh: all green"
