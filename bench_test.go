@@ -277,8 +277,8 @@ func BenchmarkScrubHeal(b *testing.B) {
 }
 
 // BenchmarkProxyFailover runs oclMatrixMul while a seeded plan crashes the
-// proxy process every few calls (AutoFailover + ShadowFull absorb the
-// crashes) and reports the recovery cost: failovers per run, API calls
+// proxy process every few calls (AutoFailover and its shadow copies absorb
+// the crashes) and reports the recovery cost: failovers per run, API calls
 // replayed to rebind the object database, and the virtual rebind latency.
 func BenchmarkProxyFailover(b *testing.B) {
 	var fs core.FailoverStats
@@ -291,7 +291,6 @@ func BenchmarkProxyFailover(b *testing.B) {
 		})
 		_, c, _ := benchCheCLApp(b, "oclMatrixMul", core.Options{
 			AutoFailover: true,
-			Shadow:       core.ShadowFull,
 			Fault:        inj,
 		})
 		fs = c.FailoverStats()

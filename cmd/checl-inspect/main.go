@@ -119,8 +119,9 @@ func main() {
 	var inj *ipc.FaultInjector
 	if *faults > 0 {
 		// Seeded kill-every-N mix: connection kills at every frame position
-		// plus full proxy crashes. AutoFailover + ShadowFull make the run
-		// indistinguishable from a fault-free one, minus the recovery time.
+		// plus full proxy crashes. AutoFailover, with the shadow copies it
+		// keeps, makes the run indistinguishable from a fault-free one,
+		// minus the recovery time.
 		inj = ipc.NewFaultInjector(ipc.FaultPlan{
 			Seed:      2026,
 			EveryN:    *faults,
@@ -135,7 +136,6 @@ func main() {
 			},
 		})
 		opts.AutoFailover = true
-		opts.Shadow = core.ShadowFull
 		opts.Fault = inj
 	}
 	c, err := core.Attach(p, opts)

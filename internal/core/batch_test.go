@@ -166,7 +166,6 @@ func TestBatchDeferredErrorUnderFaults(t *testing.T) {
 	inj := ipc.NewFaultInjector(faultKillPlan(7, 3))
 	_, c := attach(t, node, Options{
 		AutoFailover: true,
-		Shadow:       ShadowFull,
 		Fault:        inj,
 	})
 	app := setupVaddApp(t, c, 64)

@@ -131,7 +131,7 @@ func TestCacheInvalidationOnRestore(t *testing.T) {
 // be dropped, then refilled against the new one.
 func TestCacheInvalidationOnFailover(t *testing.T) {
 	node := newNodeNV("pc0")
-	_, c := attach(t, node, Options{AutoFailover: true, Shadow: ShadowFull})
+	_, c := attach(t, node, Options{AutoFailover: true})
 	app := setupVaddApp(t, c, 64)
 
 	if _, err := c.GetKernelWorkGroupInfo(app.k, app.dev); err != nil {

@@ -365,7 +365,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 		}
 	}
 	if !c.opts.Incremental && !c.shadowOn() {
-		// With a shadow policy the staged copies double as the failover
+		// With AutoFailover the staged copies double as the failover
 		// shadows and must survive the checkpoint.
 		for _, m := range c.db.mems {
 			m.Data = nil
@@ -714,12 +714,16 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	// region so store checkpoints could dedup it segment-wise. The region
 	// is the buffer's staging copy from here on: the process gives it up
 	// once the upload has waited for it, and nothing else refers to those
-	// bytes of the restored image.
+	// bytes of the restored image. The image is also the next incremental
+	// checkpoint's parent, so every buffer starts out clean against it: a
+	// restart is the one rebind that resets the dirty flags (a failover
+	// re-uploads shadows that may be newer than the last checkpoint).
 	mems := db.orderedMems()
 	for _, m := range mems {
 		if blob := app.Region(memRegion(m.H)); blob != nil {
 			m.Data = blob
 		}
+		m.Dirty = false
 	}
 
 	c := &CheCL{app: app, opts: opts, db: db}
@@ -875,7 +879,6 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 			return stats, err
 		}
 		m.real = real
-		m.Dirty = false
 		// CL_MEM_USE_HOST_PTR aliasing cannot survive a restart: the
 		// original host region belongs to the old incarnation. The buffer
 		// continues with copy semantics.

@@ -67,12 +67,10 @@ type Options struct {
 	// are deleted before the dump and recreated after it, instead of
 	// being kept alive in the proxy.
 	Destructive bool
-	// Shadow selects the shadow-buffer policy that bounds what a proxy
-	// crash loses (see ShadowPolicy).
-	Shadow ShadowPolicy
 	// AutoFailover makes an unrecoverable proxy connection error spawn a
 	// fresh proxy, rebind every object, and re-issue the interrupted call
-	// instead of surfacing the error.
+	// instead of surfacing the error. It also keeps every buffer's shadow
+	// copy current, so the rebind loses no data.
 	AutoFailover bool
 	// Fault injects transport faults on the app<->proxy connection
 	// (testing and the proxy-crash ablation).
@@ -1246,13 +1244,10 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 	}
 	var ev ocl.Event
 	if !usesHostPtr {
-		// The ShadowFull per-launch readbacks ride the same frame as the
+		// The per-launch shadow readbacks ride the same frame as the
 		// launch; their data is copied into the shadows at the flush.
-		readbacks := 0
-		if c.shadowOn() {
-			readbacks = len(written)
-		}
-		if err := c.reserve(1+readbacks, 0); err != nil {
+		readbacks := c.shadowReadback(written)
+		if err := c.reserve(1+len(readbacks), 0); err != nil {
 			return 0, err
 		}
 		rec, err := c.push(queuedCmd{
@@ -1262,7 +1257,7 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 		if err != nil {
 			return 0, err
 		}
-		for _, m := range written[:readbacks] {
+		for _, m := range readbacks {
 			c.push(queuedCmd{op: proxy.BatchRead, q: qrec, mem: m, blocking: true, size: m.Size, shadow: true}, "", nil) //nolint:errcheck // no wait list: cannot fail
 		}
 		ev = ocl.Event(rec.H)
@@ -1273,7 +1268,7 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 			return 0, err
 		}
 		// The whole launch interaction — wait-list translation, USE_HOST_PTR
-		// push, the launch itself, the ShadowFull readback, and the
+		// push, the launch itself, the shadow readback, and the
 		// USE_HOST_PTR pull — is one atomic retry unit: a proxy crash
 		// anywhere inside re-runs it end to end against the rebound handles,
 		// so the shadow/host copies always reflect a completed launch.
@@ -1294,8 +1289,12 @@ func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int,
 			if e != nil {
 				return e
 			}
-			if e := c.shadowReadback(api, qrec, written); e != nil {
-				return e
+			for _, m := range c.shadowReadback(written) {
+				data, _, e := api.EnqueueReadBuffer(qrec.real, m.real, true, 0, m.Size, nil)
+				if e != nil {
+					return e
+				}
+				m.Data = data
 			}
 			for _, mrec := range boundMems { // pull results back after it
 				if mrec.UseHostPtr && mrec.hostPtr != nil {

@@ -264,7 +264,7 @@ func TestSpeculativeEpochAbortOnFailover(t *testing.T) {
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
 	_, c := attach(t, node, Options{
 		Incremental:  true,
-		AutoFailover: true, Shadow: ShadowFull,
+		AutoFailover: true,
 	})
 	app := setupVaddApp(t, c, 1<<12)
 	app.launch(t)

@@ -10,9 +10,11 @@ package core
 //
 // Device buffer contents are the one thing the database cannot recreate
 // by replay alone: they live only in the dead proxy's device memory
-// between checkpoints. The shadow-buffer policy keeps host-side copies
-// (reusing the staged-copy field the checkpoint preprocess phase uses) so
-// a failover re-uploads current data instead of zeros.
+// between checkpoints. With AutoFailover CheCL keeps host-side shadow
+// copies (reusing the staged-copy field the checkpoint preprocess phase
+// uses): it mirrors host-visible transfers (EnqueueWrite/CopyBuffer) and
+// reads back every buffer a kernel may have written after each launch, so
+// a failover re-uploads current data and loses nothing.
 
 import (
 	"errors"
@@ -22,28 +24,6 @@ import (
 	"checl/internal/proxy"
 	"checl/internal/vtime"
 )
-
-// ShadowPolicy selects how CheCL maintains host-side shadow copies of
-// device buffers between checkpoints, bounding what a proxy crash loses.
-type ShadowPolicy int
-
-const (
-	// ShadowNone keeps no copies: a failover recreates buffers zeroed
-	// (or from the last checkpoint's staged data, if still held).
-	ShadowNone ShadowPolicy = iota
-	// ShadowFull mirrors host-visible transfers (EnqueueWrite/CopyBuffer)
-	// into the shadow and reads back every buffer a kernel may have written
-	// after each launch, so a failover loses nothing. This is the
-	// expensive, fully-transparent arm of the proxy-crash ablation.
-	ShadowFull
-)
-
-func (p ShadowPolicy) String() string {
-	if p == ShadowFull {
-		return "shadow-full"
-	}
-	return "shadow-none"
-}
 
 // FailoverStats counts proxy failovers and their cost.
 type FailoverStats struct {
@@ -60,8 +40,9 @@ func (c *CheCL) FailoverStats() FailoverStats { return c.fstats }
 // may trigger before the error surfaces.
 const maxFailoverAttempts = 3
 
-// shadowOn reports whether the shadow-buffer policy is active.
-func (c *CheCL) shadowOn() bool { return c.opts.Shadow == ShadowFull }
+// shadowOn reports whether buffers are shadowed: a failover re-uploads
+// their shadows, so AutoFailover is what turns the shadowing on.
+func (c *CheCL) shadowOn() bool { return c.opts.AutoFailover }
 
 // spawnOpts translates the attachment options into proxy spawn options.
 func (c *CheCL) spawnOpts() proxy.SpawnOpts {
@@ -178,19 +159,12 @@ func (c *CheCL) shadowCopy(src, dst *memRec, srcOff, dstOff, size int64) {
 	copy(shadow(dst)[dstOff:dstOff+size], shadow(src)[srcOff:srcOff+size])
 }
 
-// shadowReadback refreshes the shadows of every buffer a kernel launch
-// may have written. This per-launch device-to-host traffic is what makes
-// failover lossless.
-func (c *CheCL) shadowReadback(api *proxy.Client, qrec *queueRec, mems []*memRec) error {
+// shadowReadback lists the buffers whose shadows a kernel launch must
+// refresh: every buffer it may have written, when buffers are shadowed.
+// This per-launch device-to-host traffic is what makes failover lossless.
+func (c *CheCL) shadowReadback(written []*memRec) []*memRec {
 	if !c.shadowOn() {
 		return nil
 	}
-	for _, m := range mems {
-		data, _, err := api.EnqueueReadBuffer(qrec.real, m.real, true, 0, m.Size, nil)
-		if err != nil {
-			return err
-		}
-		m.Data = data
-	}
-	return nil
+	return written
 }

@@ -6,9 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"checl/internal/apps"
 	"checl/internal/hw"
-	"checl/internal/ipc"
 	"checl/internal/ocl"
 	"checl/internal/proc"
 	"checl/internal/proxy"
@@ -468,143 +466,5 @@ func TestReleasedBufferSkippedInCheckpoint(t *testing.T) {
 	}
 	if _, _, err := rc.EnqueueReadBuffer(app.q, app.b, true, 0, int64(4*app.n), nil); ocl.StatusOf(err) != ocl.InvalidMemObject {
 		t.Errorf("dead handle readable after restore: %v", err)
-	}
-}
-
-// runIncrementalRestoreDigest runs one benchmark app, mutates its first
-// buffer deterministically, checkpoints into a store and returns the
-// buffer digests of a restore from the newest generation. In incremental
-// mode two generations are written (the second sees the mutation as the
-// only dirty data) and the checkpoint disk injects seeded faults healed
-// by a clean replica; the full-reference mode writes one clean full
-// checkpoint of the same final state.
-func runIncrementalRestoreDigest(t *testing.T, a apps.App, scale float64, inj *ipc.FaultInjector, incremental, speculative bool) map[Handle]string {
-	t.Helper()
-	node := newNodeNV("pc0")
-	appProc := node.Spawn(a.Name)
-	opts := Options{AutoFailover: true, Shadow: ShadowFull, Fault: inj}
-	opts.Incremental = incremental
-	c, err := Attach(appProc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Detach()
-	env := &apps.Env{API: c, DeviceMask: ocl.DeviceTypeGPU, Scale: scale}
-	if _, err := a.Run(env); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-
-	var ckptFS *proc.FS
-	var st *store.Fleet
-	if incremental {
-		diskInj := proc.NewFaultInjector(proc.DiskFaultPlan{Seed: 2027, EveryN: 8})
-		ckptFS = proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk, proc.WithFault(diskInj))
-		if st, err = store.NewMirror(ckptFS, proc.NewFS("replica-disk", hw.TableISpec().LocalDisk), fineChunks); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		ckptFS = proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk)
-		st = store.New(ckptFS, fineChunks)
-	}
-
-	ckpt := func() CheckpointStats {
-		var stats CheckpointStats
-		var ckErr error
-		for attempt := 0; attempt < 5; attempt++ {
-			if stats, ckErr = c.CheckpointToStore(st, a.Name); ckErr == nil {
-				return stats
-			}
-		}
-		t.Fatalf("checkpoint failed 5 attempts: %v", ckErr)
-		return stats
-	}
-
-	mutate := func() {
-		if err := c.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		mems := c.db.orderedMems()
-		if len(mems) == 0 {
-			return
-		}
-		m := mems[0]
-		q := c.anyQueueFor(m.Ctx)
-		if q == nil {
-			return
-		}
-		junk := make([]byte, m.Size)
-		for i := range junk {
-			junk[i] = byte(i*11 + 5)
-		}
-		if _, err := c.EnqueueWriteBuffer(ocl.CommandQueue(q.H), ocl.Mem(m.H), true, 0, junk, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if incremental {
-		ckpt() // gen1: everything dirty
-		if speculative {
-			// Begin the epoch before the mutation: the junk write lands
-			// mid-epoch and must violate the in-flight speculative copy.
-			// Under seeded proxy kills the begin itself may fail; the
-			// checkpoint then stop-drains, which is the abort contract.
-			if err := c.BeginCheckpointEpoch(); err != nil {
-				t.Logf("%s: epoch begin aborted under faults: %v", a.Name, err)
-			}
-		}
-		mutate()
-		gen2 := ckpt() // gen2: only the mutated buffer re-staged
-		if len(c.db.orderedMems()) > 1 && gen2.CleanBuffers == 0 {
-			t.Errorf("%s gen2 re-staged everything; incremental tracking proved nothing", a.Name)
-		}
-	} else {
-		mutate()
-		ckpt()
-	}
-
-	rc, rst, err := RestoreFromStore(node, st, a.Name, Options{})
-	if err != nil {
-		t.Fatalf("%s restore: %v", a.Name, err)
-	}
-	defer func() { rc.Detach(); rc.App().Kill() }()
-	if rst.Degraded != nil {
-		t.Fatalf("%s restore degraded with a replica attached: %v", a.Name, rst.Degraded)
-	}
-	return memDigests(t, rc)
-}
-
-// TestFaultAppsIncrementalBitIdentical is the PR's acceptance soak: for
-// every benchmark app, an incremental checkpoint taken
-// under seeded proxy kills and checkpoint-disk faults restores
-// bit-identical to a clean full checkpoint of the same state — and so
-// does a speculative-drain checkpoint whose epoch saw the mutation land
-// mid-flight under the same fault mix.
-func TestFaultAppsIncrementalBitIdentical(t *testing.T) {
-	scale := 0.2
-	everyN := 40
-	if testing.Short() {
-		everyN = 80
-	}
-	for _, a := range apps.All() {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
-			full := runIncrementalRestoreDigest(t, a, scale, nil, false, false)
-			inj := ipc.NewFaultInjector(faultKillPlan(2027, everyN))
-			inc := runIncrementalRestoreDigest(t, a, scale, inj, true, false)
-			specInj := ipc.NewFaultInjector(faultKillPlan(2029, everyN))
-			spec := runIncrementalRestoreDigest(t, a, scale, specInj, true, true)
-			for label, got := range map[string]map[Handle]string{"incremental": inc, "speculative": spec} {
-				if len(full) != len(got) {
-					t.Fatalf("object count diverged: full=%d %s=%d", len(full), label, len(got))
-				}
-				for h, want := range full {
-					if g, ok := got[h]; !ok {
-						t.Errorf("buffer %v missing from %s restore", h, label)
-					} else if g != want {
-						t.Errorf("buffer %v diverged in %s arm: %s vs %s", h, label, g, want)
-					}
-				}
-			}
-		})
 	}
 }

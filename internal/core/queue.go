@@ -49,7 +49,7 @@ type queuedCmd struct {
 	op       proxy.BatchOp
 	blocking bool
 	termRead bool // the application's own read: its data is returned
-	shadow   bool // ShadowFull readback: the data lands in mem's shadow
+	shadow   bool // shadow readback: the data lands in mem's shadow
 
 	q    *queueRec
 	k    *kernelRec
@@ -134,7 +134,7 @@ func (c *CheCL) Drain() error {
 
 // flushBatchData ships every queued command as one clEnqueueBatch call and
 // distributes the results: pre-minted events are bound to the real events
-// the server returned, ShadowFull readbacks are copied into their shadows,
+// the server returned, shadow readbacks are copied into their shadows,
 // and the terminal read's data (if the flush point is a read) is returned.
 // A failing command comes back as a *BatchError; the commands after it
 // were not executed and their events stay unbound. Nothing queues while a

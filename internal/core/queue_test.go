@@ -136,7 +136,7 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 // re-uploads data the device never received.
 func TestQueueCapacityFlushErrorDropsCommandCleanly(t *testing.T) {
 	node := newNodeNV("pc0")
-	_, c := attach(t, node, Options{AutoFailover: true, Shadow: ShadowFull})
+	_, c := attach(t, node, Options{AutoFailover: true})
 	app := setupVaddApp(t, c, 64)
 	size := int64(4 * app.n)
 	old := bytes.Repeat([]byte{0x11}, int(size))

@@ -1,11 +1,10 @@
 package core
 
 // Transport parity: the ring transport must be observationally identical
-// to the framed stream. Every benchmark app runs on both transports,
-// clean and under the same seeded kill plans, and the final buffer
-// contents must be bit-identical across all arms. The framed stream is
-// the reference, the IPC the paper's figures run on; the ring is the
-// default transport and must never change results.
+// to the framed stream. TestBitIdentityMatrix runs every benchmark app on
+// both transports, clean and under seeded kill plans; the tests here check
+// that checkpoints, their drains and their stored generations do not
+// depend on the transport either.
 
 import (
 	"bytes"
@@ -13,9 +12,7 @@ import (
 	"reflect"
 	"testing"
 
-	"checl/internal/apps"
 	"checl/internal/hw"
-	"checl/internal/ipc"
 	"checl/internal/ocl"
 	"checl/internal/proc"
 	"checl/internal/proxy"
@@ -29,140 +26,13 @@ var testTransports = []struct {
 	tr   proxy.Transport
 }{{"framed", proxy.TransportPipe}, {"ring", proxy.TransportRing}}
 
-// runAppOn runs one benchmark app under CheCL on the given transport and
-// returns the digest of every live buffer plus the proxy client stats of
-// the (final) proxy.
-func runAppOn(t *testing.T, a apps.App, scale float64, inj *ipc.FaultInjector, batch bool, tr proxy.Transport) (map[Handle]string, proxy.Stats) {
-	t.Helper()
-	node := newNodeNV("pc0")
-	app := node.Spawn(a.Name)
-	opts := Options{
-		AutoFailover: true,
-		Shadow:       ShadowFull,
-		Fault:        inj,
-		Transport:    tr,
-	}
-	c, err := Attach(app, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Detach()
-	if !batch {
-		c.queueDepth = 1 // every command in a frame of its own
-	}
-	env := &apps.Env{API: c, DeviceMask: ocl.DeviceTypeGPU, Scale: scale}
-	if _, err := a.Run(env); err != nil {
-		t.Fatalf("%s on %v: %v", a.Name, tr, err)
-	}
-	digests := memDigests(t, c)
-	return digests, c.Proxy().Client.Stats()
-}
-
-// ringKillPlan is faultKillPlan extended with the ring-specific fault
-// points (torn slot publish, stalled consumer, arena poison). On the
-// framed stream those kinds are inert; on the ring they land at the
-// analogous protocol positions.
-func ringKillPlan(seed uint64, everyN int) ipc.FaultPlan {
-	p := faultKillPlan(seed, everyN)
-	p.Kinds = append(append([]ipc.FaultKind(nil), p.Kinds...), ipc.RingFaultKinds...)
-	return p
-}
-
-func diffDigests(t *testing.T, arm string, want, got map[Handle]string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: object count diverged: %d vs %d", arm, len(want), len(got))
-	}
-	for h, w := range want {
-		if g, ok := got[h]; !ok {
-			t.Errorf("%s: buffer %v missing", arm, h)
-		} else if g != w {
-			t.Errorf("%s: buffer %v contents diverged: %s vs %s", arm, h, g, w)
-		}
-	}
-}
-
-// TestTransportParitySoak is the ring acceptance soak: every benchmark
-// app on both transports, clean and under the same seeded kill-every-K +
-// proxy-crash plan, with the submission queue at its full depth
-// ("batched") and at depth 1, where every command ships in a frame of its
-// own and every call past the first is a capacity flush ("unbatched").
-// All arms must produce bit-identical buffer contents. The clean runs
-// must both have used the queue; their call counts may differ, because
-// the bulk cut that sends a write on its own call is priced from each
-// transport's cost model.
-func TestTransportParitySoak(t *testing.T) {
-	scale := 0.2
-	everyN := 40
-	if testing.Short() {
-		everyN = 80
-	}
-	for _, batch := range []bool{false, true} {
-		batch := batch
-		name := "unbatched"
-		if batch {
-			name = "batched"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, a := range apps.All() {
-				a := a
-				t.Run(a.Name, func(t *testing.T) {
-					ref, fstats := runAppOn(t, a, scale, nil, batch, proxy.TransportPipe)
-
-					ringClean, rstats := runAppOn(t, a, scale, nil, batch, proxy.TransportRing)
-					diffDigests(t, "ring-clean", ref, ringClean)
-					if (fstats.Batched == 0) != (rstats.Batched == 0) {
-						t.Errorf("only one transport used the queue: framed Batched=%d ring Batched=%d", fstats.Batched, rstats.Batched)
-					}
-
-					inj := ipc.NewFaultInjector(faultKillPlan(2026, everyN))
-					framedFaulted, _ := runAppOn(t, a, scale, inj, batch, proxy.TransportPipe)
-					diffDigests(t, "framed-faulted", ref, framedFaulted)
-
-					rinj := ipc.NewFaultInjector(faultKillPlan(2026, everyN))
-					ringFaulted, _ := runAppOn(t, a, scale, rinj, batch, proxy.TransportRing)
-					diffDigests(t, "ring-faulted", ref, ringFaulted)
-					if rinj.Injected() == 0 && inj.Injected() > 0 {
-						t.Errorf("kill plan fired %d faults on framed but none on ring", inj.Injected())
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestTransportParityRingFaultKinds drives one app through the
-// ring-extended kill plan (torn slots, stalled consumers, arena poison on
-// top of the kill mix) and checks bit-identical results against a clean
-// framed run. One app suffices: the ring-only kinds exercise transport
-// machinery, not app behaviour.
-func TestTransportParityRingFaultKinds(t *testing.T) {
-	all := apps.All()
-	if len(all) == 0 {
-		t.Skip("no benchmark apps registered")
-	}
-	a := all[0]
-	for _, cand := range all {
-		if cand.Name == "Triad" { // chatty app: plenty of calls to fault
-			a = cand
-		}
-	}
-	ref, _ := runAppOn(t, a, 0.2, nil, false, proxy.TransportPipe)
-	inj := ipc.NewFaultInjector(ringKillPlan(2026, 10))
-	faulted, _ := runAppOn(t, a, 0.2, inj, false, proxy.TransportRing)
-	diffDigests(t, "ring-extended-faults", ref, faulted)
-	if inj.Injected() == 0 {
-		t.Error("ring-extended plan injected nothing")
-	}
-}
-
 // TestTransportParityCheckpointDigest: a checkpoint taken on one
 // transport restores to identical buffer contents on either transport —
 // the checkpoint image is transport-agnostic.
 func TestTransportParityCheckpointDigest(t *testing.T) {
 	run := func(tr proxy.Transport) map[Handle]string {
 		node := newNodeNV("pc0")
-		_, c := attach(t, node, Options{Shadow: ShadowFull, Transport: tr})
+		_, c := attach(t, node, Options{AutoFailover: true, Transport: tr})
 		app := setupVaddApp(t, c, 256)
 		app.launch(t)
 		if err := c.Finish(app.q); err != nil {
@@ -189,8 +59,8 @@ func TestTransportParityCheckpointDigest(t *testing.T) {
 func TestRingCheckpointDrainConcurrent(t *testing.T) {
 	node := newNodeNV("pc0")
 	_, c := attach(t, node, Options{
-		Shadow:    ShadowFull,
-		Transport: proxy.TransportRing,
+		AutoFailover: true,
+		Transport:    proxy.TransportRing,
 	})
 	app := setupVaddApp(t, c, 1024)
 	app.launch(t)

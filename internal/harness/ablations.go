@@ -377,7 +377,7 @@ func ablationProxyCrash(scale float64) (AblationResult, error) {
 		Name: "no-fault", Metric: "app runtime", Value: base,
 	})
 
-	shadowed, _, err := run(core.Options{Shadow: core.ShadowFull})
+	shadowed, _, err := run(core.Options{AutoFailover: true})
 	if err != nil {
 		return res, err
 	}
@@ -394,7 +394,6 @@ func ablationProxyCrash(scale float64) (AblationResult, error) {
 	})
 	crashed, fs, err := run(core.Options{
 		AutoFailover: true,
-		Shadow:       core.ShadowFull,
 		Fault:        inj,
 	})
 	if err != nil {

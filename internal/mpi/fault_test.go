@@ -34,7 +34,6 @@ func TestFaultRankProxyCrashBetweenCheckpoints(t *testing.T) {
 	err = w.Run(func(r *Rank) error {
 		c, err := core.Attach(r.Process(), core.Options{
 			AutoFailover: true,
-			Shadow:       core.ShadowFull,
 		})
 		if err != nil {
 			return err

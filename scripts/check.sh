@@ -13,13 +13,39 @@ fi
 
 go vet ./...
 go build ./...
+# Fail fast on a dead gate: every -run and -fuzz pattern in this script
+# must select at least one test of its packages, so that a renamed test
+# cannot turn a gate into a silent no-op. `go test -list` sees top-level
+# names only, so a subtest pattern is checked up to its first "/".
+awk '/^[ \t]*#/ { next }
+    /\\$/ { line = line substr($0, 1, length($0) - 1); next }
+    { print line $0; line = "" }' scripts/check.sh |
+    awk '/go test .*-(run|fuzz)[ =]/ {
+        pat = ""; pkgs = ""
+        for (i = 1; i <= NF; i++) {
+            if ($i == "-run") pat = $(i + 1)
+            else if ($i ~ /^-(run|fuzz)=/) pat = substr($i, index($i, "=") + 1)
+            else if ($i ~ /^\.\//) pkgs = pkgs " " $i
+        }
+        gsub(/\047/, "", pat)
+        print pat pkgs
+    }' |
+    while read -r pat pkgs; do
+        # shellcheck disable=SC2086 # pkgs is a list of packages
+        if ! go test -list "${pat%%/*}" $pkgs | grep -Eq '^(Test|Fuzz|Benchmark|Example)'; then
+            echo "check.sh: -run '$pat' selects no test in $pkgs" >&2
+            exit 1
+        fi
+    done
 go test -race ./...
 # Determinism gate: results and virtual times may depend on neither the
 # scheduler nor the core count. The apps golden (every bundled program's
 # final vtime and buffer digests, recorded from the tree-walker at
 # GOMAXPROCS=1) and the executor-vs-tree-walker differential run repeatedly
-# at 1 and 8 procs, and the two soaks that conflicting global stores used to
-# break run ten times each while two busy loops compete for the CPUs.
+# at 1 and 8 procs, and the bit-identity matrix's rows that take no
+# checkpoint (both transports at both queue depths, clean and under the
+# proxy-kill plans), which conflicting global stores used to break, run ten
+# times while two busy loops compete for the CPUs.
 for procs in 1 8; do
     GOMAXPROCS=$procs go test -run 'AppsGolden|Differential' -race -count=3 \
         ./internal/clc/ ./internal/core/
@@ -43,9 +69,14 @@ load1=$!
 yes >/dev/null &
 load2=$!
 trap 'kill $load1 $load2 2>/dev/null' EXIT
-go test -run 'TestFaultAppsBitIdentical|TestTransportParitySoak' -count=10 -race ./internal/core/
+go test -run 'TestBitIdentityMatrix/^(framed|ring)-(batched|unbatched)-(clean|kill|ringkinds)$' -count=10 -race ./internal/core/
 kill $load1 $load2
 trap - EXIT
+# The matrix's checkpoint rows: a full checkpoint into one disk, incremental
+# and speculative ones into a mirror under a disk fault plan and the
+# proxy-kill plan, and an incremental one into a 4+2 fleet restored with
+# every loss pattern of up to two nodes, each restore bit-identical.
+go test -run 'TestBitIdentityMatrix/-(full|incr|spec)-' -count=5 -race ./internal/core/
 # Front-end fuzz: lexer, parser and lowering never panic on arbitrary source.
 go test -fuzz=FuzzCompile -fuzztime=10s ./internal/clc
 # Store decoder fuzz: manifests, CHECLSHD shard records and the packs of
@@ -126,8 +157,9 @@ go test -run 'TestRankKillPositionSweep|TestPartialRestore|TestCollectivesDuring
 go run ./cmd/checl-inspect mpi >/dev/null
 # Ring-transport gate: the lock-free SPSC queues and the checkpoint drain
 # over the ring cross goroutines by construction, so the ring unit tests,
-# the one replay contract on both carriers and the cross-transport parity
-# soak run repeatedly under the race detector. The ring is the default
+# the one replay contract on both carriers and the cross-transport
+# checkpoint parity tests run repeatedly under the race detector (the
+# matrix's ring rows run in the loaded step above). The ring is the default
 # transport, so every other inspect smoke runs on it; this one proves the
 # CLI can still drive a full run+checkpoint over the framed stream.
 go test -run 'Ring|TransportParity|ReplayContract' -count=3 -race \
@@ -137,8 +169,9 @@ go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # the (node, fault-position) kill sweep, every-loss-pattern degraded
 # reads, rebuild/scrub, the seeded node-fault soak, the backend
 # conformance table (its fleet columns: healthy and two nodes down), and
-# the app/MPI restores through the fleet with m nodes down — runs
-# repeatedly under the race detector (Scrub and the soak fan out goroutines per node).
+# the MPI restores through the fleet with m nodes down — runs repeatedly
+# under the race detector (Scrub and the soak fan out goroutines per node);
+# the apps' restores through it are the matrix's fleet row, above.
 # The TestFleet pattern also runs the pack layout's own tests: the Put
 # crash-position sweep (TestFleetPutCrashPositionSweep), the reopen over a
 # torn pack and a heal pack (TestFleetReopenServesWithoutAWrite), GC
@@ -149,7 +182,6 @@ go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # its output is pinned by TestStoreFleetGolden (tier-1).
 go test -run 'TestFleet|TestNodeKillPositionSweep|TestNodeFault|TestBackendConformance|TestEngineErrorsNameNoPlacement' -count=2 -race \
     ./internal/store/ ./internal/proc/
-go test -run 'TestFleetStoreAppsDegradedBitIdentical' -race ./internal/core/
 go test -run 'TestGlobalSnapshotThroughErasureFleet' -count=2 -race ./internal/mpi/
 go test -run 'TestFleetErasureStoreSoak' -race ./internal/fleet/
 go run ./cmd/checl-inspect -node-faults 11 store fleet >/dev/null
