@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"checl/internal/apps"
@@ -37,23 +38,31 @@ func (r matrixRow) name() string {
 // the paper's figures run on, the full queue, no checkpoint, no faults.
 var matrixReference = matrixRow{"framed", "batched", "", "", "clean"}
 
-// matrixRows: the first nine take no checkpoint; the last four checkpoint
+// matrixRows is the bit-identity matrix, keyed by the test (or depth
+// subtest) that runs the rows, each row once: <key>/<app>/<row>. The rows
+// of the first three tests take no checkpoint; the last two checkpoint
 // into a store and compare every restore. In the fleet row the first app
 // sweeps all 21 patterns of up to two nodes down, the others take two.
-var matrixRows = []matrixRow{
-	{"ring", "batched", "", "", "clean"},
-	{"framed", "unbatched", "", "", "clean"},
-	{"ring", "unbatched", "", "", "clean"},
-	{"framed", "batched", "", "", "kill"},
-	{"ring", "batched", "", "", "kill"},
-	{"framed", "unbatched", "", "", "kill"},
-	{"ring", "unbatched", "", "", "kill"},
-	{"ring", "batched", "", "", "ringkinds"},
-	{"ring", "unbatched", "", "", "ringkinds"},
-	{"ring", "batched", "full", "disk", "clean"},
-	{"ring", "batched", "incr", "mirror", "kill"},
-	{"ring", "batched", "spec", "mirror", "kill"},
-	{"ring", "batched", "incr", "fleet", "clean"},
+var matrixRows = map[string][]matrixRow{
+	"TestTransportParitySoak/unbatched": {
+		{"framed", "unbatched", "", "", "clean"},
+		{"ring", "unbatched", "", "", "clean"},
+		{"framed", "unbatched", "", "", "kill"},
+	},
+	"TestTransportParitySoak/batched": {
+		{"ring", "batched", "", "", "clean"},
+		{"framed", "batched", "", "", "kill"},
+	},
+	"TestFaultAppsBitIdentical/unbatched":         {{"ring", "unbatched", "", "", "kill"}},
+	"TestFaultAppsBitIdentical/batched":           {{"ring", "batched", "", "", "kill"}},
+	"TestTransportParityRingFaultKinds/unbatched": {{"ring", "unbatched", "", "", "ringkinds"}},
+	"TestTransportParityRingFaultKinds/batched":   {{"ring", "batched", "", "", "ringkinds"}},
+	"TestFaultAppsIncrementalBitIdentical": {
+		{"ring", "batched", "full", "disk", "clean"},
+		{"ring", "batched", "incr", "mirror", "kill"},
+		{"ring", "batched", "spec", "mirror", "kill"},
+	},
+	"TestFleetStoreAppsDegradedBitIdentical": {{"ring", "batched", "incr", "fleet", "clean"}},
 }
 
 // matrixRun is what one run of a row leaves: the buffers when the app
@@ -65,22 +74,75 @@ type matrixRun struct {
 	stats   proxy.Stats
 }
 
-// TestBitIdentityMatrix holds the restart contract of §III-C, extended to
-// failover, incremental and store restores: every benchmark app, run along
-// each row's axes at scale 0.2 (a row's apps in parallel), ends bit-identical
-// to its reference run. A faulted row's plan fires about three times in the
-// reference run's calls and must fire at least once in every app.
-func TestBitIdentityMatrix(t *testing.T) {
-	refs := map[string]matrixRun{}
-	for ai, a := range apps.All() {
-		refs[a.Name] = runMatrixRow(t, a, ai, matrixReference, nil)
+// matrixRefs holds each app's reference run, made once by the first row
+// that needs it and shared by every row after it.
+var matrixRefs sync.Map // app name -> *matrixRef
+
+type matrixRef struct {
+	once sync.Once
+	run  matrixRun
+	ok   bool
+}
+
+func matrixReferenceRun(t *testing.T, a apps.App, ai int) matrixRun {
+	t.Helper()
+	v, _ := matrixRefs.LoadOrStore(a.Name, &matrixRef{})
+	ref := v.(*matrixRef)
+	ref.once.Do(func() {
+		ref.run = runMatrixRow(t, a, ai, matrixReference, nil)
+		ref.ok = true
+	})
+	if !ref.ok {
+		t.Fatalf("the reference run of %s failed", a.Name)
 	}
-	for _, row := range matrixRows {
-		t.Run(row.name(), func(t *testing.T) {
-			for ai, a := range apps.All() {
-				t.Run(a.Name, func(t *testing.T) {
-					t.Parallel()
-					ref := refs[a.Name]
+	return ref.run
+}
+
+// TestTransportParitySoak: the ring is observationally the framed stream,
+// clean at both queue depths and under the kill plan on the framed stream.
+func TestTransportParitySoak(t *testing.T) { runMatrix(t) }
+
+// TestFaultAppsBitIdentical: failover on the ring under the kill plan, at
+// both queue depths.
+func TestFaultAppsBitIdentical(t *testing.T) { runMatrix(t) }
+
+// TestTransportParityRingFaultKinds: the kill plan plus the ring-only
+// kinds (torn slots, stalled consumers, arena poison), at both depths.
+func TestTransportParityRingFaultKinds(t *testing.T) { runMatrix(t) }
+
+// TestFaultAppsIncrementalBitIdentical: full, incremental and speculative
+// checkpoints, the last two under the kill plan into a mirror whose
+// primary disk faults, restore the mutated state.
+func TestFaultAppsIncrementalBitIdentical(t *testing.T) { runMatrix(t) }
+
+// TestFleetStoreAppsDegradedBitIdentical: an incremental checkpoint into a
+// 4+2 fleet restores with any one or two of its nodes down.
+func TestFleetStoreAppsDegradedBitIdentical(t *testing.T) { runMatrix(t) }
+
+// runMatrix holds the restart contract of §III-C, extended to failover,
+// incremental and store restores: every benchmark app, run along each of
+// the rows matrixRows keys by t's name at scale 0.2 (the apps in
+// parallel), ends bit-identical to its reference run. A faulted row's plan
+// fires about three times in the reference run's calls and must fire at
+// least once in every app. When t's rows are split by queue depth, each
+// depth runs as a subtest.
+func runMatrix(t *testing.T) {
+	rows, ok := matrixRows[t.Name()]
+	if !ok {
+		if strings.Contains(t.Name(), "/") {
+			t.Fatalf("matrixRows has no rows for %s", t.Name())
+		}
+		for _, depth := range []string{"unbatched", "batched"} {
+			t.Run(depth, runMatrix)
+		}
+		return
+	}
+	for ai, a := range apps.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			t.Parallel()
+			ref := matrixReferenceRun(t, a, ai)
+			for _, row := range rows {
+				t.Run(row.name(), func(t *testing.T) {
 					var inj *ipc.FaultInjector
 					if row.plan != "clean" {
 						plan := faultKillPlan(2026, max(1, int(ref.stats.Calls-4)/3))

@@ -1,7 +1,7 @@
 package core
 
 // Transport parity: the ring transport must be observationally identical
-// to the framed stream. TestBitIdentityMatrix runs every benchmark app on
+// to the framed stream. The soaks of matrix_test.go run every benchmark app on
 // both transports, clean and under seeded kill plans; the tests here check
 // that checkpoints, their drains and their stored generations do not
 // depend on the transport either.

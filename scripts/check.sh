@@ -38,6 +38,10 @@ awk '/^[ \t]*#/ { next }
         fi
     done
 go test -race ./...
+# The bit-identity matrix's five soaks run in gates of their own below
+# (the loaded step, ten times, and the checkpoint step, five times); the
+# broad name patterns that would also select them skip them.
+soaks='^(TestTransportParitySoak|TestFaultAppsBitIdentical|TestTransportParityRingFaultKinds|TestFaultAppsIncrementalBitIdentical|TestFleetStoreAppsDegradedBitIdentical)$'
 # Determinism gate: results and virtual times may depend on neither the
 # scheduler nor the core count. The apps golden (every bundled program's
 # final vtime and buffer digests, recorded from the tree-walker at
@@ -69,14 +73,14 @@ load1=$!
 yes >/dev/null &
 load2=$!
 trap 'kill $load1 $load2 2>/dev/null' EXIT
-go test -run 'TestBitIdentityMatrix/^(framed|ring)-(batched|unbatched)-(clean|kill|ringkinds)$' -count=10 -race ./internal/core/
+go test -run '^(TestTransportParitySoak|TestFaultAppsBitIdentical|TestTransportParityRingFaultKinds)$' -count=10 -race ./internal/core/
 kill $load1 $load2
 trap - EXIT
 # The matrix's checkpoint rows: a full checkpoint into one disk, incremental
 # and speculative ones into a mirror under a disk fault plan and the
 # proxy-kill plan, and an incremental one into a 4+2 fleet restored with
 # every loss pattern of up to two nodes, each restore bit-identical.
-go test -run 'TestBitIdentityMatrix/-(full|incr|spec)-' -count=5 -race ./internal/core/
+go test -run '^(TestFaultAppsIncrementalBitIdentical|TestFleetStoreAppsDegradedBitIdentical)$' -count=5 -race ./internal/core/
 # Front-end fuzz: lexer, parser and lowering never panic on arbitrary source.
 go test -fuzz=FuzzCompile -fuzztime=10s ./internal/clc
 # Store decoder fuzz: manifests, CHECLSHD shard records and the packs of
@@ -107,7 +111,7 @@ go test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/cpr
 go test -fuzz=FuzzFrameHeader -fuzztime=10s ./internal/ipc
 # Fault-tolerance soak: the fault-injection and failover tests run
 # repeatedly under the race detector.
-go test -run Fault -count=5 -race ./internal/...
+go test -run Fault -skip "$soaks" -count=5 -race ./internal/...
 # Durability gate: the disk-fault, interrupted-operation and self-healing
 # tests (on one disk, 1+0, and on a disk with a mirror, 1+1) run repeatedly
 # under the race detector, and the store CLI must stay clean both fault-free
@@ -117,7 +121,7 @@ go test -run Fault -count=5 -race ./internal/...
 # golden ride along by name, as do the two wrongly-clean tests: a region
 # flagged clean whose bytes changed restores the parent generation, caught
 # by the image's body checksum, the one check of a clean claim.
-go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent' -count=3 -race \
+go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent' -skip "$soaks" -count=3 -race \
     ./internal/proc/ ./internal/store/ ./internal/cpr/ ./internal/core/ ./internal/mpi/
 go run ./cmd/checl-inspect store ls >/dev/null
 go run ./cmd/checl-inspect store fsck >/dev/null
@@ -134,7 +138,7 @@ go test -run 'Raw|Batch|Queue|Cache|StatsRace' -count=3 -race \
 # store write, run repeatedly under the race detector. The ablation run
 # keeps the full-vs-incremental ordering honest, and the inspect demo
 # exercises the dirty/clean split end to end.
-go test -run 'Incremental|ParallelDrainMatchesSerial|DrainLandsInPlace|Overlapped|BackgroundWrite|Released' -count=3 -race \
+go test -run 'Incremental|ParallelDrainMatchesSerial|DrainLandsInPlace|Overlapped|BackgroundWrite|Released' -skip "$soaks" -count=3 -race \
     ./internal/core/
 go test -run 'TestAblations' -race ./internal/harness/
 go run ./cmd/checl-inspect -incremental -scale 0.2 >/dev/null
@@ -162,7 +166,7 @@ go run ./cmd/checl-inspect mpi >/dev/null
 # matrix's ring rows run in the loaded step above). The ring is the default
 # transport, so every other inspect smoke runs on it; this one proves the
 # CLI can still drive a full run+checkpoint over the framed stream.
-go test -run 'Ring|TransportParity|ReplayContract' -count=3 -race \
+go test -run 'Ring|TransportParity|ReplayContract' -skip "$soaks" -count=3 -race \
     ./internal/ipc/ ./internal/proxy/ ./internal/core/
 go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # Erasure-fleet gate: the sharded checkpoint fleet's node-loss surface —
