@@ -85,9 +85,7 @@ func TestCacheInvalidationOnRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	if _, err := c.Checkpoint(node.LocalDisk, "cache.ckpt"); err != nil {
 		t.Fatal(err)
 	}

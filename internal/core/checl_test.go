@@ -122,11 +122,16 @@ func (a *vaddApp) launch(t *testing.T) ocl.Event {
 	return ev
 }
 
-func (a *vaddApp) verify(t *testing.T) {
+func (a *vaddApp) finish(t *testing.T) {
 	t.Helper()
 	if err := a.api.Finish(a.q); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func (a *vaddApp) verify(t *testing.T) {
+	t.Helper()
+	a.finish(t)
 	out, _, err := a.api.EnqueueReadBuffer(a.q, a.c, true, 0, int64(4*a.n), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -324,9 +329,7 @@ func TestSignalTriggeredDelayedMode(t *testing.T) {
 		t.Fatal("delayed-mode checkpoint fired before a sync point")
 	}
 	// The next synchronisation point takes it.
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	if c.LastCheckpoint() == nil {
 		t.Fatal("delayed-mode checkpoint did not fire at clFinish")
 	}
@@ -347,9 +350,7 @@ func TestSignalledCheckpointFailureReported(t *testing.T) {
 				app := setupVaddApp(t, c, 128)
 				appProc.Signal(proc.SIGUSR1)
 				app.launch(t)
-				if err := c.Finish(app.q); err != nil {
-					t.Fatal(err)
-				}
+				app.finish(t)
 				app.verify(t)
 				return c
 			}
@@ -579,9 +580,7 @@ func TestUseHostPtrThroughCheCL(t *testing.T) {
 	if _, err := c.EnqueueNDRangeKernel(app.q, k, 1, [3]int{}, [3]int{64}, [3]int{64}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	got0 := math.Float32frombits(binary.LittleEndian.Uint32(host[0:]))
 	got1 := math.Float32frombits(binary.LittleEndian.Uint32(host[4:]))
 	if got0 != 30 || got1 != 6 {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"checl/internal/hw"
@@ -30,6 +31,17 @@ func readBuffers(t *testing.T, api ocl.API, app *vaddApp) map[ocl.Mem][]byte {
 	return out
 }
 
+// sameBuffers fails t unless every vadd buffer read through api holds what
+// want holds for it; what says how a buffer that does not went wrong.
+func sameBuffers(t *testing.T, what string, api ocl.API, app *vaddApp, want map[ocl.Mem][]byte) {
+	t.Helper()
+	for m, got := range readBuffers(t, api, app) {
+		if !bytes.Equal(got, want[m]) {
+			t.Errorf("buffer %v %s", m, what)
+		}
+	}
+}
+
 // TestWronglyCleanBufferRestoresParent: a clean buffer whose staged copy
 // changes between two incremental checkpoints is a wrong clean claim. The
 // store trusts it and names the parent's bytes for that buffer's region;
@@ -42,9 +54,7 @@ func TestWronglyCleanBufferRestoresParent(t *testing.T) {
 	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	want := readBuffers(t, c, app)
 	first, err := c.CheckpointToStore(st, "vadd")
 	if err != nil {
@@ -70,15 +80,7 @@ func TestWronglyCleanBufferRestoresParent(t *testing.T) {
 	if d := rst.Degraded; d == nil || d.Restored != first.Manifest || len(d.Skipped) != 1 || d.Skipped[0].ID != second.Manifest {
 		t.Errorf("restore did not degrade from %s to %s: %+v", second.Manifest, first.Manifest, d)
 	}
-	for m, w := range want {
-		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Errorf("buffer %v is not what the first checkpoint held", m)
-		}
-	}
+	sameBuffers(t, "is not what the first checkpoint held", rc, app, want)
 }
 
 // TestDurableCheckpointScrubRestoreSoak runs checkpoint/scrub/restore
@@ -147,15 +149,7 @@ func TestDurableCheckpointScrubRestoreSoak(t *testing.T) {
 		if rst.Degraded != nil {
 			t.Fatalf("cycle %d: restore degraded with a replica attached: %v", cycle, rst.Degraded)
 		}
-		for m, w := range want {
-			got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-			if err != nil {
-				t.Fatalf("cycle %d: read after restore: %v", cycle, err)
-			}
-			if !bytes.Equal(got, w) {
-				t.Fatalf("cycle %d: buffer %v not bit-identical after restore", cycle, m)
-			}
-		}
+		sameBuffers(t, fmt.Sprintf("not bit-identical after the restore of cycle %d", cycle), rc, app, want)
 		rc.Detach()
 		rc.App().Kill()
 	}
@@ -218,15 +212,7 @@ func TestRestoreFromStoreDegraded(t *testing.T) {
 	}
 	// The payload is the older generation's, bit for bit — in particular
 	// the output buffer holds its pre-scale content.
-	for m, w := range want1 {
-		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Errorf("buffer %v differs from generation 1 after degraded restore", m)
-		}
-	}
+	sameBuffers(t, "differs from generation 1 after degraded restore", rc, app, want1)
 	rc.Detach()
 	rc.App().Kill()
 

@@ -25,9 +25,7 @@ func specVaddRun(t *testing.T, speculative bool) (CheckpointStats, map[Handle]st
 	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, specVaddItems)
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 
 	if speculative {
 		if err := c.BeginCheckpointEpoch(); err != nil {
@@ -49,9 +47,7 @@ func specVaddRun(t *testing.T, speculative bool) (CheckpointStats, map[Handle]st
 		t.Fatal(err)
 	}
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 
 	stats, err := c.CheckpointToStore(st, "vadd")
 	if err != nil {
@@ -125,9 +121,7 @@ func TestSpeculativeEpochDrainHidden(t *testing.T) {
 		_, c := attach(t, node, Options{Incremental: true})
 		app := setupVaddApp(t, c, 1<<16) // 256 KiB per buffer
 		app.launch(t)
-		if err := c.Finish(app.q); err != nil {
-			t.Fatal(err)
-		}
+		app.finish(t)
 
 		// A small side buffer soaks up the mid-epoch writes so the three
 		// big vadd buffers stay unviolated.
@@ -158,9 +152,7 @@ func TestSpeculativeEpochDrainHidden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := c.Finish(app.q); err != nil {
-			t.Fatal(err)
-		}
+		app.finish(t)
 
 		stats, err := c.CheckpointToStore(st, "vadd")
 		if err != nil {
@@ -199,9 +191,7 @@ func TestSpeculationConservativeFallback(t *testing.T) {
 		_, c := attach(t, node, Options{Incremental: true})
 		app := setupVaddApp(t, c, 1<<12)
 		app.launch(t)
-		if err := c.Finish(app.q); err != nil {
-			t.Fatal(err)
-		}
+		app.finish(t)
 
 		if dropWriteSet {
 			// Simulate failed write-set analysis (indirect stores, an
@@ -218,9 +208,7 @@ func TestSpeculationConservativeFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		app.launch(t) // mid-epoch launch: writes c, analysis may not know
-		if err := c.Finish(app.q); err != nil {
-			t.Fatal(err)
-		}
+		app.finish(t)
 
 		stats, err := c.CheckpointToStore(st, "vadd")
 		if err != nil {
@@ -268,9 +256,7 @@ func TestSpeculativeEpochAbortOnFailover(t *testing.T) {
 	})
 	app := setupVaddApp(t, c, 1<<12)
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 
 	if err := c.BeginCheckpointEpoch(); err != nil {
 		t.Fatal(err)
@@ -324,9 +310,7 @@ func TestSpeculativeStallTracker(t *testing.T) {
 	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	if err := c.BeginCheckpointEpoch(); err != nil {
 		t.Fatal(err)
 	}

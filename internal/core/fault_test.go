@@ -64,9 +64,7 @@ func TestFailoverShadowPolicies(t *testing.T) {
 	_, c := attach(t, node, Options{AutoFailover: true})
 	app := setupVaddApp(t, c, 64)
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	// Simulate a proxy crash after the launch completed: the read of the
 	// result fails over.
 	c.Proxy().Kill()
@@ -84,9 +82,7 @@ func TestFailoverEventWaitLists(t *testing.T) {
 	_, c := attach(t, node, Options{AutoFailover: true})
 	app := setupVaddApp(t, c, 64)
 	ev := app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	c.Proxy().Kill()
 	// This read waits on a pre-crash event: the forward closure must
 	// translate it to the rebound dummy marker, not the stale real handle.
@@ -105,9 +101,7 @@ func TestFailoverCheckpointAfterCrash(t *testing.T) {
 	_, c := attach(t, node, Options{AutoFailover: true})
 	app := setupVaddApp(t, c, 64)
 	app.launch(t)
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	c.Proxy().Kill()
 	if _, err := c.Checkpoint(node.LocalDisk, "postcrash.ckpt"); err != nil {
 		t.Fatal(err)
@@ -137,9 +131,7 @@ func TestFailoverBetweenIncrementalCheckpoints(t *testing.T) {
 	}
 	mutate(t, c)
 	c.Proxy().Kill()
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 	if n := c.FailoverStats().Failovers; n != 1 {
 		t.Fatalf("failovers = %d, want 1", n)
 	}

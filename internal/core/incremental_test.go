@@ -78,15 +78,7 @@ func TestIncrementalCheckpointDelta(t *testing.T) {
 	if rst.Degraded != nil {
 		t.Fatalf("restore degraded: %v", rst.Degraded)
 	}
-	for m, w := range want {
-		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Fatalf("buffer %v not bit-identical after incremental restore", m)
-		}
-	}
+	sameBuffers(t, "not bit-identical after incremental restore", rc, app, want)
 }
 
 // drainJob creates sizes[i]-byte buffers, alternating over two contexts
@@ -278,15 +270,7 @@ func TestOverlappedStoreWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { rc.Detach(); rc.App().Kill() }()
-	for m, w := range want {
-		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Fatalf("buffer %v not bit-identical after overlapped checkpoint", m)
-		}
-	}
+	sameBuffers(t, "not bit-identical after overlapped checkpoint", rc, app, want)
 }
 
 // TestOverlappedWriteOwnsItsBytes: the write that goes behind has read the
@@ -322,15 +306,7 @@ func TestOverlappedWriteOwnsItsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { rc.Detach(); rc.App().Kill() }()
-	for m, w := range want {
-		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Fatalf("buffer %v restored from an overlapped checkpoint is not what was checkpointed", m)
-		}
-	}
+	sameBuffers(t, "restored from an overlapped checkpoint is not what was checkpointed", rc, app, want)
 }
 
 // TestOverlappedWriteCopiesNoImage: a write that goes behind takes no copy

@@ -38,33 +38,6 @@ func (r matrixRow) name() string {
 // the paper's figures run on, the full queue, no checkpoint, no faults.
 var matrixReference = matrixRow{"framed", "batched", "", "", "clean"}
 
-// matrixRows is the bit-identity matrix, keyed by the test (or depth
-// subtest) that runs the rows, each row once: <key>/<app>/<row>. The rows
-// of the first three tests take no checkpoint; the last two checkpoint
-// into a store and compare every restore. In the fleet row the first app
-// sweeps all 21 patterns of up to two nodes down, the others take two.
-var matrixRows = map[string][]matrixRow{
-	"TestTransportParitySoak/unbatched": {
-		{"framed", "unbatched", "", "", "clean"},
-		{"ring", "unbatched", "", "", "clean"},
-		{"framed", "unbatched", "", "", "kill"},
-	},
-	"TestTransportParitySoak/batched": {
-		{"ring", "batched", "", "", "clean"},
-		{"framed", "batched", "", "", "kill"},
-	},
-	"TestFaultAppsBitIdentical/unbatched":         {{"ring", "unbatched", "", "", "kill"}},
-	"TestFaultAppsBitIdentical/batched":           {{"ring", "batched", "", "", "kill"}},
-	"TestTransportParityRingFaultKinds/unbatched": {{"ring", "unbatched", "", "", "ringkinds"}},
-	"TestTransportParityRingFaultKinds/batched":   {{"ring", "batched", "", "", "ringkinds"}},
-	"TestFaultAppsIncrementalBitIdentical": {
-		{"ring", "batched", "full", "disk", "clean"},
-		{"ring", "batched", "incr", "mirror", "kill"},
-		{"ring", "batched", "spec", "mirror", "kill"},
-	},
-	"TestFleetStoreAppsDegradedBitIdentical": {{"ring", "batched", "incr", "fleet", "clean"}},
-}
-
 // matrixRun is what one run of a row leaves: the buffers when the app
 // ended, the buffers after mutate (live, or one set per restore when the
 // row checkpoints), and the proxy's counters when the app ended.
@@ -74,8 +47,8 @@ type matrixRun struct {
 	stats   proxy.Stats
 }
 
-// matrixRefs holds each app's reference run, made once by the first row
-// that needs it and shared by every row after it.
+// matrixRefs holds each app's reference run, made once per test process by
+// the first row that needs it and shared by every row after it.
 var matrixRefs sync.Map // app name -> *matrixRef
 
 type matrixRef struct {
@@ -100,71 +73,111 @@ func matrixReferenceRun(t *testing.T, a apps.App, ai int) matrixRun {
 
 // TestTransportParitySoak: the ring is observationally the framed stream,
 // clean at both queue depths and under the kill plan on the framed stream.
-func TestTransportParitySoak(t *testing.T) { runMatrix(t) }
+// The framed, batched, clean row is the reference run again, so that every
+// repeat of the test runs it.
+func TestTransportParitySoak(t *testing.T) {
+	runMatrix(t, []matrixRow{
+		{"framed", "unbatched", "", "", "clean"},
+		{"ring", "unbatched", "", "", "clean"},
+		{"framed", "unbatched", "", "", "kill"},
+		{"framed", "batched", "", "", "clean"},
+		{"ring", "batched", "", "", "clean"},
+		{"framed", "batched", "", "", "kill"},
+	})
+}
 
 // TestFaultAppsBitIdentical: failover on the ring under the kill plan, at
 // both queue depths.
-func TestFaultAppsBitIdentical(t *testing.T) { runMatrix(t) }
+func TestFaultAppsBitIdentical(t *testing.T) {
+	runMatrix(t, []matrixRow{
+		{"ring", "unbatched", "", "", "kill"},
+		{"ring", "batched", "", "", "kill"},
+	})
+}
 
 // TestTransportParityRingFaultKinds: the kill plan plus the ring-only
 // kinds (torn slots, stalled consumers, arena poison), at both depths.
-func TestTransportParityRingFaultKinds(t *testing.T) { runMatrix(t) }
+func TestTransportParityRingFaultKinds(t *testing.T) {
+	runMatrix(t, []matrixRow{
+		{"ring", "unbatched", "", "", "ringkinds"},
+		{"ring", "batched", "", "", "ringkinds"},
+	})
+}
 
 // TestFaultAppsIncrementalBitIdentical: full, incremental and speculative
 // checkpoints, the last two under the kill plan into a mirror whose
 // primary disk faults, restore the mutated state.
-func TestFaultAppsIncrementalBitIdentical(t *testing.T) { runMatrix(t) }
+func TestFaultAppsIncrementalBitIdentical(t *testing.T) {
+	runMatrix(t, []matrixRow{
+		{"ring", "batched", "full", "disk", "clean"},
+		{"ring", "batched", "incr", "mirror", "kill"},
+		{"ring", "batched", "spec", "mirror", "kill"},
+	})
+}
 
 // TestFleetStoreAppsDegradedBitIdentical: an incremental checkpoint into a
-// 4+2 fleet restores with any one or two of its nodes down.
-func TestFleetStoreAppsDegradedBitIdentical(t *testing.T) { runMatrix(t) }
+// 4+2 fleet restores with any one or two of its nodes down. The first app
+// sweeps all 21 patterns of up to two nodes down, the others take two.
+func TestFleetStoreAppsDegradedBitIdentical(t *testing.T) {
+	runMatrix(t, []matrixRow{{"ring", "batched", "incr", "fleet", "clean"}})
+}
 
 // runMatrix holds the restart contract of §III-C, extended to failover,
 // incremental and store restores: every benchmark app, run along each of
-// the rows matrixRows keys by t's name at scale 0.2 (the apps in
-// parallel), ends bit-identical to its reference run. A faulted row's plan
+// rows at scale 0.2 (the apps in parallel), ends bit-identical to its
+// reference run, as <test>[/<depth>]/<app>/<row>. A faulted row's plan
 // fires about three times in the reference run's calls and must fire at
-// least once in every app. When t's rows are split by queue depth, each
-// depth runs as a subtest.
-func runMatrix(t *testing.T) {
-	rows, ok := matrixRows[t.Name()]
-	if !ok {
-		if strings.Contains(t.Name(), "/") {
-			t.Fatalf("matrixRows has no rows for %s", t.Name())
+// least once in every app. When rows hold both queue depths, each depth
+// runs as a subtest.
+func runMatrix(t *testing.T, rows []matrixRow) {
+	var depths []string
+	byDepth := map[string][]matrixRow{}
+	for _, row := range rows {
+		if byDepth[row.depth] == nil {
+			depths = append(depths, row.depth)
 		}
-		for _, depth := range []string{"unbatched", "batched"} {
-			t.Run(depth, runMatrix)
+		byDepth[row.depth] = append(byDepth[row.depth], row)
+	}
+	runApps := func(t *testing.T, rows []matrixRow) {
+		for ai, a := range apps.All() {
+			t.Run(a.Name, func(t *testing.T) {
+				t.Parallel()
+				ref := matrixReferenceRun(t, a, ai)
+				for _, row := range rows {
+					t.Run(row.name(), func(t *testing.T) { checkMatrixRow(t, a, ai, row, ref) })
+				}
+			})
 		}
+	}
+	if len(depths) == 1 {
+		runApps(t, rows)
 		return
 	}
-	for ai, a := range apps.All() {
-		t.Run(a.Name, func(t *testing.T) {
-			t.Parallel()
-			ref := matrixReferenceRun(t, a, ai)
-			for _, row := range rows {
-				t.Run(row.name(), func(t *testing.T) {
-					var inj *ipc.FaultInjector
-					if row.plan != "clean" {
-						plan := faultKillPlan(2026, max(1, int(ref.stats.Calls-4)/3))
-						if row.plan == "ringkinds" {
-							plan.Kinds = append(plan.Kinds, ipc.RingFaultKinds...)
-						}
-						inj = ipc.NewFaultInjector(plan)
-					}
-					got := runMatrixRow(t, a, ai, row, inj)
-					diffDigests(t, "ended", ref.ended, got.ended)
-					for i, m := range got.mutated {
-						diffDigests(t, fmt.Sprintf("mutated %d", i), ref.mutated[0], m)
-					}
-					if inj == nil && (ref.stats.Batched == 0) != (got.stats.Batched == 0) {
-						t.Errorf("only one run used the queue: reference Batched=%d, this row %d", ref.stats.Batched, got.stats.Batched)
-					}
-					if inj != nil && inj.Injected() == 0 {
-						t.Errorf("the %s plan injected nothing in %d calls", row.plan, inj.Ops())
-					}
-				})
-			}
-		})
+	for _, depth := range depths {
+		t.Run(depth, func(t *testing.T) { runApps(t, byDepth[depth]) })
+	}
+}
+
+// checkMatrixRow runs app a along row and compares the run with ref.
+func checkMatrixRow(t *testing.T, a apps.App, ai int, row matrixRow, ref matrixRun) {
+	var inj *ipc.FaultInjector
+	if row.plan != "clean" {
+		plan := faultKillPlan(2026, max(1, int(ref.stats.Calls-4)/3))
+		if row.plan == "ringkinds" {
+			plan.Kinds = append(plan.Kinds, ipc.RingFaultKinds...)
+		}
+		inj = ipc.NewFaultInjector(plan)
+	}
+	got := runMatrixRow(t, a, ai, row, inj)
+	diffDigests(t, "ended", ref.ended, got.ended)
+	for i, m := range got.mutated {
+		diffDigests(t, fmt.Sprintf("mutated %d", i), ref.mutated[0], m)
+	}
+	if inj == nil && (ref.stats.Batched == 0) != (got.stats.Batched == 0) {
+		t.Errorf("only one run used the queue: reference Batched=%d, this row %d", ref.stats.Batched, got.stats.Batched)
+	}
+	if inj != nil && inj.Injected() == 0 {
+		t.Errorf("the %s plan injected nothing in %d calls", row.plan, inj.Ops())
 	}
 }
 
@@ -213,6 +226,9 @@ func runMatrixRow(t *testing.T, a apps.App, ai int, row matrixRow, inj *ipc.Faul
 	ckpt := func() (stats CheckpointStats) {
 		for attempt := 0; attempt < 5; attempt++ {
 			if stats, err = c.CheckpointToStore(st, a.Name); err == nil {
+				if stats.FSName != st.Name() {
+					t.Fatalf("checkpoint recorded destination %q, want %q", stats.FSName, st.Name())
+				}
 				return stats
 			}
 		}

@@ -146,9 +146,7 @@ func TestQueueCapacityFlushErrorDropsCommandCleanly(t *testing.T) {
 	if _, err := c.EnqueueCopyBuffer(app.q, app.a, app.b, 0, 0, size, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Finish(app.q); err != nil {
-		t.Fatal(err)
-	}
+	app.finish(t)
 
 	// One queued command that will fail at the runtime, then a depth that
 	// makes the very next command flush it first.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -100,14 +99,7 @@ func TestStoreCheckpointIncrementalDedup(t *testing.T) {
 
 	// Restore from the second checkpoint and compare every buffer
 	// bit-for-bit against the live incarnation's staged state.
-	want := map[ocl.Mem][]byte{}
-	for _, m := range []ocl.Mem{app.a, app.b, app.c} {
-		data, _, err := c.EnqueueReadBuffer(app.q, m, true, 0, int64(4*app.n), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[m] = data
-	}
+	want := readBuffers(t, c, app)
 
 	rc, rst, err := RestoreFromStore(node, st, "vadd", Options{})
 	if err != nil {
@@ -117,15 +109,7 @@ func TestStoreCheckpointIncrementalDedup(t *testing.T) {
 	if rst.ReadTime <= 0 || rst.Total <= 0 {
 		t.Errorf("restore stats = %+v", rst)
 	}
-	for m, w := range want {
-		got, _, err := rc.EnqueueReadBuffer(app.q, m, true, 0, int64(len(w)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Errorf("buffer %v differs after restore from store", m)
-		}
-	}
+	sameBuffers(t, "differs after restore from store", rc, app, want)
 }
 
 // TestStoreReplicationSurvivesSourceLoss is the migration-resilience

@@ -35,9 +35,7 @@ func TestTransportParityCheckpointDigest(t *testing.T) {
 		_, c := attach(t, node, Options{AutoFailover: true, Transport: tr})
 		app := setupVaddApp(t, c, 256)
 		app.launch(t)
-		if err := c.Finish(app.q); err != nil {
-			t.Fatal(err)
-		}
+		app.finish(t)
 		if _, err := c.Checkpoint(node.LocalDisk, "parity.ckpt"); err != nil {
 			t.Fatal(err)
 		}
@@ -200,9 +198,7 @@ func TestTransportParityStoredGenerations(t *testing.T) {
 			if _, err := c.EnqueueNDRangeKernel(app.q, k, 1, [3]int{}, [3]int{size / 4}, [3]int{64}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Finish(app.q); err != nil {
-				t.Fatal(err)
-			}
+			app.finish(t)
 			st, err := c.CheckpointToStore(fl, "job")
 			if err != nil {
 				t.Fatal(err)

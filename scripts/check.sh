@@ -13,35 +13,52 @@ fi
 
 go vet ./...
 go build ./...
-# Fail fast on a dead gate: every -run and -fuzz pattern in this script
-# must select at least one test of its packages, so that a renamed test
-# cannot turn a gate into a silent no-op. `go test -list` sees top-level
-# names only, so a subtest pattern is checked up to its first "/".
-awk '/^[ \t]*#/ { next }
-    /\\$/ { line = line substr($0, 1, length($0) - 1); next }
-    { print line $0; line = "" }' scripts/check.sh |
-    awk '/go test .*-(run|fuzz)[ =]/ {
-        pat = ""; pkgs = ""
-        for (i = 1; i <= NF; i++) {
-            if ($i == "-run") pat = $(i + 1)
-            else if ($i ~ /^-(run|fuzz)=/) pat = substr($i, index($i, "=") + 1)
-            else if ($i ~ /^\.\//) pkgs = pkgs " " $i
-        }
-        gsub(/\047/, "", pat)
-        print pat pkgs
-    }' |
-    while read -r pat pkgs; do
-        # shellcheck disable=SC2086 # pkgs is a list of packages
-        if ! go test -list "${pat%%/*}" $pkgs | grep -Eq '^(Test|Fuzz|Benchmark|Example)'; then
-            echo "check.sh: -run '$pat' selects no test in $pkgs" >&2
-            exit 1
-        fi
-    done
-go test -race ./...
 # The bit-identity matrix's five soaks run in gates of their own below
 # (the loaded step, ten times, and the checkpoint step, five times); the
 # broad name patterns that would also select them skip them.
 soaks='^(TestTransportParitySoak|TestFaultAppsBitIdentical|TestTransportParityRingFaultKinds|TestFaultAppsIncrementalBitIdentical|TestFleetStoreAppsDegradedBitIdentical)$'
+# Fail fast on a dead gate: every alternative of every -run and -fuzz
+# pattern in this script must select at least one test of its packages
+# that the line's -skip leaves in, so that a renamed test cannot turn a
+# gate, or one alternative of it, into a silent no-op. `go test -list`
+# sees top-level names only, so a subtest pattern is checked up to its
+# first "/"; an alternative of ^(a|b)$ is checked as ^a$.
+awk '/^[ \t]*#/ { next }
+    /\\$/ { line = line substr($0, 1, length($0) - 1); next }
+    { print line $0; line = "" }' scripts/check.sh |
+    awk '/go test .*-(run|fuzz)[ =]/ {
+        pat = ""; skip = "-"; pkgs = ""
+        for (i = 1; i <= NF; i++) {
+            if ($i == "-run") pat = $(i + 1)
+            else if ($i == "-skip") skip = $(i + 1)
+            else if ($i ~ /^-(run|fuzz)=/) pat = substr($i, index($i, "=") + 1)
+            else if ($i ~ /^\.\//) pkgs = pkgs " " $i
+        }
+        gsub(/\047/, "", pat)
+        print pat, skip, pkgs
+    }' |
+    while read -r pat skip pkgs; do
+        # shellcheck disable=SC2086 # pkgs is a list of packages
+        tests=$(go test -list . $pkgs | grep -E '^(Test|Fuzz|Benchmark|Example)')
+        if [ "$skip" != - ]; then
+            eval "skip=$skip"
+            tests=$(printf '%s\n' "$tests" | grep -Ev "$skip" || true)
+        fi
+        top=${pat%%/*}
+        case $top in
+        '^('*')$') alts=${top#'^('} && alts=${alts%')$'} && anchor='^%s$' ;;
+        *) alts=$top && anchor='%s' ;;
+        esac
+        for alt in $(printf '%s' "$alts" | tr '|' ' '); do
+            # shellcheck disable=SC2059 # anchor is the format
+            alt=$(printf "$anchor" "$alt")
+            if ! printf '%s\n' "$tests" | grep -Eq "$alt"; then
+                echo "check.sh: -run '$pat' selects no test for '$alt' in $pkgs" >&2
+                exit 1
+            fi
+        done
+    done
+go test -race ./...
 # Determinism gate: results and virtual times may depend on neither the
 # scheduler nor the core count. The apps golden (every bundled program's
 # final vtime and buffer digests, recorded from the tree-walker at
