@@ -546,9 +546,7 @@ func benchSpecSweep(b *testing.B, speculative bool, frac float64) core.Checkpoin
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := c.WaitBackgroundWrite(); err != nil {
-		b.Fatal(err)
-	}
+	c.WaitBackgroundWrite()
 	return stats
 }
 
@@ -587,9 +585,7 @@ func BenchmarkSpeculativeStall(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := c.WaitBackgroundWrite(); err != nil {
-						b.Fatal(err)
-					}
+					c.WaitBackgroundWrite()
 					c.Detach()
 				}
 				b.ReportMetric(stats.StallTime.Seconds()*1e6, "stall-us")

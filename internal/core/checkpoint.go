@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"checl/internal/cpr"
 	"checl/internal/hw"
@@ -39,8 +39,9 @@ type CheckpointStats struct {
 	FSName   string
 
 	// Incremental breakdown: dirty buffers were re-staged from the
-	// device, clean buffers kept their previous staged copy (and, for
-	// store checkpoints, reuse the parent generation's chunk refs).
+	// device, clean buffers kept their previous staged copy (and, in a
+	// store checkpoint to the store and job of the last one committed,
+	// reuse that generation's chunk refs).
 	DirtyBuffers    int
 	DirtyBytes      int64
 	CleanBuffers    int
@@ -53,15 +54,14 @@ type CheckpointStats struct {
 	StorePut *store.PutStats
 
 	// Overlapped store writes (delayed mode, see Mode): BackgroundWrite
-	// marks a checkpoint whose store write was released to the
-	// background — Manifest/StorePut/Overlap are filled in on
-	// LastCheckpoint() once the barrier lands. Overlap is the portion of
-	// the write hidden behind application progress. BackgroundErr on a
-	// later checkpoint reports that the previous generation's background
-	// write failed (that checkpoint re-staged everything).
+	// marks a checkpoint whose store write went behind the application.
+	// The Put itself is over when the checkpoint returns — Manifest,
+	// StorePut and its error are final — and only its time is deferred to
+	// the barrier (WaitBackgroundWrite). Overlap is the time hidden behind
+	// application progress: the speculative drain's share on return, plus
+	// the write's share on LastCheckpoint() once the barrier lands.
 	BackgroundWrite bool
 	Overlap         vtime.Duration
-	BackgroundErr   *BackgroundWriteError
 
 	// Speculative (stop-free) checkpointing (BeginCheckpointEpoch):
 	// Speculative marks a checkpoint that committed an epoch.
@@ -82,29 +82,20 @@ type CheckpointStats struct {
 	EpochAborted      string
 }
 
-// BackgroundWriteError is the typed failure of an overlapped store write,
-// surfaced at the barrier (the next checkpoint or WaitBackgroundWrite).
-type BackgroundWriteError struct {
-	Job string
-	Err error
-}
-
-func (e *BackgroundWriteError) Error() string {
-	return fmt.Sprintf("checl: background store write of job %q failed: %v", e.Job, e.Err)
-}
-
-func (e *BackgroundWriteError) Unwrap() error { return e.Err }
-
-// bgWrite is one overlapped store write: the Put ran on a scratch clock, and
-// the barrier charges the portion of its virtual duration that application
-// progress did not already cover.
+// bgWrite is the time of one overlapped store write: the Put ran on a
+// scratch clock, and the barrier charges the portion of its virtual
+// duration that application progress did not already cover.
 type bgWrite struct {
-	job       string
 	startedAt vtime.Time     // application clock when the write launched
 	dur       vtime.Duration // virtual duration of the Put
-	man       string
-	put       *store.PutStats
-	err       error
+}
+
+// ckptDest is where a checkpoint went: a store and a job in it, or the
+// zero value for a flat file. The store is the Backend value itself, not
+// its name: two fleets of one geometry share a name.
+type ckptDest struct {
+	st  store.Backend
+	job string
 }
 
 // memRegion names the application memory region holding one buffer's
@@ -118,7 +109,7 @@ func memRegion(h Handle) string { return fmt.Sprintf("checl.mem/%x", uint64(h)) 
 // with the conventional CPR backend, and drop the staged copies.
 func (c *CheCL) Checkpoint(fs *proc.FS, path string) (CheckpointStats, error) {
 	stats := CheckpointStats{Path: path, FSName: fs.Name()}
-	err := c.runCheckpoint(&stats, func(map[string]bool) (int64, error) {
+	err := c.runCheckpoint(&stats, ckptDest{}, func(map[string]bool) (int64, error) {
 		wst, err := c.opts.Backend.Checkpoint(c.app, fs, path)
 		return wst.Bytes, err
 	})
@@ -128,19 +119,11 @@ func (c *CheCL) Checkpoint(fs *proc.FS, path string) (CheckpointStats, error) {
 // CheckpointToStore is Checkpoint with the content-addressed store as the
 // destination: phase 3 hands the image to the store, which chunks it and
 // writes only what previous checkpoints (of any job) have not already
-// stored.
+// stored. In Delayed, non-destructive mode the write's time goes behind
+// the application (startBackgroundPut); its outcome does not.
 func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats, error) {
 	stats := CheckpointStats{Path: job, FSName: st.Name()}
-	// Barrier on a previous overlapped write: the new generation dedups
-	// against its parent, so the parent must be committed first. If it
-	// failed, the clean flags describe an uncommitted generation — every
-	// buffer is re-staged and the failure is surfaced typed.
-	if err := c.WaitBackgroundWrite(); errors.As(err, &stats.BackgroundErr) {
-		for _, m := range c.db.mems {
-			m.Dirty = true
-		}
-	}
-	err := c.runCheckpoint(&stats, func(clean map[string]bool) (int64, error) {
+	err := c.runCheckpoint(&stats, ckptDest{st, job}, func(clean map[string]bool) (int64, error) {
 		if c.opts.Mode == Delayed && !c.opts.Destructive {
 			return c.startBackgroundPut(st, job, clean, &stats)
 		}
@@ -159,48 +142,42 @@ func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats
 // views of the stopped process's regions, and releases the application
 // without charging it: the write goes behind in virtual time only. The
 // barrier (WaitBackgroundWrite) charges whatever portion of the write the
-// application's own progress did not hide. The Put has read the views
-// before this returns, so nothing of the image is copied for it.
+// application's own progress did not hide — of a failed Put too, which has
+// still spent what its lanes reached. The Put has read the views before
+// this returns, so nothing of the image is copied for it.
 func (c *CheCL) startBackgroundPut(st store.Backend, job string, clean map[string]bool, stats *CheckpointStats) (int64, error) {
 	segs, size, err := cpr.StoreImage(c.opts.Backend, c.app, clean)
 	if err != nil {
 		return 0, err
 	}
-	bg := &bgWrite{job: job, startedAt: c.app.Clock().Now()}
 	scratch := vtime.NewClock()
 	sw := vtime.NewStopwatch(scratch)
 	_, put, err := st.PutSegmented(scratch, job, nil, segs)
-	bg.dur, bg.err = sw.Elapsed(), err
-	if err == nil {
-		bg.man, bg.put = put.Manifest, &put
+	c.bg = &bgWrite{startedAt: c.app.Clock().Now(), dur: sw.Elapsed()}
+	if err != nil {
+		return 0, err
 	}
-	c.bg = bg
 	stats.BackgroundWrite = true
+	stats.Manifest = put.Manifest
+	stats.StorePut = &put
 	return size, nil
 }
 
 // WaitBackgroundWrite barriers on an overlapped store write: it charges
 // the non-hidden remainder of the write's virtual duration to the
-// application clock, retro-fills the last checkpoint's
-// Manifest/StorePut/Overlap (visible via LastCheckpoint), and returns the
-// write's failure, if any, as a *BackgroundWriteError. It is a no-op when
-// no write is outstanding.
-func (c *CheCL) WaitBackgroundWrite() error {
+// application clock and adds the hidden share to LastCheckpoint().Overlap.
+// Every checkpoint begins with it; it is a no-op when no write is
+// outstanding.
+func (c *CheCL) WaitBackgroundWrite() {
 	bg := c.bg
 	if bg == nil {
-		return nil
+		return
 	}
 	c.bg = nil
 	hidden := c.barrier("write-barrier", bg.startedAt, bg.dur)
-	if bg.err != nil {
-		return &BackgroundWriteError{Job: bg.job, Err: bg.err}
+	if c.lastCkpt != nil {
+		c.lastCkpt.Overlap += hidden
 	}
-	if lc := c.lastCkpt; lc != nil && lc.BackgroundWrite && lc.Manifest == "" {
-		lc.Manifest = bg.man
-		lc.StorePut = bg.put
-		lc.Overlap = hidden
-	}
-	return nil
 }
 
 // barrier waits for background work that began at `began` and takes dur
@@ -217,12 +194,18 @@ func (c *CheCL) barrier(label string, began vtime.Time, dur vtime.Duration) vtim
 }
 
 // runCheckpoint executes the four §III-C phases around a pluggable
-// phase-3 writer (flat file or store), filling stats in place. The
-// writer receives the clean-region map (nil outside incremental mode):
-// region names of buffers whose staged copy is byte-identical to the
-// previous generation's, so a store writer can reuse parent chunk refs.
-func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string]bool) (int64, error)) error {
+// phase-3 writer (flat file or store) to dest, filling stats in place. It
+// is where a checkpoint is settled: a previous write that went behind
+// lands first, and only a checkpoint that returns nil becomes
+// LastCheckpoint and the destination of the next clean claims. The
+// writer receives the clean-region map (nil when none can be made): region
+// names of buffers whose staged copy is what dest's newest generation
+// holds, so a store writer can reuse that generation's chunk refs.
+func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(clean map[string]bool) (int64, error)) error {
 	clock := c.app.Clock()
+	c.WaitBackgroundWrite()
+	claimTo := c.committed
+	c.lastCkpt, c.committed = nil, ckptDest{}
 
 	// A speculative epoch that died before this checkpoint (proxy
 	// failover, failed begin) is reported here; the checkpoint below
@@ -264,13 +247,16 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 
 	// Phase 2: preprocessing. Copy user data from device memory to host
 	// memory. In incremental mode only buffers possibly modified since
-	// the previous checkpoint are re-staged; clean buffers keep their
-	// previous staged copy and are reported to the phase-3 writer so a
-	// store can reuse the parent generation's chunk refs. CL_MEM_USE_HOST_PTR
-	// buffers are always conservatively dirty: the application can write
-	// through the aliased host pointer without any API call CheCL sees.
+	// they were last staged are re-staged; clean buffers keep their staged
+	// copy. A staged copy is what the last committed checkpoint holds, so
+	// clean buffers are reported to the phase-3 writer — which reuses the
+	// parent generation's chunk refs for them — only when this checkpoint
+	// goes to the same store and job; anywhere else the writer takes their
+	// bytes. CL_MEM_USE_HOST_PTR buffers are always conservatively dirty:
+	// the application can write through the aliased host pointer without
+	// any API call CheCL sees.
 	var clean map[string]bool
-	if c.opts.Incremental {
+	if c.opts.Incremental && claimTo.st != nil && claimTo == dest {
 		clean = map[string]bool{}
 	}
 	var dirty []*memRec
@@ -294,7 +280,9 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 			continue
 		}
 		if c.opts.Incremental && !m.Dirty && !m.UseHostPtr && m.Data != nil {
-			clean[memRegion(m.H)] = true
+			if clean != nil {
+				clean[memRegion(m.H)] = true
+			}
 			stats.CleanBuffers++
 			stats.CleanBytes += m.Size
 			continue
@@ -343,6 +331,12 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	}
 	c.app.SetRegion(dbRegion, blob)
 	bytes, err := dump(clean)
+	// The staged regions leave the process once the dump has read them,
+	// whether or not it succeeded.
+	c.app.RemoveRegion(dbRegion)
+	for _, name := range memRegions {
+		c.app.RemoveRegion(name)
+	}
 	if err != nil {
 		return fmt.Errorf("checl: checkpoint write: %w", err)
 	}
@@ -353,10 +347,6 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	// Phase 4: postprocessing. Drop the staged copies to reclaim host
 	// memory. (CheCL keeps the OpenCL objects alive — unlike CheCUDA, no
 	// recreation is needed, which is why this phase is negligible.)
-	c.app.RemoveRegion(dbRegion)
-	for _, name := range memRegions {
-		c.app.RemoveRegion(name)
-	}
 	if c.opts.Destructive {
 		// CheCUDA-style recreation of everything that was torn down,
 		// using the staged copies before they are dropped.
@@ -379,7 +369,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string
 	// seeded into StallTime by commitEpoch. The hidden drain is in
 	// Overlap, not here.
 	stats.StallTime += stats.Phases.Total()
-	c.lastCkpt, c.ckptErr = stats, nil
+	c.lastCkpt, c.ckptErr, c.committed = stats, nil, dest
 	return nil
 }
 
@@ -642,11 +632,20 @@ func RestoreImage(node *proc.Node, image []byte, opts Options) (*CheCL, RestartS
 // reported in RestartStats.Degraded. When no generation restores, the
 // returned error wraps the typed *store.DegradedRestore — the caller
 // always learns exactly what was lost, never gets a wrong payload.
+//
+// A restore of a bare job name that did not degrade brought back the
+// job's newest generation, so the next checkpoint to the same store and
+// job may claim clean buffers against it, as if this incarnation had
+// written it.
 func RestoreFromStore(node *proc.Node, st store.Backend, ref string, opts Options) (*CheCL, RestartStats, error) {
-	return restore(node, ref, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
+	c, stats, err := restore(node, ref, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
 		app, rst, deg, err := b.RestartFromStore(node, st, ref)
 		return app, rst.Time, deg, err
 	})
+	if err == nil && stats.Degraded == nil && !strings.Contains(ref, "@") {
+		c.committed = ckptDest{st, ref}
+	}
+	return c, stats, err
 }
 
 // restore is what the three entry points above share: load brings the
@@ -1118,18 +1117,8 @@ func MigrateViaStore(c *CheCL, src store.Backend, job string, target *proc.Node,
 	if err != nil {
 		return nil, ms, err
 	}
-	// Migration needs the manifest now: barrier on an overlapped write
-	// and pick up the retro-filled Manifest/StorePut.
-	if err := c.WaitBackgroundWrite(); err != nil {
-		return nil, ms, err
-	}
-	if ckpt.Manifest == "" {
-		if lc := c.lastCkpt; lc != nil {
-			ckpt.Manifest = lc.Manifest
-			ckpt.StorePut = lc.StorePut
-			ckpt.Overlap = lc.Overlap
-		}
-	}
+	// The migration reads the checkpoint back now: barrier on its write.
+	c.WaitBackgroundWrite()
 	ms.Checkpoint = ckpt
 
 	restoreStore := src

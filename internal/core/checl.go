@@ -31,9 +31,9 @@ const (
 	// keeps running, and the checkpoint commits it. After the copy phase
 	// of a non-destructive store checkpoint the application is released
 	// and the chunk/compress/write pipeline's time runs behind it; the next
-	// checkpoint (or WaitBackgroundWrite) barriers on that write, and a
-	// failed one is surfaced as CheckpointStats.BackgroundErr on the next
-	// checkpoint, which then re-stages every buffer.
+	// checkpoint (or WaitBackgroundWrite) barriers on that time. Only the
+	// time goes behind: the store checkpoint returns its manifest or its
+	// error as in Immediate mode.
 	Delayed
 )
 
@@ -98,7 +98,13 @@ type CheCL struct {
 	fstats     FailoverStats
 	lastCkpt   *CheckpointStats
 	ckptErr    error    // see LastCheckpointError
-	bg         *bgWrite // in-flight overlapped store write, nil when none
+	bg         *bgWrite // overlapped store write not yet barriered, nil when none
+	// committed is the store job whose newest generation holds every
+	// staged copy, the one destination toward which a buffer may be
+	// claimed clean; zero when none. Set by a store checkpoint that
+	// commits and by a restore of a job's newest generation, cleared by
+	// every other checkpoint and by a failed one (runCheckpoint).
+	committed ckptDest
 
 	// The submission queue (queue.go): commands awaiting the next
 	// synchronisation-point flush, the arenas behind their argument bytes
@@ -185,7 +191,9 @@ func (c *CheCL) App() *proc.Process { return c.app }
 // Options returns the attachment options.
 func (c *CheCL) Options() Options { return c.opts }
 
-// LastCheckpoint returns statistics of the most recent checkpoint, or nil.
+// LastCheckpoint returns statistics of the most recent checkpoint, or nil
+// when there is none or it failed. A write that went behind (Mode) adds its
+// hidden share to Overlap here once it is barriered.
 func (c *CheCL) LastCheckpoint() *CheckpointStats { return c.lastCkpt }
 
 // ErrNoCheckpointDestination is what LastCheckpointError reports when a

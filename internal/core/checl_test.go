@@ -360,8 +360,8 @@ func TestSignalledCheckpointFailureReported(t *testing.T) {
 			if err := c.LastCheckpointError(); !errors.As(err, &nospace) {
 				t.Fatalf("full disk: LastCheckpointError = %v, want a wrapped *proc.ErrNoSpace", err)
 			}
-			if c.LastCheckpoint() != nil || full.Exists("sig.ckpt") {
-				t.Error("a checkpoint that could not be written left stats or a file")
+			if c.LastCheckpoint() != nil || full.Exists("sig.ckpt") || len(c.App().RegionNames()) != 0 {
+				t.Errorf("a checkpoint that could not be written left stats, a file or the staged regions %v", c.App().RegionNames())
 			}
 			if _, err := c.Checkpoint(node.LocalDisk, "ok.ckpt"); err != nil {
 				t.Fatal(err)

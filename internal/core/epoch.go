@@ -7,31 +7,6 @@ import (
 	"checl/internal/vtime"
 )
 
-// EpochState is the phase of the speculative checkpoint epoch state
-// machine: Idle → Speculating → Idle. BeginCheckpointEpoch opens an epoch
-// (Idle → Speculating); the checkpoint commit inside runCheckpoint, which
-// validates and re-copies before it returns, and abortEpoch close it
-// (Speculating → Idle).
-type EpochState int
-
-// Epoch states.
-const (
-	EpochIdle EpochState = iota
-	EpochSpeculating
-)
-
-// String names the state for diagnostics.
-func (s EpochState) String() string {
-	switch s {
-	case EpochIdle:
-		return "Idle"
-	case EpochSpeculating:
-		return "Speculating"
-	default:
-		return fmt.Sprintf("EpochState(%d)", int(s))
-	}
-}
-
 // specEntry is one buffer's in-flight speculative copy.
 type specEntry struct {
 	m        *memRec
@@ -49,14 +24,6 @@ type specEpoch struct {
 	copyEnd vtime.Time     // modelled completion of the overlapped drain
 	submit  vtime.Duration // app-visible cost of launching the epoch
 	entries map[Handle]*specEntry
-}
-
-// EpochState reports the state of the speculative checkpoint epoch.
-func (c *CheCL) EpochState() EpochState {
-	if c.epoch == nil {
-		return EpochIdle
-	}
-	return EpochSpeculating
 }
 
 // Stall exposes the cumulative checkpoint-induced stall accounting:

@@ -225,9 +225,8 @@ func TestDrainLandsInPlace(t *testing.T) {
 }
 
 // TestOverlappedStoreWrite: in delayed mode a store checkpoint returns
-// after the copy phase, the store write completes in
-// the background while the application progresses, and the barrier
-// retro-fills the manifest and reports the hidden portion.
+// with its manifest after the copy phase, the store write's time runs
+// behind the application, and the barrier reports the hidden portion.
 func TestOverlappedStoreWrite(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
@@ -243,25 +242,23 @@ func TestOverlappedStoreWrite(t *testing.T) {
 	if !stats.BackgroundWrite {
 		t.Fatal("checkpoint did not release to a background write")
 	}
-	if stats.Manifest != "" {
-		t.Fatalf("manifest %q filled before the barrier", stats.Manifest)
+	if stats.Manifest == "" || stats.StorePut == nil {
+		t.Fatalf("checkpoint returned without its manifest: %+v", stats)
 	}
 
 	// Application progress hides the write entirely.
 	node.Clock.Advance(vtime.Second)
 	before := node.Clock.Now()
-	if err := c.WaitBackgroundWrite(); err != nil {
-		t.Fatal(err)
-	}
+	c.WaitBackgroundWrite()
 	if got := node.Clock.Now(); got != before {
 		t.Errorf("fully hidden write still charged %v", got.Sub(before))
 	}
 	lc := c.LastCheckpoint()
-	if lc == nil || lc.Manifest == "" || lc.StorePut == nil {
-		t.Fatalf("barrier did not retro-fill the checkpoint stats: %+v", lc)
+	if lc == nil || lc.Manifest != stats.Manifest {
+		t.Fatalf("LastCheckpoint = %+v, want the checkpoint of %s", lc, stats.Manifest)
 	}
-	if lc.Overlap <= 0 {
-		t.Errorf("overlap = %v, want > 0", lc.Overlap)
+	if lc.Overlap <= stats.Overlap {
+		t.Errorf("overlap after the barrier = %v, want more than the %v on return", lc.Overlap, stats.Overlap)
 	}
 
 	want := readBuffers(t, c, app)
@@ -271,6 +268,34 @@ func TestOverlappedStoreWrite(t *testing.T) {
 	}
 	defer func() { rc.Detach(); rc.App().Kill() }()
 	sameBuffers(t, "not bit-identical after overlapped checkpoint", rc, app, want)
+}
+
+// TestOverlappedWriteAddsToEpochOverlap: the barrier adds the write's
+// hidden share to the overlap a speculative checkpoint already reported
+// for its drain; it does not replace it, even when it lands at once and
+// hides next to nothing.
+func TestOverlappedWriteAddsToEpochOverlap(t *testing.T) {
+	node := newNodeNV("pc0")
+	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	_, c := attach(t, node, Options{Mode: Delayed, Incremental: true})
+	app := setupVaddApp(t, c, specVaddItems)
+	app.launch(t)
+	app.finish(t)
+	if err := c.BeginCheckpointEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	node.Clock.Advance(vtime.Second) // the application runs past the drain
+	stats, err := c.CheckpointToStore(st, "vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Speculative || !stats.BackgroundWrite || stats.Overlap <= 0 {
+		t.Fatalf("want a speculative checkpoint gone behind with a hidden drain: %+v", stats)
+	}
+	c.WaitBackgroundWrite()
+	if lc := c.LastCheckpoint(); lc.Overlap < stats.Overlap {
+		t.Errorf("overlap after the barrier = %v, below the %v the checkpoint returned", lc.Overlap, stats.Overlap)
+	}
 }
 
 // TestOverlappedWriteOwnsItsBytes: the write that goes behind has read the
@@ -298,9 +323,7 @@ func TestOverlappedWriteOwnsItsBytes(t *testing.T) {
 			m.Data[i] ^= 0xFF
 		}
 	}
-	if err := c.WaitBackgroundWrite(); err != nil {
-		t.Fatal(err)
-	}
+	c.WaitBackgroundWrite()
 	rc, _, err := RestoreFromStore(node, st, c.LastCheckpoint().Manifest, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -332,9 +355,7 @@ func TestOverlappedWriteCopiesNoImage(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		stats, err := c.CheckpointToStore(st, "job")
-		if err == nil {
-			err = c.WaitBackgroundWrite()
-		}
+		c.WaitBackgroundWrite()
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -355,10 +376,11 @@ func TestOverlappedWriteCopiesNoImage(t *testing.T) {
 	}
 }
 
-// TestBackgroundWriteFailureSurfaced: a failed overlapped write is
-// reported as a typed *BackgroundWriteError at the next checkpoint, which
-// must also distrust every clean flag of the uncommitted generation and
-// re-stage everything.
+// TestBackgroundWriteFailureSurfaced: a store write that goes behind
+// fails where it is made — the checkpoint returns the error, not the next
+// one — and the next checkpoint makes no clean claim toward the
+// generation that was never written: what the failed one staged is
+// written again.
 func TestBackgroundWriteFailureSurfaced(t *testing.T) {
 	node := newNodeNV("pc0")
 	tiny := proc.NewFS("tiny", hw.TableISpec().LocalDisk, proc.WithCapacity(16<<10))
@@ -369,35 +391,144 @@ func TestBackgroundWriteFailureSurfaced(t *testing.T) {
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
 	c.Finish(app.q)
-
-	st1, err := c.CheckpointToStore(bad, "vadd")
-	if err != nil {
-		t.Fatal(err) // the failure is in the background, not here
+	if _, err := c.CheckpointToStore(good, "vadd"); err != nil {
+		t.Fatal(err)
 	}
-	if !st1.BackgroundWrite {
-		t.Fatal("checkpoint did not release to a background write")
+	junk := make([]byte, 4*app.n)
+	if _, err := c.EnqueueWriteBuffer(app.q, app.a, true, 0, junk, nil); err != nil {
+		t.Fatal(err)
 	}
 
-	st2, err := c.CheckpointToStore(good, "vadd")
+	var nospace *proc.ErrNoSpace
+	if _, err := c.CheckpointToStore(bad, "vadd"); !errors.As(err, &nospace) {
+		t.Fatalf("checkpoint into a full store returned %v, want a wrapped *proc.ErrNoSpace", err)
+	}
+	if c.LastCheckpoint() != nil {
+		t.Error("a failed checkpoint left LastCheckpoint set")
+	}
+
+	st, err := c.CheckpointToStore(good, "vadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.BackgroundErr == nil {
-		t.Fatal("previous generation's write failure was not surfaced")
+	man, err := good.Resolve(st.Manifest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var nospace *proc.ErrNoSpace
-	if !errors.As(st2.BackgroundErr, &nospace) {
-		t.Errorf("BackgroundErr = %v, want to unwrap *proc.ErrNoSpace", st2.BackgroundErr)
+	for _, seg := range man.Segments {
+		if seg.Clean {
+			t.Errorf("segment %s claimed clean toward %s, which lacks what the failed checkpoint staged", seg.Name, man.Parent)
+		}
 	}
-	if st2.CleanBuffers != 0 {
-		t.Errorf("%d buffers kept clean flags from an uncommitted generation", st2.CleanBuffers)
+	want := readBuffers(t, c, app)
+	rc, rst, err := RestoreFromStore(node, good, "vadd", Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := c.WaitBackgroundWrite(); err != nil {
-		t.Fatalf("second write should have landed: %v", err)
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	if rst.Degraded != nil {
+		t.Fatalf("restore fell back: %v", rst.Degraded)
 	}
-	if lc := c.LastCheckpoint(); lc == nil || lc.Manifest == "" {
-		t.Fatalf("good store's manifest missing after barrier: %+v", lc)
+	sameBuffers(t, "is not what the last checkpoint held", rc, app, want)
+}
+
+// checkCleanClaimAcross checkpoints vadd incrementally as job "vadd" into
+// st, rewrites every buffer, runs between — which stages the rewritten
+// buffers for something other than vadd's next generation in st — and
+// checkpoints "vadd" into st again. That generation must claim nothing
+// clean toward the first: it restores bit-identical, without falling back.
+func checkCleanClaimAcross(t *testing.T, st store.Backend, between func(c *CheCL, node *proc.Node)) {
+	t.Helper()
+	node := newNodeNV("pc0")
+	_, c := attach(t, node, Options{Incremental: true})
+	app := setupVaddApp(t, c, 1<<14) // 64 KiB per buffer
+	app.launch(t)
+	app.finish(t)
+	if _, err := c.CheckpointToStore(st, "vadd"); err != nil {
+		t.Fatal(err)
 	}
+	junk := make([]byte, 4*app.n)
+	for i := range junk {
+		junk[i] = byte(i*5 + 1)
+	}
+	for _, m := range []ocl.Mem{app.a, app.b} {
+		if _, err := c.EnqueueWriteBuffer(app.q, m, true, 0, junk, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app.launch(t)
+	app.finish(t)
+
+	between(c, node)
+	last, err := c.CheckpointToStore(st, "vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readBuffers(t, c, app)
+	rc, rst, err := RestoreFromStore(node, st, "vadd", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	if rst.Degraded != nil {
+		t.Fatalf("restore of %s fell back: %v", last.Manifest, rst.Degraded)
+	}
+	sameBuffers(t, "is not what the last checkpoint held", rc, app, want)
+}
+
+// TestCleanClaimAfterFailedPut: a store checkpoint that fails (three of
+// the fleet's six nodes down) has staged the rewritten buffers; its retry
+// writes them rather than claiming them clean toward the generation before.
+func TestCleanClaimAfterFailedPut(t *testing.T) {
+	st, nodes := newTestFleet(t)
+	checkCleanClaimAcross(t, st, func(c *CheCL, _ *proc.Node) {
+		down := st.Nodes()[:3]
+		for _, name := range down {
+			nodes[name].SetDown(true)
+		}
+		if _, err := c.CheckpointToStore(st, "vadd"); err == nil {
+			t.Fatalf("checkpoint with %v down succeeded", down)
+		}
+		for _, name := range down {
+			nodes[name].SetDown(false)
+		}
+	})
+}
+
+// TestCleanClaimAfterFlatCheckpoint: a flat checkpoint between two store
+// checkpoints (a signalled one, an MPI local snapshot) stages the
+// rewritten buffers for its file, not for the store.
+func TestCleanClaimAfterFlatCheckpoint(t *testing.T) {
+	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	checkCleanClaimAcross(t, st, func(c *CheCL, node *proc.Node) {
+		if _, err := c.Checkpoint(node.LocalDisk, "between.ckpt"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCleanClaimAfterOtherJob: a checkpoint of job "b" into the same
+// store stages the rewritten buffers for b's generation, not for vadd's.
+func TestCleanClaimAfterOtherJob(t *testing.T) {
+	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	checkCleanClaimAcross(t, st, func(c *CheCL, _ *proc.Node) {
+		if _, err := c.CheckpointToStore(st, "b"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCleanClaimAfterOtherStore: a checkpoint of the same job into another
+// store of the same name stages the rewritten buffers for that store:
+// a claim names its store by identity, not by name.
+func TestCleanClaimAfterOtherStore(t *testing.T) {
+	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	other := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
+	checkCleanClaimAcross(t, st, func(c *CheCL, _ *proc.Node) {
+		if _, err := c.CheckpointToStore(other, "vadd"); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestReleasedBufferSkippedInCheckpoint: a buffer whose refcount hit zero

@@ -549,10 +549,7 @@ func ablationSpeculative(scale float64) (AblationResult, error) {
 			c.Detach()
 			return res, err
 		}
-		if err := c.WaitBackgroundWrite(); err != nil {
-			c.Detach()
-			return res, err
-		}
+		c.WaitBackgroundWrite()
 		res.Variants = append(res.Variants, AblationVariant{
 			Name: name, Metric: "app-visible stall", Value: cst.StallTime,
 		})

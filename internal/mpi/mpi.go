@@ -867,6 +867,31 @@ type GlobalSnapshotStats struct {
 // snapshot file on the shared NFS. The CheCL instance of rank r.rank must
 // be passed as checl.
 func (r *Rank) CoordinatedCheckpoint(checl *core.CheCL, globalPath string) (GlobalSnapshotStats, error) {
+	return r.coordinated(checl, globalPath, func(locals [][]byte, stats *GlobalSnapshotStats) (string, error) {
+		global, err := encodeGlobalSnapshot(locals)
+		if err != nil {
+			return "", err
+		}
+		nfs := r.node.NFS
+		if nfs == nil {
+			return "", fmt.Errorf("mpi: no shared NFS for the global snapshot")
+		}
+		if err := nfs.WriteFile(r.node.Clock, globalPath, global); err != nil {
+			return "", err
+		}
+		stats.GlobalSize = int64(len(global))
+		return "", nil
+	})
+}
+
+// coordinated is the protocol of both coordinated checkpoints: a barrier,
+// every rank's local snapshot to <name>.local.<rank> on its node's local
+// disk, a barrier, the locals shipped to rank 0, and the commit barrier.
+// aggregate is rank 0's step in between: it writes the global snapshot of
+// the rank-ordered locals, fills GlobalSize (and a store's Manifest and
+// StorePut) in stats, and returns the manifest the commit records, "" for
+// none.
+func (r *Rank) coordinated(checl *core.CheCL, name string, aggregate func(locals [][]byte, stats *GlobalSnapshotStats) (string, error)) (GlobalSnapshotStats, error) {
 	var stats GlobalSnapshotStats
 	if err := r.Barrier(); err != nil {
 		return stats, err
@@ -875,16 +900,21 @@ func (r *Rank) CoordinatedCheckpoint(checl *core.CheCL, globalPath string) (Glob
 	// A rank with work to overlap opens its own speculative epoch
 	// (checl.BeginCheckpointEpoch) before calling in; checl.Checkpoint
 	// commits whatever epoch is open, and validation happens there, before
-	// the commit barrier below.
-	localPath := fmt.Sprintf("%s.local.%d", globalPath, r.rank)
+	// the commit barrier below. It also barriers first on a store write an
+	// earlier solo checkpoint left behind.
+	localPath := fmt.Sprintf("%s.local.%d", name, r.rank)
 	st, err := checl.Checkpoint(r.node.LocalDisk, localPath)
 	if err != nil {
 		return stats, fmt.Errorf("mpi: rank %d local snapshot: %w", r.rank, err)
 	}
+	stats.LocalTimes = []vtime.Duration{st.Phases.Total()}
+	stats.LocalSizes = []int64{st.FileSize}
+	stats.LocalStalls = []vtime.Duration{st.StallTime}
 	if err := r.Barrier(); err != nil { // all local snapshots complete
 		return stats, err
 	}
 
+	manifest := ""
 	if r.rank != 0 {
 		// Ship the local snapshot to the coordinator.
 		data, err := r.node.LocalDisk.ReadFile(r.node.Clock, localPath)
@@ -894,48 +924,24 @@ func (r *Rank) CoordinatedCheckpoint(checl *core.CheCL, globalPath string) (Glob
 		if err := r.Send(0, tagCkpt, data); err != nil {
 			return stats, err
 		}
-		if err := r.commitBarrier(""); err != nil { // global snapshot complete
+	} else {
+		sw := vtime.NewStopwatch(r.node.Clock)
+		locals := make([][]byte, r.size)
+		if locals[0], err = r.node.LocalDisk.ReadFile(r.node.Clock, localPath); err != nil {
 			return stats, err
 		}
-		stats.LocalTimes = []vtime.Duration{st.Phases.Total()}
-		stats.LocalSizes = []int64{st.FileSize}
-		stats.LocalStalls = []vtime.Duration{st.StallTime}
-		return stats, nil
-	}
-
-	// Rank 0: aggregate local snapshots into the global snapshot on NFS.
-	sw := vtime.NewStopwatch(r.node.Clock)
-	locals := make([][]byte, r.size)
-	var err0 error
-	locals[0], err0 = r.node.LocalDisk.ReadFile(r.node.Clock, localPath)
-	if err0 != nil {
-		return stats, err0
-	}
-	for i := 1; i < r.size; i++ {
-		data, err := r.Recv(i, tagCkpt)
-		if err != nil {
+		for i := 1; i < r.size; i++ {
+			if locals[i], err = r.Recv(i, tagCkpt); err != nil {
+				return stats, err
+			}
+		}
+		if manifest, err = aggregate(locals, &stats); err != nil {
 			return stats, err
 		}
-		locals[i] = data
+		stats.AggregateTime = sw.Elapsed()
+		stats.Total = st.Phases.Total() + stats.AggregateTime
 	}
-	global, err := encodeGlobalSnapshot(locals)
-	if err != nil {
-		return stats, err
-	}
-	nfs := r.node.NFS
-	if nfs == nil {
-		return stats, fmt.Errorf("mpi: no shared NFS for the global snapshot")
-	}
-	if err := nfs.WriteFile(r.node.Clock, globalPath, global); err != nil {
-		return stats, err
-	}
-	stats.AggregateTime = sw.Elapsed()
-	stats.GlobalSize = int64(len(global))
-	stats.LocalTimes = []vtime.Duration{st.Phases.Total()}
-	stats.LocalSizes = []int64{st.FileSize}
-	stats.LocalStalls = []vtime.Duration{st.StallTime}
-	stats.Total = st.Phases.Total() + stats.AggregateTime
-	if err := r.commitBarrier(""); err != nil {
+	if err := r.commitBarrier(manifest); err != nil { // global snapshot committed
 		return stats, err
 	}
 	return stats, nil

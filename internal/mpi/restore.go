@@ -52,18 +52,33 @@ func RestoreGlobal(cluster *proc.Cluster, globalPath string, opts core.Options) 
 	if err != nil {
 		return nil, err
 	}
-	restored := make([]*core.CheCL, len(locals))
+	return restoreRanks(cluster, globalPath, locals, opts)
+}
+
+// restoreRanks restores rank-ordered local snapshots, rank i on node
+// i%len(nodes) from <name>.restore.<i> on that node's local disk. It
+// returns every rank or none: a rank that fails to restore tears down the
+// ranks restored before it.
+func restoreRanks(cluster *proc.Cluster, name string, locals [][]byte, opts core.Options) ([]*core.CheCL, error) {
+	restored := make([]*core.CheCL, 0, len(locals))
+	fail := func(err error) ([]*core.CheCL, error) {
+		for _, c := range restored {
+			c.Detach()
+			c.App().Kill()
+		}
+		return nil, err
+	}
 	for rank, local := range locals {
 		node := cluster.Nodes[rank%len(cluster.Nodes)]
-		localPath := fmt.Sprintf("%s.restore.%d", globalPath, rank)
+		localPath := fmt.Sprintf("%s.restore.%d", name, rank)
 		if err := node.LocalDisk.WriteFile(node.Clock, localPath, local); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		c, _, err := core.Restore(node, node.LocalDisk, localPath, opts)
 		if err != nil {
-			return nil, fmt.Errorf("mpi: restoring rank %d: %w", rank, err)
+			return fail(fmt.Errorf("mpi: restoring rank %d: %w", rank, err))
 		}
-		restored[rank] = c
+		restored = append(restored, c)
 	}
 	return restored, nil
 }

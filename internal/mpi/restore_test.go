@@ -109,3 +109,58 @@ func TestRestoreGlobalErrors(t *testing.T) {
 		t.Error("restore from garbage should fail")
 	}
 }
+
+// TestRestoreGlobalTearsDownOnFailure: a global snapshot whose second
+// rank does not restore leaves nothing running — the first rank, restored
+// before the second failed, is torn down again, application and proxy.
+func TestRestoreGlobalTearsDownOnFailure(t *testing.T) {
+	cl := cluster(2)
+	w, _ := NewWorld(cl, 2)
+	err := w.Run(func(r *Rank) error {
+		c, err := core.Attach(r.Process(), core.Options{})
+		if err != nil {
+			return err
+		}
+		if _, err := r.CoordinatedCheckpoint(c, "job.global"); err != nil {
+			return err
+		}
+		c.Proxy().Kill()
+		r.Process().Kill()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := func() int {
+		n := 0
+		for _, node := range cl.Nodes {
+			n += len(node.Processes())
+		}
+		return n
+	}
+	clock := cl.Nodes[0].Clock
+	data, err := cl.NFS.ReadFile(clock, "job.global")
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := decodeGlobalSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals[1] = []byte("not a local snapshot")
+	torn, err := encodeGlobalSnapshot(locals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.NFS.WriteFile(clock, "torn.global", torn); err != nil {
+		t.Fatal(err)
+	}
+
+	before := running()
+	if _, err := RestoreGlobal(cl, "torn.global", core.Options{}); err == nil {
+		t.Fatal("restore of a snapshot with a torn rank succeeded")
+	}
+	if after := running(); after != before {
+		t.Errorf("%d processes running after the failed restore, %d before", after, before)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"checl/internal/core"
 	"checl/internal/proc"
 	"checl/internal/store"
-	"checl/internal/vtime"
 )
 
 // Store-backed global snapshots: the aggregation step lands in a
@@ -76,78 +75,17 @@ func splitSnapshot(data []byte, man store.Manifest) ([][]byte, error) {
 // sequence counters, and truncates the sender message logs — the cut a
 // partial restore resumes from.
 func (r *Rank) CoordinatedCheckpointToStore(checl *core.CheCL, st store.Backend, job string) (GlobalSnapshotStats, error) {
-	var stats GlobalSnapshotStats
-	if err := r.Barrier(); err != nil {
-		return stats, err
-	}
-
-	// An overlapped store write from an earlier solo checkpoint must not
-	// still be in flight while the coordinated protocol runs: barrier on
-	// it here, before this rank's local snapshot.
-	if err := checl.WaitBackgroundWrite(); err != nil {
-		return stats, fmt.Errorf("mpi: rank %d background write: %w", r.rank, err)
-	}
-
-	// An epoch the rank opened itself is committed by checl.Checkpoint
-	// (see CoordinatedCheckpoint).
-	localPath := fmt.Sprintf("%s.local.%d", job, r.rank)
-	cst, err := checl.Checkpoint(r.node.LocalDisk, localPath)
-	if err != nil {
-		return stats, fmt.Errorf("mpi: rank %d local snapshot: %w", r.rank, err)
-	}
-	if err := r.Barrier(); err != nil { // all local snapshots complete
-		return stats, err
-	}
-
-	if r.rank != 0 {
-		data, err := r.node.LocalDisk.ReadFile(r.node.Clock, localPath)
+	return r.coordinated(checl, job, func(locals [][]byte, stats *GlobalSnapshotStats) (string, error) {
+		segs, size := rankSegments(locals)
+		man, put, err := st.PutSegmented(r.node.Clock, job, nil, segs)
 		if err != nil {
-			return stats, err
+			return "", fmt.Errorf("mpi: global snapshot to store: %w", err)
 		}
-		if err := r.Send(0, tagCkpt, data); err != nil {
-			return stats, err
-		}
-		if err := r.commitBarrier(""); err != nil { // global snapshot committed
-			return stats, err
-		}
-		stats.LocalTimes = []vtime.Duration{cst.Phases.Total()}
-		stats.LocalSizes = []int64{cst.FileSize}
-		stats.LocalStalls = []vtime.Duration{cst.StallTime}
-		return stats, nil
-	}
-
-	// Rank 0: aggregate into the store instead of a flat NFS file.
-	sw := vtime.NewStopwatch(r.node.Clock)
-	locals := make([][]byte, r.size)
-	var err0 error
-	locals[0], err0 = r.node.LocalDisk.ReadFile(r.node.Clock, localPath)
-	if err0 != nil {
-		return stats, err0
-	}
-	for i := 1; i < r.size; i++ {
-		data, err := r.Recv(i, tagCkpt)
-		if err != nil {
-			return stats, err
-		}
-		locals[i] = data
-	}
-	segs, size := rankSegments(locals)
-	man, put, err := st.PutSegmented(r.node.Clock, job, nil, segs)
-	if err != nil {
-		return stats, fmt.Errorf("mpi: global snapshot to store: %w", err)
-	}
-	stats.AggregateTime = sw.Elapsed()
-	stats.GlobalSize = size
-	stats.LocalTimes = []vtime.Duration{cst.Phases.Total()}
-	stats.LocalSizes = []int64{cst.FileSize}
-	stats.LocalStalls = []vtime.Duration{cst.StallTime}
-	stats.Total = cst.Phases.Total() + stats.AggregateTime
-	stats.Manifest = man.ID()
-	stats.StorePut = &put
-	if err := r.commitBarrier(man.ID()); err != nil {
-		return stats, err
-	}
-	return stats, nil
+		stats.GlobalSize = size
+		stats.Manifest = man.ID()
+		stats.StorePut = &put
+		return man.ID(), nil
+	})
 }
 
 // RestoreGlobalFromStore restarts an MPI+CheCL job from a global snapshot
@@ -173,31 +111,8 @@ func RestoreGlobalFromStore(cluster *proc.Cluster, st store.Backend, ref string,
 		if err != nil {
 			return err
 		}
-		cs := make([]*core.CheCL, len(locals))
-		teardown := func() {
-			for _, c := range cs {
-				if c != nil {
-					c.Detach()
-					c.App().Kill()
-				}
-			}
-		}
-		for rank, local := range locals {
-			node := cluster.Nodes[rank%len(cluster.Nodes)]
-			localPath := fmt.Sprintf("%s.restore.%d", man.ID(), rank)
-			if err := node.LocalDisk.WriteFile(node.Clock, localPath, local); err != nil {
-				teardown()
-				return err
-			}
-			c, _, err := core.Restore(node, node.LocalDisk, localPath, opts)
-			if err != nil {
-				teardown()
-				return fmt.Errorf("rank %d: %w", rank, err)
-			}
-			cs[rank] = c
-		}
-		restored = cs
-		return nil
+		restored, err = restoreRanks(cluster, man.ID(), locals, opts)
+		return err
 	}
 	_, _, deg, err := st.GetNewestRestorable(coord.Clock, ref, validate)
 	if err != nil {

@@ -152,10 +152,13 @@ go test -run 'Raw|Batch|Queue|Cache|StatsRace' -count=3 -race \
     ./internal/ipc/ ./internal/proxy/ ./internal/core/
 # Concurrent-checkpoint gate: dirty-buffer tracking and the multi-stream
 # drain cross goroutines, so their tests, and those of the overlapped
-# store write, run repeatedly under the race detector. The ablation run
+# store write, run repeatedly under the race detector, as do the tests that
+# a clean claim names only the store and job of the last committed
+# checkpoint (a failed Put, a flat checkpoint, another job or another store
+# in between). The ablation run
 # keeps the full-vs-incremental ordering honest, and the inspect demo
 # exercises the dirty/clean split end to end.
-go test -run 'Incremental|ParallelDrainMatchesSerial|DrainLandsInPlace|Overlapped|BackgroundWrite|Released' -skip "$soaks" -count=3 -race \
+go test -run 'Incremental|ParallelDrainMatchesSerial|DrainLandsInPlace|Overlapped|BackgroundWrite|Released|CleanClaim' -skip "$soaks" -count=3 -race \
     ./internal/core/
 go test -run 'TestAblations' -race ./internal/harness/
 go run ./cmd/checl-inspect -incremental -scale 0.2 >/dev/null
