@@ -23,7 +23,7 @@ import (
 // and the report walks the operational story — a scrub and the per-node
 // occupancy it verified (packs, and the shard records inside them), a
 // degraded read with m nodes down verified bit-identical, a node
-// replacement brought back to full redundancy by Rebuild, and the
+// replacement brought back to full redundancy by Scrub, and the
 // cumulative self-heal ledger.
 func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 	app, ok := apps.ByName(appName)
@@ -72,8 +72,14 @@ func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 			if ckpt, perr = c.CheckpointToStore(fl, app.Name); perr == nil {
 				break
 			}
-			if _, rerr := fl.Rebuild(vtime.NewClock()); rerr != nil {
+			// A finding about a manifest whose only copies are on a down
+			// node is not worth stopping for; a quarantine is.
+			rep, rerr := fl.Scrub(vtime.NewClock())
+			if rerr != nil {
 				fatal(rerr)
+			}
+			if len(rep.Quarantined) > 0 {
+				fatal(fmt.Errorf("scrub between attempts quarantined %v", rep.Quarantined))
 			}
 		}
 		if perr != nil {
@@ -137,12 +143,13 @@ func storeFleetCmd(appName string, scale float64, nodeFaults int) {
 	if inj != nil {
 		inj.Register(victim, freshFS)
 	}
-	rst, err := fl.Rebuild(clock)
+	sw = vtime.NewStopwatch(clock)
+	rst, err := fl.Scrub(clock)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  rebuild:       replaced %s; %d shards re-coded (%.3f MB) across %d chunks in %s (%d paced batches)\n",
-		victim, rst.ShardsRebuilt, float64(rst.BytesRebuilt)/1e6, rst.ChunksScanned, rst.Time, rst.Batches)
+		victim, rst.ShardsRebuilt, float64(rst.BytesRebuilt)/1e6, rst.ChunksChecked, sw.Elapsed(), rst.Batches)
 
 	printHeals(fl)
 
@@ -158,7 +165,7 @@ func printScrub(fl *store.Fleet, nodes []store.FleetNode, scrub store.FleetScrub
 	fmt.Printf("  scrub:         %d chunks checked, %d shards re-coded, %d findings\n",
 		scrub.ChunksChecked, scrub.ShardsRebuilt, len(scrub.Findings))
 	fmt.Println("  per-node occupancy:")
-	prefix := fl.Config().Store.Prefix + "/"
+	prefix := store.Dir + "/"
 	total := int64(0)
 	for _, n := range nodes {
 		packs, stored := 0, int64(0)

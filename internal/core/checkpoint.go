@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -305,12 +306,6 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	stats.Phases.Preprocess = sw.Reset()
 	c.stall.Add("ckpt-drain", stats.Phases.Preprocess-specCharged)
 
-	// Destructive (CheCUDA-style) ablation: tear down every OpenCL object
-	// and the proxy before the dump.
-	if c.opts.Destructive {
-		c.px.Kill()
-	}
-
 	// Phase 3: write. Serialise the object database into the application's
 	// address space — each staged buffer as its own region, keyed by the
 	// stable CheCL handle, so unchanged buffers land in identical store
@@ -318,7 +313,13 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	// (conventional CPR backend or checkpoint store) persist the image.
 	blob, err := c.db.encode()
 	if err != nil {
-		return err
+		return fmt.Errorf("checl: checkpoint write: %w", err)
+	}
+	// Destructive (CheCUDA-style) ablation: tear down every OpenCL object
+	// and the proxy before the dump — DMTCP refuses a live device-mapped
+	// child — and recreate them in phase 4, or at once if the dump fails.
+	if c.opts.Destructive {
+		c.px.Kill()
 	}
 	var memRegions []string
 	for _, m := range c.db.orderedMems() {
@@ -338,7 +339,13 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 		c.app.RemoveRegion(name)
 	}
 	if err != nil {
-		return fmt.Errorf("checl: checkpoint write: %w", err)
+		err = fmt.Errorf("checl: checkpoint write: %w", err)
+		if c.opts.Destructive {
+			if _, rerr := c.respawn(); rerr != nil {
+				err = errors.Join(err, fmt.Errorf("checl: destructive postprocess: %w", rerr))
+			}
+		}
+		return err
 	}
 	stats.Phases.Write = sw.Reset()
 	c.stall.Add("ckpt-write", stats.Phases.Write)
@@ -677,6 +684,12 @@ func restore(node *proc.Node, what string, opts Options,
 
 	c, err := rebuild(node, app, what, opts, &stats)
 	if err != nil {
+		// Nothing of a failed restore keeps running on node: neither the
+		// process load brought back nor a proxy rebuild forked for it.
+		if c != nil && c.px != nil {
+			c.px.Kill()
+		}
+		app.Kill()
 		return nil, stats, err
 	}
 	rebuilt := node.Clock.Now()
@@ -696,7 +709,9 @@ func awaitRegion(app *proc.Process, name string) ([]byte, vtime.Duration) {
 // rebuild is restore's tail: decode the object database out of
 // the restored image, fork a fresh API proxy, and recreate every OpenCL
 // object. It needs the database region before anything else and each
-// buffer's region only for that buffer's upload (rebindAll).
+// buffer's region only for that buffer's upload (rebindAll). When the
+// rebind fails it returns the CheCL with the proxy it forked, for restore
+// to tear down.
 func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stats *RestartStats) (*CheCL, error) {
 	blob, waited := awaitRegion(app, dbRegion)
 	stats.ReadWait += waited
@@ -728,7 +743,7 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	c := &CheCL{app: app, opts: opts, db: db}
 	rs, err := c.respawn()
 	if err != nil {
-		return nil, err
+		return c, err
 	}
 	for _, m := range mems {
 		app.RemoveRegion(memRegion(m.H))

@@ -449,6 +449,58 @@ func TestDestructiveModeAblation(t *testing.T) {
 	}
 }
 
+// TestDestructiveFailedCheckpointKeepsProxy: a destructive checkpoint whose
+// dump fails (a full disk) returns with a live proxy and every object
+// bound, so the application runs on and the next checkpoint succeeds and
+// restores bit-identical.
+func TestDestructiveFailedCheckpointKeepsProxy(t *testing.T) {
+	node := newNodeNV("pc0")
+	_, c := attach(t, node, Options{Destructive: true})
+	app := setupVaddApp(t, c, 1024)
+	app.launch(t)
+	app.finish(t)
+	full := proc.NewFS("full", hw.TableISpec().LocalDisk, proc.WithCapacity(1))
+	var nospace *proc.ErrNoSpace
+	if _, err := c.Checkpoint(full, "d.ckpt"); !errors.As(err, &nospace) {
+		t.Fatalf("checkpoint to a full disk: %v, want a wrapped *proc.ErrNoSpace", err)
+	}
+	if _, err := c.Checkpoint(node.RAMDisk, "d.ckpt"); err != nil {
+		t.Fatalf("checkpoint after a failed one: %v", err)
+	}
+	app.verify(t)
+	want := readBuffers(t, c, app)
+	rc, _, err := Restore(node, node.RAMDisk, "d.ckpt", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	sameBuffers(t, "not bit-identical after a destructive checkpoint that followed a failed one", rc, app, want)
+}
+
+// TestDestructiveCheckpointUnderDMTCP: DMTCP refuses a device mapping
+// anywhere in the process tree, so it checkpoints CheCL only when the
+// destructive mode kills the proxy before the dump (§V); the restore is
+// bit-identical.
+func TestDestructiveCheckpointUnderDMTCP(t *testing.T) {
+	node := newNodeNV("pc0")
+	opts := Options{Destructive: true, Backend: cpr.DMTCP{}}
+	_, c := attach(t, node, opts)
+	app := setupVaddApp(t, c, 1024)
+	app.launch(t)
+	app.finish(t)
+	if _, err := c.Checkpoint(node.RAMDisk, "dmtcp.ckpt"); err != nil {
+		t.Fatalf("destructive checkpoint under DMTCP: %v", err)
+	}
+	app.verify(t)
+	want := readBuffers(t, c, app)
+	rc, _, err := Restore(node, node.RAMDisk, "dmtcp.ckpt", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	sameBuffers(t, "not bit-identical after a destructive checkpoint under DMTCP", rc, app, want)
+}
+
 func TestBinaryProgramHeuristic(t *testing.T) {
 	node := newNodeNV("pc0")
 	_, c := attach(t, node, Options{})

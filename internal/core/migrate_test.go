@@ -153,6 +153,11 @@ func TestCrossVendorBinaryProgramFailsToMigrate(t *testing.T) {
 	if err == nil {
 		t.Fatal("migration with a cross-vendor binary program should fail")
 	}
+	// The failed restore leaves nothing running on the target: neither the
+	// process it brought back nor the proxy it forked for it.
+	for _, p := range dst.Processes() {
+		t.Errorf("the failed migration left %s (pid %d) on %s", p.Name, p.PID, dst.Name)
+	}
 }
 
 func TestMigrationCostModelFitAndPredict(t *testing.T) {

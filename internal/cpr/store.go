@@ -164,15 +164,3 @@ func (BLCR) RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.
 func (DMTCP) RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error) {
 	return restartFromStore(n, st, ref)
 }
-
-// ReadImageFromStore loads and decodes a store checkpoint without
-// restarting it (tooling, MPI global-snapshot aggregation). The image's
-// fields are ranges of the payload the store assembled for this call; the
-// store keeps no reference to it, so the caller owns it through them.
-func ReadImageFromStore(clock *vtime.Clock, st store.Backend, ref string) (Image, error) {
-	data, _, err := st.Get(clock, ref)
-	if err != nil {
-		return Image{}, err
-	}
-	return decodeImage(data)
-}

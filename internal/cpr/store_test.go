@@ -228,26 +228,6 @@ func TestStoreCheckpointSurfacesNoSpace(t *testing.T) {
 	}
 }
 
-func TestReadImageFromStore(t *testing.T) {
-	n := node()
-	st := store.New(n.LocalDisk, store.Config{})
-	p := n.Spawn("app")
-	p.SetRegion("heap", []byte{7})
-	if _, _, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", nil); err != nil {
-		t.Fatal(err)
-	}
-	img, err := ReadImageFromStore(vtime.NewClock(), st, "app@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.ProcessName != "app" || img.Regions["heap"][0] != 7 {
-		t.Errorf("image = %+v", img)
-	}
-	if _, err := ReadImageFromStore(vtime.NewClock(), st, "nosuch"); err == nil {
-		t.Error("reading a missing checkpoint must fail")
-	}
-}
-
 // TestImageLayoutIsTheEncoding: the slices a store checkpoint hands over
 // concatenate to the file the flat-file path writes, one segment per
 // region after the head, and a nil clean map marks no region clean.

@@ -110,17 +110,6 @@ type Config struct {
 	// checkpoint path and are verified bit-identical. Zero disables
 	// sampling.
 	SampleEvery int
-	// StoreNodes switches the sampled jobs' checkpoint destination from
-	// the single NFS store to an erasure-coded store.Fleet of that many
-	// nodes (4+2 Reed-Solomon; minimum 6, smaller positive values are
-	// rounded up). Zero keeps the single-store rig.
-	StoreNodes int
-	// StoreFaults, when non-nil, seeds a node-fault injector over the
-	// erasure fleet's store nodes: sampled evict/restore traffic then
-	// runs through crashes, slow nodes, shard rot and torn writes, and
-	// the bit-identical verification still has to hold. Ignored unless
-	// StoreNodes selects a fleet. MaxDown is clamped to the parity count.
-	StoreFaults *proc.NodeFaultPlan
 }
 
 // rebalanceEvery is the planner tick.
@@ -243,6 +232,11 @@ type Fleet struct {
 	byKey   map[string]*device
 	planner *sched.Planner
 	rig     *realRig
+	// storeFaults, a test seam, switches the sampled jobs' checkpoint
+	// destination from the single NFS store to a six-node 4+2 store fleet
+	// whose nodes crash, slow down, rot shards and tear writes under this
+	// plan (MaxDown clamped to the parity count).
+	storeFaults *proc.NodeFaultPlan
 
 	ran      bool
 	jobs     []*job
@@ -310,7 +304,7 @@ func (f *Fleet) Run(specs []JobSpec) (Report, error) {
 	})
 	if f.cfg.SampleEvery > 0 && len(f.arrivals) > 0 {
 		var err error
-		if f.rig, err = newRealRig(f.cfg); err != nil {
+		if f.rig, err = newRealRig(f.storeFaults); err != nil {
 			return Report{}, err
 		}
 		for i := f.cfg.SampleEvery - 1; i < len(f.arrivals); i += f.cfg.SampleEvery {

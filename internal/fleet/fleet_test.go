@@ -223,9 +223,8 @@ func TestFleetErasureStoreSoak(t *testing.T) {
 	specs := Bursty(TrafficConfig{Seed: 23, Jobs: 300})
 	cfg := testConfig()
 	cfg.SampleEvery = 25
-	cfg.StoreNodes = 6
-	cfg.StoreFaults = &proc.NodeFaultPlan{Seed: 42, EveryN: 7, ReviveAfter: 40}
 	f := New(DefaultNodes(4, 2), cfg)
+	f.storeFaults = &proc.NodeFaultPlan{Seed: 42, EveryN: 7, ReviveAfter: 40}
 	r, err := f.Run(specs)
 	if err != nil {
 		t.Fatal(err)

@@ -23,42 +23,35 @@ import (
 // eviction time.
 type realRig struct {
 	cluster *proc.Cluster
-	st      *store.Fleet // on the cluster's NFS, or a 4+2 fleet when Config.StoreNodes selected one
+	st      *store.Fleet // on the cluster's NFS, or a 4+2 fleet when Fleet.storeFaults is set
 	inj     *proc.NodeFaultInjector
 	seq     int
 }
 
-func newRealRig(cfg Config) (*realRig, error) {
+func newRealRig(storeFaults *proc.NodeFaultPlan) (*realRig, error) {
 	cluster := proc.NewCluster("fleet", 2, hw.TableISpec(), func(int) []*ocl.Vendor {
 		return []*ocl.Vendor{ocl.NVIDIA()}
 	})
 	r := &realRig{cluster: cluster}
-	if cfg.StoreNodes <= 0 {
+	if storeFaults == nil {
 		r.st = store.New(cluster.NFS, store.Config{})
 		return r, nil
 	}
-	fcfg := store.FleetConfig{} // 4+2 Reed-Solomon defaults
-	n := cfg.StoreNodes
-	if n < 6 { // need at least k+m homes
-		n = 6
-	}
-	nodes := make([]store.FleetNode, n)
+	nodes := make([]store.FleetNode, 6) // k+m homes for the 4+2 default
 	for i := range nodes {
 		name := fmt.Sprintf("ckpt-%02d", i)
 		nodes[i] = store.FleetNode{Name: name, FS: proc.NewFS(name, hw.TableISpec().LocalDisk)}
 	}
-	fl, err := store.NewFleet(nodes, fcfg)
+	fl, err := store.NewFleet(nodes, store.FleetConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint store fleet: %w", err)
 	}
-	if cfg.StoreFaults != nil {
-		plan := *cfg.StoreFaults
-		if plan.MaxDown <= 0 || plan.MaxDown > fl.Config().ParityShards {
-			plan.MaxDown = fl.Config().ParityShards
-		}
-		r.inj = proc.NewNodeFaultInjector(plan)
-		fl.AttachFaults(r.inj)
+	plan := *storeFaults
+	if plan.MaxDown <= 0 || plan.MaxDown > fl.Config().ParityShards {
+		plan.MaxDown = fl.Config().ParityShards
 	}
+	r.inj = proc.NewNodeFaultInjector(plan)
+	fl.AttachFaults(r.inj)
 	r.st = fl
 	return r, nil
 }

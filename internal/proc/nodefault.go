@@ -202,7 +202,7 @@ func (ns *NodeState) takeTorn() bool {
 // of registered store nodes. The fleet ticks it once per shard-level
 // operation; when the plan fires, a seeded RNG picks the victim node and
 // the fault kind. Deterministic per seed: same registrations in the same
-// order, same tick sequence, same faults. Rebuild and scrub sweeps hold its
+// order, same tick sequence, same faults. Scrub sweeps hold its
 // Suspend while they repair the fleet.
 type NodeFaultInjector struct {
 	fault.Schedule[NodeFaultEvent]

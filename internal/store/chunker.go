@@ -9,7 +9,7 @@
 // supports replication of manifests+chunks into other stores,
 // reference-counted garbage collection with a keep-last-N retention policy,
 // verification (Fsck) that detects corrupt or missing chunks, and repair
-// (Scrub, Rebuild).
+// (Scrub).
 //
 // The paper's checkpoint pipeline writes each dump as one monolithic file
 // whose cost is linear in size (Fig. 5, corr ≈ 0.99); its future-work

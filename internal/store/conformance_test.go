@@ -647,7 +647,7 @@ var confRows = []struct {
 			t.Errorf("the quarantined and the retired generation still hold their chunks: %d -> %d bytes", before, after)
 		}
 		for _, fs := range cs.disks() {
-			if !fs.Exists(cs.cfg.Store.Prefix + "/quarantine/job-00000001") {
+			if !fs.Exists(Dir + "/quarantine/job-00000001") {
 				t.Errorf("%s: torn frame not preserved under quarantine/", fs.Name())
 			}
 		}

@@ -16,8 +16,8 @@ package store
 // and GC's retention are engine.go's, reads read.go's.
 //
 // On disk a node holds packs (pack.go): immutable files of shard records
-// back to back, <prefix>/packs/<job>/<seq>.<part> for the records one Put
-// sent it, <prefix>/packs/@heal/<n> for repairs and <prefix>/packs/@gc/<n>
+// back to back, <Dir>/packs/<job>/<seq>.<part> for the records one Put
+// sent it, <Dir>/packs/@heal/<n> for repairs and <Dir>/packs/@gc/<n>
 // for what GC compacted. Where a record lives — (chunk, shard index) ->
 // (pack, offset, length) — is an in-memory index per node, kept up to date
 // by every pack write and rebuilt from the record headers when a fleet is
@@ -64,8 +64,8 @@ type FleetConfig struct {
 	// DataShards (k) and ParityShards (m): each chunk becomes k+m shards
 	// on distinct nodes and survives any m losses. Defaults 4 and 2.
 	DataShards, ParityShards int
-	// Store configures the per-node stores (path prefix, chunking
-	// bounds). The zero value selects Store's defaults.
+	// Store configures the per-node stores (chunking bounds). The zero
+	// value selects Store's defaults.
 	Store Config
 }
 
@@ -74,8 +74,8 @@ const (
 	// fleetLink is the network to a remote node; records and manifest
 	// frames that cross it are charged.
 	fleetLink = hw.GigE
-	// rebuildBatch/rebuildPause pace Rebuild: after each batch of
-	// rebuildBatch chunks the rebuilder idles for rebuildPause, so a node
+	// rebuildBatch/rebuildPause pace Scrub's repair: between two batches
+	// of rebuildBatch chunks the repair idles for rebuildPause, so a node
 	// replacement does not flatten the surviving nodes with a thundering
 	// herd of reconstruction reads.
 	rebuildBatch = 32
@@ -109,8 +109,8 @@ type recLoc struct {
 }
 
 // HealStats is the store's cumulative ledger of repairs and copies —
-// degraded reads that wrote shards back, Scrub and Rebuild passes,
-// Replicate — one shape for every report to aggregate.
+// degraded reads that wrote shards back, Scrub passes, Replicate — one
+// shape for every report to aggregate.
 type HealStats struct {
 	ManifestsHealed int // manifest frames re-published to nodes missing a good copy
 
@@ -130,7 +130,7 @@ type Fleet struct {
 	coder *Coder
 	smap  *ShardMap
 
-	mu    sync.Mutex // serialises Put/GC/Replicate/Rebuild/Scrub sequencing
+	mu    sync.Mutex // serialises Put/GC/Replicate/Scrub sequencing
 	nodes map[string]*fleetNode
 	names []string // sorted
 
@@ -160,7 +160,7 @@ type Fleet struct {
 // used where it is, with no link in front of it.
 func New(fs *proc.FS, cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	f, err := open(fs.Name(), 1, 0, cfg, newNode(fs.Name(), fs, cfg.Prefix, false))
+	f, err := open(fs.Name(), 1, 0, cfg, newNode(fs.Name(), fs, false))
 	if err != nil {
 		panic(err) // one node under a 1+0 code: nothing an argument can break
 	}
@@ -170,12 +170,12 @@ func New(fs *proc.FS, cfg Config) *Fleet {
 // NewMirror opens a store on fs with a full copy of everything on mirror,
 // a filesystem across the node-to-node link: two nodes, 1+1. Either copy
 // serves every read; a Put with one of them down commits degraded and
-// Scrub or Rebuild restores the second copy. The filesystems' names name
+// Scrub restores the second copy. The filesystems' names name
 // the nodes and must differ.
 func NewMirror(fs, mirror *proc.FS, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	return open(fs.Name(), 1, 1, cfg,
-		newNode(fs.Name(), fs, cfg.Prefix, false), newNode(mirror.Name(), mirror, cfg.Prefix, true))
+		newNode(fs.Name(), fs, false), newNode(mirror.Name(), mirror, true))
 }
 
 // NewFleet builds a fleet over the given nodes, each across the network.
@@ -188,7 +188,7 @@ func NewFleet(nodes []FleetNode, cfg FleetConfig) (*Fleet, error) {
 		if n.Name == "" || strings.ContainsAny(n.Name, "/@") {
 			return nil, fmt.Errorf("store: fleet: invalid node name %q", n.Name)
 		}
-		members[i] = newNode(n.Name, n.FS, cfg.Store.Prefix, true)
+		members[i] = newNode(n.Name, n.FS, true)
 	}
 	name := fmt.Sprintf("fleet(%d nodes, %d+%d)", len(nodes), cfg.DataShards, cfg.ParityShards)
 	return open(name, cfg.DataShards, cfg.ParityShards, cfg.Store, members...)
@@ -240,13 +240,13 @@ func (f *Fleet) AttachFaults(inj *proc.NodeFaultInjector) {
 		inj.Register(name, f.nodes[name].fs)
 	}
 	f.mu.Unlock()
-	f.SetFaultInjector(inj)
+	f.setFaultInjector(inj)
 }
 
-// SetFaultInjector installs (or with nil removes) an injector to tick
-// without registering nodes — for tests that register a hand-picked
-// victim subset themselves. AttachFaults is the usual entry point.
-func (f *Fleet) SetFaultInjector(inj *proc.NodeFaultInjector) {
+// setFaultInjector installs (or with nil removes) an injector to tick
+// without registering nodes; tests that register a hand-picked victim
+// subset themselves call it directly.
+func (f *Fleet) setFaultInjector(inj *proc.NodeFaultInjector) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.inj = inj
@@ -257,7 +257,7 @@ func (f *Fleet) SetFaultInjector(inj *proc.NodeFaultInjector) {
 }
 
 // Heals reports the fleet's cumulative self-repair counters (degraded
-// reads that wrote shards back, scrub and rebuild repairs).
+// reads that wrote shards back, scrub repairs).
 func (f *Fleet) Heals() HealStats {
 	f.healMu.Lock()
 	defer f.healMu.Unlock()
@@ -286,7 +286,7 @@ func (f *Fleet) tick() {
 }
 
 // packPrefix is the directory every node keeps its packs under.
-func (f *Fleet) packPrefix() string { return f.cfg.Store.Prefix + "/packs/" }
+func (f *Fleet) packPrefix() string { return Dir + "/packs/" }
 
 // repairPack names a fresh pack for records no single Put owns — "heal" for
 // repairs, "gc" for compacted survivors. The number is fleet-wide, so one
@@ -570,7 +570,7 @@ func (f *Fleet) carry(path string, disk map[string]vtime.Duration) {
 }
 
 // beginWrite starts writing checkpoint job@seq: nothing staged yet, and
-// its packs are <prefix>/packs/<job>/<seq>.<part>. With lanes, its rounds
+// its packs are <Dir>/packs/<job>/<seq>.<part>. With lanes, its rounds
 // are placed on them (a Put); without, each is charged serially to the
 // writer's clock (a Replicate).
 func (f *Fleet) beginWrite(job string, seq uint64, lanes *writeLanes) {
@@ -671,8 +671,8 @@ func (f *Fleet) packExists(path string) bool {
 }
 
 // fleetRead is a read session: the packs it has pulled from the nodes, and
-// the repaired records it owes them. Get opens one per manifest; Rebuild
-// and Scrub run their repairs through one. A session moves no clock while
+// the repaired records it owes them. Get opens one per manifest; Scrub
+// runs its repair through one. A session moves no clock while
 // it reads: a pack is stamped with the instant its node's disk was done
 // with it, and what a chunk waits for and takes of the link and of the
 // reader's CPU is left in the lanes its caller names — a landing's, for
@@ -1040,8 +1040,8 @@ func (r *fleetRead) close() { r.settle(vtime.NewClock()) }
 // reports how many copies landed. At most m copies may be missing,
 // otherwise the commit fails: the manifest is then on as many nodes as a
 // degraded chunk has records to spare for, and no more. How many further
-// losses a degraded commit survives before Scrub or Rebuild has restored
-// the missing copies depends on the geometry — n-2m copies outlive another
+// losses a degraded commit survives before Scrub has restored the
+// missing copies depends on the geometry — n-2m copies outlive another
 // m losses, which is 2 of them for 4+2 over six nodes and none for a
 // mirror: a 1+1 Put with one node down stands on the other node alone.
 func (f *Fleet) publishManifest(clock *vtime.Clock, job string, seq uint64, frame []byte) (int, error) {

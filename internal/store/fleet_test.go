@@ -100,7 +100,7 @@ func TestNodeKillPositionSweep(t *testing.T) {
 
 	// Calibrate: how many injector ticks does one healthy Get take?
 	probe := proc.NewNodeFaultInjector(proc.NodeFaultPlan{})
-	f.SetFaultInjector(probe)
+	f.setFaultInjector(probe)
 	if _, _, err := f.Get(clock, "job"); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestNodeKillPositionSweep(t *testing.T) {
 			for _, vi := range victims {
 				states[names[vi]] = inj.Register(names[vi], nodeFS(f, names[vi]))
 			}
-			f.SetFaultInjector(inj)
+			f.setFaultInjector(inj)
 			got, _, err := f.Get(clock, "job")
 			if err != nil {
 				t.Fatalf("victims=%v pos=%d: %v", victims, p, err)
@@ -134,7 +134,7 @@ func TestNodeKillPositionSweep(t *testing.T) {
 			}
 		}
 	}
-	f.SetFaultInjector(nil)
+	f.setFaultInjector(nil)
 	allUp(states)
 }
 
@@ -161,16 +161,18 @@ func TestFleetRebuildRestoresRedundancy(t *testing.T) {
 	}
 	states[victim] = freshNS
 
-	st, err := f.Rebuild(clock)
+	sw := vtime.NewStopwatch(clock)
+	st, err := f.Scrub(clock)
+	took := sw.Elapsed()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ShardsRebuilt == 0 || st.BytesRebuilt == 0 {
 		t.Fatalf("replacement node got no shards: %+v", st)
 	}
-	// Manifest copies reach the replacement either through Rebuild's sync
-	// or through the read path's self-heal when Rebuild listed manifests.
-	if st.ManifestsRepaired == 0 && f.Heals().ManifestsHealed == 0 {
+	// Manifest copies reach the replacement either through Scrub's sync
+	// or through the read path's self-heal when Scrub listed manifests.
+	if st.ManifestsHealed == 0 && f.Heals().ManifestsHealed == 0 {
 		t.Fatalf("replacement node got no manifest copies: %+v", st)
 	}
 	for _, job := range []string{"alpha", "beta"} {
@@ -181,11 +183,11 @@ func TestFleetRebuildRestoresRedundancy(t *testing.T) {
 			}
 		}
 		if onVictim == 0 {
-			t.Fatalf("replacement node holds no %s manifests after rebuild", job)
+			t.Fatalf("replacement node holds no %s manifests after scrub", job)
 		}
 	}
-	if st.Batches == 0 || st.Time <= 0 {
-		t.Fatalf("rebuild pacing did not engage: %+v", st)
+	if st.Batches == 0 || took <= 0 {
+		t.Fatalf("repair pacing did not engage: %+v in %v", st, took)
 	}
 
 	// Full redundancy is back: the replacement node plus any other node
@@ -195,21 +197,70 @@ func TestFleetRebuildRestoresRedundancy(t *testing.T) {
 	for job, want := range map[string][]byte{"alpha": data, "beta": data2} {
 		got, _, gerr := f.Get(clock, job)
 		if gerr != nil {
-			t.Fatalf("%s after rebuild with 2 nodes down: %v", job, gerr)
+			t.Fatalf("%s after scrub with 2 nodes down: %v", job, gerr)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs after rebuild", job)
+			t.Fatalf("%s differs after scrub", job)
 		}
 	}
 	allUp(states)
 
-	// A second Rebuild is a no-op: redundancy is already full.
-	st2, err := f.Rebuild(clock)
+	// A second Scrub is a no-op: redundancy is already full.
+	st2, err := f.Scrub(clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.ShardsRebuilt != 0 {
-		t.Fatalf("idle rebuild wrote %d shards", st2.ShardsRebuilt)
+		t.Fatalf("idle scrub wrote %d shards", st2.ShardsRebuilt)
+	}
+}
+
+// TestFleetScrubSweepsNothingWhileAManifestIsUnreadable: a manifest that
+// no alive node can read right now hides which chunks its checkpoint
+// references, so Scrub reports it and drops no record as an orphan; once
+// the copies read again, the checkpoint restores bit-identical.
+func TestFleetScrubSweepsNothingWhileAManifestIsUnreadable(t *testing.T) {
+	f, _ := testFleet(t, 6, FleetConfig{})
+	clock := vtime.NewClock()
+	alpha, beta := payload(21, 256<<10), payload(22, 128<<10)
+	for job, data := range map[string][]byte{"alpha": alpha, "beta": beta} {
+		if _, _, err := f.Put(clock, job, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// alpha@1 is the first manifest a pass reads: every read of its six
+	// copies, retries included, fails with a transient EIO, and nothing
+	// after them does.
+	names := f.Nodes()
+	eio := proc.NewFaultInjector(proc.DiskFaultPlan{
+		EveryN: 1, Max: len(names) * (writeRetries + 1), Kinds: []proc.DiskFaultKind{proc.DiskFaultEIO},
+	})
+	for _, name := range names {
+		nodeFS(f, name).SetFault(eio)
+	}
+	before := f.TotalStoredBytes()
+	rep, err := f.Scrub(clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || !strings.Contains(rep.Findings[0], "alpha@1: no readable copy") {
+		t.Fatalf("findings %q, want alpha@1's unreadable manifest", rep.Findings)
+	}
+	for name, prog := range rep.PerNode {
+		if prog.ShardsBad != 0 {
+			t.Errorf("%s: scrub dropped %d records while alpha@1 was unreadable", name, prog.ShardsBad)
+		}
+	}
+	if after := f.TotalStoredBytes(); after != before {
+		t.Errorf("scrub changed occupancy %d -> %d while alpha@1 was unreadable", before, after)
+	}
+	for _, name := range names {
+		nodeFS(f, name).SetFault(nil)
+	}
+	for job, want := range map[string][]byte{"alpha": alpha, "beta": beta} {
+		if got, _, err := f.Get(clock, job); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after a scrub that could not read alpha@1: %v", job, err)
+		}
 	}
 }
 
@@ -352,13 +403,13 @@ func TestFleetPutTolERatesDownNodesUpToM(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("restore of degraded-commit checkpoint: %v", err)
 	}
-	// Rebuild tops the under-replicated chunks back up.
-	st, err := f.Rebuild(clock)
+	// Scrub tops the under-replicated chunks back up.
+	st, err := f.Scrub(clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ShardsRebuilt == 0 {
-		t.Fatal("rebuild found nothing to top up after a degraded commit")
+		t.Fatal("scrub found nothing to top up after a degraded commit")
 	}
 
 	// One node too many refuses the commit.
@@ -418,8 +469,8 @@ func TestFleetSoakSeededFaults(t *testing.T) {
 		// The repair daemon runs between checkpoints: it tops degraded
 		// commits back up to k+m and re-codes rotted shards, so the fault
 		// mix never accumulates past the coding's tolerance.
-		if _, err := f.Rebuild(clock); err != nil {
-			t.Fatalf("gen %d: rebuild: %v", g, err)
+		if rep, err := f.Scrub(clock); err != nil || len(rep.Quarantined) > 0 {
+			t.Fatalf("gen %d: scrub: %v, quarantined %v", g, err, rep.Quarantined)
 		}
 		for job, want := range gens {
 			got, _, err := f.Get(clock, job)

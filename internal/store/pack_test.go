@@ -161,7 +161,7 @@ func TestFleetPutCrashPositionSweep(t *testing.T) {
 	// Calibrate: how many injector ticks does the second Put take?
 	f, _ := build()
 	probe := proc.NewNodeFaultInjector(proc.NodeFaultPlan{})
-	f.SetFaultInjector(probe)
+	f.setFaultInjector(probe)
 	if _, _, err := f.Put(vtime.NewClock(), "job", gen2); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +188,10 @@ func TestFleetPutCrashPositionSweep(t *testing.T) {
 				st := nodeFS(f, names[vi])
 				states[names[vi]] = inj.Register(names[vi], st)
 			}
-			f.SetFaultInjector(inj)
+			f.setFaultInjector(inj)
 			clock := vtime.NewClock()
 			_, _, perr := f.Put(clock, "job", gen2)
-			f.SetFaultInjector(nil)
+			f.setFaultInjector(nil)
 
 			if perr != nil {
 				failed++
@@ -245,7 +245,7 @@ func TestFleetReopenServesWithoutAWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Tear one pack in half, then let Rebuild re-home what the tear lost.
+	// Tear one pack in half, then let Scrub re-home what the tear lost.
 	victim := f.Nodes()[1]
 	vst := nodeFS(f, victim)
 	torn := "ckptstore/packs/job/00000001.0"
@@ -256,9 +256,9 @@ func TestFleetReopenServesWithoutAWrite(t *testing.T) {
 	if err := vst.WriteFile(vtime.NewClock(), torn, whole[:len(whole)/2]); err != nil {
 		t.Fatal(err)
 	}
-	rst, err := f.Rebuild(clock)
+	rst, err := f.Scrub(clock)
 	if err != nil || rst.ShardsRebuilt == 0 {
-		t.Fatalf("rebuild after a torn pack: %+v %v", rst, err)
+		t.Fatalf("scrub after a torn pack: %+v %v", rst, err)
 	}
 	half, _ := vst.ReadFile(vtime.NewClock(), torn)
 	prefix, serr := scanPack(half)
@@ -462,7 +462,7 @@ func TestNodeFaultShardRotCostsOneRecord(t *testing.T) {
 		})
 		f.AttachFaults(inj)
 		inj.Tick()
-		f.SetFaultInjector(nil)
+		f.setFaultInjector(nil)
 		events := inj.Events()
 		if len(events) != 1 || !strings.Contains(events[0].Path, "/packs/") {
 			t.Fatalf("seed %d: injected %+v, want one rot inside a pack", seed, events)
@@ -479,12 +479,12 @@ func TestNodeFaultShardRotCostsOneRecord(t *testing.T) {
 		if got, _, err := f.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("seed %d: restore over a rotten record: %v", seed, err)
 		}
-		st, err := f.Rebuild(clock)
+		st, err := f.Scrub(clock)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if healed := f.Heals().ShardsHealed; healed != 1 {
-			t.Fatalf("seed %d: %d records healed (rebuild wrote %d), want exactly the rotten one", seed, healed, st.ShardsRebuilt)
+			t.Fatalf("seed %d: %d records healed (scrub wrote %d), want exactly the rotten one", seed, healed, st.ShardsRebuilt)
 		}
 		for _, c := range man.Chunks {
 			if got := goodRecords(t, f, c.Sum); got != 6 {

@@ -620,7 +620,7 @@ func TestWriteTimelineBounds(t *testing.T) {
 		for _, name := range cs.names[len(cs.names)-victims:] {
 			inj.Register(name, cs.nodes[name].fs)
 		}
-		cs.SetFaultInjector(inj)
+		cs.setFaultInjector(inj)
 		clock := vtime.NewClock()
 		_, st, err := cs.Put(clock, "job", data)
 		if clock.Now() < cs.lanes.end() {

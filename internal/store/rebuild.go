@@ -2,11 +2,11 @@ package store
 
 // Online repair, at every geometry: ReplaceNode swaps a dead member for a
 // fresh one under the same name (consistent hashing keeps every other
-// placement untouched), Rebuild re-codes missing shards onto their home
-// nodes with anti-thundering-herd pacing, Scrub verifies every node's
-// records in parallel and repairs what it finds, and manifestCopies/
-// sweepChunks are the fleet-wide halves of GC. Every repair is written the
-// way a Put writes: one verified pack per node per round.
+// placement untouched), Scrub verifies every node's records in parallel
+// and re-codes what is missing onto its home nodes with
+// anti-thundering-herd pacing, and manifestCopies/sweepChunks are the
+// fleet-wide halves of GC. Every repair is written the way a Put writes:
+// one verified pack per node per round.
 
 import (
 	"errors"
@@ -21,7 +21,7 @@ import (
 // ReplaceNode swaps the named member's backing filesystem for a fresh
 // one — the operational move after a node dies for good. The name stays,
 // so the shard map is unchanged: every shard the dead node held is
-// simply missing from the new one until Rebuild re-codes it. The new
+// simply missing from the new one until Scrub re-codes it. The new
 // filesystem carries no node state; re-register it with the fault
 // injector to keep it in the victim pool.
 func (f *Fleet) ReplaceNode(name string, fs *proc.FS) error {
@@ -38,78 +38,16 @@ func (f *Fleet) ReplaceNode(name string, fs *proc.FS) error {
 	return nil
 }
 
-// RebuildStats reports what one Rebuild pass repaired.
-type RebuildStats struct {
-	ChunksScanned     int   // distinct chunks referenced by any manifest
-	ShardsRebuilt     int   // shards re-coded onto their home nodes
-	BytesRebuilt      int64 // physical bytes those shards occupy
-	ManifestsRepaired int   // manifest copies re-published to nodes missing them
-	ChunksUnrepaired  int   // chunks with fewer than k surviving shards
-	Batches           int   // pacing batches the pass split into
-	Time              vtime.Duration
-}
-
-// Rebuild restores full redundancy: every alive node's records are
-// verified against their digests, every chunk referenced by any manifest
-// gets its missing or corrupt shards reconstructed from the survivors and
-// written back to their (alive) home nodes, and every alive node missing a
-// manifest copy gets one. Run it after ReplaceNode or after an outage ends.
-//
-// Two things keep a rebuild from flattening the survivors: placement
-// rotates with the chunk address, so the source reads of a batch spread
-// over all the remaining nodes and each needed pack is read once; and the
-// repairs go out rebuildBatch chunks at a time — one heal pack per node —
-// with a rebuildPause idle after each full batch, leaving the disks and
-// links headroom for foreground checkpoint traffic. Fault injection is
-// suspended for the duration — repair must converge, not chase its own
-// tail.
-func (f *Fleet) Rebuild(clock *vtime.Clock) (RebuildStats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.inj != nil {
-		f.inj.Suspend()
-		defer f.inj.Resume()
-	}
-	var st RebuildStats
-	sw := vtime.NewStopwatch(clock)
-
-	mans, _ := f.Manifests()
-	st.ManifestsRepaired = f.syncManifests(clock, mans)
-
-	seen := map[string]bool{}
-	var sums []string
-	for _, m := range mans {
-		for _, c := range m.Chunks {
-			if !seen[c.Sum] {
-				seen[c.Sum] = true
-				sums = append(sums, c.Sum)
-			}
-		}
-	}
-	st.ChunksScanned = len(sums)
-
-	f.verifyNodes(clock, nil)
-	var lost map[string]bool
-	st.ShardsRebuilt, st.BytesRebuilt, st.Batches, lost = f.repair(clock, sums, rebuildPause)
-	st.ChunksUnrepaired = len(lost)
-	st.Time = sw.Elapsed()
-	if st.ChunksUnrepaired > 0 {
-		return st, fmt.Errorf("store: fleet: rebuild left %d of %d chunks unrepaired (fewer than %d shards survive)",
-			st.ChunksUnrepaired, st.ChunksScanned, f.cfg.DataShards)
-	}
-	return st, nil
-}
-
 // repair brings the given chunks back to full redundancy. A chunk needs
 // repair when an alive home node has no record of its shard (verifyNodes
 // has already dropped the records that fail their digest); it is lost when
 // fewer than k alive nodes have one. The chunks in need go rebuildBatch at
 // a time through one read session: the source packs of a batch load once,
 // nodes in parallel, the missing shards are reconstructed, and the batch is
-// written back as one heal pack per node, followed by pause when the batch
-// was full. Reports the shards written, their physical bytes, the batches
-// and the chunks beyond repair.
-func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) (rebuilt int, bytes int64, batches int, lost map[string]bool) {
+// written back as one heal pack per node, followed by a rebuildPause idle
+// when another batch follows. Reports the shards written, their physical
+// bytes, the batches and the chunks beyond repair.
+func (f *Fleet) repair(clock *vtime.Clock, sums []string) (rebuilt int, bytes int64, batches int, lost map[string]bool) {
 	k := f.cfg.DataShards
 	lost = map[string]bool{}
 	// missing lists the shard indices an alive home node has no record of.
@@ -159,8 +97,8 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 		if n > 0 {
 			batches++
 		}
-		if len(batch) == rebuildBatch {
-			clock.Advance(pause)
+		if len(need) > 0 {
+			clock.Advance(rebuildPause)
 		}
 	}
 	return rebuilt, bytes, batches, lost
@@ -170,7 +108,7 @@ func (f *Fleet) repair(clock *vtime.Clock, sums []string, pause vtime.Duration) 
 // their digests, all nodes in parallel — each on a scratch clock, the
 // caller is charged the slowest, which is what a fleet of independent nodes
 // actually costs. See verifyNode for what is checked and dropped.
-func (f *Fleet) verifyNodes(clock *vtime.Clock, referenced map[string]bool) map[string]NodeScrubProgress {
+func (f *Fleet) verifyNodes(clock *vtime.Clock, referenced map[string]bool, sweep bool) map[string]NodeScrubProgress {
 	f.indexNodes()
 	per := map[string]NodeScrubProgress{}
 	var wg sync.WaitGroup
@@ -187,7 +125,7 @@ func (f *Fleet) verifyNodes(clock *vtime.Clock, referenced map[string]bool) map[
 		wg.Add(1)
 		go func(name string, n *fleetNode) {
 			defer wg.Done()
-			prog := f.verifyNode(n, referenced)
+			prog := f.verifyNode(n, referenced, sweep)
 			mu.Lock()
 			per[name] = prog
 			makespan = max(makespan, prog.Elapsed)
@@ -202,10 +140,10 @@ func (f *Fleet) verifyNodes(clock *vtime.Clock, referenced map[string]bool) map[
 // verifyNode walks the node's packs one at a time and verifies every
 // indexed record: digest, owner, index. A record that fails — rotten, torn,
 // mislabelled, or in a pack that is gone — leaves the index, so the repair
-// pass sees a plain erasure. With referenced set (Scrub) so does every
-// record of a chunk no manifest references — an orphan an interrupted Put
-// left behind — and a pack left with no record at all is deleted.
-func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubProgress {
+// pass sees a plain erasure. With sweep set so does every record of a
+// chunk no manifest references — an orphan an interrupted Put left behind
+// — and a pack left with no record at all is deleted.
+func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool, sweep bool) NodeScrubProgress {
 	sc := vtime.NewClock()
 	var prog NodeScrubProgress
 	byPack := f.recsByPack(n)
@@ -225,7 +163,7 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 		kept := 0
 		for _, e := range entries {
 			prog.ShardsChecked++
-			if _, _, ok := recordAt(data, e.off, e.n, e.sum, e.idx); ok && (referenced == nil || referenced[e.sum]) {
+			if _, _, ok := recordAt(data, e.off, e.n, e.sum, e.idx); ok && (!sweep || referenced[e.sum]) {
 				kept++
 			} else {
 				drop(e)
@@ -233,7 +171,7 @@ func (f *Fleet) verifyNode(n *fleetNode, referenced map[string]bool) NodeScrubPr
 		}
 		// A pack that would not read is not judged empty: its records are
 		// erasures for now and the file is GC's to collect.
-		if referenced != nil && kept == 0 && readErr == nil {
+		if sweep && kept == 0 && readErr == nil {
 			if len(entries) == 0 {
 				prog.ShardsBad++ // a file of no known record: junk
 			}
@@ -309,9 +247,11 @@ type NodeScrubProgress struct {
 
 // FleetScrubReport is the result of one fleet-wide repair pass.
 type FleetScrubReport struct {
-	Manifests       int // distinct manifests verified
-	ChunksChecked   int // distinct referenced chunks verified
-	ShardsRebuilt   int
+	Manifests       int   // distinct manifests verified
+	ChunksChecked   int   // distinct referenced chunks verified
+	ShardsRebuilt   int   // shards re-coded onto their home nodes
+	BytesRebuilt    int64 // physical bytes those shards occupy
+	Batches         int   // pacing batches the repair split into
 	ManifestsHealed int
 	PerNode         map[string]NodeScrubProgress
 	Quarantined     []string // manifest IDs quarantined as unrestorable
@@ -321,19 +261,29 @@ type FleetScrubReport struct {
 // OK reports whether the fleet is fully intact after the pass.
 func (r FleetScrubReport) OK() bool { return len(r.Findings) == 0 }
 
-// Scrub is the repair pass. A manifest frame that decodes on no alive node
-// is moved to quarantine/ on every node holding it, so that Latest, GC and
-// the restore walk see good generations only (a down node's good copy
-// re-publishes through loadManifest when the node returns). Every alive
-// node verifies the records in its own packs in parallel (verifyNodes),
-// dropping from its index the ones that fail their digest — so the repair
-// pass sees them as plain erasures — and the ones no manifest references,
-// and deleting packs left with nothing: the orphans of an interrupted Put.
-// Then every referenced chunk is brought back to full redundancy and every
-// manifest re-published to nodes missing it. Chunks beyond repair
-// quarantine the manifests that reference them: after a pass, OK() or not,
-// everything still listed restores bit-identical, and every quarantine is
-// a finding.
+// Scrub is the one repair pass; run it after ReplaceNode, after an outage
+// ends, or between checkpoints. A manifest frame that decodes on no alive
+// node is moved to quarantine/ on every node holding it, so that Latest,
+// GC and the restore walk see good generations only (a down node's good
+// copy re-publishes through loadManifest when the node returns). Every
+// alive node verifies the records in its own packs in parallel
+// (verifyNodes), dropping from its index the ones that fail their digest —
+// so the repair sees them as plain erasures — and, unless a manifest has
+// no readable copy, the ones no manifest references, deleting packs left
+// with nothing: the orphans of an interrupted Put. Then every referenced chunk is brought back to full
+// redundancy and every manifest re-published to nodes missing it. Chunks
+// beyond repair quarantine the manifests that reference them: after a
+// pass, OK() or not, everything still listed restores bit-identical, and
+// every quarantine is a finding.
+//
+// Two things keep a repair from flattening the survivors: placement
+// rotates with the chunk address, so the source reads of a batch spread
+// over all the remaining nodes and each needed pack is read once; and the
+// repairs go out rebuildBatch chunks at a time — one heal pack per node —
+// with a rebuildPause idle between two batches, leaving the disks and
+// links headroom for foreground checkpoint traffic. Fault injection is
+// suspended for the duration: repair must converge, not chase its own
+// tail.
 func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -360,10 +310,12 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	}
 
 	mans, issues := f.Manifests()
+	sweep := true
 	for _, iss := range issues {
 		// Only a frame that is there and does not decode goes: one a node
 		// cannot read right now may be perfectly good.
 		if !errors.Is(iss.Err, errCorruptManifest) {
+			sweep = false
 			rep.Findings = append(rep.Findings, fmt.Sprintf("%s: no readable copy: %v", iss.ID(), iss.Err))
 			continue
 		}
@@ -379,8 +331,10 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 		}
 	}
 
-	// Pass 1: per-node record verification, all nodes in parallel.
-	rep.PerNode = f.verifyNodes(clock, referenced)
+	// Pass 1: per-node record verification, all nodes in parallel. Orphans
+	// go only when every listed manifest was read: like GC, a pass that
+	// cannot see which chunks a checkpoint references sweeps nothing.
+	rep.PerNode = f.verifyNodes(clock, referenced, sweep)
 
 	// Pass 2: bring every referenced chunk back to full redundancy.
 	sums := make([]string, 0, len(referenced))
@@ -390,7 +344,7 @@ func (f *Fleet) Scrub(clock *vtime.Clock) (FleetScrubReport, error) {
 	sort.Strings(sums)
 	rep.ChunksChecked = len(sums)
 	var unrepairable map[string]bool
-	rep.ShardsRebuilt, _, _, unrepairable = f.repair(clock, sums, 0)
+	rep.ShardsRebuilt, rep.BytesRebuilt, rep.Batches, unrepairable = f.repair(clock, sums)
 
 	// Pass 3: manifests referencing unrepairable chunks are quarantined on
 	// every alive node; the rest re-publish to nodes missing them.

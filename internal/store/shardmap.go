@@ -5,7 +5,7 @@ package store
 // node NAME, so placement is a pure function of (chunk address, node-name
 // set): the same chunks land on the same nodes no matter what order nodes
 // were added in, and replacing a dead node under the same name inherits
-// its placement exactly — which is what lets Rebuild re-code lost shards
+// its placement exactly — which is what lets Scrub re-code lost shards
 // onto the replacement without moving anything else.
 
 import (

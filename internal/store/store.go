@@ -14,11 +14,12 @@ import (
 	"checl/internal/vtime"
 )
 
+// Dir is the directory every node keeps the store under: manifests,
+// packs and quarantine.
+const Dir = "ckptstore"
+
 // Config parameterises a store. The zero value selects sane defaults.
 type Config struct {
-	// Prefix is the directory-like path prefix inside the backing FS;
-	// default "ckptstore".
-	Prefix string
 	// MinChunk/AvgChunk/MaxChunk are the content-defined chunking bounds
 	// in bytes; AvgChunk must be a power of two. Defaults 4 KiB / 16 KiB /
 	// 64 KiB.
@@ -26,9 +27,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Prefix == "" {
-		c.Prefix = "ckptstore"
-	}
 	if c.MinChunk == 0 {
 		c.MinChunk = 4 << 10
 	}
@@ -42,12 +40,11 @@ func (c Config) withDefaults() Config {
 }
 
 // fleetNode is one member: its filesystem, laid out as
-// <prefix>/manifests/<job>/<seq>, <prefix>/packs/... (pack.go) and
-// <prefix>/quarantine/, and the index of the shard records in its packs.
+// <Dir>/manifests/<job>/<seq>, <Dir>/packs/... (pack.go) and
+// <Dir>/quarantine/, and the index of the shard records in its packs.
 type fleetNode struct {
-	name   string
-	fs     *proc.FS
-	prefix string
+	name string
+	fs   *proc.FS
 	// remote says the node is reached over fleetLink; the filesystem a
 	// store was opened on directly (New) is not — a local disk has no link,
 	// and NFS's storage model already is the network.
@@ -59,8 +56,8 @@ type fleetNode struct {
 	indexed bool
 }
 
-func newNode(name string, fs *proc.FS, prefix string, remote bool) *fleetNode {
-	return &fleetNode{name: name, fs: fs, prefix: prefix, remote: remote, recs: map[recKey]recLoc{}}
+func newNode(name string, fs *proc.FS, remote bool) *fleetNode {
+	return &fleetNode{name: name, fs: fs, remote: remote, recs: map[recKey]recLoc{}}
 }
 
 // alive reports whether the node is serving (no node state = healthy).
@@ -75,7 +72,7 @@ func (n *fleetNode) linkBytes(size int) int64 {
 }
 
 func (n *fleetNode) manifestPath(job string, seq uint64) string {
-	return fmt.Sprintf("%s/manifests/%s/%08d", n.prefix, job, seq)
+	return fmt.Sprintf("%s/manifests/%s/%08d", Dir, job, seq)
 }
 
 // isTransientIO reports whether err is an injected transient I/O error
@@ -171,14 +168,14 @@ func (n *fleetNode) removeRetry(path string) error {
 // namespace, preserved for a post-mortem. Renames are atomic in FS, so a
 // failed attempt leaves both paths untouched.
 func (n *fleetNode) quarantine(job string, seq uint64) error {
-	to := fmt.Sprintf("%s/quarantine/%s-%08d", n.prefix, job, seq)
+	to := fmt.Sprintf("%s/quarantine/%s-%08d", Dir, job, seq)
 	return retryMeta(func() error { return n.fs.Rename(n.manifestPath(job, seq), to) })
 }
 
 // manifestFiles scans the manifest namespace and returns every (job, seq)
 // with a file present, in listing order.
 func (n *fleetNode) manifestFiles() []manifestKey {
-	prefix := n.prefix + "/manifests/"
+	prefix := Dir + "/manifests/"
 	var out []manifestKey
 	for _, p := range n.fs.List() {
 		if !strings.HasPrefix(p, prefix) {
@@ -217,7 +214,7 @@ func (n *fleetNode) readManifest(job string, seq uint64) (Manifest, error) {
 func (n *fleetNode) storedBytes() int64 {
 	var total int64
 	for _, p := range n.fs.List() {
-		if strings.HasPrefix(p, n.prefix+"/") {
+		if strings.HasPrefix(p, Dir+"/") {
 			if sz, err := n.fs.Size(p); err == nil {
 				total += sz
 			}

@@ -137,8 +137,13 @@ go test -run Fault -skip "$soaks" -count=5 -race ./internal/...
 # store type, every geometry), the nonsense-manifest rows and the store
 # golden ride along by name, as do the two wrongly-clean tests: a region
 # flagged clean whose bytes changed restores the parent generation, caught
-# by the image's body checksum, the one check of a clean claim.
-go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent' -skip "$soaks" -count=3 -race \
+# by the image's body checksum, the one check of a clean claim. So do the
+# two tests that a failure leaves nothing half torn down: a destructive
+# checkpoint whose dump fails keeps its proxy, and a restore that fails
+# after its image loaded leaves no process on the target node; and the
+# destructive checkpoint under DMTCP, which needs the proxy gone before
+# the dump.
+go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent|TestDestructiveFailedCheckpointKeepsProxy|TestDestructiveCheckpointUnderDMTCP|TestCrossVendorBinaryProgramFailsToMigrate' -skip "$soaks" -count=3 -race \
     ./internal/proc/ ./internal/store/ ./internal/cpr/ ./internal/core/ ./internal/mpi/
 go run ./cmd/checl-inspect store ls >/dev/null
 go run ./cmd/checl-inspect store fsck >/dev/null
@@ -191,10 +196,11 @@ go test -run 'Ring|TransportParity|ReplayContract' -skip "$soaks" -count=3 -race
 go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # Erasure-fleet gate: the sharded checkpoint fleet's node-loss surface —
 # the (node, fault-position) kill sweep, every-loss-pattern degraded
-# reads, rebuild/scrub, the seeded node-fault soak, the backend
-# conformance table (its fleet columns: healthy and two nodes down), and
-# the MPI restores through the fleet with m nodes down — runs repeatedly
-# under the race detector (Scrub and the soak fan out goroutines per node);
+# reads, Scrub (the one repair pass, paced), the seeded node-fault soak,
+# the backend conformance table (its fleet columns: healthy and two nodes
+# down), and the MPI restores through the fleet with m nodes down — runs
+# repeatedly under the race detector (Scrub and the soak fan out
+# goroutines per node);
 # the apps' restores through it are the matrix's fleet row, above.
 # The TestFleet pattern also runs the pack layout's own tests: the Put
 # crash-position sweep (TestFleetPutCrashPositionSweep), the reopen over a
@@ -202,7 +208,7 @@ go run ./cmd/checl-inspect -transport framed -scale 0.2 >/dev/null
 # compaction and its interrupted rerun; TestNodeFault covers one rot
 # flip costing one record.
 # The inspect smoke drives checkpoint -> scrub -> degraded read -> node
-# replacement -> rebuild end to end under a seeded node fault plan, and
+# replacement -> Scrub end to end under a seeded node fault plan, and
 # its output is pinned by TestStoreFleetGolden (tier-1).
 go test -run 'TestFleet|TestNodeKillPositionSweep|TestNodeFault|TestBackendConformance|TestEngineErrorsNameNoPlacement' -count=2 -race \
     ./internal/store/ ./internal/proc/
