@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"checl/internal/hw"
 	"checl/internal/ocl"
+	"checl/internal/proc"
 )
 
 // stormLoop is the call_storm shape: per iteration four clSetKernelArg
@@ -191,5 +193,60 @@ func TestQueueCapacityFlushErrorDropsCommandCleanly(t *testing.T) {
 	}
 	if !bytes.Equal(arec.Data, got) {
 		t.Errorf("shadow %#x... differs from the device %#x... after failover", arec.Data[:4], got[:4])
+	}
+}
+
+// TestRoundTripCensus pins the round trips each phase of a job's life
+// pays: what a frame carries may change, how many frames a phase sends may
+// not. A vadd-sized incremental job runs, checkpoints into a 4+2 fleet, is
+// killed and restored from it, and migrates through it.
+func TestRoundTripCensus(t *testing.T) {
+	fl, _ := newTestFleet(t)
+	cluster := proc.NewCluster("pc", 3, hw.TableISpec(), func(int) []*ocl.Vendor {
+		return []*ocl.Vendor{ocl.NVIDIA()}
+	})
+	opts := Options{Incremental: true}
+	calls := func(c *CheCL) int64 { return c.Proxy().Client.Stats().Calls }
+	got := map[string]int64{}
+
+	_, c := attach(t, cluster.Nodes[0], opts)
+	app := setupVaddApp(t, c, 1<<10)
+	app.launch(t)
+	app.verify(t)
+	got["attach+run"] = calls(c)
+
+	before := calls(c)
+	if _, err := c.CheckpointToStore(fl, "vadd"); err != nil {
+		t.Fatal(err)
+	}
+	got["checkpoint"] = calls(c) - before
+
+	c.App().Kill()
+	rc, _, err := RestoreFromStore(cluster.Nodes[1], fl, "vadd", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Detach)
+	got["restore"] = calls(rc)
+
+	before = calls(rc)
+	mc, _, err := MigrateViaStore(rc, fl, "vadd", cluster.Nodes[2], nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mc.Detach)
+	got["migrate: checkpoint"] = calls(rc) - before
+	got["migrate: restore"] = calls(mc)
+
+	app.api = mc
+	app.verify(t)
+	want := map[string]int64{
+		"attach+run": 14, "checkpoint": 8, "restore": 18,
+		"migrate: checkpoint": 1, "migrate: restore": 18,
+	}
+	for phase, n := range want {
+		if got[phase] != n {
+			t.Errorf("%s: %d round trips, want %d", phase, got[phase], n)
+		}
 	}
 }

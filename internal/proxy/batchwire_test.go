@@ -11,7 +11,7 @@ import (
 	"checl/internal/proc"
 )
 
-// wireSample is one command of every op, with and without wait lists.
+// wireSample is one command of each queued op, with and without wait lists.
 func wireSample() ([]BatchCmd, []byte) {
 	payload := bytes.Repeat([]byte{0x5A}, 96)
 	return []BatchCmd{
@@ -29,51 +29,78 @@ func wireSample() ([]BatchCmd, []byte) {
 	}, payload
 }
 
-// decodeAll runs the reader to the end of a frame.
-func decodeAll(frame []byte) ([]BatchCmd, *batchReader, error) {
-	rd, err := openBatch(frame)
+// decodeAll runs the reader to the end of a frame, keeping copies of what
+// each record aliases.
+func decodeAll(req *request, data []byte) ([]record, *frameReader, error) {
+	rd, err := openFrame(req, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []BatchCmd
-	for i := 0; i < rd.N; i++ {
-		var cmd BatchCmd
-		if err := rd.next(&cmd); err != nil {
+	var out []record
+	for i := 0; i < rd.n; i++ {
+		var rec record
+		if err := rd.next(&rec); err != nil {
 			return out, &rd, err
 		}
-		// Waits, WaitIdx and Value alias reader scratch: keep copies.
-		cmd.Waits = append([]ocl.Event(nil), cmd.Waits...)
-		cmd.WaitIdx = append([]int(nil), cmd.WaitIdx...)
-		if cmd.Value != nil {
-			cmd.Value = append([]byte{}, cmd.Value...)
+		rec.waits = append([]ocl.Event(nil), rec.waits...)
+		rec.idx = append([]int(nil), rec.idx...)
+		if rec.blob != nil {
+			rec.blob = append([]byte{}, rec.blob...)
 		}
-		out = append(out, cmd)
+		out = append(out, rec)
 	}
 	return out, &rd, nil
 }
 
-// TestBatchFrameRoundTrip: what BatchFrame writes, batchReader reads back
-// field for field, nil values and empty wait lists included.
+// encodeAll is the frame of decoded records.
+func encodeAll(recs []record) *request {
+	req := &request{Recs: startFrame(nil)}
+	for _, r := range recs {
+		req.Recs = appendRecord(req.Recs, r.op, r.blocking, r.blob, r.waits, r.idx, r.args[:opSpecs[r.op].args]...)
+		req.Args = append(req.Args, r.blob...)
+	}
+	seal(req.Recs, len(recs))
+	return req
+}
+
+// TestBatchFrameRoundTrip: what BatchFrame writes, the reader reads back
+// arg for arg in opSpecs' order, nil values and empty wait lists included.
 func TestBatchFrameRoundTrip(t *testing.T) {
 	cmds, payload := wireSample()
-	frame := frameOf(cmds, payload).bytes(42)
-	got, rd, err := decodeAll(frame)
+	f := frameOf(cmds, payload)
+	got, rd, err := decodeAll(f.request(), f.data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.Epoch != 42 || !bytes.Equal(rd.data, payload) {
-		t.Fatalf("header: epoch %d, %d data bytes", rd.Epoch, len(rd.data))
+	want := []record{
+		{op: BatchSetArg, args: [maxArgs]uint64{7, 2, 8}, blob: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{op: BatchSetArg, args: [maxArgs]uint64{7, 3, 64}},
+		{op: BatchSetArg, args: [maxArgs]uint64{7, 4, 0}, blob: []byte{}},
+		{op: BatchWrite, blocking: true, args: [maxArgs]uint64{3, 9, 16, 32, 64}, waits: []ocl.Event{11, 12}},
+		{op: BatchRead, args: [maxArgs]uint64{3, 9, 8, 24}, idx: []int{3}},
+		{op: BatchCopy, args: [maxArgs]uint64{3, 9, 10, 1, 2, 3}},
+		{op: BatchNDRange, args: [maxArgs]uint64{3, 7, 2, 1, 2, 3, 64, 32, 1, 8, 4, 1}, waits: []ocl.Event{13}, idx: []int{0, 5}},
+		{op: BatchMarker, args: [maxArgs]uint64{3}},
+		{op: BatchBarrier, args: [maxArgs]uint64{3}},
+		{op: BatchFlush, args: [maxArgs]uint64{3}},
+		{op: BatchFinish, args: [maxArgs]uint64{4}},
 	}
-	for i := range cmds {
-		want := cmds[i]
-		want.Waits = append([]ocl.Event(nil), want.Waits...)
-		want.WaitIdx = append([]int(nil), want.WaitIdx...)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("command %d:\n got %+v\nwant %+v", i, got[i], want)
+	for i := range want {
+		w := want[i]
+		w.waits = append([]ocl.Event(nil), w.waits...)
+		w.idx = append([]int(nil), w.idx...)
+		if !reflect.DeepEqual(got[i], w) {
+			t.Errorf("command %d:\n got %+v\nwant %+v", i, got[i], w)
 		}
 	}
 	if w := rd.writeData(&got[3]); !bytes.Equal(w, payload[32:96]) {
 		t.Errorf("write window = %d bytes at the wrong place", len(w))
+	}
+	if !f.mutates {
+		t.Error("a frame with writes and launches must be sequenced")
+	}
+	if reads := frameOf(cmds[4:5], nil); reads.mutates {
+		t.Error("a frame of one read must go unsequenced")
 	}
 }
 
@@ -82,7 +109,8 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 func TestBatchFrameRewindKeepsData(t *testing.T) {
 	cmds, payload := wireSample()
 	f := frameOf(cmds, payload)
-	first := append([]byte(nil), f.bytes(0)...)
+	first := *f.request()
+	first.Recs, first.Args = bytes.Clone(first.Recs), bytes.Clone(first.Args)
 	f.Rewind()
 	if f.Len() != 0 || f.DataLen() != len(payload) {
 		t.Fatalf("after Rewind: %d commands, %d data bytes", f.Len(), f.DataLen())
@@ -90,7 +118,7 @@ func TestBatchFrameRewindKeepsData(t *testing.T) {
 	for i := range cmds {
 		f.Add(&cmds[i])
 	}
-	if !bytes.Equal(f.bytes(0), first) {
+	if again := f.request(); !bytes.Equal(again.Recs, first.Recs) || !bytes.Equal(again.Args, first.Args) {
 		t.Error("re-encoded frame differs from the first encoding")
 	}
 	f.Reset()
@@ -104,9 +132,8 @@ func TestBatchFrameRewindKeepsData(t *testing.T) {
 func TestBatchMalformedHeaderFailsTheCall(t *testing.T) {
 	_, _, px := spawnNV(t)
 	f := setupBatchFixture(t, px, 64)
-	var r EnqueueBatchResp
-	_, err := f.api.exchange("clEnqueueBatch", Empty{}, []byte("not a batch frame at all"), &r, nil)
-	if err == nil {
+	garbage := &request{Recs: []byte("not a batch frame at all")}
+	if _, _, _, err := f.api.ship(garbage, make([]ocl.Event, 1), true, nil, nil, nil); err == nil {
 		t.Fatal("garbage frame accepted")
 	}
 	if _, err := f.api.EnqueueMarker(f.q); err != nil {
@@ -114,53 +141,162 @@ func TestBatchMalformedHeaderFailsTheCall(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch: the command-stream decoder never panics and never reads
-// past the payload (the race/bounds checker would catch it), every refusal
-// is a *BatchFormatError, an accepted command's write window lies inside
-// the data region and its in-batch waits name earlier commands, what was
-// accepted re-encodes to a frame that decodes to the same commands, and
-// the server's executor survives the stream against a live runtime.
+// opSample is one well-formed record of every op: its args, a blob for the
+// ops that take one, and a wait list.
+func opSample() *request {
+	req := &request{Recs: startFrame(nil)}
+	for op := BatchOp(0); op < numOps; op++ {
+		args := make([]uint64, opSpecs[op].args)
+		for k := range args {
+			args[k] = uint64(7 + k)
+		}
+		if op == BatchWrite {
+			args[3], args[4] = 0, 4
+		}
+		blob := []byte("vadd")
+		req.Recs = appendRecord(req.Recs, op, false, blob, []ocl.Event{11}, nil, args...)
+		req.Args = append(req.Args, blob...)
+	}
+	seal(req.Recs, int(numOps))
+	return req
+}
+
+// FuzzDecodeBatch: the frame decoder never panics and never reads past
+// its input, every refusal is a *BatchFormatError, an accepted write's
+// window lies inside the data region and an accepted in-frame wait names
+// an earlier command, what was accepted re-encodes to a frame that decodes
+// to the same records, and the server's executor survives the frame
+// against a live runtime with a reply the client can decode.
 func FuzzDecodeBatch(f *testing.F) {
 	cmds, payload := wireSample()
-	frame := frameOf(cmds, payload).bytes(7)
-	f.Add(frame)
-	f.Add(frameOf(nil, nil).bytes(0))
-	f.Add(frame[:batchHeaderLen])
-	f.Add(frame[:batchHeaderLen-1])
-	f.Add(frame[:len(frame)/2])
-	f.Add(frame[:len(frame)-3])
-	for _, at := range []int{0, 4, 8, 15, batchHeaderLen + len(payload), batchHeaderLen + len(payload) + 2, len(frame) - 5} {
-		flipped := append([]byte(nil), frame...)
+	frame := frameOf(cmds, payload)
+	queued := *frame.request()
+	f.Add(queued.Recs, queued.Args, payload)
+	f.Add(startFrame(nil), []byte(nil), []byte(nil))
+	f.Add(queued.Recs[:frameHeader+recordHead-1], queued.Args, payload)
+	f.Add(queued.Recs[:len(queued.Recs)/2], queued.Args[:3], payload[:40])
+	for _, at := range []int{0, 4, 5, frameHeader, frameHeader + 2, frameHeader + 8, len(queued.Recs) - 5} {
+		flipped := bytes.Clone(queued.Recs)
 		flipped[at] ^= 0x81
-		f.Add(flipped)
+		f.Add(flipped, queued.Args, payload)
 	}
-	node := proc.NewNode("fuzz", hw.TableISpec(), ocl.NVIDIA())
+	// One record of every op, then each op alone with a hostile wait count
+	// and a hostile blob length.
+	all := opSample()
+	f.Add(all.Recs, all.Args, []byte{1, 2, 3, 4})
+	for op := BatchOp(0); op < numOps; op++ {
+		one := startFrame(nil)
+		one = appendRecord(one, op, true, []byte("x"), nil, nil, make([]uint64, opSpecs[op].args)...)
+		seal(one, 1)
+		f.Add(one, []byte("x"), []byte(nil))
+		waits, blob := bytes.Clone(one), bytes.Clone(one)
+		le.PutUint16(waits[frameHeader+2:], 0xffff)
+		le.PutUint32(blob[frameHeader+6:], 0xffffffff)
+		f.Add(waits, []byte("x"), []byte(nil))
+		f.Add(blob, []byte("x"), []byte(nil))
+	}
+	// A 1 MiB device caps what a fuzz input can make the runtime allocate.
+	small := ocl.NVIDIA()
+	small.Devices[0].GlobalMemory = 1 << 20
+	node := proc.NewNode("fuzz", hw.TableISpec(), small)
 	rt := ocl.NewRuntime(node.Vendors[0], node.Spec, node.Clock)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, rd, err := decodeAll(data)
+	f.Fuzz(func(t *testing.T, recs, args, data []byte) {
+		req := &request{Recs: recs, Args: args}
+		got, rd, err := decodeAll(req, data)
 		var fe *BatchFormatError
 		if err != nil && !errors.As(err, &fe) {
 			t.Fatalf("decoder failed with %T (%v), want *BatchFormatError", err, err)
 		}
 		for i := range got {
-			if got[i].Op == BatchWrite {
+			if got[i].op == BatchWrite {
 				_ = rd.writeData(&got[i]) // panics if the window were outside the data
 			}
-			for _, j := range got[i].WaitIdx {
+			for _, j := range got[i].idx {
 				if j < 0 || j >= i {
-					t.Fatalf("command %d accepted an in-batch wait on command %d", i, j)
+					t.Fatalf("command %d accepted an in-frame wait on command %d", i, j)
 				}
 			}
 		}
 		if rd != nil {
-			again, _, err2 := decodeAll(frameOf(got, rd.data).bytes(rd.Epoch))
+			again, _, err2 := decodeAll(encodeAll(got), data)
 			if err2 != nil || !reflect.DeepEqual(again, got) {
-				t.Fatalf("accepted commands do not survive re-encoding (%v):\n got %+v\nthen %+v", err2, got, again)
+				t.Fatalf("accepted records do not survive re-encoding (%v):\n got %+v\nthen %+v", err2, got, again)
 			}
 		}
-		if _, _, err := runBatch(rt, data, nil); err != nil && !errors.As(err, &fe) {
-			t.Fatalf("runBatch failed with %T (%v), want *BatchFormatError", err, err)
+		reply, _, err := run(rt, req, data, nil)
+		if err != nil {
+			if !errors.As(err, &fe) {
+				t.Fatalf("run failed with %T (%v), want *BatchFormatError", err, err)
+			}
+			return
+		}
+		if _, _, err := decodeReply(*reply, make([]ocl.Event, rd.n)); err != nil {
+			t.Fatalf("the client cannot decode the server's reply: %v", err)
 		}
 	})
 }
+
+// FuzzDecodeReply: the client's reply decoder, and the decoding of a
+// result's value as any ocl.API result type, never panic or index out of
+// range on arbitrary bytes; every refusal is a *BatchFormatError, and an
+// accepted reply names only commands of its frame.
+func FuzzDecodeReply(f *testing.F) {
+	node := proc.NewNode("fuzz", hw.TableISpec(), ocl.NVIDIA())
+	rt := ocl.NewRuntime(node.Vendors[0], node.Spec, node.Clock)
+	plats, _ := rt.GetPlatformIDs()
+	devs, _ := rt.GetDeviceIDs(plats[0], ocl.DeviceTypeAll)
+	ctx, _ := rt.CreateContext(devs)
+	prog, _ := rt.CreateProgramWithSource(ctx, "__kernel void k( {")
+	seed := func(op BatchOp, blob []byte, args ...uint64) {
+		req := &request{Recs: appendRecord(startFrame(nil), op, false, blob, nil, nil, args...), Args: blob}
+		seal(req.Recs, 1)
+		reply, _, err := run(rt, req, nil, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(*reply, uint8(1))
+		f.Add((*reply)[:len(*reply)/2], uint8(1))
+	}
+	seed(opGetPlatformIDs, nil)
+	seed(opGetDeviceInfo, nil, uint64(devs[0]))
+	seed(opGetContextInfo, nil, uint64(ctx))
+	seed(opCreateCommandQueue, nil, uint64(ctx), uint64(devs[0]), 0)
+	seed(opBuildProgram, nil, uint64(prog))
+	seed(opGetProgramBuildInfo, nil, uint64(prog), uint64(devs[0]))
+	seed(opReleaseMemObject, nil, 0xbad)
+	f.Add(ranAll, uint8(0))
+
+	f.Fuzz(func(t *testing.T, b []byte, n uint8) {
+		resp, val, err := decodeReply(b, make([]ocl.Event, n))
+		var fe *BatchFormatError
+		if err != nil {
+			if !errors.As(err, &fe) {
+				t.Fatalf("decodeReply failed with %T (%v), want *BatchFormatError", err, err)
+			}
+			return
+		}
+		if resp.ErrIdx < -1 || resp.ErrIdx >= int(n) {
+			t.Fatalf("accepted a failure of command %d of %d", resp.ErrIdx, n)
+		}
+		for _, err := range []error{
+			second(value[[]ocl.PlatformID](0, val, nil)),
+			second(value[ocl.PlatformInfo](0, val, nil)),
+			second(value[ocl.DeviceInfo](0, val, nil)),
+			second(value[ocl.ContextInfo](0, val, nil)),
+			second(value[ocl.CommandQueueInfo](0, val, nil)),
+			second(value[ocl.MemObjectInfo](0, val, nil)),
+			second(value[ocl.KernelInfo](0, val, nil)),
+			second(value[ocl.KernelWorkGroupInfo](0, val, nil)),
+			second(value[ocl.BuildInfo](0, val, nil)),
+			second(value[ocl.EventProfile](0, val, nil)),
+			second(value[[]byte](0, val, nil)),
+		} {
+			if err != nil && !errors.As(err, &fe) {
+				t.Fatalf("value decode failed with %T (%v), want *BatchFormatError", err, err)
+			}
+		}
+	})
+}
+
+func second[T any](_ T, err error) error { return err }

@@ -2,7 +2,9 @@ package proxy
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"checl/internal/cpr"
@@ -164,15 +166,72 @@ func TestEndToEndKernelThroughProxy(t *testing.T) {
 	}
 }
 
+// TestErrorStatusSurvivesWire: a call the runtime refuses returns, over
+// either transport, the *ocl.Error the runtime itself raises — op, status
+// and detail — for a failing create, release and build of every kind.
 func TestErrorStatusSurvivesWire(t *testing.T) {
-	_, _, px := spawnNV(t)
-	_, err := px.Client.CreateContext(nil)
-	if got := ocl.StatusOf(err); got != ocl.InvalidValue {
-		t.Errorf("status across wire = %v (err %v), want CL_INVALID_VALUE", got, err)
+	const bad = 0xbad
+	// ctx makes a live context on api, for the calls that need one.
+	ctx := func(api ocl.API) ocl.Context {
+		plats, _ := api.GetPlatformIDs()
+		devs, _ := api.GetDeviceIDs(plats[0], ocl.DeviceTypeAll)
+		c, err := api.CreateContext(devs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	err = px.Client.BuildProgram(ocl.Program(0xbad), "")
-	if got := ocl.StatusOf(err); got != ocl.InvalidProgram {
-		t.Errorf("status across wire = %v, want CL_INVALID_PROGRAM", got)
+	cases := []struct {
+		name string
+		call func(api ocl.API) error
+	}{
+		{"context/create", func(api ocl.API) error { _, err := api.CreateContext(nil); return err }},
+		{"context/release", func(api ocl.API) error { return api.ReleaseContext(bad) }},
+		{"queue/create", func(api ocl.API) error { _, err := api.CreateCommandQueue(bad, 0, 0); return err }},
+		{"queue/release", func(api ocl.API) error { return api.ReleaseCommandQueue(bad) }},
+		{"mem/create", func(api ocl.API) error { _, err := api.CreateBuffer(bad, ocl.MemReadWrite, 64, nil); return err }},
+		{"mem/release", func(api ocl.API) error { return api.ReleaseMemObject(bad) }},
+		{"sampler/create", func(api ocl.API) error {
+			_, err := api.CreateSampler(bad, true, ocl.AddressClamp, ocl.FilterNearest)
+			return err
+		}},
+		{"sampler/release", func(api ocl.API) error { return api.ReleaseSampler(bad) }},
+		{"program/create", func(api ocl.API) error { _, err := api.CreateProgramWithSource(bad, vaddSrc); return err }},
+		{"program/build-unknown", func(api ocl.API) error { return api.BuildProgram(bad, "") }},
+		{"program/build-failure", func(api ocl.API) error {
+			p, err := api.CreateProgramWithSource(ctx(api), "__kernel void k(__global int* a) { a[0] = ; }")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = api.BuildProgram(p, "")
+			if info, ierr := api.GetProgramBuildInfo(p, 0); ierr != nil || info.Success || err == nil || !strings.Contains(err.Error(), info.Log) {
+				t.Errorf("build failed with %v; its build info %+v, %v", err, info, ierr)
+			}
+			return err
+		}},
+		{"program/release", func(api ocl.API) error { return api.ReleaseProgram(bad) }},
+		{"kernel/create", func(api ocl.API) error { _, err := api.CreateKernel(bad, "vadd"); return err }},
+		{"kernel/release", func(api ocl.API) error { return api.ReleaseKernel(bad) }},
+		{"event/release", func(api ocl.API) error { return api.ReleaseEvent(bad) }},
+	}
+	for _, tr := range []struct {
+		name string
+		tr   Transport
+	}{{"framed", TransportPipe}, {"ring", TransportRing}} {
+		t.Run(tr.name, func(t *testing.T) {
+			_, _, px := spawnNVWith(t, SpawnOpts{Transport: tr.tr})
+			node := proc.NewNode("ref", hw.TableISpec(), ocl.NVIDIA())
+			rt := ocl.NewRuntime(node.Vendors[0], node.Spec, node.Clock)
+			for _, tc := range cases {
+				var got, want *ocl.Error
+				if !errors.As(tc.call(px.Client), &got) || !errors.As(tc.call(rt), &want) {
+					t.Fatalf("%s: no *ocl.Error on both sides", tc.name)
+				}
+				if *got != *want {
+					t.Errorf("%s: over the wire %+v, in process %+v", tc.name, *got, *want)
+				}
+			}
+		})
 	}
 }
 

@@ -48,57 +48,46 @@ func Spawn(app *proc.Process, vendor *ocl.Vendor) (*Proxy, error) {
 }
 
 // dial opens a fresh transport generation to the live proxy process and
-// starts serving it. It is both the initial connect and the Client's
-// redial path after a transport fault.
+// starts serving it: a shared-memory ring, or a framed pipe. It is both the
+// initial connect and the Client's redial path after a transport fault.
+// Generations tear down (and are redialled) on injected faults; the server
+// — and with it the replay-dedupe cache — persists across them.
 func (p *Proxy) dial() (ipc.Transport, error) {
 	if !p.Process.Alive() {
 		return nil, fmt.Errorf("proxy: cannot dial: proxy process is dead")
 	}
+	var (
+		conn  ipc.Transport
+		ends  []io.Closer
+		serve func()
+	)
 	if p.opts.Transport == TransportRing {
-		return p.dialRing()
+		ring := ipc.NewRing(p.server, p.opts.Fault)
+		conn, ends, serve = ring, []io.Closer{ring}, ring.Serve
+	} else {
+		appEnd, proxyEnd := net.Pipe()
+		var rwc io.ReadWriteCloser = appEnd
+		if p.opts.Fault != nil {
+			rwc = p.opts.Fault.Wrap(appEnd)
+		}
+		conn, ends = ipc.NewConn(rwc), []io.Closer{appEnd, proxyEnd}
+		serve = func() { _ = p.server.ServeConn(proxyEnd) }
 	}
-	appEnd, proxyEnd := net.Pipe()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.killed {
-		p.mu.Unlock()
-		appEnd.Close()
-		proxyEnd.Close()
+		for _, c := range ends {
+			_ = c.Close()
+		}
 		return nil, fmt.Errorf("proxy: cannot dial: proxy was killed")
 	}
-	p.conns = append(p.conns, appEnd, proxyEnd)
+	p.conns = append(p.conns, ends...)
 	p.wg.Add(1)
-	p.mu.Unlock()
 	go func() {
 		defer p.wg.Done()
-		_ = p.server.ServeConn(proxyEnd)
+		serve()
 	}()
-	var rwc io.ReadWriteCloser = appEnd
-	if p.opts.Fault != nil {
-		rwc = p.opts.Fault.Wrap(appEnd)
-	}
-	return ipc.NewConn(rwc), nil
-}
-
-// dialRing maps a fresh shared-memory ring generation to the live proxy
-// and starts its service loop. Rings tear down (and are redialled) on
-// injected faults exactly like framed connections; the server — and with
-// it the replay-dedupe cache — persists across generations.
-func (p *Proxy) dialRing() (ipc.Transport, error) {
-	ring := ipc.NewRing(p.server, p.opts.Fault)
-	p.mu.Lock()
-	if p.killed {
-		p.mu.Unlock()
-		_ = ring.Close()
-		return nil, fmt.Errorf("proxy: cannot dial: proxy was killed")
-	}
-	p.conns = append(p.conns, ring)
-	p.wg.Add(1)
-	p.mu.Unlock()
-	go func() {
-		defer p.wg.Done()
-		ring.Serve()
-	}()
-	return ring, nil
+	return conn, nil
 }
 
 // Kill terminates the proxy process, closes every transport generation,
@@ -106,11 +95,7 @@ func (p *Proxy) dialRing() (ipc.Transport, error) {
 // what CheCL does to the old proxy before a DMTCP checkpoint and
 // implicitly on restart (the old proxy died with the old incarnation).
 func (p *Proxy) Kill() {
-	conns := p.shutdown()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	p.Process.Kill()
+	p.crash()
 	p.wg.Wait()
 }
 
@@ -118,8 +103,7 @@ func (p *Proxy) Kill() {
 // and closes the transports but cannot wait for the serve goroutines,
 // because it runs on the application's own call path.
 func (p *Proxy) crash() {
-	conns := p.shutdown()
-	for _, c := range conns {
+	for _, c := range p.shutdown() {
 		_ = c.Close()
 	}
 	p.Process.Kill()
