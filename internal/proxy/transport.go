@@ -60,6 +60,6 @@ func SpawnWithOptions(app *proc.Process, vendor *ocl.Vendor, opts SpawnOpts) (*P
 		cost.Ring = &ring
 	}
 	p.Client = NewClient(conn, node.Clock, cost)
-	p.Client.setRedial(p.dial)
+	p.Client.redial = p.dial
 	return p, nil
 }
