@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -223,11 +225,8 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	if err := c.Drain(); err != nil {
 		return fmt.Errorf("checl: checkpoint settle: %w", err)
 	}
-	for _, q := range c.db.orderedQueues() {
-		qrec := q
-		if err := c.forward("clFinish", func(api *proxy.Client) error {
-			return api.Finish(qrec.real)
-		}); err != nil {
+	for _, q := range ordered(c.db.queues) {
+		if err := c.forward("clFinish", func(api *proxy.Client) error { return api.Finish(q.real) }); err != nil {
 			return fmt.Errorf("checl: checkpoint sync: %w", err)
 		}
 	}
@@ -261,7 +260,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 		clean = map[string]bool{}
 	}
 	var dirty []*memRec
-	for _, m := range c.db.orderedMems() {
+	for _, m := range ordered(c.db.mems) {
 		if m.Released {
 			// Dead record: refcount hit zero but a kernel argument still
 			// names the buffer. Its contents are unreachable by the
@@ -322,7 +321,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 		c.px.Kill()
 	}
 	var memRegions []string
-	for _, m := range c.db.orderedMems() {
+	for _, m := range ordered(c.db.mems) {
 		if m.Released || m.Data == nil {
 			continue
 		}
@@ -442,14 +441,14 @@ type drainPlan struct {
 // biggest buffers first onto the least-loaded stream, balancing the
 // per-queue copy chains (the drain ends when the longest chain does).
 func (c *CheCL) planDrain(ctxH Handle, items []*memRec) (drainPlan, error) {
-	ctx, err := c.db.context(ctxH)
+	ctx, err := get(c.db.contexts, ctxH)
 	if err != nil {
 		return drainPlan{}, err
 	}
 	if len(ctx.Devices) == 0 {
 		return drainPlan{}, ocl.Errf("CheCL", ocl.InvalidContext, "context %#x has no devices", uint64(ctxH))
 	}
-	dev, err := c.db.device(ctx.Devices[0])
+	dev, err := get(c.db.devices, ctx.Devices[0])
 	if err != nil {
 		return drainPlan{}, err
 	}
@@ -562,14 +561,14 @@ func (c *CheCL) submitDrain(pl drainPlan, ep *specEpoch) error {
 	return nil
 }
 
-// anyQueueFor returns some queue of the given context, or nil.
-func (c *CheCL) anyQueueFor(ctx Handle) *queueRec {
-	for _, q := range c.db.orderedQueues() {
-		if q.Ctx == ctx {
-			return q
+// anyQueueFor returns the first-made queue of the given context, or nil.
+func (c *CheCL) anyQueueFor(ctx Handle) (first *queueRec) {
+	for _, q := range c.db.queues {
+		if q.Ctx == ctx && (first == nil || q.Seq < first.Seq) {
+			first = q
 		}
 	}
-	return nil
+	return first
 }
 
 // RestartStats is what a restart cost. Total is the span from the first
@@ -671,18 +670,15 @@ func restore(node *proc.Node, what string, opts Options,
 	if opts.Backend == nil {
 		opts.Backend = cpr.BLCR{}
 	}
-	stats := RestartStats{PerClass: map[string]vtime.Duration{}}
 	began := node.Clock.Now()
-
 	app, read, deg, err := load(opts.Backend)
-	stats.Degraded = deg
 	if err != nil {
-		return nil, stats, fmt.Errorf("checl: restart: %w", err)
+		return nil, RestartStats{PerClass: map[string]vtime.Duration{}, Degraded: deg}, fmt.Errorf("checl: restart: %w", err)
 	}
-	stats.ReadTime = read
-	stats.ReadWait = node.Clock.Now().Sub(began)
-
-	c, err := rebuild(node, app, what, opts, &stats)
+	loaded := node.Clock.Now()
+	c, stats, err := rebuild(app, what, opts)
+	stats.ReadTime, stats.Degraded = read, deg
+	stats.ReadWait += loaded.Sub(began)
 	if err != nil {
 		// Nothing of a failed restore keeps running on node: neither the
 		// process load brought back nor a proxy rebuild forked for it.
@@ -712,15 +708,15 @@ func awaitRegion(app *proc.Process, name string) ([]byte, vtime.Duration) {
 // buffer's region only for that buffer's upload (rebindAll). When the
 // rebind fails it returns the CheCL with the proxy it forked, for restore
 // to tear down.
-func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stats *RestartStats) (*CheCL, error) {
+func rebuild(app *proc.Process, what string, opts Options) (*CheCL, RestartStats, error) {
 	blob, waited := awaitRegion(app, dbRegion)
-	stats.ReadWait += waited
+	stats := RestartStats{PerClass: map[string]vtime.Duration{}, ReadWait: waited}
 	if blob == nil {
-		return nil, fmt.Errorf("checl: checkpoint %q has no CheCL object database", what)
+		return nil, stats, fmt.Errorf("checl: checkpoint %q has no CheCL object database", what)
 	}
 	db, err := decodeDatabase(blob)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	app.RemoveRegion(dbRegion)
 
@@ -732,7 +728,7 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	// checkpoint's parent, so every buffer starts out clean against it: a
 	// restart is the one rebind that resets the dirty flags (a failover
 	// re-uploads shadows that may be newer than the last checkpoint).
-	mems := db.orderedMems()
+	mems := ordered(db.mems)
 	for _, m := range mems {
 		if blob := app.Region(memRegion(m.H)); blob != nil {
 			m.Data = blob
@@ -743,17 +739,13 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 	c := &CheCL{app: app, opts: opts, db: db}
 	rs, err := c.respawn()
 	if err != nil {
-		return c, err
+		return c, stats, err
 	}
 	for _, m := range mems {
 		app.RemoveRegion(memRegion(m.H))
 	}
-	for k, v := range rs.PerClass {
-		stats.PerClass[k] = v
-	}
-	stats.Recompile = rs.Recompile
-	stats.ReadWait += rs.ReadWait
-	return c, nil
+	rs.ReadWait += waited
+	return c, rs, nil
 }
 
 // respawn forks a fresh API proxy for the application and rebinds every
@@ -761,17 +753,11 @@ func rebuild(node *proc.Node, app *proc.Process, what string, opts Options, stat
 // destructive postprocess all end this way. The fork is the "proxy" step of
 // the returned stats.
 func (c *CheCL) respawn() (RestartStats, error) {
-	vendor, err := selectVendor(c.app.Node(), c.opts.VendorName)
-	if err != nil {
-		return RestartStats{}, err
-	}
 	fork := vtime.NewStopwatch(c.app.Clock())
-	px, err := proxy.SpawnWithOptions(c.app, vendor, c.spawnOpts())
-	if err != nil {
+	if err := c.spawn(); err != nil {
 		return RestartStats{}, err
 	}
 	forked := fork.Elapsed()
-	c.px = px
 	rs, err := c.rebindAll()
 	rs.PerClass["proxy"] = forked
 	rs.Total += forked
@@ -792,7 +778,7 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 	api := c.px.Client
 	sw := vtime.NewStopwatch(clock)
 
-	// 1) cl_platform_id
+	// cl_platform_id: every recorded platform is rebound to the first one.
 	plats, err := api.GetPlatformIDs()
 	if err != nil {
 		return stats, err
@@ -807,7 +793,7 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 	}
 	stats.PerClass["platform"] = sw.Reset()
 
-	// 2) cl_device_id — with runtime processor selection: each recorded
+	// cl_device_id, with runtime processor selection: each recorded
 	// device is remapped onto an available device, preferring the option
 	// set in PreferDeviceType, then the original device type.
 	devs, err := api.GetDeviceIDs(plats[0], ocl.DeviceTypeAll)
@@ -820,206 +806,64 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 			return stats, err
 		}
 	}
-	pick := func(want hw.DeviceType) int {
-		if want != 0 {
-			for i, inf := range infos {
-				if inf.Type == want {
-					return i
-				}
-			}
-		}
-		return 0
-	}
-	for _, d := range orderedVals(c.db.devices, func(r *deviceRec) uint64 { return r.Seq }) {
-		want := d.Info.Type
-		if c.opts.PreferDeviceType != 0 {
-			want = c.opts.PreferDeviceType
-		}
-		i := pick(want)
+	for _, d := range ordered(c.db.devices) {
+		want := cmp.Or(c.opts.PreferDeviceType, d.Info.Type)
+		i := max(0, slices.IndexFunc(infos, func(inf ocl.DeviceInfo) bool { return want != 0 && inf.Type == want }))
 		d.real = devs[i]
 		d.Info = infos[i]
 	}
 	stats.PerClass["device"] = sw.Reset()
 
-	// 3) cl_context
-	for _, ctx := range c.db.orderedContexts() {
-		realDevs := make([]ocl.DeviceID, 0, len(ctx.Devices))
-		for _, dh := range ctx.Devices {
-			drec, err := c.db.device(dh)
-			if err != nil {
-				return stats, err
-			}
-			realDevs = append(realDevs, drec.real)
-		}
-		// Device remapping can alias several recorded devices onto one
-		// physical device; contexts must not list duplicates.
-		realDevs = dedupeDevices(realDevs)
-		real, err := api.CreateContext(realDevs)
-		if err != nil {
-			return stats, err
-		}
-		ctx.real = real
-	}
-	stats.PerClass["context"] = sw.Reset()
-
-	// 4) cl_command_queue
-	for _, q := range c.db.orderedQueues() {
-		ctx, err := c.db.context(q.Ctx)
-		if err != nil {
-			return stats, err
-		}
-		dev, err := c.db.device(q.Device)
-		if err != nil {
-			return stats, err
-		}
-		real, err := api.CreateCommandQueue(ctx.real, dev.real, q.Props)
-		if err != nil {
-			return stats, err
-		}
-		q.real = real
-	}
-	stats.PerClass["cmd_que"] = sw.Reset()
-
-	// 5) cl_mem — recreate; the contents follow in step 10.
-	mems := c.db.orderedMems()
-	for _, m := range mems {
-		ctx, err := c.db.context(m.Ctx)
-		if err != nil {
-			return stats, err
-		}
-		flags := m.Flags &^ (ocl.MemUseHostPtr | ocl.MemCopyHostPtr)
-		real, err := api.CreateBuffer(ctx.real, flags, m.Size, nil)
-		if err != nil {
-			return stats, err
-		}
-		m.real = real
-		// CL_MEM_USE_HOST_PTR aliasing cannot survive a restart: the
-		// original host region belongs to the old incarnation. The buffer
-		// continues with copy semantics.
-		m.UseHostPtr = false
-		m.hostPtr = nil
-	}
-	stats.PerClass["mem"] = sw.Reset()
-
-	// 6) cl_sampler
-	for _, s := range c.db.orderedSamplers() {
-		ctx, err := c.db.context(s.Ctx)
-		if err != nil {
-			return stats, err
-		}
-		real, err := api.CreateSampler(ctx.real, s.Normalized, s.AMode, s.FMode)
-		if err != nil {
-			return stats, err
-		}
-		s.real = real
-	}
-	stats.PerClass["sampler"] = sw.Reset()
-
-	// 7) cl_program — recreate and recompile; the build time is the Tr of
-	// the migration cost model.
-	var recompile vtime.Duration
-	for _, p := range c.db.orderedPrograms() {
-		ctx, err := c.db.context(p.Ctx)
-		if err != nil {
-			return stats, err
-		}
-		var real ocl.Program
-		if p.FromBinary {
-			// Deprecated path (§III-D): the stored binary is only valid
-			// on a node with the same vendor implementation.
-			someDev := devs[0]
-			real, err = api.CreateProgramWithBinary(ctx.real, someDev, p.Binary)
-			if err != nil {
-				return stats, fmt.Errorf("checl: restoring binary program (clCreateProgramWithBinary is deprecated under CheCL): %w", err)
-			}
-		} else {
-			real, err = api.CreateProgramWithSource(ctx.real, p.Source)
-			if err != nil {
-				return stats, err
-			}
-		}
-		p.real = real
-		if p.Built {
-			bsw := vtime.NewStopwatch(clock)
-			if p.BuildCost, err = buildProgram(api, clock, p.real, p.Options); err != nil {
-				return stats, err
-			}
-			recompile += bsw.Elapsed()
-		}
-	}
-	stats.PerClass["prog"] = sw.Reset()
-	stats.Recompile = recompile
-
-	// 8) cl_kernel — recreate and replay the recorded clSetKernelArg
-	// calls, translating CheCL handles to the *new* real handles. The
-	// replayed calls return nothing, so like the application's own they
-	// travel as command frames rather than one round trip each.
-	var replay proxy.BatchFrame
-	sendReplay := func() error {
-		if replay.Len() == 0 {
-			return nil
-		}
-		resp, _, err := api.SendBatch(&replay)
-		replay.Reset()
-		if err == nil && resp.ErrIdx >= 0 {
-			err = ocl.Errf(resp.ErrOp, ocl.Status(resp.ErrStatus), "%s", resp.ErrDetail)
-		}
-		return err
-	}
-	for _, k := range c.db.orderedKernels() {
-		prog, err := c.db.program(k.Prog)
-		if err != nil {
-			return stats, err
-		}
-		real, err := api.CreateKernel(prog.real, k.Name)
-		if err != nil {
-			return stats, err
-		}
-		k.real = real
-		for i, a := range k.Args {
-			if !a.Set {
-				continue
-			}
-			forward, _, err := c.translateArg(prog, k.Name, i, a.Size, a.Raw)
-			if err != nil {
-				return stats, err
-			}
-			replay.Add(&proxy.BatchCmd{Op: proxy.BatchSetArg, Kernel: k.real, Index: i, ArgSize: a.Size, Value: forward})
-			if replay.Len() >= maxQueueCmds {
-				if err := sendReplay(); err != nil {
-					return stats, err
+	// Every other class: each record's create step, class by class in the
+	// order of §III-C and each class in creation order, then the references
+	// the record counts beyond the one its creation gave it.
+	create := map[string]func() error{
+		"context": func() error { return remake(api, c.db.contexts, func(r *contextRec) error { return r.create(c, api) }) },
+		"cmd_que": func() error { return remake(api, c.db.queues, func(r *queueRec) error { return r.create(c, api) }) },
+		"mem": func() error {
+			return remake(api, c.db.mems, func(m *memRec) error {
+				// CL_MEM_USE_HOST_PTR aliasing cannot survive a rebind: the
+				// host region may belong to an old incarnation. The buffer
+				// continues with copy semantics; its contents go up last.
+				m.UseHostPtr, m.hostPtr = false, nil
+				return m.create(c, api, m.Flags&^(ocl.MemUseHostPtr|ocl.MemCopyHostPtr), nil)
+			})
+		},
+		"sampler": func() error { return remake(api, c.db.samplers, func(r *samplerRec) error { return r.create(c, api) }) },
+		"prog": func() error {
+			return remake(api, c.db.programs, func(p *programRec) error {
+				// The rebuild is the Tr of the migration cost model. A binary
+				// (deprecated, §III-D) is only valid on a node with the same
+				// vendor implementation.
+				built, err := p.create(c, api, devs[0])
+				stats.Recompile += built
+				if err != nil && p.FromBinary {
+					err = fmt.Errorf("checl: restoring binary program (clCreateProgramWithBinary is deprecated under CheCL): %w", err)
 				}
+				return err
+			})
+		},
+		"kernel": func() error {
+			if err := remake(api, c.db.kernels, func(r *kernelRec) error { return r.create(c, api) }); err != nil {
+				return err
 			}
-		}
+			return c.replayArgs(api)
+		},
+		"event": func() error { return remake(api, c.db.events, func(r *eventRec) error { return r.create(c, api) }) },
 	}
-	if err := sendReplay(); err != nil {
-		return stats, err
-	}
-	stats.PerClass["kernel"] = sw.Reset()
-
-	// 9) cl_event — dummy events via clEnqueueMarker (§III-C): the queues
-	// are empty, so the markers complete immediately and can stand in for
-	// the completed pre-checkpoint events.
-	for _, e := range c.db.orderedEvents() {
-		q, err := c.db.queue(e.Queue)
-		if err != nil {
+	for _, class := range RestoreOrder[2:] {
+		if err := create[class](); err != nil {
 			return stats, err
 		}
-		real, err := api.EnqueueMarker(q.real)
-		if err != nil {
-			return stats, err
-		}
-		e.real = real
-		e.Dummy = true
+		stats.PerClass[class] = sw.Reset()
 	}
-	stats.PerClass["event"] = sw.Reset()
 
-	// 10) cl_mem contents — send the staged user data back to device memory
-	// (the HtoD transfers that dominate Fig. 7 for data-heavy programs),
-	// each upload as soon as its bytes are there. A dead record kept only
-	// because a kernel argument still names it has a placeholder allocation
-	// and nothing to upload.
-	for _, m := range mems {
+	// Last, the buffers' contents: the staged user data goes back to device
+	// memory (the HtoD transfers that dominate Fig. 7 for data-heavy
+	// programs), each upload as soon as its bytes are there. A dead record
+	// kept only because a kernel argument still names it has a placeholder
+	// allocation and nothing to upload.
+	for _, m := range ordered(c.db.mems) {
 		if m.Released || m.Data == nil {
 			continue
 		}
@@ -1042,16 +886,64 @@ func (c *CheCL) rebindAll() (RestartStats, error) {
 	return stats, nil
 }
 
-func dedupeDevices(devs []ocl.DeviceID) []ocl.DeviceID {
-	seen := map[ocl.DeviceID]bool{}
-	out := devs[:0]
-	for _, d := range devs {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
+// remake runs create over the records of m in creation order and gives
+// each new object the references its record counts beyond the one its
+// creation gave it, so that an object the application retained outlives
+// its next release.
+func remake[P object](api *proxy.Client, m map[Handle]P, create func(P) error) error {
+	for _, r := range ordered(m) {
+		if err := create(r); err != nil {
+			return err
+		}
+		hd := r.head()
+		for n := 1; n < *hd.refs; n++ {
+			if err := classes[hd.kind].retain(api, *hd.real); err != nil {
+				return err
+			}
 		}
 	}
-	return out
+	return nil
+}
+
+// replayArgs replays every kernel's recorded clSetKernelArg calls on api,
+// translating CheCL handles to the new real handles. The replayed calls
+// return nothing, so like the application's own they travel as command
+// frames rather than one round trip each.
+func (c *CheCL) replayArgs(api *proxy.Client) error {
+	var replay proxy.BatchFrame
+	send := func() error {
+		if replay.Len() == 0 {
+			return nil
+		}
+		resp, _, err := api.SendBatch(&replay)
+		replay.Reset()
+		if err == nil && resp.ErrIdx >= 0 {
+			err = ocl.Errf(resp.ErrOp, ocl.Status(resp.ErrStatus), "%s", resp.ErrDetail)
+		}
+		return err
+	}
+	for _, k := range ordered(c.db.kernels) {
+		prog, err := get(c.db.programs, k.Prog)
+		if err != nil {
+			return err
+		}
+		for i, a := range k.Args {
+			if !a.Set {
+				continue
+			}
+			forward, _, err := c.translateArg(prog, k.Name, i, a.Size, a.Raw)
+			if err != nil {
+				return err
+			}
+			replay.Add(&proxy.BatchCmd{Op: proxy.BatchSetArg, Kernel: k.real, Index: i, ArgSize: a.Size, Value: forward})
+			if replay.Len() >= maxQueueCmds {
+				if err := send(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return send()
 }
 
 // MigrationStats aggregates the cost of a completed migration.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 
 	"checl/internal/clc"
 	"checl/internal/cpr"
@@ -143,31 +144,33 @@ func Attach(app *proc.Process, opts Options) (*CheCL, error) {
 	if opts.Backend == nil {
 		opts.Backend = cpr.BLCR{}
 	}
-	vendor, err := selectVendor(app.Node(), opts.VendorName)
-	if err != nil {
-		return nil, err
-	}
 	c := &CheCL{app: app, opts: opts, db: newDatabase()}
-	px, err := proxy.SpawnWithOptions(app, vendor, c.spawnOpts())
-	if err != nil {
+	if err := c.spawn(); err != nil {
 		return nil, err
 	}
-	c.px = px
 	return c, nil
 }
 
-func selectVendor(node *proc.Node, name string) (*ocl.Vendor, error) {
-	if name == "" {
-		if len(node.Vendors) == 0 {
-			return nil, fmt.Errorf("checl: node %s has no OpenCL implementation installed", node.Name)
-		}
-		return node.Vendors[0], nil
+// spawn forks a fresh API proxy for the application, on the vendor
+// implementation Options.VendorName selects. A failed spawn leaves c.px as
+// it was.
+func (c *CheCL) spawn() error {
+	node, name := c.app.Node(), c.opts.VendorName
+	vendor := node.Vendor(name)
+	switch {
+	case name == "" && len(node.Vendors) == 0:
+		return fmt.Errorf("checl: node %s has no OpenCL implementation installed", node.Name)
+	case name == "":
+		vendor = node.Vendors[0]
+	case vendor == nil:
+		return fmt.Errorf("checl: node %s has no OpenCL implementation by %q", node.Name, name)
 	}
-	v := node.Vendor(name)
-	if v == nil {
-		return nil, fmt.Errorf("checl: node %s has no OpenCL implementation by %q", node.Name, name)
+	px, err := proxy.SpawnWithOptions(c.app, vendor, proxy.SpawnOpts{Transport: c.opts.Transport, Fault: c.opts.Fault})
+	if err != nil {
+		return err
 	}
-	return v, nil
+	c.px = px
+	return nil
 }
 
 // buildProgram runs clBuildProgram on api and returns the build's own
@@ -293,14 +296,14 @@ func (c *CheCL) GetPlatformIDs() ([]ocl.PlatformID, error) {
 		}
 		out = make([]ocl.PlatformID, len(real))
 		for i, rp := range real {
-			rec := c.findPlatformByReal(rp)
-			if rec == nil {
+			rec, ok := byReal(c.db.platforms, uint64(rp))
+			if !ok {
 				info, err := api.GetPlatformInfo(rp)
 				if err != nil {
 					return err
 				}
-				rec = &platformRec{H: c.db.newHandle(hPlatform), Seq: c.db.seq, real: rp, Info: info}
-				c.db.platforms[rec.H] = rec
+				rec = &platformRec{real: rp, Info: info}
+				file(c.db, c.db.platforms, rec)
 			}
 			out[i] = ocl.PlatformID(rec.H)
 		}
@@ -313,21 +316,12 @@ func (c *CheCL) GetPlatformIDs() ([]ocl.PlatformID, error) {
 	return out, nil
 }
 
-func (c *CheCL) findPlatformByReal(rp ocl.PlatformID) *platformRec {
-	for _, r := range c.db.platforms {
-		if r.real == rp {
-			return r
-		}
-	}
-	return nil
-}
-
 // GetPlatformInfo wraps clGetPlatformInfo. The info was captured when
 // the platform was discovered and is refreshed by every rebind, so it
 // is served from the object database without a round trip.
 func (c *CheCL) GetPlatformInfo(p ocl.PlatformID) (ocl.PlatformInfo, error) {
 	c.enterCall()
-	rec, err := c.db.platform(Handle(p))
+	rec, err := get(c.db.platforms, Handle(p))
 	if err != nil {
 		return ocl.PlatformInfo{}, err
 	}
@@ -341,7 +335,7 @@ func (c *CheCL) GetPlatformInfo(p ocl.PlatformID) (ocl.PlatformInfo, error) {
 // — which may land on different hardware — invalidates the cache.
 func (c *CheCL) GetDeviceIDs(p ocl.PlatformID, mask ocl.DeviceTypeMask) ([]ocl.DeviceID, error) {
 	c.enterCall()
-	prec, err := c.db.platform(Handle(p))
+	prec, err := get(c.db.platforms, Handle(p))
 	if err != nil {
 		return nil, err
 	}
@@ -358,14 +352,14 @@ func (c *CheCL) GetDeviceIDs(p ocl.PlatformID, mask ocl.DeviceTypeMask) ([]ocl.D
 		}
 		out = make([]ocl.DeviceID, len(real))
 		for i, rd := range real {
-			rec := c.findDeviceByReal(rd)
-			if rec == nil {
+			rec, ok := byReal(c.db.devices, uint64(rd))
+			if !ok {
 				info, err := api.GetDeviceInfo(rd)
 				if err != nil {
 					return err
 				}
-				rec = &deviceRec{H: c.db.newHandle(hDevice), Seq: c.db.seq, Platform: prec.H, real: rd, Info: info}
-				c.db.devices[rec.H] = rec
+				rec = &deviceRec{Platform: prec.H, real: rd, Info: info}
+				file(c.db, c.db.devices, rec)
 			}
 			out[i] = ocl.DeviceID(rec.H)
 		}
@@ -374,20 +368,8 @@ func (c *CheCL) GetDeviceIDs(p ocl.PlatformID, mask ocl.DeviceTypeMask) ([]ocl.D
 	if err != nil {
 		return nil, err
 	}
-	if c.db.deviceLists == nil {
-		c.db.deviceLists = map[deviceListKey][]ocl.DeviceID{}
-	}
 	c.db.deviceLists[key] = append([]ocl.DeviceID(nil), out...)
 	return out, nil
-}
-
-func (c *CheCL) findDeviceByReal(rd ocl.DeviceID) *deviceRec {
-	for _, r := range c.db.devices {
-		if r.real == rd {
-			return r
-		}
-	}
-	return nil
 }
 
 // GetDeviceInfo wraps clGetDeviceInfo. Like platform info, the device
@@ -395,7 +377,7 @@ func (c *CheCL) findDeviceByReal(rd ocl.DeviceID) *deviceRec {
 // it is served from the object database without a round trip.
 func (c *CheCL) GetDeviceInfo(d ocl.DeviceID) (ocl.DeviceInfo, error) {
 	c.enterCall()
-	rec, err := c.db.device(Handle(d))
+	rec, err := get(c.db.devices, Handle(d))
 	if err != nil {
 		return ocl.DeviceInfo{}, err
 	}
@@ -403,140 +385,206 @@ func (c *CheCL) GetDeviceInfo(d ocl.DeviceID) (ocl.DeviceInfo, error) {
 	return rec.Info, nil
 }
 
-// reref forwards a clRetain*/clRelease* call and, once the proxy has taken
-// it, moves the record's reference count by delta.
-func (c *CheCL) reref(op string, refs *int, delta int, call func(*proxy.Client) error) error {
-	if err := c.forward(op, call); err != nil {
+// ask forwards one query and returns its answer.
+func ask[T any](c *CheCL, op string, query func(api *proxy.Client) (T, error)) (T, error) {
+	var v T
+	err := c.forward(op, func(api *proxy.Client) (err error) {
+		v, err = query(api)
+		return err
+	})
+	return v, err
+}
+
+// retain is every clRetain* wrapper: the class's entry point, forwarded,
+// and one more reference on the record once the proxy has taken it. An
+// event may still be queued and have no real handle yet, so for an event
+// the queue ships first.
+func retain[R any, P record[R]](c *CheCL, m map[Handle]P, h Handle) error {
+	c.enterCall()
+	if _, events := any(m).(map[Handle]*eventRec); events {
+		if err := c.Drain(); err != nil {
+			return err
+		}
+	}
+	r, err := get(m, h)
+	if err != nil {
 		return err
 	}
-	*refs += delta
+	hd := r.head()
+	k := &classes[hd.kind]
+	if err := c.forward(k.retainOp, func(api *proxy.Client) error { return k.retain(api, *hd.real) }); err != nil {
+		return err
+	}
+	*hd.refs++
 	return nil
 }
 
+// release is every clRelease* wrapper. A queued command may name the
+// object, so the queue ships first. The record goes when its last
+// reference does, except a buffer that a live kernel still binds: it stays
+// as a dead record, so that the kernel's clSetKernelArg still replays
+// after a restore.
+func release[R any, P record[R]](c *CheCL, m map[Handle]P, h Handle) error {
+	c.enterCall()
+	if err := c.Drain(); err != nil {
+		return err
+	}
+	r, err := get(m, h)
+	if err != nil {
+		return err
+	}
+	hd := r.head()
+	k := &classes[hd.kind]
+	if err := c.forward(k.releaseOp, func(api *proxy.Client) error { return k.release(api, *hd.real) }); err != nil {
+		return err
+	}
+	if *hd.refs--; *hd.refs > 0 {
+		return nil
+	}
+	if mem, ok := any(r).(*memRec); ok {
+		// An in-flight speculative copy of a released buffer must never
+		// commit: the record either dies or becomes a dead placeholder.
+		c.epochDrop(h)
+		if c.memReferenced(h) {
+			// Its contents are gone with the release, so the checkpoint
+			// preprocess must never stage it again.
+			mem.Released = true
+			mem.Data = nil
+			mem.Dirty = false
+			mem.UseHostPtr = false
+			mem.hostPtr = nil
+			return nil
+		}
+	}
+	delete(m, h)
+	return nil
+}
+
+// Every class but platforms and devices has one create step: it makes the
+// class's real object from the record, with the real handles of its
+// parents. The live wrappers validate, build the record, forward its
+// create and file it; a rebind runs the same creates over the whole
+// database (rebindAll).
+
 // ---- context wrappers ----
+
+// create makes the context on its devices. A rebind's device remapping can
+// alias several recorded devices onto one physical device, and a context
+// must not list one twice.
+func (r *contextRec) create(c *CheCL, api *proxy.Client) (err error) {
+	devs := make([]ocl.DeviceID, 0, len(r.Devices))
+	for _, dh := range r.Devices {
+		d, err := get(c.db.devices, dh)
+		if err != nil {
+			return err
+		}
+		devs = append(devs, d.real)
+	}
+	r.real, err = api.CreateContext(dedupeDevices(devs))
+	return err
+}
+
+func dedupeDevices(devs []ocl.DeviceID) []ocl.DeviceID {
+	seen := map[ocl.DeviceID]bool{}
+	out := devs[:0]
+	for _, d := range devs {
+		if !seen[d] {
+			seen[d] = true
+			out = append(out, d)
+		}
+	}
+	return out
+}
 
 // CreateContext wraps clCreateContext: the devices are CheCL handles and
 // are translated before forwarding; the returned handle is a CheCL handle.
 func (c *CheCL) CreateContext(devices []ocl.DeviceID) (ocl.Context, error) {
 	c.enterCall()
-	drecs := make([]*deviceRec, len(devices))
-	hs := make([]Handle, len(devices))
+	rec := &contextRec{Devices: make([]Handle, len(devices)), Refs: 1}
 	for i, d := range devices {
-		rec, err := c.db.device(Handle(d))
+		drec, err := get(c.db.devices, Handle(d))
 		if err != nil {
 			return 0, err
 		}
-		drecs[i] = rec
-		hs[i] = rec.H
+		rec.Devices[i] = drec.H
 	}
-	var real ocl.Context
-	err := c.forward("clCreateContext", func(api *proxy.Client) error {
-		realDevs := make([]ocl.DeviceID, len(drecs))
-		for i, rec := range drecs {
-			realDevs[i] = rec.real
-		}
-		var e error
-		real, e = api.CreateContext(realDevs)
-		return e
-	})
-	if err != nil {
+	if err := c.forward("clCreateContext", func(api *proxy.Client) error { return rec.create(c, api) }); err != nil {
 		return 0, err
 	}
-	rec := &contextRec{H: c.db.newHandle(hContext), Seq: c.db.seq, Devices: hs, Refs: 1, real: real}
-	c.db.contexts[rec.H] = rec
-	return ocl.Context(rec.H), nil
+	return ocl.Context(file(c.db, c.db.contexts, rec)), nil
 }
 
 // RetainContext wraps clRetainContext.
-func (c *CheCL) RetainContext(h ocl.Context) error {
-	c.enterCall()
-	rec, err := c.db.context(Handle(h))
-	if err != nil {
-		return err
-	}
-	return c.reref("clRetainContext", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainContext(rec.real) })
-}
+func (c *CheCL) RetainContext(h ocl.Context) error { return retain(c, c.db.contexts, Handle(h)) }
 
-// ReleaseContext wraps clReleaseContext. Releases flush the queue
-// first: a queued command may reference the object being released.
-func (c *CheCL) ReleaseContext(h ocl.Context) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.context(Handle(h))
-	if err != nil {
-		return err
-	}
-	err = c.reref("clReleaseContext", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseContext(rec.real) })
-	if rec.Refs <= 0 {
-		delete(c.db.contexts, rec.H)
-	}
-	return err
-}
+// ReleaseContext wraps clReleaseContext.
+func (c *CheCL) ReleaseContext(h ocl.Context) error { return release(c, c.db.contexts, Handle(h)) }
 
 // ---- queue wrappers ----
+
+// create makes the queue on its context and device.
+func (r *queueRec) create(c *CheCL, api *proxy.Client) error {
+	ctx, err := get(c.db.contexts, r.Ctx)
+	if err != nil {
+		return err
+	}
+	dev, err := get(c.db.devices, r.Device)
+	if err != nil {
+		return err
+	}
+	r.real, err = api.CreateCommandQueue(ctx.real, dev.real, r.Props)
+	return err
+}
 
 // CreateCommandQueue wraps clCreateCommandQueue.
 func (c *CheCL) CreateCommandQueue(ctx ocl.Context, d ocl.DeviceID, props ocl.QueueProps) (ocl.CommandQueue, error) {
 	c.enterCall()
-	crec, err := c.db.context(Handle(ctx))
+	crec, err := get(c.db.contexts, Handle(ctx))
 	if err != nil {
 		return 0, err
 	}
-	drec, err := c.db.device(Handle(d))
+	drec, err := get(c.db.devices, Handle(d))
 	if err != nil {
 		return 0, err
 	}
-	var real ocl.CommandQueue
-	err = c.forward("clCreateCommandQueue", func(api *proxy.Client) error {
-		var e error
-		real, e = api.CreateCommandQueue(crec.real, drec.real, props)
-		return e
-	})
-	if err != nil {
+	rec := &queueRec{Ctx: crec.H, Device: drec.H, Props: props, Refs: 1}
+	if err := c.forward("clCreateCommandQueue", func(api *proxy.Client) error { return rec.create(c, api) }); err != nil {
 		return 0, err
 	}
-	rec := &queueRec{H: c.db.newHandle(hQueue), Seq: c.db.seq, Ctx: crec.H, Device: drec.H, Props: props, Refs: 1, real: real}
-	c.db.queues[rec.H] = rec
-	return ocl.CommandQueue(rec.H), nil
+	return ocl.CommandQueue(file(c.db, c.db.queues, rec)), nil
 }
 
 // RetainCommandQueue wraps clRetainCommandQueue.
 func (c *CheCL) RetainCommandQueue(h ocl.CommandQueue) error {
-	c.enterCall()
-	rec, err := c.db.queue(Handle(h))
-	if err != nil {
-		return err
-	}
-	return c.reref("clRetainCommandQueue", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainCommandQueue(rec.real) })
+	return retain(c, c.db.queues, Handle(h))
 }
 
 // ReleaseCommandQueue wraps clReleaseCommandQueue.
 func (c *CheCL) ReleaseCommandQueue(h ocl.CommandQueue) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.queue(Handle(h))
-	if err != nil {
-		return err
-	}
-	err = c.reref("clReleaseCommandQueue", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseCommandQueue(rec.real) })
-	if rec.Refs <= 0 {
-		delete(c.db.queues, rec.H)
-	}
-	return err
+	return release(c, c.db.queues, Handle(h))
 }
 
 // ---- buffer wrappers ----
+
+// create makes the buffer on its context with the flags and host data
+// clCreateBuffer is given: the application's on the live call, with
+// CL_MEM_USE_HOST_PTR forwarded as a copy; none on a rebind, which uploads
+// the contents last.
+func (r *memRec) create(c *CheCL, api *proxy.Client, flags ocl.MemFlags, init []byte) error {
+	ctx, err := get(c.db.contexts, r.Ctx)
+	if err != nil {
+		return err
+	}
+	r.real, err = api.CreateBuffer(ctx.real, flags, r.Size, init)
+	return err
+}
 
 // CreateBuffer wraps clCreateBuffer. For CL_MEM_USE_HOST_PTR the host
 // slice is remembered so kernel launches can emulate the caching protocol
 // (§III-D) across the proxy boundary.
 func (c *CheCL) CreateBuffer(ctx ocl.Context, flags ocl.MemFlags, size int64, hostData []byte) (ocl.Mem, error) {
 	c.enterCall()
-	crec, err := c.db.context(Handle(ctx))
+	crec, err := get(c.db.contexts, Handle(ctx))
 	if err != nil {
 		return 0, err
 	}
@@ -553,72 +601,22 @@ func (c *CheCL) CreateBuffer(ctx ocl.Context, flags ocl.MemFlags, size int64, ho
 		}
 		fwdFlags = (flags &^ ocl.MemUseHostPtr) | ocl.MemCopyHostPtr
 	}
-	var real ocl.Mem
-	err = c.forward("clCreateBuffer", func(api *proxy.Client) error {
-		var e error
-		real, e = api.CreateBuffer(crec.real, fwdFlags, size, hostData)
-		return e
-	})
-	if err != nil {
+	rec := &memRec{Ctx: crec.H, Flags: flags, Size: size, Refs: 1, Dirty: true, UseHostPtr: useHost}
+	if err := c.forward("clCreateBuffer", func(api *proxy.Client) error { return rec.create(c, api, fwdFlags, hostData) }); err != nil {
 		return 0, err
-	}
-	rec := &memRec{
-		H: c.db.newHandle(hMem), Seq: c.db.seq, Ctx: crec.H,
-		Flags: flags, Size: size, Refs: 1, Dirty: true,
-		UseHostPtr: useHost,
-		real:       real,
 	}
 	if useHost {
 		rec.hostPtr = hostData[:size]
 	}
 	c.shadowSeed(rec, hostData)
-	c.db.mems[rec.H] = rec
-	return ocl.Mem(rec.H), nil
+	return ocl.Mem(file(c.db, c.db.mems, rec)), nil
 }
 
 // RetainMemObject wraps clRetainMemObject.
-func (c *CheCL) RetainMemObject(h ocl.Mem) error {
-	c.enterCall()
-	rec, err := c.db.mem(Handle(h))
-	if err != nil {
-		return err
-	}
-	return c.reref("clRetainMemObject", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainMemObject(rec.real) })
-}
+func (c *CheCL) RetainMemObject(h ocl.Mem) error { return retain(c, c.db.mems, Handle(h)) }
 
 // ReleaseMemObject wraps clReleaseMemObject.
-func (c *CheCL) ReleaseMemObject(h ocl.Mem) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.mem(Handle(h))
-	if err != nil {
-		return err
-	}
-	if err := c.reref("clReleaseMemObject", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseMemObject(rec.real) }); err != nil {
-		return err
-	}
-	if rec.Refs <= 0 {
-		// An in-flight speculative copy of a released buffer must never
-		// commit: the record either dies or becomes a dead placeholder.
-		c.epochDrop(rec.H)
-		if c.memReferenced(rec.H) {
-			// A live kernel still binds this buffer: the record must stay
-			// so clSetKernelArg replay works after a restore. It becomes a
-			// dead record — its contents are gone with the release, so the
-			// checkpoint preprocess must never stage it again.
-			rec.Released = true
-			rec.Data = nil
-			rec.Dirty = false
-			rec.UseHostPtr = false
-			rec.hostPtr = nil
-		} else {
-			delete(c.db.mems, rec.H)
-		}
-	}
-	return nil
-}
+func (c *CheCL) ReleaseMemObject(h ocl.Mem) error { return release(c, c.db.mems, Handle(h)) }
 
 // memReferenced reports whether any live kernel's recorded argument still
 // carries the mem handle h.
@@ -636,80 +634,74 @@ func (c *CheCL) memReferenced(h Handle) bool {
 
 // ---- sampler wrappers ----
 
-// CreateSampler wraps clCreateSampler.
-func (c *CheCL) CreateSampler(ctx ocl.Context, normalized bool, am ocl.AddressingMode, fm ocl.FilterMode) (ocl.Sampler, error) {
-	c.enterCall()
-	crec, err := c.db.context(Handle(ctx))
-	if err != nil {
-		return 0, err
-	}
-	var real ocl.Sampler
-	err = c.forward("clCreateSampler", func(api *proxy.Client) error {
-		var e error
-		real, e = api.CreateSampler(crec.real, normalized, am, fm)
-		return e
-	})
-	if err != nil {
-		return 0, err
-	}
-	rec := &samplerRec{
-		H: c.db.newHandle(hSampler), Seq: c.db.seq, Ctx: crec.H,
-		Normalized: normalized, AMode: am, FMode: fm, Refs: 1, real: real,
-	}
-	c.db.samplers[rec.H] = rec
-	return ocl.Sampler(rec.H), nil
-}
-
-// RetainSampler wraps clRetainSampler.
-func (c *CheCL) RetainSampler(h ocl.Sampler) error {
-	c.enterCall()
-	rec, err := c.db.sampler(Handle(h))
+// create makes the sampler on its context.
+func (r *samplerRec) create(c *CheCL, api *proxy.Client) error {
+	ctx, err := get(c.db.contexts, r.Ctx)
 	if err != nil {
 		return err
 	}
-	return c.reref("clRetainSampler", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainSampler(rec.real) })
-}
-
-// ReleaseSampler wraps clReleaseSampler.
-func (c *CheCL) ReleaseSampler(h ocl.Sampler) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.sampler(Handle(h))
-	if err != nil {
-		return err
-	}
-	err = c.reref("clReleaseSampler", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseSampler(rec.real) })
-	if rec.Refs <= 0 {
-		delete(c.db.samplers, rec.H)
-	}
+	r.real, err = api.CreateSampler(ctx.real, r.Normalized, r.AMode, r.FMode)
 	return err
 }
 
+// CreateSampler wraps clCreateSampler.
+func (c *CheCL) CreateSampler(ctx ocl.Context, normalized bool, am ocl.AddressingMode, fm ocl.FilterMode) (ocl.Sampler, error) {
+	c.enterCall()
+	crec, err := get(c.db.contexts, Handle(ctx))
+	if err != nil {
+		return 0, err
+	}
+	rec := &samplerRec{Ctx: crec.H, Normalized: normalized, AMode: am, FMode: fm, Refs: 1}
+	if err := c.forward("clCreateSampler", func(api *proxy.Client) error { return rec.create(c, api) }); err != nil {
+		return 0, err
+	}
+	return ocl.Sampler(file(c.db, c.db.samplers, rec)), nil
+}
+
+// RetainSampler wraps clRetainSampler.
+func (c *CheCL) RetainSampler(h ocl.Sampler) error { return retain(c, c.db.samplers, Handle(h)) }
+
+// ReleaseSampler wraps clReleaseSampler.
+func (c *CheCL) ReleaseSampler(h ocl.Sampler) error { return release(c, c.db.samplers, Handle(h)) }
+
 // ---- program wrappers ----
+
+// create makes the program on its context from its source, or from its
+// binary for dev, and builds it when the application has. It returns the
+// time the build took.
+func (r *programRec) create(c *CheCL, api *proxy.Client, dev ocl.DeviceID) (vtime.Duration, error) {
+	ctx, err := get(c.db.contexts, r.Ctx)
+	if err != nil {
+		return 0, err
+	}
+	if r.FromBinary {
+		r.real, err = api.CreateProgramWithBinary(ctx.real, dev, r.Binary)
+	} else {
+		r.real, err = api.CreateProgramWithSource(ctx.real, r.Source)
+	}
+	if err != nil || !r.Built {
+		return 0, err
+	}
+	sw := vtime.NewStopwatch(c.app.Clock())
+	r.BuildCost, err = buildProgram(api, c.app.Clock(), r.real, r.Options)
+	return sw.Elapsed(), err
+}
 
 // CreateProgramWithSource wraps clCreateProgramWithSource. CheCL parses
 // the kernel parameter lists here (the paper does it with Clang) so that
 // clSetKernelArg can later distinguish handles from scalars.
 func (c *CheCL) CreateProgramWithSource(ctx ocl.Context, source string) (ocl.Program, error) {
 	c.enterCall()
-	crec, err := c.db.context(Handle(ctx))
+	crec, err := get(c.db.contexts, Handle(ctx))
 	if err != nil {
 		return 0, err
 	}
-	var real ocl.Program
-	err = c.forward("clCreateProgramWithSource", func(api *proxy.Client) error {
-		var e error
-		real, e = api.CreateProgramWithSource(crec.real, source)
-		return e
-	})
-	if err != nil {
+	rec := &programRec{Ctx: crec.H, Source: source, Refs: 1}
+	if err := c.forward("clCreateProgramWithSource", func(api *proxy.Client) error {
+		_, err := rec.create(c, api, 0)
+		return err
+	}); err != nil {
 		return 0, err
-	}
-	rec := &programRec{
-		H: c.db.newHandle(hProgram), Seq: c.db.seq, Ctx: crec.H,
-		Source: source, Refs: 1, real: real,
 	}
 	if compiled, cerr := clc.Compile(source); cerr == nil {
 		rec.Sigs = compiled.Sigs
@@ -720,8 +712,7 @@ func (c *CheCL) CreateProgramWithSource(ctx ocl.Context, source string) (ocl.Pro
 			}
 		}
 	}
-	c.db.programs[rec.H] = rec
-	return ocl.Program(rec.H), nil
+	return ocl.Program(file(c.db, c.db.programs, rec)), nil
 }
 
 // CreateProgramWithBinary wraps clCreateProgramWithBinary. Its use is
@@ -730,29 +721,22 @@ func (c *CheCL) CreateProgramWithSource(ctx ocl.Context, source string) (ocl.Pro
 // and the recorded binary may be invalid on the restart node.
 func (c *CheCL) CreateProgramWithBinary(ctx ocl.Context, d ocl.DeviceID, binaryBlob []byte) (ocl.Program, error) {
 	c.enterCall()
-	crec, err := c.db.context(Handle(ctx))
+	crec, err := get(c.db.contexts, Handle(ctx))
 	if err != nil {
 		return 0, err
 	}
-	drec, err := c.db.device(Handle(d))
+	drec, err := get(c.db.devices, Handle(d))
 	if err != nil {
 		return 0, err
 	}
-	var real ocl.Program
-	err = c.forward("clCreateProgramWithBinary", func(api *proxy.Client) error {
-		var e error
-		real, e = api.CreateProgramWithBinary(crec.real, drec.real, binaryBlob)
-		return e
-	})
-	if err != nil {
+	rec := &programRec{Ctx: crec.H, Binary: append([]byte(nil), binaryBlob...), FromBinary: true, Refs: 1}
+	if err := c.forward("clCreateProgramWithBinary", func(api *proxy.Client) error {
+		_, err := rec.create(c, api, drec.real)
+		return err
+	}); err != nil {
 		return 0, err
 	}
-	rec := &programRec{
-		H: c.db.newHandle(hProgram), Seq: c.db.seq, Ctx: crec.H,
-		Binary: append([]byte(nil), binaryBlob...), FromBinary: true, Refs: 1, real: real,
-	}
-	c.db.programs[rec.H] = rec
-	return ocl.Program(rec.H), nil
+	return ocl.Program(file(c.db, c.db.programs, rec)), nil
 }
 
 // BuildProgram wraps clBuildProgram and records the measured build time —
@@ -762,7 +746,7 @@ func (c *CheCL) BuildProgram(h ocl.Program, options string) error {
 	if err := c.Drain(); err != nil {
 		return err
 	}
-	rec, err := c.db.program(Handle(h))
+	rec, err := get(c.db.programs, Handle(h))
 	if err != nil {
 		return err
 	}
@@ -778,11 +762,7 @@ func (c *CheCL) BuildProgram(h ocl.Program, options string) error {
 	rec.BuildCost = cost
 	// A rebuild can change the build log: drop this program's cached
 	// build-info entries.
-	for k := range c.db.buildInfo {
-		if k.prog == rec.H {
-			delete(c.db.buildInfo, k)
-		}
-	}
+	maps.DeleteFunc(c.db.buildInfo, func(k buildInfoKey, _ ocl.BuildInfo) bool { return k.prog == rec.H })
 	return nil
 }
 
@@ -791,11 +771,11 @@ func (c *CheCL) BuildProgram(h ocl.Program, options string) error {
 // entry) or a rebind (which invalidates every cache).
 func (c *CheCL) GetProgramBuildInfo(h ocl.Program, d ocl.DeviceID) (ocl.BuildInfo, error) {
 	c.enterCall()
-	rec, err := c.db.program(Handle(h))
+	rec, err := get(c.db.programs, Handle(h))
 	if err != nil {
 		return ocl.BuildInfo{}, err
 	}
-	drec, err := c.db.device(Handle(d))
+	drec, err := get(c.db.devices, Handle(d))
 	if err != nil {
 		return ocl.BuildInfo{}, err
 	}
@@ -804,16 +784,10 @@ func (c *CheCL) GetProgramBuildInfo(h ocl.Program, d ocl.DeviceID) (ocl.BuildInf
 		c.db.cacheHits++
 		return info, nil
 	}
-	var info ocl.BuildInfo
-	err = c.forward("clGetProgramBuildInfo", func(api *proxy.Client) error {
-		var e error
-		info, e = api.GetProgramBuildInfo(rec.real, drec.real)
-		return e
+	info, err := ask(c, "clGetProgramBuildInfo", func(api *proxy.Client) (ocl.BuildInfo, error) {
+		return api.GetProgramBuildInfo(rec.real, drec.real)
 	})
 	if err == nil {
-		if c.db.buildInfo == nil {
-			c.db.buildInfo = map[buildInfoKey]ocl.BuildInfo{}
-		}
 		c.db.buildInfo[key] = info
 	}
 	return info, err
@@ -821,62 +795,32 @@ func (c *CheCL) GetProgramBuildInfo(h ocl.Program, d ocl.DeviceID) (ocl.BuildInf
 
 // GetProgramBinary wraps clGetProgramInfo(CL_PROGRAM_BINARIES).
 func (c *CheCL) GetProgramBinary(h ocl.Program) ([]byte, error) {
-	c.enterCall()
-	rec, err := c.db.program(Handle(h))
-	if err != nil {
-		return nil, err
-	}
-	var bin []byte
-	err = c.forward("clGetProgramBinary", func(api *proxy.Client) error {
-		var e error
-		bin, e = api.GetProgramBinary(rec.real)
-		return e
-	})
+	_, bin, err := query(c, c.db.programs, Handle(h), "clGetProgramBinary", (*proxy.Client).GetProgramBinary)
 	return bin, err
 }
 
 // RetainProgram wraps clRetainProgram.
-func (c *CheCL) RetainProgram(h ocl.Program) error {
-	c.enterCall()
-	rec, err := c.db.program(Handle(h))
-	if err != nil {
-		return err
-	}
-	return c.reref("clRetainProgram", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainProgram(rec.real) })
-}
+func (c *CheCL) RetainProgram(h ocl.Program) error { return retain(c, c.db.programs, Handle(h)) }
 
 // ReleaseProgram wraps clReleaseProgram.
-func (c *CheCL) ReleaseProgram(h ocl.Program) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.program(Handle(h))
+func (c *CheCL) ReleaseProgram(h ocl.Program) error { return release(c, c.db.programs, Handle(h)) }
+
+// ---- kernel wrappers ----
+
+// create makes the kernel from its program.
+func (r *kernelRec) create(c *CheCL, api *proxy.Client) error {
+	prog, err := get(c.db.programs, r.Prog)
 	if err != nil {
 		return err
 	}
-	err = c.reref("clReleaseProgram", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseProgram(rec.real) })
-	if rec.Refs <= 0 {
-		delete(c.db.programs, rec.H)
-	}
+	r.real, err = api.CreateKernel(prog.real, r.Name)
 	return err
 }
-
-// ---- kernel wrappers ----
 
 // CreateKernel wraps clCreateKernel.
 func (c *CheCL) CreateKernel(p ocl.Program, name string) (ocl.Kernel, error) {
 	c.enterCall()
-	prec, err := c.db.program(Handle(p))
-	if err != nil {
-		return 0, err
-	}
-	var real ocl.Kernel
-	err = c.forward("clCreateKernel", func(api *proxy.Client) error {
-		var e error
-		real, e = api.CreateKernel(prec.real, name)
-		return e
-	})
+	prec, err := get(c.db.programs, Handle(p))
 	if err != nil {
 		return 0, err
 	}
@@ -886,40 +830,18 @@ func (c *CheCL) CreateKernel(p ocl.Program, name string) (ocl.Kernel, error) {
 	if sig, ok := clc.Lookup(prec.Sigs, name); ok {
 		nargs = len(sig.Params)
 	}
-	rec := &kernelRec{
-		H: c.db.newHandle(hKernel), Seq: c.db.seq, Prog: prec.H,
-		Name: name, Args: make([]argRec, nargs), Refs: 1, real: real,
+	rec := &kernelRec{Prog: prec.H, Name: name, Args: make([]argRec, nargs), Refs: 1}
+	if err := c.forward("clCreateKernel", func(api *proxy.Client) error { return rec.create(c, api) }); err != nil {
+		return 0, err
 	}
-	c.db.kernels[rec.H] = rec
-	return ocl.Kernel(rec.H), nil
+	return ocl.Kernel(file(c.db, c.db.kernels, rec)), nil
 }
 
 // RetainKernel wraps clRetainKernel.
-func (c *CheCL) RetainKernel(h ocl.Kernel) error {
-	c.enterCall()
-	rec, err := c.db.kernel(Handle(h))
-	if err != nil {
-		return err
-	}
-	return c.reref("clRetainKernel", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainKernel(rec.real) })
-}
+func (c *CheCL) RetainKernel(h ocl.Kernel) error { return retain(c, c.db.kernels, Handle(h)) }
 
 // ReleaseKernel wraps clReleaseKernel.
-func (c *CheCL) ReleaseKernel(h ocl.Kernel) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.kernel(Handle(h))
-	if err != nil {
-		return err
-	}
-	err = c.reref("clReleaseKernel", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseKernel(rec.real) })
-	if rec.Refs <= 0 {
-		delete(c.db.kernels, rec.H)
-	}
-	return err
-}
+func (c *CheCL) ReleaseKernel(h ocl.Kernel) error { return release(c, c.db.kernels, Handle(h)) }
 
 // SetKernelArg wraps clSetKernelArg — the call whose (void*, size_t)
 // contract required the signature machinery of §III-B. The raw bytes the
@@ -930,11 +852,11 @@ func (c *CheCL) ReleaseKernel(h ocl.Kernel) error {
 // surfaces at the flush.
 func (c *CheCL) SetKernelArg(h ocl.Kernel, index int, size int64, value []byte) error {
 	c.enterCall()
-	rec, err := c.db.kernel(Handle(h))
+	rec, err := get(c.db.kernels, Handle(h))
 	if err != nil {
 		return err
 	}
-	prec, err := c.db.program(rec.Prog)
+	prec, err := get(c.db.programs, rec.Prog)
 	if err != nil {
 		return err
 	}
@@ -978,8 +900,10 @@ func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size in
 					kernel, index, sig.Params[index].Name)
 			}
 			mh := Handle(binary.LittleEndian.Uint64(value))
-			mrec, err := c.db.memAny(mh)
-			if err != nil {
+			// A dead record too: a kernel may still name a released buffer.
+			mrec, ok := c.db.mems[mh]
+			if !ok {
+				_, err := get(c.db.mems, mh)
 				return nil, false, err
 			}
 			return c.handleBytes(uint64(mrec.real)), false, nil
@@ -989,7 +913,7 @@ func (c *CheCL) translateArg(prec *programRec, kernel string, index int, size in
 					"kernel %s argument %d is a sampler handle and must be 8 bytes", kernel, index)
 			}
 			sh := Handle(binary.LittleEndian.Uint64(value))
-			srec, err := c.db.sampler(sh)
+			srec, err := get(c.db.samplers, sh)
 			if err != nil {
 				return nil, false, err
 			}
@@ -1030,7 +954,7 @@ func (c *CheCL) translateWaits(waits []ocl.Event) ([]ocl.Event, error) {
 	}
 	out := make([]ocl.Event, 0, len(waits))
 	for _, w := range waits {
-		rec, err := c.db.event(Handle(w))
+		rec, err := get(c.db.events, Handle(w))
 		if err != nil {
 			return nil, err
 		}
@@ -1047,9 +971,7 @@ func (c *CheCL) translateWaits(waits []ocl.Event) ([]ocl.Event, error) {
 
 // wrapEvent registers a real event and returns its CheCL handle.
 func (c *CheCL) wrapEvent(q Handle, kind string, real ocl.Event) ocl.Event {
-	rec := &eventRec{H: c.db.newHandle(hEvent), Seq: c.db.seq, Queue: q, Kind: kind, Refs: 1, real: real}
-	c.db.events[rec.H] = rec
-	return ocl.Event(rec.H)
+	return ocl.Event(file(c.db, c.db.events, &eventRec{Queue: q, Kind: kind, Refs: 1, real: real}))
 }
 
 // EnqueueWriteBuffer wraps clEnqueueWriteBuffer. A write below the
@@ -1061,11 +983,11 @@ func (c *CheCL) wrapEvent(q Handle, kind string, real ocl.Event) ocl.Event {
 // transfer starts overlapping device work at once.
 func (c *CheCL) EnqueueWriteBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset int64, data []byte, waits []ocl.Event) (ocl.Event, error) {
 	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
+	qrec, err := get(c.db.queues, Handle(q))
 	if err != nil {
 		return 0, err
 	}
-	mrec, err := c.db.mem(Handle(m))
+	mrec, err := get(c.db.mems, Handle(m))
 	if err != nil {
 		return 0, err
 	}
@@ -1133,11 +1055,11 @@ func (c *CheCL) EnqueueReadBuffer(q ocl.CommandQueue, m ocl.Mem, blocking bool, 
 // whole run costs one round trip, and is copied out of the response.
 func (c *CheCL) EnqueueReadBufferInto(q ocl.CommandQueue, m ocl.Mem, blocking bool, offset, size int64, waits []ocl.Event, buf []byte) ([]byte, ocl.Event, error) {
 	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
+	qrec, err := get(c.db.queues, Handle(q))
 	if err != nil {
 		return nil, 0, err
 	}
-	mrec, err := c.db.mem(Handle(m))
+	mrec, err := get(c.db.mems, Handle(m))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1189,15 +1111,15 @@ func (c *CheCL) EnqueueReadBufferInto(q ocl.CommandQueue, m ocl.Mem, blocking bo
 // EnqueueCopyBuffer wraps clEnqueueCopyBuffer.
 func (c *CheCL) EnqueueCopyBuffer(q ocl.CommandQueue, src, dst ocl.Mem, srcOff, dstOff, size int64, waits []ocl.Event) (ocl.Event, error) {
 	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
+	qrec, err := get(c.db.queues, Handle(q))
 	if err != nil {
 		return 0, err
 	}
-	srec, err := c.db.mem(Handle(src))
+	srec, err := get(c.db.mems, Handle(src))
 	if err != nil {
 		return 0, err
 	}
-	drec, err := c.db.mem(Handle(dst))
+	drec, err := get(c.db.mems, Handle(dst))
 	if err != nil {
 		return 0, err
 	}
@@ -1224,15 +1146,15 @@ func (c *CheCL) EnqueueCopyBuffer(q ocl.CommandQueue, src, dst ocl.Mem, srcOff, 
 // back after it.
 func (c *CheCL) EnqueueNDRangeKernel(q ocl.CommandQueue, k ocl.Kernel, dims int, offset, global, local [3]int, waits []ocl.Event) (ocl.Event, error) {
 	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
+	qrec, err := get(c.db.queues, Handle(q))
 	if err != nil {
 		return 0, err
 	}
-	krec, err := c.db.kernel(Handle(k))
+	krec, err := get(c.db.kernels, Handle(k))
 	if err != nil {
 		return 0, err
 	}
-	prec, err := c.db.program(krec.Prog)
+	prec, err := get(c.db.programs, krec.Prog)
 	if err != nil {
 		return 0, err
 	}
@@ -1387,7 +1309,7 @@ func (c *CheCL) boundMems(out []*memRec, prec *programRec, krec *kernelRec) []*m
 // goes out as the plain call it wraps.
 func (c *CheCL) queueOnly(q ocl.CommandQueue, op proxy.BatchOp, kind string, sync func(*proxy.Client, ocl.CommandQueue) error) (*eventRec, error) {
 	c.enterCall()
-	qrec, err := c.db.queue(Handle(q))
+	qrec, err := get(c.db.queues, Handle(q))
 	if err != nil {
 		return nil, err
 	}
@@ -1465,45 +1387,30 @@ func (c *CheCL) GetEventProfile(e ocl.Event) (ocl.EventProfile, error) {
 	if err := c.Drain(); err != nil {
 		return ocl.EventProfile{}, err
 	}
-	rec, err := c.db.event(Handle(e))
+	rec, err := get(c.db.events, Handle(e))
 	if err != nil {
 		return ocl.EventProfile{}, err
 	}
-	var prof ocl.EventProfile
-	err = c.forward("clGetEventProfilingInfo", func(api *proxy.Client) error {
-		var e error
-		prof, e = api.GetEventProfile(rec.real)
-		return e
-	})
-	return prof, err
+	return ask(c, "clGetEventProfilingInfo", func(api *proxy.Client) (ocl.EventProfile, error) { return api.GetEventProfile(rec.real) })
+}
+
+// create mints the event as a marker on its queue (§III-C). It runs only
+// on a rebind, which finds the queues empty: the marker completes at once
+// and stands in for the completed event the record was made for.
+func (r *eventRec) create(c *CheCL, api *proxy.Client) error {
+	q, err := get(c.db.queues, r.Queue)
+	if err != nil {
+		return err
+	}
+	if r.real, err = api.EnqueueMarker(q.real); err != nil {
+		return err
+	}
+	r.Dummy = true
+	return nil
 }
 
 // RetainEvent wraps clRetainEvent.
-func (c *CheCL) RetainEvent(e ocl.Event) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.event(Handle(e))
-	if err != nil {
-		return err
-	}
-	return c.reref("clRetainEvent", &rec.Refs, +1, func(api *proxy.Client) error { return api.RetainEvent(rec.real) })
-}
+func (c *CheCL) RetainEvent(e ocl.Event) error { return retain(c, c.db.events, Handle(e)) }
 
 // ReleaseEvent wraps clReleaseEvent.
-func (c *CheCL) ReleaseEvent(e ocl.Event) error {
-	c.enterCall()
-	if err := c.Drain(); err != nil {
-		return err
-	}
-	rec, err := c.db.event(Handle(e))
-	if err != nil {
-		return err
-	}
-	err = c.reref("clReleaseEvent", &rec.Refs, -1, func(api *proxy.Client) error { return api.ReleaseEvent(rec.real) })
-	if rec.Refs <= 0 {
-		delete(c.db.events, rec.H)
-	}
-	return err
-}
+func (c *CheCL) ReleaseEvent(e ocl.Event) error { return release(c, c.db.events, Handle(e)) }

@@ -566,7 +566,7 @@ func TestBinaryProgramHeuristicFalsePositive(t *testing.T) {
 	if err := c.SetKernelArg(k2, 0, 8, collision); err != nil {
 		t.Fatal(err)
 	}
-	prec, perr := c.db.program(Handle(prog2))
+	prec, perr := get(c.db.programs, Handle(prog2))
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -587,7 +587,7 @@ func TestBinaryProgramHeuristicFalsePositive(t *testing.T) {
 	}
 	// With a parsed signature (source program) the same bytes pass
 	// through untouched.
-	srcRec, perr := c.db.program(Handle(app.prog))
+	srcRec, perr := get(c.db.programs, Handle(app.prog))
 	if perr != nil {
 		t.Fatal(perr)
 	}

@@ -24,6 +24,7 @@ import (
 
 	"checl/internal/clc"
 	"checl/internal/ocl"
+	"checl/internal/proxy"
 	"checl/internal/vtime"
 )
 
@@ -45,16 +46,39 @@ const (
 	hEvent
 )
 
-var classNames = map[int]string{
-	hPlatform: "platform",
-	hDevice:   "device",
-	hContext:  "context",
-	hQueue:    "cmd_que",
-	hMem:      "mem",
-	hSampler:  "sampler",
-	hProgram:  "prog",
-	hKernel:   "kernel",
-	hEvent:    "event",
+// class is what the generic record code knows of one object class: its
+// name in RestoreOrder, how a failed lookup reports a handle, and, for a
+// class whose references the application counts, its clRetain*/clRelease*
+// entry points on the proxy.
+type class struct {
+	name, what          string
+	status              ocl.Status
+	retainOp, releaseOp string
+	retain, release     func(*proxy.Client, uint64) error
+}
+
+// classes is indexed by class tag, the low nibble of a handle.
+var classes = [16]class{
+	hPlatform: {name: "platform", what: "platform", status: ocl.InvalidPlatform},
+	hDevice:   {name: "device", what: "device", status: ocl.InvalidDevice},
+	hContext:  counted("context", "context", ocl.InvalidContext, "Context", (*proxy.Client).RetainContext, (*proxy.Client).ReleaseContext),
+	hQueue:    counted("cmd_que", "queue", ocl.InvalidCommandQueue, "CommandQueue", (*proxy.Client).RetainCommandQueue, (*proxy.Client).ReleaseCommandQueue),
+	hMem:      counted("mem", "mem", ocl.InvalidMemObject, "MemObject", (*proxy.Client).RetainMemObject, (*proxy.Client).ReleaseMemObject),
+	hSampler:  counted("sampler", "sampler", ocl.InvalidSampler, "Sampler", (*proxy.Client).RetainSampler, (*proxy.Client).ReleaseSampler),
+	hProgram:  counted("prog", "program", ocl.InvalidProgram, "Program", (*proxy.Client).RetainProgram, (*proxy.Client).ReleaseProgram),
+	hKernel:   counted("kernel", "kernel", ocl.InvalidKernel, "Kernel", (*proxy.Client).RetainKernel, (*proxy.Client).ReleaseKernel),
+	hEvent:    counted("event", "event", ocl.InvalidEvent, "Event", (*proxy.Client).RetainEvent, (*proxy.Client).ReleaseEvent),
+}
+
+// counted is the class entry of a reference-counted class whose entry
+// points are clRetain<api> and clRelease<api>.
+func counted[H ~uint64](name, what string, status ocl.Status, api string, retain, release func(*proxy.Client, H) error) class {
+	return class{
+		name: name, what: what, status: status,
+		retainOp: "clRetain" + api, releaseOp: "clRelease" + api,
+		retain:  func(p *proxy.Client, h uint64) error { return retain(p, H(h)) },
+		release: func(p *proxy.Client, h uint64) error { return release(p, H(h)) },
+	}
 }
 
 // RestoreOrder is the dependency-ordered class list of §III-C: objects are
@@ -63,10 +87,8 @@ var RestoreOrder = []string{
 	"platform", "device", "context", "cmd_que", "mem", "sampler", "prog", "kernel", "event",
 }
 
-func (h Handle) class() int { return int(h & 0xF) }
-
 // Class names the object class of the handle ("mem", "prog", ...).
-func (h Handle) Class() string { return classNames[h.class()] }
+func (h Handle) Class() string { return classes[h&0xF].name }
 
 // CheCL-handle values live in a distinctive range so that accidental
 // confusion with real handles is detectable in tests and so the
@@ -118,9 +140,9 @@ type wgInfoKey struct{ kernel, dev Handle }
 // binding's hardware.
 func (db *database) invalidateCaches() {
 	db.platformList = nil
-	db.deviceLists = nil
-	db.buildInfo = nil
-	db.wgInfo = nil
+	clear(db.deviceLists)
+	clear(db.buildInfo)
+	clear(db.wgInfo)
 	db.cacheGen++
 }
 
@@ -135,6 +157,10 @@ func newDatabase() *database {
 		programs:  map[Handle]*programRec{},
 		kernels:   map[Handle]*kernelRec{},
 		events:    map[Handle]*eventRec{},
+
+		deviceLists: map[deviceListKey][]ocl.DeviceID{},
+		buildInfo:   map[buildInfoKey]ocl.BuildInfo{},
+		wgInfo:      map[wgInfoKey]ocl.KernelWorkGroupInfo{},
 	}
 }
 
@@ -291,113 +317,78 @@ type eventRec struct {
 	qidx  int // 1 + position in the submission queue while queued there, else 0
 }
 
-// lookups with class-checked errors.
+// object is a record as the generic code sees it: head is the part every
+// class has.
+type object interface{ head() head }
 
-func (db *database) platform(h Handle) (*platformRec, error) {
-	if r, ok := db.platforms[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidPlatform, "%#x is not a live CheCL platform handle", uint64(h))
+// record is a pointer to a record type, where the generic code needs the
+// type it points to.
+type record[R any] interface {
+	*R
+	object
 }
 
-func (db *database) device(h Handle) (*deviceRec, error) {
-	if r, ok := db.devices[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidDevice, "%#x is not a live CheCL device handle", uint64(h))
+// head is a record's class tag and, by reference, its handle, creation
+// order, reference count (nil for platforms and devices, which have none)
+// and current real handle.
+type head struct {
+	kind int
+	h    *Handle
+	seq  *uint64
+	refs *int
+	real *uint64
 }
 
-func (db *database) context(h Handle) (*contextRec, error) {
-	if r, ok := db.contexts[h]; ok {
+func (r *platformRec) head() head { return head{hPlatform, &r.H, &r.Seq, nil, (*uint64)(&r.real)} }
+func (r *deviceRec) head() head   { return head{hDevice, &r.H, &r.Seq, nil, (*uint64)(&r.real)} }
+func (r *contextRec) head() head  { return head{hContext, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+func (r *queueRec) head() head    { return head{hQueue, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+func (r *memRec) head() head      { return head{hMem, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+func (r *samplerRec) head() head  { return head{hSampler, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+func (r *programRec) head() head  { return head{hProgram, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+func (r *kernelRec) head() head   { return head{hKernel, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+func (r *eventRec) head() head    { return head{hEvent, &r.H, &r.Seq, &r.Refs, (*uint64)(&r.real)} }
+
+// get returns the live record of h in its class's map m, or the class's
+// invalid-handle error. A dead mem record (Released) is not live.
+func get[R any, P record[R]](m map[Handle]P, h Handle) (P, error) {
+	r, ok := m[h]
+	if mem, isMem := any(r).(*memRec); ok && !(isMem && mem.Released) {
 		return r, nil
 	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidContext, "%#x is not a live CheCL context handle", uint64(h))
+	k := &classes[P(new(R)).head().kind]
+	return nil, ocl.Errf("CheCL", k.status, "%#x is not a live CheCL %s handle", uint64(h), k.what)
 }
 
-func (db *database) queue(h Handle) (*queueRec, error) {
-	if r, ok := db.queues[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidCommandQueue, "%#x is not a live CheCL queue handle", uint64(h))
-}
-
-func (db *database) mem(h Handle) (*memRec, error) {
-	if r, ok := db.mems[h]; ok && !r.Released {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidMemObject, "%#x is not a live CheCL mem handle", uint64(h))
-}
-
-// memAny is mem including dead (Released) records: the restore-time
-// clSetKernelArg replay must still resolve a handle a kernel captured
-// before the application dropped its last reference.
-func (db *database) memAny(h Handle) (*memRec, error) {
-	if r, ok := db.mems[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidMemObject, "%#x is not a live CheCL mem handle", uint64(h))
-}
-
-func (db *database) sampler(h Handle) (*samplerRec, error) {
-	if r, ok := db.samplers[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidSampler, "%#x is not a live CheCL sampler handle", uint64(h))
-}
-
-func (db *database) program(h Handle) (*programRec, error) {
-	if r, ok := db.programs[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidProgram, "%#x is not a live CheCL program handle", uint64(h))
-}
-
-func (db *database) kernel(h Handle) (*kernelRec, error) {
-	if r, ok := db.kernels[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidKernel, "%#x is not a live CheCL kernel handle", uint64(h))
-}
-
-func (db *database) event(h Handle) (*eventRec, error) {
-	if r, ok := db.events[h]; ok {
-		return r, nil
-	}
-	return nil, ocl.Errf("CheCL", ocl.InvalidEvent, "%#x is not a live CheCL event handle", uint64(h))
-}
-
-// ordered iteration helpers (creation order = Seq order), so restore
-// replays creations deterministically and parents exist before children.
-
-func orderedVals[R any](m map[Handle]*R, seq func(*R) uint64) []*R {
-	out := make([]*R, 0, len(m))
+// ordered lists the records of m in creation (Seq) order, so that a rebind
+// makes parents before children and every walk is deterministic.
+func ordered[P object](m map[Handle]P) []P {
+	out := make([]P, 0, len(m))
 	for _, r := range m {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return seq(out[i]) < seq(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return *out[i].head().seq < *out[j].head().seq })
 	return out
 }
 
-func (db *database) orderedContexts() []*contextRec {
-	return orderedVals(db.contexts, func(r *contextRec) uint64 { return r.Seq })
+// file stamps r with the next handle of its class, files it in m and
+// returns the handle.
+func file[P object](db *database, m map[Handle]P, r P) Handle {
+	hd := r.head()
+	*hd.h = db.newHandle(hd.kind)
+	*hd.seq = db.seq
+	m[*hd.h] = r
+	return *hd.h
 }
-func (db *database) orderedQueues() []*queueRec {
-	return orderedVals(db.queues, func(r *queueRec) uint64 { return r.Seq })
-}
-func (db *database) orderedMems() []*memRec {
-	return orderedVals(db.mems, func(r *memRec) uint64 { return r.Seq })
-}
-func (db *database) orderedSamplers() []*samplerRec {
-	return orderedVals(db.samplers, func(r *samplerRec) uint64 { return r.Seq })
-}
-func (db *database) orderedPrograms() []*programRec {
-	return orderedVals(db.programs, func(r *programRec) uint64 { return r.Seq })
-}
-func (db *database) orderedKernels() []*kernelRec {
-	return orderedVals(db.kernels, func(r *kernelRec) uint64 { return r.Seq })
-}
-func (db *database) orderedEvents() []*eventRec {
-	return orderedVals(db.events, func(r *eventRec) uint64 { return r.Seq })
+
+// byReal returns the record of m bound to the real handle real, if any.
+func byReal[R any, P record[R]](m map[Handle]P, real uint64) (P, bool) {
+	for _, r := range m {
+		if *r.head().real == real {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
 // Counts reports live objects per class (diagnostics and tests).
@@ -433,11 +424,11 @@ func derefAll[R any](recs []*R) []R {
 	return out
 }
 
-// adopt files a private copy of every decoded record under its handle.
-func adopt[R any](m map[Handle]*R, recs []R, h func(*R) Handle) {
+// adopt files every decoded record under its handle.
+func adopt[R any, P record[R]](m map[Handle]P, recs []R) {
 	for i := range recs {
-		r := recs[i]
-		m[h(&r)] = &r
+		r := P(&recs[i])
+		m[*r.head().h] = r
 	}
 }
 
@@ -464,18 +455,18 @@ type snapshot struct {
 func (db *database) encode() ([]byte, error) {
 	var s snapshot
 	s.Seq = db.seq
-	s.Platforms = derefAll(orderedVals(db.platforms, func(r *platformRec) uint64 { return r.Seq }))
-	s.Devices = derefAll(orderedVals(db.devices, func(r *deviceRec) uint64 { return r.Seq }))
-	s.Contexts = derefAll(db.orderedContexts())
-	s.Queues = derefAll(db.orderedQueues())
-	s.Mems = derefAll(db.orderedMems())
+	s.Platforms = derefAll(ordered(db.platforms))
+	s.Devices = derefAll(ordered(db.devices))
+	s.Contexts = derefAll(ordered(db.contexts))
+	s.Queues = derefAll(ordered(db.queues))
+	s.Mems = derefAll(ordered(db.mems))
 	for i := range s.Mems {
 		s.Mems[i].Data = nil
 	}
-	s.Samplers = derefAll(db.orderedSamplers())
-	s.Programs = derefAll(db.orderedPrograms())
-	s.Kernels = derefAll(db.orderedKernels())
-	s.Events = derefAll(db.orderedEvents())
+	s.Samplers = derefAll(ordered(db.samplers))
+	s.Programs = derefAll(ordered(db.programs))
+	s.Kernels = derefAll(ordered(db.kernels))
+	s.Events = derefAll(ordered(db.events))
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
 		return nil, fmt.Errorf("checl: encoding object database: %w", err)
@@ -492,15 +483,15 @@ func decodeDatabase(data []byte) (*database, error) {
 	}
 	db := newDatabase()
 	db.seq = s.Seq
-	adopt(db.platforms, s.Platforms, func(r *platformRec) Handle { return r.H })
-	adopt(db.devices, s.Devices, func(r *deviceRec) Handle { return r.H })
-	adopt(db.contexts, s.Contexts, func(r *contextRec) Handle { return r.H })
-	adopt(db.queues, s.Queues, func(r *queueRec) Handle { return r.H })
-	adopt(db.mems, s.Mems, func(r *memRec) Handle { return r.H })
-	adopt(db.samplers, s.Samplers, func(r *samplerRec) Handle { return r.H })
-	adopt(db.programs, s.Programs, func(r *programRec) Handle { return r.H })
-	adopt(db.kernels, s.Kernels, func(r *kernelRec) Handle { return r.H })
-	adopt(db.events, s.Events, func(r *eventRec) Handle { return r.H })
+	adopt(db.platforms, s.Platforms)
+	adopt(db.devices, s.Devices)
+	adopt(db.contexts, s.Contexts)
+	adopt(db.queues, s.Queues)
+	adopt(db.mems, s.Mems)
+	adopt(db.samplers, s.Samplers)
+	adopt(db.programs, s.Programs)
+	adopt(db.kernels, s.Kernels)
+	adopt(db.events, s.Events)
 	return db, nil
 }
 

@@ -237,3 +237,107 @@ func TestRestoreFromStoreDegraded(t *testing.T) {
 		t.Fatalf("err = %v (%T), want wrapped *store.DegradedRestore", err, err)
 	}
 }
+
+// TestRebindKeepsReferenceCounts: every rebind — a restore, a failover
+// after a proxy kill, a destructive checkpoint — gives each new object as
+// many references as its record counts, so an object the application
+// retained survives its next release, on the proxy as in the database.
+func TestRebindKeepsReferenceCounts(t *testing.T) {
+	rebinds := []struct {
+		name   string
+		opts   Options
+		rebind func(t *testing.T, node *proc.Node, c *CheCL) *CheCL
+	}{
+		{"restore", Options{}, func(t *testing.T, node *proc.Node, c *CheCL) *CheCL {
+			if _, err := c.Checkpoint(node.LocalDisk, "refs.ckpt"); err != nil {
+				t.Fatal(err)
+			}
+			c.Proxy().Kill()
+			c.App().Kill()
+			rc, _, err := Restore(node, node.LocalDisk, "refs.ckpt", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rc.Detach)
+			return rc
+		}},
+		{"failover", Options{AutoFailover: true}, func(t *testing.T, _ *proc.Node, c *CheCL) *CheCL {
+			c.Proxy().Kill()
+			return c
+		}},
+		{"destructive", Options{Destructive: true}, func(t *testing.T, node *proc.Node, c *CheCL) *CheCL {
+			if _, err := c.Checkpoint(node.LocalDisk, "refs.ckpt"); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, rb := range rebinds {
+		t.Run(rb.name, func(t *testing.T) {
+			node := newNodeNV("pc0")
+			_, c := attach(t, node, rb.opts)
+			app := setupVaddApp(t, c, 64)
+			ev := app.launch(t)
+			app.finish(t)
+			if err := c.RetainCommandQueue(app.q); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RetainMemObject(app.a); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RetainEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+
+			c = rb.rebind(t, node, c)
+			app.api = c
+			refs := func(want int) {
+				t.Helper()
+				qi, err := c.GetCommandQueueInfo(app.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mi, err := c.GetMemObjectInfo(app.a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt := c.Proxy().Runtime
+				rq, err := rt.GetCommandQueueInfo(c.db.queues[Handle(app.q)].real)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rm, err := rt.GetMemObjectInfo(c.db.mems[Handle(app.a)].real)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qi.RefCount != want || rq.RefCount != want || mi.RefCount != want || rm.RefCount != want {
+					t.Errorf("queue refs %d (proxy %d), mem refs %d (proxy %d), want %d",
+						qi.RefCount, rq.RefCount, mi.RefCount, rm.RefCount, want)
+				}
+			}
+			refs(2)
+			if n := c.FailoverStats().Failovers; rb.opts.AutoFailover && n != 1 {
+				t.Fatalf("failovers = %d, want 1", n)
+			}
+
+			if err := c.ReleaseCommandQueue(app.q); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReleaseMemObject(app.a); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReleaseEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+			refs(1)
+			if _, err := c.GetEventProfile(ev); err != nil {
+				t.Errorf("event after one release: %v", err)
+			}
+			if err := c.WaitForEvents([]ocl.Event{ev}); err != nil {
+				t.Errorf("wait on the event after one release: %v", err)
+			}
+			app.launch(t)
+			app.verify(t)
+		})
+	}
+}

@@ -68,7 +68,7 @@ func (c *CheCL) BeginCheckpointEpoch() error {
 	// validate against. Clean incremental buffers keep their previous
 	// staged copy; queue-less contexts are zero-filled at commit.
 	var candidates []*memRec
-	for _, m := range c.db.orderedMems() {
+	for _, m := range ordered(c.db.mems) {
 		if m.Released || m.UseHostPtr {
 			continue
 		}

@@ -197,7 +197,7 @@ func TestSpeculationConservativeFallback(t *testing.T) {
 			// Simulate failed write-set analysis (indirect stores, an
 			// unparsed builtin): the program record keeps no entry for the
 			// kernel, so writtenMems falls back to every bound buffer.
-			prec, err := c.db.program(Handle(app.prog))
+			prec, err := get(c.db.programs, Handle(app.prog))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -20,7 +21,8 @@ __kernel void lut(__global const float* table, sampler_t smp,
 
 // TestSamplerSurvivesRestart exercises the cl_sampler restore path (step
 // 6 of the §III-C order) including sampler-handle translation in
-// clSetKernelArg replay.
+// clSetKernelArg replay, and the restore of a program built from a binary:
+// each is recreated from its recorded arguments.
 func TestSamplerSurvivesRestart(t *testing.T) {
 	node := newNodeNV("pc0")
 	_, c := attach(t, node, Options{})
@@ -64,6 +66,26 @@ func TestSamplerSurvivesRestart(t *testing.T) {
 	if c.ObjectCounts()["sampler"] != 1 {
 		t.Fatal("sampler not in the database")
 	}
+	// The same kernel from a binary: no parsed signature, so its handle
+	// arguments are found by the address heuristic.
+	bin, err := c.GetProgramBinary(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bprog, err := c.CreateProgramWithBinary(ctx, devs[0], bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildProgram(bprog, "-cl-fast-relaxed-math"); err != nil {
+		t.Fatal(err)
+	}
+	bout, _ := c.CreateBuffer(ctx, ocl.MemWriteOnly, 4*16, nil)
+	bk, _ := c.CreateKernel(bprog, "lut")
+	for i, arg := range [][]byte{handleBytes(tbuf), handleBytes(smp), handleBytes(bout), u32bytes(16)} {
+		if err := c.SetKernelArg(bk, i, int64(len(arg)), arg); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	if _, err := c.Checkpoint(node.LocalDisk, "smp.ckpt"); err != nil {
 		t.Fatal(err)
@@ -78,18 +100,36 @@ func TestSamplerSurvivesRestart(t *testing.T) {
 	if rc.ObjectCounts()["sampler"] != 1 {
 		t.Error("sampler not restored")
 	}
-	// The kernel (with its replayed sampler arg) launches immediately.
-	if _, err := rc.EnqueueNDRangeKernel(q, k, 1, [3]int{}, [3]int{16}, [3]int{16}, nil); err != nil {
-		t.Fatalf("launch after restore: %v", err)
+	if s := rc.db.samplers[Handle(smp)]; !s.Normalized || s.AMode != ocl.AddressClamp || s.FMode != ocl.FilterLinear || s.real == 0 {
+		t.Errorf("restored sampler %+v, want normalized, clamp, linear and bound", *s)
 	}
-	data, _, err := rc.EnqueueReadBuffer(q, out, true, 0, 4*16, nil)
-	if err != nil {
-		t.Fatal(err)
+	info, err := rc.GetProgramBuildInfo(bprog, devs[0])
+	if err != nil || !info.Success {
+		t.Errorf("binary program's build after restore: %+v, %v", info, err)
 	}
-	for i := 0; i < 16; i++ {
-		got := math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-		if got != float32(10+i%8) {
-			t.Fatalf("out[%d] = %v, want %v", i, got, float32(10+i%8))
+	if p := rc.db.programs[Handle(bprog)]; !p.FromBinary || p.Options != "-cl-fast-relaxed-math" {
+		t.Errorf("restored binary program: from binary %v, options %q", p.FromBinary, p.Options)
+	}
+	if rbin, err := rc.GetProgramBinary(bprog); err != nil || !bytes.Equal(rbin, bin) {
+		t.Errorf("binary program restored from other bytes (%v)", err)
+	}
+	// Both kernels (with their replayed sampler args) launch immediately.
+	for _, run := range []struct {
+		k   ocl.Kernel
+		out ocl.Mem
+	}{{k, out}, {bk, bout}} {
+		if _, err := rc.EnqueueNDRangeKernel(q, run.k, 1, [3]int{}, [3]int{16}, [3]int{16}, nil); err != nil {
+			t.Fatalf("launch after restore: %v", err)
+		}
+		data, _, err := rc.EnqueueReadBuffer(q, run.out, true, 0, 4*16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			got := math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			if got != float32(10+i%8) {
+				t.Fatalf("out[%d] = %v, want %v", i, got, float32(10+i%8))
+			}
 		}
 	}
 	// Release path for restored samplers.

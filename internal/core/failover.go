@@ -44,14 +44,6 @@ const maxFailoverAttempts = 3
 // their shadows, so AutoFailover is what turns the shadowing on.
 func (c *CheCL) shadowOn() bool { return c.opts.AutoFailover }
 
-// spawnOpts translates the attachment options into proxy spawn options.
-func (c *CheCL) spawnOpts() proxy.SpawnOpts {
-	return proxy.SpawnOpts{
-		Transport: c.opts.Transport,
-		Fault:     c.opts.Fault,
-	}
-}
-
 // forward runs one proxied interaction. fn receives the current proxy
 // client and must re-read every translated handle it uses (records are
 // pointers, so rec.real re-reads naturally), because after a failover the

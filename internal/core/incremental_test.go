@@ -187,7 +187,7 @@ func TestDrainLandsInPlace(t *testing.T) {
 	for _, tc := range testTransports {
 		tr := tc.tr
 		_, c, _, _ := drainJob(t, Options{Transport: tr}, sizes, false)
-		mems := c.db.orderedMems()
+		mems := ordered(c.db.mems)
 		drain := func() uint64 {
 			t.Helper()
 			var before, after runtime.MemStats

@@ -12,19 +12,22 @@ import (
 // CheCL answers the handle-valued fields from its own object database and
 // forwards the rest.
 
+// query is what the info wrappers share: the live record of h, and the
+// proxy's answer to q about the record's real object.
+func query[R any, P record[R], H ~uint64, I any](c *CheCL, m map[Handle]P, h Handle, op string, q func(*proxy.Client, H) (I, error)) (P, I, error) {
+	c.enterCall()
+	r, err := get(m, h)
+	if err != nil {
+		var none I
+		return nil, none, err
+	}
+	info, err := ask(c, op, func(api *proxy.Client) (I, error) { return q(api, H(*r.head().real)) })
+	return r, info, err
+}
+
 // GetMemObjectInfo wraps clGetMemObjectInfo.
 func (c *CheCL) GetMemObjectInfo(h ocl.Mem) (ocl.MemObjectInfo, error) {
-	c.enterCall()
-	rec, err := c.db.mem(Handle(h))
-	if err != nil {
-		return ocl.MemObjectInfo{}, err
-	}
-	var info ocl.MemObjectInfo
-	err = c.forward("clGetMemObjectInfo", func(api *proxy.Client) error {
-		var e error
-		info, e = api.GetMemObjectInfo(rec.real)
-		return e
-	})
+	rec, info, err := query(c, c.db.mems, Handle(h), "clGetMemObjectInfo", (*proxy.Client).GetMemObjectInfo)
 	if err != nil {
 		return ocl.MemObjectInfo{}, err
 	}
@@ -38,23 +41,13 @@ func (c *CheCL) GetMemObjectInfo(h ocl.Mem) (ocl.MemObjectInfo, error) {
 
 // GetKernelInfo wraps clGetKernelInfo.
 func (c *CheCL) GetKernelInfo(h ocl.Kernel) (ocl.KernelInfo, error) {
-	c.enterCall()
-	rec, err := c.db.kernel(Handle(h))
-	if err != nil {
-		return ocl.KernelInfo{}, err
-	}
-	var info ocl.KernelInfo
-	err = c.forward("clGetKernelInfo", func(api *proxy.Client) error {
-		var e error
-		info, e = api.GetKernelInfo(rec.real)
-		return e
-	})
+	rec, info, err := query(c, c.db.kernels, Handle(h), "clGetKernelInfo", (*proxy.Client).GetKernelInfo)
 	if err != nil {
 		return ocl.KernelInfo{}, err
 	}
 	info.Program = ocl.Program(rec.Prog)
 	info.RefCount = rec.Refs
-	if prec, perr := c.db.program(rec.Prog); perr == nil {
+	if prec, perr := get(c.db.programs, rec.Prog); perr == nil {
 		info.Context = ocl.Context(prec.Ctx)
 	}
 	return info, nil
@@ -62,17 +55,7 @@ func (c *CheCL) GetKernelInfo(h ocl.Kernel) (ocl.KernelInfo, error) {
 
 // GetContextInfo wraps clGetContextInfo.
 func (c *CheCL) GetContextInfo(h ocl.Context) (ocl.ContextInfo, error) {
-	c.enterCall()
-	rec, err := c.db.context(Handle(h))
-	if err != nil {
-		return ocl.ContextInfo{}, err
-	}
-	var info ocl.ContextInfo
-	err = c.forward("clGetContextInfo", func(api *proxy.Client) error {
-		var e error
-		info, e = api.GetContextInfo(rec.real)
-		return e
-	})
+	rec, info, err := query(c, c.db.contexts, Handle(h), "clGetContextInfo", (*proxy.Client).GetContextInfo)
 	if err != nil {
 		return ocl.ContextInfo{}, err
 	}
@@ -87,17 +70,7 @@ func (c *CheCL) GetContextInfo(h ocl.Context) (ocl.ContextInfo, error) {
 
 // GetCommandQueueInfo wraps clGetCommandQueueInfo.
 func (c *CheCL) GetCommandQueueInfo(h ocl.CommandQueue) (ocl.CommandQueueInfo, error) {
-	c.enterCall()
-	rec, err := c.db.queue(Handle(h))
-	if err != nil {
-		return ocl.CommandQueueInfo{}, err
-	}
-	var info ocl.CommandQueueInfo
-	err = c.forward("clGetCommandQueueInfo", func(api *proxy.Client) error {
-		var e error
-		info, e = api.GetCommandQueueInfo(rec.real)
-		return e
-	})
+	rec, info, err := query(c, c.db.queues, Handle(h), "clGetCommandQueueInfo", (*proxy.Client).GetCommandQueueInfo)
 	if err != nil {
 		return ocl.CommandQueueInfo{}, err
 	}
@@ -113,11 +86,11 @@ func (c *CheCL) GetCommandQueueInfo(h ocl.CommandQueue) (ocl.CommandQueueInfo, e
 // kernel may land on different hardware.
 func (c *CheCL) GetKernelWorkGroupInfo(h ocl.Kernel, d ocl.DeviceID) (ocl.KernelWorkGroupInfo, error) {
 	c.enterCall()
-	krec, err := c.db.kernel(Handle(h))
+	krec, err := get(c.db.kernels, Handle(h))
 	if err != nil {
 		return ocl.KernelWorkGroupInfo{}, err
 	}
-	drec, err := c.db.device(Handle(d))
+	drec, err := get(c.db.devices, Handle(d))
 	if err != nil {
 		return ocl.KernelWorkGroupInfo{}, err
 	}
@@ -126,16 +99,10 @@ func (c *CheCL) GetKernelWorkGroupInfo(h ocl.Kernel, d ocl.DeviceID) (ocl.Kernel
 		c.db.cacheHits++
 		return info, nil
 	}
-	var info ocl.KernelWorkGroupInfo
-	err = c.forward("clGetKernelWorkGroupInfo", func(api *proxy.Client) error {
-		var e error
-		info, e = api.GetKernelWorkGroupInfo(krec.real, drec.real)
-		return e
+	info, err := ask(c, "clGetKernelWorkGroupInfo", func(api *proxy.Client) (ocl.KernelWorkGroupInfo, error) {
+		return api.GetKernelWorkGroupInfo(krec.real, drec.real)
 	})
 	if err == nil {
-		if c.db.wgInfo == nil {
-			c.db.wgInfo = map[wgInfoKey]ocl.KernelWorkGroupInfo{}
-		}
 		c.db.wgInfo[key] = info
 	}
 	return info, err

@@ -32,7 +32,7 @@ func TestStructEmbeddedHandleOverlooked(t *testing.T) {
 	binary.LittleEndian.PutUint64(blob[0:], uint64(app.a))
 	binary.LittleEndian.PutUint64(blob[8:], 0x1122334455667788)
 
-	prec, err := c.db.program(Handle(app.prog))
+	prec, err := get(c.db.programs, Handle(app.prog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWriteSetRecordedInDatabase(t *testing.T) {
 	node := newNodeNV("pc0")
 	_, c := attach(t, node, Options{})
 	app := setupVaddApp(t, c, 64)
-	prec, err := c.db.program(Handle(app.prog))
+	prec, err := get(c.db.programs, Handle(app.prog))
 	if err != nil {
 		t.Fatal(err)
 	}

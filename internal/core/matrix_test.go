@@ -249,7 +249,7 @@ func runMatrixRow(t *testing.T, a apps.App, ai int, row matrixRow, inj *ipc.Faul
 		}
 	}
 	mutate(t, c)
-	if last := ckpt(); opts.Incremental && len(c.db.orderedMems()) > 1 && last.CleanBuffers == 0 {
+	if last := ckpt(); opts.Incremental && len(ordered(c.db.mems)) > 1 && last.CleanBuffers == 0 {
 		t.Errorf("generation 2 re-staged every buffer; incremental tracking proved nothing")
 	}
 	c.App().Kill()
@@ -273,7 +273,7 @@ func runMatrixRow(t *testing.T, a apps.App, ai int, row matrixRow, inj *ipc.Faul
 // an incremental checkpoint has exactly one buffer to re-stage.
 func mutate(t *testing.T, c *CheCL) {
 	t.Helper()
-	mems := c.db.orderedMems()
+	mems := ordered(c.db.mems)
 	if len(mems) == 0 {
 		return
 	}
@@ -305,7 +305,7 @@ func memDigests(t *testing.T, c *CheCL) map[Handle]string {
 		defer c.opts.Fault.Resume()
 	}
 	out := map[Handle]string{}
-	for _, m := range c.db.orderedMems() {
+	for _, m := range ordered(c.db.mems) {
 		q := c.anyQueueFor(m.Ctx)
 		if q == nil {
 			out[m.H] = fmt.Sprintf("unreadable:%d", m.Size)

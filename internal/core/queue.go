@@ -108,7 +108,7 @@ func (c *CheCL) reserve(cmds, bytes int) error {
 func (c *CheCL) push(cmd queuedCmd, kind string, waits []ocl.Event) (*eventRec, error) {
 	cmd.waitOff = len(c.qwaits)
 	for _, w := range waits {
-		rec, err := c.db.event(Handle(w))
+		rec, err := get(c.db.events, Handle(w))
 		if err != nil {
 			c.qwaits = c.qwaits[:cmd.waitOff]
 			return nil, err
@@ -117,8 +117,8 @@ func (c *CheCL) push(cmd queuedCmd, kind string, waits []ocl.Event) (*eventRec, 
 	}
 	cmd.waitLen = len(waits)
 	if kind != "" {
-		cmd.ev = &eventRec{H: c.db.newHandle(hEvent), Seq: c.db.seq, Queue: cmd.q.H, Kind: kind, Refs: 1, qidx: len(c.queue) + 1}
-		c.db.events[cmd.ev.H] = cmd.ev
+		cmd.ev = &eventRec{Queue: cmd.q.H, Kind: kind, Refs: 1, qidx: len(c.queue) + 1}
+		file(c.db, c.db.events, cmd.ev)
 	}
 	c.queue = append(c.queue, cmd)
 	return cmd.ev, nil

@@ -187,7 +187,7 @@ func TestQueueCapacityFlushErrorDropsCommandCleanly(t *testing.T) {
 	if !bytes.Equal(got, old) {
 		t.Errorf("device buffer after failover holds %#x..., want the pre-drop contents %#x...", got[:4], old[:4])
 	}
-	arec, err := c.db.mem(Handle(app.a))
+	arec, err := get(c.db.mems, Handle(app.a))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,12 +210,12 @@ func TestRestoredBuffersOwnTheirBytes(t *testing.T) {
 		}
 		// Scribble over the staging copy of buffer 2 from end to end, the way a
 		// drain lands a read in it, then overwrite the buffer itself.
-		for _, m := range c.db.orderedMems() {
+		for _, m := range ordered(c.db.mems) {
 			if len(m.Data) != size || cap(m.Data) != size {
 				t.Fatalf("GOMAXPROCS %d: buffer %v staged as %d bytes with room for %d", procs, m.H, len(m.Data), cap(m.Data))
 			}
 		}
-		victim := c.db.orderedMems()[2]
+		victim := ordered(c.db.mems)[2]
 		for k := range victim.Data {
 			victim.Data[k] = 0xEE
 		}
@@ -315,7 +315,7 @@ func (b *tappedCPR) RestartFromStore(n *proc.Node, st store.Backend, ref string)
 // from a marker minted now. Call it before anything else enqueues.
 func uploadInstants(t *testing.T, c *CheCL, n int) []vtime.Time {
 	t.Helper()
-	probe, err := c.px.Runtime.EnqueueMarker(c.db.orderedQueues()[0].real)
+	probe, err := c.px.Runtime.EnqueueMarker(ordered(c.db.queues)[0].real)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
 		if err != nil || rst.Degraded != nil {
 			t.Fatalf("%s: restore: %v %v", name, err, rst.Degraded)
 		}
-		mems := c.db.orderedMems()
+		mems := ordered(c.db.mems)
 		uploads := uploadInstants(t, c, len(mems))
 		regions, db, end := tap.arrivals(t)
 

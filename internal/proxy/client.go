@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"checl/internal/hw"
 	"checl/internal/ipc"
@@ -258,6 +259,18 @@ func handle[H ~uint64](h uint64, _ []byte, err error) (H, error) { return H(h), 
 // done is the error of a call that returns nothing else.
 func done(_ uint64, _ []byte, err error) error { return err }
 
+// view is the bytes of s, uncopied, as a call's blob: a source, a kernel
+// name, build options. Go strings are immutable, and so is the view: a
+// synchronous call's blob rides its request by reference and nothing on
+// either side of the wire writes it, and the server copies what it keeps.
+// An empty s is an empty blob, not a nil one.
+func view(s string) []byte {
+	if s == "" {
+		return []byte{}
+	}
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
 func (c *Client) GetPlatformIDs() ([]ocl.PlatformID, error) {
 	return value[[]ocl.PlatformID](c.op(opGetPlatformIDs, nil))
 }
@@ -341,7 +354,7 @@ func (c *Client) ReleaseSampler(s ocl.Sampler) error {
 }
 
 func (c *Client) CreateProgramWithSource(x ocl.Context, source string) (ocl.Program, error) {
-	return handle[ocl.Program](c.op(opCreateProgramWithSource, []byte(source), uint64(x)))
+	return handle[ocl.Program](c.op(opCreateProgramWithSource, view(source), uint64(x)))
 }
 
 func (c *Client) CreateProgramWithBinary(x ocl.Context, d ocl.DeviceID, binary []byte) (ocl.Program, error) {
@@ -349,7 +362,7 @@ func (c *Client) CreateProgramWithBinary(x ocl.Context, d ocl.DeviceID, binary [
 }
 
 func (c *Client) BuildProgram(p ocl.Program, options string) error {
-	return done(c.op(opBuildProgram, []byte(options), uint64(p)))
+	return done(c.op(opBuildProgram, view(options), uint64(p)))
 }
 
 func (c *Client) GetProgramBuildInfo(p ocl.Program, d ocl.DeviceID) (ocl.BuildInfo, error) {
@@ -369,7 +382,7 @@ func (c *Client) ReleaseProgram(p ocl.Program) error {
 }
 
 func (c *Client) CreateKernel(p ocl.Program, name string) (ocl.Kernel, error) {
-	return handle[ocl.Kernel](c.op(opCreateKernel, []byte(name), uint64(p)))
+	return handle[ocl.Kernel](c.op(opCreateKernel, view(name), uint64(p)))
 }
 
 func (c *Client) RetainKernel(k ocl.Kernel) error { return done(c.op(opRetainKernel, nil, uint64(k))) }

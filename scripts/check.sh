@@ -62,7 +62,8 @@ go test -race ./...
 # Determinism gate: results and virtual times may depend on neither the
 # scheduler nor the core count. The apps golden (every bundled program's
 # final vtime and buffer digests, recorded from the tree-walker at
-# GOMAXPROCS=1) and the executor-vs-tree-walker differential run repeatedly
+# GOMAXPROCS=1, compared at 1, 2 and 8 procs in one process, the test
+# setting each) and the executor-vs-tree-walker differential run repeatedly
 # at 1 and 8 procs, and the bit-identity matrix's rows that take no
 # checkpoint (both transports at both queue depths, clean and under the
 # proxy-kill plans), which conflicting global stores used to break, run ten
@@ -145,8 +146,10 @@ go test -run Fault -skip "$soaks" -count=5 -race ./internal/...
 # checkpoint whose dump fails keeps its proxy, and a restore that fails
 # after its image loaded leaves no process on the target node; and the
 # destructive checkpoint under DMTCP, which needs the proxy gone before
-# the dump.
-go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent|TestDestructiveFailedCheckpointKeepsProxy|TestDestructiveCheckpointUnderDMTCP|TestCrossVendorBinaryProgramFailsToMigrate' -skip "$soaks" -count=3 -race \
+# the dump. So does the test that every rebind (a restore, a failover, a
+# destructive checkpoint) gives each object the references its record
+# counts.
+go test -run 'DiskFault|Durable|Scrub|Heal|Degraded|Interrupted|Replica|Mirror|Fsck|FaultPositionSweep|ReclaimsCapacity|TestBackendConformance|TestManifestDecoderRejectsNonsense|TestStoreGolden|TestWronglyCleanRegionRestoresParent|TestWronglyCleanBufferRestoresParent|TestDestructiveFailedCheckpointKeepsProxy|TestDestructiveCheckpointUnderDMTCP|TestCrossVendorBinaryProgramFailsToMigrate|TestRebindKeepsReferenceCounts' -skip "$soaks" -count=3 -race \
     ./internal/proc/ ./internal/store/ ./internal/cpr/ ./internal/core/ ./internal/mpi/
 go run ./cmd/checl-inspect store ls >/dev/null
 go run ./cmd/checl-inspect store fsck >/dev/null
