@@ -314,6 +314,12 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	if err != nil {
 		return fmt.Errorf("checl: checkpoint write: %w", err)
 	}
+	// The database is claimed clean too when it encodes as it did in the
+	// generation the claims name: an image claimed clean region by region
+	// is its parent's, head included (cpr.StoreImage), and stores nothing.
+	if clean != nil && string(blob) == string(c.committedDB) {
+		clean[dbRegion] = true
+	}
 	// Destructive (CheCUDA-style) ablation: tear down every OpenCL object
 	// and the proxy before the dump — DMTCP refuses a live device-mapped
 	// child — and recreate them in phase 4, or at once if the dump fails.
@@ -375,7 +381,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	// seeded into StallTime by commitEpoch. The hidden drain is in
 	// Overlap, not here.
 	stats.StallTime += stats.Phases.Total()
-	c.lastCkpt, c.ckptErr, c.committed = stats, nil, dest
+	c.lastCkpt, c.ckptErr, c.committed, c.committedDB = stats, nil, dest, blob
 	return nil
 }
 
@@ -736,7 +742,7 @@ func rebuild(app *proc.Process, what string, opts Options) (*CheCL, RestartStats
 		m.Dirty = false
 	}
 
-	c := &CheCL{app: app, opts: opts, db: db}
+	c := &CheCL{app: app, opts: opts, db: db, committedDB: append([]byte(nil), blob...)}
 	rs, err := c.respawn()
 	if err != nil {
 		return c, stats, err

@@ -106,6 +106,9 @@ type CheCL struct {
 	// commits and by a restore of a job's newest generation, cleared by
 	// every other checkpoint and by a failed one (runCheckpoint).
 	committed ckptDest
+	// committedDB is the object database's encoding in that generation:
+	// the database region is claimed clean while its encoding is this.
+	committedDB []byte
 
 	// The submission queue (queue.go): commands awaiting the next
 	// synchronisation-point flush, the arenas behind their argument bytes

@@ -166,7 +166,7 @@ func newDatabase() *database {
 
 func (db *database) newHandle(tag int) Handle {
 	db.seq++
-	return Handle(handleBase | db.seq<<4 | uint64(tag))
+	return Handle(handleBase + db.seq<<4 | uint64(tag))
 }
 
 // Record types: one per OpenCL object class. Every record keeps the

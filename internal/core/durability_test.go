@@ -42,34 +42,36 @@ func sameBuffers(t *testing.T, what string, api ocl.API, app *vaddApp, want map[
 	}
 }
 
-// TestWronglyCleanBufferRestoresParent: a clean buffer whose staged copy
+// TestWronglyCleanBufferRestoresCurrent: a clean buffer whose staged copy
 // changes between two incremental checkpoints is a wrong clean claim. The
-// store trusts it and names the parent's bytes for that buffer's region;
-// the image's body checksum covers every region, so the restore refuses
-// the generation and degrades to the previous one, whose buffers it
-// restores as they were.
-func TestWronglyCleanBufferRestoresParent(t *testing.T) {
+// store checks the claim against the bytes, finds it wrong, stores the
+// buffer's region as a dirty one and counts it, so the restore brings back
+// the generation just written, bit-identical, without degrading.
+func TestWronglyCleanBufferRestoresCurrent(t *testing.T) {
 	node := newNodeNV("pc0")
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
 	_, c := attach(t, node, Options{Incremental: true})
 	app := setupVaddApp(t, c, 1<<14)
 	app.launch(t)
 	app.finish(t)
-	want := readBuffers(t, c, app)
-	first, err := c.CheckpointToStore(st, "vadd")
-	if err != nil {
+	if _, err := c.CheckpointToStore(st, "vadd"); err != nil {
 		t.Fatal(err)
 	}
 	a := c.db.mems[Handle(app.a)]
 	for i := range a.Data {
 		a.Data[i] ^= 0xFF
 	}
+	want := map[ocl.Mem][]byte{}
+	for m, data := range readBuffers(t, c, app) {
+		want[m] = data
+	}
+	want[app.a] = append([]byte(nil), a.Data...)
 	second, err := c.CheckpointToStore(st, "vadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.CleanBuffers != 3 {
-		t.Fatalf("gen 2 flagged %d buffers clean, want 3", second.CleanBuffers)
+	if second.CleanBuffers != 3 || second.StorePut.RefutedClean != 1 {
+		t.Fatalf("gen 2 flagged %d buffers clean and the store refuted %d claims, want 3 and 1", second.CleanBuffers, second.StorePut.RefutedClean)
 	}
 
 	rc, rst, err := RestoreFromStore(node, st, "vadd", Options{})
@@ -77,10 +79,10 @@ func TestWronglyCleanBufferRestoresParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { rc.Detach(); rc.App().Kill() }()
-	if d := rst.Degraded; d == nil || d.Restored != first.Manifest || len(d.Skipped) != 1 || d.Skipped[0].ID != second.Manifest {
-		t.Errorf("restore did not degrade from %s to %s: %+v", second.Manifest, first.Manifest, d)
+	if rst.Degraded != nil {
+		t.Errorf("restore degraded: %+v", rst.Degraded)
 	}
-	sameBuffers(t, "is not what the first checkpoint held", rc, app, want)
+	sameBuffers(t, "is not what the second checkpoint held", rc, app, want)
 }
 
 // TestDurableCheckpointScrubRestoreSoak runs checkpoint/scrub/restore
@@ -223,6 +225,7 @@ func TestRestoreFromStoreDegraded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		frame = append([]byte(nil), frame...) // the filesystem lends its bytes read-only
 		frame[len(frame)/2] ^= 0xFF
 		if err := ckptFS.WriteFile(clock, p, frame); err != nil {
 			t.Fatal(err)

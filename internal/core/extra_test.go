@@ -254,6 +254,34 @@ func TestHandleClassNames(t *testing.T) {
 	}
 }
 
+// TestHandlesDistinctPastTheLowBits: the sequence number outgrows the 12
+// bits below handleBase's own from the 4 097th object on, and every handle
+// must still be new: 4 097 markers on one queue are 4 097 events.
+func TestHandlesDistinctPastTheLowBits(t *testing.T) {
+	const markers = 4097
+	node := newNodeNV("pc0")
+	_, c := attach(t, node, Options{})
+	defer c.Detach()
+	plats, _ := c.GetPlatformIDs()
+	devs, _ := c.GetDeviceIDs(plats[0], ocl.DeviceTypeAll)
+	ctx, _ := c.CreateContext(devs)
+	q, _ := c.CreateCommandQueue(ctx, devs[0], 0)
+	seen := map[ocl.Event]bool{}
+	for i := 0; i < markers; i++ {
+		ev, err := c.EnqueueMarker(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[ev] = true
+	}
+	if err := c.Finish(q); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != markers || len(c.db.events) != markers {
+		t.Errorf("%d markers got %d distinct handles and %d event records", markers, len(seen), len(c.db.events))
+	}
+}
+
 // TestCheckpointToMissingQueueContext: a buffer in a context that never
 // had a command queue is staged as zeroes rather than failing.
 func TestCheckpointBufferWithoutQueue(t *testing.T) {

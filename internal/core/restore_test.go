@@ -281,6 +281,20 @@ func (s *tappedStore) GetNewestRestorable(clock *vtime.Clock, ref string, valida
 	return data, man, deg, err
 }
 
+// readFirstStore hands a restore its image as a plain Get would: the
+// manifest it returns knows no instant at which a segment was there, so the
+// process comes up once the whole image is, and the rebuild follows the
+// read instead of running behind it.
+type readFirstStore struct{ store.Backend }
+
+func (s readFirstStore) GetNewestRestorable(clock *vtime.Clock, ref string, validate func([]byte, store.Manifest) error) ([]byte, store.Manifest, *store.DegradedRestore, error) {
+	data, man, deg, err := s.Backend.GetNewestRestorable(clock, ref, validate)
+	if err == nil {
+		man, err = s.Resolve(man.ID())
+	}
+	return data, man, deg, err
+}
+
 // arrivals maps each region of the image s last read to the instant its
 // segment was there, and reports the database region's and the read's end.
 func (s *tappedStore) arrivals(t *testing.T) (regions map[string]vtime.Time, db, end vtime.Time) {
@@ -350,8 +364,8 @@ func sumPerClass(rst RestartStats) (sum vtime.Duration) {
 // enqueued before its region was there, the restore ends one upload after
 // the read does instead of a whole rebuild after it, Total is exactly the
 // waiting plus each class's own work, and what lands on the device is what
-// a restore that reads the whole image first (Get, then RestoreImage) puts
-// there — for the same work per class, one after the other.
+// a restore that reads the whole image first (readFirstStore) puts there —
+// for the same work per class, one after the other.
 func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
 	const n, size = 24, 1 << 20
 	j := newRestoreJob(t, n, size)
@@ -373,15 +387,11 @@ func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
 	j.c.App().Kill()
 
 	serialNode := newNodeNV("serial")
-	image, _, err := j.fl.Get(serialNode.Clock, "job")
+	serial, serialStats, err := RestoreFromStore(serialNode, readFirstStore{j.fl}, "job", Options{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialRead := serialNode.Clock.Now().Sub(0)
-	serial, serialStats, err := RestoreImage(serialNode, image, Options{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialRead := serialStats.ReadTime
 	want := memDigests(t, serial)
 	serial.App().Kill()
 	serial.Detach()

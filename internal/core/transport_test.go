@@ -8,6 +8,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -154,9 +155,11 @@ func TestImmediateSyncIsTheInFlightWrite(t *testing.T) {
 // TestTransportParityStoredGenerations: a ckpt_cycle-shaped job (buffers
 // rewritten window by window, one more dirtied by a kernel, an incremental
 // checkpoint into a 4+2 fleet after each generation) stores the same
-// generations on either transport. Every generation's size, chunk refs,
-// segment map and segment bytes are equal, and its manifest differs in CreatedAt alone, the
-// instant on the application's clock, which the transport does move.
+// generations on either transport. Every generation's size, segment map,
+// region segments and their chunk refs are equal; what differs is the
+// instant on the application's clock, which the transport does move: the
+// manifest's CreatedAt and the image head's stamp, which is that instant
+// too, and so the head's chunk ref.
 func TestTransportParityStoredGenerations(t *testing.T) {
 	const buffers, size, window, gens = 8, 256 << 10, 2, 4
 	type generation struct {
@@ -220,6 +223,16 @@ func TestTransportParityStoredGenerations(t *testing.T) {
 	framed, ring := run(proxy.TransportPipe), run(proxy.TransportRing)
 	for g := range framed {
 		f, r := framed[g], ring[g]
+		// The head's stamp sits behind the magic and the version.
+		for _, gen := range []*generation{&f, &r} {
+			stamp := gen.segments["_head"][10:18]
+			if at := vtime.Time(binary.BigEndian.Uint64(stamp)); at != gen.man.CreatedAt {
+				t.Errorf("generation %d: head stamped %v, the checkpoint was at %v", g+1, at, gen.man.CreatedAt)
+			}
+			clear(stamp)
+			head := gen.man.Segments[0].Chunks
+			gen.man.Chunks = gen.man.Chunks[head:]
+		}
 		if f.man.Size != r.man.Size || !reflect.DeepEqual(f.man.Chunks, r.man.Chunks) || !reflect.DeepEqual(f.man.Segments, r.man.Segments) {
 			t.Errorf("generation %d: framed %d bytes in %d chunks %v, ring %d bytes in %d chunks %v", g+1,
 				f.man.Size, len(f.man.Chunks), f.man.Segments, r.man.Size, len(r.man.Chunks), r.man.Segments)

@@ -70,15 +70,38 @@ type Backend interface {
 	RestartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process, Stats, *store.DegradedRestore, error)
 }
 
-// On-disk image framing. Every checkpoint file starts with a fixed
-// header — magic, format version, SHA-256 of the body — so truncated or
-// corrupt files fail with a clear error instead of a raw decode failure.
+// On-disk image framing. Every image starts with a fixed header — magic,
+// format version, then a field of the version's own — so truncated or
+// foreign bytes fail with a clear error instead of a raw decode failure.
 // The body is a deterministic binary encoding (regions sorted by name):
-// byte-identical inputs produce byte-identical files, which is what lets
+// byte-identical inputs produce byte-identical bodies, which is what lets
 // the content-addressed store deduplicate successive checkpoints.
-const imageVersion = 1
+//
+// The two versions are the two places an image lives. A checkpoint file
+// (flatImageVersion) carries the SHA-256 of its body, the one hash on the
+// flat path. A store image (storeImageVersion) carries none: the store
+// hashes every byte of it against a chunk address on the way in and on the
+// way back, and checks every clean claim against the bytes (store.Segment).
+// It carries a virtual instant instead, which keeps the head of every
+// generation of a job that changed its own (StoreImage): a head that
+// repeated an earlier one would deduplicate into that generation's pack,
+// and every restore would read the whole old pack to get it. Each reader
+// takes its own version only.
+const (
+	flatImageVersion  = 1
+	storeImageVersion = 2
+)
 
 var imageMagic = []byte("CHECLIMG")
+
+// imageHeaderLen is the header's length in each version: magic, version,
+// then the body checksum of a file or the dump instant of a store image.
+func imageHeaderLen(version uint16) int {
+	if version == flatImageVersion {
+		return 8 + 2 + sha256.Size
+	}
+	return 8 + 2 + 8
+}
 
 // appendField appends b as a length-prefixed field.
 func appendField(buf, b []byte) []byte {
@@ -101,14 +124,12 @@ func readBytes(r *bytes.Reader, body []byte) ([]byte, error) {
 	return body[at:end:end], nil
 }
 
-const imageHeaderLen = 8 + 2 + sha256.Size // magic, version, body checksum
-
-// imageLayout is an image's on-disk encoding as the byte slices it is the
+// imageLayout is an image's encoding as the byte slices it is the
 // concatenation of: a head (frame header, process name, app state, region
 // count) and per region, in sorted name order, a prefix (name frame and
 // the data's length) followed by the region's own bytes, by reference.
-// Laying an image out hashes its body for the header but copies nothing
-// of a region.
+// Laying an image out copies nothing of a region and hashes nothing; the
+// header's last field, a checksum or a stamp, is the caller's to fill in.
 type imageLayout struct {
 	head    []byte
 	regions []regionLayout
@@ -120,51 +141,49 @@ type regionLayout struct {
 	prefix, data []byte
 }
 
-func layoutImage(img Image) imageLayout {
+func layoutImage(img Image, version uint16) imageLayout {
 	names := make([]string, 0, len(img.Regions))
 	for name := range img.Regions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	head := make([]byte, imageHeaderLen, imageHeaderLen+len(img.ProcessName)+len(img.AppState)+3*binary.MaxVarintLen64)
+	hdr := imageHeaderLen(version)
+	head := make([]byte, hdr, hdr+len(img.ProcessName)+len(img.AppState)+3*binary.MaxVarintLen64)
 	copy(head, imageMagic)
-	binary.BigEndian.PutUint16(head[len(imageMagic):], imageVersion)
+	binary.BigEndian.PutUint16(head[len(imageMagic):], version)
 	head = appendField(head, []byte(img.ProcessName))
 	head = appendField(head, img.AppState)
 	head = binary.AppendUvarint(head, uint64(len(names)))
 
-	lay := imageLayout{regions: make([]regionLayout, len(names)), size: int64(len(head))}
-	body := sha256.New()
-	body.Write(head[imageHeaderLen:])
+	lay := imageLayout{head: head, regions: make([]regionLayout, len(names)), size: int64(len(head))}
 	for i, name := range names {
 		data := img.Regions[name]
 		prefix := appendField(make([]byte, 0, len(name)+2*binary.MaxVarintLen64), []byte(name))
 		prefix = binary.AppendUvarint(prefix, uint64(len(data)))
-		body.Write(prefix)
-		body.Write(data)
 		lay.regions[i] = regionLayout{name: name, prefix: prefix, data: data}
 		lay.size += int64(len(prefix) + len(data))
 	}
-	copy(head[len(imageMagic)+2:], body.Sum(nil))
-	lay.head = head
 	return lay
 }
 
-// encodeImage serialises an image to the on-disk representation as one
-// contiguous buffer, for a file that is written as such.
+// encodeImage serialises an image to a checkpoint file as one contiguous
+// buffer, its body checksum in the header.
 func encodeImage(img Image) []byte {
-	lay := layoutImage(img)
+	lay := layoutImage(img, flatImageVersion)
 	out := append(make([]byte, 0, lay.size), lay.head...)
 	for _, r := range lay.regions {
 		out = append(append(out, r.prefix...), r.data...)
 	}
+	sum := sha256.Sum256(out[imageHeaderLen(flatImageVersion):])
+	copy(out[len(imageMagic)+2:], sum[:])
 	return out
 }
 
 // ImageError is the failure of decoding a checkpoint image: a truncated or
-// foreign header, an unknown version, a body that does not match its
-// checksum or does not parse. Detect it with errors.As.
+// foreign header, a version this reader does not take, a file body that
+// does not match its checksum, a body that does not parse. Detect it with
+// errors.As.
 type ImageError string
 
 func (e ImageError) Error() string { return string(e) }
@@ -173,24 +192,27 @@ func imageErrorf(format string, args ...any) error {
 	return ImageError(fmt.Sprintf(format, args...))
 }
 
-// decodeImage parses an on-disk checkpoint file, validating the header
-// before touching the body. The image's fields are sub-slices of data.
-// Every failure is an ImageError.
-func decodeImage(data []byte) (Image, error) {
-	const headerLen = imageHeaderLen
+// decodeImage parses an image of the given version — flatImageVersion for a
+// checkpoint file, storeImageVersion for a store image — validating the
+// header before touching the body. The image's fields are sub-slices of
+// data. Every failure is an ImageError.
+func decodeImage(data []byte, version uint16) (Image, error) {
+	headerLen := imageHeaderLen(version)
 	if len(data) < headerLen {
 		return Image{}, imageErrorf("cpr: image truncated (%d bytes, header is %d)", len(data), headerLen)
 	}
 	if !bytes.Equal(data[:len(imageMagic)], imageMagic) {
 		return Image{}, imageErrorf("cpr: not a checkpoint image (bad magic)")
 	}
-	if v := binary.BigEndian.Uint16(data[len(imageMagic):]); v != imageVersion {
-		return Image{}, imageErrorf("cpr: unsupported image version %d (this build reads %d)", v, imageVersion)
+	if v := binary.BigEndian.Uint16(data[len(imageMagic):]); v != version {
+		return Image{}, imageErrorf("cpr: image version %d where version %d is read", v, version)
 	}
-	want := data[len(imageMagic)+2 : headerLen]
 	body := data[headerLen:]
-	if got := sha256.Sum256(body); !bytes.Equal(want, got[:]) {
-		return Image{}, imageErrorf("cpr: image corrupt (body checksum mismatch)")
+	if version == flatImageVersion {
+		want := data[len(imageMagic)+2 : headerLen]
+		if got := sha256.Sum256(body); !bytes.Equal(want, got[:]) {
+			return Image{}, imageErrorf("cpr: image corrupt (body checksum mismatch)")
+		}
 	}
 
 	r := bytes.NewReader(body)
@@ -223,14 +245,14 @@ func decodeImage(data []byte) (Image, error) {
 
 // ReadImage loads and decodes a checkpoint file without restarting it
 // (used by tooling and by MPI global-snapshot aggregation). The image's
-// fields are ranges of one buffer read for this call, which the caller owns
-// through them.
+// fields are ranges of one buffer copied for this call from what the
+// filesystem lends, which the caller owns through them.
 func ReadImage(clock *vtime.Clock, fs *proc.FS, path string) (Image, error) {
 	data, err := fs.ReadFile(clock, path)
 	if err != nil {
 		return Image{}, err
 	}
-	return decodeImage(data)
+	return decodeImage(append([]byte(nil), data...), flatImageVersion)
 }
 
 // BLCR is the Berkeley Lab Checkpoint/Restart-like backend.
@@ -260,15 +282,16 @@ func checkpointToFile(b Backend, p *proc.Process, fs *proc.FS, path string) (Sta
 	return Stats{Bytes: int64(len(data)), Time: sw.Elapsed()}, nil
 }
 
-// Restart implements Backend. The file's bytes are read into a buffer of
-// their own, which the restored process adopts (see RestartImage).
+// Restart implements Backend. The file's bytes are copied out of what the
+// filesystem lends into a buffer of their own, which the restored process
+// adopts (see RestartImage).
 func (BLCR) Restart(n *proc.Node, fs *proc.FS, path string) (*proc.Process, Stats, error) {
 	sw := vtime.NewStopwatch(n.Clock)
 	data, err := fs.ReadFile(n.Clock, path)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	p, st, err := RestartImage(n, data)
+	p, st, err := RestartImage(n, append([]byte(nil), data...))
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -287,7 +310,7 @@ func (BLCR) Restart(n *proc.Node, fs *proc.FS, path string) (*proc.Process, Stat
 // that hold them, not copies, so the process owns data from here on and
 // the caller must neither write to it nor hand it to anyone else.
 func RestartImage(n *proc.Node, data []byte) (*proc.Process, Stats, error) {
-	img, err := decodeImage(data)
+	img, err := decodeImage(data, flatImageVersion)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -1,6 +1,7 @@
 package cpr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -63,16 +64,18 @@ const (
 	regionSegment = "region/"
 )
 
-// storeSegments derives the store segments of an image's deterministic
-// encoding, each carrying its bytes by reference (store.Segment.Data), and
-// the encoding's length: a "_head" segment covering the frame header,
-// process name, app state and region count (always dirty — the header
-// checksum changes whenever anything does), then one "region/<name>"
-// segment per region in the encoder's sorted order, so unchanged regions
-// reuse the parent generation's chunk refs. Regions whose names map to true
-// in clean are marked Clean; a nil map marks none.
-func storeSegments(img Image, clean map[string]bool) ([]store.Segment, int64) {
-	lay := layoutImage(img)
+// storeSegments derives the store segments of an image's store encoding
+// (storeImageVersion, its header stamped with the instant at), each
+// carrying its bytes by reference (store.Segment.Data), and the encoding's
+// length: a "_head" segment covering the frame header, process name, app
+// state and region count (never claimed clean), then one "region/<name>"
+// segment per region in the encoder's sorted order. Regions whose names map
+// to true in clean are claimed Clean, and the store checks each claim
+// against the region's bytes before it reuses the parent generation's chunk
+// refs for it; a nil map claims none.
+func storeSegments(img Image, clean map[string]bool, at vtime.Time) ([]store.Segment, int64) {
+	lay := layoutImage(img, storeImageVersion)
+	binary.BigEndian.PutUint64(lay.head[len(imageMagic)+2:], uint64(at))
 	off := int64(len(lay.head))
 	segs := []store.Segment{{Name: headSegment, Len: off, Data: [][]byte{lay.head}}}
 	for _, r := range lay.regions {
@@ -92,12 +95,35 @@ func storeSegments(img Image, clean map[string]bool) ([]store.Segment, int64) {
 // for a caller that runs the PutSegmented (with a nil payload) on a clock
 // of its own. The views are valid until p next runs. Also returns the
 // image's encoded length.
+//
+// The image is stamped with the instant of the dump, so that a head is
+// never one an older generation wrote — unless every region is claimed
+// clean: then the image claims to be the one p last dumped or was restored
+// from, and it keeps that image's stamp, so that an unchanged image
+// deduplicates whole, head included. The stamp is recorded on p
+// (proc.Process.ImageStamp).
 func StoreImage(b Backend, p *proc.Process, clean map[string]bool) ([]store.Segment, int64, error) {
 	if err := checkpointable(b, p); err != nil {
 		return nil, 0, err
 	}
-	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: p.RegionViews()}, clean)
+	regions := p.RegionViews()
+	at := p.Clock().Now()
+	if last := p.ImageStamp(); last != 0 && claimsAll(regions, clean) {
+		at = last
+	}
+	p.SetImageStamp(at)
+	segs, size := storeSegments(Image{ProcessName: p.Name, Regions: regions}, clean, at)
 	return segs, size, nil
+}
+
+// claimsAll reports whether clean claims every one of regions.
+func claimsAll(regions map[string][]byte, clean map[string]bool) bool {
+	for name := range regions {
+		if !clean[name] {
+			return false
+		}
+	}
+	return clean != nil
 }
 
 // CheckpointToStoreIncremental implements Backend.
@@ -112,8 +138,8 @@ func (d DMTCP) CheckpointToStoreIncremental(p *proc.Process, st store.Backend, j
 
 // restartFromStore is the shared store restart path: walk the generation
 // chain newest-first, taking the first checkpoint that both assembles
-// bit-identical (healed from surviving shards where possible) and decodes as a
-// process image. The store hands the payload over for good, the image is
+// bit-identical (healed from surviving shards where possible) and decodes as
+// a store image. The store hands the payload over for good, the image is
 // decoded as ranges of it, and the restored process adopts those: from the
 // store's buffer to the process's memory the image is never copied.
 //
@@ -126,12 +152,13 @@ func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process
 	read := n.Clock.Fork()
 	sw := vtime.NewStopwatch(read)
 	var img Image
+	var stamp vtime.Time
 	validate := func(data []byte, _ store.Manifest) error {
-		i, err := decodeImage(data)
+		i, err := decodeImage(data, storeImageVersion)
 		if err != nil {
 			return err
 		}
-		img = i
+		img, stamp = i, vtime.Time(binary.BigEndian.Uint64(data[len(imageMagic)+2:]))
 		return nil
 	}
 	data, man, deg, err := st.GetNewestRestorable(read, ref, validate)
@@ -152,6 +179,7 @@ func restartFromStore(n *proc.Node, st store.Backend, ref string) (*proc.Process
 	n.Clock.AdvanceTo(head)
 	p := n.Spawn(img.ProcessName)
 	p.RestoreRegions(img.Regions, arrived)
+	p.SetImageStamp(stamp)
 	return p, Stats{Bytes: int64(len(data)), Time: sw.Elapsed()}, deg, nil
 }
 

@@ -3,6 +3,7 @@ package cpr
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -37,7 +38,7 @@ func TestImageEncodingDeterministic(t *testing.T) {
 			t.Fatal("encoding is not deterministic")
 		}
 	}
-	back, err := decodeImage(first)
+	back, err := decodeImage(first, flatImageVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +61,11 @@ func TestImageHeaderValidation(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad magic"},
 		{"future version", func(b []byte) []byte { b[len(imageMagic)+1] = 99; return b }, "version"},
 		{"flipped body byte", func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }, "checksum"},
+		{"store version", func(b []byte) []byte { b[len(imageMagic)+1] = storeImageVersion; return b }, "version"},
 	}
 	for _, tc := range cases {
 		mangled := tc.mangle(append([]byte(nil), good...))
-		_, err := decodeImage(mangled)
+		_, err := decodeImage(mangled, flatImageVersion)
 		if err == nil {
 			t.Errorf("%s: decode succeeded", tc.name)
 			continue
@@ -75,9 +77,10 @@ func TestImageHeaderValidation(t *testing.T) {
 }
 
 // FuzzDecodeImage: the image decoder never panics on arbitrary bytes, every
-// refusal is an ImageError, and whatever it accepts survives its own
-// encoding. Seeds: what each backend writes, a truncated file, a bad
-// checksum.
+// refusal is an ImageError, each version's reader refuses the other's
+// images, and whatever a reader accepts survives its own encoding. Seeds:
+// what each backend writes to a file and to a store, truncated, with a bad
+// checksum or a torn instant.
 func FuzzDecodeImage(f *testing.F) {
 	n := node()
 	app := n.Spawn("app")
@@ -92,15 +95,23 @@ func FuzzDecodeImage(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(file)
-		f.Add(file[:len(file)-3])
-		f.Add(file[:imageHeaderLen-1])
-		flipped := append([]byte(nil), file...)
-		flipped[imageHeaderLen-1] ^= 1
-		f.Add(flipped)
+		segs, _, err := StoreImage(b, app, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, img := range [][]byte{file, joined(segs)} {
+			f.Add(img)
+			f.Add(img[:len(img)-3])
+			f.Add(img[:imageHeaderLen(storeImageVersion)-1])
+			flipped := append([]byte(nil), img...)
+			flipped[imageHeaderLen(storeImageVersion)-1] ^= 1
+			f.Add(flipped)
+		}
 	}
-	check := func(t *testing.T, data []byte) {
-		img, err := decodeImage(data)
+	// check decodes data as version and, when it is accepted, re-encodes it
+	// in that version and decodes it back.
+	check := func(t *testing.T, data []byte, version uint16) {
+		img, err := decodeImage(data, version)
 		if err != nil {
 			var ie ImageError
 			if !errors.As(err, &ie) {
@@ -108,7 +119,16 @@ func FuzzDecodeImage(f *testing.F) {
 			}
 			return
 		}
-		back, err := decodeImage(encodeImage(img))
+		other := uint16(flatImageVersion + storeImageVersion - version)
+		if _, err := decodeImage(data, other); err == nil {
+			t.Fatalf("a version %d image decodes as version %d", version, other)
+		}
+		again := encodeImage(img)
+		if version == storeImageVersion {
+			segs, _ := storeSegments(img, nil, 7)
+			again = joined(segs)
+		}
+		back, err := decodeImage(again, version)
 		if err != nil {
 			t.Fatalf("an accepted image does not survive its own encoding: %v", err)
 		}
@@ -122,13 +142,14 @@ func FuzzDecodeImage(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check(t, data)
-		// The fuzzer cannot forge a SHA-256, so the body parser would only
-		// ever see the seeds: give it the same bytes as a body under a
+		check(t, data, flatImageVersion)
+		check(t, data, storeImageVersion)
+		// The fuzzer cannot forge a SHA-256, so the file body parser would
+		// only ever see the seeds: give it the same bytes as a body under a
 		// header that vouches for them.
-		sealed := append(append([]byte(nil), imageMagic...), 0, imageVersion)
+		sealed := append(append([]byte(nil), imageMagic...), 0, flatImageVersion)
 		sum := sha256.Sum256(data)
-		check(t, append(append(sealed, sum[:]...), data...))
+		check(t, append(append(sealed, sum[:]...), data...), flatImageVersion)
 	})
 }
 
@@ -163,6 +184,8 @@ func TestStoreCheckpointRestartRoundtrip(t *testing.T) {
 	}
 }
 
+// TestStoreCheckpointDedupsUnchangedProcess: an unchanged process stores
+// nothing again but its head.
 func TestStoreCheckpointDedupsUnchangedProcess(t *testing.T) {
 	n := node()
 	st := store.New(n.LocalDisk, store.Config{})
@@ -177,8 +200,13 @@ func TestStoreCheckpointDedupsUnchangedProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if put2.NewBytes != 0 {
-		t.Errorf("unchanged process re-uploaded %d bytes (first wrote %d)", put2.NewBytes, put1.NewBytes)
+	// Only the head is new: it carries the dump's instant.
+	segs, _, err := StoreImage(BLCR{}, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if put2.NewChunks != 1 || put2.NewBytes != segs[0].Len {
+		t.Errorf("unchanged process re-uploaded %d chunks, %d bytes (first wrote %d; the head is %d)", put2.NewChunks, put2.NewBytes, put1.NewBytes, segs[0].Len)
 	}
 	if put2.Manifest != "app@2" {
 		t.Errorf("manifest = %s", put2.Manifest)
@@ -229,15 +257,18 @@ func TestStoreCheckpointSurfacesNoSpace(t *testing.T) {
 }
 
 // TestImageLayoutIsTheEncoding: the slices a store checkpoint hands over
-// concatenate to the file the flat-file path writes, one segment per
-// region after the head, and a nil clean map marks no region clean.
+// concatenate to a store image that decodes to the image, whose body is the
+// file the flat-file path writes behind its own header, and whose header
+// carries the dump instant; there is one segment per region after the head,
+// and a nil clean map marks no region clean.
 func TestImageLayoutIsTheEncoding(t *testing.T) {
 	img := Image{ProcessName: "app", AppState: []byte("state"), Regions: map[string][]byte{
 		"heap": payloadBytes(1, 5000), "stack": {4}, "checl.mem/1f": payloadBytes(2, 70000), "empty": nil,
 	}}
-	want := encodeImage(img)
+	file := encodeImage(img)
+	const at = vtime.Time(123456789)
 	for _, clean := range []map[string]bool{nil, {"heap": true}} {
-		segs, size := storeSegments(img, clean)
+		segs, size := storeSegments(img, clean, at)
 		var got []byte
 		for _, sg := range segs {
 			if sg.Off != int64(len(got)) {
@@ -247,13 +278,32 @@ func TestImageLayoutIsTheEncoding(t *testing.T) {
 				got = append(got, b...)
 			}
 		}
-		if size != int64(len(want)) || !bytes.Equal(got, want) {
-			t.Errorf("clean=%v: %d segments hold %d bytes (size %d), the encoding is %d", clean, len(segs), len(got), size, len(want))
+		hdr := imageHeaderLen(storeImageVersion)
+		if size != int64(len(got)) || !bytes.Equal(got[hdr:], file[imageHeaderLen(flatImageVersion):]) {
+			t.Errorf("clean=%v: %d segments hold %d bytes (size %d), not the file's body behind a store header", clean, len(segs), len(got), size)
+		}
+		if stamp := vtime.Time(binary.BigEndian.Uint64(got[hdr-8:])); stamp != at {
+			t.Errorf("clean=%v: header stamped %v, the dump was at %v", clean, stamp, at)
+		}
+		if back, err := decodeImage(got, storeImageVersion); err != nil || len(back.Regions) != len(img.Regions) || !bytes.Equal(back.Regions["heap"], img.Regions["heap"]) {
+			t.Errorf("clean=%v: store image does not decode to the image: %v", clean, err)
 		}
 		if len(segs) != 1+len(img.Regions) || segs[0].Name != "_head" || segs[3].Name != "region/heap" || segs[3].Clean != (clean != nil) || segs[4].Clean {
 			t.Errorf("clean=%v: segments %+v", clean, segs)
 		}
 	}
+}
+
+// joined is the bytes store segments carry, concatenated: the payload they
+// stand for.
+func joined(segs []store.Segment) []byte {
+	var out []byte
+	for _, sg := range segs {
+		for _, part := range sg.Data {
+			out = append(out, part...)
+		}
+	}
+	return out
 }
 
 func payloadBytes(seed int64, n int) []byte {
@@ -351,13 +401,12 @@ func TestCleanCheckpointAllocatesNoImage(t *testing.T) {
 	}
 }
 
-// TestWronglyCleanRegionRestoresParent: a region flagged clean whose bytes
-// changed is a claim the store trusts, so the generation it writes names
-// the parent's bytes for that region. The image's body checksum covers
-// every region, clean ones included, so the restart refuses that
-// generation and restores its parent, reporting the skip — it never
-// restores the stale bytes under the new head.
-func TestWronglyCleanRegionRestoresParent(t *testing.T) {
+// TestWronglyCleanRegionRestoresCurrent: a region flagged clean whose bytes
+// changed is a claim the store checks: the Put finds the bytes do not hash
+// to the parent's refs, stores the region as dirty and counts it, and the
+// restart brings back the generation just written, bit-identical, without
+// degrading.
+func TestWronglyCleanRegionRestoresCurrent(t *testing.T) {
 	backends := map[string]func() store.Backend{
 		"1+0": func() store.Backend { return store.New(node().LocalDisk, store.Config{}) },
 		"4+2": func() store.Backend { return testFleet(t) },
@@ -371,24 +420,76 @@ func TestWronglyCleanRegionRestoresParent(t *testing.T) {
 		if _, _, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", nil); err != nil {
 			t.Fatalf("%s: gen 1: %v", name, err)
 		}
-		copy(p.Region("heap"), payloadBytes(6, 200<<10))
+		heap = payloadBytes(6, 200<<10)
+		copy(p.Region("heap"), heap)
 		_, put, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", map[string]bool{"heap": true, "small": true})
 		if err != nil {
 			t.Fatalf("%s: gen 2: %v", name, err)
 		}
-		if put.ReusedBytes <= int64(len(heap)) {
-			t.Fatalf("%s: gen 2 reused %d bytes, want the heap's %d and more: the clean claims were not taken", name, put.ReusedBytes, len(heap))
+		if put.RefutedClean != 1 || put.ReusedBytes == 0 || put.ReusedBytes >= int64(len(heap)) {
+			t.Fatalf("%s: gen 2 refuted %d claims and reused %d bytes, want the heap's claim refuted and small's taken", name, put.RefutedClean, put.ReusedBytes)
 		}
 		q, _, deg, err := (BLCR{}).RestartFromStore(n, st, "app")
 		if err != nil {
 			t.Fatalf("%s: restart: %v", name, err)
 		}
-		if deg == nil || deg.Restored != "app@1" || len(deg.Skipped) != 1 || deg.Skipped[0].ID != "app@2" {
-			t.Errorf("%s: restart did not degrade from app@2 to app@1: %+v", name, deg)
+		if deg != nil {
+			t.Errorf("%s: restart degraded: %+v", name, deg)
 		}
 		if !bytes.Equal(q.Region("heap"), heap) || !bytes.Equal(q.Region("small"), small) {
-			t.Errorf("%s: restored regions are not app@1's", name)
+			t.Errorf("%s: restored regions are not app@2's", name)
 		}
 		q.Kill()
+	}
+}
+
+// TestStoreHeadIsEachGenerationsOwn: the head of a store image is stamped
+// with its dump's instant, so the head of a generation that changed never
+// repeats an older one and is written in its own generation's packs: a
+// restore reads no older generation's pack to get its head. A generation
+// that claims every region clean keeps its parent's stamp, and with it the
+// parent's head: an unchanged image stores nothing.
+func TestStoreHeadIsEachGenerationsOwn(t *testing.T) {
+	backends := map[string]func() *store.Fleet{
+		"1+0": func() *store.Fleet { return store.New(node().LocalDisk, store.Config{}) },
+		"4+2": func() *store.Fleet { return testFleet(t) },
+	}
+	for name, open := range backends {
+		st := open()
+		p := node().Spawn("app")
+		p.SetRegion("big", payloadBytes(7, 256<<10))
+		p.SetRegion("heap", payloadBytes(8, 1<<10))
+		for gen := 1; gen <= 4; gen++ {
+			copy(p.Region("heap"), payloadBytes(int64(10+gen), 1<<10))
+			if _, _, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", map[string]bool{"big": gen > 1}); err != nil {
+				t.Fatalf("%s: gen %d: %v", name, gen, err)
+			}
+		}
+		mans, issues := st.Manifests()
+		if len(mans) != 4 || len(issues) != 0 {
+			t.Fatalf("%s: %d manifests, issues %v", name, len(mans), issues)
+		}
+		older := map[string]bool{}
+		for _, m := range mans {
+			head := m.Chunks[:m.Segments[0].Chunks]
+			if m.Segments[0].Name != "_head" || len(head) == 0 {
+				t.Fatalf("%s: %s: first segment %+v", name, m.ID(), m.Segments[0])
+			}
+			for _, c := range head {
+				if older[c.Sum] {
+					t.Errorf("%s: %s's head chunk %.12s lies in an older generation's pack", name, m.ID(), c.Sum)
+				}
+			}
+			for _, c := range m.Chunks {
+				older[c.Sum] = true
+			}
+		}
+		_, put, err := (BLCR{}).CheckpointToStoreIncremental(p, st, "app", map[string]bool{"big": true, "heap": true})
+		if err != nil {
+			t.Fatalf("%s: unchanged gen: %v", name, err)
+		}
+		if put.NewChunks != 0 || put.RefutedClean != 0 {
+			t.Errorf("%s: an unchanged image claimed clean stored %d new chunks (%d claims refuted)", name, put.NewChunks, put.RefutedClean)
+		}
 	}
 }

@@ -223,6 +223,7 @@ func TestRestoreGlobalFromStoreDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame = append([]byte(nil), frame...) // the filesystem lends its bytes read-only
 	frame[len(frame)/2] ^= 0xFF
 	if err := cl.NFS.WriteFile(clock, manPath, frame); err != nil {
 		t.Fatal(err)

@@ -162,7 +162,12 @@ func (fs *FS) usedLocked() int64 {
 	return n
 }
 
-// ReadFile loads the file at path, charging the read time to clock.
+// ReadFile returns the file at path, charging the read time to clock. The
+// bytes are the stored file's own, lent read-only: the slice is clipped to
+// its length, so an append to it copies, but a write into it would change
+// the file. A caller that keeps or writes the bytes copies them. A stored
+// file is never changed in place — a write, a tear or a rot flip replaces
+// its slice — so what a read returned stays as it was.
 func (fs *FS) ReadFile(clock *vtime.Clock, path string) ([]byte, error) {
 	down, scale := fs.node.gate()
 	if down {
@@ -188,7 +193,7 @@ func (fs *FS) ReadFile(clock *vtime.Clock, path string) ([]byte, error) {
 		return nil, fmt.Errorf("fs %s: no such file %q", fs.name, path)
 	}
 	clock.Advance(scaled(fs.model.ReadTime(int64(len(data))), scale))
-	return append([]byte(nil), data...), nil
+	return data[:len(data):len(data)], nil
 }
 
 // Remove deletes the file at path. Removing a missing file is an error.
@@ -282,8 +287,8 @@ func (fs *FS) FlipBit(path string, bits uint64) bool {
 
 // flipLocked flips bit (bits mod the file's bit count) of path's stored
 // copy and reports whether it did. The stored slice is replaced, not
-// flipped in place: a ReadFile that took it under the lock copies it after
-// unlocking. Callers hold fs.mu.
+// flipped in place: what an earlier ReadFile lent stays as it was. Callers
+// hold fs.mu.
 func (fs *FS) flipLocked(path string, bits uint64) bool {
 	data := fs.files[path]
 	if len(data) == 0 {

@@ -134,6 +134,24 @@ type Process struct {
 	// after the process did, the instant on the node's clock they were there
 	// (RestoreRegions, AwaitRegion). No entry: there since the process was.
 	arrived map[string]vtime.Time
+	// stamp is what ImageStamp reports.
+	stamp vtime.Time
+}
+
+// ImageStamp reports the instant a checkpoint layer last stamped the
+// process's memory image with (SetImageStamp): the dump it last took, or
+// the image the process was restored from. Zero when there is none.
+func (p *Process) ImageStamp() vtime.Time {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stamp
+}
+
+// SetImageStamp records the stamp ImageStamp reports.
+func (p *Process) SetImageStamp(at vtime.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stamp = at
 }
 
 // OnExit registers fn to run when the process dies. Hooks fire after the

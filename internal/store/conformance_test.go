@@ -424,18 +424,17 @@ var confRows = []struct {
 			}
 
 			// A wrongly clean segment (bytes changed, flag set) is a claim the
-			// store trusts: it reuses the parent's refs, and Get returns the
-			// bytes those refs name. Checking the claim is the caller's format's.
-			parent := parts["a"]
+			// store checks: its bytes do not hash to the parent's refs, so it
+			// is chunked as a dirty one and counted, and Get returns the
+			// bytes the Put was handed.
 			parts["a"] = payload(25, 96<<10)
 			data, segs = tile(map[string]bool{"a": true}, []string{"a", "b", "c"}, parts)
 			man4, st := put(data, segs)
-			if !man4.Segments[0].Clean || st.ReusedBytes != int64(len(parent)) {
-				t.Errorf("%s: clean claim not taken: %+v %+v", form, man4.Segments[0], st)
+			if man4.Segments[0].Clean || st.ReusedBytes != 0 || st.RefutedClean != 1 || st.NewBytes != int64(len(parts["a"])) {
+				t.Errorf("%s: a refuted clean claim was taken: %+v %+v", form, man4.Segments[0], st)
 			}
-			want := append(append(append([]byte(nil), parent...), parts["b"]...), parts["c"]...)
-			if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%s: Get of a trusted clean claim does not return the bytes its refs name: %v", form, err)
+			if got, _, err := cs.Get(clock, "job"); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s: Get of a refuted clean claim does not return the bytes the Put was handed: %v", form, err)
 			}
 		}
 	}},

@@ -38,10 +38,14 @@ type PutStats struct {
 	Time        vtime.Duration // what the Put charged to the clock, from start to commit
 
 	// Clean-segment reuse (PutSegmented): chunk refs copied verbatim from
-	// the parent manifest without re-reading, hashing or probing the
-	// covered payload bytes.
+	// the parent manifest once the covered bytes hashed to them, cut at
+	// the parent's boundaries — neither chunked, probed, compressed nor
+	// sealed.
 	ReusedChunks int
 	ReusedBytes  int64
+	// RefutedClean counts the segments claimed Clean whose bytes did not
+	// hash to the parent segment's refs: each was stored as a dirty one.
+	RefutedClean int
 	// Stage times on the write's lanes (fleet.go's writeLanes): the CPU
 	// lane's compression time, and how long the Put ran after its CPU lane
 	// was done — what was left of the link and the disks, then the manifest
@@ -64,15 +68,15 @@ func (p PutStats) DedupRatio() float64 {
 // must tile the payload exactly (ascending contiguous offsets covering
 // every byte) and carry unique non-empty names. A segment marked Clean
 // asserts its bytes are identical to the same-named segment of the job's
-// previous checkpoint; when the parent manifest confirms the name and size,
-// the parent's chunk refs are copied verbatim — no chunking, probing or
-// compression for those bytes. A Clean segment with no matching parent
-// segment is silently treated as dirty. Clean is a claim the store trusts:
-// it never reads the bytes of a segment it reuses, so a wrongly-Clean
-// segment (bytes changed but flagged clean) reads back as the parent's
-// bytes. Whoever sets Clean must make its own format check the claim — a
-// process image's body checksum covers every region, clean ones included
-// (cpr.decodeImage), and that is the one end-to-end check of a checkpoint.
+// previous checkpoint. Clean is a claim the store checks, not one it
+// trusts: when the parent manifest has a segment of that name and size, the
+// Put hashes the segment's current bytes at the parent's chunk boundaries,
+// on its workers, and only if every hash is the parent's address does it
+// copy the parent's chunk refs verbatim — no chunking, probing, compression
+// or sealing for those bytes. A claim the bytes refute is stored as a dirty
+// segment and counted (PutStats.RefutedClean), so a checkpoint always holds
+// the bytes it was handed. A Clean segment with no matching parent segment
+// is silently treated as dirty.
 //
 // A segment's bytes reach the store in one of two forms. With a contiguous
 // payload they are payload[Off:Off+Len]. With a nil payload each segment
@@ -210,6 +214,10 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 		clock.AdvanceTo(lanes.end())
 		return Manifest{}, stats, err
 	}
+	// Every clean claim is checked before the first chunk is cut, so that
+	// what follows decides segment by segment in payload order.
+	held, refuted := f.checkClaims(parent, segs)
+	stats.RefutedClean = refuted
 	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
 	win := f.openWindow()
@@ -262,16 +270,14 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 		return nil
 	}
 
-	for _, sg := range segs {
-		if sg.Clean {
-			if ps, refs, ok := parent.segment(sg.Name); ok && ps.Size == sg.Len {
-				man.Segments = append(man.Segments, SegmentRef{
-					Name: sg.Name, Size: sg.Len, Chunks: len(refs), Clean: true,
-				})
-				cleans = append(cleans, cleanRun{at: win.cut, refs: refs, size: sg.Len})
-				continue
-			}
-			// No matching parent segment: chunk it like a dirty one.
+	for i, sg := range segs {
+		if held[i] {
+			_, refs, _ := parent.segment(sg.Name)
+			man.Segments = append(man.Segments, SegmentRef{
+				Name: sg.Name, Size: sg.Len, Chunks: len(refs), Clean: true,
+			})
+			cleans = append(cleans, cleanRun{at: win.cut, refs: refs, size: sg.Len})
+			continue
 		}
 		chunks := ck.split(sg.Data)
 		for _, chunk := range chunks {
@@ -318,10 +324,10 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 // Get reconstructs a checkpoint payload. ref is either a manifest ID
 // ("job@seq") or a bare job name, which selects the job's latest
 // checkpoint. Every chunk is verified against its content address, so the
-// payload is exactly the bytes the manifest's refs name — which, for a
-// segment a Put reused on a Clean claim, are the parent's (see Segment). A
-// chunk that is missing or corrupt is transparently healed from the
-// surviving shards (HealStats). The payload is a buffer made for this
+// payload is exactly the bytes the manifest's refs name — the bytes the
+// Put was handed, clean segments included, whose claims the Put checked
+// (see Segment). A chunk that is missing or corrupt is transparently
+// healed from the surviving shards (HealStats). The payload is a buffer made for this
 // call; the store keeps no reference to it, so it is the caller's to keep,
 // cut up and write to (Get, GetSegment and GetNewestRestorable alike).
 func (f *Fleet) Get(clock *vtime.Clock, ref string) ([]byte, Manifest, error) {
@@ -504,8 +510,7 @@ func (d *DegradedRestore) Error() string {
 // GetNewestRestorable walks ref's generation chain newest-first and
 // returns the payload of the first generation whose chunks all read back
 // verified (healing where the shards can) and that passes the caller's
-// validate hook — e.g. "does this payload decode as a process image", the
-// check that catches a Clean claim that was wrong (see Segment). The
+// validate hook — e.g. "does this payload decode as a process image". The
 // walk is lazy: a generation's manifest is loaded when its turn comes, and
 // none older than the one that restores is looked at. The manifest validate
 // is handed, and the one returned, know when each segment of the payload
@@ -641,9 +646,7 @@ func (r FsckReport) OK() bool { return len(r.Errors) == 0 }
 // manifest only, never an abort that masks the rest), every referenced
 // chunk reads back from the records the nodes hold right now — any k of
 // them — decompresses and hashes to its content address, and every
-// manifest's chunk sizes add up to its payload. It checks what the store
-// holds, not what a writer claimed: a Clean segment that should not have
-// been is the writer's format's to catch. Unlike Get, Fsck repairs
+// manifest's chunk sizes add up to its payload. Unlike Get, Fsck repairs
 // nothing on the way; Scrub is the repairing counterpart. Read and
 // decompression time is charged to clock. Fsck returns an error only for
 // infrastructure failures; integrity findings land in the report.

@@ -67,6 +67,7 @@ func corruptFile(t *testing.T, fs *proc.FS, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = append([]byte(nil), data...) // the filesystem lends its bytes read-only
 	data[len(data)/2] ^= 0xFF
 	if err := fs.WriteFile(clock, path, data); err != nil {
 		t.Fatal(err)

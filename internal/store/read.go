@@ -9,9 +9,11 @@ package store
 // index lookups, disk and link time, the fault plan's ticks, repair
 // bookkeeping. The pure half — record digests, inflate, SHA-256 — shares
 // nothing between chunks and runs on GOMAXPROCS workers. Nothing here hashes
-// the payload whole: a chunk is checked against its address, and whether
-// the chunks a manifest names are the checkpoint its writer meant is for
-// the writer's own format to check (Segment.Clean).
+// the payload whole: a chunk is checked against its address, and that is
+// enough, because the chunks a manifest names are the bytes its Put was
+// handed — a segment the Put reused on a Clean claim hashed to the parent's
+// refs first (Segment.Clean) — so each byte is hashed once on the way in and
+// once on the way back.
 //
 // Virtual time is a pipeline of three kinds of hardware, and nothing moves
 // a clock until the workers have joined. The store nodes' disks run beside

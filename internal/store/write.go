@@ -16,13 +16,110 @@ package store
 // worker's work or, with one processor and so no workers, sealed on the
 // caller. So what a Put writes, reports and charges does not depend on the
 // processor count.
+//
+// Before its first chunk is cut, a Put checks every Clean claim it can
+// honour (checkClaims): the same workers hash the segment's bytes at its
+// parent's chunk boundaries. That check is pure too, and it is over before
+// the ordered half starts, so the decision it makes for each segment falls
+// in payload order like everything else. Like every hash, it charges no
+// virtual time.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
+
+// claimCheck is one chunk of a check of a Clean claim: the bytes a parent
+// chunk ref covers in the segment as it is now, and the address they must
+// hash to.
+type claimCheck struct {
+	seg   int
+	parts [][]byte
+	addr  [sha256.Size]byte
+}
+
+// checkClaims checks the Clean claims of segs against parent, the job's
+// previous manifest. A claim is checked when parent has a segment of that
+// name and size: its chunk refs cut the segment's current bytes, the
+// workers hash each piece, and the claim holds when every piece hashes to
+// its ref's address. held reports, per segment, that its claim was checked
+// and holds — the segment reuses the parent's refs; refuted counts the
+// checked claims that do not hold. Nothing is copied: a piece is the
+// slices of the segment's own bytes that it spans.
+func (f *Fleet) checkClaims(parent Manifest, segs []Segment) (held []bool, refuted int) {
+	held = make([]bool, len(segs))
+	if len(parent.Segments) == 0 {
+		return held, 0 // no parent segment to check a claim against
+	}
+	wrong := make([]atomic.Bool, len(segs))
+	run, wait := startWorkers(putWindow, func(c claimCheck) {
+		if wrong[c.seg].Load() {
+			return // the claim is already refuted
+		}
+		var sum [sha256.Size]byte
+		if len(c.parts) == 1 {
+			sum = sha256.Sum256(c.parts[0])
+		} else {
+			h := sha256.New()
+			for _, b := range c.parts {
+				h.Write(b)
+			}
+			h.Sum(sum[:0])
+		}
+		if sum != c.addr {
+			wrong[c.seg].Store(true)
+		}
+	})
+	for i, sg := range segs {
+		if !sg.Clean {
+			continue
+		}
+		ps, refs, ok := parent.segment(sg.Name)
+		if !ok || ps.Size != sg.Len {
+			continue // no matching parent segment: chunk it like a dirty one
+		}
+		held[i] = true
+		// The cursor: slice at of the segment's bytes, from offset off.
+		at, off, covered := 0, int64(0), int64(0)
+		for _, ref := range refs {
+			addr, ok := decodeDigest(ref.Sum)
+			var parts [][]byte
+			for need := ref.Size; ok && need > 0; {
+				if at == len(sg.Data) {
+					ok = false
+					break
+				}
+				b := sg.Data[at][off:]
+				n := min(need, int64(len(b)))
+				parts = append(parts, b[:n])
+				need -= n
+				if off += n; off == int64(len(sg.Data[at])) {
+					at, off = at+1, 0
+				}
+			}
+			if !ok || ref.Size < 0 {
+				covered = -1 // refs that do not cut the bytes cannot hold them
+				break
+			}
+			run(claimCheck{seg: i, parts: parts, addr: addr})
+			covered += ref.Size
+		}
+		if covered != sg.Len {
+			wrong[i].Store(true)
+		}
+	}
+	wait()
+	for i := range held {
+		if held[i] && wrong[i].Load() {
+			held[i] = false
+			refuted++
+		}
+	}
+	return held, refuted
+}
 
 // putWindow is how many chunks a Put has handed to its workers ahead of the
 // one it stages: enough to keep every worker busy while the caller stages
