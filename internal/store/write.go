@@ -82,33 +82,24 @@ func (f *Fleet) checkClaims(parent Manifest, segs []Segment) (held []bool, refut
 			continue // no matching parent segment: chunk it like a dirty one
 		}
 		held[i] = true
-		// The cursor: slice at of the segment's bytes, from offset off.
-		at, off, covered := 0, int64(0), int64(0)
+		// The refs tile the segment's bytes: decodeManifest checked their
+		// addresses and that their sizes add up to the segment's, and
+		// segmentBytes that the bytes do. A cursor walks them: slice at of
+		// the bytes, from offset off.
+		at, off := 0, 0
 		for _, ref := range refs {
-			addr, ok := decodeDigest(ref.Sum)
+			addr, _ := decodeDigest(ref.Sum)
 			var parts [][]byte
-			for need := ref.Size; ok && need > 0; {
-				if at == len(sg.Data) {
-					ok = false
-					break
-				}
+			for need := int(ref.Size); need > 0; {
 				b := sg.Data[at][off:]
-				n := min(need, int64(len(b)))
+				n := min(need, len(b))
 				parts = append(parts, b[:n])
 				need -= n
-				if off += n; off == int64(len(sg.Data[at])) {
+				if off += n; off == len(sg.Data[at]) {
 					at, off = at+1, 0
 				}
 			}
-			if !ok || ref.Size < 0 {
-				covered = -1 // refs that do not cut the bytes cannot hold them
-				break
-			}
 			run(claimCheck{seg: i, parts: parts, addr: addr})
-			covered += ref.Size
-		}
-		if covered != sg.Len {
-			wrong[i].Store(true)
 		}
 	}
 	wait()
