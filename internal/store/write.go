@@ -18,8 +18,8 @@ package store
 // processor count.
 //
 // Before its first chunk is cut, a Put checks every Clean claim it can
-// honour (checkClaims): the same workers hash the segment's bytes at its
-// parent's chunk boundaries. That check is pure too, and it is over before
+// honour (checkClaims): workers started as the window's are hash the
+// segment's bytes at its parent's chunk boundaries. That check is pure too, and it is over before
 // the ordered half starts, so the decision it makes for each segment falls
 // in payload order like everything else. Like every hash, it charges no
 // virtual time.
