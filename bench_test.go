@@ -636,7 +636,6 @@ func BenchmarkFleetBursty(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				specs := fleet.Bursty(fleet.TrafficConfig{Seed: 42, Jobs: 1000})
 				cfg := fleet.Config{
-					Model:      fleet.DefaultCostModel(),
 					Migration:  mig,
 					Preemption: true,
 				}

@@ -13,7 +13,6 @@ import (
 func fleetCmd(jobs int, seed int64, gpus, cpus, sample int, migration, preemption bool) {
 	specs := fleet.Bursty(fleet.TrafficConfig{Seed: seed, Jobs: jobs})
 	cfg := fleet.Config{
-		Model:       fleet.DefaultCostModel(),
 		Migration:   migration,
 		Preemption:  preemption,
 		SampleEvery: sample,

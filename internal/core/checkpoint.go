@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"checl/internal/cpr"
 	"checl/internal/hw"
@@ -43,8 +42,8 @@ type CheckpointStats struct {
 
 	// Incremental breakdown: dirty buffers were re-staged from the
 	// device, clean buffers kept their previous staged copy (and, in a
-	// store checkpoint to the store and job of the last one committed,
-	// reuse that generation's chunk refs).
+	// store checkpoint, are claimed clean: StorePut.RefutedClean counts
+	// the claims the store found false and stored anew).
 	DirtyBuffers    int
 	DirtyBytes      int64
 	CleanBuffers    int
@@ -93,14 +92,6 @@ type bgWrite struct {
 	dur       vtime.Duration // virtual duration of the Put
 }
 
-// ckptDest is where a checkpoint went: a store and a job in it, or the
-// zero value for a flat file. The store is the Backend value itself, not
-// its name: two fleets of one geometry share a name.
-type ckptDest struct {
-	st  store.Backend
-	job string
-}
-
 // memRegion names the application memory region holding one buffer's
 // staged contents during a dump. Keyed by the stable CheCL handle, so the
 // region name — and therefore its store segment — is identical across
@@ -112,7 +103,7 @@ func memRegion(h Handle) string { return fmt.Sprintf("checl.mem/%x", uint64(h)) 
 // with the conventional CPR backend, and drop the staged copies.
 func (c *CheCL) Checkpoint(fs *proc.FS, path string) (CheckpointStats, error) {
 	stats := CheckpointStats{Path: path, FSName: fs.Name()}
-	err := c.runCheckpoint(&stats, ckptDest{}, func(map[string]bool) (int64, error) {
+	err := c.runCheckpoint(&stats, func(map[string]bool) (int64, error) {
 		wst, err := c.opts.Backend.Checkpoint(c.app, fs, path)
 		return wst.Bytes, err
 	})
@@ -126,7 +117,7 @@ func (c *CheCL) Checkpoint(fs *proc.FS, path string) (CheckpointStats, error) {
 // the application (startBackgroundPut); its outcome does not.
 func (c *CheCL) CheckpointToStore(st store.Backend, job string) (CheckpointStats, error) {
 	stats := CheckpointStats{Path: job, FSName: st.Name()}
-	err := c.runCheckpoint(&stats, ckptDest{st, job}, func(clean map[string]bool) (int64, error) {
+	err := c.runCheckpoint(&stats, func(clean map[string]bool) (int64, error) {
 		if c.opts.Mode == Delayed && !c.opts.Destructive {
 			return c.startBackgroundPut(st, job, clean, &stats)
 		}
@@ -197,18 +188,19 @@ func (c *CheCL) barrier(label string, began vtime.Time, dur vtime.Duration) vtim
 }
 
 // runCheckpoint executes the four §III-C phases around a pluggable
-// phase-3 writer (flat file or store) to dest, filling stats in place. It
-// is where a checkpoint is settled: a previous write that went behind
-// lands first, and only a checkpoint that returns nil becomes
-// LastCheckpoint and the destination of the next clean claims. The
-// writer receives the clean-region map (nil when none can be made): region
-// names of buffers whose staged copy is what dest's newest generation
-// holds, so a store writer can reuse that generation's chunk refs.
-func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(clean map[string]bool) (int64, error)) error {
+// phase-3 writer (flat file or store), filling stats in place. It is where
+// a checkpoint is settled: a previous write that went behind lands first,
+// and only a checkpoint that returns nil becomes LastCheckpoint. In
+// incremental mode the writer receives the clean-region map (nil
+// otherwise): the region names of the buffers this checkpoint did not
+// re-stage, and of the database when it encodes as in the last image
+// dumped or restored. A store writer claims them clean; the store checks
+// each claim against the bytes and reuses the parent generation's chunk
+// refs only for a claim that holds (DESIGN.md §17).
+func (c *CheCL) runCheckpoint(stats *CheckpointStats, dump func(clean map[string]bool) (int64, error)) error {
 	clock := c.app.Clock()
 	c.WaitBackgroundWrite()
-	claimTo := c.committed
-	c.lastCkpt, c.committed = nil, ckptDest{}
+	c.lastCkpt = nil
 
 	// A speculative epoch that died before this checkpoint (proxy
 	// failover, failed begin) is reported here; the checkpoint below
@@ -248,15 +240,11 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	// Phase 2: preprocessing. Copy user data from device memory to host
 	// memory. In incremental mode only buffers possibly modified since
 	// they were last staged are re-staged; clean buffers keep their staged
-	// copy. A staged copy is what the last committed checkpoint holds, so
-	// clean buffers are reported to the phase-3 writer — which reuses the
-	// parent generation's chunk refs for them — only when this checkpoint
-	// goes to the same store and job; anywhere else the writer takes their
-	// bytes. CL_MEM_USE_HOST_PTR buffers are always conservatively dirty:
-	// the application can write through the aliased host pointer without
-	// any API call CheCL sees.
+	// copy and are reported to the phase-3 writer. CL_MEM_USE_HOST_PTR
+	// buffers are always conservatively dirty: the application can write
+	// through the aliased host pointer without any API call CheCL sees.
 	var clean map[string]bool
-	if c.opts.Incremental && claimTo.st != nil && claimTo == dest {
+	if c.opts.Incremental {
 		clean = map[string]bool{}
 	}
 	var dirty []*memRec
@@ -280,9 +268,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 			continue
 		}
 		if c.opts.Incremental && !m.Dirty && !m.UseHostPtr && m.Data != nil {
-			if clean != nil {
-				clean[memRegion(m.H)] = true
-			}
+			clean[memRegion(m.H)] = true
 			stats.CleanBuffers++
 			stats.CleanBytes += m.Size
 			continue
@@ -314,9 +300,10 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	if err != nil {
 		return fmt.Errorf("checl: checkpoint write: %w", err)
 	}
-	// The database is claimed clean too when it encodes as it did in the
-	// generation the claims name: an image claimed clean region by region
-	// is its parent's, head included (cpr.StoreImage), and stores nothing.
+	// The database is claimed clean too when it encodes as in the last
+	// image dumped or restored: an image claimed clean region by region
+	// keeps that image's head (cpr.StoreImage), so an unchanged one stores
+	// nothing.
 	if clean != nil && string(blob) == string(c.committedDB) {
 		clean[dbRegion] = true
 	}
@@ -381,7 +368,7 @@ func (c *CheCL) runCheckpoint(stats *CheckpointStats, dest ckptDest, dump func(c
 	// seeded into StallTime by commitEpoch. The hidden drain is in
 	// Overlap, not here.
 	stats.StallTime += stats.Phases.Total()
-	c.lastCkpt, c.ckptErr, c.committed, c.committedDB = stats, nil, dest, blob
+	c.lastCkpt, c.ckptErr, c.committedDB = stats, nil, blob
 	return nil
 }
 
@@ -645,19 +632,14 @@ func RestoreImage(node *proc.Node, image []byte, opts Options) (*CheCL, RestartS
 // returned error wraps the typed *store.DegradedRestore — the caller
 // always learns exactly what was lost, never gets a wrong payload.
 //
-// A restore of a bare job name that did not degrade brought back the
-// job's newest generation, so the next checkpoint to the same store and
-// job may claim clean buffers against it, as if this incarnation had
-// written it.
+// Every restored buffer starts out clean, so the next incremental store
+// checkpoint claims it clean wherever it goes; the store checks each claim
+// against the bytes (DESIGN.md §17).
 func RestoreFromStore(node *proc.Node, st store.Backend, ref string, opts Options) (*CheCL, RestartStats, error) {
-	c, stats, err := restore(node, ref, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
+	return restore(node, ref, opts, func(b cpr.Backend) (*proc.Process, vtime.Duration, *store.DegradedRestore, error) {
 		app, rst, deg, err := b.RestartFromStore(node, st, ref)
 		return app, rst.Time, deg, err
 	})
-	if err == nil && stats.Degraded == nil && !strings.Contains(ref, "@") {
-		c.committed = ckptDest{st, ref}
-	}
-	return c, stats, err
 }
 
 // restore is what the three entry points above share: load brings the

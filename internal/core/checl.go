@@ -100,14 +100,9 @@ type CheCL struct {
 	lastCkpt   *CheckpointStats
 	ckptErr    error    // see LastCheckpointError
 	bg         *bgWrite // overlapped store write not yet barriered, nil when none
-	// committed is the store job whose newest generation holds every
-	// staged copy, the one destination toward which a buffer may be
-	// claimed clean; zero when none. Set by a store checkpoint that
-	// commits and by a restore of a job's newest generation, cleared by
-	// every other checkpoint and by a failed one (runCheckpoint).
-	committed ckptDest
-	// committedDB is the object database's encoding in that generation:
-	// the database region is claimed clean while its encoding is this.
+	// committedDB is the object database's encoding in the last image
+	// this incarnation dumped or was restored from: the database region
+	// is claimed clean while its encoding is this.
 	committedDB []byte
 
 	// The submission queue (queue.go): commands awaiting the next

@@ -378,9 +378,10 @@ func TestOverlappedWriteCopiesNoImage(t *testing.T) {
 
 // TestBackgroundWriteFailureSurfaced: a store write that goes behind
 // fails where it is made — the checkpoint returns the error, not the next
-// one — and the next checkpoint makes no clean claim toward the
-// generation that was never written: what the failed one staged is
-// written again.
+// one — and its retry claims clean every buffer the failed one staged. The
+// store holds each claim to the bytes: the buffer rewritten before the
+// failed write is refuted and written again, the two unchanged ones reuse
+// the generation before.
 func TestBackgroundWriteFailureSurfaced(t *testing.T) {
 	node := newNodeNV("pc0")
 	tiny := proc.NewFS("tiny", hw.TableISpec().LocalDisk, proc.WithCapacity(16<<10))
@@ -415,9 +416,17 @@ func TestBackgroundWriteFailureSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.StorePut.RefutedClean != 1 {
+		t.Errorf("retry refuted %d clean claims, want 1 (the rewritten buffer)", st.StorePut.RefutedClean)
+	}
+	clean := map[string]bool{}
 	for _, seg := range man.Segments {
-		if seg.Clean {
-			t.Errorf("segment %s claimed clean toward %s, which lacks what the failed checkpoint staged", seg.Name, man.Parent)
+		clean[seg.Name] = seg.Clean
+	}
+	for _, m := range []ocl.Mem{app.a, app.b, app.c} {
+		name := "region/" + memRegion(Handle(m))
+		if got, ok := clean[name]; !ok || got != (m != app.a) {
+			t.Errorf("segment %s clean = %v (present %v) toward %s, want %v", name, got, ok, man.Parent, m != app.a)
 		}
 	}
 	want := readBuffers(t, c, app)
@@ -435,8 +444,9 @@ func TestBackgroundWriteFailureSurfaced(t *testing.T) {
 // checkCleanClaimAcross checkpoints vadd incrementally as job "vadd" into
 // st, rewrites every buffer, runs between — which stages the rewritten
 // buffers for something other than vadd's next generation in st — and
-// checkpoints "vadd" into st again. That generation must claim nothing
-// clean toward the first: it restores bit-identical, without falling back.
+// checkpoints "vadd" into st again. That generation claims the rewritten
+// buffers clean, and the store refutes the claims against the first
+// generation's bytes: it restores bit-identical, without falling back.
 func checkCleanClaimAcross(t *testing.T, st store.Backend, between func(c *CheCL, node *proc.Node)) {
 	t.Helper()
 	node := newNodeNV("pc0")
@@ -464,6 +474,9 @@ func checkCleanClaimAcross(t *testing.T, st store.Backend, between func(c *CheCL
 	if err != nil {
 		t.Fatal(err)
 	}
+	if last.StorePut.RefutedClean == 0 {
+		t.Errorf("%s refuted no clean claim; the store is what keeps a stale claim out", last.Manifest)
+	}
 	want := readBuffers(t, c, app)
 	rc, rst, err := RestoreFromStore(node, st, "vadd", Options{})
 	if err != nil {
@@ -478,7 +491,7 @@ func checkCleanClaimAcross(t *testing.T, st store.Backend, between func(c *CheCL
 
 // TestCleanClaimAfterFailedPut: a store checkpoint that fails (three of
 // the fleet's six nodes down) has staged the rewritten buffers; its retry
-// writes them rather than claiming them clean toward the generation before.
+// claims them clean, and the store refutes the claims and writes them.
 func TestCleanClaimAfterFailedPut(t *testing.T) {
 	st, nodes := newTestFleet(t)
 	checkCleanClaimAcross(t, st, func(c *CheCL, _ *proc.Node) {
@@ -519,8 +532,8 @@ func TestCleanClaimAfterOtherJob(t *testing.T) {
 }
 
 // TestCleanClaimAfterOtherStore: a checkpoint of the same job into another
-// store of the same name stages the rewritten buffers for that store:
-// a claim names its store by identity, not by name.
+// store of the same name stages the rewritten buffers for that store; the
+// first store checks the claims against its own generation.
 func TestCleanClaimAfterOtherStore(t *testing.T) {
 	st := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
 	other := store.New(proc.NewFS("ckpt-disk", hw.TableISpec().LocalDisk), fineChunks)
@@ -529,6 +542,43 @@ func TestCleanClaimAfterOtherStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCleanClaimHonouredAcrossDestinations: with nothing changed, a
+// checkpoint to store A after one to store B claims every region clean
+// toward A's newest generation, which holds those bytes, and the store
+// honours the claims: it reuses A's refs and stores nothing new.
+func TestCleanClaimHonouredAcrossDestinations(t *testing.T) {
+	a := store.New(proc.NewFS("ckpt-a", hw.TableISpec().LocalDisk), fineChunks)
+	b := store.New(proc.NewFS("ckpt-b", hw.TableISpec().LocalDisk), fineChunks)
+	node := newNodeNV("pc0")
+	_, c := attach(t, node, Options{Incremental: true})
+	app := setupVaddApp(t, c, 1<<14) // 64 KiB per buffer
+	app.launch(t)
+	app.finish(t)
+	for _, st := range []store.Backend{a, b} {
+		if _, err := c.CheckpointToStore(st, "vadd"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, err := c.CheckpointToStore(a, "vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if put := last.StorePut; put.ReusedChunks == 0 || put.NewChunks != 0 || put.RefutedClean != 0 {
+		t.Errorf("%s reused %d chunks, stored %d new and refuted %d claims; want reuse, nothing new, nothing refuted",
+			last.Manifest, put.ReusedChunks, put.NewChunks, put.RefutedClean)
+	}
+	want := readBuffers(t, c, app)
+	rc, rst, err := RestoreFromStore(node, a, "vadd", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { rc.Detach(); rc.App().Kill() }()
+	if rst.Degraded != nil {
+		t.Fatalf("restore of %s fell back: %v", last.Manifest, rst.Degraded)
+	}
+	sameBuffers(t, "is not what the last checkpoint held", rc, app, want)
 }
 
 // TestReleasedBufferSkippedInCheckpoint: a buffer whose refcount hit zero

@@ -54,10 +54,11 @@ type Backend interface {
 	// CheckpointToStoreIncremental dumps p's memory image into st under
 	// job, one store segment per region, deduplicating against the job's
 	// earlier checkpoints (and any other job's chunks). Regions whose names
-	// map to true in clean are asserted byte-identical to the job's previous
-	// checkpoint, and the store reuses that generation's chunk refs for them
-	// instead of re-chunking (store.PutSegmented); a nil map marks none
-	// clean. The same eligibility rules as Checkpoint apply.
+	// map to true in clean are claimed unchanged since the job's previous
+	// checkpoint; the store checks each claim against the bytes and reuses
+	// that generation's chunk refs only for a claim that holds
+	// (store.PutSegmented); a nil map claims none. The same eligibility
+	// rules as Checkpoint apply.
 	CheckpointToStoreIncremental(p *proc.Process, st store.Backend, job string, clean map[string]bool) (Stats, *store.PutStats, error)
 	// RestartFromStore re-creates a process on node n from a store
 	// checkpoint. ref is a manifest ID ("job@seq") or a bare job name (its

@@ -96,9 +96,6 @@ type NodeSpec struct {
 
 // Config parameterises a fleet run.
 type Config struct {
-	// Model is the fitted Eq. 1 instance used for every migration,
-	// eviction and restore cost prediction.
-	Model core.CostModel
 	// Migration enables the rebalancing rounds. Off, the fleet is the
 	// no-migration baseline: a job finishes where admission put it.
 	Migration bool
@@ -118,12 +115,11 @@ const rebalanceEvery = 500 * vtime.Millisecond
 // minGain suppresses migration churn (sched.Planner.MinGain).
 const minGain = 250 * vtime.Millisecond
 
-// DefaultCostModel is a fitted Eq. 1 instance in the ballpark the Fig. 8
+// costModel is the fitted Eq. 1 instance used for every migration,
+// eviction and restore cost prediction, in the ballpark the Fig. 8
 // calibration produces for checkpoints over the Table I NFS: ~28.6 MB/s
 // effective checkpoint bandwidth and a 100 ms constant.
-func DefaultCostModel() core.CostModel {
-	return core.CostModel{Alpha: 3.5e-8, Beta: 0.1}
-}
+var costModel = core.CostModel{Alpha: 3.5e-8, Beta: 0.1}
 
 // DefaultNodes is a small heterogeneous inventory built from the Table I
 // device models: gpuNodes nodes carrying one Tesla C1060 (every third one
@@ -256,7 +252,7 @@ func New(nodes []NodeSpec, cfg Config) *Fleet {
 		byKey:  map[string]*device{},
 		byName: map[string]*job{},
 	}
-	f.planner = &sched.Planner{Model: f.cfg.Model, MinGain: minGain}
+	f.planner = &sched.Planner{Model: costModel, MinGain: minGain}
 	for _, ns := range nodes {
 		fn := &fleetNode{name: ns.Name}
 		for i, dm := range ns.Devices {
@@ -521,7 +517,7 @@ func (f *Fleet) place(j *job, d *device, now, notBefore vtime.Time) error {
 	if j.hasCkpt {
 		// Resuming from the parked checkpoint reads the full image back
 		// and recompiles — Eq. 1 with M = the full working set.
-		delay = f.cfg.Model.Predict(j.spec.MemBytes+imageOverhead, j.spec.Recompile)
+		delay = costModel.Predict(j.spec.MemBytes+imageOverhead, j.spec.Recompile)
 		f.metrics.restores++
 		if j.real != nil && j.real.parked {
 			mismatch, err := f.rig.restore(j.real, j.spec.Name)
@@ -601,7 +597,7 @@ func (f *Fleet) rebalance(now vtime.Time) {
 func (f *Fleet) migrate(j *job, target *device, tm vtime.Duration, now vtime.Time) {
 	f.progress(j, now)
 	src := j.dev
-	drain := f.cfg.Model.Predict(j.ckptBytes()+imageOverhead, 0)
+	drain := costModel.Predict(j.ckptBytes()+imageOverhead, 0)
 	src.release(now)
 	src.busyUntil = now.Add(drain)
 
@@ -676,7 +672,7 @@ func (f *Fleet) pickVictim(q *job, now vtime.Time) *job {
 			continue
 		}
 		f.progress(j, now)
-		evictCost := f.cfg.Model.Predict(j.ckptBytes()+imageOverhead, 0)
+		evictCost := costModel.Predict(j.ckptBytes()+imageOverhead, 0)
 		if j.finishAt.Sub(now) <= evictCost {
 			continue // finishing sooner than we could drain it
 		}
@@ -694,7 +690,7 @@ func (f *Fleet) pickVictim(q *job, now vtime.Time) *job {
 func (f *Fleet) evict(j *job, now vtime.Time) error {
 	f.progress(j, now)
 	payload := j.ckptBytes()
-	cost := f.cfg.Model.Predict(payload+imageOverhead, 0)
+	cost := costModel.Predict(payload+imageOverhead, 0)
 	d := j.dev
 	d.release(now)
 	d.busyUntil = now.Add(cost)

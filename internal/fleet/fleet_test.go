@@ -11,7 +11,6 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Model:      DefaultCostModel(),
 		Migration:  true,
 		Preemption: true,
 	}

@@ -408,31 +408,10 @@ func (r *Runtime) GetEventProfile(e Event) (EventProfile, error) {
 }
 
 // RetainEvent implements clRetainEvent.
-func (r *Runtime) RetainEvent(e Event) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ev, ok := r.events[e]
-	if !ok {
-		return Errf("clRetainEvent", InvalidEvent, "unknown event %#x", uint64(e))
-	}
-	ev.refs++
-	return nil
-}
+func (r *Runtime) RetainEvent(e Event) error { return retain(r, r.events, "clRetainEvent", e) }
 
 // ReleaseEvent implements clReleaseEvent.
-func (r *Runtime) ReleaseEvent(e Event) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ev, ok := r.events[e]
-	if !ok {
-		return Errf("clReleaseEvent", InvalidEvent, "unknown event %#x", uint64(e))
-	}
-	ev.refs--
-	if ev.refs <= 0 {
-		delete(r.events, e)
-	}
-	return nil
-}
+func (r *Runtime) ReleaseEvent(e Event) error { return release(r, r.events, "clReleaseEvent", e) }
 
 // QueueTail reports the completion horizon of a queue without blocking —
 // used by CheCL's delayed-checkpoint mode and by tests to measure the

@@ -139,6 +139,74 @@ type eventObj struct {
 	profile EventProfile
 }
 
+// refCounted is an object of one of the seven reference-counted classes:
+// it reports its reference count, and the noun and Status an unknown
+// handle of its class is refused with. unknown is called on the nil
+// object, so it reads no field.
+type refCounted interface {
+	refCount() *int
+	unknown() (noun string, st Status)
+}
+
+func (c *context) refCount() *int             { return &c.refs }
+func (q *queueObj) refCount() *int            { return &q.refs }
+func (b *buffer) refCount() *int              { return &b.refs }
+func (s *samplerObj) refCount() *int          { return &s.refs }
+func (p *programObj) refCount() *int          { return &p.refs }
+func (k *kernelObj) refCount() *int           { return &k.refs }
+func (e *eventObj) refCount() *int            { return &e.refs }
+func (*context) unknown() (string, Status)    { return "context", InvalidContext }
+func (*queueObj) unknown() (string, Status)   { return "queue", InvalidCommandQueue }
+func (*buffer) unknown() (string, Status)     { return "mem object", InvalidMemObject }
+func (*samplerObj) unknown() (string, Status) { return "sampler", InvalidSampler }
+func (*programObj) unknown() (string, Status) { return "program", InvalidProgram }
+func (*kernelObj) unknown() (string, Status)  { return "kernel", InvalidKernel }
+func (*eventObj) unknown() (string, Status)   { return "event", InvalidEvent }
+
+// lookup finds id in m under r.mu, or refuses it as op.
+func lookup[K ~uint64, V refCounted](m map[K]V, op string, id K) (V, error) {
+	o, ok := m[id]
+	if !ok {
+		noun, st := o.unknown()
+		return o, Errf(op, st, "unknown %s %#x", noun, uint64(id))
+	}
+	return o, nil
+}
+
+// retain is every clRetain* call: one more reference to id.
+func retain[K ~uint64, V refCounted](r *Runtime, m map[K]V, op string, id K) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	o, err := lookup(m, op, id)
+	if err != nil {
+		return err
+	}
+	*o.refCount()++
+	return nil
+}
+
+// release is every clRelease* call: one reference fewer to id, which goes
+// with its last one; a buffer returns its bytes to its context's budget.
+func release[K ~uint64, V refCounted](r *Runtime, m map[K]V, op string, id K) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	o, err := lookup(m, op, id)
+	if err != nil {
+		return err
+	}
+	refs := o.refCount()
+	if *refs--; *refs > 0 {
+		return nil
+	}
+	if b, ok := any(o).(*buffer); ok {
+		if ctx, ok := r.contexts[b.ctx]; ok {
+			ctx.allocated -= b.size
+		}
+	}
+	delete(m, id)
+	return nil
+}
+
 // NewRuntime constructs a runtime for the given vendor on a machine with
 // the given specification and clock. The clock is shared with the owning
 // (simulated) process so that blocking API calls advance process time.
@@ -286,29 +354,12 @@ func (r *Runtime) CreateContext(devices []DeviceID) (Context, error) {
 
 // RetainContext implements clRetainContext.
 func (r *Runtime) RetainContext(id Context) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.contexts[id]
-	if !ok {
-		return Errf("clRetainContext", InvalidContext, "unknown context %#x", uint64(id))
-	}
-	c.refs++
-	return nil
+	return retain(r, r.contexts, "clRetainContext", id)
 }
 
 // ReleaseContext implements clReleaseContext.
 func (r *Runtime) ReleaseContext(id Context) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.contexts[id]
-	if !ok {
-		return Errf("clReleaseContext", InvalidContext, "unknown context %#x", uint64(id))
-	}
-	c.refs--
-	if c.refs <= 0 {
-		delete(r.contexts, id)
-	}
-	return nil
+	return release(r, r.contexts, "clReleaseContext", id)
 }
 
 // ---- command queues ----
@@ -345,29 +396,12 @@ func (r *Runtime) CreateCommandQueue(c Context, d DeviceID, props QueueProps) (C
 
 // RetainCommandQueue implements clRetainCommandQueue.
 func (r *Runtime) RetainCommandQueue(id CommandQueue) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q, ok := r.queues[id]
-	if !ok {
-		return Errf("clRetainCommandQueue", InvalidCommandQueue, "unknown queue %#x", uint64(id))
-	}
-	q.refs++
-	return nil
+	return retain(r, r.queues, "clRetainCommandQueue", id)
 }
 
 // ReleaseCommandQueue implements clReleaseCommandQueue.
 func (r *Runtime) ReleaseCommandQueue(id CommandQueue) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q, ok := r.queues[id]
-	if !ok {
-		return Errf("clReleaseCommandQueue", InvalidCommandQueue, "unknown queue %#x", uint64(id))
-	}
-	q.refs--
-	if q.refs <= 0 {
-		delete(r.queues, id)
-	}
-	return nil
+	return release(r, r.queues, "clReleaseCommandQueue", id)
 }
 
 // ---- buffers ----
@@ -417,33 +451,11 @@ func (r *Runtime) CreateBuffer(c Context, flags MemFlags, size int64, hostData [
 }
 
 // RetainMemObject implements clRetainMemObject.
-func (r *Runtime) RetainMemObject(id Mem) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.buffers[id]
-	if !ok {
-		return Errf("clRetainMemObject", InvalidMemObject, "unknown mem object %#x", uint64(id))
-	}
-	b.refs++
-	return nil
-}
+func (r *Runtime) RetainMemObject(id Mem) error { return retain(r, r.buffers, "clRetainMemObject", id) }
 
 // ReleaseMemObject implements clReleaseMemObject.
 func (r *Runtime) ReleaseMemObject(id Mem) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.buffers[id]
-	if !ok {
-		return Errf("clReleaseMemObject", InvalidMemObject, "unknown mem object %#x", uint64(id))
-	}
-	b.refs--
-	if b.refs <= 0 {
-		if ctx, ok := r.contexts[b.ctx]; ok {
-			ctx.allocated -= b.size
-		}
-		delete(r.buffers, id)
-	}
-	return nil
+	return release(r, r.buffers, "clReleaseMemObject", id)
 }
 
 // ---- samplers ----
@@ -469,29 +481,12 @@ func (r *Runtime) CreateSampler(c Context, normalized bool, amode AddressingMode
 
 // RetainSampler implements clRetainSampler.
 func (r *Runtime) RetainSampler(id Sampler) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.samplers[id]
-	if !ok {
-		return Errf("clRetainSampler", InvalidSampler, "unknown sampler %#x", uint64(id))
-	}
-	s.refs++
-	return nil
+	return retain(r, r.samplers, "clRetainSampler", id)
 }
 
 // ReleaseSampler implements clReleaseSampler.
 func (r *Runtime) ReleaseSampler(id Sampler) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.samplers[id]
-	if !ok {
-		return Errf("clReleaseSampler", InvalidSampler, "unknown sampler %#x", uint64(id))
-	}
-	s.refs--
-	if s.refs <= 0 {
-		delete(r.samplers, id)
-	}
-	return nil
+	return release(r, r.samplers, "clReleaseSampler", id)
 }
 
 // ---- programs ----
@@ -631,29 +626,12 @@ func (r *Runtime) GetProgramBinary(id Program) ([]byte, error) {
 
 // RetainProgram implements clRetainProgram.
 func (r *Runtime) RetainProgram(id Program) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.programs[id]
-	if !ok {
-		return Errf("clRetainProgram", InvalidProgram, "unknown program %#x", uint64(id))
-	}
-	p.refs++
-	return nil
+	return retain(r, r.programs, "clRetainProgram", id)
 }
 
 // ReleaseProgram implements clReleaseProgram.
 func (r *Runtime) ReleaseProgram(id Program) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.programs[id]
-	if !ok {
-		return Errf("clReleaseProgram", InvalidProgram, "unknown program %#x", uint64(id))
-	}
-	p.refs--
-	if p.refs <= 0 {
-		delete(r.programs, id)
-	}
-	return nil
+	return release(r, r.programs, "clReleaseProgram", id)
 }
 
 // ---- kernels ----
@@ -686,31 +664,10 @@ func (r *Runtime) CreateKernel(pid Program, name string) (Kernel, error) {
 }
 
 // RetainKernel implements clRetainKernel.
-func (r *Runtime) RetainKernel(id Kernel) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k, ok := r.kernels[id]
-	if !ok {
-		return Errf("clRetainKernel", InvalidKernel, "unknown kernel %#x", uint64(id))
-	}
-	k.refs++
-	return nil
-}
+func (r *Runtime) RetainKernel(id Kernel) error { return retain(r, r.kernels, "clRetainKernel", id) }
 
 // ReleaseKernel implements clReleaseKernel.
-func (r *Runtime) ReleaseKernel(id Kernel) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k, ok := r.kernels[id]
-	if !ok {
-		return Errf("clReleaseKernel", InvalidKernel, "unknown kernel %#x", uint64(id))
-	}
-	k.refs--
-	if k.refs <= 0 {
-		delete(r.kernels, id)
-	}
-	return nil
-}
+func (r *Runtime) ReleaseKernel(id Kernel) error { return release(r, r.kernels, "clReleaseKernel", id) }
 
 // SetKernelArg implements clSetKernelArg. value carries the raw argument
 // bytes; for __local parameters value must be nil and size is the per-

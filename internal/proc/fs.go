@@ -216,8 +216,8 @@ func (fs *FS) Remove(path string) error {
 }
 
 // Rename atomically moves oldPath to newPath, replacing any existing file
-// there — the publish primitive crash-consistent commits hang off. It is
-// a metadata operation: no transfer time is charged, and an injected
+// there; the store moves a torn manifest frame into quarantine with it. It
+// is a metadata operation: no transfer time is charged, and an injected
 // fault (always a transient EIO; renames never tear) leaves both paths
 // untouched. Renaming a missing file is an error.
 func (fs *FS) Rename(oldPath, newPath string) error {
