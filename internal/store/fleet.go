@@ -140,7 +140,6 @@ type Fleet struct {
 	// Put's — where it stands on the link and the disks.
 	wbufs map[string]*packBuf
 	slots []putSlot // a Put's window (write.go), kept for the next Put
-	defl  deflaters // the flate writers its workers and the caller use
 	round []staged
 	stem  string
 	part  int

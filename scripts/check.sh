@@ -116,6 +116,10 @@ go test -fuzz=FuzzChunkerSplit -fuzztime=10s -fuzzminimizetime=1s ./internal/sto
 # does in one piece through the first-written oracle — same bytes, same
 # error, same virtual time — and never writes outside its destination.
 go test -fuzz=FuzzVerifyParts -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+# Compress fuzz: the raw probe says raw only for a chunk flate does not
+# shrink, and compress makes the blob flate alone makes (every input runs
+# flate, so minimising one gets a short leash too).
+go test -fuzz=FuzzStoresRaw -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 # Command-stream decoder fuzz: the frame decoder (every API call is a
 # frame) never panics, never reads past its input, refuses with a typed
 # error, and the server's executor survives whatever it accepted; the
