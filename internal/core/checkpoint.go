@@ -43,7 +43,8 @@ type CheckpointStats struct {
 	// Incremental breakdown: dirty buffers were re-staged from the
 	// device, clean buffers kept their previous staged copy (and, in a
 	// store checkpoint, are claimed clean: StorePut.RefutedClean counts
-	// the claims the store found false and stored anew).
+	// the claims the store found false, StorePut.UncheckedClean those it
+	// had no parent segment to check against; it stored both anew).
 	DirtyBuffers    int
 	DirtyBytes      int64
 	CleanBuffers    int

@@ -544,6 +544,47 @@ func TestCleanClaimAfterOtherStore(t *testing.T) {
 	})
 }
 
+// TestCleanClaimTowardFreshStore: a checkpoint to a fresh store B after
+// one to store A claims vadd's three unchanged buffers clean, and its
+// object database, which encodes as it did for A. B has no generation of
+// the job to check the claims against: it counts each as unchecked, none
+// as held or refuted, and stores them as dirty segments. The next
+// checkpoint to B makes the same claims, and B checks and honours each.
+func TestCleanClaimTowardFreshStore(t *testing.T) {
+	a := store.New(proc.NewFS("ckpt-a", hw.TableISpec().LocalDisk), fineChunks)
+	b := store.New(proc.NewFS("ckpt-b", hw.TableISpec().LocalDisk), fineChunks)
+	node := newNodeNV("pc0")
+	_, c := attach(t, node, Options{Incremental: true})
+	app := setupVaddApp(t, c, 1<<14) // 64 KiB per buffer
+	app.launch(t)
+	app.finish(t)
+	if _, err := c.CheckpointToStore(a, "vadd"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ held, unchecked int }{{0, 4}, {4, 0}} {
+		st, err := c.CheckpointToStore(b, "vadd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := b.Resolve(st.Manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, seg := range man.Segments {
+			if seg.Clean {
+				held++
+			}
+		}
+		put := st.StorePut
+		if claims := st.CleanBuffers + 1; st.CleanBuffers != 3 || held+put.RefutedClean+put.UncheckedClean != claims ||
+			held != want.held || put.UncheckedClean != want.unchecked {
+			t.Errorf("%s: %d buffers claimed clean; %d claims held, %d refuted, %d unchecked, want %d held and %d unchecked",
+				st.Manifest, st.CleanBuffers, held, put.RefutedClean, put.UncheckedClean, want.held, want.unchecked)
+		}
+	}
+}
+
 // TestCleanClaimHonouredAcrossDestinations: with nothing changed, a
 // checkpoint to store A after one to store B claims every region clean
 // toward A's newest generation, which holds those bytes, and the store

@@ -28,7 +28,9 @@ func inPieces(b []byte, n int) [][]byte {
 // then the last byte of a small one — is caught by the Put: it is chunked
 // as a dirty segment and counted in RefutedClean, the honest claims beside
 // it are reused, and the generation reads back as the bytes the Put was
-// handed. On one disk (1+0) and on a 4+2 fleet.
+// handed. The claims of the job's first generation, with no parent to
+// check them against, are counted in UncheckedClean. On one disk (1+0) and
+// on a 4+2 fleet.
 func TestScribbledCleanSegmentStoredDirty(t *testing.T) {
 	fine := Config{MinChunk: 1 << 10, AvgChunk: 4 << 10, MaxChunk: 16 << 10}
 	stores := map[string]func() *Fleet{
@@ -57,8 +59,11 @@ func TestScribbledCleanSegmentStoredDirty(t *testing.T) {
 			}
 			return man, stats
 		}
-		put(nil)
+		// The job's first generation has no parent to check a claim against.
 		all := map[string]bool{"a": true, "b": true, "c": true}
+		if _, stats := put(all); stats.UncheckedClean != 3 || stats.RefutedClean != 0 || stats.ReusedBytes != 0 {
+			t.Errorf("%s: first generation: %d claims unchecked, %d refuted, %d bytes reused", name, stats.UncheckedClean, stats.RefutedClean, stats.ReusedBytes)
+		}
 
 		parts["a"] = append([]byte(nil), parts["a"]...)
 		parts["a"][len(parts["a"])/2] ^= 1
@@ -78,7 +83,7 @@ func TestScribbledCleanSegmentStoredDirty(t *testing.T) {
 		}
 
 		_, stats = put(all)
-		if stats.RefutedClean != 0 || stats.ReusedBytes != stats.TotalBytes || stats.NewChunks != 0 {
+		if stats.RefutedClean != 0 || stats.UncheckedClean != 0 || stats.ReusedBytes != stats.TotalBytes || stats.NewChunks != 0 {
 			t.Errorf("%s: honest claims: %+v", name, stats)
 		}
 	}

@@ -44,8 +44,12 @@ type PutStats struct {
 	ReusedChunks int
 	ReusedBytes  int64
 	// RefutedClean counts the segments claimed Clean whose bytes did not
-	// hash to the parent segment's refs: each was stored as a dirty one.
-	RefutedClean int
+	// hash to the parent segment's refs, UncheckedClean those the job's
+	// previous manifest has no segment of that name and size for (or the
+	// job none): each was stored as a dirty one. The claims that held are
+	// the manifest's Clean segments.
+	RefutedClean   int
+	UncheckedClean int
 	// Stage times on the write's lanes (fleet.go's writeLanes): the CPU
 	// lane's compression time, and how long the Put ran after its CPU lane
 	// was done — what was left of the link and the disks, then the manifest
@@ -76,7 +80,7 @@ func (p PutStats) DedupRatio() float64 {
 // or sealing for those bytes. A claim the bytes refute is stored as a dirty
 // segment and counted (PutStats.RefutedClean), so a checkpoint always holds
 // the bytes it was handed. A Clean segment with no matching parent segment
-// is silently treated as dirty.
+// is treated as dirty and counted too (PutStats.UncheckedClean).
 //
 // A segment's bytes reach the store in one of two forms. With a contiguous
 // payload they are payload[Off:Off+Len]. With a nil payload each segment
@@ -216,8 +220,8 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 	}
 	// Every clean claim is checked before the first chunk is cut, so that
 	// what follows decides segment by segment in payload order.
-	held, refuted := f.checkClaims(parent, segs)
-	stats.RefutedClean = refuted
+	var held []bool
+	held, stats.RefutedClean, stats.UncheckedClean = f.checkClaims(parent, segs)
 	ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 	written := map[string]int64{} // blob length of chunks this Put wrote
 	win := f.openWindow()
