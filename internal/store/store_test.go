@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"compress/flate"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -267,19 +266,7 @@ func TestPooledCodersByteIdentical(t *testing.T) {
 	writers := make(deflaters, 1)
 	for round := 0; round < 3; round++ {
 		for i, chunk := range chunks {
-			var fresh bytes.Buffer
-			fresh.WriteByte(codecFlate)
-			w, err := flate.NewWriter(&fresh, flateLevel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Write(chunk)
-			w.Close()
-			want := fresh.Bytes()
-			if fresh.Len() >= len(chunk)+1 {
-				want = append([]byte{codecRaw}, chunk...)
-			}
-
+			want := flateBlob(t, chunk)
 			got, err := writers.compress(nil, chunk)
 			if err != nil {
 				t.Fatal(err)
