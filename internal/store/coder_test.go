@@ -139,6 +139,57 @@ func TestEncodeMatchesReferenceArithmetic(t *testing.T) {
 	}
 }
 
+// mulAddBytewise is mulAdd as first written: one product a byte, from the
+// log/exp tables.
+func mulAddBytewise(dst, src []byte, coef byte) {
+	for i := range dst {
+		dst[i] ^= gfMul(coef, src[i])
+	}
+}
+
+// TestMulAddMatchesBytewise: the word-width mulAdd, and mulAdd2's two rows
+// in one pass, add what the byte-at-a-time loop adds — for every
+// coefficient, and every pair of a coefficient with 0, with 1 and with its
+// complement, at lengths that leave every tail short of a word, into a dst
+// shorter than src — and read nothing but src.
+func TestMulAddMatchesBytewise(t *testing.T) {
+	var lens []int
+	for n := 0; n <= 17; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 4099)
+	for _, n := range lens {
+		src := payload(int64(n), n+5)
+		srcBefore := append([]byte(nil), src...)
+		for _, dn := range []int{n, max(n-3, 0)} { // dst as long as src's n bytes, and shorter
+			base0, base1 := payload(int64(n+1), dn), payload(int64(n+2), dn)
+			for c := 0; c < 256; c++ {
+				coef := byte(c)
+				want := append([]byte(nil), base0...)
+				mulAddBytewise(want, src, coef)
+				got := append([]byte(nil), base0...)
+				mulAdd(got, src[:n], coef)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("mulAdd coef %#x len %d dst %d: differs from the byte-at-a-time loop", coef, n, dn)
+				}
+				for _, pair := range [][2]byte{{coef, 0}, {0, coef}, {coef, 1}, {1, coef}, {coef, ^coef}} {
+					want0, want1 := append([]byte(nil), base0...), append([]byte(nil), base1...)
+					mulAddBytewise(want0, src, pair[0])
+					mulAddBytewise(want1, src, pair[1])
+					got0, got1 := append([]byte(nil), base0...), append([]byte(nil), base1...)
+					mulAdd2(got0, got1, src[:n], pair[0], pair[1])
+					if !bytes.Equal(got0, want0) || !bytes.Equal(got1, want1) {
+						t.Fatalf("mulAdd2 coefs %#x,%#x len %d dst %d: differs from the byte-at-a-time loop", pair[0], pair[1], n, dn)
+					}
+				}
+			}
+		}
+		if !bytes.Equal(src, srcBefore) {
+			t.Fatalf("len %d: src was written", n)
+		}
+	}
+}
+
 func TestCoderRejectsBadGeometry(t *testing.T) {
 	for _, geo := range []struct{ k, m int }{{0, 1}, {0, 0}, {-1, 2}, {1, -1}, {200, 100}} {
 		if _, err := NewCoder(geo.k, geo.m); err == nil {

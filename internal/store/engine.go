@@ -249,7 +249,7 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 		ref := ChunkRef{Sum: s.sum, Size: int64(len(s.data))}
 		if stored, ok := written[s.sum]; ok {
 			ref.Stored = stored
-		} else if stored, ok := f.chunkPresent(s.sum); ok {
+		} else if stored, ok := f.chunkPresent(s.sum, s.nodes); ok {
 			ref.Stored = stored
 		} else {
 			took := compressBps.Transfer(int64(len(s.data)))
@@ -283,17 +283,22 @@ func (f *Fleet) putLocked(clock *vtime.Clock, job string, segs []Segment, size i
 			cleans = append(cleans, cleanRun{at: win.cut, refs: refs, size: sg.Len})
 			continue
 		}
-		chunks := ck.split(sg.Data)
-		for _, chunk := range chunks {
+		// Each chunk goes to the workers as soon as it is cut.
+		chunks := 0
+		if err := ck.cuts(sg.Data, func(chunk []byte) error {
 			if win.full() {
 				if err := stageNext(); err != nil {
-					return fail(err)
+					return err
 				}
 			}
 			win.push(chunk)
+			chunks++
+			return nil
+		}); err != nil {
+			return fail(err)
 		}
 		if sg.Name != "" {
-			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: len(chunks)})
+			man.Segments = append(man.Segments, SegmentRef{Name: sg.Name, Size: sg.Len, Chunks: chunks})
 		}
 	}
 	for win.pending() {

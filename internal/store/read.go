@@ -8,7 +8,14 @@ package store
 // session (fleetRead), called chunk by chunk on the reader's goroutine:
 // index lookups, disk and link time, the fault plan's ticks, repair
 // bookkeeping. The pure half — record digests, inflate, SHA-256 — shares
-// nothing between chunks and runs on GOMAXPROCS workers. Nothing here hashes
+// nothing between chunks and runs on GOMAXPROCS workers. A degraded chunk,
+// one of whose data records is an erasure already, splits the same way: the
+// session only locates k surviving records in index order, and the pure half
+// checks their digests and solves for the lost data shards before it
+// inflates. Only a chunk that owes an alive node a heal, or has fewer than k
+// records to find, is read degraded whole on the reader's goroutine; a record
+// that fails its digest on a worker sends its chunk to the session's second
+// try (refetch), which reads it that way, in chunk order. Nothing here hashes
 // the payload whole: a chunk is checked against its address, and that is
 // enough, because the chunks a manifest names are the bytes its Put was
 // handed — a segment the Put reused on a Clean claim hashed to the parent's

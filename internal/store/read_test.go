@@ -246,6 +246,116 @@ func TestReadIndependentOfProcs(t *testing.T) {
 	}
 }
 
+// TestReadIndependentOfProcsDegraded: a degraded read returns, charges,
+// repairs and leaves on the disks the same with one processor — everything
+// inline — as with its chunks' records checked and solved on workers. An
+// 8-node 4+2 fleet has two nodes down, so a chunk has none, one or two of
+// its shards on them. In one case each chunk whose one lost shard is a data
+// shard has its first surviving record rotted: its pure half fails and the
+// second try reads it degraded on the caller, healing the rotten record. In
+// the other every third chunk with at most one shard down has a data record
+// missing from an alive node, which it owes a heal: it is read degraded on
+// the caller. The payload, the heals, every file — the heal packs — and the
+// clock are the same at 1, 2 and 8 procs.
+func TestReadIndependentOfProcsDegraded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type outcome struct {
+		Err   string
+		Sum   [sha256.Size]byte
+		Clock vtime.Time
+		Heals HealStats
+		Files [][][2]string
+	}
+	data := append(payload(94, 200<<10), compressible(5, 100<<10)...)
+	// Each damage takes the fleet, its chunk list and the placement of a
+	// chunk with the number of its shards on a down node, and damages one
+	// record of the chunk or none; it reports whether it did.
+	damages := []struct {
+		name   string
+		damage func(f *Fleet, sum string, nodes []*fleetNode, down []int, at int) bool
+	}{
+		{"rotted record", func(f *Fleet, sum string, nodes []*fleetNode, down []int, _ int) bool {
+			if len(down) != 1 || down[0] >= f.cfg.DataShards {
+				return false
+			}
+			i := 0
+			if down[0] == 0 {
+				i = 1
+			}
+			loc, _ := f.lookup(nodes[i], sum, i)
+			nodes[i].fs.FlipBit(loc.pack, uint64(loc.off+loc.n-1)*8)
+			return true
+		}},
+		{"heal owed", func(f *Fleet, sum string, nodes []*fleetNode, down []int, at int) bool {
+			if len(down) > 1 || at%3 != 0 {
+				return false
+			}
+			i := 0
+			if len(down) == 1 && down[0] == 0 {
+				i = 1
+			}
+			loc, _ := f.lookup(nodes[i], sum, i)
+			f.forget(nodes[i], recKey{sum, i}, loc)
+			return true
+		}},
+	}
+	for _, d := range damages {
+		var first outcome
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			f, states := testFleet(t, 8, FleetConfig{})
+			clock := vtime.NewClock()
+			man, _, err := f.Put(clock, "job", data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range f.Nodes()[:2] {
+				states[name].SetDown(true)
+			}
+			damaged := 0
+			seen := map[string]bool{}
+			for at, ref := range man.Chunks {
+				if seen[ref.Sum] {
+					continue
+				}
+				seen[ref.Sum] = true
+				nodes := f.placement(ref.Sum)
+				var down []int
+				for i, n := range nodes {
+					if !n.alive() {
+						down = append(down, i)
+					}
+				}
+				if d.damage(f, ref.Sum, nodes, down, at) {
+					damaged++
+				}
+			}
+			var out outcome
+			got, _, err := f.Get(clock, "job")
+			if err != nil {
+				out.Err = err.Error()
+			}
+			out.Sum, out.Clock, out.Heals = sha256.Sum256(got), clock.Now(), f.Heals()
+			allUp(states)
+			for _, name := range f.Nodes() {
+				out.Files = append(out.Files, listing(nodeFS(f, name)))
+			}
+			if procs == 1 {
+				first = out
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("%s: degraded get: %v", d.name, err)
+				}
+				if damaged == 0 || out.Heals.ShardsHealed != damaged {
+					t.Fatalf("%s: %d chunks damaged, %d shards healed", d.name, damaged, out.Heals.ShardsHealed)
+				}
+			} else if !reflect.DeepEqual(out, first) {
+				t.Errorf("%s: GOMAXPROCS %d: err %q clock %v heals %+v\n GOMAXPROCS 1: err %q clock %v heals %+v",
+					d.name, procs, out.Err, out.Clock, out.Heals, first.Err, first.Clock, first.Heals)
+			}
+		}
+	}
+}
+
 // TestPutIndependentOfProcs: what a Put leaves on the disks and reports is
 // the same with one processor — the digest inline — as with the digest
 // beside the staging: a fresh Put, an incremental one with a clean segment,

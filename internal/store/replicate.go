@@ -51,6 +51,7 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 	dst.beginWrite(man.Job, man.Seq, nil)
 
 	var missing []ChunkRef
+	var homes [][]*fleetNode  // the placement of each missing chunk on dst
 	seen := map[string]bool{} // a manifest can reference one sum many times
 	for _, c := range man.Chunks {
 		if seen[c.Sum] {
@@ -58,16 +59,18 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 			continue
 		}
 		seen[c.Sum] = true
-		if _, ok := dst.chunkPresent(c.Sum); ok {
+		nodes := dst.placement(c.Sum)
+		if _, ok := dst.chunkPresent(c.Sum, nodes); ok {
 			st.ChunksSkipped++
 			continue
 		}
 		missing = append(missing, c)
+		homes = append(homes, nodes)
 	}
 	src := f.newRead(clock, missing, true)
 	defer src.close()
 	var out outChunk // one chunk at a time, its scratch kept for the next
-	for _, c := range missing {
+	for i, c := range missing {
 		// The stored (compressed) representation moves verbatim; content
 		// addresses stay valid and no recompression is needed.
 		blob, err := src.blob(c)
@@ -79,7 +82,7 @@ func (f *Fleet) Replicate(clock *vtime.Clock, ref string, dst *Fleet, nic hw.Ban
 		if !ok {
 			return fail(fmt.Errorf("chunk address %q is not a SHA-256", c.Sum))
 		}
-		out.sum, out.addr, out.blob, out.sealed = c.Sum, addr, blob, false
+		out.sum, out.addr, out.nodes, out.blob, out.sealed = c.Sum, addr, homes[i], blob, false
 		if _, err := dst.stage(clock, &out); err != nil {
 			return fail(err)
 		}

@@ -72,21 +72,38 @@ func newShardMap(names []string) (*ShardMap, error) {
 // must not exceed the node count — the caller (the fleet) enforces
 // k+m <= len(nodes) at construction.
 func (m *ShardMap) Place(sum string, count int) []string {
+	out := make([]string, 0, min(count, len(m.names)))
+	m.place(sum, count, func(node int) { out = append(out, m.names[node]) })
+	return out
+}
+
+// place is Place handing each node's index in the sorted names to take, in
+// shard order, and allocating nothing.
+func (m *ShardMap) place(sum string, count int, take func(node int)) {
 	if count > len(m.names) {
 		count = len(m.names)
 	}
-	h := sha256.Sum256([]byte(sum))
+	// A content address is 64 hex digits: hashed from a buffer on the stack.
+	var buf [2 * sha256.Size]byte
+	key := buf[:copy(buf[:], sum)]
+	if len(sum) > len(buf) {
+		key = []byte(sum)
+	}
+	h := sha256.Sum256(key)
 	start := binary.BigEndian.Uint64(h[:8])
 	i := sort.Search(len(m.points), func(i int) bool { return m.points[i].hash >= start })
-	out := make([]string, 0, count)
-	seen := make([]bool, len(m.names))
-	for n := 0; n < len(m.points) && len(out) < count; n++ {
+	var few [64]bool
+	seen := few[:]
+	if len(m.names) > len(few) {
+		seen = make([]bool, len(m.names))
+	}
+	for n, taken := 0, 0; n < len(m.points) && taken < count; n++ {
 		p := m.points[(i+n)%len(m.points)]
 		if seen[p.node] {
 			continue
 		}
 		seen[p.node] = true
-		out = append(out, m.names[p.node])
+		take(p.node)
+		taken++
 	}
-	return out
 }

@@ -4,25 +4,30 @@ package store
 // and a pure half. The ordered half runs on the caller, chunk by chunk in
 // payload order: cutting the chunks, the dedup probe, every charge to the
 // virtual clock, staging records into packs, the flushes and with them
-// every tick of the fault plan. The pure half — a chunk's SHA-256, deflate,
-// Reed–Solomon encode and the digest of each of its shard records — shares
-// nothing between chunks and runs on GOMAXPROCS workers, up to putWindow
-// chunks ahead of the caller.
+// every tick of the fault plan. The pure half shares nothing between chunks
+// and runs on GOMAXPROCS workers, up to putWindow chunks ahead of the
+// caller, as two jobs a chunk: its SHA-256 and placement, and its seal —
+// deflate, Reed–Solomon encode and the digest of each of its shard records.
 //
-// A worker does not know what the store will hold by the time the caller
-// reaches its chunk, so its work is speculative: it seals every chunk it is
-// handed. The caller's probe, in chunk order, decides. A chunk it finds
-// present has its work discarded; one it finds absent is staged from its
-// worker's work or, with one processor and so no workers, sealed on the
-// caller. So what a Put writes, reports and charges does not depend on the
-// processor count.
+// Every chunk cut is hashed; only what the store lacks is sealed. The
+// caller probes ahead, in chunk order, as the hashes land: a chunk whose
+// content the Put has met before is left alone, and the first of each
+// content is looked for in the store and handed back to the workers to be
+// sealed only when the store lacks it. The probe at staging time, in chunk
+// order, still decides what is written: a chunk it finds present is not
+// staged whatever was done for it, and one it finds absent is staged from
+// its worker's seal or, when the probe ahead did not hand it back — with
+// one processor there are no workers, and a concurrent read's repair or
+// forgotten record can change the index under a Put — deflated on the caller
+// and sealed in stage. So what a Put writes, reports and charges does not
+// depend on the processor count.
 //
 // Before its first chunk is cut, a Put checks every Clean claim it can
-// honour (checkClaims): workers started as the window's are hash the
-// segment's bytes at its parent's chunk boundaries. That check is pure too, and it is over before
-// the ordered half starts, so the decision it makes for each segment falls
-// in payload order like everything else. Like every hash, it charges no
-// virtual time.
+// honour (checkClaims): workers started the way the window's are hash the
+// segment's bytes at its parent's chunk boundaries. That check is pure too,
+// and it is over before the ordered half starts, so the decision it makes
+// for each segment falls in payload order like everything else. Like every
+// hash, it charges no virtual time.
 
 import (
 	"crypto/sha256"
@@ -122,12 +127,13 @@ func (f *Fleet) checkClaims(parent Manifest, segs []Segment) (held []bool, refut
 // and flushes, few enough that its blobs and records stay in cache.
 const putWindow = 32
 
-// outChunk is one chunk on its way into the packs: its content address, its
-// stored blob and, once sealed, the blob's k+m shards with the digest of the
-// record each is framed in.
+// outChunk is one chunk on its way into the packs: its content address, the
+// nodes its shards go to, its stored blob and, once sealed, the blob's k+m
+// shards with the digest of the record each is framed in.
 type outChunk struct {
 	sum     string
 	addr    [sha256.Size]byte
+	nodes   []*fleetNode // placement(sum), a slice of its own: a staged round keeps it
 	blob    []byte
 	shards  [][]byte
 	digests [][sha256.Size]byte
@@ -148,21 +154,34 @@ func (c *outChunk) seal(f *Fleet) {
 // putSlot is one chunk in a Put's window.
 type putSlot struct {
 	outChunk
-	data []byte         // the chunk's bytes, lent by the caller
-	done sync.WaitGroup // the chunk's pure half has run
-	err  error          // what its worker's deflate returned
+	data    []byte         // the chunk's bytes, lent by the caller
+	hashed  sync.WaitGroup // its worker has its address and placement
+	landed  atomic.Bool    // the same, for a caller that must not wait
+	sealing bool           // the probe-ahead handed it back to be sealed
+	done    sync.WaitGroup // and that has run
+	err     error          // what its worker's deflate returned
+}
+
+// putJob is one job of a chunk's pure half: its hash, or its seal.
+type putJob struct {
+	j    int
+	seal bool
 }
 
 // window is the chunks a Put has cut and not yet staged: chunks staged to
-// cut-1, numbered in payload order, each in slot number mod len(slots).
+// cut-1, numbered in payload order, each in slot number mod len(slots), and
+// probed ahead up to probed-1.
 type window struct {
-	f           *Fleet
-	slots       []putSlot // as many as the window holds
-	cut, staged int
-	run         func(j int)
-	wait        func() // returns once the workers are done: the chunks are the caller's again
-	// speculate says that a chunk is deflated before the caller's probe.
-	speculate bool
+	f                   *Fleet
+	slots               []putSlot // as many as the window holds
+	cut, probed, staged int
+	run                 func(putJob)
+	wait                func() // returns once the workers are done: the chunks are the caller's again
+	// ahead says that the caller probes each chunk as its hash lands and the
+	// workers seal what the probe finds the store lacks.
+	ahead bool
+	// inFlight holds every content the probe-ahead has met in this Put.
+	inFlight map[string]bool
 }
 
 // openWindow starts a Put's workers; close stops them.
@@ -170,15 +189,16 @@ func (f *Fleet) openWindow() *window {
 	if f.slots == nil {
 		f.slots = make([]putSlot, putWindow)
 	}
-	w := &window{f: f, slots: f.slots, speculate: true}
+	w := &window{f: f, slots: f.slots, ahead: true, inFlight: map[string]bool{}}
 	if runtime.GOMAXPROCS(0) == 1 {
 		// Nothing runs beside the caller, so nothing runs ahead of it: each
 		// chunk is staged as soon as it is cut, and deflated only once the
 		// probe has found it absent — the serial write.
-		w.slots, w.speculate = w.slots[:1], false
+		w.slots, w.ahead = w.slots[:1], false
 	}
-	// Never more chunks queued than the window holds: run does not block.
-	w.run, w.wait = startWorkers(putWindow, w.prepare)
+	// Never more jobs queued than the window holds chunks, each hashed and
+	// sealed at most once: run does not block.
+	w.run, w.wait = startWorkers(2*putWindow, w.prepare)
 	return w
 }
 
@@ -199,41 +219,82 @@ func (w *window) full() bool { return w.cut-w.staged == len(w.slots) }
 // pending reports whether a chunk is waiting to be staged.
 func (w *window) pending() bool { return w.staged < w.cut }
 
-// push hands the next chunk to the workers.
+// push hands the next chunk to the workers to hash, and probes the chunks
+// whose hashes have landed.
 func (w *window) push(data []byte) {
 	s := w.slot(w.cut)
-	s.data, s.sealed, s.err = data, false, nil
-	s.done.Add(1)
+	s.data, s.sealed, s.sealing, s.err = data, false, false, nil
+	s.landed.Store(false)
+	s.hashed.Add(1)
 	w.cut++
-	w.run(w.cut - 1)
+	w.run(putJob{j: w.cut - 1})
+	w.probeAhead(0)
 }
 
-// prepare is chunk j's pure half: its address and, when the window
-// speculates, its blob, sealed.
-func (w *window) prepare(j int) {
-	s := w.slot(j)
-	defer s.done.Done()
-	s.addr = sha256.Sum256(s.data)
-	s.sum = hex.EncodeToString(s.addr[:])
-	if w.speculate {
-		if s.blob, s.err = coders.compress(s.blob, s.data); s.err == nil {
-			s.seal(w.f)
+// probeAhead is the caller's look ahead, in chunk order, at the chunks cut
+// and not yet probed: it waits for the hashes of the chunks before upTo, and
+// goes on past them only while hashes have landed. A chunk whose content the
+// Put has met before is left alone; the first of each content is looked for
+// in the store, and handed back to the workers to be sealed when the store
+// lacks it.
+func (w *window) probeAhead(upTo int) {
+	if !w.ahead {
+		return
+	}
+	for ; w.probed < w.cut; w.probed++ {
+		s := w.slot(w.probed)
+		if w.probed >= upTo && !s.landed.Load() {
+			return
 		}
+		s.hashed.Wait()
+		if w.inFlight[s.sum] {
+			continue
+		}
+		w.inFlight[s.sum] = true
+		if _, ok := w.f.chunkPresent(s.sum, s.nodes); ok {
+			continue
+		}
+		s.sealing = true
+		s.done.Add(1)
+		w.f.sealedAhead++
+		w.run(putJob{j: w.probed, seal: true})
 	}
 }
 
-// next returns the oldest chunk, its pure half done.
+// prepare runs one job of chunk j's pure half: its address and placement,
+// or its blob, sealed.
+func (w *window) prepare(job putJob) {
+	s := w.slot(job.j)
+	if job.seal {
+		defer s.done.Done()
+		if s.blob, s.err = coders.compress(s.blob, s.data); s.err == nil {
+			s.seal(w.f)
+		}
+		return
+	}
+	defer s.hashed.Done()
+	s.addr = sha256.Sum256(s.data)
+	s.sum = hex.EncodeToString(s.addr[:])
+	s.nodes = w.f.placement(s.sum)
+	s.landed.Store(true)
+}
+
+// next returns the oldest chunk, hashed, probed and with no job of its own
+// left on a worker.
 func (w *window) next() *putSlot {
+	w.probeAhead(w.staged + 1)
 	s := w.slot(w.staged)
 	w.staged++
+	s.hashed.Wait()
 	s.done.Wait()
 	return s
 }
 
 // work is what stages a chunk the caller's probe found absent: the blob its
-// worker prepared, or one deflated here, for stage to seal.
+// worker sealed, or, for a chunk the probe-ahead did not hand back, one
+// deflated here, for stage to seal.
 func (w *window) work(s *putSlot) (*outChunk, error) {
-	if w.speculate {
+	if s.sealing {
 		return &s.outChunk, s.err
 	}
 	var err error

@@ -62,12 +62,12 @@ func distinctNew(ck chunker, data []byte, have map[[sha256.Size]byte]bool) (n in
 // Each geometry puts a payload of several windows in which a chunk repeats
 // inside one window and another across windows, then a generation that
 // dedups against the first; and the first again with nodes crashing from
-// every tick of its Put on: the mirror loses one, which it commits around,
-// the 4+2 fleet three, which fail it in its pack round or at the publish,
-// or not at all when they come late. Every node's files, the stats, the
-// clock and the error are the same at every processor count, and whatever
-// the procs a Put that succeeds writes the distinct chunks the store did
-// not hold yet, and no other.
+// every tick of the two Puts on: the mirror loses one, which it commits
+// around, the 4+2 fleet three, which fail a Put in its pack round or at the
+// publish, or not at all when they come late. Every node's files, the
+// stats, the clock and the errors are the same at every processor count,
+// and whatever the procs a Put that succeeds writes the distinct chunks the
+// store did not hold yet, and no other.
 func TestPutPipelineMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	// Small chunks: many windows in a small payload.
@@ -93,16 +93,14 @@ func TestPutPipelineMatchesSerial(t *testing.T) {
 		copy(gen1[60*cfg.AvgChunk:70*cfg.AvgChunk], payload(91, 10*cfg.AvgChunk))
 		put := func(crash *proc.NodeFaultPlan) outcome {
 			f := g.open()
-			gens := [][]byte{gen0, gen1}
 			if crash != nil {
 				f.AttachFaults(proc.NewNodeFaultInjector(*crash))
-				gens = gens[:1]
 			}
 			ck := chunker{min: f.cfg.Store.MinChunk, avg: f.cfg.Store.AvgChunk, max: f.cfg.Store.MaxChunk}
 			have := map[[sha256.Size]byte]bool{}
 			clock := vtime.NewClock()
 			var out outcome
-			for gen, data := range gens {
+			for gen, data := range [][]byte{gen0, gen1} {
 				_, st, err := f.Put(clock, "job", data)
 				out.Stats = append(out.Stats, st)
 				out.Errs = append(out.Errs, fmt.Sprint(err))
@@ -133,8 +131,10 @@ func TestPutPipelineMatchesSerial(t *testing.T) {
 		}
 		probe := proc.NewNodeFaultInjector(proc.NodeFaultPlan{})
 		f.AttachFaults(probe)
-		if _, _, err := f.Put(vtime.NewClock(), "job", gen0); err != nil {
-			t.Fatal(err)
+		for _, data := range [][]byte{gen0, gen1} {
+			if _, _, err := f.Put(vtime.NewClock(), "job", data); err != nil {
+				t.Fatal(err)
+			}
 		}
 		runs := map[string]*proc.NodeFaultPlan{"no fault": nil}
 		for p := 0; p < probe.Ops(); p++ {
@@ -162,6 +162,39 @@ func TestPutPipelineMatchesSerial(t *testing.T) {
 		}
 		if (failed > 0) != g.fails {
 			t.Errorf("%s: %d of %d Puts under a crash sweep failed", g.name, failed, len(runs)-1)
+		}
+	}
+}
+
+// TestPutSealsOnlyWhatStoreLacks: with workers, a fault-free Put seals on
+// them exactly the chunks it writes — the first of each content the store
+// lacks — and no chunk it finds present or cut earlier in the same Put:
+// over a payload whose chunks repeat within a window and across windows,
+// and a second generation that dedups against the first, at 2 and 8
+// procs, on a mirror and on a 4+2 fleet.
+func TestPutSealsOnlyWhatStoreLacks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := Config{MinChunk: 128, AvgChunk: 512, MaxChunk: 2 << 10}
+	gen0 := repeating(92, cfg.AvgChunk)
+	gen1 := append([]byte(nil), gen0...)
+	copy(gen1[20*cfg.AvgChunk:30*cfg.AvgChunk], payload(93, 10*cfg.AvgChunk))
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		mirror := testMirror(t, testFS(), cfg)
+		fleet, _ := testFleet(t, 6, FleetConfig{Store: cfg})
+		for name, f := range map[string]*Fleet{"mirror": mirror, "fleet-4+2": fleet} {
+			clock := vtime.NewClock()
+			for gen, data := range [][]byte{gen0, gen1} {
+				before := f.sealedAhead
+				_, st, err := f.Put(clock, "job", data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sealed := f.sealedAhead - before; sealed != st.NewChunks || st.NewChunks == 0 {
+					t.Errorf("%s, GOMAXPROCS %d, gen %d: the workers sealed %d chunks, the Put wrote %d of %d",
+						name, procs, gen, sealed, st.NewChunks, st.TotalChunks)
+				}
+			}
 		}
 	}
 }
