@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// split is cuts collecting the chunks in a list.
+func (c chunker) split(list [][]byte) [][]byte {
+	var out [][]byte
+	c.cuts(list, func(chunk []byte) error {
+		out = append(out, chunk)
+		return nil
+	})
+	return out
+}
+
 // splitOracle is the chunker as it was first written: one pass over a
 // contiguous buffer, the rolling hash restarted at the first byte of every
 // chunk. split must cut exactly where it does.
