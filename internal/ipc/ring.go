@@ -44,6 +44,19 @@ const (
 	ringServerSpin = 256
 )
 
+// spinFrom is where a waiter that has just found its queue not ready
+// starts counting its spins toward budget. With one P it starts at the
+// budget and parks at once: the peer it waits for cannot run while it
+// spins, and each yield may hand the P to a goroutine that keeps it until
+// the scheduler preempts it, about 10 ms later. GOMAXPROCS is read here,
+// off the ready path, because it can change at run time.
+func spinFrom(budget int) int {
+	if runtime.GOMAXPROCS(0) == 1 {
+		return budget
+	}
+	return 0
+}
+
 // errRingClosed wakes waiters on a torn-down queue.
 var errRingClosed = errors.New("ipc: ring closed")
 
@@ -93,6 +106,9 @@ func (q *spsc[T]) push(v T) error {
 			q.wake()
 			return nil
 		}
+		if spins == 0 {
+			spins = spinFrom(ringClientSpin)
+		}
 		if spins++; spins < ringClientSpin {
 			runtime.Gosched()
 			continue
@@ -119,6 +135,9 @@ func (q *spsc[T]) pop(spinBudget int) (T, error) {
 			q.head.Store(head + 1)
 			q.wake()
 			return v, nil
+		}
+		if spins == 0 {
+			spins = spinFrom(spinBudget)
 		}
 		if spins++; spins < spinBudget {
 			runtime.Gosched()

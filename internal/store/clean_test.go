@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,9 +29,10 @@ func inPieces(b []byte, n int) [][]byte {
 // then the last byte of a small one — is caught by the Put: it is chunked
 // as a dirty segment and counted in RefutedClean, the honest claims beside
 // it are reused, and the generation reads back as the bytes the Put was
-// handed. The claims of the job's first generation, with no parent to
-// check them against, are counted in UncheckedClean. On one disk (1+0) and
-// on a 4+2 fleet.
+// handed. So is one bit flipped in every chunk of a large segment: the
+// check of each piece differs from its ref's. The claims of the job's
+// first generation, with no parent to check them against, are counted in
+// UncheckedClean. On one disk (1+0) and on a 4+2 fleet.
 func TestScribbledCleanSegmentStoredDirty(t *testing.T) {
 	fine := Config{MinChunk: 1 << 10, AvgChunk: 4 << 10, MaxChunk: 16 << 10}
 	stores := map[string]func() *Fleet{
@@ -82,9 +84,76 @@ func TestScribbledCleanSegmentStoredDirty(t *testing.T) {
 			t.Errorf("%s: scribbled c: %d claims refuted, segments %+v", name, stats.RefutedClean, man.Segments)
 		}
 
-		_, stats = put(all)
+		man, stats = put(all)
 		if stats.RefutedClean != 0 || stats.UncheckedClean != 0 || stats.ReusedBytes != stats.TotalBytes || stats.NewChunks != 0 {
 			t.Errorf("%s: honest claims: %+v", name, stats)
+		}
+
+		// One bit of every chunk of a, a different bit from chunk to chunk.
+		_, refs, _ := man.segment("a")
+		parts["a"] = append([]byte(nil), parts["a"]...)
+		off := int64(0)
+		for i, ref := range refs {
+			parts["a"][off+ref.Size/2] ^= 1 << (i % 8)
+			off += ref.Size
+		}
+		man, stats = put(all)
+		if stats.RefutedClean != 1 || man.Segments[0].Clean || !man.Segments[1].Clean || !man.Segments[2].Clean {
+			t.Errorf("%s: a bit flipped in each of a's %d chunks: %d claims refuted, segments %+v", name, len(refs), stats.RefutedClean, man.Segments)
+		}
+	}
+}
+
+// TestRefCheckMatchesContent: every chunk ref's Check is the chunkCheck of
+// the bytes Get returns for it, with one processor, two and eight. The
+// Puts cover a chunk deduplicated within a Put (b repeats a) and against
+// the store (the second generation's a, claimed dirty but unchanged), a
+// clean segment's refs inherited from the parent (c), and chunks that span
+// two of a segment's Data slices (every slice is 1000 bytes long, every
+// chunk at least 1 KiB).
+func TestRefCheckMatchesContent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	fine := Config{MinChunk: 1 << 10, AvgChunk: 4 << 10, MaxChunk: 16 << 10}
+	names := []string{"a", "b", "c"}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		st, _ := testFleet(t, 6, FleetConfig{Store: fine})
+		clock := vtime.NewClock()
+		a := payload(40, 96<<10)
+		parts := map[string][]byte{"a": a, "b": a, "c": payload(41, 40<<10)}
+		var reused, repeats int
+		for gen, clean := range []map[string]bool{nil, {"c": true}} {
+			data, segs := tile(clean, names, parts)
+			for i := range segs {
+				segs[i].Data = inPieces(data[segs[i].Off:segs[i].Off+segs[i].Len], 1000)
+			}
+			man, stats, err := st.PutSegmented(clock, "job", nil, segs)
+			if err != nil {
+				t.Fatalf("procs %d: gen %d: %v", procs, gen+1, err)
+			}
+			got, _, err := st.Get(vtime.NewClock(), man.ID())
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("procs %d: %s does not read back: %v", procs, man.ID(), err)
+			}
+			seen := map[string]bool{}
+			off := int64(0)
+			for i, ref := range man.Chunks {
+				if want := chunkCheck(got[off : off+ref.Size]); ref.Check != want {
+					t.Errorf("procs %d: %s chunk %d: check %016x, its bytes' %016x", procs, man.ID(), i, ref.Check, want)
+				}
+				if seen[ref.Sum] {
+					repeats++
+				}
+				seen[ref.Sum] = true
+				off += ref.Size
+			}
+			reused += stats.ReusedChunks
+			if gen == 1 && (stats.NewChunks != 0 || !man.Segments[2].Clean) {
+				t.Errorf("procs %d: second generation: %d new chunks, segments %+v", procs, stats.NewChunks, man.Segments)
+			}
+		}
+		if reused == 0 || repeats == 0 {
+			t.Errorf("procs %d: %d refs inherited, %d repeated: the Puts cover neither kind", procs, reused, repeats)
 		}
 	}
 }

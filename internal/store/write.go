@@ -6,8 +6,9 @@ package store
 // virtual clock, staging records into packs, the flushes and with them
 // every tick of the fault plan. The pure half shares nothing between chunks
 // and runs on GOMAXPROCS workers, up to putWindow chunks ahead of the
-// caller, as two jobs a chunk: its SHA-256 and placement, and its seal —
-// deflate, Reed–Solomon encode and the digest of each of its shard records.
+// caller, as two jobs a chunk: its SHA-256, check and placement, and its
+// seal — deflate, Reed–Solomon encode and the digest of each of its shard
+// records.
 //
 // Every chunk cut is hashed; only what the store lacks is sealed. The
 // caller probes ahead, in chunk order, as the hashes land: a chunk whose
@@ -23,11 +24,11 @@ package store
 // depend on the processor count.
 //
 // Before its first chunk is cut, a Put checks every Clean claim it can
-// honour (checkClaims): workers started the way the window's are hash the
-// segment's bytes at its parent's chunk boundaries. That check is pure too,
-// and it is over before the ordered half starts, so the decision it makes
-// for each segment falls in payload order like everything else. Like every
-// hash, it charges no virtual time.
+// honour (checkClaims): workers started the way the window's are compute
+// the check of the segment's bytes at its parent's chunk boundaries. That
+// check is pure too, and it is over before the ordered half starts, so the
+// decision it makes for each segment falls in payload order like
+// everything else. Like every hash, it charges no virtual time.
 
 import (
 	"crypto/sha256"
@@ -38,19 +39,19 @@ import (
 )
 
 // claimCheck is one chunk of a check of a Clean claim: the bytes a parent
-// chunk ref covers in the segment as it is now, and the address they must
-// hash to.
+// chunk ref covers in the segment as it is now, and the ref's Check they
+// must have.
 type claimCheck struct {
 	seg   int
 	parts [][]byte
-	addr  [sha256.Size]byte
+	check uint64
 }
 
 // checkClaims checks the Clean claims of segs against parent, the job's
 // previous manifest. A claim is checked when parent has a segment of that
 // name and size: its chunk refs cut the segment's current bytes, the
-// workers hash each piece, and the claim holds when every piece hashes to
-// its ref's address. held reports, per segment, that its claim was checked
+// workers compute each piece's chunkCheck, and the claim holds when every
+// piece's is its ref's Check. held reports, per segment, that its claim was checked
 // and holds — the segment reuses the parent's refs; refuted counts the
 // checked claims that do not hold, unchecked the claims with nothing in
 // parent to check them against. Nothing is copied: a piece is the slices
@@ -65,17 +66,7 @@ func (f *Fleet) checkClaims(parent Manifest, segs []Segment) (held []bool, refut
 		if wrong[c.seg].Load() {
 			return // the claim is already refuted
 		}
-		var sum [sha256.Size]byte
-		if len(c.parts) == 1 {
-			sum = sha256.Sum256(c.parts[0])
-		} else {
-			h := sha256.New()
-			for _, b := range c.parts {
-				h.Write(b)
-			}
-			h.Sum(sum[:0])
-		}
-		if sum != c.addr {
+		if chunkCheck(c.parts...) != c.check {
 			wrong[c.seg].Store(true)
 		}
 	}
@@ -92,13 +83,11 @@ func (f *Fleet) checkClaims(parent Manifest, segs []Segment) (held []bool, refut
 			run, wait = startWorkers(putWindow, check)
 		}
 		held[i] = true
-		// The refs tile the segment's bytes: decodeManifest checked their
-		// addresses and that their sizes add up to the segment's, and
-		// segmentBytes that the bytes do. A cursor walks them: slice at of
-		// the bytes, from offset off.
+		// The refs tile the segment's bytes: decodeManifest checked that their
+		// sizes add up to the segment's, and segmentBytes that the bytes do.
+		// A cursor walks them: slice at of the bytes, from offset off.
 		at, off := 0, 0
 		for _, ref := range refs {
-			addr, _ := decodeDigest(ref.Sum)
 			var parts [][]byte
 			for need := int(ref.Size); need > 0; {
 				b := sg.Data[at][off:]
@@ -109,7 +98,7 @@ func (f *Fleet) checkClaims(parent Manifest, segs []Segment) (held []bool, refut
 					at, off = at+1, 0
 				}
 			}
-			run(claimCheck{seg: i, parts: parts, addr: addr})
+			run(claimCheck{seg: i, parts: parts, check: ref.Check})
 		}
 	}
 	wait()
@@ -155,7 +144,8 @@ func (c *outChunk) seal(f *Fleet) {
 type putSlot struct {
 	outChunk
 	data    []byte         // the chunk's bytes, lent by the caller
-	hashed  sync.WaitGroup // its worker has its address and placement
+	check   uint64         // chunkCheck(data), for its ref
+	hashed  sync.WaitGroup // its worker has its address, check and placement
 	landed  atomic.Bool    // the same, for a caller that must not wait
 	sealing bool           // the probe-ahead handed it back to be sealed
 	done    sync.WaitGroup // and that has run
@@ -261,8 +251,8 @@ func (w *window) probeAhead(upTo int) {
 	}
 }
 
-// prepare runs one job of chunk j's pure half: its address and placement,
-// or its blob, sealed.
+// prepare runs one job of chunk j's pure half: its address, check and
+// placement, or its blob, sealed.
 func (w *window) prepare(job putJob) {
 	s := w.slot(job.j)
 	if job.seal {
@@ -274,6 +264,7 @@ func (w *window) prepare(job putJob) {
 	}
 	defer s.hashed.Done()
 	s.addr = sha256.Sum256(s.data)
+	s.check = chunkCheck(s.data)
 	s.sum = hex.EncodeToString(s.addr[:])
 	s.nodes = w.f.placement(s.sum)
 	s.landed.Store(true)
