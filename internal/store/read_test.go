@@ -10,6 +10,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -513,33 +514,52 @@ func traceRead(t *testing.T, cs confStore, clock *vtime.Clock, man Manifest) (la
 	return lands, disk
 }
 
+// putThreeGenerations puts three generations of a four-segment image, each
+// with a new _head, and returns the last one's manifest: its chunks lie in
+// all three generations' packs.
+func putThreeGenerations(t *testing.T, cs confStore, clock *vtime.Clock) Manifest {
+	t.Helper()
+	clock.Advance(7 * vtime.Millisecond)
+	names := []string{"_head", "a", "b", "c"}
+	parts := map[string][]byte{"_head": payload(60, 300), "a": compressible(3, 80<<10),
+		"b": payload(61, 50<<10), "c": compressible(9, 40<<10)}
+	var man Manifest
+	for gen, clean := range []map[string]bool{nil, {"a": true}, {"a": true, "c": true}} {
+		parts["_head"] = payload(int64(62+gen), 300)
+		if gen == 1 {
+			parts["c"] = compressible(11, 40<<10)
+		}
+		if gen == 2 {
+			parts["b"] = payload(65, 50<<10)
+		}
+		data, segs := tile(clean, names, parts)
+		man, _ = mustPut(t, cs, clock, "job", data, segs)
+	}
+	return man
+}
+
+// firstArrival is the earliest instant any of lands has all its packs.
+func firstArrival(lands []landing) vtime.Time {
+	first := lands[0].after
+	for _, l := range lands {
+		first = min(first, l.after)
+	}
+	return first
+}
+
 // TestReadTimelineBounds: running the disks, the link and the CPU beside
 // each other hides time and never invents it. A read of an image whose
-// chunks lie in three generations' packs ends no sooner than its first pack
-// plus everything the link carried, than the busiest disk, than everything
-// the CPU inflated — and sooner than the three one after the other. With
+// chunks lie in three generations' packs ends no sooner than its first
+// pack to arrive plus everything the link carried, than the busiest disk,
+// than everything the CPU inflated — and sooner than the three one after
+// the other. With
 // one chunk in one pack per node there is nothing to overlap; and a read
 // that fails part-way has spent what it did up to there.
 func TestReadTimelineBounds(t *testing.T) {
-	names := []string{"_head", "a", "b", "c"}
 	for _, b := range confBackends {
 		cs := b.open(t, Config{})
 		clock := vtime.NewClock()
-		clock.Advance(7 * vtime.Millisecond)
-		parts := map[string][]byte{"_head": payload(60, 300), "a": compressible(3, 80<<10),
-			"b": payload(61, 50<<10), "c": compressible(9, 40<<10)}
-		var man Manifest
-		for gen, clean := range []map[string]bool{nil, {"a": true}, {"a": true, "c": true}} {
-			parts["_head"] = payload(int64(62+gen), 300)
-			if gen == 1 {
-				parts["c"] = compressible(11, 40<<10)
-			}
-			if gen == 2 {
-				parts["b"] = payload(65, 50<<10)
-			}
-			data, segs := tile(clean, names, parts)
-			man, _ = mustPut(t, cs, clock, "job", data, segs)
-		}
+		man := putThreeGenerations(t, cs, clock)
 
 		began := clock.Now()
 		lands, disk := traceRead(t, cs, clock, man)
@@ -558,8 +578,8 @@ func TestReadTimelineBounds(t *testing.T) {
 		if ready[len(ready)-1] != end {
 			t.Errorf("%s: last segment ready at %v, the read ended at %v", b.name, ready[len(ready)-1], end)
 		}
-		if floor := lands[0].after.Add(link); end < floor || lands[0].after <= began {
-			t.Errorf("%s: read ended at %v, its first pack arrived at %v (began %v) and the link carried %v", b.name, end, lands[0].after, began, link)
+		if first := firstArrival(lands); end < first.Add(link) || first <= began {
+			t.Errorf("%s: read ended at %v, its first pack arrived at %v (began %v) and the link carried %v", b.name, end, first, began, link)
 		}
 		if took < disk || took < cpu || cpu == 0 {
 			t.Errorf("%s: read took %v, the busiest disk %v, the CPU %v", b.name, took, disk, cpu)
@@ -595,9 +615,147 @@ func TestReadTimelineBounds(t *testing.T) {
 		if _, _, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false); err == nil {
 			t.Fatalf("%s: read a lost chunk", b.name)
 		}
-		if end := clock.Now(); end < lands[0].after.Add(link) || end.Sub(began) < cpu {
+		if end, first := clock.Now(), firstArrival(lands[:mid]); end < first.Add(link) || end.Sub(began) < cpu {
 			t.Errorf("%s: a read that failed at chunk %d ended at %v: began %v, first pack %v, link %v and cpu %v before it",
-				b.name, mid, end, began, lands[0].after, link, cpu)
+				b.name, mid, end, began, first, link, cpu)
+		}
+	}
+}
+
+// linkSchedule charges lands to the link alone, one segment per chunk:
+// when each chunk started on the link and when it was through.
+func linkSchedule(lands []landing, start vtime.Time) (starts, ends []vtime.Time) {
+	bare := make([]landing, len(lands))
+	ones := make([]SegmentRef, len(lands))
+	for i, l := range lands {
+		bare[i].lanes = lanes{after: l.after, link: l.link}
+		ones[i].Chunks = 1
+	}
+	_, ends = charge(bare, ones, start)
+	for i, end := range ends {
+		starts = append(starts, end.Add(-lands[i].link))
+	}
+	return starts, ends
+}
+
+// checkLinkRule holds the link's schedule of lands to the rule that makes
+// it: the link is through exactly at the work-conserving makespan,
+// max_j(after_j + Σ link_i over the chunks with after_i ≥ after_j), so it
+// never idles while a chunk that has arrived waits; and no chunk starts on
+// it while a lower-numbered one that has arrived is still waiting.
+func checkLinkRule(t *testing.T, what string, lands []landing, start vtime.Time) (starts, ends []vtime.Time) {
+	t.Helper()
+	starts, ends = linkSchedule(lands, start)
+	makespan, through := start, start
+	for j, lj := range lands {
+		from := vtime.Max(start, lj.after)
+		for _, li := range lands {
+			if li.after >= lj.after {
+				from = from.Add(li.link)
+			}
+		}
+		makespan, through = vtime.Max(makespan, from), vtime.Max(through, ends[j])
+	}
+	if through != makespan {
+		t.Errorf("%s: the link was through at %v, the work-conserving makespan is %v", what, through, makespan)
+	}
+	for i := range lands {
+		for j := i + 1; j < len(lands); j++ {
+			if lands[i].after <= starts[j] && starts[i] > starts[j] {
+				t.Errorf("%s: chunk %d started on the link at %v, chunk %d, there since %v, only at %v",
+					what, j, starts[j], i, lands[i].after, starts[i])
+			}
+		}
+	}
+	return starts, ends
+}
+
+// TestReadLinkTakesWhatHasArrived: whenever the reader's link is free it
+// takes the lowest-numbered chunk whose packs have arrived, and waits only
+// when none has. Over the lanes traceRead finds for an image in three
+// generations' packs, on every backend: (a) the link is through at the
+// work-conserving makespan, lower-numbered chunks that are there go first
+// (checkLinkRule), and the read ends where charging those lanes does; (b)
+// with the chunk whose pack arrives last moved to the front, a later chunk
+// is done first; and (c) with that front chunk's pack arriving instead
+// while another chunk is on the link and an earlier arrival still waits,
+// the front chunk goes next — so _head is ready no later than its pack,
+// one chunk in flight and its own link and CPU.
+func TestReadLinkTakesWhatHasArrived(t *testing.T) {
+	for _, b := range confBackends {
+		cs := b.open(t, Config{})
+		clock := vtime.NewClock()
+		man := putThreeGenerations(t, cs, clock)
+		began := clock.Now()
+		lands, _ := traceRead(t, cs, clock, man)
+
+		// (a) The read as it comes.
+		checkLinkRule(t, b.name, lands, began)
+		end, done := charge(lands, man.Segments, began)
+		if _, ready, err := cs.readChunks(clock, man.ID(), man.Chunks, man.Segments, man.Size, false); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		} else if clock.Now() != end || ready[0] != done[0] || ready[len(ready)-1] != end {
+			t.Errorf("%s: read ended at %v, segments ready at %v; its lanes charge to %v, segments done at %v",
+				b.name, clock.Now(), ready, end, done)
+		}
+
+		// (b) Chunk 0 in the pack that arrives last.
+		last := 0
+		for i, l := range lands {
+			if l.after >= lands[last].after {
+				last = i
+			}
+		}
+		moved := append([]landing{lands[last]}, lands[:last]...)
+		moved = append(moved, lands[last+1:]...)
+		if moved[0].after == firstArrival(moved) {
+			t.Fatalf("%s: every chunk's packs arrive at once (%v)", b.name, moved[0].after)
+		}
+		checkLinkRule(t, b.name+", last pack first", moved, began)
+		ones := make([]SegmentRef, len(moved))
+		for i := range ones {
+			ones[i].Chunks = 1
+		}
+		_, done = charge(moved, ones, began)
+		if slices.Min(done[1:]) >= done[0] {
+			t.Errorf("%s: chunk 0, whose pack arrives last at %v, was done at %v, before every later chunk: %v",
+				b.name, moved[0].after, done[0], done)
+		}
+
+		// (c) Chunk 0's pack arrives while chunk k is on the link and chunk
+		// j, there already, waits behind k.
+		starts, ends := linkSchedule(moved, began)
+		k, j := -1, -1
+		for c := 1; c < len(moved) && k < 0; c++ {
+			mid := starts[c].Add(moved[c].link / 2)
+			for w := 1; w < len(moved) && moved[c].link > 0; w++ {
+				if starts[w] > starts[c] && moved[w].after <= mid && moved[w].link > 0 && mid < moved[0].after {
+					k, j = c, w
+					moved[0].after = mid
+					break
+				}
+			}
+		}
+		if k < 0 {
+			var link vtime.Duration
+			for _, l := range moved {
+				link += l.link
+			}
+			if link > 0 {
+				t.Fatalf("%s: the link carried %v and never had a chunk waiting behind another", b.name, link)
+			}
+			continue // a local disk's records cross no link
+		}
+		starts, _ = checkLinkRule(t, b.name+", _head behind one in flight", moved, began)
+		if starts[0] != ends[k] {
+			t.Errorf("%s: _head there at %v, chunk %d on the link until %v: _head started at %v, chunk %d (there at %v) at %v",
+				b.name, moved[0].after, k, ends[k], starts[0], j, moved[j].after, starts[j])
+		}
+		_, done = charge(moved, ones, began)
+		flight := moved[k].link + moved[k].cpu
+		if bound := moved[0].after.Add(flight + moved[0].link + moved[0].cpu); done[0] > bound {
+			t.Errorf("%s: _head there at %v, ready at %v: after one chunk in flight (%v) and its own link and CPU, %v",
+				b.name, moved[0].after, done[0], flight, bound)
 		}
 	}
 }

@@ -72,8 +72,10 @@ for procs in 1 8; do
     GOMAXPROCS=$procs go test -run 'AppsGolden|Differential' -race -count=3 \
         ./internal/clc/ ./internal/core/
     # The restore schedule: when each segment of a read was there, the
-    # bounds the read's three lanes (disks, link, CPU) keep it within, and
-    # what a restore that rebuilds behind its read waits for and costs, are
+    # bounds the read's three lanes (disks, link, CPU) keep it within, the
+    # link taking the lowest-numbered chunk that has arrived whenever it is
+    # free, and what a restore that rebuilds behind its read waits for and
+    # costs, are
     # the same at every GOMAXPROCS and on every repeat (ten at each count).
     # So are the write's lanes (CPU, link, disks) and what a Put leaves on
     # the disks and reports, also when its pure half runs on workers ahead
@@ -82,7 +84,7 @@ for procs in 1 8; do
     # workers with the same payload, heals and clock; the word-width
     # GF(256) loops add what the byte-at-a-time one does; and every chunk
     # ref's check is that of the bytes a read returns for it.
-    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestWriteTimelineBounds|TestPutIndependentOfProcs|TestPutPipelineMatchesSerial|TestPutSealsOnlyWhatStoreLacks|TestReadIndependentOfProcsDegraded|TestMulAddMatchesBytewise|TestRefCheckMatchesContent' -race -count=10 ./internal/store/
+    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestReadLinkTakesWhatHasArrived|TestWriteTimelineBounds|TestPutIndependentOfProcs|TestPutPipelineMatchesSerial|TestPutSealsOnlyWhatStoreLacks|TestReadIndependentOfProcsDegraded|TestMulAddMatchesBytewise|TestRefCheckMatchesContent' -race -count=10 ./internal/store/
     GOMAXPROCS=$procs go test -run 'TestRestoreOverlaps|TestRestoreShortRead' -race ./internal/core/
     # The one seeded fault schedule, and each injector's schedule pinned
     # event for event, are the same at every GOMAXPROCS and on every repeat.
