@@ -78,8 +78,8 @@ type Manifest struct {
 
 // ReadyAt reports, on a manifest that GetNewestRestorable handed out with
 // the payload it read, the instant on that read's clock at which each of
-// Segments was there whole and verified, in segment order: non-decreasing,
-// the last one the end of the read. It is nil on a manifest that came from
+// Segments, and every segment before it, was there whole and verified, in
+// segment order: non-decreasing, the last one the end of the read. It is nil on a manifest that came from
 // anywhere else and on one without a segment map — the payload then is
 // there when the read returns and not before.
 func (m Manifest) ReadyAt() []vtime.Time { return m.ready }
