@@ -361,8 +361,9 @@ func sumPerClass(rst RestartStats) (sum vtime.Duration) {
 // chunks in three generations' packs: the process is spawned while the
 // disks are still reading, the proxy is forked and the program built behind
 // the read, no buffer's upload is
-// enqueued before its region was there, the restore ends one upload after
-// the read does instead of a whole rebuild after it, Total is exactly the
+// enqueued before its region was there, the restore ends exactly where its
+// uploads, one after the other behind their regions' arrivals, end instead
+// of a whole rebuild after the read, Total is exactly the
 // waiting plus each class's own work, and what lands on the device is what
 // a restore that reads the whole image first (readFirstStore) puts there —
 // for the same work per class, one after the other.
@@ -460,20 +461,34 @@ func TestRestoreOverlapsReadAndRebuild(t *testing.T) {
 			t.Errorf("%s: first upload at %v, database at %v, fork %v and build %v after it", name,
 				uploads[0], db, rst.PerClass["proxy"], rst.PerClass["prog"])
 		}
-		// One more upload of a buffer of the largest size, timed: what the
-		// restore may end behind its read by, the uploads being quicker than
-		// the arrivals.
-		big := mems[0]
-		sw := vtime.NewStopwatch(node.Clock)
-		if _, err := c.px.Client.EnqueueWriteBuffer(c.anyQueueFor(big.Ctx).real, big.real, true, 0, big.Data, nil); err != nil {
-			t.Fatal(err)
-		}
-		upload := sw.Elapsed()
 		if chain := work - rst.PerClass["mem"]; chain >= rst.ReadTime {
 			t.Fatalf("%s: the job is too small to tell: rebuild chain %v, read %v", name, chain, rst.ReadTime)
 		}
-		if rst.Total > rst.ReadTime+upload {
-			t.Errorf("%s: restored in %v: read %v, one upload %v, rebuild %v", name, rst.Total, rst.ReadTime, upload, work)
+		// Each upload timed again on its own: the uploads from buffer i on
+		// take rest[i].
+		rest := make([]vtime.Duration, len(mems)+1)
+		for i := len(mems) - 1; i >= 0; i-- {
+			m := mems[i]
+			sw := vtime.NewStopwatch(node.Clock)
+			if _, err := c.px.Client.EnqueueWriteBuffer(c.anyQueueFor(m.Ctx).real, m.real, true, 0, m.Data, nil); err != nil {
+				t.Fatal(err)
+			}
+			rest[i] = rest[i+1] + sw.Elapsed()
+		}
+		// The uploads go one after the other, each as soon as its region is
+		// there and the rest of the rebuild — all of it but the uploads,
+		// behind the database region — is done: the restore ends exactly at
+		// the serial-upload makespan behind those instants, however many
+		// regions arrive at once.
+		rebuilt := db.Add(work - rest[0])
+		var makespan vtime.Time
+		for i, m := range mems {
+			at := vtime.Max(regions["region/"+memRegion(m.H)], rebuilt)
+			makespan = vtime.Max(makespan, at.Add(rest[i]))
+		}
+		if end := began.Add(rst.Total); end != makespan {
+			t.Errorf("%s: restored at %v: read %v, rebuilt but for the uploads at %v, the uploads behind the regions' arrivals end at %v",
+				name, end, rst.ReadTime, rebuilt, makespan)
 		}
 
 		if !reflect.DeepEqual(rst.PerClass, first.PerClass) && tc.procs > 1 {

@@ -674,7 +674,7 @@ func (f *Fleet) packExists(path string) bool {
 // it reads: a pack is stamped with the instant its node's disk was done
 // with it, and what a chunk waits for and takes of the link and of the
 // reader's CPU is left in the lanes its caller names — a landing's, for
-// readChunks to charge in chunk order.
+// readChunks to charge in the order the link takes the chunks (charge).
 type fleetRead struct {
 	f     *Fleet
 	clock *vtime.Clock // the reader's: every node's disk lane forks from it
@@ -697,8 +697,10 @@ type pack struct {
 }
 
 // newRead opens a read session and loads the packs the healthy path of
-// every ref needs. The degraded read is the only read path there is;
-// without heal it just writes nothing back.
+// every ref needs; a caller hands each address once (readChunks, its
+// landings' distinct refs; Replicate, the chunks missing at the other end).
+// The degraded read is the only read path there is; without heal it just
+// writes nothing back.
 func (f *Fleet) newRead(clock *vtime.Clock, refs []ChunkRef, heal bool) *fleetRead {
 	f.indexNodes()
 	r := &fleetRead{f: f, clock: clock, heal: heal, packs: map[packAt]pack{},

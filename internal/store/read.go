@@ -20,7 +20,14 @@ package store
 // enough, because the chunks a manifest names are the bytes its Put was
 // handed — a segment the Put reused on a Clean claim hashed to the parent's
 // refs first (Segment.Clean) — so each byte is hashed once on the way in and
-// once on the way back.
+// at most once on the way back.
+//
+// A manifest can name one content many times (a zeroed page, a buffer staged
+// twice), and a read brings each content back once. The first ref of an
+// address is fetched, verified and inflated; every later ref of it at the
+// same size is a repeat, which the session never sees: no index lookup, no
+// record, no link byte, no inflate. Once every chunk is in, a repeat is
+// copied out of its first occurrence's verified range of the payload.
 //
 // Virtual time is a pipeline of three kinds of hardware, and nothing moves
 // a clock until the workers have joined. The store nodes' disks run beside
@@ -31,9 +38,11 @@ package store
 // readChunks then schedules them once: whenever the link is free it takes
 // the lowest-numbered chunk whose packs are there, waiting for the next pack
 // only when none is, and the CPU takes each chunk once its bytes are through.
-// So a read costs the same whatever order the workers finish in, and it
-// knows when each of the manifest's segments was there: the instant it and
-// every segment before it had been inflated.
+// A repeat waits for what its first occurrence waited for, takes no link and
+// takes the CPU for its copy; the first occurrence, lower-numbered and there
+// at the same instant, goes first. So a read costs the same whatever order
+// the workers finish in, and it knows when each of the manifest's segments
+// was there: the instant it and every segment before it had been inflated.
 
 import (
 	"crypto/sha256"
@@ -42,8 +51,13 @@ import (
 	"runtime"
 	"sync"
 
+	"checl/internal/hw"
 	"checl/internal/vtime"
 )
+
+// repeatCopy is the rate at which a read copies a repeated chunk out of its
+// first occurrence: the host memcpy of Table I.
+const repeatCopy = 6.0 * hw.GBps
 
 // lanes is what bringing one chunk back waits for and takes: both halves of
 // its read add to it, and nothing else does.
@@ -63,10 +77,11 @@ func (t lanes) pay(clock *vtime.Clock) {
 // landing is one chunk on its way into a payload: where its content
 // belongs, the address it must hash to and what bringing it back takes.
 type landing struct {
-	ref  ChunkRef
-	addr [sha256.Size]byte // ref.Sum, decoded once
-	dst  []byte            // ref.Size bytes of the payload
-	err  error             // what the chunk's pure half returned
+	ref   ChunkRef
+	addr  [sha256.Size]byte // ref.Sum, decoded once
+	dst   []byte            // ref.Size bytes of the payload
+	err   error             // what the chunk's pure half returned
+	first *landing          // the landing this one repeats, if any: same address, same size
 	lanes
 }
 
@@ -131,68 +146,26 @@ func startWorkers[T any](queue int, job func(T)) (run func(T), wait func()) {
 
 // readChunks is the store's one chunk-landing loop: it reads the run of
 // chunks refs, size bytes in all, into one buffer, every chunk verified
-// against its content address. id names the manifest in errors. Nothing is read, and no buffer
-// allocated, unless the sizes the manifest gives are ones a Put can have
-// written and add up: every chunk lands in its own range of the buffer, so
-// from here on they are trusted.
+// against its content address. id names the manifest in errors. Nothing is
+// read, and no buffer allocated, unless the sizes the manifest gives are
+// ones a Put can have written and add up: every chunk lands in its own range
+// of the buffer, so from here on they are trusted.
 //
-// The session's fetch runs for every chunk in order, then — after all the
-// pure halves have run — its refetch for each chunk that failed, in order,
-// and then charge schedules what every chunk waits for and takes, and the
-// read ends when the CPU does. What the nodes are asked to do, what the
-// clock reads and when, depend on neither the processor count nor the
-// scheduler. segs, when the refs are a manifest's whole chunk list, is its
-// segment map: ready reports for each segment the instant the CPU was done
-// with its last chunk and every chunk before it — non-decreasing, the last
-// one the end of the read.
+// The session lands the chunks (fleetRead.land), and then charge schedules
+// what every chunk waits for and takes, and the read ends when the CPU does.
+// What the nodes are asked to do, what the clock reads and when, depend on
+// neither the processor count nor the scheduler. segs, when the refs are a
+// manifest's whole chunk list, is its segment map: ready reports for each
+// segment the instant the CPU was done with its last chunk and every chunk
+// before it — non-decreasing, the last one the end of the read.
 func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs []SegmentRef, size int64, heal bool) (payload []byte, ready []vtime.Time, err error) {
-	if !sizesAddUp(refs, size, int64(f.cfg.Store.MaxChunk)) {
-		return nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, f.cfg.Store.MaxChunk, size)
+	payload, lands, distinct, err := f.landings(id, refs, size)
+	if err != nil {
+		return nil, nil, err
 	}
-	payload = make([]byte, size)
-	lands := make([]landing, len(refs))
-	off := int64(0)
-	for i, ref := range refs {
-		addr, ok := decodeDigest(ref.Sum)
-		if !ok {
-			return nil, nil, corruptf("store: %s: chunk %d: bad address %q", id, i, ref.Sum)
-		}
-		lands[i] = landing{ref: ref, addr: addr, dst: payload[off : off+ref.Size : off+ref.Size]}
-		off += ref.Size
-	}
-	rd := f.newRead(clock, refs, heal)
+	rd := f.newRead(clock, distinct, heal)
 	defer rd.close()
-	// A queue slot per worker: the session finds the next chunks while the
-	// workers are busy with these.
-	type pure struct {
-		i    int
-		land func() error
-	}
-	run, wait := startWorkers(runtime.GOMAXPROCS(0), func(p pure) {
-		lands[p.i].err = p.land()
-	})
-
-	fetched := 0
-	for ; fetched < len(lands); fetched++ {
-		var land func() error
-		if land, err = rd.fetch(&lands[fetched]); err != nil {
-			break
-		}
-		if land != nil {
-			run(pure{fetched, land})
-		}
-	}
-	wait()
-	// A chunk the session cannot bring back ends the read: the first such in
-	// chunk order, which a failed land before the failed fetch would be.
-	for i := 0; i < fetched; i++ {
-		if l := &lands[i]; l.err != nil {
-			if rerr := rd.refetch(l, l.err); rerr != nil {
-				err = rerr
-				break
-			}
-		}
-	}
+	err = rd.land(lands)
 	// A read that fails has still spent what its chunks took up to there:
 	// the ones it never fetched wait for nothing and take nothing.
 	end, ready := charge(lands, segs, clock.Now())
@@ -204,6 +177,90 @@ func (f *Fleet) readChunks(clock *vtime.Clock, id string, refs []ChunkRef, segs 
 		return nil, nil, err
 	}
 	return payload, ready, nil
+}
+
+// landings lays the run of chunks refs out over a payload of size bytes,
+// one landing each, and lists the refs whose address no earlier ref has:
+// what the session has to find. A ref that names the same address at the
+// same size as an earlier one is a repeat of it; one at another size is
+// read on its own, and fails there as a chunk of the wrong size does.
+func (f *Fleet) landings(id string, refs []ChunkRef, size int64) (payload []byte, lands []landing, distinct []ChunkRef, err error) {
+	if !sizesAddUp(refs, size, int64(f.cfg.Store.MaxChunk)) {
+		return nil, nil, nil, corruptf("store: %s: chunk sizes are not within [0, %d] adding up to %d bytes", id, f.cfg.Store.MaxChunk, size)
+	}
+	payload = make([]byte, size)
+	lands = make([]landing, len(refs))
+	firsts := make(map[[sha256.Size]byte]*landing, len(refs))
+	off := int64(0)
+	for i, ref := range refs {
+		addr, ok := decodeDigest(ref.Sum)
+		if !ok {
+			return nil, nil, nil, corruptf("store: %s: chunk %d: bad address %q", id, i, ref.Sum)
+		}
+		l := &lands[i]
+		*l = landing{ref: ref, addr: addr, dst: payload[off : off+ref.Size : off+ref.Size]}
+		if first, seen := firsts[addr]; !seen {
+			firsts[addr] = l
+			distinct = append(distinct, ref)
+		} else if first.ref.Size == ref.Size {
+			l.first = first
+		}
+		off += ref.Size
+	}
+	return payload, lands, distinct, nil
+}
+
+// land brings lands back into their ranges of the payload. The session's
+// fetch runs for every chunk but a repeat, in order, then — after all the
+// pure halves have run — its refetch for each chunk that failed, in order.
+// A repeat is then copied out of its first occurrence: it waits for what
+// that one waited for, crosses no link and takes the CPU for the copy.
+func (r *fleetRead) land(lands []landing) (err error) {
+	// A queue slot per worker: the session finds the next chunks while the
+	// workers are busy with these.
+	type pure struct {
+		i    int
+		land func() error
+	}
+	run, wait := startWorkers(runtime.GOMAXPROCS(0), func(p pure) {
+		lands[p.i].err = p.land()
+	})
+	fetched := 0
+	for ; fetched < len(lands); fetched++ {
+		l := &lands[fetched]
+		if l.first != nil {
+			continue
+		}
+		var land func() error
+		if land, err = r.fetch(l); err != nil {
+			break
+		}
+		if land != nil {
+			run(pure{fetched, land})
+		}
+	}
+	wait()
+	// A chunk the session cannot bring back ends the read: the first such in
+	// chunk order, which a failed land before the failed fetch would be.
+	for i := 0; i < fetched; i++ {
+		if l := &lands[i]; l.err != nil {
+			if rerr := r.refetch(l, l.err); rerr != nil {
+				err = rerr
+				break
+			}
+		}
+	}
+	// Every repeat the read reached is charged its copy, and copied unless
+	// the read failed and has no payload to return.
+	for i := 0; i < fetched; i++ {
+		if l := &lands[i]; l.first != nil {
+			l.lanes = lanes{after: l.first.after, cpu: repeatCopy.Transfer(l.ref.Size)}
+			if err == nil {
+				copy(l.dst, l.first.dst)
+			}
+		}
+	}
+	return err
 }
 
 // arrival is one instant at which some of a read's chunks have all their

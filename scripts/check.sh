@@ -81,10 +81,12 @@ for procs in 1 8; do
     # the disks and reports, also when its pure half runs on workers ahead
     # of the caller and nodes crash under it; its workers seal only the
     # chunks it writes; a degraded read's records are checked and solved on
-    # workers with the same payload, heals and clock; the word-width
+    # workers with the same payload, heals and clock; a read copies each
+    # repeated chunk out of its first occurrence, whose link it does not
+    # pay again, with the same files, heals and clock; the word-width
     # GF(256) loops add what the byte-at-a-time one does; and every chunk
     # ref's check is that of the bytes a read returns for it.
-    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestReadLinkTakesWhatHasArrived|TestWriteTimelineBounds|TestPutIndependentOfProcs|TestPutPipelineMatchesSerial|TestPutSealsOnlyWhatStoreLacks|TestReadIndependentOfProcsDegraded|TestMulAddMatchesBytewise|TestRefCheckMatchesContent' -race -count=10 ./internal/store/
+    GOMAXPROCS=$procs go test -run 'TestSegmentsReadyInOrder|TestReadTimelineBounds|TestReadLinkTakesWhatHasArrived|TestWriteTimelineBounds|TestPutIndependentOfProcs|TestPutPipelineMatchesSerial|TestPutSealsOnlyWhatStoreLacks|TestReadIndependentOfProcsDegraded|TestReadCopiesRepeatedChunks|TestMulAddMatchesBytewise|TestRefCheckMatchesContent' -race -count=10 ./internal/store/
     GOMAXPROCS=$procs go test -run 'TestRestoreOverlaps|TestRestoreShortRead' -race ./internal/core/
     # The one seeded fault schedule, and each injector's schedule pinned
     # event for event, are the same at every GOMAXPROCS and on every repeat.
